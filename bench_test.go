@@ -53,6 +53,16 @@ func compareProfile() experiments.Profile {
 	return p
 }
 
+// workerVariants lists the worker counts a serial-vs-parallel benchmark
+// sweeps: 1 and every core, without the second when it equals the first
+// (a 1-CPU box would otherwise emit the same sub-benchmark twice).
+func workerVariants() []int {
+	if n := runtime.NumCPU(); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkTableI_CommOverhead reproduces Table I: per-round
 // communication by method. Shape: FedCross == FedAvg (Low) < FedGen
 // (Medium) < SCAFFOLD (High).
@@ -339,16 +349,13 @@ func BenchmarkRoundParallel(b *testing.B) {
 	prof.EvalEvery = 0
 	prof.NumClients = 16
 	prof.ClientsPerRound = 8
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{fmt.Sprintf("parallel-%d", runtime.NumCPU()), runtime.NumCPU()},
-	}
-	for _, bc := range cases {
-		b.Run(bc.name, func(b *testing.B) {
-			prof.Parallelism = bc.workers
+	for _, workers := range workerVariants() {
+		name := "serial"
+		if workers > 1 {
+			name = fmt.Sprintf("parallel-%d", workers)
+		}
+		b.Run(name, func(b *testing.B) {
+			prof.Parallelism = workers
 			env, err := prof.BuildEnv("vision10", "cnn", data.Heterogeneity{Beta: 0.5}, 1)
 			if err != nil {
 				b.Fatal(err)
@@ -374,21 +381,17 @@ func BenchmarkRoundParallel(b *testing.B) {
 // (TestSchedulerDeterminism), so the timing ratio is pure grid-level
 // speedup; tableII_smoke_s reports the wall-clock in seconds for the
 // BENCH trajectory, and cpus records the cores the ratio was measured
-// on — on a 1-core box jobs-all necessarily ≈ jobs-1 (only the shared
-// environment builds help), so read the ratio together with cpus.
+// on (a 1-core box runs jobs-1 only).
 func BenchmarkExperimentScheduler(b *testing.B) {
-	cases := []struct {
-		name string
-		jobs int
-	}{
-		{"jobs-1", 1},
-		{"jobs-all", runtime.NumCPU()},
-	}
-	for _, bc := range cases {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, jobs := range workerVariants() {
+		name := "jobs-1"
+		if jobs > 1 {
+			name = "jobs-all"
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prof := benchProfile()
-				prof.Jobs = bc.jobs
+				prof.Jobs = jobs
 				start := time.Now()
 				res, err := experiments.RunTableII(experiments.TableIIOptions{
 					Profile:  prof,
@@ -568,7 +571,7 @@ func BenchmarkTreeReduce(b *testing.B) {
 			}
 			ws[i] = float64(1 + rng.Intn(40))
 		}
-		for _, workers := range []int{1, runtime.NumCPU()} {
+		for _, workers := range workerVariants() {
 			b.Run(fmt.Sprintf("k%d-w%d", k, workers), func(b *testing.B) {
 				r := fl.MeanReducer{}
 				r.SetWorkers(fl.Limit(workers))
@@ -798,9 +801,7 @@ func BenchmarkLazyShardPrefetchOverlap(b *testing.B) {
 // BenchmarkFig7_MillionClients pins the paper's Figure-7 axis at its
 // target scale: one Fig-7 cell with N=10^6 virtual clients, 100
 // activated per round (the participation cap), shards synthesized on
-// lease. The reported peak_rss_mb is the whole-process high-water mark —
-// the memory-boundedness record for the BENCH trajectory (the same gate
-// CI enforces via fedsim -rsslimitmb).
+// lease.
 func BenchmarkFig7_MillionClients(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := experiments.TinyProfile()
@@ -818,9 +819,6 @@ func BenchmarkFig7_MillionClients(b *testing.B) {
 			b.Fatalf("K = %d, want the 100-client cap", res.Cells[0].K)
 		}
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(ms.HeapSys)/(1<<20), "peak_rss_mb")
 }
 
 // BenchmarkAsyncRound measures the buffered-async (FedBuff) engine end to
@@ -834,16 +832,13 @@ func BenchmarkAsyncRound(b *testing.B) {
 	prof.EvalEvery = 0
 	prof.NumClients = 16
 	prof.ClientsPerRound = 8
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{fmt.Sprintf("parallel-%d", runtime.NumCPU()), runtime.NumCPU()},
-	}
-	for _, bc := range cases {
-		b.Run(bc.name, func(b *testing.B) {
-			prof.Parallelism = bc.workers
+	for _, workers := range workerVariants() {
+		name := "serial"
+		if workers > 1 {
+			name = fmt.Sprintf("parallel-%d", workers)
+		}
+		b.Run(name, func(b *testing.B) {
+			prof.Parallelism = workers
 			env, err := prof.BuildEnv("vision10", "cnn", data.Heterogeneity{Beta: 0.5}, 1)
 			if err != nil {
 				b.Fatal(err)
@@ -878,69 +873,6 @@ func BenchmarkLandscapeScan(b *testing.B) {
 		if _, err := landscape.Scan2D(factory, vec, test, opts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkBatchedMatMul compares one fused batched multiply over G
-// parameter groups against the loop of G solo multiplies it replaces —
-// the kernel-level half of the multi-client fusion story. Results are
-// bit-identical by construction (TestBatchMatMulMatchesLooped); the
-// delta is pure dispatch and locality.
-func BenchmarkBatchedMatMul(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	const G, m, k, n = 8, 32, 64, 64
-	a := rng.Uniform(-1, 1, G, m, k)
-	w := rng.Uniform(-1, 1, G, k, n)
-	dst := tensor.Zeros(G, m, n)
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.BatchMatMulTo(dst, a, w)
-		}
-	})
-	b.Run("looped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for g := 0; g < G; g++ {
-				tensor.MatMulTo(
-					tensor.New(dst.Data[g*m*n:(g+1)*m*n], m, n),
-					tensor.New(a.Data[g*m*k:(g+1)*m*k], m, k),
-					tensor.New(w.Data[g*k*n:(g+1)*k*n], k, n))
-			}
-		}
-	})
-}
-
-// BenchmarkTrainAllFanout measures a CNN cohort of 8 clients trained at
-// increasing fusion widths on one worker. fanout=1 is the solo reference
-// path; higher fan-outs amortize per-layer dispatch across clients while
-// returning bit-identical results (TestBatchFanoutBitIdentical).
-func BenchmarkTrainAllFanout(b *testing.B) {
-	cfg := data.VisionConfig{
-		Classes: 10, Features: models.VisionFeatures,
-		TrainPerClass: 40, TestPerClass: 1,
-		ModesPerClass: 2, Sep: 0.6, Noise: 0.8, Seed: 1,
-	}
-	const clients = 8
-	fed := data.BuildVision(cfg, clients, data.Heterogeneity{IID: true}, 2)
-	env := &fl.Env{Fed: fed, Model: models.CNN(10)}
-	init := nn.FlattenParams(env.Model.New(tensor.NewRNG(1)).Params())
-	rng := tensor.NewRNG(3)
-	for _, fanout := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("fanout%d", fanout), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				jobs := make([]fl.LocalJob, clients)
-				for c := range jobs {
-					jobs[c] = fl.LocalJob{
-						Client: c,
-						Spec: fl.LocalSpec{Init: init, Epochs: 1, BatchSize: 25,
-							LR: 0.03, Momentum: 0.5},
-						RNG: rng.Split(),
-					}
-				}
-				if _, err := fl.TrainAllFanout(env, jobs, fl.Limit(1), fanout); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

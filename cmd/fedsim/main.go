@@ -108,7 +108,6 @@ func main() {
 		rssLimitMB  = flag.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
 		seeds       = flag.Int("seeds", 0, "override the number of seeds (0 keeps profile default)")
 		parallel    = flag.Int("parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
-		batchfanout = flag.Int("batchfanout", 1, "max same-shape client jobs fused into one batched training pass (<=1 = solo; results are identical)")
 		jobs        = flag.Int("jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
 		codec       = flag.String("codec", "identity", "wire codec for model payloads: identity, fp16, int8, topk[:frac]")
 		network     = flag.String("net", "none", "simulated link model: none, fiber, wifi, lte, edge")
@@ -192,10 +191,6 @@ func main() {
 		fatal(fmt.Errorf("-parallel %d must be non-negative", *parallel))
 	}
 	prof.Parallelism = *parallel
-	if *batchfanout < 0 {
-		fatal(fmt.Errorf("-batchfanout %d must be non-negative", *batchfanout))
-	}
-	prof.BatchFanout = *batchfanout
 	if *jobs < 0 {
 		fatal(fmt.Errorf("-jobs %d must be non-negative", *jobs))
 	}

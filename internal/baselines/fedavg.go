@@ -109,7 +109,7 @@ func trainSelected(env *fl.Env, cfg fl.Config, rng *tensor.RNG, tr *fl.Transport
 		hooks.ProxRef = recv // clients anchor on what they received
 	}
 	jobs := selectedJobs(cfg, rng, recv, survivors, hooks)
-	results, err := fl.TrainAllFanout(env, jobs, cfg.Allowance(), cfg.BatchFanout)
+	results, err := fl.TrainAll(env, jobs, cfg.Allowance())
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

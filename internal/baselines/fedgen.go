@@ -157,7 +157,7 @@ func (a *FedGen) Round(r int, selected []int) error {
 			RNG: a.rng.Split(),
 		})
 	}
-	results, err := fl.TrainAllFanout(a.env, jobs, a.cfg.Allowance(), a.cfg.BatchFanout)
+	results, err := fl.TrainAll(a.env, jobs, a.cfg.Allowance())
 	if err != nil {
 		return fmt.Errorf("baselines: fedgen round %d: %w", r, err)
 	}

@@ -85,7 +85,7 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 			RNG: a.rng.Split(),
 		})
 	}
-	results, err := fl.TrainAllFanout(a.env, jobs, a.cfg.Allowance(), a.cfg.BatchFanout)
+	results, err := fl.TrainAll(a.env, jobs, a.cfg.Allowance())
 	if err != nil {
 		return fmt.Errorf("baselines: scaffold round %d: %w", r, err)
 	}

@@ -273,7 +273,7 @@ func (f *FedCross) Round(r int, selected []int) error {
 		slots = append(slots, i)
 		clients = append(clients, ci)
 	}
-	results, err := fl.TrainAllFanout(f.env, jobs, f.cfg.Allowance(), f.cfg.BatchFanout)
+	results, err := fl.TrainAll(f.env, jobs, f.cfg.Allowance())
 	if err != nil {
 		return fmt.Errorf("core: FedCross round %d: %w", r, err)
 	}

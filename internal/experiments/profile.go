@@ -41,10 +41,6 @@ type Profile struct {
 	// (fl.Config.Parallelism): 0 uses every core, 1 forces serial
 	// execution. Results are identical either way.
 	Parallelism int
-	// BatchFanout caps how many same-shape client jobs a round may fuse
-	// into one batched training pass (fl.Config.BatchFanout): 0 or 1
-	// trains every client solo. Results are bit-identical either way.
-	BatchFanout int
 	// Jobs caps how many grid cells (independent algorithm runs) an
 	// experiment harness executes concurrently: 0 uses every core, 1
 	// forces strictly sequential cells. Cells arbitrate their inner
@@ -158,7 +154,6 @@ func (p Profile) Config(seed int64) fl.Config {
 		EvalEvery:       p.EvalEvery,
 		Seed:            seed,
 		Parallelism:     p.Parallelism,
-		BatchFanout:     p.BatchFanout,
 		PrefetchRounds:  p.PrefetchRounds,
 		CacheStripes:    p.CacheStripes,
 		Transport: fl.TransportOptions{

@@ -515,7 +515,7 @@ func trainPending(env *Env, cfg Config, inflight []*asyncJob) error {
 			RNG: j.rng,
 		}
 	}
-	results, err := TrainAllFanout(env, jobs, cfg.Allowance(), cfg.BatchFanout)
+	results, err := TrainAll(env, jobs, cfg.Allowance())
 	if err != nil {
 		return err
 	}

@@ -106,24 +106,29 @@ func TestWorkerBudgetArbitration(t *testing.T) {
 // yet claimed when the failure hit are skipped rather than spun through a
 // claim-and-skip pass.
 func TestParallelForErrFastForward(t *testing.T) {
-	const n = 100000
+	const n, workers = 100000, 4
 	var ran atomic.Int64
 	boom := errors.New("boom")
-	err := parallelForErr(n, Limit(4), func(i int) error {
+	// Each worker's first claim is one of iterations 0..workers-1, and the
+	// barrier holds all of them in flight before any fails. Every worker
+	// therefore records its own failure before it could claim again, so
+	// exactly `workers` iterations run on any schedule.
+	var inFlight sync.WaitGroup
+	inFlight.Add(workers)
+	err := parallelForErr(n, Limit(workers), func(i int) error {
 		ran.Add(1)
-		if i == 3 {
-			return fmt.Errorf("iteration %d: %w", i, boom)
+		if i >= workers {
+			return nil
 		}
-		return nil
+		inFlight.Done()
+		inFlight.Wait()
+		return fmt.Errorf("iteration %d: %w", i, boom)
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
+	if !errors.Is(err, boom) || err.Error() != "iteration 0: boom" {
+		t.Fatalf("err = %v, want iteration 0's wrapped boom", err)
 	}
-	// 4 workers, failure at the 4th claimed iteration: almost everything
-	// must have been skipped. The bound is loose (in-flight iterations
-	// finish, and claims race the fast-forward) but far below n.
-	if got := ran.Load(); got > n/10 {
-		t.Fatalf("ran %d of %d iterations after an early failure", got, n)
+	if got := ran.Load(); got != workers {
+		t.Fatalf("ran %d of %d iterations, want only the %d in flight at the failure", got, n, workers)
 	}
 
 	// Lowest index wins even when a later iteration fails first. A barrier

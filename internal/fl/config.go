@@ -77,12 +77,6 @@ type Config struct {
 	// Checkpoint configures round-granular write-ahead snapshots and
 	// resume (see CheckpointOptions). The zero value never touches disk.
 	Checkpoint CheckpointOptions
-	// BatchFanout caps how many queued client jobs may be fused into one
-	// batched training pass (see TrainAllFanout). 0 or 1 (the default)
-	// trains every client solo — the reference path. Any setting is
-	// bit-identical to solo training: fusion changes only how the
-	// arithmetic is scheduled, never its results.
-	BatchFanout int
 	// PrefetchRounds is how many future rounds of planned cohorts the
 	// engines hand to the data layer's background prefetch pool while the
 	// current round trains (see data.Prefetcher): with a lazy client
@@ -142,8 +136,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fl: DropoutRate = %v, must be in [0,1)", c.DropoutRate)
 	case c.Parallelism < 0:
 		return fmt.Errorf("fl: Parallelism = %d, must be non-negative", c.Parallelism)
-	case c.BatchFanout < 0:
-		return fmt.Errorf("fl: BatchFanout = %d, must be non-negative", c.BatchFanout)
 	case c.PrefetchRounds < 0:
 		return fmt.Errorf("fl: PrefetchRounds = %d, must be non-negative", c.PrefetchRounds)
 	case c.CacheStripes < 0:

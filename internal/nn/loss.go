@@ -32,19 +32,9 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) (loss fl
 	if !tensor.SameShape(grad, logits) {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy: grad shape %v, want %v", grad.Shape, logits.Shape))
 	}
-	return softmaxXentRows(grad.Data, logits.Data, labels, classes)
-}
-
-// softmaxXentRows runs the softmax cross-entropy forward/backward over a
-// block of rows with mean normalization over exactly those rows. Both the
-// whole-batch and the per-group entry points funnel here, so a group's
-// loss and gradient are bit-identical whether its rows are scored alone
-// or as one block of a fused multi-client batch.
-func softmaxXentRows(grad, logits []float64, labels []int, classes int) (loss float64) {
-	batch := len(labels)
 	invB := 1.0 / float64(batch)
 	for b := 0; b < batch; b++ {
-		row := logits[b*classes : (b+1)*classes]
+		row := logits.Data[b*classes : (b+1)*classes]
 		y := labels[b]
 		if y < 0 || y >= classes {
 			panic(fmt.Sprintf("nn: SoftmaxCrossEntropy: label %d out of range [0,%d)", y, classes))
@@ -56,7 +46,7 @@ func softmaxXentRows(grad, logits []float64, labels []int, classes int) (loss fl
 			}
 		}
 		sum := 0.0
-		g := grad[b*classes : (b+1)*classes]
+		g := grad.Data[b*classes : (b+1)*classes]
 		for j, v := range row {
 			e := math.Exp(v - maxV)
 			g[j] = e
@@ -70,37 +60,6 @@ func softmaxXentRows(grad, logits []float64, labels []int, classes int) (loss fl
 		g[y] -= invB
 	}
 	return loss * invB
-}
-
-// SoftmaxCrossEntropyGroupsInto scores `groups` independently-normalized
-// groups of rows sharing one fused logits tensor: group g owns the row
-// block [g·n, (g+1)·n) where n = batch/groups, its gradient rows are
-// scaled by 1/n (not 1/batch), and losses[g] receives its mean loss.
-// Each group's loss and gradient are bit-identical to
-// SoftmaxCrossEntropyInto over that group's rows alone — the property the
-// fused multi-client trainer relies on.
-func SoftmaxCrossEntropyGroupsInto(losses []float64, grad, logits *tensor.Tensor, labels []int, groups int) {
-	if logits.Rank() != 2 {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropyGroups expects rank-2 logits, got %v", logits.Shape))
-	}
-	batch, classes := logits.Shape[0], logits.Shape[1]
-	if groups <= 0 || batch%groups != 0 {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropyGroups: %d groups must divide batch %d", groups, batch))
-	}
-	if len(labels) != batch {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropyGroups: %d labels for batch %d", len(labels), batch))
-	}
-	if len(losses) < groups {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropyGroups: %d loss slots for %d groups", len(losses), groups))
-	}
-	if !tensor.SameShape(grad, logits) {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropyGroups: grad shape %v, want %v", grad.Shape, logits.Shape))
-	}
-	n := batch / groups
-	span := n * classes
-	for g := 0; g < groups; g++ {
-		losses[g] = softmaxXentRows(grad.Data[g*span:(g+1)*span], logits.Data[g*span:(g+1)*span], labels[g*n:(g+1)*n], classes)
-	}
 }
 
 // SoftmaxCrossEntropyLoss computes the mean cross-entropy only, skipping

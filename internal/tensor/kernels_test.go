@@ -322,17 +322,20 @@ func adversarialHeader(rank uint32, dims ...uint32) []byte {
 	return buf
 }
 
+// hostileHeaders are headers ReadFrom must reject before allocating for
+// the payload they promise; they also seed FuzzTensorReadFrom.
+var hostileHeaders = []struct {
+	name string
+	raw  []byte
+}{
+	{"huge-rank", adversarialHeader(1 << 20)},
+	{"huge-dim", adversarialHeader(1, 1<<30)},
+	{"overflow-product", adversarialHeader(4, 1<<28, 1<<28, 1<<28, 1<<28)},
+	{"over-cap", adversarialHeader(2, 1<<14, 1<<14)},
+}
+
 func TestReadFromRejectsHostileHeaders(t *testing.T) {
-	cases := []struct {
-		name string
-		raw  []byte
-	}{
-		{"huge-rank", adversarialHeader(1 << 20)},
-		{"huge-dim", adversarialHeader(1, 1<<30)},
-		{"overflow-product", adversarialHeader(4, 1<<28, 1<<28, 1<<28, 1<<28)},
-		{"over-cap", adversarialHeader(2, 1<<14, 1<<14)},
-	}
-	for _, c := range cases {
+	for _, c := range hostileHeaders {
 		t.Run(c.name, func(t *testing.T) {
 			var tt Tensor
 			if _, err := tt.ReadFrom(bytes.NewReader(c.raw)); err == nil {
@@ -380,6 +383,54 @@ func TestReadFromRoundTripPropertyAfterHardening(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTensorReadFrom holds ReadFrom to its contract on untrusted bytes:
+// it returns an error or a valid tensor, never panics, and never
+// allocates beyond what the stream actually carried (plus one decode
+// chunk). A valid tensor re-encodes to exactly the bytes consumed.
+func FuzzTensorReadFrom(f *testing.F) {
+	for _, c := range hostileHeaders {
+		f.Add(c.raw)
+	}
+	f.Add([]byte{})
+	f.Add(append(adversarialHeader(2, 1<<12, 1<<12), make([]byte, 1024)...)) // max tensor, short payload
+	f.Add(append(adversarialHeader(0), make([]byte, 8)...))                  // scalar
+	f.Add(adversarialHeader(2, 0, 5))                                        // empty
+	var valid bytes.Buffer
+	if _, err := NewRNG(9).Randn(2, 3).WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-5])
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var tt Tensor
+		n, err := tt.ReadFrom(bytes.NewReader(raw))
+		if n > int64(len(raw)) {
+			t.Fatalf("consumed %d of %d bytes", n, len(raw))
+		}
+		if err != nil {
+			if tt.Shape != nil || tt.Data != nil {
+				t.Fatalf("failed decode left shape %v, %d elements", tt.Shape, len(tt.Data))
+			}
+			return
+		}
+		if 8*cap(tt.Data) > 2*len(raw)+decodeChunkBytes {
+			t.Fatalf("decoded %d bytes into capacity for %d elements", len(raw), cap(tt.Data))
+		}
+		numel, err := checkedNumel(tt.Shape)
+		if err != nil || numel != len(tt.Data) {
+			t.Fatalf("shape %v (numel %d, %v) with %d elements", tt.Shape, numel, err, len(tt.Data))
+		}
+		var back bytes.Buffer
+		if _, err := tt.WriteTo(&back); err != nil {
+			t.Fatalf("decoded tensor does not re-encode: %v", err)
+		}
+		if !bytes.Equal(back.Bytes(), raw[:n]) {
+			t.Fatalf("re-encoded %d bytes differ from the %d consumed", back.Len(), n)
+		}
+	})
 }
 
 func TestReadFromZeroDimTensor(t *testing.T) {

@@ -21,14 +21,10 @@
 #              Parallel baseline-vs-striped under NumCPU-way contention
 #              — the ≥3× ratio CI gates — and BenchmarkLazyShard-
 #              PrefetchOverlap cold-vs-warmed, the lease-phase latency
-#              the cohort prefetcher hides), the
-#              million-client Figure-7 cell with its peak_rss_mb record
-#              (BenchmarkFig7_MillionClients), the kernel micro-benches,
-#              and the batched-kernel pair (BenchmarkBatchedMatMul fused
-#              vs looped, BenchmarkTrainAllFanout at widths 1/4/8 — the
-#              fanout series records that client fusion stays
-#              perf-neutral while bit-identical), and the fault-tolerance
-#              pair (BenchmarkFaultedRound benign-vs-faulted — the
+#              the cohort prefetcher hides), the million-client
+#              Figure-7 cell (BenchmarkFig7_MillionClients), the kernel
+#              micro-benches, and the fault-tolerance pair
+#              (BenchmarkFaultedRound benign-vs-faulted — the
 #              injection overhead of the pure-hash fault plan, with
 #              faults/round and retries/round telemetry — and
 #              BenchmarkCheckpointRoundTrip, the kill+resume tax with
@@ -44,7 +40,7 @@ cd "$(dirname "$0")/.."
 
 OUT=${1:-BENCH_pr10.json}
 BENCHTIME=${BENCHTIME:-1x}
-BENCH=${BENCH:-'BenchmarkRoundParallel|BenchmarkExperimentScheduler|BenchmarkTransportCodecs|BenchmarkReducers|BenchmarkAsyncRound|BenchmarkTreeReduce|BenchmarkLazyShard|BenchmarkTable|BenchmarkFig|BenchmarkAblation|BenchmarkTheory|BenchmarkCrossAggr|BenchmarkCosineSimilarity|BenchmarkSimilarityMatrix|BenchmarkLocalTrainingCNN|BenchmarkLandscapeScan|BenchmarkBatchedMatMul|BenchmarkTrainAllFanout|BenchmarkFaultedRound|BenchmarkCheckpointRoundTrip'}
+BENCH=${BENCH:-'BenchmarkRoundParallel|BenchmarkExperimentScheduler|BenchmarkTransportCodecs|BenchmarkReducers|BenchmarkAsyncRound|BenchmarkTreeReduce|BenchmarkLazyShard|BenchmarkTable|BenchmarkFig|BenchmarkAblation|BenchmarkTheory|BenchmarkCrossAggr|BenchmarkCosineSimilarity|BenchmarkSimilarityMatrix|BenchmarkLocalTrainingCNN|BenchmarkLandscapeScan|BenchmarkFaultedRound|BenchmarkCheckpointRoundTrip'}
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
