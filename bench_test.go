@@ -821,6 +821,35 @@ func BenchmarkFig7_MillionClients(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectClients measures one round's uniform cohort draw at
+// population scale (N=10^6, K=1000). "prefix" is the engine's selection
+// as the public replay runs it — fl.CohortPlan round 0, i.e. three small
+// RNG constructions plus one tensor.RNG.PermPrefix — and allocates the
+// cohort; "perm" is the Perm(n)[:k] it replaced, called here directly as
+// the in-process reference (no engine path keeps it), and allocates the
+// population. CI gates prefix's B/op, which is exact; ns/op is for
+// reading, not gating.
+func BenchmarkSelectClients(b *testing.B) {
+	const n, k = 1_000_000, 1000
+	b.Run("perm", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := tensor.NewRNG(1)
+		for i := 0; i < b.N; i++ {
+			if got := rng.Perm(n)[:k]; len(got) != k {
+				b.Fatalf("drew %d ids, want %d", len(got), k)
+			}
+		}
+	})
+	b.Run("prefix", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := fl.CohortPlan(0, int64(i), n, k); len(got) != k {
+				b.Fatalf("drew %d ids, want %d", len(got), k)
+			}
+		}
+	})
+}
+
 // BenchmarkAsyncRound measures the buffered-async (FedBuff) engine end to
 // end at the tiny profile: 12 buffered commits per iteration, reporting
 // model-arrival throughput — the async counterpart of the sync engine's

@@ -95,36 +95,36 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "table1", "experiment to run: table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, comm, robust, async, ablations, faults, churn, resume, all")
-		profile     = flag.String("profile", "tiny", "run scale: tiny, small, paper")
-		modelsFlag  = flag.String("models", "cnn", "comma-separated vision models (cnn,resnet,vgg,mlp)")
-		datasets    = flag.String("datasets", "vision10", "comma-separated datasets for table2")
-		betas       = flag.String("betas", "0.5", "comma-separated Dirichlet betas (non-IID settings)")
-		iid         = flag.Bool("iid", true, "include the IID setting where applicable")
-		alphas      = flag.String("alphas", "0.5,0.8,0.9,0.95,0.99,0.999", "comma-separated alphas for table3/fig8")
-		rounds      = flag.Int("rounds", 0, "override the profile's round count (0 keeps profile default)")
-		clients     = flag.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps exactly this N")
-		kFlag       = flag.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default)")
-		rssLimitMB  = flag.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
-		seeds       = flag.Int("seeds", 0, "override the number of seeds (0 keeps profile default)")
-		parallel    = flag.Int("parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
-		jobs        = flag.Int("jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
-		codec       = flag.String("codec", "identity", "wire codec for model payloads: identity, fp16, int8, topk[:frac]")
-		network     = flag.String("net", "none", "simulated link model: none, fiber, wifi, lte, edge")
-		deadline    = flag.Float64("deadline", 0, "per-round client deadline in seconds (0 = none); late uploads become stragglers")
-		codecs      = flag.String("codecs", "identity,fp16,int8,topk", "comma-separated codec sweep for the comm experiment")
+		experiment = flag.String("experiment", "table1", "experiment to run: table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, comm, robust, async, ablations, faults, churn, resume, all")
+		profile    = flag.String("profile", "tiny", "run scale: tiny, small, paper")
+		modelsFlag = flag.String("models", "cnn", "comma-separated vision models (cnn,resnet,vgg,mlp)")
+		datasets   = flag.String("datasets", "vision10", "comma-separated datasets for table2")
+		betas      = flag.String("betas", "0.5", "comma-separated Dirichlet betas (non-IID settings)")
+		iid        = flag.Bool("iid", true, "include the IID setting where applicable")
+		alphas     = flag.String("alphas", "0.5,0.8,0.9,0.95,0.99,0.999", "comma-separated alphas for table3/fig8")
+		rounds     = flag.Int("rounds", 0, "override the profile's round count (0 keeps profile default)")
+		clients    = flag.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps exactly this N")
+		kFlag      = flag.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default)")
+		rssLimitMB = flag.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
+		seeds      = flag.Int("seeds", 0, "override the number of seeds (0 keeps profile default)")
+		parallel   = flag.Int("parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
+		jobs       = flag.Int("jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
+		codec      = flag.String("codec", "identity", "wire codec for model payloads: identity, fp16, int8, topk[:frac]")
+		network    = flag.String("net", "none", "simulated link model: none, fiber, wifi, lte, edge")
+		deadline   = flag.Float64("deadline", 0, "per-round client deadline in seconds (0 = none); late uploads become stragglers")
+		codecs     = flag.String("codecs", "identity,fp16,int8,topk", "comma-separated codec sweep for the comm experiment")
 
-		reducer     = flag.String("reducer", "", "server-side aggregation rule: mean, trimmed[:frac], median, krum[:f], multikrum[:f]:[m] (empty = classic weighted mean)")
-		attack      = flag.String("attack", "none", "Byzantine client behaviour: none, labelflip, signflip, scale, collude")
-		attackFrac  = flag.Float64("attackfrac", 0, "fraction of the client population compromised, in [0,1)")
-		attackScale = flag.Float64("attackscale", 0, "magnitude of the scale/collude attacks (0 = default 10)")
-		reducers    = flag.String("reducers", "mean,trimmed,median,krum,multikrum", "comma-separated reducer sweep for the robust experiment")
-		fracs       = flag.String("fracs", "0,0.2", "comma-separated attacker fractions for the robust experiment")
-		buffers     = flag.String("buffers", "1,4,8", "comma-separated commit buffer sizes for the async experiment")
-		inflights   = flag.String("inflights", "", "comma-separated in-flight client counts for the async experiment (empty = K,2K)")
-		buffer      = flag.Int("buffer", 0, "async commit buffer size B outside the sweep (0 = default 4)")
-		inflight    = flag.Int("inflight", 0, "async concurrent clients M outside the sweep (0 = clients per round)")
-		staleExp    = flag.Float64("staleexp", 0, "async staleness-weight exponent p in 1/(1+s)^p (0 = default 0.5)")
+		reducer      = flag.String("reducer", "", "server-side aggregation rule: mean, trimmed[:frac], median, krum[:f], multikrum[:f]:[m] (empty = classic weighted mean)")
+		attack       = flag.String("attack", "none", "Byzantine client behaviour: none, labelflip, signflip, scale, collude")
+		attackFrac   = flag.Float64("attackfrac", 0, "fraction of the client population compromised, in [0,1)")
+		attackScale  = flag.Float64("attackscale", 0, "magnitude of the scale/collude attacks (0 = default 10)")
+		reducers     = flag.String("reducers", "mean,trimmed,median,krum,multikrum", "comma-separated reducer sweep for the robust experiment")
+		fracs        = flag.String("fracs", "0,0.2", "comma-separated attacker fractions for the robust experiment")
+		buffers      = flag.String("buffers", "1,4,8", "comma-separated commit buffer sizes for the async experiment")
+		inflights    = flag.String("inflights", "", "comma-separated in-flight client counts for the async experiment (empty = K,2K)")
+		buffer       = flag.Int("buffer", 0, "async commit buffer size B outside the sweep (0 = default 4)")
+		inflight     = flag.Int("inflight", 0, "async concurrent clients M outside the sweep (0 = clients per round)")
+		staleExp     = flag.Float64("staleexp", 0, "async staleness-weight exponent p in 1/(1+s)^p (0 = default 0.5)")
 		algosFlag    = flag.String("algos", "", "comma-separated algorithm subset for table2 and the resume experiment (empty = all six); restricting to one algorithm makes -checkpoint/-resume single-cell")
 		faultsSpec   = flag.String("faults", "", "fault-injection spec, e.g. crash=0.1,drop=0.05,truncate=0.01,corrupt=0.01,dup=0.02,straggle=0.1,stragglefactor=4,stall=0.05,stallsec=1 (empty = fault-free)")
 		faultLevels  = flag.String("faultlevels", "", "comma-separated fault intensities for the faults experiment (empty = 0,0.05,0.1)")
@@ -138,9 +138,9 @@ func main() {
 		resumeFlag   = flag.Bool("resume", false, "resume from the -checkpoint snapshot instead of starting at round 0")
 		stopAfter    = flag.Int("stopafter", 0, "halt after this round completes, writing a snapshot (simulated kill; 0 = run to completion)")
 		stopsFlag    = flag.String("stops", "", "comma-separated kill rounds for the resume experiment (empty = 1, mid, last-1)")
-		prefetchR   = flag.Int("prefetch", 0, "rounds of cohort lookahead handed to the lazy source's background prefetch pool (0 = off; results are identical)")
-		stripes     = flag.Int("stripes", 0, "lazy shard-cache stripe count (0 = auto: clamp(NumCPU,8,64); results are identical)")
-		cacheCap    = flag.Int("cachecap", 0, "lazy shard-cache resident capacity (0 = auto: clamp(4K,64,4096))")
+		prefetchR    = flag.Int("prefetch", 0, "rounds of cohort lookahead handed to the lazy source's background prefetch pool (0 = off; results are identical)")
+		stripes      = flag.Int("stripes", 0, "lazy shard-cache stripe count (0 = auto: clamp(NumCPU,8,64); results are identical)")
+		cacheCap     = flag.Int("cachecap", 0, "lazy shard-cache resident capacity (0 = auto: clamp(4K,64,4096))")
 	)
 	flag.Parse()
 

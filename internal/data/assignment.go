@@ -79,11 +79,14 @@ func AssignDirichlet(src *Dataset, numClients int, beta float64, rng *tensor.RNG
 	for _, pool := range a.pools {
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	}
+	// One client-sized vector serves every class: at 10^6 clients a fresh
+	// one per class is 8 MB a time.
+	p := make([]float64, numClients)
 	for c, pool := range a.pools {
 		if len(pool) == 0 {
 			continue
 		}
-		p := rng.Dirichlet(beta, numClients)
+		rng.DirichletInto(p, beta)
 		cum := 0.0
 		start := 0
 		for ci := 0; ci < numClients; ci++ {

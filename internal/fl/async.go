@@ -459,7 +459,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 						crashes: crashes, faultDrops: faultDrops, dups: duplicates,
 						stalls: stallCount, degraded: degraded,
 						bytesDown: hist.BytesDown, bytesUp: hist.BytesUp,
-						selState:  selRNG.State(), timeState: timeRNG.State(), jobState: jobRNG.State(),
+						selState: selRNG.State(), timeState: timeRNG.State(), jobState: jobRNG.State(),
 						available: available, global: global, metrics: hist.Metrics,
 					}
 					snap.jobs = make([]asyncJobSnap, len(inflight))

@@ -121,9 +121,10 @@ type Adversary struct {
 }
 
 // NewAdversary draws the compromised client set: round(Frac·n) distinct
-// clients chosen by one rng.Perm — a pure function of the dedicated seed
-// split, independent of scheduling. Returns nil when the options are
-// inactive.
+// clients, the first k ids of one Perm(n) drawn as rng.PermPrefix(n, k)
+// (same ids, same final stream position, no n-sized slice) — a pure
+// function of the dedicated seed split, independent of scheduling.
+// Returns nil when the options are inactive.
 func NewAdversary(opts AdversaryOptions, n int, rng *tensor.RNG) *Adversary {
 	if !opts.Active() || n == 0 {
 		return nil
@@ -132,7 +133,7 @@ func NewAdversary(opts AdversaryOptions, n int, rng *tensor.RNG) *Adversary {
 	if k > n {
 		k = n
 	}
-	perm := rng.Perm(n)[:k]
+	perm := rng.PermPrefix(n, k)
 	a := &Adversary{opts: opts, attackers: make(map[int]bool, k+opts.Virtual), baseN: n, virtual: opts.Virtual}
 	for _, c := range perm {
 		a.attackers[c] = true

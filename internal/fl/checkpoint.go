@@ -97,8 +97,8 @@ type runSnapshot struct {
 	degraded    int
 
 	trCum struct {
-		down, up                                       int64
-		stragglers, retries, faultDrops, dups, stalls  int
+		down, up                                      int64
+		stragglers, retries, faultDrops, dups, stalls int
 	}
 
 	acctRounds int

@@ -8,8 +8,10 @@ import (
 // CohortPlan replays the engine's selection stream and returns the
 // cohort fl.Run will select for round r (0-based, pre-dropout) under a
 // benign run whose algorithm does not implement Selector: it splits the
-// master RNG exactly as Run does, then consumes one Perm(n) per round
-// through round r. Because selection is a pure function of (seed, n, k,
+// master RNG exactly as Run does, then makes one Perm(n)'s draws per
+// round through round r, keeping the k-id prefix (tensor.RNG.PermPrefix:
+// the ids and final stream position of Perm(n)[:k] in O(k) memory).
+// Because selection is a pure function of (seed, n, k,
 // r), round r+1's cohort is known while round r still trains — the
 // determinism fact the prefetch pipeline is built on. k is clamped to n
 // exactly as in Run. Selector algorithms (clustered sampling) choose
@@ -30,7 +32,7 @@ func CohortPlan(r int, seed int64, n, k int) []int {
 	sel := root.Split()
 	var cohort []int
 	for rr := 0; rr <= r; rr++ {
-		cohort = sel.Perm(n)[:k]
+		cohort = sel.PermPrefix(n, k)
 	}
 	return cohort
 }

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fedcross/internal/data"
@@ -12,7 +13,9 @@ import (
 
 // recordAlgo trains like wireAlgo but keeps a copy of every round's
 // selected cohort, letting tests compare the engine's actual selection
-// against the pure CohortPlan replay.
+// against the pure CohortPlan replay. Clients without data sit the round
+// out (as in FedAvg), so it also runs over populations far larger than
+// the dataset.
 type recordAlgo struct {
 	wireAlgo
 	rounds [][]int
@@ -20,7 +23,14 @@ type recordAlgo struct {
 
 func (a *recordAlgo) Round(r int, selected []int) error {
 	a.rounds = append(a.rounds, append([]int(nil), selected...))
-	return a.wireAlgo.Round(r, selected)
+	trainable := make([]int, len(selected))
+	for i, ci := range selected {
+		trainable[i] = -1
+		if ci >= 0 && a.env.Fed.Trainable(ci) {
+			trainable[i] = ci
+		}
+	}
+	return a.wireAlgo.Round(r, trainable)
 }
 
 // selectorAlgo is wireAlgo plus a Selector whose choice rotates with the
@@ -59,19 +69,24 @@ func lazyStripedEnv(seed int64, clients int, het data.Heterogeneity, capacity, s
 func TestCohortPlanMatchesEngine(t *testing.T) {
 	cfg := Config{Rounds: 5, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 16,
 		LR: 0.05, Momentum: 0.5, EvalEvery: 5, Seed: 17}
-	algo := &recordAlgo{}
-	env := sourceEnv(33, 8, data.Heterogeneity{IID: true}, "lazy")
-	if _, err := Run(algo, env, cfg); err != nil {
-		t.Fatal(err)
-	}
-	n := env.NumClients()
-	if len(algo.rounds) != cfg.Rounds {
-		t.Fatalf("recorded %d rounds, want %d", len(algo.rounds), cfg.Rounds)
-	}
-	for r, got := range algo.rounds {
-		want := CohortPlan(r, cfg.Seed, n, cfg.ClientsPerRound)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: engine selected %v, CohortPlan %v", r, got, want)
+	// The second case is population-shaped (k ≪ n), where the engine's
+	// PermPrefix keeps a 100-id prefix of a 50,000-step shuffle.
+	for _, c := range []struct{ n, k int }{{8, 3}, {50000, 100}} {
+		cfg.ClientsPerRound = c.k
+		algo := &recordAlgo{}
+		env := sourceEnv(33, c.n, data.Heterogeneity{IID: true}, "lazy")
+		if _, err := Run(algo, env, cfg); err != nil {
+			t.Fatal(err)
+		}
+		n := env.NumClients()
+		if len(algo.rounds) != cfg.Rounds {
+			t.Fatalf("n=%d: recorded %d rounds, want %d", c.n, len(algo.rounds), cfg.Rounds)
+		}
+		for r, got := range algo.rounds {
+			want := CohortPlan(r, cfg.Seed, n, cfg.ClientsPerRound)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d round %d: engine selected %v, CohortPlan %v", c.n, r, got, want)
+			}
 		}
 	}
 	// k > n clamps exactly like the engine; nonsense inputs return nil.
@@ -80,6 +95,58 @@ func TestCohortPlanMatchesEngine(t *testing.T) {
 	}
 	if CohortPlan(-1, 1, 4, 2) != nil || CohortPlan(0, 1, 0, 2) != nil {
 		t.Fatal("CohortPlan accepted nonsense inputs")
+	}
+}
+
+// TestSelectClientsAllocatesCohortNotPopulation: uniform selection over
+// 10^6 clients keeps a K-sized prefix of the shuffle, so a round's
+// selection allocates the cohort (8 KB at K=1000), not an 8 MB
+// permutation.
+func TestSelectClientsAllocatesCohortNotPopulation(t *testing.T) {
+	const n, k, runs = 1000000, 1000, 3
+	rng := tensor.NewRNG(5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		if got := selectClients(&wireAlgo{}, r, rng, n, k, nil); len(got) != k {
+			t.Fatalf("selected %d ids, want %d", len(got), k)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 64<<10 {
+		t.Fatalf("selectClients(n=%d, k=%d) allocates %d B per call, want <= 64 KiB", n, k, got)
+	}
+}
+
+// TestSelectClientsChurnPinned: under an active churn plan selection
+// asks PermPrefix for the whole permutation and keeps the first k
+// available ids. The cohorts, the -1 padding of the sparse last round
+// and the final stream position are pinned from the Perm(n)-based
+// selection of the commit before PermPrefix existed.
+func TestSelectClientsChurnPinned(t *testing.T) {
+	const n, k, rounds = 40, 6, 8
+	churn := NewChurnPlan(ChurnOptions{Availability: 0.3, Jitter: 0.5, StartFrac: 1, EndFrac: 0.5}, 9, n, rounds)
+	want := [rounds][]int{
+		{26, 30, 25, 32, 4, 0},
+		{31, 25, 30, 28, 17, 19},
+		{21, 18, 19, 9, 27, 17},
+		{9, 0, 23, 10, 2, 7},
+		{23, 26, 2, 0, 20, 9},
+		{11, 0, 19, 24, 20, 10},
+		{17, 20, 4, 9, 8, 0},
+		{4, 9, 5, 10, -1, -1},
+	}
+	rng := tensor.NewRNG(41)
+	for r := 0; r < rounds; r++ {
+		if got := selectClients(&wireAlgo{}, r, rng, n, k, churn); !reflect.DeepEqual(got, want[r]) {
+			t.Fatalf("round %d: selected %v, want %v", r, got, want[r])
+		}
+	}
+	if st := rng.State(); st.Pos != rounds*n {
+		t.Fatalf("selection stream at position %d, want %d (one Perm(%d) per round)", st.Pos, rounds*n, n)
+	}
+	if got := rng.Int63(); got != 3260741597807166730 {
+		t.Fatalf("next draw after selection = %d, want the parent's 3260741597807166730", got)
 	}
 }
 

@@ -372,9 +372,13 @@ func finishHistory(hist *History, acct *Accountant, tr *Transport, crashes, unav
 }
 
 // selectClients asks the algorithm first and falls back to uniform random
-// selection without replacement. An active churn plan biases selection to
-// available clients: the uniform path draws its one Perm(n) as always
-// (the stream's shape never depends on churn) and then takes the first k
+// selection without replacement: the first k ids of one Perm(n), drawn as
+// PermPrefix(n, k) — the same ids and the same final stream position in
+// O(k) memory, so a round over 10^6 clients allocates a K-sized cohort,
+// not an N-sized permutation. An active churn plan biases selection to
+// available clients: the uniform path makes its n draws as always (the
+// stream's shape never depends on churn) but asks for the whole
+// permutation (PermPrefix(n, n) ≡ Perm(n)) and takes the first k
 // available ids, padding with -1 when fewer exist; a Selector's
 // self-chosen cohort has its offline members marked -1 after the fact.
 func selectClients(algo Algorithm, r int, rng *tensor.RNG, n, k int, churn *ChurnPlan) []int {
@@ -391,12 +395,13 @@ func selectClients(algo Algorithm, r int, rng *tensor.RNG, n, k int, churn *Chur
 			return sel
 		}
 	}
-	perm := rng.Perm(n)
 	if !churn.Active() {
-		return perm[:k]
+		return rng.PermPrefix(n, k)
 	}
+	// Any id may be offline, so the first k available can sit anywhere in
+	// the permutation: ask for all of it.
 	out := make([]int, 0, k)
-	for _, id := range perm {
+	for _, id := range rng.PermPrefix(n, n) {
 		if len(out) == k {
 			break
 		}

@@ -109,6 +109,62 @@ func (g *RNG) Normal(mean, std float64) float64 {
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
+// PermPrefix returns Perm(n)[:min(k,n)] — the same ids, and the generator
+// left at the same stream position — in O(k) memory instead of O(n). It
+// is how a round draws K of N clients without an N-sized scratch array.
+//
+// Why the truncation is exact: math/rand's Perm is the inside-out shuffle
+// (j := Intn(i+1); m[i] = m[j]; m[j] = i), in which a value only ever
+// moves to index i, the newest and highest slot. Once the first k steps
+// have run, a step i >= k can therefore change m[:k] only through
+// m[j] = i when j < k; everything else it touches lies beyond the prefix.
+// All n draws are still made, so the stream's shape is Perm(n)'s.
+//
+// The first k steps are math/rand's own. The n − k after them are
+// rand.Rand.Int31n written out against the counting source (which still
+// counts every draw): at 10^6 steps a round the Intn → Int31n → Int31 →
+// Int63 call chain costs more than the draws do. The rejection
+// threshold, and its division, is computed only for a draw that could be
+// rejected (v > max implies v >= 2^31 − n). TestPermPrefixMatchesPerm
+// pins ids and stream position against math/rand's own Perm, mask and
+// rejection cases included.
+func (g *RNG) PermPrefix(n, k int) []int {
+	if k > n {
+		k = n
+	}
+	if n > math.MaxInt32 {
+		// Past Int31n's range math/rand switches to Int63n; defer to it.
+		return g.r.Perm(n)[:k]
+	}
+	m := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := g.r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	src := g.src
+	for i := k; i < n; i++ {
+		bound := uint32(i + 1)
+		v := uint32(src.Int63() >> 32)
+		var j uint32
+		if bound&(bound-1) == 0 { // power of two: mask, never rejects
+			j = v & (bound - 1)
+		} else {
+			if v > math.MaxInt32-bound {
+				max := uint32(math.MaxInt32) - (1<<31)%bound
+				for v > max {
+					v = uint32(src.Int63() >> 32)
+				}
+			}
+			j = v % bound
+		}
+		if int(j) < k {
+			m[j] = i
+		}
+	}
+	return m
+}
+
 // Shuffle permutes xs uniformly at random in place.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
@@ -150,6 +206,14 @@ func (g *RNG) Gamma(shape float64) float64 {
 // vectors; this is the Dir(β) prior used for non-IID client partitions.
 func (g *RNG) Dirichlet(alpha float64, k int) []float64 {
 	p := make([]float64, k)
+	g.DirichletInto(p, alpha)
+	return p
+}
+
+// DirichletInto is Dirichlet into a caller-owned vector of dimension
+// len(p): same draws, same values. Every entry is overwritten, so p may
+// be dirty — a loop that needs one sample at a time reuses one buffer.
+func (g *RNG) DirichletInto(p []float64, alpha float64) {
 	sum := 0.0
 	for i := range p {
 		p[i] = g.Gamma(alpha)
@@ -157,14 +221,13 @@ func (g *RNG) Dirichlet(alpha float64, k int) []float64 {
 	}
 	if sum == 0 {
 		// Degenerate draw (possible for very small alpha): fall back to a
-		// one-hot vector at a uniform index.
-		p[g.Intn(k)] = 1
-		return p
+		// one-hot vector at a uniform index (every entry is 0 here).
+		p[g.Intn(len(p))] = 1
+		return
 	}
 	for i := range p {
 		p[i] /= sum
 	}
-	return p
 }
 
 // Randn fills a fresh tensor of the given shape with N(0, std²) samples.
