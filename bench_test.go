@@ -473,19 +473,25 @@ func BenchmarkCosineSimilarity(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityMatrix measures the fused, norm-cached Gram pass
-// against the naive K×(K−1) pairwise loop CoModelSel used to run per
-// round (K uploads of 2^16 parameters).
+// BenchmarkSimilarityMatrix measures the tiled Gram pass against the
+// naive K×(K−1) pairwise loop CoModelSel used to run per round (K uploads
+// of 2^16 parameters), and — at server_heavy_k64's shape, K=64 uploads of
+// 51,978 parameters — against the K norms plus K(K−1)/2 single Dot calls
+// the pass used to be. CI gates the k64 pair as a same-process ratio.
 func BenchmarkSimilarityMatrix(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	const k = 10
-	w := make([]nn.ParamVector, k)
-	for i := range w {
-		w[i] = make(nn.ParamVector, 1<<16)
-		for j := range w[i] {
-			w[i][j] = rng.Normal(0, 1)
+	uploads := func(k, n int) []nn.ParamVector {
+		rng := tensor.NewRNG(1)
+		w := make([]nn.ParamVector, k)
+		for i := range w {
+			w[i] = make(nn.ParamVector, n)
+			for j := range w[i] {
+				w[i][j] = rng.Normal(0, 1)
+			}
 		}
+		return w
 	}
+	const k = 10
+	w := uploads(k, 1<<16)
 	b.Run("gram", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = core.NewSimMatrix(w, core.CosineMeasure(), fl.Workers{})
@@ -496,6 +502,26 @@ func BenchmarkSimilarityMatrix(b *testing.B) {
 			for m := 0; m < k; m++ {
 				_ = core.CoModelSel(core.LowestSimilarity, m, 0, w, core.CosineSimilarity)
 			}
+		}
+	})
+	const k64 = 64
+	w64 := uploads(k64, 51978)
+	b.Run("k64/gram", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = core.NewSimMatrix(w64, core.CosineMeasure(), fl.Workers{})
+		}
+	})
+	b.Run("k64/pairwise-dots", func(b *testing.B) {
+		fromDot := core.CosineMeasure().FromDot
+		for i := 0; i < b.N; i++ {
+			normsSq := make([]float64, k64)
+			fl.ParallelForW(k64, fl.Workers{}, func(i int) { normsSq[i] = w64[i].NormSq() })
+			s := make([]float64, k64*k64)
+			fl.ParallelForW(k64*k64, fl.Workers{}, func(p int) {
+				if i, j := p/k64, p%k64; i < j {
+					s[p] = fromDot(w64[i].Dot(w64[j]), normsSq[i], normsSq[j])
+				}
+			})
 		}
 	})
 }

@@ -326,9 +326,10 @@ func ensureVecs(vs []nn.ParamVector, k, n int) []nn.ParamVector {
 // *current* middleware list, never the spare one.
 //
 // When a similarity strategy is active, the K×K score matrix is built
-// once here — in parallel, with per-upload norms cached — and consumed by
-// every selection; CoModelSelMatrix scans it exactly like the naive loop,
-// so the round is bit-identical to per-selection recomputation.
+// once here — one tiled Gram pass, norms included (NewSimMatrix) — and
+// consumed by every selection; CoModelSelMatrix scans it exactly like the
+// naive loop, so the round is bit-identical to per-selection
+// recomputation.
 func (f *FedCross) aggregate(r int, uploads []nn.ParamVector) []nn.ParamVector {
 	k := len(uploads)
 	n := len(uploads[0])
@@ -348,11 +349,17 @@ func (f *FedCross) aggregate(r int, uploads []nn.ParamVector) []nn.ParamVector {
 	if !usePropeller && (f.opts.Strategy == HighestSimilarity || f.opts.Strategy == LowestSimilarity) {
 		gram = NewSimMatrix(uploads, f.opts.Similarity, f.cfg.Allowance())
 	}
-	for i := 0; i < k; i++ {
-		if usePropeller {
+	if usePropeller {
+		// Propeller aggregation builds each mean through the shared
+		// f.props scratch, so it stays serial.
+		for i := 0; i < k; i++ {
 			f.propellerAggrTo(next[i], i, r, uploads, alpha)
-			continue
 		}
+		return next
+	}
+	// The K fusions write disjoint destinations and only read the uploads
+	// and the matrix, so they fan out.
+	fl.ParallelForW(k, f.cfg.Allowance(), func(i int) {
 		var co int
 		if gram != nil {
 			co = CoModelSelMatrix(f.opts.Strategy, i, r, gram)
@@ -360,7 +367,7 @@ func (f *FedCross) aggregate(r int, uploads []nn.ParamVector) []nn.ParamVector {
 			co = CoModelSel(f.opts.Strategy, i, r, uploads, f.opts.Similarity.Pair)
 		}
 		nn.LerpVectorsTo(next[i], uploads[i], uploads[co], alpha)
-	}
+	})
 	return next
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"fedcross/internal/fl"
 	"fedcross/internal/nn"
+	"fedcross/internal/tensor"
 )
 
 // SimMatrix caches the K×K pairwise similarity scores of one round's
@@ -29,15 +30,16 @@ type SimMatrix struct {
 func (m *SimMatrix) At(i, j int) float64 { return m.s[i*m.K+j] }
 
 // NewSimMatrix scores every pair of uploads under measure m, in parallel
-// across the allowance w (fl.Workers{} means every core, unbudgeted; a
-// budget leases the fan-out from the pool shared with concurrent runs). For measures with a FromDot form the
-// pass is fused and norm-cached: K squared norms are computed once, then
-// each unordered pair costs a single dot product — cells are bit-identical
-// to m.Pair (the nn kernels accumulate in one fixed order whether fused or
-// separate). Measures without FromDot are scored with m.Pair per ordered
-// pair, preserving exactness for asymmetric custom measures. Every cell is
-// a pure function of its pair, so the result is independent of workers and
-// scheduling.
+// across the allowance wk (fl.Workers{} means every core, unbudgeted; a
+// budget leases the fan-out from the pool shared with concurrent runs).
+// For measures with a FromDot form the K squared norms and the K(K−1)/2
+// inner products come out of one tiled Gram pass (gramInto), and FromDot
+// turns each unordered pair's three numbers into its score — cells are
+// bit-identical to m.Pair, because every Gram cell is bit-identical to
+// nn.ParamVector.Dot. Measures without FromDot are scored with m.Pair per
+// ordered pair, preserving exactness for asymmetric custom measures.
+// Every cell is a pure function of its pair, so the result is independent
+// of workers and scheduling. Uploads of unequal length panic.
 func NewSimMatrix(w []nn.ParamVector, m Measure, wk fl.Workers) *SimMatrix {
 	k := len(w)
 	if k < 2 {
@@ -50,13 +52,14 @@ func NewSimMatrix(w []nn.ParamVector, m Measure, wk fl.Workers) *SimMatrix {
 	m = norm
 	sm := &SimMatrix{K: k, s: make([]float64, k*k)}
 	if m.FromDot != nil {
-		normsSq := make([]float64, k)
-		fl.ParallelForW(k, wk, func(i int) { normsSq[i] = w[i].NormSq() })
-		fl.ParallelForW(k*(k-1)/2, wk, func(p int) {
-			i, j := pairIndex(p, k)
-			s := m.FromDot(w[i].Dot(w[j]), normsSq[i], normsSq[j])
-			sm.s[i*k+j], sm.s[j*k+i] = s, s
-		})
+		gramInto(sm.s, w, wk, tensor.DotTile)
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				s := m.FromDot(sm.s[i*k+j], sm.s[i*k+i], sm.s[j*k+j])
+				sm.s[i*k+j], sm.s[j*k+i] = s, s
+			}
+			sm.s[i*k+i] = 0 // no later row reads norm i; the diagonal reads 0
+		}
 		return sm
 	}
 	fl.ParallelForW(k*k, wk, func(p int) {
@@ -68,15 +71,118 @@ func NewSimMatrix(w []nn.ParamVector, m Measure, wk fl.Workers) *SimMatrix {
 	return sm
 }
 
-// pairIndex maps a flat index p in [0, k(k-1)/2) to the pair (i, j) with
-// i < j, enumerating the strict upper triangle row by row.
-func pairIndex(p, k int) (int, int) {
-	i := 0
-	for p >= k-1-i {
-		p -= k - 1 - i
-		i++
+const (
+	// gramPanelBytes budgets the K×chunk column panel the tiles of one
+	// chunk read (1,024 columns at K=64), so a worker finds its operands
+	// in L2 instead of streaming every vector from memory once per tile.
+	gramPanelBytes = 512 << 10
+	// gramGroups is how many contiguous runs the tile list is cut into for
+	// each chunk's fan-out — fixed, not derived from the worker count.
+	gramGroups = 32
+)
+
+// dotTileFunc is the signature tensor.DotTile and tensor.DotTileGo share.
+type dotTileFunc = func(acc *tensor.DotTileAcc, a *[tensor.DotTileRows][]float64, b *[tensor.DotTileCols][]float64, c0, n int)
+
+// gramTile is one DotTileRows×DotTileCols block of the Gram matrix: rows
+// r, r+1 against columns c … c+3, with its operand vectors and the lane
+// partials carried across column chunks.
+type gramTile struct {
+	r, c int
+	a    [tensor.DotTileRows][]float64
+	b    [tensor.DotTileCols][]float64
+	acc  tensor.DotTileAcc
+}
+
+// gramTiles enumerates the tiles that touch the upper triangle of a K×K
+// matrix, diagonal included: row blocks in steps of DotTileRows, and per
+// row block the column blocks from the one holding the diagonal rightward.
+// The tiles are disjoint and cover the matrix's upper triangle, so each
+// cell (i, j) with i ≤ j lies in exactly one (see cells).
+func gramTiles(k int) []gramTile {
+	var tiles []gramTile
+	for r := 0; r < k; r += tensor.DotTileRows {
+		for c := r - r%tensor.DotTileCols; c < k; c += tensor.DotTileCols {
+			tiles = append(tiles, gramTile{r: r, c: c})
+		}
 	}
-	return i, i + 1 + p
+	return tiles
+}
+
+// cells calls fn(dr, dc, i, j) for every cell the tile contributes: slot
+// (dr, dc) holds pair (i, j) = (r+dr, c+dc), kept when i ≤ j < k. Slots
+// below the diagonal duplicate a cell another tile owns, and slots past
+// the ragged edge were fed a repeat of the last vector; both are dropped.
+func (t *gramTile) cells(k int, fn func(dr, dc, i, j int)) {
+	for dr := 0; dr < tensor.DotTileRows; dr++ {
+		for dc := 0; dc < tensor.DotTileCols; dc++ {
+			if i, j := t.r+dr, t.c+dc; i <= j && j < k {
+				fn(dr, dc, i, j)
+			}
+		}
+	}
+}
+
+// gramInto fills dst[i*k+j], i ≤ j, with the inner product of uploads i
+// and j — the diagonal with the squared norms — each bit-identical to
+// w[i].Dot(w[j]). Three facts make it exact. A tile lane is a Dot stream:
+// lane l of a cell accumulates the indices ≡ l mod 4 in ascending order,
+// one multiply and one add each. The partials are carried across column
+// chunks, so chunking never restarts or reorders a stream. And the finish
+// is Dot's: the n%4 tail rides lane 0, then (s0+s1)+(s2+s3).
+// TestGramTileMatchesDot pins all three against Dot.
+//
+// Columns are walked in chunks sized so the K×chunk panel is about
+// gramPanelBytes, and each chunk fans its tiles out in gramGroups runs:
+// whichever tiles a worker draws, their operands are the one panel its
+// cache already holds. (Fanning out once, each run walking all chunks,
+// would stream every run's vectors from memory again — at 32 runs and
+// K=64 that nearly doubles the pass.) Ragged tiles — K not a multiple of the
+// tile shape — repeat the last upload in the missing slots and drop those
+// cells, so there is one kernel and no edge path. Entries below the
+// diagonal are left untouched. tile is tensor.DotTile; the tests also run
+// its scalar twin.
+func gramInto(dst []float64, w []nn.ParamVector, wk fl.Workers, tile dotTileFunc) {
+	k := len(w)
+	n := len(w[0])
+	for i, v := range w {
+		if len(v) != n {
+			panic(fmt.Sprintf("core: NewSimMatrix length mismatch: upload %d has %d parameters, upload 0 has %d", i, len(v), n))
+		}
+	}
+	tiles := gramTiles(k)
+	for t := range tiles {
+		tl := &tiles[t]
+		for dr := range tl.a {
+			tl.a[dr] = w[min(tl.r+dr, k-1)]
+		}
+		for dc := range tl.b {
+			tl.b[dc] = w[min(tl.c+dc, k-1)]
+		}
+	}
+	body := n - n%4
+	chunk := max(4, gramPanelBytes/(8*k)&^3)
+	groups := min(gramGroups, len(tiles))
+	for c0 := 0; c0 < body; c0 += chunk {
+		span := min(chunk, body-c0)
+		fl.ParallelForW(groups, wk, func(g int) {
+			group := tiles[g*len(tiles)/groups : (g+1)*len(tiles)/groups]
+			for t := range group {
+				tile(&group[t].acc, &group[t].a, &group[t].b, c0, span)
+			}
+		})
+	}
+	for t := range tiles {
+		tl := &tiles[t]
+		tl.cells(k, func(dr, dc, i, j int) {
+			s := tl.acc.Cell(dr, dc)
+			s0 := s[0]
+			for p := body; p < n; p++ {
+				s0 += w[i][p] * w[j][p]
+			}
+			dst[i*k+j] = (s0 + s[1]) + (s[2] + s[3])
+		})
+	}
 }
 
 // CoModelSelMatrix is CoModelSel reading scores from a precomputed

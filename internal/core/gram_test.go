@@ -1,9 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"fedcross/internal/data"
 	"fedcross/internal/fl"
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -115,18 +122,152 @@ func TestPairlessMeasureRejected(t *testing.T) {
 	NewSimMatrix(gramUploads(), Measure{Name: "mysim"}, fl.Limit(1))
 }
 
-func TestPairIndexCoversUpperTriangle(t *testing.T) {
-	for _, k := range []int{2, 3, 5, 8} {
-		seen := map[[2]int]bool{}
-		for p := 0; p < k*(k-1)/2; p++ {
-			i, j := pairIndex(p, k)
-			if i < 0 || j <= i || j >= k {
-				t.Fatalf("k=%d p=%d: bad pair (%d,%d)", k, p, i, j)
-			}
-			seen[[2]int{i, j}] = true
+// gramTileUploads builds k uploads of n parameters that exercise every
+// value class the kernels can meet: normal draws, a zero vector, −0,
+// denormals and vectors carrying NaN and ±Inf.
+func gramTileUploads(k, n int) []nn.ParamVector {
+	rng := tensor.NewRNG(int64(1000*k + n))
+	w := make([]nn.ParamVector, k)
+	for i := range w {
+		w[i] = make(nn.ParamVector, n)
+		for j := range w[i] {
+			w[i][j] = rng.Normal(0, 1)
 		}
-		if len(seen) != k*(k-1)/2 {
-			t.Fatalf("k=%d: %d distinct pairs, want %d", k, len(seen), k*(k-1)/2)
+	}
+	for j := range w[1] {
+		w[1][j] = 0
+	}
+	if n == 0 {
+		return w
+	}
+	w[0][n/2] = math.Copysign(0, -1)
+	w[0][n-1] = math.SmallestNonzeroFloat64
+	w[k-1][0] = -3 * math.SmallestNonzeroFloat64
+	if k > 3 {
+		w[2][n-1] = math.NaN()
+		w[3][n/3] = math.Inf(1)
+		w[k-2][2*n/3] = math.Inf(-1)
+	}
+	return w
+}
+
+// TestGramTileMatchesDot pins the tiled Gram pass to the kernel it
+// replaced: every off-diagonal cell carries the bits of w[i].Dot(w[j])
+// and every diagonal cell those of NormSq(), across ragged K (tile edges),
+// lengths around the 4-lane and chunk boundaries, and worker counts — for
+// the dispatched kernel and, always, for its scalar twin.
+func TestGramTileMatchesDot(t *testing.T) {
+	kernels := []struct {
+		name string
+		tile dotTileFunc
+	}{{"dispatched", tensor.DotTile}, {"scalar", tensor.DotTileGo}}
+	check := func(k, n int, workers []int) {
+		w := gramTileUploads(k, n)
+		for _, kern := range kernels {
+			for _, wk := range workers {
+				dst := make([]float64, k*k)
+				gramInto(dst, w, fl.Limit(wk), kern.tile)
+				for i := 0; i < k; i++ {
+					for j := i; j < k; j++ {
+						want := w[i].Dot(w[j])
+						if i == j {
+							want = w[i].NormSq()
+						}
+						got := dst[i*k+j]
+						if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+							t.Fatalf("%s K=%d n=%d workers=%d cell (%d,%d): tile %v (%#x), Dot %v (%#x)",
+								kern.name, k, n, wk, i, j, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, k := range []int{2, 3, 4, 5, 7, 8, 9, 10, 64, 65} {
+		for _, n := range []int{0, 1, 3, 4, 5, 7, 1020, 1023, 1024, 1025, 2049, 4099} {
+			check(k, n, []int{1, 2, 8})
+		}
+	}
+	check(10, 51978, []int{2}) // the paper's K at server_heavy_k64's length: eight chunks and a tail
+}
+
+// TestGramTilesCoverUpperTriangle pins the tile enumeration: over all
+// tiles, cells yields every unordered pair and every diagonal cell exactly
+// once, and nothing else.
+func TestGramTilesCoverUpperTriangle(t *testing.T) {
+	for k := 2; k <= 70; k++ {
+		seen := make([]int, k*k)
+		for _, tl := range gramTiles(k) {
+			if tl.r%tensor.DotTileRows != 0 || tl.c%tensor.DotTileCols != 0 {
+				t.Fatalf("k=%d: tile (%d,%d) off the tile grid", k, tl.r, tl.c)
+			}
+			tl.cells(k, func(dr, dc, i, j int) {
+				if i != tl.r+dr || j != tl.c+dc || i < 0 || j >= k || i > j {
+					t.Fatalf("k=%d tile (%d,%d): slot (%d,%d) yielded cell (%d,%d)", k, tl.r, tl.c, dr, dc, i, j)
+				}
+				seen[i*k+j]++
+			})
+		}
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				want := 0
+				if i <= j {
+					want = 1
+				}
+				if seen[i*k+j] != want {
+					t.Fatalf("k=%d: cell (%d,%d) produced %d times, want %d", k, i, j, seen[i*k+j], want)
+				}
+			}
+		}
+	}
+}
+
+// TestSimMatrixRaggedLengthsPanic: uploads of unequal length are a
+// caller bug, reported by length like nn.ParamVector.Dot reports it.
+func TestSimMatrixRaggedLengthsPanic(t *testing.T) {
+	w := gramUploads()
+	w[3] = w[3][:len(w[3])-1]
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "length mismatch") {
+			t.Fatalf("expected a length-mismatch panic, got %q", msg)
+		}
+	}()
+	NewSimMatrix(w, CosineMeasure(), fl.Limit(2))
+}
+
+// TestFedCrossHistoryPins holds three FedCross rounds — Gram pass,
+// selection, cross-aggregation and, on int8, the quantised wire — to the
+// byte: the SHA-256 of each gob-encoded History was recorded from the
+// commit before the tiled Gram pass and the Round-free int8 loops landed.
+func TestFedCrossHistoryPins(t *testing.T) {
+	for _, pin := range []struct {
+		k     int
+		codec string
+		want  string
+	}{
+		{5, "identity", "48e20d085fe5a4d0ceb3d3c978dc5b1d29473b06548de6890ea186e0e1528676"},
+		{5, "int8", "9e6faf32ca687dd06e14a9c2c833dc88a95cea34c8d9c6843094ccef444ee405"},
+		{8, "identity", "dd4d4dfc3dbfc2f1eb9229cb53ee2abc8f7204c123c301a3ccd6260d36f315fc"},
+		{8, "int8", "57633ee4b768f4ac7978e95b04361b6ae7f4fee2d8230b2ce037e20c99246c2c"},
+		{12, "identity", "cbf56ad1a87e89da3f000a1ac41bdea26d21c78cf00adcd022680e4b93473068"},
+		{12, "int8", "7bd03324fe35e1617070e1bb63af968b33ea7d5fc3ffb61745498cc039ab4fe0"},
+	} {
+		env := integrationEnv(11, 16, data.Heterogeneity{Beta: 0.5})
+		cfg := runCfg(3)
+		cfg.ClientsPerRound = pin.k
+		cfg.EvalEvery = 1
+		cfg.Transport.Codec = pin.codec
+		hist, err := fl.Run(MustNew(DefaultOptions()), env, cfg)
+		if err != nil {
+			t.Fatalf("K=%d %s: %v", pin.k, pin.codec, err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(hist); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != pin.want {
+			t.Errorf("K=%d %s: history sha256 %s, pinned %s", pin.k, pin.codec, got, pin.want)
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 
 // sqDistMeasure scores a pair by its SQUARED Euclidean distance — the
 // quantity Krum ranks on. It is expressed through the Gram identity
-// ‖a−b‖² = ‖a‖² + ‖b‖² − 2·a·b so the K×K pass reuses NewSimMatrix's
-// fused, norm-cached kernels: Pair and FromDot are the same arithmetic on
-// the same fixed-order nn reductions, so the matrix is bit-identical at
+// ‖a−b‖² = ‖a‖² + ‖b‖² − 2·a·b so the K×K pass is NewSimMatrix's tiled
+// Gram pass, norms included: Pair and FromDot are the same arithmetic on
+// the same fixed-order reductions, so the matrix is bit-identical at
 // every worker count (the property the gram tests pin for the similarity
 // measures carries over unchanged).
 //

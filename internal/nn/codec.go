@@ -209,7 +209,10 @@ func (c FP16Codec) Decode(dst ParamVector, data []byte) (int, error) {
 // byte per parameter plus a 16-byte affine header. Non-finite inputs are
 // clamped onto the finite grid (+Inf → max, −Inf and NaN → min): the
 // decoded wire is finite by construction. An all-equal vector has scale
-// 0 and round-trips exactly (every point decodes to min).
+// 0 and round-trips exactly (every point decodes to min). A range too
+// wide for its own width to be finite (max−min overflows) is first
+// clamped to ±MaxFloat64/4; values beyond land on the end points, values
+// inside keep the (max−min)/510 bound of the clamped grid.
 type Int8Codec struct{}
 
 // Name implements Codec.
@@ -225,6 +228,12 @@ func (Int8Codec) EncodedSize(n int) int64 { return codecHeaderBytes + 16 + int64
 func (Int8Codec) Encode(buf []byte, vec ParamVector) []byte {
 	buf = putCount(buf, len(vec))
 	lo, hi := int8Range(vec)
+	if math.IsInf(hi-lo, 1) {
+		// The width overflowed: scale would be +Inf and every coordinate
+		// decode to lo + Inf·0 = NaN. On the clamped grid hi−lo ≤
+		// MaxFloat64/2, so neither scale nor lo + scale·255 can overflow.
+		lo, hi = max(lo, -math.MaxFloat64/4), min(hi, math.MaxFloat64/4)
+	}
 	scale := (hi - lo) / 255
 	var w [16]byte
 	binary.LittleEndian.PutUint64(w[:8], math.Float64bits(lo))
@@ -232,21 +241,35 @@ func (Int8Codec) Encode(buf []byte, vec ParamVector) []byte {
 	buf = append(buf, w[:]...)
 	body, buf := codecGrow(buf, len(vec))
 	tensor.ParallelChunks(len(vec), codecWorkers(len(vec)), func(_, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			q := 0.0
-			if scale > 0 {
-				q = math.Round((vec[i] - lo) / scale)
-			}
-			// !(q >= 0) also catches NaN inputs (and NaN from 0·Inf above).
-			if !(q >= 0) {
-				q = 0
-			} else if q > 255 {
-				q = 255
-			}
-			body[i] = byte(q)
-		}
+		int8Quantize(body[i0:i1], vec[i0:i1], lo, scale)
 	})
 	return buf
+}
+
+// int8Quantize writes dst[i] = clamp(round((src[i]−lo)/scale), 0, 255)
+// with round-half-away-from-zero — math.Round's result, without calling
+// it. For x = (v−lo)/scale: anything not ≥ 0.5 (NaN, negatives and
+// [0, 0.5), where Round gives ≤ 0) is 0; anything ≥ 254.5 is 255; and on
+// [0.5, 254.5) the sum x+0.5 never rounds up across an integer, so
+// truncating it is Round(x). TestInt8QuantizeMatchesRound holds the bytes
+// to a math.Round reference. A scale that is not > 0 (an all-equal
+// vector's 0) puts every point on lo. len(dst) must equal len(src).
+func int8Quantize(dst []byte, src ParamVector, lo, scale float64) {
+	if !(scale > 0) {
+		clear(dst)
+		return
+	}
+	for i, v := range src {
+		x := (v - lo) / scale
+		switch {
+		case !(x >= 0.5):
+			dst[i] = 0
+		case x >= 254.5:
+			dst[i] = 255
+		default:
+			dst[i] = byte(int(x + 0.5))
+		}
+	}
 }
 
 // int8Range finds the finite [lo, hi] value range of vec. Large vectors
@@ -285,10 +308,12 @@ func int8Range(vec ParamVector) (lo, hi float64) {
 }
 
 // finiteRange scans for the finite min and max (+Inf/-Inf when none).
+// Non-finite values are screened with one compare: v−v is 0 for every
+// finite v and NaN for ±Inf and NaN.
 func finiteRange(vec ParamVector) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, v := range vec {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
+		if v-v != 0 {
 			continue
 		}
 		if v < lo {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -186,6 +187,154 @@ func TestInt8CodecDegenerate(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("int8 no-finite: element %d: %v, want 0", i, v)
 		}
+	}
+}
+
+// int8QuantizeRound is the quantise loop as it was written before
+// int8Quantize dropped math.Round — the reference the new loop's bytes are
+// held to.
+func int8QuantizeRound(dst []byte, src ParamVector, lo, scale float64) {
+	for i, v := range src {
+		q := 0.0
+		if scale > 0 {
+			q = math.Round((v - lo) / scale)
+		}
+		if !(q >= 0) {
+			q = 0
+		} else if q > 255 {
+			q = 255
+		}
+		dst[i] = byte(q)
+	}
+}
+
+// TestInt8QuantizeMatchesRound pins int8Quantize byte for byte against the
+// math.Round loop: at and around every rounding boundary, across twenty
+// decades of scale, and on every special value and degenerate scale.
+func TestInt8QuantizeMatchesRound(t *testing.T) {
+	check := func(name string, src ParamVector, lo, scale float64) {
+		t.Helper()
+		got, want := make([]byte, len(src)), make([]byte, len(src))
+		int8Quantize(got, src, lo, scale)
+		int8QuantizeRound(want, src, lo, scale)
+		for i := range src {
+			if got[i] != want[i] {
+				t.Fatalf("%s: v=%v lo=%v scale=%v (x=%v): got %d, math.Round gives %d",
+					name, src[i], lo, scale, (src[i]-lo)/scale, got[i], want[i])
+			}
+		}
+	}
+	// nudge moves v by ulps steps toward +Inf (positive) or -Inf.
+	nudge := func(v float64, ulps int) float64 {
+		for ; ulps > 0; ulps-- {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		for ; ulps < 0; ulps++ {
+			v = math.Nextafter(v, math.Inf(-1))
+		}
+		return v
+	}
+	specials := ParamVector{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -1e-310,
+		math.MaxFloat64, -math.MaxFloat64, 0.49999999999999994,
+	}
+
+	// With lo = 0 and scale = 1, x is v itself: every integer and every
+	// half-integer of the grid (and one past it), ±0, ±1 and ±2 ulp.
+	var boundaries ParamVector
+	for k := 0; k <= 256; k++ {
+		for _, base := range []float64{float64(k), float64(k) + 0.5} {
+			for ulps := -2; ulps <= 2; ulps++ {
+				boundaries = append(boundaries, nudge(base, ulps))
+			}
+		}
+	}
+	check("boundaries", boundaries, 0, 1)
+	check("specials", specials, 0, 1)
+
+	rng := tensor.NewRNG(23)
+	for trial := 0; trial < 200; trial++ {
+		scale := math.Pow(10, -10+20*rng.Float64())
+		lo := rng.Normal(0, 1) * scale * 100
+		src := make(ParamVector, 0, len(boundaries)+len(specials)+64)
+		for _, x := range boundaries {
+			src = append(src, lo+x*scale) // lands near the boundary, rounding and all
+		}
+		for i := 0; i < 64; i++ {
+			src = append(src, lo+scale*(300*rng.Float64()-20))
+		}
+		src = append(src, specials...)
+		check("random grid", src, lo, scale)
+	}
+
+	for _, scale := range []float64{0, math.Inf(1), math.NaN(), -1} {
+		check("degenerate scale", append(boundaries[:40:40], specials...), 0, scale)
+		check("degenerate scale", append(boundaries[:40:40], specials...), -3.5, scale)
+	}
+}
+
+// TestFiniteRangeScreensNonFinite holds finiteRange's one-compare screen
+// to the math.IsInf/IsNaN scan it replaced, with the non-finite values
+// placed where they would win the range if they were let through.
+func TestFiniteRangeScreensNonFinite(t *testing.T) {
+	for _, vec := range []ParamVector{
+		{},
+		{math.NaN(), math.Inf(1), math.Inf(-1)},
+		{math.Inf(-1), 3, math.NaN(), -2, math.Inf(1), 7, math.NaN()},
+		{math.NaN(), math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64},
+		{math.MaxFloat64, math.Inf(1), -math.MaxFloat64, math.Inf(-1)},
+	} {
+		wantLo, wantHi := math.Inf(1), math.Inf(-1)
+		for _, v := range vec {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				continue
+			}
+			if v < wantLo {
+				wantLo = v
+			}
+			if v > wantHi {
+				wantHi = v
+			}
+		}
+		lo, hi := finiteRange(vec)
+		if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+			t.Fatalf("finiteRange(%v) = [%v, %v], want [%v, %v]", vec, lo, hi, wantLo, wantHi)
+		}
+	}
+}
+
+// TestInt8CodecRangeOverflow pins the fix for a finite range whose width
+// overflows: (hi−lo)/255 was +Inf, and every coordinate decoded to
+// lo + Inf·0 = NaN with a nil error. The grid is now clamped to
+// ±MaxFloat64/4, so the decode is finite, out-of-grid values land on the
+// end points, and in-grid values keep the (hi−lo)/510 bound.
+func TestInt8CodecRangeOverflow(t *testing.T) {
+	vec := ParamVector{-1.7e308, 0, 1.7e308, 3}
+	got := roundTrip(t, Int8Codec{}, vec)
+	lo, hi := -math.MaxFloat64/4, math.MaxFloat64/4
+	bound := (hi - lo) / 510 * (1 + 1e-12)
+	for i, v := range got {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("int8 overflow: element %d decoded to %v (all: %v)", i, v, got)
+		}
+		want := math.Max(lo, math.Min(hi, vec[i]))
+		if math.Abs(v-want) > bound {
+			t.Fatalf("int8 overflow: element %d: %v -> %v, want within %v of %v", i, vec[i], v, bound, want)
+		}
+	}
+	// One end beyond the clamp is enough to overflow the width.
+	got = roundTrip(t, Int8Codec{}, ParamVector{-math.MaxFloat64, 1e308, math.NaN()})
+	for i, v := range got {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("int8 one-sided overflow: element %d decoded to %v", i, v)
+		}
+	}
+	// The widest range whose width is still finite is not touched.
+	edge := ParamVector{-math.MaxFloat64 / 2, math.MaxFloat64 / 2, 0}
+	buf := Int8Codec{}.Encode(nil, edge)
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(buf[codecHeaderBytes:])); got != edge[0] {
+		t.Fatalf("int8: finite-width range re-clamped: lo %v, want %v", got, edge[0])
 	}
 }
 

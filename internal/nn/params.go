@@ -132,10 +132,14 @@ func (v ParamVector) AXPY(alpha float64, w ParamVector) {
 // one accumulation scheme: four independent partial-sum streams fed in a
 // fixed index pattern (stream j takes indices ≡ j mod 4, the remainder
 // rides stream 0), reduced in the fixed order (s0+s1)+(s2+s3). The streams
-// break the loop-carried add dependency so the kernels run at memory
-// bandwidth, and because every kernel uses the same pattern, fused and
-// separate passes produce bit-identical sums — the property the Gram-pass
-// similarity cache relies on.
+// break the loop-carried add dependency, and because every consumer uses
+// the same pattern, fused and separate passes produce bit-identical sums.
+// The order now has three implementations that must agree: the scalar
+// kernels here, and tensor.DotTile's scalar twin and AVX2 assembly, whose
+// lanes are these four streams run for eight pairs at once under core's
+// tiled Gram pass. Dot is the reference the other two are held to
+// (core's TestGramTileMatchesDot); changing the order here changes every
+// pinned history.
 
 // Dot returns the inner product of v and w.
 func (v ParamVector) Dot(w ParamVector) float64 {

@@ -66,6 +66,13 @@ func reluBwdAVX(dx, g []float64, mask []bool)
 //go:noescape
 func maxPool2AVX(dst []float64, am []int, src []float64, w, oh, ow, base int)
 
+// dotTileAVX is the AVX2 dot tile: eight ymm accumulators, one per cell,
+// whose lanes are the cell's four partial-sum streams. c0+n must not
+// exceed any vector's length and n%4 must be 0 — DotTile checks both.
+//
+//go:noescape
+func dotTileAVX(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float64, c0, n int)
+
 // avx2Supported is probed once at init and gates backend selection.
 var avx2Supported = hasAVX2()
 
@@ -243,4 +250,13 @@ func reluBackward(dx, g []float64, mask []bool) {
 		return
 	}
 	reluBackwardGo(dx, g, mask)
+}
+
+// dotTile runs the checked span on the AVX2 tile when the CPU has it.
+func dotTile(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float64, c0, n int) {
+	if avx2Supported {
+		dotTileAVX(acc, a, b, c0, n)
+		return
+	}
+	dotTileGo(acc, a, b, c0, n)
 }

@@ -656,3 +656,77 @@ tail1:
 done:
 	VZEROUPPER
 	RET
+
+// func dotTileAVX(acc *DotTileAcc, a *[2][]float64, b *[4][]float64, c0, n int)
+// A 2×4 tile of dot products advanced over the span [c0, c0+n), n%4 == 0:
+// Y0..Y3 hold the four lane partials of cells (0,0)..(0,3), Y4..Y7 those
+// of (1,0)..(1,3). Each step is one VMULPD and one VADDPD per cell with
+// the accumulator as first source — per lane the scalar s += x*y — so the
+// eight chains are independent and each is the chain dotTileGo runs.
+TEXT ·dotTileAVX(SB), NOSPLIT, $0-40
+	MOVQ acc+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ c0+24(FP), DX
+	MOVQ n+32(FP), CX
+	MOVQ 0(AX), SI   // a[0] base
+	MOVQ 24(AX), R8  // a[1] base
+	MOVQ 0(BX), R9   // b[0] base
+	MOVQ 24(BX), R10 // b[1] base
+	MOVQ 48(BX), R11 // b[2] base
+	MOVQ 72(BX), R12 // b[3] base
+	LEAQ (SI)(DX*8), SI
+	LEAQ (R8)(DX*8), R8
+	LEAQ (R9)(DX*8), R9
+	LEAQ (R10)(DX*8), R10
+	LEAQ (R11)(DX*8), R11
+	LEAQ (R12)(DX*8), R12
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	XORQ AX, AX
+
+loop4:
+	CMPQ AX, CX
+	JGE  done
+	VMOVUPD (SI)(AX*8), Y8
+	VMOVUPD (R8)(AX*8), Y9
+	VMOVUPD (R9)(AX*8), Y10
+	VMULPD  Y10, Y8, Y11
+	VMULPD  Y10, Y9, Y12
+	VADDPD  Y11, Y0, Y0
+	VADDPD  Y12, Y4, Y4
+	VMOVUPD (R10)(AX*8), Y13
+	VMULPD  Y13, Y8, Y14
+	VMULPD  Y13, Y9, Y15
+	VADDPD  Y14, Y1, Y1
+	VADDPD  Y15, Y5, Y5
+	VMOVUPD (R11)(AX*8), Y10
+	VMULPD  Y10, Y8, Y11
+	VMULPD  Y10, Y9, Y12
+	VADDPD  Y11, Y2, Y2
+	VADDPD  Y12, Y6, Y6
+	VMOVUPD (R12)(AX*8), Y13
+	VMULPD  Y13, Y8, Y14
+	VMULPD  Y13, Y9, Y15
+	VADDPD  Y14, Y3, Y3
+	VADDPD  Y15, Y7, Y7
+	ADDQ $4, AX
+	JMP  loop4
+
+done:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET

@@ -11,3 +11,7 @@ func reluBackward(dx, g []float64, mask []bool) { reluBackwardGo(dx, g, mask) }
 func maxPool2x2Plane(dst []float64, am []int, src []float64, w, oh, ow, base int) bool {
 	return false
 }
+
+func dotTile(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float64, c0, n int) {
+	dotTileGo(acc, a, b, c0, n)
+}
