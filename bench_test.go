@@ -547,6 +547,67 @@ func BenchmarkLocalTrainingCNN(b *testing.B) {
 	}
 }
 
+// BenchmarkConvStep measures a training step's share of one convolution —
+// forward plus parameter gradients, batch 50 — at the CNN's two
+// geometries: nn.Conv2D's direct kernels against the per-sample lowering
+// they are held bit-equal to (Im2ColTo, MatMulTo and the bias add, one
+// MatMulTransBAcc and a serial row sum per sample), written out here. CI
+// gates direct against lowered as a same-process ratio: a tripwire for a
+// kernel falling back to its scalar twin, not a record of what replacing
+// the fused whole-batch lowering gained.
+func BenchmarkConvStep(b *testing.B) {
+	const batch = 50
+	rng := tensor.NewRNG(1)
+	type layer struct {
+		conv    *nn.Conv2D
+		x, grad *tensor.Tensor
+	}
+	var layers []layer
+	for _, c := range []struct{ inC, side, outC int }{{models.VisionC, models.VisionH, 8}, {8, models.VisionH / 2, 16}} {
+		g := tensor.ConvGeom{InC: c.inC, InH: c.side, InW: c.side, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		conv := nn.NewConv2D(g, c.outC, rng)
+		layers = append(layers, layer{conv, rng.Randn(1, batch, conv.InFeatures()), rng.Randn(1, batch, conv.OutFeatures())})
+	}
+	b.Run("direct", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, l := range layers {
+				l.conv.Forward(l.x, true)
+				l.conv.BackwardParams(l.grad)
+			}
+		}
+	})
+	b.Run("lowered", func(b *testing.B) {
+		type scratch struct{ cols, y, out, dW, dB *tensor.Tensor }
+		ws := make([]scratch, len(layers))
+		for i, l := range layers {
+			g, outC := l.conv.Geom, l.conv.OutC
+			rows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+			ws[i] = scratch{tensor.Zeros(rows, spatial), tensor.Zeros(outC, spatial), tensor.Zeros(batch, outC*spatial), tensor.Zeros(outC, rows), tensor.Zeros(outC)}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for li, l := range layers {
+				g, outC, w := l.conv.Geom, l.conv.OutC, ws[li]
+				spatial, inLen := g.OutH()*g.OutW(), l.conv.InFeatures()
+				for s := 0; s < batch; s++ {
+					tensor.Im2ColTo(w.cols, tensor.New(l.x.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), g)
+					tensor.MatMulTo(w.y, l.conv.W, w.cols)
+					dy := tensor.New(l.grad.Data[s*outC*spatial:(s+1)*outC*spatial], outC, spatial)
+					for oc := 0; oc < outC; oc++ {
+						sum := 0.0
+						for j := 0; j < spatial; j++ {
+							w.out.Data[(s*outC+oc)*spatial+j] = w.y.Data[oc*spatial+j] + l.conv.B.Data[oc]
+							sum += dy.Data[oc*spatial+j]
+						}
+						w.dB.Data[oc] += sum
+					}
+					tensor.MatMulTransBAcc(w.dW, dy, w.cols)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkReducers measures every aggregation rule on a cohort of 10
 // model-sized uploads (2^16 parameters) — the server-side cost a robust
 // rule adds over the plain mean. The rank-based rules (trimmed mean,

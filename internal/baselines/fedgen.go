@@ -289,7 +289,7 @@ func (a *FedGen) trainGenerator(uploads []nn.ParamVector) {
 		tensor.ScaleInPlace(dx, 1/float64(len(uploads)))
 
 		a.gen.ZeroGrads()
-		a.gen.Backward(dx)
+		a.gen.BackwardParams(dx)
 		a.genOpt.Step(a.gen.Params(), a.gen.Grads())
 	}
 }

@@ -98,7 +98,7 @@ func TrainLocal(factory models.Factory, shard *data.Dataset, spec LocalSpec, rng
 			}
 			dlogits = tensor.Ensure(dlogits, logits.Shape...)
 			loss := nn.SoftmaxCrossEntropyInto(dlogits, logits, y)
-			net.Backward(dlogits)
+			net.BackwardParams(dlogits) // the data batch's gradient has no reader
 			applyHooks(params, grads, spec)
 			opt.Step(params, grads)
 			steps++

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"testing"
 
 	"fedcross/internal/nn"
@@ -128,6 +129,73 @@ func TestVisionModelsTrainable(t *testing.T) {
 			if v != v { // NaN check
 				t.Fatalf("%s: NaN after SGD step", f.Name)
 			}
+		}
+	}
+}
+
+// TestBackwardParamsMatchesBackward: a training step that drops
+// dLoss/dInput (Sequential.BackwardParams) must leave every gradient
+// tensor with the bits Backward leaves — for each stock architecture, for
+// a network whose first layer is itself a Sequential (the request is
+// passed down) and for first layers without the optional method (ReLU,
+// and the text models' Embedding: they fall through to Backward).
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	vision := func(rng *tensor.RNG) *tensor.Tensor { return rng.Randn(1, 5, VisionFeatures) }
+	tokens := func(rng *tensor.RNG) *tensor.Tensor {
+		x := tensor.Zeros(5, 6)
+		for i := range x.Data {
+			x.Data[i] = float64(rng.Intn(20))
+		}
+		return x
+	}
+	nested := Factory{Name: "nested-first-block", New: func(rng *tensor.RNG) *nn.Sequential {
+		g := tensor.ConvGeom{InC: VisionC, InH: VisionH, InW: VisionW, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		return nn.NewSequential(
+			nn.NewSequential(nn.NewConv2D(g, 4, rng), nn.NewReLU()),
+			nn.NewLinear(4*VisionH*VisionW, 3, rng),
+		)
+	}}
+	plainFirst := Factory{Name: "relu-first", New: func(rng *tensor.RNG) *nn.Sequential {
+		return nn.NewSequential(nn.NewReLU(), nn.NewLinear(VisionFeatures, 3, rng))
+	}}
+	for _, tc := range []struct {
+		f     Factory
+		input func(*tensor.RNG) *tensor.Tensor
+	}{
+		{CNN(10), vision}, {ResNetMini(10), vision}, {VGGMini(10), vision},
+		{MLP(VisionFeatures, 32, 10), vision},
+		{CharLSTM(20, 6, 4, 8), tokens}, {SentLSTM(20, 6, 4, 8), tokens},
+		{nested, vision}, {plainFirst, vision},
+	} {
+		x := tc.input(tensor.NewRNG(7))
+		labels := []int{0, 1, 1, 0, 1} // SentLSTM has two classes
+		grads := func(params bool) []*tensor.Tensor {
+			net := tc.f.New(tensor.NewRNG(8))
+			net.ZeroGrads()
+			logits := net.Forward(x, true)
+			_, dlogits := nn.SoftmaxCrossEntropy(logits, labels)
+			if params {
+				net.BackwardParams(dlogits)
+			} else {
+				net.Backward(dlogits)
+			}
+			return net.Grads()
+		}
+		want, got := grads(false), grads(true)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d gradient tensors vs %d", tc.f.Name, len(got), len(want))
+		}
+		nonzero := false
+		for i := range want {
+			for j, w := range want[i].Data {
+				if math.Float64bits(got[i].Data[j]) != math.Float64bits(w) {
+					t.Fatalf("%s: gradient %d element %d: BackwardParams %v, Backward %v", tc.f.Name, i, j, got[i].Data[j], w)
+				}
+				nonzero = nonzero || w != 0
+			}
+		}
+		if !nonzero {
+			t.Fatalf("%s: every gradient is zero; the comparison is vacuous", tc.f.Name)
 		}
 	}
 }

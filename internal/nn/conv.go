@@ -8,11 +8,14 @@ import (
 
 // Conv2D is a 2-D convolution over CHW images carried in flattened
 // (batch × C·H·W) activations. The spatial geometry is fixed at
-// construction; the forward pass lowers the whole minibatch with a
-// batched im2col into one fused (colRows × batch·spatial) workspace, so
-// the convolution is a single matrix multiply per layer per step instead
-// of one per sample — the kernels finally see matrices big enough to
-// amortize their blocking.
+// construction. The forward pass and the parameter gradients run on
+// tensor's direct kernels: the minibatch is copied once into a
+// zero-padded buffer and every tap is read from there through two index
+// tables, so no lowered im2col matrix is ever built. Per element the
+// arithmetic is still the per-sample lowering's — Im2ColTo + MatMulTo +
+// bias forward, one MatMulTransBAcc per sample for dW — which
+// TestConvDirectMatchesLowered holds to the bit. Only the input gradient,
+// for the callers that read it, goes through a lowered matrix (dcols).
 type Conv2D struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -20,14 +23,26 @@ type Conv2D struct {
 	B      *tensor.Tensor // (OutC)
 	dW, dB *tensor.Tensor
 
+	// Index tables of the direct kernels (see tensor.ConvForward), built
+	// once from Geom: tapOff[p] locates tap p = (ic, kh, kw) inside one
+	// padded sample, posBase[pos] the window origin of output position
+	// pos.
+	tapOff, posBase []int
+
 	// Reusable workspaces, refreshed per call via tensor.Ensure so
-	// steady-state batches allocate nothing. cols is the fused im2col
-	// workspace (colRows × batch·spatial) that backward consumes; y and dy
-	// hold the channel-major (OutC × batch·spatial) activations/gradients
-	// on either side of the sample-major (batch × OutC·spatial) layout the
-	// surrounding layers exchange.
-	cols, y, dy    *tensor.Tensor
-	out, dx, dcols *tensor.Tensor
+	// steady-state batches — including a shard's short last one —
+	// allocate nothing. padded holds the batch as (InC × (InH+2·Pad) ×
+	// (InW+2·Pad)) samples and is what backward reads the activations
+	// from. Its borders are the convolution's zero padding: they are zero
+	// because a fresh buffer is, and stay zero because Forward only ever
+	// writes interiors, at offsets that do not depend on the batch size.
+	// wt, gt and dyt are the kernels' channel-lane layouts of W, of
+	// {dW, dB} and of the incoming gradient.
+	padded, wt, gt, dyt *tensor.Tensor
+	out                 *tensor.Tensor
+	// Input-gradient path only: the channel-major (OutC × batch·spatial)
+	// gradient, the lowered (colRows × batch·spatial) gradient and dx.
+	dy, dcols, dx *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution with the given geometry and output
@@ -38,13 +53,27 @@ func NewConv2D(g tensor.ConvGeom, outC int, rng *tensor.RNG) *Conv2D {
 	}
 	fanIn := g.InC * g.KH * g.KW
 	bound := math.Sqrt(6.0 / float64(fanIn))
-	return &Conv2D{
+	c := &Conv2D{
 		Geom: g, OutC: outC,
 		W:  rng.Uniform(-bound, bound, outC, fanIn),
 		B:  tensor.Zeros(outC),
 		dW: tensor.Zeros(outC, fanIn),
 		dB: tensor.Zeros(outC),
 	}
+	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+	for ic := 0; ic < g.InC; ic++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				c.tapOff = append(c.tapOff, (ic*ph+kh)*pw+kw)
+			}
+		}
+	}
+	for oy := 0; oy < g.OutH(); oy++ {
+		for ox := 0; ox < g.OutW(); ox++ {
+			c.posBase = append(c.posBase, oy*g.Stride*pw+ox*g.Stride)
+		}
+	}
+	return c
 }
 
 // InFeatures returns the flattened input width the layer expects.
@@ -53,47 +82,93 @@ func (c *Conv2D) InFeatures() int { return c.Geom.InC * c.Geom.InH * c.Geom.InW 
 // OutFeatures returns the flattened output width the layer produces.
 func (c *Conv2D) OutFeatures() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
 
-// Forward convolves the whole batch with one fused matmul. Per-element
-// arithmetic (ascending-tap matmul chain, one bias add) matches the old
-// per-sample lowering exactly, so activations are bit-identical.
+// paddedLen is the length of one zero-padded sample.
+func (c *Conv2D) paddedLen() int {
+	g := c.Geom
+	return g.InC * (g.InH + 2*g.Pad) * (g.InW + 2*g.Pad)
+}
+
+// convForwardFunc and convGradFunc are the signatures of tensor's direct
+// kernels; the tests pass the scalar twins through them.
+type (
+	convForwardFunc func(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int)
+	convGradFunc    func(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int)
+)
+
+// Forward convolves the whole batch. Per element the arithmetic — taps
+// ascending from +0, one multiply and one add each, the bias last — is
+// the per-sample lowering's, so activations are bit-identical to it.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.forward(x, tensor.ConvForward)
+}
+
+func (c *Conv2D) forward(x *tensor.Tensor, kernel convForwardFunc) *tensor.Tensor {
 	checkBatch("Conv2D", x, c.InFeatures())
+	g := c.Geom
 	batch := x.Shape[0]
-	spatial := c.Geom.OutH() * c.Geom.OutW()
-	colRows := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	c.cols = tensor.Ensure(c.cols, colRows, batch*spatial)
-	tensor.Im2ColBatchTo(c.cols, x, c.Geom)
-	c.y = tensor.Ensure(c.y, c.OutC, batch*spatial)
-	tensor.MatMulTo(c.y, c.W, c.cols) // every sample in one multiply
-	c.out = tensor.Ensure(c.out, batch, c.OutC*spatial)
-	// Channel-major → sample-major, fusing the bias add into the copy.
-	for oc := 0; oc < c.OutC; oc++ {
-		bias := c.B.Data[oc]
-		yrow := c.y.Data[oc*batch*spatial : (oc+1)*batch*spatial]
-		for b := 0; b < batch; b++ {
-			src := yrow[b*spatial : (b+1)*spatial]
-			dst := c.out.Data[b*c.OutC*spatial+oc*spatial : b*c.OutC*spatial+(oc+1)*spatial]
-			for j, v := range src {
-				dst[j] = v + bias
-			}
+	spatial := len(c.posBase)
+	taps := len(c.tapOff)
+	oc8 := tensor.ConvLanes(c.OutC)
+
+	// Copy the image rows into the interiors of the padded planes; the
+	// batch is batch·InC planes back to back on both sides.
+	c.padded = tensor.Ensure(c.padded, batch, c.paddedLen())
+	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+	for plane := 0; plane < batch*g.InC; plane++ {
+		src := x.Data[plane*g.InH*g.InW : (plane+1)*g.InH*g.InW]
+		dst := c.padded.Data[(plane*ph+g.Pad)*pw+g.Pad:]
+		for y := 0; y < g.InH; y++ {
+			copy(dst[y*pw:y*pw+g.InW], src[y*g.InW:(y+1)*g.InW])
 		}
 	}
+
+	c.wt = tensor.Ensure(c.wt, taps, oc8)
+	tensor.TransposeTo(c.wt.Data, c.W.Data, c.OutC, taps, taps, oc8)
+	c.out = tensor.Ensure(c.out, batch, c.OutC*spatial)
+	kernel(c.out.Data, c.padded.Data, c.wt.Data, c.B.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	return c.out
 }
 
-// Backward accumulates dW/dB and returns the input gradient, again as
-// one fused multiply per gradient: dW via a segment-accumulating
-// transposed-B kernel whose per-sample segments reproduce the old
-// per-sample accumulate chain, dcols via one transposed-A multiply, and
-// dx via the batched col2im scatter.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// BackwardParams accumulates dW and dB from dLoss/dOutput and the
+// activations Forward cached, without forming dLoss/dInput. The chains
+// are the ones Backward runs, so the gradients are the same bits.
+func (c *Conv2D) BackwardParams(grad *tensor.Tensor) {
+	c.backwardParams(grad, tensor.ConvGradParams)
+}
+
+func (c *Conv2D) backwardParams(grad *tensor.Tensor, kernel convGradFunc) {
 	checkBatch("Conv2D.Backward", grad, c.OutFeatures())
 	batch := grad.Shape[0]
-	spatial := c.Geom.OutH() * c.Geom.OutW()
-	colRows := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	inLen := c.InFeatures()
+	spatial := len(c.posBase)
+	taps := len(c.tapOff)
+	oc8 := tensor.ConvLanes(c.OutC)
+
+	// Sample-major (OutC × spatial) gradients into (spatial × oc8) lanes.
+	c.dyt = tensor.Ensure(c.dyt, batch, spatial*oc8)
+	for b := 0; b < batch; b++ {
+		tensor.TransposeTo(c.dyt.Data[b*spatial*oc8:(b+1)*spatial*oc8], grad.Data[b*c.OutC*spatial:(b+1)*c.OutC*spatial],
+			c.OutC, spatial, spatial, oc8)
+	}
+	// The kernel accumulates samples in order onto the gradients' current
+	// values, so they ride along in its layout: dWᵀ, then dB as the last
+	// row.
+	c.gt = tensor.Ensure(c.gt, taps+1, oc8)
+	tensor.TransposeTo(c.gt.Data, c.dW.Data, c.OutC, taps, taps, oc8)
+	copy(c.gt.Data[taps*oc8:], c.dB.Data)
+	kernel(c.gt.Data, c.padded.Data, c.dyt.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
+	tensor.TransposeTo(c.dW.Data, c.gt.Data, taps, c.OutC, oc8, taps)
+	copy(c.dB.Data, c.gt.Data[taps*oc8:])
+}
+
+// Backward accumulates dW/dB and returns the input gradient: dcols via
+// one transposed-A multiply over the whole batch, dx via the batched
+// col2im scatter. A caller that drops the result wants BackwardParams.
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.BackwardParams(grad)
+	batch := grad.Shape[0]
+	spatial := len(c.posBase)
 	// Gather the sample-major incoming gradient into channel-major dy so
-	// its layout matches the fused cols workspace (pure copy, no FP ops).
+	// one multiply covers every sample (pure copy, no FP ops).
 	c.dy = tensor.Ensure(c.dy, c.OutC, batch*spatial)
 	for oc := 0; oc < c.OutC; oc++ {
 		dyRow := c.dy.Data[oc*batch*spatial : (oc+1)*batch*spatial]
@@ -102,27 +177,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			copy(dyRow[b*spatial:(b+1)*spatial], src)
 		}
 	}
-	// dW += dy · colsᵀ, folded one per-sample segment at a time — bit-equal
-	// to the per-sample MatMulTransBAcc sequence it replaces.
-	tensor.MatMulTransBSegAcc(c.dW, c.dy, c.cols, spatial)
-	// dB += per-sample row sums of dy, samples ascending, serial within a
-	// sample — the old scalar loop's exact chain.
-	for oc := 0; oc < c.OutC; oc++ {
-		dyRow := c.dy.Data[oc*batch*spatial : (oc+1)*batch*spatial]
-		acc := c.dB.Data[oc]
-		for b := 0; b < batch; b++ {
-			s := 0.0
-			for _, v := range dyRow[b*spatial : (b+1)*spatial] {
-				s += v
-			}
-			acc += s
-		}
-		c.dB.Data[oc] = acc
-	}
 	// dcols = Wᵀ · dy for all samples at once; dx = col2im per sample.
-	c.dcols = tensor.Ensure(c.dcols, colRows, batch*spatial)
+	c.dcols = tensor.Ensure(c.dcols, len(c.tapOff), batch*spatial)
 	tensor.MatMulTransATo(c.dcols, c.W, c.dy)
-	c.dx = tensor.Ensure(c.dx, batch, inLen)
+	c.dx = tensor.Ensure(c.dx, batch, c.InFeatures())
 	tensor.Col2ImBatchTo(c.dx, c.dcols, c.Geom)
 	return c.dx
 }

@@ -12,6 +12,8 @@
 //     layer instance must not be shared between concurrent training runs.
 //   - Backward receives dLoss/dOutput and returns dLoss/dInput, and
 //     accumulates parameter gradients internally (read via Grads).
+//     Sequential.BackwardParams is the same pass for callers that drop
+//     dLoss/dInput: the first layer skips computing it.
 package nn
 
 import (
@@ -63,6 +65,36 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// paramsBackwarder is the optional half of a layer's backward pass:
+// accumulate the parameter gradients exactly as Backward does, but do not
+// form dLoss/dInput. Layers whose input gradient is real extra work
+// (Conv2D, Linear) implement it, and Sequential so a nested first block
+// passes the request down.
+type paramsBackwarder interface {
+	BackwardParams(grad *tensor.Tensor)
+}
+
+// BackwardParams is Backward for callers that do not read dLoss/dInput —
+// a training step, whose network input is the data batch. Every layer but
+// the first runs Backward as usual (the layer below consumes its result);
+// the first is asked for its parameter gradients only, when it knows how,
+// and falls through to Backward otherwise. Parameter gradients run the
+// same accumulation chains either way, so Grads() hold the same bits
+// after BackwardParams as after Backward.
+func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	if len(s.Layers) == 0 {
+		return
+	}
+	if first, ok := s.Layers[0].(paramsBackwarder); ok {
+		first.BackwardParams(grad)
+		return
+	}
+	s.Layers[0].Backward(grad)
 }
 
 // Params returns the concatenation of all layer parameters, in layer

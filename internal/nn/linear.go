@@ -44,12 +44,17 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.out
 }
 
-// Backward accumulates dW, dB and returns dLoss/dInput.
-func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// BackwardParams accumulates dW and dB without forming dLoss/dInput.
+func (l *Linear) BackwardParams(grad *tensor.Tensor) {
 	checkBatch("Linear.Backward", grad, l.Out)
-	// dW += xᵀ · grad ; dB += Σ_batch grad ; dx = grad · Wᵀ
+	// dW += xᵀ · grad ; dB += Σ_batch grad
 	tensor.MatMulTransAAcc(l.dW, l.x, grad)
 	tensor.ColSumAcc(l.dB, grad)
+}
+
+// Backward accumulates dW, dB and returns dLoss/dInput = grad · Wᵀ.
+func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	l.BackwardParams(grad)
 	batch := grad.Shape[0]
 	l.dx = tensor.Ensure(l.dx, batch, l.In)
 	return tensor.MatMulTransBTo(l.dx, grad, l.W)

@@ -9,6 +9,11 @@ import (
 
 // MaxPool2D performs non-overlapping max pooling over CHW images carried in
 // flattened activations. Kernel size equals stride (the common 2×2/2 case).
+// Every path visits a window's taps in (dy, dx) order and keeps the first
+// strictly greater than a -Inf start, so ties keep the earliest tap and
+// NaN never wins. A window with no winner — all NaN or all -Inf — outputs
+// -Inf, records argmax -1 and has no sub-gradient: Backward routes
+// nothing for it.
 type MaxPool2D struct {
 	C, H, W int // input geometry
 	K       int // kernel = stride
@@ -51,36 +56,74 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		src := x.Data[b*inLen : (b+1)*inLen]
 		dst := out.Data[b*outLen : (b+1)*outLen]
 		am := p.argmax[b*outLen : (b+1)*outLen]
-		if p.K == 2 && tensor.MaxPool2x2(dst, am, src, p.W, oh, ow, p.C) {
-			continue
-		}
-		for c := 0; c < p.C; c++ {
-			obase := c * oh * ow
-			ibase := c * p.H * p.W
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := math.Inf(-1)
-					bestIdx := -1
-					for dy := 0; dy < p.K; dy++ {
-						for dx := 0; dx < p.K; dx++ {
-							idx := ibase + (oy*p.K+dy)*p.W + (ox*p.K + dx)
-							if src[idx] > best {
-								best = src[idx]
-								bestIdx = idx
-							}
-						}
-					}
-					o := obase + oy*ow + ox
-					dst[o] = best
-					am[o] = bestIdx
-				}
-			}
+		if p.K != 2 {
+			p.poolGeneric(dst, am, src)
+		} else if !tensor.MaxPool2x2(dst, am, src, p.W, oh, ow, p.C) {
+			// Planes the vector kernel declines (ow < 4 or ow%4 != 0).
+			maxPool2x2(dst, am, src, p.W, oh*p.C, ow)
 		}
 	}
 	return out
 }
 
-// Backward routes each output gradient to the input element that won the max.
+// maxPool2x2 is the scalar 2×2/2 pool: one sweep over the row pairs of
+// stacked planes (src holds `pairs` row pairs of width w back to back, so
+// channel planes need no loop of their own), each window's four taps
+// tested in (dy, dx) order.
+func maxPool2x2(dst []float64, am []int, src []float64, w, pairs, ow int) {
+	for r := 0; r < pairs; r++ {
+		top := src[2*r*w : (2*r+1)*w]
+		bot := src[(2*r+1)*w : (2*r+2)*w]
+		drow := dst[r*ow : (r+1)*ow]
+		arow := am[r*ow : (r+1)*ow]
+		for ox := range drow {
+			best, bestIdx := math.Inf(-1), -1
+			if v := top[2*ox]; v > best {
+				best, bestIdx = v, 2*r*w+2*ox
+			}
+			if v := top[2*ox+1]; v > best {
+				best, bestIdx = v, 2*r*w+2*ox+1
+			}
+			if v := bot[2*ox]; v > best {
+				best, bestIdx = v, (2*r+1)*w+2*ox
+			}
+			if v := bot[2*ox+1]; v > best {
+				best, bestIdx = v, (2*r+1)*w+2*ox+1
+			}
+			drow[ox], arow[ox] = best, bestIdx
+		}
+	}
+}
+
+// poolGeneric pools one sample with any kernel size.
+func (p *MaxPool2D) poolGeneric(dst []float64, am []int, src []float64) {
+	oh, ow := p.H/p.K, p.W/p.K
+	for c := 0; c < p.C; c++ {
+		obase := c * oh * ow
+		ibase := c * p.H * p.W
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := math.Inf(-1)
+				bestIdx := -1
+				for dy := 0; dy < p.K; dy++ {
+					for dx := 0; dx < p.K; dx++ {
+						idx := ibase + (oy*p.K+dy)*p.W + (ox*p.K + dx)
+						if src[idx] > best {
+							best = src[idx]
+							bestIdx = idx
+						}
+					}
+				}
+				o := obase + oy*ow + ox
+				dst[o] = best
+				am[o] = bestIdx
+			}
+		}
+	}
+}
+
+// Backward routes each output gradient to the input element that won the
+// max; a window without a winner (argmax -1) routes nothing.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	checkBatch("MaxPool2D.Backward", grad, p.OutFeatures())
 	inLen := p.InFeatures()
@@ -93,7 +136,9 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		am := p.argmax[b*outLen : (b+1)*outLen]
 		dst := dx.Data[b*inLen : (b+1)*inLen]
 		for o, idx := range am {
-			dst[idx] += g[o]
+			if idx >= 0 {
+				dst[idx] += g[o]
+			}
 		}
 	}
 	return dx

@@ -110,94 +110,6 @@ func batchMatMul(dst, a, b *Tensor, transA, transB, acc bool) *Tensor {
 	return dst
 }
 
-// Im2ColBatchTo lowers a whole minibatch at once: imgs is (B × InC·InH·InW)
-// row-major (one flattened CHW image per row) and dst is the fused
-// workspace (InC·KH·KW) × (B·OutH·OutW), with sample b occupying the
-// column block [b·spatial, (b+1)·spatial). Stacking samples horizontally
-// keeps the contraction dimension shared, so one MatMulTo(W, dst)
-// convolves the entire batch — and column block b is bit-identical to a
-// per-sample Im2ColTo. Padding gaps are cleared, so a reused workspace
-// needs no prior Zero. dst must not alias imgs.
-func Im2ColBatchTo(dst, imgs *Tensor, g ConvGeom) *Tensor {
-	feat := g.InC * g.InH * g.InW
-	if imgs.Rank() != 2 || imgs.Shape[1] != feat {
-		panic(fmt.Sprintf("tensor: Im2ColBatch input shape %v, want [B %d]", imgs.Shape, feat))
-	}
-	batch := imgs.Shape[0]
-	oh, ow := g.OutH(), g.OutW()
-	spatial := oh * ow
-	rows := g.InC * g.KH * g.KW
-	cols := batch * spatial
-	if dst.Rank() != 2 || dst.Shape[0] != rows || dst.Shape[1] != cols {
-		panic(fmt.Sprintf("tensor: Im2ColBatchTo destination shape %v, want [%d %d]", dst.Shape, rows, cols))
-	}
-	for c := 0; c < g.InC; c++ {
-		chanOff := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			oyLo, oyHi := convSpan(oh, g.Stride, kh, g.Pad, g.InH)
-			for kw := 0; kw < g.KW; kw++ {
-				oxLo, oxHi := convSpan(ow, g.Stride, kw, g.Pad, g.InW)
-				row := (c*g.KH+kh)*g.KW + kw
-				drow := dst.Data[row*cols : (row+1)*cols]
-				// The middle tap (kw == Pad with full-width output rows)
-				// reads and writes runs that stay contiguous across oy, so
-				// the whole [oyLo, oyHi) block is one copy.
-				fused := g.Stride == 1 && oxLo == 0 && oxHi == ow && ow == g.InW
-				for b := 0; b < batch; b++ {
-					src := imgs.Data[b*feat : (b+1)*feat]
-					dseg := drow[b*spatial : (b+1)*spatial]
-					// Padding gaps are the complement of the valid spans:
-					// whole rows outside [oyLo, oyHi) and, per valid row,
-					// columns outside [oxLo, oxHi). With Pad == 0 every
-					// span is full and these clears are empty.
-					for i := range dseg[:oyLo*ow] {
-						dseg[i] = 0
-					}
-					for i, e := oyHi*ow, len(dseg); i < e; i++ {
-						dseg[i] = 0
-					}
-					if fused {
-						start := chanOff + (oyLo+kh-g.Pad)*g.InW
-						copy(dseg[oyLo*ow:oyHi*ow], src[start:start+(oyHi-oyLo)*ow])
-						continue
-					}
-					for oy := oyLo; oy < oyHi; oy++ {
-						iy := oy*g.Stride + kh - g.Pad
-						rowOff := chanOff + iy*g.InW
-						dline := dseg[oy*ow : oy*ow+ow]
-						for x := 0; x < oxLo; x++ {
-							dline[x] = 0
-						}
-						for x := oxHi; x < ow; x++ {
-							dline[x] = 0
-						}
-						if g.Stride == 1 {
-							ix0 := rowOff + oxLo + kw - g.Pad
-							sline := src[ix0 : ix0+(oxHi-oxLo)]
-							if len(sline) < 16 {
-								// Short spans: an inline loop beats the
-								// memmove call overhead.
-								for x, v := range sline {
-									dline[oxLo+x] = v
-								}
-							} else {
-								copy(dline[oxLo:oxHi], sline)
-							}
-						} else {
-							ix := rowOff + oxLo*g.Stride + kw - g.Pad
-							for ox := oxLo; ox < oxHi; ox++ {
-								dline[ox] = src[ix]
-								ix += g.Stride
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return dst
-}
-
 // convSpan returns the half-open range [lo, hi) of output positions o in
 // [0, on) whose input tap i = o*stride + koff - pad lands inside [0, lim).
 // The taps of that range are exactly the in-image ones, so callers can run
@@ -220,9 +132,10 @@ func convSpan(on, stride, koff, pad, lim int) (lo, hi int) {
 	return lo, hi
 }
 
-// Col2ImBatchTo is the adjoint of Im2ColBatchTo: it scatters a fused
-// (InC·KH·KW) × (B·OutH·OutW) gradient back into per-sample image
-// gradients, summing overlapping taps. dst is (B × InC·InH·InW) and is
+// Col2ImBatchTo is the whole-minibatch col2im: it scatters a fused
+// (InC·KH·KW) × (B·OutH·OutW) gradient, sample b in the column block
+// [b·spatial, (b+1)·spatial), back into per-sample image gradients,
+// summing overlapping taps. dst is (B × InC·InH·InW) and is
 // zeroed first. Each sample's scatter visits taps in the same
 // (c, kh, kw, oy, ox) order as the per-sample Col2ImTo, so row b of dst
 // is bit-identical to the unfused path. dst must not alias cols.

@@ -90,10 +90,10 @@ func TestBatchMatMulMatchesLooped(t *testing.T) {
 	})
 }
 
-// TestIm2ColBatchMatchesPerSample pins the fused whole-batch lowering
-// (and its span-specialized fast paths) against per-sample Im2ColTo, and
-// the batched scatter against per-sample Col2ImTo, across strides,
-// paddings and kernel shapes.
+// TestIm2ColBatchMatchesPerSample pins the batched scatter (and its
+// span-specialized fast paths) against per-sample Col2ImTo across
+// strides, paddings and kernel shapes. (The batched im2col it used to pin
+// as well left with the lowered conv forward.)
 func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 	rng := NewRNG(9)
 	geoms := []ConvGeom{
@@ -105,30 +105,10 @@ func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 		{InC: 2, InH: 6, InW: 4, KH: 3, KW: 3, Stride: 3, Pad: 2},
 	}
 	const B = 3
-	for gi, g := range geoms {
+	for _, g := range geoms {
 		inLen := g.InC * g.InH * g.InW
 		rows := g.InC * g.KH * g.KW
 		spatial := g.OutH() * g.OutW()
-		imgs := rng.Uniform(-1, 1, B, inLen)
-		fused := Zeros(rows, B*spatial)
-		// Poison the workspace: the kernel promises gap clearing.
-		for i := range fused.Data {
-			fused.Data[i] = math.NaN()
-		}
-		Im2ColBatchTo(fused, imgs, g)
-		for b := 0; b < B; b++ {
-			solo := Im2ColTo(Zeros(rows, spatial), New(imgs.Data[b*inLen:(b+1)*inLen], g.InC, g.InH, g.InW), g)
-			for r := 0; r < rows; r++ {
-				for s := 0; s < spatial; s++ {
-					got := fused.Data[r*B*spatial+b*spatial+s]
-					want := solo.Data[r*spatial+s]
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("geom %d sample %d row %d col %d: %v vs %v", gi, b, r, s, got, want)
-					}
-				}
-			}
-		}
-
 		cols := rng.Uniform(-1, 1, rows, B*spatial)
 		dx := Zeros(B, inLen)
 		Col2ImBatchTo(dx, cols, g)

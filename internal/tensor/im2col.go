@@ -27,6 +27,10 @@ func (g ConvGeom) Validate() error {
 		return fmt.Errorf("tensor: conv geometry has non-positive stride: %+v", g)
 	case g.Pad < 0:
 		return fmt.Errorf("tensor: conv geometry has negative padding: %+v", g)
+	case g.KH > g.InH+2*g.Pad || g.KW > g.InW+2*g.Pad:
+		// OutH/OutW's truncating division would round -1/2 up to a
+		// one-position output for a kernel that does not fit.
+		return fmt.Errorf("tensor: conv kernel larger than the padded input: %+v", g)
 	case g.OutH() <= 0 || g.OutW() <= 0:
 		return fmt.Errorf("tensor: conv geometry yields empty output: %+v", g)
 	}

@@ -73,6 +73,32 @@ func maxPool2AVX(dst []float64, am []int, src []float64, w, oh, ow, base int)
 //go:noescape
 func dotTileAVX(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float64, c0, n int)
 
+// convFwdAVX convolves one padded sample into one block of up to eight
+// output channels: a 4 positions × 8 channels tile of ymm accumulators
+// per step, taps ascending from +0, then a 4×4 in-register transpose, the
+// bias add and a store per channel. wt and bias point at the block's
+// first channel, out at that channel's plane; nc ≤ 8 channels are stored.
+// spatial must be ≥ 4: a ragged last tile is redone over the last four
+// positions, which rewrites the same bits.
+//
+//go:noescape
+func convFwdAVX(out, in, wt, bias *float64, tapOff, posBase *int, taps, spatial, wtStride, nc int)
+
+// convGradAVX folds one sample into one eight-channel block of gt: the
+// bias row, then per tap eight ymm accumulators — 4 position classes × 8
+// channels — collapsed ((s0+s1)+s2)+s3 and added to the tap's row. gt and
+// dyt point at the block's first channel; stride is their row length.
+//
+//go:noescape
+func convGradAVX(gt, in, dyt *float64, tapOff, posBase *int, taps, spatial, stride int)
+
+// transposeAVX is TransposeTo over 4×4 in-register blocks. rows and cols
+// must be ≥ 4: a ragged edge is redone over the last four rows or
+// columns.
+//
+//go:noescape
+func transposeAVX(dst, src *float64, rows, cols, srcStride, dstStride int)
+
 // avx2Supported is probed once at init and gates backend selection.
 var avx2Supported = hasAVX2()
 
@@ -259,4 +285,49 @@ func dotTile(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float
 		return
 	}
 	dotTileGo(acc, a, b, c0, n)
+}
+
+// convForward runs the checked convolution on the AVX2 tile, one call per
+// sample and channel block, when the CPU has it and a sample has a full
+// tile of positions.
+func convForward(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	spatial := len(posBase)
+	if !avx2Supported || spatial < 4 {
+		convForwardGo(out, in, wt, bias, tapOff, posBase, batch, sampleLen, outC)
+		return
+	}
+	oc8 := ConvLanes(outC)
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < outC; oc += convLanes {
+			convFwdAVX(&out[(b*outC+oc)*spatial], &in[b*sampleLen], &wt[oc], &bias[oc],
+				&tapOff[0], &posBase[0], len(tapOff), spatial, oc8, min(outC-oc, convLanes))
+		}
+	}
+}
+
+// convGradParams runs the checked parameter-gradient pass on the AVX2
+// kernel when the CPU has it.
+func convGradParams(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	if !avx2Supported {
+		convGradParamsGo(gt, in, dyt, tapOff, posBase, batch, sampleLen, outC)
+		return
+	}
+	oc8 := ConvLanes(outC)
+	spatial := len(posBase)
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < oc8; oc += convLanes {
+			convGradAVX(&gt[oc], &in[b*sampleLen], &dyt[b*spatial*oc8+oc],
+				&tapOff[0], &posBase[0], len(tapOff), spatial, oc8)
+		}
+	}
+}
+
+// transpose runs the checked block on the AVX2 kernel when the CPU has it
+// and the block holds a full 4×4.
+func transpose(dst, src []float64, rows, cols, srcStride, dstStride int) {
+	if !avx2Supported || rows < 4 || cols < 4 {
+		transposeGo(dst, src, rows, cols, srcStride, dstStride)
+		return
+	}
+	transposeAVX(&dst[0], &src[0], rows, cols, srcStride, dstStride)
 }

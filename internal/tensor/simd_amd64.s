@@ -730,3 +730,299 @@ done:
 	VMOVUPD Y7, 224(DI)
 	VZEROUPPER
 	RET
+
+// TRANSPOSE4 turns four ymm rows a..d of a 4×4 block into its four
+// columns o0..o3 (o_j = {a_j, b_j, c_j, d_j}); t0..t3 are scratch. Pure
+// data movement, no arithmetic.
+#define TRANSPOSE4(a, b, c, d, t0, t1, t2, t3, o0, o1, o2, o3) \
+	VUNPCKLPD  b, a, t0         \
+	VUNPCKHPD  b, a, t1         \
+	VUNPCKLPD  d, c, t2         \
+	VUNPCKHPD  d, c, t3         \
+	VPERM2F128 $0x20, t2, t0, o0 \
+	VPERM2F128 $0x20, t3, t1, o1 \
+	VPERM2F128 $0x31, t2, t0, o2 \
+	VPERM2F128 $0x31, t3, t1, o3
+
+// func transposeAVX(dst, src *float64, rows, cols, srcStride, dstStride int)
+// dst[c*dstStride+r] = src[r*srcStride+c] over 4×4 blocks. A block that
+// would run past the last row or column is moved back to end on it, so
+// ragged edges rewrite a few elements with the same values; rows and cols
+// must be ≥ 4.
+TEXT ·transposeAVX(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ cols+24(FP), R9
+	MOVQ srcStride+32(FP), R10
+	MOVQ dstStride+40(FP), R11
+	SHLQ $3, R10             // strides in bytes
+	SHLQ $3, R11
+	LEAQ (R10)(R10*2), R12   // 3 source rows
+	LEAQ (R11)(R11*2), R13   // 3 destination rows
+	XORQ AX, AX              // r0
+
+trow:
+	MOVQ R8, BX
+	SUBQ $4, BX
+	CMPQ AX, BX
+	CMOVQGT BX, AX           // r0 = min(r0, rows-4)
+	MOVQ AX, CX
+	IMULQ R10, CX
+	ADDQ SI, CX              // &src[r0][0]
+	LEAQ (DI)(AX*8), DX      // &dst[0][r0]
+	XORQ BX, BX              // c0
+
+tcol:
+	MOVQ R9, R14
+	SUBQ $4, R14
+	CMPQ BX, R14
+	CMOVQGT R14, BX          // c0 = min(c0, cols-4)
+	LEAQ (CX)(BX*8), R14
+	VMOVUPD (R14), Y0
+	VMOVUPD (R14)(R10*1), Y1
+	VMOVUPD (R14)(R10*2), Y2
+	VMOVUPD (R14)(R12*1), Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	MOVQ BX, R14
+	IMULQ R11, R14
+	ADDQ DX, R14             // &dst[c0][r0]
+	VMOVUPD Y8, (R14)
+	VMOVUPD Y9, (R14)(R11*1)
+	VMOVUPD Y10, (R14)(R11*2)
+	VMOVUPD Y11, (R14)(R13*1)
+	ADDQ $4, BX
+	CMPQ BX, R9
+	JLT  tcol
+	ADDQ $4, AX
+	CMPQ AX, R8
+	JLT  trow
+	VZEROUPPER
+	RET
+
+// CONVFWDROW advances one tile row: the position's activation (already
+// broadcast in v) times the tap's eight weights Y8/Y9, then the add with
+// the accumulator as first source — per lane the scalar s += v*w.
+#define CONVFWDROW(v, lo, hi) \
+	VMULPD Y8, v, Y14   \
+	VMULPD Y9, v, Y15   \
+	VADDPD Y14, lo, lo  \
+	VADDPD Y15, hi, hi
+
+// CONVFWDSTORE adds channel i's bias to its four positions (the chain's
+// last add) and stores them; R10 walks the channel planes.
+#define CONVFWDSTORE(i, v) \
+	VBROADCASTSD (8*i)(R11), Y12 \
+	VADDPD Y12, v, v             \
+	VMOVUPD v, (R10)             \
+	ADDQ R9, R10
+
+// func convFwdAVX(out, in, wt, bias *float64, tapOff, posBase *int, taps, spatial, wtStride, nc int)
+// One padded sample into one block of nc ≤ 8 output channels. Per tile of
+// four positions: Y0/Y1, Y2/Y3, Y4/Y5, Y6/Y7 hold channels 0-3/4-7 of
+// positions 0..3, every lane a chain over taps ascending from +0 with one
+// VMULPD and one VADDPD per tap. The tile is then transposed so each
+// channel's four positions are contiguous, as the sample-major output
+// wants them. A tile that would run past the last position is moved back
+// to end on it (spatial ≥ 4), recomputing identical bits.
+TEXT ·convFwdAVX(SB), NOSPLIT, $0-80
+	MOVQ out+0(FP), DI
+	MOVQ in+8(FP), SI
+	MOVQ posBase+40(FP), R8
+	MOVQ wtStride+64(FP), R14
+	SHLQ $3, R14             // weight row in bytes
+	XORQ BX, BX              // pos0
+
+ftile:
+	MOVQ spatial+56(FP), AX
+	SUBQ $4, AX
+	CMPQ BX, AX
+	CMOVQGT AX, BX           // pos0 = min(pos0, spatial-4)
+	MOVQ (R8)(BX*8), R10
+	MOVQ 8(R8)(BX*8), R11
+	MOVQ 16(R8)(BX*8), R12
+	MOVQ 24(R8)(BX*8), R13
+	LEAQ (SI)(R10*8), R10    // window origins of the four positions
+	LEAQ (SI)(R11*8), R11
+	LEAQ (SI)(R12*8), R12
+	LEAQ (SI)(R13*8), R13
+	MOVQ tapOff+32(FP), R9
+	MOVQ taps+48(FP), CX
+	MOVQ wt+16(FP), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+ftap:
+	MOVQ (R9), AX
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	VBROADCASTSD (R10)(AX*8), Y10
+	VBROADCASTSD (R11)(AX*8), Y11
+	VBROADCASTSD (R12)(AX*8), Y12
+	VBROADCASTSD (R13)(AX*8), Y13
+	CONVFWDROW(Y10, Y0, Y1)
+	CONVFWDROW(Y11, Y2, Y3)
+	CONVFWDROW(Y12, Y4, Y5)
+	CONVFWDROW(Y13, Y6, Y7)
+	ADDQ $8, R9
+	ADDQ R14, DX
+	DECQ CX
+	JNZ  ftap
+
+	MOVQ spatial+56(FP), R9
+	SHLQ $3, R9              // channel plane in bytes
+	LEAQ (DI)(BX*8), R10     // &out[channel 0][pos0]
+	MOVQ bias+24(FP), R11
+	MOVQ nc+72(FP), R12
+	TRANSPOSE4(Y0, Y2, Y4, Y6, Y8, Y9, Y10, Y11, Y0, Y2, Y4, Y6)
+	CONVFWDSTORE(0, Y0)
+	CMPQ R12, $2
+	JLT  fnext
+	CONVFWDSTORE(1, Y2)
+	CMPQ R12, $3
+	JLT  fnext
+	CONVFWDSTORE(2, Y4)
+	CMPQ R12, $4
+	JLT  fnext
+	CONVFWDSTORE(3, Y6)
+	CMPQ R12, $5
+	JLT  fnext
+	TRANSPOSE4(Y1, Y3, Y5, Y7, Y8, Y9, Y10, Y11, Y1, Y3, Y5, Y7)
+	CONVFWDSTORE(4, Y1)
+	CMPQ R12, $6
+	JLT  fnext
+	CONVFWDSTORE(5, Y3)
+	CMPQ R12, $7
+	JLT  fnext
+	CONVFWDSTORE(6, Y5)
+	CMPQ R12, $8
+	JLT  fnext
+	CONVFWDSTORE(7, Y7)
+
+fnext:
+	ADDQ $4, BX
+	CMPQ BX, spatial+56(FP)
+	JLT  ftile
+	VZEROUPPER
+	RET
+
+// CONVGRADPOS folds one position into its class accumulators lo/hi:
+// output gradient (first source, as in the dot kernel) times the
+// activation the tap sees there. BX walks dyt's rows; j picks the
+// position within the current group of four.
+#define CONVGRADPOS(j, lo, hi) \
+	MOVQ (8*j)(R8)(CX*8), AX      \
+	VBROADCASTSD (R13)(AX*8), Y8  \
+	VMOVUPD (BX), Y9              \
+	VMOVUPD 32(BX), Y10           \
+	VMULPD Y8, Y9, Y9             \
+	VMULPD Y8, Y10, Y10           \
+	VADDPD Y9, lo, lo             \
+	VADDPD Y10, hi, hi            \
+	ADDQ R14, BX
+
+// func convGradAVX(gt, in, dyt *float64, tapOff, posBase *int, taps, spatial, stride int)
+// One sample into one eight-channel block of gt. Bias row first: the
+// serial sum over positions from +0, then one add into gt[taps]. Then per
+// tap, Y0/Y1 .. Y6/Y7 are position classes 0..3 (pos%4) of channels
+// 0-3/4-7 — the four partial-sum streams of dot4, vectorised across
+// channels; a spatial%4 tail folds into class 0; the collapse is
+// ((s0+s1)+s2)+s3 and the row takes one add.
+TEXT ·convGradAVX(SB), NOSPLIT, $0-64
+	MOVQ gt+0(FP), DI
+	MOVQ in+8(FP), SI
+	MOVQ dyt+16(FP), DX
+	MOVQ tapOff+24(FP), R9
+	MOVQ posBase+32(FP), R8
+	MOVQ taps+40(FP), R10
+	MOVQ spatial+48(FP), R11
+	MOVQ stride+56(FP), R14
+	SHLQ $3, R14             // row in bytes
+	MOVQ R11, R12
+	ANDQ $-4, R12            // positions in full groups of four
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ DX, BX
+	XORQ CX, CX
+
+gbias:
+	CMPQ CX, R11
+	JGE  gbiasdone
+	VADDPD (BX), Y0, Y0
+	VADDPD 32(BX), Y1, Y1
+	ADDQ R14, BX
+	INCQ CX
+	JMP  gbias
+
+gbiasdone:
+	MOVQ R10, AX
+	IMULQ R14, AX
+	ADDQ DI, AX              // &gt[taps][0]
+	VMOVUPD (AX), Y2
+	VMOVUPD 32(AX), Y3
+	VADDPD Y0, Y2, Y2
+	VADDPD Y1, Y3, Y3
+	VMOVUPD Y2, (AX)
+	VMOVUPD Y3, 32(AX)
+
+gtap:
+	TESTQ R10, R10
+	JZ   gdone
+	MOVQ (R9), AX
+	LEAQ (SI)(AX*8), R13     // the tap's view of the sample
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ DX, BX
+	XORQ CX, CX
+
+gpos4:
+	CMPQ CX, R12
+	JGE  gtail
+	CONVGRADPOS(0, Y0, Y1)
+	CONVGRADPOS(1, Y2, Y3)
+	CONVGRADPOS(2, Y4, Y5)
+	CONVGRADPOS(3, Y6, Y7)
+	ADDQ $4, CX
+	JMP  gpos4
+
+gtail:
+	CMPQ CX, R11
+	JGE  gcollapse
+	CONVGRADPOS(0, Y0, Y1)
+	INCQ CX
+	JMP  gtail
+
+gcollapse:
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	VADDPD Y0, Y8, Y8
+	VADDPD Y1, Y9, Y9
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	ADDQ R14, DI
+	ADDQ $8, R9
+	DECQ R10
+	JMP  gtap
+
+gdone:
+	VZEROUPPER
+	RET

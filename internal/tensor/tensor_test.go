@@ -301,6 +301,7 @@ func TestConvGeomValidate(t *testing.T) {
 		{InC: 1, InH: 4, InW: 4, KH: 2, KW: 2, Stride: 0},
 		{InC: 1, InH: 4, InW: 4, KH: 2, KW: 2, Stride: 1, Pad: -1},
 		{InC: 1, InH: 2, InW: 2, KH: 5, KW: 5, Stride: 1, Pad: 0},
+		{InC: 1, InH: 4, InW: 4, KH: 5, KW: 3, Stride: 2, Pad: 0}, // (4-5)/2+1 truncates to 1
 	}
 	for i, g := range bad {
 		if g.Validate() == nil {
