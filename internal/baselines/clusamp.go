@@ -19,11 +19,7 @@ import (
 // sample-weighted FedAvg, and communication matches FedAvg (Table I:
 // Low).
 type CluSamp struct {
-	fl.Wire
-	env     *fl.Env
-	cfg     fl.Config
-	rng     *tensor.RNG
-	global  nn.ParamVector
+	server
 	recvBuf nn.ParamVector // recycled broadcast-decode destination
 
 	// updates[i] is client i's last update direction (yᵢ − x), keyed by
@@ -44,8 +40,7 @@ func (a *CluSamp) Category() string { return "Client Grouping" }
 
 // Init creates the global model and empty gradient memory.
 func (a *CluSamp) Init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) error {
-	a.env, a.cfg, a.rng = env, cfg, rng
-	a.global = nn.FlattenParams(env.Model.New(rng.Split()).Params())
+	a.init(env, cfg, rng)
 	a.updates = make(map[int]nn.ParamVector)
 	return nil
 }
@@ -162,14 +157,14 @@ func cosine(x, y nn.ParamVector) float64 {
 // straggler contributes to neither, exactly as a server that never
 // received the upload.
 func (a *CluSamp) Round(r int, selected []int) error {
-	uploads, weights, clients, recv, err := trainSelected(a.env, a.cfg, a.rng, a.Transport(), &a.recvBuf, a.global, selected, fl.LocalSpec{})
+	uploads, weights, clients, recv, err := trainSelected(a.env, a.cfg, a.rng, a.Transport(), &a.recvBuf, a.global, selected, a.cfg.LocalSpec())
 	if err != nil {
 		return fmt.Errorf("baselines: clusamp round %d: %w", r, err)
 	}
 	if len(uploads) == 0 {
 		return nil
 	}
-	if a.cfg.MinUploads > 0 && len(uploads) < a.cfg.MinUploads {
+	if a.cfg.BelowQuorum(len(uploads)) {
 		return nil // degraded round: keep the model and the gradient memory
 	}
 	for j, up := range uploads {
@@ -181,9 +176,6 @@ func (a *CluSamp) Round(r int, selected []int) error {
 	}
 	return nil
 }
-
-// Global implements fl.Algorithm.
-func (a *CluSamp) Global() nn.ParamVector { return a.global }
 
 // RoundComm implements fl.Algorithm: FedAvg traffic.
 func (a *CluSamp) RoundComm(k int) fl.CommProfile {

@@ -18,11 +18,7 @@ import (
 // K clients, train locally, and average the uploads weighted by local
 // sample counts (McMahan et al., 2017).
 type FedAvg struct {
-	fl.Wire
-	env     *fl.Env
-	cfg     fl.Config
-	rng     *tensor.RNG
-	global  nn.ParamVector
+	server
 	recvBuf nn.ParamVector // recycled broadcast-decode destination
 }
 
@@ -37,29 +33,31 @@ func (a *FedAvg) Category() string { return "Classic" }
 
 // Init creates the initial global model.
 func (a *FedAvg) Init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) error {
-	a.env, a.cfg, a.rng = env, cfg, rng
-	a.global = nn.FlattenParams(env.Model.New(rng.Split()).Params())
+	a.init(env, cfg, rng)
 	return nil
 }
 
 // Round trains the selected clients from the global model and averages.
 func (a *FedAvg) Round(r int, selected []int) error {
-	uploads, weights, _, _, err := trainSelected(a.env, a.cfg, a.rng, a.Transport(), &a.recvBuf, a.global, selected, fl.LocalSpec{})
+	return a.round("fedavg", r, selected, a.cfg.LocalSpec())
+}
+
+// round is the FedAvg round with spec as every client's job template
+// (the shared hyper-parameters; FedProx adds its proximal term).
+func (a *FedAvg) round(name string, r int, selected []int, spec fl.LocalSpec) error {
+	uploads, weights, _, _, err := trainSelected(a.env, a.cfg, a.rng, a.Transport(), &a.recvBuf, a.global, selected, spec)
 	if err != nil {
-		return fmt.Errorf("baselines: fedavg round %d: %w", r, err)
+		return fmt.Errorf("baselines: %s round %d: %w", name, r, err)
 	}
 	if len(uploads) == 0 {
 		return nil // every client dropped; keep the current global model
 	}
 	a.global, err = reduce(a.cfg, a.global, uploads, weights)
 	if err != nil {
-		return fmt.Errorf("baselines: fedavg round %d: %w", r, err)
+		return fmt.Errorf("baselines: %s round %d: %w", name, r, err)
 	}
 	return nil
 }
-
-// Global implements fl.Algorithm.
-func (a *FedAvg) Global() nn.ParamVector { return a.global }
 
 // reduce routes a round's server-side aggregation through the configured
 // fl.Reducer (nil keeps the legacy weighted mean, bit-identical). When
@@ -69,7 +67,7 @@ func (a *FedAvg) Global() nn.ParamVector { return a.global }
 // way: below it, the server keeps its current model rather than folding
 // a thin cohort.
 func reduce(cfg fl.Config, cur nn.ParamVector, uploads []nn.ParamVector, weights []float64) (nn.ParamVector, error) {
-	if cfg.MinUploads > 0 && len(uploads) < cfg.MinUploads {
+	if cfg.BelowQuorum(len(uploads)) {
 		return cur, nil
 	}
 	agg, err := fl.ReduceUploads(cfg.Reducer, uploads, weights)
@@ -92,9 +90,10 @@ func (a *FedAvg) RoundComm(k int) fl.CommProfile {
 // broadcast through the codec (clients train on the wire-visible decoded
 // vector), and each upload travels back delta-encoded against that
 // broadcast — a straggler whose upload misses the round deadline is
-// excluded like a dropout. The extra LocalSpec hooks come from hooks
-// (a FedProx hook with Prox > 0 gets the received broadcast as its
-// proximal anchor); the loop fills in the shared fields. Training fans
+// excluded like a dropout. spec is every job's template — the shared
+// hyper-parameters (Config.LocalSpec) plus the algorithm's hooks; a
+// FedProx template with Prox > 0 gets the received broadcast as its
+// proximal anchor, and the loop fills in Init. Training fans
 // out over the worker pool; RNG splits and all transport calls happen
 // serially in selection order, so results do not depend on the worker
 // count.
@@ -102,13 +101,14 @@ func (a *FedAvg) RoundComm(k int) fl.CommProfile {
 // It returns the server-visible uploads, their sample-count weights, the
 // uploading clients (aligned with uploads), and the client-visible
 // broadcast vector.
-func trainSelected(env *fl.Env, cfg fl.Config, rng *tensor.RNG, tr *fl.Transport, recvBuf *nn.ParamVector, init nn.ParamVector, selected []int, hooks fl.LocalSpec) (uploads []nn.ParamVector, weights []float64, clients []int, recv nn.ParamVector, err error) {
+func trainSelected(env *fl.Env, cfg fl.Config, rng *tensor.RNG, tr *fl.Transport, recvBuf *nn.ParamVector, init nn.ParamVector, selected []int, spec fl.LocalSpec) (uploads []nn.ParamVector, weights []float64, clients []int, recv nn.ParamVector, err error) {
 	survivors := survivingTrainable(env, selected)
 	recv = tr.Broadcast(wireDst(tr, recvBuf, len(init)), survivors, init)
-	if hooks.Prox > 0 {
-		hooks.ProxRef = recv // clients anchor on what they received
+	if spec.Prox > 0 {
+		spec.ProxRef = recv // clients anchor on what they received
 	}
-	jobs := selectedJobs(cfg, rng, recv, survivors, hooks)
+	spec.Init = recv
+	jobs := selectedJobs(rng, survivors, spec)
 	results, err := fl.TrainAll(env, jobs, cfg.Allowance())
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -168,19 +168,13 @@ func wireDst(tr *fl.Transport, buf *nn.ParamVector, n int) nn.ParamVector {
 }
 
 // selectedJobs builds the per-client job list for the surviving selected
-// clients: shared hyper-parameters from cfg, algorithm hooks from hooks,
-// and one RNG split per job drawn in selection order.
-func selectedJobs(cfg fl.Config, rng *tensor.RNG, init nn.ParamVector, selected []int, hooks fl.LocalSpec) []fl.LocalJob {
+// clients: every job trains under spec, with one RNG split per job drawn
+// in selection order.
+func selectedJobs(rng *tensor.RNG, selected []int, spec fl.LocalSpec) []fl.LocalJob {
 	survivors := surviving(selected)
 	rngs := rng.SplitN(len(survivors))
 	jobs := make([]fl.LocalJob, len(survivors))
 	for i, ci := range survivors {
-		spec := hooks
-		spec.Init = init
-		spec.Epochs = cfg.LocalEpochs
-		spec.BatchSize = cfg.BatchSize
-		spec.LR = cfg.LR
-		spec.Momentum = cfg.Momentum
 		jobs[i] = fl.LocalJob{Client: ci, Spec: spec, RNG: rngs[i]}
 	}
 	return jobs

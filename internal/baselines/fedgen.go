@@ -51,12 +51,7 @@ func DefaultFedGenOptions() FedGenOptions {
 // augmentation — and the same Table-I "Medium" communication profile.
 type FedGen struct {
 	opts FedGenOptions
-
-	fl.Wire
-	env    *fl.Env
-	cfg    fl.Config
-	rng    *tensor.RNG
-	global nn.ParamVector
+	server
 
 	gen    *nn.Sequential
 	genOpt *nn.SGD
@@ -98,8 +93,7 @@ func (a *FedGen) Category() string { return "Knowledge Distillation" }
 
 // Init creates the global model and the server-side generator.
 func (a *FedGen) Init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) error {
-	a.env, a.cfg, a.rng = env, cfg, rng
-	a.global = nn.FlattenParams(env.Model.New(rng.Split()).Params())
+	a.init(env, cfg, rng)
 	a.classes = env.Fed.Classes
 	a.feats = env.Fed.Test.Features()
 	a.vocab = env.Fed.Test.TokenVocab
@@ -147,15 +141,9 @@ func (a *FedGen) Round(r int, selected []int) error {
 		shard := a.env.Fed.LeaseShard(ci)
 		aug := a.augmented(shard)
 		a.env.Fed.ReleaseShard(ci)
-		jobs = append(jobs, fl.LocalJob{
-			Client: ci,
-			Shard:  aug,
-			Spec: fl.LocalSpec{
-				Init: recvGlobal, Epochs: a.cfg.LocalEpochs, BatchSize: a.cfg.BatchSize,
-				LR: a.cfg.LR, Momentum: a.cfg.Momentum,
-			},
-			RNG: a.rng.Split(),
-		})
+		spec := a.cfg.LocalSpec()
+		spec.Init = recvGlobal
+		jobs = append(jobs, fl.LocalJob{Client: ci, Shard: aug, Spec: spec, RNG: a.rng.Split()})
 	}
 	results, err := fl.TrainAll(a.env, jobs, a.cfg.Allowance())
 	if err != nil {
@@ -174,7 +162,7 @@ func (a *FedGen) Round(r int, selected []int) error {
 	if len(uploads) == 0 {
 		return nil
 	}
-	if a.cfg.MinUploads > 0 && len(uploads) < a.cfg.MinUploads {
+	if a.cfg.BelowQuorum(len(uploads)) {
 		return nil // degraded round: keep the global model and the generator
 	}
 	a.global, err = reduce(a.cfg, a.global, uploads, weights)
@@ -293,9 +281,6 @@ func (a *FedGen) trainGenerator(uploads []nn.ParamVector) {
 		a.genOpt.Step(a.gen.Params(), a.gen.Grads())
 	}
 }
-
-// Global implements fl.Algorithm.
-func (a *FedGen) Global() nn.ParamVector { return a.global }
 
 // RoundComm implements fl.Algorithm: FedAvg traffic plus a generator
 // download per client — the Table-I "Medium" row.

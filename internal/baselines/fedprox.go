@@ -1,12 +1,6 @@
 package baselines
 
-import (
-	"fmt"
-
-	"fedcross/internal/fl"
-	"fedcross/internal/nn"
-	"fedcross/internal/tensor"
-)
+import "fmt"
 
 // FedProx extends FedAvg with a proximal term µ/2·‖w − w_global‖² in every
 // client's loss, stabilising local training under heterogeneity (Li et
@@ -15,13 +9,7 @@ import (
 type FedProx struct {
 	// Mu is the proximal coefficient.
 	Mu float64
-
-	fl.Wire
-	env     *fl.Env
-	cfg     fl.Config
-	rng     *tensor.RNG
-	global  nn.ParamVector
-	recvBuf nn.ParamVector // recycled broadcast-decode destination
+	FedAvg
 }
 
 // NewFedProx returns a FedProx instance with proximal coefficient mu.
@@ -38,37 +26,11 @@ func (a *FedProx) Name() string { return "fedprox" }
 // Category implements fl.Algorithm.
 func (a *FedProx) Category() string { return "Global Control Variable" }
 
-// Init creates the initial global model.
-func (a *FedProx) Init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) error {
-	a.env, a.cfg, a.rng = env, cfg, rng
-	a.global = nn.FlattenParams(env.Model.New(rng.Split()).Params())
-	return nil
-}
-
 // Round trains with the proximal pull toward the dispatched global model
 // (the wire-visible broadcast: trainSelected anchors the proximal term on
 // what the clients actually received).
 func (a *FedProx) Round(r int, selected []int) error {
-	hooks := fl.LocalSpec{Prox: a.Mu}
-	uploads, weights, _, _, err := trainSelected(a.env, a.cfg, a.rng, a.Transport(), &a.recvBuf, a.global, selected, hooks)
-	if err != nil {
-		return fmt.Errorf("baselines: fedprox round %d: %w", r, err)
-	}
-	if len(uploads) == 0 {
-		return nil
-	}
-	a.global, err = reduce(a.cfg, a.global, uploads, weights)
-	if err != nil {
-		return fmt.Errorf("baselines: fedprox round %d: %w", r, err)
-	}
-	return nil
-}
-
-// Global implements fl.Algorithm.
-func (a *FedProx) Global() nn.ParamVector { return a.global }
-
-// RoundComm implements fl.Algorithm: identical to FedAvg (the proximal
-// term needs no extra traffic).
-func (a *FedProx) RoundComm(k int) fl.CommProfile {
-	return fl.CommProfile{ModelsDown: k, ModelsUp: k}
+	spec := a.cfg.LocalSpec()
+	spec.Prox = a.Mu
+	return a.round("fedprox", r, selected, spec)
 }

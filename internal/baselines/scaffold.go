@@ -17,12 +17,8 @@ import (
 // and c. Both the model and the variate travel each way, which is why
 // Table I classes its communication overhead as High.
 type SCAFFOLD struct {
-	fl.Wire
-	env    *fl.Env
-	cfg    fl.Config
-	rng    *tensor.RNG
-	global nn.ParamVector
-	c      nn.ParamVector // server control variate
+	server
+	c nn.ParamVector // server control variate
 	// ci holds per-client control variates, keyed by client id and
 	// allocated on first participation — a map rather than a dense slice,
 	// so state stays O(participants) even for 10^6-client populations.
@@ -43,8 +39,7 @@ func (a *SCAFFOLD) Category() string { return "Global Control Variable" }
 
 // Init creates the global model and zero control variates.
 func (a *SCAFFOLD) Init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) error {
-	a.env, a.cfg, a.rng = env, cfg, rng
-	a.global = nn.FlattenParams(env.Model.New(rng.Split()).Params())
+	a.init(env, cfg, rng)
 	a.c = make(nn.ParamVector, len(a.global))
 	a.ci = make(map[int]nn.ParamVector)
 	return nil
@@ -75,15 +70,9 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 		if a.ci[ci] == nil {
 			a.ci[ci] = make(nn.ParamVector, n)
 		}
-		corr := recvC.Sub(a.ci[ci])
-		jobs = append(jobs, fl.LocalJob{
-			Client: ci,
-			Spec: fl.LocalSpec{
-				Init: recvGlobal, Epochs: a.cfg.LocalEpochs, BatchSize: a.cfg.BatchSize,
-				LR: a.cfg.LR, Momentum: a.cfg.Momentum, GradCorrection: corr,
-			},
-			RNG: a.rng.Split(),
-		})
+		spec := a.cfg.LocalSpec()
+		spec.Init, spec.GradCorrection = recvGlobal, recvC.Sub(a.ci[ci])
+		jobs = append(jobs, fl.LocalJob{Client: ci, Spec: spec, RNG: a.rng.Split()})
 	}
 	results, err := fl.TrainAll(a.env, jobs, a.cfg.Allowance())
 	if err != nil {
@@ -140,7 +129,7 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 	if participants == 0 {
 		return nil
 	}
-	if a.cfg.MinUploads > 0 && participants < a.cfg.MinUploads {
+	if a.cfg.BelowQuorum(participants) {
 		return nil // degraded round: x, c and every cᵢ stay as they were
 	}
 	for i, ci := range pendingClients {
@@ -165,9 +154,6 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 	a.c.AXPY(1/float64(a.env.NumClients()), variateDeltaSum)
 	return nil
 }
-
-// Global implements fl.Algorithm.
-func (a *SCAFFOLD) Global() nn.ParamVector { return a.global }
 
 // RoundComm implements fl.Algorithm: model + variate in each direction.
 func (a *SCAFFOLD) RoundComm(k int) fl.CommProfile {

@@ -258,18 +258,9 @@ func (f *FedCross) Round(r int, selected []int) error {
 		}
 		recv := tr.Down(dst, ci, f.middleware[i])
 		f.recvView[i] = recv
-		jobs = append(jobs, fl.LocalJob{
-			Client: ci,
-			Spec: fl.LocalSpec{
-				Init:      recv,
-				Epochs:    f.cfg.LocalEpochs,
-				BatchSize: f.cfg.BatchSize,
-				LR:        f.cfg.LR,
-				Momentum:  f.cfg.Momentum,
-				Out:       f.uploadBuf[i],
-			},
-			RNG: f.rng.Split(),
-		})
+		spec := f.cfg.LocalSpec()
+		spec.Init, spec.Out = recv, f.uploadBuf[i]
+		jobs = append(jobs, fl.LocalJob{Client: ci, Spec: spec, RNG: f.rng.Split()})
 		slots = append(slots, i)
 		clients = append(clients, ci)
 	}
@@ -290,7 +281,7 @@ func (f *FedCross) Round(r int, selected []int) error {
 			arrived++
 		}
 	}
-	if f.cfg.MinUploads > 0 && arrived < f.cfg.MinUploads {
+	if f.cfg.BelowQuorum(arrived) {
 		return nil // degraded round: every middleware model stays as it was
 	}
 

@@ -81,6 +81,9 @@ func (o AsyncOptions) resolve(cfg Config) AsyncOptions {
 	return o
 }
 
+// asyncAlgorithm labels RunAsync's histories and snapshots.
+const asyncAlgorithm = "fedbuff"
+
 // asyncJob is one dispatched client activation in flight between fetch
 // and arrival.
 type asyncJob struct {
@@ -91,7 +94,30 @@ type asyncJob struct {
 	fetch   nn.ParamVector // snapshot the client trains from (engine-owned)
 	trained nn.ParamVector // filled by the parallel training pass
 	done    bool
-	rng     *tensor.RNG
+	// seed is the job's training stream, one draw of the per-job parent
+	// taken at dispatch: a Split whose child is built when the job trains.
+	seed int64
+}
+
+// asyncState is RunAsync's loop state, and — with the session's shared
+// body — everything needed to reconstruct it at a commit boundary. The
+// staleness accumulator is deliberately absent: commits fire exactly when
+// it is zeroed, so every snapshot point has an empty window.
+type asyncState struct {
+	now        float64 // simulated clock (seconds)
+	seq        int     // next dispatch's sequence number
+	version    int     // server model version
+	arrivals   int
+	dispatches int
+	// available is the sorted pool of clients not currently in flight.
+	available []int
+	global    nn.ParamVector
+	inflight  []*asyncJob
+}
+
+// comm is the run's traffic so far in model-sized units.
+func (st *asyncState) comm() CommProfile {
+	return CommProfile{ModelsDown: st.dispatches, ModelsUp: st.arrivals}
 }
 
 // RunAsync executes a buffered-asynchronous FedAvg-style simulation
@@ -113,7 +139,7 @@ type asyncJob struct {
 // happens serially at dispatch time, and folds apply in (arrival, seq)
 // order. Local training of in-flight clients fans out over the worker
 // pool, but each job trains from its own immutable snapshot with its own
-// pre-split RNG, so histories are byte-identical at every
+// pre-drawn stream, so histories are byte-identical at every
 // Config.Parallelism / scheduler -jobs setting for a fixed seed.
 //
 // The simulated wire contributes sizes and times only: payload values
@@ -122,17 +148,15 @@ type asyncJob struct {
 // options apply exactly as in Run — label-flip through the shadow
 // environment, model-poisoning at the fold.
 func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.resolve(cfg)
-	n := env.NumClients()
-	if n == 0 {
-		return nil, fmt.Errorf("fl: RunAsync: environment has no clients")
+	s, err := newSession("RunAsync", asyncAlgorithm, env, cfg, opts.Commits)
+	if err != nil {
+		return nil, err
 	}
+	defer s.close()
 	codec, err := nn.CodecByName(cfg.Transport.Codec)
 	if err != nil {
 		return nil, err
@@ -141,42 +165,10 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	if err != nil {
 		return nil, err
 	}
+	env, faults, adv := s.env, s.faults, s.adv
 
-	rng := tensor.NewRNG(cfg.Seed)
-	initRNG := rng.Split()
-	selRNG := rng.Split()
-	timeRNG := rng.Split()
-	jobRNG := rng.Split()
-	advRNG := rng.Split()
-	// The fault stream is appended after every pre-existing split (the
-	// advRNG pattern): a zero-rate plan leaves benign histories
-	// bit-unchanged. Fault decisions key on (dispatch seq, client), so
-	// they are identical at every worker count and free to recompute on
-	// resume. Client churn is a round-calendar concept and applies to the
-	// synchronous engine only; its stream is still reserved here so the
-	// two engines' split orders stay parallel.
-	faultRNG := rng.Split()
-	_ = rng.Split() // churn stream, reserved
-	faults := NewFaultPlan(cfg.Faults, faultRNG.Int63())
-
-	adv := NewAdversary(cfg.Adversary, n, advRNG)
-	adv.BeginRound()
-	env = adv.ShadowEnv(env)
-	n = env.NumClients() // virtual sybils extend the shadow population
-
-	// The async engine's "plan" is the dispatch draw itself: a client's
-	// shard is not touched until the batched training pass of the next
-	// arrival pop, so warming it at dispatch overlaps synthesis with the
-	// folds, evaluations and arrivals in between. Prefetch draws no RNG,
-	// so histories are bit-identical with it on or off.
-	restripeSource(env, cfg)
-	prefetch := sourcePrefetcher(env, cfg)
-	if prefetch != nil {
-		defer prefetch.CancelPrefetch()
-	}
-
-	global := nn.FlattenParams(env.Model.New(initRNG.Split()).Params())
-	dim := len(global)
+	st := &asyncState{global: nn.FlattenParams(env.Model.New(s.rng[streamInit].Split()).Params())}
+	dim := len(st.global)
 	wireBytes := codec.EncodedSize(dim)
 
 	// Snapshot/upload buffers recycle through a freelist: at most
@@ -192,64 +184,58 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	}
 	release := func(vs ...nn.ParamVector) { free = append(free, vs...) }
 
-	// available is the sorted pool of clients not currently in flight, so
-	// the uniform draw below is a pure function of the selection stream.
-	// Virtualized federations admit only trainable (non-empty) clients —
-	// at million-client scale empty shards are expected, not exceptional;
-	// eager federations keep every client, preserving the legacy
-	// empty-shard training error.
-	available := make([]int, 0, n)
-	for i := 0; i < n; i++ {
+	// The available pool is sorted, so the uniform draw below is a pure
+	// function of the selection stream. Virtualized federations admit
+	// only trainable (non-empty) clients — at million-client scale empty
+	// shards are expected, not exceptional; eager federations keep every
+	// client, preserving the legacy empty-shard training error.
+	st.available = make([]int, 0, s.n)
+	for i := 0; i < s.n; i++ {
 		if env.Fed.Trainable(i) {
-			available = append(available, i)
+			st.available = append(st.available, i)
 		}
 	}
-	if len(available) == 0 {
+	if len(st.available) == 0 {
 		return nil, fmt.Errorf("fl: RunAsync: no trainable clients")
 	}
-	if opts.InFlight > len(available) {
-		opts.InFlight = len(available)
+	if opts.InFlight > len(st.available) {
+		opts.InFlight = len(st.available)
 	}
+	s.spec = asyncCkptSpec(cfg, opts, s.n, dim)
 
-	hist := &History{Algorithm: "fedbuff"}
 	acc := make(nn.ParamVector, dim)
-	var (
-		inflight   []*asyncJob
-		now        float64
-		seq        int
-		version    int
-		arrivals   int
-		dispatches int
+	// folded counts the current window's accepted uploads — the quorum
+	// the commit is judged against.
+	var folded, commits int
+	if cfg.Checkpoint.Resume {
+		commits, err = s.resume(func(_ int, d *dec) (err error) {
+			st, err = parseAsyncState(d, s.n, dim)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	selRNG, timeRNG, jobRNG := s.rng[streamSelect], s.rng[streamEngineA], s.rng[streamEngineB]
 
-		// folded counts the current window's accepted uploads — the
-		// quorum the commit is judged against.
-		folded                                      int
-		crashes, faultDrops, duplicates, stallCount int
-		degraded                                    int
-		commits                                     int
-	)
-	ck := cfg.Checkpoint
-
+	// The async engine's "plan" is the dispatch draw itself: a client's
+	// shard is not touched until the batched training pass of the next
+	// arrival pop, so warming it at dispatch overlaps synthesis with the
+	// folds, evaluations and arrivals in between.
 	var prefetchBuf [1]int
 	dispatch := func() {
-		idx := selRNG.Intn(len(available))
-		client := available[idx]
-		available = append(available[:idx], available[idx+1:]...)
-		if prefetch != nil {
-			// Warm the dispatched client's shard now; it is trained no
-			// earlier than the next arrival pop. Prefetch copies the id
-			// synchronously, so the buffer is immediately reusable.
+		idx := selRNG.Intn(len(st.available))
+		client := st.available[idx]
+		st.available = append(st.available[:idx], st.available[idx+1:]...)
+		if s.prefetch != nil {
+			// Prefetch copies the id synchronously, so the buffer is
+			// immediately reusable.
 			prefetchBuf[0] = client
-			prefetch.Prefetch(prefetchBuf[:])
+			s.prefetch.Prefetch(prefetchBuf[:])
 		}
-		// Per-dispatch simulated times, drawn in a fixed order: link
-		// multipliers exactly like Transport.BeginRound, then compute.
-		down, up, lat := mbpsToBytesPerSec(netModel.DownMbps), mbpsToBytesPerSec(netModel.UpMbps), netModel.LatencySec
-		if netModel.Jitter > 0 {
-			down *= math.Exp(netModel.Jitter * timeRNG.Normal(0, 1))
-			up *= math.Exp(netModel.Jitter * timeRNG.Normal(0, 1))
-			lat *= math.Exp(netModel.Jitter * timeRNG.Normal(0, 1))
-		}
+		// Per-dispatch simulated times, drawn in a fixed order: the link
+		// multipliers, then compute.
+		down, up, lat := netModel.drawLink(timeRNG)
 		compute := opts.ComputeSec * math.Exp(opts.ComputeJitter*timeRNG.Normal(0, 1))
 		elapsed := 2*lat + compute
 		if down > 0 {
@@ -258,7 +244,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		if up > 0 {
 			elapsed += float64(wireBytes) / up
 		}
-		if faults.Straggles(seq, client) {
+		if faults.Straggles(st.seq, client) {
 			// A straggler spike stretches the whole activation — slow
 			// links, slow compute — so the arrival lands later, earning
 			// real staleness (the async analogue of the sync transport's
@@ -266,95 +252,35 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 			elapsed *= faults.StraggleFactor()
 		}
 		fetch := lease()
-		copy(fetch, global)
-		job := &asyncJob{
-			seq: seq, client: client, version: version,
-			arrival: now + elapsed, fetch: fetch, rng: jobRNG.Split(),
-		}
-		if faults.Crashes(seq, client) {
-			// The client dies mid-round: it fetched (bytes down are
-			// already spent) but will never train or upload. done with a
-			// nil trained vector is the crash marker the fold recognises.
-			job.done = true
-		}
-		inflight = append(inflight, job)
-		seq++
-		dispatches++
-		hist.BytesDown += wireBytes
+		copy(fetch, st.global)
+		// Fault decisions key on (dispatch seq, client), so they are
+		// identical at every worker count and free to recompute on resume.
+		// A crashed client fetched (bytes down are already spent) but will
+		// never train or upload: done with a nil trained vector is the
+		// crash marker the fold recognises.
+		st.inflight = append(st.inflight, &asyncJob{
+			seq: st.seq, client: client, version: st.version, arrival: st.now + elapsed,
+			fetch: fetch, seed: jobRNG.Int63(), done: faults.Crashes(st.seq, client),
+		})
+		st.seq++
+		st.dispatches++
+		s.cum.BytesDown += wireBytes
 	}
 
-	startFresh := true
-	if ck.Active() && ck.Resume {
-		snap, err := loadAsyncCheckpoint(ck.Path, cfg, opts, n, dim)
-		if err != nil {
-			return nil, fmt.Errorf("fl: RunAsync: %w", err)
-		}
-		now, seq, version = snap.now, snap.seq, snap.version
-		arrivals, dispatches = snap.arrivals, snap.dispatches
-		crashes, faultDrops, duplicates = snap.crashes, snap.faultDrops, snap.dups
-		stallCount, degraded = snap.stalls, snap.degraded
-		hist.BytesDown, hist.BytesUp = snap.bytesDown, snap.bytesUp
-		hist.Metrics = snap.metrics
-		selRNG = tensor.RestoreRNG(snap.selState)
-		timeRNG = tensor.RestoreRNG(snap.timeState)
-		jobRNG = tensor.RestoreRNG(snap.jobState)
-		available = snap.available
-		copy(global, snap.global)
-		inflight = make([]*asyncJob, len(snap.jobs))
-		for i, js := range snap.jobs {
-			inflight[i] = &asyncJob{
-				seq: js.seq, client: js.client, version: js.version,
-				arrival: js.arrival, fetch: js.fetch, trained: js.trained,
-				done: js.done, rng: tensor.RestoreRNG(js.rng),
-			}
-		}
-		commits = snap.nextCommit
-		startFresh = false
-		// The snapshot was taken inside the commit block, before the
-		// dispatch that closes a loop iteration — run that dispatch now.
-		if commits < opts.Commits {
-			dispatch()
-		}
-	}
-	if startFresh {
+	if !cfg.Checkpoint.Resume {
 		for i := 0; i < opts.InFlight; i++ {
 			dispatch()
 		}
-	}
-
-	evalNow := func(commit int) error {
-		accT, loss, err := evaluate(env.Model, global, env.Fed.Test, 64, cfg.Allowance())
-		if err != nil {
-			return fmt.Errorf("fl: RunAsync: eval commit %d: %w", commit, err)
-		}
-		hist.Metrics = append(hist.Metrics, RoundMetric{
-			Round:               commit,
-			TestAcc:             accT,
-			TestLoss:            loss,
-			CumModelEquivalents: float64(dispatches + arrivals),
-			CumBytesDown:        hist.BytesDown,
-			CumBytesUp:          hist.BytesUp,
-			CumFaultDrops:       faultDrops,
-			CumDuplicates:       duplicates,
-			CumStalls:           stallCount,
-			CumCrashes:          crashes,
-			CumDegraded:         degraded,
-		})
-		return nil
-	}
-
-	finish := func() {
-		hist.Comm = CommProfile{ModelsDown: dispatches, ModelsUp: arrivals}
-		hist.Crashes = crashes
-		hist.FaultDrops = faultDrops
-		hist.Duplicates = duplicates
-		hist.Stalls = stallCount
-		hist.Degraded = degraded
+	} else if commits < opts.Commits {
+		// The snapshot was taken inside the commit block, before the
+		// dispatch that closes a loop iteration — run that dispatch now.
+		dispatch()
 	}
 
 	for commits < opts.Commits {
 		// Pop the earliest arrival (ties broken by dispatch order). The
 		// in-flight set is small (M), so a linear scan is the queue.
+		inflight := st.inflight
 		best := 0
 		for i := 1; i < len(inflight); i++ {
 			if inflight[i].arrival < inflight[best].arrival ||
@@ -366,23 +292,22 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		if !job.done {
 			// Batch-train every untrained in-flight client in one parallel
 			// pass: each trains from its own snapshot with its own
-			// pre-split stream, so results are scheduling-independent and
+			// pre-drawn stream, so results are scheduling-independent and
 			// the engine still gets its fan-out.
 			if err := trainPending(env, cfg, inflight); err != nil {
-				releaseAll(inflight, release)
 				return nil, fmt.Errorf("fl: RunAsync: %w", err)
 			}
 		}
-		inflight = append(inflight[:best], inflight[best+1:]...)
-		now = job.arrival
+		st.inflight = append(inflight[:best], inflight[best+1:]...)
+		st.now = job.arrival
 
 		if job.trained == nil {
 			// Fault-injected crash: the slot completes (the server times
 			// the client out and moves on) but nothing crossed the uplink.
-			crashes++
+			s.cum.Crashes++
 			release(job.fetch)
 		} else {
-			hist.BytesUp += wireBytes
+			s.cum.BytesUp += wireBytes
 			switch {
 			case faults.Drops(job.seq, job.client, 0),
 				faults.Truncates(job.seq, job.client, 0),
@@ -390,14 +315,14 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				// The async wire carries values losslessly, so a
 				// truncated or corrupted payload is rejected whole at the
 				// server door — observably a drop, and counted as one.
-				faultDrops++
+				s.cum.FaultDrops++
 			default:
 				upload := adv.CorruptUpload(job.client, job.trained)
 				if finiteVector(upload) {
 					// Fold: staleness-weighted model delta against the fetched
 					// snapshot. Non-finite uploads are dropped at the server door,
 					// the same screen ReduceUploads applies in the sync engine.
-					staleness := float64(version - job.version)
+					staleness := float64(st.version - job.version)
 					weight := 1 / math.Pow(1+staleness, opts.StalenessExp)
 					for i := range acc {
 						acc[i] += weight * (upload[i] - job.fetch[i])
@@ -407,17 +332,17 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				if faults.Duplicates(job.seq, job.client) {
 					// The retransmit arrives twice; the server dedupes but
 					// the duplicate bytes were spent.
-					hist.BytesUp += wireBytes
-					duplicates++
+					s.cum.BytesUp += wireBytes
+					s.cum.Duplicates++
 				}
 			}
 			release(job.fetch, job.trained)
 		}
-		arrivals++
-		insertSorted(&available, job.client)
+		st.arrivals++
+		insertSorted(&st.available, job.client)
 
-		if arrivals%opts.Buffer == 0 {
-			if cfg.MinUploads > 0 && folded < cfg.MinUploads {
+		if st.arrivals%opts.Buffer == 0 {
+			if cfg.BelowQuorum(folded) {
 				// Degraded commit: the window's accepted uploads missed the
 				// quorum, so the thin accumulator is discarded and the model
 				// survives unchanged. The version still bumps — staleness is
@@ -425,70 +350,44 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				for i := range acc {
 					acc[i] = 0
 				}
-				degraded++
+				s.cum.Degraded++
 			} else {
 				scale := opts.ServerLR / float64(opts.Buffer)
-				for i := range global {
-					global[i] += scale * acc[i]
+				for i := range st.global {
+					st.global[i] += scale * acc[i]
 					acc[i] = 0
 				}
 			}
 			folded = 0
-			version++
+			st.version++
 			commits++
 			if faults.Stalls(commits - 1) {
 				// Server stall: the commit pauses before the next dispatch
 				// goes out, shifting only work scheduled after it.
-				now += faults.StallSec()
-				stallCount++
+				st.now += faults.StallSec()
+				s.cum.Stalls++
 			}
 			adv.BeginRound()
-			last := commits == opts.Commits
-			if last || (cfg.EvalEvery > 0 && commits%cfg.EvalEvery == 0) {
-				if err := evalNow(commits); err != nil {
-					releaseAll(inflight, release)
+			if s.evalDue(commits) {
+				if err := s.eval(commits, st.global, float64(st.dispatches+st.arrivals)); err != nil {
 					return nil, err
 				}
 			}
-			if ck.Active() {
-				stopHere := ck.StopAfterRound > 0 && commits == ck.StopAfterRound
-				if stopHere || (ck.Every > 0 && commits%ck.Every == 0) {
-					snap := &asyncSnapshot{
-						nextCommit: commits, now: now, seq: seq, version: version,
-						arrivals: arrivals, dispatches: dispatches,
-						crashes: crashes, faultDrops: faultDrops, dups: duplicates,
-						stalls: stallCount, degraded: degraded,
-						bytesDown: hist.BytesDown, bytesUp: hist.BytesUp,
-						selState: selRNG.State(), timeState: timeRNG.State(), jobState: jobRNG.State(),
-						available: available, global: global, metrics: hist.Metrics,
-					}
-					snap.jobs = make([]asyncJobSnap, len(inflight))
-					for i, j := range inflight {
-						snap.jobs[i] = asyncJobSnap{
-							seq: j.seq, client: j.client, version: j.version,
-							arrival: j.arrival, done: j.done,
-							fetch: j.fetch, trained: j.trained, rng: j.rng.State(),
-						}
-					}
-					if err := saveAsyncCheckpoint(ck.Path, cfg, opts, n, dim, snap); err != nil {
-						releaseAll(inflight, release)
-						return nil, fmt.Errorf("fl: RunAsync: checkpoint commit %d: %w", commits, err)
-					}
+			if write, stop := s.checkpointDue(commits); write {
+				if err := s.save(commits, st.encode); err != nil {
+					return nil, err
 				}
-				if stopHere {
-					releaseAll(inflight, release)
-					finish()
-					return hist, ErrStopped
+				if stop {
+					return s.finish(st.comm()), ErrStopped
 				}
 			}
-			if last {
+			if commits == opts.Commits {
 				break
 			}
 		}
 		dispatch()
 	}
-	finish()
-	return hist, nil
+	return s.finish(st.comm()), nil
 }
 
 // trainPending runs local training for every not-yet-trained in-flight
@@ -503,16 +402,12 @@ func trainPending(env *Env, cfg Config, inflight []*asyncJob) error {
 	}
 	jobs := make([]LocalJob, len(pending))
 	for i, j := range pending {
+		spec := cfg.LocalSpec()
+		spec.Init = j.fetch
 		jobs[i] = LocalJob{
 			Client: j.client,
-			Spec: LocalSpec{
-				Init:      j.fetch,
-				Epochs:    cfg.LocalEpochs,
-				BatchSize: cfg.BatchSize,
-				LR:        cfg.LR,
-				Momentum:  cfg.Momentum,
-			},
-			RNG: j.rng,
+			Spec:   spec,
+			RNG:    tensor.NewRNG(j.seed),
 		}
 	}
 	results, err := TrainAll(env, jobs, cfg.Allowance())
@@ -524,20 +419,6 @@ func trainPending(env *Env, cfg Config, inflight []*asyncJob) error {
 		j.done = true
 	}
 	return nil
-}
-
-// releaseAll hands the in-flight buffers back on error paths, keeping the
-// engine leak-free even when an attacker-induced failure aborts the run
-// (the freelist is function-local, so this is bookkeeping hygiene; the
-// replica-pool leases inside TrainAll are already released by TrainLocal
-// itself — pinned by the leak test).
-func releaseAll(inflight []*asyncJob, release func(vs ...nn.ParamVector)) {
-	for _, j := range inflight {
-		release(j.fetch)
-		if j.trained != nil {
-			release(j.trained)
-		}
-	}
 }
 
 // insertSorted puts c back into the sorted available pool.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -75,126 +77,266 @@ type RoundCheckpointer interface {
 const (
 	runCkptMagic   = 0x4352_4C46 // "FLRC" little-endian
 	asyncCkptMagic = 0x4341_4C46 // "FLAC" little-endian
-	ckptVersion    = 1
+	// ckptVersion 2 is the shared container: one header, body and metric
+	// list under both magics, then the engine's tail.
+	ckptVersion    = 2
 	maxCkptBlob    = 1 << 31
 	maxCkptMetrics = 1 << 22
+	// maxCkptJobs caps the persisted in-flight set (InFlight is
+	// user-bounded well below this; the cap is load hardening).
+	maxCkptJobs = 1 << 20
+	// metricBytes and minJobBytes are the smallest serialized metric and
+	// in-flight job: a declared count must fit the bytes actually present
+	// before anything is allocated for it.
+	metricBytes = 14 * 8
+	minJobBytes = 8 * 8
 )
 
-// runSnapshot is everything fl.Run needs to reconstruct the exact state
-// at a round boundary. Fault, churn, and adversary schedules are absent
-// by design: they are pure functions of the seed, recomputed on resume.
-type runSnapshot struct {
-	nextRound int
+// ckptSpec is what a run expects of its snapshot's header: the engine's
+// magic, the seed, the algorithm label, the run's shape and its length in
+// rounds or commits.
+type ckptSpec struct {
+	magic uint64
+	seed  int64
+	label string
+	shape []int
+	total int
+}
 
-	selState    tensor.RNGState
-	plannerNext int
-	drawn       map[int][]int
-	dropState   tensor.RNGState
-	netState    tensor.RNGState
+// runCkptSpec describes fl.Run's snapshots: shape (rounds, K, n).
+func runCkptSpec(cfg Config, algorithm string, n int) ckptSpec {
+	return ckptSpec{magic: runCkptMagic, seed: cfg.Seed, label: algorithm, total: cfg.Rounds,
+		shape: []int{cfg.Rounds, cfg.ClientsPerRound, n}}
+}
 
-	crashes     int
-	unavailable int
-	degraded    int
+// asyncCkptSpec describes fl.RunAsync's snapshots under resolved options:
+// shape (commits, buffer, in-flight, n, parameter count).
+func asyncCkptSpec(cfg Config, opts AsyncOptions, n, dim int) ckptSpec {
+	return ckptSpec{magic: asyncCkptMagic, seed: cfg.Seed, label: asyncAlgorithm, total: opts.Commits,
+		shape: []int{opts.Commits, opts.Buffer, opts.InFlight, n, dim}}
+}
 
-	trCum struct {
-		down, up                                      int64
-		stragglers, retries, faultDrops, dups, stalls int
-	}
-
-	acctRounds int
-	acctTotal  CommProfile
-
+// snapshot is the engine-independent body of a checkpoint: how far the
+// run got, its counters, the positions of the three streams still being
+// drawn from (select, engineA, engineB) and the metrics recorded so far.
+type snapshot struct {
+	done    int
+	cum     counters
+	streams [3]tensor.RNGState
 	metrics []RoundMetric
-
-	algoBlob []byte
 }
 
-// writeRNGState / readRNGState serialize a stream position.
-func writeRNGState(w io.Writer, st tensor.RNGState) error {
-	if err := nn.WriteI64(w, st.Seed); err != nil {
-		return err
+// enc builds a snapshot in memory. Writing to the buffer cannot fail;
+// what can is a cap (an oversized vector, slice or string), and the first
+// such error sticks.
+type enc struct {
+	buf bytes.Buffer
+	err error
+}
+
+func (e *enc) u64(vs ...uint64) {
+	for _, v := range vs {
+		if e.err == nil {
+			e.err = nn.WriteU64(&e.buf, v)
+		}
 	}
-	return nn.WriteU64(w, st.Pos)
 }
 
-func readRNGState(r io.Reader) (tensor.RNGState, error) {
-	seed, err := nn.ReadI64(r)
+func (e *enc) i64(vs ...int64) {
+	for _, v := range vs {
+		e.u64(uint64(v))
+	}
+}
+
+func (e *enc) int(vs ...int) {
+	for _, v := range vs {
+		e.u64(uint64(v))
+	}
+}
+
+func (e *enc) f64(vs ...float64) {
+	for _, v := range vs {
+		e.u64(math.Float64bits(v))
+	}
+}
+
+func (e *enc) ints(xs []int) {
+	if e.err == nil {
+		e.err = nn.WriteIntSlice(&e.buf, xs)
+	}
+}
+
+func (e *enc) vector(v nn.ParamVector) {
+	if e.err == nil {
+		e.err = nn.WriteVector(&e.buf, v)
+	}
+}
+
+func (e *enc) counters(c counters) {
+	e.i64(c.BytesDown, c.BytesUp)
+	e.int(c.Stragglers, c.Retries, c.FaultDrops, c.Duplicates, c.Stalls, c.Crashes, c.Unavailable, c.Degraded)
+}
+
+// dec reads a snapshot held whole in memory, so every declared count can
+// be checked against the bytes left. The first failure sticks, labelled
+// with the section being read; later reads return zeros.
+type dec struct {
+	r    *bytes.Reader
+	what string
+	err  error
+}
+
+func (d *dec) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(d.what+": "+format, args...)
+	}
+}
+
+func (d *dec) u64() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := nn.ReadU64(d.r)
 	if err != nil {
-		return tensor.RNGState{}, err
+		d.fail("truncated: %w", err)
 	}
-	pos, err := nn.ReadU64(r)
+	return v
+}
+
+func (d *dec) i64() int64   { return int64(d.u64()) }
+func (d *dec) int() int     { return int(d.i64()) }
+func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// count reads a record count and bounds it twice before the caller
+// allocates for it: by its cap, and by how many records of at least
+// recordBytes the remaining bytes could hold.
+func (d *dec) count(limit uint64, recordBytes int) int {
+	n := d.u64()
+	if n > limit {
+		d.fail("count %d exceeds cap %d", n, limit)
+	} else if n > uint64(d.r.Len()/recordBytes) {
+		d.fail("count %d exceeds the %d bytes left", n, d.r.Len())
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// ids reads a length-prefixed list of at most limit client ids, each in
+// [lo, n).
+func (d *dec) ids(limit, lo, n int) []int {
+	xs := make([]int, d.count(uint64(limit), 8))
+	for i := range xs {
+		if xs[i] = d.int(); xs[i] < lo || xs[i] >= n {
+			d.fail("client id %d outside [%d,%d)", xs[i], lo, n)
+		}
+	}
+	return xs
+}
+
+// vector reads a parameter vector of exactly dim entries (or none at all
+// when optional).
+func (d *dec) vector(dim int, optional bool) nn.ParamVector {
+	if d.err != nil {
+		return nil
+	}
+	v, err := nn.ReadVector(d.r)
 	if err != nil {
-		return tensor.RNGState{}, err
+		d.fail("%w", err)
+	} else if len(v) != dim && !(optional && v == nil) {
+		d.fail("vector has %d params, want %d", len(v), dim)
 	}
-	return tensor.RNGState{Seed: seed, Pos: pos}, nil
+	return v
 }
 
-func writeMetric(w io.Writer, m RoundMetric) error {
-	ints := []int64{
-		int64(m.Round), int64(m.CumBytesDown), int64(m.CumBytesUp),
-		int64(m.CumStragglers), int64(m.CumRetries), int64(m.CumFaultDrops),
-		int64(m.CumDuplicates), int64(m.CumStalls), int64(m.CumCrashes),
-		int64(m.CumUnavailable), int64(m.CumDegraded),
+func (d *dec) counters() counters {
+	return counters{
+		BytesDown: d.i64(), BytesUp: d.i64(),
+		Stragglers: d.int(), Retries: d.int(), FaultDrops: d.int(), Duplicates: d.int(),
+		Stalls: d.int(), Crashes: d.int(), Unavailable: d.int(), Degraded: d.int(),
 	}
-	for _, v := range ints {
-		if err := nn.WriteI64(w, v); err != nil {
-			return err
-		}
-	}
-	for _, f := range []float64{m.TestAcc, m.TestLoss, m.CumModelEquivalents} {
-		if err := nn.WriteF64(w, f); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-func readMetric(r io.Reader) (RoundMetric, error) {
-	var ints [11]int64
-	for i := range ints {
-		v, err := nn.ReadI64(r)
+// encodeCheckpoint serializes the container: header, shared body, then
+// whatever the engine's tail appends.
+func encodeCheckpoint(spec ckptSpec, snap *snapshot, tail func(*enc)) ([]byte, error) {
+	e := &enc{}
+	e.u64(spec.magic, ckptVersion)
+	e.i64(spec.seed)
+	if e.err == nil {
+		e.err = nn.WriteString(&e.buf, spec.label)
+	}
+	e.int(spec.shape...)
+	e.int(snap.done)
+	e.counters(snap.cum)
+	for _, st := range snap.streams {
+		e.i64(st.Seed)
+		e.u64(st.Pos)
+	}
+	if len(snap.metrics) > maxCkptMetrics {
+		return nil, fmt.Errorf("fl: checkpoint: %d metrics exceeds cap", len(snap.metrics))
+	}
+	e.int(len(snap.metrics))
+	for _, m := range snap.metrics {
+		e.int(m.Round)
+		e.f64(m.TestAcc, m.TestLoss, m.CumModelEquivalents)
+		e.counters(metricCounters(m))
+	}
+	tail(e)
+	return e.buf.Bytes(), e.err
+}
+
+// parseCheckpoint reads and validates the container against the resuming
+// run, returning the shared body and the reader positioned at the
+// engine's tail. Every length is capped and checked against the bytes
+// present, and every header field cross-checked, so a hostile or stale
+// file fails with a clear error and never sizes an allocation.
+func parseCheckpoint(data []byte, spec ckptSpec) (*snapshot, *dec, error) {
+	d := &dec{r: bytes.NewReader(data), what: "header"}
+	for _, h := range []struct {
+		what string
+		want uint64
+	}{{"magic", spec.magic}, {"version", ckptVersion}} {
+		if got := d.u64(); got != h.want {
+			d.fail("bad %s %#x (want %#x)", h.what, got, h.want)
+		}
+	}
+	if seed := d.i64(); seed != spec.seed {
+		d.fail("checkpoint seed %d != run seed %d", seed, spec.seed)
+	}
+	if d.err == nil {
+		label, err := nn.ReadString(d.r)
 		if err != nil {
-			return RoundMetric{}, err
-		}
-		ints[i] = v
-	}
-	var floats [3]float64
-	for i := range floats {
-		v, err := nn.ReadF64(r)
-		if err != nil {
-			return RoundMetric{}, err
-		}
-		floats[i] = v
-	}
-	return RoundMetric{
-		Round: int(ints[0]), CumBytesDown: ints[1], CumBytesUp: ints[2],
-		CumStragglers: int(ints[3]), CumRetries: int(ints[4]),
-		CumFaultDrops: int(ints[5]), CumDuplicates: int(ints[6]),
-		CumStalls: int(ints[7]), CumCrashes: int(ints[8]),
-		CumUnavailable: int(ints[9]), CumDegraded: int(ints[10]),
-		TestAcc: floats[0], TestLoss: floats[1], CumModelEquivalents: floats[2],
-	}, nil
-}
-
-func writeComm(w io.Writer, p CommProfile) error {
-	for _, v := range []int{p.ModelsDown, p.ModelsUp, p.VarsDown, p.VarsUp, p.GeneratorsDown} {
-		if err := nn.WriteI64(w, int64(v)); err != nil {
-			return err
+			d.fail("algorithm: %w", err)
+		} else if label != spec.label {
+			d.fail("checkpoint algorithm %q != run algorithm %q", label, spec.label)
 		}
 	}
-	return nil
-}
-
-func readComm(r io.Reader) (CommProfile, error) {
-	var vs [5]int64
-	for i := range vs {
-		v, err := nn.ReadI64(r)
-		if err != nil {
-			return CommProfile{}, err
-		}
-		vs[i] = v
+	shape := make([]int, len(spec.shape))
+	for i := range shape {
+		shape[i] = d.int()
 	}
-	return CommProfile{ModelsDown: int(vs[0]), ModelsUp: int(vs[1]), VarsDown: int(vs[2]), VarsUp: int(vs[3]), GeneratorsDown: int(vs[4])}, nil
+	if !slices.Equal(shape, spec.shape) {
+		d.fail("checkpoint shape %v != run %v", shape, spec.shape)
+	}
+	d.what = "body"
+	snap := &snapshot{done: d.int()}
+	if snap.done < 0 || snap.done > spec.total {
+		d.fail("%d rounds done, outside [0,%d]", snap.done, spec.total)
+	}
+	snap.cum = d.counters()
+	for i := range snap.streams {
+		snap.streams[i] = tensor.RNGState{Seed: d.i64(), Pos: d.u64()}
+	}
+	d.what = "metrics"
+	snap.metrics = make([]RoundMetric, d.count(maxCkptMetrics, metricBytes))
+	for i := range snap.metrics {
+		round, acc, loss, modelEq := d.int(), d.f64(), d.f64(), d.f64()
+		snap.metrics[i] = d.counters().metric(round, acc, loss, modelEq)
+	}
+	d.what = "tail"
+	return snap, d, d.err
 }
 
 // atomicWriteFile serializes the snapshot write-ahead: the bytes land in
@@ -229,500 +371,104 @@ func atomicWriteFile(path string, data []byte) error {
 	return nil
 }
 
-// saveRunCheckpoint serializes a round-boundary snapshot for fl.Run.
-func saveRunCheckpoint(path string, cfg Config, algo Algorithm, n int, snap *runSnapshot) error {
-	rc, ok := algo.(RoundCheckpointer)
-	if !ok {
-		return fmt.Errorf("fl: algorithm %s does not support round checkpoints", algo.Name())
+// encodeRunTail appends what only the sync engine carries: the planner's
+// cursor and the cohorts it drew past the boundary (they left the
+// selection stream before the snapshot position, so they must travel with
+// it), the accountant, and the algorithm's own state.
+func encodeRunTail(e *enc, done int, planner *cohortPlanner, acct Accountant, algo Algorithm) {
+	e.int(planner.next)
+	for r := done; r < planner.next; r++ {
+		e.ints(planner.drawn[r])
 	}
-	var buf bytes.Buffer
-	w := &buf
-	for _, v := range []uint64{runCkptMagic, ckptVersion} {
-		if err := nn.WriteU64(w, v); err != nil {
-			return err
-		}
+	t := acct.total
+	e.int(acct.rounds, t.ModelsDown, t.ModelsUp, t.VarsDown, t.VarsUp, t.GeneratorsDown)
+	var blob bytes.Buffer
+	if e.err == nil {
+		e.err = algo.(RoundCheckpointer).SaveState(&blob)
 	}
-	if err := nn.WriteI64(w, cfg.Seed); err != nil {
-		return err
+	if e.err == nil && blob.Len() > maxCkptBlob {
+		e.err = fmt.Errorf("fl: checkpoint %s state %d bytes exceeds cap", algo.Name(), blob.Len())
 	}
-	if err := nn.WriteString(w, algo.Name()); err != nil {
-		return err
-	}
-	for _, v := range []int64{
-		int64(cfg.Rounds), int64(cfg.ClientsPerRound), int64(n), int64(snap.nextRound),
-		int64(snap.plannerNext),
-		int64(snap.crashes), int64(snap.unavailable), int64(snap.degraded),
-		snap.trCum.down, snap.trCum.up,
-		int64(snap.trCum.stragglers), int64(snap.trCum.retries),
-		int64(snap.trCum.faultDrops), int64(snap.trCum.dups), int64(snap.trCum.stalls),
-		int64(snap.acctRounds),
-	} {
-		if err := nn.WriteI64(w, v); err != nil {
-			return err
-		}
-	}
-	for _, st := range []tensor.RNGState{snap.selState, snap.dropState, snap.netState} {
-		if err := writeRNGState(w, st); err != nil {
-			return err
-		}
-	}
-	// Planner lookahead cohorts drawn past the boundary: these left the
-	// selection stream before the snapshot position, so they must travel
-	// with it.
-	keys := make([]int, 0, len(snap.drawn))
-	for k := range snap.drawn {
-		keys = append(keys, k)
-	}
-	sortInts(keys)
-	if err := nn.WriteU64(w, uint64(len(keys))); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if err := nn.WriteI64(w, int64(k)); err != nil {
-			return err
-		}
-		if err := nn.WriteIntSlice(w, snap.drawn[k]); err != nil {
-			return err
-		}
-	}
-	if err := writeComm(w, snap.acctTotal); err != nil {
-		return err
-	}
-	if err := nn.WriteU64(w, uint64(len(snap.metrics))); err != nil {
-		return err
-	}
-	for _, m := range snap.metrics {
-		if err := writeMetric(w, m); err != nil {
-			return err
-		}
-	}
-	var algoBuf bytes.Buffer
-	if err := rc.SaveState(&algoBuf); err != nil {
-		return fmt.Errorf("fl: checkpoint %s state: %w", algo.Name(), err)
-	}
-	if algoBuf.Len() > maxCkptBlob {
-		return fmt.Errorf("fl: checkpoint %s state %d bytes exceeds cap", algo.Name(), algoBuf.Len())
-	}
-	if err := nn.WriteU64(w, uint64(algoBuf.Len())); err != nil {
-		return err
-	}
-	if _, err := w.Write(algoBuf.Bytes()); err != nil {
-		return err
-	}
-	return atomicWriteFile(path, buf.Bytes())
+	e.int(blob.Len())
+	e.buf.Write(blob.Bytes())
 }
 
-// loadRunCheckpoint reads and validates a snapshot against the resuming
-// run's configuration, restores the algorithm's state, and returns the
-// engine-side snapshot. Every length is capped and every header field
-// cross-checked, so a hostile or stale file fails with a clear error.
-func loadRunCheckpoint(path string, cfg Config, algo Algorithm, n int) (*runSnapshot, error) {
-	rc, ok := algo.(RoundCheckpointer)
-	if !ok {
-		return nil, fmt.Errorf("fl: algorithm %s does not support round checkpoints", algo.Name())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fl: resume: %w", err)
-	}
-	r := bytes.NewReader(data)
-	for i, want := range []uint64{runCkptMagic, ckptVersion} {
-		got, err := nn.ReadU64(r)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume %s: truncated header", path)
-		}
-		if got != want {
-			what := "magic"
-			if i == 1 {
-				what = "version"
-			}
-			return nil, fmt.Errorf("fl: resume %s: bad %s %#x (want %#x)", path, what, got, want)
-		}
-	}
-	seed, err := nn.ReadI64(r)
-	if err != nil {
-		return nil, err
-	}
-	if seed != cfg.Seed {
-		return nil, fmt.Errorf("fl: resume %s: checkpoint seed %d != run seed %d", path, seed, cfg.Seed)
-	}
-	name, err := nn.ReadString(r)
-	if err != nil {
-		return nil, err
-	}
-	if name != algo.Name() {
-		return nil, fmt.Errorf("fl: resume %s: checkpoint algorithm %q != run algorithm %q", path, name, algo.Name())
-	}
-	var ints [16]int64
-	for i := range ints {
-		v, err := nn.ReadI64(r)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume %s: truncated body", path)
-		}
-		ints[i] = v
-	}
-	if int(ints[0]) != cfg.Rounds || int(ints[1]) != cfg.ClientsPerRound || int(ints[2]) != n {
-		return nil, fmt.Errorf("fl: resume %s: checkpoint shape (rounds %d, k %d, n %d) != run (%d, %d, %d)",
-			path, ints[0], ints[1], ints[2], cfg.Rounds, cfg.ClientsPerRound, n)
-	}
-	snap := &runSnapshot{
-		nextRound:   int(ints[3]),
-		plannerNext: int(ints[4]),
-		crashes:     int(ints[5]),
-		unavailable: int(ints[6]),
-		degraded:    int(ints[7]),
-		acctRounds:  int(ints[15]),
-		drawn:       map[int][]int{},
-	}
-	snap.trCum.down, snap.trCum.up = ints[8], ints[9]
-	snap.trCum.stragglers, snap.trCum.retries = int(ints[10]), int(ints[11])
-	snap.trCum.faultDrops, snap.trCum.dups, snap.trCum.stalls = int(ints[12]), int(ints[13]), int(ints[14])
-	if snap.nextRound < 0 || snap.nextRound > cfg.Rounds {
-		return nil, fmt.Errorf("fl: resume %s: next round %d outside [0,%d]", path, snap.nextRound, cfg.Rounds)
-	}
-	for _, dst := range []*tensor.RNGState{&snap.selState, &snap.dropState, &snap.netState} {
-		st, err := readRNGState(r)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume %s: truncated RNG state", path)
-		}
-		*dst = st
-	}
-	nDrawn, err := nn.ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if nDrawn > maxCkptMetrics {
-		return nil, fmt.Errorf("fl: resume %s: %d planned cohorts exceeds cap", path, nDrawn)
-	}
-	for i := uint64(0); i < nDrawn; i++ {
-		k, err := nn.ReadI64(r)
-		if err != nil {
-			return nil, err
-		}
-		ids, err := nn.ReadIntSlice(r)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume %s: planned cohort: %w", path, err)
-		}
-		snap.drawn[int(k)] = ids
-	}
-	if snap.acctTotal, err = readComm(r); err != nil {
-		return nil, err
-	}
-	nMetrics, err := nn.ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if nMetrics > maxCkptMetrics {
-		return nil, fmt.Errorf("fl: resume %s: %d metrics exceeds cap", path, nMetrics)
-	}
-	snap.metrics = make([]RoundMetric, nMetrics)
-	for i := range snap.metrics {
-		if snap.metrics[i], err = readMetric(r); err != nil {
-			return nil, fmt.Errorf("fl: resume %s: metric %d: %w", path, i, err)
-		}
-	}
-	blobLen, err := nn.ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if blobLen > maxCkptBlob {
-		return nil, fmt.Errorf("fl: resume %s: algorithm state %d bytes exceeds cap", path, blobLen)
-	}
-	if uint64(r.Len()) < blobLen {
-		return nil, fmt.Errorf("fl: resume %s: algorithm state truncated (%d of %d bytes)", path, r.Len(), blobLen)
-	}
-	blob := make([]byte, blobLen)
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, err
-	}
-	if err := rc.LoadState(bytes.NewReader(blob)); err != nil {
-		return nil, fmt.Errorf("fl: resume %s: %s state: %w", path, algo.Name(), err)
-	}
-	return snap, nil
+// runTail is encodeRunTail's bytes read back; the algorithm blob is
+// returned, not interpreted.
+type runTail struct {
+	next  int
+	drawn map[int][]int
+	acct  Accountant
+	blob  []byte
 }
 
-// asyncJobSnap is one in-flight activation as persisted at a commit
-// boundary: trained is nil for jobs still awaiting the batched training
-// pass and for fault-crashed clients (whose fold is skipped on arrival).
-type asyncJobSnap struct {
-	seq, client, version int
-	arrival              float64
-	done                 bool
-	fetch, trained       nn.ParamVector
-	rng                  tensor.RNGState
+// parseRunTail reads the sync tail for a run of the given shape, done
+// rounds in: the planner may be ahead of the loop but not past the run,
+// and holds exactly one k-slot cohort of ids in [-1, n) for every round
+// in between.
+func parseRunTail(d *dec, done, rounds, n, k int) (*runTail, error) {
+	d.what = "planner"
+	t := &runTail{next: d.int(), drawn: map[int][]int{}}
+	if t.next < done || t.next > rounds {
+		d.fail("planned through round %d, outside [%d,%d]", t.next, done, rounds)
+	}
+	for r := done; r < t.next && d.err == nil; r++ {
+		if t.drawn[r] = d.ids(k, -1, n); len(t.drawn[r]) != k {
+			d.fail("round %d cohort has %d slots, want %d", r, len(t.drawn[r]), k)
+		}
+	}
+	d.what = "accountant"
+	t.acct.rounds = d.int()
+	t.acct.total = CommProfile{ModelsDown: d.int(), ModelsUp: d.int(), VarsDown: d.int(), VarsUp: d.int(), GeneratorsDown: d.int()}
+	d.what = "algorithm state"
+	t.blob = make([]byte, d.count(maxCkptBlob, 1))
+	if _, err := io.ReadFull(d.r, t.blob); err != nil {
+		d.fail("%w", err)
+	}
+	return t, d.err
 }
 
-// asyncSnapshot is everything RunAsync needs to reconstruct its state at
-// a commit boundary. The staleness accumulator is deliberately absent:
-// commits fire exactly when it is zeroed, so every snapshot point has an
-// empty window by construction.
-type asyncSnapshot struct {
-	nextCommit int
-	now        float64
-	seq        int
-	version    int
-	arrivals   int
-	dispatches int
-
-	crashes, faultDrops, dups, stalls, degraded int
-	bytesDown, bytesUp                          int64
-
-	selState, timeState, jobState tensor.RNGState
-
-	available []int
-	global    nn.ParamVector
-	metrics   []RoundMetric
-	jobs      []asyncJobSnap
-}
-
-// maxCkptJobs caps the persisted in-flight set (InFlight is user-bounded
-// well below this; the cap is load hardening).
-const maxCkptJobs = 1 << 20
-
-// saveAsyncCheckpoint serializes a commit-boundary snapshot for RunAsync.
-func saveAsyncCheckpoint(path string, cfg Config, opts AsyncOptions, n, dim int, snap *asyncSnapshot) error {
-	var buf bytes.Buffer
-	w := &buf
-	for _, v := range []uint64{asyncCkptMagic, ckptVersion} {
-		if err := nn.WriteU64(w, v); err != nil {
-			return err
-		}
+// encode appends what only the async engine carries: its whole loop
+// state.
+func (st *asyncState) encode(e *enc) {
+	e.f64(st.now)
+	e.int(st.seq, st.version, st.arrivals, st.dispatches)
+	e.ints(st.available)
+	e.vector(st.global)
+	if len(st.inflight) > maxCkptJobs && e.err == nil {
+		e.err = fmt.Errorf("fl: checkpoint: %d in-flight jobs exceeds cap", len(st.inflight))
 	}
-	if err := nn.WriteI64(w, cfg.Seed); err != nil {
-		return err
-	}
-	for _, v := range []int64{
-		int64(opts.Commits), int64(opts.Buffer), int64(opts.InFlight), int64(n), int64(dim),
-		int64(snap.nextCommit), int64(snap.seq), int64(snap.version),
-		int64(snap.arrivals), int64(snap.dispatches),
-		int64(snap.crashes), int64(snap.faultDrops), int64(snap.dups),
-		int64(snap.stalls), int64(snap.degraded),
-		snap.bytesDown, snap.bytesUp,
-	} {
-		if err := nn.WriteI64(w, v); err != nil {
-			return err
-		}
-	}
-	if err := nn.WriteF64(w, snap.now); err != nil {
-		return err
-	}
-	for _, st := range []tensor.RNGState{snap.selState, snap.timeState, snap.jobState} {
-		if err := writeRNGState(w, st); err != nil {
-			return err
-		}
-	}
-	if err := nn.WriteIntSlice(w, snap.available); err != nil {
-		return err
-	}
-	if err := nn.WriteVector(w, snap.global); err != nil {
-		return err
-	}
-	if err := nn.WriteU64(w, uint64(len(snap.metrics))); err != nil {
-		return err
-	}
-	for _, m := range snap.metrics {
-		if err := writeMetric(w, m); err != nil {
-			return err
-		}
-	}
-	if len(snap.jobs) > maxCkptJobs {
-		return fmt.Errorf("fl: checkpoint: %d in-flight jobs exceeds cap", len(snap.jobs))
-	}
-	if err := nn.WriteU64(w, uint64(len(snap.jobs))); err != nil {
-		return err
-	}
-	for _, j := range snap.jobs {
-		for _, v := range []int64{int64(j.seq), int64(j.client), int64(j.version)} {
-			if err := nn.WriteI64(w, v); err != nil {
-				return err
-			}
-		}
-		if err := nn.WriteF64(w, j.arrival); err != nil {
-			return err
-		}
-		done := int64(0)
+	e.int(len(st.inflight))
+	for _, j := range st.inflight {
+		done := 0
 		if j.done {
 			done = 1
 		}
-		if err := nn.WriteI64(w, done); err != nil {
-			return err
-		}
-		if err := nn.WriteVector(w, j.fetch); err != nil {
-			return err
-		}
-		if err := nn.WriteVector(w, j.trained); err != nil {
-			return err
-		}
-		if err := writeRNGState(w, j.rng); err != nil {
-			return err
-		}
+		e.int(j.seq, j.client, j.version, done)
+		e.f64(j.arrival)
+		e.i64(j.seed)
+		e.vector(j.fetch)
+		e.vector(j.trained)
 	}
-	return atomicWriteFile(path, buf.Bytes())
 }
 
-// loadAsyncCheckpoint reads and validates a snapshot written by
-// saveAsyncCheckpoint against the resuming run's configuration.
-func loadAsyncCheckpoint(path string, cfg Config, opts AsyncOptions, n, dim int) (*asyncSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fl: resume: %w", err)
-	}
-	r := bytes.NewReader(data)
-	for i, want := range []uint64{asyncCkptMagic, ckptVersion} {
-		got, err := nn.ReadU64(r)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume %s: truncated header", path)
-		}
-		if got != want {
-			what := "magic"
-			if i == 1 {
-				what = "version"
-			}
-			return nil, fmt.Errorf("fl: resume %s: bad %s %#x (want %#x)", path, what, got, want)
-		}
-	}
-	seed, err := nn.ReadI64(r)
-	if err != nil {
-		return nil, err
-	}
-	if seed != cfg.Seed {
-		return nil, fmt.Errorf("fl: resume %s: checkpoint seed %d != run seed %d", path, seed, cfg.Seed)
-	}
-	var ints [17]int64
-	for i := range ints {
-		v, err := nn.ReadI64(r)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume %s: truncated body", path)
-		}
-		ints[i] = v
-	}
-	if int(ints[0]) != opts.Commits || int(ints[1]) != opts.Buffer || int(ints[2]) != opts.InFlight ||
-		int(ints[3]) != n || int(ints[4]) != dim {
-		return nil, fmt.Errorf("fl: resume %s: checkpoint shape (commits %d, B %d, M %d, n %d, dim %d) != run (%d, %d, %d, %d, %d)",
-			path, ints[0], ints[1], ints[2], ints[3], ints[4],
-			opts.Commits, opts.Buffer, opts.InFlight, n, dim)
-	}
-	snap := &asyncSnapshot{
-		nextCommit: int(ints[5]), seq: int(ints[6]), version: int(ints[7]),
-		arrivals: int(ints[8]), dispatches: int(ints[9]),
-		crashes: int(ints[10]), faultDrops: int(ints[11]), dups: int(ints[12]),
-		stalls: int(ints[13]), degraded: int(ints[14]),
-		bytesDown: ints[15], bytesUp: ints[16],
-	}
-	if snap.nextCommit < 0 || snap.nextCommit > opts.Commits {
-		return nil, fmt.Errorf("fl: resume %s: next commit %d outside [0,%d]", path, snap.nextCommit, opts.Commits)
-	}
-	if snap.now, err = nn.ReadF64(r); err != nil {
-		return nil, err
-	}
-	for _, dst := range []*tensor.RNGState{&snap.selState, &snap.timeState, &snap.jobState} {
-		st, err := readRNGState(r)
-		if err != nil {
-			return nil, fmt.Errorf("fl: resume %s: truncated RNG state", path)
-		}
-		*dst = st
-	}
-	if snap.available, err = nn.ReadIntSlice(r); err != nil {
-		return nil, fmt.Errorf("fl: resume %s: available pool: %w", path, err)
-	}
-	for _, id := range snap.available {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("fl: resume %s: available client %d outside [0,%d)", path, id, n)
-		}
-	}
-	if snap.global, err = nn.ReadVector(r); err != nil {
-		return nil, fmt.Errorf("fl: resume %s: global: %w", path, err)
-	}
-	if len(snap.global) != dim {
-		return nil, fmt.Errorf("fl: resume %s: global has %d params, want %d", path, len(snap.global), dim)
-	}
-	nMetrics, err := nn.ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if nMetrics > maxCkptMetrics {
-		return nil, fmt.Errorf("fl: resume %s: %d metrics exceeds cap", path, nMetrics)
-	}
-	snap.metrics = make([]RoundMetric, nMetrics)
-	for i := range snap.metrics {
-		if snap.metrics[i], err = readMetric(r); err != nil {
-			return nil, fmt.Errorf("fl: resume %s: metric %d: %w", path, i, err)
-		}
-	}
-	nJobs, err := nn.ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if nJobs > maxCkptJobs {
-		return nil, fmt.Errorf("fl: resume %s: %d in-flight jobs exceeds cap", path, nJobs)
-	}
-	snap.jobs = make([]asyncJobSnap, nJobs)
-	for i := range snap.jobs {
-		j := &snap.jobs[i]
-		var jv [3]int64
-		for k := range jv {
-			if jv[k], err = nn.ReadI64(r); err != nil {
-				return nil, fmt.Errorf("fl: resume %s: job %d: %w", path, i, err)
-			}
-		}
-		j.seq, j.client, j.version = int(jv[0]), int(jv[1]), int(jv[2])
+// parseAsyncState reads asyncState.encode's bytes for a federation of n
+// clients and dim parameters. A job's trained vector is absent while it
+// awaits the batched training pass, and for fault-crashed clients.
+func parseAsyncState(d *dec, n, dim int) (*asyncState, error) {
+	d.what = "async state"
+	st := &asyncState{now: d.f64(), seq: d.int(), version: d.int(), arrivals: d.int(), dispatches: d.int()}
+	st.available = d.ids(n, 0, n)
+	st.global = d.vector(dim, false)
+	st.inflight = make([]*asyncJob, d.count(maxCkptJobs, minJobBytes))
+	d.what = "in-flight jobs"
+	for i := range st.inflight {
+		j := &asyncJob{seq: d.int(), client: d.int(), version: d.int(), done: d.int() != 0, arrival: d.f64(), seed: d.i64()}
 		if j.client < 0 || j.client >= n {
-			return nil, fmt.Errorf("fl: resume %s: job %d client %d outside [0,%d)", path, i, j.client, n)
+			d.fail("client %d outside [0,%d)", j.client, n)
 		}
-		if j.arrival, err = nn.ReadF64(r); err != nil {
-			return nil, err
-		}
-		done, err := nn.ReadI64(r)
-		if err != nil {
-			return nil, err
-		}
-		j.done = done != 0
-		if j.fetch, err = nn.ReadVector(r); err != nil {
-			return nil, fmt.Errorf("fl: resume %s: job %d fetch: %w", path, i, err)
-		}
-		if len(j.fetch) != dim {
-			return nil, fmt.Errorf("fl: resume %s: job %d fetch has %d params, want %d", path, i, len(j.fetch), dim)
-		}
-		if j.trained, err = nn.ReadVector(r); err != nil {
-			return nil, fmt.Errorf("fl: resume %s: job %d trained: %w", path, i, err)
-		}
-		if j.trained != nil && len(j.trained) != dim {
-			return nil, fmt.Errorf("fl: resume %s: job %d trained has %d params, want %d", path, i, len(j.trained), dim)
-		}
-		if j.rng, err = readRNGState(r); err != nil {
-			return nil, fmt.Errorf("fl: resume %s: job %d rng: %w", path, i, err)
-		}
+		j.fetch, j.trained = d.vector(dim, false), d.vector(dim, true)
+		st.inflight[i] = j
 	}
-	return snap, nil
-}
-
-// sortInts is a tiny insertion sort for the handful of lookahead keys a
-// snapshot carries, avoiding a sort import for this one site.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// captureCum snapshots the transport's cumulative counters.
-func (t *Transport) captureCum(snap *runSnapshot) {
-	if t == nil {
-		return
-	}
-	snap.trCum.down, snap.trCum.up = t.cumDown, t.cumUp
-	snap.trCum.stragglers, snap.trCum.retries = t.cumStragglers, t.cumRetries
-	snap.trCum.faultDrops, snap.trCum.dups, snap.trCum.stalls = t.cumFaultDrops, t.cumDuplicates, t.cumStalls
-}
-
-// restoreCum overwrites the transport's cumulative counters from a
-// snapshot.
-func (t *Transport) restoreCum(snap *runSnapshot) {
-	if t == nil {
-		return
-	}
-	t.cumDown, t.cumUp = snap.trCum.down, snap.trCum.up
-	t.cumStragglers, t.cumRetries = snap.trCum.stragglers, snap.trCum.retries
-	t.cumFaultDrops, t.cumDuplicates, t.cumStalls = snap.trCum.faultDrops, snap.trCum.dups, snap.trCum.stalls
+	return st, d.err
 }

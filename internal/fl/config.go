@@ -174,6 +174,18 @@ func (c Config) Allowance() Workers {
 	return Workers{Max: c.Parallelism, Budget: c.Budget}
 }
 
+// BelowQuorum reports whether n accepted uploads miss the MinUploads
+// quorum, so the round (or async commit) degrades: the server keeps its
+// current model instead of folding a thin cohort.
+func (c Config) BelowQuorum(n int) bool { return c.MinUploads > 0 && n < c.MinUploads }
+
+// LocalSpec returns the local-training spec every activation shares —
+// epochs, batch size, learning rate, momentum — for callers to extend
+// with the job's Init, Out and hooks.
+func (c Config) LocalSpec() LocalSpec {
+	return LocalSpec{Epochs: c.LocalEpochs, BatchSize: c.BatchSize, LR: c.LR, Momentum: c.Momentum}
+}
+
 // Env bundles the federated dataset with the model architecture under
 // test.
 type Env struct {

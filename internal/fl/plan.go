@@ -7,10 +7,11 @@ import (
 
 // CohortPlan replays the engine's selection stream and returns the
 // cohort fl.Run will select for round r (0-based, pre-dropout) under a
-// benign run whose algorithm does not implement Selector: it splits the
-// master RNG exactly as Run does, then makes one Perm(n)'s draws per
-// round through round r, keeping the k-id prefix (tensor.RNG.PermPrefix:
-// the ids and final stream position of Perm(n)[:k] in O(k) memory).
+// benign run whose algorithm does not implement Selector: it takes the
+// selection stream from the same table as Run, then makes one Perm(n)'s
+// draws per round through round r, keeping the k-id prefix
+// (tensor.RNG.PermPrefix: the ids and final stream position of
+// Perm(n)[:k] in O(k) memory).
 // Because selection is a pure function of (seed, n, k,
 // r), round r+1's cohort is known while round r still trains — the
 // determinism fact the prefetch pipeline is built on. k is clamped to n
@@ -27,9 +28,7 @@ func CohortPlan(r int, seed int64, n, k int) []int {
 	if k > n {
 		k = n
 	}
-	root := tensor.NewRNG(seed)
-	_ = root.Split() // initRNG — first split in Run's anchor order
-	sel := root.Split()
+	sel := splitStreams(seed, streamSelect)[streamSelect]
 	var cohort []int
 	for rr := 0; rr <= r; rr++ {
 		cohort = sel.PermPrefix(n, k)

@@ -1,12 +1,16 @@
 package fl
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"fedcross/internal/data"
@@ -181,6 +185,67 @@ func TestRunResumeRejectsHostileInput(t *testing.T) {
 	if err := resume(path, wrongSeed); err == nil {
 		t.Fatal("resume under a different seed must fail")
 	}
+
+	// A planned cohort naming a client the federation does not have: the
+	// valid snapshot re-encoded with one lookahead cohort holding id 99 of
+	// 8 must be refused at load, not index a shard table mid-round.
+	spec := runCkptSpec(resumeCfg(0), (&ckptWireAlgo{}).Name(), 8)
+	snap, d, err := parseCheckpoint(raw, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := parseRunTail(d, snap.done, 6, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := &ckptWireAlgo{}
+	if err := state.LoadState(bytes.NewReader(tail.blob)); err != nil {
+		t.Fatal(err)
+	}
+	planner := &cohortPlanner{next: snap.done + 1, drawn: map[int][]int{snap.done: {99, 0, 1, 2}}}
+	lookahead, err := encodeCheckpoint(spec, snap, func(e *enc) { encodeRunTail(e, snap.done, planner, tail.acct, state) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := filepath.Join(dir, "lookahead.ckpt")
+	if err := os.WriteFile(hostile, lookahead, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := resume(hostile, resumeCfg(0)); err == nil || !strings.Contains(err.Error(), "client id 99") {
+		t.Fatalf("resume with an out-of-range planned cohort: %v, want a client-id error", err)
+	}
+
+	// A count field is not a promise: a 256-byte file declaring 2^22
+	// metrics (or 2^20 in-flight jobs) is refused before anything is
+	// allocated for them.
+	header, err := encodeCheckpoint(spec, &snapshot{done: 2}, func(*enc) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying := make([]byte, 256)
+	binary.LittleEndian.PutUint64(lying[copy(lying, header)-8:], maxCkptMetrics)
+	if err := os.WriteFile(hostile, lying, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := resume(hostile, resumeCfg(0)); err == nil {
+		t.Fatal("resume from a snapshot declaring 2^22 metrics in 256 bytes must fail")
+	}
+	jobs := &enc{}
+	(&asyncState{global: make(nn.ParamVector, 4)}).encode(jobs)
+	lyingJobs := make([]byte, 256)
+	binary.LittleEndian.PutUint64(lyingJobs[copy(lyingJobs, jobs.buf.Bytes())-8:], maxCkptJobs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, errMetrics := parseCheckpoint(lying, spec)
+	_, errJobs := parseAsyncState(&dec{r: bytes.NewReader(lyingJobs)}, 8, 4)
+	runtime.ReadMemStats(&after)
+	if errMetrics == nil || errJobs == nil {
+		t.Fatalf("lying counts parsed: metrics %v, jobs %v", errMetrics, errJobs)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("parsing two 256-byte snapshots allocated %d bytes, want < 1 MiB", got)
+	}
+
 	plain := resumeCfg(0)
 	plain.Checkpoint = CheckpointOptions{Path: path, Resume: true}
 	if _, err := Run(&wireAlgo{}, testEnv(63, 8), plain); err == nil {

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"fmt"
 
 	"fedcross/internal/nn"
@@ -131,120 +132,59 @@ func (h *History) RoundsToAcc(acc float64) int {
 // Run executes a full FL simulation: Init, Rounds× (select → algorithm
 // round → optional eval), returning the metric history.
 func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSession("Run", algo.Name(), env, cfg, cfg.Rounds)
+	if err != nil {
 		return nil, err
 	}
-	n := env.NumClients()
-	if n == 0 {
-		return nil, fmt.Errorf("fl: Run: environment has no clients")
-	}
-	k := cfg.ClientsPerRound
-	if k > n {
-		k = n
-	}
-	rng := tensor.NewRNG(cfg.Seed)
-	// The split order below is the determinism anchor: initRNG, selRNG,
-	// dropRNG, netRNG were split in exactly this order before the
-	// adversary existed, and advRNG comes last — the parent stream is
-	// never drawn from again, so benign histories are bit-identical to
-	// the pre-adversary engine, and the attacker set is a pure function
-	// of cfg.Seed (identical at every -jobs/worker fan-out).
-	initRNG := rng.Split()
-	selRNG := rng.Split()
-	dropRNG := rng.Split()
-	// The transport's stream is split after the pre-existing ones, so
-	// selection, dropout and algorithm randomness are untouched by its
-	// introduction — histories with the reference wire stay bit-identical
-	// to the accounting-only engine.
-	netRNG := rng.Split()
-	advRNG := rng.Split()
-	// Fault and churn streams are appended after every pre-existing
-	// split, exactly the advRNG pattern: the master is never drawn again,
-	// so a zero-rate plan leaves every existing history bit-unchanged.
-	// Each plan consumes one draw of its dedicated stream as its hash
-	// seed; decisions are pure functions of that seed, so they commute
-	// with worker scheduling and checkpoint/resume recomputes them free.
-	faultRNG := rng.Split()
-	churnRNG := rng.Split()
+	defer s.close()
 	tr, err := NewTransport(cfg.Transport)
 	if err != nil {
 		return nil, fmt.Errorf("fl: Run: %w", err)
 	}
-	adv := NewAdversary(cfg.Adversary, n, advRNG)
-	tr.SetAdversary(adv)
-	faults := NewFaultPlan(cfg.Faults, faultRNG.Int63())
-	tr.SetFaultPlan(faults)
-	// Label-flip attackers train honestly on dishonest data: the
-	// algorithm sees a copy-on-write environment whose compromised shards
-	// carry flipped labels. Every other attack corrupts uploads at the
-	// transport seam instead.
-	env = adv.ShadowEnv(env)
-	// Virtual sybils extend the shadow population past n, so selection
-	// and per-client state must size against the shadow view. Without
-	// them the recount is a no-op.
-	if m := env.NumClients(); m != n {
-		n = m
-		k = cfg.ClientsPerRound
-		if k > n {
-			k = n
-		}
-	}
+	// Every attack but label-flip corrupts uploads at the transport seam.
+	tr.SetAdversary(s.adv)
+	tr.SetFaultPlan(s.faults)
+	s.tr = tr
 	if ws, ok := cfg.Reducer.(WorkersSetter); ok {
 		ws.SetWorkers(cfg.Allowance())
 	}
 	if tu, ok := algo.(TransportUser); ok {
 		tu.SetTransport(tr)
 	}
-	// Cache geometry and prefetch both resolve against the shadow view:
-	// the stripe knob reaches the real source through the adversary
-	// wrapper, and prefetched sybil ids fold onto the real shards they
-	// recycle. Neither touches RNG, so histories are unchanged.
-	restripeSource(env, cfg)
-	prefetch := sourcePrefetcher(env, cfg)
-	if prefetch != nil {
-		// Early exits (round errors) must not leave pool goroutines
-		// synthesizing into a cache nobody will read.
-		defer prefetch.CancelPrefetch()
-	}
-	if err := algo.Init(env, cfg, initRNG); err != nil {
+	if err := algo.Init(s.env, cfg, s.rng[streamInit]); err != nil {
 		return nil, fmt.Errorf("fl: Run: init %s: %w", algo.Name(), err)
 	}
+	if _, ok := algo.(RoundCheckpointer); !ok && cfg.Checkpoint.Active() {
+		return nil, fmt.Errorf("fl: Run: algorithm %s does not support round checkpoints", algo.Name())
+	}
+	s.spec = runCkptSpec(cfg, algo.Name(), s.n)
 	// Churn sizes against the shadow population (selection's id space).
-	churn := NewChurnPlan(cfg.Churn, churnRNG.Int63(), n, cfg.Rounds)
-	hist := &History{Algorithm: algo.Name()}
+	churn := NewChurnPlan(cfg.Churn, s.rng[streamChurn].Int63(), s.n, cfg.Rounds)
 	var acct Accountant
 	genFrac := 0.25 // generators are a quarter model, cf. comm.go
-	planner := newCohortPlanner(algo, selRNG, n, k, churn)
-	ck := cfg.Checkpoint
-	if ck.Active() {
-		if _, ok := algo.(RoundCheckpointer); !ok {
-			return nil, fmt.Errorf("fl: Run: algorithm %s does not support round checkpoints", algo.Name())
-		}
-	}
-	var crashes, unavailable, degraded int
 	startRound := 0
-	if ck.Resume {
-		// Restore overwrites stream positions and engine counters; the
-		// algorithm re-ran Init (consuming initRNG identically to the
-		// original run) and LoadState then replaced its state wholesale.
-		// Fault, churn, and adversary schedules are recomputed — they
-		// are pure functions of the seed.
-		snap, err := loadRunCheckpoint(ck.Path, cfg, algo, n)
+	var tail *runTail
+	if cfg.Checkpoint.Resume {
+		// The algorithm re-ran Init (consuming its stream identically to
+		// the original run); LoadState now replaces its state wholesale.
+		startRound, err = s.resume(func(done int, d *dec) (err error) {
+			if tail, err = parseRunTail(d, done, cfg.Rounds, s.n, s.k); err != nil {
+				return err
+			}
+			if err := algo.(RoundCheckpointer).LoadState(bytes.NewReader(tail.blob)); err != nil {
+				return fmt.Errorf("%s state: %w", algo.Name(), err)
+			}
+			return nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fl: Run: %w", err)
+			return nil, err
 		}
-		startRound = snap.nextRound
-		selRNG = tensor.RestoreRNG(snap.selState)
-		dropRNG = tensor.RestoreRNG(snap.dropState)
-		netRNG = tensor.RestoreRNG(snap.netState)
-		planner = newCohortPlanner(algo, selRNG, n, k, churn)
-		planner.next = snap.plannerNext
-		planner.drawn = snap.drawn
-		tr.restoreCum(snap)
-		acct = Accountant{rounds: snap.acctRounds, total: snap.acctTotal}
-		hist.Metrics = snap.metrics
-		crashes, unavailable, degraded = snap.crashes, snap.unavailable, snap.degraded
 	}
+	planner := newCohortPlanner(algo, s.rng[streamSelect], s.n, s.k, churn)
+	if tail != nil {
+		planner.next, planner.drawn, acct = tail.next, tail.drawn, tail.acct
+	}
+	dropRNG, netRNG := s.rng[streamEngineA], s.rng[streamEngineB]
 
 	for r := startRound; r < cfg.Rounds; r++ {
 		selected := planner.Take(r)
@@ -253,7 +193,7 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 			// dropout and crash marking below add their own.
 			for _, ci := range selected {
 				if ci < 0 {
-					unavailable++
+					s.cum.Unavailable++
 				}
 			}
 		}
@@ -264,29 +204,29 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 				}
 			}
 		}
-		if faults.Active() && cfg.Faults.CrashRate > 0 {
+		if s.faults.Active() && cfg.Faults.CrashRate > 0 {
 			// A crash consumes the activation but contributes nothing —
 			// marked exactly like a dropout so every algorithm already
 			// tolerates it.
 			for i, ci := range selected {
-				if ci >= 0 && faults.Crashes(r, ci) {
+				if ci >= 0 && s.faults.Crashes(r, ci) {
 					selected[i] = -1
-					crashes++
+					s.cum.Crashes++
 				}
 			}
 		}
 		// Hand the next rounds' planned cohorts to the background pool
 		// before training starts, so their shards synthesize while this
 		// round computes. The planner draws those cohorts now, but from
-		// the same selRNG positions they would occupy anyway — selection
-		// is a dedicated stream, so early draws are invisible. Prefetch
-		// enqueues pre-dropout plans (a dropped client's warm shard is
-		// merely unused) and copies the ids before returning, so the
-		// round loop's later in-place dropout marking never races it.
-		if prefetch != nil {
+		// the same selection-stream positions they would occupy anyway —
+		// selection is a dedicated stream, so early draws are invisible.
+		// Prefetch enqueues pre-dropout plans (a dropped client's warm
+		// shard is merely unused) and copies the ids before returning, so
+		// the round loop's later in-place dropout marking never races it.
+		if s.prefetch != nil {
 			for a := 1; a <= cfg.PrefetchRounds && r+a < cfg.Rounds; a++ {
 				if ids := planner.Ahead(r + a); ids != nil {
-					prefetch.Prefetch(ids)
+					s.prefetch.Prefetch(ids)
 				}
 			}
 		}
@@ -294,81 +234,32 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 		if err := algo.Round(r, selected); err != nil {
 			return nil, fmt.Errorf("fl: Run: %s round %d: %w", algo.Name(), r, err)
 		}
-		if cfg.MinUploads > 0 && tr.RoundUploaders() < cfg.MinUploads {
-			// The algorithms' reduce paths kept the current model (see
-			// ReduceUploads quorum gating); the engine records that the
-			// round degraded rather than aggregated.
-			degraded++
+		if cfg.BelowQuorum(tr.RoundUploaders()) {
+			// The algorithms' reduce paths kept the current model; the
+			// engine records that the round degraded rather than
+			// aggregated.
+			s.cum.Degraded++
 		}
 		tr.EndRound()
-		acct.Record(algo.RoundComm(k))
+		acct.Record(algo.RoundComm(s.k))
 
-		last := r == cfg.Rounds-1
-		if last || (cfg.EvalEvery > 0 && (r+1)%cfg.EvalEvery == 0) {
-			acc, loss, err := evaluate(env.Model, algo.Global(), env.Fed.Test, 64, cfg.Allowance())
-			if err != nil {
-				return nil, fmt.Errorf("fl: Run: eval round %d: %w", r, err)
+		done := r + 1
+		if s.evalDue(done) {
+			if err := s.eval(done, algo.Global(), acct.Total().TotalModelEquivalents(genFrac)); err != nil {
+				return nil, err
 			}
-			down, up, stragglers := tr.Totals()
-			retries, faultDrops, dups, stalls := tr.FaultTotals()
-			hist.Metrics = append(hist.Metrics, RoundMetric{
-				Round:               r + 1,
-				TestAcc:             acc,
-				TestLoss:            loss,
-				CumModelEquivalents: acct.Total().TotalModelEquivalents(genFrac),
-				CumBytesDown:        down,
-				CumBytesUp:          up,
-				CumStragglers:       stragglers,
-				CumRetries:          retries,
-				CumFaultDrops:       faultDrops,
-				CumDuplicates:       dups,
-				CumStalls:           stalls,
-				CumCrashes:          crashes,
-				CumUnavailable:      unavailable,
-				CumDegraded:         degraded,
-			})
 		}
-
-		if ck.Active() {
-			stopHere := ck.StopAfterRound > 0 && r+1 == ck.StopAfterRound
-			if stopHere || (ck.Every > 0 && (r+1)%ck.Every == 0) {
-				snap := &runSnapshot{
-					nextRound:   r + 1,
-					selState:    selRNG.State(),
-					plannerNext: planner.next,
-					drawn:       planner.drawn,
-					dropState:   dropRNG.State(),
-					netState:    netRNG.State(),
-					crashes:     crashes,
-					unavailable: unavailable,
-					degraded:    degraded,
-					acctRounds:  acct.rounds,
-					acctTotal:   acct.total,
-					metrics:     hist.Metrics,
-				}
-				tr.captureCum(snap)
-				if err := saveRunCheckpoint(ck.Path, cfg, algo, n, snap); err != nil {
-					return nil, fmt.Errorf("fl: Run: checkpoint round %d: %w", r+1, err)
-				}
+		if write, stop := s.checkpointDue(done); write {
+			err := s.save(done, func(e *enc) { encodeRunTail(e, done, planner, acct, algo) })
+			if err != nil {
+				return nil, err
 			}
-			if stopHere {
-				finishHistory(hist, &acct, tr, crashes, unavailable, degraded)
-				return hist, ErrStopped
+			if stop {
+				return s.finish(acct.Total()), ErrStopped
 			}
 		}
 	}
-	finishHistory(hist, &acct, tr, crashes, unavailable, degraded)
-	return hist, nil
-}
-
-// finishHistory folds the run totals into the history record.
-func finishHistory(hist *History, acct *Accountant, tr *Transport, crashes, unavailable, degraded int) {
-	hist.Comm = acct.Total()
-	hist.BytesDown, hist.BytesUp, hist.Stragglers = tr.Totals()
-	hist.Retries, hist.FaultDrops, hist.Duplicates, hist.Stalls = tr.FaultTotals()
-	hist.Crashes = crashes
-	hist.Unavailable = unavailable
-	hist.Degraded = degraded
+	return s.finish(acct.Total()), nil
 }
 
 // selectClients asks the algorithm first and falls back to uniform random

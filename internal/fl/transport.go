@@ -141,19 +141,8 @@ type Transport struct {
 	retries      int
 	retryBackoff float64
 
-	// round counters, folded into the cumulative ones by EndRound.
-	roundDown, roundUp int64
-	roundStragglers    int
-	roundRetries       int
-	roundFaultDrops    int
-	roundDuplicates    int
-	roundStalls        int
-	cumDown, cumUp     int64
-	cumStragglers      int
-	cumRetries         int
-	cumFaultDrops      int
-	cumDuplicates      int
-	cumStalls          int
+	// cur counts this round's wire events; EndRound folds it into cum.
+	cur, cum counters
 
 	// encBuf is the recycled encode scratch; resBuf the recycled delta
 	// residual. Both are safe to reuse per call because transport calls
@@ -238,12 +227,11 @@ func (t *Transport) BeginRound(r int, selected []int, rng *tensor.RNG) {
 		return
 	}
 	t.round = r
-	t.roundDown, t.roundUp, t.roundStragglers = 0, 0, 0
-	t.roundRetries, t.roundFaultDrops, t.roundDuplicates, t.roundStalls = 0, 0, 0, 0
+	t.cur = counters{}
 	t.stall = 0
 	if t.faults.Stalls(r) {
 		t.stall = t.faults.StallSec()
-		t.roundStalls++
+		t.cur.Stalls++
 	}
 	t.adv.BeginRound()
 	clear(t.links)
@@ -251,26 +239,29 @@ func (t *Transport) BeginRound(r int, selected []int, rng *tensor.RNG) {
 		if ci < 0 {
 			continue
 		}
-		l := &link{
-			downRate: mbpsToBytesPerSec(t.net.DownMbps),
-			upRate:   mbpsToBytesPerSec(t.net.UpMbps),
-			latency:  t.net.LatencySec,
-		}
-		if t.net.Jitter > 0 && rng != nil {
-			// One lognormal multiplier per quantity, drawn in a fixed
-			// order; a multiplier slows rates down and stretches latency.
-			l.downRate *= math.Exp(t.net.Jitter * rng.Normal(0, 1))
-			l.upRate *= math.Exp(t.net.Jitter * rng.Normal(0, 1))
-			l.latency *= math.Exp(t.net.Jitter * rng.Normal(0, 1))
-		}
-		t.applyLinkFaults(l, ci)
-		t.links[ci] = l
+		t.links[ci] = t.newLink(ci, rng)
 	}
 }
 
-// applyLinkFaults layers this round's straggle and stall faults onto a
-// freshly built link.
-func (t *Transport) applyLinkFaults(l *link, client int) {
+// drawLink draws one activation's link conditions: the model's medians,
+// each scaled by its own lognormal multiplier exp(Jitter·N(0,1)), drawn
+// in the fixed order down, up, latency. Rates are bytes per second (0 =
+// infinite). A nil rng or a jitter-free model draws nothing.
+func (m NetworkModel) drawLink(rng *tensor.RNG) (down, up, latency float64) {
+	down, up, latency = mbpsToBytesPerSec(m.DownMbps), mbpsToBytesPerSec(m.UpMbps), m.LatencySec
+	if m.Jitter > 0 && rng != nil {
+		down *= math.Exp(m.Jitter * rng.Normal(0, 1))
+		up *= math.Exp(m.Jitter * rng.Normal(0, 1))
+		latency *= math.Exp(m.Jitter * rng.Normal(0, 1))
+	}
+	return down, up, latency
+}
+
+// newLink draws a client's link for this round and layers the round's
+// straggle and stall faults onto it.
+func (t *Transport) newLink(client int, rng *tensor.RNG) *link {
+	l := &link{}
+	l.downRate, l.upRate, l.latency = t.net.drawLink(rng)
 	if t.faults.Straggles(t.round, client) {
 		f := t.faults.StraggleFactor()
 		l.downRate /= f
@@ -278,6 +269,7 @@ func (t *Transport) applyLinkFaults(l *link, client int) {
 		l.latency *= f
 	}
 	l.elapsed += t.stall
+	return l
 }
 
 func mbpsToBytesPerSec(mbps float64) float64 { return mbps * 1e6 / 8 }
@@ -288,32 +280,18 @@ func (t *Transport) EndRound() (bytesDown, bytesUp int64, stragglers int) {
 	if t == nil {
 		return 0, 0, 0
 	}
-	t.cumDown += t.roundDown
-	t.cumUp += t.roundUp
-	t.cumStragglers += t.roundStragglers
-	t.cumRetries += t.roundRetries
-	t.cumFaultDrops += t.roundFaultDrops
-	t.cumDuplicates += t.roundDuplicates
-	t.cumStalls += t.roundStalls
-	return t.roundDown, t.roundUp, t.roundStragglers
+	t.cum.add(t.cur)
+	return t.cur.BytesDown, t.cur.BytesUp, t.cur.Stragglers
 }
 
-// Totals returns the cumulative run traffic and straggler count.
-func (t *Transport) Totals() (bytesDown, bytesUp int64, stragglers int) {
+// totals returns the cumulative wire counters of every ended round:
+// traffic, stragglers, and the fault telemetry (retry attempts, clients
+// permanently lost to faults, duplicate deliveries, stalled rounds).
+func (t *Transport) totals() counters {
 	if t == nil {
-		return 0, 0, 0
+		return counters{}
 	}
-	return t.cumDown, t.cumUp, t.cumStragglers
-}
-
-// FaultTotals returns the cumulative fault telemetry: upload retry
-// attempts, clients permanently lost to faults (retries exhausted),
-// duplicate deliveries, and stalled rounds.
-func (t *Transport) FaultTotals() (retries, faultDrops, duplicates, stalls int) {
-	if t == nil {
-		return 0, 0, 0, 0
-	}
-	return t.cumRetries, t.cumFaultDrops, t.cumDuplicates, t.cumStalls
+	return t.cum
 }
 
 // RoundUploaders counts the clients whose uploads the server has accepted
@@ -341,7 +319,7 @@ func (t *Transport) Down(dst nn.ParamVector, client int, vec nn.ParamVector) nn.
 		return vec
 	}
 	size := t.codec.EncodedSize(len(vec))
-	t.roundDown += size
+	t.cur.BytesDown += size
 	t.chargeTime(client, size, true)
 	out, err := t.deliver(dst, vec, nil, mangleNone)
 	if err != nil {
@@ -365,7 +343,7 @@ func (t *Transport) Broadcast(dst nn.ParamVector, clients []int, vec nn.ParamVec
 		if ci < 0 {
 			continue
 		}
-		t.roundDown += size
+		t.cur.BytesDown += size
 		t.chargeTime(ci, size, true)
 	}
 	out, err := t.deliver(dst, vec, nil, mangleNone)
@@ -399,9 +377,9 @@ func (t *Transport) Up(dst nn.ParamVector, client int, vec, ref nn.ParamVector) 
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			t.backoff(client, attempt)
-			t.roundRetries++
+			t.cur.Retries++
 		}
-		t.roundUp += size
+		t.cur.BytesUp += size
 		if !t.chargeTime(client, size, false) {
 			t.markStraggler(client)
 			return vec, false
@@ -430,9 +408,9 @@ func (t *Transport) Up(dst nn.ParamVector, client int, vec, ref nn.ParamVector) 
 				if t.faults.Duplicates(t.round, client) {
 					// The duplicate's bytes and wire time are charged; the
 					// server dedups the payload itself.
-					t.roundUp += size
+					t.cur.BytesUp += size
 					t.chargeTime(client, size, false)
-					t.roundDuplicates++
+					t.cur.Duplicates++
 				}
 				if l := t.links[client]; l != nil {
 					l.okUps++
@@ -467,7 +445,7 @@ func (t *Transport) markStraggler(client int) {
 	}
 	if !l.straggler {
 		l.straggler = true
-		t.roundStragglers++
+		t.cur.Stragglers++
 	}
 }
 
@@ -482,7 +460,7 @@ func (t *Transport) markFailed(client int) {
 	}
 	if !l.failed {
 		l.failed = true
-		t.roundFaultDrops++
+		t.cur.FaultDrops++
 	}
 }
 
@@ -496,12 +474,7 @@ func (t *Transport) chargeTime(client int, size int64, down bool) bool {
 	}
 	l := t.links[client]
 	if l == nil {
-		l = &link{
-			downRate: mbpsToBytesPerSec(t.net.DownMbps),
-			upRate:   mbpsToBytesPerSec(t.net.UpMbps),
-			latency:  t.net.LatencySec,
-		}
-		t.applyLinkFaults(l, client)
+		l = t.newLink(client, nil)
 		t.links[client] = l
 	}
 	rate := l.upRate

@@ -73,8 +73,8 @@ func TestTransportIdentityZeroCopy(t *testing.T) {
 	if stragglers != 0 {
 		t.Fatalf("stragglers %d, want 0", stragglers)
 	}
-	if d, u, _ := tr.Totals(); d != down || u != up {
-		t.Fatalf("totals %d/%d, want %d/%d", d, u, down, up)
+	if c := tr.totals(); c.BytesDown != down || c.BytesUp != up {
+		t.Fatalf("totals %d/%d, want %d/%d", c.BytesDown, c.BytesUp, down, up)
 	}
 }
 
