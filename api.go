@@ -208,19 +208,22 @@ func PaperProfile() Profile { return experiments.PaperProfile() }
 // DatasetNames lists the five evaluation datasets.
 func DatasetNames() []string { return experiments.DatasetNames() }
 
-// CommCurveOptions configures the communication-vs-accuracy sweep; see
-// experiments.CommCurveOptions.
-type CommCurveOptions = experiments.CommCurveOptions
+// Grid is a declared sweep — a base cell, ordered named axes and the
+// counters to print; see experiments.Grid.
+type Grid = experiments.Grid
 
-// CommCurveResult holds the sweep's per-codec trajectories; see
-// experiments.CommCurveResult.
-type CommCurveResult = experiments.CommCurveResult
+// GridResult holds a grid's runs, one history per cell, and renders them
+// as one table; see experiments.GridResult.
+type GridResult = experiments.GridResult
 
-// RunCommCurve runs one algorithm under several wire codecs on identical
-// environments and reports accuracy against measured bytes on the wire.
-func RunCommCurve(opts CommCurveOptions) (*CommCurveResult, error) {
-	return experiments.RunCommCurve(opts)
-}
+// GridPreset returns a system sweep over the profile, the ones
+// cmd/fedsim runs: "comm" (wire codecs), "robust" (attacker fraction ×
+// reducer), "async" (buffer × in-flight), "faults" (fault level) or
+// "churn" (availability). Change what it sweeps with Grid.Sweep.
+func GridPreset(name string, p Profile) (Grid, error) { return experiments.GridPreset(name, p) }
+
+// RunGrid runs every cell of the grid on identical environments.
+func RunGrid(g Grid) (*GridResult, error) { return experiments.RunGrid(g) }
 
 // --- robust aggregation and Byzantine clients --------------------------------
 
@@ -267,42 +270,6 @@ type AsyncOptions = fl.AsyncOptions
 // at every Config.Parallelism for a fixed seed.
 func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	return fl.RunAsync(env, cfg, opts)
-}
-
-// RobustOptions configures the attacker-fraction × reducer sweep; see
-// experiments.RobustOptions.
-type RobustOptions = experiments.RobustOptions
-
-// RobustResult holds the sweep grid with per-cell retention; see
-// experiments.RobustResult.
-type RobustResult = experiments.RobustResult
-
-// DefaultRobustOptions mirrors the cmd/fedsim -experiment robust
-// defaults.
-func DefaultRobustOptions() RobustOptions { return experiments.DefaultRobustOptions() }
-
-// RunRobust sweeps attacker fraction × aggregation rule on identical
-// environments (Section IV-style robustness grid).
-func RunRobust(opts RobustOptions) (*RobustResult, error) { return experiments.RunRobust(opts) }
-
-// AsyncSweepOptions configures the buffer × concurrency sweep; see
-// experiments.AsyncSweepOptions.
-type AsyncSweepOptions = experiments.AsyncSweepOptions
-
-// AsyncSweepResult holds the async sweep grid; see
-// experiments.AsyncSweepResult.
-type AsyncSweepResult = experiments.AsyncSweepResult
-
-// DefaultAsyncSweepOptions mirrors the cmd/fedsim -experiment async
-// defaults for a profile.
-func DefaultAsyncSweepOptions(p Profile) AsyncSweepOptions {
-	return experiments.DefaultAsyncSweepOptions(p)
-}
-
-// RunAsyncSweep sweeps the buffered-async engine over commit buffer sizes
-// and in-flight job counts.
-func RunAsyncSweep(opts AsyncSweepOptions) (*AsyncSweepResult, error) {
-	return experiments.RunAsyncSweep(opts)
 }
 
 // --- analysis ----------------------------------------------------------------

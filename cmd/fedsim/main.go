@@ -5,18 +5,18 @@
 //
 //	fedsim -experiment table1                 # communication analysis
 //	fedsim -experiment table2 -profile tiny   # accuracy grid slice
-//	fedsim -experiment fig5 -profile small -models cnn,resnet
+//	fedsim -experiment fig5 -profile small -grid model=cnn,resnet
 //	fedsim -experiment all -profile tiny
 //	fedsim -experiment table2 -parallel 1     # force serial rounds (same results)
 //	fedsim -experiment table2 -jobs 1         # force sequential grid cells (same results)
-//	fedsim -experiment comm -codecs identity,int8,topk
+//	fedsim -experiment comm -grid codec=identity,int8,topk
 //	fedsim -experiment table2 -codec fp16 -net lte -deadline 30
-//	fedsim -experiment robust -attack signflip -fracs 0,0.2 -reducers mean,krum
-//	fedsim -experiment async -buffers 1,4,8 -staleexp 0.5
+//	fedsim -experiment robust -attack signflip -grid frac=0,0.2 -grid reducer=mean,krum
+//	fedsim -experiment async -grid buffer=1,4,8 -staleexp 0.5
 //	fedsim -experiment table2 -reducer krum -attack scale -attackfrac 0.1
 //	fedsim -experiment fig7 -clients 1000000 -rsslimitmb 2048
-//	fedsim -experiment faults -faultlevels 0,0.05,0.1 -quorum 2 -retries 2
-//	fedsim -experiment churn -clients 100000 -avails 1,0.7,0.4
+//	fedsim -experiment faults -grid level=0,0.05,0.1 -quorum 2 -retries 2
+//	fedsim -experiment churn -clients 100000 -grid avail=1,0.7,0.4
 //	fedsim -experiment resume                  # crash/resume equality gate
 //	fedsim -experiment table2 -faults crash=0.1,drop=0.1 -quorum 2
 //	fedsim -experiment table2 -checkpoint run.ckpt -stopafter 4   # kill …
@@ -32,25 +32,33 @@
 // flag changes any result (randomness is pre-split per client, and cells
 // are independent).
 //
+// Sweeps: the repeatable -grid axis=v1,v2 is the only way to name swept
+// values. The paper harnesses read model, dataset, beta (numbers or
+// "iid"), algo, alpha and stop; the five system sweeps (comm, robust,
+// async, faults, churn) are declared grids — a base cell built from the
+// global flags plus named axes — and read codec / frac, reducer / buffer,
+// inflight / level / avail respectively, plus model. Naming an axis the
+// chosen experiment does not read is a usage error that lists the ones it
+// does.
+//
 // The simulated wire: -codec compresses every model payload (identity,
 // fp16, int8, topk[:frac]), -net draws per-client bandwidth/latency from
 // a link model (none, fiber, wifi, lte, edge), and -deadline turns
 // clients whose upload exceeds the round budget (seconds) into
 // stragglers. All three apply to every experiment; the comm experiment
-// additionally sweeps -codecs on identical runs and reports accuracy
-// against measured megabytes on the wire.
+// additionally sweeps the codec axis on identical runs and reports
+// accuracy against measured megabytes on the wire.
 //
 // Robustness: -reducer swaps the server-side aggregation rule (mean,
 // median, trimmed[:frac], krum[:f], multikrum[:f[:m]]) and -attack
 // compromises an -attackfrac fraction of the client population
 // (labelflip, signflip, scale, collude; -attackscale amplifies the
 // scaled attacks). Both apply to any experiment; the robust experiment
-// sweeps -reducers × -fracs on identical environments and reports each
+// sweeps frac × reducer on identical environments and reports each
 // rule's retention of its own benign accuracy. The async experiment
-// runs the buffered-async (FedBuff-style) engine over -buffers ×
-// -inflights, with -staleexp damping stale arrivals; -buffer and
-// -inflight pin a single cell. Attacked and async runs keep the same
-// fixed-seed determinism as everything else.
+// runs the buffered-async (FedBuff-style) engine over buffer × inflight,
+// with -staleexp damping stale arrivals. Attacked and async runs keep the
+// same fixed-seed determinism as everything else.
 //
 // Fault tolerance: -faults injects deterministic client crashes, payload
 // drops/truncation/corruption/duplication, stragglers and server stalls
@@ -62,8 +70,8 @@
 // write-ahead round snapshots (-checkpointevery n rounds, -stopafter
 // simulates a kill at a round boundary) and -resume continues a killed
 // run to a byte-identical final history. The faults/churn experiments
-// sweep -faultlevels/-avails on identical runs; the resume experiment is
-// a pass/fail equality gate over every algorithm (not part of "all").
+// sweep level/avail on identical runs; the resume experiment is a
+// pass/fail equality gate over every algorithm (not part of "all").
 //
 // Scale: -clients overrides the client population N (the fig7 sweep
 // then runs that single N), -k overrides the activated clients per
@@ -71,19 +79,22 @@
 // demand from the partition seed, so N=10^6 holds only the LRU working
 // set resident; -rsslimitmb makes the run fail if peak RSS (VmHWM)
 // exceeds the ceiling — the memory-boundedness gate CI relies on.
-// -stripes and -cachecap tune the lazy shard cache's lock geometry and
-// resident capacity, and -prefetch hands that many future rounds of
-// planned cohorts to a background pool that synthesizes their shards
-// while the current round trains. All three are wall-clock/memory knobs
-// only: histories are bit-identical at every setting.
+// -prefetch hands that many future rounds of planned cohorts to a
+// background pool that synthesizes their shards while the current round
+// trains; it moves wall-clock only, histories are bit-identical at every
+// setting.
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -94,71 +105,127 @@ import (
 )
 
 func main() {
-	var (
-		experiment = flag.String("experiment", "table1", "experiment to run: table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, comm, robust, async, ablations, faults, churn, resume, all")
-		profile    = flag.String("profile", "tiny", "run scale: tiny, small, paper")
-		modelsFlag = flag.String("models", "cnn", "comma-separated vision models (cnn,resnet,vgg,mlp)")
-		datasets   = flag.String("datasets", "vision10", "comma-separated datasets for table2")
-		betas      = flag.String("betas", "0.5", "comma-separated Dirichlet betas (non-IID settings)")
-		iid        = flag.Bool("iid", true, "include the IID setting where applicable")
-		alphas     = flag.String("alphas", "0.5,0.8,0.9,0.95,0.99,0.999", "comma-separated alphas for table3/fig8")
-		rounds     = flag.Int("rounds", 0, "override the profile's round count (0 keeps profile default)")
-		clients    = flag.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps exactly this N")
-		kFlag      = flag.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default)")
-		rssLimitMB = flag.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
-		seeds      = flag.Int("seeds", 0, "override the number of seeds (0 keeps profile default)")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
-		jobs       = flag.Int("jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
-		codec      = flag.String("codec", "identity", "wire codec for model payloads: identity, fp16, int8, topk[:frac]")
-		network    = flag.String("net", "none", "simulated link model: none, fiber, wifi, lte, edge")
-		deadline   = flag.Float64("deadline", 0, "per-round client deadline in seconds (0 = none); late uploads become stragglers")
-		codecs     = flag.String("codecs", "identity,fp16,int8,topk", "comma-separated codec sweep for the comm experiment")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "fedsim:", err)
+		os.Exit(1)
+	}
+}
 
-		reducer      = flag.String("reducer", "", "server-side aggregation rule: mean, trimmed[:frac], median, krum[:f], multikrum[:f]:[m] (empty = classic weighted mean)")
-		attack       = flag.String("attack", "none", "Byzantine client behaviour: none, labelflip, signflip, scale, collude")
-		attackFrac   = flag.Float64("attackfrac", 0, "fraction of the client population compromised, in [0,1)")
-		attackScale  = flag.Float64("attackscale", 0, "magnitude of the scale/collude attacks (0 = default 10)")
-		reducers     = flag.String("reducers", "mean,trimmed,median,krum,multikrum", "comma-separated reducer sweep for the robust experiment")
-		fracs        = flag.String("fracs", "0,0.2", "comma-separated attacker fractions for the robust experiment")
-		buffers      = flag.String("buffers", "1,4,8", "comma-separated commit buffer sizes for the async experiment")
-		inflights    = flag.String("inflights", "", "comma-separated in-flight client counts for the async experiment (empty = K,2K)")
-		buffer       = flag.Int("buffer", 0, "async commit buffer size B outside the sweep (0 = default 4)")
-		inflight     = flag.Int("inflight", 0, "async concurrent clients M outside the sweep (0 = clients per round)")
-		staleExp     = flag.Float64("staleexp", 0, "async staleness-weight exponent p in 1/(1+s)^p (0 = default 0.5)")
-		algosFlag    = flag.String("algos", "", "comma-separated algorithm subset for table2 and the resume experiment (empty = all six); restricting to one algorithm makes -checkpoint/-resume single-cell")
-		faultsSpec   = flag.String("faults", "", "fault-injection spec, e.g. crash=0.1,drop=0.05,truncate=0.01,corrupt=0.01,dup=0.02,straggle=0.1,stragglefactor=4,stall=0.05,stallsec=1 (empty = fault-free)")
-		faultLevels  = flag.String("faultlevels", "", "comma-separated fault intensities for the faults experiment (empty = 0,0.05,0.1)")
-		quorum       = flag.Int("quorum", 0, "minimum accepted uploads per round; below it the round degrades (keeps the current model) instead of aggregating (0 = no quorum)")
-		retries      = flag.Int("retries", 0, "upload retry attempts after a wire fault (0 = none)")
-		retryBackoff = flag.Float64("retrybackoff", 0, "simulated seconds added per upload retry attempt")
-		churnSpec    = flag.String("churn", "", "availability-churn spec, e.g. avail=0.7,period=24,jitter=0.3,start=1,end=0.5 (empty = static fleet)")
-		avails       = flag.String("avails", "", "comma-separated mean availabilities for the churn experiment (empty = 1,0.7,0.4)")
-		checkpoint   = flag.String("checkpoint", "", "round-snapshot file for crash-safe runs (empty = no checkpointing)")
-		ckptEvery    = flag.Int("checkpointevery", 0, "write a snapshot every n completed rounds (0 = only at -stopafter)")
-		resumeFlag   = flag.Bool("resume", false, "resume from the -checkpoint snapshot instead of starting at round 0")
-		stopAfter    = flag.Int("stopafter", 0, "halt after this round completes, writing a snapshot (simulated kill; 0 = run to completion)")
-		stopsFlag    = flag.String("stops", "", "comma-separated kill rounds for the resume experiment (empty = 1, mid, last-1)")
-		prefetchR    = flag.Int("prefetch", 0, "rounds of cohort lookahead handed to the lazy source's background prefetch pool (0 = off; results are identical)")
-		stripes      = flag.Int("stripes", 0, "lazy shard-cache stripe count (0 = auto: clamp(NumCPU,8,64); results are identical)")
-		cacheCap     = flag.Int("cachecap", 0, "lazy shard-cache resident capacity (0 = auto: clamp(4K,64,4096))")
+// gridFlag collects the repeatable -grid axis=v1,v2 arguments.
+type gridFlag map[string][]string
+
+func (g gridFlag) String() string { return "" }
+
+func (g gridFlag) Set(s string) error {
+	name, vals, ok := strings.Cut(s, "=")
+	name = strings.TrimSpace(name)
+	if !ok || name == "" {
+		return fmt.Errorf("want axis=v1,v2, got %q", s)
+	}
+	if _, dup := g[name]; dup {
+		return fmt.Errorf("axis %q named twice", name)
+	}
+	list := splitList(vals)
+	if len(list) == 0 {
+		return fmt.Errorf("axis %q has no values", name)
+	}
+	g[name] = list
+	return nil
+}
+
+// paperAxes declares the -grid axes each paper harness reads. The system
+// sweeps are not listed: a grid preset reads model plus the axes it
+// declares.
+var paperAxes = map[string][]string{
+	"table1":    nil,
+	"table2":    {"model", "dataset", "beta", "algo"},
+	"table3":    {"model", "alpha"},
+	"fig3":      nil,
+	"fig4":      {"model"},
+	"fig5":      {"model", "beta"},
+	"fig6":      {"model"},
+	"fig7":      {"model"},
+	"fig8":      {"model", "alpha"},
+	"fig9":      {"model"},
+	"ablations": {"model"},
+	"resume":    {"model", "algo", "stop"},
+}
+
+// allExperiments is what -experiment all runs, in order (resume is a
+// pass/fail gate and runs only by name).
+var allExperiments = []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "comm", "robust", "async", "ablations", "faults", "churn"}
+
+// axesRead returns the -grid axes the named experiment reads.
+func axesRead(name string, prof experiments.Profile) ([]string, error) {
+	if axes, ok := paperAxes[name]; ok {
+		return axes, nil
+	}
+	g, err := experiments.GridPreset(name, prof)
+	if err != nil {
+		return nil, fmt.Errorf("unknown experiment %q (want %s, resume or all)", name, strings.Join(allExperiments, ", "))
+	}
+	axes := []string{"model"}
+	for _, ax := range g.Axes {
+		axes = append(axes, ax.Name)
+	}
+	return axes, nil
+}
+
+// run is the whole command on its own flag set, so tests drive it without
+// a subprocess.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("fedsim", flag.ContinueOnError)
+	grid := gridFlag{}
+	fs.Var(grid, "grid", "swept values, `axis=v1,v2` (repeatable): model, dataset, beta (numbers or iid), algo, alpha, stop for the paper harnesses; codec, frac, reducer, buffer, inflight, level, avail for comm/robust/async/faults/churn. An axis the experiment does not read is an error")
+	var (
+		experiment = fs.String("experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", resume, all")
+		profile    = fs.String("profile", "tiny", "run scale: tiny, small, paper")
+		rounds     = fs.Int("rounds", 0, "override the profile's round count (0 keeps profile default)")
+		clients    = fs.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps exactly this N")
+		kFlag      = fs.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default)")
+		rssLimitMB = fs.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
+		seeds      = fs.Int("seeds", 0, "override the number of seeds (0 keeps profile default)")
+		parallel   = fs.Int("parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
+		jobs       = fs.Int("jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
+		codec      = fs.String("codec", "identity", "wire codec for model payloads: identity, fp16, int8, topk[:frac]")
+		network    = fs.String("net", "none", "simulated link model: none, fiber, wifi, lte, edge")
+		deadline   = fs.Float64("deadline", 0, "per-round client deadline in seconds (0 = none); late uploads become stragglers")
+
+		reducer      = fs.String("reducer", "", "server-side aggregation rule: mean, trimmed[:frac], median, krum[:f], multikrum[:f]:[m] (empty = classic weighted mean)")
+		attack       = fs.String("attack", "none", "Byzantine client behaviour: none, labelflip, signflip, scale, collude")
+		attackFrac   = fs.Float64("attackfrac", 0, "fraction of the client population compromised, in [0,1)")
+		attackScale  = fs.Float64("attackscale", 0, "magnitude of the scale/collude attacks (0 = default 10)")
+		staleExp     = fs.Float64("staleexp", 0, "async staleness-weight exponent p in 1/(1+s)^p (0 = default 0.5)")
+		faultsSpec   = fs.String("faults", "", "fault-injection spec, e.g. crash=0.1,drop=0.05,truncate=0.01,corrupt=0.01,dup=0.02,straggle=0.1,stragglefactor=4,stall=0.05,stallsec=1 (empty = fault-free)")
+		quorum       = fs.Int("quorum", 0, "minimum accepted uploads per round; below it the round degrades (keeps the current model) instead of aggregating (0 = no quorum)")
+		retries      = fs.Int("retries", 0, "upload retry attempts after a wire fault (0 = none)")
+		retryBackoff = fs.Float64("retrybackoff", 0, "simulated seconds added per upload retry attempt")
+		churnSpec    = fs.String("churn", "", "availability-churn spec, e.g. avail=0.7,period=24,jitter=0.3,start=1,end=0.5 (empty = static fleet)")
+		checkpoint   = fs.String("checkpoint", "", "round-snapshot file for crash-safe runs (empty = no checkpointing); with -grid algo=<one> a table2 run is a single cell")
+		ckptEvery    = fs.Int("checkpointevery", 0, "write a snapshot every n completed rounds (0 = only at -stopafter)")
+		resumeFlag   = fs.Bool("resume", false, "resume from the -checkpoint snapshot instead of starting at round 0")
+		stopAfter    = fs.Int("stopafter", 0, "halt after this round completes, writing a snapshot (simulated kill; 0 = run to completion)")
+		prefetchR    = fs.Int("prefetch", 0, "rounds of cohort lookahead handed to the lazy source's background prefetch pool (0 = off; results are identical)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	prof, err := profileByName(*profile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *rounds < 0 {
-		fatal(fmt.Errorf("-rounds %d must be non-negative", *rounds))
+		return fmt.Errorf("-rounds %d must be non-negative", *rounds)
 	}
 	if *rounds > 0 {
 		prof.Rounds = *rounds
 	}
 	if *clients < 0 {
-		fatal(fmt.Errorf("-clients %d must be non-negative", *clients))
+		return fmt.Errorf("-clients %d must be non-negative", *clients)
 	}
 	if *kFlag < 0 {
-		fatal(fmt.Errorf("-k %d must be non-negative", *kFlag))
+		return fmt.Errorf("-k %d must be non-negative", *kFlag)
 	}
 	if *clients > 0 {
 		prof.NumClients = *clients
@@ -168,87 +235,73 @@ func main() {
 	}
 	if *kFlag > 0 {
 		if *kFlag > prof.NumClients {
-			fatal(fmt.Errorf("-k %d exceeds the client population N=%d (raise -clients or lower -k)", *kFlag, prof.NumClients))
+			return fmt.Errorf("-k %d exceeds the client population N=%d (raise -clients or lower -k)", *kFlag, prof.NumClients)
 		}
 		prof.ClientsPerRound = *kFlag
 	}
 	if *prefetchR < 0 {
-		fatal(fmt.Errorf("-prefetch %d must be non-negative", *prefetchR))
+		return fmt.Errorf("-prefetch %d must be non-negative", *prefetchR)
 	}
 	prof.PrefetchRounds = *prefetchR
-	if *stripes < 0 {
-		fatal(fmt.Errorf("-stripes %d must be non-negative", *stripes))
-	}
-	prof.CacheStripes = *stripes
-	if *cacheCap < 0 {
-		fatal(fmt.Errorf("-cachecap %d must be non-negative", *cacheCap))
-	}
-	prof.CacheCap = *cacheCap
 	if *rssLimitMB < 0 {
-		fatal(fmt.Errorf("-rsslimitmb %d must be non-negative", *rssLimitMB))
+		return fmt.Errorf("-rsslimitmb %d must be non-negative", *rssLimitMB)
 	}
 	if *parallel < 0 {
-		fatal(fmt.Errorf("-parallel %d must be non-negative", *parallel))
+		return fmt.Errorf("-parallel %d must be non-negative", *parallel)
 	}
 	prof.Parallelism = *parallel
 	if *jobs < 0 {
-		fatal(fmt.Errorf("-jobs %d must be non-negative", *jobs))
+		return fmt.Errorf("-jobs %d must be non-negative", *jobs)
 	}
 	prof.Jobs = *jobs
 	prof.Codec = *codec
 	prof.Network = *network
 	if *deadline < 0 {
-		fatal(fmt.Errorf("-deadline %v must be non-negative", *deadline))
+		return fmt.Errorf("-deadline %v must be non-negative", *deadline)
 	}
 	prof.DeadlineSec = *deadline
 	if err := (fl.TransportOptions{Codec: prof.Codec, Network: prof.Network, DeadlineSec: prof.DeadlineSec}).Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	if err := experiments.ValidateReducer(*reducer); err != nil {
-		fatal(err)
+		return err
 	}
 	prof.Reducer = *reducer
 	prof.Attack = *attack
 	prof.AttackFrac = *attackFrac
 	prof.AttackScale = *attackScale
 	if err := (fl.AdversaryOptions{Attack: prof.Attack, Frac: prof.AttackFrac, Scale: prof.AttackScale}).Validate(); err != nil {
-		fatal(err)
-	}
-	algoList := splitList(*algosFlag)
-	for _, a := range algoList {
-		if _, err := experiments.NewAlgorithm(a); err != nil {
-			fatal(fmt.Errorf("-algos: %w", err))
-		}
+		return err
 	}
 	faultOpts, err := parseFaultSpec(*faultsSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := faultOpts.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	prof.Faults = faultOpts
 	if *quorum < 0 {
-		fatal(fmt.Errorf("-quorum %d must be non-negative", *quorum))
+		return fmt.Errorf("-quorum %d must be non-negative", *quorum)
 	}
 	if *quorum > prof.ClientsPerRound {
-		fatal(fmt.Errorf("-quorum %d exceeds the %d activated clients per round (no round could ever meet it)", *quorum, prof.ClientsPerRound))
+		return fmt.Errorf("-quorum %d exceeds the %d activated clients per round (no round could ever meet it)", *quorum, prof.ClientsPerRound)
 	}
 	prof.MinUploads = *quorum
 	if *retries < 0 {
-		fatal(fmt.Errorf("-retries %d must be non-negative", *retries))
+		return fmt.Errorf("-retries %d must be non-negative", *retries)
 	}
 	prof.Retries = *retries
 	if *retryBackoff < 0 {
-		fatal(fmt.Errorf("-retrybackoff %v must be non-negative", *retryBackoff))
+		return fmt.Errorf("-retrybackoff %v must be non-negative", *retryBackoff)
 	}
 	prof.RetryBackoffSec = *retryBackoff
 	churnOpts, err := parseChurnSpec(*churnSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := churnOpts.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	prof.Churn = churnOpts
 	prof.Checkpoint = fl.CheckpointOptions{
@@ -258,10 +311,10 @@ func main() {
 		StopAfterRound: *stopAfter,
 	}
 	if err := prof.Checkpoint.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	if *seeds < 0 {
-		fatal(fmt.Errorf("-seeds %d must be non-negative", *seeds))
+		return fmt.Errorf("-seeds %d must be non-negative", *seeds)
 	}
 	if *seeds > 0 {
 		prof.Seeds = prof.Seeds[:0]
@@ -270,29 +323,71 @@ func main() {
 		}
 	}
 
-	modelList := listOr(splitList(*modelsFlag), "cnn")
-	datasetList := listOr(splitList(*datasets), "vision10")
-	hetList, err := parseHets(*betas, *iid)
-	if err != nil {
-		fatal(err)
+	names := []string{*experiment}
+	if *experiment == "all" {
+		names = allExperiments
 	}
-	alphaList, err := parseFloats(*alphas)
-	if err != nil {
-		fatal(err)
+	// Every named axis must be read by an experiment about to run.
+	read := map[string]bool{}
+	for _, name := range names {
+		axes, err := axesRead(name, prof)
+		if err != nil {
+			return err
+		}
+		for _, a := range axes {
+			read[a] = true
+		}
 	}
-	if len(alphaList) == 0 {
-		fatal(fmt.Errorf("-alphas must name at least one value"))
+	var unread []string
+	for _, axis := range slices.Sorted(maps.Keys(grid)) {
+		if !read[axis] {
+			unread = append(unread, axis)
+		}
+	}
+	if len(unread) > 0 {
+		reads := cmp.Or(strings.Join(slices.Sorted(maps.Keys(read)), ", "), "no axis")
+		return fmt.Errorf("-grid %s: experiment %s does not read that axis (it reads: %s)",
+			strings.Join(unread, ", "), *experiment, reads)
+	}
+	// values returns what -grid named for an axis, or the default.
+	values := func(axis string, def ...string) []string {
+		if v, ok := grid[axis]; ok {
+			return v
+		}
+		return def
+	}
+	modelList := values("model", "cnn")
+	datasetList := values("dataset", "vision10")
+	algoList := values("algo")
+	if _, err := scratchCells("algo", algoList); err != nil {
+		return err
+	}
+	betaCells, err := scratchCells("beta", values("beta", "0.5", "iid"))
+	if err != nil {
+		return err
+	}
+	var hetList []data.Heterogeneity
+	for _, c := range betaCells {
+		hetList = append(hetList, c.Het)
+	}
+	alphaList, err := parseFloats(values("alpha", "0.5", "0.8", "0.9", "0.95", "0.99", "0.999"))
+	if err != nil {
+		return fmt.Errorf("-grid alpha: %w", err)
+	}
+	stopList, err := parseInts(values("stop"))
+	if err != nil {
+		return fmt.Errorf("-grid stop: %w", err)
 	}
 
-	run := func(name string) error {
-		fmt.Printf("=== %s (profile %s) ===\n", name, prof.Name)
+	runOne := func(name string) error {
+		fmt.Fprintf(stdout, "=== %s (profile %s) ===\n", name, prof.Name)
 		switch name {
 		case "table1":
 			res, err := experiments.RunTableI(prof.ClientsPerRound)
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "table2":
 			res, err := experiments.RunTableII(experiments.TableIIOptions{
 				Profile: prof, Models: modelList, Datasets: datasetList, Hets: hetList,
@@ -301,11 +396,11 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if err := res.Render(os.Stdout); err != nil {
+			if err := res.Render(stdout); err != nil {
 				return err
 			}
 			wins, total := res.FedCrossWins()
-			fmt.Printf("FedCross wins %d of %d cells\n", wins, total)
+			fmt.Fprintf(stdout, "FedCross wins %d of %d cells\n", wins, total)
 			return nil
 		case "table3":
 			res, err := experiments.RunTableIII(experiments.TableIIIOptions{
@@ -316,7 +411,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "fig3":
 			opts := experiments.DefaultFig3Options()
 			opts.Profile = prof
@@ -324,7 +419,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "fig4":
 			opts := experiments.DefaultFig4Options()
 			opts.Profile = prof
@@ -333,13 +428,13 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "fig5":
 			res, err := experiments.RunFig5(experiments.Fig5Options{Profile: prof, Models: modelList, Hets: hetList})
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "fig6":
 			opts := experiments.DefaultFig6Options()
 			opts.Profile = prof
@@ -348,7 +443,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "fig7":
 			opts := experiments.DefaultFig7Options()
 			opts.Profile = prof
@@ -363,7 +458,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "fig8":
 			opts := experiments.DefaultFig8Options()
 			opts.Profile = prof
@@ -373,7 +468,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "fig9":
 			opts := experiments.DefaultFig9Options()
 			opts.Profile = prof
@@ -382,119 +477,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return res.Render(os.Stdout)
-		case "comm":
-			opts := experiments.DefaultCommCurveOptions()
-			opts.Profile = prof
-			opts.Model = modelList[0]
-			if len(splitList(*codecs)) == 0 {
-				return fmt.Errorf("-codecs must name at least one codec")
-			}
-			opts.Codecs = splitList(*codecs)
-			opts.Network = *network
-			opts.DeadlineSec = *deadline
-			res, err := experiments.RunCommCurve(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(os.Stdout)
-		case "robust":
-			opts := experiments.DefaultRobustOptions()
-			opts.Profile = prof
-			opts.Model = modelList[0]
-			if *attack != "" && *attack != "none" {
-				opts.Attack = *attack
-			}
-			opts.Scale = *attackScale
-			if list := splitList(*reducers); len(list) > 0 {
-				opts.Reducers = list
-			}
-			fr, err := parseFloats(*fracs)
-			if err != nil {
-				return err
-			}
-			if len(fr) > 0 {
-				opts.Fracs = fr
-			}
-			res, err := experiments.RunRobust(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(os.Stdout)
-		case "async":
-			opts := experiments.DefaultAsyncSweepOptions(prof)
-			opts.Model = modelList[0]
-			opts.Async = fl.AsyncOptions{StalenessExp: *staleExp}
-			bufList, err := parseInts(*buffers)
-			if err != nil {
-				return err
-			}
-			if len(bufList) > 0 {
-				opts.Buffers = bufList
-			}
-			ifList, err := parseInts(*inflights)
-			if err != nil {
-				return err
-			}
-			if len(ifList) > 0 {
-				opts.InFlights = ifList
-			}
-			// -buffer / -inflight pin a single cell on each axis.
-			if *buffer > 0 {
-				opts.Buffers = []int{*buffer}
-			}
-			if *inflight > 0 {
-				opts.InFlights = []int{*inflight}
-			}
-			res, err := experiments.RunAsyncSweep(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(os.Stdout)
-		case "faults":
-			opts := experiments.DefaultFaultGridOptions()
-			opts.Profile = prof
-			opts.Model = modelList[0]
-			lv, err := parseFloats(*faultLevels)
-			if err != nil {
-				return err
-			}
-			if len(lv) > 0 {
-				opts.Levels = lv
-			}
-			opts.MinUploads = *quorum
-			opts.Retries = *retries
-			opts.RetryBackoffSec = *retryBackoff
-			res, err := experiments.RunFaultGrid(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(os.Stdout)
-		case "churn":
-			opts := experiments.DefaultChurnGridOptions()
-			opts.Profile = prof
-			opts.Model = modelList[0]
-			av, err := parseFloats(*avails)
-			if err != nil {
-				return err
-			}
-			if len(av) > 0 {
-				opts.Availabilities = av
-			}
-			if churnOpts.Jitter > 0 {
-				opts.Jitter = churnOpts.Jitter
-			}
-			if churnOpts.StartFrac > 0 {
-				opts.StartFrac = churnOpts.StartFrac
-			}
-			if churnOpts.EndFrac > 0 {
-				opts.EndFrac = churnOpts.EndFrac
-			}
-			res, err := experiments.RunChurnGrid(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(os.Stdout)
+			return res.Render(stdout)
 		case "resume":
 			opts := experiments.DefaultResumeCheckOptions()
 			opts.Profile = prof
@@ -502,14 +485,10 @@ func main() {
 			if len(algoList) > 0 {
 				opts.Algorithms = algoList
 			}
-			st, err := parseInts(*stopsFlag)
-			if err != nil {
-				return err
-			}
-			opts.StopRounds = st
+			opts.StopRounds = stopList
 			res, err := experiments.RunResumeCheck(opts)
 			if res != nil {
-				if rerr := res.Render(os.Stdout); rerr != nil && err == nil {
+				if rerr := res.Render(stdout); rerr != nil && err == nil {
 					err = rerr
 				}
 			}
@@ -522,50 +501,69 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if err := shuffle.Render(os.Stdout); err != nil {
+			if err := shuffle.Render(stdout); err != nil {
 				return err
 			}
 			sim, err := experiments.RunAblationSimilarity(aopts)
 			if err != nil {
 				return err
 			}
-			if err := sim.Render(os.Stdout); err != nil {
+			if err := sim.Render(stdout); err != nil {
 				return err
 			}
 			prop, err := experiments.RunAblationPropellerCount(aopts, []int{1, 2, 3})
 			if err != nil {
 				return err
 			}
-			return prop.Render(os.Stdout)
+			return prop.Render(stdout)
 		default:
-			return fmt.Errorf("unknown experiment %q", name)
+			// comm, robust, async, faults, churn: the preset's base cell is
+			// the profile as the global flags left it; -grid replaces the
+			// values of the axes it declares.
+			g, err := experiments.GridPreset(name, prof)
+			if err != nil {
+				return err
+			}
+			g.Base.Model = modelList[0]
+			if g.Base.Async != nil {
+				g.Base.Async.StalenessExp = *staleExp
+			}
+			for _, ax := range g.Axes {
+				if vals, ok := grid[ax.Name]; ok {
+					if err := g.Sweep(ax.Name, vals...); err != nil {
+						return err
+					}
+				}
+			}
+			res, err := experiments.RunGrid(g)
+			if err != nil {
+				return err
+			}
+			return res.Render(stdout)
 		}
 	}
 
-	names := []string{*experiment}
-	if *experiment == "all" {
-		names = []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "comm", "robust", "async", "ablations", "faults", "churn"}
-	}
 	for _, name := range names {
-		if err := run(name); err != nil {
+		if err := runOne(name); err != nil {
 			if errors.Is(err, fl.ErrStopped) {
-				fmt.Printf("%s: run stopped at round %d; snapshot written to %s (continue with -resume)\n",
+				fmt.Fprintf(stdout, "%s: run stopped at round %d; snapshot written to %s (continue with -resume)\n",
 					name, *stopAfter, *checkpoint)
 				continue
 			}
-			fatal(fmt.Errorf("%s: %w", name, err))
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if peak, ok := peakRSSMB(); ok {
-		fmt.Printf("peak RSS: %d MiB\n", peak)
+		fmt.Fprintf(stdout, "peak RSS: %d MiB\n", peak)
 		if *rssLimitMB > 0 && peak > *rssLimitMB {
-			fatal(fmt.Errorf("peak RSS %d MiB exceeds -rsslimitmb %d MiB", peak, *rssLimitMB))
+			return fmt.Errorf("peak RSS %d MiB exceeds -rsslimitmb %d MiB", peak, *rssLimitMB)
 		}
 	} else if *rssLimitMB > 0 {
-		fatal(fmt.Errorf("-rsslimitmb set but peak RSS is unavailable on this platform"))
+		return fmt.Errorf("-rsslimitmb set but peak RSS is unavailable on this platform")
 	}
+	return nil
 }
 
 // peakRSSMB reports the process high-water resident set size in MiB.
@@ -605,8 +603,8 @@ func profileByName(name string) (experiments.Profile, error) {
 	}
 }
 
-// splitList parses a comma-separated flag value; an empty flag yields an
-// empty list, and each caller supplies its own default (or error).
+// splitList parses a comma-separated flag value; an empty value yields an
+// empty list.
 func splitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
@@ -617,17 +615,26 @@ func splitList(s string) []string {
 	return out
 }
 
-// listOr returns the parsed list, or the flag's default when it is empty.
-func listOr(vals []string, def string) []string {
-	if len(vals) == 0 {
-		return []string{def}
+// scratchCells sets each value of a grid axis on an empty cell and returns
+// the cells: the axis table owns the value grammar (beta's "iid", the
+// algorithm names), so the paper harnesses' lists are parsed by it too.
+func scratchCells(axis string, vals []string) ([]experiments.Cell, error) {
+	ax, err := experiments.NewAxis(axis, vals...)
+	if err != nil {
+		return nil, err
 	}
-	return vals
+	cells := make([]experiments.Cell, len(vals))
+	for i, v := range vals {
+		if err := ax.Set(&cells[i], v); err != nil {
+			return nil, fmt.Errorf("-grid %s: %w", axis, err)
+		}
+	}
+	return cells, nil
 }
 
-func parseFloats(s string) ([]float64, error) {
+func parseFloats(vals []string) ([]float64, error) {
 	var out []float64
-	for _, part := range splitList(s) {
+	for _, part := range vals {
 		v, err := strconv.ParseFloat(part, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad float %q: %w", part, err)
@@ -637,9 +644,9 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-func parseInts(s string) ([]int, error) {
+func parseInts(vals []string) ([]int, error) {
 	var out []int
-	for _, part := range splitList(s) {
+	for _, part := range vals {
 		v, err := strconv.Atoi(part)
 		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("bad positive integer %q", part)
@@ -647,24 +654,6 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parseHets(betas string, iid bool) ([]data.Heterogeneity, error) {
-	vals, err := parseFloats(betas)
-	if err != nil {
-		return nil, err
-	}
-	var hets []data.Heterogeneity
-	for _, b := range vals {
-		hets = append(hets, data.Heterogeneity{Beta: b})
-	}
-	if iid {
-		hets = append(hets, data.Heterogeneity{IID: true})
-	}
-	if len(hets) == 0 {
-		return nil, fmt.Errorf("-betas is empty and -iid=false: no heterogeneity setting left to run")
-	}
-	return hets, nil
 }
 
 // parseFaultSpec decodes the -faults key=value spec into fault options.
@@ -736,9 +725,4 @@ func parseChurnSpec(s string) (fl.ChurnOptions, error) {
 		}
 	}
 	return o, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fedsim:", err)
-	os.Exit(1)
 }

@@ -345,7 +345,9 @@ func (l *Lazy) CacheStats() CacheStats {
 }
 
 // Restriper is implemented by sources whose cache geometry can be
-// reconfigured before use (the fl.Config.CacheStripes knob).
+// reconfigured before use. No engine calls it any more (the run-time
+// stripe knob is gone); it stays only because benchmark/trace.go asserts
+// *Lazy implements it, and goes with that assertion (ROADMAP item 7).
 type Restriper interface {
 	// Restripe rebuilds the cache with the given stripe count and
 	// reports whether it took effect.
@@ -354,10 +356,9 @@ type Restriper interface {
 
 // Restripe rebuilds the cache with the given stripe count (≤ 0 selects
 // the default, clamped to capacity as in NewLazyStriped). It succeeds
-// only while the cache is cold — nothing resident, nothing leased — so
-// engines apply it between construction and the first lease; a warm
-// cache keeps its geometry and Restripe reports false. Restriping never
-// affects shard bytes, only lock placement.
+// only while the cache is cold — nothing resident, nothing leased; a
+// warm cache keeps its geometry and Restripe reports false. Restriping
+// never affects shard bytes, only lock placement.
 func (l *Lazy) Restripe(stripes int) bool {
 	stripes = resolveStripes(stripes, l.capacity)
 	set := l.geo.Load()

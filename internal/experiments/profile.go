@@ -3,7 +3,9 @@
 // Profile (Tiny for tests/benches, Small for examples, Paper for the
 // full-scale CLI run), executes the algorithms, and renders the same rows
 // or series the paper reports. EXPERIMENTS.md records paper-vs-measured
-// shapes for every artifact.
+// shapes for every artifact. The system sweeps that are not paper
+// artifacts (comm, robust, async, faults, churn) are declared grids on
+// one runner; see grid.go.
 package experiments
 
 import (
@@ -53,11 +55,6 @@ type Profile struct {
 	// (fl.Config.PrefetchRounds): 0 disables lookahead. Histories are
 	// bit-identical at every setting; prefetch moves wall-clock only.
 	PrefetchRounds int
-	// CacheStripes overrides the lazy shard cache's stripe count and
-	// CacheCap its resident-shard capacity (0 = auto for both: stripes
-	// clamp(NumCPU, 8, 64), capacity clamp(4K, 64, 4096)). Both are
-	// wall-clock/memory knobs — shard bytes never change.
-	CacheStripes, CacheCap int
 	// Codec, Network and DeadlineSec configure the simulated wire every
 	// run's payloads travel over (fl.Config.Transport). Zero values mean
 	// the pass-through reference wire.
@@ -155,7 +152,6 @@ func (p Profile) Config(seed int64) fl.Config {
 		Seed:            seed,
 		Parallelism:     p.Parallelism,
 		PrefetchRounds:  p.PrefetchRounds,
-		CacheStripes:    p.CacheStripes,
 		Transport: fl.TransportOptions{
 			Codec:           p.Codec,
 			Network:         p.Network,
@@ -253,11 +249,10 @@ func (p Profile) BuildEnv(dataset, model string, het data.Heterogeneity, seed in
 			return nil, err
 		}
 		if p.NumClients >= LazyClientCutoff {
-			cap := p.CacheCap
-			if cap <= 0 {
-				cap = clampInt(4*p.ClientsPerRound, 64, 4096)
-			}
-			fed := data.BuildVisionLazyStriped(cfg, p.NumClients, het, seed+1000, cap, p.CacheStripes)
+			// The cache holds a few rounds of cohorts; stripes take the
+			// data layer's default.
+			cap := clampInt(4*p.ClientsPerRound, 64, 4096)
+			fed := data.BuildVisionLazyStriped(cfg, p.NumClients, het, seed+1000, cap, 0)
 			return &fl.Env{Fed: fed, Model: fac}, nil
 		}
 		return &fl.Env{Fed: data.BuildVision(cfg, p.NumClients, het, seed+1000), Model: fac}, nil

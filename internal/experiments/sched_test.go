@@ -97,13 +97,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 			return RunFig8(Fig8Options{Profile: p, Alphas: []float64{0.9}, Strategies: []core.Strategy{core.InOrder},
 				Beta: 1.0, Model: "mlp"})
 		},
-		"comm": func(p Profile) (renderable, error) {
-			o := DefaultCommCurveOptions()
-			o.Profile = p
-			o.Model = "mlp"
-			o.Codecs = []string{"identity", "int8"}
-			return RunCommCurve(o)
-		},
+		"comm": gridAt(t, "comm", []string{"codec", "identity", "int8"}),
 		"ablation-shuffle": func(p Profile) (renderable, error) {
 			o := DefaultAblationOptions()
 			o.Profile = p

@@ -344,14 +344,6 @@ func (s *shadowSource) CancelPrefetch() {
 	}
 }
 
-// Restripe forwards the cache-geometry knob to the inner source.
-func (s *shadowSource) Restripe(stripes int) bool {
-	if rs, ok := s.inner.(data.Restriper); ok {
-		return rs.Restripe(stripes)
-	}
-	return false
-}
-
 // flipLabels returns a dataset sharing d's features with labels mapped to
 // Classes−1−y.
 func flipLabels(d *data.Dataset) *data.Dataset {

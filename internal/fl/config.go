@@ -87,12 +87,6 @@ type Config struct {
 	// Selector algorithms, whose next cohort depends on round state — so
 	// histories are bit-identical at every setting.
 	PrefetchRounds int
-	// CacheStripes overrides the lazy shard cache's stripe count before
-	// the first lease (see data.NewLazyStriped): 0 (the default) keeps
-	// the source's construction-time geometry. Stripes move lock
-	// placement only, never shard bytes — results are bit-identical at
-	// every stripe count.
-	CacheStripes int
 	// Budget, when non-nil, is the shared worker-token pool this run's
 	// training and evaluation fan-outs lease goroutines from — set by the
 	// experiment scheduler so concurrently running grid cells never
@@ -138,8 +132,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fl: Parallelism = %d, must be non-negative", c.Parallelism)
 	case c.PrefetchRounds < 0:
 		return fmt.Errorf("fl: PrefetchRounds = %d, must be non-negative", c.PrefetchRounds)
-	case c.CacheStripes < 0:
-		return fmt.Errorf("fl: CacheStripes = %d, must be non-negative", c.CacheStripes)
 	case c.MinUploads < 0:
 		return fmt.Errorf("fl: MinUploads = %d, must be non-negative", c.MinUploads)
 	}

@@ -108,17 +108,3 @@ func sourcePrefetcher(env *Env, cfg Config) data.Prefetcher {
 	}
 	return p
 }
-
-// restripeSource applies the CacheStripes knob to a source that supports
-// geometry reconfiguration. Engines call it before the first lease (a
-// warm shared cache keeps its geometry — see data.Lazy.Restripe);
-// geometry affects lock placement only, never shard bytes, so the knob
-// is wall-clock-only by construction.
-func restripeSource(env *Env, cfg Config) {
-	if cfg.CacheStripes <= 0 || env.Fed.Source == nil {
-		return
-	}
-	if rs, ok := env.Fed.Source.(data.Restriper); ok {
-		rs.Restripe(cfg.CacheStripes)
-	}
-}

@@ -163,9 +163,8 @@ func TestRunIdenticalAcrossStripesAndPrefetch(t *testing.T) {
 		for _, pre := range []int{0, 1, 2} {
 			t.Run(fmt.Sprintf("stripes%d/prefetch%d", stripes, pre), func(t *testing.T) {
 				cfg := base
-				cfg.CacheStripes = stripes
 				cfg.PrefetchRounds = pre
-				env := lazyStripedEnv(35, 12, data.Heterogeneity{Beta: 0.5}, 64, 1)
+				env := lazyStripedEnv(35, 12, data.Heterogeneity{Beta: 0.5}, 64, stripes)
 				h, err := Run(&wireAlgo{}, env, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -174,7 +173,7 @@ func TestRunIdenticalAcrossStripesAndPrefetch(t *testing.T) {
 					t.Fatalf("%d leases outstanding after run", n)
 				}
 				if stats, ok := env.Fed.SourceStats(); ok && stats.Stripes != stripes {
-					t.Fatalf("source runs %d stripes, want %d applied cold", stats.Stripes, stripes)
+					t.Fatalf("source runs %d stripes, want the %d it was built with", stats.Stripes, stripes)
 				}
 				if ref == nil {
 					ref = h
@@ -200,9 +199,8 @@ func TestRunAsyncIdenticalAcrossStripesAndPrefetch(t *testing.T) {
 	for _, stripes := range []int{1, 8, 64} {
 		for _, pre := range []int{0, 1} {
 			cfg := base
-			cfg.CacheStripes = stripes
 			cfg.PrefetchRounds = pre
-			env := lazyStripedEnv(37, 10, data.Heterogeneity{Beta: 0.5}, 64, 1)
+			env := lazyStripedEnv(37, 10, data.Heterogeneity{Beta: 0.5}, 64, stripes)
 			h, err := RunAsync(env, cfg, opts)
 			if err != nil {
 				t.Fatalf("stripes=%d prefetch=%d: %v", stripes, pre, err)

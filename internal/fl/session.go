@@ -136,13 +136,12 @@ func newSession(engine, algorithm string, env *Env, cfg Config, total int) (*ses
 	s.adv = NewAdversary(cfg.Adversary, n, s.rng[streamAdversary])
 	s.faults = NewFaultPlan(cfg.Faults, s.rng[streamFault].Int63())
 	// Label-flip attackers train honestly on dishonest data, and virtual
-	// sybils extend the population past n: selection, per-client state,
-	// cache geometry and prefetch all size against the shadow view.
+	// sybils extend the population past n: selection, per-client state
+	// and prefetch all size against the shadow view.
 	s.env = s.adv.ShadowEnv(env)
 	s.n = s.env.NumClients()
 	s.k = min(cfg.ClientsPerRound, s.n)
-	// Neither touches RNG, so histories are unchanged by both knobs.
-	restripeSource(s.env, cfg)
+	// Prefetch touches no RNG, so histories are unchanged by the knob.
 	s.prefetch = sourcePrefetcher(s.env, cfg)
 	return s, nil
 }

@@ -208,7 +208,8 @@ func (c FP16Codec) Decode(dst ParamVector, data []byte) (int, error) {
 // each finite parameter decodes within (max−min)/510 of its value — one
 // byte per parameter plus a 16-byte affine header. Non-finite inputs are
 // clamped onto the finite grid (+Inf → max, −Inf and NaN → min): the
-// decoded wire is finite by construction. An all-equal vector has scale
+// decoded wire is finite by construction, and Decode refuses a header
+// whose grid is not. An all-equal vector has scale
 // 0 and round-trips exactly (every point decodes to min). A range too
 // wide for its own width to be finite (max−min overflows) is first
 // clamped to ±MaxFloat64/4; values beyond land on the end points, values
@@ -337,6 +338,13 @@ func (c Int8Codec) Decode(dst ParamVector, data []byte) (int, error) {
 	}
 	lo := math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes:]))
 	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes+8:]))
+	// Every grid point lies between lo and lo+255·scale, so the decode is
+	// finite exactly when both ends are (v−v is NaN for ±Inf and NaN). No
+	// encoder emits any other header; a hostile one is refused rather
+	// than decoded to Inf/NaN.
+	if hi := lo + scale*255; lo-lo != 0 || hi-hi != 0 {
+		return 0, fmt.Errorf("nn: int8: grid [%v, %v] is not finite", lo, hi)
+	}
 	body := data[codecHeaderBytes+16:]
 	tensor.ParallelChunks(len(dst), codecWorkers(len(dst)), func(_, i0, i1 int) {
 		for i := i0; i < i1; i++ {

@@ -1,0 +1,91 @@
+package nn
+
+import (
+	"encoding/binary"
+	"math"
+	"runtime"
+	"testing"
+)
+
+// FuzzCodecDecode holds every wire codec's Decode to its contract on
+// arbitrary bytes: an error, or a consumed-byte count in [4, len(data)]
+// equal to EncodedSize(len(dst)) with every element of dst written (and,
+// for int8, finite) — never a panic, never a write outside dst, never an
+// allocation sized by a header field. Seeds are one valid payload per
+// codec and destination length, TestCodecDecodeRejectsGarbage's cases
+// (wrong-length destination, truncated body, truncated header), PR 14's
+// range-width-overflow int8 vector and an int8 header no encoder emits,
+// whose grid overflows to +Inf.
+func FuzzCodecDecode(f *testing.F) {
+	names := []string{"identity", "fp16", "int8", "topk", "topk:0.05"}
+	sizes := []int{0, 1, 7, 1024}
+	codecs := make([]Codec, len(names))
+	for ci, name := range names {
+		c, err := CodecByName(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		codecs[ci] = c
+		for si, n := range sizes {
+			vec := make(ParamVector, n)
+			for i := range vec {
+				vec[i] = math.Sin(float64(i)) * 3
+			}
+			buf := c.Encode(nil, vec)
+			f.Add(uint8(ci), uint8(si), buf)
+			f.Add(uint8(ci), uint8((si+1)%len(sizes)), buf) // wrong destination length
+			f.Add(uint8(ci), uint8(si), buf[:len(buf)-1])   // truncated body (or header at n=0)
+			f.Add(uint8(ci), uint8(si), buf[:2])            // truncated header
+		}
+	}
+	wide := Int8Codec{}.Encode(nil, ParamVector{-1.7e308, 0, 1.7e308, 3, -math.MaxFloat64, 1e308, math.NaN()})
+	f.Add(uint8(2), uint8(2), wide)
+	hostile := append([]byte(nil), wide...)
+	binary.LittleEndian.PutUint64(hostile[codecHeaderBytes:], math.Float64bits(1e308))
+	binary.LittleEndian.PutUint64(hostile[codecHeaderBytes+8:], math.Float64bits(1e308))
+	f.Add(uint8(2), uint8(2), hostile)
+
+	// unwritten is a NaN no decoder produces by arithmetic; only the
+	// bit-exact identity codec could copy it out of a payload.
+	unwritten := math.Float64frombits(0x7ff8c0dec0dec0de)
+	isUnwritten := func(v float64) bool { return math.Float64bits(v) == math.Float64bits(unwritten) }
+	f.Fuzz(func(t *testing.T, ci, si uint8, data []byte) {
+		c := codecs[int(ci)%len(codecs)]
+		n := sizes[int(si)%len(sizes)]
+		// dst sits between two guard elements with its capacity cut to its
+		// length, so a decoder cannot reach past it even by reslicing.
+		back := make(ParamVector, n+2)
+		for i := range back {
+			back[i] = unwritten
+		}
+		dst := back[1 : n+1 : n+1]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		consumed, err := c.Decode(dst, data)
+		runtime.ReadMemStats(&after)
+		// The destination is the caller's: a decode has nothing to
+		// allocate beyond an error value, whatever the header claims.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("%s: Decode of %d bytes into %d elements allocated %d bytes", c.Name(), len(data), n, grew)
+		}
+		if !isUnwritten(back[0]) || !isUnwritten(back[n+1]) {
+			t.Fatalf("%s: Decode wrote outside dst (guards %v, %v)", c.Name(), back[0], back[n+1])
+		}
+		if err != nil {
+			return
+		}
+		if consumed < codecHeaderBytes || consumed > len(data) || int64(consumed) != c.EncodedSize(n) {
+			t.Fatalf("%s: Decode consumed %d of %d bytes, EncodedSize(%d) = %d", c.Name(), consumed, len(data), n, c.EncodedSize(n))
+		}
+		for i, v := range dst {
+			if isUnwritten(v) {
+				t.Fatalf("%s: Decode left element %d of %d unwritten", c.Name(), i, n)
+			}
+			if _, int8 := c.(Int8Codec); int8 && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				t.Fatalf("int8: element %d decoded to %v (lo %v, scale %v)", i, v,
+					math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes:])),
+					math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes+8:])))
+			}
+		}
+	})
+}
