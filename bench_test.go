@@ -11,12 +11,16 @@ package fedcross
 // cmd/fedsim -profile paper.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -415,7 +419,9 @@ func BenchmarkExperimentScheduler(b *testing.B) {
 // BenchmarkTransportCodecs measures the encode+decode cost of every wire
 // codec on a model-sized payload and reports the bytes each one puts on
 // the wire — the communication half of the perf trajectory, next to the
-// alloc/ns numbers the compute path tracks.
+// alloc/ns numbers the compute path tracks. The topk-encode pair holds the
+// codec's linear radix selection against the full-sort threshold it
+// replaced, written out here; CI gates the pair as a same-process ratio.
 func BenchmarkTransportCodecs(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	vec := make(nn.ParamVector, 1<<16)
@@ -441,6 +447,118 @@ func BenchmarkTransportCodecs(b *testing.B) {
 			b.ReportMetric(float64(codec.EncodedSize(len(vec))), "wireB/payload")
 		})
 	}
+
+	topk := nn.TopKCodec{Frac: 0.1}
+	want := topk.Encode(nil, vec)
+	b.Run("topk-encode/radix", func(b *testing.B) {
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = topk.Encode(buf[:0], vec)
+		}
+		if !bytes.Equal(buf, want) {
+			b.Fatal("radix encode moved")
+		}
+	})
+	b.Run("topk-encode/sort", func(b *testing.B) {
+		var buf []byte
+		mags, sorted := make([]float64, len(vec)), make([]float64, len(vec))
+		for i := 0; i < b.N; i++ {
+			for j, v := range vec {
+				mags[j] = math.Abs(v) // the payload has no NaN to order
+			}
+			copy(sorted, mags)
+			slices.Sort(sorted)
+			k := topk.Keep(len(vec))
+			thresh := sorted[len(vec)-k]
+			buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(len(vec)))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
+			emit := func(j int) {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(vec[j])))
+				k--
+			}
+			for j, m := range mags {
+				if k > 0 && m > thresh {
+					emit(j)
+				}
+			}
+			for j, m := range mags {
+				if k > 0 && m == thresh {
+					emit(j)
+				}
+			}
+		}
+		if !bytes.Equal(buf, want) {
+			b.Fatal("the sort-threshold encode written out here is not the codec's payload")
+		}
+	})
+}
+
+// BenchmarkWireDeliver measures one payload's trip through the int8 wire
+// at server_heavy_k64's shape — 64 vectors of 51,978 parameters, cycled so
+// each arrives as cold as in a round — down (no reference) and up (delta
+// against a reference), as the transport runs it (single-pass: the codec
+// takes the reference, three fused kernels) and as it used to (five-pass:
+// subtract into a residual, scan its range, quantise, dequantise, add the
+// reference back — separate scalar passes, written out here over the
+// kernels' Go twins). CI gates five-pass / single-pass per direction as a
+// same-process ratio.
+func BenchmarkWireDeliver(b *testing.B) {
+	const k, n = 64, 51978
+	rng := tensor.NewRNG(1)
+	vecs, refs := make([]nn.ParamVector, k), make([]nn.ParamVector, k)
+	for i := range vecs {
+		vecs[i], refs[i] = make(nn.ParamVector, n), make(nn.ParamVector, n)
+		for j := range vecs[i] {
+			refs[i][j] = rng.Normal(0, 1)
+			vecs[i][j] = refs[i][j] + 0.01*rng.Normal(0, 1)
+		}
+	}
+	dst := make(nn.ParamVector, n)
+	tr, err := fl.NewTransport(fl.TransportOptions{Codec: "int8"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("down/single-pass", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tr.Down(dst, 0, vecs[i%k])
+		}
+	})
+	b.Run("up/single-pass", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tr.Up(dst, 0, vecs[i%k], refs[i%k])
+		}
+	})
+
+	res, body := make(nn.ParamVector, n), make([]byte, n)
+	fivePass := func(vec, ref nn.ParamVector) {
+		payload := vec
+		if ref != nil {
+			for i := range vec {
+				res[i] = vec[i] - ref[i]
+			}
+			payload = res
+		}
+		lo, hi := tensor.DeltaRangeGo(payload, nil)
+		scale := (hi - lo) / 255
+		tensor.QuantDeltaGo(body, payload, nil, lo, scale)
+		tensor.DequantAddGo(dst, body, nil, lo, scale)
+		if ref != nil {
+			for i := range dst {
+				dst[i] += ref[i]
+			}
+		}
+	}
+	b.Run("down/five-pass", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fivePass(vecs[i%k], nil)
+		}
+	})
+	b.Run("up/five-pass", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fivePass(vecs[i%k], refs[i%k])
+		}
+	})
 }
 
 // --- micro-benchmarks of the primitives the paper's loop is built from ---

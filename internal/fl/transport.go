@@ -120,7 +120,10 @@ type link struct {
 // algorithms run unchanged outside fl.Run (unit tests driving Init/Round
 // directly).
 type Transport struct {
-	codec    nn.Codec
+	codec nn.Codec
+	// delta is codec's delta form, nil exactly when the codec is lossless
+	// (NewTransport refuses a lossy codec without one).
+	delta    nn.DeltaCodec
 	net      NetworkModel
 	deadline float64
 
@@ -144,11 +147,10 @@ type Transport struct {
 	// cur counts this round's wire events; EndRound folds it into cum.
 	cur, cum counters
 
-	// encBuf is the recycled encode scratch; resBuf the recycled delta
-	// residual. Both are safe to reuse per call because transport calls
-	// are serial by contract.
+	// encBuf is the recycled encode scratch — the wire bytes of the
+	// payload in flight. It is safe to reuse per call because transport
+	// calls are serial by contract.
 	encBuf []byte
-	resBuf nn.ParamVector
 }
 
 // NewTransport builds a transport from options. The zero options value
@@ -168,8 +170,16 @@ func NewTransport(opts TransportOptions) (*Transport, error) {
 	if opts.Retries < 0 || opts.RetryBackoffSec < 0 {
 		return nil, fmt.Errorf("fl: Retries %d / RetryBackoffSec %v negative", opts.Retries, opts.RetryBackoffSec)
 	}
+	var delta nn.DeltaCodec
+	if !codec.Lossless() {
+		var ok bool
+		if delta, ok = codec.(nn.DeltaCodec); !ok {
+			return nil, fmt.Errorf("fl: lossy codec %q is not an nn.DeltaCodec", codec.Name())
+		}
+	}
 	return &Transport{
 		codec:        codec,
+		delta:        delta,
 		net:          net,
 		deadline:     opts.DeadlineSec,
 		retries:      opts.Retries,
@@ -498,39 +508,30 @@ const (
 	mangleCorrupt         // flip the element-count header's bits
 )
 
-// deliver runs vec through the codec into dst, applying the delta
-// transform against ref when set: the residual vec−ref is what crosses
-// the wire, and the receiver adds ref back — so coordinates a lossy codec
-// drops stay at the reference value instead of snapping to zero, and
-// quantization grids span the (much smaller) residual range.
+// deliver runs vec through the codec into dst. The delta reference, when
+// set, is the codec's own argument (nn.DeltaCodec): the residual vec−ref
+// is what crosses the wire and the receiver adds ref back — so
+// coordinates a lossy codec drops stay at the reference value instead of
+// snapping to zero, and quantization grids span the (much smaller)
+// residual range — but neither a residual vector nor a second pass exists
+// here; the wire bytes in encBuf are all that materialises between the
+// encode and the decode. dst may be vec itself (every upload is decoded
+// in place); it must not overlap ref.
 //
 // A non-zero mangle damages the encoded bytes in transit; the decode then
 // rejects the payload with an error, which the caller treats as a lost
 // attempt. Decode failures never panic: a hostile or damaged payload
-// surfaces as a per-client loss, exactly like a dropped one. On any error
-// dst holds unspecified bytes and must not be used.
+// surfaces as a per-client loss, exactly like a dropped one. A rejected
+// payload leaves dst bit-unchanged (the codecs validate before their
+// first write), which is what lets Up retry an in-place upload.
 func (t *Transport) deliver(dst, vec, ref nn.ParamVector, m mangle) (nn.ParamVector, error) {
-	if t.codec.Lossless() {
+	if t.delta == nil {
 		// The identity wire is a zero-copy pass-through: delta would only
 		// add float cancellation error to a codec that is already exact.
 		// Mangle is handled by the caller (no wire bytes exist here).
 		return vec, nil
 	}
-	payload := vec
-	if ref != nil {
-		if len(ref) != len(vec) {
-			panic(fmt.Sprintf("fl: transport delta ref length %d != payload %d", len(ref), len(vec)))
-		}
-		if cap(t.resBuf) < len(vec) {
-			t.resBuf = make(nn.ParamVector, len(vec))
-		}
-		t.resBuf = t.resBuf[:len(vec)]
-		for i := range vec {
-			t.resBuf[i] = vec[i] - ref[i]
-		}
-		payload = t.resBuf
-	}
-	t.encBuf = t.codec.Encode(t.encBuf[:0], payload)
+	t.encBuf = t.delta.EncodeDelta(t.encBuf[:0], vec, ref)
 	switch m {
 	case mangleTruncate:
 		t.encBuf = t.encBuf[:len(t.encBuf)/2]
@@ -548,13 +549,8 @@ func (t *Transport) deliver(dst, vec, ref nn.ParamVector, m mangle) (nn.ParamVec
 	if len(dst) != len(vec) {
 		panic(fmt.Sprintf("fl: transport destination length %d != payload %d", len(dst), len(vec)))
 	}
-	if _, err := t.codec.Decode(dst, t.encBuf); err != nil {
+	if _, err := t.delta.DecodeDelta(dst, t.encBuf, ref); err != nil {
 		return dst, fmt.Errorf("fl: transport codec round-trip: %w", err)
-	}
-	if ref != nil {
-		for i := range dst {
-			dst[i] += ref[i]
-		}
 	}
 	return dst, nil
 }

@@ -232,3 +232,83 @@ func TestNetworkByName(t *testing.T) {
 		t.Fatal("negative deadline accepted")
 	}
 }
+
+// TestTransportRetryAfterRejectedDecode pins the contract Up's retry loop
+// leans on: every algorithm decodes an upload in place over the vector a
+// retry re-encodes, so a rejected attempt must leave that vector
+// bit-unchanged. An in-place upload whose first attempt is truncated (or
+// header-corrupted) and whose second is clean returns the bits of a
+// fault-free upload, for every lossy codec.
+func TestTransportRetryAfterRejectedDecode(t *testing.T) {
+	rng := tensor.NewRNG(31)
+	ref := testVec(rng, 777)
+	vec := ref.Clone()
+	for i := range vec {
+		vec[i] += 0.01 * rng.Normal(0, 1)
+	}
+	for _, codec := range []string{"fp16", "int8", "topk:0.25"} {
+		for _, faults := range []FaultOptions{{TruncateRate: 0.5}, {CorruptRate: 0.5}} {
+			plan := NewFaultPlan(faults, 9)
+			damaged := func(id, attempt int) bool {
+				return plan.Truncates(0, id, attempt) || plan.Corrupts(0, id, attempt)
+			}
+			client := 0
+			for !damaged(client, 0) || damaged(client, 1) {
+				client++
+			}
+
+			clean, err := NewTransport(TransportOptions{Codec: codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean.BeginRound(0, []int{client}, nil)
+			want, ok := clean.Up(make(nn.ParamVector, len(vec)), client, vec, ref)
+			if !ok {
+				t.Fatalf("%s: fault-free upload lost", codec)
+			}
+
+			tr, err := NewTransport(TransportOptions{Codec: codec, Retries: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.SetFaultPlan(plan)
+			tr.BeginRound(0, []int{client}, nil)
+			params := vec.Clone()
+			got, ok := tr.Up(params, client, params, ref)
+			if !ok || tr.cur.Retries != 1 {
+				t.Fatalf("%s %+v: ok=%v after %d retries, want an accepted second attempt", codec, faults, ok, tr.cur.Retries)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %+v: element %d = %v after a rejected attempt, fault-free upload gives %v", codec, faults, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTransportInt8ZeroAlloc pins the steady-state wire at
+// server_heavy_k64's shape: after one warm-up call has sized the encode
+// buffer, a Down and an in-place delta Up through the int8 codec allocate
+// nothing.
+func TestTransportInt8ZeroAlloc(t *testing.T) {
+	const n = 51_978
+	rng := tensor.NewRNG(32)
+	global, ref := testVec(rng, n), testVec(rng, n)
+	params, dst := ref.Clone(), make(nn.ParamVector, n)
+	tr, err := NewTransport(TransportOptions{Codec: "int8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.BeginRound(0, []int{0}, nil)
+	roundTrip := func() {
+		tr.Down(dst, 0, global)
+		if _, ok := tr.Up(params, 0, params, ref); !ok {
+			t.Fatal("upload lost on the fault-free wire")
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(10, roundTrip); allocs != 0 {
+		t.Fatalf("int8 Down + in-place Up allocate %v objects per round trip, want 0", allocs)
+	}
+}

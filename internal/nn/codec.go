@@ -22,16 +22,42 @@ import (
 var CodecWorkers = runtime.GOMAXPROCS(0)
 
 // minParallelCodec is the element count below which an encode/decode pass
-// is not worth fanning out.
-const minParallelCodec = 1 << 14
+// is not worth fanning out: where a two-way pass of the int8 kernels
+// clearly beats the serial one. Measured on the reference box (2 vCPU,
+// Xeon 2.1 GHz), range + quantise + dequantise against a reference, 16
+// vectors cycled so they arrive cold, serial vs 2-way: n = 51,978
+// (server_heavy_k64's model) 97–104 µs vs 146–158 µs; 2^16 126–150 vs
+// 173–185 µs; 2^17 302–371 vs 292–312 µs, a tie bought with twice the
+// CPU; 2^18 673–825 vs 527–577 µs; 2^20 4.43–4.85 vs 2.88–2.94 ms. Below
+// 2^18 the three fork-joins cost what two workers save. top-k's one
+// fanned-out pass (the magnitudes) shares it: its encode is the serial
+// radix selection and read the same at 1 and 2 workers at every size
+// tried (2^14 … 2^18).
+const minParallelCodec = 1 << 18
 
-// codecWorkers resolves the fan-out for an n-element pass.
-func codecWorkers(n int) int {
+// minParallelFP16 is the threshold of the fp16 passes, which are scalar
+// Go at some twenty times the int8 kernels' cost per element and so repay
+// a fork-join much earlier. Same box and method, encode + decode, serial
+// vs 2-way: n = 2^14 353 vs 401 µs; 51,978 1.17 vs 0.77 ms; 2^16 1.60 vs
+// 1.07 ms.
+const minParallelFP16 = 1 << 15
+
+// codecWorkers resolves the fan-out for an n-element pass whose threshold
+// is minN.
+func codecWorkers(n, minN int) int {
 	w := CodecWorkers
-	if n < minParallelCodec || w < 1 {
+	if n < minN || w < 1 {
 		return 1
 	}
 	return w
+}
+
+// refChunk is ref[i0:i1], or nil when there is no delta reference.
+func refChunk(ref ParamVector, i0, i1 int) ParamVector {
+	if ref == nil {
+		return nil
+	}
+	return ref[i0:i1]
 }
 
 // codecGrow extends buf by n bytes in place (contents unspecified) and
@@ -71,6 +97,37 @@ type Codec interface {
 	// Decode reconstructs an encoded vector into dst, whose length must
 	// equal the encoded element count, and returns the bytes consumed.
 	Decode(dst ParamVector, data []byte) (int, error)
+}
+
+// A DeltaCodec is a lossy codec that takes the delta reference itself:
+// EncodeDelta's payload is that of vec−ref and DecodeDelta yields the
+// decoded residual plus ref, both formed element by element inside the
+// codec's own passes — no residual vector exists on either side. A nil
+// ref means no delta, and Encode / Decode are exactly that spelling, so a
+// codec has one kernel path. Every built-in lossy codec implements it;
+// the simulated transport requires it of any codec that is not Lossless.
+//
+// Two rules hold for every implementation. A rejected payload leaves dst
+// bit-unchanged: every check on data runs before the first write, because
+// the engines decode an upload in place over the vector a retry
+// re-encodes. And dst may be the vector the payload was encoded from (an
+// encode finishes before its decode starts) but must never overlap ref.
+type DeltaCodec interface {
+	Codec
+	// EncodeDelta appends the encoded form of vec−ref to buf. ref is nil
+	// or as long as vec.
+	EncodeDelta(buf []byte, vec, ref ParamVector) []byte
+	// DecodeDelta reconstructs decoded+ref into dst and returns the bytes
+	// consumed. ref is nil or as long as dst.
+	DecodeDelta(dst ParamVector, data []byte, ref ParamVector) (int, error)
+}
+
+// checkRef panics on a delta reference of the wrong length — a caller
+// bug, never an input condition.
+func checkRef(n int, ref ParamVector, codec string) {
+	if ref != nil && len(ref) != n {
+		panic(fmt.Sprintf("nn: %s: delta reference length %d != vector %d", codec, len(ref), n))
+	}
 }
 
 // CodecByName resolves a codec from its flag spelling: "identity" (or
@@ -176,17 +233,48 @@ func (FP16Codec) Lossless() bool { return false }
 func (FP16Codec) EncodedSize(n int) int64 { return codecHeaderBytes + 2*int64(n) }
 
 // Encode implements Codec.
-func (FP16Codec) Encode(buf []byte, vec ParamVector) []byte {
-	buf = putCount(buf, len(vec))
-	body, buf := codecGrow(buf, 2*len(vec))
-	tensor.ParallelChunks(len(vec), codecWorkers(len(vec)), func(_, i0, i1 int) {
-		tensor.Float16EncodeSlice(body[2*i0:], vec[i0:i1])
-	})
-	return buf
-}
+func (c FP16Codec) Encode(buf []byte, vec ParamVector) []byte { return c.EncodeDelta(buf, vec, nil) }
 
 // Decode implements Codec.
 func (c FP16Codec) Decode(dst ParamVector, data []byte) (int, error) {
+	return c.DecodeDelta(dst, data, nil)
+}
+
+// EncodeDelta implements DeltaCodec.
+func (FP16Codec) EncodeDelta(buf []byte, vec, ref ParamVector) []byte {
+	checkRef(len(vec), ref, "fp16")
+	buf = putCount(buf, len(vec))
+	body, buf := codecGrow(buf, 2*len(vec))
+	if workers := codecWorkers(len(vec), minParallelFP16); workers > 1 {
+		tensor.ParallelChunks(len(vec), workers, func(_, i0, i1 int) {
+			fp16EncodeDelta(body[2*i0:], vec[i0:i1], refChunk(ref, i0, i1))
+		})
+	} else {
+		fp16EncodeDelta(body, vec, ref)
+	}
+	return buf
+}
+
+// fp16EncodeDelta writes the binary16 form of vec−ref into dst, forming
+// the residual a block at a time on the stack.
+func fp16EncodeDelta(dst []byte, vec, ref ParamVector) {
+	if ref == nil {
+		tensor.Float16EncodeSlice(dst, vec)
+		return
+	}
+	var res [256]float64
+	for i0 := 0; i0 < len(vec); i0 += len(res) {
+		n := min(len(res), len(vec)-i0)
+		for i, v := range vec[i0 : i0+n] {
+			res[i] = v - ref[i0+i]
+		}
+		tensor.Float16EncodeSlice(dst[2*i0:], res[:n])
+	}
+}
+
+// DecodeDelta implements DeltaCodec.
+func (c FP16Codec) DecodeDelta(dst ParamVector, data []byte, ref ParamVector) (int, error) {
+	checkRef(len(dst), ref, "fp16")
 	if err := checkCount(dst, data, "fp16"); err != nil {
 		return 0, err
 	}
@@ -195,12 +283,27 @@ func (c FP16Codec) Decode(dst ParamVector, data []byte) (int, error) {
 		return 0, fmt.Errorf("nn: fp16: body truncated (%d of %d bytes)", len(data), want)
 	}
 	body := data[codecHeaderBytes:]
-	tensor.ParallelChunks(len(dst), codecWorkers(len(dst)), func(_, i0, i1 int) {
-		for i := i0; i < i1; i++ {
+	if workers := codecWorkers(len(dst), minParallelFP16); workers > 1 {
+		tensor.ParallelChunks(len(dst), workers, func(_, i0, i1 int) {
+			fp16DecodeDelta(dst[i0:i1], body[2*i0:], refChunk(ref, i0, i1))
+		})
+	} else {
+		fp16DecodeDelta(dst, body, ref)
+	}
+	return want, nil
+}
+
+// fp16DecodeDelta expands len(dst) binary16 values and adds ref back.
+func fp16DecodeDelta(dst ParamVector, body []byte, ref ParamVector) {
+	if ref == nil {
+		for i := range dst {
 			dst[i] = tensor.Float16From(binary.LittleEndian.Uint16(body[2*i:]))
 		}
-	})
-	return want, nil
+		return
+	}
+	for i := range dst {
+		dst[i] = tensor.Float16From(binary.LittleEndian.Uint16(body[2*i:])) + ref[i]
+	}
 }
 
 // Int8Codec ships per-tensor affine quantization: the finite value range
@@ -214,6 +317,14 @@ func (c FP16Codec) Decode(dst ParamVector, data []byte) (int, error) {
 // wide for its own width to be finite (max−min overflows) is first
 // clamped to ±MaxFloat64/4; values beyond land on the end points, values
 // inside keep the (max−min)/510 bound of the clamped grid.
+//
+// Under a delta reference all of the above is said of the residual
+// vec−ref. The element work is three fused kernels in internal/tensor —
+// tensor.DeltaRange, tensor.QuantDelta on the encode side,
+// tensor.DequantAdd on the decode side — which take the reference as an
+// argument, so a round trip reads vec and ref twice, writes dst once and
+// allocates nothing below the fan-out threshold. The range clamps and the
+// header checks stay here.
 type Int8Codec struct{}
 
 // Name implements Codec.
@@ -226,109 +337,89 @@ func (Int8Codec) Lossless() bool { return false }
 func (Int8Codec) EncodedSize(n int) int64 { return codecHeaderBytes + 16 + int64(n) }
 
 // Encode implements Codec.
-func (Int8Codec) Encode(buf []byte, vec ParamVector) []byte {
+func (c Int8Codec) Encode(buf []byte, vec ParamVector) []byte { return c.EncodeDelta(buf, vec, nil) }
+
+// Decode implements Codec.
+func (c Int8Codec) Decode(dst ParamVector, data []byte) (int, error) {
+	return c.DecodeDelta(dst, data, nil)
+}
+
+// EncodeDelta implements DeltaCodec.
+func (Int8Codec) EncodeDelta(buf []byte, vec, ref ParamVector) []byte {
+	checkRef(len(vec), ref, "int8")
 	buf = putCount(buf, len(vec))
-	lo, hi := int8Range(vec)
-	if math.IsInf(hi-lo, 1) {
-		// The width overflowed: scale would be +Inf and every coordinate
-		// decode to lo + Inf·0 = NaN. On the clamped grid hi−lo ≤
-		// MaxFloat64/2, so neither scale nor lo + scale·255 can overflow.
-		lo, hi = max(lo, -math.MaxFloat64/4), min(hi, math.MaxFloat64/4)
-	}
+	lo, hi := int8Range(vec, ref)
 	scale := (hi - lo) / 255
 	var w [16]byte
 	binary.LittleEndian.PutUint64(w[:8], math.Float64bits(lo))
 	binary.LittleEndian.PutUint64(w[8:], math.Float64bits(scale))
 	buf = append(buf, w[:]...)
 	body, buf := codecGrow(buf, len(vec))
-	tensor.ParallelChunks(len(vec), codecWorkers(len(vec)), func(_, i0, i1 int) {
-		int8Quantize(body[i0:i1], vec[i0:i1], lo, scale)
-	})
+	// The closure the goroutines need is built on the parallel path only
+	// (and captures by value), so the serial path allocates nothing.
+	if workers := codecWorkers(len(vec), minParallelCodec); workers > 1 {
+		tensor.ParallelChunks(len(vec), workers, func(_, i0, i1 int) {
+			tensor.QuantDelta(body[i0:i1], vec[i0:i1], refChunk(ref, i0, i1), lo, scale)
+		})
+	} else {
+		tensor.QuantDelta(body, vec, ref, lo, scale)
+	}
 	return buf
 }
 
-// int8Quantize writes dst[i] = clamp(round((src[i]−lo)/scale), 0, 255)
-// with round-half-away-from-zero — math.Round's result, without calling
-// it. For x = (v−lo)/scale: anything not ≥ 0.5 (NaN, negatives and
-// [0, 0.5), where Round gives ≤ 0) is 0; anything ≥ 254.5 is 255; and on
-// [0.5, 254.5) the sum x+0.5 never rounds up across an integer, so
-// truncating it is Round(x). TestInt8QuantizeMatchesRound holds the bytes
-// to a math.Round reference. A scale that is not > 0 (an all-equal
-// vector's 0) puts every point on lo. len(dst) must equal len(src).
-func int8Quantize(dst []byte, src ParamVector, lo, scale float64) {
-	if !(scale > 0) {
-		clear(dst)
-		return
-	}
-	for i, v := range src {
-		x := (v - lo) / scale
-		switch {
-		case !(x >= 0.5):
-			dst[i] = 0
-		case x >= 254.5:
-			dst[i] = 255
-		default:
-			dst[i] = byte(int(x + 0.5))
-		}
-	}
-}
-
-// int8Range finds the finite [lo, hi] value range of vec. Large vectors
-// reduce per chunk and combine in chunk order; min/max are exact, so the
-// range is identical to the serial scan at every worker count.
-func int8Range(vec ParamVector) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	if workers := codecWorkers(len(vec)); workers > 1 {
-		// ParallelChunks can dispatch fewer chunks than workers (the last
-		// chunk may cover the remainder), so the undispatched slots must
-		// read as "no finite values", not as zeros — a zero would be
-		// combined into the range and corrupt the quantization grid.
-		los := make([]float64, workers)
-		his := make([]float64, workers)
-		for i := range los {
-			los[i], his[i] = math.Inf(1), math.Inf(-1)
-		}
-		tensor.ParallelChunks(len(vec), workers, func(c, i0, i1 int) {
-			los[c], his[c] = finiteRange(vec[i0:i1])
-		})
-		for i := 0; i < workers; i++ {
-			if los[i] < lo {
-				lo = los[i]
-			}
-			if his[i] > hi {
-				hi = his[i]
-			}
-		}
+// int8Range finds the grid's [lo, hi]: the finite range of the residual
+// vec−ref, pinned at zero when nothing is finite and clamped when its
+// width overflows. Large vectors reduce per chunk and combine in chunk
+// order with the scan's own strict compares, so the range — the sign of a
+// zero end included — is identical to the serial scan at every worker
+// count.
+func int8Range(vec, ref ParamVector) (lo, hi float64) {
+	if workers := codecWorkers(len(vec), minParallelCodec); workers > 1 {
+		lo, hi = int8RangeChunks(vec, ref, workers)
 	} else {
-		lo, hi = finiteRange(vec)
+		lo, hi = tensor.DeltaRange(vec, ref)
 	}
 	if lo > hi { // no finite values (or empty): pin the grid at zero
 		lo, hi = 0, 0
 	}
+	if math.IsInf(hi-lo, 1) {
+		// The width overflowed: scale would be +Inf and every coordinate
+		// decode to lo + Inf·0 = NaN. On the clamped grid hi−lo ≤
+		// MaxFloat64/2, so neither scale nor lo + scale·255 can overflow.
+		lo, hi = max(lo, -math.MaxFloat64/4), min(hi, math.MaxFloat64/4)
+	}
 	return lo, hi
 }
 
-// finiteRange scans for the finite min and max (+Inf/-Inf when none).
-// Non-finite values are screened with one compare: v−v is 0 for every
-// finite v and NaN for ±Inf and NaN.
-func finiteRange(vec ParamVector) (lo, hi float64) {
+// int8RangeChunks is the fanned-out range scan; the per-chunk partials
+// are the fan-out's only allocation besides its goroutines.
+func int8RangeChunks(vec, ref ParamVector, workers int) (lo, hi float64) {
+	// ParallelChunks can dispatch fewer chunks than workers (the last
+	// chunk may cover the remainder), so the undispatched slots must read
+	// as "no finite values", not as zeros — a zero would be combined into
+	// the range and corrupt the quantization grid.
+	parts := make([][2]float64, workers)
+	for i := range parts {
+		parts[i] = [2]float64{math.Inf(1), math.Inf(-1)}
+	}
+	tensor.ParallelChunks(len(vec), workers, func(c, i0, i1 int) {
+		parts[c][0], parts[c][1] = tensor.DeltaRange(vec[i0:i1], refChunk(ref, i0, i1))
+	})
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, v := range vec {
-		if v-v != 0 {
-			continue
+	for _, p := range parts {
+		if p[0] < lo {
+			lo = p[0]
 		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
+		if p[1] > hi {
+			hi = p[1]
 		}
 	}
 	return lo, hi
 }
 
-// Decode implements Codec.
-func (c Int8Codec) Decode(dst ParamVector, data []byte) (int, error) {
+// DecodeDelta implements DeltaCodec.
+func (c Int8Codec) DecodeDelta(dst ParamVector, data []byte, ref ParamVector) (int, error) {
+	checkRef(len(dst), ref, "int8")
 	if err := checkCount(dst, data, "int8"); err != nil {
 		return 0, err
 	}
@@ -345,12 +436,14 @@ func (c Int8Codec) Decode(dst ParamVector, data []byte) (int, error) {
 	if hi := lo + scale*255; lo-lo != 0 || hi-hi != 0 {
 		return 0, fmt.Errorf("nn: int8: grid [%v, %v] is not finite", lo, hi)
 	}
-	body := data[codecHeaderBytes+16:]
-	tensor.ParallelChunks(len(dst), codecWorkers(len(dst)), func(_, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			dst[i] = lo + scale*float64(body[i])
-		}
-	})
+	body := data[codecHeaderBytes+16 : want]
+	if workers := codecWorkers(len(dst), minParallelCodec); workers > 1 {
+		tensor.ParallelChunks(len(dst), workers, func(_, i0, i1 int) {
+			tensor.DequantAdd(dst[i0:i1], body[i0:i1], refChunk(ref, i0, i1), lo, scale)
+		})
+	} else {
+		tensor.DequantAdd(dst, body, ref, lo, scale)
+	}
 	return want, nil
 }
 
@@ -400,7 +493,18 @@ func topkMag(v float64) float64 {
 }
 
 // Encode implements Codec.
-func (c TopKCodec) Encode(buf []byte, vec ParamVector) []byte {
+func (c TopKCodec) Encode(buf []byte, vec ParamVector) []byte { return c.EncodeDelta(buf, vec, nil) }
+
+// Decode implements Codec.
+func (c TopKCodec) Decode(dst ParamVector, data []byte) (int, error) {
+	return c.DecodeDelta(dst, data, nil)
+}
+
+// EncodeDelta implements DeltaCodec: selection runs on the magnitudes of
+// vec−ref, formed in the magnitude pass, and the kept pairs carry
+// float32(vec[i]−ref[i]).
+func (c TopKCodec) EncodeDelta(buf []byte, vec, ref ParamVector) []byte {
+	checkRef(len(vec), ref, "topk")
 	buf = putCount(buf, len(vec))
 	k := c.Keep(len(vec))
 	var w [8]byte
@@ -421,9 +525,15 @@ func (c TopKCodec) Encode(buf []byte, vec ParamVector) []byte {
 	magsT := tensor.GetScratch(len(vec))
 	selT := tensor.GetScratch(len(vec))
 	mags, sel := magsT.Data[:len(vec)], selT.Data[:len(vec)]
-	tensor.ParallelChunks(len(vec), codecWorkers(len(vec)), func(_, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			mags[i] = topkMag(vec[i])
+	tensor.ParallelChunks(len(vec), codecWorkers(len(vec), minParallelCodec), func(_, i0, i1 int) {
+		if ref == nil {
+			for i := i0; i < i1; i++ {
+				mags[i] = topkMag(vec[i])
+			}
+		} else {
+			for i := i0; i < i1; i++ {
+				mags[i] = topkMag(vec[i] - ref[i])
+			}
 		}
 		copy(sel[i0:i1], mags[i0:i1])
 	})
@@ -431,8 +541,12 @@ func (c TopKCodec) Encode(buf []byte, vec ParamVector) []byte {
 	tensor.PutScratch(selT)
 
 	emit := func(i int) {
+		v := vec[i]
+		if ref != nil {
+			v -= ref[i]
+		}
 		binary.LittleEndian.PutUint32(w[:4], uint32(i))
-		binary.LittleEndian.PutUint32(w[4:], math.Float32bits(float32(vec[i])))
+		binary.LittleEndian.PutUint32(w[4:], math.Float32bits(float32(v)))
 		buf = append(buf, w[:]...)
 	}
 	left := k
@@ -455,8 +569,13 @@ func (c TopKCodec) Encode(buf []byte, vec ParamVector) []byte {
 	return buf
 }
 
-// Decode implements Codec.
-func (c TopKCodec) Decode(dst ParamVector, data []byte) (int, error) {
+// DecodeDelta implements DeltaCodec. Every index is checked before the
+// first write, so a payload rejected for an out-of-range index leaves dst
+// untouched like every other rejection. A dropped coordinate decodes to
+// 0 + ref[i] — which is +0 where ref[i] is −0, so not a copy of ref — and
+// a kept one to value + ref[idx], the last of duplicate indices winning.
+func (c TopKCodec) DecodeDelta(dst ParamVector, data []byte, ref ParamVector) (int, error) {
+	checkRef(len(dst), ref, "topk")
 	if err := checkCount(dst, data, "topk"); err != nil {
 		return 0, err
 	}
@@ -471,16 +590,26 @@ func (c TopKCodec) Decode(dst ParamVector, data []byte) (int, error) {
 	if len(data) < want {
 		return 0, fmt.Errorf("nn: topk: body truncated (%d of %d bytes)", len(data), want)
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	body := data[codecHeaderBytes+4:]
+	body := data[codecHeaderBytes+4 : want]
 	for p := 0; p < k; p++ {
-		idx := int(binary.LittleEndian.Uint32(body[8*p:]))
-		if idx >= len(dst) {
+		if idx := binary.LittleEndian.Uint32(body[8*p:]); uint64(idx) >= uint64(len(dst)) {
 			return 0, fmt.Errorf("nn: topk: index %d out of range %d", idx, len(dst))
 		}
-		dst[idx] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[8*p+4:])))
+	}
+	if ref == nil {
+		clear(dst)
+	} else {
+		for i, r := range ref {
+			dst[i] = 0 + r
+		}
+	}
+	for p := 0; p < k; p++ {
+		idx := binary.LittleEndian.Uint32(body[8*p:])
+		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(body[8*p+4:])))
+		if ref != nil {
+			v += ref[idx]
+		}
+		dst[idx] = v
 	}
 	return want, nil
 }

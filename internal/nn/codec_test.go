@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -190,9 +191,8 @@ func TestInt8CodecDegenerate(t *testing.T) {
 	}
 }
 
-// int8QuantizeRound is the quantise loop as it was written before
-// int8Quantize dropped math.Round — the reference the new loop's bytes are
-// held to.
+// int8QuantizeRound is the quantise loop as it was written before it
+// dropped math.Round — the reference the kernels' bytes are held to.
 func int8QuantizeRound(dst []byte, src ParamVector, lo, scale float64) {
 	for i, v := range src {
 		q := 0.0
@@ -208,19 +208,41 @@ func int8QuantizeRound(dst []byte, src ParamVector, lo, scale float64) {
 	}
 }
 
-// TestInt8QuantizeMatchesRound pins int8Quantize byte for byte against the
-// math.Round loop: at and around every rounding boundary, across twenty
-// decades of scale, and on every special value and degenerate scale.
+// int8Quantizers are the quantise kernel as dispatched (the AVX2 assembly
+// where the CPU has it) and its scalar twin; int8Rangers likewise.
+var int8Quantizers = map[string]func(dst []byte, v, ref []float64, lo, scale float64){
+	"QuantDelta": tensor.QuantDelta, "QuantDeltaGo": tensor.QuantDeltaGo,
+}
+
+var int8Rangers = map[string]func(v, ref []float64) (float64, float64){
+	"DeltaRange": tensor.DeltaRange, "DeltaRangeGo": tensor.DeltaRangeGo,
+}
+
+// TestInt8QuantizeMatchesRound pins the quantise kernels byte for byte
+// against the math.Round loop: at and around every rounding boundary,
+// across twenty decades of scale, and on every special value and
+// degenerate scale — without a reference, and with one whose residual
+// (formed here, rounding and all) is what the Round loop is given.
 func TestInt8QuantizeMatchesRound(t *testing.T) {
 	check := func(name string, src ParamVector, lo, scale float64) {
 		t.Helper()
+		ref := make(ParamVector, len(src))
+		res := make(ParamVector, len(src))
+		for i, v := range src {
+			ref[i] = 0.25 * v
+			res[i] = v - ref[i]
+		}
 		got, want := make([]byte, len(src)), make([]byte, len(src))
-		int8Quantize(got, src, lo, scale)
-		int8QuantizeRound(want, src, lo, scale)
-		for i := range src {
-			if got[i] != want[i] {
-				t.Fatalf("%s: v=%v lo=%v scale=%v (x=%v): got %d, math.Round gives %d",
-					name, src[i], lo, scale, (src[i]-lo)/scale, got[i], want[i])
+		for kernel, quantize := range int8Quantizers {
+			for _, c := range []struct{ ref, residual ParamVector }{{nil, src}, {ref, res}} {
+				quantize(got, src, c.ref, lo, scale)
+				int8QuantizeRound(want, c.residual, lo, scale)
+				for i := range src {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%s (delta %v): v=%v lo=%v scale=%v (x=%v): got %d, math.Round gives %d",
+							name, kernel, c.ref != nil, c.residual[i], lo, scale, (c.residual[i]-lo)/scale, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -274,9 +296,31 @@ func TestInt8QuantizeMatchesRound(t *testing.T) {
 	}
 }
 
-// TestFiniteRangeScreensNonFinite holds finiteRange's one-compare screen
-// to the math.IsInf/IsNaN scan it replaced, with the non-finite values
-// placed where they would win the range if they were let through.
+// finiteRangeScan is the range scan as it was written before the one-compare
+// screen — math.IsInf/IsNaN, strict compares, ascending — the reference
+// the range kernels are held to.
+func finiteRangeScan(res ParamVector) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range res {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			continue
+		}
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// TestFiniteRangeScreensNonFinite holds the range kernels' one-compare
+// screen to the math.IsInf/IsNaN scan it replaced, with the non-finite
+// values placed where they would win the range if they were let through —
+// as they stand, repeated past the assembly's block length, and as one
+// side of a residual (formed here) whose reference has non-finite entries
+// of its own.
 func TestFiniteRangeScreensNonFinite(t *testing.T) {
 	for _, vec := range []ParamVector{
 		{},
@@ -285,21 +329,23 @@ func TestFiniteRangeScreensNonFinite(t *testing.T) {
 		{math.NaN(), math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64},
 		{math.MaxFloat64, math.Inf(1), -math.MaxFloat64, math.Inf(-1)},
 	} {
-		wantLo, wantHi := math.Inf(1), math.Inf(-1)
-		for _, v := range vec {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				continue
-			}
-			if v < wantLo {
-				wantLo = v
-			}
-			if v > wantHi {
-				wantHi = v
-			}
+		long := slices.Concat(vec, vec, vec, vec, vec)
+		ref, res := make(ParamVector, len(long)), make(ParamVector, len(long))
+		for i, v := range long {
+			ref[i] = []float64{1, -0.5, math.Inf(1), 0, math.NaN(), -math.MaxFloat64, math.Inf(-1)}[i%7]
+			res[i] = v - ref[i]
 		}
-		lo, hi := finiteRange(vec)
-		if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
-			t.Fatalf("finiteRange(%v) = [%v, %v], want [%v, %v]", vec, lo, hi, wantLo, wantHi)
+		for kernel, finiteRange := range int8Rangers {
+			for _, c := range []struct {
+				name               string
+				vec, ref, residual ParamVector
+			}{{"plain", vec, nil, vec}, {"long", long, nil, long}, {"delta", long, ref, res}} {
+				wantLo, wantHi := finiteRangeScan(c.residual)
+				lo, hi := finiteRange(c.vec, c.ref)
+				if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+					t.Fatalf("%s %s(%v) = [%v, %v], want [%v, %v]", kernel, c.name, c.residual, lo, hi, wantLo, wantHi)
+				}
+			}
 		}
 	}
 }
@@ -543,10 +589,10 @@ func TestInt8RangeManyWorkers(t *testing.T) {
 		vec[i] = 5 + float64(i%7)/7 // all values in [5, 6): lo must be 5
 	}
 	CodecWorkers = 1
-	wantLo, wantHi := int8Range(vec)
+	wantLo, wantHi := int8Range(vec, nil)
 	for _, workers := range []int{2, 129, 192, 1024} {
 		CodecWorkers = workers
-		lo, hi := int8Range(vec)
+		lo, hi := int8Range(vec, nil)
 		if lo != wantLo || hi != wantHi {
 			t.Fatalf("workers=%d: range [%v, %v], serial [%v, %v]", workers, lo, hi, wantLo, wantHi)
 		}

@@ -8,14 +8,18 @@ import (
 )
 
 // FuzzCodecDecode holds every wire codec's Decode to its contract on
-// arbitrary bytes: an error, or a consumed-byte count in [4, len(data)]
-// equal to EncodedSize(len(dst)) with every element of dst written (and,
-// for int8, finite) — never a panic, never a write outside dst, never an
-// allocation sized by a header field. Seeds are one valid payload per
-// codec and destination length, TestCodecDecodeRejectsGarbage's cases
-// (wrong-length destination, truncated body, truncated header), PR 14's
-// range-width-overflow int8 vector and an int8 header no encoder emits,
-// whose grid overflows to +Inf.
+// arbitrary bytes: an error that leaves dst bit-unchanged, or a
+// consumed-byte count in [4, len(data)] equal to EncodedSize(len(dst))
+// with every element of dst written (and, for int8, finite) — never a
+// panic, never a write outside dst, never an allocation sized by a header
+// field. The lossy codecs' DecodeDelta is held to the same contract with
+// a non-nil reference, and to agreeing with Decode: the same verdict, and
+// on success Decode's vector plus the reference, bit for bit. Seeds are
+// one valid payload per codec and destination length,
+// TestCodecDecodeRejectsGarbage's cases (wrong-length destination,
+// truncated body, truncated header), PR 14's range-width-overflow int8
+// vector and an int8 header no encoder emits, whose grid overflows to
+// +Inf.
 func FuzzCodecDecode(f *testing.F) {
 	names := []string{"identity", "fp16", "int8", "topk", "topk:0.05"}
 	sizes := []int{0, 1, 7, 1024}
@@ -52,39 +56,75 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ci, si uint8, data []byte) {
 		c := codecs[int(ci)%len(codecs)]
 		n := sizes[int(si)%len(sizes)]
-		// dst sits between two guard elements with its capacity cut to its
-		// length, so a decoder cannot reach past it even by reslicing.
-		back := make(ParamVector, n+2)
-		for i := range back {
-			back[i] = unwritten
+		ref := make(ParamVector, n)
+		for i := range ref {
+			ref[i] = math.Cos(float64(i)) - 0.5
 		}
-		dst := back[1 : n+1 : n+1]
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		consumed, err := c.Decode(dst, data)
-		runtime.ReadMemStats(&after)
-		// The destination is the caller's: a decode has nothing to
-		// allocate beyond an error value, whatever the header claims.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
-			t.Fatalf("%s: Decode of %d bytes into %d elements allocated %d bytes", c.Name(), len(data), n, grew)
+		// decode runs one decoder under the checks both forms share and
+		// returns its destination, or nil when it refused the payload.
+		decode := func(form string, dec func(dst ParamVector) (int, error)) ParamVector {
+			// dst sits between two guard elements with its capacity cut to
+			// its length, so a decoder cannot reach past it even by
+			// reslicing.
+			back := make(ParamVector, n+2)
+			for i := range back {
+				back[i] = unwritten
+			}
+			dst := back[1 : n+1 : n+1]
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			consumed, err := dec(dst)
+			runtime.ReadMemStats(&after)
+			// The destination is the caller's: a decode has nothing to
+			// allocate beyond an error value, whatever the header claims.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+				t.Fatalf("%s: %s of %d bytes into %d elements allocated %d bytes", c.Name(), form, len(data), n, grew)
+			}
+			if !isUnwritten(back[0]) || !isUnwritten(back[n+1]) {
+				t.Fatalf("%s: %s wrote outside dst (guards %v, %v)", c.Name(), form, back[0], back[n+1])
+			}
+			if err != nil {
+				// The engines decode an upload over the vector a retry
+				// re-encodes: a rejection must not have touched it.
+				for i, v := range dst {
+					if !isUnwritten(v) {
+						t.Fatalf("%s: %s rejected the payload (%v) after writing element %d", c.Name(), form, err, i)
+					}
+				}
+				return nil
+			}
+			if consumed < codecHeaderBytes || consumed > len(data) || int64(consumed) != c.EncodedSize(n) {
+				t.Fatalf("%s: %s consumed %d of %d bytes, EncodedSize(%d) = %d", c.Name(), form, consumed, len(data), n, c.EncodedSize(n))
+			}
+			for i, v := range dst {
+				if isUnwritten(v) {
+					t.Fatalf("%s: %s left element %d of %d unwritten", c.Name(), form, i, n)
+				}
+			}
+			return dst
 		}
-		if !isUnwritten(back[0]) || !isUnwritten(back[n+1]) {
-			t.Fatalf("%s: Decode wrote outside dst (guards %v, %v)", c.Name(), back[0], back[n+1])
+
+		plain := decode("Decode", func(dst ParamVector) (int, error) { return c.Decode(dst, data) })
+		if _, int8 := c.(Int8Codec); int8 {
+			for i, v := range plain {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("int8: element %d decoded to %v (lo %v, scale %v)", i, v,
+						math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes:])),
+						math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes+8:])))
+				}
+			}
 		}
-		if err != nil {
+		d, ok := c.(DeltaCodec)
+		if !ok {
 			return
 		}
-		if consumed < codecHeaderBytes || consumed > len(data) || int64(consumed) != c.EncodedSize(n) {
-			t.Fatalf("%s: Decode consumed %d of %d bytes, EncodedSize(%d) = %d", c.Name(), consumed, len(data), n, c.EncodedSize(n))
+		delta := decode("DecodeDelta", func(dst ParamVector) (int, error) { return d.DecodeDelta(dst, data, ref) })
+		if (plain == nil) != (delta == nil) {
+			t.Fatalf("%s: Decode accepted = %v, DecodeDelta accepted = %v", c.Name(), plain != nil, delta != nil)
 		}
-		for i, v := range dst {
-			if isUnwritten(v) {
-				t.Fatalf("%s: Decode left element %d of %d unwritten", c.Name(), i, n)
-			}
-			if _, int8 := c.(Int8Codec); int8 && (math.IsNaN(v) || math.IsInf(v, 0)) {
-				t.Fatalf("int8: element %d decoded to %v (lo %v, scale %v)", i, v,
-					math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes:])),
-					math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes+8:])))
+		for i := range delta {
+			if want := plain[i] + ref[i]; math.Float64bits(delta[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: DecodeDelta element %d = %v, Decode + ref = %v", c.Name(), i, delta[i], want)
 			}
 		}
 	})

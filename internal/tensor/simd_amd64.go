@@ -99,6 +99,26 @@ func convGradAVX(gt, in, dyt *float64, tapOff, posBase *int, taps, spatial, stri
 //go:noescape
 func transposeAVX(dst, src *float64, rows, cols, srcStride, dstStride int)
 
+// deltaRangeAVX returns the finite min and max of v[i]−ref[i] over n
+// elements (of v[i] when ref is nil), (+Inf, −Inf) when none is finite. n
+// must be a multiple of wireLanes. A zero result's sign is unspecified.
+//
+//go:noescape
+func deltaRangeAVX(v, ref *float64, n int) (lo, hi float64)
+
+// quantDeltaAVX writes n bytes of the int8 grid for v[i]−ref[i] (v[i]
+// when ref is nil). n must be a multiple of wireLanes and scale > 0.
+//
+//go:noescape
+func quantDeltaAVX(dst *byte, v, ref *float64, n int, lo, scale float64)
+
+// dequantAddAVX writes dst[i] = (lo + scale·q[i]) + ref[i] over n
+// elements, without the last add when ref is nil. n must be a multiple
+// of wireLanes.
+//
+//go:noescape
+func dequantAddAVX(dst *float64, q *byte, ref *float64, n int, lo, scale float64)
+
 // avx2Supported is probed once at init and gates backend selection.
 var avx2Supported = hasAVX2()
 
@@ -330,4 +350,66 @@ func transpose(dst, src []float64, rows, cols, srcStride, dstStride int) {
 		return
 	}
 	transposeAVX(&dst[0], &src[0], rows, cols, srcStride, dstStride)
+}
+
+// wireBlocks splits a checked n-element wire pass into the prefix the
+// assembly takes (whole blocks of wireLanes, 0 without AVX2) and the
+// matching reference pointer, nil when there is no reference.
+func wireBlocks(n int, ref []float64) (blocks int, r *float64) {
+	if !avx2Supported {
+		return 0, nil
+	}
+	blocks = n &^ (wireLanes - 1)
+	if blocks > 0 && ref != nil {
+		r = &ref[0]
+	}
+	return blocks, r
+}
+
+// refTail is ref[n:], or nil when there is no reference.
+func refTail(ref []float64, n int) []float64 {
+	if ref == nil {
+		return nil
+	}
+	return ref[n:]
+}
+
+// deltaRange runs the checked scan on the AVX2 kernel when the CPU has
+// it. Minimum and maximum are exact in any order except for the sign of a
+// zero, where the serial scan keeps the first one seen: when either end
+// of the combined range compares equal to zero the scan is redone on the
+// twin (rare — an all-non-negative or all-non-positive residual that
+// contains an exact zero).
+func deltaRange(v, ref []float64) (lo, hi float64) {
+	n, r := wireBlocks(len(v), ref)
+	if n == 0 {
+		return deltaRangeGo(v, ref)
+	}
+	lo, hi = deltaRangeAVX(&v[0], r, n)
+	tlo, thi := deltaRangeGo(v[n:], refTail(ref, n))
+	lo, hi = min(lo, tlo), max(hi, thi)
+	if lo == 0 || hi == 0 {
+		return deltaRangeGo(v, ref)
+	}
+	return lo, hi
+}
+
+// quantDelta runs the checked quantise pass on the AVX2 kernel when the
+// CPU has it.
+func quantDelta(dst []byte, v, ref []float64, lo, scale float64) {
+	n, r := wireBlocks(len(v), ref)
+	if n > 0 {
+		quantDeltaAVX(&dst[0], &v[0], r, n, lo, scale)
+	}
+	quantDeltaGo(dst[n:], v[n:], refTail(ref, n), lo, scale)
+}
+
+// dequantAdd runs the checked dequantise pass on the AVX2 kernel when the
+// CPU has it.
+func dequantAdd(dst []float64, q []byte, ref []float64, lo, scale float64) {
+	n, r := wireBlocks(len(dst), ref)
+	if n > 0 {
+		dequantAddAVX(&dst[0], &q[0], r, n, lo, scale)
+	}
+	dequantAddGo(dst[n:], q[n:], refTail(ref, n), lo, scale)
 }

@@ -1026,3 +1026,206 @@ gcollapse:
 gdone:
 	VZEROUPPER
 	RET
+
+// Wire kernels (simd_wire.go). Each takes whole blocks of eight elements
+// and a reference pointer that may be nil: the delta loop subtracts (or
+// adds back) the reference, the plain loop is the same body without it.
+
+// WIRERANGE folds the eight residuals in Y4/Y5 into the running minimum
+// (Y0/Y1) and maximum (Y2/Y3). d−d is +0 for a finite d and NaN for ±Inf
+// and NaN, so e = d + (d−d) is d itself when d is finite (a zero may lose
+// its sign) and NaN otherwise; VMINPD/VMAXPD return their second source
+// — here the accumulator — whenever either source is NaN, so a non-finite
+// residual leaves the range alone.
+#define WIRERANGE \
+	VSUBPD Y4, Y4, Y6             \
+	VSUBPD Y5, Y5, Y7             \
+	VADDPD Y6, Y4, Y4             \
+	VADDPD Y7, Y5, Y5             \
+	VMINPD Y0, Y4, Y0             \
+	VMINPD Y1, Y5, Y1             \
+	VMAXPD Y2, Y4, Y2             \
+	VMAXPD Y3, Y5, Y3
+
+// func deltaRangeAVX(v, ref *float64, n int) (lo, hi float64)
+// Finite min and max of v[i]−ref[i] (of v[i] when ref is nil) over n%8 == 0
+// elements. Minimum and maximum are exact, so the lane order cannot change
+// the value — only which zero's sign survives, which the Go wrapper
+// settles by rescanning when either end compares equal to zero.
+TEXT ·deltaRangeAVX(SB), NOSPLIT, $0-40
+	MOVQ v+0(FP), SI
+	MOVQ ref+8(FP), DX
+	MOVQ n+16(FP), CX
+	MOVQ $0x7FF0000000000000, AX
+	VMOVQ AX, X0
+	VPBROADCASTQ X0, Y0      // +Inf
+	VMOVAPD Y0, Y1
+	MOVQ $0xFFF0000000000000, AX
+	VMOVQ AX, X2
+	VPBROADCASTQ X2, Y2      // -Inf
+	VMOVAPD Y2, Y3
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ   rplain
+
+rdelta:
+	CMPQ AX, CX
+	JGE  rreduce
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	VSUBPD  (DX)(AX*8), Y4, Y4
+	VSUBPD  32(DX)(AX*8), Y5, Y5
+	WIRERANGE
+	ADDQ $8, AX
+	JMP  rdelta
+
+rplain:
+	CMPQ AX, CX
+	JGE  rreduce
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	WIRERANGE
+	ADDQ $8, AX
+	JMP  rplain
+
+rreduce:
+	VMINPD Y1, Y0, Y0
+	VMAXPD Y3, Y2, Y2
+	VEXTRACTF128 $1, Y0, X4
+	VEXTRACTF128 $1, Y2, X5
+	VMINPD X4, X0, X0
+	VMAXPD X5, X2, X2
+	VPERMILPD $1, X0, X4
+	VPERMILPD $1, X2, X5
+	VMINSD X4, X0, X0
+	VMAXSD X5, X2, X2
+	VMOVSD X0, lo+24(FP)
+	VMOVSD X2, hi+32(FP)
+	VZEROUPPER
+	RET
+
+// WIREQUANT quantises the eight residuals in Y4/Y5 and stores eight bytes
+// at (DI)(AX*1). x = (d−lo)/scale; both masks are compares on x (GE_OQ, so
+// a NaN x is in neither): lanes not ≥ 0.5 are cleared, lanes ≥ 254.5 take
+// 255.0, the rest x+0.5 — every lane is in [0, 255] before the truncating
+// convert, none relies on its out-of-range result. Y11 = 255.0,
+// Y12 = 254.5, Y13 = 0.5, Y14 = scale, Y15 = lo.
+#define WIREQUANT \
+	VSUBPD Y15, Y4, Y4            \
+	VSUBPD Y15, Y5, Y5            \
+	VDIVPD Y14, Y4, Y4            \
+	VDIVPD Y14, Y5, Y5            \
+	VCMPPD $0x1d, Y13, Y4, Y6     \
+	VCMPPD $0x1d, Y13, Y5, Y7     \
+	VCMPPD $0x1d, Y12, Y4, Y8     \
+	VCMPPD $0x1d, Y12, Y5, Y9     \
+	VADDPD Y13, Y4, Y4            \
+	VADDPD Y13, Y5, Y5            \
+	VBLENDVPD Y8, Y11, Y4, Y4     \
+	VBLENDVPD Y9, Y11, Y5, Y5     \
+	VANDPD Y6, Y4, Y4             \
+	VANDPD Y7, Y5, Y5             \
+	VCVTTPD2DQY Y4, X4            \
+	VCVTTPD2DQY Y5, X5            \
+	VPACKSSDW X5, X4, X4          \
+	VPACKUSWB X4, X4, X4          \
+	VMOVQ X4, (DI)(AX*1)
+
+// func quantDeltaAVX(dst *byte, v, ref *float64, n int, lo, scale float64)
+// dst[i] = clamp(round(((v[i]−ref[i])−lo)/scale), 0, 255) over n%8 == 0
+// elements: two subtractions and one division per lane, the three
+// roundings of the scalar loop. scale must be > 0.
+TEXT ·quantDeltaAVX(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ ref+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD lo+32(FP), Y15
+	VBROADCASTSD scale+40(FP), Y14
+	MOVQ $0x3FE0000000000000, AX
+	VMOVQ AX, X13
+	VPBROADCASTQ X13, Y13    // 0.5
+	MOVQ $0x406FD00000000000, AX
+	VMOVQ AX, X12
+	VPBROADCASTQ X12, Y12    // 254.5
+	MOVQ $0x406FE00000000000, AX
+	VMOVQ AX, X11
+	VPBROADCASTQ X11, Y11    // 255.0
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ   qplain
+
+qdelta:
+	CMPQ AX, CX
+	JGE  qdone
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	VSUBPD  (DX)(AX*8), Y4, Y4
+	VSUBPD  32(DX)(AX*8), Y5, Y5
+	WIREQUANT
+	ADDQ $8, AX
+	JMP  qdelta
+
+qplain:
+	CMPQ AX, CX
+	JGE  qdone
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	WIREQUANT
+	ADDQ $8, AX
+	JMP  qplain
+
+qdone:
+	VZEROUPPER
+	RET
+
+// WIREDEQUANT expands the eight bytes at (SI)(AX*1) to lo + scale·q in
+// Y4/Y5: one VMULPD then one VADDPD per lane, no fused multiply-add.
+// Y14 = scale, Y15 = lo.
+#define WIREDEQUANT \
+	VPMOVZXBD (SI)(AX*1), X4      \
+	VPMOVZXBD 4(SI)(AX*1), X5     \
+	VCVTDQ2PD X4, Y4              \
+	VCVTDQ2PD X5, Y5              \
+	VMULPD Y4, Y14, Y4            \
+	VMULPD Y5, Y14, Y5            \
+	VADDPD Y4, Y15, Y4            \
+	VADDPD Y5, Y15, Y5
+
+// func dequantAddAVX(dst *float64, q *byte, ref *float64, n int, lo, scale float64)
+// dst[i] = (lo + scale·float64(q[i])) + ref[i] over n%8 == 0 elements; the
+// reference add is skipped, not replaced by +0, when ref is nil.
+TEXT ·dequantAddAVX(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ q+8(FP), SI
+	MOVQ ref+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD lo+32(FP), Y15
+	VBROADCASTSD scale+40(FP), Y14
+	XORQ AX, AX
+	TESTQ DX, DX
+	JZ   dplain
+
+ddelta:
+	CMPQ AX, CX
+	JGE  ddone
+	WIREDEQUANT
+	VADDPD (DX)(AX*8), Y4, Y4
+	VADDPD 32(DX)(AX*8), Y5, Y5
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  ddelta
+
+dplain:
+	CMPQ AX, CX
+	JGE  ddone
+	WIREDEQUANT
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  dplain
+
+ddone:
+	VZEROUPPER
+	RET

@@ -27,3 +27,13 @@ func convGradParams(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleL
 func transpose(dst, src []float64, rows, cols, srcStride, dstStride int) {
 	transposeGo(dst, src, rows, cols, srcStride, dstStride)
 }
+
+func deltaRange(v, ref []float64) (lo, hi float64) { return deltaRangeGo(v, ref) }
+
+func quantDelta(dst []byte, v, ref []float64, lo, scale float64) {
+	quantDeltaGo(dst, v, ref, lo, scale)
+}
+
+func dequantAdd(dst []float64, q []byte, ref []float64, lo, scale float64) {
+	dequantAddGo(dst, q, ref, lo, scale)
+}
