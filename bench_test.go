@@ -1,9 +1,10 @@
 package fedcross
 
-// One benchmark per table and figure of the paper's evaluation (Section
-// IV). Each bench executes the corresponding harness at the tiny profile
-// and reports domain metrics (accuracy, sharpness, skew) via b.ReportMetric
-// alongside the usual ns/op. Run everything with:
+// The paper's evaluation (Section IV) as benchmarks: Table I, Figs 3–4 and
+// one sub-benchmark per grid preset for the rest. Each executes its
+// harness at the tiny profile and reports domain metrics (accuracy,
+// sharpness, skew) via b.ReportMetric alongside the usual ns/op. Run
+// everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -48,8 +49,9 @@ func benchProfile() experiments.Profile {
 // compareProfile sizes the benches that compare algorithms head-to-head
 // (Tables II, Figure 5): long enough for aggregation quality to separate
 // the methods. FedCross's full crossover under extreme skew (β=0.1)
-// arrives near round 150 at this scale — see EXPERIMENTS.md — so these
-// benches report the moderate-skew and IID regimes the budget can reach.
+// arrives near round 150 at this scale — see README "Fidelity notes" — so
+// these benches report the moderate-skew and IID regimes the budget can
+// reach.
 func compareProfile() experiments.Profile {
 	p := experiments.TinyProfile()
 	p.Rounds = 50
@@ -85,69 +87,71 @@ func BenchmarkTableI_CommOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkTableII_Accuracy reproduces a Table II slice: the six methods
-// on the CIFAR-10 substitute, one non-IID and the IID setting.
-func BenchmarkTableII_Accuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.TableIIOptions{
-			Profile:  compareProfile(),
-			Models:   []string{"cnn"},
-			Datasets: []string{"vision10"},
-			Hets:     []data.Heterogeneity{{Beta: 0.5}, {IID: true}},
-		}
-		res, err := experiments.RunTableII(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-		for _, cell := range res.Cells {
-			b.ReportMetric(cell.Acc["fedcross"].Mean, "fedcross_"+cell.Het)
-			b.ReportMetric(cell.Acc["fedavg"].Mean, "fedavg_"+cell.Het)
-		}
+// BenchmarkPaperGrids runs the paper's grid presets — Tables II and III,
+// Figs 5–9 and two ablations — one sub-benchmark each, reporting the mean
+// final accuracy of the cells a row names. The table2 entry's
+// fedavg_/fedcross_ IID and beta=0.5 metrics are the numbers ROADMAP
+// item 1 is about.
+func BenchmarkPaperGrids(b *testing.B) {
+	for _, tc := range []struct {
+		name, preset string
+		profile      func() experiments.Profile
+		sweeps       [][]string
+		// metric names a cell's reported accuracy; nil reports nothing.
+		metric func(c experiments.GridCell) string
+	}{
+		{"table2", "table2", compareProfile, nil,
+			func(c experiments.GridCell) string { return c.Algorithm + "_" + c.Het.String() }},
+		// Table II's LSTM rows (FedCross vs FedAvg to bound cost).
+		{"table2-text", "table2", benchProfile, [][]string{{"dataset", "shakespeare", "sent140"}, {"algo", "fedavg", "fedcross"}},
+			func(c experiments.GridCell) string { return c.Algorithm + "_" + c.Dataset }},
+		// Shape: highest-similarity is the weakest column.
+		{"table3", "table3", benchProfile, [][]string{{"alpha", "0.5", "0.9", "0.99"}}, nil},
+		{"fig5", "fig5", compareProfile, [][]string{{"beta", "0.5"}}, nil},
+		// Shape: accuracy rises with K then saturates.
+		{"fig6", "fig6", benchProfile, nil,
+			func(c experiments.GridCell) string { return c.Algorithm + "_K" + c.Coords[0] }},
+		{"fig7", "fig7", benchProfile, nil, nil},
+		{"fig8", "fig8", benchProfile, [][]string{{"alpha", "0.5", "0.99"}}, nil},
+		{"fig9", "fig9", benchProfile, [][]string{{"beta", "0.1"}}, nil},
+		{"ablation-shuffle", "ablation-shuffle", benchProfile, nil,
+			func(c experiments.GridCell) string { return "shuffle_" + c.Coords[0] }},
+		{"ablation-similarity", "ablation-similarity", benchProfile, nil, nil},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := runPreset(b, tc.preset, tc.profile(), tc.sweeps...)
+				for _, c := range res.Cells {
+					if tc.metric != nil {
+						b.ReportMetric(c.Stat().Mean, tc.metric(c))
+					}
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkTableII_TextRows reproduces Table II's LSTM rows on the
-// Shakespeare and Sent140 substitutes (FedCross vs FedAvg to bound cost).
-func BenchmarkTableII_TextRows(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.TableIIOptions{
-			Profile:    benchProfile(),
-			Models:     []string{"lstm"},
-			Datasets:   []string{"shakespeare", "sent140"},
-			Algorithms: []string{"fedavg", "fedcross"},
-		}
-		res, err := experiments.RunTableII(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, cell := range res.Cells {
-			b.ReportMetric(cell.Acc["fedcross"].Mean, "fedcross_"+cell.Dataset)
-		}
+// runPreset runs and renders the named grid preset with the given sweeps
+// (an axis name followed by its values).
+func runPreset(b *testing.B, name string, p experiments.Profile, sweeps ...[]string) *experiments.GridResult {
+	b.Helper()
+	g, err := experiments.GridPreset(name, p)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkTableIII_AlphaStrategy reproduces the Table III ablation on a
-// reduced alpha set. Shape: highest-similarity is the weakest column.
-func BenchmarkTableIII_AlphaStrategy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.TableIIIOptions{
-			Profile:    benchProfile(),
-			Alphas:     []float64{0.5, 0.9, 0.99},
-			Strategies: []core.Strategy{core.InOrder, core.HighestSimilarity, core.LowestSimilarity},
-			Model:      "cnn",
-			Beta:       1.0,
-		}
-		res, err := experiments.RunTableIII(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
+	for _, s := range sweeps {
+		if err := g.Sweep(s[0], s[1:]...); err != nil {
 			b.Fatal(err)
 		}
 	}
+	res, err := experiments.RunGrid(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := res.Render(io.Discard); err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkFig3_Partitions reproduces Figure 3: Dirichlet client
@@ -183,146 +187,6 @@ func BenchmarkFig4_Landscape(b *testing.B) {
 		for _, p := range res.Panels {
 			b.ReportMetric(p.FedAvgSharpness, "fedavg_sharp_"+p.Het)
 			b.ReportMetric(p.FedCrossSharpness, "fedcross_sharp_"+p.Het)
-		}
-	}
-}
-
-// BenchmarkFig5_LearningCurves reproduces a Figure 5 panel: all six
-// methods' accuracy-vs-round curves (CNN, Dir(0.5)).
-func BenchmarkFig5_LearningCurves(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.Fig5Options{
-			Profile: compareProfile(),
-			Models:  []string{"cnn"},
-			Hets:    []data.Heterogeneity{{Beta: 0.5}},
-		}
-		res, err := experiments.RunFig5(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6_ActivatedClients reproduces Figure 6: the K sweep.
-// Shape: accuracy rises with K then saturates.
-func BenchmarkFig6_ActivatedClients(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.Fig6Options{
-			Profile:    benchProfile(),
-			Ks:         []int{2, 4, 8},
-			Model:      "cnn",
-			Beta:       0.1,
-			Algorithms: []string{"fedavg", "fedcross"},
-		}
-		res, err := experiments.RunFig6(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range res.Cells {
-			b.ReportMetric(c.Best["fedcross"], "fedcross_bestK")
-		}
-	}
-}
-
-// BenchmarkFig7_TotalClients reproduces Figure 7: the N sweep with 10%
-// participation and a fixed data budget.
-func BenchmarkFig7_TotalClients(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.Fig7Options{
-			Profile:      benchProfile(),
-			Ns:           []int{10, 20, 40},
-			Model:        "cnn",
-			Beta:         0.5,
-			TotalSamples: 300,
-			Algorithms:   []string{"fedavg", "fedcross"},
-		}
-		res, err := experiments.RunFig7(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8_AlphaCurves reproduces Figure 8: learning curves per
-// alpha against the FedAvg reference, for both recommended strategies.
-func BenchmarkFig8_AlphaCurves(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.Fig8Options{
-			Profile:    benchProfile(),
-			Alphas:     []float64{0.5, 0.99},
-			Strategies: []core.Strategy{core.InOrder, core.LowestSimilarity},
-			Beta:       1.0,
-			Model:      "cnn",
-		}
-		res, err := experiments.RunFig8(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9_Acceleration reproduces Figure 9: vanilla vs PM vs DA vs
-// PM-DA acceleration variants.
-func BenchmarkFig9_Acceleration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.Fig9Options{
-			Profile:        benchProfile(),
-			Model:          "cnn",
-			Hets:           []data.Heterogeneity{{Beta: 0.1}},
-			AccelRounds:    6,
-			PropellerCount: 2,
-		}
-		res, err := experiments.RunFig9(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_Shuffle quantifies Algorithm 1's shuffle-dispatching
-// step (DESIGN.md ablation).
-func BenchmarkAblation_Shuffle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultAblationOptions()
-		opts.Profile = benchProfile()
-		res, err := experiments.RunAblationShuffle(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s, ok := res.Get("shuffle"); ok {
-			b.ReportMetric(s.Mean, "shuffle_acc")
-		}
-		if s, ok := res.Get("no-shuffle"); ok {
-			b.ReportMetric(s.Mean, "noshuffle_acc")
-		}
-	}
-}
-
-// BenchmarkAblation_SimilarityMeasure compares cosine, the paper's
-// printed formula, and Euclidean distance behind lowest-similarity
-// selection (DESIGN.md §5).
-func BenchmarkAblation_SimilarityMeasure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultAblationOptions()
-		opts.Profile = benchProfile()
-		res, err := experiments.RunAblationSimilarity(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -397,18 +261,7 @@ func BenchmarkExperimentScheduler(b *testing.B) {
 				prof := benchProfile()
 				prof.Jobs = jobs
 				start := time.Now()
-				res, err := experiments.RunTableII(experiments.TableIIOptions{
-					Profile:  prof,
-					Models:   []string{"cnn"},
-					Datasets: []string{"vision10"},
-					Hets:     []data.Heterogeneity{{Beta: 0.5}, {IID: true}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := res.Render(io.Discard); err != nil {
-					b.Fatal(err)
-				}
+				runPreset(b, "table2", prof)
 				b.ReportMetric(time.Since(start).Seconds(), "tableII_smoke_s")
 				b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 			}
@@ -1012,16 +865,9 @@ func BenchmarkFig7_MillionClients(b *testing.B) {
 		p := experiments.TinyProfile()
 		p.Rounds = 1
 		p.EvalEvery = 0
-		opts := experiments.Fig7Options{
-			Profile: p, Ns: []int{1_000_000}, Model: "mlp", Beta: 0.5,
-			TotalSamples: 300, Algorithms: []string{"fedavg"},
-		}
-		res, err := experiments.RunFig7(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Cells[0].K != 100 {
-			b.Fatalf("K = %d, want the 100-client cap", res.Cells[0].K)
+		res := runPreset(b, "fig7", p, []string{"n", "1000000"}, []string{"algo", "fedavg"})
+		if k := res.Cells[0].Profile.ClientsPerRound; k != 100 {
+			b.Fatalf("K = %d, want the 100-client cap", k)
 		}
 	}
 }

@@ -14,7 +14,8 @@
 //	fedsim -experiment robust -attack signflip -grid frac=0,0.2 -grid reducer=mean,krum
 //	fedsim -experiment async -grid buffer=1,4,8 -staleexp 0.5
 //	fedsim -experiment table2 -reducer krum -attack scale -attackfrac 0.1
-//	fedsim -experiment fig7 -clients 1000000 -rsslimitmb 2048
+//	fedsim -experiment fig7 -grid n=1000000 -rsslimitmb 2048
+//	fedsim -experiment table3 -grid alpha=0.5,0.99 -grid strategy=in-order,lowest
 //	fedsim -experiment faults -grid level=0,0.05,0.1 -quorum 2 -retries 2
 //	fedsim -experiment churn -clients 100000 -grid avail=1,0.7,0.4
 //	fedsim -experiment resume                  # crash/resume equality gate
@@ -33,13 +34,21 @@
 // are independent).
 //
 // Sweeps: the repeatable -grid axis=v1,v2 is the only way to name swept
-// values. The paper harnesses read model, dataset, beta (numbers or
-// "iid"), algo, alpha and stop; the five system sweeps (comm, robust,
-// async, faults, churn) are declared grids — a base cell built from the
-// global flags plus named axes — and read codec / frac, reducer / buffer,
-// inflight / level / avail respectively, plus model. Naming an axis the
-// chosen experiment does not read is a usage error that lists the ones it
-// does.
+// values. Every experiment but table1, fig3, fig4 and resume is a declared
+// grid on one runner — a base cell built from the global flags plus named
+// axes — and reads the axes its preset declares: table2 dataset × model ×
+// beta (numbers or "iid") × algo; table3 alpha × strategy; fig5 model ×
+// beta × algo; fig6 k × algo; fig7 n × algo; fig8 strategy × alpha; fig9
+// beta × accel; ablations shuffle, similarity and propellers (three grids
+// in a row); comm codec; robust frac × reducer; async buffer × inflight;
+// faults level; churn avail. model is an axis under table2 and fig5 and
+// names the one model everywhere else (fig4 and resume included; resume
+// also reads algo and stop). A preset also declares what a cell reports —
+// mean ± std over every seed, first-seed accuracies, or the learning curve
+// — and which axis, if any, is laid across the page as column groups or as
+// the curves of a panel. Naming an axis the chosen experiment does not
+// read, a second model where it runs one, or -seeds where nothing about to
+// run reports over seeds is a usage error that lists what it does read.
 //
 // The simulated wire: -codec compresses every model payload (identity,
 // fp16, int8, topk[:frac]), -net draws per-client bandwidth/latency from
@@ -73,9 +82,11 @@
 // sweep level/avail on identical runs; the resume experiment is a
 // pass/fail equality gate over every algorithm (not part of "all").
 //
-// Scale: -clients overrides the client population N (the fig7 sweep
-// then runs that single N), -k overrides the activated clients per
-// round. Populations at or above the lazy cutoff synthesize shards on
+// Scale: -clients overrides the client population N and -k the activated
+// clients per round; fig7 sweeps N through -grid n= and derives K from it
+// (a tenth, at least 2, at most 100), fig6 sweeps K through -grid k=, and
+// both reject the flag their axis would overwrite. Populations at or
+// above the lazy cutoff synthesize shards on
 // demand from the partition seed, so N=10^6 holds only the LRU working
 // set resident; -rsslimitmb makes the run fail if peak RSS (VmHWM)
 // exceeds the ceiling — the memory-boundedness gate CI relies on.
@@ -98,8 +109,6 @@ import (
 	"strconv"
 	"strings"
 
-	"fedcross/internal/core"
-	"fedcross/internal/data"
 	"fedcross/internal/experiments"
 	"fedcross/internal/fl"
 )
@@ -133,42 +142,26 @@ func (g gridFlag) Set(s string) error {
 	return nil
 }
 
-// paperAxes declares the -grid axes each paper harness reads. The system
-// sweeps are not listed: a grid preset reads model plus the axes it
-// declares.
-var paperAxes = map[string][]string{
-	"table1":    nil,
-	"table2":    {"model", "dataset", "beta", "algo"},
-	"table3":    {"model", "alpha"},
-	"fig3":      nil,
-	"fig4":      {"model"},
-	"fig5":      {"model", "beta"},
-	"fig6":      {"model"},
-	"fig7":      {"model"},
-	"fig8":      {"model", "alpha"},
-	"fig9":      {"model"},
-	"ablations": {"model"},
-	"resume":    {"model", "algo", "stop"},
+// ownAxes declares the -grid axes read by the experiments that keep their
+// own code. Every other experiment is one or more grid presets, and reads
+// model plus the axes those declare.
+var ownAxes = map[string][]string{
+	"table1": nil,
+	"fig3":   nil,
+	"fig4":   {"model"},
+	"resume": {"model", "algo", "stop"},
 }
 
 // allExperiments is what -experiment all runs, in order (resume is a
 // pass/fail gate and runs only by name).
 var allExperiments = []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "comm", "robust", "async", "ablations", "faults", "churn"}
 
-// axesRead returns the -grid axes the named experiment reads.
-func axesRead(name string, prof experiments.Profile) ([]string, error) {
-	if axes, ok := paperAxes[name]; ok {
-		return axes, nil
+// presetsOf names the grid presets an experiment runs, in order.
+func presetsOf(name string) []string {
+	if name == "ablations" {
+		return []string{"ablation-shuffle", "ablation-similarity", "ablation-propellers"}
 	}
-	g, err := experiments.GridPreset(name, prof)
-	if err != nil {
-		return nil, fmt.Errorf("unknown experiment %q (want %s, resume or all)", name, strings.Join(allExperiments, ", "))
-	}
-	axes := []string{"model"}
-	for _, ax := range g.Axes {
-		axes = append(axes, ax.Name)
-	}
-	return axes, nil
+	return []string{name}
 }
 
 // run is the whole command on its own flag set, so tests drive it without
@@ -176,15 +169,15 @@ func axesRead(name string, prof experiments.Profile) ([]string, error) {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fedsim", flag.ContinueOnError)
 	grid := gridFlag{}
-	fs.Var(grid, "grid", "swept values, `axis=v1,v2` (repeatable): model, dataset, beta (numbers or iid), algo, alpha, stop for the paper harnesses; codec, frac, reducer, buffer, inflight, level, avail for comm/robust/async/faults/churn. An axis the experiment does not read is an error")
+	fs.Var(grid, "grid", "swept values, `axis=v1,v2` (repeatable): model, dataset, beta (numbers or iid), algo, alpha, strategy, accel, shuffle, similarity, propellers, k, n for the paper's tables and figures; codec, frac, reducer, buffer, inflight, level, avail for comm/robust/async/faults/churn; stop for resume. An axis the experiment does not read is an error")
 	var (
 		experiment = fs.String("experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", resume, all")
 		profile    = fs.String("profile", "tiny", "run scale: tiny, small, paper")
 		rounds     = fs.Int("rounds", 0, "override the profile's round count (0 keeps profile default)")
-		clients    = fs.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps exactly this N")
-		kFlag      = fs.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default)")
+		clients    = fs.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps it with -grid n= instead")
+		kFlag      = fs.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default); fig6 sweeps it with -grid k= and fig7 derives it from n")
 		rssLimitMB = fs.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
-		seeds      = fs.Int("seeds", 0, "override the number of seeds (0 keeps profile default)")
+		seeds      = fs.Int("seeds", 0, "override the number of seeds (0 keeps profile default); read by table2, table3 and ablations")
 		parallel   = fs.Int("parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
 		jobs       = fs.Int("jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
 		codec      = fs.String("codec", "identity", "wire codec for model payloads: identity, fp16, int8, topk[:frac]")
@@ -327,54 +320,76 @@ func run(args []string, stdout io.Writer) error {
 	if *experiment == "all" {
 		names = allExperiments
 	}
-	// Every named axis must be read by an experiment about to run.
-	read := map[string]bool{}
+	// Every preset takes its swept values from -grid here, before anything
+	// runs, and whatever the command line names — an axis, a second model,
+	// -seeds, -clients, -k — must be read by an experiment about to run.
+	models := grid["model"]
+	grids := map[string][]experiments.Grid{}
+	read, flagRead := map[string]bool{}, map[string]bool{}
 	for _, name := range names {
-		axes, err := axesRead(name, prof)
-		if err != nil {
-			return err
+		axes, own := ownAxes[name]
+		var swept []string // the axes this experiment's presets declare
+		if !own {
+			for _, preset := range presetsOf(name) {
+				g, err := experiments.GridPreset(preset, prof)
+				if err != nil {
+					return fmt.Errorf("unknown experiment %q (want %s, resume or all)", name, strings.Join(allExperiments, ", "))
+				}
+				if g.Base.Async != nil {
+					g.Base.Async.StalenessExp = *staleExp
+				}
+				for _, ax := range g.Axes {
+					swept = append(swept, ax.Name)
+					if vals, ok := grid[ax.Name]; ok {
+						if err := g.Sweep(ax.Name, vals...); err != nil {
+							return err
+						}
+					}
+				}
+				if !slices.Contains(swept, "model") && len(models) == 1 {
+					g.Base.Model = models[0]
+				}
+				flagRead["-seeds"] = flagRead["-seeds"] || len(g.Seeds()) > 1
+				grids[name] = append(grids[name], g)
+			}
+			axes = append(swept, "model")
+		}
+		if len(models) > 1 && slices.Contains(axes, "model") && !slices.Contains(swept, "model") {
+			return fmt.Errorf("-grid model=%s: experiment %s runs one model", strings.Join(models, ","), name)
 		}
 		for _, a := range axes {
 			read[a] = true
 		}
+		// The n axis sets the population and derives K from it; the k axis
+		// sets K.
+		flagRead["-clients"] = flagRead["-clients"] || !slices.Contains(swept, "n")
+		flagRead["-k"] = flagRead["-k"] || !slices.Contains(swept, "n") && !slices.Contains(swept, "k")
 	}
 	var unread []string
 	for _, axis := range slices.Sorted(maps.Keys(grid)) {
 		if !read[axis] {
-			unread = append(unread, axis)
+			unread = append(unread, "-grid "+axis)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"-seeds", *seeds > 1}, {"-clients", *clients > 0}, {"-k", *kFlag > 0}} {
+		if f.set && !flagRead[f.name] {
+			unread = append(unread, f.name)
 		}
 	}
 	if len(unread) > 0 {
 		reads := cmp.Or(strings.Join(slices.Sorted(maps.Keys(read)), ", "), "no axis")
-		return fmt.Errorf("-grid %s: experiment %s does not read that axis (it reads: %s)",
+		return fmt.Errorf("%s: experiment %s does not read that (it reads: %s)",
 			strings.Join(unread, ", "), *experiment, reads)
 	}
-	// values returns what -grid named for an axis, or the default.
-	values := func(axis string, def ...string) []string {
-		if v, ok := grid[axis]; ok {
-			return v
-		}
-		return def
+	model := "cnn"
+	if len(models) == 1 {
+		model = models[0]
 	}
-	modelList := values("model", "cnn")
-	datasetList := values("dataset", "vision10")
-	algoList := values("algo")
-	if _, err := scratchCells("algo", algoList); err != nil {
-		return err
-	}
-	betaCells, err := scratchCells("beta", values("beta", "0.5", "iid"))
-	if err != nil {
-		return err
-	}
-	var hetList []data.Heterogeneity
-	for _, c := range betaCells {
-		hetList = append(hetList, c.Het)
-	}
-	alphaList, err := parseFloats(values("alpha", "0.5", "0.8", "0.9", "0.95", "0.99", "0.999"))
-	if err != nil {
-		return fmt.Errorf("-grid alpha: %w", err)
-	}
-	stopList, err := parseInts(values("stop"))
+	algoList := grid["algo"]
+	stopList, err := parseInts(grid["stop"])
 	if err != nil {
 		return fmt.Errorf("-grid stop: %w", err)
 	}
@@ -384,30 +399,6 @@ func run(args []string, stdout io.Writer) error {
 		switch name {
 		case "table1":
 			res, err := experiments.RunTableI(prof.ClientsPerRound)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
-		case "table2":
-			res, err := experiments.RunTableII(experiments.TableIIOptions{
-				Profile: prof, Models: modelList, Datasets: datasetList, Hets: hetList,
-				Algorithms: algoList,
-			})
-			if err != nil {
-				return err
-			}
-			if err := res.Render(stdout); err != nil {
-				return err
-			}
-			wins, total := res.FedCrossWins()
-			fmt.Fprintf(stdout, "FedCross wins %d of %d cells\n", wins, total)
-			return nil
-		case "table3":
-			res, err := experiments.RunTableIII(experiments.TableIIIOptions{
-				Profile: prof, Alphas: alphaList,
-				Strategies: []core.Strategy{core.InOrder, core.HighestSimilarity, core.LowestSimilarity},
-				Model:      modelList[0], Beta: 1.0,
-			})
 			if err != nil {
 				return err
 			}
@@ -423,57 +414,8 @@ func run(args []string, stdout io.Writer) error {
 		case "fig4":
 			opts := experiments.DefaultFig4Options()
 			opts.Profile = prof
-			opts.Model = modelList[0]
+			opts.Model = model
 			res, err := experiments.RunFig4(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
-		case "fig5":
-			res, err := experiments.RunFig5(experiments.Fig5Options{Profile: prof, Models: modelList, Hets: hetList})
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
-		case "fig6":
-			opts := experiments.DefaultFig6Options()
-			opts.Profile = prof
-			opts.Model = modelList[0]
-			res, err := experiments.RunFig6(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
-		case "fig7":
-			opts := experiments.DefaultFig7Options()
-			opts.Profile = prof
-			opts.Model = modelList[0]
-			if *clients > 0 {
-				opts.Ns = []int{*clients}
-			}
-			if *kFlag > 0 {
-				opts.KCap = *kFlag
-			}
-			res, err := experiments.RunFig7(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
-		case "fig8":
-			opts := experiments.DefaultFig8Options()
-			opts.Profile = prof
-			opts.Model = modelList[0]
-			opts.Alphas = alphaList
-			res, err := experiments.RunFig8(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
-		case "fig9":
-			opts := experiments.DefaultFig9Options()
-			opts.Profile = prof
-			opts.Model = modelList[0]
-			res, err := experiments.RunFig9(opts)
 			if err != nil {
 				return err
 			}
@@ -481,7 +423,7 @@ func run(args []string, stdout io.Writer) error {
 		case "resume":
 			opts := experiments.DefaultResumeCheckOptions()
 			opts.Profile = prof
-			opts.Model = modelList[0]
+			opts.Model = model
 			if len(algoList) > 0 {
 				opts.Algorithms = algoList
 			}
@@ -493,53 +435,20 @@ func run(args []string, stdout io.Writer) error {
 				}
 			}
 			return err
-		case "ablations":
-			aopts := experiments.DefaultAblationOptions()
-			aopts.Profile = prof
-			aopts.Model = modelList[0]
-			shuffle, err := experiments.RunAblationShuffle(aopts)
-			if err != nil {
-				return err
-			}
-			if err := shuffle.Render(stdout); err != nil {
-				return err
-			}
-			sim, err := experiments.RunAblationSimilarity(aopts)
-			if err != nil {
-				return err
-			}
-			if err := sim.Render(stdout); err != nil {
-				return err
-			}
-			prop, err := experiments.RunAblationPropellerCount(aopts, []int{1, 2, 3})
-			if err != nil {
-				return err
-			}
-			return prop.Render(stdout)
 		default:
-			// comm, robust, async, faults, churn: the preset's base cell is
-			// the profile as the global flags left it; -grid replaces the
-			// values of the axes it declares.
-			g, err := experiments.GridPreset(name, prof)
-			if err != nil {
-				return err
-			}
-			g.Base.Model = modelList[0]
-			if g.Base.Async != nil {
-				g.Base.Async.StalenessExp = *staleExp
-			}
-			for _, ax := range g.Axes {
-				if vals, ok := grid[ax.Name]; ok {
-					if err := g.Sweep(ax.Name, vals...); err != nil {
-						return err
-					}
+			// A grid preset, or the ablations' three: the base cell is the
+			// profile as the global flags left it, the axes as -grid left
+			// them.
+			for _, g := range grids[name] {
+				res, err := experiments.RunGrid(g)
+				if err != nil {
+					return err
+				}
+				if err := res.Render(stdout); err != nil {
+					return err
 				}
 			}
-			res, err := experiments.RunGrid(g)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
+			return nil
 		}
 	}
 
@@ -613,35 +522,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// scratchCells sets each value of a grid axis on an empty cell and returns
-// the cells: the axis table owns the value grammar (beta's "iid", the
-// algorithm names), so the paper harnesses' lists are parsed by it too.
-func scratchCells(axis string, vals []string) ([]experiments.Cell, error) {
-	ax, err := experiments.NewAxis(axis, vals...)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]experiments.Cell, len(vals))
-	for i, v := range vals {
-		if err := ax.Set(&cells[i], v); err != nil {
-			return nil, fmt.Errorf("-grid %s: %w", axis, err)
-		}
-	}
-	return cells, nil
-}
-
-func parseFloats(vals []string) ([]float64, error) {
-	var out []float64
-	for _, part := range vals {
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func parseInts(vals []string) ([]int, error) {

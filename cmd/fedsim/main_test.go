@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +27,7 @@ func fedsim(t *testing.T, args ...string) (string, error) {
 // micro prefixes args with flags that shrink a tiny-profile run to what a
 // flag test needs.
 func micro(args ...string) []string {
-	return append([]string{"-profile", "tiny", "-rounds", "2", "-clients", "6", "-k", "3", "-grid", "model=mlp"}, args...)
+	return append([]string{"-profile", "tiny", "-rounds", "2", "-clients", "6", "-grid", "model=mlp"}, args...)
 }
 
 func TestGridGrammarErrors(t *testing.T) {
@@ -40,7 +41,11 @@ func TestGridGrammarErrors(t *testing.T) {
 		{"repeated axis", []string{"-experiment", "faults", "-grid", "level=0", "-grid", "level=0.1"}, "named twice"},
 		{"bad level", []string{"-experiment", "faults", "-grid", "level=0,lots"}, `bad number "lots"`},
 		{"bad buffer", []string{"-experiment", "async", "-grid", "buffer=-1"}, "positive integer"},
-		{"bad alpha", []string{"-experiment", "table3", "-grid", "alpha=0.5,x"}, `bad float "x"`},
+		{"bad alpha", []string{"-experiment", "table3", "-grid", "alpha=0.5,x"}, `bad number "x"`},
+		{"alpha out of range", []string{"-experiment", "fig8", "-grid", "alpha=0.3"}, "[0.5, 1)"},
+		{"bad strategy", []string{"-experiment", "table3", "-grid", "strategy=random"}, "unknown selection strategy"},
+		{"bad accel", []string{"-experiment", "fig9", "-grid", "accel=turbo"}, "unknown acceleration"},
+		{"k above n", []string{"-experiment", "fig6", "-grid", "k=2,7"}, "N=6"},
 		{"bad stop", []string{"-experiment", "resume", "-grid", "stop=0"}, "positive integer"},
 		{"bad beta", []string{"-experiment", "table2", "-grid", "beta=0.5,noniid"}, "bad beta"},
 		{"bad algo", []string{"-experiment", "table2", "-grid", "algo=fedsgd"}, "unknown algorithm"},
@@ -50,14 +55,16 @@ func TestGridGrammarErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
-		if strings.Contains(out, "Final acc") {
+		if strings.Contains(out, "Final acc") || strings.Contains(out, "0.") {
 			t.Errorf("%s: a run started before the error:\n%s", tc.name, out)
 		}
 	}
 }
 
-// TestGridAxisNotRead: an axis the experiment does not read is a usage
-// error naming the ones it does — never accepted and ignored.
+// TestGridAxisNotRead: a swept value the experiment does not use — an
+// axis it does not read, a second model where it runs one, -seeds where
+// nothing reports over seeds, -clients / -k where an axis sets them — is a
+// usage error naming what it does read, never accepted and ignored.
 func TestGridAxisNotRead(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -65,9 +72,18 @@ func TestGridAxisNotRead(t *testing.T) {
 	}{
 		{[]string{"-experiment", "robust", "-grid", "level=0,0.1"}, []string{"level", "robust", "frac, model, reducer"}},
 		{[]string{"-experiment", "table1", "-grid", "codec=int8"}, []string{"codec", "table1"}},
-		{[]string{"-experiment", "fig6", "-grid", "algo=fedavg"}, []string{"algo", "it reads: model"}},
+		{[]string{"-experiment", "fig6", "-grid", "beta=0.5"}, []string{"beta", "it reads: algo, k, model"}},
 		{[]string{"-experiment", "all", "-grid", "stop=2"}, []string{"stop", "all"}},
 		{[]string{"-experiment", "comm", "-grid", "colour=red"}, []string{"colour", "codec, model"}},
+		{[]string{"-experiment", "ablations", "-grid", "alpha=0.5"}, []string{"alpha", "model, propellers, shuffle, similarity"}},
+		{[]string{"-experiment", "fig6", "-grid", "model=mlp,cnn"}, []string{"model=mlp,cnn", "fig6", "one model"}},
+		{[]string{"-experiment", "comm", "-grid", "model=mlp,cnn"}, []string{"model=mlp,cnn", "comm", "one model"}},
+		{[]string{"-experiment", "resume", "-grid", "model=mlp,cnn"}, []string{"resume", "one model"}},
+		{[]string{"-experiment", "faults", "-seeds", "3"}, []string{"-seeds", "faults", "level, model"}},
+		{[]string{"-experiment", "fig5", "-seeds", "2"}, []string{"-seeds", "fig5"}},
+		{[]string{"-experiment", "fig7", "-clients", "50"}, []string{"-clients", "fig7", "algo, model, n"}},
+		{[]string{"-experiment", "fig7", "-k", "2"}, []string{"-k", "fig7"}},
+		{[]string{"-experiment", "fig6", "-k", "2"}, []string{"-k", "fig6"}},
 	} {
 		out, err := fedsim(t, tc.args...)
 		if err == nil {
@@ -81,6 +97,34 @@ func TestGridAxisNotRead(t *testing.T) {
 		}
 		if out != "" {
 			t.Errorf("%v: printed before failing:\n%s", tc.args, out)
+		}
+	}
+}
+
+// TestGridAxesRead: the paper presets sweep what the paper sweeps, from
+// the command line. Each case names pieces its output must contain.
+func TestGridAxesRead(t *testing.T) {
+	tiny := []string{"-profile", "tiny", "-rounds", "2"}
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{micro("-experiment", "fig6", "-grid", "algo=fedavg", "-grid", "k=2"), []string{"K  fedavg\n", "\n2  0."}},
+		{micro("-experiment", "fig6", "-grid", "k=2,3"), []string{"K  fedavg  fedcross", "\n2  0.", "\n3  0."}},
+		{append(tiny, "-experiment", "fig7", "-grid", "model=mlp", "-grid", "n=6,12"), []string{"\n6   0.", "\n12  0."}},
+		{micro("-experiment", "table3", "-grid", "strategy=in-order", "-grid", "alpha=0.5"), []string{"Alpha      in-order", "\nalpha=0.5  "}},
+		{micro("-experiment", "fig9", "-grid", "accel=vanilla,pm"), []string{"round  vanilla  pm"}},
+		{append(tiny, "-experiment", "table2", "-clients", "6", "-seeds", "2", "-grid", "model=mlp,cnn", "-grid", "algo=fedavg", "-grid", "beta=iid"), []string{"\nvision10  mlp ", "\nvision10  cnn "}},
+	} {
+		out, err := fedsim(t, tc.args...)
+		if err != nil {
+			t.Errorf("%v: %v", tc.args, err)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%v: output lacks %q:\n%s", tc.args, w, out)
+			}
 		}
 	}
 }
@@ -123,7 +167,7 @@ func TestGridBetaAndAlgo(t *testing.T) {
 // TestGridOverridesPreset: -grid replaces a preset axis's values and
 // leaves the axes it does not name at their defaults.
 func TestGridOverridesPreset(t *testing.T) {
-	out, err := fedsim(t, micro("-experiment", "async", "-grid", "buffer=2")...)
+	out, err := fedsim(t, micro("-experiment", "async", "-k", "3", "-grid", "buffer=2")...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,5 +193,39 @@ func TestTable1Unchanged(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("table1 output changed:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestPaperGoldens pins five paper presets' whole outputs, byte for byte,
+// at micro scale over two seeds. After a change that is meant to move
+// them: go test ./cmd/fedsim -run TestPaperGoldens -update.
+func TestPaperGoldens(t *testing.T) {
+	for name, args := range map[string][]string{
+		"table2":    micro("-seeds", "2", "-grid", "dataset=vision10,sent140"),
+		"table3":    micro("-seeds", "2", "-grid", "alpha=0.5,0.99"),
+		"fig6":      micro("-grid", "k=2,3"),
+		"fig8":      micro("-grid", "alpha=0.5,0.9"),
+		"ablations": micro("-seeds", "2"),
+	} {
+		got, err := fedsim(t, append(args, "-experiment", name)...)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		path := filepath.Join("testdata", name+".golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s output changed:\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"log"
 	"os"
 
-	"fedcross/internal/data"
 	"fedcross/internal/experiments"
 )
 
@@ -18,23 +17,18 @@ func main() {
 	profile.Rounds = 14
 	profile.Seeds = []int64{1, 2}
 
-	res, err := experiments.RunTableII(experiments.TableIIOptions{
-		Profile:  profile,
-		Models:   []string{"cnn"},
-		Datasets: []string{"vision10"},
-		Hets: []data.Heterogeneity{
-			{Beta: 0.1},
-			{Beta: 0.5},
-			{Beta: 1.0},
-			{IID: true},
-		},
-	})
+	grid, err := experiments.GridPreset("table2", profile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := grid.Sweep("beta", "0.1", "0.5", "1.0", "iid"); err != nil {
+		log.Fatal(err)
+	}
+	res, err := experiments.RunGrid(grid)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := res.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	wins, total := res.FedCrossWins()
-	log.Printf("FedCross wins %d of %d heterogeneity settings", wins, total)
 }

@@ -10,7 +10,6 @@ import (
 	"log"
 	"os"
 
-	"fedcross/internal/core"
 	"fedcross/internal/experiments"
 )
 
@@ -18,17 +17,14 @@ func main() {
 	profile := experiments.TinyProfile()
 	profile.Rounds = 12
 
-	res, err := experiments.RunTableIII(experiments.TableIIIOptions{
-		Profile: profile,
-		Alphas:  []float64{0.5, 0.9, 0.99, 0.999},
-		Strategies: []core.Strategy{
-			core.InOrder,
-			core.HighestSimilarity,
-			core.LowestSimilarity,
-		},
-		Model: "cnn",
-		Beta:  1.0,
-	})
+	grid, err := experiments.GridPreset("table3", profile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := grid.Sweep("alpha", "0.5", "0.9", "0.99", "0.999"); err != nil {
+		log.Fatal(err)
+	}
+	res, err := experiments.RunGrid(grid)
 	if err != nil {
 		log.Fatal(err)
 	}

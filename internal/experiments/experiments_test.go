@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"fedcross/internal/core"
 	"fedcross/internal/data"
 )
 
@@ -153,90 +152,6 @@ func TestRunTableI(t *testing.T) {
 	}
 }
 
-func TestRunTableIISlice(t *testing.T) {
-	opts := TableIIOptions{
-		Profile:    microProfile(),
-		Models:     []string{"mlp"},
-		Datasets:   []string{"vision10"},
-		Hets:       []data.Heterogeneity{{IID: true}},
-		Algorithms: []string{"fedavg", "fedcross"},
-	}
-	res, err := RunTableII(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 1 {
-		t.Fatalf("cells = %d", len(res.Cells))
-	}
-	cell := res.Cells[0]
-	if len(cell.Acc) != 2 {
-		t.Fatalf("acc entries = %d", len(cell.Acc))
-	}
-	if cell.Winner != "fedavg" && cell.Winner != "fedcross" {
-		t.Fatalf("winner %q", cell.Winner)
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "vision10") {
-		t.Fatal("render missing dataset")
-	}
-	wins, total := res.FedCrossWins()
-	if total != 1 || wins < 0 || wins > 1 {
-		t.Fatalf("FedCrossWins = %d/%d", wins, total)
-	}
-}
-
-func TestRunTableIITextDataset(t *testing.T) {
-	opts := TableIIOptions{
-		Profile:    microProfile(),
-		Models:     []string{"cnn"}, // overridden to lstm for text
-		Datasets:   []string{"sent140"},
-		Algorithms: []string{"fedavg"},
-	}
-	res, err := RunTableII(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 1 || res.Cells[0].Het != "-" {
-		t.Fatalf("text cell %+v", res.Cells)
-	}
-}
-
-func TestRunTableIII(t *testing.T) {
-	opts := TableIIIOptions{
-		Profile:    microProfile(),
-		Alphas:     []float64{0.5, 0.99},
-		Strategies: []core.Strategy{core.InOrder},
-		Model:      "mlp",
-		Beta:       1.0,
-	}
-	res, err := RunTableIII(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 2 {
-		t.Fatalf("cells = %d", len(res.Cells))
-	}
-	if _, ok := res.Get(0.5, core.InOrder); !ok {
-		t.Fatal("missing cell 0.5/in-order")
-	}
-	if _, ok := res.Get(0.7, core.InOrder); ok {
-		t.Fatal("phantom cell")
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "in-order") {
-		t.Fatal("render missing strategy column")
-	}
-	if _, err := RunTableIII(TableIIIOptions{}); err == nil {
-		t.Fatal("empty options must error")
-	}
-}
-
 func TestRunFig3SkewOrdering(t *testing.T) {
 	opts := DefaultFig3Options()
 	opts.Profile = microProfile()
@@ -286,136 +201,6 @@ func TestRunFig4Micro(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "sharpness") {
 		t.Fatal("render missing sharpness")
-	}
-}
-
-func TestRunFig5Micro(t *testing.T) {
-	opts := Fig5Options{
-		Profile: microProfile(),
-		Models:  []string{"mlp"},
-		Hets:    []data.Heterogeneity{{IID: true}},
-	}
-	res, err := RunFig5(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Panels) != 1 {
-		t.Fatalf("panels = %d", len(res.Panels))
-	}
-	cs := res.Panels[0]
-	if len(cs.Rounds) == 0 || len(cs.Acc) != 6 {
-		t.Fatalf("curves rounds=%d algos=%d", len(cs.Rounds), len(cs.Acc))
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "fedcross") {
-		t.Fatal("render missing fedcross curve")
-	}
-}
-
-func TestRunFig6Micro(t *testing.T) {
-	opts := Fig6Options{
-		Profile:    microProfile(),
-		Ks:         []int{2, 3},
-		Model:      "mlp",
-		Beta:       0.5,
-		Algorithms: []string{"fedavg", "fedcross"},
-	}
-	res, err := RunFig6(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 2 || res.Cells[0].K != 2 {
-		t.Fatalf("cells %+v", res.Cells)
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunFig7Micro(t *testing.T) {
-	opts := Fig7Options{
-		Profile:      microProfile(),
-		Ns:           []int{6, 12},
-		Model:        "mlp",
-		Beta:         0.5,
-		TotalSamples: 120,
-		Algorithms:   []string{"fedcross"},
-	}
-	res, err := RunFig7(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 2 {
-		t.Fatalf("cells = %d", len(res.Cells))
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunFig8Micro(t *testing.T) {
-	opts := Fig8Options{
-		Profile:    microProfile(),
-		Alphas:     []float64{0.9},
-		Strategies: []core.Strategy{core.InOrder},
-		Beta:       1.0,
-		Model:      "mlp",
-	}
-	res, err := RunFig8(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Panels) != 1 {
-		t.Fatalf("panels = %d", len(res.Panels))
-	}
-	cs := res.Panels[0]
-	if _, ok := cs.Acc["fedavg"]; !ok {
-		t.Fatal("missing fedavg reference curve")
-	}
-	if _, ok := cs.Acc["alpha=0.9"]; !ok {
-		t.Fatalf("missing alpha curve; have %v", cs.Order)
-	}
-}
-
-func TestRunFig9Micro(t *testing.T) {
-	opts := Fig9Options{
-		Profile:        microProfile(),
-		Model:          "mlp",
-		Hets:           []data.Heterogeneity{{IID: true}},
-		AccelRounds:    2,
-		PropellerCount: 2,
-	}
-	res, err := RunFig9(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := res.Panels[0]
-	for _, name := range []string{"vanilla", "pm", "da", "pm-da"} {
-		if _, ok := cs.Acc[name]; !ok {
-			t.Fatalf("missing variant %q", name)
-		}
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCurveSetHelpers(t *testing.T) {
-	cs := &CurveSet{Acc: map[string][]float64{"a": {0.2, 0.5, 0.4}}}
-	if cs.Best("a") != 0.5 {
-		t.Fatalf("Best = %v", cs.Best("a"))
-	}
-	if cs.Final("a") != 0.4 {
-		t.Fatalf("Final = %v", cs.Final("a"))
-	}
-	if cs.Final("missing") != 0 {
-		t.Fatal("missing curve should be 0")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"fedcross/internal/core"
 	"fedcross/internal/data"
 	"fedcross/internal/fl"
 )
@@ -22,6 +23,10 @@ type Cell struct {
 	Het            data.Heterogeneity
 	// Algorithm names the method for fl.Run; unused by async cells.
 	Algorithm string
+	// FedCross is what a "fedcross" cell builds its algorithm from; the
+	// alpha, strategy, accel, shuffle, similarity and propellers axes write
+	// here.
+	FedCross core.Options
 	// Async, when non-nil, runs the cell through fl.RunAsync.
 	Async *fl.AsyncOptions
 }
@@ -37,9 +42,27 @@ func (c Cell) run(s *Scheduler, seed int64) (*fl.History, error) {
 		}
 		return fl.RunAsync(env, s.Config(c.Profile, seed), *c.Async)
 	}
-	hist, _, _, err := s.runOne(c.Profile, c.Dataset, c.Model, c.Het, seed,
-		func() (fl.Algorithm, error) { return NewAlgorithm(c.Algorithm) })
+	hist, _, _, err := s.runOne(c.Profile, c.Dataset, c.Model, c.Het, seed, func() (fl.Algorithm, error) {
+		if c.Algorithm == "fedcross" {
+			return core.New(c.FedCross)
+		}
+		return NewAlgorithm(c.Algorithm)
+	})
 	return hist, err
+}
+
+// resolve normalises a cell once every axis has been applied: the text
+// datasets fix their LSTM and, like FEMNIST, come naturally non-IID, so
+// the coordinates they ignore take one spelling and cells that differ
+// only there compare equal.
+func (c *Cell) resolve() {
+	switch c.Dataset {
+	case "shakespeare", "sent140":
+		c.Model = "lstm"
+		fallthrough
+	case "femnist":
+		c.Het = data.Heterogeneity{}
+	}
 }
 
 // Axis is one swept dimension of a grid. Build one with NewAxis: the axis
@@ -51,6 +74,9 @@ type Axis struct {
 	// Set parses one value, validates it and changes one thing on the
 	// cell's Profile or coordinates.
 	Set func(c *Cell, v string) error
+	// Read, when non-nil, reads the coordinate back from the resolved
+	// cell: what the cell runs, not what was asked for.
+	Read func(c Cell) string
 	// Header titles the axis's column; Format renders a value in it (nil
 	// prints the value as written).
 	Header string
@@ -83,24 +109,41 @@ func floatAxis(header, baseline string, set func(c *Cell, x float64) error) Axis
 		}}
 }
 
-// asyncAxis is an axis of positive integers set on the cell's async
-// options.
-func asyncAxis(header string, set func(o *fl.AsyncOptions, n int)) Axis {
+// intAxis is an axis of positive integers.
+func intAxis(header string, set func(c *Cell, n int) error) Axis {
 	return Axis{Header: header, Set: func(c *Cell, v string) error {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			return fmt.Errorf("bad positive integer %q", v)
 		}
+		return set(c, n)
+	}}
+}
+
+// asyncAxis is an intAxis set on the cell's async options.
+func asyncAxis(header string, set func(o *fl.AsyncOptions, n int)) Axis {
+	return intAxis(header, func(c *Cell, n int) error {
 		if c.Async == nil {
 			return fmt.Errorf("cell does not run the async engine")
 		}
 		set(c.Async, n)
 		return nil
+	})
+}
+
+// fedcrossAxis is an axis that sets one of the cell's FedCross options
+// and validates the set it leaves.
+func fedcrossAxis(header string, set func(o *core.Options, v string) error) Axis {
+	return Axis{Header: header, Set: func(c *Cell, v string) error {
+		if err := set(&c.FedCross, v); err != nil {
+			return err
+		}
+		return c.FedCross.Validate()
 	}}
 }
 
 // axes is the axis table: name → header, value parser, validation and
-// the one thing the axis sets. Like the two tables below it is built on
+// the one thing the axis sets. Like the tables below it is built on
 // demand rather than held in a package variable: a variable's
 // initializer would run — and link every closure it names — in each
 // program that imports this package, benchmark/ included.
@@ -147,20 +190,93 @@ func axes() map[string]Axis {
 			_, err := NewAlgorithm(v)
 			return err
 		}},
-		"model":   {Header: "Model", Set: func(c *Cell, v string) error { c.Model = v; return nil }},
+		"model": {Header: "Model", Set: func(c *Cell, v string) error { c.Model = v; return nil },
+			Read: func(c Cell) string { return c.Model }},
 		"dataset": {Header: "Dataset", Set: func(c *Cell, v string) error { c.Dataset = v; return nil }},
-		"beta": {Header: "Beta", Set: func(c *Cell, v string) error {
-			if v == "iid" {
-				c.Het = data.Heterogeneity{IID: true}
+		"beta": {Header: "Heterogeneity",
+			Set: func(c *Cell, v string) error {
+				if v == "iid" {
+					c.Het = data.Heterogeneity{IID: true}
+					return nil
+				}
+				b, err := strconv.ParseFloat(v, 64)
+				if err != nil || b <= 0 {
+					return fmt.Errorf("bad beta %q (want a positive number or iid)", v)
+				}
+				c.Het = data.Heterogeneity{Beta: b}
 				return nil
+			},
+			Read: func(c Cell) string {
+				switch {
+				case c.Het == data.Heterogeneity{}:
+					return "-" // resolve: the dataset brings its own split
+				case c.Het.IID:
+					return "iid"
+				}
+				return strconv.FormatFloat(c.Het.Beta, 'g', -1, 64)
+			},
+			Format: func(v string) string {
+				switch v {
+				case "-":
+					return v
+				case "iid":
+					return "IID"
+				}
+				return "beta=" + v
+			}},
+		"alpha": {Header: "Alpha", Format: func(v string) string { return "alpha=" + v },
+			Set: func(c *Cell, v string) (err error) {
+				if c.FedCross.Alpha, err = strconv.ParseFloat(v, 64); err != nil {
+					return fmt.Errorf("bad number %q", v)
+				}
+				return c.FedCross.Validate()
+			}},
+		"strategy": fedcrossAxis("Strategy", func(o *core.Options, v string) (err error) {
+			o.Strategy, err = core.StrategyByName(v)
+			return err
+		}),
+		"accel": fedcrossAxis("Acceleration", func(o *core.Options, v string) error {
+			for m := core.AccelNone; m <= core.AccelBoth; m++ {
+				if m.String() == v {
+					o.Accel = m
+					return nil
+				}
 			}
-			b, err := strconv.ParseFloat(v, 64)
-			if err != nil || b <= 0 {
-				return fmt.Errorf("bad beta %q (want a positive number or iid)", v)
+			return fmt.Errorf("unknown acceleration %q (want vanilla, pm, da or pm-da)", v)
+		}),
+		"shuffle": fedcrossAxis("Shuffle", func(o *core.Options, v string) error {
+			if v != "on" && v != "off" {
+				return fmt.Errorf("bad shuffle %q (want on or off)", v)
 			}
-			c.Het = data.Heterogeneity{Beta: b}
+			o.DisableShuffle = v == "off"
 			return nil
-		}},
+		}),
+		"similarity": fedcrossAxis("Similarity", func(o *core.Options, v string) (err error) {
+			o.Similarity, err = core.SimilarityByName(v)
+			return err
+		}),
+		"propellers": intAxis("Propellers", func(c *Cell, n int) error {
+			c.FedCross.PropellerCount = n
+			return c.FedCross.Validate()
+		}),
+		"k": intAxis("K", func(c *Cell, k int) error {
+			if k > c.Profile.NumClients {
+				return fmt.Errorf("K=%d exceeds the client population N=%d", k, c.Profile.NumClients)
+			}
+			c.Profile.ClientsPerRound = k
+			return nil
+		}),
+		// n sets the population and, with it, Figure 7's participation rule:
+		// a tenth of the clients per round, at least 2 and at most 100 (10%
+		// of 10⁶ would be 10⁵ concurrent middleware models).
+		"n": intAxis("N", func(c *Cell, n int) error {
+			if n < 2 {
+				return fmt.Errorf("N=%d is smaller than the 2 clients a round activates", n)
+			}
+			c.Profile.NumClients = n
+			c.Profile.ClientsPerRound = min(max(2, n/10), 100)
+			return nil
+		}),
 	}
 }
 
@@ -178,34 +294,81 @@ func NewAxis(name string, values ...string) (Axis, error) {
 	return a, nil
 }
 
-// gridColumns are the History counters a grid can print after its
-// accuracy columns, by header.
-func gridColumns() map[string]func(h *fl.History) string {
-	return map[string]func(h *fl.History) string{
-		"Crashes":     func(h *fl.History) string { return strconv.Itoa(h.Crashes) },
-		"Drops":       func(h *fl.History) string { return strconv.Itoa(h.FaultDrops) },
-		"Retries":     func(h *fl.History) string { return strconv.Itoa(h.Retries) },
-		"Dups":        func(h *fl.History) string { return strconv.Itoa(h.Duplicates) },
-		"Stalls":      func(h *fl.History) string { return strconv.Itoa(h.Stalls) },
-		"Degraded":    func(h *fl.History) string { return strconv.Itoa(h.Degraded) },
-		"Unavailable": func(h *fl.History) string { return strconv.Itoa(h.Unavailable) },
-		"Stragglers":  func(h *fl.History) string { return strconv.Itoa(h.Stragglers) },
-		"Arrivals":    func(h *fl.History) string { return strconv.Itoa(h.Comm.ModelsUp) },
-		"MB on wire":  func(h *fl.History) string { return megabytes(h.TotalBytes()) },
-		"MB up":       func(h *fl.History) string { return megabytes(h.BytesUp) },
+// measure is what a grid reports for each cell: the seeds the cell runs
+// on and the columns it fills. The curve measure fills none — its grid is
+// drawn, not tabulated.
+type measure struct {
+	// everySeed runs each Profile.Seeds entry instead of the first.
+	everySeed bool
+	heads     []string
+	vals      func(c GridCell) []string
+}
+
+func measures() map[string]measure {
+	acc := func(x float64) string { return fmt.Sprintf("%.4f", x) }
+	return map[string]measure{
+		"": {heads: []string{"Final acc", "Best acc"}, vals: func(c GridCell) []string {
+			return []string{acc(c.History().Final().TestAcc), acc(c.History().BestAcc())}
+		}},
+		"stat": {everySeed: true, heads: []string{"Accuracy (%)"}, vals: func(c GridCell) []string {
+			return []string{c.Stat().String()}
+		}},
+		"best": {heads: []string{"Best acc"}, vals: func(c GridCell) []string {
+			return []string{acc(c.History().BestAcc())}
+		}},
+		"convergence": {heads: []string{"best", "r@40%"}, vals: func(c GridCell) []string {
+			return []string{acc(c.History().BestAcc()), strconv.Itoa(c.History().RoundsToAcc(0.4))}
+		}},
+		"curve": {},
+	}
+}
+
+// gridColumns are what a table can print after its measure, by header:
+// the first run's counters and the cell's own settings.
+func gridColumns() map[string]func(c GridCell) string {
+	return map[string]func(c GridCell) string{
+		"Crashes":     func(c GridCell) string { return strconv.Itoa(c.History().Crashes) },
+		"Drops":       func(c GridCell) string { return strconv.Itoa(c.History().FaultDrops) },
+		"Retries":     func(c GridCell) string { return strconv.Itoa(c.History().Retries) },
+		"Dups":        func(c GridCell) string { return strconv.Itoa(c.History().Duplicates) },
+		"Stalls":      func(c GridCell) string { return strconv.Itoa(c.History().Stalls) },
+		"Degraded":    func(c GridCell) string { return strconv.Itoa(c.History().Degraded) },
+		"Unavailable": func(c GridCell) string { return strconv.Itoa(c.History().Unavailable) },
+		"Stragglers":  func(c GridCell) string { return strconv.Itoa(c.History().Stragglers) },
+		"Arrivals":    func(c GridCell) string { return strconv.Itoa(c.History().Comm.ModelsUp) },
+		"MB on wire":  func(c GridCell) string { return megabytes(c.History().TotalBytes()) },
+		"MB up":       func(c GridCell) string { return megabytes(c.History().BytesUp) },
+		"K":           func(c GridCell) string { return strconv.Itoa(c.Profile.ClientsPerRound) },
 	}
 }
 
 func megabytes(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
 
 // Grid is a declared sweep: a base cell, an ordered list of axes expanded
-// row-major (the last axis varies fastest), and what to print.
+// row-major (the last axis varies fastest), what each cell reports and
+// how the cells are laid out.
 type Grid struct {
 	// Title labels the sweep; RunGrid appends what the base cell runs.
 	Title string
 	Base  Cell
 	Axes  []Axis
-	// Columns names the gridColumns counters printed after the accuracy
+	// Measure names what a cell reports: "" is final and best accuracy on
+	// the first seed, "stat" the final accuracy over every Profile.Seeds
+	// entry as mean ± std, "best" the best accuracy, "convergence" the best
+	// accuracy and the rounds to 40 %, "curve" the evaluated learning curve.
+	Measure string
+	// Across names the axis laid across the page instead of down it: its
+	// values become the table's column groups or, under the curve measure,
+	// the curves of one panel per combination of the other axes. Empty is
+	// the long table, a row per cell.
+	Across string
+	// Reference names an algorithm the base cell is also run under, once;
+	// a curve grid draws it first in every panel.
+	Reference string
+	// Winner adds a column naming each row's best Across value by mean
+	// final accuracy, and a line counting the rows FedCross wins.
+	Winner bool
+	// Columns names the gridColumns entries printed after the measure
 	// (and retention) columns.
 	Columns []string
 	// Trajectory adds every cell's traffic-vs-accuracy curve under the
@@ -215,29 +378,130 @@ type Grid struct {
 	note func(p Profile) string
 }
 
-// Sweep replaces the values of the grid's axis name.
-func (g *Grid) Sweep(name string, values ...string) error {
-	var have []string
-	for i := range g.Axes {
-		if g.Axes[i].Name == name {
-			g.Axes[i].Values = values
-			return nil
-		}
-		have = append(have, g.Axes[i].Name)
-	}
-	return fmt.Errorf("experiments: grid %q has no axis %q (it sweeps %v)", g.Title, name, have)
+// axis returns the index of the grid's axis name, or -1.
+func (g *Grid) axis(name string) int {
+	return slices.IndexFunc(g.Axes, func(a Axis) bool { return a.Name == name })
 }
 
-// gridPresets are the system sweeps: each is a base cell on the shared
-// vision10 / cnn / Dir(0.5) environment, default axis values, counter
-// columns, and base settings applied only where the profile left zero.
+// Sweep replaces the values of the grid's axis name.
+func (g *Grid) Sweep(name string, values ...string) error {
+	a := g.axis(name)
+	if a < 0 {
+		var have []string
+		for _, ax := range g.Axes {
+			have = append(have, ax.Name)
+		}
+		return fmt.Errorf("experiments: grid %q has no axis %q (it sweeps %v)", g.Title, name, have)
+	}
+	g.Axes[a].Values = values
+	return nil
+}
+
+// Seeds returns the seeds every cell of the grid runs on: the profile's
+// when the measure reports over seeds, otherwise its first.
+func (g *Grid) Seeds() []int64 {
+	if measures()[g.Measure].everySeed {
+		return g.Base.Profile.Seeds
+	}
+	return []int64{firstSeed(g.Base.Profile)}
+}
+
+// visionCell is the base most presets start from: the profile on the
+// vision10 / cnn environment at Dir(beta), FedCross at the paper's
+// settings.
+func visionCell(p Profile, algo string, beta float64) Cell {
+	return Cell{Profile: p, Dataset: "vision10", Model: "cnn", Het: data.Heterogeneity{Beta: beta},
+		Algorithm: algo, FedCross: core.DefaultOptions()}
+}
+
+// gridPresets are the declared sweeps: the paper's tables, figures and
+// ablations, then the five system sweeps. Each is a base cell, default
+// axis values, a measure and a layout; base settings the CLI's global
+// flags also reach are applied only where the profile left zero.
 func gridPresets() map[string]func(p Profile) Grid {
+	alphas := []string{"0.5", "0.8", "0.9", "0.95", "0.99", "0.999"}
 	return map[string]func(p Profile) Grid{
+		// table2: the accuracy comparison, a row per dataset × model ×
+		// heterogeneity and a column per method.
+		"table2": func(p Profile) Grid {
+			return Grid{Title: "Table II — test accuracy (%) comparison", Base: visionCell(p, "fedavg", 0.5),
+				Axes: []Axis{mustAxis("dataset", "vision10"), mustAxis("model", "cnn"),
+					mustAxis("beta", "0.5", "iid"), mustAxis("algo", AlgorithmNames()...)},
+				Measure: "stat", Across: "algo", Winner: true}
+		},
+		// table3: α × collaborator strategy at β = 1.0. α = 0.999 sits inside
+		// the admissible [0.5, 1) and is expected to collapse — that is the
+		// point of the ablation.
+		"table3": func(p Profile) Grid {
+			return Grid{Title: "Table III — test accuracy (%) by alpha and selection strategy", Base: visionCell(p, "fedcross", 1.0),
+				Axes: []Axis{mustAxis("alpha", alphas...),
+					mustAxis("strategy", "in-order", "highest-similarity", "lowest-similarity")},
+				Measure: "stat", Across: "strategy"}
+		},
+		// fig5: every method's learning curve, a panel per model ×
+		// heterogeneity.
+		"fig5": func(p Profile) Grid {
+			return Grid{Title: "Figure 5 — learning curves", Base: visionCell(p, "fedavg", 0.5),
+				Axes:    []Axis{mustAxis("model", "cnn"), mustAxis("beta", "0.5", "iid"), mustAxis("algo", AlgorithmNames()...)},
+				Measure: "curve", Across: "algo"}
+		},
+		// fig6: activated clients K at β = 0.1. K only changes the round
+		// configuration, so every cell shares one environment build.
+		"fig6": func(p Profile) Grid {
+			return Grid{Title: "Figure 6 — best accuracy vs activated clients K", Base: visionCell(p, "fedavg", 0.1),
+				Axes:    []Axis{mustAxis("k", "2", "4", "8"), mustAxis("algo", "fedavg", "fedcross")},
+				Measure: "best", Across: "algo"}
+		},
+		// fig7: population N under 10% participation with the corpus fixed
+		// at 300 samples, so more clients means less data each.
+		"fig7": func(p Profile) Grid {
+			p.VisionTrainPerClass = 30
+			return Grid{Title: "Figure 7 — accuracy vs total clients N (10% participation, fixed data budget)", Base: visionCell(p, "fedavg", 0.5),
+				Axes:    []Axis{mustAxis("n", "10", "20", "40"), mustAxis("algo", "fedavg", "fedcross")},
+				Measure: "convergence", Across: "algo", Columns: []string{"K"}}
+		},
+		// fig8: learning curves per α at β = 1.0, a panel per strategy,
+		// against one FedAvg run.
+		"fig8": func(p Profile) Grid {
+			return Grid{Title: "Figure 8 — alpha sweep", Base: visionCell(p, "fedcross", 1.0),
+				Axes:    []Axis{mustAxis("strategy", "in-order", "lowest-similarity"), mustAxis("alpha", alphas...)},
+				Measure: "curve", Across: "alpha", Reference: "fedavg"}
+		},
+		// fig9: the acceleration variants over a 4-round window with two
+		// propellers.
+		"fig9": func(p Profile) Grid {
+			base := visionCell(p, "fedcross", 0.1)
+			base.FedCross.AccelRounds, base.FedCross.PropellerCount = 4, 2
+			return Grid{Title: "Figure 9 — acceleration methods", Base: base,
+				Axes:    []Axis{mustAxis("beta", "0.1", "iid"), mustAxis("accel", "vanilla", "pm", "da", "pm-da")},
+				Measure: "curve", Across: "accel"}
+		},
+		// The ablations quantify three design choices beyond Table III:
+		// Algorithm 1's shuffle (line 5), which the paper argues gives every
+		// middleware model an even chance of visiting every client; the
+		// similarity measure behind lowest-similarity selection (the paper's
+		// printed formula divides by the sum of the norms, not their
+		// product); and the propeller fan-in of the PM acceleration, run
+		// over the first half of the rounds.
+		"ablation-shuffle": func(p Profile) Grid {
+			return Grid{Title: "Ablation — shuffle dispatching (Algorithm 1, line 5)", Base: visionCell(p, "fedcross", 0.5),
+				Axes: []Axis{mustAxis("shuffle", "on", "off")}, Measure: "stat"}
+		},
+		"ablation-similarity": func(p Profile) Grid {
+			return Grid{Title: "Ablation — similarity measure behind lowest-similarity selection", Base: visionCell(p, "fedcross", 0.5),
+				Axes: []Axis{mustAxis("similarity", "cosine", "paper", "euclidean")}, Measure: "stat"}
+		},
+		"ablation-propellers": func(p Profile) Grid {
+			base := visionCell(p, "fedcross", 0.5)
+			base.FedCross.Accel, base.FedCross.AccelRounds = core.AccelPropeller, max(1, p.Rounds/2)
+			return Grid{Title: "Ablation — propeller-model fan-in (PM acceleration)", Base: base,
+				Axes: []Axis{mustAxis("propellers", "1", "2", "3")}, Measure: "stat"}
+		},
 		// comm: one algorithm per wire codec on identical environments, so
 		// the only difference between rows is what the transport does to the
 		// payloads — accuracy per megabyte moved.
 		"comm": func(p Profile) Grid {
-			return Grid{Title: "Comm-vs-accuracy", Base: Cell{Profile: p, Algorithm: "fedcross"},
+			return Grid{Title: "Comm-vs-accuracy", Base: visionCell(p, "fedcross", 0.5),
 				Axes:    []Axis{mustAxis("codec", "identity", "fp16", "int8", "topk")},
 				Columns: []string{"MB on wire", "Stragglers"}, Trajectory: true, note: netNote}
 		},
@@ -247,7 +511,7 @@ func gridPresets() map[string]func(p Profile) Grid {
 			if p.Attack == "" || p.Attack == fl.AttackNone {
 				p.Attack = fl.AttackSignFlip
 			}
-			return Grid{Title: "Byzantine robustness", Base: Cell{Profile: p, Algorithm: "fedavg"},
+			return Grid{Title: "Byzantine robustness", Base: visionCell(p, "fedavg", 0.5),
 				Axes: []Axis{mustAxis("frac", "0", "0.2"),
 					mustAxis("reducer", "mean", "trimmed", "median", "krum", "multikrum")},
 				note: func(p Profile) string { return "attack=" + p.Attack }}
@@ -256,7 +520,9 @@ func gridPresets() map[string]func(p Profile) Grid {
 		// in-flight concurrency (default K and 2K).
 		"async": func(p Profile) Grid {
 			k := cmp.Or(p.ClientsPerRound, 4)
-			return Grid{Title: "Buffered-async", Base: Cell{Profile: p, Async: &fl.AsyncOptions{}},
+			base := visionCell(p, "", 0.5)
+			base.Async = &fl.AsyncOptions{}
+			return Grid{Title: "Buffered-async", Base: base,
 				Axes: []Axis{mustAxis("buffer", "1", "4", "8"),
 					mustAxis("inflight", strconv.Itoa(k), strconv.Itoa(2*k))},
 				Columns: []string{"Arrivals", "MB up"}, note: netNote}
@@ -264,10 +530,10 @@ func gridPresets() map[string]func(p Profile) Grid {
 		// faults: increasing fault intensity with a quorum floor and upload
 		// retries engaged; level 0 is the bit-identical benign baseline.
 		"faults": func(p Profile) Grid {
-			p.MinUploads = cmp.Or(p.MinUploads, maxInt(1, p.ClientsPerRound/2))
+			p.MinUploads = cmp.Or(p.MinUploads, max(1, p.ClientsPerRound/2))
 			p.Retries = cmp.Or(p.Retries, 2)
 			p.RetryBackoffSec = cmp.Or(p.RetryBackoffSec, 0.05)
-			return Grid{Title: "Fault injection", Base: Cell{Profile: p, Algorithm: "fedavg"},
+			return Grid{Title: "Fault injection", Base: visionCell(p, "fedavg", 0.5),
 				Axes:    []Axis{mustAxis("level", "0", "0.05", "0.1")},
 				Columns: []string{"Crashes", "Drops", "Retries", "Dups", "Stalls", "Degraded"},
 				note: func(p Profile) string {
@@ -281,7 +547,7 @@ func gridPresets() map[string]func(p Profile) Grid {
 			p.Churn.Jitter = cmp.Or(p.Churn.Jitter, 0.3)
 			p.Churn.StartFrac = cmp.Or(p.Churn.StartFrac, 1)
 			p.Churn.EndFrac = cmp.Or(p.Churn.EndFrac, 0.6)
-			return Grid{Title: "Availability churn", Base: Cell{Profile: p, Algorithm: "fedavg"},
+			return Grid{Title: "Availability churn", Base: visionCell(p, "fedavg", 0.5),
 				Axes:    []Axis{mustAxis("avail", "1", "0.7", "0.4")},
 				Columns: []string{"Unavailable"},
 				note:    func(p Profile) string { return fmt.Sprintf("N=%d", p.NumClients) }}
@@ -301,39 +567,55 @@ func mustAxis(name string, values ...string) Axis {
 	return a
 }
 
-// GridPreset returns the named system sweep over the profile: comm,
-// robust, async, faults or churn.
+// GridPreset returns the named sweep over the profile: the paper's
+// table2, table3, fig5 … fig9 and ablation-shuffle / -similarity /
+// -propellers, or the system sweeps comm, robust, async, faults, churn.
 func GridPreset(name string, p Profile) (Grid, error) {
 	mk, ok := gridPresets()[name]
 	if !ok {
 		return Grid{}, fmt.Errorf("experiments: unknown grid preset %q (want one of %v)", name, slices.Sorted(maps.Keys(gridPresets())))
 	}
-	g := mk(p)
-	g.Base.Dataset, g.Base.Model, g.Base.Het = "vision10", "cnn", data.Heterogeneity{Beta: 0.5}
-	return g, nil
+	return mk(p), nil
 }
 
-// GridCell is one run of a grid: the value it took on each axis, the
-// cell those values produced, and the run's history.
+// GridCell is one cell of a grid that has run: the value it took on each
+// axis, the cell those values resolved to, and one history per seed of
+// Grid.Seeds.
 type GridCell struct {
 	Coords []string
 	Cell
-	History *fl.History
+	Histories []*fl.History
+}
+
+// History is the run on the grid's first seed.
+func (c GridCell) History() *fl.History { return c.Histories[0] }
+
+// Stat summarises the final accuracy over the seeds the cell ran on.
+func (c GridCell) Stat() Stat {
+	finals := make([]float64, len(c.Histories))
+	for i, h := range c.Histories {
+		finals[i] = h.Final().TestAcc
+	}
+	return NewStat(finals)
 }
 
 // GridResult is a grid that has run: Title now says what the base cell
-// ran, and Cells holds the runs, row-major over Axes.
+// ran, Cells holds the distinct cells row-major over Axes, and Reference
+// the grid's reference run when it declares one.
 type GridResult struct {
 	Grid
-	Cells []GridCell
+	Cells     []GridCell
+	Reference *GridCell
 }
 
 // RunGrid expands the axes into cells and runs them through the
-// scheduler on the profile's first seed: one shared worker budget,
-// memoized environments, first failure by cell index. Every axis value is
-// applied — and so validated — before any cell runs. Each cell's history
-// is a pure function of its seed and settings, so the result is
-// bit-identical at every Jobs/Parallelism setting.
+// scheduler on Grid.Seeds: one shared worker budget, memoized
+// environments, first failure by cell index. Every axis value is applied
+// — and so validated — before any cell runs; each cell is then resolved,
+// and a cell equal to an earlier one is dropped, so a coordinate its
+// dataset ignores does not repeat the row. Each run's history is a pure
+// function of its seed and settings, so the result is bit-identical at
+// every Jobs/Parallelism setting.
 func RunGrid(g Grid) (*GridResult, error) {
 	n := 1
 	for _, ax := range g.Axes {
@@ -342,29 +624,30 @@ func RunGrid(g Grid) (*GridResult, error) {
 		}
 		n *= len(ax.Values)
 	}
-	counters := gridColumns()
+	columns := gridColumns()
 	for _, name := range g.Columns {
-		if counters[name] == nil {
+		if columns[name] == nil {
 			return nil, fmt.Errorf("experiments: unknown grid column %q", name)
 		}
 	}
-	algo := g.Base.Algorithm
-	if g.Base.Async != nil {
-		algo = "fedbuff"
+	if _, ok := measures()[g.Measure]; !ok {
+		return nil, fmt.Errorf("experiments: unknown grid measure %q", g.Measure)
 	}
-	res := &GridResult{Grid: g, Cells: make([]GridCell, n)}
-	res.Title = fmt.Sprintf("%s — %s on %s/%s", g.Title, algo, g.Base.Dataset, g.Base.Model)
-	if g.note != nil {
-		res.Title += ", " + g.note(g.Base.Profile)
+	if (g.Across != "" || g.Measure == "curve" || g.Winner) && g.axis(g.Across) < 0 {
+		return nil, fmt.Errorf("experiments: grid %q lays out axis %q, which it does not sweep", g.Title, g.Across)
 	}
-	for i := range res.Cells {
-		gc := &res.Cells[i]
-		gc.Cell = g.Base
+	seeds := g.Seeds()
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("experiments: grid %q reports over Profile.Seeds, which is empty", g.Title)
+	}
+	res := &GridResult{Grid: g}
+	res.Title = g.title()
+	for i := range n {
+		gc := GridCell{Cell: g.Base, Coords: make([]string, len(g.Axes))}
 		if g.Base.Async != nil {
 			ao := *g.Base.Async
 			gc.Async = &ao
 		}
-		gc.Coords = make([]string, len(g.Axes))
 		for a, rem := len(g.Axes)-1, i; a >= 0; a-- {
 			vals := g.Axes[a].Values
 			gc.Coords[a] = vals[rem%len(vals)]
@@ -375,15 +658,40 @@ func RunGrid(g Grid) (*GridResult, error) {
 				return nil, fmt.Errorf("experiments: grid axis %s=%s: %w", ax.Name, gc.Coords[a], err)
 			}
 		}
-	}
-	seed := firstSeed(g.Base.Profile)
-	s := newScheduler(g.Base.Profile)
-	err := s.Run(n, func(i int) error {
-		hist, err := res.Cells[i].run(s, seed)
-		if err != nil {
-			return fmt.Errorf("experiments: grid cell %s: %w", strings.Join(res.labels(i), " "), err)
+		gc.resolve()
+		for a, ax := range g.Axes {
+			if ax.Read != nil {
+				gc.Coords[a] = ax.Read(gc.Cell)
+			}
 		}
-		res.Cells[i].History = hist
+		if !slices.ContainsFunc(res.Cells, func(o GridCell) bool { return slices.Equal(o.Coords, gc.Coords) }) {
+			res.Cells = append(res.Cells, gc)
+		}
+	}
+	runs := make([]*GridCell, len(res.Cells), len(res.Cells)+1)
+	for i := range res.Cells {
+		runs[i] = &res.Cells[i]
+	}
+	if g.Reference != "" {
+		res.Reference = &GridCell{Cell: g.Base}
+		res.Reference.Algorithm = g.Reference
+		runs = append(runs, res.Reference)
+	}
+	for _, c := range runs {
+		c.Histories = make([]*fl.History, len(seeds))
+	}
+	s := newScheduler(g.Base.Profile)
+	err := s.Run(len(runs)*len(seeds), func(i int) error {
+		c, si := runs[i/len(seeds)], i%len(seeds)
+		hist, err := c.run(s, seeds[si])
+		if err != nil {
+			name := strings.Join(res.labels(*c), " ")
+			if c == res.Reference {
+				name = "reference " + c.Algorithm
+			}
+			return fmt.Errorf("experiments: grid cell %s, seed %d: %w", name, seeds[si], err)
+		}
+		c.Histories[si] = hist
 		return nil
 	})
 	if err != nil {
@@ -392,11 +700,34 @@ func RunGrid(g Grid) (*GridResult, error) {
 	return res, nil
 }
 
-// labels renders cell i's coordinates the way their columns print them.
-func (r *GridResult) labels(i int) []string {
-	out := make([]string, len(r.Axes))
-	for a, ax := range r.Axes {
-		out[a] = ax.label(r.Cells[i].Coords[a])
+// title appends what every cell shares to the grid's title: the base
+// cell's algorithm, dataset and model, less whichever an axis sweeps.
+func (g *Grid) title() string {
+	title := g.Title
+	if g.axis("algo") < 0 {
+		title += " — " + cmp.Or(g.Base.Algorithm, "fedbuff") // async cells name no algorithm
+	}
+	var on []string
+	if g.axis("dataset") < 0 {
+		on = append(on, g.Base.Dataset)
+	}
+	if g.axis("model") < 0 {
+		on = append(on, g.Base.Model)
+	}
+	if len(on) > 0 {
+		title += " on " + strings.Join(on, "/")
+	}
+	if g.note != nil {
+		title += ", " + g.note(g.Base.Profile)
+	}
+	return title
+}
+
+// labels renders a cell's coordinates the way their columns print them.
+func (r *GridResult) labels(c GridCell) []string {
+	out := make([]string, len(c.Coords))
+	for a, v := range c.Coords {
+		out[a] = r.Axes[a].label(v)
 	}
 	return out
 }
@@ -434,61 +765,196 @@ func (r *GridResult) baseline(i int) int {
 // swept or scored zero — the quantity the CI gates threshold.
 func (r *GridResult) Retention(i int) float64 {
 	if b := r.baseline(i); b >= 0 {
-		if acc := r.Cells[b].History.Final().TestAcc; acc > 0 {
-			return r.Cells[i].History.Final().TestAcc / acc
+		if acc := r.Cells[b].History().Final().TestAcc; acc > 0 {
+			return r.Cells[i].History().Final().TestAcc / acc
 		}
 	}
 	return -1
 }
 
-// Render writes the grid as one table: a column per axis, final and best
-// accuracy, retention against the baseline cell when an axis declares
-// one, then the counter columns — followed by the per-cell trajectories
-// when the grid asks for them.
-func (r *GridResult) Render(w io.Writer) error {
-	t := Table{Title: r.Title}
-	retention := false
-	for _, ax := range r.Axes {
-		t.Header = append(t.Header, ax.Header)
-		retention = retention || ax.Baseline != ""
+// groups splits the cells by every coordinate but the Across axis's: one
+// group of cell indexes per distinct rest, in order of first appearance —
+// the rows of a table, the panels of a curve figure. With no Across axis
+// (across = -1) every cell is its own group.
+func (r *GridResult) groups() (across int, groups [][]int) {
+	across = r.axis(r.Across)
+	at := map[string]int{}
+	for i, c := range r.Cells {
+		rest := slices.Clone(c.Coords)
+		if across >= 0 {
+			rest[across] = ""
+		}
+		key := strings.Join(rest, "\x00")
+		g, ok := at[key]
+		if !ok {
+			g, at[key] = len(groups), len(groups)
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
-	t.Header = append(t.Header, "Final acc", "Best acc")
+	return across, groups
+}
+
+// groupLabels renders what a group's cells share: cell i's labels without
+// the Across axis's.
+func (r *GridResult) groupLabels(i, across int) []string {
+	labels := r.labels(r.Cells[i])
+	if across >= 0 {
+		labels = slices.Delete(labels, across, across+1)
+	}
+	return labels
+}
+
+// Render writes the grid the way it declares: a curve grid as one series
+// per panel, every other measure as one table.
+func (r *GridResult) Render(w io.Writer) error {
+	if r.Measure == "curve" {
+		return r.renderCurves(w)
+	}
+	return r.renderTable(w)
+}
+
+// renderTable writes a column per axis, then the measure's columns — and
+// retention against the baseline cell when an axis declares one — once
+// per value of the Across axis (once in all without one), the counter
+// columns and the winner, followed by the per-cell trajectories when the
+// grid asks for them.
+func (r *GridResult) renderTable(w io.Writer) error {
+	m := measures()[r.Measure]
+	across, rows := r.groups()
+	heads := m.heads
+	retention := slices.ContainsFunc(r.Axes, func(a Axis) bool { return a.Baseline != "" })
 	if retention {
-		t.Header = append(t.Header, "Retention")
+		heads = append(slices.Clip(heads), "Retention")
+	}
+	values := []string{""} // the Across axis's values, in order of appearance
+	if across >= 0 {
+		values = nil
+		for _, c := range r.Cells {
+			if !slices.Contains(values, c.Coords[across]) {
+				values = append(values, c.Coords[across])
+			}
+		}
+	}
+	t := Table{Title: r.Title}
+	for a, ax := range r.Axes {
+		if a != across {
+			t.Header = append(t.Header, ax.Header)
+		}
+	}
+	for _, v := range values {
+		for _, h := range heads {
+			switch {
+			case across < 0:
+			case len(heads) == 1:
+				h = r.Axes[across].label(v)
+			default:
+				h = r.Axes[across].label(v) + " " + h
+			}
+			t.Header = append(t.Header, h)
+		}
 	}
 	t.Header = append(t.Header, r.Columns...)
-	counters := gridColumns()
-	for i, c := range r.Cells {
-		row := append(r.labels(i),
-			fmt.Sprintf("%.4f", c.History.Final().TestAcc),
-			fmt.Sprintf("%.4f", c.History.BestAcc()))
-		if retention {
-			ret := "-"
-			if v := r.Retention(i); v >= 0 && r.baseline(i) != i {
-				ret = fmt.Sprintf("%.3f", v)
+	if r.Winner {
+		t.Header = append(t.Header, "winner")
+	}
+	columns := gridColumns()
+	fedcross := func(i int) bool { return r.Cells[i].Algorithm == "fedcross" }
+	wins, contested := 0, 0
+	for _, group := range rows {
+		row := r.groupLabels(group[0], across)
+		for _, v := range values {
+			at := 0
+			if across >= 0 {
+				at = slices.IndexFunc(group, func(i int) bool { return r.Cells[i].Coords[across] == v })
 			}
-			row = append(row, ret)
+			if at < 0 {
+				row = append(row, slices.Repeat([]string{"-"}, len(heads))...)
+				continue
+			}
+			i := group[at]
+			row = append(row, m.vals(r.Cells[i])...)
+			if retention {
+				ret := "-"
+				if v := r.Retention(i); v >= 0 && r.baseline(i) != i {
+					ret = fmt.Sprintf("%.3f", v)
+				}
+				row = append(row, ret)
+			}
 		}
 		for _, name := range r.Columns {
-			row = append(row, counters[name](c.History))
+			row = append(row, columns[name](r.Cells[group[0]]))
+		}
+		if r.Winner {
+			// The first of equal means wins, as the axis orders them.
+			best := slices.MaxFunc(group, func(i, j int) int {
+				return cmp.Compare(r.Cells[i].Stat().Mean, r.Cells[j].Stat().Mean)
+			})
+			row = append(row, r.Axes[across].label(r.Cells[best].Coords[across]))
+			if slices.ContainsFunc(group, fedcross) {
+				contested++
+			}
+			if fedcross(best) {
+				wins++
+			}
 		}
 		t.Add(row...)
 	}
 	if _, err := t.WriteTo(w); err != nil {
 		return err
 	}
+	if r.Winner {
+		if _, err := fmt.Fprintf(w, "FedCross wins %d of %d cells\n", wins, contested); err != nil {
+			return err
+		}
+	}
 	if !r.Trajectory {
 		return nil
 	}
-	for i, c := range r.Cells {
+	for _, c := range r.Cells {
 		ct := Table{
-			Title:  fmt.Sprintf("\n%s trajectory", strings.Join(r.labels(i), " ")),
+			Title:  fmt.Sprintf("\n%s trajectory", strings.Join(r.labels(c), " ")),
 			Header: []string{"Round", "Cum MB", "Acc"},
 		}
-		for _, m := range c.History.Metrics {
+		for _, m := range c.History().Metrics {
 			ct.Add(strconv.Itoa(m.Round), megabytes(m.CumBytesDown+m.CumBytesUp), fmt.Sprintf("%.4f", m.TestAcc))
 		}
 		if _, err := ct.WriteTo(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// renderCurves writes one series per panel — a combination of the axes
+// other than Across — with a curve per Across value, the reference run
+// first.
+func (r *GridResult) renderCurves(w io.Writer) error {
+	across, panels := r.groups()
+	for _, panel := range panels {
+		s := Series{Title: r.Title, XLabel: "round", Curves: map[string][]float64{}}
+		if labels := r.groupLabels(panel[0], across); len(labels) > 0 {
+			s.Title += ", " + strings.Join(labels, " ")
+		}
+		draw := func(name string, c GridCell) {
+			s.Order = append(s.Order, name)
+			for _, m := range c.History().Metrics {
+				if len(s.Order) == 1 {
+					s.Xs = append(s.Xs, m.Round)
+				}
+				s.Curves[name] = append(s.Curves[name], m.TestAcc)
+			}
+		}
+		if r.Reference != nil {
+			draw(r.Reference.Algorithm, *r.Reference)
+		}
+		for _, i := range panel {
+			draw(r.Axes[across].label(r.Cells[i].Coords[across]), r.Cells[i])
+		}
+		if _, err := s.WriteTo(w); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
 	}

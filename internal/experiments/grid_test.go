@@ -11,16 +11,19 @@ import (
 	"fedcross/internal/tensor"
 )
 
-// mlpPreset is the named system sweep on the MLP: the package tests need
-// the harness logic, not the CNN. Each sweep entry is an axis name
-// followed by the values to put on it.
+// mlpPreset is the named preset on the MLP — as the model axis's one value
+// where the preset sweeps it, as the base cell's model elsewhere: the
+// package tests need the runner's logic, not the CNN. Each sweep entry is
+// an axis name followed by the values to put on it.
 func mlpPreset(t *testing.T, name string, p Profile, sweeps ...[]string) Grid {
 	t.Helper()
 	g, err := GridPreset(name, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Base.Model = "mlp"
+	if g.Sweep("model", "mlp") != nil {
+		g.Base.Model = "mlp"
+	}
 	for _, s := range sweeps {
 		if err := g.Sweep(s[0], s[1:]...); err != nil {
 			t.Fatal(err)
@@ -70,26 +73,26 @@ func TestCommCurve(t *testing.T) {
 	var identityMB float64
 	for _, c := range res.Cells {
 		codec := c.Coords[0]
-		if len(c.History.Metrics) == 0 {
+		if len(c.History().Metrics) == 0 {
 			t.Fatalf("codec %s: no evaluated points", codec)
 		}
 		prev := 0.0
-		for _, m := range c.History.Metrics {
+		for _, m := range c.History().Metrics {
 			cum := float64(m.CumBytesDown+m.CumBytesUp) / (1 << 20)
 			if cum <= prev {
-				t.Fatalf("codec %s: cumulative MB not increasing: %v", codec, c.History.Metrics)
+				t.Fatalf("codec %s: cumulative MB not increasing: %v", codec, c.History().Metrics)
 			}
 			prev = cum
 		}
 		if codec == "identity" {
-			identityMB = totalMB(c.History)
+			identityMB = totalMB(c.History())
 		}
 	}
 	if identityMB == 0 {
 		t.Fatal("identity curve missing or moved zero bytes")
 	}
 	for _, c := range res.Cells {
-		if mb := totalMB(c.History); c.Coords[0] != "identity" && mb >= identityMB {
+		if mb := totalMB(c.History()); c.Coords[0] != "identity" && mb >= identityMB {
 			t.Fatalf("lossy codec %s moved %v MB, identity %v — compression had no effect", c.Coords[0], mb, identityMB)
 		}
 	}
@@ -104,7 +107,7 @@ func TestCommCurve(t *testing.T) {
 		p := commProfile()
 		p.Faults = fl.FaultOptions{DropRate: 0.5}
 		p.Retries = retries
-		got := runGrid(t, mlpPreset(t, "comm", p, []string{"codec", "int8"})).Cells[0].History.Retries
+		got := runGrid(t, mlpPreset(t, "comm", p, []string{"codec", "int8"})).Cells[0].History().Retries
 		if (got > 0) != (retries > 0) {
 			t.Fatalf("Profile.Retries=%d under 50%% drops: history records %d retries", retries, got)
 		}
@@ -120,10 +123,10 @@ func TestCommCurveDeadline(t *testing.T) {
 	p.DeadlineSec = 0.5
 	g := mlpPreset(t, "comm", p, []string{"codec", "identity"})
 	a, b := runGrid(t, g), runGrid(t, g)
-	if a.Cells[0].History.Stragglers != b.Cells[0].History.Stragglers {
-		t.Fatalf("straggler count not deterministic: %d vs %d", a.Cells[0].History.Stragglers, b.Cells[0].History.Stragglers)
+	if a.Cells[0].History().Stragglers != b.Cells[0].History().Stragglers {
+		t.Fatalf("straggler count not deterministic: %d vs %d", a.Cells[0].History().Stragglers, b.Cells[0].History().Stragglers)
 	}
-	if a.Cells[0].History.Stragglers == 0 {
+	if a.Cells[0].History().Stragglers == 0 {
 		t.Fatal("edge network with 0.5 s deadline produced no stragglers")
 	}
 }
@@ -205,7 +208,7 @@ func TestRobustAccuracyFloor(t *testing.T) {
 	}
 	res := runGrid(t, g) // frac 0, 0.2 by default
 	retention := func(j int) (benign, attacked, ret float64) {
-		b, a := res.Cells[j].History.Final().TestAcc, res.Cells[len(reducers)+j].History.Final().TestAcc
+		b, a := res.Cells[j].History().Final().TestAcc, res.Cells[len(reducers)+j].History().Final().TestAcc
 		return b, a, res.Retention(len(reducers) + j)
 	}
 	if b, a, ret := retention(0); ret >= 0.5 {
@@ -254,7 +257,7 @@ func TestFaultGridRetentionAndDeterminism(t *testing.T) {
 	if len(res.Cells) != 2 {
 		t.Fatalf("want 2 cells, got %d", len(res.Cells))
 	}
-	benign, faulted := res.Cells[0].History, res.Cells[1].History
+	benign, faulted := res.Cells[0].History(), res.Cells[1].History()
 	if benign.Crashes+benign.FaultDrops+benign.Retries+benign.Stalls != 0 {
 		t.Fatalf("level 0 must stay fault-free: %+v", benign)
 	}
@@ -277,7 +280,7 @@ func TestFaultGridRetentionAndDeterminism(t *testing.T) {
 		p.Network = "lte"
 		p.DeadlineSec = 2
 		p.Faults.StraggleFactor = factor
-		return runGrid(t, mlpPreset(t, "faults", p, []string{"level", "0.3"})).Cells[0].History.Stragglers
+		return runGrid(t, mlpPreset(t, "faults", p, []string{"level", "0.3"})).Cells[0].History().Stragglers
 	}
 	if slow, fast := stragglers(50), stragglers(2); slow == fast {
 		t.Fatalf("StraggleFactor 50 and 2 both record %d stragglers: the level axis dropped Profile.Faults", slow)
@@ -300,11 +303,11 @@ func TestChurnGridBaselineAndTelemetry(t *testing.T) {
 	if len(res.Cells) != 2 {
 		t.Fatalf("want 2 cells, got %d", len(res.Cells))
 	}
-	if res.Cells[0].History.Unavailable != 0 {
-		t.Fatalf("availability 1 must lose no slots: %+v", res.Cells[0].History)
+	if res.Cells[0].History().Unavailable != 0 {
+		t.Fatalf("availability 1 must lose no slots: %+v", res.Cells[0].History())
 	}
-	if res.Cells[1].History.Unavailable == 0 {
-		t.Fatalf("availability 0.3 must lose slots: %+v", res.Cells[1].History)
+	if res.Cells[1].History().Unavailable == 0 {
+		t.Fatalf("availability 0.3 must lose slots: %+v", res.Cells[1].History())
 	}
 
 	// The avail axis sets the availability and nothing else: the
@@ -314,7 +317,7 @@ func TestChurnGridBaselineAndTelemetry(t *testing.T) {
 		p := microProfile()
 		p.Rounds = 6
 		p.Churn.PeriodRounds = period
-		return runGrid(t, mlpPreset(t, "churn", p, []string{"avail", "0.4"})).Cells[0].History
+		return runGrid(t, mlpPreset(t, "churn", p, []string{"avail", "0.4"})).Cells[0].History()
 	}
 	if reflect.DeepEqual(at(2), at(7)) {
 		t.Fatal("Churn.PeriodRounds 2 and 7 give one history: the avail axis dropped Profile.Churn")

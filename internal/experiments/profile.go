@@ -1,11 +1,12 @@
-// Package experiments contains one harness per table and figure of the
-// paper's evaluation (Section IV). Each harness builds its workload from a
-// Profile (Tiny for tests/benches, Small for examples, Paper for the
-// full-scale CLI run), executes the algorithms, and renders the same rows
-// or series the paper reports. EXPERIMENTS.md records paper-vs-measured
-// shapes for every artifact. The system sweeps that are not paper
-// artifacts (comm, robust, async, faults, churn) are declared grids on
-// one runner; see grid.go.
+// Package experiments runs the paper's evaluation (Section IV). Tables
+// II–III, Figures 5–9, the three ablations and the five system sweeps
+// that are not paper artifacts (comm, robust, async, faults, churn) are
+// declared grids on one runner — see grid.go; Table I, Figures 3–4 and
+// the resume gate keep their own code. Every run builds its workload
+// from a Profile (Tiny for tests/benches, Small for examples, Paper for
+// the full-scale CLI run) and renders the rows or series the paper
+// reports. README "Fidelity notes" records where the measured shapes
+// depart from the paper's.
 package experiments
 
 import (
@@ -217,7 +218,7 @@ func NewAlgorithm(name string) (fl.Algorithm, error) {
 }
 
 // DatasetNames lists the five evaluation datasets (synthetic substitutes;
-// DESIGN.md §2).
+// see internal/data's package comment).
 func DatasetNames() []string {
 	return []string{"vision10", "vision100", "femnist", "shakespeare", "sent140"}
 }
@@ -327,13 +328,6 @@ const LazyClientCutoff = 512
 
 func maxInt(a, b int) int {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
 		return a
 	}
 	return b

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"fedcross/internal/data"
@@ -40,61 +39,5 @@ func TestBuildEnvLazyCutoff(t *testing.T) {
 	}
 	if lz.Resident() != 0 {
 		t.Fatalf("construction synthesized %d shards", lz.Resident())
-	}
-}
-
-// TestRunFig7KCap: the participation cap bounds K for huge N (the cell
-// records the K it used and Render reports it), while small sweeps keep
-// the historical 10% rule.
-func TestRunFig7KCap(t *testing.T) {
-	p := TinyProfile()
-	p.Rounds = 2
-	p.EvalEvery = 1
-	opts := Fig7Options{
-		Profile: p, Ns: []int{30}, Model: "mlp", Beta: 0.5,
-		TotalSamples: 300, Algorithms: []string{"fedavg"}, KCap: 2,
-	}
-	res, err := RunFig7(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 1 || res.Cells[0].K != 2 {
-		t.Fatalf("cells %+v, want one cell with K=2", res.Cells)
-	}
-	var sb strings.Builder
-	if err := res.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "fedavg") {
-		t.Fatalf("render missing algorithm column:\n%s", sb.String())
-	}
-
-	// Default cap leaves the historical small-N formula untouched.
-	if got := minInt(maxInt(2, 40/10), 100); got != 4 {
-		t.Fatalf("small-N K = %d, want 4", got)
-	}
-}
-
-// TestRunFig7LazyPopulation drives a full Fig-7 cell over a population
-// beyond the lazy cutoff: the scheduler, env cache and engines all run
-// against synthesized shards.
-func TestRunFig7LazyPopulation(t *testing.T) {
-	p := TinyProfile()
-	p.Rounds = 2
-	p.EvalEvery = 2
-	opts := Fig7Options{
-		Profile: p, Ns: []int{LazyClientCutoff + 88}, Model: "mlp", Beta: 0.5,
-		TotalSamples: 300, Algorithms: []string{"fedavg"}, KCap: 6,
-	}
-	res, err := RunFig7(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res.Cells[0]
-	if c.K != 6 {
-		t.Fatalf("K = %d, want the cap 6", c.K)
-	}
-	if c.Best["fedavg"] < 0 || c.Best["fedavg"] > 1 {
-		t.Fatalf("best accuracy %v out of range", c.Best["fedavg"])
 	}
 }

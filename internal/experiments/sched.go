@@ -99,22 +99,11 @@ func (s *Scheduler) runOne(p Profile, dataset, model string, het data.Heterogene
 	return hist, env, algo, nil
 }
 
-// curveData is one run's evaluated learning curve — the shared result
-// shape of the curve figures' grid cells.
-type curveData struct {
-	rounds []int
-	accs   []float64
-}
-
-// curveOf extracts the evaluated (round, accuracy) series of a history.
-func curveOf(hist *fl.History) curveData {
-	c := curveData{
-		rounds: make([]int, len(hist.Metrics)),
-		accs:   make([]float64, len(hist.Metrics)),
+// firstSeed returns the profile's first seed (1 when none are set) — the
+// seed every single-seed run uses.
+func firstSeed(p Profile) int64 {
+	if len(p.Seeds) > 0 {
+		return p.Seeds[0]
 	}
-	for i, m := range hist.Metrics {
-		c.rounds[i] = m.Round
-		c.accs[i] = m.TestAcc
-	}
-	return c
+	return 1
 }

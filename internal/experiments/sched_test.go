@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"fedcross/internal/core"
 	"fedcross/internal/data"
 )
 
@@ -36,33 +35,18 @@ func renderAtJobs(t *testing.T, jobs int, run func(p Profile) (renderable, error
 }
 
 // TestSchedulerDeterminism pins the scheduler's core invariant: every
-// grid runner produces byte-identical results at cell parallelism 1 and
-// at a parallelism that forces concurrent cells — the grid-level twin of
-// PR 1's round-engine parallelism invariance.
+// preset — and the two harnesses that are not grids — produces
+// byte-identical results at cell parallelism 1 and at a parallelism that
+// forces concurrent cells, the grid-level twin of PR 1's round-engine
+// parallelism invariance.
 func TestSchedulerDeterminism(t *testing.T) {
+	// The micro population is 6 clients: the presets that sweep K and N
+	// past it are swept inside it.
+	micro := map[string][][]string{
+		"fig6": {{"k", "2", "3"}},
+		"fig7": {{"n", "6", "12"}},
+	}
 	grids := map[string]func(p Profile) (renderable, error){
-		"tableII": func(p Profile) (renderable, error) {
-			return RunTableII(TableIIOptions{
-				Profile:  p,
-				Models:   []string{"mlp"},
-				Datasets: []string{"vision10"},
-				Hets:     []data.Heterogeneity{{Beta: 0.5}, {IID: true}},
-				Algorithms: []string{
-					"fedavg", "fedcross", "scaffold",
-				},
-			})
-		},
-		"tableIII": func(p Profile) (renderable, error) {
-			return RunTableIII(TableIIIOptions{
-				Profile: p,
-				Alphas:  []float64{0.5, 0.99},
-				Strategies: []core.Strategy{
-					core.InOrder, core.LowestSimilarity,
-				},
-				Model: "mlp",
-				Beta:  1.0,
-			})
-		},
 		"fig3": func(p Profile) (renderable, error) {
 			o := DefaultFig3Options()
 			o.Profile = p
@@ -78,32 +62,9 @@ func TestSchedulerDeterminism(t *testing.T) {
 			o.SharpnessDirs = 1
 			return RunFig4(o)
 		},
-		"fig5": func(p Profile) (renderable, error) {
-			return RunFig5(Fig5Options{Profile: p, Models: []string{"mlp"}, Hets: []data.Heterogeneity{{IID: true}}})
-		},
-		"fig7": func(p Profile) (renderable, error) {
-			return RunFig7(Fig7Options{Profile: p, Ns: []int{6, 12}, Model: "mlp", Beta: 0.5,
-				TotalSamples: 120, Algorithms: []string{"fedavg", "fedcross"}})
-		},
-		"fig9": func(p Profile) (renderable, error) {
-			return RunFig9(Fig9Options{Profile: p, Model: "mlp", Hets: []data.Heterogeneity{{IID: true}},
-				AccelRounds: 2, PropellerCount: 2})
-		},
-		"fig6": func(p Profile) (renderable, error) {
-			return RunFig6(Fig6Options{Profile: p, Ks: []int{2, 3}, Model: "mlp", Beta: 0.5,
-				Algorithms: []string{"fedavg", "fedcross"}})
-		},
-		"fig8": func(p Profile) (renderable, error) {
-			return RunFig8(Fig8Options{Profile: p, Alphas: []float64{0.9}, Strategies: []core.Strategy{core.InOrder},
-				Beta: 1.0, Model: "mlp"})
-		},
-		"comm": gridAt(t, "comm", []string{"codec", "identity", "int8"}),
-		"ablation-shuffle": func(p Profile) (renderable, error) {
-			o := DefaultAblationOptions()
-			o.Profile = p
-			o.Model = "mlp"
-			return RunAblationShuffle(o)
-		},
+	}
+	for _, name := range presetNames() {
+		grids[name] = gridAt(t, name, micro[name]...)
 	}
 	for name, run := range grids {
 		serial := renderAtJobs(t, 1, run)

@@ -312,3 +312,34 @@ func TestTransportInt8ZeroAlloc(t *testing.T) {
 		t.Fatalf("int8 Down + in-place Up allocate %v objects per round trip, want 0", allocs)
 	}
 }
+
+// TestTransportInt8HugeRange: a finite vector never panics the wire. A
+// range whose width is finite but within an ulp of MaxFloat64 used to be
+// encoded under a header whose grid top was +Inf, which the codec's own
+// Decode refuses — and Down and Broadcast panic on a refused round trip.
+func TestTransportInt8HugeRange(t *testing.T) {
+	tr, err := NewTransport(TransportOptions{Codec: "int8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.BeginRound(0, []int{0}, nil)
+	for _, vec := range []nn.ParamVector{
+		{math.MaxFloat64, 0, 1, 2},
+		{-math.MaxFloat64, 0.5, 1},
+		{-math.MaxFloat64 / 2, math.MaxFloat64 / 2, 0},
+	} {
+		down := tr.Down(nil, 0, vec)
+		cast := tr.Broadcast(nil, []int{0}, vec)
+		up, ok := tr.Up(make(nn.ParamVector, len(vec)), 0, vec, make(nn.ParamVector, len(vec)))
+		if !ok {
+			t.Fatalf("%v: upload lost on the fault-free wire", vec)
+		}
+		for _, got := range []nn.ParamVector{down, cast, up} {
+			for i, v := range got {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%v: element %d crossed the wire as %v", vec, i, v)
+				}
+			}
+		}
+	}
+}

@@ -368,8 +368,8 @@ func (Int8Codec) EncodeDelta(buf []byte, vec, ref ParamVector) []byte {
 }
 
 // int8Range finds the grid's [lo, hi]: the finite range of the residual
-// vec−ref, pinned at zero when nothing is finite and clamped when its
-// width overflows. Large vectors reduce per chunk and combine in chunk
+// vec−ref, pinned at zero when nothing is finite and clamped when the
+// grid's top overflows. Large vectors reduce per chunk and combine in chunk
 // order with the scan's own strict compares, so the range — the sign of a
 // zero end included — is identical to the serial scan at every worker
 // count.
@@ -382,14 +382,29 @@ func int8Range(vec, ref ParamVector) (lo, hi float64) {
 	if lo > hi { // no finite values (or empty): pin the grid at zero
 		lo, hi = 0, 0
 	}
-	if math.IsInf(hi-lo, 1) {
-		// The width overflowed: scale would be +Inf and every coordinate
-		// decode to lo + Inf·0 = NaN. On the clamped grid hi−lo ≤
-		// MaxFloat64/2, so neither scale nor lo + scale·255 can overflow.
-		lo, hi = max(lo, -math.MaxFloat64/4), min(hi, math.MaxFloat64/4)
+	if math.IsInf(int8GridTop(lo, (hi-lo)/255), 1) {
+		// The grid's top overflowed — with the width (scale +Inf, every
+		// coordinate decoding to lo + Inf·0 = NaN) or, under a width within
+		// an ulp of MaxFloat64, on its own — and DecodeDelta refuses such a
+		// header. On the clamped grid hi−lo ≤ MaxFloat64/2, so neither
+		// scale nor the top can overflow. (Compares, not max/min: lo and hi
+		// are finite, and the function keeps the 32-byte size class it had,
+		// so the linker places benchmark/'s calibration loop where the
+		// parent's was — ROADMAP item 7.)
+		if lo < -math.MaxFloat64/4 {
+			lo = -math.MaxFloat64 / 4
+		}
+		if hi > math.MaxFloat64/4 {
+			hi = math.MaxFloat64 / 4
+		}
 	}
 	return lo, hi
 }
+
+// int8GridTop is the grid's last point, lo + 255·scale, with the product
+// rounded on its own: the encoder's range check and the decoder's header
+// check must see the same number on platforms that would fuse the two.
+func int8GridTop(lo, scale float64) float64 { return lo + float64(scale*255) }
 
 // int8RangeChunks is the fanned-out range scan; the per-chunk partials
 // are the fan-out's only allocation besides its goroutines.
@@ -430,10 +445,11 @@ func (c Int8Codec) DecodeDelta(dst ParamVector, data []byte, ref ParamVector) (i
 	lo := math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes:]))
 	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[codecHeaderBytes+8:]))
 	// Every grid point lies between lo and lo+255·scale, so the decode is
-	// finite exactly when both ends are (v−v is NaN for ±Inf and NaN). No
-	// encoder emits any other header; a hostile one is refused rather
-	// than decoded to Inf/NaN.
-	if hi := lo + scale*255; lo-lo != 0 || hi-hi != 0 {
+	// finite exactly when both ends are (v−v is NaN for ±Inf and NaN).
+	// int8Range clamps every range whose top is not, so EncodeDelta emits
+	// no other header; a hostile one is refused rather than decoded to
+	// Inf/NaN.
+	if hi := int8GridTop(lo, scale); lo-lo != 0 || hi-hi != 0 {
 		return 0, fmt.Errorf("nn: int8: grid [%v, %v] is not finite", lo, hi)
 	}
 	body := data[codecHeaderBytes+16 : want]

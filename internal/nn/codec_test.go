@@ -376,11 +376,29 @@ func TestInt8CodecRangeOverflow(t *testing.T) {
 			t.Fatalf("int8 one-sided overflow: element %d decoded to %v", i, v)
 		}
 	}
-	// The widest range whose width is still finite is not touched.
-	edge := ParamVector{-math.MaxFloat64 / 2, math.MaxFloat64 / 2, 0}
+	// A width that is finite can still put the grid's top, lo + 255·scale,
+	// at +Inf — a header Decode refuses. Those ranges are clamped too, and
+	// decode within the clamped grid's bound.
+	for _, vec := range []ParamVector{
+		{math.MaxFloat64, 0, 1, 2},
+		{-math.MaxFloat64, 0.5, 1},
+		{-math.MaxFloat64 / 2, math.MaxFloat64 / 2, 0},
+	} {
+		for i, v := range roundTrip(t, Int8Codec{}, vec) {
+			want := math.Max(lo, math.Min(hi, vec[i]))
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v-want) > bound {
+				t.Fatalf("int8 grid-top overflow %v: element %d decoded to %v, want within %v of %v", vec, i, v, bound, want)
+			}
+		}
+	}
+	// A wide range whose grid top is finite is not touched.
+	edge := ParamVector{-math.MaxFloat64 / 2, math.MaxFloat64 / 4, 0}
 	buf := Int8Codec{}.Encode(nil, edge)
 	if got := math.Float64frombits(binary.LittleEndian.Uint64(buf[codecHeaderBytes:])); got != edge[0] {
-		t.Fatalf("int8: finite-width range re-clamped: lo %v, want %v", got, edge[0])
+		t.Fatalf("int8: finite grid re-clamped: lo %v, want %v", got, edge[0])
+	}
+	if got := roundTrip(t, Int8Codec{}, edge); math.Abs(got[1]-edge[1]) > (edge[1]-edge[0])/510*(1+1e-12) {
+		t.Fatalf("int8: finite grid: %v decoded to %v", edge[1], got[1])
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // one valid payload per codec and destination length,
 // TestCodecDecodeRejectsGarbage's cases (wrong-length destination,
 // truncated body, truncated header), PR 14's range-width-overflow int8
-// vector and an int8 header no encoder emits, whose grid overflows to
-// +Inf.
+// vector, one whose width is finite but whose grid top was not, and an
+// int8 header no encoder emits, whose grid overflows to +Inf.
 func FuzzCodecDecode(f *testing.F) {
 	names := []string{"identity", "fp16", "int8", "topk", "topk:0.05"}
 	sizes := []int{0, 1, 7, 1024}
@@ -44,6 +44,7 @@ func FuzzCodecDecode(f *testing.F) {
 	}
 	wide := Int8Codec{}.Encode(nil, ParamVector{-1.7e308, 0, 1.7e308, 3, -math.MaxFloat64, 1e308, math.NaN()})
 	f.Add(uint8(2), uint8(2), wide)
+	f.Add(uint8(2), uint8(2), Int8Codec{}.Encode(nil, ParamVector{math.MaxFloat64, 0, 1, 2, 3, 4, 5})) // finite width, grid top clamped
 	hostile := append([]byte(nil), wide...)
 	binary.LittleEndian.PutUint64(hostile[codecHeaderBytes:], math.Float64bits(1e308))
 	binary.LittleEndian.PutUint64(hostile[codecHeaderBytes+8:], math.Float64bits(1e308))
