@@ -526,6 +526,14 @@ func BenchmarkLocalTrainingCNN(b *testing.B) {
 // gates direct against lowered as a same-process ratio: a tripwire for a
 // kernel falling back to its scalar twin, not a record of what replacing
 // the fused whole-batch lowering gained.
+//
+// Two more pairs ride along, gated the same way. input-grad is conv2's
+// input gradient alone: direct is Backward less the BackwardParams it
+// begins with (timed inside the loop, reported as ns/op), lowered the
+// per-sample MatMulTransATo + Col2ImTo it is held bit-equal to. relu-pool
+// is a forward and a backward pass through the CNN's two pool stages,
+// batch 50: folded is nn.NewReLUMaxPool2D, layers the ReLU and MaxPool2D
+// it stands for.
 func BenchmarkConvStep(b *testing.B) {
 	const batch = 50
 	rng := tensor.NewRNG(1)
@@ -576,6 +584,66 @@ func BenchmarkConvStep(b *testing.B) {
 				}
 			}
 		}
+	})
+
+	b.Run("input-grad", func(b *testing.B) {
+		l := layers[1]
+		g, outC := l.conv.Geom, l.conv.OutC
+		spatial, inLen := g.OutH()*g.OutW(), l.conv.InFeatures()
+		b.Run("direct", func(b *testing.B) {
+			l.conv.Forward(l.x, true)
+			var d time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				l.conv.Backward(l.grad)
+				t1 := time.Now()
+				l.conv.BackwardParams(l.grad)
+				d += t1.Sub(t0) - time.Since(t1)
+			}
+			b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), "ns/op")
+		})
+		b.Run("lowered", func(b *testing.B) {
+			dcols := tensor.Zeros(g.InC*g.KH*g.KW, spatial)
+			dx := tensor.Zeros(batch, inLen)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for s := 0; s < batch; s++ {
+					dy := tensor.New(l.grad.Data[s*outC*spatial:(s+1)*outC*spatial], outC, spatial)
+					tensor.MatMulTransATo(dcols, l.conv.W, dy)
+					tensor.Col2ImTo(tensor.New(dx.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), dcols, g)
+				}
+			}
+		})
+	})
+
+	b.Run("relu-pool", func(b *testing.B) {
+		type stage struct {
+			folded, pool *nn.MaxPool2D
+			relu         *nn.ReLU
+			x, grad      *tensor.Tensor
+		}
+		var stages []stage
+		for _, c := range []struct{ ch, side int }{{8, models.VisionH}, {16, models.VisionH / 2}} {
+			folded := nn.NewReLUMaxPool2D(c.ch, c.side, c.side, 2)
+			stages = append(stages, stage{folded, nn.NewMaxPool2D(c.ch, c.side, c.side, 2), nn.NewReLU(),
+				rng.Randn(1, batch, folded.InFeatures()), rng.Randn(1, batch, folded.OutFeatures())})
+		}
+		b.Run("folded", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, s := range stages {
+					s.folded.Forward(s.x, true)
+					s.folded.Backward(s.grad)
+				}
+			}
+		})
+		b.Run("layers", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, s := range stages {
+					s.pool.Forward(s.relu.Forward(s.x, true), true)
+					s.relu.Backward(s.pool.Backward(s.grad))
+				}
+			}
+		})
 	})
 }
 

@@ -40,10 +40,11 @@
 // beta (numbers or "iid") × algo; table3 alpha × strategy; fig5 model ×
 // beta × algo; fig6 k × algo; fig7 n × algo; fig8 strategy × alpha; fig9
 // beta × accel; ablations shuffle, similarity and propellers (three grids
-// in a row); comm codec; robust frac × reducer; async buffer × inflight;
-// faults level; churn avail. model is an axis under table2 and fig5 and
-// names the one model everywhere else (fig4 and resume included; resume
-// also reads algo and stop). A preset also declares what a cell reports —
+// in a row); table3 and fig6 also rounds, an outermost axis that exists
+// only when named (and then replaces -rounds); comm codec; robust frac ×
+// reducer; async buffer × inflight; faults level; churn avail. model is an
+// axis under table2 and fig5 and names the one model everywhere else (fig4
+// and resume included; resume also reads algo and stop). A preset also declares what a cell reports —
 // mean ± std over every seed, first-seed accuracies, or the learning curve
 // — and which axis, if any, is laid across the page as column groups or as
 // the curves of a panel. Naming an axis the chosen experiment does not
@@ -94,6 +95,11 @@
 // background pool that synthesizes their shards while the current round
 // trains; it moves wall-clock only, histories are bit-identical at every
 // setting.
+//
+// Profiles: -cpuprofile file records a CPU profile of everything after
+// flag parsing and -memprofile file a heap profile taken as the command
+// ends (both runtime/pprof, read with go tool pprof); neither changes a
+// byte of the output.
 package main
 
 import (
@@ -166,14 +172,14 @@ func presetsOf(name string) []string {
 
 // run is the whole command on its own flag set, so tests drive it without
 // a subprocess.
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("fedsim", flag.ContinueOnError)
 	grid := gridFlag{}
-	fs.Var(grid, "grid", "swept values, `axis=v1,v2` (repeatable): model, dataset, beta (numbers or iid), algo, alpha, strategy, accel, shuffle, similarity, propellers, k, n for the paper's tables and figures; codec, frac, reducer, buffer, inflight, level, avail for comm/robust/async/faults/churn; stop for resume. An axis the experiment does not read is an error")
+	fs.Var(grid, "grid", "swept values, `axis=v1,v2` (repeatable): model, dataset, beta (numbers or iid), algo, alpha, strategy, accel, shuffle, similarity, propellers, k, n, rounds for the paper's tables and figures; codec, frac, reducer, buffer, inflight, level, avail for comm/robust/async/faults/churn; stop for resume. An axis the experiment does not read is an error")
 	var (
 		experiment = fs.String("experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", resume, all")
 		profile    = fs.String("profile", "tiny", "run scale: tiny, small, paper")
-		rounds     = fs.Int("rounds", 0, "override the profile's round count (0 keeps profile default)")
+		rounds     = fs.Int("rounds", 0, "override the profile's round count (0 keeps profile default); table3 and fig6 can sweep it with -grid rounds= instead")
 		clients    = fs.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps it with -grid n= instead")
 		kFlag      = fs.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default); fig6 sweeps it with -grid k= and fig7 derives it from n")
 		rssLimitMB = fs.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
@@ -199,10 +205,22 @@ func run(args []string, stdout io.Writer) error {
 		resumeFlag   = fs.Bool("resume", false, "resume from the -checkpoint snapshot instead of starting at round 0")
 		stopAfter    = fs.Int("stopafter", 0, "halt after this round completes, writing a snapshot (simulated kill; 0 = run to completion)")
 		prefetchR    = fs.Int("prefetch", 0, "rounds of cohort lookahead handed to the lazy source's background prefetch pool (0 = off; results are identical)")
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the whole command to this `file` (go tool pprof)")
+		memProfile   = fs.String("memprofile", "", "write a heap profile to this `file` when the command ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		// Every way out of run, usage errors included, ends the profiles.
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 
 	prof, err := profileByName(*profile)
 	if err != nil {
@@ -338,10 +356,10 @@ func run(args []string, stdout io.Writer) error {
 				if g.Base.Async != nil {
 					g.Base.Async.StalenessExp = *staleExp
 				}
-				for _, ax := range g.Axes {
-					swept = append(swept, ax.Name)
-					if vals, ok := grid[ax.Name]; ok {
-						if err := g.Sweep(ax.Name, vals...); err != nil {
+				for _, axis := range g.Reads() {
+					swept = append(swept, axis)
+					if vals, ok := grid[axis]; ok {
+						if err := g.Sweep(axis, vals...); err != nil {
 							return err
 						}
 					}
@@ -354,6 +372,9 @@ func run(args []string, stdout io.Writer) error {
 			}
 			axes = append(swept, "model")
 		}
+		// The rounds axis, where -grid names it, sets every cell's rounds.
+		_, sweepsRounds := grid["rounds"]
+		flagRead["-rounds"] = flagRead["-rounds"] || !(sweepsRounds && slices.Contains(swept, "rounds"))
 		if len(models) > 1 && slices.Contains(axes, "model") && !slices.Contains(swept, "model") {
 			return fmt.Errorf("-grid model=%s: experiment %s runs one model", strings.Join(models, ","), name)
 		}
@@ -374,7 +395,7 @@ func run(args []string, stdout io.Writer) error {
 	for _, f := range []struct {
 		name string
 		set  bool
-	}{{"-seeds", *seeds > 1}, {"-clients", *clients > 0}, {"-k", *kFlag > 0}} {
+	}{{"-seeds", *seeds > 1}, {"-clients", *clients > 0}, {"-k", *kFlag > 0}, {"-rounds", *rounds > 0}} {
 		if f.set && !flagRead[f.name] {
 			unread = append(unread, f.name)
 		}

@@ -63,8 +63,8 @@ func TestGridGrammarErrors(t *testing.T) {
 
 // TestGridAxisNotRead: a swept value the experiment does not use — an
 // axis it does not read, a second model where it runs one, -seeds where
-// nothing reports over seeds, -clients / -k where an axis sets them — is a
-// usage error naming what it does read, never accepted and ignored.
+// nothing reports over seeds, -clients / -k / -rounds where an axis sets
+// them — is a usage error naming what it does read, never accepted and ignored.
 func TestGridAxisNotRead(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -84,6 +84,8 @@ func TestGridAxisNotRead(t *testing.T) {
 		{[]string{"-experiment", "fig7", "-clients", "50"}, []string{"-clients", "fig7", "algo, model, n"}},
 		{[]string{"-experiment", "fig7", "-k", "2"}, []string{"-k", "fig7"}},
 		{[]string{"-experiment", "fig6", "-k", "2"}, []string{"-k", "fig6"}},
+		{[]string{"-experiment", "table3", "-rounds", "2", "-grid", "rounds=1,2"}, []string{"-rounds:", "table3", "alpha, model, rounds, strategy"}},
+		{[]string{"-experiment", "fig8", "-grid", "rounds=1,2"}, []string{"-grid rounds", "fig8", "alpha, model, strategy"}},
 	} {
 		out, err := fedsim(t, tc.args...)
 		if err == nil {
@@ -114,6 +116,8 @@ func TestGridAxesRead(t *testing.T) {
 		{append(tiny, "-experiment", "fig7", "-grid", "model=mlp", "-grid", "n=6,12"), []string{"\n6   0.", "\n12  0."}},
 		{micro("-experiment", "table3", "-grid", "strategy=in-order", "-grid", "alpha=0.5"), []string{"Alpha      in-order", "\nalpha=0.5  "}},
 		{micro("-experiment", "fig9", "-grid", "accel=vanilla,pm"), []string{"round  vanilla  pm"}},
+		{[]string{"-profile", "tiny", "-clients", "6", "-grid", "model=mlp", "-experiment", "table3", "-grid", "rounds=1,2", "-grid", "strategy=in-order", "-grid", "alpha=0.5"},
+			[]string{"Rounds  Alpha      in-order", "\n1       alpha=0.5  ", "\n2       alpha=0.5  "}},
 		{append(tiny, "-experiment", "table2", "-clients", "6", "-seeds", "2", "-grid", "model=mlp,cnn", "-grid", "algo=fedavg", "-grid", "beta=iid"), []string{"\nvision10  mlp ", "\nvision10  cnn "}},
 	} {
 		out, err := fedsim(t, tc.args...)
@@ -227,5 +231,43 @@ func TestPaperGoldens(t *testing.T) {
 		if got != string(want) {
 			t.Errorf("%s output changed:\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
 		}
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile write two non-empty files
+// and change nothing on stdout — the fig6 preset still prints its golden —
+// and a path that cannot be created is an error before anything runs.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	got, err := fedsim(t, micro("-grid", "k=2,3", "-experiment", "fig6", "-cpuprofile", cpu, "-memprofile", mem)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "fig6.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("fig6 output changed under the profile flags:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+	for _, path := range []string{cpu, mem} {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+	// The profiles end on error paths too: a usage error after they
+	// started still leaves both files closed and written.
+	cpu2, mem2 := filepath.Join(dir, "cpu2.prof"), filepath.Join(dir, "mem2.prof")
+	if _, err := fedsim(t, "-experiment", "nope", "-cpuprofile", cpu2, "-memprofile", mem2); err == nil {
+		t.Error("unknown experiment accepted")
+	}
+	for _, path := range []string{cpu2, mem2} {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("%s after a usage error: missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+	if _, err := fedsim(t, "-experiment", "table1", "-cpuprofile", filepath.Join(dir, "no", "such", "dir.prof")); err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Errorf("unwritable -cpuprofile: error %v, want one naming the flag", err)
 	}
 }

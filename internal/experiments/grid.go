@@ -277,6 +277,7 @@ func axes() map[string]Axis {
 			c.Profile.ClientsPerRound = min(max(2, n/10), 100)
 			return nil
 		}),
+		"rounds": intAxis("Rounds", func(c *Cell, n int) error { c.Profile.Rounds = n; return nil }),
 	}
 }
 
@@ -352,6 +353,9 @@ type Grid struct {
 	Title string
 	Base  Cell
 	Axes  []Axis
+	// Optional names axes the grid reads but does not sweep unless Sweep
+	// puts values on them; an optional axis then goes outermost.
+	Optional []string
 	// Measure names what a cell reports: "" is final and best accuracy on
 	// the first seed, "stat" the final accuracy over every Profile.Seeds
 	// entry as mean ± std, "best" the best accuracy, "convergence" the best
@@ -383,15 +387,31 @@ func (g *Grid) axis(name string) int {
 	return slices.IndexFunc(g.Axes, func(a Axis) bool { return a.Name == name })
 }
 
-// Sweep replaces the values of the grid's axis name.
+// Reads lists the axes Sweep accepts: the grid's own, then its optional
+// ones.
+func (g *Grid) Reads() []string {
+	var names []string
+	for _, ax := range g.Axes {
+		names = append(names, ax.Name)
+	}
+	for _, name := range g.Optional {
+		if g.axis(name) < 0 {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// Sweep replaces the values of the grid's axis name, adding the axis
+// first when it is one of the grid's optional ones.
 func (g *Grid) Sweep(name string, values ...string) error {
 	a := g.axis(name)
+	if a < 0 && slices.Contains(g.Optional, name) {
+		g.Axes = append([]Axis{mustAxis(name)}, g.Axes...)
+		a = 0
+	}
 	if a < 0 {
-		var have []string
-		for _, ax := range g.Axes {
-			have = append(have, ax.Name)
-		}
-		return fmt.Errorf("experiments: grid %q has no axis %q (it sweeps %v)", g.Title, name, have)
+		return fmt.Errorf("experiments: grid %q has no axis %q (it sweeps %v)", g.Title, name, g.Reads())
 	}
 	g.Axes[a].Values = values
 	return nil
@@ -431,12 +451,14 @@ func gridPresets() map[string]func(p Profile) Grid {
 		},
 		// table3: α × collaborator strategy at β = 1.0. α = 0.999 sits inside
 		// the admissible [0.5, 1) and is expected to collapse — that is the
-		// point of the ablation.
+		// point of the ablation. Like fig6 it can be swept over rounds, the
+		// missing coordinate of a rounds × K × α × strategy fidelity sweep
+		// (fig8 cannot: its reference run has one length).
 		"table3": func(p Profile) Grid {
 			return Grid{Title: "Table III — test accuracy (%) by alpha and selection strategy", Base: visionCell(p, "fedcross", 1.0),
 				Axes: []Axis{mustAxis("alpha", alphas...),
 					mustAxis("strategy", "in-order", "highest-similarity", "lowest-similarity")},
-				Measure: "stat", Across: "strategy"}
+				Optional: []string{"rounds"}, Measure: "stat", Across: "strategy"}
 		},
 		// fig5: every method's learning curve, a panel per model ×
 		// heterogeneity.
@@ -449,8 +471,8 @@ func gridPresets() map[string]func(p Profile) Grid {
 		// configuration, so every cell shares one environment build.
 		"fig6": func(p Profile) Grid {
 			return Grid{Title: "Figure 6 — best accuracy vs activated clients K", Base: visionCell(p, "fedavg", 0.1),
-				Axes:    []Axis{mustAxis("k", "2", "4", "8"), mustAxis("algo", "fedavg", "fedcross")},
-				Measure: "best", Across: "algo"}
+				Axes:     []Axis{mustAxis("k", "2", "4", "8"), mustAxis("algo", "fedavg", "fedcross")},
+				Optional: []string{"rounds"}, Measure: "best", Across: "algo"}
 		},
 		// fig7: population N under 10% participation with the corpus fixed
 		// at 300 samples, so more clients means less data each.

@@ -356,3 +356,41 @@ func TestGridAxisErrors(t *testing.T) {
 		t.Error("unknown preset must error")
 	}
 }
+
+// TestGridRoundsAxis: rounds is an optional axis — table3 reads it only
+// when Sweep names it, outermost, and each cell then runs that many
+// rounds, the cell at the profile's own count being the run the grid
+// makes without the axis; a grid that does not list it refuses it.
+func TestGridRoundsAxis(t *testing.T) {
+	p := microProfile()
+	sweeps := [][]string{{"alpha", "0.9"}, {"strategy", "in-order", "lowest-similarity"}}
+	plain := runGrid(t, mlpPreset(t, "table3", p, sweeps...))
+	if got := plain.Axes[0].Name; got != "alpha" {
+		t.Fatalf("unswept, table3's first axis is %q, want alpha", got)
+	}
+	res := runGrid(t, mlpPreset(t, "table3", p, append(sweeps, []string{"rounds", "1", "3"})...))
+	if got := res.Axes[0].Name; got != "rounds" || len(res.Cells) != 4 {
+		t.Fatalf("swept: first axis %q over %d cells, want rounds over 4", got, len(res.Cells))
+	}
+	for i, c := range res.Cells {
+		if got, want := c.History().Final().Round, []int{1, 1, 3, 3}[i]; got != want {
+			t.Errorf("cell %v: last evaluated round %d, want %d", c.Coords, got, want)
+		}
+	}
+	for i, c := range plain.Cells { // p.Rounds is 3
+		if !reflect.DeepEqual(c.Histories, res.Cells[2+i].Histories) {
+			t.Errorf("cell %v: rounds=3 through the axis differs from the profile's own 3 rounds", c.Coords)
+		}
+	}
+	var out bytes.Buffer
+	if err := res.Render(&out); err != nil || !strings.Contains(out.String(), "Rounds") {
+		t.Errorf("rendered table has no Rounds column (err %v):\n%s", err, out.String())
+	}
+	g := mlpPreset(t, "fig8", p)
+	if err := g.Sweep("rounds", "2"); err == nil || !strings.Contains(err.Error(), "alpha") {
+		t.Errorf("fig8 swept over rounds: error %v, want one listing the axes it reads", err)
+	}
+	if _, err := RunGrid(mlpPreset(t, "fig6", p, []string{"rounds", "0"})); err == nil || !strings.Contains(err.Error(), "positive integer") {
+		t.Errorf("rounds=0: error %v, want a bad positive integer", err)
+	}
+}

@@ -44,21 +44,23 @@ type Factory struct {
 	New func(rng *tensor.RNG) *nn.Sequential
 }
 
-// CNN mirrors the paper's FedAvg CNN: two conv+pool stages and two fully
-// connected layers.
+// CNN mirrors the paper's FedAvg CNN: two conv+ReLU+pool stages and two
+// fully connected layers. Here and below a ReLU directly in front of a
+// max pool is built as the one layer nn.NewReLUMaxPool2D — the same bits
+// in both directions, one pass over the activations.
 func CNN(classes int) Factory {
 	return Factory{
 		Name: fmt.Sprintf("cnn-%d", classes),
 		New: func(rng *tensor.RNG) *nn.Sequential {
 			g1 := tensor.ConvGeom{InC: VisionC, InH: VisionH, InW: VisionW, KH: 3, KW: 3, Stride: 1, Pad: 1}
 			c1 := nn.NewConv2D(g1, 8, rng)
-			p1 := nn.NewMaxPool2D(8, VisionH, VisionW, 2)
+			p1 := nn.NewReLUMaxPool2D(8, VisionH, VisionW, 2)
 			g2 := tensor.ConvGeom{InC: 8, InH: VisionH / 2, InW: VisionW / 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
 			c2 := nn.NewConv2D(g2, 16, rng)
-			p2 := nn.NewMaxPool2D(16, VisionH/2, VisionW/2, 2)
+			p2 := nn.NewReLUMaxPool2D(16, VisionH/2, VisionW/2, 2)
 			return nn.NewSequential(
-				c1, nn.NewReLU(), p1,
-				c2, nn.NewReLU(), p2,
+				c1, p1,
+				c2, p2,
 				nn.NewLinear(16*(VisionH/4)*(VisionW/4), 32, rng), nn.NewReLU(),
 				nn.NewLinear(32, classes, rng),
 			)
@@ -84,8 +86,8 @@ func ResNetMini(classes int) Factory {
 			}
 			return nn.NewSequential(
 				stem, nn.NewReLU(),
-				block(VisionH, VisionW), nn.NewReLU(),
-				nn.NewMaxPool2D(ch, VisionH, VisionW, 2),
+				block(VisionH, VisionW),
+				nn.NewReLUMaxPool2D(ch, VisionH, VisionW, 2),
 				block(VisionH/2, VisionW/2), nn.NewReLU(),
 				nn.NewGlobalAvgPool(ch, VisionH/2, VisionW/2),
 				nn.NewLinear(ch, classes, rng),
@@ -106,11 +108,11 @@ func VGGMini(classes int) Factory {
 			}
 			return nn.NewSequential(
 				conv(VisionC, 16, VisionH, VisionW), nn.NewReLU(),
-				conv(16, 16, VisionH, VisionW), nn.NewReLU(),
-				nn.NewMaxPool2D(16, VisionH, VisionW, 2),
+				conv(16, 16, VisionH, VisionW),
+				nn.NewReLUMaxPool2D(16, VisionH, VisionW, 2),
 				conv(16, 32, VisionH/2, VisionW/2), nn.NewReLU(),
-				conv(32, 32, VisionH/2, VisionW/2), nn.NewReLU(),
-				nn.NewMaxPool2D(32, VisionH/2, VisionW/2, 2),
+				conv(32, 32, VisionH/2, VisionW/2),
+				nn.NewReLUMaxPool2D(32, VisionH/2, VisionW/2, 2),
 				nn.NewLinear(32*(VisionH/4)*(VisionW/4), 64, rng), nn.NewReLU(),
 				nn.NewLinear(64, classes, rng),
 			)

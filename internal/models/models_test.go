@@ -9,11 +9,18 @@ import (
 )
 
 func TestVisionModelShapes(t *testing.T) {
+	// Parameter-vector lengths are wire and checkpoint format: folding a
+	// ReLU into the pool behind it (neither owns a parameter) must leave
+	// them where they were.
+	params := map[string]int{"cnn-10": 3802, "resnet-mini-10": 5698, "vgg-mini-10": 25562}
 	for _, f := range []Factory{CNN(10), ResNetMini(10), VGGMini(10)} {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			rng := tensor.NewRNG(1)
 			net := f.New(rng)
+			if n := len(nn.FlattenParams(net.Params())); n != params[f.Name] {
+				t.Fatalf("%d parameters, want %d", n, params[f.Name])
+			}
 			x := rng.Randn(1, 4, VisionFeatures)
 			y := net.Forward(x, false)
 			if y.Shape[0] != 4 || y.Shape[1] != 10 {

@@ -8,14 +8,14 @@ import (
 
 // Conv2D is a 2-D convolution over CHW images carried in flattened
 // (batch × C·H·W) activations. The spatial geometry is fixed at
-// construction. The forward pass and the parameter gradients run on
-// tensor's direct kernels: the minibatch is copied once into a
-// zero-padded buffer and every tap is read from there through two index
-// tables, so no lowered im2col matrix is ever built. Per element the
-// arithmetic is still the per-sample lowering's — Im2ColTo + MatMulTo +
-// bias forward, one MatMulTransBAcc per sample for dW — which
-// TestConvDirectMatchesLowered holds to the bit. Only the input gradient,
-// for the callers that read it, goes through a lowered matrix (dcols).
+// construction. The forward pass and both gradients run on tensor's
+// direct kernels: the minibatch is copied once into a zero-padded buffer
+// and every tap is read from there — or, for the input gradient, added
+// into a second one — through two index tables, so no lowered im2col
+// matrix is ever built. Per element the arithmetic is still the
+// per-sample lowering's — Im2ColTo + MatMulTo + bias forward, one
+// MatMulTransBAcc per sample for dW, MatMulTransATo + Col2ImTo for dx —
+// which TestConvDirectMatchesLowered holds to the bit.
 type Conv2D struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -37,12 +37,12 @@ type Conv2D struct {
 	// because a fresh buffer is, and stay zero because Forward only ever
 	// writes interiors, at offsets that do not depend on the batch size.
 	// wt, gt and dyt are the kernels' channel-lane layouts of W, of
-	// {dW, dB} and of the incoming gradient.
+	// {dW, dB} and of the incoming gradient. dpad is the input gradient
+	// in padded's layout, rewritten whole by every Backward; its borders
+	// collect the taps that fall outside the image and dx is its
+	// interiors.
 	padded, wt, gt, dyt *tensor.Tensor
-	out                 *tensor.Tensor
-	// Input-gradient path only: the channel-major (OutC × batch·spatial)
-	// gradient, the lowered (colRows × batch·spatial) gradient and dx.
-	dy, dcols, dx *tensor.Tensor
+	out, dpad, dx       *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution with the given geometry and output
@@ -88,12 +88,30 @@ func (c *Conv2D) paddedLen() int {
 	return g.InC * (g.InH + 2*g.Pad) * (g.InW + 2*g.Pad)
 }
 
-// convForwardFunc and convGradFunc are the signatures of tensor's direct
-// kernels; the tests pass the scalar twins through them.
+// convForwardFunc, convGradFunc and convGradInputFunc are the signatures
+// of tensor's direct kernels; the tests pass the scalar twins through
+// them.
 type (
-	convForwardFunc func(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int)
-	convGradFunc    func(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int)
+	convForwardFunc   func(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int)
+	convGradFunc      func(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int)
+	convGradInputFunc func(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int)
 )
+
+// copyRows copies n rows of w elements from src, whose rows start
+// srcStride apart, to dst, whose rows start dstStride apart.
+func copyRows(dst, src []float64, n, w, dstStride, srcStride int) {
+	for y := 0; y < n; y++ {
+		copy(dst[y*dstStride:y*dstStride+w], src[y*srcStride:y*srcStride+w])
+	}
+}
+
+// interior returns padded plane `plane` of buf (the batch is batch·InC
+// planes back to back) from its first in-image element on.
+func (c *Conv2D) interior(buf []float64, plane int) []float64 {
+	g := c.Geom
+	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+	return buf[(plane*ph+g.Pad)*pw+g.Pad:]
+}
 
 // Forward convolves the whole batch. Per element the arithmetic — taps
 // ascending from +0, one multiply and one add each, the bias last — is
@@ -104,22 +122,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 func (c *Conv2D) forward(x *tensor.Tensor, kernel convForwardFunc) *tensor.Tensor {
 	checkBatch("Conv2D", x, c.InFeatures())
-	g := c.Geom
 	batch := x.Shape[0]
 	spatial := len(c.posBase)
 	taps := len(c.tapOff)
 	oc8 := tensor.ConvLanes(c.OutC)
 
-	// Copy the image rows into the interiors of the padded planes; the
-	// batch is batch·InC planes back to back on both sides.
+	// Copy the image rows into the interiors of the padded planes.
 	c.padded = tensor.Ensure(c.padded, batch, c.paddedLen())
-	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
-	for plane := 0; plane < batch*g.InC; plane++ {
-		src := x.Data[plane*g.InH*g.InW : (plane+1)*g.InH*g.InW]
-		dst := c.padded.Data[(plane*ph+g.Pad)*pw+g.Pad:]
-		for y := 0; y < g.InH; y++ {
-			copy(dst[y*pw:y*pw+g.InW], src[y*g.InW:(y+1)*g.InW])
-		}
+	g := c.Geom
+	plane, pw := g.InH*g.InW, g.InW+2*g.Pad
+	for i := 0; i < batch*g.InC; i++ {
+		copyRows(c.interior(c.padded.Data, i), x.Data[i*plane:], g.InH, g.InW, pw, g.InW)
 	}
 
 	c.wt = tensor.Ensure(c.wt, taps, oc8)
@@ -137,7 +150,7 @@ func (c *Conv2D) BackwardParams(grad *tensor.Tensor) {
 }
 
 func (c *Conv2D) backwardParams(grad *tensor.Tensor, kernel convGradFunc) {
-	checkBatch("Conv2D.Backward", grad, c.OutFeatures())
+	c.checkGrad(grad)
 	batch := grad.Shape[0]
 	spatial := len(c.posBase)
 	taps := len(c.tapOff)
@@ -160,28 +173,38 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor, kernel convGradFunc) {
 	copy(c.dB.Data, c.gt.Data[taps*oc8:])
 }
 
-// Backward accumulates dW/dB and returns the input gradient: dcols via
-// one transposed-A multiply over the whole batch, dx via the batched
-// col2im scatter. A caller that drops the result wants BackwardParams.
+// checkGrad panics unless grad is a gradient of the batch Forward cached
+// (none before the first Forward): the kernels below pair it row by row
+// with those activations.
+func (c *Conv2D) checkGrad(grad *tensor.Tensor) {
+	checkBatch("Conv2D.Backward", grad, c.OutFeatures())
+	batch := 0
+	if c.padded != nil {
+		batch = c.padded.Shape[0]
+	}
+	checkGradBatch("Conv2D", grad, batch)
+}
+
+// Backward accumulates dW/dB and returns the input gradient. A caller
+// that drops the result wants BackwardParams.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.BackwardParams(grad)
+	return c.backwardInput(grad, tensor.ConvGradInput)
+}
+
+// backwardInput forms dLoss/dInput: the kernel adds every tap's term into
+// a zeroed padded sample — col2im's scatter, in col2im's order, through
+// the forward's tables — and dx is the interiors of those.
+func (c *Conv2D) backwardInput(grad *tensor.Tensor, kernel convGradInputFunc) *tensor.Tensor {
 	batch := grad.Shape[0]
-	spatial := len(c.posBase)
-	// Gather the sample-major incoming gradient into channel-major dy so
-	// one multiply covers every sample (pure copy, no FP ops).
-	c.dy = tensor.Ensure(c.dy, c.OutC, batch*spatial)
-	for oc := 0; oc < c.OutC; oc++ {
-		dyRow := c.dy.Data[oc*batch*spatial : (oc+1)*batch*spatial]
-		for b := 0; b < batch; b++ {
-			src := grad.Data[b*c.OutC*spatial+oc*spatial : b*c.OutC*spatial+(oc+1)*spatial]
-			copy(dyRow[b*spatial:(b+1)*spatial], src)
-		}
-	}
-	// dcols = Wᵀ · dy for all samples at once; dx = col2im per sample.
-	c.dcols = tensor.Ensure(c.dcols, len(c.tapOff), batch*spatial)
-	tensor.MatMulTransATo(c.dcols, c.W, c.dy)
+	c.dpad = tensor.Ensure(c.dpad, batch, c.paddedLen())
+	kernel(c.dpad.Data, grad.Data, c.W.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	c.dx = tensor.Ensure(c.dx, batch, c.InFeatures())
-	tensor.Col2ImBatchTo(c.dx, c.dcols, c.Geom)
+	g := c.Geom
+	plane, pw := g.InH*g.InW, g.InW+2*g.Pad
+	for i := 0; i < batch*g.InC; i++ {
+		copyRows(c.dx.Data[i*plane:], c.interior(c.dpad.Data, i), g.InH, g.InW, g.InW, pw)
+	}
 	return c.dx
 }
 

@@ -143,3 +143,11 @@ func checkBatch(name string, x *tensor.Tensor, features int) {
 		panic(fmt.Sprintf("nn: %s expects %d input features, got %d", name, features, x.Shape[1]))
 	}
 }
+
+// checkGradBatch panics unless the gradient handed to a layer's Backward
+// has as many rows as the batch its Forward cached.
+func checkGradBatch(layer string, grad *tensor.Tensor, batch int) {
+	if grad.Shape[0] != batch {
+		panic(fmt.Sprintf("nn: %s.Backward: gradient batch %d, forward batch %d", layer, grad.Shape[0], batch))
+	}
+}

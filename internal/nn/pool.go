@@ -10,14 +10,22 @@ import (
 // MaxPool2D performs non-overlapping max pooling over CHW images carried in
 // flattened activations. Kernel size equals stride (the common 2×2/2 case).
 // Every path visits a window's taps in (dy, dx) order and keeps the first
-// strictly greater than a -Inf start, so ties keep the earliest tap and
-// NaN never wins. A window with no winner — all NaN or all -Inf — outputs
-// -Inf, records argmax -1 and has no sub-gradient: Backward routes
-// nothing for it.
+// strictly greater than the running maximum, which begins at start, so
+// ties keep the earliest tap and NaN never wins. A window with no winner
+// outputs start, records argmax -1 and has no sub-gradient: Backward
+// routes nothing for it.
+//
+// start is -Inf for a plain pool (no winner: all NaN or all -Inf). With
+// start +0 the layer is ReLU followed by that pool, bit for bit in both
+// directions: the rectified window's maximum is its first strict winner
+// over a +0 floor, or +0 when nothing is positive — and then the pool
+// would have routed the gradient to a tap the ReLU gates to zero, which
+// is what argmax -1 routes.
 type MaxPool2D struct {
 	C, H, W int // input geometry
 	K       int // kernel = stride
 
+	start   float64
 	argmax  []int // flat input index chosen per output element, per batch
 	batch   int
 	out, dx *tensor.Tensor
@@ -29,7 +37,16 @@ func NewMaxPool2D(c, h, w, k int) *MaxPool2D {
 	if k <= 0 || h%k != 0 || w%k != 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D: kernel %d must divide %dx%d", k, h, w))
 	}
-	return &MaxPool2D{C: c, H: h, W: w, K: k}
+	return &MaxPool2D{C: c, H: h, W: w, K: k, start: math.Inf(-1)}
+}
+
+// NewReLUMaxPool2D constructs the layer that computes NewReLU followed by
+// NewMaxPool2D(c, h, w, k) — same outputs, same input gradients — in the
+// pool's one pass over the activations.
+func NewReLUMaxPool2D(c, h, w, k int) *MaxPool2D {
+	p := NewMaxPool2D(c, h, w, k)
+	p.start = 0
+	return p
 }
 
 // InFeatures returns the flattened input width.
@@ -58,9 +75,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		am := p.argmax[b*outLen : (b+1)*outLen]
 		if p.K != 2 {
 			p.poolGeneric(dst, am, src)
-		} else if !tensor.MaxPool2x2(dst, am, src, p.W, oh, ow, p.C) {
-			// Planes the vector kernel declines (ow < 4 or ow%4 != 0).
-			maxPool2x2(dst, am, src, p.W, oh*p.C, ow)
+		} else if !tensor.MaxPool2x2(dst, am, src, p.W, oh, ow, p.C, p.start) {
+			// Planes the vector kernel declines (ow%4 != 0, bar 4-wide
+			// planes with an even number of row pairs).
+			maxPool2x2(dst, am, src, p.W, oh*p.C, ow, p.start)
 		}
 	}
 	return out
@@ -69,15 +87,15 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // maxPool2x2 is the scalar 2×2/2 pool: one sweep over the row pairs of
 // stacked planes (src holds `pairs` row pairs of width w back to back, so
 // channel planes need no loop of their own), each window's four taps
-// tested in (dy, dx) order.
-func maxPool2x2(dst []float64, am []int, src []float64, w, pairs, ow int) {
+// tested in (dy, dx) order against a maximum that begins at start.
+func maxPool2x2(dst []float64, am []int, src []float64, w, pairs, ow int, start float64) {
 	for r := 0; r < pairs; r++ {
 		top := src[2*r*w : (2*r+1)*w]
 		bot := src[(2*r+1)*w : (2*r+2)*w]
 		drow := dst[r*ow : (r+1)*ow]
 		arow := am[r*ow : (r+1)*ow]
 		for ox := range drow {
-			best, bestIdx := math.Inf(-1), -1
+			best, bestIdx := start, -1
 			if v := top[2*ox]; v > best {
 				best, bestIdx = v, 2*r*w+2*ox
 			}
@@ -103,7 +121,7 @@ func (p *MaxPool2D) poolGeneric(dst []float64, am []int, src []float64) {
 		ibase := c * p.H * p.W
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				best := math.Inf(-1)
+				best := p.start
 				bestIdx := -1
 				for dy := 0; dy < p.K; dy++ {
 					for dx := 0; dx < p.K; dx++ {
@@ -126,6 +144,7 @@ func (p *MaxPool2D) poolGeneric(dst []float64, am []int, src []float64) {
 // max; a window without a winner (argmax -1) routes nothing.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	checkBatch("MaxPool2D.Backward", grad, p.OutFeatures())
+	checkGradBatch("MaxPool2D", grad, p.batch)
 	inLen := p.InFeatures()
 	outLen := p.OutFeatures()
 	p.dx = tensor.Ensure(p.dx, p.batch, inLen)

@@ -109,90 +109,3 @@ func batchMatMul(dst, a, b *Tensor, transA, transB, acc bool) *Tensor {
 	active.GemmBatch(dst.Data, a.Data, b.Data, groups, m, k, n, m*n, strideA, strideB, transA, transB, acc)
 	return dst
 }
-
-// convSpan returns the half-open range [lo, hi) of output positions o in
-// [0, on) whose input tap i = o*stride + koff - pad lands inside [0, lim).
-// The taps of that range are exactly the in-image ones, so callers can run
-// the span branch-free (and as one contiguous copy when stride == 1).
-func convSpan(on, stride, koff, pad, lim int) (lo, hi int) {
-	if t := pad - koff; t > 0 {
-		lo = (t + stride - 1) / stride
-	}
-	u := lim + pad - koff
-	if u <= 0 {
-		return 0, 0
-	}
-	hi = (u-1)/stride + 1
-	if hi > on {
-		hi = on
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
-// Col2ImBatchTo is the whole-minibatch col2im: it scatters a fused
-// (InC·KH·KW) × (B·OutH·OutW) gradient, sample b in the column block
-// [b·spatial, (b+1)·spatial), back into per-sample image gradients,
-// summing overlapping taps. dst is (B × InC·InH·InW) and is
-// zeroed first. Each sample's scatter visits taps in the same
-// (c, kh, kw, oy, ox) order as the per-sample Col2ImTo, so row b of dst
-// is bit-identical to the unfused path. dst must not alias cols.
-func Col2ImBatchTo(dst, cols *Tensor, g ConvGeom) *Tensor {
-	feat := g.InC * g.InH * g.InW
-	if dst.Rank() != 2 || dst.Shape[1] != feat {
-		panic(fmt.Sprintf("tensor: Col2ImBatch destination shape %v, want [B %d]", dst.Shape, feat))
-	}
-	batch := dst.Shape[0]
-	oh, ow := g.OutH(), g.OutW()
-	spatial := oh * ow
-	rows := g.InC * g.KH * g.KW
-	if cols.Rank() != 2 || cols.Shape[0] != rows || cols.Shape[1] != batch*spatial {
-		panic(fmt.Sprintf("tensor: Col2ImBatch input shape %v, want [%d %d]", cols.Shape, rows, batch*spatial))
-	}
-	dst.Zero()
-	nc := batch * spatial
-	for b := 0; b < batch; b++ {
-		out := dst.Data[b*feat : (b+1)*feat]
-		for c := 0; c < g.InC; c++ {
-			chanOff := c * g.InH * g.InW
-			for kh := 0; kh < g.KH; kh++ {
-				oyLo, oyHi := convSpan(oh, g.Stride, kh, g.Pad, g.InH)
-				for kw := 0; kw < g.KW; kw++ {
-					oxLo, oxHi := convSpan(ow, g.Stride, kw, g.Pad, g.InW)
-					row := (c*g.KH+kh)*g.KW + kw
-					src := cols.Data[row*nc+b*spatial : row*nc+(b+1)*spatial]
-					if g.Stride == 1 && oxLo == 0 && oxHi == ow && ow == g.InW && oyHi > oyLo {
-						// Middle tap: source and destination runs stay
-						// contiguous across oy — one fused accumulate.
-						start := chanOff + (oyLo+kh-g.Pad)*g.InW
-						orow := out[start : start+(oyHi-oyLo)*ow]
-						for idx, v := range src[oyLo*ow : oyHi*ow] {
-							orow[idx] += v
-						}
-						continue
-					}
-					for oy := oyLo; oy < oyHi; oy++ {
-						iy := oy*g.Stride + kh - g.Pad
-						rowOff := chanOff + iy*g.InW
-						if g.Stride == 1 {
-							ix0 := rowOff + oxLo + kw - g.Pad
-							orow := out[ix0 : ix0+(oxHi-oxLo)]
-							for idx, v := range src[oy*ow+oxLo : oy*ow+oxHi] {
-								orow[idx] += v
-							}
-						} else {
-							ix := rowOff + oxLo*g.Stride + kw - g.Pad
-							for ox := oxLo; ox < oxHi; ox++ {
-								out[ix] += src[oy*ow+ox]
-								ix += g.Stride
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return dst
-}

@@ -90,39 +90,6 @@ func TestBatchMatMulMatchesLooped(t *testing.T) {
 	})
 }
 
-// TestIm2ColBatchMatchesPerSample pins the batched scatter (and its
-// span-specialized fast paths) against per-sample Col2ImTo across
-// strides, paddings and kernel shapes. (The batched im2col it used to pin
-// as well left with the lowered conv forward.)
-func TestIm2ColBatchMatchesPerSample(t *testing.T) {
-	rng := NewRNG(9)
-	geoms := []ConvGeom{
-		{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}, // middle-tap fusion
-		{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 0},
-		{InC: 3, InH: 5, InW: 7, KH: 2, KW: 2, Stride: 1, Pad: 1},
-		{InC: 2, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
-		{InC: 1, InH: 4, InW: 4, KH: 1, KW: 1, Stride: 1, Pad: 0},
-		{InC: 2, InH: 6, InW: 4, KH: 3, KW: 3, Stride: 3, Pad: 2},
-	}
-	const B = 3
-	for _, g := range geoms {
-		inLen := g.InC * g.InH * g.InW
-		rows := g.InC * g.KH * g.KW
-		spatial := g.OutH() * g.OutW()
-		cols := rng.Uniform(-1, 1, rows, B*spatial)
-		dx := Zeros(B, inLen)
-		Col2ImBatchTo(dx, cols, g)
-		for b := 0; b < B; b++ {
-			soloCols := Zeros(rows, spatial)
-			for r := 0; r < rows; r++ {
-				copy(soloCols.Data[r*spatial:(r+1)*spatial], cols.Data[r*B*spatial+b*spatial:r*B*spatial+(b+1)*spatial])
-			}
-			solo := Col2ImTo(Zeros(g.InC, g.InH, g.InW), soloCols, g)
-			equalBits(t, "col2im", dx.Data[b*inLen:(b+1)*inLen], solo.Data)
-		}
-	}
-}
-
 // TestBackendsBitIdentical runs the full matmul family under the
 // platform-default backend and under the pure-Go backend on identical
 // inputs and requires exact bitwise agreement — the accelerated

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "slices"
+
 // AVX2 kernel primitives. Each assembly routine vectorizes across
 // INDEPENDENT output elements (lanes) while keeping every element's own
 // accumulation chain identical to the scalar kernels — VMULPD/VADDPD are
@@ -58,13 +60,18 @@ func reluFwdAVX(out, x []float64, mask []bool)
 //go:noescape
 func reluBwdAVX(dx, g []float64, mask []bool)
 
-// maxPool2AVX computes one channel plane of non-overlapping 2×2 stride-2
-// max pooling with argmax. Each lane replays the scalar loop: best starts
-// at -Inf, index at -1, candidates tested in (dy, dx) ascending order with
-// strict > (GT_OQ) compare-and-blend. ow must be a positive multiple of 4.
+// maxPool2AVX computes non-overlapping 2×2 stride-2 max pooling with
+// argmax over `rows` row pairs of width w, four windows per step, `steps`
+// steps per row pair. A step takes four 4-element loads — the top row at
+// +0 and +half bytes, the bottom row (w elements on) at the same two —
+// and moves on by 2·half: half = 32 reads eight consecutive columns of
+// one row pair; half = 64 with w = 4 reads two stacked 4-wide row pairs
+// (sixteen contiguous doubles) as one. Each lane replays the scalar loop:
+// best starts at start, index at -1, candidates tested in (dy, dx)
+// ascending order with strict > (GT_OQ) compare-and-blend.
 //
 //go:noescape
-func maxPool2AVX(dst []float64, am []int, src []float64, w, oh, ow, base int)
+func maxPool2AVX(dst *float64, am *int, src *float64, w, rows, steps, half int, start float64)
 
 // dotTileAVX is the AVX2 dot tile: eight ymm accumulators, one per cell,
 // whose lanes are the cell's four partial-sum streams. c0+n must not
@@ -91,6 +98,18 @@ func convFwdAVX(out, in, wt, bias *float64, tapOff, posBase *int, taps, spatial,
 //
 //go:noescape
 func convGradAVX(gt, in, dyt *float64, tapOff, posBase *int, taps, spatial, stride int)
+
+// convGradInAVX scatters one sample's input gradient into its zeroed
+// padded sample: per tap and group of four positions, a ymm chain over
+// the output channels ascending from +0, then one add into the group's
+// four cells — which must be contiguous, posBase[pos+i] = posBase[pos]+i.
+// spatial must be a multiple of 4. With split > 0, taps p and p+split
+// (p < split, taps = 2·split) run together, eight chains in flight per
+// sixteen positions, each half's taps ascending; the caller vouches that
+// the two halves share no cell. With split = 0 the taps run singly.
+//
+//go:noescape
+func convGradInAVX(dpad, dy, w *float64, tapOff, posBase *int, taps, spatial, outC, split int)
 
 // transposeAVX is TransposeTo over 4×4 in-register blocks. rows and cols
 // must be ≥ 4: a ragged edge is redone over the last four rows or
@@ -279,13 +298,21 @@ func reluForward(out, x []float64, mask []bool) {
 	reluForwardGo(out, x, mask)
 }
 
-// maxPool2x2Plane dispatches to the AVX2 maxpool kernel when the plane
-// shape fits its vector width.
-func maxPool2x2Plane(dst []float64, am []int, src []float64, w, oh, ow, base int) bool {
-	if !avx2Supported || ow < 4 || ow%4 != 0 {
+// maxPool2x2Plane dispatches the checked run of row pairs to the AVX2
+// maxpool kernel when the plane shape fits its vector width: rows of a
+// multiple of four windows, or 4-wide planes — two windows a row pair —
+// taken two row pairs at a time.
+func maxPool2x2Plane(dst []float64, am []int, src []float64, w, pairs, ow int, start float64) bool {
+	switch {
+	case !avx2Supported || pairs == 0 || ow == 0:
+		return false
+	case ow%4 == 0:
+		maxPool2AVX(&dst[0], &am[0], &src[0], w, pairs, ow/4, 32, start)
+	case ow == 2 && w == 4 && pairs%2 == 0:
+		maxPool2AVX(&dst[0], &am[0], &src[0], w, 1, pairs/2, 64, start)
+	default:
 		return false
 	}
-	maxPool2AVX(dst, am, src, w, oh, ow, base)
 	return true
 }
 
@@ -340,6 +367,56 @@ func convGradParams(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleL
 				&tapOff[0], &posBase[0], len(tapOff), spatial, oc8)
 		}
 	}
+}
+
+// convGradInput runs the checked input-gradient pass on the AVX2 kernel,
+// one call per sample, when the CPU has it and the positions come in
+// groups of four contiguous cells (stride 1, output rows a multiple of
+// four wide); any other geometry runs the twin.
+func convGradInput(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	if !avx2Supported || !convPosQuads(posBase) {
+		convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
+		return
+	}
+	taps, spatial := len(tapOff), len(posBase)
+	split := convTapSplit(tapOff, posBase)
+	for b := 0; b < batch; b++ {
+		pad := dpad[b*sampleLen : (b+1)*sampleLen]
+		clear(pad)
+		convGradInAVX(&pad[0], &dy[b*outC*spatial], &w[0], &tapOff[0], &posBase[0], taps, spatial, outC, split)
+	}
+}
+
+// convPosQuads reports whether the positions split into groups of four
+// whose window origins are consecutive, so a group's cells under any tap
+// are one ymm vector.
+func convPosQuads(posBase []int) bool {
+	if len(posBase)%4 != 0 {
+		return false
+	}
+	for i := 0; i < len(posBase); i += 4 {
+		q := posBase[i : i+4 : i+4]
+		if q[1] != q[0]+1 || q[2] != q[0]+2 || q[3] != q[0]+3 {
+			return false
+		}
+	}
+	return true
+}
+
+// convTapSplit returns taps/2 when every cell the first half of the taps
+// can reach lies below every cell the second half can — the halves are
+// then the lower and upper input channels, and tap p and tap p+taps/2
+// may be in flight together without reordering any cell's chain — and 0
+// when the taps do not split that way (an odd number of them).
+func convTapSplit(tapOff, posBase []int) int {
+	if len(tapOff)%2 != 0 {
+		return 0
+	}
+	h := len(tapOff) / 2
+	if slices.Max(tapOff[:h])+slices.Max(posBase) < slices.Min(tapOff[h:])+slices.Min(posBase) {
+		return h
+	}
+	return 0
 }
 
 // transpose runs the checked block on the AVX2 kernel when the CPU has it

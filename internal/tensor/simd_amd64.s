@@ -446,37 +446,46 @@ done:
 	RET
 
 // poolLaneIdx seeds the 2x2 maxpool index vector: the input column index
-// of each lane's first candidate, relative to the row-pair start.
+// of each lane's first candidate within its 4-element load; the kernel
+// adds the second load's distance to lanes 2 and 3.
 DATA poolLaneIdx<>+0x00(SB)/8, $0
 DATA poolLaneIdx<>+0x08(SB)/8, $2
-DATA poolLaneIdx<>+0x10(SB)/8, $4
-DATA poolLaneIdx<>+0x18(SB)/8, $6
+DATA poolLaneIdx<>+0x10(SB)/8, $0
+DATA poolLaneIdx<>+0x18(SB)/8, $2
 GLOBL poolLaneIdx<>(SB), RODATA|NOPTR, $32
 
-// func maxPool2AVX(dst []float64, am []int, src []float64, w, oh, ow, base int)
-// Non-overlapping 2x2 stride-2 max pooling with argmax over one channel
-// plane, 4 output elements per iteration. Each lane replays the scalar
-// loop exactly: best starts at -Inf, index at -1, and the four window
-// candidates are tested in (dy, dx) ascending order with a strict >
-// compare (GT_OQ, so NaN never wins) and mask blends. ow must be a
-// positive multiple of 4.
-TEXT ·maxPool2AVX(SB), NOSPLIT, $0-104
-	MOVQ dst_base+0(FP), DI
-	MOVQ am_base+24(FP), R8
-	MOVQ src_base+48(FP), SI
-	MOVQ w+72(FP), R10
-	MOVQ oh+80(FP), R9
-	MOVQ ow+88(FP), CX
-	SHRQ $2, CX              // vector iterations per output row
-	MOVQ base+96(FP), R12
+// func maxPool2AVX(dst *float64, am *int, src *float64, w, rows, steps, half int, start float64)
+// Non-overlapping 2x2 stride-2 max pooling with argmax, 4 output elements
+// per step. A step's top-row candidates come from the 4-element loads at
+// +0 and +half bytes, its bottom-row candidates from the same two loads w
+// elements on; half = 32 walks one row pair eight columns at a time,
+// half = 64 with w = 4 takes two stacked 4-wide row pairs, 16 contiguous
+// doubles, as one step. Each lane replays the scalar loop exactly: best
+// starts at start, index at -1, and the four window candidates are tested
+// in (dy, dx) ascending order with a strict > compare (GT_OQ, so NaN never
+// wins) and mask blends.
+TEXT ·maxPool2AVX(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ am+8(FP), R8
+	MOVQ src+16(FP), BX      // row0
+	MOVQ w+24(FP), R10
+	MOVQ rows+32(FP), R9
+	MOVQ half+48(FP), R14
+	XORQ R12, R12            // flat index of the row pair's first element
 
-	MOVQ $0xFFF0000000000000, AX
-	VMOVQ AX, X15
-	VPBROADCASTQ X15, Y15    // -Inf
-	VMOVUPD poolLaneIdx<>+0(SB), Y14
-	MOVQ $8, AX
+	VBROADCASTSD start+56(FP), Y15
+	MOVQ R14, AX
+	SHRQ $3, AX              // the second load's distance in elements
+	VMOVQ AX, X5
+	VPBROADCASTQ X5, Y5
+	VPXOR Y6, Y6, Y6
+	VPBLENDD $0xf0, Y5, Y6, Y5
+	VMOVDQU poolLaneIdx<>+0(SB), Y14
+	VPADDQ Y5, Y14, Y14      // lane seeds {0, 2, half/8, half/8+2}
+	MOVQ R14, AX
+	SHRQ $2, AX
 	VMOVQ AX, X13
-	VPBROADCASTQ X13, Y13    // per-iteration index advance
+	VPBROADCASTQ X13, Y13    // per-step index advance
 	VMOVQ R10, X12
 	VPBROADCASTQ X12, Y12    // W
 	MOVQ $1, AX
@@ -484,7 +493,6 @@ TEXT ·maxPool2AVX(SB), NOSPLIT, $0-104
 	VPBROADCASTQ X11, Y11    // 1
 	VPCMPEQQ Y10, Y10, Y10   // -1
 	SHLQ $3, R10             // W in bytes
-	MOVQ SI, BX              // row0
 
 rowloop:
 	TESTQ R9, R9
@@ -493,27 +501,28 @@ rowloop:
 	VMOVQ R12, X4
 	VPBROADCASTQ X4, Y4
 	VPADDQ Y14, Y4, Y4       // lane candidate-(0,0) indices
-	XORQ DX, DX              // byte offset into the row pair
-	MOVQ CX, R13
+	XORQ DX, DX              // byte offset of the step's first load
+	MOVQ steps+40(FP), R13
 
 iter:
 	TESTQ R13, R13
 	JZ   nextrow
-	// Deinterleave 8 consecutive row elements into even/odd columns.
+	LEAQ (DX)(R14*1), AX     // byte offset of its second load
+	// Deinterleave each row's 8 elements into even/odd columns.
 	VMOVUPD (BX)(DX*1), Y0
-	VMOVUPD 32(BX)(DX*1), Y1
+	VMOVUPD (BX)(AX*1), Y1
 	VSHUFPD $0x0, Y1, Y0, Y2
 	VPERMPD $0xd8, Y2, Y2    // candidates (0,0)
 	VSHUFPD $0xf, Y1, Y0, Y3
 	VPERMPD $0xd8, Y3, Y3    // candidates (0,1)
 	VMOVUPD (R11)(DX*1), Y0
-	VMOVUPD 32(R11)(DX*1), Y1
+	VMOVUPD (R11)(AX*1), Y1
 	VSHUFPD $0x0, Y1, Y0, Y6
 	VPERMPD $0xd8, Y6, Y6    // candidates (1,0)
 	VSHUFPD $0xf, Y1, Y0, Y7
 	VPERMPD $0xd8, Y7, Y7    // candidates (1,1)
 
-	VMOVUPD Y15, Y8          // best = -Inf
+	VMOVUPD Y15, Y8          // best = start
 	VMOVUPD Y10, Y9          // bestIdx = -1
 
 	VCMPPD $0x1e, Y8, Y2, Y0
@@ -539,7 +548,7 @@ iter:
 	VMOVUPD Y8, (DI)
 	VMOVUPD Y9, (R8)
 	VPADDQ Y13, Y4, Y4
-	ADDQ $64, DX
+	LEAQ (DX)(R14*2), DX
 	ADDQ $32, DI
 	ADDQ $32, R8
 	DECQ R13
@@ -547,7 +556,7 @@ iter:
 
 nextrow:
 	LEAQ (BX)(R10*2), BX
-	MOVQ w+72(FP), AX
+	MOVQ w+24(FP), AX
 	LEAQ (R12)(AX*2), R12
 	DECQ R9
 	JMP  rowloop
@@ -1024,6 +1033,198 @@ gcollapse:
 	JMP  gtap
 
 gdone:
+	VZEROUPPER
+	RET
+
+// GRADINSTEP4 advances one tap's four position vectors by one output
+// channel: the tap's weight (broadcast in w, the first factor) times the
+// channel's sixteen gradients at BX, then the add with the accumulator as
+// first source — per lane the scalar t += w*dy.
+#define GRADINSTEP4(w, a0, a1, a2, a3) \
+	VMULPD (BX), w, Y10   \
+	VMULPD 32(BX), w, Y11 \
+	VMULPD 64(BX), w, Y12 \
+	VMULPD 96(BX), w, Y13 \
+	VADDPD Y10, a0, a0    \
+	VADDPD Y11, a1, a1    \
+	VADDPD Y12, a2, a2    \
+	VADDPD Y13, a3, a3
+
+// GRADINSTEP1 is GRADINSTEP4 for a single position vector.
+#define GRADINSTEP1(w, a) \
+	VMULPD (BX), w, Y10 \
+	VADDPD Y10, a, a
+
+// GRADINSCATTER adds a finished vector of terms into the cells of
+// position group j of the current block (cells first source). R15 is the
+// tap's view of the padded sample, CX the block's first position.
+#define GRADINSCATTER(j, v) \
+	MOVQ (32*j)(R9)(CX*8), AX  \
+	VMOVUPD (R15)(AX*8), Y14   \
+	VADDPD v, Y14, Y14         \
+	VMOVUPD Y14, (R15)(AX*8)
+
+// GRADINNEXTOC steps the weight and gradient pointers to the next output
+// channel and closes the channel loop.
+#define GRADINNEXTOC(loop) \
+	ADDQ R13, R12 \
+	ADDQ R14, BX  \
+	DECQ AX       \
+	JNZ  loop
+
+// func convGradInAVX(dpad, dy, w *float64, tapOff, posBase *int, taps, spatial, outC, split int)
+// One sample's input gradient into its zeroed padded sample. Lanes are
+// four contiguous positions: a term vector is a chain over the output
+// channels ascending from +0, one VMULPD and one VADDPD per channel, and
+// is then added once into the four cells posBase[pos..pos+3]+tapOff[p].
+// Taps go in ascending order, so a cell's adds arrive in col2im's order.
+// With split > 0 taps p and p+split run together — Y0-Y3 and Y4-Y7 over a
+// block of sixteen positions, eight chains in flight — which reorders
+// nothing as long as the two halves of the taps share no cell; blocks of
+// four finish a plane that is not a multiple of sixteen. With split = 0
+// every tap runs alone. spatial%4 must be 0 and outC > 0.
+TEXT ·convGradInAVX(SB), NOSPLIT, $0-72
+	MOVQ dpad+0(FP), DI
+	MOVQ dy+8(FP), SI
+	MOVQ w+16(FP), DX        // &w[0][p], walks the taps
+	MOVQ tapOff+24(FP), R8   // &tapOff[p], walks the taps
+	MOVQ posBase+32(FP), R9
+	MOVQ taps+40(FP), R13
+	SHLQ $3, R13             // weight row in bytes
+	MOVQ spatial+48(FP), R14
+	SHLQ $3, R14             // gradient plane in bytes
+	MOVQ split+64(FP), R11
+	TESTQ R11, R11
+	JZ   isingle
+	MOVQ R11, R10            // tap pairs to go
+	SHLQ $3, R11             // distance to the partner tap in bytes
+
+ipair:
+	XORQ CX, CX              // pos
+
+ipair16:
+	LEAQ 16(CX), AX
+	CMPQ AX, spatial+48(FP)
+	JGT  ipair4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ (SI)(CX*8), BX      // &dy[0][pos]
+	MOVQ DX, R12
+	MOVQ outC+56(FP), AX
+
+ipair16oc:
+	VBROADCASTSD (R12), Y8
+	VBROADCASTSD (R12)(R11*1), Y9
+	GRADINSTEP4(Y8, Y0, Y1, Y2, Y3)
+	GRADINSTEP4(Y9, Y4, Y5, Y6, Y7)
+	GRADINNEXTOC(ipair16oc)
+	MOVQ (R8), AX
+	LEAQ (DI)(AX*8), R15
+	GRADINSCATTER(0, Y0)
+	GRADINSCATTER(1, Y1)
+	GRADINSCATTER(2, Y2)
+	GRADINSCATTER(3, Y3)
+	MOVQ (R8)(R11*1), AX
+	LEAQ (DI)(AX*8), R15
+	GRADINSCATTER(0, Y4)
+	GRADINSCATTER(1, Y5)
+	GRADINSCATTER(2, Y6)
+	GRADINSCATTER(3, Y7)
+	ADDQ $16, CX
+	JMP  ipair16
+
+ipair4:
+	CMPQ CX, spatial+48(FP)
+	JGE  ipairnext
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+	LEAQ (SI)(CX*8), BX
+	MOVQ DX, R12
+	MOVQ outC+56(FP), AX
+
+ipair4oc:
+	VBROADCASTSD (R12), Y8
+	VBROADCASTSD (R12)(R11*1), Y9
+	GRADINSTEP1(Y8, Y0)
+	GRADINSTEP1(Y9, Y4)
+	GRADINNEXTOC(ipair4oc)
+	MOVQ (R8), AX
+	LEAQ (DI)(AX*8), R15
+	GRADINSCATTER(0, Y0)
+	MOVQ (R8)(R11*1), AX
+	LEAQ (DI)(AX*8), R15
+	GRADINSCATTER(0, Y4)
+	ADDQ $4, CX
+	JMP  ipair4
+
+ipairnext:
+	ADDQ $8, DX
+	ADDQ $8, R8
+	DECQ R10
+	JNZ  ipair
+	VZEROUPPER
+	RET
+
+isingle:
+	MOVQ taps+40(FP), R10    // taps to go
+
+itap:
+	XORQ CX, CX
+
+itap16:
+	LEAQ 16(CX), AX
+	CMPQ AX, spatial+48(FP)
+	JGT  itap4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ (SI)(CX*8), BX
+	MOVQ DX, R12
+	MOVQ outC+56(FP), AX
+
+itap16oc:
+	VBROADCASTSD (R12), Y8
+	GRADINSTEP4(Y8, Y0, Y1, Y2, Y3)
+	GRADINNEXTOC(itap16oc)
+	MOVQ (R8), AX
+	LEAQ (DI)(AX*8), R15
+	GRADINSCATTER(0, Y0)
+	GRADINSCATTER(1, Y1)
+	GRADINSCATTER(2, Y2)
+	GRADINSCATTER(3, Y3)
+	ADDQ $16, CX
+	JMP  itap16
+
+itap4:
+	CMPQ CX, spatial+48(FP)
+	JGE  itapnext
+	VXORPD Y0, Y0, Y0
+	LEAQ (SI)(CX*8), BX
+	MOVQ DX, R12
+	MOVQ outC+56(FP), AX
+
+itap4oc:
+	VBROADCASTSD (R12), Y8
+	GRADINSTEP1(Y8, Y0)
+	GRADINNEXTOC(itap4oc)
+	MOVQ (R8), AX
+	LEAQ (DI)(AX*8), R15
+	GRADINSCATTER(0, Y0)
+	ADDQ $4, CX
+	JMP  itap4
+
+itapnext:
+	ADDQ $8, DX
+	ADDQ $8, R8
+	DECQ R10
+	JNZ  itap
 	VZEROUPPER
 	RET
 

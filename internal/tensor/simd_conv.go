@@ -2,9 +2,10 @@ package tensor
 
 import "fmt"
 
-// Direct convolution kernels: nn.Conv2D's forward pass and parameter
-// gradients computed straight from zero-padded activations, with no
-// lowered im2col matrix in between. Lanes are output channels.
+// Direct convolution kernels: nn.Conv2D's forward pass, parameter
+// gradients and input gradient computed straight from zero-padded
+// samples, with no lowered im2col matrix in between. Lanes are output
+// channels in the first two and output positions in the third.
 //
 // The caller owns two index tables per geometry. With `in` holding batch
 // zero-padded samples of sampleLen elements each,
@@ -30,9 +31,9 @@ import "fmt"
 // Like DotTile these are platform-dispatched package functions, not
 // Backend methods: the accumulation chains below are the contract, and a
 // new method would break every Backend implemented outside this package.
-// The Go twins (ConvForwardGo, ConvGradParamsGo) are what runs without
-// AVX2, off amd64 and under purego, and what the tests hold the assembly
-// to.
+// The Go twins (ConvForwardGo, ConvGradParamsGo, ConvGradInputGo) are
+// what runs without AVX2, off amd64 and under purego, and what the tests
+// hold the assembly to.
 
 // convLanes is the channel block of the kernels: two ymm registers.
 const convLanes = 8
@@ -82,6 +83,33 @@ func ConvGradParamsGo(gt, in, dyt []float64, tapOff, posBase []int, batch, sampl
 	convGradParamsGo(gt, in, dyt, tapOff, posBase, batch, sampleLen, outC)
 }
 
+// ConvGradInput computes dLoss/dInput of every sample in the padded
+// layout `in` has above, onto a dpad it zeroes first:
+//
+//	dpad[b][posBase[pos]+tapOff[p]] += Σ_oc w[oc][p] · dy[b][oc][pos]
+//
+// for p ascending and, within a tap, pos ascending. A tap reaches a cell
+// from at most one position, so per cell the chain is one add per tap,
+// taps ascending from +0, and each term is itself a chain over oc
+// ascending from +0, one multiply then one add and no fused multiply-add
+// — per element the chain of MatMulTransATo (wᵀ·dy, lowered) + Col2ImTo.
+// A tap that falls outside the image for some cell is skipped there, as
+// col2im skips it, not multiplied by a zero: its only positions land on
+// the padding border, which absorbs them and which the caller drops when
+// it copies the interiors out. dy is the incoming gradient as the layer
+// receives it, sample-major (batch × outC·spatial), and w the row-major
+// (outC × taps) weights, read in place.
+func ConvGradInput(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConvGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
+	convGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
+}
+
+// ConvGradInputGo is ConvGradInput on the portable scalar kernel.
+func ConvGradInputGo(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConvGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
+	convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
+}
+
 // TransposeTo writes the transpose of a rows×cols block:
 // dst[c*dstStride+r] = src[r*srcStride+c]. The strides are row lengths in
 // elements, so either side may be a window of a wider matrix; dst
@@ -95,7 +123,7 @@ func TransposeTo(dst, src []float64, rows, cols, srcStride, dstStride int) {
 	transpose(dst, src, rows, cols, srcStride, dstStride)
 }
 
-// checkConv validates what both kernels share. Together with the
+// checkConv validates what the kernels share. Together with the
 // per-kernel length checks that call it, it is the only bounds check the
 // assembly gets:
 // every index it forms is posBase[pos]+tapOff[p] inside one sample.
@@ -150,6 +178,17 @@ func checkConvGrad(gt, dyt, in []float64, tapOff, posBase []int, batch, sampleLe
 	}
 	if len(dyt) < batch*spatial*ConvLanes(outC) {
 		panic(fmt.Sprintf("tensor: ConvGradParams output gradient has %d elements, want %d", len(dyt), batch*spatial*ConvLanes(outC)))
+	}
+}
+
+func checkConvGradInput(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConv("ConvGradInput", dpad, tapOff, posBase, batch, sampleLen, outC)
+	taps, spatial := len(tapOff), len(posBase)
+	if len(w) != outC*taps {
+		panic(fmt.Sprintf("tensor: ConvGradInput weights have %d elements, want %d channels x %d taps", len(w), outC, taps))
+	}
+	if len(dy) < batch*outC*spatial {
+		panic(fmt.Sprintf("tensor: ConvGradInput output gradient has %d elements, want %d", len(dy), batch*outC*spatial))
 	}
 }
 
@@ -210,6 +249,34 @@ func convGradParamsGo(gt, in, dyt []float64, tapOff, posBase []int, batch, sampl
 					s0 += dy[pos*oc8+oc] * win[posBase[pos]]
 				}
 				gt[p*oc8+oc] += s0 + s1 + s2 + s3
+			}
+		}
+	}
+}
+
+func convGradInputGo(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	taps, spatial := len(tapOff), len(posBase)
+	// One tap's terms for a run of positions: positions innermost, so the
+	// gradient rows stream and the weight is a scalar.
+	var terms [64]float64
+	for b := 0; b < batch; b++ {
+		pad := dpad[b*sampleLen : (b+1)*sampleLen]
+		clear(pad)
+		g := dy[b*outC*spatial : (b+1)*outC*spatial]
+		for p, off := range tapOff {
+			cells := pad[off:]
+			for pos0 := 0; pos0 < spatial; pos0 += len(terms) {
+				t := terms[:min(len(terms), spatial-pos0)]
+				clear(t)
+				for oc := 0; oc < outC; oc++ {
+					wv := w[oc*taps+p]
+					for i, v := range g[oc*spatial+pos0 : oc*spatial+pos0+len(t)] {
+						t[i] += wv * v
+					}
+				}
+				for i, v := range t {
+					cells[posBase[pos0+i]] += v
+				}
 			}
 		}
 	}

@@ -28,8 +28,9 @@ func TestTransposeToMatchesScalar(t *testing.T) {
 
 // TestConvDirectRejectsUncheckedTables: the wrappers are the only bounds
 // check the assembly gets, so a table that reaches past the padded
-// sample, a short output and a weight matrix not padded to the channel
-// block must all panic in Go. (The kernels' arithmetic is pinned in nn,
+// sample, a short output, a weight matrix not padded to the channel
+// block (or, for the input gradient, not the row-major one) must all
+// panic in Go. (The kernels' arithmetic is pinned in nn,
 // against the lowering they replace: TestConvDirectMatchesLowered.)
 func TestConvDirectRejectsUncheckedTables(t *testing.T) {
 	const batch, sampleLen, outC, spatial, taps = 2, 16, 3, 4, 2
@@ -41,8 +42,11 @@ func TestConvDirectRejectsUncheckedTables(t *testing.T) {
 	out := make([]float64, batch*outC*spatial)
 	gt := make([]float64, (taps+1)*oc8)
 	dyt := make([]float64, batch*spatial*oc8)
+	w := make([]float64, outC*taps)
+	dy := make([]float64, batch*outC*spatial)
 	ConvForward(out, in, wt, bias, tapOff, posBase, batch, sampleLen, outC) // the baseline is accepted
 	ConvGradParams(gt, in, dyt, tapOff, posBase, batch, sampleLen, outC)
+	ConvGradInput(in, dy, w, tapOff, posBase, batch, sampleLen, outC)
 
 	for _, tc := range []struct {
 		name, want string
@@ -71,6 +75,21 @@ func TestConvDirectRejectsUncheckedTables(t *testing.T) {
 		}},
 		{"short output gradient", "output gradient has", func() {
 			ConvGradParams(gt, in, dyt[:len(dyt)-1], tapOff, posBase, batch, sampleLen, outC)
+		}},
+		{"input-gradient tap past the sample", "tables reach", func() {
+			ConvGradInput(in, dy, w, []int{0, 11}, posBase, batch, sampleLen, outC)
+		}},
+		{"input-gradient position past the sample", "tables reach", func() {
+			ConvGradInputGo(in, dy, w, tapOff, []int{0, 1, 4, 15}, batch, sampleLen, outC)
+		}},
+		{"short padded gradient", "input has", func() {
+			ConvGradInput(in[:len(in)-1], dy, w, tapOff, posBase, batch, sampleLen, outC)
+		}},
+		{"weights in the channel-lane layout", "weights have", func() {
+			ConvGradInput(in, dy, wt, tapOff, posBase, batch, sampleLen, outC)
+		}},
+		{"short incoming gradient", "output gradient has", func() {
+			ConvGradInputGo(in, dy[:len(dy)-1], w, tapOff, posBase, batch, sampleLen, outC)
 		}},
 		{"transpose past the source", "does not fit", func() {
 			TransposeTo(make([]float64, 16), make([]float64, 15), 4, 4, 4, 4)

@@ -8,7 +8,7 @@ package tensor
 func reluForward(out, x []float64, mask []bool) { reluForwardGo(out, x, mask) }
 func reluBackward(dx, g []float64, mask []bool) { reluBackwardGo(dx, g, mask) }
 
-func maxPool2x2Plane(dst []float64, am []int, src []float64, w, oh, ow, base int) bool {
+func maxPool2x2Plane(dst []float64, am []int, src []float64, w, pairs, ow int, start float64) bool {
 	return false
 }
 
@@ -22,6 +22,10 @@ func convForward(out, in, wt, bias []float64, tapOff, posBase []int, batch, samp
 
 func convGradParams(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
 	convGradParamsGo(gt, in, dyt, tapOff, posBase, batch, sampleLen, outC)
+}
+
+func convGradInput(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
 }
 
 func transpose(dst, src []float64, rows, cols, srcStride, dstStride int) {
