@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"fedcross/internal/data"
 	"fedcross/internal/fl"
@@ -138,6 +139,30 @@ func TestLoadTruncatedAfterPlausibleHeader(t *testing.T) {
 	raw := append(checkpointHeader(checkpointMagic, 8, 1<<20), make([]byte, 4096)...)
 	if err := MustNew(DefaultOptions()).Load(bytes.NewReader(raw)); err == nil {
 		t.Fatal("truncated payload must error")
+	}
+}
+
+// TestLoadStateRejectsHostileRNGPosition: the last eight bytes of a
+// FedCross state blob are its generator's position, a replay length. A
+// blob rewritten to 2^62 must fail LoadState promptly, not replay for
+// centuries; the valid blob still loads.
+func TestLoadStateRejectsHostileRNGPosition(t *testing.T) {
+	algo := trainedFedCross(t, checkpointEnv(t))
+	var buf bytes.Buffer
+	if err := algo.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := algo.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("valid state: %v", err)
+	}
+	hostile := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint64(hostile[len(hostile)-8:], 1<<62)
+	start := time.Now()
+	if err := algo.LoadState(bytes.NewReader(hostile)); err == nil {
+		t.Fatal("a generator position of 2^62 must be refused")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("refusing the position took %v", d)
 	}
 }
 

@@ -5,14 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fedcross/internal/tensor"
 )
 
 // FuzzCheckpointLoad holds the snapshot reader to its contract on
 // arbitrary bytes under both magics: an error, or a snapshot every field
-// of which passes the validation a resuming run relies on — never a
-// panic, never a count the bytes present could not back. Seeds are a
-// valid snapshot of each engine plus the truncated, garbage and empty
-// cases of the two hostile-input tests.
+// of which passes the validation a resuming run relies on, streams
+// included — never a panic, never a count the bytes present could not
+// back, never a replay without end. Seeds are a valid snapshot of each
+// engine plus the truncated, garbage and empty cases of the two
+// hostile-input tests.
 func FuzzCheckpointLoad(f *testing.F) {
 	dir := f.TempDir()
 	const n, dim = 8, 12*16 + 16 + 16*4 + 4 // testEnv's population and MLP(12, 16, 4)
@@ -48,6 +51,15 @@ func FuzzCheckpointLoad(f *testing.F) {
 		body := func(snap *snapshot, spec ckptSpec) {
 			inRange("rounds done", snap.done, 0, spec.total+1)
 			inRange("metric count", len(snap.metrics), 0, len(data)/metricBytes+1)
+			// Every accepted stream either restores to exactly its saved
+			// position or is refused — never a replay without end.
+			for _, st := range snap.streams {
+				if g, err := tensor.RestoreRNG(st); err == nil && g.State() != st {
+					t.Fatalf("stream %+v restored at %+v", st, g.State())
+				} else if err != nil && st.Pos <= 1<<34 {
+					t.Fatalf("stream %+v refused: %v", st, err)
+				}
+			}
 		}
 		if snap, d, err := parseCheckpoint(data, runSpec); err == nil {
 			body(snap, runSpec)

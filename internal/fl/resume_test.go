@@ -12,10 +12,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"fedcross/internal/data"
 	"fedcross/internal/models"
 	"fedcross/internal/nn"
+	"fedcross/internal/tensor"
 )
 
 // ckptWireAlgo is wireAlgo plus RoundCheckpointer: the smallest
@@ -213,6 +215,38 @@ func TestRunResumeRejectsHostileInput(t *testing.T) {
 	}
 	if err := resume(hostile, resumeCfg(0)); err == nil || !strings.Contains(err.Error(), "client id 99") {
 		t.Fatalf("resume with an out-of-range planned cohort: %v, want a client-id error", err)
+	}
+
+	// A stream position is a replay length, and a stream seed must be the
+	// one the run's master seed splits: the select stream's 16 draws
+	// rewritten to 2^62 (centuries of replay) or its seed flipped must be
+	// refused, and the first promptly.
+	for _, c := range []struct {
+		name string
+		edit func(*tensor.RNGState)
+		want string
+	}{
+		{"position", func(st *tensor.RNGState) { st.Pos = 1 << 62 }, "replay limit"},
+		{"seed", func(st *tensor.RNGState) { st.Seed ^= 1 }, "select stream seed"},
+	} {
+		bad := *snap
+		c.edit(&bad.streams[0])
+		planner := &cohortPlanner{next: tail.next, drawn: tail.drawn}
+		data, err := encodeCheckpoint(spec, &bad, func(e *enc) { encodeRunTail(e, snap.done, planner, tail.acct, state) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(hostile, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		err = resume(hostile, resumeCfg(0))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("resume with a rewritten select stream %s: %v, want %q", c.name, err, c.want)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("resume with a rewritten select stream %s took %v to fail", c.name, d)
+		}
 	}
 
 	// A count field is not a promise: a 256-byte file declaring 2^22

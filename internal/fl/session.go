@@ -214,11 +214,11 @@ func (s *session) save(done int, tail func(*enc)) error {
 	return nil
 }
 
-// resume loads the snapshot, restores the counters, the metric list and
-// the three live stream positions, hands the rest to the engine's tail
-// parser, and returns the rounds completed. Adversary, fault and churn
-// schedules are recomputed, not restored: they are pure functions of the
-// seed.
+// resume loads the snapshot, restores the three live stream positions,
+// hands the rest to the engine's tail parser, then installs the streams,
+// the counters and the metric list, and returns the rounds completed.
+// Adversary, fault and churn schedules are recomputed, not restored: they
+// are pure functions of the seed.
 func (s *session) resume(tail func(done int, d *dec) error) (int, error) {
 	path := s.cfg.Checkpoint.Path
 	data, err := os.ReadFile(path)
@@ -226,6 +226,10 @@ func (s *session) resume(tail func(done int, d *dec) error) (int, error) {
 		return 0, fmt.Errorf("fl: %s: resume: %w", s.engine, err)
 	}
 	snap, d, err := parseCheckpoint(data, s.spec)
+	var streams [3]*tensor.RNG
+	if err == nil {
+		streams, err = s.restoreStreams(snap.streams)
+	}
 	if err == nil {
 		err = tail(snap.done, d)
 	}
@@ -233,8 +237,23 @@ func (s *session) resume(tail func(done int, d *dec) error) (int, error) {
 		return 0, fmt.Errorf("fl: %s: resume %s: %w", s.engine, path, err)
 	}
 	s.cum, s.hist.Metrics = snap.cum, snap.metrics
-	for i, st := range snap.streams {
-		s.rng[streamSelect+stream(i)] = tensor.RestoreRNG(st)
-	}
+	copy(s.rng[streamSelect:], streams[:])
 	return snap.done, nil
+}
+
+// restoreStreams rebuilds the saved select, engineA and engineB streams.
+// Each must carry the seed splitStreams gave that child — any other seed
+// would silently change the resumed run — and a position RestoreRNG
+// accepts.
+func (s *session) restoreStreams(saved [3]tensor.RNGState) (out [3]*tensor.RNG, err error) {
+	names := [3]string{"select", "engineA", "engineB"}
+	for i, st := range saved {
+		if want := s.rng[streamSelect+stream(i)].State().Seed; st.Seed != want {
+			return out, fmt.Errorf("%s stream seed %d != run's %d", names[i], st.Seed, want)
+		}
+		if out[i], err = tensor.RestoreRNG(st); err != nil {
+			return out, fmt.Errorf("%s stream: %w", names[i], err)
+		}
+	}
+	return out, nil
 }

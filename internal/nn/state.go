@@ -246,7 +246,8 @@ func WriteRNG(w io.Writer, g *tensor.RNG) error {
 	return WriteU64(w, st.Pos)
 }
 
-// ReadRNG restores a generator written by WriteRNG.
+// ReadRNG restores a generator written by WriteRNG. A position past
+// tensor.RestoreRNG's replay limit is an error.
 func ReadRNG(r io.Reader) (*tensor.RNG, error) {
 	seed, err := ReadI64(r)
 	if err != nil {
@@ -256,7 +257,11 @@ func ReadRNG(r io.Reader) (*tensor.RNG, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tensor.RestoreRNG(tensor.RNGState{Seed: seed, Pos: pos}), nil
+	g, err := tensor.RestoreRNG(tensor.RNGState{Seed: seed, Pos: pos})
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // SaveState serializes the optimizer's momentum buffers (shape and data),

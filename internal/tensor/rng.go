@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -18,60 +19,186 @@ import (
 type RNG struct {
 	r    *rand.Rand
 	seed int64
-	src  *countingSource
+	src  source
 }
 
-// countingSource wraps the stdlib source and counts every Int63 draw. It
-// deliberately implements only rand.Source (NOT Source64): every rand.Rand
-// method this library uses — Float64, Intn, Int63, NormFloat64, Perm,
-// Shuffle — bottoms out in Source.Int63, so the wrapped stream is
-// bit-identical to the unwrapped one while the counter gives an exact
-// stream position. (seed, position) is therefore a complete, restorable
-// snapshot of a generator — the fact the round-checkpoint machinery is
-// built on.
-type countingSource struct {
-	src rand.Source
-	n   uint64
+// The additive lagged-Fibonacci generator under math/rand's NewSource:
+// x_t = x_{t−607} + x_{t−273} mod 2^64, kept as a 607-word ring.
+const (
+	rngLen   = 607
+	rngTap   = 273
+	int32max = 1<<31 - 1
+)
+
+// source is math/rand's rngSource, ported so the package owns its ring,
+// plus a count of every draw made since seeding: its Int63 sequence is
+// rand.NewSource(seed)'s for every seed (TestSourceMatchesMathRand). It
+// deliberately implements only rand.Source, NOT Source64 — rand.New would
+// route Uint64 around the counter — so every rand.Rand method this
+// library uses (Float64, Intn, Int63, NormFloat64, Perm, Shuffle) is
+// math/rand's own code over one counted stream. (seed, position) is
+// therefore a complete, restorable snapshot of a generator — the fact the
+// round-checkpoint machinery is built on. Owning the ring is what lets
+// PermPrefix and RestoreRNG advance it a block at a time (advance).
+type source struct {
+	tap, feed int // ring indices the next draw steps down to
+	vec       [rngLen]int64
+	n         uint64 // draws since seeding
 }
 
-func (s *countingSource) Int63() int64 {
+// Seed is math/rand's rngSource.Seed: seedrand's sequence after a 20-step
+// warm-up, folded into the seeding table.
+func (s *source) Seed(seed int64) {
+	s.mix(seed)
+	for i := range s.vec {
+		s.vec[i] ^= rngCooked[i]
+	}
+}
+
+// mix is Seed without the seeding table: the ring filled from seed's
+// seedrand sequence, positions and counter reset.
+func (s *source) mix(seed int64) {
+	s.tap, s.feed, s.n = 0, rngLen-rngTap, 0
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := int32(seed)
+	for i := -20; i < rngLen; i++ {
+		x = seedrand(x)
+		if i >= 0 {
+			u := int64(x) << 40
+			x = seedrand(x)
+			u ^= int64(x) << 20
+			x = seedrand(x)
+			u ^= int64(x)
+			s.vec[i] = u
+		}
+	}
+}
+
+// seedrand is x[n+1] = 48271 · x[n] mod (2^31 − 1), Schrage's method.
+func seedrand(x int32) int32 {
+	const a, q, r = 48271, 44488, 3399
+	hi, lo := x/q, x%q
+	if x = a*lo - r*hi; x < 0 {
+		x += int32max
+	}
+	return x
+}
+
+// Int63 makes one draw.
+func (s *source) Int63() int64 {
 	s.n++
-	return s.src.Int63()
+	if s.tap--; s.tap < 0 {
+		s.tap += rngLen
+	}
+	if s.feed--; s.feed < 0 {
+		s.feed += rngLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return x & math.MaxInt64
 }
 
-func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.n = 0
+// advance makes up to max > 0 draws at once — as many as the ring allows
+// before tap or feed wraps, 273 or 334 — and returns them in place: the
+// first draw is the block's last word, the last draw its first (each is
+// the raw 64-bit word; Int63 would clear the top bit). The block is only
+// valid until the source draws again. Four words at a time is exact
+// because a draw reads a word written 273 draws earlier or one written
+// 334 draws later, never one of its own four (ringAdd).
+func (s *source) advance(max int) []int64 {
+	if s.tap == 0 {
+		s.tap = rngLen
+	}
+	if s.feed == 0 {
+		s.feed = rngLen
+	}
+	c := min(max, s.tap, s.feed)
+	t, f := s.tap-c, s.feed-c
+	blk := s.vec[f:s.feed]
+	ringAdd(blk, s.vec[t:s.tap])
+	s.tap, s.feed = t, f
+	s.n += uint64(c)
+	return blk
+}
+
+// rngCooked is math/rand's seeding table (rngCooked in math/rand/rng.go),
+// recovered at init from math/rand's own stream rather than copied. The
+// first 607 words of rand.NewSource(1) determine seed 1's ring: draw t
+// adds word 607−t into word 334−t (941−t once t > 334), and a word below
+// 334 that it reads was written by draw t−273. Inverting that recurrence
+// gives the ring; XOR-ing off seed 1's seedrand mixing gives the table.
+var rngCooked = cookedTable()
+
+func cookedTable() (cooked [rngLen]int64) {
+	ref := rand.NewSource(1).(rand.Source64)
+	var x [rngLen + 1]int64 // x[t] is draw t, from 1
+	for t := 1; t <= rngLen; t++ {
+		x[t] = int64(ref.Uint64())
+	}
+	var ring [rngLen]int64
+	for t := 274; t <= 334; t++ {
+		ring[334-t] = x[t] - x[t-273]
+	}
+	for t := 335; t <= rngLen; t++ {
+		ring[941-t] = x[t] - x[t-273]
+	}
+	for t := 1; t <= 273; t++ {
+		ring[334-t] = x[t] - ring[607-t]
+	}
+	var s source
+	s.mix(1)
+	for i := range cooked {
+		cooked[i] = ring[i] ^ s.vec[i]
+	}
+	return cooked
 }
 
 // NewRNG returns a deterministic generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	src := &countingSource{src: rand.NewSource(seed)}
-	return &RNG{r: rand.New(src), seed: seed, src: src}
+	g := &RNG{seed: seed}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // RNGState is a serializable snapshot of a generator: its construction
 // seed plus how many base draws it has consumed. RestoreRNG(State())
 // yields a generator whose future draws are bit-identical to the
 // original's.
+//
+// RestoreRNG refuses a Pos above 2^34: replaying that many draws takes a
+// few seconds — about 17,000 rounds of selection over 10^6 clients — and
+// a checkpoint claiming more is corrupt or hostile (2^62 would replay for
+// centuries).
 type RNGState struct {
 	Seed int64
 	Pos  uint64
 }
 
+// maxRestorePos is RestoreRNG's replay limit, documented on RNGState.
+const maxRestorePos = 1 << 34
+
 // State snapshots the generator's position.
 func (g *RNG) State() RNGState { return RNGState{Seed: g.seed, Pos: g.src.n} }
 
 // RestoreRNG rebuilds a generator at a snapshotted position by replaying
-// (and discarding) the consumed prefix of its stream. Replay costs one
-// Int63 per consumed draw — cheap even for selection streams that Perm
-// over large populations every round.
-func RestoreRNG(st RNGState) *RNG {
-	g := NewRNG(st.Seed)
-	for g.src.n < st.Pos {
-		g.src.Int63()
+// (and discarding) the consumed prefix of its stream, a ring block at a
+// time.
+func RestoreRNG(st RNGState) (*RNG, error) {
+	if st.Pos > maxRestorePos {
+		return nil, fmt.Errorf("tensor: RNG position %d exceeds the replay limit %d", st.Pos, uint64(maxRestorePos))
 	}
-	return g
+	g := NewRNG(st.Seed)
+	for left := st.Pos; left > 0; {
+		left -= uint64(len(g.src.advance(int(min(left, rngLen)))))
+	}
+	return g, nil
 }
 
 // Split derives an independent child generator; use it to give each client
@@ -121,13 +248,16 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // All n draws are still made, so the stream's shape is Perm(n)'s.
 //
 // The first k steps are math/rand's own. The n − k after them are
-// rand.Rand.Int31n written out against the counting source (which still
-// counts every draw): at 10^6 steps a round the Intn → Int31n → Int31 →
-// Int63 call chain costs more than the draws do. The rejection
-// threshold, and its division, is computed only for a draw that could be
-// rejected (v > max implies v >= 2^31 − n). TestPermPrefixMatchesPerm
-// pins ids and stream position against math/rand's own Perm, mask and
-// rejection cases included.
+// rand.Rand.Int31n written out over the source's ring: blocks of draws are
+// advanced in place (source.advance), and permScan rules out, four steps
+// at a time, the leading steps of a block that provably do nothing — no
+// rejection is possible and v mod (i+1) ≥ k. Each step it stops at runs
+// the scalar code below, with its exact % and power-of-two mask and its
+// rejection loop (whose threshold, and division, is computed only for a
+// draw that could be rejected: v > max implies v ≥ 2^31 − n). All n draws
+// are still made and counted. TestPermPrefixMatchesPerm pins ids and
+// stream position against math/rand's own Perm, mask and rejection cases
+// included.
 func (g *RNG) PermPrefix(n, k int) []int {
 	if k > n {
 		k = n
@@ -142,28 +272,47 @@ func (g *RNG) PermPrefix(n, k int) []int {
 		m[i] = m[j]
 		m[j] = i
 	}
-	src := g.src
-	for i := k; i < n; i++ {
-		bound := uint32(i + 1)
-		v := uint32(src.Int63() >> 32)
-		var j uint32
-		if bound&(bound-1) == 0 { // power of two: mask, never rejects
-			j = v & (bound - 1)
-		} else {
-			if v > math.MaxInt32-bound {
-				max := uint32(math.MaxInt32) - (1<<31)%bound
-				for v > max {
-					v = uint32(src.Int63() >> 32)
-				}
+	src := &g.src
+	for i := k; i < n; {
+		// Every step takes at least one draw, so a block of at most n − i
+		// draws is used up before the shuffle ends.
+		blk := src.advance(n - i)
+		for p := len(blk); p > 0; { // blk[p-1] is the next draw
+			s := permScan(blk[:p], i+1, k)
+			if i, p = i+s, p-s; p == 0 {
+				break
 			}
-			j = v % bound
-		}
-		if int(j) < k {
-			m[j] = i
+			p--
+			bound := uint32(i + 1)
+			v := draw31(blk[p])
+			var j uint32
+			if bound&(bound-1) == 0 { // power of two: mask, never rejects
+				j = v & (bound - 1)
+			} else {
+				if v > math.MaxInt32-bound {
+					max := uint32(math.MaxInt32) - (1<<31)%bound
+					for v > max {
+						if p > 0 {
+							p--
+							v = draw31(blk[p])
+						} else {
+							v = uint32(src.Int63() >> 32)
+						}
+					}
+				}
+				j = v % bound
+			}
+			if int(j) < k {
+				m[j] = i
+			}
+			i++
 		}
 	}
 	return m
 }
+
+// draw31 is rand.Rand.Int31 of a raw ring word: bits 32–62.
+func draw31(x int64) uint32 { return uint32(uint64(x) << 1 >> 33) }
 
 // Shuffle permutes xs uniformly at random in place.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
@@ -180,7 +329,14 @@ func (g *RNG) Gamma(shape float64) float64 {
 		for u == 0 {
 			u = g.Float64()
 		}
-		return g.Gamma(shape+1) * math.Pow(u, 1/shape)
+		x := g.Gamma(shape + 1)
+		if e := 1 / shape; e != 2 {
+			return x * math.Pow(u, e)
+		}
+		// Dir(0.5), every paper profile: Pow(u, 2) is Frexp, one rounded
+		// square of the mantissa, then exact scaling — u·u's one rounding,
+		// as u ≥ 2^−63 keeps the square normal (TestGammaSquareMatchesPow).
+		return x * (u * u)
 	}
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)

@@ -138,6 +138,20 @@ func quantDeltaAVX(dst *byte, v, ref *float64, n int, lo, scale float64)
 //go:noescape
 func dequantAddAVX(dst *float64, q *byte, ref *float64, n int, lo, scale float64)
 
+// ringAddAVX computes dst[i] += src[i] for i = n−1 down to 0, four words
+// at a time from the top. n must be a positive multiple of 4; src may
+// overlap dst from 4 or more words up.
+//
+//go:noescape
+func ringAddAVX(dst, src *int64, n int)
+
+// permScanAVX is permScanGo over the n words from lo (a positive multiple
+// of 4), four steps per iteration from the top word down, with b and k
+// as doubles. checkPermScan must have passed.
+//
+//go:noescape
+func permScanAVX(lo *int64, n int, b, k float64) int
+
 // avx2Supported is probed once at init and gates backend selection.
 var avx2Supported = hasAVX2()
 
@@ -479,6 +493,32 @@ func quantDelta(dst []byte, v, ref []float64, lo, scale float64) {
 		quantDeltaAVX(&dst[0], &v[0], r, n, lo, scale)
 	}
 	quantDeltaGo(dst[n:], v[n:], refTail(ref, n), lo, scale)
+}
+
+// ringAdd runs the block's top words on the AVX2 kernel when the CPU has
+// it, then its last n%4 words — the last draws — on the twin.
+func ringAdd(dst, src []int64) {
+	tail := len(dst)
+	if avx2Supported && tail >= 4 {
+		tail = len(dst) % 4
+		ringAddAVX(&dst[tail], &src[tail], len(dst)-tail)
+	}
+	ringAddGo(dst[:tail], src[:tail])
+}
+
+// permScan runs the checked scan's top words on the AVX2 kernel when the
+// CPU has it, and finishes the last n%4 steps on the twin.
+func permScan(blk []int64, b, k int) int {
+	checkPermScan(len(blk), b, k)
+	tail := len(blk) % 4
+	n := len(blk) - tail
+	if !avx2Supported || n == 0 {
+		return permScanGo(blk, b, k)
+	}
+	if s := permScanAVX(&blk[tail], n, float64(b), float64(k)); s < n {
+		return s
+	}
+	return n + permScanGo(blk[:tail], b+n, k)
 }
 
 // dequantAdd runs the checked dequantise pass on the AVX2 kernel when the

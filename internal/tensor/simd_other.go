@@ -41,3 +41,10 @@ func quantDelta(dst []byte, v, ref []float64, lo, scale float64) {
 func dequantAdd(dst []float64, q []byte, ref []float64, lo, scale float64) {
 	dequantAddGo(dst, q, ref, lo, scale)
 }
+
+func ringAdd(dst, src []int64) { ringAddGo(dst, src) }
+
+func permScan(blk []int64, b, k int) int {
+	checkPermScan(len(blk), b, k)
+	return permScanGo(blk, b, k)
+}

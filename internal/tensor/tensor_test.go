@@ -415,50 +415,6 @@ func TestDirichletIntoMatchesDirichlet(t *testing.T) {
 	}
 }
 
-func TestPermPrefixMatchesPerm(t *testing.T) {
-	// PermPrefix(n, k) must return math/rand's Perm(n)[:min(k,n)] and leave
-	// the generator where Perm(n) leaves it. The reference side goes through
-	// rand.Rand.Perm itself, so position equality is what proves the inlined
-	// Int31n right: the sizes cover powers of two (mask path) and, at 10^6,
-	// over a hundred rejected draws per call.
-	const calls = 2 // consecutive draws from one generator
-	for _, n := range []int{1, 2, 3, 7, 64, 100, 1000, 4096, 65536, 100000, 1000000} {
-		for _, seed := range []int64{1, 2} {
-			ref := NewRNG(seed)
-			var perms [calls][]int
-			var states [calls]RNGState
-			var nexts [calls]int64
-			for c := 0; c < calls; c++ {
-				before := ref.State().Pos
-				perms[c] = ref.Perm(n)
-				states[c] = ref.State()
-				nexts[c] = ref.Int63()
-				if n == 1000000 && states[c].Pos-before <= uint64(n) {
-					t.Fatalf("n=%d seed=%d call %d: reference Perm rejected no draw; the case proves nothing", n, seed, c)
-				}
-			}
-			for _, k := range []int{0, 1, 3, 10, 1000, n, n + 5} {
-				got := NewRNG(seed)
-				for c := 0; c < calls; c++ {
-					want := perms[c]
-					if k < n {
-						want = want[:k]
-					}
-					if have := got.PermPrefix(n, k); !slices.Equal(have, want) {
-						t.Fatalf("n=%d k=%d seed=%d call %d: %d ids differ from Perm(n)'s first %d", n, k, seed, c, len(have), len(want))
-					}
-					if got.State() != states[c] {
-						t.Fatalf("n=%d k=%d seed=%d call %d: position %+v, want %+v", n, k, seed, c, got.State(), states[c])
-					}
-					if next := got.Int63(); next != nexts[c] {
-						t.Fatalf("n=%d k=%d seed=%d call %d: next Int63 %d, want %d", n, k, seed, c, next, nexts[c])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestGammaMoments(t *testing.T) {
 	g := NewRNG(5)
 	const n = 20000
