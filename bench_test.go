@@ -519,6 +519,48 @@ func BenchmarkLocalTrainingCNN(b *testing.B) {
 	}
 }
 
+// BenchmarkSGDStep measures one optimizer step over the MLPs of
+// lazy_1m_fedavg (6,506 parameters) and server_heavy_k64 (51,978): kernel
+// is nn.SGD.Step, whose momentum update runs on tensor.MomentumStep, and
+// scalar the per-element loop it ran before, written out here over the
+// same tensors. CI gates scalar/kernel as a same-process ratio; no ns/op
+// is gated.
+func BenchmarkSGDStep(b *testing.B) {
+	for _, hidden := range []int{32, 256} {
+		net := models.MLP(models.VisionFeatures, hidden, 10).New(tensor.NewRNG(1))
+		params, grads := net.Params(), net.Grads()
+		rng := tensor.NewRNG(2)
+		for _, g := range grads {
+			for j := range g.Data {
+				g.Data[j] = rng.Normal(0, 1e-3)
+			}
+		}
+		name := fmt.Sprintf("p%d", len(nn.FlattenParams(params)))
+		lr, m := 0.01, 0.5
+		opt := nn.NewSGD(lr, m)
+		b.Run(name+"/kernel", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				opt.Step(params, grads)
+			}
+		})
+		velocity := make([][]float64, len(params))
+		for i, p := range params {
+			velocity[i] = make([]float64, len(p.Data))
+		}
+		b.Run(name+"/scalar", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for k, p := range params {
+					g, v := grads[k], velocity[k]
+					for j := range p.Data {
+						v[j] = m*v[j] + g.Data[j]
+						p.Data[j] -= lr * v[j]
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkConvStep measures a training step's share of one convolution —
 // forward plus parameter gradients, batch 50 — at the CNN's two
 // geometries: nn.Conv2D's direct kernels against the per-sample lowering

@@ -40,7 +40,8 @@
 // beta (numbers or "iid") × algo; table3 alpha × strategy; fig5 model ×
 // beta × algo; fig6 k × algo; fig7 n × algo; fig8 strategy × alpha; fig9
 // beta × accel; ablations shuffle, similarity and propellers (three grids
-// in a row); table3 and fig6 also rounds, an outermost axis that exists
+// in a row); fidelity beta × algo, FedCross's margin over FedAvg per row;
+// table3, fig6 and fidelity also rounds, an outermost axis that exists
 // only when named (and then replaces -rounds); comm codec; robust frac ×
 // reducer; async buffer × inflight; faults level; churn avail. model is an
 // axis under table2 and fig5 and names the one model everywhere else (fig4
@@ -158,8 +159,8 @@ var ownAxes = map[string][]string{
 	"resume": {"model", "algo", "stop"},
 }
 
-// allExperiments is what -experiment all runs, in order (resume is a
-// pass/fail gate and runs only by name).
+// allExperiments is what -experiment all runs, in order (resume and
+// fidelity are gates and run only by name).
 var allExperiments = []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "comm", "robust", "async", "ablations", "faults", "churn"}
 
 // presetsOf names the grid presets an experiment runs, in order.
@@ -177,13 +178,13 @@ func run(args []string, stdout io.Writer) (err error) {
 	grid := gridFlag{}
 	fs.Var(grid, "grid", "swept values, `axis=v1,v2` (repeatable): model, dataset, beta (numbers or iid), algo, alpha, strategy, accel, shuffle, similarity, propellers, k, n, rounds for the paper's tables and figures; codec, frac, reducer, buffer, inflight, level, avail for comm/robust/async/faults/churn; stop for resume. An axis the experiment does not read is an error")
 	var (
-		experiment = fs.String("experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", resume, all")
+		experiment = fs.String("experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", fidelity, resume, all")
 		profile    = fs.String("profile", "tiny", "run scale: tiny, small, paper")
 		rounds     = fs.Int("rounds", 0, "override the profile's round count (0 keeps profile default); table3 and fig6 can sweep it with -grid rounds= instead")
 		clients    = fs.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps it with -grid n= instead")
 		kFlag      = fs.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default); fig6 sweeps it with -grid k= and fig7 derives it from n")
 		rssLimitMB = fs.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
-		seeds      = fs.Int("seeds", 0, "override the number of seeds (0 keeps profile default); read by table2, table3 and ablations")
+		seeds      = fs.Int("seeds", 0, "override the number of seeds (0 keeps profile default); read by table2, table3, ablations and fidelity (which runs at least five)")
 		parallel   = fs.Int("parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
 		jobs       = fs.Int("jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
 		codec      = fs.String("codec", "identity", "wire codec for model payloads: identity, fp16, int8, topk[:frac]")
@@ -351,7 +352,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			for _, preset := range presetsOf(name) {
 				g, err := experiments.GridPreset(preset, prof)
 				if err != nil {
-					return fmt.Errorf("unknown experiment %q (want %s, resume or all)", name, strings.Join(allExperiments, ", "))
+					return fmt.Errorf("unknown experiment %q (want %s, fidelity, resume or all)", name, strings.Join(allExperiments, ", "))
 				}
 				if g.Base.Async != nil {
 					g.Base.Async.StalenessExp = *staleExp

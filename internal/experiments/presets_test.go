@@ -268,5 +268,50 @@ func TestGridStatOverSeeds(t *testing.T) {
 	}
 }
 
+// TestFidelityPresetMargin: the fidelity preset scores on at least 100
+// test samples per class over at least five seeds, and its margin columns
+// are rowMargin — the difference of the two stats, the pooled std, and
+// the seeds on which FedCross finished strictly ahead. A row without both
+// methods prints dashes.
+func TestFidelityPresetMargin(t *testing.T) {
+	res, out := microPreset(t, "fidelity", []string{"beta", "0.5"})
+	fa, ok := cellAt(res, "0.5", "fedavg")
+	fc, ok2 := cellAt(res, "0.5", "fedcross")
+	if !ok || !ok2 || len(res.Cells) != 2 {
+		t.Fatalf("cells %+v", res.Cells)
+	}
+	if p := fa.Profile; p.VisionTestPerClass != 100 || !slices.Equal(p.Seeds, []int64{1, 2, 3, 4, 5}) || len(fa.Histories) != 5 {
+		t.Fatalf("fidelity runs %d test samples per class on seeds %v", p.VisionTestPerClass, p.Seeds)
+	}
+	m, ok := rowMargin(res.Cells)
+	a, b := fc.Stat(), fa.Stat()
+	wins := 0
+	for i := range fc.Histories {
+		if fc.Histories[i].Final().TestAcc > fa.Histories[i].Final().TestAcc {
+			wins++
+		}
+	}
+	if !ok || m.Mean != a.Mean-b.Mean || m.Std != math.Sqrt((a.Std*a.Std+b.Std*b.Std)/2) || m.Wins != wins || m.Seeds != 5 {
+		t.Fatalf("margin %+v from fedcross %+v, fedavg %+v, %d wins", m, a, b, wins)
+	}
+	row := strings.Split(out, "\n")[3]
+	if !strings.Contains(out, "FedCross − FedAvg (pts)") || !strings.Contains(row, m.String()) || !strings.Contains(row, fmt.Sprintf("%d/5 seeds", wins)) {
+		t.Fatalf("margin %s, %d wins not in the table:\n%s", m, wins, out)
+	}
+
+	p := microProfile()
+	p.Seeds = []int64{1, 2, 3, 4, 5, 6}
+	res, out = microPreset(t, "fidelity", []string{"beta", "iid"}, []string{"algo", "fedcross"})
+	if _, ok := rowMargin(res.Cells); ok {
+		t.Fatal("a row without fedavg has a margin")
+	}
+	if f := strings.Fields(strings.Split(out, "\n")[3]); f[len(f)-1] != "-" || f[len(f)-2] != "-" {
+		t.Fatalf("margin columns of a fedcross-only row: %q", f)
+	}
+	if g, err := GridPreset("fidelity", p); err != nil || len(g.Seeds()) != 6 {
+		t.Fatalf("a profile with six seeds runs %v (%v), want all six", g.Seeds(), err)
+	}
+}
+
 // presetNames lists every preset.
 func presetNames() []string { return slices.Sorted(maps.Keys(gridPresets())) }

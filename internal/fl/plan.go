@@ -42,7 +42,11 @@ func CohortPlan(r int, seed int64, n, k int) []int {
 // single RNG draw out of round order: plans are drawn strictly
 // sequentially from the same selRNG, so whether a round's cohort is
 // drawn eagerly (lookahead) or at its round top, the stream — and every
-// history bit — is identical to the inline selection it replaced.
+// history bit — is identical to the inline selection it replaced. The
+// planner is not locked: fl.Run hands it to a lookahead goroutine for the
+// length of a round and joins that goroutine before it touches the
+// planner or the stream again (Take, a snapshot, any return), so one
+// goroutine at a time uses it.
 type cohortPlanner struct {
 	algo  Algorithm
 	rng   *tensor.RNG
@@ -82,9 +86,10 @@ func (p *cohortPlanner) Take(r int) []int {
 // when the algorithm selects its own clients: a Selector consults
 // algorithm state as of round r, which does not exist before round r−1
 // completes, so planning ahead would change both the chosen cohort and
-// the stream's draw count. Callers must copy-or-consume the ids before
-// round r starts — Take(r) returns the same backing slice, which the
-// round loop then mutates.
+// the stream's draw count (fl.Run does not plan ahead for a Selector at
+// all). Callers must copy-or-consume the ids before round r starts —
+// Take(r) returns the same backing slice, which the round loop then
+// mutates.
 func (p *cohortPlanner) Ahead(r int) []int {
 	if _, ok := p.algo.(Selector); ok {
 		return nil

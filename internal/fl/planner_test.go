@@ -1,0 +1,243 @@
+package fl_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"fedcross/internal/baselines"
+	"fedcross/internal/core"
+	"fedcross/internal/data"
+	"fedcross/internal/fl"
+	"fedcross/internal/models"
+)
+
+// The cohort planner's lookahead goroutine, tested from outside the
+// package against the real algorithms: FedAvg and FedCross plan ahead,
+// CluSamp is a Selector and never does.
+
+// probeSource is a lazy source whose Prefetch records where it was called
+// from: on the planner goroutine fl.Run starts, or inline on the round
+// loop's own — and, once the test marks the run returned, that it was
+// called at all.
+type probeSource struct {
+	*data.Lazy
+	onPlanner, inline, late atomic.Int32
+	returned                atomic.Bool
+}
+
+func (p *probeSource) Prefetch(ids []int) {
+	if p.returned.Load() {
+		p.late.Add(1)
+	}
+	buf := make([]byte, 4096)
+	if strings.Contains(string(buf[:runtime.Stack(buf, false)]), "created by fedcross/internal/fl.Run") {
+		p.onPlanner.Add(1)
+	} else {
+		p.inline.Add(1)
+	}
+	p.Lazy.Prefetch(ids)
+}
+
+// plannerFed is a population-shaped federation: 50,000 lazy clients over
+// 640 samples, so a K=100 cohort leases a handful of shards and a round's
+// selection is a 50,000-step shuffle.
+func plannerFed() *data.Federated {
+	cfg := data.VisionConfig{
+		Classes: 4, Features: 12,
+		TrainPerClass: 160, TestPerClass: 15,
+		ModesPerClass: 2, Sep: 1.2, Noise: 0.3, Seed: 43,
+	}
+	return data.BuildVisionLazyStriped(cfg, 50_000, data.Heterogeneity{Beta: 0.5}, 44, 256, 8)
+}
+
+// probeEnv puts a fresh probe in front of fed's lazy source.
+func probeEnv(fed *data.Federated) (*fl.Env, *probeSource) {
+	probe := &probeSource{Lazy: fed.Source.(*data.Lazy)}
+	view := *fed
+	view.Source = probe
+	return &fl.Env{Fed: &view, Model: models.MLP(12, 16, 4)}, probe
+}
+
+func plannerAlgos() map[string]func() fl.Algorithm {
+	return map[string]func() fl.Algorithm{
+		"fedavg":   func() fl.Algorithm { return baselines.NewFedAvg() },
+		"fedcross": func() fl.Algorithm { return core.MustNew(core.DefaultOptions()) },
+		"clusamp":  func() fl.Algorithm { return baselines.NewCluSamp() },
+	}
+}
+
+func plannerConfig(prefetch, par int, churn bool) fl.Config {
+	cfg := fl.Config{Rounds: 5, ClientsPerRound: 100, LocalEpochs: 1, BatchSize: 16,
+		LR: 0.05, Momentum: 0.5, EvalEvery: 2, Seed: 47, DropoutRate: 0.1,
+		PrefetchRounds: prefetch, Parallelism: par}
+	if churn {
+		cfg.Churn = fl.ChurnOptions{Availability: 0.6, Jitter: 0.3, StartFrac: 1, EndFrac: 0.8}
+	}
+	return cfg
+}
+
+// TestRunPlannerAheadMatchesInline: over PrefetchRounds {0, 1, 2} ×
+// Parallelism {1, 2, 8} × {FedAvg, FedCross, CluSamp} × churn off/on,
+// the history is byte-identical whether the lookahead ran on the planner
+// goroutine, inline, or not at all; the snapshot a run stopped after
+// round 3 writes is byte-identical across Parallelism (the planner's
+// cursor travels in it, so it differs across PrefetchRounds by design),
+// and resuming it reproduces the history. The probe checks the goroutine
+// ran exactly where it should: lookahead on, Parallelism ≠ 1, no Selector.
+func TestRunPlannerAheadMatchesInline(t *testing.T) {
+	fed := plannerFed()
+	dir := t.TempDir()
+	for name, mk := range plannerAlgos() {
+		for _, churn := range []bool{false, true} {
+			var ref []byte
+			for _, prefetch := range []int{0, 1, 2} {
+				var snapRef []byte
+				for _, par := range []int{1, 2, 8} {
+					tag := fmt.Sprintf("%s/churn=%v/prefetch%d/par%d", name, churn, prefetch, par)
+					cfg := plannerConfig(prefetch, par, churn)
+					env, probe := probeEnv(fed)
+					h, err := fl.Run(mk(), env, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if n := env.Fed.OutstandingLeases(); n != 0 {
+						t.Fatalf("%s: %d leases outstanding", tag, n)
+					}
+					planned := prefetch > 0 && name != "clusamp"
+					if got, want := probe.onPlanner.Load() > 0, planned && par != 1; got != want {
+						t.Fatalf("%s: prefetch on the planner goroutine = %v, want %v (inline calls %d)", tag, got, want, probe.inline.Load())
+					}
+					if got, want := probe.onPlanner.Load()+probe.inline.Load() > 0, planned; got != want {
+						t.Fatalf("%s: lookahead issued = %v, want %v", tag, got, want)
+					}
+					hist := historyBytes(h)
+					if ref == nil {
+						ref = hist
+					} else if !bytes.Equal(ref, hist) {
+						t.Fatalf("%s: history differs from %s/churn=%v/prefetch0/par1", tag, name, churn)
+					}
+
+					path := filepath.Join(dir, "run.ckpt")
+					cfg.Checkpoint = fl.CheckpointOptions{Path: path, StopAfterRound: 3}
+					env, _ = probeEnv(fed)
+					if _, err := fl.Run(mk(), env, cfg); !errors.Is(err, fl.ErrStopped) {
+						t.Fatalf("%s: stopped run returned %v", tag, err)
+					}
+					snap, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if snapRef == nil {
+						snapRef = snap
+					} else if !bytes.Equal(snapRef, snap) {
+						t.Fatalf("%s: round-3 snapshot differs from par1's", tag)
+					}
+					cfg.Checkpoint = fl.CheckpointOptions{Path: path, Resume: true}
+					env, _ = probeEnv(fed)
+					h, err = fl.Run(mk(), env, cfg)
+					if err != nil {
+						t.Fatalf("%s: resume: %v", tag, err)
+					}
+					if !bytes.Equal(ref, historyBytes(h)) {
+						t.Fatalf("%s: resumed history differs", tag)
+					}
+				}
+			}
+		}
+	}
+}
+
+// historyBytes is every field of h, floats in their shortest exact form.
+func historyBytes(h *fl.History) []byte { return []byte(fmt.Sprintf("%#v", *h)) }
+
+// TestRunPlannerWithoutBudgetTokenPlansInline: under a shared budget with
+// no token free, the lookahead stays on the round loop's goroutine — no
+// worker beyond the budget's cap — and the history is the unbudgeted one.
+func TestRunPlannerWithoutBudgetTokenPlansInline(t *testing.T) {
+	fed := plannerFed()
+	cfg := plannerConfig(1, 8, false)
+	env, _ := probeEnv(fed)
+	want, err := fl.Run(baselines.NewFedAvg(), env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := fl.NewWorkerBudget(1)
+	budget.Acquire() // the run's base token, as the experiment scheduler takes it
+	defer budget.Release()
+	cfg.Budget = budget
+	env, probe := probeEnv(fed)
+	got, err := fl.Run(baselines.NewFedAvg(), env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.onPlanner.Load() != 0 || probe.inline.Load() == 0 {
+		t.Fatalf("zero free tokens: %d lookaheads on the planner goroutine, %d inline; want all inline",
+			probe.onPlanner.Load(), probe.inline.Load())
+	}
+	if budget.TryAcquire(1) != 0 {
+		t.Fatal("the run left a token in a budget it found empty")
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("budgeted history differs:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
+// failingAlgo fails its round failAt after the round's lookahead started.
+type failingAlgo struct {
+	fl.Algorithm
+	failAt int
+}
+
+var errRoundFailed = errors.New("round failed on purpose")
+
+func (a *failingAlgo) Round(r int, selected []int) error {
+	if r == a.failAt {
+		return errRoundFailed
+	}
+	return a.Algorithm.Round(r, selected)
+}
+
+// TestRunPlannerJoinsOnError: an algorithm error in round 2 returns that
+// error with every lease back and the planner goroutine joined — it never
+// hands the pool a cohort after Run returns, and once the pool drains the
+// goroutine count is back to where it started.
+func TestRunPlannerJoinsOnError(t *testing.T) {
+	fed := plannerFed()
+	lazy := fed.Source.(*data.Lazy)
+	base := runtime.NumGoroutine()
+	for _, prefetch := range []int{1, 2} {
+		env, probe := probeEnv(fed)
+		_, err := fl.Run(&failingAlgo{Algorithm: baselines.NewFedAvg(), failAt: 2}, env, plannerConfig(prefetch, 8, false))
+		probe.returned.Store(true)
+		if !errors.Is(err, errRoundFailed) {
+			t.Fatalf("prefetch%d: Run returned %v, want the round's error", prefetch, err)
+		}
+		if probe.onPlanner.Load() == 0 {
+			t.Fatalf("prefetch%d: the lookahead never ran on the planner goroutine", prefetch)
+		}
+		if n := lazy.Outstanding(); n != 0 {
+			t.Fatalf("prefetch%d: %d leases outstanding after the error", prefetch, n)
+		}
+		time.Sleep(10 * time.Millisecond) // room for a planner that outlived Run to show itself
+		if n := probe.late.Load(); n != 0 {
+			t.Fatalf("prefetch%d: %d cohorts handed to the pool after Run returned", prefetch, n)
+		}
+		lazy.WaitPrefetch()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("prefetch%d: %d goroutines after the failed run, %d before", prefetch, n, base)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -185,8 +186,26 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 		planner.next, planner.drawn, acct = tail.next, tail.drawn, tail.acct
 	}
 	dropRNG, netRNG := s.rng[streamEngineA], s.rng[streamEngineB]
+	// planAhead draws the cohorts of rounds r+1 … r+PrefetchRounds and
+	// hands them to the prefetch pool. When the run may use a second core
+	// and the budget has a token for it, it runs on its own goroutine
+	// while round r trains, so the O(n) draw leaves the round's critical
+	// path. The planner is its only user until the join: the next Take,
+	// the snapshot (which reads the planner and the select stream), and —
+	// deferred after s.close, so it runs first — every return, before
+	// CancelPrefetch stops the pool the goroutine feeds.
+	var planning sync.WaitGroup
+	defer planning.Wait()
+	_, selects := algo.(Selector)
+	lookahead := s.prefetch != nil && !selects
+	planAhead := func(r int) {
+		for a := 1; a <= cfg.PrefetchRounds && r+a < cfg.Rounds; a++ {
+			s.prefetch.Prefetch(planner.Ahead(r + a))
+		}
+	}
 
 	for r := startRound; r < cfg.Rounds; r++ {
+		planning.Wait()
 		selected := planner.Take(r)
 		if churn.Active() {
 			// Slots the planner padded or marked -1 are churn losses;
@@ -215,19 +234,23 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 				}
 			}
 		}
-		// Hand the next rounds' planned cohorts to the background pool
-		// before training starts, so their shards synthesize while this
-		// round computes. The planner draws those cohorts now, but from
-		// the same selection-stream positions they would occupy anyway —
-		// selection is a dedicated stream, so early draws are invisible.
-		// Prefetch enqueues pre-dropout plans (a dropped client's warm
-		// shard is merely unused) and copies the ids before returning, so
-		// the round loop's later in-place dropout marking never races it.
-		if s.prefetch != nil {
-			for a := 1; a <= cfg.PrefetchRounds && r+a < cfg.Rounds; a++ {
-				if ids := planner.Ahead(r + a); ids != nil {
-					s.prefetch.Prefetch(ids)
-				}
+		// The planner draws the next rounds' cohorts early, but from the
+		// same selection-stream positions they would occupy anyway —
+		// selection is a dedicated stream with no other reader, so neither
+		// early draws nor the goroutine drawing them are visible. Prefetch
+		// enqueues pre-dropout plans (a dropped client's warm shard is
+		// merely unused) and copies the ids before returning; Ahead's
+		// slices are later rounds' than the one this round marks in place.
+		if lookahead {
+			if cfg.Parallelism != 1 && cfg.Budget.TryAcquire(1) == 1 {
+				planning.Add(1)
+				go func() {
+					defer planning.Done()
+					defer cfg.Budget.ReleaseN(1)
+					planAhead(r)
+				}()
+			} else {
+				planAhead(r)
 			}
 		}
 		tr.BeginRound(r, selected, netRNG.Split())
@@ -250,6 +273,7 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 			}
 		}
 		if write, stop := s.checkpointDue(done); write {
+			planning.Wait()
 			err := s.save(done, func(e *enc) { encodeRunTail(e, done, planner, acct, algo) })
 			if err != nil {
 				return nil, err

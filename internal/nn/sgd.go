@@ -28,6 +28,10 @@ func NewSGD(lr, momentum float64) *SGD {
 // Step applies one update to params given grads, both as returned by a
 // network's Params/Grads. Velocity buffers are allocated lazily on first
 // use and keyed by position, so an SGD instance is tied to one network.
+// Every length is checked before the first parameter moves: a mismatched
+// gradient or velocity panics with the network untouched. Without weight
+// decay each parameter takes tensor.MomentumStep: decayStep's loop with a
+// zero decay, on the platform's vector kernel, bit for bit.
 func (s *SGD) Step(params, grads []*tensor.Tensor) {
 	if len(params) != len(grads) {
 		panic(fmt.Sprintf("nn: SGD.Step: %d params vs %d grads", len(params), len(grads)))
@@ -38,17 +42,30 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 			s.velocity[i] = tensor.Zeros(p.Shape...)
 		}
 	}
+	if len(s.velocity) != len(params) {
+		panic(fmt.Sprintf("nn: SGD.Step: %d params vs %d velocity buffers", len(params), len(s.velocity)))
+	}
 	for i, p := range params {
-		g := grads[i]
-		v := s.velocity[i]
-		for j := range p.Data {
-			gj := g.Data[j]
-			if s.WeightDecay != 0 {
-				gj += s.WeightDecay * p.Data[j]
-			}
-			v.Data[j] = s.Momentum*v.Data[j] + gj
-			p.Data[j] -= s.LR * v.Data[j]
+		if n, g, v := len(p.Data), len(grads[i].Data), len(s.velocity[i].Data); g != n || v != n {
+			panic(fmt.Sprintf("nn: SGD.Step: param %d has %d elements, grad %d / velocity %d", i, n, g, v))
 		}
+	}
+	for i, p := range params {
+		if s.WeightDecay == 0 {
+			tensor.MomentumStep(p.Data, s.velocity[i].Data, grads[i].Data, s.LR, s.Momentum)
+		} else {
+			s.decayStep(p.Data, s.velocity[i].Data, grads[i].Data)
+		}
+	}
+}
+
+// decayStep is Step's scalar path for a non-zero weight decay, which adds
+// WeightDecay·p to the gradient first.
+func (s *SGD) decayStep(p, v, g []float64) {
+	for j := range p {
+		gj := g[j] + s.WeightDecay*p[j]
+		v[j] = s.Momentum*v[j] + gj
+		p[j] -= s.LR * v[j]
 	}
 }
 

@@ -152,6 +152,12 @@ func ringAddAVX(dst, src *int64, n int)
 //go:noescape
 func permScanAVX(lo *int64, n int, b, k float64) int
 
+// momentumAVX is momentumStepGo over n elements (a positive multiple of
+// sgdLanes): v = m·v + g, then p −= lr·v, one rounding per operation.
+//
+//go:noescape
+func momentumAVX(p, v, grad *float64, n int, lr, m float64)
+
 // avx2Supported is probed once at init and gates backend selection.
 var avx2Supported = hasAVX2()
 
@@ -519,6 +525,19 @@ func permScan(blk []int64, b, k int) int {
 		return s
 	}
 	return n + permScanGo(blk[:tail], b+n, k)
+}
+
+// momentumStep runs the checked step's whole blocks on the AVX2 kernel
+// when the CPU has it, and the rest on the twin.
+func momentumStep(p, v, g []float64, lr, m float64) {
+	n := 0
+	if avx2Supported {
+		n = len(p) &^ (sgdLanes - 1)
+	}
+	if n > 0 {
+		momentumAVX(&p[0], &v[0], &g[0], n, lr, m)
+	}
+	momentumStepGo(p[n:], v[n:], g[n:], lr, m)
 }
 
 // dequantAdd runs the checked dequantise pass on the AVX2 kernel when the

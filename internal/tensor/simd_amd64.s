@@ -1532,3 +1532,41 @@ sfound:
 	MOVQ DX, ret+32(FP)
 	VZEROUPPER
 	RET
+
+// Optimizer kernel (simd_sgd.go).
+
+// func momentumAVX(p, v, grad *float64, n int, lr, m float64)
+// v[i] = m·v[i] + g[i], then p[i] = p[i] − lr·v[i], eight elements a step
+// over n%8 == 0, n > 0. The products are rounded before the add and the
+// subtract (no FMA), and m·v and p are the first sources, as they are the
+// destinations of Go's scalar MULSD/ADDSD/SUBSD: when both operands of
+// an add or subtract are NaN, the first source's payload survives.
+TEXT ·momentumAVX(SB), NOSPLIT, $0-48
+	MOVQ p+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ grad+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD lr+32(FP), Y15
+	VBROADCASTSD m+40(FP), Y14
+	XORQ AX, AX
+
+mloop:
+	VMULPD  (SI)(AX*8), Y14, Y0    // m·v
+	VMULPD  32(SI)(AX*8), Y14, Y1
+	VADDPD  (DX)(AX*8), Y0, Y0     // m·v + g
+	VADDPD  32(DX)(AX*8), Y1, Y1
+	VMOVUPD Y0, (SI)(AX*8)
+	VMOVUPD Y1, 32(SI)(AX*8)
+	VMULPD  Y0, Y15, Y0            // lr·v
+	VMULPD  Y1, Y15, Y1
+	VMOVUPD (DI)(AX*8), Y2
+	VMOVUPD 32(DI)(AX*8), Y3
+	VSUBPD  Y0, Y2, Y2             // p − lr·v
+	VSUBPD  Y1, Y3, Y3
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y3, 32(DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  mloop
+	VZEROUPPER
+	RET

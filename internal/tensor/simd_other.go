@@ -42,6 +42,8 @@ func dequantAdd(dst []float64, q []byte, ref []float64, lo, scale float64) {
 	dequantAddGo(dst, q, ref, lo, scale)
 }
 
+func momentumStep(p, v, g []float64, lr, m float64) { momentumStepGo(p, v, g, lr, m) }
+
 func ringAdd(dst, src []int64) { ringAddGo(dst, src) }
 
 func permScan(blk []int64, b, k int) int {
