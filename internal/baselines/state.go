@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"fmt"
 	"io"
 
 	"fedcross/internal/fl"
@@ -29,118 +28,92 @@ func (s *server) init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) {
 // Global implements fl.Algorithm.
 func (s *server) Global() nn.ParamVector { return s.global }
 
-// Round-granular checkpoint state for the five baselines, implementing
-// fl.RoundCheckpointer. Each algorithm serializes exactly the state that
-// survives across rounds — the global model and the algorithm RNG's
-// (seed, position) snapshot (SaveState / LoadState below, which FedAvg,
-// and FedProx through it, use as they are), then any per-client server
-// memory — so a resumed run replays the remaining rounds bit-identically.
-// Per-round scratch (decode buffers, job lists, FedGen's client-side
-// generator twin) is rebuilt from that state and deliberately absent.
+// Round-granular checkpoint state for the five baselines, through nn's
+// state codec: the global model and the algorithm RNG's (seed, position)
+// — all of FedAvg's and FedProx's state — then any per-client server
+// memory, so a resumed run replays the remaining rounds bit-identically.
+// Per-round scratch (decode buffers, FedGen's client-side generator twin)
+// is rebuilt, not saved. LoadState runs after Init, so every vector is
+// read at the parameter count Init produced and every client key inside
+// the population, and nothing is installed unless the whole blob decoded.
+
+func (s *server) encode(e *nn.StateEncoder) {
+	e.Vector(s.global)
+	e.RNG(s.rng)
+}
+
+func (s *server) decode(d *nn.StateDecoder) (install func()) {
+	if s.global == nil {
+		d.Fail("state loaded before Init")
+	}
+	global, rng := d.Vector(len(s.global)), d.RNG()
+	return func() { s.global, s.rng = global, rng }
+}
 
 // SaveState implements fl.RoundCheckpointer.
-func (s *server) SaveState(w io.Writer) error {
-	if err := nn.WriteVector(w, s.global); err != nil {
-		return err
-	}
-	return nn.WriteRNG(w, s.rng)
-}
+func (s *server) SaveState(w io.Writer) error { return nn.EncodeState(w, s.encode) }
 
 // LoadState implements fl.RoundCheckpointer.
-func (s *server) LoadState(r io.Reader) error {
-	global, err := nn.ReadVector(r)
-	if err != nil {
-		return fmt.Errorf("baselines: global model: %w", err)
-	}
-	rng, err := nn.ReadRNG(r)
-	if err != nil {
-		return fmt.Errorf("baselines: algorithm rng: %w", err)
-	}
-	s.global, s.rng = global, rng
-	return nil
-}
+func (s *server) LoadState(r io.Reader) error { return nn.DecodeState(r, s.decode) }
 
 // SaveState implements fl.RoundCheckpointer: the server state, then both
 // control variates (server c and the per-client cᵢ map).
 func (a *SCAFFOLD) SaveState(w io.Writer) error {
-	if err := a.server.SaveState(w); err != nil {
-		return err
-	}
-	if err := nn.WriteVector(w, a.c); err != nil {
-		return err
-	}
-	return nn.WriteVectorMap(w, a.ci)
+	return nn.EncodeState(w, func(e *nn.StateEncoder) {
+		a.encode(e)
+		e.Vector(a.c)
+		e.VectorMap(a.ci)
+	})
 }
 
 // LoadState implements fl.RoundCheckpointer.
 func (a *SCAFFOLD) LoadState(r io.Reader) error {
-	if err := a.server.LoadState(r); err != nil {
-		return err
-	}
-	c, err := nn.ReadVector(r)
-	if err != nil {
-		return fmt.Errorf("baselines: scaffold state: %w", err)
-	}
-	ci, err := nn.ReadVectorMap(r)
-	if err != nil {
-		return fmt.Errorf("baselines: scaffold state: %w", err)
-	}
-	a.c, a.ci = c, ci
-	return nil
+	return nn.DecodeState(r, func(d *nn.StateDecoder) func() {
+		server := a.decode(d)
+		c, ci := d.Vector(len(a.global)), d.VectorMap(a.env.NumClients(), len(a.global))
+		return func() { server(); a.c, a.ci = c, ci }
+	})
 }
 
 // SaveState implements fl.RoundCheckpointer: the server state, then the
 // gradient memory driving cluster selection.
 func (a *CluSamp) SaveState(w io.Writer) error {
-	if err := a.server.SaveState(w); err != nil {
-		return err
-	}
-	return nn.WriteVectorMap(w, a.updates)
+	return nn.EncodeState(w, func(e *nn.StateEncoder) {
+		a.encode(e)
+		e.VectorMap(a.updates)
+	})
 }
 
 // LoadState implements fl.RoundCheckpointer.
 func (a *CluSamp) LoadState(r io.Reader) error {
-	if err := a.server.LoadState(r); err != nil {
-		return err
-	}
-	updates, err := nn.ReadVectorMap(r)
-	if err != nil {
-		return fmt.Errorf("baselines: clusamp state: %w", err)
-	}
-	a.updates = updates
-	return nil
+	return nn.DecodeState(r, func(d *nn.StateDecoder) func() {
+		server := a.decode(d)
+		updates := d.VectorMap(a.env.NumClients(), len(a.global))
+		return func() { server(); a.updates = updates }
+	})
 }
 
 // SaveState implements fl.RoundCheckpointer: the server state, then the
-// server-side generator's parameters and its optimizer momentum. The
-// client-side twin is per-round scratch — the next round's broadcast
-// overwrites it before any use.
+// server-side generator's parameters and its optimizer momentum.
 func (a *FedGen) SaveState(w io.Writer) error {
-	if err := a.server.SaveState(w); err != nil {
-		return err
-	}
-	if err := nn.WriteVector(w, nn.FlattenParams(a.gen.Params())); err != nil {
-		return err
-	}
-	return a.genOpt.SaveState(w)
+	return nn.EncodeState(w, func(e *nn.StateEncoder) {
+		a.encode(e)
+		e.Vector(nn.FlattenParams(a.gen.Params()))
+		a.genOpt.EncodeState(e)
+	})
 }
 
-// LoadState implements fl.RoundCheckpointer. Init has already built the
-// generator networks with the correct architecture (it runs before any
-// resume), so the saved parameters load into the existing layers.
+// LoadState implements fl.RoundCheckpointer, reading the generator's
+// parameters and momentum buffers at the shapes Init built.
 func (a *FedGen) LoadState(r io.Reader) error {
-	if err := a.server.LoadState(r); err != nil {
-		return err
-	}
-	genVec, err := nn.ReadVector(r)
-	if err != nil {
-		return fmt.Errorf("baselines: fedgen state: %w", err)
-	}
-	if err := nn.LoadParams(a.gen.Params(), genVec); err != nil {
-		return fmt.Errorf("baselines: fedgen state: generator params: %w", err)
-	}
-	if err := a.genOpt.LoadState(r); err != nil {
-		return fmt.Errorf("baselines: fedgen state: optimizer: %w", err)
-	}
-	return nil
+	return nn.DecodeState(r, func(d *nn.StateDecoder) func() {
+		server := a.decode(d)
+		gen := d.Vector(len(a.genVec))
+		opt := a.genOpt.DecodeState(d, a.gen.Params())
+		return func() {
+			server()
+			_ = nn.LoadParams(a.gen.Params(), gen) // cannot fail: gen has the generator's length
+			opt()
+		}
+	})
 }

@@ -9,7 +9,7 @@ import (
 
 // TestCheckpointRoundTripPerCodec pins that checkpointing composes with
 // every wire codec: a FedCross run whose middleware state was shaped by a
-// lossy transport must Save and Load bit-exactly — the checkpoint always
+// lossy transport must SaveState and LoadState bit-exactly — the checkpoint always
 // captures the server's (wire-visible) state, whatever the codec did to
 // the payloads along the way.
 func TestCheckpointRoundTripPerCodec(t *testing.T) {
@@ -26,12 +26,8 @@ func TestCheckpointRoundTripPerCodec(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var buf bytes.Buffer
-			if err := algo.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			restored := MustNew(DefaultOptions())
-			if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
+			restored := initFedCross(t, env)
+			if err := restored.LoadState(bytes.NewReader(saved(t, algo))); err != nil {
 				t.Fatal(err)
 			}
 			orig, back := algo.Middleware(), restored.Middleware()

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
 	"fedcross/internal/data"
 	"fedcross/internal/fl"
 	"fedcross/internal/models"
+	"fedcross/internal/tensor"
 )
 
 func checkpointEnv(t *testing.T) *fl.Env {
@@ -32,17 +34,62 @@ func trainedFedCross(t *testing.T, env *fl.Env) *FedCross {
 	return algo
 }
 
+// initFedCross returns a FedCross initialised on env with K = 3 — the
+// shape trainedFedCross's state has — ready to load that state.
+func initFedCross(t *testing.T, env *fl.Env) *FedCross {
+	t.Helper()
+	f := MustNew(DefaultOptions())
+	if err := f.Init(env, fl.Config{ClientsPerRound: 3}, tensor.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// saved returns f's SaveState bytes.
+func saved(t *testing.T, f *FedCross) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// words builds a state blob word by word in nn's codec layout.
+func words(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// refused asserts that LoadState rejects blob having allocated at most
+// len(blob) + 1 MiB and leaves f's state exactly as it was.
+func refused(t *testing.T, f *FedCross, name string, blob []byte) {
+	t.Helper()
+	before := saved(t, f)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := f.LoadState(bytes.NewReader(blob))
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatalf("%s: hostile state accepted", name)
+	}
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(len(blob))+1<<20; got > limit {
+		t.Fatalf("%s: refusing %d bytes allocated %d", name, len(blob), got)
+	}
+	if !bytes.Equal(saved(t, f), before) {
+		t.Fatalf("%s: refused state changed the algorithm (%v)", name, err)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	env := checkpointEnv(t)
 	algo := trainedFedCross(t, env)
 
-	var buf bytes.Buffer
-	if err := algo.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := MustNew(DefaultOptions())
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	restored := initFedCross(t, env)
+	if err := restored.LoadState(bytes.NewReader(saved(t, algo))); err != nil {
 		t.Fatal(err)
 	}
 	orig := algo.Middleware()
@@ -64,106 +111,73 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointErrors(t *testing.T) {
-	fresh := MustNew(DefaultOptions())
 	var buf bytes.Buffer
-	if err := fresh.Save(&buf); err == nil {
-		t.Fatal("Save before Init must error")
+	if err := MustNew(DefaultOptions()).SaveState(&buf); err == nil {
+		t.Fatal("SaveState before Init must error")
 	}
 
 	env := checkpointEnv(t)
-	algo := trainedFedCross(t, env)
-	if err := algo.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Truncated stream.
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if err := MustNew(DefaultOptions()).Load(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated checkpoint must error")
-	}
-	// Corrupt magic.
-	bad := append([]byte(nil), buf.Bytes()...)
-	bad[0] ^= 0xFF
-	if err := MustNew(DefaultOptions()).Load(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic must error")
-	}
-	// Empty stream.
-	if err := MustNew(DefaultOptions()).Load(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty checkpoint must error")
-	}
+	valid := saved(t, trainedFedCross(t, env))
+	target := initFedCross(t, env)
+	refused(t, target, "truncated", valid[:len(valid)/2])
+	bad := bytes.Clone(valid)
+	bad[0] ^= 0xFF // the model count
+	refused(t, target, "corrupt count", bad)
+	refused(t, target, "empty", nil)
+	refused(t, target, "trailing byte", append(bytes.Clone(valid), 0))
 }
 
-// checkpointHeader builds a raw 16-byte header with the given counts.
-func checkpointHeader(magic, k uint32, n uint64) []byte {
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], k)
-	binary.LittleEndian.PutUint64(hdr[8:], n)
-	return hdr
-}
-
-// TestLoadRejectsHostileHeaders is the regression test for the unbounded
-// header-driven allocation: Load used to accept n up to 2³⁴ and allocate
-// 8·n bytes before reading any payload, so a 20-byte stream could demand
-// multiple GiB. Every hostile header must be rejected from the 16 header
-// bytes alone.
+// TestLoadRejectsHostileHeaders: the middleware count and each vector's
+// length are untrusted words, and the format used to let a 20-byte
+// stream demand multiple GiB. Every hostile header must be rejected from
+// its own bytes — the count against Init's K, the length against Init's
+// parameter count — with nothing installed.
 func TestLoadRejectsHostileHeaders(t *testing.T) {
 	cases := []struct {
 		name string
 		hdr  []byte
 	}{
-		{"huge-n", checkpointHeader(checkpointMagic, 2, 1<<34)},
-		{"max-uint64-n", checkpointHeader(checkpointMagic, 2, ^uint64(0))},
-		{"zero-n", checkpointHeader(checkpointMagic, 2, 0)},
-		{"huge-k", checkpointHeader(checkpointMagic, 1<<31, 16)},
-		{"one-model", checkpointHeader(checkpointMagic, 1, 16)},
-		{"product-over-cap", checkpointHeader(checkpointMagic, 1<<16, 1<<26)},
+		{"huge-n", words(3, 1<<34+1)},
+		{"max-uint64-n", words(3, ^uint64(0))},
+		{"zero-n", words(3, 1)},
+		{"huge-k", words(1 << 31)},
+		{"one-model", words(1, 76)},
+		{"product-over-cap", words(1<<16, 1<<26+1)},
 	}
+	f := trainedFedCross(t, checkpointEnv(t))
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			f := MustNew(DefaultOptions())
-			if err := f.Load(bytes.NewReader(c.hdr)); err == nil {
-				t.Fatalf("hostile header %q must be rejected", c.name)
-			}
-			if f.middleware != nil {
-				t.Fatal("failed Load must not install partial state")
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { refused(t, f, c.name, c.hdr) })
 	}
 }
 
 // TestLoadTruncatedAfterPlausibleHeader checks that a header passing
-// validation but followed by a short payload fails with bounded work —
-// the chunked reader stops at the actual stream end.
+// validation but followed by a short payload fails before anything is
+// allocated for the payload it promises.
 func TestLoadTruncatedAfterPlausibleHeader(t *testing.T) {
-	raw := append(checkpointHeader(checkpointMagic, 8, 1<<20), make([]byte, 4096)...)
-	if err := MustNew(DefaultOptions()).Load(bytes.NewReader(raw)); err == nil {
-		t.Fatal("truncated payload must error")
-	}
+	refused(t, trainedFedCross(t, checkpointEnv(t)), "short payload", append(words(3, 76), make([]byte, 100)...))
 }
 
 // TestLoadStateRejectsHostileRNGPosition: the last eight bytes of a
 // FedCross state blob are its generator's position, a replay length. A
 // blob rewritten to 2^62 must fail LoadState promptly, not replay for
-// centuries; the valid blob still loads.
+// centuries; the valid blob still loads. A well-formed blob of the wrong
+// shape — two 5-parameter models for Init's three of 75 — is refused too.
 func TestLoadStateRejectsHostileRNGPosition(t *testing.T) {
 	algo := trainedFedCross(t, checkpointEnv(t))
-	var buf bytes.Buffer
-	if err := algo.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := algo.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
+	valid := saved(t, algo)
+	if err := algo.LoadState(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("valid state: %v", err)
 	}
-	hostile := bytes.Clone(buf.Bytes())
+	hostile := bytes.Clone(valid)
 	binary.LittleEndian.PutUint64(hostile[len(hostile)-8:], 1<<62)
 	start := time.Now()
-	if err := algo.LoadState(bytes.NewReader(hostile)); err == nil {
-		t.Fatal("a generator position of 2^62 must be refused")
-	}
+	refused(t, algo, "position 2^62", hostile)
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("refusing the position took %v", d)
 	}
+	model := []uint64{6, 1, 2, 3, 4, 5} // length + 1, then five parameters
+	twoByFive := append(words(append(append([]uint64{2}, model...), model...)...), valid[len(valid)-16:]...)
+	refused(t, algo, "2x5 middleware", twoByFive)
 }
 
 func TestCheckpointResumeTraining(t *testing.T) {
@@ -171,21 +185,14 @@ func TestCheckpointResumeTraining(t *testing.T) {
 	// off (new rounds work against the loaded middleware list).
 	env := checkpointEnv(t)
 	algo := trainedFedCross(t, env)
-	var buf bytes.Buffer
-	if err := algo.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	// Init runtime wiring with a run of its own, then overwrite the
+	// middleware and generator with the checkpoint.
 	restored := MustNew(DefaultOptions())
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	// Re-init runtime wiring, then overwrite middleware with the
-	// checkpoint (Init resets middleware, so load afterwards).
 	cfg := fl.Config{Rounds: 1, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 8, LR: 0.05, Momentum: 0, Seed: 9}
 	if _, err := fl.Run(restored, env, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := restored.LoadState(bytes.NewReader(saved(t, algo))); err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.Round(0, []int{0, 1, 2}); err != nil {

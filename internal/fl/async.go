@@ -208,7 +208,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	// the commit is judged against.
 	var folded, commits int
 	if cfg.Checkpoint.Resume {
-		commits, err = s.resume(func(_ int, d *dec) (err error) {
+		commits, err = s.resume(func(_ int, d *nn.StateDecoder) (err error) {
 			st, err = parseAsyncState(d, s.n, dim)
 			return err
 		})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -64,22 +63,24 @@ var ErrStopped = errors.New("fl: run stopped at requested checkpoint round")
 // RoundCheckpointer is implemented by algorithms that can snapshot and
 // restore their full round-to-round state — models, control variates,
 // optimizer buffers, and the position of the RNG stream Init handed them.
-// All six built-in algorithms implement it; Run returns a clear error if
-// checkpointing is requested for an algorithm that does not.
+// All six built-in algorithms implement it, through nn's state codec;
+// Run returns a clear error if checkpointing is requested for an
+// algorithm that does not.
 type RoundCheckpointer interface {
 	// SaveState writes the algorithm's complete inter-round state.
 	SaveState(w io.Writer) error
 	// LoadState restores state written by SaveState, overwriting
-	// whatever Init produced.
+	// whatever Init produced — all of it, or on error none of it.
 	LoadState(r io.Reader) error
 }
 
 const (
 	runCkptMagic   = 0x4352_4C46 // "FLRC" little-endian
 	asyncCkptMagic = 0x4341_4C46 // "FLAC" little-endian
-	// ckptVersion 2 is the shared container: one header, body and metric
-	// list under both magics, then the engine's tail.
-	ckptVersion    = 2
+	// ckptVersion 3 is the shared container of version 2 (one header,
+	// body and metric list under both magics, then the engine's tail)
+	// holding FedCross's state in nn's codec instead of its own header.
+	ckptVersion    = 3
 	maxCkptBlob    = 1 << 31
 	maxCkptMetrics = 1 << 22
 	// maxCkptJobs caps the persisted in-flight set (InFlight is
@@ -126,217 +127,92 @@ type snapshot struct {
 	metrics []RoundMetric
 }
 
-// enc builds a snapshot in memory. Writing to the buffer cannot fail;
-// what can is a cap (an oversized vector, slice or string), and the first
-// such error sticks.
-type enc struct {
-	buf bytes.Buffer
-	err error
+func (c counters) encode(e *nn.StateEncoder) {
+	e.I64(c.BytesDown, c.BytesUp)
+	e.Int(c.Stragglers, c.Retries, c.FaultDrops, c.Duplicates, c.Stalls, c.Crashes, c.Unavailable, c.Degraded)
 }
 
-func (e *enc) u64(vs ...uint64) {
-	for _, v := range vs {
-		if e.err == nil {
-			e.err = nn.WriteU64(&e.buf, v)
-		}
-	}
-}
-
-func (e *enc) i64(vs ...int64) {
-	for _, v := range vs {
-		e.u64(uint64(v))
-	}
-}
-
-func (e *enc) int(vs ...int) {
-	for _, v := range vs {
-		e.u64(uint64(v))
-	}
-}
-
-func (e *enc) f64(vs ...float64) {
-	for _, v := range vs {
-		e.u64(math.Float64bits(v))
-	}
-}
-
-func (e *enc) ints(xs []int) {
-	if e.err == nil {
-		e.err = nn.WriteIntSlice(&e.buf, xs)
-	}
-}
-
-func (e *enc) vector(v nn.ParamVector) {
-	if e.err == nil {
-		e.err = nn.WriteVector(&e.buf, v)
-	}
-}
-
-func (e *enc) counters(c counters) {
-	e.i64(c.BytesDown, c.BytesUp)
-	e.int(c.Stragglers, c.Retries, c.FaultDrops, c.Duplicates, c.Stalls, c.Crashes, c.Unavailable, c.Degraded)
-}
-
-// dec reads a snapshot held whole in memory, so every declared count can
-// be checked against the bytes left. The first failure sticks, labelled
-// with the section being read; later reads return zeros.
-type dec struct {
-	r    *bytes.Reader
-	what string
-	err  error
-}
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(d.what+": "+format, args...)
-	}
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := nn.ReadU64(d.r)
-	if err != nil {
-		d.fail("truncated: %w", err)
-	}
-	return v
-}
-
-func (d *dec) i64() int64   { return int64(d.u64()) }
-func (d *dec) int() int     { return int(d.i64()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a record count and bounds it twice before the caller
-// allocates for it: by its cap, and by how many records of at least
-// recordBytes the remaining bytes could hold.
-func (d *dec) count(limit uint64, recordBytes int) int {
-	n := d.u64()
-	if n > limit {
-		d.fail("count %d exceeds cap %d", n, limit)
-	} else if n > uint64(d.r.Len()/recordBytes) {
-		d.fail("count %d exceeds the %d bytes left", n, d.r.Len())
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// ids reads a length-prefixed list of at most limit client ids, each in
-// [lo, n).
-func (d *dec) ids(limit, lo, n int) []int {
-	xs := make([]int, d.count(uint64(limit), 8))
-	for i := range xs {
-		if xs[i] = d.int(); xs[i] < lo || xs[i] >= n {
-			d.fail("client id %d outside [%d,%d)", xs[i], lo, n)
-		}
-	}
-	return xs
-}
-
-// vector reads a parameter vector of exactly dim entries (or none at all
-// when optional).
-func (d *dec) vector(dim int, optional bool) nn.ParamVector {
-	if d.err != nil {
-		return nil
-	}
-	v, err := nn.ReadVector(d.r)
-	if err != nil {
-		d.fail("%w", err)
-	} else if len(v) != dim && !(optional && v == nil) {
-		d.fail("vector has %d params, want %d", len(v), dim)
-	}
-	return v
-}
-
-func (d *dec) counters() counters {
+func decodeCounters(d *nn.StateDecoder) counters {
 	return counters{
-		BytesDown: d.i64(), BytesUp: d.i64(),
-		Stragglers: d.int(), Retries: d.int(), FaultDrops: d.int(), Duplicates: d.int(),
-		Stalls: d.int(), Crashes: d.int(), Unavailable: d.int(), Degraded: d.int(),
+		BytesDown: d.I64(), BytesUp: d.I64(),
+		Stragglers: d.Int(), Retries: d.Int(), FaultDrops: d.Int(), Duplicates: d.Int(),
+		Stalls: d.Int(), Crashes: d.Int(), Unavailable: d.Int(), Degraded: d.Int(),
 	}
 }
 
 // encodeCheckpoint serializes the container: header, shared body, then
 // whatever the engine's tail appends.
-func encodeCheckpoint(spec ckptSpec, snap *snapshot, tail func(*enc)) ([]byte, error) {
-	e := &enc{}
-	e.u64(spec.magic, ckptVersion)
-	e.i64(spec.seed)
-	if e.err == nil {
-		e.err = nn.WriteString(&e.buf, spec.label)
-	}
-	e.int(spec.shape...)
-	e.int(snap.done)
-	e.counters(snap.cum)
+func encodeCheckpoint(spec ckptSpec, snap *snapshot, tail func(*nn.StateEncoder)) ([]byte, error) {
+	var e nn.StateEncoder
+	e.U64(spec.magic, ckptVersion)
+	e.I64(spec.seed)
+	e.String(spec.label)
+	e.Int(spec.shape...)
+	e.Int(snap.done)
+	snap.cum.encode(&e)
 	for _, st := range snap.streams {
-		e.i64(st.Seed)
-		e.u64(st.Pos)
+		e.I64(st.Seed)
+		e.U64(st.Pos)
 	}
 	if len(snap.metrics) > maxCkptMetrics {
 		return nil, fmt.Errorf("fl: checkpoint: %d metrics exceeds cap", len(snap.metrics))
 	}
-	e.int(len(snap.metrics))
+	e.Int(len(snap.metrics))
 	for _, m := range snap.metrics {
-		e.int(m.Round)
-		e.f64(m.TestAcc, m.TestLoss, m.CumModelEquivalents)
-		e.counters(metricCounters(m))
+		e.Int(m.Round)
+		e.F64(m.TestAcc, m.TestLoss, m.CumModelEquivalents)
+		metricCounters(m).encode(&e)
 	}
-	tail(e)
-	return e.buf.Bytes(), e.err
+	tail(&e)
+	return e.Bytes()
 }
 
 // parseCheckpoint reads and validates the container against the resuming
-// run, returning the shared body and the reader positioned at the
+// run, returning the shared body and the decoder positioned at the
 // engine's tail. Every length is capped and checked against the bytes
 // present, and every header field cross-checked, so a hostile or stale
 // file fails with a clear error and never sizes an allocation.
-func parseCheckpoint(data []byte, spec ckptSpec) (*snapshot, *dec, error) {
-	d := &dec{r: bytes.NewReader(data), what: "header"}
+func parseCheckpoint(data []byte, spec ckptSpec) (*snapshot, *nn.StateDecoder, error) {
+	d := nn.NewStateDecoder(data)
+	d.Section("header")
 	for _, h := range []struct {
 		what string
 		want uint64
 	}{{"magic", spec.magic}, {"version", ckptVersion}} {
-		if got := d.u64(); got != h.want {
-			d.fail("bad %s %#x (want %#x)", h.what, got, h.want)
+		if got := d.U64(); got != h.want {
+			d.Fail("bad %s %#x (want %#x)", h.what, got, h.want)
 		}
 	}
-	if seed := d.i64(); seed != spec.seed {
-		d.fail("checkpoint seed %d != run seed %d", seed, spec.seed)
+	if seed := d.I64(); seed != spec.seed {
+		d.Fail("checkpoint seed %d != run seed %d", seed, spec.seed)
 	}
-	if d.err == nil {
-		label, err := nn.ReadString(d.r)
-		if err != nil {
-			d.fail("algorithm: %w", err)
-		} else if label != spec.label {
-			d.fail("checkpoint algorithm %q != run algorithm %q", label, spec.label)
-		}
+	if label := d.String(); label != spec.label {
+		d.Fail("checkpoint algorithm %q != run algorithm %q", label, spec.label)
 	}
 	shape := make([]int, len(spec.shape))
 	for i := range shape {
-		shape[i] = d.int()
+		shape[i] = d.Int()
 	}
 	if !slices.Equal(shape, spec.shape) {
-		d.fail("checkpoint shape %v != run %v", shape, spec.shape)
+		d.Fail("checkpoint shape %v != run %v", shape, spec.shape)
 	}
-	d.what = "body"
-	snap := &snapshot{done: d.int()}
+	d.Section("body")
+	snap := &snapshot{done: d.Int()}
 	if snap.done < 0 || snap.done > spec.total {
-		d.fail("%d rounds done, outside [0,%d]", snap.done, spec.total)
+		d.Fail("%d rounds done, outside [0,%d]", snap.done, spec.total)
 	}
-	snap.cum = d.counters()
+	snap.cum = decodeCounters(d)
 	for i := range snap.streams {
-		snap.streams[i] = tensor.RNGState{Seed: d.i64(), Pos: d.u64()}
+		snap.streams[i] = tensor.RNGState{Seed: d.I64(), Pos: d.U64()}
 	}
-	d.what = "metrics"
-	snap.metrics = make([]RoundMetric, d.count(maxCkptMetrics, metricBytes))
+	d.Section("metrics")
+	snap.metrics = make([]RoundMetric, d.Count(maxCkptMetrics, metricBytes))
 	for i := range snap.metrics {
-		round, acc, loss, modelEq := d.int(), d.f64(), d.f64(), d.f64()
-		snap.metrics[i] = d.counters().metric(round, acc, loss, modelEq)
+		round, acc, loss, modelEq := d.Int(), d.F64(), d.F64(), d.F64()
+		snap.metrics[i] = decodeCounters(d).metric(round, acc, loss, modelEq)
 	}
-	d.what = "tail"
-	return snap, d, d.err
+	d.Section("tail")
+	return snap, d, d.Err()
 }
 
 // atomicWriteFile serializes the snapshot write-ahead: the bytes land in
@@ -344,57 +220,48 @@ func parseCheckpoint(data []byte, spec ckptSpec) (*snapshot, *dec, error) {
 // crash at any instant leaves either the old snapshot or the new one —
 // never a torn file.
 func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err != nil {
+		os.Remove(tmp.Name())
 	}
-	return nil
+	return err
 }
 
 // encodeRunTail appends what only the sync engine carries: the planner's
 // cursor and the cohorts it drew past the boundary (they left the
 // selection stream before the snapshot position, so they must travel with
 // it), the accountant, and the algorithm's own state.
-func encodeRunTail(e *enc, done int, planner *cohortPlanner, acct Accountant, algo Algorithm) {
-	e.int(planner.next)
+func encodeRunTail(e *nn.StateEncoder, done int, planner *cohortPlanner, acct Accountant, algo Algorithm) {
+	e.Int(planner.next)
 	for r := done; r < planner.next; r++ {
-		e.ints(planner.drawn[r])
+		e.Ints(planner.drawn[r])
 	}
 	t := acct.total
-	e.int(acct.rounds, t.ModelsDown, t.ModelsUp, t.VarsDown, t.VarsUp, t.GeneratorsDown)
+	e.Int(acct.rounds, t.ModelsDown, t.ModelsUp, t.VarsDown, t.VarsUp, t.GeneratorsDown)
 	var blob bytes.Buffer
-	if e.err == nil {
-		e.err = algo.(RoundCheckpointer).SaveState(&blob)
+	if err := algo.(RoundCheckpointer).SaveState(&blob); err != nil {
+		e.Fail(err)
+	} else if blob.Len() > maxCkptBlob {
+		e.Fail(fmt.Errorf("fl: checkpoint %s state %d bytes exceeds cap", algo.Name(), blob.Len()))
 	}
-	if e.err == nil && blob.Len() > maxCkptBlob {
-		e.err = fmt.Errorf("fl: checkpoint %s state %d bytes exceeds cap", algo.Name(), blob.Len())
-	}
-	e.int(blob.Len())
-	e.buf.Write(blob.Bytes())
+	e.Blob(blob.Bytes())
 }
 
 // runTail is encodeRunTail's bytes read back; the algorithm blob is
-// returned, not interpreted.
+// returned for the algorithm's own LoadState to decode.
 type runTail struct {
 	next  int
 	drawn map[int][]int
@@ -406,69 +273,66 @@ type runTail struct {
 // rounds in: the planner may be ahead of the loop but not past the run,
 // and holds exactly one k-slot cohort of ids in [-1, n) for every round
 // in between.
-func parseRunTail(d *dec, done, rounds, n, k int) (*runTail, error) {
-	d.what = "planner"
-	t := &runTail{next: d.int(), drawn: map[int][]int{}}
+func parseRunTail(d *nn.StateDecoder, done, rounds, n, k int) (*runTail, error) {
+	d.Section("planner")
+	t := &runTail{next: d.Int(), drawn: map[int][]int{}}
 	if t.next < done || t.next > rounds {
-		d.fail("planned through round %d, outside [%d,%d]", t.next, done, rounds)
+		d.Fail("planned through round %d, outside [%d,%d]", t.next, done, rounds)
 	}
-	for r := done; r < t.next && d.err == nil; r++ {
-		if t.drawn[r] = d.ids(k, -1, n); len(t.drawn[r]) != k {
-			d.fail("round %d cohort has %d slots, want %d", r, len(t.drawn[r]), k)
+	for r := done; r < t.next && d.Err() == nil; r++ {
+		if t.drawn[r] = d.IDs(k, -1, n); len(t.drawn[r]) != k {
+			d.Fail("round %d cohort has %d slots, want %d", r, len(t.drawn[r]), k)
 		}
 	}
-	d.what = "accountant"
-	t.acct.rounds = d.int()
-	t.acct.total = CommProfile{ModelsDown: d.int(), ModelsUp: d.int(), VarsDown: d.int(), VarsUp: d.int(), GeneratorsDown: d.int()}
-	d.what = "algorithm state"
-	t.blob = make([]byte, d.count(maxCkptBlob, 1))
-	if _, err := io.ReadFull(d.r, t.blob); err != nil {
-		d.fail("%w", err)
-	}
-	return t, d.err
+	d.Section("accountant")
+	t.acct.rounds = d.Int()
+	t.acct.total = CommProfile{ModelsDown: d.Int(), ModelsUp: d.Int(), VarsDown: d.Int(), VarsUp: d.Int(), GeneratorsDown: d.Int()}
+	d.Section("algorithm state")
+	t.blob = d.Blob(maxCkptBlob)
+	return t, d.Finish()
 }
 
 // encode appends what only the async engine carries: its whole loop
 // state.
-func (st *asyncState) encode(e *enc) {
-	e.f64(st.now)
-	e.int(st.seq, st.version, st.arrivals, st.dispatches)
-	e.ints(st.available)
-	e.vector(st.global)
-	if len(st.inflight) > maxCkptJobs && e.err == nil {
-		e.err = fmt.Errorf("fl: checkpoint: %d in-flight jobs exceeds cap", len(st.inflight))
+func (st *asyncState) encode(e *nn.StateEncoder) {
+	e.F64(st.now)
+	e.Int(st.seq, st.version, st.arrivals, st.dispatches)
+	e.Ints(st.available)
+	e.Vector(st.global)
+	if len(st.inflight) > maxCkptJobs {
+		e.Fail(fmt.Errorf("fl: checkpoint: %d in-flight jobs exceeds cap", len(st.inflight)))
 	}
-	e.int(len(st.inflight))
+	e.Int(len(st.inflight))
 	for _, j := range st.inflight {
 		done := 0
 		if j.done {
 			done = 1
 		}
-		e.int(j.seq, j.client, j.version, done)
-		e.f64(j.arrival)
-		e.i64(j.seed)
-		e.vector(j.fetch)
-		e.vector(j.trained)
+		e.Int(j.seq, j.client, j.version, done)
+		e.F64(j.arrival)
+		e.I64(j.seed)
+		e.Vector(j.fetch)
+		e.Vector(j.trained)
 	}
 }
 
 // parseAsyncState reads asyncState.encode's bytes for a federation of n
 // clients and dim parameters. A job's trained vector is absent while it
 // awaits the batched training pass, and for fault-crashed clients.
-func parseAsyncState(d *dec, n, dim int) (*asyncState, error) {
-	d.what = "async state"
-	st := &asyncState{now: d.f64(), seq: d.int(), version: d.int(), arrivals: d.int(), dispatches: d.int()}
-	st.available = d.ids(n, 0, n)
-	st.global = d.vector(dim, false)
-	st.inflight = make([]*asyncJob, d.count(maxCkptJobs, minJobBytes))
-	d.what = "in-flight jobs"
+func parseAsyncState(d *nn.StateDecoder, n, dim int) (*asyncState, error) {
+	d.Section("async state")
+	st := &asyncState{now: d.F64(), seq: d.Int(), version: d.Int(), arrivals: d.Int(), dispatches: d.Int()}
+	st.available = d.IDs(n, 0, n)
+	st.global = d.Vector(dim)
+	st.inflight = make([]*asyncJob, d.Count(maxCkptJobs, minJobBytes))
+	d.Section("in-flight jobs")
 	for i := range st.inflight {
-		j := &asyncJob{seq: d.int(), client: d.int(), version: d.int(), done: d.int() != 0, arrival: d.f64(), seed: d.i64()}
+		j := &asyncJob{seq: d.Int(), client: d.Int(), version: d.Int(), done: d.Int() != 0, arrival: d.F64(), seed: d.I64()}
 		if j.client < 0 || j.client >= n {
-			d.fail("client %d outside [0,%d)", j.client, n)
+			d.Fail("client %d outside [0,%d)", j.client, n)
 		}
-		j.fetch, j.trained = d.vector(dim, false), d.vector(dim, true)
+		j.fetch, j.trained = d.Vector(dim), d.OptionalVector(dim)
 		st.inflight[i] = j
 	}
-	return st, d.err
+	return st, d.Finish()
 }

@@ -25,23 +25,17 @@ import (
 type ckptWireAlgo struct{ wireAlgo }
 
 func (s *ckptWireAlgo) SaveState(w io.Writer) error {
-	if err := nn.WriteVector(w, s.global); err != nil {
-		return err
-	}
-	return nn.WriteRNG(w, s.rng)
+	return nn.EncodeState(w, func(e *nn.StateEncoder) {
+		e.Vector(s.global)
+		e.RNG(s.rng)
+	})
 }
 
 func (s *ckptWireAlgo) LoadState(r io.Reader) error {
-	global, err := nn.ReadVector(r)
-	if err != nil {
-		return err
-	}
-	rng, err := nn.ReadRNG(r)
-	if err != nil {
-		return err
-	}
-	s.global, s.rng = global, rng
-	return nil
+	return nn.DecodeState(r, func(d *nn.StateDecoder) func() {
+		global, rng := d.Vector(len(s.global)), d.RNG()
+		return func() { s.global, s.rng = global, rng }
+	})
 }
 
 func TestCheckpointOptionsValidate(t *testing.T) {
@@ -187,6 +181,17 @@ func TestRunResumeRejectsHostileInput(t *testing.T) {
 	if err := resume(path, wrongSeed); err == nil {
 		t.Fatal("resume under a different seed must fail")
 	}
+	// Version 2 held FedCross's state in a format of its own; such a file
+	// is refused by its version word, not misread.
+	old := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(old[8:], 2)
+	v2 := filepath.Join(dir, "v2.ckpt")
+	if err := os.WriteFile(v2, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := resume(v2, resumeCfg(0)); err == nil || !strings.Contains(err.Error(), "bad version") {
+		t.Fatalf("resume from a version-2 file: %v, want a bad-version error", err)
+	}
 
 	// A planned cohort naming a client the federation does not have: the
 	// valid snapshot re-encoded with one lookahead cohort holding id 99 of
@@ -201,11 +206,14 @@ func TestRunResumeRejectsHostileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := &ckptWireAlgo{}
+	if err := state.Init(testEnv(63, 8), resumeCfg(0), tensor.NewRNG(0)); err != nil {
+		t.Fatal(err)
+	}
 	if err := state.LoadState(bytes.NewReader(tail.blob)); err != nil {
 		t.Fatal(err)
 	}
 	planner := &cohortPlanner{next: snap.done + 1, drawn: map[int][]int{snap.done: {99, 0, 1, 2}}}
-	lookahead, err := encodeCheckpoint(spec, snap, func(e *enc) { encodeRunTail(e, snap.done, planner, tail.acct, state) })
+	lookahead, err := encodeCheckpoint(spec, snap, func(e *nn.StateEncoder) { encodeRunTail(e, snap.done, planner, tail.acct, state) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +240,7 @@ func TestRunResumeRejectsHostileInput(t *testing.T) {
 		bad := *snap
 		c.edit(&bad.streams[0])
 		planner := &cohortPlanner{next: tail.next, drawn: tail.drawn}
-		data, err := encodeCheckpoint(spec, &bad, func(e *enc) { encodeRunTail(e, snap.done, planner, tail.acct, state) })
+		data, err := encodeCheckpoint(spec, &bad, func(e *nn.StateEncoder) { encodeRunTail(e, snap.done, planner, tail.acct, state) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +260,7 @@ func TestRunResumeRejectsHostileInput(t *testing.T) {
 	// A count field is not a promise: a 256-byte file declaring 2^22
 	// metrics (or 2^20 in-flight jobs) is refused before anything is
 	// allocated for them.
-	header, err := encodeCheckpoint(spec, &snapshot{done: 2}, func(*enc) {})
+	header, err := encodeCheckpoint(spec, &snapshot{done: 2}, func(*nn.StateEncoder) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +272,15 @@ func TestRunResumeRejectsHostileInput(t *testing.T) {
 	if err := resume(hostile, resumeCfg(0)); err == nil {
 		t.Fatal("resume from a snapshot declaring 2^22 metrics in 256 bytes must fail")
 	}
-	jobs := &enc{}
-	(&asyncState{global: make(nn.ParamVector, 4)}).encode(jobs)
+	var jobs nn.StateEncoder
+	(&asyncState{global: make(nn.ParamVector, 4)}).encode(&jobs)
+	jobBytes, _ := jobs.Bytes()
 	lyingJobs := make([]byte, 256)
-	binary.LittleEndian.PutUint64(lyingJobs[copy(lyingJobs, jobs.buf.Bytes())-8:], maxCkptJobs)
+	binary.LittleEndian.PutUint64(lyingJobs[copy(lyingJobs, jobBytes)-8:], maxCkptJobs)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, _, errMetrics := parseCheckpoint(lying, spec)
-	_, errJobs := parseAsyncState(&dec{r: bytes.NewReader(lyingJobs)}, 8, 4)
+	_, errJobs := parseAsyncState(nn.NewStateDecoder(lyingJobs), 8, 4)
 	runtime.ReadMemStats(&after)
 	if errMetrics == nil || errJobs == nil {
 		t.Fatalf("lying counts parsed: metrics %v, jobs %v", errMetrics, errJobs)

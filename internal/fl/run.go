@@ -168,7 +168,7 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 	if cfg.Checkpoint.Resume {
 		// The algorithm re-ran Init (consuming its stream identically to
 		// the original run); LoadState now replaces its state wholesale.
-		startRound, err = s.resume(func(done int, d *dec) (err error) {
+		startRound, err = s.resume(func(done int, d *nn.StateDecoder) (err error) {
 			if tail, err = parseRunTail(d, done, cfg.Rounds, s.n, s.k); err != nil {
 				return err
 			}
@@ -274,7 +274,7 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 		}
 		if write, stop := s.checkpointDue(done); write {
 			planning.Wait()
-			err := s.save(done, func(e *enc) { encodeRunTail(e, done, planner, acct, algo) })
+			err := s.save(done, func(e *nn.StateEncoder) { encodeRunTail(e, done, planner, acct, algo) })
 			if err != nil {
 				return nil, err
 			}

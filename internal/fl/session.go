@@ -199,7 +199,7 @@ func (s *session) finish(comm CommProfile) *History {
 
 // save writes the snapshot after done rounds, write-ahead: the shared
 // body, then the engine's tail.
-func (s *session) save(done int, tail func(*enc)) error {
+func (s *session) save(done int, tail func(*nn.StateEncoder)) error {
 	snap := snapshot{done: done, cum: s.totals(), metrics: s.hist.Metrics}
 	for i := range snap.streams {
 		snap.streams[i] = s.rng[streamSelect+stream(i)].State()
@@ -219,7 +219,7 @@ func (s *session) save(done int, tail func(*enc)) error {
 // the counters and the metric list, and returns the rounds completed.
 // Adversary, fault and churn schedules are recomputed, not restored: they
 // are pure functions of the seed.
-func (s *session) resume(tail func(done int, d *dec) error) (int, error) {
+func (s *session) resume(tail func(done int, d *nn.StateDecoder) error) (int, error) {
 	path := s.cfg.Checkpoint.Path
 	data, err := os.ReadFile(path)
 	if err != nil {

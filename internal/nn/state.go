@@ -2,320 +2,340 @@ package nn
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"fedcross/internal/tensor"
 )
 
-// Binary state primitives for round-granular checkpoints. Every reader
-// treats its stream as hostile: lengths are validated against hard caps
-// before any allocation, and payloads are consumed in bounded chunks so a
-// truncated or lying stream fails having allocated at most one chunk
-// beyond the bytes actually present — the same hardening discipline as
-// the codec headers and core's middleware checkpoint.
+// The state codec: every checkpoint byte — the snapshot container both
+// engines write, each algorithm's SaveState blob, the optimizer state
+// inside one — is written by a StateEncoder and read by a StateDecoder.
+// Little-endian 64-bit words: an int is its int64, a float its bits, a
+// string or list a count then its elements, a vector its length plus one
+// (0 for nil) then its elements, a map a count then (key, vector) pairs in
+// ascending key order, a generator its (seed, position).
+//
+// The decoder holds its input whole and treats it as hostile, under one
+// rule: every count is bounded by its cap and by the bytes left before
+// anything is allocated for it, a vector is read at the dimension the
+// caller expects, an id inside the range it names, map keys strictly
+// ascending, and trailing bytes are refused — so it returns an error or a
+// valid value, and an accepted input has exactly one encoding.
 
-const (
-	// maxStateVectorLen caps a serialized parameter vector's length.
-	maxStateVectorLen = 1 << 27
-	// maxStateEntries caps map/slice entry counts (client ids, tensors).
-	maxStateEntries = 1 << 22
-	// maxStateStringLen caps serialized string lengths.
-	maxStateStringLen = 1 << 12
-	// stateChunkBytes bounds read granularity for large payloads.
-	stateChunkBytes = 1 << 20
-)
+// maxStateString caps a serialized string (an algorithm label).
+const maxStateString = 1 << 12
 
-// WriteU64 writes one little-endian uint64.
-func WriteU64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
+// StateEncoder builds a state blob in memory; the first error (a cap, a
+// missing piece of state) sticks.
+type StateEncoder struct {
+	buf []byte
+	err error
 }
 
-// ReadU64 reads one little-endian uint64.
-func ReadU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+// Fail records err unless an earlier error is already recorded.
+func (e *StateEncoder) Fail(err error) {
+	if e.err == nil {
+		e.err = err
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
-// WriteI64 writes one little-endian int64.
-func WriteI64(w io.Writer, v int64) error { return WriteU64(w, uint64(v)) }
-
-// ReadI64 reads one little-endian int64.
-func ReadI64(r io.Reader) (int64, error) {
-	v, err := ReadU64(r)
-	return int64(v), err
+func appendWords[T ~int | ~int64 | ~uint64](e *StateEncoder, vs []T) {
+	for _, v := range vs {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
+	}
 }
 
-// WriteF64 writes one float64 as its IEEE-754 bits.
-func WriteF64(w io.Writer, v float64) error { return WriteU64(w, math.Float64bits(v)) }
+// U64, I64 and Int append each value as one word.
+func (e *StateEncoder) U64(vs ...uint64) { appendWords(e, vs) }
+func (e *StateEncoder) I64(vs ...int64)  { appendWords(e, vs) }
+func (e *StateEncoder) Int(vs ...int)    { appendWords(e, vs) }
 
-// ReadF64 reads one float64 from its IEEE-754 bits.
-func ReadF64(r io.Reader) (float64, error) {
-	bits, err := ReadU64(r)
-	return math.Float64frombits(bits), err
+// F64 appends each value's IEEE-754 bits.
+func (e *StateEncoder) F64(vs ...float64) {
+	n := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(vs))[:n+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(e.buf[n+8*i:], math.Float64bits(v))
+	}
 }
 
-// WriteString writes a length-prefixed string.
-func WriteString(w io.Writer, s string) error {
-	if len(s) > maxStateStringLen {
-		return fmt.Errorf("nn: state string %d bytes exceeds cap %d", len(s), maxStateStringLen)
+// String appends a length-prefixed string of at most maxStateString bytes.
+func (e *StateEncoder) String(s string) {
+	if len(s) > maxStateString {
+		e.Fail(fmt.Errorf("nn: state string of %d bytes exceeds cap %d", len(s), maxStateString))
+		return
 	}
-	if err := WriteU64(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+	e.Int(len(s))
+	e.buf = append(e.buf, s...)
 }
 
-// ReadString reads a length-prefixed string.
-func ReadString(r io.Reader) (string, error) {
-	n, err := ReadU64(r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxStateStringLen {
-		return "", fmt.Errorf("nn: state string length %d exceeds cap %d", n, maxStateStringLen)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+// Ints appends a length-prefixed int list.
+func (e *StateEncoder) Ints(xs []int) {
+	e.Int(len(xs))
+	e.Int(xs...)
 }
 
-// WriteVector writes a length-prefixed parameter vector. A nil vector is
-// preserved as distinct from an empty one (presence flag), so optional
-// state round-trips faithfully.
-func WriteVector(w io.Writer, v ParamVector) error {
+// Blob appends a length-prefixed byte string.
+func (e *StateEncoder) Blob(b []byte) {
+	e.Int(len(b))
+	e.buf = append(e.buf, b...)
+}
+
+// Vector appends a parameter vector; nil stays distinct from empty.
+func (e *StateEncoder) Vector(v ParamVector) {
 	if v == nil {
-		return WriteU64(w, 0)
+		e.U64(0)
+		return
 	}
-	if len(v) > maxStateVectorLen {
-		return fmt.Errorf("nn: state vector %d params exceeds cap %d", len(v), maxStateVectorLen)
-	}
-	if err := WriteU64(w, uint64(len(v))+1); err != nil {
-		return err
-	}
-	buf := make([]byte, min(8*len(v), stateChunkBytes))
-	for off := 0; off < len(v); {
-		chunk := len(v) - off
-		if chunk > len(buf)/8 {
-			chunk = len(buf) / 8
-		}
-		for j := 0; j < chunk; j++ {
-			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v[off+j]))
-		}
-		if _, err := w.Write(buf[:8*chunk]); err != nil {
-			return err
-		}
-		off += chunk
-	}
-	return nil
+	e.Int(len(v) + 1)
+	e.F64(v...)
 }
 
-// ReadVector reads a vector written by WriteVector, allocating in bounded
-// chunks as bytes actually arrive.
-func ReadVector(r io.Reader) (ParamVector, error) {
-	raw, err := ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if raw == 0 {
-		return nil, nil
-	}
-	n := raw - 1
-	if n > maxStateVectorLen {
-		return nil, fmt.Errorf("nn: state vector length %d exceeds cap %d", n, maxStateVectorLen)
-	}
-	v := make(ParamVector, 0, min(int(n), stateChunkBytes/8))
-	buf := make([]byte, min(8*int(n), stateChunkBytes))
-	for uint64(len(v)) < n {
-		want := 8 * (int(n) - len(v))
-		if want > len(buf) {
-			want = len(buf)
-		}
-		if _, err := io.ReadFull(r, buf[:want]); err != nil {
-			return nil, fmt.Errorf("nn: state vector: %w", err)
-		}
-		for off := 0; off < want; off += 8 {
-			v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
-		}
-	}
-	return v, nil
-}
-
-// WriteIntSlice writes a length-prefixed []int (as int64s).
-func WriteIntSlice(w io.Writer, xs []int) error {
-	if len(xs) > maxStateEntries {
-		return fmt.Errorf("nn: state int slice %d entries exceeds cap %d", len(xs), maxStateEntries)
-	}
-	if err := WriteU64(w, uint64(len(xs))); err != nil {
-		return err
-	}
-	for _, x := range xs {
-		if err := WriteI64(w, int64(x)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadIntSlice reads a slice written by WriteIntSlice.
-func ReadIntSlice(r io.Reader) ([]int, error) {
-	n, err := ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxStateEntries {
-		return nil, fmt.Errorf("nn: state int slice length %d exceeds cap %d", n, maxStateEntries)
-	}
-	xs := make([]int, n)
-	for i := range xs {
-		v, err := ReadI64(r)
-		if err != nil {
-			return nil, err
-		}
-		xs[i] = int(v)
-	}
-	return xs, nil
-}
-
-// WriteVectorMap writes a map[int]ParamVector with keys in ascending
-// order, so identical maps serialize to identical bytes.
-func WriteVectorMap(w io.Writer, m map[int]ParamVector) error {
-	if len(m) > maxStateEntries {
-		return fmt.Errorf("nn: state map %d entries exceeds cap %d", len(m), maxStateEntries)
-	}
+// VectorMap appends a map of vectors in ascending key order, so equal maps
+// encode to equal bytes.
+func (e *StateEncoder) VectorMap(m map[int]ParamVector) {
 	keys := make([]int, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	if err := WriteU64(w, uint64(len(keys))); err != nil {
-		return err
-	}
+	e.Int(len(keys))
 	for _, k := range keys {
-		if err := WriteI64(w, int64(k)); err != nil {
-			return err
-		}
-		if err := WriteVector(w, m[k]); err != nil {
-			return err
-		}
+		e.Int(k)
+		e.Vector(m[k])
 	}
-	return nil
 }
 
-// ReadVectorMap reads a map written by WriteVectorMap.
-func ReadVectorMap(r io.Reader) (map[int]ParamVector, error) {
-	n, err := ReadU64(r)
-	if err != nil {
-		return nil, err
+// RNG appends a generator's (seed, position) snapshot.
+func (e *StateEncoder) RNG(g *tensor.RNG) {
+	if g == nil {
+		e.Fail(errors.New("nn: no generator to save (state saved before Init?)"))
+		return
 	}
-	if n > maxStateEntries {
-		return nil, fmt.Errorf("nn: state map length %d exceeds cap %d", n, maxStateEntries)
-	}
-	m := make(map[int]ParamVector, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := ReadI64(r)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ReadVector(r)
-		if err != nil {
-			return nil, err
-		}
-		m[int(k)] = v
-	}
-	return m, nil
-}
-
-// WriteRNG writes a generator's (seed, position) snapshot.
-func WriteRNG(w io.Writer, g *tensor.RNG) error {
 	st := g.State()
-	if err := WriteI64(w, st.Seed); err != nil {
-		return err
-	}
-	return WriteU64(w, st.Pos)
+	e.I64(st.Seed)
+	e.U64(st.Pos)
 }
 
-// ReadRNG restores a generator written by WriteRNG. A position past
-// tensor.RestoreRNG's replay limit is an error.
-func ReadRNG(r io.Reader) (*tensor.RNG, error) {
-	seed, err := ReadI64(r)
-	if err != nil {
-		return nil, err
+// Bytes returns the blob, or the first error.
+func (e *StateEncoder) Bytes() ([]byte, error) { return e.buf, e.err }
+
+// EncodeState writes what encode appends to w: the body of every SaveState.
+func EncodeState(w io.Writer, encode func(*StateEncoder)) error {
+	var e StateEncoder
+	encode(&e)
+	if e.err != nil {
+		return e.err
 	}
-	pos, err := ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	g, err := tensor.RestoreRNG(tensor.RNGState{Seed: seed, Pos: pos})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	_, err := w.Write(e.buf)
+	return err
 }
 
-// SaveState serializes the optimizer's momentum buffers (shape and data),
-// so a checkpointed training loop resumes with bit-identical updates. A
-// never-stepped optimizer writes an empty buffer list.
-func (s *SGD) SaveState(w io.Writer) error {
-	if len(s.velocity) > maxStateEntries {
-		return fmt.Errorf("nn: SGD state %d tensors exceeds cap %d", len(s.velocity), maxStateEntries)
-	}
-	if err := WriteU64(w, uint64(len(s.velocity))); err != nil {
-		return err
-	}
-	for _, v := range s.velocity {
-		if err := WriteIntSlice(w, v.Shape); err != nil {
-			return err
+// StateDecoder reads a blob held whole in memory. The first failure
+// sticks, labelled with the section; later reads return zero values.
+type StateDecoder struct {
+	data []byte
+	what string
+	err  error
+}
+
+// NewStateDecoder reads data.
+func NewStateDecoder(data []byte) *StateDecoder { return &StateDecoder{data: data} }
+
+// Section labels the failures that follow.
+func (d *StateDecoder) Section(what string) { d.what = what }
+
+// Fail records a failure unless an earlier one is already recorded.
+func (d *StateDecoder) Fail(format string, args ...any) {
+	if d.err == nil {
+		if d.what != "" {
+			format = d.what + ": " + format
 		}
-		if err := WriteVector(w, v.Data); err != nil {
-			return err
-		}
+		d.err = fmt.Errorf(format, args...)
 	}
-	return nil
 }
 
-// LoadState restores momentum buffers written by SaveState, replacing any
-// current velocity state.
-func (s *SGD) LoadState(r io.Reader) error {
-	n, err := ReadU64(r)
-	if err != nil {
-		return err
+// Err returns the first failure.
+func (d *StateDecoder) Err() error { return d.err }
+
+// Finish refuses trailing bytes and returns the first failure.
+func (d *StateDecoder) Finish() error {
+	if d.err == nil && len(d.data) > 0 {
+		d.Fail("%d trailing bytes", len(d.data))
 	}
-	if n > maxStateEntries {
-		return fmt.Errorf("nn: SGD state length %d exceeds cap %d", n, maxStateEntries)
+	return d.err
+}
+
+// take consumes n bytes the caller has checked are present.
+func (d *StateDecoder) take(n int) []byte {
+	b := d.data[:n:n]
+	d.data = d.data[n:]
+	return b
+}
+
+// U64 reads one word.
+func (d *StateDecoder) U64() uint64 {
+	if d.err != nil {
+		return 0
 	}
-	if n == 0 {
-		s.velocity = nil
+	if len(d.data) < 8 {
+		d.Fail("truncated: %w", io.ErrUnexpectedEOF)
+		return 0
+	}
+	return binary.LittleEndian.Uint64(d.take(8))
+}
+
+// I64 reads one word.
+func (d *StateDecoder) I64() int64 { return int64(d.U64()) }
+
+// Int reads one int64 word.
+func (d *StateDecoder) Int() int { return int(d.I64()) }
+
+// F64 reads one float's IEEE-754 bits.
+func (d *StateDecoder) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// Count reads a record count bounded by limit and by how many records of
+// at least recordBytes the bytes left could hold.
+func (d *StateDecoder) Count(limit, recordBytes int) int {
+	n := d.U64()
+	if n > uint64(limit) {
+		d.Fail("count %d exceeds cap %d", n, limit)
+	} else if n > uint64(len(d.data)/recordBytes) {
+		d.Fail("count %d exceeds the %d bytes left", n, len(d.data))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// String reads a length-prefixed string of at most maxStateString bytes.
+func (d *StateDecoder) String() string { return string(d.take(d.Count(maxStateString, 1))) }
+
+// Blob reads a length-prefixed byte string, aliasing the input.
+func (d *StateDecoder) Blob(limit int) []byte { return d.take(d.Count(limit, 1)) }
+
+// Ints reads a length-prefixed list of at most limit ints.
+func (d *StateDecoder) Ints(limit int) []int {
+	xs := make([]int, d.Count(limit, 8))
+	for i := range xs {
+		xs[i] = d.Int()
+	}
+	return xs
+}
+
+// IDs reads a list of at most limit client ids, each in [lo, n).
+func (d *StateDecoder) IDs(limit, lo, n int) []int {
+	xs := d.Ints(limit)
+	for _, x := range xs {
+		if x < lo || x >= n {
+			d.Fail("client id %d outside [%d,%d)", x, lo, n)
+		}
+	}
+	return xs
+}
+
+// Vector reads a parameter vector of exactly dim entries.
+func (d *StateDecoder) Vector(dim int) ParamVector {
+	if n := d.U64(); n != uint64(dim)+1 {
+		d.Fail("vector has %d params, want %d", int64(n)-1, dim) // -1: nil
+	} else if dim > len(d.data)/8 {
+		d.Fail("vector of %d params exceeds the %d bytes left", dim, len(d.data))
+	}
+	if d.err != nil {
 		return nil
 	}
-	vel := make([]*tensor.Tensor, n)
-	for i := range vel {
-		shape, err := ReadIntSlice(r)
-		if err != nil {
-			return err
-		}
-		data, err := ReadVector(r)
-		if err != nil {
-			return err
-		}
-		t := tensor.Zeros(shape...)
-		if len(t.Data) != len(data) {
-			return fmt.Errorf("nn: SGD state tensor %d: shape %v holds %d values, stream has %d", i, shape, len(t.Data), len(data))
-		}
-		copy(t.Data, data)
-		vel[i] = t
+	v, b := make(ParamVector, dim), d.take(8*dim)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
 	}
-	s.velocity = vel
-	return nil
+	return v
+}
+
+// OptionalVector reads a vector of exactly dim entries, or nil.
+func (d *StateDecoder) OptionalVector(dim int) ParamVector {
+	if len(d.data) >= 8 && binary.LittleEndian.Uint64(d.data) == 0 {
+		d.take(8)
+		return nil
+	}
+	return d.Vector(dim)
+}
+
+// VectorMap reads a map of dim-entry vectors keyed by ids in [0, n),
+// strictly ascending.
+func (d *StateDecoder) VectorMap(n, dim int) map[int]ParamVector {
+	count := d.Count(n, 16+8*dim)
+	m := make(map[int]ParamVector, count)
+	for prev := -1; len(m) < count && d.err == nil; {
+		k := d.Int()
+		if k <= prev || k >= n {
+			d.Fail("map key %d after %d, want ascending ids in [0,%d)", k, prev, n)
+		}
+		m[k], prev = d.Vector(dim), k
+	}
+	return m
+}
+
+// RNG restores a generator's (seed, position), within RestoreRNG's limit.
+func (d *StateDecoder) RNG() *tensor.RNG {
+	st := tensor.RNGState{Seed: d.I64(), Pos: d.U64()}
+	if d.err != nil {
+		return nil
+	}
+	g, err := tensor.RestoreRNG(st)
+	if err != nil {
+		d.Fail("%w", err)
+	}
+	return g
+}
+
+// DecodeState, the body of every LoadState, hands all of r to decode,
+// which reads every field into locals and returns what installs them;
+// install runs only if the whole input decoded, so a refusal changes nothing.
+func DecodeState(r io.Reader, decode func(*StateDecoder) (install func())) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	d := NewStateDecoder(data)
+	if install := decode(d); d.Finish() == nil {
+		install()
+	}
+	return d.err
+}
+
+// EncodeState appends the momentum buffers (shape and data), none for a
+// never-stepped optimizer, so a resumed loop steps bit-identically.
+func (s *SGD) EncodeState(e *StateEncoder) {
+	e.Int(len(s.velocity))
+	for _, v := range s.velocity {
+		e.Ints(v.Shape)
+		e.Vector(v.Data)
+	}
+}
+
+// DecodeState reads EncodeState's bytes — no buffers, or one of exactly
+// each parameter's shape — and returns what installs them.
+func (s *SGD) DecodeState(d *StateDecoder, params []*tensor.Tensor) (install func()) {
+	var vel []*tensor.Tensor
+	if n := d.Int(); n != 0 && n != len(params) {
+		d.Fail("%d momentum buffers for %d parameters", n, len(params))
+	} else if n != 0 {
+		vel = make([]*tensor.Tensor, n)
+		for i, p := range params {
+			if shape := d.Ints(len(p.Shape)); !slices.Equal(shape, p.Shape) {
+				d.Fail("momentum buffer %d has shape %v, want %v", i, shape, p.Shape)
+			}
+			if data := d.Vector(len(p.Data)); d.err == nil {
+				vel[i] = tensor.New(data, p.Shape...)
+			}
+		}
+	}
+	return func() { s.velocity = vel }
 }

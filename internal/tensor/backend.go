@@ -23,7 +23,9 @@ package tensor
 
 // Backend is the pluggable kernel implementation behind the tensor
 // package's destination-passing entry points (MatMulTo and friends,
-// BatchMatMulTo and friends, AddTo, ScaleTo, AXPY, AddRowTo, ColSumAcc).
+// AddTo, ScaleTo, AXPY, AddRowTo, ColSumAcc). GemmBatch and
+// GemmTransBSegAcc no longer have an entry point in this package; they
+// stay because backend wrappers outside it still forward them.
 type Backend interface {
 	// Name identifies the backend in logs and reports.
 	Name() string

@@ -237,19 +237,6 @@ func matmulTransBTo(dst, a, b *Tensor, acc bool) *Tensor {
 	return dst
 }
 
-// MatMulTransBSegAcc computes dst += a·bᵀ (a m×k, b n×k, dst m×n) with
-// the reduction split into segments of length seg, folding each segment's
-// 4-way partial dot into dst separately in ascending-segment order. With
-// k == B·seg this reproduces, bit for bit, B successive MatMulTransBAcc
-// calls over the per-segment column blocks — the kernel behind the fused
-// conv weight gradient, where segments are the per-sample spatial blocks.
-func MatMulTransBSegAcc(dst, a, b *Tensor, seg int) *Tensor {
-	m, k, n := matmulDims("MatMulTransBSegAcc", a, b, false, true)
-	checkDst("MatMulTransBSegAcc", dst, a, b, m, n)
-	active.GemmTransBSegAcc(dst.Data, a.Data, b.Data, m, k, n, seg)
-	return dst
-}
-
 // MatMulTransA multiplies aᵀ (k×m, stored as m×k) by b (m×n), producing k×n.
 func MatMulTransA(a, b *Tensor) *Tensor {
 	k, _, n := matmulDims("MatMulTransA", a, b, true, false)

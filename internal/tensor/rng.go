@@ -397,6 +397,9 @@ func (g *RNG) Randn(std float64, shape ...int) *Tensor {
 
 // Uniform fills a fresh tensor with samples from U[lo, hi).
 func (g *RNG) Uniform(lo, hi float64, shape ...int) *Tensor {
+	if !(lo <= hi) {
+		panic("tensor: Uniform bounds out of order")
+	}
 	t := Zeros(shape...)
 	for i := range t.Data {
 		t.Data[i] = lo + (hi-lo)*g.Float64()

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -430,46 +429,21 @@ func TestGammaMoments(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	rng := NewRNG(9)
-	orig := rng.Randn(2, 3, 4, 5)
-	var buf bytes.Buffer
-	n, err := orig.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
+// TestUniformRejectsReversedBounds: bounds out of order or NaN panic by
+// name instead of filling a tensor from an empty or undefined interval.
+func TestUniformRejectsReversedBounds(t *testing.T) {
+	for _, b := range [][2]float64{{1, -1}, {math.NaN(), 1}, {0, math.NaN()}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatalf("Uniform(%v, %v) did not panic", b[0], b[1])
+				}
+			}()
+			NewRNG(1).Uniform(b[0], b[1], 2)
+		}()
 	}
-	if n != orig.EncodedSize() {
-		t.Fatalf("WriteTo wrote %d bytes, EncodedSize says %d", n, orig.EncodedSize())
-	}
-	var back Tensor
-	m, err := back.ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != n {
-		t.Fatalf("ReadFrom consumed %d, want %d", m, n)
-	}
-	if !SameShape(orig, &back) {
-		t.Fatalf("shape %v != %v", back.Shape, orig.Shape)
-	}
-	for i := range orig.Data {
-		if orig.Data[i] != back.Data[i] {
-			t.Fatalf("data mismatch at %d", i)
-		}
-	}
-}
-
-func TestSerializeTruncated(t *testing.T) {
-	rng := NewRNG(9)
-	orig := rng.Randn(1, 4, 4)
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	var back Tensor
-	if _, err := back.ReadFrom(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("expected error on truncated payload")
+	if u := NewRNG(1).Uniform(2, 2, 3); u.Data[0] != 2 {
+		t.Fatalf("Uniform(2, 2) = %v", u.Data)
 	}
 }
 
