@@ -348,44 +348,36 @@ func BenchmarkTransportCodecs(b *testing.B) {
 	})
 }
 
-// BenchmarkWireDeliver measures one payload's trip through the int8 wire
-// at server_heavy_k64's shape — 64 vectors of 51,978 parameters, cycled so
-// each arrives as cold as in a round — down (no reference) and up (delta
-// against a reference), as the transport runs it (single-pass: the codec
-// takes the reference, three fused kernels) and as it used to (five-pass:
-// subtract into a residual, scan its range, quantise, dequantise, add the
-// reference back — separate scalar passes, written out here over the
-// kernels' Go twins). CI gates five-pass / single-pass per direction as a
-// same-process ratio.
+// BenchmarkWireDeliver measures the int8 wire at server_heavy_k64's shape
+// — 64 vectors of 51,978 parameters, each arriving as cold as in a round —
+// down (no reference) and up (delta against a reference): one op is a
+// whole batch, as the transport runs it (single-pass: DownAll / UpAll at
+// Limit(1), the codec takes the reference, three fused kernels) and as it
+// used to (five-pass: subtract into a residual, scan its range, quantise,
+// dequantise, add the reference back — separate scalar passes, written
+// out here over the kernels' Go twins). CI gates five-pass / single-pass
+// per direction as a same-process ratio.
 func BenchmarkWireDeliver(b *testing.B) {
 	const k, n = 64, 51978
-	rng := tensor.NewRNG(1)
-	vecs, refs := make([]nn.ParamVector, k), make([]nn.ParamVector, k)
-	for i := range vecs {
-		vecs[i], refs[i] = make(nn.ParamVector, n), make(nn.ParamVector, n)
-		for j := range vecs[i] {
-			refs[i][j] = rng.Normal(0, 1)
-			vecs[i][j] = refs[i][j] + 0.01*rng.Normal(0, 1)
-		}
-	}
-	dst := make(nn.ParamVector, n)
+	w := newWireBatch(k, n)
 	tr, err := fl.NewTransport(fl.TransportOptions{Codec: "int8"})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ok := make([]bool, k)
 	b.Run("down/single-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr.Down(dst, 0, vecs[i%k])
+			tr.DownAll(w.dsts, w.clients, w.vecs, fl.Limit(1))
 		}
 	})
 	b.Run("up/single-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr.Up(dst, 0, vecs[i%k], refs[i%k])
+			tr.UpAll(w.dsts, ok, w.clients, w.vecs, w.refs, fl.Limit(1))
 		}
 	})
 
 	res, body := make(nn.ParamVector, n), make([]byte, n)
-	fivePass := func(vec, ref nn.ParamVector) {
+	fivePass := func(dst, vec, ref nn.ParamVector) {
 		payload := vec
 		if ref != nil {
 			for i := range vec {
@@ -405,14 +397,77 @@ func BenchmarkWireDeliver(b *testing.B) {
 	}
 	b.Run("down/five-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fivePass(vecs[i%k], nil)
+			for j := range w.vecs {
+				fivePass(w.dsts[j], w.vecs[j], nil)
+			}
 		}
 	})
 	b.Run("up/five-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fivePass(vecs[i%k], refs[i%k])
+			for j := range w.vecs {
+				fivePass(w.dsts[j], w.vecs[j], w.refs[j])
+			}
 		}
 	})
+}
+
+// wireBatch is one round's worth of wire payloads: vecs[i] a small
+// perturbation of refs[i], dsts[i] its own destination, clients the
+// senders 0..k-1.
+type wireBatch struct {
+	clients          []int
+	vecs, refs, dsts []nn.ParamVector
+}
+
+func newWireBatch(k, n int) wireBatch {
+	rng := tensor.NewRNG(1)
+	w := wireBatch{clients: make([]int, k), vecs: make([]nn.ParamVector, k), refs: make([]nn.ParamVector, k), dsts: make([]nn.ParamVector, k)}
+	for i := range w.vecs {
+		w.clients[i] = i
+		w.vecs[i], w.refs[i] = make(nn.ParamVector, n), make(nn.ParamVector, n)
+		for j := range w.vecs[i] {
+			w.refs[i][j] = rng.Normal(0, 1)
+			w.vecs[i][j] = w.refs[i][j] + 0.01*rng.Normal(0, 1)
+		}
+		w.dsts[i] = w.refs[i].Clone() // touched: no page faults on the clock
+	}
+	return w
+}
+
+// BenchmarkTransportRound measures one round of FedCross's wire at
+// server_heavy_k64's shape — K = 64 dispatches of 51,978 parameters
+// through DownAll, then the 64 trained vectors back through an in-place
+// UpAll delta-encoded against what each client received — on the int8
+// codec, at Limit(1) and Limit(2). The round's outcomes are decided
+// serially either way and only the codec round trips fan out, so the two
+// are bit-identical (TestTransportBatchWorkerInvariance) and CI gates
+// workers-1 / workers-2 as a same-process ratio on boxes with two or more
+// CPUs.
+func BenchmarkTransportRound(b *testing.B) {
+	const k, n = 64, 51978
+	w := newWireBatch(k, n)
+	ok := make([]bool, k)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			tr, err := fl.NewTransport(fl.TransportOptions{Codec: "int8"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			params := make([]nn.ParamVector, k)
+			for i := range params {
+				params[i] = w.vecs[i].Clone()
+			}
+			round := func() {
+				tr.DownAll(w.dsts, w.clients, w.refs, fl.Limit(workers))
+				tr.UpAll(params, ok, w.clients, params, w.dsts, fl.Limit(workers))
+			}
+			round() // sizes the encode buffers and the round-trip queue
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
+	}
 }
 
 // --- micro-benchmarks of the primitives the paper's loop is built from ---

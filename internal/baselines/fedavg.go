@@ -94,9 +94,10 @@ func (a *FedAvg) RoundComm(k int) fl.CommProfile {
 // hyper-parameters (Config.LocalSpec) plus the algorithm's hooks; a
 // FedProx template with Prox > 0 gets the received broadcast as its
 // proximal anchor, and the loop fills in Init. Training fans
-// out over the worker pool; RNG splits and all transport calls happen
-// serially in selection order, so results do not depend on the worker
-// count.
+// out over the worker pool; RNG splits and every wire outcome are
+// decided serially in selection order (only the uploads' codec round
+// trips fan out, inside the transport), so results do not depend on the
+// worker count.
 //
 // It returns the server-visible uploads, their sample-count weights, the
 // uploading clients (aligned with uploads), and the client-visible
@@ -113,19 +114,33 @@ func trainSelected(env *fl.Env, cfg fl.Config, rng *tensor.RNG, tr *fl.Transport
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	uploads = make([]nn.ParamVector, 0, len(results))
-	weights = make([]float64, 0, len(results))
-	clients = make([]int, 0, len(results))
-	for j, res := range results {
-		dec, ok := tr.Up(res.Params, jobs[j].Client, res.Params, recv)
-		if !ok {
-			continue // straggler: the server never saw this upload
-		}
-		uploads = append(uploads, dec)
-		weights = append(weights, float64(res.Samples))
-		clients = append(clients, jobs[j].Client)
-	}
+	uploads, weights, clients = uploadAll(tr, jobs, results, recv, cfg.Allowance())
 	return uploads, weights, clients, recv, nil
+}
+
+// uploadAll sends every job's trained parameters back through the wire,
+// delta-encoded against the round's broadcast ref and decoded in place,
+// and returns the server-visible uploads that arrived, in job order, with
+// their sample-count weights and their clients. A straggler's or a lost
+// upload is dropped: the server never saw it.
+func uploadAll(tr *fl.Transport, jobs []fl.LocalJob, results []fl.LocalResult, ref nn.ParamVector, w fl.Workers) (uploads []nn.ParamVector, weights []float64, clients []int) {
+	n := len(results)
+	uploads, clients = make([]nn.ParamVector, n), make([]int, n)
+	refs, ok := make([]nn.ParamVector, n), make([]bool, n)
+	for j, res := range results {
+		uploads[j], clients[j], refs[j] = res.Params, jobs[j].Client, ref
+	}
+	tr.UpAll(uploads, ok, clients, uploads, refs, w)
+	weights = make([]float64, 0, n)
+	arrived := 0
+	for j, res := range results {
+		if ok[j] {
+			uploads[arrived], clients[arrived] = uploads[j], clients[j]
+			weights = append(weights, float64(res.Samples))
+			arrived++
+		}
+	}
+	return uploads[:arrived], weights, clients[:arrived]
 }
 
 // surviving filters the dropped (-1) slots out of a selection.

@@ -149,16 +149,7 @@ func (a *FedGen) Round(r int, selected []int) error {
 	if err != nil {
 		return fmt.Errorf("baselines: fedgen round %d: %w", r, err)
 	}
-	uploads := make([]nn.ParamVector, 0, len(results))
-	weights := make([]float64, 0, len(results))
-	for j, res := range results {
-		dec, ok := tr.Up(res.Params, jobs[j].Client, res.Params, recvGlobal)
-		if !ok {
-			continue // straggler
-		}
-		uploads = append(uploads, dec)
-		weights = append(weights, float64(res.Samples))
-	}
+	uploads, weights, _ := uploadAll(tr, jobs, results, recvGlobal, a.cfg.Allowance())
 	if len(uploads) == 0 {
 		return nil
 	}

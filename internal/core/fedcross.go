@@ -136,10 +136,6 @@ type FedCross struct {
 	// the slot's training init and the delta reference its upload is
 	// encoded against, and the next round's dispatch overwrites it.
 	recvBuf []nn.ParamVector
-	// recvView[i] is what slot i's client received this round —
-	// recvBuf[i] under a lossy codec, the middleware vector itself on the
-	// pass-through wire.
-	recvView []nn.ParamVector
 	// props is the reusable propeller-model scratch list.
 	props []nn.ParamVector
 }
@@ -226,7 +222,8 @@ func (f *FedCross) Round(r int, selected []int) error {
 	// Local training, fanned out over the worker pool. Jobs are prepared
 	// serially — the per-client RNG splits and the transport dispatches
 	// happen here, in slot order, so the streams (and the wire's byte and
-	// clock accounting) are identical at every parallelism level. A
+	// clock accounting) are identical at every parallelism level; only
+	// the payloads' codec round trips fan out, inside the transport. A
 	// dropped client (-1) leaves its middleware model untrained this
 	// round (v_i = w_i), the natural fault-tolerant reading of
 	// Algorithm 1; a straggler whose upload misses the round deadline
@@ -238,12 +235,13 @@ func (f *FedCross) Round(r int, selected []int) error {
 	if !passThrough {
 		f.recvBuf = ensureVecs(f.recvBuf, k, n)
 	}
-	if len(f.recvView) != k {
-		f.recvView = make([]nn.ParamVector, k)
-	}
-	jobs := make([]fl.LocalJob, 0, k)
+	// slots[j] is the middleware slot client clients[j] trains; sent[j] is
+	// its dispatch and recv[j] what the client received — recvBuf[i] under
+	// a lossy codec, the middleware vector itself on the pass-through wire.
 	slots := make([]int, 0, k)
 	clients := make([]int, 0, k)
+	sent := make([]nn.ParamVector, 0, k)
+	recv := make([]nn.ParamVector, 0, k)
 	for i := 0; i < k; i++ {
 		ci := selected[assign[i]]
 		// An untrainable client (virtualized federation, empty shard)
@@ -256,28 +254,37 @@ func (f *FedCross) Round(r int, selected []int) error {
 		if !passThrough {
 			dst = f.recvBuf[i]
 		}
-		recv := tr.Down(dst, ci, f.middleware[i])
-		f.recvView[i] = recv
-		spec := f.cfg.LocalSpec()
-		spec.Init, spec.Out = recv, f.uploadBuf[i]
-		jobs = append(jobs, fl.LocalJob{Client: ci, Spec: spec, RNG: f.rng.Split()})
 		slots = append(slots, i)
 		clients = append(clients, ci)
+		sent = append(sent, f.middleware[i])
+		recv = append(recv, dst)
+	}
+	tr.DownAll(recv, clients, sent, f.cfg.Allowance())
+	jobs := make([]fl.LocalJob, len(slots))
+	for j, i := range slots {
+		spec := f.cfg.LocalSpec()
+		spec.Init, spec.Out = recv[j], f.uploadBuf[i]
+		jobs[j] = fl.LocalJob{Client: clients[j], Spec: spec, RNG: f.rng.Split()}
 	}
 	results, err := fl.TrainAll(f.env, jobs, f.cfg.Allowance())
 	if err != nil {
 		return fmt.Errorf("core: FedCross round %d: %w", r, err)
 	}
+	// Each upload returns delta-encoded against its slot's dispatch (the
+	// one vector both endpoints hold bit-identically), decoded in place
+	// into the slot's recycled upload buffer.
+	params := make([]nn.ParamVector, len(results))
+	for j, res := range results {
+		params[j] = res.Params
+	}
+	ok := make([]bool, len(results))
+	tr.UpAll(params, ok, clients, params, recv, f.cfg.Allowance())
 	uploads := make([]nn.ParamVector, k)
 	copy(uploads, f.middleware) // untrained slots upload their model as-is
 	arrived := 0
-	for j, res := range results {
-		// The upload returns delta-encoded against this round's dispatch
-		// (the one vector both endpoints hold bit-identically), decoded in
-		// place into the slot's recycled upload buffer.
-		dec, ok := tr.Up(res.Params, clients[j], res.Params, f.recvView[slots[j]])
-		if ok {
-			uploads[slots[j]] = dec
+	for j, i := range slots {
+		if ok[j] {
+			uploads[i] = params[j]
 			arrived++
 		}
 	}

@@ -114,7 +114,12 @@ type link struct {
 // serial phases of a round (job preparation and reduce) — exactly where
 // algorithms draw their RNG splits today. Link conditions are drawn in
 // slot order from a pre-split per-round stream, so results are
-// bit-identical at every Parallelism setting.
+// bit-identical at every Parallelism setting. A batch call (DownAll,
+// UpAll) splits its exchange in two: a serial step decides every outcome
+// in call order — bytes, link clocks, deadline, adversary corruption,
+// retries and fault fates — and a fan-out step then runs the undamaged
+// payloads' codec round trips, each a pure function of (vector,
+// reference), across the caller's workers and joins before returning.
 //
 // A nil *Transport is valid and behaves as a zero-cost pass-through, so
 // algorithms run unchanged outside fl.Run (unit tests driving Init/Round
@@ -147,10 +152,22 @@ type Transport struct {
 	// cur counts this round's wire events; EndRound folds it into cum.
 	cur, cum counters
 
-	// encBuf is the recycled encode scratch — the wire bytes of the
-	// payload in flight. It is safe to reuse per call because transport
-	// calls are serial by contract.
-	encBuf []byte
+	// encBufs[wk] is worker wk's recycled encode scratch — the wire bytes
+	// of the payload it has in flight. The serial step (a damaged
+	// attempt) uses encBufs[0], which no fan-out is running on then.
+	encBufs [][]byte
+	// pending holds the undamaged round trips the serial step queued;
+	// flush runs them and empties it. runPending is flush's body, bound
+	// once so that a flush allocates no closure.
+	pending    []roundTrip
+	runPending func(wk, i int)
+}
+
+// roundTrip is one queued undamaged payload: vec encoded against ref and
+// decoded into dst, and the codec's verdict.
+type roundTrip struct {
+	dst, vec, ref nn.ParamVector
+	err           error
 }
 
 // NewTransport builds a transport from options. The zero options value
@@ -177,7 +194,7 @@ func NewTransport(opts TransportOptions) (*Transport, error) {
 			return nil, fmt.Errorf("fl: lossy codec %q is not an nn.DeltaCodec", codec.Name())
 		}
 	}
-	return &Transport{
+	t := &Transport{
 		codec:        codec,
 		delta:        delta,
 		net:          net,
@@ -185,7 +202,13 @@ func NewTransport(opts TransportOptions) (*Transport, error) {
 		retries:      opts.Retries,
 		retryBackoff: opts.RetryBackoffSec,
 		links:        map[int]*link{},
-	}, nil
+		encBufs:      make([][]byte, 1),
+	}
+	t.runPending = func(wk, i int) {
+		p := &t.pending[i]
+		p.err = t.deliver(wk, p.dst, p.vec, p.ref, mangleNone)
+	}
+	return t, nil
 }
 
 // Codec returns the configured codec ("identity" for a nil transport).
@@ -205,7 +228,7 @@ func (t *Transport) Network() NetworkModel {
 }
 
 // PassThrough reports whether payloads cross the wire unmodified (the
-// codec is lossless), in which case Down/Up/Broadcast return the input
+// codec is lossless), in which case every exchange returns the input
 // vector itself and never touch a destination buffer.
 func (t *Transport) PassThrough() bool { return t == nil || t.codec.Lossless() }
 
@@ -320,24 +343,26 @@ func (t *Transport) RoundUploaders() int {
 	return n
 }
 
-// Down simulates one server→client dispatch of vec: the payload is
-// encoded, charged to the downlink, and the client-visible (decoded)
-// vector is returned — dst when the codec is lossy (allocated at vec's
-// length when dst is nil), vec itself on the lossless pass-through.
-func (t *Transport) Down(dst nn.ParamVector, client int, vec nn.ParamVector) nn.ParamVector {
+// DownAll simulates the server→client dispatch of vecs[i] to clients[i]
+// for every i: each payload is charged to its client's downlink in call
+// order, then every payload's encode → decode round trip runs across w.
+// out[i] holds the destination on entry (nil means allocate at the
+// payload's length) and the client-visible (decoded) vector on return —
+// vecs[i] itself on the lossless pass-through, which never fans out.
+// Destinations must be distinct, and none may overlap another index's
+// payload.
+func (t *Transport) DownAll(out []nn.ParamVector, clients []int, vecs []nn.ParamVector, w Workers) {
 	if t == nil {
-		return vec
+		copy(out, vecs)
+		return
 	}
-	size := t.codec.EncodedSize(len(vec))
-	t.cur.BytesDown += size
-	t.chargeTime(client, size, true)
-	out, err := t.deliver(dst, vec, nil, mangleNone)
-	if err != nil {
-		// Encode and Decode are the same codec over the same undamaged
-		// buffer; a failure here is a codec bug, not an input condition.
-		panic(err)
+	for i, ci := range clients {
+		size := t.codec.EncodedSize(len(vecs[i]))
+		t.cur.BytesDown += size
+		t.chargeTime(ci, size, true)
+		out[i] = t.enqueue(out[i], vecs[i], nil)
 	}
-	return out
+	t.flush(w)
 }
 
 // Broadcast simulates dispatching one payload to every listed client
@@ -356,26 +381,54 @@ func (t *Transport) Broadcast(dst nn.ParamVector, clients []int, vec nn.ParamVec
 		t.cur.BytesDown += size
 		t.chargeTime(ci, size, true)
 	}
-	out, err := t.deliver(dst, vec, nil, mangleNone)
-	if err != nil {
-		// Undamaged round-trip failure is a codec bug (see Down).
-		panic(err)
-	}
+	out := t.enqueue(dst, vec, nil)
+	t.flush(Limit(1))
 	return out
 }
 
-// Up simulates one client→server upload of vec, delta-encoded against
-// ref when ref is non-nil (both endpoints must hold ref bit-identically —
-// see the invalidation rule in docs/ARCHITECTURE.md). It returns the
-// server-visible vector (decoded into dst, or vec itself on the lossless
-// pass-through) and ok=false when the client's round clock has passed the
-// deadline: the upload was transmitted (its bytes are charged) but the
-// server stopped waiting, so the caller must treat the client like a
-// dropout. Subsequent uploads from a straggler are skipped entirely.
-func (t *Transport) Up(dst nn.ParamVector, client int, vec, ref nn.ParamVector) (nn.ParamVector, bool) {
+// UpAll simulates the client→server upload of vecs[i] from clients[i] for
+// every i, delta-encoded against refs[i] when it is non-nil (both
+// endpoints must hold a reference bit-identically — see the invalidation
+// rule in docs/ARCHITECTURE.md). out[i] holds the destination on entry
+// (it may be vecs[i] itself: uploads decode in place) and the
+// server-visible vector on return — vecs[i] itself on the lossless
+// pass-through. ok[i] is false when the upload never reached the
+// server: the client's round clock passed the deadline (the upload was
+// transmitted and its bytes charged, but the server stopped waiting) or
+// every attempt was lost to faults. The caller must treat such a client
+// like a dropout; its later uploads are skipped entirely.
+//
+// Every outcome is decided serially in call order, exactly as that many
+// Up calls would; then the accepted undamaged round trips run across w.
+// Destinations must be distinct, and none may overlap another index's
+// payload or any reference.
+func (t *Transport) UpAll(out []nn.ParamVector, ok []bool, clients []int, vecs, refs []nn.ParamVector, w Workers) {
 	if t == nil {
-		return vec, true
+		copy(out, vecs)
+		for i := range clients {
+			ok[i] = true
+		}
+		return
 	}
+	for i, ci := range clients {
+		out[i], ok[i] = t.upOne(out[i], ci, vecs[i], refs[i])
+	}
+	t.flush(w)
+}
+
+// Up is UpAll of one upload: it returns the server-visible vector and
+// whether the server accepted it. SCAFFOLD uploads its variate only after
+// its model upload's verdict, so it calls this per payload.
+func (t *Transport) Up(dst nn.ParamVector, client int, vec, ref nn.ParamVector) (nn.ParamVector, bool) {
+	out, ok := [1]nn.ParamVector{dst}, [1]bool{}
+	t.UpAll(out[:], ok[:], []int{client}, []nn.ParamVector{vec}, []nn.ParamVector{ref}, Limit(1))
+	return out[0], ok[0]
+}
+
+// upOne is one upload's serial step: it decides the upload's fate and
+// returns the vector the server will hold, queueing the round trip when
+// the accepted attempt was undamaged.
+func (t *Transport) upOne(dst nn.ParamVector, client int, vec, ref nn.ParamVector) (nn.ParamVector, bool) {
 	if l := t.links[client]; l != nil && (l.straggler || l.failed) {
 		return vec, false
 	}
@@ -412,26 +465,40 @@ func (t *Transport) Up(dst nn.ParamVector, client int, vec, ref nn.ParamVector) 
 				lost = true
 			}
 		}
-		if !lost {
-			out, err := t.deliver(dst, vec, ref, mangle)
-			if err == nil {
-				if t.faults.Duplicates(t.round, client) {
-					// The duplicate's bytes and wire time are charged; the
-					// server dedups the payload itself.
-					t.cur.BytesUp += size
-					t.chargeTime(client, size, false)
-					t.cur.Duplicates++
-				}
-				if l := t.links[client]; l != nil {
-					l.okUps++
-				}
-				return out, true
+		switch {
+		case lost:
+		case mangle == mangleNone:
+			out := t.enqueue(dst, vec, ref)
+			t.accept(client, size)
+			return out, true
+		default:
+			// A damaged attempt runs its real round trip now, and the
+			// decoder's verdict decides its fate. A refusal leaves dst
+			// bit-unchanged, so a retry re-encodes the same vector.
+			dst = t.dest(dst, len(vec))
+			if t.deliver(0, dst, vec, ref, mangle) == nil {
+				t.accept(client, size)
+				return dst, true
 			}
 		}
 		if attempt >= t.retries {
 			t.markFailed(client)
 			return vec, false
 		}
+	}
+}
+
+// accept books an upload the server took: a duplicate delivery's bytes
+// and wire time (the server dedups the payload itself), and the client's
+// quorum count.
+func (t *Transport) accept(client int, size int64) {
+	if t.faults.Duplicates(t.round, client) {
+		t.cur.BytesUp += size
+		t.chargeTime(client, size, false)
+		t.cur.Duplicates++
+	}
+	if l := t.links[client]; l != nil {
+		l.okUps++
 	}
 }
 
@@ -508,51 +575,92 @@ const (
 	mangleCorrupt         // flip the element-count header's bits
 )
 
-// deliver runs vec through the codec into dst. The delta reference, when
-// set, is the codec's own argument (nn.DeltaCodec): the residual vec−ref
-// is what crosses the wire and the receiver adds ref back — so
-// coordinates a lossy codec drops stay at the reference value instead of
-// snapping to zero, and quantization grids span the (much smaller)
-// residual range — but neither a residual vector nor a second pass exists
-// here; the wire bytes in encBuf are all that materialises between the
-// encode and the decode. dst may be vec itself (every upload is decoded
-// in place); it must not overlap ref.
+// dest returns the decode destination for an n-element payload: dst, or
+// a new vector when dst is nil.
+func (t *Transport) dest(dst nn.ParamVector, n int) nn.ParamVector {
+	if dst == nil {
+		return make(nn.ParamVector, n)
+	}
+	if len(dst) != n {
+		panic(fmt.Sprintf("fl: transport destination length %d != payload %d", len(dst), n))
+	}
+	return dst
+}
+
+// enqueue queues an undamaged round trip of vec (against ref) into dst
+// for the next flush and returns the vector the receiver will hold. The
+// identity wire is a zero-copy pass-through: it returns vec and queues
+// nothing, because a delta would only add float cancellation error to a
+// codec that is already exact.
+func (t *Transport) enqueue(dst, vec, ref nn.ParamVector) nn.ParamVector {
+	if t.delta == nil {
+		return vec
+	}
+	dst = t.dest(dst, len(vec))
+	t.pending = append(t.pending, roundTrip{dst: dst, vec: vec, ref: ref})
+	return dst
+}
+
+// flush runs every queued round trip across w — worker wk encoding into
+// encBufs[wk] — and joins. Encode and decode are the same codec over the
+// same undamaged bytes, so a refusal is a codec bug, not an input
+// condition: flush panics naming the codec, on the caller's goroutine.
+func (t *Transport) flush(w Workers) {
+	n := len(t.pending)
+	if n == 0 {
+		return
+	}
+	for len(t.encBufs) < effectiveWorkers(n, w.Max) {
+		t.encBufs = append(t.encBufs, nil)
+	}
+	parallelForWorker(n, w, t.runPending)
+	var err error
+	for i := range t.pending {
+		if err == nil {
+			err = t.pending[i].err
+		}
+		t.pending[i] = roundTrip{}
+	}
+	t.pending = t.pending[:0]
+	if err != nil {
+		panic(err)
+	}
+}
+
+// deliver runs vec through the codec into dst on worker wk's encode
+// buffer. The delta reference, when set, is the codec's own argument
+// (nn.DeltaCodec): the residual vec−ref is what crosses the wire and the
+// receiver adds ref back — so coordinates a lossy codec drops stay at the
+// reference value instead of snapping to zero, and quantization grids
+// span the (much smaller) residual range — but neither a residual vector
+// nor a second pass exists here; the wire bytes in the encode buffer are
+// all that materialises between the encode and the decode. dst may be
+// vec itself (every upload is decoded in place); it must not overlap ref.
 //
 // A non-zero mangle damages the encoded bytes in transit; the decode then
 // rejects the payload with an error, which the caller treats as a lost
 // attempt. Decode failures never panic: a hostile or damaged payload
 // surfaces as a per-client loss, exactly like a dropped one. A rejected
 // payload leaves dst bit-unchanged (the codecs validate before their
-// first write), which is what lets Up retry an in-place upload.
-func (t *Transport) deliver(dst, vec, ref nn.ParamVector, m mangle) (nn.ParamVector, error) {
-	if t.delta == nil {
-		// The identity wire is a zero-copy pass-through: delta would only
-		// add float cancellation error to a codec that is already exact.
-		// Mangle is handled by the caller (no wire bytes exist here).
-		return vec, nil
-	}
-	t.encBuf = t.delta.EncodeDelta(t.encBuf[:0], vec, ref)
+// first write), which is what lets an in-place upload retry.
+func (t *Transport) deliver(wk int, dst, vec, ref nn.ParamVector, m mangle) error {
+	buf := t.delta.EncodeDelta(t.encBufs[wk][:0], vec, ref)
 	switch m {
 	case mangleTruncate:
-		t.encBuf = t.encBuf[:len(t.encBuf)/2]
+		buf = buf[:len(buf)/2]
 	case mangleCorrupt:
 		// Flipping the 4-byte element-count header is a bijection, so the
 		// decoded count never matches the destination: rejection is
 		// guaranteed, unlike flipping body bytes a quantizer might accept.
-		for i := 0; i < len(t.encBuf) && i < 4; i++ {
-			t.encBuf[i] ^= 0xFF
+		for i := 0; i < len(buf) && i < 4; i++ {
+			buf[i] ^= 0xFF
 		}
 	}
-	if dst == nil {
-		dst = make(nn.ParamVector, len(vec))
+	t.encBufs[wk] = buf
+	if _, err := t.delta.DecodeDelta(dst, buf, ref); err != nil {
+		return fmt.Errorf("fl: %s codec round trip: %w", t.codec.Name(), err)
 	}
-	if len(dst) != len(vec) {
-		panic(fmt.Sprintf("fl: transport destination length %d != payload %d", len(dst), len(vec)))
-	}
-	if _, err := t.delta.DecodeDelta(dst, t.encBuf, ref); err != nil {
-		return dst, fmt.Errorf("fl: transport codec round-trip: %w", err)
-	}
-	return dst, nil
+	return nil
 }
 
 // TransportUser is implemented by algorithms that route their exchanges

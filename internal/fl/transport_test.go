@@ -1,8 +1,11 @@
 package fl
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fedcross/internal/nn"
@@ -22,8 +25,13 @@ func testVec(rng *tensor.RNG, n int) nn.ParamVector {
 func TestTransportNilPassThrough(t *testing.T) {
 	var tr *Transport
 	vec := nn.ParamVector{1, 2, 3}
-	if got := tr.Down(nil, 0, vec); &got[0] != &vec[0] {
-		t.Fatal("nil transport Down must return the input vector")
+	down := []nn.ParamVector{nil}
+	if tr.DownAll(down, []int{0}, []nn.ParamVector{vec}, Limit(1)); &down[0][0] != &vec[0] {
+		t.Fatal("nil transport DownAll must return the input vector")
+	}
+	up, ok := []nn.ParamVector{nil}, []bool{false}
+	if tr.UpAll(up, ok, []int{0}, []nn.ParamVector{vec}, []nn.ParamVector{nil}, Limit(1)); !ok[0] || &up[0][0] != &vec[0] {
+		t.Fatal("nil transport UpAll must pass through on time")
 	}
 	if got, ok := tr.Up(nil, 0, vec, nil); !ok || &got[0] != &vec[0] {
 		t.Fatal("nil transport Up must pass through on time")
@@ -52,8 +60,9 @@ func TestTransportIdentityZeroCopy(t *testing.T) {
 	vec := testVec(rng, 100)
 	tr.BeginRound(0, []int{3, 7, -1}, rng.Split())
 
-	if got := tr.Down(nil, 3, vec); &got[0] != &vec[0] {
-		t.Fatal("identity Down must be zero-copy")
+	down := []nn.ParamVector{nil}
+	if tr.DownAll(down, []int{3}, []nn.ParamVector{vec}, Limit(4)); &down[0][0] != &vec[0] {
+		t.Fatal("identity DownAll must be zero-copy")
 	}
 	if got := tr.Broadcast(nil, []int{3, 7, -1}, vec); &got[0] != &vec[0] {
 		t.Fatal("identity Broadcast must be zero-copy")
@@ -63,18 +72,21 @@ func TestTransportIdentityZeroCopy(t *testing.T) {
 	}
 
 	perPayload := (nn.IdentityCodec{}).EncodedSize(100)
-	down, up, stragglers := tr.EndRound()
-	if want := 3 * perPayload; down != want { // 1 Down + 2 Broadcast recipients
-		t.Fatalf("down bytes %d, want %d", down, want)
+	if len(tr.pending) != 0 || len(tr.encBufs) != 1 || tr.encBufs[0] != nil {
+		t.Fatal("the identity wire queued a round trip or grew an encode buffer")
 	}
-	if up != perPayload {
-		t.Fatalf("up bytes %d, want %d", up, perPayload)
+	bytesDown, bytesUp, stragglers := tr.EndRound()
+	if want := 3 * perPayload; bytesDown != want { // 1 DownAll + 2 Broadcast recipients
+		t.Fatalf("down bytes %d, want %d", bytesDown, want)
+	}
+	if bytesUp != perPayload {
+		t.Fatalf("up bytes %d, want %d", bytesUp, perPayload)
 	}
 	if stragglers != 0 {
 		t.Fatalf("stragglers %d, want 0", stragglers)
 	}
-	if c := tr.totals(); c.BytesDown != down || c.BytesUp != up {
-		t.Fatalf("totals %d/%d, want %d/%d", c.BytesDown, c.BytesUp, down, up)
+	if c := tr.totals(); c.BytesDown != bytesDown || c.BytesUp != bytesUp {
+		t.Fatalf("totals %d/%d, want %d/%d", c.BytesDown, c.BytesUp, bytesDown, bytesUp)
 	}
 }
 
@@ -288,35 +300,67 @@ func TestTransportRetryAfterRejectedDecode(t *testing.T) {
 }
 
 // TestTransportInt8ZeroAlloc pins the steady-state wire at
-// server_heavy_k64's shape: after one warm-up call has sized the encode
-// buffer, a Down and an in-place delta Up through the int8 codec allocate
-// nothing.
+// server_heavy_k64's shape: once a warm-up round has sized the encode
+// buffers and the round-trip queue, DownAll plus an in-place UpAll of 64
+// int8 payloads allocate nothing at Limit(1), and neither does a single
+// in-place Up. At Limit(2) the only allocations are the fan-out's own, a
+// fixed number per call: K = 8 and K = 64 allocate the same.
 func TestTransportInt8ZeroAlloc(t *testing.T) {
 	const n = 51_978
 	rng := tensor.NewRNG(32)
 	global, ref := testVec(rng, n), testVec(rng, n)
-	params, dst := ref.Clone(), make(nn.ParamVector, n)
-	tr, err := NewTransport(TransportOptions{Codec: "int8"})
-	if err != nil {
-		t.Fatal(err)
+	round := func(k, workers int) (run func(), tr *Transport) {
+		tr, err := NewTransport(TransportOptions{Codec: "int8"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients := make([]int, k)
+		sent, recv, params := make([]nn.ParamVector, k), make([]nn.ParamVector, k), make([]nn.ParamVector, k)
+		for i := range clients {
+			clients[i], sent[i], recv[i], params[i] = i, global, make(nn.ParamVector, n), ref.Clone()
+		}
+		tr.BeginRound(0, clients, nil)
+		ok := make([]bool, k)
+		return func() {
+			tr.DownAll(recv, clients, sent, Limit(workers))
+			tr.UpAll(params, ok, clients, params, recv, Limit(workers))
+			for i := range ok {
+				if !ok[i] {
+					t.Fatal("upload lost on the fault-free wire")
+				}
+			}
+		}, tr
 	}
-	tr.BeginRound(0, []int{0}, nil)
-	roundTrip := func() {
-		tr.Down(dst, 0, global)
-		if _, ok := tr.Up(params, 0, params, ref); !ok {
+	run, tr := round(64, 1)
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("int8 DownAll + in-place UpAll of 64 payloads at Limit(1) allocate %v objects per round, want 0", allocs)
+	}
+	params := ref.Clone()
+	up := func() {
+		if _, ok := tr.Up(params, 0, params, global); !ok {
 			t.Fatal("upload lost on the fault-free wire")
 		}
 	}
-	roundTrip()
-	if allocs := testing.AllocsPerRun(10, roundTrip); allocs != 0 {
-		t.Fatalf("int8 Down + in-place Up allocate %v objects per round trip, want 0", allocs)
+	if allocs := testing.AllocsPerRun(10, up); allocs != 0 {
+		t.Fatalf("int8 in-place Up allocates %v objects, want 0", allocs)
+	}
+
+	var perK [2]float64
+	for j, k := range []int{8, 64} {
+		run, _ := round(k, 2)
+		run()
+		perK[j] = testing.AllocsPerRun(5, run)
+	}
+	if perK[0] != perK[1] {
+		t.Fatalf("at Limit(2) a round allocates %v objects at K=8 and %v at K=64: the fan-out allocates per payload", perK[0], perK[1])
 	}
 }
 
 // TestTransportInt8HugeRange: a finite vector never panics the wire. A
 // range whose width is finite but within an ulp of MaxFloat64 used to be
 // encoded under a header whose grid top was +Inf, which the codec's own
-// Decode refuses — and Down and Broadcast panic on a refused round trip.
+// Decode refuses — and the wire panics on a refused undamaged round trip.
 func TestTransportInt8HugeRange(t *testing.T) {
 	tr, err := NewTransport(TransportOptions{Codec: "int8"})
 	if err != nil {
@@ -328,18 +372,179 @@ func TestTransportInt8HugeRange(t *testing.T) {
 		{-math.MaxFloat64, 0.5, 1},
 		{-math.MaxFloat64 / 2, math.MaxFloat64 / 2, 0},
 	} {
-		down := tr.Down(nil, 0, vec)
+		down := []nn.ParamVector{nil}
+		tr.DownAll(down, []int{0}, []nn.ParamVector{vec}, Limit(1))
 		cast := tr.Broadcast(nil, []int{0}, vec)
 		up, ok := tr.Up(make(nn.ParamVector, len(vec)), 0, vec, make(nn.ParamVector, len(vec)))
 		if !ok {
 			t.Fatalf("%v: upload lost on the fault-free wire", vec)
 		}
-		for _, got := range []nn.ParamVector{down, cast, up} {
+		for _, got := range []nn.ParamVector{down[0], cast, up} {
 			for i, v := range got {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("%v: element %d crossed the wire as %v", vec, i, v)
 				}
 			}
+		}
+	}
+}
+
+// wireRun is everything one batch exchange decides: the client-visible
+// dispatches, the server-visible uploads and verdicts, the round's
+// counters, every link's clock and the quorum count.
+type wireRun struct {
+	down, up  []nn.ParamVector
+	ok        []bool
+	cur       counters
+	elapsed   []float64
+	uploaders int
+}
+
+// TestTransportBatchWorkerInvariance pins the batch wire's contract: the
+// serial step decides every outcome, so DownAll and UpAll at Limit(1) and
+// Limit(4) give bit-equal vectors, equal verdicts, counters, link clocks
+// and quorum counts — for every lossy codec, under each fault kind (with
+// a retry and a backoff), each upload-corrupting adversary, and
+// uploads decoded in place or into their own destinations.
+func TestTransportBatchWorkerInvariance(t *testing.T) {
+	const k, n, population = 12, 333, 20
+	rng := tensor.NewRNG(41)
+	clients := make([]int, k)
+	sent, trained := make([]nn.ParamVector, k), make([]nn.ParamVector, k)
+	for i := range clients {
+		clients[i] = 1 + i // client 0 never takes part
+		sent[i] = testVec(rng, n)
+		trained[i] = sent[i].Clone()
+		for j := range trained[i] {
+			trained[i][j] += 0.01 * rng.Normal(0, 1)
+		}
+	}
+	mixes := []struct {
+		name     string
+		faults   FaultOptions
+		deadline float64
+		fired    func(c counters) bool
+	}{
+		{"truncate", FaultOptions{TruncateRate: 0.6}, 0, func(c counters) bool { return c.Retries > 0 && c.FaultDrops > 0 }},
+		{"corrupt", FaultOptions{CorruptRate: 0.6}, 0, func(c counters) bool { return c.Retries > 0 && c.FaultDrops > 0 }},
+		{"drop", FaultOptions{DropRate: 0.6}, 0, func(c counters) bool { return c.Retries > 0 && c.FaultDrops > 0 }},
+		{"duplicate", FaultOptions{DuplicateRate: 0.5}, 0, func(c counters) bool { return c.Duplicates > 0 }},
+		{"straggle", FaultOptions{StraggleRate: 0.5}, 0.25, func(c counters) bool { return c.Stragglers > 0 && c.Stragglers < k }},
+	}
+	exchange := func(codec string, faults FaultOptions, deadline float64, attack string, inPlace bool, workers int) wireRun {
+		tr, err := NewTransport(TransportOptions{Codec: codec, Network: "lte", DeadlineSec: deadline, Retries: 1, RetryBackoffSec: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.SetFaultPlan(NewFaultPlan(faults, 7))
+		tr.SetAdversary(NewAdversary(AdversaryOptions{Attack: attack, Frac: 0.3}, population, tensor.NewRNG(5)))
+		tr.BeginRound(3, clients, tensor.NewRNG(9))
+		w := wireRun{down: make([]nn.ParamVector, k), up: make([]nn.ParamVector, k), ok: make([]bool, k)}
+		for i := range w.down {
+			w.down[i] = make(nn.ParamVector, n)
+		}
+		tr.DownAll(w.down, clients, sent, Limit(workers))
+		params := make([]nn.ParamVector, k)
+		for i := range params {
+			params[i] = trained[i].Clone()
+			if inPlace {
+				w.up[i] = params[i]
+			}
+		}
+		tr.UpAll(w.up, w.ok, clients, params, w.down, Limit(workers))
+		w.cur, w.uploaders = tr.cur, tr.RoundUploaders()
+		for _, ci := range clients {
+			w.elapsed = append(w.elapsed, tr.links[ci].elapsed)
+		}
+		return w
+	}
+	sameBits := func(a, b nn.ParamVector) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, codec := range []string{"fp16", "int8", "topk:0.25"} {
+		for _, mix := range mixes {
+			for _, attack := range []string{AttackNone, AttackSignFlip, AttackCollude} {
+				for _, inPlace := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/%s/inPlace=%v", codec, mix.name, attack, inPlace)
+					serial := exchange(codec, mix.faults, mix.deadline, attack, inPlace, 1)
+					fanned := exchange(codec, mix.faults, mix.deadline, attack, inPlace, 4)
+					if !mix.fired(serial.cur) {
+						t.Fatalf("%s: the fault never fired (counters %+v)", name, serial.cur)
+					}
+					for i := range clients {
+						if !sameBits(serial.down[i], fanned.down[i]) {
+							t.Fatalf("%s: dispatch %d differs between Limit(1) and Limit(4)", name, i)
+						}
+						if serial.ok[i] != fanned.ok[i] || !sameBits(serial.up[i], fanned.up[i]) {
+							t.Fatalf("%s: upload %d differs between Limit(1) and Limit(4) (ok %v vs %v)", name, i, serial.ok[i], fanned.ok[i])
+						}
+						if math.Float64bits(serial.elapsed[i]) != math.Float64bits(fanned.elapsed[i]) {
+							t.Fatalf("%s: client %d's link clock %v vs %v", name, clients[i], serial.elapsed[i], fanned.elapsed[i])
+						}
+					}
+					if serial.cur != fanned.cur || serial.uploaders != fanned.uploaders {
+						t.Fatalf("%s: counters %+v / %d uploaders at Limit(1), %+v / %d at Limit(4)", name, serial.cur, serial.uploaders, fanned.cur, fanned.uploaders)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refusingCodec puts int8's bytes on the wire and refuses every one of
+// them on the way back: the codec bug a clean round trip must surface.
+type refusingCodec struct{ nn.Int8Codec }
+
+func (refusingCodec) Name() string { return "refuser" }
+
+func (refusingCodec) DecodeDelta(nn.ParamVector, []byte, nn.ParamVector) (int, error) {
+	return 0, errors.New("payload refused")
+}
+
+// TestTransportCleanRefusalPanics: an undamaged round trip the codec
+// refuses is a codec bug, not a lost upload to retry — DownAll and UpAll
+// panic with a message naming the codec, on the caller's goroutine, at
+// every worker count.
+func TestTransportCleanRefusalPanics(t *testing.T) {
+	rng := tensor.NewRNG(33)
+	clients := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	vecs := make([]nn.ParamVector, len(clients))
+	for i := range vecs {
+		vecs[i] = testVec(rng, 64)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, dir := range []string{"down", "up"} {
+			func() {
+				tr, err := NewTransport(TransportOptions{Codec: "int8", Retries: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.codec, tr.delta = refusingCodec{}, refusingCodec{}
+				tr.BeginRound(0, clients, nil)
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "refuser") {
+						t.Fatalf("%s at Limit(%d): panic %q does not name the codec", dir, workers, msg)
+					}
+					if tr.cur.Retries != 0 || tr.cur.FaultDrops != 0 {
+						t.Fatalf("%s at Limit(%d): a clean refusal was booked as a wire loss (%+v)", dir, workers, tr.cur)
+					}
+				}()
+				out := make([]nn.ParamVector, len(clients))
+				if dir == "down" {
+					tr.DownAll(out, clients, vecs, Limit(workers))
+				} else {
+					tr.UpAll(out, make([]bool, len(clients)), clients, vecs, make([]nn.ParamVector, len(clients)), Limit(workers))
+				}
+				t.Fatalf("%s at Limit(%d): a refused clean round trip returned", dir, workers)
+			}()
 		}
 	}
 }

@@ -222,3 +222,60 @@ func TestTopKDecodeRejectsBeforeWriting(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaCodecCleanRoundTripNeverFails pins the invariant the transport's
+// deferred decode relies on: a payload EncodeDelta produced and nothing
+// damaged is never refused by DecodeDelta — out of place or in place, for
+// every lossy codec, whatever the vector and the reference hold. The
+// transport decides an undamaged attempt's fate before it runs the round
+// trip, so a refusal there is a codec bug and panics.
+func TestDeltaCodecCleanRoundTripNeverFails(t *testing.T) {
+	specials := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -1e-310,
+		math.Copysign(0, -1), 65520, -65520,
+	}
+	rng := tensor.NewRNG(43)
+	for _, n := range []int{0, 1, 7, 8, 9, 33, 51978} {
+		// Vectors: each special repeated, all specials cycled, and a
+		// model-sized normal vector with specials sprinkled in.
+		var vecs []ParamVector
+		for _, s := range specials {
+			v := make(ParamVector, n)
+			for i := range v {
+				v[i] = s
+			}
+			vecs = append(vecs, v)
+		}
+		cycled, sprinkled := make(ParamVector, n), make(ParamVector, n)
+		for i := range cycled {
+			cycled[i] = specials[i%len(specials)]
+			sprinkled[i] = rng.Normal(0, 1)
+			if rng.Float64() < 0.1 {
+				sprinkled[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		vecs = append(vecs, cycled, sprinkled)
+		finite, poisoned := make(ParamVector, n), make(ParamVector, n)
+		for i := range finite {
+			finite[i] = rng.Normal(0, 1)
+			poisoned[i] = []float64{rng.Normal(0, 1), math.Inf(1), math.Inf(-1), math.NaN()}[i%4]
+		}
+		for vi, vec := range vecs {
+			for ri, ref := range []ParamVector{nil, finite, poisoned} {
+				for _, c := range lossyCodecs(t) {
+					buf := c.EncodeDelta(nil, vec, ref)
+					for _, inPlace := range []bool{false, true} {
+						dst := make(ParamVector, n)
+						if inPlace {
+							dst = vec.Clone()
+						}
+						if _, err := c.DecodeDelta(dst, buf, ref); err != nil {
+							t.Fatalf("%s n=%d vector %d reference %d inPlace=%v: clean payload refused: %v", c.Name(), n, vi, ri, inPlace, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
