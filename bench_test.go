@@ -831,7 +831,7 @@ func BenchmarkLazyShardSynthesis(b *testing.B) {
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
-			asg := data.AssignDirichlet(train, n, 0.5, tensor.NewRNG(2))
+			asg := data.AssignDirichlet(train.Y, train.Classes, n, 0.5, tensor.NewRNG(2))
 			src := data.NewLazy(train, asg, bc.capacity)
 			start := time.Now()
 			leases := 0
@@ -925,7 +925,7 @@ func BenchmarkLazyShardSynthesisParallel(b *testing.B) {
 	train, _ := data.GenerateVision(cfg)
 	const n = 4096
 	const capacity = 512
-	asg := data.AssignDirichlet(train, n, 0.5, tensor.NewRNG(2))
+	asg := data.AssignDirichlet(train.Y, train.Classes, n, 0.5, tensor.NewRNG(2))
 	var ids []int
 	for ci := 0; ci < n; ci++ {
 		if asg.Size(ci) > 0 {
@@ -985,7 +985,7 @@ func BenchmarkLazyShardPrefetchOverlap(b *testing.B) {
 	}
 	train, _ := data.GenerateVision(cfg)
 	const n = 1024
-	asg := data.AssignDirichlet(train, n, 0.5, tensor.NewRNG(2))
+	asg := data.AssignDirichlet(train.Y, train.Classes, n, 0.5, tensor.NewRNG(2))
 	var ids []int
 	for ci := 0; ci < n; ci++ {
 		if asg.Size(ci) > 0 {
@@ -1110,6 +1110,85 @@ func selectPerDraw(r *rand.Rand, n, k int) []int {
 		}
 	}
 	return m
+}
+
+// BenchmarkDirichletInto measures one class's Dir(0.5) draw over 10^6
+// clients, the unit a population-scale partition build repeats per
+// class. "ring" is tensor.RNG.DirichletInto, whose Gamma reads the
+// generator's ring directly; "mathrand" is the sampler as it was before,
+// the Marsaglia–Tsang body over rand.Rand and math/rand's own source
+// (dirichletMathRand). Setup asserts both produce the same bits. CI
+// gates mathrand/ring, a same-process ratio; no ns/op is gated.
+func BenchmarkDirichletInto(b *testing.B) {
+	const n, beta = 1_000_000, 0.5
+	p, q := make([]float64, n), make([]float64, n)
+	tensor.NewRNG(1).DirichletInto(p, beta)
+	dirichletMathRand(rand.New(rand.NewSource(1)), q, beta)
+	for i := range p {
+		if math.Float64bits(p[i]) != math.Float64bits(q[i]) {
+			b.Fatalf("entry %d: ring %v, mathrand %v", i, p[i], q[i])
+		}
+	}
+	b.Run("ring", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.NewRNG(int64(i)).DirichletInto(p, beta)
+		}
+	})
+	b.Run("mathrand", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dirichletMathRand(rand.New(rand.NewSource(int64(i))), q, beta)
+		}
+	})
+}
+
+// dirichletMathRand is tensor.RNG.DirichletInto as it was before Gamma
+// read the ring: the same draws through rand.Rand's Float64 and
+// NormFloat64, d and c recomputed per draw (internal/tensor's exactness
+// test keeps the same body as its oracle).
+func dirichletMathRand(r *rand.Rand, p []float64, alpha float64) {
+	var gamma func(shape float64) float64
+	gamma = func(shape float64) float64 {
+		if shape < 1 {
+			u := r.Float64()
+			for u == 0 {
+				u = r.Float64()
+			}
+			x := gamma(shape + 1)
+			if e := 1 / shape; e != 2 {
+				return x * math.Pow(u, e)
+			}
+			return x * (u * u)
+		}
+		d := shape - 1.0/3.0
+		c := 1 / math.Sqrt(9*d)
+		for {
+			x := r.NormFloat64()
+			v := 1 + c*x
+			if v <= 0 {
+				continue
+			}
+			v = v * v * v
+			u := r.Float64()
+			if u < 1-0.0331*x*x*x*x {
+				return d * v
+			}
+			if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+				return d * v
+			}
+		}
+	}
+	sum := 0.0
+	for i := range p {
+		p[i] = gamma(alpha)
+		sum += p[i]
+	}
+	if sum == 0 {
+		p[r.Intn(len(p))] = 1
+		return
+	}
+	for i := range p {
+		p[i] /= sum
+	}
 }
 
 // BenchmarkAsyncRound measures the buffered-async (FedBuff) engine end to

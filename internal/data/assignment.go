@@ -25,7 +25,6 @@ import (
 // demand.
 type Assignment struct {
 	numClients int
-	classes    int
 
 	// Dirichlet layout: pools[c] is class c's shuffled row pool and
 	// spans[c] lists, in ascending client order, each client's contiguous
@@ -54,11 +53,13 @@ type clientSpan struct {
 }
 
 // AssignDirichlet computes the Dir(beta) label-skew assignment (Hsu et
-// al.) as compact boundary metadata. It draws from rng in exactly the
+// al.) of the rows labelled labels, each in [0, classes), as compact
+// boundary metadata. It reads nothing but the labels, so it can run
+// before the rows' features exist. It draws from rng in exactly the
 // order DirichletPartition does: every class pool is shuffled first, then
 // each non-empty class takes one Dirichlet draw, then the top-up pass
 // consumes one Intn per donated sample.
-func AssignDirichlet(src *Dataset, numClients int, beta float64, rng *tensor.RNG) *Assignment {
+func AssignDirichlet(labels []int, classes, numClients int, beta float64, rng *tensor.RNG) *Assignment {
 	if numClients <= 0 {
 		panic(fmt.Sprintf("data: DirichletPartition: numClients %d", numClients))
 	}
@@ -67,13 +68,12 @@ func AssignDirichlet(src *Dataset, numClients int, beta float64, rng *tensor.RNG
 	}
 	a := &Assignment{
 		numClients: numClients,
-		classes:    src.Classes,
-		pools:      make([][]int32, src.Classes),
-		spans:      make([][]clientSpan, src.Classes),
+		pools:      make([][]int32, classes),
+		spans:      make([][]clientSpan, classes),
 		overlay:    map[int32][]int32{},
 		sizes:      make([]int32, numClients),
 	}
-	for i, y := range src.Y {
+	for i, y := range labels {
 		a.pools[y] = append(a.pools[y], int32(i))
 	}
 	for _, pool := range a.pools {
@@ -109,19 +109,19 @@ func AssignDirichlet(src *Dataset, numClients int, beta float64, rng *tensor.RNG
 	return a
 }
 
-// AssignIID computes the round-robin deal of a shuffled permutation,
-// matching IIDPartition's RNG order (one Perm, then top-up Intn draws).
-func AssignIID(src *Dataset, numClients int, rng *tensor.RNG) *Assignment {
+// AssignIID computes the round-robin deal of a shuffled permutation of
+// samples rows, matching IIDPartition's RNG order (one Perm, then top-up
+// Intn draws).
+func AssignIID(samples, numClients int, rng *tensor.RNG) *Assignment {
 	if numClients <= 0 {
 		panic(fmt.Sprintf("data: IIDPartition: numClients %d", numClients))
 	}
 	a := &Assignment{
 		numClients: numClients,
-		classes:    src.Classes,
 		overlay:    map[int32][]int32{},
 		sizes:      make([]int32, numClients),
 	}
-	perm := rng.Perm(src.Len())
+	perm := rng.Perm(samples)
 	a.perm = make([]int32, len(perm))
 	for i, idx := range perm {
 		a.perm[i] = int32(idx)
@@ -131,13 +131,14 @@ func AssignIID(src *Dataset, numClients int, rng *tensor.RNG) *Assignment {
 	return a
 }
 
-// Assign applies the heterogeneity setting as compact metadata, the lazy
-// counterpart of Heterogeneity.Partition.
-func (h Heterogeneity) Assign(src *Dataset, numClients int, rng *tensor.RNG) *Assignment {
+// Assign applies the heterogeneity setting to the rows labelled labels
+// (each in [0, classes)) as compact metadata; Materialize turns it into
+// the eager partition.
+func (h Heterogeneity) Assign(labels []int, classes, numClients int, rng *tensor.RNG) *Assignment {
 	if h.IID {
-		return AssignIID(src, numClients, rng)
+		return AssignIID(len(labels), numClients, rng)
 	}
-	return AssignDirichlet(src, numClients, h.Beta, rng)
+	return AssignDirichlet(labels, classes, numClients, h.Beta, rng)
 }
 
 // NumClients returns the number of clients in the assignment.

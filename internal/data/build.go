@@ -6,11 +6,10 @@ import "fedcross/internal/tensor"
 // across numClients clients with the given heterogeneity setting. It is
 // the one-call constructor the experiments use for the CIFAR substitutes.
 func BuildVision(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64) *Federated {
-	train, test := GenerateVision(cfg)
-	rng := tensor.NewRNG(partitionSeed)
+	train, test, asg := buildVision(cfg, numClients, het, partitionSeed)
 	return &Federated{
 		Name:    visionName(cfg) + "/" + het.String(),
-		Clients: het.Partition(train, numClients, rng),
+		Clients: asg.Materialize(train),
 		Test:    test,
 		Classes: cfg.Classes,
 	}
@@ -30,14 +29,40 @@ func BuildVisionLazy(cfg VisionConfig, numClients int, het Heterogeneity, partit
 // stripe count (≤ 0 selects data.DefaultCacheStripes; see
 // NewLazyStriped). Stripe geometry never changes shard bytes.
 func BuildVisionLazyStriped(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64, capacity, stripes int) *Federated {
-	train, test := GenerateVision(cfg)
-	rng := tensor.NewRNG(partitionSeed)
+	train, test, asg := buildVision(cfg, numClients, het, partitionSeed)
 	return &Federated{
 		Name:    visionName(cfg) + "/" + het.String(),
-		Source:  NewLazyStriped(train, het.Assign(train, numClients, rng), capacity, stripes),
+		Source:  NewLazyStriped(train, asg, capacity, stripes),
 		Test:    test,
 		Classes: cfg.Classes,
 	}
+}
+
+// buildVision generates the corpus and computes its partition side by
+// side. The assignment reads only labels, which GenerateVision fixes
+// class-major (classMajorLabels), and draws only from its own
+// partitionSeed stream, so it runs on a goroutine of its own while this
+// one draws the features; the two meet before anything reads both. A bad
+// config panics before the goroutine starts, as GenerateVision would; a
+// panic in the assignment (numClients ≤ 0, beta ≤ 0) is raised again
+// here, after the join, with the same value.
+func buildVision(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64) (train, test *Dataset, asg *Assignment) {
+	checkVision(cfg)
+	var failed any
+	done := make(chan struct{})
+	go func() {
+		defer func() {
+			failed = recover()
+			close(done)
+		}()
+		asg = het.Assign(classMajorLabels(cfg.Classes, cfg.TrainPerClass), cfg.Classes, numClients, tensor.NewRNG(partitionSeed))
+	}()
+	train, test = GenerateVision(cfg)
+	<-done
+	if failed != nil {
+		panic(failed)
+	}
+	return train, test, asg
 }
 
 func visionName(cfg VisionConfig) string {

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -229,6 +230,74 @@ func TestBuildVision(t *testing.T) {
 	}
 	if sum != 120 {
 		t.Fatalf("matrix total %d", sum)
+	}
+}
+
+func TestBuildVisionAssignsFromLabelsAlone(t *testing.T) {
+	// The builders partition from classMajorLabels while GenerateVision
+	// runs, so the helper must be GenerateVision's label column — row r
+	// is class r / TrainPerClass — and the shards what partitioning the
+	// finished corpus gives.
+	for _, cfg := range []VisionConfig{smallVisionCfg(1), DefaultVision10(2), DefaultVision100(3)} {
+		train, _ := GenerateVision(cfg)
+		if got := classMajorLabels(cfg.Classes, cfg.TrainPerClass); !slices.Equal(got, train.Y) {
+			t.Fatalf("%d classes × %d: classMajorLabels differs from GenerateVision's labels", cfg.Classes, cfg.TrainPerClass)
+		}
+		for r, y := range train.Y {
+			if y != r/cfg.TrainPerClass {
+				t.Fatalf("%d classes × %d: row %d is class %d, want %d", cfg.Classes, cfg.TrainPerClass, r, y, r/cfg.TrainPerClass)
+			}
+		}
+		for _, het := range []Heterogeneity{{Beta: 0.5}, {IID: true}} {
+			want := het.Assign(train.Y, train.Classes, 7, tensor.NewRNG(5)).Materialize(train)
+			got := BuildVision(cfg, 7, het, 5).Clients
+			if len(got) != len(want) {
+				t.Fatalf("%d classes, %v: %d clients, want %d", cfg.Classes, het, len(got), len(want))
+			}
+			for ci := range want {
+				if !sameShard(got[ci], want[ci]) {
+					t.Fatalf("%d classes, %v: client %d differs from the serial partition", cfg.Classes, het, ci)
+				}
+			}
+		}
+	}
+}
+
+func TestBuildVisionRaisesAssignmentPanic(t *testing.T) {
+	// The assignment runs on a goroutine of its own; a bad argument must
+	// still panic on the caller, after the join, with the value the
+	// assignment raised.
+	cfg := smallVisionCfg(1)
+	labels := classMajorLabels(cfg.Classes, cfg.TrainPerClass)
+	panicOf := func(fn func()) (v any) {
+		defer func() { v = recover() }()
+		fn()
+		return nil
+	}
+	for _, tc := range []struct {
+		n   int
+		het Heterogeneity
+	}{
+		{0, Heterogeneity{Beta: 0.5}},
+		{4, Heterogeneity{Beta: 0}},
+		{4, Heterogeneity{Beta: -1}},
+		{-1, Heterogeneity{IID: true}},
+	} {
+		want := panicOf(func() { tc.het.Assign(labels, cfg.Classes, tc.n, tensor.NewRNG(1)) })
+		if want == nil {
+			t.Fatalf("n=%d %v: the assignment accepted it", tc.n, tc.het)
+		}
+		for _, b := range []struct {
+			name  string
+			build func()
+		}{
+			{"BuildVision", func() { BuildVision(cfg, tc.n, tc.het, 9) }},
+			{"BuildVisionLazy", func() { BuildVisionLazy(cfg, tc.n, tc.het, 9, 4) }},
+		} {
+			if got := panicOf(b.build); got != want {
+				t.Fatalf("%s n=%d %v: panicked with %v, want %v", b.name, tc.n, tc.het, got, want)
+			}
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func TestLazyDropCaches(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(9))
 	const n = 24
-	l := NewLazyStriped(train, AssignIID(train, n, tensor.NewRNG(8)), 32, 4)
+	l := NewLazyStriped(train, AssignIID(train.Len(), n, tensor.NewRNG(8)), 32, 4)
 
 	// Populate residency: lease-and-release the first 12 shards, keep
 	// live leases on two of them.
@@ -52,7 +52,7 @@ func TestLazyDropCaches(t *testing.T) {
 	l.Release(7)
 
 	// Evicted shards come back bit-identical: pure (seed, id) synthesis.
-	eager := AssignIID(train, n, tensor.NewRNG(8)).Materialize(train)
+	eager := AssignIID(train.Len(), n, tensor.NewRNG(8)).Materialize(train)
 	for id := 0; id < 12; id++ {
 		if !sameShard(l.Shard(id), eager[id]) {
 			t.Fatalf("shard %d differs after re-synthesis", id)

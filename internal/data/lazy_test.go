@@ -38,8 +38,8 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 			for _, n := range []int{5, 13, 200} { // 200 > the 120-sample corpus
 				t.Run(fmt.Sprintf("%s/seed%d/n%d", het.String(), seed, n), func(t *testing.T) {
 					train, _ := GenerateVision(smallVisionCfg(seed))
-					eager := het.Assign(train, n, tensor.NewRNG(seed+100)).Materialize(train)
-					lazy := NewLazy(train, het.Assign(train, n, tensor.NewRNG(seed+100)), 7)
+					eager := het.Assign(train.Y, train.Classes, n, tensor.NewRNG(seed+100)).Materialize(train)
+					lazy := NewLazy(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(seed+100)), 7)
 					if lazy.NumClients() != n || len(eager) != n {
 						t.Fatalf("client counts %d / %d, want %d", lazy.NumClients(), len(eager), n)
 					}
@@ -107,7 +107,7 @@ func TestBuildVisionLazyMatchesBuildVision(t *testing.T) {
 // bound the million-client runs rely on.
 func TestLazyLRUPinningAndBounds(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(1))
-	asg := AssignIID(train, 10, tensor.NewRNG(2))
+	asg := AssignIID(train.Len(), 10, tensor.NewRNG(2))
 	l := NewLazy(train, asg, 3)
 
 	for ci := 0; ci < 3; ci++ {
@@ -155,7 +155,7 @@ func TestSourceReleaseWithoutLeasePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	lazy := NewLazy(train, AssignIID(train, 4, tensor.NewRNG(1)), 2)
+	lazy := NewLazy(train, AssignIID(train.Len(), 4, tensor.NewRNG(1)), 2)
 	mustPanic("lazy", func() { lazy.Release(0) })
 	mat := NewMaterialized(IIDPartition(train, 4, tensor.NewRNG(1)))
 	mustPanic("materialized", func() { mat.Release(0) })
@@ -167,7 +167,7 @@ func TestSourceReleaseWithoutLeasePanics(t *testing.T) {
 func TestAssignmentHugePopulation(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(4))
 	for _, het := range []Heterogeneity{{IID: true}, {Beta: 0.3}} {
-		asg := het.Assign(train, 50000, tensor.NewRNG(9))
+		asg := het.Assign(train.Y, train.Classes, 50000, tensor.NewRNG(9))
 		total, nonEmpty := 0, 0
 		for ci := 0; ci < asg.NumClients(); ci++ {
 			sz := asg.Size(ci)

@@ -19,13 +19,13 @@ import (
 // Lazy client source, which is what makes eager and lazy federations
 // bit-identical for the same partition seed.
 func DirichletPartition(src *Dataset, numClients int, beta float64, rng *tensor.RNG) []*Dataset {
-	return AssignDirichlet(src, numClients, beta, rng).Materialize(src)
+	return AssignDirichlet(src.Y, src.Classes, numClients, beta, rng).Materialize(src)
 }
 
 // IIDPartition deals the (shuffled) samples round-robin so each client
 // receives an equally sized, class-balanced shard.
 func IIDPartition(src *Dataset, numClients int, rng *tensor.RNG) []*Dataset {
-	return AssignIID(src, numClients, rng).Materialize(src)
+	return AssignIID(src.Len(), numClients, rng).Materialize(src)
 }
 
 // Heterogeneity names a client-data distribution setting, mirroring the
@@ -43,12 +43,4 @@ func (h Heterogeneity) String() string {
 		return "IID"
 	}
 	return fmt.Sprintf("beta=%.1f", h.Beta)
-}
-
-// Partition applies the setting to src.
-func (h Heterogeneity) Partition(src *Dataset, numClients int, rng *tensor.RNG) []*Dataset {
-	if h.IID {
-		return IIDPartition(src, numClients, rng)
-	}
-	return DirichletPartition(src, numClients, h.Beta, rng)
 }

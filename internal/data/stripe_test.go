@@ -16,10 +16,10 @@ func TestLazyStripedMatchesMaterialized(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(7))
 	het := Heterogeneity{Beta: 0.5}
 	const n = 40
-	eager := het.Assign(train, n, tensor.NewRNG(77)).Materialize(train)
+	eager := het.Assign(train.Y, train.Classes, n, tensor.NewRNG(77)).Materialize(train)
 	for _, stripes := range []int{1, 8, 64} {
 		t.Run(fmt.Sprintf("stripes%d", stripes), func(t *testing.T) {
-			l := NewLazyStriped(train, het.Assign(train, n, tensor.NewRNG(77)), 16, stripes)
+			l := NewLazyStriped(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(77)), 16, stripes)
 			for ci := 0; ci < n; ci++ {
 				if !sameShard(l.Shard(ci), eager[ci]) {
 					t.Fatalf("client %d shard differs at %d stripes", ci, stripes)
@@ -43,8 +43,8 @@ func TestLazyConcurrentLeaseStress(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(5))
 	het := Heterogeneity{Beta: 0.3}
 	const n = 64
-	eager := het.Assign(train, n, tensor.NewRNG(55)).Materialize(train)
-	l := NewLazyStriped(train, het.Assign(train, n, tensor.NewRNG(55)), 12, 8)
+	eager := het.Assign(train.Y, train.Classes, n, tensor.NewRNG(55)).Materialize(train)
+	l := NewLazyStriped(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(55)), 12, 8)
 
 	workers := runtime.NumCPU() * 2
 	if workers < 4 {
@@ -94,8 +94,8 @@ func TestLazyConcurrentLeaseStress(t *testing.T) {
 // leases count as PrefetchHits, and invalid ids are skipped harmlessly.
 func TestLazyPrefetch(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(2))
-	asg := AssignIID(train, 20, tensor.NewRNG(3))
-	l := NewLazyStriped(train, AssignIID(train, 20, tensor.NewRNG(3)), 16, 4)
+	asg := AssignIID(train.Len(), 20, tensor.NewRNG(3))
+	l := NewLazyStriped(train, AssignIID(train.Len(), 20, tensor.NewRNG(3)), 16, 4)
 
 	l.Prefetch([]int{0, 1, 2, 3, -1, 99, 2}) // dupes and junk ids welcome
 	l.WaitPrefetch()
@@ -132,7 +132,7 @@ func TestLazyPrefetch(t *testing.T) {
 // growing the stripe (overflow counted).
 func TestLazyPrefetchNeverOverflows(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(1))
-	l := NewLazyStriped(train, AssignIID(train, 10, tensor.NewRNG(2)), 3, 1)
+	l := NewLazyStriped(train, AssignIID(train.Len(), 10, tensor.NewRNG(2)), 3, 1)
 
 	for ci := 0; ci < 3; ci++ {
 		l.Shard(ci) // pin the whole stripe
@@ -164,7 +164,7 @@ func TestLazyPrefetchNeverOverflows(t *testing.T) {
 // in-flight synthesis, after which the pool is quiescent and reusable.
 func TestLazyCancelPrefetch(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(6))
-	l := NewLazy(train, AssignIID(train, 30, tensor.NewRNG(4)), 64)
+	l := NewLazy(train, AssignIID(train.Len(), 30, tensor.NewRNG(4)), 64)
 	ids := make([]int, 30)
 	for i := range ids {
 		ids[i] = i
@@ -197,7 +197,7 @@ func (l *Lazy) peek(id int) (*Dataset, bool) {
 // refuse, and a same-count restripe is an idempotent success either way.
 func TestLazyRestripe(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(3))
-	l := NewLazyStriped(train, AssignIID(train, 16, tensor.NewRNG(5)), 16, 4)
+	l := NewLazyStriped(train, AssignIID(train.Len(), 16, tensor.NewRNG(5)), 16, 4)
 	if got := l.CacheStats().Stripes; got != 4 {
 		t.Fatalf("stripes %d, want 4", got)
 	}
@@ -224,7 +224,7 @@ func TestLazyRestripe(t *testing.T) {
 		t.Fatal("same-count restripe refused")
 	}
 	l.Release(0)
-	if !sameShard(l.Shard(0), train.Subset(AssignIID(train, 16, tensor.NewRNG(5)).Rows(0))) {
+	if !sameShard(l.Shard(0), train.Subset(AssignIID(train.Len(), 16, tensor.NewRNG(5)).Rows(0))) {
 		t.Fatal("shard differs after restripes")
 	}
 	l.Release(0)
@@ -234,7 +234,7 @@ func TestLazyRestripe(t *testing.T) {
 // on a deterministic serial sequence.
 func TestLazyCacheStatsSnapshot(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(8))
-	l := NewLazyStriped(train, AssignIID(train, 6, tensor.NewRNG(6)), 2, 1)
+	l := NewLazyStriped(train, AssignIID(train.Len(), 6, tensor.NewRNG(6)), 2, 1)
 
 	l.Shard(0) // miss
 	l.Release(0)
@@ -269,8 +269,8 @@ func TestLazyConcurrentPrefetchAndLease(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(9))
 	het := Heterogeneity{Beta: 0.5}
 	const n = 32
-	eager := het.Assign(train, n, tensor.NewRNG(99)).Materialize(train)
-	l := NewLazyStriped(train, het.Assign(train, n, tensor.NewRNG(99)), 24, 8)
+	eager := het.Assign(train.Y, train.Classes, n, tensor.NewRNG(99)).Materialize(train)
+	l := NewLazyStriped(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(99)), 24, 8)
 
 	ids := make([]int, n)
 	for i := range ids {

@@ -54,9 +54,7 @@ func DefaultVision100(seed int64) VisionConfig {
 // every sample passes through a shared fixed non-linear distortion, so the
 // Bayes-optimal boundary is not linear.
 func GenerateVision(cfg VisionConfig) (train, test *Dataset) {
-	if cfg.Classes <= 1 || cfg.Features <= 0 {
-		panic(fmt.Sprintf("data: invalid vision config %+v", cfg))
-	}
+	checkVision(cfg)
 	rng := tensor.NewRNG(cfg.Seed)
 
 	// Frozen class structure: class mean + per-mode offsets.
@@ -83,16 +81,10 @@ func GenerateVision(cfg VisionConfig) (train, test *Dataset) {
 	}
 
 	build := func(rng *tensor.RNG, perClass int) *Dataset {
-		n := perClass * cfg.Classes
-		x := tensor.Zeros(n, cfg.Features)
-		y := make([]int, n)
-		row := 0
-		for c := 0; c < cfg.Classes; c++ {
-			for k := 0; k < perClass; k++ {
-				sample(rng, c, x.Data[row*cfg.Features:(row+1)*cfg.Features])
-				y[row] = c
-				row++
-			}
+		y := classMajorLabels(cfg.Classes, perClass)
+		x := tensor.Zeros(len(y), cfg.Features)
+		for row, c := range y {
+			sample(rng, c, x.Data[row*cfg.Features:(row+1)*cfg.Features])
 		}
 		return &Dataset{X: x, Y: y, Classes: cfg.Classes}
 	}
@@ -100,6 +92,23 @@ func GenerateVision(cfg VisionConfig) (train, test *Dataset) {
 	trainRNG := rng.Split()
 	testRNG := rng.Split()
 	return build(trainRNG, cfg.TrainPerClass), build(testRNG, cfg.TestPerClass)
+}
+
+func checkVision(cfg VisionConfig) {
+	if cfg.Classes <= 1 || cfg.Features <= 0 {
+		panic(fmt.Sprintf("data: invalid vision config %+v", cfg))
+	}
+}
+
+// classMajorLabels is the label column GenerateVision writes before it
+// draws a feature: perClass rows of class 0, then perClass of class 1,
+// and so on, so row r is labelled r / perClass.
+func classMajorLabels(classes, perClass int) []int {
+	y := make([]int, classes*perClass)
+	for r := range y {
+		y[r] = r / perClass
+	}
+	return y
 }
 
 func randVec(rng *tensor.RNG, n int, scale float64) []float64 {

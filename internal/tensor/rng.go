@@ -35,11 +35,14 @@ const (
 // rand.NewSource(seed)'s for every seed (TestSourceMatchesMathRand). It
 // deliberately implements only rand.Source, NOT Source64 — rand.New would
 // route Uint64 around the counter — so every rand.Rand method this
-// library uses (Float64, Intn, Int63, NormFloat64, Perm, Shuffle) is
-// math/rand's own code over one counted stream. (seed, position) is
-// therefore a complete, restorable snapshot of a generator — the fact the
-// round-checkpoint machinery is built on. Owning the ring is what lets
-// PermPrefix and RestoreRNG advance it a block at a time (advance).
+// library calls (Intn, Int63, Perm, Shuffle, NormFloat64's slow path) is
+// math/rand's own code over one counted stream, and the draws read
+// straight from the ring (Float64, Normal's ziggurat fast path, Gamma,
+// PermPrefix's tail; rng_ring.go) are that code written out over the
+// same words. (seed, position) is therefore a complete, restorable
+// snapshot of a generator — the fact the round-checkpoint machinery is
+// built on. Owning the ring is what lets PermPrefix and RestoreRNG
+// advance it a block at a time (advance).
 type source struct {
 	tap, feed int // ring indices the next draw steps down to
 	vec       [rngLen]int64
@@ -219,19 +222,11 @@ func (g *RNG) SplitN(n int) []*RNG {
 	return children
 }
 
-// Float64 returns a uniform sample in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // Intn returns a uniform integer in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
 // Int63 returns a non-negative 63-bit integer.
 func (g *RNG) Int63() int64 { return g.r.Int63() }
-
-// Normal returns a sample from N(mean, std²).
-func (g *RNG) Normal(mean, std float64) float64 {
-	return mean + std*g.r.NormFloat64()
-}
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
@@ -320,39 +315,55 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 // Gamma samples from Gamma(shape, 1) using the Marsaglia–Tsang method.
 // It is the building block for Dirichlet sampling.
 func (g *RNG) Gamma(shape float64) float64 {
+	d, c := gammaDC(shape)
+	return g.gamma(shape, d, c)
+}
+
+// gammaDC is Marsaglia–Tsang's d = a − 1/3 and c = 1/√(9d) for a = shape,
+// or for a = shape + 1 below 1, where Gamma boosts.
+func gammaDC(shape float64) (d, c float64) {
 	if shape <= 0 {
 		panic("tensor: Gamma requires shape > 0")
 	}
 	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := g.Float64()
-		for u == 0 {
-			u = g.Float64()
-		}
-		x := g.Gamma(shape + 1)
-		if e := 1 / shape; e != 2 {
-			return x * math.Pow(u, e)
-		}
-		// Dir(0.5), every paper profile: Pow(u, 2) is Frexp, one rounded
-		// square of the mantissa, then exact scaling — u·u's one rounding,
-		// as u ≥ 2^−63 keeps the square normal (TestGammaSquareMatchesPow).
-		return x * (u * u)
+		shape++
 	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
+	d = shape - 1.0/3.0
+	return d, 1 / math.Sqrt(9*d)
+}
+
+// gamma is Gamma with gammaDC(shape) computed by the caller.
+func (g *RNG) gamma(shape, d, c float64) float64 {
+	// Boost below 1: Gamma(a) = Gamma(a+1) · U^(1/a), U drawn first.
+	boost := 1.0
+	if shape < 1 {
+		var u float64
+		for u == 0 {
+			u = g.src.float64()
+		}
+		if e := 1 / shape; e != 2 {
+			boost = math.Pow(u, e)
+		} else {
+			// Dir(0.5), every paper profile: Pow(u, 2) is Frexp, one
+			// rounded square of the mantissa, then exact scaling — u·u's
+			// one rounding, as u ≥ 2^−63 keeps the square normal
+			// (TestGammaSquareMatchesPow).
+			boost = u * u
+		}
+	}
 	for {
-		x := g.r.NormFloat64()
+		x := g.normFloat64()
 		v := 1 + c*x
 		if v <= 0 {
 			continue
 		}
 		v = v * v * v
-		u := g.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
+		w := g.src.float64()
+		if w < 1-0.0331*x*x*x*x {
+			return d * v * boost
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
+		if w > 0 && math.Log(w) < 0.5*x*x+d*(1-v+math.Log(v)) {
+			return d * v * boost
 		}
 	}
 }
@@ -370,9 +381,10 @@ func (g *RNG) Dirichlet(alpha float64, k int) []float64 {
 // len(p): same draws, same values. Every entry is overwritten, so p may
 // be dirty — a loop that needs one sample at a time reuses one buffer.
 func (g *RNG) DirichletInto(p []float64, alpha float64) {
+	d, c := gammaDC(alpha)
 	sum := 0.0
 	for i := range p {
-		p[i] = g.Gamma(alpha)
+		p[i] = g.gamma(alpha, d, c)
 		sum += p[i]
 	}
 	if sum == 0 {
