@@ -6,22 +6,15 @@
 //	fedsim -experiment table1                 # communication analysis
 //	fedsim -experiment table2 -profile tiny   # accuracy grid slice
 //	fedsim -experiment fig5 -profile small -grid model=cnn,resnet
-//	fedsim -experiment all -profile tiny
-//	fedsim -experiment table2 -parallel 1     # force serial rounds (same results)
-//	fedsim -experiment table2 -jobs 1         # force sequential grid cells (same results)
-//	fedsim -experiment comm -grid codec=identity,int8,topk
-//	fedsim -experiment table2 -codec fp16 -net lte -deadline 30
-//	fedsim -experiment robust -attack signflip -grid frac=0,0.2 -grid reducer=mean,krum
-//	fedsim -experiment async -grid buffer=1,4,8 -staleexp 0.5
-//	fedsim -experiment table2 -reducer krum -attack scale -attackfrac 0.1
+//	fedsim -experiment all -profile tiny -jobs 1 -parallel 1   # same results, serially
+//	fedsim -experiment table2 -set codec=fp16 -set net=lte -set deadline=30
+//	fedsim -experiment robust -set attack=signflip -grid frac=0,0.2 -grid reducer=mean,krum
 //	fedsim -experiment fig7 -grid n=1000000 -rsslimitmb 2048
-//	fedsim -experiment table3 -grid alpha=0.5,0.99 -grid strategy=in-order,lowest
-//	fedsim -experiment faults -grid level=0,0.05,0.1 -quorum 2 -retries 2
-//	fedsim -experiment churn -clients 100000 -grid avail=1,0.7,0.4
+//	fedsim -experiment faults -grid level=0,0.05,0.1 -set quorum=2 -set retries=2
+//	fedsim -experiment fidelity -set codec=int8
 //	fedsim -experiment resume                  # crash/resume equality gate
-//	fedsim -experiment table2 -faults crash=0.1,drop=0.1 -quorum 2
-//	fedsim -experiment table2 -checkpoint run.ckpt -stopafter 4   # kill …
-//	fedsim -experiment table2 -checkpoint run.ckpt -resume        # … resume
+//	fedsim -experiment table2 -grid algo=fedcross -checkpoint run.ckpt -stopafter 4   # kill …
+//	fedsim -experiment table2 -grid algo=fedcross -checkpoint run.ckpt -resume        # … resume
 //
 // Profiles: tiny (seconds), small (minutes), paper (the scaled
 // paper-shaped setup; hours for the full grid). Every experiment grid
@@ -33,69 +26,30 @@
 // flag changes any result (randomness is pre-split per client, and cells
 // are independent).
 //
-// Sweeps: the repeatable -grid axis=v1,v2 is the only way to name swept
-// values. Every experiment but table1, fig3, fig4 and resume is a declared
-// grid on one runner — a base cell built from the global flags plus named
-// axes — and reads the axes its preset declares: table2 dataset × model ×
-// beta (numbers or "iid") × algo; table3 alpha × strategy; fig5 model ×
-// beta × algo; fig6 k × algo; fig7 n × algo; fig8 strategy × alpha; fig9
-// beta × accel; ablations shuffle, similarity and propellers (three grids
-// in a row); fidelity beta × algo, FedCross's margin over FedAvg per row;
-// table3, fig6 and fidelity also rounds, an outermost axis that exists
-// only when named (and then replaces -rounds); comm codec; robust frac ×
-// reducer; async buffer × inflight; faults level; churn avail. model is an
-// axis under table2 and fig5 and names the one model everywhere else (fig4
-// and resume included; resume also reads algo and stop). A preset also declares what a cell reports —
-// mean ± std over every seed, first-seed accuracies, or the learning curve
-// — and which axis, if any, is laid across the page as column groups or as
-// the curves of a panel. Naming an axis the chosen experiment does not
-// read, a second model where it runs one, or -seeds where nothing about to
-// run reports over seeds is a usage error that lists what it does read.
+// Cells: the flags describe the run. Every setting of a cell is a key of
+// the axis table (experiments.AxisNames; README has each key's values):
+// the repeatable -set key=value sets one value on every experiment about
+// to run that reads the key, and the repeatable -grid key=v1,v2 sweeps an
+// axis an experiment declares (README lists them). -set on a swept axis
+// narrows it to one value; anywhere else it sets the base cell, before
+// the preset takes its own defaults (async's in-flight K and 2K, faults'
+// quorum K/2), in the table's order rather than the command line's. A
+// key nothing about to run reads, an axis the experiment does not sweep,
+// a key both set and swept, or -seeds where nothing reports over seeds
+// is a usage error naming what is read, and every cell is validated
+// before anything runs. A removed per-setting flag (-rounds, -k, -codec,
+// …) fails naming its -set key.
 //
-// The simulated wire: -codec compresses every model payload (identity,
-// fp16, int8, topk[:frac]), -net draws per-client bandwidth/latency from
-// a link model (none, fiber, wifi, lte, edge), and -deadline turns
-// clients whose upload exceeds the round budget (seconds) into
-// stragglers. All three apply to every experiment; the comm experiment
-// additionally sweeps the codec axis on identical runs and reports
-// accuracy against measured megabytes on the wire.
+// Checkpoints: -checkpoint writes write-ahead round snapshots
+// (-checkpointevery n rounds, -stopafter simulates a kill at a round
+// boundary) and -resume continues a killed run to a byte-identical final
+// history. The resume experiment is a pass/fail equality gate over every
+// algorithm (not part of "all").
 //
-// Robustness: -reducer swaps the server-side aggregation rule (mean,
-// median, trimmed[:frac], krum[:f], multikrum[:f[:m]]) and -attack
-// compromises an -attackfrac fraction of the client population
-// (labelflip, signflip, scale, collude; -attackscale amplifies the
-// scaled attacks). Both apply to any experiment; the robust experiment
-// sweeps frac × reducer on identical environments and reports each
-// rule's retention of its own benign accuracy. The async experiment
-// runs the buffered-async (FedBuff-style) engine over buffer × inflight,
-// with -staleexp damping stale arrivals. Attacked and async runs keep the
-// same fixed-seed determinism as everything else.
-//
-// Fault tolerance: -faults injects deterministic client crashes, payload
-// drops/truncation/corruption/duplication, stragglers and server stalls
-// (key=value spec, pure functions of the seed — rate 0 is bit-identical
-// to a fault-free run), -retries/-retrybackoff give uploads deadline-aware
-// retry attempts, and -quorum lets a round degrade (keep the current
-// model) instead of aggregating below the floor. -churn drives diurnal
-// availability traces and a population ramp. -checkpoint writes
-// write-ahead round snapshots (-checkpointevery n rounds, -stopafter
-// simulates a kill at a round boundary) and -resume continues a killed
-// run to a byte-identical final history. The faults/churn experiments
-// sweep level/avail on identical runs; the resume experiment is a
-// pass/fail equality gate over every algorithm (not part of "all").
-//
-// Scale: -clients overrides the client population N and -k the activated
-// clients per round; fig7 sweeps N through -grid n= and derives K from it
-// (a tenth, at least 2, at most 100), fig6 sweeps K through -grid k=, and
-// both reject the flag their axis would overwrite. Populations at or
-// above the lazy cutoff synthesize shards on
+// Scale: populations at or above the lazy cutoff synthesize shards on
 // demand from the partition seed, so N=10^6 holds only the LRU working
 // set resident; -rsslimitmb makes the run fail if peak RSS (VmHWM)
 // exceeds the ceiling — the memory-boundedness gate CI relies on.
-// -prefetch hands that many future rounds of planned cohorts to a
-// background pool that synthesizes their shards while the current round
-// trains; it moves wall-clock only, histories are bit-identical at every
-// setting.
 //
 // Profiles: -cpuprofile file records a CPU profile of everything after
 // flag parsing and -memprofile file a heap profile taken as the command
@@ -127,92 +81,275 @@ func main() {
 	}
 }
 
-// gridFlag collects the repeatable -grid axis=v1,v2 arguments.
-type gridFlag map[string][]string
+// keyFlag collects a repeatable key=value flag: -set keeps each value
+// whole (a fault spec has commas of its own), -grid splits it at commas.
+type keyFlag map[string]string
 
-func (g gridFlag) String() string { return "" }
+func (f keyFlag) String() string { return "" }
 
-func (g gridFlag) Set(s string) error {
-	name, vals, ok := strings.Cut(s, "=")
-	name = strings.TrimSpace(name)
-	if !ok || name == "" {
-		return fmt.Errorf("want axis=v1,v2, got %q", s)
+func (f keyFlag) Set(arg string) error {
+	key, val, ok := strings.Cut(arg, "=")
+	key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+	switch _, dup := f[key]; {
+	case !ok || key == "" || val == "":
+		return fmt.Errorf("want key=value, got %q", arg)
+	case dup:
+		return fmt.Errorf("key %q named twice", key)
 	}
-	if _, dup := g[name]; dup {
-		return fmt.Errorf("axis %q named twice", name)
-	}
-	list := splitList(vals)
-	if len(list) == 0 {
-		return fmt.Errorf("axis %q has no values", name)
-	}
-	g[name] = list
+	f[key] = val
 	return nil
 }
 
-// ownAxes declares the -grid axes read by the experiments that keep their
-// own code. Every other experiment is one or more grid presets, and reads
-// model plus the axes those declare.
-var ownAxes = map[string][]string{
-	"table1": nil,
-	"fig3":   nil,
-	"fig4":   {"model"},
-	"resume": {"model", "algo", "stop"},
+// removed maps each per-setting flag fedsim used to have to the key that
+// replaced it.
+var removed = map[string]string{
+	"rounds": "rounds", "clients": "n", "k": "k", "codec": "codec", "net": "net",
+	"deadline": "deadline", "reducer": "reducer", "attack": "attack", "attackfrac": "frac",
+	"attackscale": "attackscale", "staleexp": "staleexp", "faults": "faults", "quorum": "quorum",
+	"retries": "retries", "retrybackoff": "retrybackoff", "churn": "churn", "prefetch": "prefetch",
+}
+
+// runKeys are the keys that reach a run's fl.Config.
+var runKeys = []string{"n", "k", "rounds", "codec", "net", "deadline", "retries", "retrybackoff",
+	"reducer", "attack", "attackscale", "frac", "faults", "level", "quorum", "churn", "avail", "prefetch"}
+
+// ownAxes declares what the experiments that keep their own code read:
+// the keys -set reaches them through, and the axes resume sweeps. Every
+// other experiment is one or more grid presets, which declare their own.
+var ownAxes = map[string]struct{ sweeps, reads []string }{
+	"table1": {reads: []string{"k"}},
+	"fig3":   {reads: []string{"n"}},
+	"fig4":   {reads: append([]string{"model"}, runKeys...)},
+	// resume runs under its own fault mix, quorum and retries.
+	"resume": {sweeps: []string{"algo", "stop"}, reads: slices.DeleteFunc(append([]string{"dataset", "model", "beta"}, runKeys...),
+		func(k string) bool { return k == "faults" || k == "level" || k == "quorum" || k == "retries" })},
 }
 
 // allExperiments is what -experiment all runs, in order (resume and
 // fidelity are gates and run only by name).
 var allExperiments = []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "comm", "robust", "async", "ablations", "faults", "churn"}
 
-// presetsOf names the grid presets an experiment runs, in order.
-func presetsOf(name string) []string {
-	if name == "ablations" {
-		return []string{"ablation-shuffle", "ablation-similarity", "ablation-propellers"}
+// options are fedsim's flags as parsed, before anything is checked.
+type options struct {
+	experiment, profile    string
+	grid, set              keyFlag
+	seeds, parallel, jobs  int
+	rssLimitMB             int
+	checkpoint             fl.CheckpointOptions
+	cpuProfile, memProfile string
+}
+
+// newFlagSet declares fedsim's flags: what to run and how, never a
+// setting of the cell (that is -set).
+func newFlagSet() (*flag.FlagSet, *options) {
+	o := &options{grid: keyFlag{}, set: keyFlag{}}
+	fs := flag.NewFlagSet("fedsim", flag.ContinueOnError)
+	fs.StringVar(&o.experiment, "experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", fidelity, resume, all")
+	fs.StringVar(&o.profile, "profile", "tiny", "run scale: tiny, small, paper")
+	fs.Var(o.grid, "grid", "sweep an axis the experiment declares, `key=v1,v2` (repeatable; README lists each experiment's)")
+	fs.Var(o.set, "set", "set one value of a key on every experiment about to run that reads it, `key=value` (repeatable; keys: "+strings.Join(experiments.AxisNames(), ", ")+")")
+	fs.IntVar(&o.seeds, "seeds", 0, "override the number of seeds (0 keeps profile default); read by table2, table3, ablations and fidelity (which runs at least five)")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
+	fs.IntVar(&o.jobs, "jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
+	fs.StringVar(&o.checkpoint.Path, "checkpoint", "", "round-snapshot file for crash-safe runs (empty = no checkpointing); with -grid algo=<one> a table2 run is a single cell")
+	fs.IntVar(&o.checkpoint.Every, "checkpointevery", 0, "write a snapshot every n completed rounds (0 = only at -stopafter)")
+	fs.BoolVar(&o.checkpoint.Resume, "resume", false, "resume from the -checkpoint snapshot instead of starting at round 0")
+	fs.IntVar(&o.checkpoint.StopAfterRound, "stopafter", 0, "halt after this round completes, writing a snapshot (simulated kill; 0 = run to completion)")
+	fs.IntVar(&o.rssLimitMB, "rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole command to this `file` (go tool pprof)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this `file` when the command ends")
+	return fs, o
+}
+
+// parse reads the command line; a removed per-setting flag fails naming
+// the key that replaced it.
+func parse(args []string) (*options, error) {
+	for i, arg := range args {
+		name, val, hasVal := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+		if key, ok := removed[name]; ok && strings.HasPrefix(arg, "-") {
+			if !hasVal && i+1 < len(args) {
+				val = args[i+1]
+			}
+			return nil, fmt.Errorf("-%s is gone: use -set %s=%s", name, key, cmp.Or(val, "…"))
+		}
 	}
-	return []string{name}
+	fs, o := newFlagSet()
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return o, nil
+}
+
+// plan is a command that has been checked: every experiment to run with
+// its grids or its one cell, nothing left that the command line can fail.
+type plan struct {
+	*options
+	names []string
+	grids map[string][]experiments.Grid
+	cells map[string]experiments.Cell // the own-code experiments'
+	algos []string                    // resume's algorithms (default: all six)
+	stops []int                       // resume's kill rounds (default: 1, mid, last−1)
+}
+
+// resolve checks the options and builds the plan: every key set or swept
+// must be read by an experiment about to run, and every cell is
+// validated, before anything runs.
+func (o *options) resolve() (*plan, error) {
+	mk, ok := map[string]func() experiments.Profile{"tiny": experiments.TinyProfile, "small": experiments.SmallProfile, "paper": experiments.PaperProfile}[o.profile]
+	if !ok {
+		return nil, fmt.Errorf("unknown profile %q (want tiny, small or paper)", o.profile)
+	}
+	prof := mk()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-seeds", o.seeds}, {"-parallel", o.parallel}, {"-jobs", o.jobs}, {"-rsslimitmb", o.rssLimitMB}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("%s %d must be non-negative", f.name, f.v)
+		}
+	}
+	prof.Parallelism, prof.Jobs, prof.Checkpoint = o.parallel, o.jobs, o.checkpoint
+	if err := prof.Checkpoint.Validate(); err != nil {
+		return nil, err
+	}
+	if o.seeds > 0 {
+		prof.Seeds = prof.Seeds[:0]
+		for s := 1; s <= o.seeds; s++ {
+			prof.Seeds = append(prof.Seeds, int64(s))
+		}
+	}
+	grid := map[string][]string{}
+	for key, vals := range o.grid {
+		if _, ok := o.set[key]; ok {
+			return nil, fmt.Errorf("-set %s and -grid %s: a key is set or swept, not both", key, key)
+		}
+		grid[key] = strings.Split(vals, ",")
+	}
+
+	p := &plan{options: o, names: []string{o.experiment}, grids: map[string][]experiments.Grid{}, cells: map[string]experiments.Cell{}}
+	switch {
+	case o.experiment == "all":
+		p.names = allExperiments
+	case !slices.Contains(slices.Concat(allExperiments, []string{"fidelity", "resume"}), o.experiment):
+		return nil, fmt.Errorf("unknown experiment %q (want %s, fidelity, resume or all)", o.experiment, strings.Join(allExperiments, ", "))
+	}
+	// What the experiments about to run sweep and read, and which of the
+	// command line's keys one of them took.
+	sweeps, reads, taken := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	keys := slices.Concat(slices.Collect(maps.Keys(o.grid)), slices.Collect(maps.Keys(o.set)))
+	seedsRead := false
+	for _, name := range p.names {
+		if own, ok := ownAxes[name]; ok {
+			def := experiments.DefaultResumeCheckOptions()
+			cell := experiments.Cell{Profile: prof, Dataset: def.Dataset, Model: def.Model, Het: def.Het}
+			for _, key := range own.sweeps {
+				_, ok := o.grid[key]
+				sweeps[key], taken[key] = true, taken[key] || ok
+			}
+			set := map[string]string{}
+			for _, key := range append(own.sweeps, own.reads...) {
+				reads[key] = true
+				if v, ok := o.set[key]; ok {
+					set[key], taken[key] = v, true
+				}
+			}
+			if err := cell.Apply(set); err != nil {
+				return nil, err
+			}
+			if err := cell.Profile.Config(0).Validate(); err != nil {
+				return nil, err
+			}
+			p.cells[name] = cell
+			continue
+		}
+		presets := []string{name}
+		if name == "ablations" {
+			presets = []string{"ablation-shuffle", "ablation-similarity", "ablation-propellers"}
+		}
+		for _, preset := range presets {
+			g, unread, err := experiments.Configure(preset, prof, grid, o.set)
+			if err != nil {
+				return nil, err
+			}
+			for _, key := range keys {
+				taken[key] = taken[key] || !slices.Contains(unread, key)
+			}
+			for _, axis := range g.Sweeps() {
+				sweeps[axis] = true
+			}
+			for _, key := range experiments.AxisNames() {
+				if g.Reads(key) {
+					reads[key] = true
+				}
+			}
+			seedsRead = seedsRead || len(g.Seeds()) > 1
+			p.grids[name] = append(p.grids[name], g)
+		}
+	}
+
+	on := func(m map[string]bool) string {
+		return cmp.Or(strings.Join(slices.Sorted(maps.Keys(m)), ", "), "nothing")
+	}
+	for _, key := range slices.Sorted(maps.Keys(o.grid)) {
+		if taken[key] {
+			continue
+		}
+		msg := fmt.Sprintf("-grid %s=%s: experiment %s sweeps %s, not %s", key, o.grid[key], o.experiment, on(sweeps), key)
+		if one := o.grid[key]; reads[key] {
+			if strings.Contains(one, ",") {
+				one = "<value>"
+			}
+			msg += fmt.Sprintf(" (set its one value with -set %s=%s)", key, one)
+		}
+		return nil, errors.New(msg)
+	}
+	var unread []string
+	for _, key := range slices.Sorted(maps.Keys(o.set)) {
+		if !taken[key] {
+			unread = append(unread, "-set "+key)
+		}
+	}
+	if o.seeds > 1 && !seedsRead {
+		unread = append(unread, "-seeds")
+	}
+	if len(unread) > 0 {
+		return nil, fmt.Errorf("%s: experiment %s does not read that (it reads: %s)", strings.Join(unread, ", "), o.experiment, on(reads))
+	}
+
+	// resume's axes: -set narrows them as it does a preset's.
+	values := func(key string) []string {
+		if v, ok := o.set[key]; ok {
+			return []string{v}
+		}
+		return grid[key]
+	}
+	p.algos = values("algo")
+	for _, a := range p.algos {
+		if _, err := experiments.NewAlgorithm(a); err != nil {
+			return nil, err
+		}
+	}
+	for _, v := range values("stop") {
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("stop: bad positive integer %q", v)
+		}
+		p.stops = append(p.stops, n)
+	}
+	return p, nil
 }
 
 // run is the whole command on its own flag set, so tests drive it without
 // a subprocess.
 func run(args []string, stdout io.Writer) (err error) {
-	fs := flag.NewFlagSet("fedsim", flag.ContinueOnError)
-	grid := gridFlag{}
-	fs.Var(grid, "grid", "swept values, `axis=v1,v2` (repeatable): model, dataset, beta (numbers or iid), algo, alpha, strategy, accel, shuffle, similarity, propellers, k, n, rounds for the paper's tables and figures; codec, frac, reducer, buffer, inflight, level, avail for comm/robust/async/faults/churn; stop for resume. An axis the experiment does not read is an error")
-	var (
-		experiment = fs.String("experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", fidelity, resume, all")
-		profile    = fs.String("profile", "tiny", "run scale: tiny, small, paper")
-		rounds     = fs.Int("rounds", 0, "override the profile's round count (0 keeps profile default); table3 and fig6 can sweep it with -grid rounds= instead")
-		clients    = fs.Int("clients", 0, "override the profile's client population N (0 keeps profile default); fig7 sweeps it with -grid n= instead")
-		kFlag      = fs.Int("k", 0, "override the profile's activated clients per round K (0 keeps profile default); fig6 sweeps it with -grid k= and fig7 derives it from n")
-		rssLimitMB = fs.Int("rsslimitmb", 0, "fail if peak RSS exceeds this many MiB (0 = no gate)")
-		seeds      = fs.Int("seeds", 0, "override the number of seeds (0 keeps profile default); read by table2, table3, ablations and fidelity (which runs at least five)")
-		parallel   = fs.Int("parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
-		jobs       = fs.Int("jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
-		codec      = fs.String("codec", "identity", "wire codec for model payloads: identity, fp16, int8, topk[:frac]")
-		network    = fs.String("net", "none", "simulated link model: none, fiber, wifi, lte, edge")
-		deadline   = fs.Float64("deadline", 0, "per-round client deadline in seconds (0 = none); late uploads become stragglers")
-
-		reducer      = fs.String("reducer", "", "server-side aggregation rule: mean, trimmed[:frac], median, krum[:f], multikrum[:f]:[m] (empty = classic weighted mean)")
-		attack       = fs.String("attack", "none", "Byzantine client behaviour: none, labelflip, signflip, scale, collude")
-		attackFrac   = fs.Float64("attackfrac", 0, "fraction of the client population compromised, in [0,1)")
-		attackScale  = fs.Float64("attackscale", 0, "magnitude of the scale/collude attacks (0 = default 10)")
-		staleExp     = fs.Float64("staleexp", 0, "async staleness-weight exponent p in 1/(1+s)^p (0 = default 0.5)")
-		faultsSpec   = fs.String("faults", "", "fault-injection spec, e.g. crash=0.1,drop=0.05,truncate=0.01,corrupt=0.01,dup=0.02,straggle=0.1,stragglefactor=4,stall=0.05,stallsec=1 (empty = fault-free)")
-		quorum       = fs.Int("quorum", 0, "minimum accepted uploads per round; below it the round degrades (keeps the current model) instead of aggregating (0 = no quorum)")
-		retries      = fs.Int("retries", 0, "upload retry attempts after a wire fault (0 = none)")
-		retryBackoff = fs.Float64("retrybackoff", 0, "simulated seconds added per upload retry attempt")
-		churnSpec    = fs.String("churn", "", "availability-churn spec, e.g. avail=0.7,period=24,jitter=0.3,start=1,end=0.5 (empty = static fleet)")
-		checkpoint   = fs.String("checkpoint", "", "round-snapshot file for crash-safe runs (empty = no checkpointing); with -grid algo=<one> a table2 run is a single cell")
-		ckptEvery    = fs.Int("checkpointevery", 0, "write a snapshot every n completed rounds (0 = only at -stopafter)")
-		resumeFlag   = fs.Bool("resume", false, "resume from the -checkpoint snapshot instead of starting at round 0")
-		stopAfter    = fs.Int("stopafter", 0, "halt after this round completes, writing a snapshot (simulated kill; 0 = run to completion)")
-		prefetchR    = fs.Int("prefetch", 0, "rounds of cohort lookahead handed to the lazy source's background prefetch pool (0 = off; results are identical)")
-		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the whole command to this `file` (go tool pprof)")
-		memProfile   = fs.String("memprofile", "", "write a heap profile to this `file` when the command ends")
-	)
-	if err := fs.Parse(args); err != nil {
+	o, err := parse(args)
+	if err != nil {
 		return err
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
 	if err != nil {
 		return err
 	}
@@ -222,251 +359,53 @@ func run(args []string, stdout io.Writer) (err error) {
 			err = perr
 		}
 	}()
+	p, err := o.resolve()
+	if err != nil {
+		return err
+	}
+	return p.execute(stdout)
+}
 
-	prof, err := profileByName(*profile)
-	if err != nil {
-		return err
-	}
-	if *rounds < 0 {
-		return fmt.Errorf("-rounds %d must be non-negative", *rounds)
-	}
-	if *rounds > 0 {
-		prof.Rounds = *rounds
-	}
-	if *clients < 0 {
-		return fmt.Errorf("-clients %d must be non-negative", *clients)
-	}
-	if *kFlag < 0 {
-		return fmt.Errorf("-k %d must be non-negative", *kFlag)
-	}
-	if *clients > 0 {
-		prof.NumClients = *clients
-		if prof.ClientsPerRound > prof.NumClients {
-			prof.ClientsPerRound = prof.NumClients
+// execute runs the plan's experiments in order.
+func (p *plan) execute(stdout io.Writer) error {
+	render := func(res interface{ Render(io.Writer) error }, err error) error {
+		if err != nil {
+			return err
 		}
+		return res.Render(stdout)
 	}
-	if *kFlag > 0 {
-		if *kFlag > prof.NumClients {
-			return fmt.Errorf("-k %d exceeds the client population N=%d (raise -clients or lower -k)", *kFlag, prof.NumClients)
-		}
-		prof.ClientsPerRound = *kFlag
-	}
-	if *prefetchR < 0 {
-		return fmt.Errorf("-prefetch %d must be non-negative", *prefetchR)
-	}
-	prof.PrefetchRounds = *prefetchR
-	if *rssLimitMB < 0 {
-		return fmt.Errorf("-rsslimitmb %d must be non-negative", *rssLimitMB)
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel %d must be non-negative", *parallel)
-	}
-	prof.Parallelism = *parallel
-	if *jobs < 0 {
-		return fmt.Errorf("-jobs %d must be non-negative", *jobs)
-	}
-	prof.Jobs = *jobs
-	prof.Codec = *codec
-	prof.Network = *network
-	if *deadline < 0 {
-		return fmt.Errorf("-deadline %v must be non-negative", *deadline)
-	}
-	prof.DeadlineSec = *deadline
-	if err := (fl.TransportOptions{Codec: prof.Codec, Network: prof.Network, DeadlineSec: prof.DeadlineSec}).Validate(); err != nil {
-		return err
-	}
-	if err := experiments.ValidateReducer(*reducer); err != nil {
-		return err
-	}
-	prof.Reducer = *reducer
-	prof.Attack = *attack
-	prof.AttackFrac = *attackFrac
-	prof.AttackScale = *attackScale
-	if err := (fl.AdversaryOptions{Attack: prof.Attack, Frac: prof.AttackFrac, Scale: prof.AttackScale}).Validate(); err != nil {
-		return err
-	}
-	faultOpts, err := parseFaultSpec(*faultsSpec)
-	if err != nil {
-		return err
-	}
-	if err := faultOpts.Validate(); err != nil {
-		return err
-	}
-	prof.Faults = faultOpts
-	if *quorum < 0 {
-		return fmt.Errorf("-quorum %d must be non-negative", *quorum)
-	}
-	if *quorum > prof.ClientsPerRound {
-		return fmt.Errorf("-quorum %d exceeds the %d activated clients per round (no round could ever meet it)", *quorum, prof.ClientsPerRound)
-	}
-	prof.MinUploads = *quorum
-	if *retries < 0 {
-		return fmt.Errorf("-retries %d must be non-negative", *retries)
-	}
-	prof.Retries = *retries
-	if *retryBackoff < 0 {
-		return fmt.Errorf("-retrybackoff %v must be non-negative", *retryBackoff)
-	}
-	prof.RetryBackoffSec = *retryBackoff
-	churnOpts, err := parseChurnSpec(*churnSpec)
-	if err != nil {
-		return err
-	}
-	if err := churnOpts.Validate(); err != nil {
-		return err
-	}
-	prof.Churn = churnOpts
-	prof.Checkpoint = fl.CheckpointOptions{
-		Path:           *checkpoint,
-		Every:          *ckptEvery,
-		Resume:         *resumeFlag,
-		StopAfterRound: *stopAfter,
-	}
-	if err := prof.Checkpoint.Validate(); err != nil {
-		return err
-	}
-	if *seeds < 0 {
-		return fmt.Errorf("-seeds %d must be non-negative", *seeds)
-	}
-	if *seeds > 0 {
-		prof.Seeds = prof.Seeds[:0]
-		for s := 1; s <= *seeds; s++ {
-			prof.Seeds = append(prof.Seeds, int64(s))
-		}
-	}
-
-	names := []string{*experiment}
-	if *experiment == "all" {
-		names = allExperiments
-	}
-	// Every preset takes its swept values from -grid here, before anything
-	// runs, and whatever the command line names — an axis, a second model,
-	// -seeds, -clients, -k — must be read by an experiment about to run.
-	models := grid["model"]
-	grids := map[string][]experiments.Grid{}
-	read, flagRead := map[string]bool{}, map[string]bool{}
-	for _, name := range names {
-		axes, own := ownAxes[name]
-		var swept []string // the axes this experiment's presets declare
-		if !own {
-			for _, preset := range presetsOf(name) {
-				g, err := experiments.GridPreset(preset, prof)
-				if err != nil {
-					return fmt.Errorf("unknown experiment %q (want %s, fidelity, resume or all)", name, strings.Join(allExperiments, ", "))
-				}
-				if g.Base.Async != nil {
-					g.Base.Async.StalenessExp = *staleExp
-				}
-				for _, axis := range g.Reads() {
-					swept = append(swept, axis)
-					if vals, ok := grid[axis]; ok {
-						if err := g.Sweep(axis, vals...); err != nil {
-							return err
-						}
-					}
-				}
-				if !slices.Contains(swept, "model") && len(models) == 1 {
-					g.Base.Model = models[0]
-				}
-				flagRead["-seeds"] = flagRead["-seeds"] || len(g.Seeds()) > 1
-				grids[name] = append(grids[name], g)
-			}
-			axes = append(swept, "model")
-		}
-		// The rounds axis, where -grid names it, sets every cell's rounds.
-		_, sweepsRounds := grid["rounds"]
-		flagRead["-rounds"] = flagRead["-rounds"] || !(sweepsRounds && slices.Contains(swept, "rounds"))
-		if len(models) > 1 && slices.Contains(axes, "model") && !slices.Contains(swept, "model") {
-			return fmt.Errorf("-grid model=%s: experiment %s runs one model", strings.Join(models, ","), name)
-		}
-		for _, a := range axes {
-			read[a] = true
-		}
-		// The n axis sets the population and derives K from it; the k axis
-		// sets K.
-		flagRead["-clients"] = flagRead["-clients"] || !slices.Contains(swept, "n")
-		flagRead["-k"] = flagRead["-k"] || !slices.Contains(swept, "n") && !slices.Contains(swept, "k")
-	}
-	var unread []string
-	for _, axis := range slices.Sorted(maps.Keys(grid)) {
-		if !read[axis] {
-			unread = append(unread, "-grid "+axis)
-		}
-	}
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{{"-seeds", *seeds > 1}, {"-clients", *clients > 0}, {"-k", *kFlag > 0}, {"-rounds", *rounds > 0}} {
-		if f.set && !flagRead[f.name] {
-			unread = append(unread, f.name)
-		}
-	}
-	if len(unread) > 0 {
-		reads := cmp.Or(strings.Join(slices.Sorted(maps.Keys(read)), ", "), "no axis")
-		return fmt.Errorf("%s: experiment %s does not read that (it reads: %s)",
-			strings.Join(unread, ", "), *experiment, reads)
-	}
-	model := "cnn"
-	if len(models) == 1 {
-		model = models[0]
-	}
-	algoList := grid["algo"]
-	stopList, err := parseInts(grid["stop"])
-	if err != nil {
-		return fmt.Errorf("-grid stop: %w", err)
-	}
-
 	runOne := func(name string) error {
-		fmt.Fprintf(stdout, "=== %s (profile %s) ===\n", name, prof.Name)
+		cell := p.cells[name]
+		fmt.Fprintf(stdout, "=== %s (profile %s) ===\n", name, p.profile)
 		switch name {
 		case "table1":
-			res, err := experiments.RunTableI(prof.ClientsPerRound)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
+			return render(experiments.RunTableI(cell.Profile.ClientsPerRound))
 		case "fig3":
 			opts := experiments.DefaultFig3Options()
-			opts.Profile = prof
-			res, err := experiments.RunFig3(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
+			opts.Profile = cell.Profile
+			return render(experiments.RunFig3(opts))
 		case "fig4":
 			opts := experiments.DefaultFig4Options()
-			opts.Profile = prof
-			opts.Model = model
-			res, err := experiments.RunFig4(opts)
-			if err != nil {
-				return err
-			}
-			return res.Render(stdout)
+			opts.Profile, opts.Model = cell.Profile, cell.Model
+			return render(experiments.RunFig4(opts))
 		case "resume":
 			opts := experiments.DefaultResumeCheckOptions()
-			opts.Profile = prof
-			opts.Model = model
-			if len(algoList) > 0 {
-				opts.Algorithms = algoList
+			opts.Profile, opts.Dataset, opts.Model, opts.Het = cell.Profile, cell.Dataset, cell.Model, cell.Het
+			if len(p.algos) > 0 {
+				opts.Algorithms = p.algos
 			}
-			opts.StopRounds = stopList
+			opts.StopRounds = p.stops
 			res, err := experiments.RunResumeCheck(opts)
 			if res != nil {
-				if rerr := res.Render(stdout); rerr != nil && err == nil {
-					err = rerr
-				}
+				// A divergence still prints the verdicts.
+				err = cmp.Or(err, res.Render(stdout))
 			}
 			return err
 		default:
-			// A grid preset, or the ablations' three: the base cell is the
-			// profile as the global flags left it, the axes as -grid left
+			// A grid preset, or the ablations' three, as resolve configured
 			// them.
-			for _, g := range grids[name] {
-				res, err := experiments.RunGrid(g)
-				if err != nil {
-					return err
-				}
-				if err := res.Render(stdout); err != nil {
+			for _, g := range p.grids[name] {
+				if err := render(experiments.RunGrid(g)); err != nil {
 					return err
 				}
 			}
@@ -474,11 +413,11 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
-	for _, name := range names {
+	for _, name := range p.names {
 		if err := runOne(name); err != nil {
 			if errors.Is(err, fl.ErrStopped) {
 				fmt.Fprintf(stdout, "%s: run stopped at round %d; snapshot written to %s (continue with -resume)\n",
-					name, *stopAfter, *checkpoint)
+					name, p.checkpoint.StopAfterRound, p.checkpoint.Path)
 				continue
 			}
 			return fmt.Errorf("%s: %w", name, err)
@@ -488,10 +427,10 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	if peak, ok := peakRSSMB(); ok {
 		fmt.Fprintf(stdout, "peak RSS: %d MiB\n", peak)
-		if *rssLimitMB > 0 && peak > *rssLimitMB {
-			return fmt.Errorf("peak RSS %d MiB exceeds -rsslimitmb %d MiB", peak, *rssLimitMB)
+		if p.rssLimitMB > 0 && peak > p.rssLimitMB {
+			return fmt.Errorf("peak RSS %d MiB exceeds -rsslimitmb %d MiB", peak, p.rssLimitMB)
 		}
-	} else if *rssLimitMB > 0 {
+	} else if p.rssLimitMB > 0 {
 		return fmt.Errorf("-rsslimitmb set but peak RSS is unavailable on this platform")
 	}
 	return nil
@@ -519,112 +458,4 @@ func peakRSSMB() (int, bool) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int(ms.HeapSys / (1 << 20)), false
-}
-
-func profileByName(name string) (experiments.Profile, error) {
-	switch name {
-	case "tiny":
-		return experiments.TinyProfile(), nil
-	case "small":
-		return experiments.SmallProfile(), nil
-	case "paper":
-		return experiments.PaperProfile(), nil
-	default:
-		return experiments.Profile{}, fmt.Errorf("unknown profile %q (want tiny, small or paper)", name)
-	}
-}
-
-// splitList parses a comma-separated flag value; an empty value yields an
-// empty list.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func parseInts(vals []string) ([]int, error) {
-	var out []int
-	for _, part := range vals {
-		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad positive integer %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseFaultSpec decodes the -faults key=value spec into fault options.
-func parseFaultSpec(s string) (fl.FaultOptions, error) {
-	var o fl.FaultOptions
-	for _, part := range splitList(s) {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return o, fmt.Errorf("bad -faults entry %q (want key=value, e.g. crash=0.1)", part)
-		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return o, fmt.Errorf("bad -faults value in %q: %w", part, err)
-		}
-		switch strings.TrimSpace(k) {
-		case "crash":
-			o.CrashRate = x
-		case "drop":
-			o.DropRate = x
-		case "truncate":
-			o.TruncateRate = x
-		case "corrupt":
-			o.CorruptRate = x
-		case "dup", "duplicate":
-			o.DuplicateRate = x
-		case "straggle":
-			o.StraggleRate = x
-		case "stragglefactor":
-			o.StraggleFactor = x
-		case "stall":
-			o.StallRate = x
-		case "stallsec":
-			o.StallSec = x
-		default:
-			return o, fmt.Errorf("unknown -faults key %q (want crash, drop, truncate, corrupt, dup, straggle, stragglefactor, stall, stallsec)", k)
-		}
-	}
-	return o, nil
-}
-
-// parseChurnSpec decodes the -churn key=value spec into churn options.
-func parseChurnSpec(s string) (fl.ChurnOptions, error) {
-	var o fl.ChurnOptions
-	for _, part := range splitList(s) {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return o, fmt.Errorf("bad -churn entry %q (want key=value, e.g. avail=0.7)", part)
-		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return o, fmt.Errorf("bad -churn value in %q: %w", part, err)
-		}
-		switch strings.TrimSpace(k) {
-		case "avail", "availability":
-			o.Availability = x
-		case "period":
-			if x != float64(int(x)) || x < 0 {
-				return o, fmt.Errorf("bad -churn period %q: want a non-negative integer round count", part)
-			}
-			o.PeriodRounds = int(x)
-		case "jitter":
-			o.Jitter = x
-		case "start":
-			o.StartFrac = x
-		case "end":
-			o.EndFrac = x
-		default:
-			return o, fmt.Errorf("unknown -churn key %q (want avail, period, jitter, start, end)", k)
-		}
-	}
-	return o, nil
 }

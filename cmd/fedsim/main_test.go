@@ -5,8 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"fedcross/internal/experiments"
 )
 
 // fedsim runs the command in-process and returns its stdout without the
@@ -27,7 +31,7 @@ func fedsim(t *testing.T, args ...string) (string, error) {
 // micro prefixes args with flags that shrink a tiny-profile run to what a
 // flag test needs.
 func micro(args ...string) []string {
-	return append([]string{"-profile", "tiny", "-rounds", "2", "-clients", "6", "-grid", "model=mlp"}, args...)
+	return append([]string{"-profile", "tiny", "-set", "rounds=2", "-set", "n=6", "-set", "model=mlp"}, args...)
 }
 
 func TestGridGrammarErrors(t *testing.T) {
@@ -36,8 +40,9 @@ func TestGridGrammarErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"no equals", []string{"-experiment", "faults", "-grid", "level"}, "axis=v1,v2"},
-		{"empty list", []string{"-experiment", "faults", "-grid", "level="}, "no values"},
+		{"no equals", []string{"-experiment", "faults", "-grid", "level"}, "want key=value"},
+		{"empty list", []string{"-experiment", "faults", "-grid", "level="}, "want key=value"},
+		{"empty value", []string{"-experiment", "faults", "-grid", "level=0,,0.1"}, `bad number ""`},
 		{"repeated axis", []string{"-experiment", "faults", "-grid", "level=0", "-grid", "level=0.1"}, "named twice"},
 		{"bad level", []string{"-experiment", "faults", "-grid", "level=0,lots"}, `bad number "lots"`},
 		{"bad buffer", []string{"-experiment", "async", "-grid", "buffer=-1"}, "positive integer"},
@@ -50,42 +55,65 @@ func TestGridGrammarErrors(t *testing.T) {
 		{"bad beta", []string{"-experiment", "table2", "-grid", "beta=0.5,noniid"}, "bad beta"},
 		{"bad algo", []string{"-experiment", "table2", "-grid", "algo=fedsgd"}, "unknown algorithm"},
 		{"unknown experiment", []string{"-experiment", "table9"}, `unknown experiment "table9"`},
+		{"set without equals", []string{"-experiment", "faults", "-set", "quorum"}, "want key=value"},
+		{"set without value", []string{"-experiment", "faults", "-set", "quorum="}, "want key=value"},
+		{"key set twice", []string{"-experiment", "faults", "-set", "rounds=3"}, `key "rounds" named twice`},
+		{"bad fault spec", []string{"-experiment", "faults", "-set", "faults=boom=1"}, "crash, drop"},
+		{"bad fault rate", []string{"-experiment", "faults", "-set", "faults=drop=2"}, "DropRate"},
+		{"bad churn period", []string{"-experiment", "churn", "-set", "churn=period=1.5"}, "whole number"},
+		{"bad codec", []string{"-experiment", "table2", "-set", "codec=zip"}, "zip"},
+		{"bad net", []string{"-experiment", "table2", "-set", "net=carrier-pigeon"}, "carrier-pigeon"},
+		{"negative retries", []string{"-experiment", "faults", "-set", "retries=-1"}, "non-negative integer"},
+		{"k above n on a base cell", []string{"-experiment", "table2", "-set", "k=7"}, "N=6"},
+		{"attack fraction", []string{"-experiment", "table2", "-set", "attack=signflip", "-set", "frac=1"}, "fraction"},
+		{"positional argument", []string{"-experiment", "table2", "table3"}, `unexpected argument "table3"`},
+		// The quorum is checked against every cell's K, not the profile's.
+		{"quorum above a swept K", []string{"-experiment", "fig6", "-grid", "k=2,3", "-set", "quorum=3"}, "MinUploads = 3, must be in [0, ClientsPerRound = 2]"},
 	} {
 		out, err := fedsim(t, micro(tc.args...)...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
-		if strings.Contains(out, "Final acc") || strings.Contains(out, "0.") {
-			t.Errorf("%s: a run started before the error:\n%s", tc.name, out)
+		if out != "" {
+			t.Errorf("%s: printed before failing:\n%s", tc.name, out)
 		}
 	}
 }
 
-// TestGridAxisNotRead: a swept value the experiment does not use — an
-// axis it does not read, a second model where it runs one, -seeds where
-// nothing reports over seeds, -clients / -k / -rounds where an axis sets
-// them — is a usage error naming what it does read, never accepted and ignored.
+// TestGridAxisNotRead: a value the experiment does not use — an axis it
+// does not sweep, a key it does not read, -seeds where nothing reports
+// over seeds, a key both set and swept — is a usage error naming what it
+// does read, never accepted and ignored.
 func TestGridAxisNotRead(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want []string
 	}{
-		{[]string{"-experiment", "robust", "-grid", "level=0,0.1"}, []string{"level", "robust", "frac, model, reducer"}},
-		{[]string{"-experiment", "table1", "-grid", "codec=int8"}, []string{"codec", "table1"}},
-		{[]string{"-experiment", "fig6", "-grid", "beta=0.5"}, []string{"beta", "it reads: algo, k, model"}},
+		{[]string{"-experiment", "robust", "-grid", "level=0,0.1"}, []string{"-grid level=0,0.1", "robust sweeps frac, reducer", "-set level=<value>"}},
+		{[]string{"-experiment", "table1", "-grid", "codec=int8"}, []string{"codec", "table1 sweeps nothing"}},
+		{[]string{"-experiment", "fig6", "-grid", "beta=0.5"}, []string{"fig6 sweeps algo, k, rounds, not beta", "-set beta=0.5"}},
 		{[]string{"-experiment", "all", "-grid", "stop=2"}, []string{"stop", "all"}},
-		{[]string{"-experiment", "comm", "-grid", "colour=red"}, []string{"colour", "codec, model"}},
-		{[]string{"-experiment", "ablations", "-grid", "alpha=0.5"}, []string{"alpha", "model, propellers, shuffle, similarity"}},
-		{[]string{"-experiment", "fig6", "-grid", "model=mlp,cnn"}, []string{"model=mlp,cnn", "fig6", "one model"}},
-		{[]string{"-experiment", "comm", "-grid", "model=mlp,cnn"}, []string{"model=mlp,cnn", "comm", "one model"}},
-		{[]string{"-experiment", "resume", "-grid", "model=mlp,cnn"}, []string{"resume", "one model"}},
-		{[]string{"-experiment", "faults", "-seeds", "3"}, []string{"-seeds", "faults", "level, model"}},
+		{[]string{"-experiment", "comm", "-grid", "colour=red"}, []string{"colour", "comm sweeps codec"}},
+		{[]string{"-experiment", "ablations", "-grid", "alpha=0.5"}, []string{"alpha", "propellers, shuffle, similarity", "-set alpha=0.5"}},
+		{[]string{"-experiment", "fig6", "-grid", "model=mlp,cnn"}, []string{"model=mlp,cnn", "fig6", "-set model=<value>"}},
+		{[]string{"-experiment", "comm", "-grid", "model=mlp"}, []string{"model=mlp", "comm", "-set model=mlp"}},
+		{[]string{"-experiment", "resume", "-grid", "model=mlp,cnn"}, []string{"resume sweeps algo, stop", "-set model"}},
+		{[]string{"-experiment", "faults", "-seeds", "3"}, []string{"-seeds", "faults", "level"}},
 		{[]string{"-experiment", "fig5", "-seeds", "2"}, []string{"-seeds", "fig5"}},
-		{[]string{"-experiment", "fig7", "-clients", "50"}, []string{"-clients", "fig7", "algo, model, n"}},
-		{[]string{"-experiment", "fig7", "-k", "2"}, []string{"-k", "fig7"}},
-		{[]string{"-experiment", "fig6", "-k", "2"}, []string{"-k", "fig6"}},
-		{[]string{"-experiment", "table3", "-rounds", "2", "-grid", "rounds=1,2"}, []string{"-rounds:", "table3", "alpha, model, rounds, strategy"}},
-		{[]string{"-experiment", "fig8", "-grid", "rounds=1,2"}, []string{"-grid rounds", "fig8", "alpha, model, strategy"}},
+		{[]string{"-experiment", "fig8", "-grid", "rounds=1,2"}, []string{"-grid rounds", "fig8 sweeps alpha, strategy", "-set rounds"}},
+		{[]string{"-experiment", "table1", "-set", "codec=int8"}, []string{"-set codec", "table1", "it reads: k)"}},
+		{[]string{"-experiment", "table1", "-set", "codec=int8", "-set", "quorum=3", "-set", "staleexp=0.9"}, []string{"-set codec, -set quorum, -set staleexp", "table1"}},
+		{[]string{"-experiment", "resume", "-set", "faults=drop=0.5"}, []string{"-set faults", "resume"}},
+		{[]string{"-experiment", "resume", "-set", "quorum=2"}, []string{"-set quorum", "resume"}},
+		{[]string{"-experiment", "table2", "-set", "staleexp=0.9"}, []string{"-set staleexp", "table2"}},
+		{[]string{"-experiment", "table2", "-set", "buffer=2"}, []string{"-set buffer", "table2"}},
+		{[]string{"-experiment", "async", "-set", "algo=fedcross"}, []string{"-set algo", "async"}},
+		{[]string{"-experiment", "robust", "-set", "alpha=0.9"}, []string{"-set alpha", "robust"}},
+		{[]string{"-experiment", "fig7", "-set", "k=2"}, []string{"-set k", "fig7"}},
+		{[]string{"-experiment", "fig7", "-grid", "k=2"}, []string{"-grid k=2", "fig7"}},
+		{[]string{"-experiment", "comm", "-set", "colour=red"}, []string{"-set colour", "comm"}},
+		{[]string{"-experiment", "fig6", "-set", "k=3", "-grid", "k=2,3"}, []string{"-set k and -grid k", "not both"}},
+		{[]string{"-experiment", "table3", "-set", "rounds=2", "-grid", "rounds=1,2"}, []string{"-set rounds and -grid rounds"}},
 	} {
 		out, err := fedsim(t, tc.args...)
 		if err == nil {
@@ -106,19 +134,35 @@ func TestGridAxisNotRead(t *testing.T) {
 // TestGridAxesRead: the paper presets sweep what the paper sweeps, from
 // the command line. Each case names pieces its output must contain.
 func TestGridAxesRead(t *testing.T) {
-	tiny := []string{"-profile", "tiny", "-rounds", "2"}
+	tiny := []string{"-profile", "tiny", "-set", "rounds=2"}
+	fig6k2, err := fedsim(t, micro("-experiment", "fig6", "-grid", "k=2")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nk, err := fedsim(t, micro("-experiment", "comm", "-grid", "codec=identity", "-set", "k=3")...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		want []string
 	}{
 		{micro("-experiment", "fig6", "-grid", "algo=fedavg", "-grid", "k=2"), []string{"K  fedavg\n", "\n2  0."}},
 		{micro("-experiment", "fig6", "-grid", "k=2,3"), []string{"K  fedavg  fedcross", "\n2  0.", "\n3  0."}},
-		{append(tiny, "-experiment", "fig7", "-grid", "model=mlp", "-grid", "n=6,12"), []string{"\n6   0.", "\n12  0."}},
+		// -set on a swept axis is the one-value sweep.
+		{micro("-experiment", "fig6", "-set", "k=2"), []string{fig6k2}},
+		// Keys apply in the table's order, whatever the command line's.
+		{[]string{"-profile", "tiny", "-set", "rounds=2", "-set", "model=mlp", "-experiment", "comm", "-grid", "codec=identity", "-set", "k=3", "-set", "n=6"}, []string{nk}},
+		{append(tiny, "-experiment", "fig7", "-set", "model=mlp", "-grid", "n=6,12"), []string{"\n6   0.", "\n12  0."}},
 		{micro("-experiment", "table3", "-grid", "strategy=in-order", "-grid", "alpha=0.5"), []string{"Alpha      in-order", "\nalpha=0.5  "}},
 		{micro("-experiment", "fig9", "-grid", "accel=vanilla,pm"), []string{"round  vanilla  pm"}},
-		{[]string{"-profile", "tiny", "-clients", "6", "-grid", "model=mlp", "-experiment", "table3", "-grid", "rounds=1,2", "-grid", "strategy=in-order", "-grid", "alpha=0.5"},
+		{[]string{"-profile", "tiny", "-set", "n=6", "-set", "model=mlp", "-experiment", "table3", "-grid", "rounds=1,2", "-grid", "strategy=in-order", "-grid", "alpha=0.5"},
 			[]string{"Rounds  Alpha      in-order", "\n1       alpha=0.5  ", "\n2       alpha=0.5  "}},
-		{append(tiny, "-experiment", "table2", "-clients", "6", "-seeds", "2", "-grid", "model=mlp,cnn", "-grid", "algo=fedavg", "-grid", "beta=iid"), []string{"\nvision10  mlp ", "\nvision10  cnn "}},
+		{append(tiny, "-experiment", "table2", "-set", "n=6", "-seeds", "2", "-grid", "model=mlp,cnn", "-grid", "algo=fedavg", "-grid", "beta=iid"), []string{"\nvision10  mlp ", "\nvision10  cnn "}},
+		{micro("-experiment", "fidelity", "-grid", "beta=0.5", "-set", "codec=int8"), []string{"FedCross − FedAvg (pts)", "\nbeta=0.5  "}},
+		{micro("-experiment", "faults", "-set", "faults=stragglefactor=8", "-grid", "level=0,0.3"), []string{"\n0.00   ", "\n0.30   "}},
+		// A FedCross option on a fedavg preset is read once algo makes it fedcross.
+		{micro("-experiment", "robust", "-grid", "frac=0", "-grid", "reducer=mean", "-set", "algo=fedcross", "-set", "alpha=0.9"), []string{"Byzantine robustness — fedcross"}},
 	} {
 		out, err := fedsim(t, tc.args...)
 		if err != nil {
@@ -131,6 +175,28 @@ func TestGridAxesRead(t *testing.T) {
 			}
 		}
 	}
+
+	// The fault spec's straggle factor survives the level axis, which
+	// writes only the seven rates.
+	p := resolve(t, micro("-experiment", "faults", "-set", "faults=stragglefactor=8", "-grid", "level=0,0.3")...)
+	if f := p.grids["faults"][0].Base.Profile.Faults; f.StraggleFactor != 8 {
+		t.Errorf("faults spec stragglefactor=8 left %+v", f)
+	}
+}
+
+// resolve parses and checks a command line the way run does, without
+// running it.
+func resolve(t *testing.T, args ...string) *plan {
+	t.Helper()
+	o, err := parse(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := o.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestGridBetaAndAlgo: beta=0.1,iid is two heterogeneity settings, and a
@@ -169,9 +235,10 @@ func TestGridBetaAndAlgo(t *testing.T) {
 }
 
 // TestGridOverridesPreset: -grid replaces a preset axis's values and
-// leaves the axes it does not name at their defaults.
+// leaves the axes it does not name at their defaults, which the preset
+// takes after -set k has reached the profile.
 func TestGridOverridesPreset(t *testing.T) {
-	out, err := fedsim(t, micro("-experiment", "async", "-k", "3", "-grid", "buffer=2")...)
+	out, err := fedsim(t, micro("-experiment", "async", "-set", "k=3", "-grid", "buffer=2")...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,5 +336,98 @@ func TestProfileFlags(t *testing.T) {
 	}
 	if _, err := fedsim(t, "-experiment", "table1", "-cpuprofile", filepath.Join(dir, "no", "such", "dir.prof")); err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
 		t.Errorf("unwritable -cpuprofile: error %v, want one naming the flag", err)
+	}
+}
+
+// TestFlagBudget: fedsim's flags describe the run, not the cell.
+func TestFlagBudget(t *testing.T) {
+	fs, _ := newFlagSet()
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n > 15 {
+		t.Fatalf("fedsim defines %d flags, budget 15", n)
+	}
+}
+
+// TestRemovedFlagsNameTheirKey: every per-setting flag -set replaced
+// fails naming the key to use, in both flag spellings.
+func TestRemovedFlagsNameTheirKey(t *testing.T) {
+	for flagName, key := range map[string]string{
+		"rounds": "rounds", "clients": "n", "k": "k", "codec": "codec", "net": "net",
+		"deadline": "deadline", "reducer": "reducer", "attack": "attack", "attackfrac": "frac",
+		"attackscale": "attackscale", "staleexp": "staleexp", "faults": "faults", "quorum": "quorum",
+		"retries": "retries", "retrybackoff": "retrybackoff", "churn": "churn", "prefetch": "prefetch",
+	} {
+		want := "use -set " + key + "=0.1"
+		for _, args := range [][]string{{"-experiment", "table1", "-" + flagName, "0.1"}, {"--" + flagName + "=0.1"}} {
+			if _, err := parse(args); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: error %v, want one containing %q", args, err, want)
+			}
+		}
+	}
+}
+
+// documented is every fedsim command line the README, the examples and
+// the command's own package comment print, as arguments.
+func documented(t *testing.T) map[string][]string {
+	t.Helper()
+	files, err := filepath.Glob("../../examples/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := map[string][]string{}
+	line := regexp.MustCompile("fedsim( -[^`\"#\n]*)")
+	for _, path := range append(files, "../../README.md", "main.go") {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := regexp.MustCompile(`\\\n\s*`).ReplaceAllString(string(b), "") // shell continuations
+		for _, m := range line.FindAllStringSubmatch(text, -1) {
+			cmds[path+": fedsim"+m[1]] = strings.Fields(m[1])
+		}
+	}
+	return cmds
+}
+
+// TestDocumentedCommandsParse: every documented command line gets through
+// the parse-and-check step run takes before anything runs.
+func TestDocumentedCommandsParse(t *testing.T) {
+	cmds := documented(t)
+	if len(cmds) < 30 {
+		t.Fatalf("found %d documented command lines, want the README's, the examples' and main.go's", len(cmds))
+	}
+	for name, args := range cmds {
+		o, err := parse(args)
+		if err == nil {
+			_, err = o.resolve()
+		}
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestReadmeKeyTable: the README's key table lists exactly the axis
+// table's keys.
+func TestReadmeKeyTable(t *testing.T) {
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(b), "| Key | Sets | Values |")
+	if !ok {
+		t.Fatal("README has no key table")
+	}
+	var keys []string
+	for _, row := range strings.Split(table, "\n")[2:] {
+		if !strings.HasPrefix(row, "| `") {
+			break
+		}
+		key, _, _ := strings.Cut(strings.TrimPrefix(row, "| `"), "`")
+		keys = append(keys, key)
+	}
+	if want := experiments.AxisNames(); !slices.Equal(keys, want) {
+		t.Fatalf("README key table lists %v, want %v", keys, want)
 	}
 }

@@ -60,5 +60,5 @@ func main() {
 	fmt.Println("\nEvery run is deterministic: the same seed picks the same attackers")
 	fmt.Println("and produces the same retention at any -parallel setting. The sweep")
 	fmt.Println("harness runs the full grid concurrently:")
-	fmt.Println("  go run ./cmd/fedsim -experiment robust -attack signflip -fracs 0,0.2")
+	fmt.Println("  go run ./cmd/fedsim -experiment robust -set attack=signflip -grid frac=0,0.2")
 }

@@ -55,5 +55,5 @@ func main() {
 
 	fmt.Println("\nEvery run is deterministic: same seed, same stragglers, same bytes —")
 	fmt.Println("at any -parallel setting. Try the sweep harness too:")
-	fmt.Println("  go run ./cmd/fedsim -experiment comm -net edge -deadline 1.2")
+	fmt.Println("  go run ./cmd/fedsim -experiment comm -set net=edge -set deadline=1.2")
 }

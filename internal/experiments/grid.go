@@ -16,7 +16,7 @@ import (
 )
 
 // Cell is what one run of a grid needs and nothing else. Every run
-// setting lives on the Profile — the place the CLI's global flags already
+// setting lives on the Profile — the place the axis table's run keys
 // put it — so a cell never re-copies a subset of them.
 type Cell struct {
 	Profile        Profile
@@ -66,14 +66,15 @@ func (c *Cell) resolve() {
 	}
 }
 
-// Axis is one swept dimension of a grid. Build one with NewAxis: the axis
-// table below is the only place an axis is defined.
+// Axis is one key of a cell: swept by a grid that declares it, set to one
+// value by Configure on any grid that reads it. Build one with NewAxis:
+// the axis table below is the only place an axis is defined.
 type Axis struct {
-	// Name is the axis's -grid spelling; Values are swept in order.
+	// Name is the key's -grid and -set spelling; Values are swept in order.
 	Name   string
 	Values []string
-	// Set parses one value, validates it and changes one thing on the
-	// cell's Profile or coordinates.
+	// Set parses one value, validates what fl.Config.Validate does not
+	// and changes one thing on the cell's Profile or coordinates.
 	Set func(c *Cell, v string) error
 	// Read, when non-nil, reads the coordinate back from the resolved
 	// cell: what the cell runs, not what was asked for.
@@ -85,6 +86,13 @@ type Axis struct {
 	// Baseline, when non-empty, is the value whose cell the retention
 	// column divides by.
 	Baseline string
+	// Used, when non-nil, reports whether a grid's cells run what the key
+	// sets: an async grid never reads algo, a grid without a FedCross cell
+	// never reads alpha. Nil means every grid does.
+	Used func(g *Grid) bool
+	// Overwrites names keys whose values this axis's Set replaces, so a
+	// grid sweeping it does not read them (fig7's n sets K).
+	Overwrites []string
 }
 
 func (a Axis) label(v string) string {
@@ -95,8 +103,8 @@ func (a Axis) label(v string) string {
 }
 
 // floatAxis is an axis of real values printed to two decimals.
-func floatAxis(header, baseline string, set func(c *Cell, x float64) error) Axis {
-	return Axis{Header: header, Baseline: baseline,
+func floatAxis(name, header, baseline string, set func(c *Cell, x float64) error) Axis {
+	return Axis{Name: name, Header: header, Baseline: baseline,
 		Set: func(c *Cell, v string) error {
 			x, err := strconv.ParseFloat(v, 64)
 			if err != nil {
@@ -110,32 +118,42 @@ func floatAxis(header, baseline string, set func(c *Cell, x float64) error) Axis
 		}}
 }
 
-// intAxis is an axis of positive integers.
-func intAxis(header string, set func(c *Cell, n int) error) Axis {
-	return Axis{Header: header, Set: func(c *Cell, v string) error {
+// intAxis is an axis of integers no smaller than least (0 or 1).
+func intAxis(name, header string, least int, set func(c *Cell, n int) error) Axis {
+	return Axis{Name: name, Header: header, Set: func(c *Cell, v string) error {
 		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad positive integer %q", v)
+		if err != nil || n < least {
+			return fmt.Errorf("bad %s integer %q", [...]string{"non-negative", "positive"}[least], v)
 		}
 		return set(c, n)
 	}}
 }
 
-// asyncAxis is an intAxis set on the cell's async options.
-func asyncAxis(header string, set func(o *fl.AsyncOptions, n int)) Axis {
-	return intAxis(header, func(c *Cell, n int) error {
+// asyncSet adapts a setter of the cell's async options; a cell that does
+// not run the async engine refuses it.
+func asyncSet[T any](set func(o *fl.AsyncOptions, x T)) func(c *Cell, x T) error {
+	return func(c *Cell, x T) error {
 		if c.Async == nil {
 			return fmt.Errorf("cell does not run the async engine")
 		}
-		set(c.Async, n)
-		return nil
-	})
+		set(c.Async, x)
+		return c.Async.Validate()
+	}
 }
 
+// usedBy declares which grids read the axis.
+func usedBy(used func(g *Grid) bool, a Axis) Axis {
+	a.Used = used
+	return a
+}
+
+func isSync(g *Grid) bool  { return g.Base.Async == nil }
+func isAsync(g *Grid) bool { return g.Base.Async != nil }
+
 // fedcrossAxis is an axis that sets one of the cell's FedCross options
-// and validates the set it leaves.
-func fedcrossAxis(header string, set func(o *core.Options, v string) error) Axis {
-	return Axis{Header: header, Set: func(c *Cell, v string) error {
+// and validates the set it leaves; only a grid that runs FedCross reads it.
+func fedcrossAxis(name, header string, set func(o *core.Options, v string) error) Axis {
+	return Axis{Name: name, Header: header, Used: runsFedCross, Set: func(c *Cell, v string) error {
 		if err := set(&c.FedCross, v); err != nil {
 			return err
 		}
@@ -143,58 +161,51 @@ func fedcrossAxis(header string, set func(o *core.Options, v string) error) Axis
 	}}
 }
 
-// axes is the axis table: name → header, value parser, validation and
-// the one thing the axis sets. Like the tables below it is built on
-// demand rather than held in a package variable: a variable's
-// initializer would run — and link every closure it names — in each
-// program that imports this package, benchmark/ included.
-func axes() map[string]Axis {
-	return map[string]Axis{
-		"codec": {Header: "Codec", Set: func(c *Cell, v string) error {
-			c.Profile.Codec = v
-			return fl.TransportOptions{Codec: v}.Validate()
-		}},
-		"reducer": {Header: "Reducer", Set: func(c *Cell, v string) error {
-			c.Profile.Reducer = v
-			return ValidateReducer(v)
-		}},
-		"frac": floatAxis("Frac", "0", func(c *Cell, x float64) error {
-			c.Profile.AttackFrac = x
-			return fl.AdversaryOptions{Attack: c.Profile.Attack, Frac: x, Scale: c.Profile.AttackScale}.Validate()
-		}),
-		"buffer":   asyncAxis("Buffer", func(o *fl.AsyncOptions, n int) { o.Buffer = n }),
-		"inflight": asyncAxis("In-flight", func(o *fl.AsyncOptions, n int) { o.InFlight = n }),
-		// Level x sets the crash, drop and straggle rates to x and the
-		// truncate/corrupt/duplicate/stall rates to x/2, so one number
-		// exercises every fault class; StraggleFactor and StallSec stay as
-		// the profile has them.
-		"level": floatAxis("Level", "0", func(c *Cell, x float64) error {
-			f := &c.Profile.Faults
-			f.CrashRate, f.DropRate, f.StraggleRate = x, x, x
-			f.TruncateRate, f.CorruptRate, f.DuplicateRate, f.StallRate = x/2, x/2, x/2, x/2
-			return f.Validate()
-		}),
-		// Availability 1 is the static fleet: the baseline carries no churn
-		// at all, whatever ramp the other cells share.
-		"avail": floatAxis("Availability", "1", func(c *Cell, x float64) error {
-			c.Profile.Churn.Availability = x
-			if err := c.Profile.Churn.Validate(); err != nil {
-				return err
-			}
-			if x == 1 {
-				c.Profile.Churn = fl.ChurnOptions{}
-			}
-			return nil
-		}),
-		"algo": {Header: "Algorithm", Set: func(c *Cell, v string) error {
-			c.Algorithm = v
-			_, err := NewAlgorithm(v)
-			return err
-		}},
-		"model": {Header: "Model", Set: func(c *Cell, v string) error { c.Model = v; return nil },
+// runsFedCross reports whether any of the grid's cells runs FedCross: a
+// value of its algo axis, or else its base cell.
+func runsFedCross(g *Grid) bool {
+	if a := g.axis("algo"); a >= 0 {
+		return slices.Contains(g.Axes[a].Values, "fedcross")
+	}
+	return g.Base.Async == nil && g.Base.Algorithm == "fedcross"
+}
+
+// setSpec applies a key=value,… spec onto the named fields.
+func setSpec(spec string, fields map[string]*float64) error {
+	for _, part := range strings.Split(spec, ",") {
+		k, v, _ := strings.Cut(part, "=")
+		field := fields[strings.TrimSpace(k)]
+		x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		if field == nil || err != nil {
+			return fmt.Errorf("bad entry %q (want key=number, key one of %s)", part, strings.Join(slices.Sorted(maps.Keys(fields)), ", "))
+		}
+		*field = x
+	}
+	return nil
+}
+
+// axes is the axis table: name, header, value parser, validation and the
+// one thing the key sets. Its order is the order Configure applies
+// settings in, whatever order they came in: the population before the K
+// it clamps, algo before the FedCross options it decides are read, the
+// fault and churn specs before the level and availability that overwrite
+// some of their fields. Like the tables below it is built on demand
+// rather than held in a package variable: a variable's initializer would
+// run — and link every closure it names — in each program that imports
+// this package, benchmark/ included.
+func axes() []Axis {
+	alpha := fedcrossAxis("alpha", "Alpha", func(o *core.Options, v string) (err error) {
+		if o.Alpha, err = strconv.ParseFloat(v, 64); err != nil {
+			return fmt.Errorf("bad number %q", v)
+		}
+		return nil
+	})
+	alpha.Format = func(v string) string { return "alpha=" + v }
+	return []Axis{
+		{Name: "dataset", Header: "Dataset", Set: func(c *Cell, v string) error { c.Dataset = v; return nil }},
+		{Name: "model", Header: "Model", Set: func(c *Cell, v string) error { c.Model = v; return nil },
 			Read: func(c Cell) string { return c.Model }},
-		"dataset": {Header: "Dataset", Set: func(c *Cell, v string) error { c.Dataset = v; return nil }},
-		"beta": {Header: "Heterogeneity",
+		{Name: "beta", Header: "Heterogeneity",
 			Set: func(c *Cell, v string) error {
 				if v == "iid" {
 					c.Het = data.Heterogeneity{IID: true}
@@ -225,18 +236,17 @@ func axes() map[string]Axis {
 				}
 				return "beta=" + v
 			}},
-		"alpha": {Header: "Alpha", Format: func(v string) string { return "alpha=" + v },
-			Set: func(c *Cell, v string) (err error) {
-				if c.FedCross.Alpha, err = strconv.ParseFloat(v, 64); err != nil {
-					return fmt.Errorf("bad number %q", v)
-				}
-				return c.FedCross.Validate()
-			}},
-		"strategy": fedcrossAxis("Strategy", func(o *core.Options, v string) (err error) {
+		usedBy(isSync, Axis{Name: "algo", Header: "Algorithm", Set: func(c *Cell, v string) error {
+			c.Algorithm = v
+			_, err := NewAlgorithm(v)
+			return err
+		}}),
+		alpha,
+		fedcrossAxis("strategy", "Strategy", func(o *core.Options, v string) (err error) {
 			o.Strategy, err = core.StrategyByName(v)
 			return err
 		}),
-		"accel": fedcrossAxis("Acceleration", func(o *core.Options, v string) error {
+		fedcrossAxis("accel", "Acceleration", func(o *core.Options, v string) error {
 			for m := core.AccelNone; m <= core.AccelBoth; m++ {
 				if m.String() == v {
 					o.Accel = m
@@ -245,55 +255,129 @@ func axes() map[string]Axis {
 			}
 			return fmt.Errorf("unknown acceleration %q (want vanilla, pm, da or pm-da)", v)
 		}),
-		"shuffle": fedcrossAxis("Shuffle", func(o *core.Options, v string) error {
+		fedcrossAxis("shuffle", "Shuffle", func(o *core.Options, v string) error {
 			if v != "on" && v != "off" {
 				return fmt.Errorf("bad shuffle %q (want on or off)", v)
 			}
 			o.DisableShuffle = v == "off"
 			return nil
 		}),
-		"similarity": fedcrossAxis("Similarity", func(o *core.Options, v string) (err error) {
+		fedcrossAxis("similarity", "Similarity", func(o *core.Options, v string) (err error) {
 			o.Similarity, err = core.SimilarityByName(v)
 			return err
 		}),
-		"propellers": intAxis("Propellers", func(c *Cell, n int) error {
+		usedBy(runsFedCross, intAxis("propellers", "Propellers", 1, func(c *Cell, n int) error {
 			c.FedCross.PropellerCount = n
 			return c.FedCross.Validate()
+		})),
+		// n sets the population and keeps K within it.
+		intAxis("n", "N", 1, func(c *Cell, n int) error {
+			c.Profile.NumClients = n
+			c.Profile.ClientsPerRound = min(c.Profile.ClientsPerRound, n)
+			return nil
 		}),
-		"k": intAxis("K", func(c *Cell, k int) error {
+		intAxis("k", "K", 1, func(c *Cell, k int) error {
 			if k > c.Profile.NumClients {
 				return fmt.Errorf("K=%d exceeds the client population N=%d", k, c.Profile.NumClients)
 			}
 			c.Profile.ClientsPerRound = k
 			return nil
 		}),
-		// n sets the population and, with it, Figure 7's participation rule:
-		// a tenth of the clients per round, at least 2 and at most 100 (10%
-		// of 10⁶ would be 10⁵ concurrent middleware models).
-		"n": intAxis("N", func(c *Cell, n int) error {
-			if n < 2 {
-				return fmt.Errorf("N=%d is smaller than the 2 clients a round activates", n)
-			}
-			c.Profile.NumClients = n
-			c.Profile.ClientsPerRound = min(max(2, n/10), 100)
+		intAxis("rounds", "Rounds", 1, func(c *Cell, n int) error { c.Profile.Rounds = n; return nil }),
+		// The run settings below write one Profile field each; the
+		// fl.Config.Validate every cell passes before any runs checks them.
+		{Name: "codec", Header: "Codec", Set: func(c *Cell, v string) error { c.Profile.Codec = v; return nil }},
+		{Name: "net", Header: "Network", Set: func(c *Cell, v string) error { c.Profile.Network = v; return nil }},
+		usedBy(isSync, floatAxis("deadline", "Deadline", "", func(c *Cell, x float64) error { c.Profile.DeadlineSec = x; return nil })),
+		usedBy(isSync, intAxis("retries", "Retries", 0, func(c *Cell, n int) error { c.Profile.Retries = n; return nil })),
+		usedBy(isSync, floatAxis("retrybackoff", "Backoff", "", func(c *Cell, x float64) error { c.Profile.RetryBackoffSec = x; return nil })),
+		// Profile.Config panics on a reducer it cannot build, so this one
+		// checks its own.
+		usedBy(isSync, Axis{Name: "reducer", Header: "Reducer", Set: func(c *Cell, v string) error {
+			c.Profile.Reducer = v
+			return ValidateReducer(v)
+		}}),
+		{Name: "attack", Header: "Attack", Set: func(c *Cell, v string) error { c.Profile.Attack = v; return nil }},
+		floatAxis("attackscale", "Attack scale", "", func(c *Cell, x float64) error { c.Profile.AttackScale = x; return nil }),
+		floatAxis("frac", "Frac", "0", func(c *Cell, x float64) error { c.Profile.AttackFrac = x; return nil }),
+		// faults writes the fields its spec names and keeps the rest; it
+		// checks them itself, since level may overwrite the rates.
+		{Name: "faults", Header: "Faults", Set: func(c *Cell, v string) error {
+			f := &c.Profile.Faults
+			return cmp.Or(setSpec(v, map[string]*float64{"crash": &f.CrashRate, "drop": &f.DropRate,
+				"truncate": &f.TruncateRate, "corrupt": &f.CorruptRate, "dup": &f.DuplicateRate,
+				"straggle": &f.StraggleRate, "stragglefactor": &f.StraggleFactor,
+				"stall": &f.StallRate, "stallsec": &f.StallSec}), f.Validate())
+		}},
+		// Level x sets the crash, drop and straggle rates to x and the
+		// truncate/corrupt/duplicate/stall rates to x/2, so one number
+		// exercises every fault class; StraggleFactor and StallSec stay as
+		// the profile has them.
+		floatAxis("level", "Level", "0", func(c *Cell, x float64) error {
+			f := &c.Profile.Faults
+			f.CrashRate, f.DropRate, f.StraggleRate = x, x, x
+			f.TruncateRate, f.CorruptRate, f.DuplicateRate, f.StallRate = x/2, x/2, x/2, x/2
 			return nil
 		}),
-		"rounds": intAxis("Rounds", func(c *Cell, n int) error { c.Profile.Rounds = n; return nil }),
+		intAxis("quorum", "Quorum", 0, func(c *Cell, n int) error { c.Profile.MinUploads = n; return nil }),
+		usedBy(isSync, Axis{Name: "churn", Header: "Churn", Set: func(c *Cell, v string) error {
+			ch := &c.Profile.Churn
+			period := float64(ch.PeriodRounds)
+			err := setSpec(v, map[string]*float64{"avail": &ch.Availability, "period": &period,
+				"jitter": &ch.Jitter, "start": &ch.StartFrac, "end": &ch.EndFrac})
+			if ch.PeriodRounds = int(period); err == nil && float64(ch.PeriodRounds) != period {
+				err = fmt.Errorf("bad period %v (want a whole number of rounds)", period)
+			}
+			return cmp.Or(err, ch.Validate())
+		}}),
+		// Availability 1 is the static fleet: the baseline carries no churn
+		// at all, whatever ramp the other cells share.
+		usedBy(isSync, floatAxis("avail", "Availability", "1", func(c *Cell, x float64) error {
+			c.Profile.Churn.Availability = x
+			if x == 1 {
+				c.Profile.Churn = fl.ChurnOptions{}
+			}
+			return nil
+		})),
+		intAxis("prefetch", "Prefetch", 0, func(c *Cell, n int) error { c.Profile.PrefetchRounds = n; return nil }),
+		usedBy(isAsync, intAxis("buffer", "Buffer", 1, asyncSet(func(o *fl.AsyncOptions, n int) { o.Buffer = n }))),
+		usedBy(isAsync, intAxis("inflight", "In-flight", 1, asyncSet(func(o *fl.AsyncOptions, n int) { o.InFlight = n }))),
+		usedBy(isAsync, floatAxis("staleexp", "Staleness exp", "", asyncSet(func(o *fl.AsyncOptions, x float64) { o.StalenessExp = x }))),
 	}
 }
 
 // AxisNames lists the axis table's names, sorted.
-func AxisNames() []string { return slices.Sorted(maps.Keys(axes())) }
+func AxisNames() []string {
+	var names []string
+	for _, a := range axes() {
+		names = append(names, a.Name)
+	}
+	slices.Sort(names)
+	return names
+}
 
 // NewAxis returns the named axis over the given values. Values are
 // checked when the grid expands, against the cell they are set on.
 func NewAxis(name string, values ...string) (Axis, error) {
-	a, ok := axes()[name]
-	if !ok {
-		return Axis{}, fmt.Errorf("experiments: unknown grid axis %q (want one of %v)", name, AxisNames())
+	for _, a := range axes() {
+		if a.Name == name {
+			a.Values = values
+			return a, nil
+		}
 	}
-	a.Name, a.Values = name, values
-	return a, nil
+	return Axis{}, fmt.Errorf("experiments: unknown grid axis %q (want one of %v)", name, AxisNames())
+}
+
+// Apply sets each key on the cell, in the axis table's order.
+func (c *Cell) Apply(set map[string]string) error {
+	for _, a := range axes() {
+		if v, ok := set[a.Name]; ok {
+			if err := a.Set(c, v); err != nil {
+				return fmt.Errorf("experiments: %s=%s: %w", a.Name, v, err)
+			}
+		}
+	}
+	return nil
 }
 
 // measure is what a grid reports for each cell: the seeds the cell runs
@@ -401,9 +485,9 @@ func (g *Grid) axis(name string) int {
 	return slices.IndexFunc(g.Axes, func(a Axis) bool { return a.Name == name })
 }
 
-// Reads lists the axes Sweep accepts: the grid's own, then its optional
+// Sweeps lists the axes Sweep accepts: the grid's own, then its optional
 // ones.
-func (g *Grid) Reads() []string {
+func (g *Grid) Sweeps() []string {
 	var names []string
 	for _, ax := range g.Axes {
 		names = append(names, ax.Name)
@@ -416,6 +500,19 @@ func (g *Grid) Reads() []string {
 	return names
 }
 
+// Reads reports whether the grid reads the key: it sweeps it, or the key
+// sets something the grid's cells run and no axis of the grid overwrites.
+func (g *Grid) Reads(key string) bool {
+	if slices.Contains(g.Sweeps(), key) {
+		return true
+	}
+	a, err := NewAxis(key)
+	if err != nil || slices.ContainsFunc(g.Axes, func(ax Axis) bool { return slices.Contains(ax.Overwrites, key) }) {
+		return false
+	}
+	return a.Used == nil || a.Used(g)
+}
+
 // Sweep replaces the values of the grid's axis name, adding the axis
 // first when it is one of the grid's optional ones.
 func (g *Grid) Sweep(name string, values ...string) error {
@@ -425,7 +522,7 @@ func (g *Grid) Sweep(name string, values ...string) error {
 		a = 0
 	}
 	if a < 0 {
-		return fmt.Errorf("experiments: grid %q has no axis %q (it sweeps %v)", g.Title, name, g.Reads())
+		return fmt.Errorf("experiments: grid %q has no axis %q (it sweeps %v)", g.Title, name, g.Sweeps())
 	}
 	g.Axes[a].Values = values
 	return nil
@@ -451,8 +548,8 @@ func visionCell(p Profile, algo string, beta float64) Cell {
 // gridPresets are the declared sweeps: the paper's tables, figures and
 // ablations, the fidelity gate's, then the five system sweeps. Each is a
 // base cell, default axis values, a measure and a layout; base settings
-// the CLI's global flags also reach are applied only where the profile
-// left zero.
+// a key also reaches are applied only where the profile left zero, and
+// Configure puts a set key back over them.
 func gridPresets() map[string]func(p Profile) Grid {
 	alphas := []string{"0.5", "0.8", "0.9", "0.95", "0.99", "0.999"}
 	return map[string]func(p Profile) Grid{
@@ -507,11 +604,20 @@ func gridPresets() map[string]func(p Profile) Grid {
 				Optional: []string{"rounds"}, Measure: "best", Across: "algo"}
 		},
 		// fig7: population N under 10% participation with the corpus fixed
-		// at 300 samples, so more clients means less data each.
+		// at 300 samples, so more clients means less data each. K follows
+		// N: a tenth of the clients per round, at least 2 and at most 100
+		// (10% of 10⁶ would be 10⁵ concurrent middleware models).
 		"fig7": func(p Profile) Grid {
 			p.VisionTrainPerClass = 30
+			n := mustAxis("n", "10", "20", "40")
+			setN := n.Set
+			n.Set, n.Overwrites = func(c *Cell, v string) error {
+				err := setN(c, v)
+				c.Profile.ClientsPerRound = min(max(2, c.Profile.NumClients/10), 100, c.Profile.NumClients)
+				return err
+			}, []string{"k"}
 			return Grid{Title: "Figure 7 — accuracy vs total clients N (10% participation, fixed data budget)", Base: visionCell(p, "fedavg", 0.5),
-				Axes:    []Axis{mustAxis("n", "10", "20", "40"), mustAxis("algo", "fedavg", "fedcross")},
+				Axes:    []Axis{n, mustAxis("algo", "fedavg", "fedcross")},
 				Measure: "convergence", Across: "algo", Columns: []string{"K"}}
 		},
 		// fig8: learning curves per α at β = 1.0, a panel per strategy,
@@ -633,6 +739,56 @@ func GridPreset(name string, p Profile) (Grid, error) {
 	return mk(p), nil
 }
 
+// Configure returns the named preset over the profile with sweeps put on
+// the axes it declares and each setting applied, in the axis table's
+// order whatever order they came in. A setting on an axis the grid sweeps
+// narrows it to that one value, as a one-value Sweep does. Any other key
+// the grid reads is set on the base cell in two passes: first on the
+// profile the preset is then built again from, so a default it derives —
+// async's in-flight K and 2K, faults' quorum K/2 — sees the setting, then
+// on that build's base, so no preset default replaces a value that was
+// set. Every cell is validated before Configure returns; unread lists the
+// sweeps the grid does not declare and the settings it does not read,
+// which it leaves unapplied.
+func Configure(name string, p Profile, sweeps map[string][]string, set map[string]string) (g Grid, unread []string, err error) {
+	for pass := range 2 {
+		if g, err = GridPreset(name, p); err != nil {
+			return g, nil, err
+		}
+		unread = slices.Sorted(maps.Keys(set))
+		for _, axis := range slices.Sorted(maps.Keys(sweeps)) {
+			if !slices.Contains(g.Sweeps(), axis) {
+				unread = append(unread, axis)
+			} else if err := g.Sweep(axis, sweeps[axis]...); err != nil {
+				return g, nil, err
+			}
+		}
+		base := &g.Base
+		if pass == 0 {
+			probe := g.Base
+			probe.Profile, base = p, &probe
+		}
+		for _, a := range axes() {
+			v, ok := set[a.Name]
+			if !ok || !g.Reads(a.Name) {
+				continue
+			}
+			unread = slices.DeleteFunc(unread, func(k string) bool { return k == a.Name })
+			if g.axis(a.Name) >= 0 {
+				err = g.Sweep(a.Name, v)
+			} else {
+				err = a.Set(base, v)
+			}
+			if err != nil {
+				return g, unread, fmt.Errorf("experiments: %s=%s: %w", a.Name, v, err)
+			}
+		}
+		p = base.Profile
+	}
+	_, err = g.cells()
+	return g, unread, err
+}
+
 // GridCell is one cell of a grid that has run: the value it took on each
 // axis, the cell those values resolved to, and one history per seed of
 // Grid.Seeds.
@@ -697,13 +853,55 @@ type GridResult struct {
 
 // RunGrid expands the axes into cells and runs them through the
 // scheduler on Grid.Seeds: one shared worker budget, memoized
-// environments, first failure by cell index. Every axis value is applied
-// — and so validated — before any cell runs; each cell is then resolved,
-// and a cell equal to an earlier one is dropped, so a coordinate its
-// dataset ignores does not repeat the row. Each run's history is a pure
+// environments, first failure by cell index. Each run's history is a pure
 // function of its seed and settings, so the result is bit-identical at
 // every Jobs/Parallelism setting.
 func RunGrid(g Grid) (*GridResult, error) {
+	cells, err := g.cells()
+	if err != nil {
+		return nil, err
+	}
+	res := &GridResult{Grid: g, Cells: cells}
+	res.Title = g.title()
+	seeds := g.Seeds()
+	runs := make([]*GridCell, len(res.Cells), len(res.Cells)+1)
+	for i := range res.Cells {
+		runs[i] = &res.Cells[i]
+	}
+	if g.Reference != "" {
+		res.Reference = &GridCell{Cell: g.Base}
+		res.Reference.Algorithm = g.Reference
+		runs = append(runs, res.Reference)
+	}
+	for _, c := range runs {
+		c.Histories = make([]*fl.History, len(seeds))
+	}
+	s := newScheduler(g.Base.Profile)
+	err = s.Run(len(runs)*len(seeds), func(i int) error {
+		c, si := runs[i/len(seeds)], i%len(seeds)
+		hist, err := c.run(s, seeds[si])
+		if err != nil {
+			name := strings.Join(res.labels(*c), " ")
+			if c == res.Reference {
+				name = "reference " + c.Algorithm
+			}
+			return fmt.Errorf("experiments: grid cell %s, seed %d: %w", name, seeds[si], err)
+		}
+		c.Histories[si] = hist
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// cells expands the axes into the grid's distinct cells, validating the
+// grid and every cell before anything runs: each axis value is applied —
+// and so checked — and each cell's run configuration validated. Each cell
+// is then resolved, and a cell equal to an earlier one is dropped, so a
+// coordinate its dataset ignores does not repeat the row.
+func (g *Grid) cells() ([]GridCell, error) {
 	n := 1
 	for _, ax := range g.Axes {
 		if len(ax.Values) == 0 {
@@ -723,12 +921,10 @@ func RunGrid(g Grid) (*GridResult, error) {
 	if (g.Across != "" || g.Measure == "curve" || g.Winner) && g.axis(g.Across) < 0 {
 		return nil, fmt.Errorf("experiments: grid %q lays out axis %q, which it does not sweep", g.Title, g.Across)
 	}
-	seeds := g.Seeds()
-	if len(seeds) == 0 {
+	if len(g.Seeds()) == 0 {
 		return nil, fmt.Errorf("experiments: grid %q reports over Profile.Seeds, which is empty", g.Title)
 	}
-	res := &GridResult{Grid: g}
-	res.Title = g.title()
+	var cells []GridCell
 	for i := range n {
 		gc := GridCell{Cell: g.Base, Coords: make([]string, len(g.Axes))}
 		if g.Base.Async != nil {
@@ -745,46 +941,20 @@ func RunGrid(g Grid) (*GridResult, error) {
 				return nil, fmt.Errorf("experiments: grid axis %s=%s: %w", ax.Name, gc.Coords[a], err)
 			}
 		}
+		if err := gc.Profile.Config(0).Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: grid cell %s: %w", strings.Join(gc.Coords, " "), err)
+		}
 		gc.resolve()
 		for a, ax := range g.Axes {
 			if ax.Read != nil {
 				gc.Coords[a] = ax.Read(gc.Cell)
 			}
 		}
-		if !slices.ContainsFunc(res.Cells, func(o GridCell) bool { return slices.Equal(o.Coords, gc.Coords) }) {
-			res.Cells = append(res.Cells, gc)
+		if !slices.ContainsFunc(cells, func(o GridCell) bool { return slices.Equal(o.Coords, gc.Coords) }) {
+			cells = append(cells, gc)
 		}
 	}
-	runs := make([]*GridCell, len(res.Cells), len(res.Cells)+1)
-	for i := range res.Cells {
-		runs[i] = &res.Cells[i]
-	}
-	if g.Reference != "" {
-		res.Reference = &GridCell{Cell: g.Base}
-		res.Reference.Algorithm = g.Reference
-		runs = append(runs, res.Reference)
-	}
-	for _, c := range runs {
-		c.Histories = make([]*fl.History, len(seeds))
-	}
-	s := newScheduler(g.Base.Profile)
-	err := s.Run(len(runs)*len(seeds), func(i int) error {
-		c, si := runs[i/len(seeds)], i%len(seeds)
-		hist, err := c.run(s, seeds[si])
-		if err != nil {
-			name := strings.Join(res.labels(*c), " ")
-			if c == res.Reference {
-				name = "reference " + c.Algorithm
-			}
-			return fmt.Errorf("experiments: grid cell %s, seed %d: %w", name, seeds[si], err)
-		}
-		c.Histories[si] = hist
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return cells, nil
 }
 
 // title appends what every cell shares to the grid's title: the base

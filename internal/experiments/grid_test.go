@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -392,5 +393,50 @@ func TestGridRoundsAxis(t *testing.T) {
 	}
 	if _, err := RunGrid(mlpPreset(t, "fig6", p, []string{"rounds", "0"})); err == nil || !strings.Contains(err.Error(), "positive integer") {
 		t.Errorf("rounds=0: error %v, want a bad positive integer", err)
+	}
+}
+
+// TestConfigure: a setting reaches the profile before the preset takes
+// its defaults, a set value beats a preset default, a setting on a swept
+// axis narrows it, and a grid reads only keys whose setting its cells run.
+func TestConfigure(t *testing.T) {
+	configure := func(name string, set map[string]string) (Grid, []string) {
+		t.Helper()
+		g, unread, err := Configure(name, microProfile(), nil, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, unread
+	}
+	if g, _ := configure("faults", map[string]string{"n": "20", "k": "10"}); g.Base.Profile.MinUploads != 5 || g.Base.Profile.Retries != 2 {
+		t.Errorf("faults with K=10: quorum %d, retries %d, want 5 and 2", g.Base.Profile.MinUploads, g.Base.Profile.Retries)
+	}
+	if g, _ := configure("faults", map[string]string{"quorum": "0", "retries": "0"}); g.Base.Profile.MinUploads != 0 || g.Base.Profile.Retries != 0 {
+		t.Errorf("faults with quorum and retries set to 0 kept %d and %d", g.Base.Profile.MinUploads, g.Base.Profile.Retries)
+	}
+	if g, _ := configure("async", map[string]string{"k": "3"}); !slices.Equal(g.Axes[1].Values, []string{"3", "6"}) {
+		t.Errorf("async with K=3 sweeps in-flight %v, want 3, 6", g.Axes[1].Values)
+	}
+	if g, _ := configure("fig6", map[string]string{"k": "2"}); !slices.Equal(g.Axes[0].Values, []string{"2"}) {
+		t.Errorf("fig6 with k=2 sweeps K over %v, want 2", g.Axes[0].Values)
+	}
+	if g, _ := configure("table3", map[string]string{"rounds": "2"}); g.axis("rounds") >= 0 || g.Base.Profile.Rounds != 2 {
+		t.Errorf("table3 with rounds=2: axes %v, base rounds %d", g.Sweeps(), g.Base.Profile.Rounds)
+	}
+	for _, tc := range []struct {
+		preset string
+		set    map[string]string
+		unread []string
+	}{
+		{"fig7", map[string]string{"k": "2", "n": "6"}, []string{"k"}},
+		{"table2", map[string]string{"staleexp": "0.9", "buffer": "2", "codec": "int8"}, []string{"buffer", "staleexp"}},
+		{"async", map[string]string{"algo": "fedcross", "reducer": "krum", "quorum": "1"}, []string{"algo", "reducer"}},
+		{"robust", map[string]string{"alpha": "0.9"}, []string{"alpha"}},
+		{"robust", map[string]string{"algo": "fedcross", "alpha": "0.9"}, nil},
+		{"comm", map[string]string{"colour": "red"}, []string{"colour"}},
+	} {
+		if _, unread := configure(tc.preset, tc.set); !slices.Equal(unread, tc.unread) {
+			t.Errorf("%s %v: unread %v, want %v", tc.preset, tc.set, unread, tc.unread)
+		}
 	}
 }

@@ -19,11 +19,11 @@ import (
 // byte-for-byte.
 type ResumeCheckOptions struct {
 	Profile Profile
-	// Dataset / Model / Het choose the environment (defaults: vision10,
-	// cnn, Dir(0.5)).
+	// Dataset / Model / Het choose the environment (vision10, cnn,
+	// Dir(0.5) in DefaultResumeCheckOptions).
 	Dataset, Model string
 	Het            data.Heterogeneity
-	// Algorithms are the methods checked (default: all six).
+	// Algorithms are the methods checked (all six by default).
 	Algorithms []string
 	// StopRounds are the kill points (default 1, Rounds/2, Rounds-1,
 	// clipped and deduplicated).
@@ -82,16 +82,6 @@ func resumeStops(rounds int) []int {
 // cell that ran; the error is non-nil if any resumed history diverged
 // from its uninterrupted twin.
 func RunResumeCheck(opts ResumeCheckOptions) (*ResumeCheckResult, error) {
-	def := DefaultResumeCheckOptions()
-	if opts.Dataset == "" {
-		opts.Dataset = def.Dataset
-	}
-	if opts.Model == "" {
-		opts.Model = def.Model
-	}
-	if len(opts.Algorithms) == 0 {
-		opts.Algorithms = def.Algorithms
-	}
 	if len(opts.StopRounds) == 0 {
 		opts.StopRounds = resumeStops(opts.Profile.Rounds)
 	}
@@ -107,7 +97,7 @@ func RunResumeCheck(opts ResumeCheckOptions) (*ResumeCheckResult, error) {
 	p.Checkpoint = fl.CheckpointOptions{}
 	if !opts.Benign {
 		p.Faults = fl.FaultOptions{CrashRate: 0.1, DropRate: 0.1}
-		p.MinUploads = maxInt(1, p.ClientsPerRound/2)
+		p.MinUploads = max(1, p.ClientsPerRound/2)
 		p.Retries = 2
 	}
 	dir, err := os.MkdirTemp("", "fedsim-resume-")

@@ -132,8 +132,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fl: Parallelism = %d, must be non-negative", c.Parallelism)
 	case c.PrefetchRounds < 0:
 		return fmt.Errorf("fl: PrefetchRounds = %d, must be non-negative", c.PrefetchRounds)
-	case c.MinUploads < 0:
-		return fmt.Errorf("fl: MinUploads = %d, must be non-negative", c.MinUploads)
+	case c.MinUploads < 0 || c.MinUploads > c.ClientsPerRound:
+		// Above K no round could ever meet the quorum.
+		return fmt.Errorf("fl: MinUploads = %d, must be in [0, ClientsPerRound = %d]", c.MinUploads, c.ClientsPerRound)
 	}
 	if err := c.Adversary.Validate(); err != nil {
 		return err
