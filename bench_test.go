@@ -89,16 +89,18 @@ func BenchmarkTableI_CommOverhead(b *testing.B) {
 }
 
 // BenchmarkPaperGrids runs the paper's grid presets — Tables II and III,
-// Figs 5–9 and two ablations — one sub-benchmark each, reporting the mean
-// final accuracy of the cells a row names. The table2 entry's
-// fedavg_/fedcross_ IID and beta=0.5 metrics are the numbers ROADMAP
-// item 1 is about.
+// Figs 5–9, two ablations and the fidelity row — one sub-benchmark each,
+// reporting the mean final accuracy of the cells a row names. The
+// fidelity entry is the row the fidelity gate pins (tiny profile, 400
+// rounds, β = 0.5, five seeds): fedavg, fedcross and their margin.
 func BenchmarkPaperGrids(b *testing.B) {
 	for _, tc := range []struct {
 		name, preset string
 		profile      func() experiments.Profile
 		sweeps       [][]string
-		// metric names a cell's reported accuracy; nil reports nothing.
+		// metric names a cell's reported accuracy; nil reports nothing. A
+		// row with metrics named fedcross and fedavg also reports their
+		// margin.
 		metric func(c experiments.GridCell) string
 	}{
 		{"table2", "table2", compareProfile, nil,
@@ -118,14 +120,22 @@ func BenchmarkPaperGrids(b *testing.B) {
 		{"ablation-shuffle", "ablation-shuffle", benchProfile, nil,
 			func(c experiments.GridCell) string { return "shuffle_" + c.Coords[0] }},
 		{"ablation-similarity", "ablation-similarity", benchProfile, nil, nil},
+		{"fidelity", "fidelity", experiments.TinyProfile, [][]string{{"rounds", "400"}, {"beta", "0.5"}},
+			func(c experiments.GridCell) string { return c.Algorithm }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runPreset(b, tc.preset, tc.profile(), tc.sweeps...)
+				acc := map[string]float64{}
 				for _, c := range res.Cells {
 					if tc.metric != nil {
+						acc[tc.metric(c)] = c.Stat().Mean
 						b.ReportMetric(c.Stat().Mean, tc.metric(c))
 					}
+				}
+				fc, okc := acc["fedcross"]
+				if fa, oka := acc["fedavg"]; okc && oka {
+					b.ReportMetric(fc-fa, "margin")
 				}
 			}
 		})
@@ -1114,24 +1124,32 @@ func selectPerDraw(r *rand.Rand, n, k int) []int {
 
 // BenchmarkDirichletInto measures one class's Dir(0.5) draw over 10^6
 // clients, the unit a population-scale partition build repeats per
-// class. "ring" is tensor.RNG.DirichletInto, whose Gamma reads the
-// generator's ring directly; "mathrand" is the sampler as it was before,
-// the Marsaglia–Tsang body over rand.Rand and math/rand's own source
-// (dirichletMathRand). Setup asserts both produce the same bits. CI
-// gates mathrand/ring, a same-process ratio; no ns/op is gated.
+// class. "ring" is tensor.RNG.DirichletInto, whose Gamma draws run four
+// at a time straight from the generator's ring (AVX2 lanes); "scalar" is
+// its twin DirichletIntoGo, one draw at a time from the ring; "mathrand"
+// is the sampler as it was before either, the Marsaglia–Tsang body over
+// rand.Rand and math/rand's own source (dirichletMathRand). Setup asserts
+// all three produce the same bits. CI gates scalar/ring and
+// mathrand/ring, same-process ratios; no ns/op is gated.
 func BenchmarkDirichletInto(b *testing.B) {
 	const n, beta = 1_000_000, 0.5
-	p, q := make([]float64, n), make([]float64, n)
+	p, q, s := make([]float64, n), make([]float64, n), make([]float64, n)
 	tensor.NewRNG(1).DirichletInto(p, beta)
+	tensor.NewRNG(1).DirichletIntoGo(s, beta)
 	dirichletMathRand(rand.New(rand.NewSource(1)), q, beta)
 	for i := range p {
-		if math.Float64bits(p[i]) != math.Float64bits(q[i]) {
-			b.Fatalf("entry %d: ring %v, mathrand %v", i, p[i], q[i])
+		if math.Float64bits(p[i]) != math.Float64bits(q[i]) || math.Float64bits(s[i]) != math.Float64bits(q[i]) {
+			b.Fatalf("entry %d: ring %v, scalar %v, mathrand %v", i, p[i], s[i], q[i])
 		}
 	}
 	b.Run("ring", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tensor.NewRNG(int64(i)).DirichletInto(p, beta)
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.NewRNG(int64(i)).DirichletIntoGo(s, beta)
 		}
 	})
 	b.Run("mathrand", func(b *testing.B) {

@@ -53,6 +53,8 @@ func TestGridGrammarErrors(t *testing.T) {
 		{"k above n", []string{"-experiment", "fig6", "-grid", "k=2,7"}, "N=6"},
 		{"bad stop", []string{"-experiment", "resume", "-grid", "stop=0"}, "positive integer"},
 		{"bad beta", []string{"-experiment", "table2", "-grid", "beta=0.5,noniid"}, "bad beta"},
+		{"NaN beta", []string{"-experiment", "table2", "-set", "beta=NaN"}, `bad beta "NaN"`},
+		{"infinite beta", []string{"-experiment", "table2", "-grid", "beta=0.5,+Inf"}, `bad beta "+Inf"`},
 		{"bad algo", []string{"-experiment", "table2", "-grid", "algo=fedsgd"}, "unknown algorithm"},
 		{"unknown experiment", []string{"-experiment", "table9"}, `unknown experiment "table9"`},
 		{"set without equals", []string{"-experiment", "faults", "-set", "quorum"}, "want key=value"},

@@ -3,6 +3,7 @@ package data
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"fedcross/internal/tensor"
@@ -63,8 +64,8 @@ func AssignDirichlet(labels []int, classes, numClients int, beta float64, rng *t
 	if numClients <= 0 {
 		panic(fmt.Sprintf("data: DirichletPartition: numClients %d", numClients))
 	}
-	if beta <= 0 {
-		panic(fmt.Sprintf("data: DirichletPartition: beta %v must be positive", beta))
+	if !(beta > 0) || math.IsInf(beta, 1) {
+		panic(fmt.Sprintf("data: DirichletPartition: beta %v must be positive and finite", beta))
 	}
 	a := &Assignment{
 		numClients: numClients,

@@ -434,6 +434,8 @@ func TestDirichletPartitionRejectsBadArgs(t *testing.T) {
 	for _, fn := range []func(){
 		func() { DirichletPartition(train, 0, 0.5, rng) },
 		func() { DirichletPartition(train, 4, 0, rng) },
+		func() { DirichletPartition(train, 4, math.NaN(), rng) },
+		func() { DirichletPartition(train, 4, math.Inf(1), rng) },
 		func() { IIDPartition(train, -1, rng) },
 	} {
 		func() {

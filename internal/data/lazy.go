@@ -347,7 +347,8 @@ func (l *Lazy) CacheStats() CacheStats {
 // Restriper is implemented by sources whose cache geometry can be
 // reconfigured before use. No engine calls it any more (the run-time
 // stripe knob is gone); it stays only because benchmark/trace.go asserts
-// *Lazy implements it, and goes with that assertion (ROADMAP item 7).
+// *Lazy implements it, and goes with that assertion (ROADMAP items 2(b)
+// and 3).
 type Restriper interface {
 	// Restripe rebuilds the cache with the given stripe count and
 	// reports whether it took effect.

@@ -212,8 +212,8 @@ func axes() []Axis {
 					return nil
 				}
 				b, err := strconv.ParseFloat(v, 64)
-				if err != nil || b <= 0 {
-					return fmt.Errorf("bad beta %q (want a positive number or iid)", v)
+				if err != nil || !(b > 0) || math.IsInf(b, 1) {
+					return fmt.Errorf("bad beta %q (want a positive finite number or iid)", v)
 				}
 				c.Het = data.Heterogeneity{Beta: b}
 				return nil

@@ -390,7 +390,7 @@ func int8Range(vec, ref ParamVector) (lo, hi float64) {
 		// scale nor the top can overflow. (Compares, not max/min: lo and hi
 		// are finite, and the function keeps the 32-byte size class it had,
 		// so the linker places benchmark/'s calibration loop where the
-		// parent's was — ROADMAP item 7.)
+		// parent's was — ROADMAP item 2(a).)
 		if lo < -math.MaxFloat64/4 {
 			lo = -math.MaxFloat64 / 4
 		}

@@ -322,7 +322,7 @@ func (g *RNG) Gamma(shape float64) float64 {
 // gammaDC is Marsaglia–Tsang's d = a − 1/3 and c = 1/√(9d) for a = shape,
 // or for a = shape + 1 below 1, where Gamma boosts.
 func gammaDC(shape float64) (d, c float64) {
-	if shape <= 0 {
+	if !(shape > 0) {
 		panic("tensor: Gamma requires shape > 0")
 	}
 	if shape < 1 {
@@ -380,7 +380,12 @@ func (g *RNG) Dirichlet(alpha float64, k int) []float64 {
 // DirichletInto is Dirichlet into a caller-owned vector of dimension
 // len(p): same draws, same values. Every entry is overwritten, so p may
 // be dirty — a loop that needs one sample at a time reuses one buffer.
-func (g *RNG) DirichletInto(p []float64, alpha float64) {
+// With AVX2 the Gamma draws run four at a time (simd_rng.go).
+func (g *RNG) DirichletInto(p []float64, alpha float64) { g.dirichletInto(p, alpha) }
+
+// DirichletIntoGo is DirichletInto's scalar twin, one Gamma draw at a
+// time, which off amd64, under purego and without AVX2 is DirichletInto.
+func (g *RNG) DirichletIntoGo(p []float64, alpha float64) {
 	d, c := gammaDC(alpha)
 	sum := 0.0
 	for i := range p {

@@ -122,22 +122,11 @@ func TestRingDistributionsMatchMathRand(t *testing.T) {
 }
 
 // forceWord rewrites the ring so that the next draw's raw word is w.
-func forceWord(s *source, w uint64) {
-	tap, feed := s.tap-1, s.feed-1
-	if tap < 0 {
-		tap += rngLen
-	}
-	if feed < 0 {
-		feed += rngLen
-	}
-	s.vec[feed] = int64(w) - s.vec[tap]
-}
+func forceWord(s *source, w uint64) { plantWord(s, 0, w) }
 
 // forceDraw forces the next draw's rand.Rand.Uint32 to uint32(j), with
 // random bits everywhere Uint32 ignores (bit 63 included).
-func forceDraw(s *source, j int32, r *rand.Rand) {
-	forceWord(s, uint64(uint32(j))<<31|r.Uint64()&(1<<63|1<<31-1))
-}
+func forceDraw(s *source, j int32, r *rand.Rand) { forceWord(s, normalWord(r, j)) }
 
 func TestFloat64RetriesAtOne(t *testing.T) {
 	// An Int63 within 2^9 of 2^63 divides to exactly 1, which Float64
@@ -235,4 +224,223 @@ func TestSourceUnreadInvertsInt63(t *testing.T) {
 	if tapAt != [2]bool{true, true} || feedAt != [2]bool{true, true} {
 		t.Fatalf("tap at 0/606: %v, feed at 0/606: %v; want every case", tapAt, feedAt)
 	}
+}
+
+// plantWord rewrites the ring so that the k-th next draw (k < 273) makes
+// the raw word w. No draw before it writes a word it reads, and no planted
+// word is one that another planted draw reads.
+func plantWord(s *source, k int, w uint64) {
+	f, t := (s.feed-1-k+2*rngLen)%rngLen, (s.tap-1-k+2*rngLen)%rngLen
+	s.vec[f] = int64(w) - s.vec[t]
+}
+
+// normalWord is a raw word whose rand.Rand.Uint32 is uint32(j), with
+// random bits everywhere Uint32 ignores.
+func normalWord(r *rand.Rand, j int32) uint64 {
+	return uint64(uint32(j))<<31 | r.Uint64()&(1<<63|1<<31-1)
+}
+
+// unitWord is a raw word whose Int63 is v, with a random top bit.
+func unitWord(r *rand.Rand, v uint64) uint64 { return v | r.Uint64()&(1<<63) }
+
+// fastNormal returns a j on the ziggurat's fast path whose x keeps
+// v = 1 + c·x positive and the squeeze 1 − 0.0331·x⁴ above 1/4.
+func fastNormal(r *rand.Rand, c float64) int32 {
+	for {
+		j := int32(r.Uint32())
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] && 1+c*x > 0 && 1-0.0331*x*x*x*x > 0.25 {
+			return j
+		}
+	}
+}
+
+// fastPlant returns the raw words of a Gamma(alpha) draw that stays on
+// the lanes' fast path: u (below shape 1), the normal, and w.
+func fastPlant(r *rand.Rand, alpha float64) []uint64 {
+	_, c := gammaDC(alpha)
+	var ws []uint64
+	if alpha < 1 {
+		ws = append(ws, unitWord(r, 1+uint64(r.Int63n(1<<62))))
+	}
+	return append(ws, normalWord(r, fastNormal(r, c)), unitWord(r, uint64(r.Int63n(1<<61))))
+}
+
+// offPlants returns, by name, the raw words of draws whose first attempt
+// leaves the squeeze-only fast path one way each — those the shape
+// allows.
+func offPlants(r *rand.Rand, alpha float64) map[string][]uint64 {
+	d, c := gammaDC(alpha)
+	boost := alpha < 1
+	plant := func(u uint64, j int32, w uint64) []uint64 {
+		if boost {
+			return []uint64{unitWord(r, u), normalWord(r, j), unitWord(r, w)}
+		}
+		return []uint64{normalWord(r, j), unitWord(r, w)}
+	}
+	const u, w = 1 << 62, 1 << 61 // 1/2 and 1/4
+	out := map[string][]uint64{
+		"j=-2^31":       plant(u, math.MinInt32, w),
+		"strip 1":       plant(u, 1|int32(r.Intn(1<<20))<<7, w),
+		"w=0":           plant(u, fastNormal(r, c), 0),
+		"w>=1/2":        plant(u, fastNormal(r, c), 1<<62|uint64(r.Int63n(1<<62))),
+		"w rounds to 1": plant(u, fastNormal(r, c), 1<<63-1<<9+uint64(r.Intn(1<<9))),
+	}
+	if boost {
+		out["u=0"] = plant(0, fastNormal(r, c), w)
+		out["u rounds to 1"] = plant(1<<63-1<<9+uint64(r.Intn(1<<9)), fastNormal(r, c), w)
+	}
+	// |j| exactly at kn[i], for a strip i that ±kn[i] lies in.
+	for i := int32(0); i < 128; i++ {
+		for _, sign := range []int32{1, -1} {
+			if j := sign * int32(kn[i]); kn[i] != 0 && j&0x7F == i {
+				out["|j|=kn[i]"] = plant(u, j, w)
+			}
+		}
+	}
+	out["strip 0 tail"] = plant(u, int32(kn[0]+0x7F)&^0x7F, w)
+	// v ≤ 0: the most negative fast x, where it reaches −1/c.
+	for i := int32(0); i < 128; i++ {
+		a := int32(kn[i]) - 1
+		for a > 0 && (-a)&0x7F != i {
+			a--
+		}
+		if a > 0 && 1+c*(float64(-a)*float64(wn[i])) <= 0 {
+			out["v<=0"] = plant(u, -a, w)
+			break
+		}
+	}
+	// The squeeze fails and the log test decides, both ways.
+	for j := int32(1 << 30); j > 0 && (out["log accepts"] == nil || out["log rejects"] == nil); j += 1 << 20 {
+		i := j & 0x7F
+		if absInt32(j) >= kn[i] {
+			continue
+		}
+		x := float64(j) * float64(wn[i])
+		v := 1 + c*x
+		if v <= 0 {
+			continue
+		}
+		v = v * v * v
+		lim := 1 - 0.0331*x*x*x*x
+		for t := 1; t < 64; t++ {
+			wi := uint64((lim + (1-lim)*float64(t)/64) * (1 << 63))
+			wf := float64(wi) / (1 << 63)
+			if wf < lim || wf >= 1 {
+				continue
+			}
+			name := "log rejects"
+			if math.Log(wf) < 0.5*x*x+d*(1-v+math.Log(v)) {
+				name = "log accepts"
+			}
+			if out[name] == nil {
+				out[name] = plant(u, j, wi)
+			}
+		}
+	}
+	return out
+}
+
+func TestDirichletLanesMatchScalar(t *testing.T) {
+	// DirichletInto's lanes against DirichletIntoGo over the same ring:
+	// the same bits, the same draw count and the same next Int63. A draw
+	// planted to leave the fast path each way sits at every lane position
+	// (after 0–7 planted fast draws), from every ring offset mod 12 and
+	// from offsets whose run of steps ends in a wrap of feed inside the
+	// planted draws, with every tail length 0–13 after it. α = 0.1 boosts
+	// with math.Pow and takes the scalar body.
+	tails := 14
+	if raceEnabled {
+		tails = 3
+	}
+	r := rand.New(rand.NewSource(29))
+	for _, alpha := range []float64{0.5, 1, 1.5, 5, 0.1} {
+		lanes, twin := NewRNG(3), NewRNG(3)
+		base := lanes.src
+		var offsets []int
+		for o := 0; o < 12; o++ { // a fresh source's feed wraps after 334 draws
+			offsets = append(offsets, o, 334-24-o)
+		}
+		plants := offPlants(r, alpha)
+		need := []string{"j=-2^31", "|j|=kn[i]", "strip 0 tail", "strip 1", "log accepts", "log rejects", "w=0", "w rounds to 1"}
+		if alpha < 1 {
+			need = append(need, "u=0", "u rounds to 1")
+		}
+		if alpha < 5 { // at 5, −1/c lies beyond every fast x
+			need = append(need, "v<=0")
+		}
+		for _, name := range need {
+			if plants[name] == nil {
+				t.Fatalf("alpha %v: no draw planted for %s", alpha, name)
+			}
+		}
+		for name, bad := range plants {
+			for pos := 0; pos < 8; pos++ {
+				var ws []uint64
+				for range pos {
+					ws = append(ws, fastPlant(r, alpha)...)
+				}
+				ws = append(ws, bad...)
+				for _, off := range offsets {
+					for tail := 0; tail < tails; tail++ {
+						n := pos + 1 + tail
+						got, want := make([]float64, n), make([]float64, n)
+						for i := range got {
+							got[i], want[i] = math.NaN(), math.NaN()
+						}
+						for _, g := range []*RNG{lanes, twin} {
+							g.src = base
+							for range off {
+								g.src.Int63()
+							}
+							for k, w := range ws {
+								plantWord(&g.src, k, w)
+							}
+						}
+						lanes.DirichletInto(got, alpha)
+						twin.DirichletIntoGo(want, alpha)
+						for i := range got {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("alpha %v, %s at draw %d, offset %d, length %d: entry %d is %v, want %v",
+									alpha, name, pos, off, n, i, got[i], want[i])
+							}
+						}
+						if lanes.src.n != twin.src.n || lanes.Int63() != twin.Int63() {
+							t.Fatalf("alpha %v, %s at draw %d, offset %d, length %d: position %d, want %d",
+								alpha, name, pos, off, n, lanes.src.n, twin.src.n)
+						}
+					}
+				}
+			}
+		}
+		// Unplanted vectors over many wraps, two calls in a row.
+		for _, n := range []int{1, 2, 3, 4, 5, 9, 13, 997, 100_000} {
+			lanes.src, twin.src = base, base
+			got, want := make([]float64, n), make([]float64, n)
+			for call := 0; call < 2; call++ {
+				lanes.DirichletInto(got, alpha)
+				twin.DirichletIntoGo(want, alpha)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("alpha %v, length %d, call %d: entry %d is %v, want %v", alpha, n, call, i, got[i], want[i])
+					}
+				}
+				if lanes.src.n != twin.src.n || lanes.Int63() != twin.Int63() {
+					t.Fatalf("alpha %v, length %d, call %d: position %d, want %d", alpha, n, call, lanes.src.n, twin.src.n)
+				}
+			}
+		}
+	}
+}
+
+func TestGammaRefusesNaNShape(t *testing.T) {
+	// NaN passes a shape <= 0 test; Gamma must refuse it rather than
+	// return NaN.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Gamma(NaN) did not panic")
+		}
+	}()
+	NewRNG(1).Gamma(math.NaN())
 }

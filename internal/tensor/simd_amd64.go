@@ -152,6 +152,22 @@ func ringAddAVX(dst, src *int64, n int)
 //go:noescape
 func permScanAVX(lo *int64, n int, b, k float64) int
 
+// gammaLanesAVX draws up to n Gamma variates (n a positive multiple of
+// 4) into p, four per step, each from words straight from the ring
+// (simd_rng.go): the step's draws are feed[i] + tap[i] over the 4·words
+// words from feed and tap, highest address first, and the next step's
+// sit 4·words below. It makes the draws of the variates it keeps, adds
+// each kept variate to sum in index order, and returns how many it kept:
+// n, or the index of the first variate off the fast path. words is 2 or 3.
+//
+//go:noescape
+func gammaLanesAVX(p *float64, n int, feed, tap *int64, words int, d, c, sum float64) (kept int, total float64)
+
+// divAVX computes p[i] /= s over n elements, a positive multiple of 4.
+//
+//go:noescape
+func divAVX(p *float64, n int, s float64)
+
 // momentumAVX is momentumStepGo over n elements (a positive multiple of
 // sgdLanes): v = m·v + g, then p −= lr·v, one rounding per operation.
 //
@@ -525,6 +541,56 @@ func permScan(blk []int64, b, k int) int {
 		return s
 	}
 	return n + permScanGo(blk[:tail], b+n, k)
+}
+
+// dirichletInto runs DirichletInto's Gamma draws on the AVX2 kernel when
+// the CPU has it and the shape has lanes, else DirichletIntoGo. The
+// kernel takes runs of whole steps that end before tap or feed wraps and
+// before p does; the draw it stops at, the draws around a wrap and the
+// last len(p)%4 run the scalar gamma over the source as it stands.
+func (g *RNG) dirichletInto(p []float64, alpha float64) {
+	words := gammaWords(alpha)
+	if !avx2Supported || words == 0 {
+		g.DirichletIntoGo(p, alpha)
+		return
+	}
+	d, c := gammaDC(alpha)
+	s := &g.src
+	sum := 0.0
+	for i := 0; i < len(p); {
+		tap, feed := s.tap, s.feed
+		if tap == 0 {
+			tap = rngLen
+		}
+		if feed == 0 {
+			feed = rngLen
+		}
+		if n := min(min(tap, feed)/words, len(p)-i) &^ 3; n > 0 {
+			var kept int
+			kept, sum = gammaLanesAVX(&p[i], n, &s.vec[feed-4*words], &s.vec[tap-4*words], words, d, c, sum)
+			if kept > 0 {
+				s.tap, s.feed = tap-kept*words, feed-kept*words
+				s.n += uint64(kept * words)
+			}
+			if i += kept; kept == n {
+				continue
+			}
+		}
+		p[i] = g.gamma(alpha, d, c)
+		sum += p[i]
+		i++
+	}
+	if sum == 0 {
+		p[g.Intn(len(p))] = 1
+		return
+	}
+	n := len(p) &^ 3
+	if n > 0 {
+		divAVX(&p[0], n, sum)
+	}
+	for i := n; i < len(p); i++ {
+		p[i] /= sum
+	}
 }
 
 // momentumStep runs the checked step's whole blocks on the AVX2 kernel

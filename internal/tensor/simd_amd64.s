@@ -1570,3 +1570,248 @@ mloop:
 	JLT  mloop
 	VZEROUPPER
 	RET
+
+// Gamma lanes (simd_rng.go).
+
+// GAMMAQUAD fills four doubles of gammaConst from off.
+#define GAMMAQUAD(off, v) \
+	DATA gammaConst<>+(off)(SB)/8, v    \
+	DATA gammaConst<>+(off+8)(SB)/8, v  \
+	DATA gammaConst<>+(off+16)(SB)/8, v \
+	DATA gammaConst<>+(off+24)(SB)/8, v
+
+// gammaConst: 2^84 and 2^52 — OR-ing a 31- or 32-bit half of an Int63
+// into their mantissas and subtracting them gives the half as an exact
+// double — 2^−63 and the squeeze's 0.0331, four copies each; then 1, the
+// strip mask 0x7F as four dwords, and the bytes 0–11.
+GAMMAQUAD(0x00, $0x4530000000000000) // 2^84
+GAMMAQUAD(0x20, $0x4330000000000000) // 2^52
+GAMMAQUAD(0x40, $0x3C00000000000000) // 2^−63
+GAMMAQUAD(0x60, $0x3FA0F27BB2FEC56D) // 0.0331
+DATA gammaConst<>+0x80(SB)/8, $0x3FF0000000000000 // 1
+DATA gammaConst<>+0x88(SB)/8, $0x0000007F0000007F // 0x7F
+DATA gammaConst<>+0x90(SB)/8, $0x0000007F0000007F
+DATA gammaConst<>+0x98(SB)/8, $0x0706050403020100 // word indices 0–11
+DATA gammaConst<>+0xa0(SB)/4, $0x0B0A0908
+GLOBL gammaConst<>(SB), RODATA|NOPTR, $0xa4
+
+// GAMMAUNIT(r, t) turns the raw words in r into float64(Int63)/2^63, as
+// source.float64 computes it: the Int63's bits 32–62 and 0–31 become
+// exact doubles hi·2^32 and lo, and their sum is rounded once, as the
+// conversion rounds; the division by 2^63 is exact. t is clobbered.
+#define GAMMAUNIT(r, t) \
+	VPSLLQ $1, r, t                    \
+	VPSRLQ $33, t, t                   \
+	VPOR   gammaConst<>+0x00(SB), t, t \
+	VSUBPD gammaConst<>+0x00(SB), t, t \
+	VPSLLQ $32, r, r                   \
+	VPSRLQ $32, r, r                   \
+	VPOR   gammaConst<>+0x20(SB), r, r \
+	VSUBPD gammaConst<>+0x20(SB), r, r \
+	VADDPD r, t, r                     \
+	VMULPD gammaConst<>+0x40(SB), r, r
+
+// GAMMABODY runs the four lanes' normal and squeeze from the raw j words
+// in Y4 and w words in Y5: x = float64(j)·float64(wn[i]), DX's bits set
+// where |j| ≥ kn[i] (unsigned), Y9 the lanes where v = 1 + c·x > 0 and
+// w < 1 − 0.0331·x·x·x·x, and Y7 = d·v³. Clobbers Y4, Y5, Y8, Y10.
+#define GAMMABODY \
+	VPSRLQ     $31, Y4, Y4                    \
+	VPSHUFD    $0x08, Y4, Y4                  \
+	VPERMQ     $0x08, Y4, Y4                  \
+	VPAND      gammaConst<>+0x88(SB), X4, X7  \
+	VPCMPEQD   X8, X8, X8                     \
+	VPGATHERDD X8, (R10)(X7*4), X9            \
+	VPCMPEQD   X8, X8, X8                     \
+	VGATHERDPS X8, (R11)(X7*4), X10           \
+	VPABSD     X4, X8                         \
+	VPMAXUD    X9, X8, X9                     \
+	VPCMPEQD   X9, X8, X9                     \
+	VMOVMSKPS  X9, DX                         \
+	VCVTDQ2PD  X4, Y4                         \
+	VCVTPS2PD  X10, Y10                       \
+	VMULPD     Y10, Y4, Y4                    \
+	VMULPD     Y14, Y4, Y8                    \
+	VADDPD     Y13, Y8, Y8                    \
+	VXORPD     Y9, Y9, Y9                     \
+	VCMPPD     $0x1e, Y9, Y8, Y9              \
+	VMULPD     Y8, Y8, Y10                    \
+	VMULPD     Y8, Y10, Y8                    \
+	GAMMAUNIT(Y5, Y10)                        \
+	VMULPD     gammaConst<>+0x60(SB), Y4, Y10 \
+	VMULPD     Y4, Y10, Y10                   \
+	VMULPD     Y4, Y10, Y10                   \
+	VMULPD     Y4, Y10, Y10                   \
+	VSUBPD     Y10, Y13, Y10                  \
+	VCMPPD     $0x11, Y10, Y5, Y10            \
+	VANDPD     Y10, Y9, Y9                    \
+	VMULPD     Y15, Y8, Y7
+
+// GAMMAFAST sets R12's bits 0–3 for the lanes in Y9 whose normal was a
+// fast hit and flags on 15, every lane on the path.
+#define GAMMAFAST \
+	VMOVMSKPD Y9, R12 \
+	NOTL      DX      \
+	ANDL      DX, R12 \
+	CMPL      R12, $15
+
+// GAMMAKEEP stores the step's four variates (Y7) and adds them to the sum
+// in X12 in index order.
+#define GAMMAKEEP \
+	VMOVUPD      Y7, (DI)     \
+	VADDSD       X7, X12, X12 \
+	VPERMILPD    $1, X7, X8   \
+	VADDSD       X8, X12, X12 \
+	VEXTRACTF128 $1, Y7, X8   \
+	VADDSD       X8, X12, X12 \
+	VPERMILPD    $1, X8, X8   \
+	VADDSD       X8, X12, X12
+
+// func gammaLanesAVX(p *float64, n int, feed, tap *int64, words int, d, c, sum float64) (kept int, total float64)
+// Four Marsaglia–Tsang draws per step, n%4 == 0, n > 0. A step's window
+// is the 4·words words from feed (and tap) up; the step's draw k is
+// feed[4·words−1−k] + tap[4·words−1−k], so its sums — A, B, C for words
+// 0–3, 4–7, 8–11 — are de-interleaved into one vector per role, lane L
+// holding draw L·words + role. A step whose lanes all stay on the path is
+// kept whole: variates stored and summed, sums written back — the draws
+// made — and the windows step down. Otherwise the lanes before the first
+// one off the path are kept the same way and the kernel returns.
+TEXT ·gammaLanesAVX(SB), NOSPLIT, $0-80
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ feed+16(FP), SI
+	MOVQ tap+24(FP), BX
+	MOVQ words+32(FP), R9
+	VBROADCASTSD d+40(FP), Y15
+	VBROADCASTSD c+48(FP), Y14
+	VBROADCASTSD gammaConst<>+0x80(SB), Y13 // 1
+	VMOVSD sum+56(FP), X12
+	LEAQ ·kn(SB), R10
+	LEAQ ·wn(SB), R11
+	XORQ AX, AX              // variates kept
+	CMPQ R9, $3
+	JEQ  g3loop
+
+g2loop:
+	VMOVDQU     0(SI), Y0
+	VPADDQ      0(BX), Y0, Y0      // A: draws 7–4, the top word first
+	VMOVDQU     32(SI), Y1
+	VPADDQ      32(BX), Y1, Y1     // B: draws 3–0
+	VPUNPCKHQDQ Y1, Y0, Y4
+	VPERMQ      $0x27, Y4, Y4      // j: draws 0, 2, 4, 6
+	VPUNPCKLQDQ Y1, Y0, Y5
+	VPERMQ      $0x27, Y5, Y5      // w: draws 1, 3, 5, 7
+	GAMMABODY
+	GAMMAFAST
+	JNE  gpartial
+	GAMMAKEEP
+	VMOVDQU Y0, 0(SI)
+	VMOVDQU Y1, 32(SI)
+	SUBQ $64, SI
+	SUBQ $64, BX
+	ADDQ $32, DI
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  g2loop
+	JMP  gdone
+
+g3loop:
+	VMOVDQU  0(SI), Y0
+	VPADDQ   0(BX), Y0, Y0         // A: draws 11–8, the top word first
+	VMOVDQU  32(SI), Y1
+	VPADDQ   32(BX), Y1, Y1        // B: draws 7–4
+	VMOVDQU  64(SI), Y2
+	VPADDQ   64(BX), Y2, Y2        // C: draws 3–0
+	VPBLENDD $0x0C, Y1, Y0, Y3
+	VPBLENDD $0xC3, Y2, Y3, Y3
+	VPERMQ   $0x93, Y3, Y3         // u: draws 0, 3, 6, 9
+	VPBLENDD $0xC3, Y1, Y0, Y4
+	VPBLENDD $0x30, Y2, Y4, Y4
+	VPERMQ   $0x4E, Y4, Y4         // j: draws 1, 4, 7, 10
+	VPBLENDD $0x0C, Y2, Y0, Y5
+	VPBLENDD $0x30, Y1, Y5, Y5
+	VPERMQ   $0x39, Y5, Y5         // w: draws 2, 5, 8, 11
+	GAMMAUNIT(Y3, Y6)
+	VXORPD   Y7, Y7, Y7
+	VCMPPD   $0x1e, Y7, Y3, Y6     // u > 0: Int63 ≠ 0
+	VCMPPD   $0x11, Y13, Y3, Y7    // u < 1: no redraw
+	VANDPD   Y7, Y6, Y6
+	VMULPD   Y3, Y3, Y3            // boost u·u
+	GAMMABODY
+	VMULPD   Y3, Y7, Y7            // (d·v³)·boost
+	VANDPD   Y6, Y9, Y9
+	GAMMAFAST
+	JNE  gpartial
+	GAMMAKEEP
+	VMOVDQU Y0, 0(SI)
+	VMOVDQU Y1, 32(SI)
+	VMOVDQU Y2, 64(SI)
+	SUBQ $96, SI
+	SUBQ $96, BX
+	ADDQ $32, DI
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  g3loop
+	JMP  gdone
+
+gpartial:
+	// Keep lanes 0 to L−1, L the first lane off the path: their variates
+	// are stored and summed, lanes from L as +0 (p is rewritten there
+	// later), and their draws — the window's top L·words words — are made.
+	NOTL R12
+	BSFL R12, R12
+	ADDQ R12, AX
+	VMOVQ R12, X8
+	VPBROADCASTQ X8, Y8
+	VPMOVZXBQ gammaConst<>+0x98(SB), Y9
+	VPCMPGTQ Y9, Y8, Y9           // lane < L
+	VANDPD Y9, Y7, Y7
+	GAMMAKEEP
+	MOVQ $4, R13
+	SUBQ R12, R13
+	IMULQ R9, R13
+	DECQ R13
+	VMOVQ R13, X8
+	VPBROADCASTQ X8, Y8           // words above words·(4−L) − 1 are made
+	VPMOVZXBQ gammaConst<>+0x98(SB), Y9
+	VPCMPGTQ Y8, Y9, Y9
+	VMOVDQU 0(SI), Y0
+	VPADDQ  0(BX), Y0, Y0
+	VPMASKMOVQ Y0, Y9, 0(SI)
+	VPMOVZXBQ gammaConst<>+0x9c(SB), Y9
+	VPCMPGTQ Y8, Y9, Y9
+	VMOVDQU 32(SI), Y1
+	VPADDQ  32(BX), Y1, Y1
+	VPMASKMOVQ Y1, Y9, 32(SI)
+	CMPQ R9, $3
+	JNE  gdone
+	VPMOVZXBQ gammaConst<>+0xa0(SB), Y9
+	VPCMPGTQ Y8, Y9, Y9
+	VMOVDQU 64(SI), Y2
+	VPADDQ  64(BX), Y2, Y2
+	VPMASKMOVQ Y2, Y9, 64(SI)
+
+gdone:
+	MOVQ AX, kept+64(FP)
+	VMOVSD X12, total+72(FP)
+	VZEROUPPER
+	RET
+
+// func divAVX(p *float64, n int, s float64)
+// p[i] /= s, four elements a step over n%4 == 0, n > 0. VDIVPD rounds
+// each quotient correctly, as DIVSD does.
+TEXT ·divAVX(SB), NOSPLIT, $0-24
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD s+16(FP), Y1
+	XORQ AX, AX
+
+nloop:
+	VMOVUPD (DI)(AX*8), Y0
+	VDIVPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  nloop
+	VZEROUPPER
+	RET

@@ -139,8 +139,9 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// Zero sets every element of t to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
+// Zero sets every element of t to +0, as one memclr (Fill's variable
+// operand keeps the compiler from turning its loop into one).
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // String renders a compact description: shape plus up to eight leading
 // elements, which is enough for debugging without flooding logs.

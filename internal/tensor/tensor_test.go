@@ -471,9 +471,9 @@ func TestFullFillZero(t *testing.T) {
 	if Sum(a) != 4 {
 		t.Fatalf("Fill sum = %v", Sum(a))
 	}
-	a.Zero()
-	if Sum(a) != 0 {
-		t.Fatalf("Zero sum = %v", Sum(a))
+	a.Data[0], a.Data[1] = math.Copysign(0, -1), math.NaN()
+	if a.Zero(); math.Float64bits(a.Data[0])|math.Float64bits(a.Data[1]) != 0 || Sum(a) != 0 {
+		t.Fatalf("Zero left %v, want +0 everywhere", a.Data)
 	}
 	if a.MaxAbs() != 0 {
 		t.Fatalf("MaxAbs = %v", a.MaxAbs())
