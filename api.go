@@ -228,8 +228,8 @@ func RunGrid(g Grid) (*GridResult, error) { return experiments.RunGrid(g) }
 // --- robust aggregation and Byzantine clients --------------------------------
 
 // Reducer is the pluggable server-side aggregation rule every algorithm
-// folds its uploads through; see fl.Reducer. A nil Config.Reducer keeps
-// the legacy weighted mean, bit for bit.
+// folds its uploads through; see fl.Reducer. A nil Config.Reducer is the
+// weighted mean (nil ≡ "mean", relations row reducer).
 type Reducer = fl.Reducer
 
 // KrumReducer is the Krum / Multi-Krum geometric selection rule, built on

@@ -219,9 +219,9 @@ func BenchmarkTheory_Bound(b *testing.B) {
 
 // BenchmarkRoundParallel measures the worker-pool round engine: the same
 // FedCross run at Parallelism=1 (the old strictly serial engine) and at
-// every core. The runs produce bit-identical histories — see
-// TestParallelismInvariance — so the ratio of the two timings is pure
-// speedup.
+// every core. The runs produce bit-identical histories — the par row of
+// internal/experiments' relations table — so the ratio of the two timings
+// is pure speedup.
 func BenchmarkRoundParallel(b *testing.B) {
 	prof := experiments.TinyProfile()
 	prof.Rounds = 4
@@ -1212,8 +1212,8 @@ func dirichletMathRand(r *rand.Rand, p []float64, alpha float64) {
 // BenchmarkAsyncRound measures the buffered-async (FedBuff) engine end to
 // end at the tiny profile: 12 buffered commits per iteration, reporting
 // model-arrival throughput — the async counterpart of the sync engine's
-// BenchmarkRoundParallel. Runs are bit-identical at every fan-out
-// (TestAsyncFoldDeterminism), so serial vs parallel timing is pure
+// BenchmarkRoundParallel. Runs are bit-identical at every fan-out (the
+// relations table's par row), so serial vs parallel timing is pure
 // speedup.
 func BenchmarkAsyncRound(b *testing.B) {
 	prof := experiments.TinyProfile()

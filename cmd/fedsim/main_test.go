@@ -68,6 +68,10 @@ func TestGridGrammarErrors(t *testing.T) {
 		{"negative retries", []string{"-experiment", "faults", "-set", "retries=-1"}, "non-negative integer"},
 		{"k above n on a base cell", []string{"-experiment", "table2", "-set", "k=7"}, "N=6"},
 		{"attack fraction", []string{"-experiment", "table2", "-set", "attack=signflip", "-set", "frac=1"}, "fraction"},
+		{"NaN attack fraction", []string{"-experiment", "table2", "-set", "attack=signflip", "-set", "frac=NaN"}, "attack fraction NaN"},
+		{"NaN alpha", []string{"-experiment", "fig5", "-set", "alpha=NaN"}, "alpha NaN"},
+		{"NaN trimmed fraction", []string{"-experiment", "table2", "-set", "reducer=trimmed:NaN"}, "trimmed fraction NaN"},
+		{"trailing junk in a trimmed fraction", []string{"-experiment", "table2", "-set", "reducer=trimmed:0.2junk"}, "bad trimmed fraction"},
 		{"positional argument", []string{"-experiment", "table2", "table3"}, `unexpected argument "table3"`},
 		// The quorum is checked against every cell's K, not the profile's.
 		{"quorum above a swept K", []string{"-experiment", "fig6", "-grid", "k=2,3", "-set", "quorum=3"}, "MinUploads = 3, must be in [0, ClientsPerRound = 2]"},

@@ -269,26 +269,3 @@ func TestBaselinesTolerateFullDropout(t *testing.T) {
 		}
 	}
 }
-
-func TestBaselinesDeterministic(t *testing.T) {
-	cfg := testCfg(2)
-	for _, name := range []string{"fedavg", "scaffold"} {
-		mk := func() fl.Algorithm {
-			if name == "fedavg" {
-				return NewFedAvg()
-			}
-			return NewSCAFFOLD()
-		}
-		h1, err := fl.Run(mk(), testEnv(7, 5, data.Heterogeneity{IID: true}), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := fl.Run(mk(), testEnv(7, 5, data.Heterogeneity{IID: true}), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h1.Final().TestAcc != h2.Final().TestAcc {
-			t.Fatalf("%s not deterministic: %v vs %v", name, h1.Final().TestAcc, h2.Final().TestAcc)
-		}
-	}
-}

@@ -60,9 +60,10 @@ func (a *FedAvg) round(name string, r int, selected []int, spec fl.LocalSpec) er
 }
 
 // reduce routes a round's server-side aggregation through the configured
-// fl.Reducer (nil keeps the legacy weighted mean, bit-identical). When
-// the non-finite screen drops every upload the current model survives
-// unchanged — a fully poisoned round behaves like a fully dropped one.
+// fl.Reducer (nil is the weighted mean: nil ≡ "mean", relations row
+// reducer). When the non-finite screen drops every upload the current
+// model survives unchanged — a fully poisoned round behaves like a fully
+// dropped one.
 // A configured quorum (Config.MinUploads) degrades the round the same
 // way: below it, the server keeps its current model rather than folding
 // a thin cohort.
@@ -157,8 +158,8 @@ func surviving(selected []int) []int {
 // survivingTrainable additionally drops clients without training data.
 // Only virtualized federations report untrainable clients (at
 // million-client scale empty shards are expected, not exceptional);
-// eager federations report every client trainable, so legacy runs still
-// surface the empty-shard training error and histories are unchanged.
+// eager federations report every client trainable, so an empty eager
+// shard still fails training.
 func survivingTrainable(env *fl.Env, selected []int) []int {
 	out := make([]int, 0, len(selected))
 	for _, ci := range selected {

@@ -180,29 +180,6 @@ func TestLoadStateRejectsHostileRNGPosition(t *testing.T) {
 	refused(t, algo, "2x5 middleware", twoByFive)
 }
 
-func TestCheckpointResumeTraining(t *testing.T) {
-	// A restored instance can continue training where the original left
-	// off (new rounds work against the loaded middleware list).
-	env := checkpointEnv(t)
-	algo := trainedFedCross(t, env)
-	// Init runtime wiring with a run of its own, then overwrite the
-	// middleware and generator with the checkpoint.
-	restored := MustNew(DefaultOptions())
-	cfg := fl.Config{Rounds: 1, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 8, LR: 0.05, Momentum: 0, Seed: 9}
-	if _, err := fl.Run(restored, env, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.LoadState(bytes.NewReader(saved(t, algo))); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Round(0, []int{0, 1, 2}); err != nil {
-		t.Fatalf("resumed round failed: %v", err)
-	}
-	if restored.Global().DistanceSq(algo.Global()) == 0 {
-		t.Fatal("resumed training should move the global model")
-	}
-}
-
 func TestDisableShuffleAblation(t *testing.T) {
 	// With shuffle disabled and a pinned selection, middleware model i
 	// always trains on the same client — verify determinism of the

@@ -92,7 +92,7 @@ func (o Options) Validate() error {
 		return err
 	}
 	switch {
-	case o.Alpha < 0.5 || o.Alpha >= 1:
+	case !(0.5 <= o.Alpha && o.Alpha < 1):
 		return fmt.Errorf("core: alpha %v out of the paper's range [0.5, 1)", o.Alpha)
 	case o.Strategy != InOrder && o.Strategy != HighestSimilarity && o.Strategy != LowestSimilarity:
 		return fmt.Errorf("core: unknown strategy %d", int(o.Strategy))
@@ -102,7 +102,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: acceleration needs AccelRounds > 0, got %d", o.AccelRounds)
 	case (o.Accel == AccelPropeller || o.Accel == AccelBoth) && o.PropellerCount < 1:
 		return fmt.Errorf("core: propeller acceleration needs PropellerCount >= 1, got %d", o.PropellerCount)
-	case (o.Accel == AccelDynamicAlpha || o.Accel == AccelBoth) && (o.DynAlphaStart < 0.5 || o.DynAlphaStart > o.Alpha):
+	case (o.Accel == AccelDynamicAlpha || o.Accel == AccelBoth) && !(0.5 <= o.DynAlphaStart && o.DynAlphaStart <= o.Alpha):
 		return fmt.Errorf("core: DynAlphaStart %v must lie in [0.5, alpha=%v]", o.DynAlphaStart, o.Alpha)
 	}
 	return nil

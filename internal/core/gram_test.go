@@ -1,16 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
-	"fedcross/internal/data"
 	"fedcross/internal/fl"
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -233,41 +228,4 @@ func TestSimMatrixRaggedLengthsPanic(t *testing.T) {
 		}
 	}()
 	NewSimMatrix(w, CosineMeasure(), fl.Limit(2))
-}
-
-// TestFedCrossHistoryPins holds three FedCross rounds — Gram pass,
-// selection, cross-aggregation and, on int8, the quantised wire — to the
-// byte: the SHA-256 of each gob-encoded History was recorded from the
-// commit before the tiled Gram pass and the Round-free int8 loops landed.
-func TestFedCrossHistoryPins(t *testing.T) {
-	for _, pin := range []struct {
-		k     int
-		codec string
-		want  string
-	}{
-		{5, "identity", "48e20d085fe5a4d0ceb3d3c978dc5b1d29473b06548de6890ea186e0e1528676"},
-		{5, "int8", "9e6faf32ca687dd06e14a9c2c833dc88a95cea34c8d9c6843094ccef444ee405"},
-		{8, "identity", "dd4d4dfc3dbfc2f1eb9229cb53ee2abc8f7204c123c301a3ccd6260d36f315fc"},
-		{8, "int8", "57633ee4b768f4ac7978e95b04361b6ae7f4fee2d8230b2ce037e20c99246c2c"},
-		{12, "identity", "cbf56ad1a87e89da3f000a1ac41bdea26d21c78cf00adcd022680e4b93473068"},
-		{12, "int8", "7bd03324fe35e1617070e1bb63af968b33ea7d5fc3ffb61745498cc039ab4fe0"},
-	} {
-		env := integrationEnv(11, 16, data.Heterogeneity{Beta: 0.5})
-		cfg := runCfg(3)
-		cfg.ClientsPerRound = pin.k
-		cfg.EvalEvery = 1
-		cfg.Transport.Codec = pin.codec
-		hist, err := fl.Run(MustNew(DefaultOptions()), env, cfg)
-		if err != nil {
-			t.Fatalf("K=%d %s: %v", pin.k, pin.codec, err)
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(hist); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != pin.want {
-			t.Errorf("K=%d %s: history sha256 %s, pinned %s", pin.k, pin.codec, got, pin.want)
-		}
-	}
 }

@@ -19,11 +19,9 @@ import (
 // sample stolen from the largest shard into each empty shard) carry an
 // explicit row-list overlay.
 //
-// The construction consumes the partition RNG in exactly the same order
-// as the legacy eager partitioners, so Materialize reproduces
-// DirichletPartition/IIDPartition output bit-for-bit, and a Lazy source
-// backed by the same Assignment synthesizes byte-identical shards on
-// demand.
+// Materialize (behind DirichletPartition and IIDPartition) and a Lazy
+// source backed by the same Assignment produce byte-identical shards
+// (TestLazyMatchesMaterialized; relations row source).
 type Assignment struct {
 	numClients int
 
@@ -149,7 +147,7 @@ func (a *Assignment) NumClients() int { return a.numClients }
 func (a *Assignment) Size(ci int) int { return int(a.sizes[ci]) }
 
 // Rows materializes client ci's base-dataset row indices in the exact
-// order the legacy eager partitioners produce them.
+// order Materialize lays them out.
 func (a *Assignment) Rows(ci int) []int {
 	if ci < 0 || ci >= a.numClients {
 		panic(fmt.Sprintf("data: Assignment.Rows client %d out of range [0,%d)", ci, a.numClients))
@@ -226,13 +224,13 @@ func (h *donorHeap) Push(x any)      { *h = append(*h, x.(donorEntry)) }
 func (h *donorHeap) Pop() any        { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 func (h donorHeap) peek() donorEntry { return h[0] }
 
-// topUp replays topUpEmpty's semantics on the metadata: for each empty
-// client in id order, steal one sample (at a rng.Intn position,
-// order-preserving removal) from the first client holding the strictly
-// largest shard, skipping when no shard holds more than one sample. The
-// donor scan uses a lazy-deletion heap so a 10^6-client pass is
-// O(N + donations·log N) instead of the legacy O(N²), with an identical
-// donor sequence and identical RNG consumption.
+// topUp fills empty shards on the metadata: for each empty client in id
+// order, steal one sample (at a rng.Intn position, order-preserving
+// removal) from the first client holding the strictly largest shard,
+// skipping when no shard holds more than one sample. The donor scan uses
+// a lazy-deletion heap so a 10^6-client pass is O(N + donations·log N),
+// picking the donors, and drawing, as a linear scan per empty client
+// would.
 func (a *Assignment) topUp(rng *tensor.RNG) {
 	h := donorHeap{}
 	for ci, sz := range a.sizes {
@@ -257,8 +255,8 @@ func (a *Assignment) topUp(rng *tensor.RNG) {
 		}
 		if donor < 0 {
 			// No shard holds ≥2 samples, so every remaining empty client
-			// would also find len(largest) ≤ 1 and skip: the legacy loop
-			// performs no further RNG draws or mutations.
+			// would also find len(largest) ≤ 1 and skip: no further RNG
+			// draws or mutations.
 			break
 		}
 		rows := a.rowsMut(donor)

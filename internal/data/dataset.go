@@ -117,8 +117,8 @@ func (d *Dataset) ClassCounts() []int {
 }
 
 // Federated couples per-client training shards with a shared test set.
-// Client data lives either in the eager Clients slice (legacy, always
-// resident) or behind a virtualizing Source; when Source is non-nil it
+// Client data lives either in the eager Clients slice (always resident)
+// or behind a virtualizing Source; when Source is non-nil it
 // wins and Clients stays nil. All consumers go through the accessor
 // methods below, which collapse both layouts onto the lease discipline.
 type Federated struct {
@@ -154,7 +154,7 @@ func (f *Federated) Size(ci int) int {
 // LeaseShard returns client ci's shard, synthesizing it when the data is
 // virtualized. Every call must be paired with ReleaseShard(ci) once the
 // shard is no longer used; for the eager layout the lease is a plain
-// index and release is a no-op, so legacy behavior is unchanged.
+// index and release is a no-op.
 func (f *Federated) LeaseShard(ci int) *Dataset {
 	if f.Source != nil {
 		return f.Source.Shard(ci)
@@ -189,10 +189,11 @@ func (f *Federated) SourceStats() (CacheStats, bool) {
 }
 
 // Trainable reports whether client ci holds at least one sample. Eager
-// federations report every client trainable so empty shards still
-// surface the legacy "empty shard" training error; virtualized
-// federations (where at million-client scale empty shards are expected,
-// not exceptional) are filtered out of selection instead.
+// federations report every client trainable so an empty shard surfaces
+// the "empty shard" training error; virtualized federations (where at
+// million-client scale empty shards are expected, not exceptional) are
+// filtered out of selection instead. Eager ≡ Materialized ≡ Lazy
+// (relations row source) therefore holds only without empty shards.
 func (f *Federated) Trainable(ci int) bool {
 	return f.Source == nil || f.Source.Size(ci) > 0
 }

@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"fedcross/internal/core"
 	"fedcross/internal/fl"
 	"fedcross/internal/tensor"
 )
@@ -355,6 +358,41 @@ func TestGridAxisErrors(t *testing.T) {
 	}
 	if _, err := GridPreset("nope", microProfile()); err == nil {
 		t.Error("unknown preset must error")
+	}
+}
+
+// TestValidatorsRefuseNaN: NaN in any float64 field of a run's options,
+// nested ones included, fails Validate. Every -set value reaches a run
+// through one of these, and a range written x < lo || x > hi is false
+// for NaN.
+func TestValidatorsRefuseNaN(t *testing.T) {
+	fc := core.DefaultOptions()
+	fc.Accel = core.AccelBoth // DynAlphaStart is read only under dynamic α
+	for _, base := range []interface{ Validate() error }{TinyProfile().Config(1), fl.AsyncOptions{}, fc} {
+		opts := reflect.New(reflect.TypeOf(base)).Elem()
+		opts.Set(reflect.ValueOf(base))
+		validate := func() error { return opts.Interface().(interface{ Validate() error }).Validate() }
+		if err := validate(); err != nil {
+			t.Fatalf("%T: %v", base, err)
+		}
+		var walk func(v reflect.Value, path string)
+		walk = func(v reflect.Value, path string) {
+			for i := range v.NumField() {
+				f, name := v.Field(i), path+"."+v.Type().Field(i).Name
+				switch f.Kind() {
+				case reflect.Struct:
+					walk(f, name)
+				case reflect.Float64:
+					old := f.Float()
+					f.SetFloat(math.NaN())
+					if validate() == nil {
+						t.Errorf("%s = NaN validates", name)
+					}
+					f.SetFloat(old)
+				}
+			}
+		}
+		walk(opts, fmt.Sprintf("%T", base))
 	}
 }
 

@@ -63,8 +63,8 @@ type Profile struct {
 	DeadlineSec    float64
 	// Reducer names the server-side aggregation rule every run's upload
 	// fold routes through (core.ReducerByName registry: mean,
-	// trimmed[:frac], median, krum[:f], multikrum[:f]:[m]). "" keeps the
-	// legacy weighted mean, bit-identical to the pre-reducer engine.
+	// trimmed[:frac], median, krum[:f], multikrum[:f]:[m]). "" is the
+	// nil reducer, the weighted mean (nil ≡ "mean", relations row reducer).
 	Reducer string
 	// Attack, AttackFrac and AttackScale configure Byzantine client
 	// injection (fl.AdversaryOptions); zero values run benign.

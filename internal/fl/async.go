@@ -45,11 +45,11 @@ func (o AsyncOptions) Validate() error {
 		return fmt.Errorf("fl: async InFlight = %d, must be non-negative", o.InFlight)
 	case o.Commits < 0:
 		return fmt.Errorf("fl: async Commits = %d, must be non-negative", o.Commits)
-	case o.StalenessExp < 0:
+	case !(o.StalenessExp >= 0):
 		return fmt.Errorf("fl: async StalenessExp = %v, must be non-negative", o.StalenessExp)
-	case o.ServerLR < 0:
+	case !(o.ServerLR >= 0):
 		return fmt.Errorf("fl: async ServerLR = %v, must be non-negative", o.ServerLR)
-	case o.ComputeSec < 0 || o.ComputeJitter < 0:
+	case !(o.ComputeSec >= 0 && o.ComputeJitter >= 0):
 		return fmt.Errorf("fl: async compute model (%v, %v) must be non-negative", o.ComputeSec, o.ComputeJitter)
 	}
 	return nil
@@ -188,7 +188,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	// function of the selection stream. Virtualized federations admit
 	// only trainable (non-empty) clients — at million-client scale empty
 	// shards are expected, not exceptional; eager federations keep every
-	// client, preserving the legacy empty-shard training error.
+	// client, so an empty eager shard still fails training.
 	st.available = make([]int, 0, s.n)
 	for i := 0; i < s.n; i++ {
 		if env.Fed.Trainable(i) {

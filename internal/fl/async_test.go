@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -61,29 +60,6 @@ func TestAsyncRunsAndAccounts(t *testing.T) {
 	// EvalEvery=2 over 5 commits → commits 2, 4 and the final 5.
 	if len(hist.Metrics) != 3 {
 		t.Fatalf("evals %d, want 3", len(hist.Metrics))
-	}
-}
-
-// TestAsyncFoldDeterminism is the async half of the determinism contract:
-// byte-identical histories at any worker fan-out for a fixed seed, with
-// and without an adversary.
-func TestAsyncFoldDeterminism(t *testing.T) {
-	for _, adv := range []AdversaryOptions{
-		{},
-		{Attack: AttackSignFlip, Frac: 0.25},
-	} {
-		run := func(par int) *History {
-			cfg := asyncCfg(5, par)
-			cfg.Adversary = adv
-			h, err := RunAsync(testEnv(32, 8), cfg, AsyncOptions{Buffer: 2, InFlight: 5, Commits: 6})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		}
-		if h1, h8 := run(1), run(8); !reflect.DeepEqual(h1, h8) {
-			t.Fatalf("attack=%q: Parallelism=1 vs 8 histories differ", adv.Attack)
-		}
 	}
 }
 

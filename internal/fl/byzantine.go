@@ -66,11 +66,11 @@ func (o AdversaryOptions) Validate() error {
 	default:
 		return fmt.Errorf("fl: unknown attack %q (want none, labelflip, signflip, scale or collude)", o.Attack)
 	}
-	if o.Frac < 0 || o.Frac >= 1 {
+	if !(0 <= o.Frac && o.Frac < 1) {
 		return fmt.Errorf("fl: attack fraction %v out of [0, 1)", o.Frac)
 	}
-	if o.Scale < 0 {
-		return fmt.Errorf("fl: attack scale %v negative", o.Scale)
+	if !(o.Scale >= 0) {
+		return fmt.Errorf("fl: attack scale %v, must be non-negative", o.Scale)
 	}
 	if o.Virtual < 0 {
 		return fmt.Errorf("fl: virtual client count %d negative", o.Virtual)

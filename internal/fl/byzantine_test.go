@@ -216,49 +216,6 @@ func TestShadowEnvFlipsOnlyAttackers(t *testing.T) {
 	}
 }
 
-// TestAttackRunParallelismInvariance: under every attack (and a robust
-// reducer) histories are bit-identical at Parallelism 1 vs 8 — the
-// attacker set, corruption and aggregation are all scheduling-free.
-func TestAttackRunParallelismInvariance(t *testing.T) {
-	for _, attack := range []string{AttackLabelFlip, AttackSignFlip, AttackScale, AttackCollude} {
-		run := func(par int) *History {
-			cfg := Config{
-				Rounds: 3, ClientsPerRound: 4, LocalEpochs: 1, BatchSize: 16,
-				LR: 0.05, Momentum: 0.5, EvalEvery: 1, Seed: 11, Parallelism: par,
-				Reducer:   &TrimmedMeanReducer{Frac: 0.3},
-				Adversary: AdversaryOptions{Attack: attack, Frac: 0.25},
-			}
-			h, err := Run(&wireAlgo{}, testEnv(22, 8), cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", attack, err)
-			}
-			return h
-		}
-		if h1, h8 := run(1), run(8); !reflect.DeepEqual(h1, h8) {
-			t.Fatalf("%s: Parallelism=1 vs 8 histories differ", attack)
-		}
-	}
-}
-
-// TestBenignReducerMeanBitIdentical: a benign run with an explicit
-// MeanReducer must reproduce the nil legacy path bit-for-bit.
-func TestBenignReducerMeanBitIdentical(t *testing.T) {
-	run := func(r Reducer) *History {
-		cfg := Config{
-			Rounds: 3, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 16,
-			LR: 0.05, Momentum: 0.5, EvalEvery: 1, Seed: 13, Reducer: r,
-		}
-		h, err := Run(&wireAlgo{}, testEnv(23, 6), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	if a, b := run(nil), run(MeanReducer{}); !reflect.DeepEqual(a, b) {
-		t.Fatal("benign MeanReducer history must be bit-identical to the nil path")
-	}
-}
-
 // TestSignFlipHurtsMeanNotMedian: the end-to-end sanity check behind the
 // robust experiment — with 25% sign-flip attackers the mean aggregate
 // loses accuracy while the coordinate-wise median holds.

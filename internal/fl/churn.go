@@ -47,15 +47,15 @@ func (o ChurnOptions) Active() bool {
 // Validate reports the first problem with the options.
 func (o ChurnOptions) Validate() error {
 	switch {
-	case o.Availability < 0 || o.Availability > 1:
+	case !(0 <= o.Availability && o.Availability <= 1):
 		return fmt.Errorf("fl: Availability = %v, must be in [0,1]", o.Availability)
 	case o.PeriodRounds < 0:
 		return fmt.Errorf("fl: PeriodRounds = %d, must be non-negative", o.PeriodRounds)
-	case o.Jitter < 0 || o.Jitter > 1:
+	case !(0 <= o.Jitter && o.Jitter <= 1):
 		return fmt.Errorf("fl: churn Jitter = %v, must be in [0,1]", o.Jitter)
-	case o.StartFrac < 0 || o.StartFrac > 1:
+	case !(0 <= o.StartFrac && o.StartFrac <= 1):
 		return fmt.Errorf("fl: StartFrac = %v, must be in [0,1]", o.StartFrac)
-	case o.EndFrac < 0 || o.EndFrac > 1:
+	case !(0 <= o.EndFrac && o.EndFrac <= 1):
 		return fmt.Errorf("fl: EndFrac = %v, must be in [0,1]", o.EndFrac)
 	}
 	return nil

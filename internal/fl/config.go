@@ -52,10 +52,9 @@ type Config struct {
 	// to the accounting-only engine.
 	Transport TransportOptions
 	// Reducer is the server-side aggregation rule every algorithm's
-	// upload fold routes through (see ReduceUploads). nil keeps the
-	// legacy weighted-mean path, bit-identical to the pre-reducer engine;
-	// the robust rules (trimmed mean, median, core's Krum family) swap in
-	// here.
+	// upload fold routes through (see ReduceUploads). nil is the
+	// weighted mean (nil ≡ "mean", relations row reducer); the robust
+	// rules (trimmed mean, median, core's Krum family) swap in here.
 	Reducer Reducer
 	// Adversary injects Byzantine clients (see AdversaryOptions). The
 	// zero value runs the benign setting with histories untouched.
@@ -122,11 +121,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fl: LocalEpochs = %d, must be positive", c.LocalEpochs)
 	case c.BatchSize <= 0:
 		return fmt.Errorf("fl: BatchSize = %d, must be positive", c.BatchSize)
-	case c.LR <= 0:
+	case !(c.LR > 0):
 		return fmt.Errorf("fl: LR = %v, must be positive", c.LR)
-	case c.Momentum < 0 || c.Momentum >= 1:
+	case !(0 <= c.Momentum && c.Momentum < 1):
 		return fmt.Errorf("fl: Momentum = %v, must be in [0,1)", c.Momentum)
-	case c.DropoutRate < 0 || c.DropoutRate >= 1:
+	case !(0 <= c.DropoutRate && c.DropoutRate < 1):
 		return fmt.Errorf("fl: DropoutRate = %v, must be in [0,1)", c.DropoutRate)
 	case c.Parallelism < 0:
 		return fmt.Errorf("fl: Parallelism = %d, must be non-negative", c.Parallelism)

@@ -65,17 +65,17 @@ func (o FaultOptions) Validate() error {
 		{"StallRate", o.StallRate},
 	}
 	for _, r := range rates {
-		if r.v < 0 || r.v > 1 {
+		if !(0 <= r.v && r.v <= 1) {
 			return fmt.Errorf("fl: %s = %v, must be in [0,1]", r.name, r.v)
 		}
 	}
-	if o.StraggleFactor < 0 {
+	if !(o.StraggleFactor >= 0) {
 		return fmt.Errorf("fl: StraggleFactor = %v, must be non-negative", o.StraggleFactor)
 	}
 	if o.StraggleFactor > 0 && o.StraggleFactor < 1 {
 		return fmt.Errorf("fl: StraggleFactor = %v, must be >= 1 (a slowdown)", o.StraggleFactor)
 	}
-	if o.StallSec < 0 {
+	if !(o.StallSec >= 0) {
 		return fmt.Errorf("fl: StallSec = %v, must be non-negative", o.StallSec)
 	}
 	return nil

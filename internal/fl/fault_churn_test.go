@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -86,66 +85,6 @@ func TestFaultPlanDeterministicAndPure(t *testing.T) {
 	}
 	if NewFaultPlan(FaultOptions{}, 42).Active() {
 		t.Fatal("inactive options must yield an inactive plan")
-	}
-}
-
-// TestInactiveFaultsAndChurnBitIdentical: setting only the fault/churn
-// fields that carry no probability (factors, durations) must leave the
-// history bit-unchanged from the benign run — the rate-0 guarantee.
-func TestInactiveFaultsAndChurnBitIdentical(t *testing.T) {
-	cfg := Config{Rounds: 4, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 16,
-		LR: 0.05, Momentum: 0.5, EvalEvery: 1, Seed: 9}
-	base, err := Run(&wireAlgo{}, testEnv(51, 6), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decorated := cfg
-	decorated.Faults = FaultOptions{StraggleFactor: 8, StallSec: 30}
-	decorated.Churn = ChurnOptions{Availability: 1, PeriodRounds: 12}
-	got, err := Run(&wireAlgo{}, testEnv(51, 6), decorated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("inactive faults/churn changed the history:\n%+v\nvs\n%+v", base, got)
-	}
-}
-
-// TestRunUnderFaultsDeterministicAcrossParallelism: the full fault mix,
-// retries, a quorum floor, an adversary and a lossy wire — histories must
-// still be bit-identical at every worker count, and every fault class
-// must show up in the telemetry.
-func TestRunUnderFaultsDeterministicAcrossParallelism(t *testing.T) {
-	mk := func(par int) Config {
-		return Config{Rounds: 8, ClientsPerRound: 5, LocalEpochs: 1, BatchSize: 16,
-			LR: 0.05, Momentum: 0.5, EvalEvery: 1, Seed: 3, Parallelism: par,
-			Faults:     faultMix(),
-			MinUploads: 2,
-			Transport:  TransportOptions{Codec: "fp16", Network: "lte", Retries: 2, RetryBackoffSec: 0.1},
-			Adversary:  AdversaryOptions{Attack: AttackSignFlip, Frac: 0.25},
-		}
-	}
-	ref, err := Run(&wireAlgo{}, testEnv(52, 10), mk(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{0, 8} {
-		h, err := Run(&wireAlgo{}, testEnv(52, 10), mk(par))
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		if !reflect.DeepEqual(ref, h) {
-			t.Fatalf("history diverged at Parallelism=%d", par)
-		}
-	}
-	if ref.Crashes == 0 || ref.FaultDrops == 0 || ref.Retries == 0 ||
-		ref.Duplicates == 0 || ref.Stalls == 0 {
-		t.Fatalf("fault telemetry incomplete: %+v", ref)
-	}
-	final := ref.Final()
-	if final.CumCrashes != ref.Crashes || final.CumFaultDrops != ref.FaultDrops ||
-		final.CumStalls != ref.Stalls {
-		t.Fatalf("per-round cum counters disagree with run totals: %+v vs %+v", final, ref)
 	}
 }
 
@@ -261,33 +200,5 @@ func TestChurnPlanPureAndRamped(t *testing.T) {
 	}
 	if NewChurnPlan(ChurnOptions{}, 7, n, rounds) != nil {
 		t.Fatal("inactive churn must yield a nil plan")
-	}
-}
-
-// TestChurnRunTelemetryAndDeterminism: a sparse fleet loses selection
-// slots (counted), and histories stay bit-identical across worker counts.
-func TestChurnRunTelemetryAndDeterminism(t *testing.T) {
-	mk := func(par int) Config {
-		return Config{Rounds: 6, ClientsPerRound: 4, LocalEpochs: 1, BatchSize: 16,
-			LR: 0.05, Momentum: 0.5, EvalEvery: 1, Seed: 6, Parallelism: par,
-			Churn: ChurnOptions{Availability: 0.3, Jitter: 0.5, StartFrac: 1, EndFrac: 0.5},
-		}
-	}
-	ref, err := Run(&wireAlgo{}, testEnv(55, 6), mk(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := Run(&wireAlgo{}, testEnv(55, 6), mk(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, h) {
-		t.Fatal("churned history diverged across Parallelism")
-	}
-	if ref.Unavailable == 0 {
-		t.Fatalf("expected lost selection slots at 30%% availability over a shrinking fleet: %+v", ref)
-	}
-	if ref.Final().CumUnavailable != ref.Unavailable {
-		t.Fatalf("cum unavailable %d != run total %d", ref.Final().CumUnavailable, ref.Unavailable)
 	}
 }

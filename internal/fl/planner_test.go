@@ -1,11 +1,8 @@
 package fl_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -87,26 +84,20 @@ func plannerConfig(prefetch, par int, churn bool) fl.Config {
 
 // TestRunPlannerAheadMatchesInline: over PrefetchRounds {0, 1, 2} ×
 // Parallelism {1, 2, 8} × {FedAvg, FedCross, CluSamp} × churn off/on,
-// the history is byte-identical whether the lookahead ran on the planner
-// goroutine, inline, or not at all; the snapshot a run stopped after
-// round 3 writes is byte-identical across Parallelism (the planner's
-// cursor travels in it, so it differs across PrefetchRounds by design),
-// and resuming it reproduces the history. The probe checks the goroutine
-// ran exactly where it should: lookahead on, Parallelism ≠ 1, no Selector.
+// the lookahead runs on the planner goroutine exactly where it should —
+// lookahead on, Parallelism ≠ 1, no Selector — inline when Parallelism is
+// 1, and not at all for a Selector. That its history, snapshot and resume
+// match the inline ones is the relations table's cache and resume rows
+// (internal/experiments).
 func TestRunPlannerAheadMatchesInline(t *testing.T) {
 	fed := plannerFed()
-	dir := t.TempDir()
 	for name, mk := range plannerAlgos() {
 		for _, churn := range []bool{false, true} {
-			var ref []byte
 			for _, prefetch := range []int{0, 1, 2} {
-				var snapRef []byte
 				for _, par := range []int{1, 2, 8} {
 					tag := fmt.Sprintf("%s/churn=%v/prefetch%d/par%d", name, churn, prefetch, par)
-					cfg := plannerConfig(prefetch, par, churn)
 					env, probe := probeEnv(fed)
-					h, err := fl.Run(mk(), env, cfg)
-					if err != nil {
+					if _, err := fl.Run(mk(), env, plannerConfig(prefetch, par, churn)); err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}
 					if n := env.Fed.OutstandingLeases(); n != 0 {
@@ -119,45 +110,11 @@ func TestRunPlannerAheadMatchesInline(t *testing.T) {
 					if got, want := probe.onPlanner.Load()+probe.inline.Load() > 0, planned; got != want {
 						t.Fatalf("%s: lookahead issued = %v, want %v", tag, got, want)
 					}
-					hist := historyBytes(h)
-					if ref == nil {
-						ref = hist
-					} else if !bytes.Equal(ref, hist) {
-						t.Fatalf("%s: history differs from %s/churn=%v/prefetch0/par1", tag, name, churn)
-					}
-
-					path := filepath.Join(dir, "run.ckpt")
-					cfg.Checkpoint = fl.CheckpointOptions{Path: path, StopAfterRound: 3}
-					env, _ = probeEnv(fed)
-					if _, err := fl.Run(mk(), env, cfg); !errors.Is(err, fl.ErrStopped) {
-						t.Fatalf("%s: stopped run returned %v", tag, err)
-					}
-					snap, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if snapRef == nil {
-						snapRef = snap
-					} else if !bytes.Equal(snapRef, snap) {
-						t.Fatalf("%s: round-3 snapshot differs from par1's", tag)
-					}
-					cfg.Checkpoint = fl.CheckpointOptions{Path: path, Resume: true}
-					env, _ = probeEnv(fed)
-					h, err = fl.Run(mk(), env, cfg)
-					if err != nil {
-						t.Fatalf("%s: resume: %v", tag, err)
-					}
-					if !bytes.Equal(ref, historyBytes(h)) {
-						t.Fatalf("%s: resumed history differs", tag)
-					}
 				}
 			}
 		}
 	}
 }
-
-// historyBytes is every field of h, floats in their shortest exact form.
-func historyBytes(h *fl.History) []byte { return []byte(fmt.Sprintf("%#v", *h)) }
 
 // TestRunPlannerWithoutBudgetTokenPlansInline: under a shared budget with
 // no token free, the lookahead stays on the round loop's goroutine — no

@@ -41,33 +41,6 @@ func trainJobs(env *Env, init nn.ParamVector, seed int64) []LocalJob {
 	return jobs
 }
 
-func TestTrainAllParallelismInvariant(t *testing.T) {
-	env := testEnv(21, 6)
-	init := nn.FlattenParams(env.Model.New(tensor.NewRNG(22)).Params())
-
-	serial, err := TrainAll(env, trainJobs(env, init, 23), Limit(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := TrainAll(env, trainJobs(env, init, 23), Limit(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Steps != parallel[i].Steps || serial[i].MeanLoss != parallel[i].MeanLoss {
-			t.Fatalf("job %d metadata differs: %+v vs %+v", i, serial[i], parallel[i])
-		}
-		for j := range serial[i].Params {
-			if serial[i].Params[j] != parallel[i].Params[j] {
-				t.Fatalf("job %d param %d differs: %v vs %v", i, j, serial[i].Params[j], parallel[i].Params[j])
-			}
-		}
-	}
-}
-
 func TestTrainAllShardOverride(t *testing.T) {
 	env := testEnv(31, 3)
 	init := nn.FlattenParams(env.Model.New(tensor.NewRNG(32)).Params())

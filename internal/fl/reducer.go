@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"fedcross/internal/nn"
 )
@@ -44,8 +45,8 @@ var ErrNoFiniteUploads = errors.New("fl: reduce: no finite uploads")
 // through. It hardens the server against hostile payloads the way the
 // codec layer hardens it against hostile headers:
 //
-//   - a nil reducer falls back to the weighted mean (the legacy path,
-//     bit-identical to nn.WeightedMeanVectors),
+//   - a nil reducer falls back to MeanReducer (nil ≡ "mean", relations
+//     row reducer),
 //   - ragged upload lengths, mismatched weight counts and negative or
 //     non-finite weights are errors, never panics,
 //   - uploads containing NaN or ±Inf coordinates are dropped before the
@@ -144,21 +145,21 @@ func (MeanReducer) Name() string { return "mean" }
 
 // SetWorkers implements WorkersSetter (pointer receiver, so the value
 // MeanReducer{} used by the nil-reducer fallback keeps its zero
-// allowance and legacy algorithms that branch on cfg.Reducer != nil are
+// allowance and algorithms that branch on cfg.Reducer != nil are
 // unaffected).
 func (r *MeanReducer) SetWorkers(w Workers) { r.W = w }
 
 // Reduce implements Reducer. Up to treeLeaf uploads it is bit-identical
-// to nn.WeightedMeanVectors (the legacy serial fold); past that it
-// switches to the deterministic group tree-reduce.
+// to nn.WeightedMeanVectors' serial fold (TestTreeMeanLegacyFastPath);
+// past that it switches to the deterministic group tree-reduce.
 func (r MeanReducer) Reduce(uploads []nn.ParamVector, weights []float64) nn.ParamVector {
 	return treeMean(uploads, weights, r.W)
 }
 
 // treeLeaf is the client-group size at the tree-reduce's leaves. Every
 // configuration up to treeLeaf uploads per round takes the single-group
-// fast path, which is the exact legacy serial fold — so all historical
-// runs (K ≤ 64) are reproduced bit-for-bit.
+// fast path, nn.WeightedMeanVectors' serial fold exactly
+// (TestTreeMeanLegacyFastPath).
 const treeLeaf = 64
 
 // treeMaxGroups caps the leaf-group count; beyond it the leaves grow
@@ -175,7 +176,7 @@ const treeMaxGroups = 128
 // Determinism contract: the tree shape — group boundaries and pair
 // assignments — depends only on len(uploads), never on the worker count.
 // Workers decide WHO computes a node, not WHAT it sums, so the result is
-// bit-identical at any fan-out (and to the serial legacy fold whenever
+// bit-identical at any fan-out (and to nn.WeightedMeanVectors whenever
 // the inputs fit one group).
 func treeMean(uploads []nn.ParamVector, weights []float64, w Workers) nn.ParamVector {
 	k := len(uploads)
@@ -388,11 +389,11 @@ func ReducerByName(name string) (Reducer, error) {
 	case name == "trimmed":
 		return &TrimmedMeanReducer{}, nil
 	case len(name) > len("trimmed:") && name[:len("trimmed:")] == "trimmed:":
-		var frac float64
-		if _, err := fmt.Sscanf(name[len("trimmed:"):], "%g", &frac); err != nil {
+		frac, err := strconv.ParseFloat(name[len("trimmed:"):], 64)
+		if err != nil {
 			return nil, fmt.Errorf("fl: bad trimmed fraction in %q: %w", name, err)
 		}
-		if frac <= 0 || frac >= 0.5 {
+		if !(frac > 0 && frac < 0.5) {
 			return nil, fmt.Errorf("fl: trimmed fraction %v out of (0, 0.5)", frac)
 		}
 		return &TrimmedMeanReducer{Frac: frac}, nil

@@ -255,7 +255,7 @@ func TestReducerByName(t *testing.T) {
 			t.Fatalf("%q resolved to %q, want %q", name, r.Name(), want)
 		}
 	}
-	for _, name := range []string{"bogus", "trimmed:0.6", "trimmed:-1", "trimmed:x"} {
+	for _, name := range []string{"bogus", "trimmed:0.6", "trimmed:-1", "trimmed:x", "trimmed:NaN", "trimmed:0.2junk", "trimmed:"} {
 		if _, err := ReducerByName(name); err == nil {
 			t.Fatalf("%q should not resolve", name)
 		}

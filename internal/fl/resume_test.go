@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,8 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"fedcross/internal/data"
-	"fedcross/internal/models"
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
 )
@@ -68,43 +65,6 @@ func resumeCfg(par int) Config {
 		MinUploads: 2,
 		Transport:  TransportOptions{Codec: "fp16", Network: "wifi", Retries: 1, RetryBackoffSec: 0.1},
 		Adversary:  AdversaryOptions{Attack: AttackSignFlip, Frac: 0.25},
-	}
-}
-
-// TestRunKillResumeBitIdentity: a run killed at any round boundary and
-// resumed from its snapshot finishes with a final history byte-identical
-// to the uninterrupted run — at serial and fanned-out parallelism, under
-// faults and attack.
-func TestRunKillResumeBitIdentity(t *testing.T) {
-	dir := t.TempDir()
-	for _, par := range []int{1, 8} {
-		full, err := Run(&ckptWireAlgo{}, testEnv(61, 8), resumeCfg(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, stop := range []int{1, 3, 5} {
-			t.Run(fmt.Sprintf("par%d/stop%d", par, stop), func(t *testing.T) {
-				path := filepath.Join(dir, fmt.Sprintf("p%d-s%d.ckpt", par, stop))
-				killed := resumeCfg(par)
-				killed.Checkpoint = CheckpointOptions{Path: path, StopAfterRound: stop}
-				partial, err := Run(&ckptWireAlgo{}, testEnv(61, 8), killed)
-				if !errors.Is(err, ErrStopped) {
-					t.Fatalf("want ErrStopped, got %v", err)
-				}
-				if got := partial.Final().Round; got > stop {
-					t.Fatalf("partial history ran past the kill: round %d > %d", got, stop)
-				}
-				resumed := resumeCfg(par)
-				resumed.Checkpoint = CheckpointOptions{Path: path, Resume: true}
-				h, err := Run(&ckptWireAlgo{}, testEnv(61, 8), resumed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(full, h) {
-					t.Fatalf("resumed history diverged:\nfull    %+v\nresumed %+v", full, h)
-				}
-			})
-		}
 	}
 }
 
@@ -306,41 +266,6 @@ func asyncResumeCfg() (Config, AsyncOptions) {
 	return cfg, AsyncOptions{Buffer: 2, InFlight: 4, Commits: 8}
 }
 
-// TestAsyncKillResumeBitIdentity: the buffered-async engine holds the
-// same contract — kill at any commit boundary, resume, and the final
-// history is byte-identical, in-flight jobs and all.
-func TestAsyncKillResumeBitIdentity(t *testing.T) {
-	dir := t.TempDir()
-	cfg, opts := asyncResumeCfg()
-	full, err := RunAsync(testEnv(64, 8), cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stop := range []int{1, 4, 7} {
-		t.Run(fmt.Sprintf("stop%d", stop), func(t *testing.T) {
-			path := filepath.Join(dir, fmt.Sprintf("s%d.ckpt", stop))
-			killedCfg, opts := asyncResumeCfg()
-			killedCfg.Checkpoint = CheckpointOptions{Path: path, StopAfterRound: stop}
-			partial, err := RunAsync(testEnv(64, 8), killedCfg, opts)
-			if !errors.Is(err, ErrStopped) {
-				t.Fatalf("want ErrStopped, got %v", err)
-			}
-			if got := partial.Final().Round; got > stop {
-				t.Fatalf("partial history ran past the kill: commit %d > %d", got, stop)
-			}
-			resumedCfg, opts := asyncResumeCfg()
-			resumedCfg.Checkpoint = CheckpointOptions{Path: path, Resume: true}
-			h, err := RunAsync(testEnv(64, 8), resumedCfg, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(full, h) {
-				t.Fatalf("async resumed history diverged:\nfull    %+v\nresumed %+v", full, h)
-			}
-		})
-	}
-}
-
 // TestAsyncResumeRejectsHostileInput mirrors the sync hardening for the
 // async snapshot format.
 func TestAsyncResumeRejectsHostileInput(t *testing.T) {
@@ -369,72 +294,5 @@ func TestAsyncResumeRejectsHostileInput(t *testing.T) {
 	wrongSeed.Checkpoint = CheckpointOptions{Path: path, Resume: true}
 	if _, err := RunAsync(testEnv(65, 8), wrongSeed, opts2); err == nil {
 		t.Fatal("async resume under a different seed must fail")
-	}
-}
-
-// TestFaultedRoundsDrainAllLeases: fault-heavy runs (including killed
-// ones) must release every replica and shard lease — the abort paths the
-// faults add cannot leak. The env gets a private architecture so no other
-// test's replicas show up, and a lazy source so shard leases are counted.
-func TestFaultedRoundsDrainAllLeases(t *testing.T) {
-	mkEnv := func() *Env {
-		env := sourceEnv(66, 8, data.Heterogeneity{IID: true}, "lazy")
-		env.Model = models.MLP(12, 19, 4) // unique dims → private replica pool
-		return env
-	}
-	pool := models.Replicas(models.MLP(12, 19, 4))
-	leases := func(env *Env) int {
-		type outstander interface{ Outstanding() int }
-		return env.Fed.Source.(outstander).Outstanding()
-	}
-
-	cfg := resumeCfg(4)
-	env := mkEnv()
-	if _, err := Run(&ckptWireAlgo{}, env, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if n := pool.Outstanding(); n != 0 {
-		t.Fatalf("faulted sync run leaked %d replica leases", n)
-	}
-	if n := leases(env); n != 0 {
-		t.Fatalf("faulted sync run leaked %d shard leases", n)
-	}
-
-	killed := resumeCfg(4)
-	killed.Checkpoint = CheckpointOptions{Path: filepath.Join(t.TempDir(), "k.ckpt"), StopAfterRound: 2}
-	env = mkEnv()
-	if _, err := Run(&ckptWireAlgo{}, env, killed); !errors.Is(err, ErrStopped) {
-		t.Fatal("want ErrStopped")
-	}
-	if n := pool.Outstanding(); n != 0 {
-		t.Fatalf("killed sync run leaked %d replica leases", n)
-	}
-	if n := leases(env); n != 0 {
-		t.Fatalf("killed sync run leaked %d shard leases", n)
-	}
-
-	asyncCfg, opts := asyncResumeCfg()
-	env = mkEnv()
-	if _, err := RunAsync(env, asyncCfg, opts); err != nil {
-		t.Fatal(err)
-	}
-	if n := pool.Outstanding(); n != 0 {
-		t.Fatalf("faulted async run leaked %d replica leases", n)
-	}
-	if n := leases(env); n != 0 {
-		t.Fatalf("faulted async run leaked %d shard leases", n)
-	}
-
-	asyncKilled, opts := asyncResumeCfg()
-	asyncKilled.Checkpoint = CheckpointOptions{Path: filepath.Join(t.TempDir(), "ak.ckpt"), StopAfterRound: 3}
-	env = mkEnv()
-	if _, err := RunAsync(env, asyncKilled, opts); !errors.Is(err, ErrStopped) {
-		t.Fatal("want ErrStopped")
-	}
-	if n := pool.Outstanding(); n != 0 {
-		t.Fatalf("killed async run leaked %d replica leases", n)
-	}
-	if n := leases(env); n != 0 {
-		t.Fatalf("killed async run leaked %d shard leases", n)
 	}
 }

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,165 +11,25 @@ import (
 )
 
 // sourceEnv builds the standard test environment with its client shards
-// held three different ways: "legacy" is the historical eager Clients
-// slice, "materialized" wraps that exact slice in a ClientSource, and
-// "lazy" synthesizes shards on demand from the same partition seed
-// through a deliberately tiny LRU. All three must be observationally
-// identical to every engine.
-func sourceEnv(seed int64, clients int, het data.Heterogeneity, mode string) *Env {
+// in the eager Clients slice, or, when lazy, synthesized on demand from
+// the same partition seed through a deliberately tiny LRU.
+func sourceEnv(seed int64, clients int, het data.Heterogeneity, lazy bool) *Env {
 	cfg := data.VisionConfig{
 		Classes: 4, Features: 12,
 		TrainPerClass: 40, TestPerClass: 15,
 		ModesPerClass: 2, Sep: 1.2, Noise: 0.3, Seed: seed,
 	}
-	var fed *data.Federated
-	switch mode {
-	case "legacy":
-		fed = data.BuildVision(cfg, clients, het, seed+1)
-	case "materialized":
-		fed = data.BuildVision(cfg, clients, het, seed+1)
-		fed.Source = data.NewMaterialized(fed.Clients)
-		fed.Clients = nil
-	case "lazy":
-		fed = data.BuildVisionLazy(cfg, clients, het, seed+1, 3)
-	default:
-		panic("unknown source mode " + mode)
+	if lazy {
+		return &Env{Fed: data.BuildVisionLazy(cfg, clients, het, seed+1, 3), Model: models.MLP(12, 16, 4)}
 	}
-	return &Env{Fed: fed, Model: models.MLP(12, 16, 4)}
-}
-
-var sourceModes = []string{"legacy", "materialized", "lazy"}
-
-// TestRunIdenticalAcrossSources is the engine-level half of the
-// equivalence property: fl.Run produces bit-identical histories whether
-// shards are eager, wrapped, or synthesized lazily — per scheme and at
-// both serial and fanned-out parallelism.
-func TestRunIdenticalAcrossSources(t *testing.T) {
-	for _, het := range []data.Heterogeneity{{IID: true}, {Beta: 0.5}} {
-		for _, par := range []int{1, 0} {
-			t.Run(fmt.Sprintf("%s/par%d", het.String(), par), func(t *testing.T) {
-				cfg := Config{Rounds: 3, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 16,
-					LR: 0.05, Momentum: 0.5, EvalEvery: 1, Seed: 7, Parallelism: par}
-				var ref *History
-				for _, mode := range sourceModes {
-					env := sourceEnv(21, 6, het, mode)
-					h, err := Run(&wireAlgo{}, env, cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", mode, err)
-					}
-					if n := env.Fed.OutstandingLeases(); n != 0 {
-						t.Fatalf("%s: %d leases outstanding after run", mode, n)
-					}
-					if ref == nil {
-						ref = h
-						continue
-					}
-					if !reflect.DeepEqual(ref.Metrics, h.Metrics) {
-						t.Fatalf("%s history diverges from legacy:\n%v\nvs\n%v", mode, ref.Metrics, h.Metrics)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestRunAsyncIdenticalAcrossSources repeats the property for the
-// buffered-async engine, whose lease pattern (batched in-flight
-// training) differs from the sync round loop.
-func TestRunAsyncIdenticalAcrossSources(t *testing.T) {
-	cfg := Config{Rounds: 4, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 16,
-		LR: 0.05, Momentum: 0.5, EvalEvery: 2, Seed: 9}
-	opts := AsyncOptions{Buffer: 2}
-	var ref *History
-	for _, mode := range sourceModes {
-		env := sourceEnv(23, 6, data.Heterogeneity{Beta: 0.5}, mode)
-		h, err := RunAsync(env, cfg, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if n := env.Fed.OutstandingLeases(); n != 0 {
-			t.Fatalf("%s: %d leases outstanding after run", mode, n)
-		}
-		if ref == nil {
-			ref = h
-			continue
-		}
-		if !reflect.DeepEqual(ref.Metrics, h.Metrics) {
-			t.Fatalf("%s async history diverges:\n%v\nvs\n%v", mode, ref.Metrics, h.Metrics)
-		}
-	}
-}
-
-// TestVirtualSybilsIdenticalAcrossSources: with virtual Byzantine ids
-// extending the population past N, the shadow environment routes every
-// source through the shadowSource wrapper — legacy and lazy federations
-// must still agree bit-for-bit, and sybil participation must actually
-// change the outcome relative to the benign run.
-func TestVirtualSybilsIdenticalAcrossSources(t *testing.T) {
-	for _, attack := range []string{AttackLabelFlip, AttackSignFlip} {
-		t.Run(attack, func(t *testing.T) {
-			cfg := Config{Rounds: 3, ClientsPerRound: 4, LocalEpochs: 1, BatchSize: 16,
-				LR: 0.05, Momentum: 0.5, EvalEvery: 1, Seed: 11,
-				Adversary: AdversaryOptions{Attack: attack, Virtual: 4}}
-			benignCfg := cfg
-			benignCfg.Adversary = AdversaryOptions{}
-			var ref, benign *History
-			for _, mode := range sourceModes {
-				env := sourceEnv(25, 4, data.Heterogeneity{IID: true}, mode)
-				h, err := Run(&wireAlgo{}, env, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				if n := env.Fed.OutstandingLeases(); n != 0 {
-					t.Fatalf("%s: %d leases outstanding after run", mode, n)
-				}
-				if ref == nil {
-					ref = h
-					b, err := Run(&wireAlgo{}, sourceEnv(25, 4, data.Heterogeneity{IID: true}, mode), benignCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					benign = b
-					continue
-				}
-				if !reflect.DeepEqual(ref.Metrics, h.Metrics) {
-					t.Fatalf("%s attacked history diverges:\n%v\nvs\n%v", mode, ref.Metrics, h.Metrics)
-				}
-			}
-			if reflect.DeepEqual(ref.Metrics, benign.Metrics) {
-				t.Fatalf("%s: virtual sybils had no effect on the run", attack)
-			}
-		})
-	}
-}
-
-// TestVirtualZeroBitCompat: Virtual=0 must not perturb existing attacked
-// histories — the sybil extension draws no RNG and takes the historical
-// shadow path.
-func TestVirtualZeroBitCompat(t *testing.T) {
-	base := Config{Rounds: 2, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 16,
-		LR: 0.05, Momentum: 0, EvalEvery: 1, Seed: 13,
-		Adversary: AdversaryOptions{Attack: AttackLabelFlip, Frac: 0.34}}
-	h1, err := Run(&wireAlgo{}, sourceEnv(27, 6, data.Heterogeneity{IID: true}, "legacy"), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withZero := base
-	withZero.Adversary.Virtual = 0
-	h2, err := Run(&wireAlgo{}, sourceEnv(27, 6, data.Heterogeneity{IID: true}, "legacy"), withZero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(h1.Metrics, h2.Metrics) {
-		t.Fatal("explicit Virtual=0 changed the attacked history")
-	}
+	return &Env{Fed: data.BuildVision(cfg, clients, het, seed+1), Model: models.MLP(12, 16, 4)}
 }
 
 // TestEvaluatePerClientLeasesDrainOnError: a failing per-client pass must
 // release every shard lease on the way out (satellite: streaming
 // evaluation with zero-leak error paths).
 func TestEvaluatePerClientLeasesDrainOnError(t *testing.T) {
-	env := sourceEnv(29, 6, data.Heterogeneity{IID: true}, "lazy")
+	env := sourceEnv(29, 6, data.Heterogeneity{IID: true}, true)
 	// A wrong-length vector fails replica loading inside every client's
 	// evaluation.
 	if _, err := EvaluatePerClient(env, make(nn.ParamVector, 3), 32, Limit(0)); err == nil {
@@ -185,7 +44,7 @@ func TestEvaluatePerClientLeasesDrainOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repEager, err := EvaluatePerClient(sourceEnv(29, 6, data.Heterogeneity{IID: true}, "legacy"), vec, 32, Limit(0))
+	repEager, err := EvaluatePerClient(sourceEnv(29, 6, data.Heterogeneity{IID: true}, false), vec, 32, Limit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +59,7 @@ func TestEvaluatePerClientLeasesDrainOnError(t *testing.T) {
 // TestTotalTrainSamplesNeverMaterializes: weight lookups must run off
 // assignment metadata alone — the lazy cache stays empty.
 func TestTotalTrainSamplesNeverMaterializes(t *testing.T) {
-	env := sourceEnv(31, 200, data.Heterogeneity{Beta: 0.3}, "lazy")
+	env := sourceEnv(31, 200, data.Heterogeneity{Beta: 0.3}, true)
 	lz, ok := env.Fed.Source.(*data.Lazy)
 	if !ok {
 		t.Fatalf("expected *data.Lazy source, got %T", env.Fed.Source)

@@ -43,14 +43,14 @@ func (o TransportOptions) Validate() error {
 	if _, err := NetworkByName(o.Network); err != nil {
 		return err
 	}
-	if o.DeadlineSec < 0 {
-		return fmt.Errorf("fl: DeadlineSec %v negative", o.DeadlineSec)
+	if !(o.DeadlineSec >= 0) {
+		return fmt.Errorf("fl: DeadlineSec = %v, must be non-negative", o.DeadlineSec)
 	}
 	if o.Retries < 0 {
 		return fmt.Errorf("fl: Retries = %d, must be non-negative", o.Retries)
 	}
-	if o.RetryBackoffSec < 0 {
-		return fmt.Errorf("fl: RetryBackoffSec %v negative", o.RetryBackoffSec)
+	if !(o.RetryBackoffSec >= 0) {
+		return fmt.Errorf("fl: RetryBackoffSec = %v, must be non-negative", o.RetryBackoffSec)
 	}
 	return nil
 }
