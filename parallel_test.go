@@ -19,6 +19,118 @@ func invarianceProfile() Profile {
 	return p
 }
 
+// TestParallelismInvariance pins the worker pool's determinism contract:
+// for every one of the six algorithms, the same seed produces a
+// byte-identical History whether the round engine runs on one worker or
+// eight. Per-client RNG streams are split before dispatch, so scheduling
+// must never leak into results.
+func TestParallelismInvariance(t *testing.T) {
+	for _, name := range AlgorithmNames() {
+		t.Run(name, func(t *testing.T) {
+			histories := make([]*History, 2)
+			for i, workers := range []int{1, 8} {
+				prof := invarianceProfile()
+				prof.Parallelism = workers
+				env, err := prof.BuildEnv("vision10", "mlp", Heterogeneity{Beta: 0.5}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				algo, err := NewAlgorithm(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := prof.Config(1)
+				cfg.DropoutRate = 0.2 // exercise the dropped-client paths too
+				hist, err := Run(algo, env, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				histories[i] = hist
+			}
+			if !reflect.DeepEqual(histories[0], histories[1]) {
+				t.Fatalf("%s: history differs between Parallelism=1 and Parallelism=8:\nserial:   %+v\nparallel: %+v",
+					name, histories[0], histories[1])
+			}
+		})
+	}
+}
+
+// TestTransportParallelismInvariance extends the determinism contract to
+// the simulated wire: with a lossy codec, a jittered network and a round
+// deadline, every algorithm must still produce a byte-identical History
+// at Parallelism=1 and 8 — straggler selection, codec error and byte
+// accounting all live in the serial phases of a round.
+func TestTransportParallelismInvariance(t *testing.T) {
+	for _, name := range AlgorithmNames() {
+		t.Run(name, func(t *testing.T) {
+			histories := make([]*History, 2)
+			for i, workers := range []int{1, 8} {
+				prof := invarianceProfile()
+				prof.Parallelism = workers
+				env, err := prof.BuildEnv("vision10", "mlp", Heterogeneity{Beta: 0.5}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				algo, err := NewAlgorithm(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := prof.Config(1)
+				cfg.DropoutRate = 0.2
+				cfg.Transport = TransportOptions{Codec: "int8", Network: "lte", DeadlineSec: 2}
+				hist, err := Run(algo, env, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				histories[i] = hist
+			}
+			if !reflect.DeepEqual(histories[0], histories[1]) {
+				t.Fatalf("%s: lossy-wire history differs between Parallelism=1 and 8:\nserial:   %+v\nparallel: %+v",
+					name, histories[0], histories[1])
+			}
+			if histories[0].TotalBytes() == 0 {
+				t.Fatalf("%s: lossy wire moved zero bytes", name)
+			}
+		})
+	}
+}
+
+// TestIdentityWireMatchesDefault pins the reference-wire contract: a run
+// with explicit codec=identity + net=none is byte-identical to a run with
+// the zero-value Transport options (the accounting-only default).
+func TestIdentityWireMatchesDefault(t *testing.T) {
+	for _, name := range AlgorithmNames() {
+		histories := make([]*History, 2)
+		for i, explicit := range []bool{false, true} {
+			prof := invarianceProfile()
+			env, err := prof.BuildEnv("vision10", "mlp", Heterogeneity{Beta: 0.5}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			algo, err := NewAlgorithm(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := prof.Config(1)
+			if explicit {
+				cfg.Transport = TransportOptions{Codec: "identity", Network: "none"}
+			}
+			hist, err := Run(algo, env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			histories[i] = hist
+		}
+		if !reflect.DeepEqual(histories[0], histories[1]) {
+			t.Fatalf("%s: explicit identity wire differs from the default:\ndefault:  %+v\nexplicit: %+v",
+				name, histories[0], histories[1])
+		}
+		if histories[0].TotalBytes() == 0 {
+			t.Fatalf("%s: identity wire reported zero bytes", name)
+		}
+	}
+}
+
 // TestEvaluatePerClientParallelism pins the fairness report's determinism:
 // the per-client sweep runs on the pool but must reduce in client order.
 func TestEvaluatePerClientParallelism(t *testing.T) {
