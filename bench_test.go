@@ -1049,16 +1049,14 @@ func BenchmarkFig7_MillionClients(b *testing.B) {
 }
 
 // BenchmarkSelectClients measures one round's uniform cohort draw at
-// population scale (N=10^6, K=1000). "prefix" is the engine's selection
+// population scale (N=10^6, K=1000). "sample" is the engine's selection
 // as the public replay runs it — fl.CohortPlan round 0, i.e. three small
-// RNG constructions plus one tensor.RNG.PermPrefix — and allocates the
-// cohort; "perm" is the Perm(n)[:k] it replaced, called here directly as
-// the in-process reference (no engine path keeps it), and allocates the
-// population. "per-draw" is PermPrefix as it was before its tail read the
-// generator's ring in blocks: the same shuffle over math/rand's own
-// source, one Int63 through rand.Rand per step (selectPerDraw). CI gates
-// prefix's B/op, which is exact, and per-draw/prefix, a same-process
-// ratio; no ns/op is gated.
+// RNG constructions plus one tensor.RNG.SampleV2, K draws — and allocates
+// the cohort and a K-sized table; "perm" is math/rand's Perm(n)[:k],
+// called here directly as the in-process reference (no engine path keeps
+// it): N draws, and it allocates the population. CI gates sample's B/op,
+// which is exact, and perm/sample, a same-process ratio; no ns/op is
+// gated.
 func BenchmarkSelectClients(b *testing.B) {
 	const n, k = 1_000_000, 1000
 	b.Run("perm", func(b *testing.B) {
@@ -1070,7 +1068,7 @@ func BenchmarkSelectClients(b *testing.B) {
 			}
 		}
 	})
-	b.Run("prefix", func(b *testing.B) {
+	b.Run("sample", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if got := fl.CohortPlan(0, int64(i), n, k); len(got) != k {
@@ -1078,48 +1076,6 @@ func BenchmarkSelectClients(b *testing.B) {
 			}
 		}
 	})
-	b.Run("per-draw", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := selectPerDraw(rand.New(rand.NewSource(int64(i))), n, k); len(got) != k {
-				b.Fatalf("drew %d ids, want %d", len(got), k)
-			}
-		}
-	})
-}
-
-// selectPerDraw is tensor.RNG.PermPrefix(n, k) with the tail it had
-// before the block scan: math/rand's first k shuffle steps, then Int31n
-// written out over r, one Int63 per step and per rejection. For the same
-// source it returns PermPrefix's ids (TestPermPrefixMatchesPerm keeps
-// the same loop as its oracle).
-func selectPerDraw(r *rand.Rand, n, k int) []int {
-	m := make([]int, k)
-	for i := 0; i < k; i++ {
-		j := r.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
-	}
-	for i := k; i < n; i++ {
-		bound := uint32(i + 1)
-		v := uint32(r.Int63() >> 32)
-		var j uint32
-		if bound&(bound-1) == 0 {
-			j = v & (bound - 1)
-		} else {
-			if v > math.MaxInt32-bound {
-				max := uint32(math.MaxInt32) - (1<<31)%bound
-				for v > max {
-					v = uint32(r.Int63() >> 32)
-				}
-			}
-			j = v % bound
-		}
-		if int(j) < k {
-			m[j] = i
-		}
-	}
-	return m
 }
 
 // BenchmarkDirichletInto measures one class's Dir(0.5) draw over 10^6

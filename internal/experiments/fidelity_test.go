@@ -12,8 +12,8 @@ import (
 // ahead of FedAvg on every one of the fidelity preset's five seeds,
 // scored on its 1,000-sample test set. A failure means the reproduction
 // no longer supports the paper, not that a number moved. The row reads
-// +4.90 ± 3.17 points, 5/5 seeds. The 200-round row (+2.10 ± 3.69, 4/5)
-// sat exactly on a 4-of-5 bar, so any history move could flip it; β = 0.1
+// +3.70 ± 3.09 points, 5/5 seeds. The 200-round row (+1.78 ± 4.97, 4/5)
+// sits exactly on a 4-of-5 bar, so any history move could flip it; β = 0.1
 // is behind until between 200 and 400 rounds — `fedsim -experiment
 // fidelity -grid rounds=200,400` prints the whole table. Run with
 //

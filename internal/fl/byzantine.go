@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fedcross/internal/data"
@@ -121,25 +122,23 @@ type Adversary struct {
 }
 
 // NewAdversary draws the compromised client set: round(Frac·n) distinct
-// clients, the first k ids of one Perm(n) drawn as rng.PermPrefix(n, k)
-// (same ids, same final stream position, no n-sized slice) — a pure
-// function of the dedicated seed split, independent of scheduling.
+// clients, the first k ids of one math/rand Perm(n) — a pure function of
+// the dedicated seed split, independent of scheduling. It is drawn once
+// per run, off the round loop, so it keeps the Perm stream rather than
+// selection stream v2: every attacked run, sync or async, compromises
+// the clients it always did.
 // Returns nil when the options are inactive.
 func NewAdversary(opts AdversaryOptions, n int, rng *tensor.RNG) *Adversary {
 	if !opts.Active() || n == 0 {
 		return nil
 	}
-	k := int(opts.Frac*float64(n) + 0.5)
-	if k > n {
-		k = n
-	}
-	perm := rng.PermPrefix(n, k)
-	a := &Adversary{opts: opts, attackers: make(map[int]bool, k+opts.Virtual), baseN: n, virtual: opts.Virtual}
-	for _, c := range perm {
+	k := min(int(opts.Frac*float64(n)+0.5), n)
+	ids := slices.Clone(rng.Perm(n)[:k])
+	sort.Ints(ids)
+	a := &Adversary{opts: opts, attackers: make(map[int]bool, k+opts.Virtual), sorted: ids, baseN: n, virtual: opts.Virtual}
+	for _, c := range ids {
 		a.attackers[c] = true
 	}
-	a.sorted = append(a.sorted, perm...)
-	sort.Ints(a.sorted)
 	// Virtual sybils are appended past the real population and are all
 	// compromised by construction; they consume no RNG, so runs with
 	// Virtual=0 draw the exact attacker set of earlier releases.

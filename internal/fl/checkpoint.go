@@ -77,10 +77,12 @@ type RoundCheckpointer interface {
 const (
 	runCkptMagic   = 0x4352_4C46 // "FLRC" little-endian
 	asyncCkptMagic = 0x4341_4C46 // "FLAC" little-endian
-	// ckptVersion 3 is the shared container of version 2 (one header,
-	// body and metric list under both magics, then the engine's tail)
-	// holding FedCross's state in nn's codec instead of its own header.
-	ckptVersion    = 3
+	// ckptVersion 4 is version 3's container (one header, body and metric
+	// list under both magics, then the engine's tail, every state in nn's
+	// codec) over selection stream v2 (tensor.RNG.SampleV2): a version-3
+	// selection-stream position counts Perm(n)'s draws and would resume
+	// onto other cohorts.
+	ckptVersion    = 4
 	maxCkptBlob    = 1 << 31
 	maxCkptMetrics = 1 << 22
 	// maxCkptJobs caps the persisted in-flight set (InFlight is

@@ -8,19 +8,17 @@ import (
 // CohortPlan replays the engine's selection stream and returns the
 // cohort fl.Run will select for round r (0-based, pre-dropout) under a
 // benign run whose algorithm does not implement Selector: it takes the
-// selection stream from the same table as Run, then makes one Perm(n)'s
-// draws per round through round r, keeping the k-id prefix
-// (tensor.RNG.PermPrefix: the ids and final stream position of
-// Perm(n)[:k] in O(k) memory).
-// Because selection is a pure function of (seed, n, k,
-// r), round r+1's cohort is known while round r still trains — the
-// determinism fact the prefetch pipeline is built on. k is clamped to n
-// exactly as in Run. Selector algorithms (clustered sampling) choose
-// clients from round-local state, so their cohorts exist only inside the
-// run; the engine's planner handles them by drawing at round boundaries
-// and disabling lookahead. CohortPlan replays the static, always-on
-// fleet: under an active ChurnPlan the engine filters the same Perm to
-// available ids, so the replay remains a superset of the cohort.
+// selection stream from the same table as Run, then draws one cohort per
+// round through round r (tensor.RNG.SampleV2, k draws a round).
+// Because selection is a pure function of (seed, n, k, r), round r+1's
+// cohort is known while round r still trains — the determinism fact the
+// prefetch pipeline is built on. k is clamped to n exactly as in Run.
+// Selector algorithms (clustered sampling) choose clients from
+// round-local state, so their cohorts exist only inside the run; the
+// engine's planner handles them by drawing at round boundaries and
+// disabling lookahead. CohortPlan replays the static, always-on fleet:
+// under an active ChurnPlan the engine's shuffle runs past offline ids,
+// making as many draws as that takes, so it selects other cohorts.
 func CohortPlan(r int, seed int64, n, k int) []int {
 	if r < 0 || n <= 0 || k <= 0 {
 		return nil
@@ -31,7 +29,7 @@ func CohortPlan(r int, seed int64, n, k int) []int {
 	sel := splitStreams(seed, streamSelect)[streamSelect]
 	var cohort []int
 	for rr := 0; rr <= r; rr++ {
-		cohort = sel.PermPrefix(n, k)
+		cohort = sel.SampleV2(n, k, nil)
 	}
 	return cohort
 }
@@ -43,10 +41,7 @@ func CohortPlan(r int, seed int64, n, k int) []int {
 // sequentially from the same selRNG, so whether a round's cohort is
 // drawn eagerly (lookahead) or at its round top, the stream — and every
 // history bit — is identical to the inline selection it replaced. The
-// planner is not locked: fl.Run hands it to a lookahead goroutine for the
-// length of a round and joins that goroutine before it touches the
-// planner or the stream again (Take, a snapshot, any return), so one
-// goroutine at a time uses it.
+// planner is not locked: only the round loop's goroutine uses it.
 type cohortPlanner struct {
 	algo  Algorithm
 	rng   *tensor.RNG

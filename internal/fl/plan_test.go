@@ -36,9 +36,8 @@ func TestCohortPlanMatchesEngine(t *testing.T) {
 }
 
 // TestSelectClientsAllocatesCohortNotPopulation: uniform selection over
-// 10^6 clients keeps a K-sized prefix of the shuffle, so a round's
-// selection allocates the cohort (8 KB at K=1000), not an 8 MB
-// permutation.
+// 10^6 clients allocates the cohort (8 KB at K=1000) and a K-sized table
+// of displaced slots (16 KB), not an 8 MB permutation.
 func TestSelectClientsAllocatesCohortNotPopulation(t *testing.T) {
 	const n, k, runs = 1000000, 1000, 3
 	rng := tensor.NewRNG(5)
@@ -56,22 +55,23 @@ func TestSelectClientsAllocatesCohortNotPopulation(t *testing.T) {
 }
 
 // TestSelectClientsChurnPinned: under an active churn plan selection
-// asks PermPrefix for the whole permutation and keeps the first k
-// available ids. The cohorts, the -1 padding of the sparse last round
-// and the final stream position are pinned from the Perm(n)-based
-// selection of the commit before PermPrefix existed.
+// runs selection stream v2's shuffle until it has yielded k available
+// ids, padding with -1 once all n are drawn (round 7 has 4 of 40 online).
+// The cohorts, the padding and the final stream position are pinned from
+// tensor.RNG.SampleV2 as it was introduced: 222 draws, one Intn per id
+// drawn (none rejected at n = 40).
 func TestSelectClientsChurnPinned(t *testing.T) {
 	const n, k, rounds = 40, 6, 8
 	churn := NewChurnPlan(ChurnOptions{Availability: 0.3, Jitter: 0.5, StartFrac: 1, EndFrac: 0.5}, 9, n, rounds)
 	want := [rounds][]int{
-		{26, 30, 25, 32, 4, 0},
-		{31, 25, 30, 28, 17, 19},
-		{21, 18, 19, 9, 27, 17},
-		{9, 0, 23, 10, 2, 7},
-		{23, 26, 2, 0, 20, 9},
-		{11, 0, 19, 24, 20, 10},
-		{17, 20, 4, 9, 8, 0},
-		{4, 9, 5, 10, -1, -1},
+		{31, 24, 25, 35, 7, 26},
+		{11, 28, 19, 9, 17, 10},
+		{25, 15, 20, 24, 9, 19},
+		{23, 7, 0, 17, 10, 27},
+		{26, 19, 9, 0, 23, 20},
+		{19, 24, 9, 11, 10, 4},
+		{0, 8, 4, 20, 9, 17},
+		{10, 5, 9, 4, -1, -1},
 	}
 	rng := tensor.NewRNG(41)
 	for r := 0; r < rounds; r++ {
@@ -79,11 +79,11 @@ func TestSelectClientsChurnPinned(t *testing.T) {
 			t.Fatalf("round %d: selected %v, want %v", r, got, want[r])
 		}
 	}
-	if st := rng.State(); st.Pos != rounds*n {
-		t.Fatalf("selection stream at position %d, want %d (one Perm(%d) per round)", st.Pos, rounds*n, n)
+	if st := rng.State(); st.Pos != 222 {
+		t.Fatalf("selection stream at position %d, want 222", st.Pos)
 	}
-	if got := rng.Int63(); got != 3260741597807166730 {
-		t.Fatalf("next draw after selection = %d, want the parent's 3260741597807166730", got)
+	if got := rng.Int63(); got != 7331019285459102564 {
+		t.Fatalf("next draw after selection = %d, want 7331019285459102564", got)
 	}
 }
 

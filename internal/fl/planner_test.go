@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,30 +16,23 @@ import (
 	"fedcross/internal/models"
 )
 
-// The cohort planner's lookahead goroutine, tested from outside the
-// package against the real algorithms: FedAvg and FedCross plan ahead,
-// CluSamp is a Selector and never does.
+// The cohort planner's lookahead, tested from outside the package
+// against the real algorithms: FedAvg and FedCross plan ahead, CluSamp
+// is a Selector and never does.
 
-// probeSource is a lazy source whose Prefetch records where it was called
-// from: on the planner goroutine fl.Run starts, or inline on the round
-// loop's own — and, once the test marks the run returned, that it was
-// called at all.
+// probeSource is a lazy source whose Prefetch counts its calls — and,
+// once the test marks the run returned, any that came after.
 type probeSource struct {
 	*data.Lazy
-	onPlanner, inline, late atomic.Int32
-	returned                atomic.Bool
+	calls, late atomic.Int32
+	returned    atomic.Bool
 }
 
 func (p *probeSource) Prefetch(ids []int) {
 	if p.returned.Load() {
 		p.late.Add(1)
 	}
-	buf := make([]byte, 4096)
-	if strings.Contains(string(buf[:runtime.Stack(buf, false)]), "created by fedcross/internal/fl.Run") {
-		p.onPlanner.Add(1)
-	} else {
-		p.inline.Add(1)
-	}
+	p.calls.Add(1)
 	p.Lazy.Prefetch(ids)
 }
 
@@ -84,11 +76,10 @@ func plannerConfig(prefetch, par int, churn bool) fl.Config {
 
 // TestRunPlannerAheadMatchesInline: over PrefetchRounds {0, 1, 2} ×
 // Parallelism {1, 2, 8} × {FedAvg, FedCross, CluSamp} × churn off/on,
-// the lookahead runs on the planner goroutine exactly where it should —
-// lookahead on, Parallelism ≠ 1, no Selector — inline when Parallelism is
-// 1, and not at all for a Selector. That its history, snapshot and resume
-// match the inline ones is the relations table's cache and resume rows
-// (internal/experiments).
+// the lookahead runs exactly where it should — lookahead on, no
+// Selector — and not at all for a Selector. That its history, snapshot
+// and resume match the runs without it is the relations table's cache
+// and resume rows (internal/experiments).
 func TestRunPlannerAheadMatchesInline(t *testing.T) {
 	fed := plannerFed()
 	for name, mk := range plannerAlgos() {
@@ -104,10 +95,7 @@ func TestRunPlannerAheadMatchesInline(t *testing.T) {
 						t.Fatalf("%s: %d leases outstanding", tag, n)
 					}
 					planned := prefetch > 0 && name != "clusamp"
-					if got, want := probe.onPlanner.Load() > 0, planned && par != 1; got != want {
-						t.Fatalf("%s: prefetch on the planner goroutine = %v, want %v (inline calls %d)", tag, got, want, probe.inline.Load())
-					}
-					if got, want := probe.onPlanner.Load()+probe.inline.Load() > 0, planned; got != want {
+					if got, want := probe.calls.Load() > 0, planned; got != want {
 						t.Fatalf("%s: lookahead issued = %v, want %v", tag, got, want)
 					}
 				}
@@ -117,8 +105,9 @@ func TestRunPlannerAheadMatchesInline(t *testing.T) {
 }
 
 // TestRunPlannerWithoutBudgetTokenPlansInline: under a shared budget with
-// no token free, the lookahead stays on the round loop's goroutine — no
-// worker beyond the budget's cap — and the history is the unbudgeted one.
+// no token free, the lookahead still runs, on the round loop's goroutine
+// without a token — no worker beyond the budget's cap — and the history
+// is the unbudgeted one.
 func TestRunPlannerWithoutBudgetTokenPlansInline(t *testing.T) {
 	fed := plannerFed()
 	cfg := plannerConfig(1, 8, false)
@@ -136,9 +125,8 @@ func TestRunPlannerWithoutBudgetTokenPlansInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.onPlanner.Load() != 0 || probe.inline.Load() == 0 {
-		t.Fatalf("zero free tokens: %d lookaheads on the planner goroutine, %d inline; want all inline",
-			probe.onPlanner.Load(), probe.inline.Load())
+	if probe.calls.Load() == 0 {
+		t.Fatal("zero free tokens: the lookahead never ran")
 	}
 	if budget.TryAcquire(1) != 0 {
 		t.Fatal("the run left a token in a budget it found empty")
@@ -164,9 +152,9 @@ func (a *failingAlgo) Round(r int, selected []int) error {
 }
 
 // TestRunPlannerJoinsOnError: an algorithm error in round 2 returns that
-// error with every lease back and the planner goroutine joined — it never
-// hands the pool a cohort after Run returns, and once the pool drains the
-// goroutine count is back to where it started.
+// error with every lease back — nothing hands the pool a cohort after Run
+// returns, and once the pool drains the goroutine count is back to where
+// it started.
 func TestRunPlannerJoinsOnError(t *testing.T) {
 	fed := plannerFed()
 	lazy := fed.Source.(*data.Lazy)
@@ -178,13 +166,12 @@ func TestRunPlannerJoinsOnError(t *testing.T) {
 		if !errors.Is(err, errRoundFailed) {
 			t.Fatalf("prefetch%d: Run returned %v, want the round's error", prefetch, err)
 		}
-		if probe.onPlanner.Load() == 0 {
-			t.Fatalf("prefetch%d: the lookahead never ran on the planner goroutine", prefetch)
+		if probe.calls.Load() == 0 {
+			t.Fatalf("prefetch%d: the lookahead never ran", prefetch)
 		}
 		if n := lazy.Outstanding(); n != 0 {
 			t.Fatalf("prefetch%d: %d leases outstanding after the error", prefetch, n)
 		}
-		time.Sleep(10 * time.Millisecond) // room for a planner that outlived Run to show itself
 		if n := probe.late.Load(); n != 0 {
 			t.Fatalf("prefetch%d: %d cohorts handed to the pool after Run returned", prefetch, n)
 		}

@@ -296,3 +296,40 @@ func TestAsyncResumeRejectsHostileInput(t *testing.T) {
 		t.Fatal("async resume under a different seed must fail")
 	}
 }
+
+// TestResumeRefusesVersion3: a version-3 snapshot holds a selection-stream
+// position on the Perm(n) stream, so resuming it would draw other cohorts
+// than the run it came from. Both engines' snapshots, forged back to
+// version 3, are refused by their version word.
+func TestResumeRefusesVersion3(t *testing.T) {
+	dir := t.TempDir()
+	runCfg := resumeCfg(0)
+	asyncCfg, opts := asyncResumeCfg()
+	for _, c := range []struct {
+		name string
+		run  func(Config) error
+		cfg  Config
+	}{
+		{"run", func(cfg Config) error { _, err := Run(&ckptWireAlgo{}, testEnv(63, 8), cfg); return err }, runCfg},
+		{"async", func(cfg Config) error { _, err := RunAsync(testEnv(65, 8), cfg, opts); return err }, asyncCfg},
+	} {
+		path := filepath.Join(dir, c.name+".ckpt")
+		cfg := c.cfg
+		cfg.Checkpoint = CheckpointOptions{Path: path, StopAfterRound: 2}
+		if err := c.run(cfg); !errors.Is(err, ErrStopped) {
+			t.Fatalf("%s: want ErrStopped, got %v", c.name, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(raw[8:], 3)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Checkpoint = CheckpointOptions{Path: path, Resume: true}
+		if err := c.run(cfg); err == nil || !strings.Contains(err.Error(), "bad version 0x3 (want 0x4)") {
+			t.Fatalf("%s: resume from a version-3 snapshot: %v, want bad version 0x3 (want 0x4)", c.name, err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package fl
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -186,26 +185,10 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 		planner.next, planner.drawn, acct = tail.next, tail.drawn, tail.acct
 	}
 	dropRNG, netRNG := s.rng[streamEngineA], s.rng[streamEngineB]
-	// planAhead draws the cohorts of rounds r+1 … r+PrefetchRounds and
-	// hands them to the prefetch pool. When the run may use a second core
-	// and the budget has a token for it, it runs on its own goroutine
-	// while round r trains, so the O(n) draw leaves the round's critical
-	// path. The planner is its only user until the join: the next Take,
-	// the snapshot (which reads the planner and the select stream), and —
-	// deferred after s.close, so it runs first — every return, before
-	// CancelPrefetch stops the pool the goroutine feeds.
-	var planning sync.WaitGroup
-	defer planning.Wait()
 	_, selects := algo.(Selector)
 	lookahead := s.prefetch != nil && !selects
-	planAhead := func(r int) {
-		for a := 1; a <= cfg.PrefetchRounds && r+a < cfg.Rounds; a++ {
-			s.prefetch.Prefetch(planner.Ahead(r + a))
-		}
-	}
 
 	for r := startRound; r < cfg.Rounds; r++ {
-		planning.Wait()
 		selected := planner.Take(r)
 		if churn.Active() {
 			// Slots the planner padded or marked -1 are churn losses;
@@ -234,24 +217,17 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 				}
 			}
 		}
-		// The planner draws the next rounds' cohorts early, but from the
-		// same selection-stream positions they would occupy anyway —
-		// selection is a dedicated stream with no other reader, so neither
-		// early draws nor the goroutine drawing them are visible. Prefetch
-		// enqueues pre-dropout plans (a dropped client's warm shard is
-		// merely unused) and copies the ids before returning; Ahead's
-		// slices are later rounds' than the one this round marks in place.
-		if lookahead {
-			if cfg.Parallelism != 1 && cfg.Budget.TryAcquire(1) == 1 {
-				planning.Add(1)
-				go func() {
-					defer planning.Done()
-					defer cfg.Budget.ReleaseN(1)
-					planAhead(r)
-				}()
-			} else {
-				planAhead(r)
-			}
+		// Lookahead: the planner draws the cohorts of rounds r+1 …
+		// r+PrefetchRounds and hands them to the prefetch pool, which warms
+		// their shards while round r trains. The draws come from the same
+		// selection-stream positions they would occupy anyway — selection
+		// is a dedicated stream with no other reader, so early draws are
+		// not visible. Prefetch enqueues pre-dropout plans (a dropped
+		// client's warm shard is merely unused) and copies the ids before
+		// returning; Ahead's slices are later rounds' than the one this
+		// round marks in place.
+		for a := 1; lookahead && a <= cfg.PrefetchRounds && r+a < cfg.Rounds; a++ {
+			s.prefetch.Prefetch(planner.Ahead(r + a))
 		}
 		tr.BeginRound(r, selected, netRNG.Split())
 		if err := algo.Round(r, selected); err != nil {
@@ -273,7 +249,6 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 			}
 		}
 		if write, stop := s.checkpointDue(done); write {
-			planning.Wait()
 			err := s.save(done, func(e *nn.StateEncoder) { encodeRunTail(e, done, planner, acct, algo) })
 			if err != nil {
 				return nil, err
@@ -287,15 +262,13 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 }
 
 // selectClients asks the algorithm first and falls back to uniform random
-// selection without replacement: the first k ids of one Perm(n), drawn as
-// PermPrefix(n, k) — the same ids and the same final stream position in
-// O(k) memory, so a round over 10^6 clients allocates a K-sized cohort,
-// not an N-sized permutation. An active churn plan biases selection to
-// available clients: the uniform path makes its n draws as always (the
-// stream's shape never depends on churn) but asks for the whole
-// permutation (PermPrefix(n, n) ≡ Perm(n)) and takes the first k
-// available ids, padding with -1 when fewer exist; a Selector's
-// self-chosen cohort has its offline members marked -1 after the fact.
+// selection without replacement: tensor.RNG.SampleV2, K draws for K of N
+// ids, so a round over 10^6 clients allocates and draws for a K-sized
+// cohort, not an N-sized permutation. An active churn plan biases
+// selection to available clients: the same shuffle runs on until it has
+// yielded k available ids, padding with -1 once all n are drawn; a
+// Selector's self-chosen cohort has its offline members marked -1 after
+// the fact.
 func selectClients(algo Algorithm, r int, rng *tensor.RNG, n, k int, churn *ChurnPlan) []int {
 	if s, ok := algo.(Selector); ok {
 		sel := s.SelectClients(r, rng, n, k)
@@ -311,21 +284,7 @@ func selectClients(algo Algorithm, r int, rng *tensor.RNG, n, k int, churn *Chur
 		}
 	}
 	if !churn.Active() {
-		return rng.PermPrefix(n, k)
+		return rng.SampleV2(n, k, nil)
 	}
-	// Any id may be offline, so the first k available can sit anywhere in
-	// the permutation: ask for all of it.
-	out := make([]int, 0, k)
-	for _, id := range rng.PermPrefix(n, n) {
-		if len(out) == k {
-			break
-		}
-		if churn.Available(r, id) {
-			out = append(out, id)
-		}
-	}
-	for len(out) < k {
-		out = append(out, -1)
-	}
-	return out
+	return rng.SampleV2(n, k, func(id int) bool { return churn.Available(r, id) })
 }

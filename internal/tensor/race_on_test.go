@@ -2,7 +2,7 @@
 
 package tensor
 
-// raceEnabled reports whether the race detector is active. The 2^26-step
-// PermPrefix oracle is a numeric check on one goroutine and takes over
-// ten seconds under it, so it skips.
+// raceEnabled reports whether the race detector is active. The
+// million-draw ring oracles are numeric checks on one goroutine and take
+// many seconds under it, so they shrink.
 const raceEnabled = true

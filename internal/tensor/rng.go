@@ -37,12 +37,11 @@ const (
 // route Uint64 around the counter — so every rand.Rand method this
 // library calls (Intn, Int63, Perm, Shuffle, NormFloat64's slow path) is
 // math/rand's own code over one counted stream, and the draws read
-// straight from the ring (Float64, Normal's ziggurat fast path, Gamma,
-// PermPrefix's tail; rng_ring.go) are that code written out over the
-// same words. (seed, position) is therefore a complete, restorable
-// snapshot of a generator — the fact the round-checkpoint machinery is
-// built on. Owning the ring is what lets PermPrefix and RestoreRNG
-// advance it a block at a time (advance).
+// straight from the ring (Float64, Normal's ziggurat fast path, Gamma;
+// rng_ring.go) are that code written out over the same words. (seed,
+// position) is therefore a complete, restorable snapshot of a generator
+// — the fact the round-checkpoint machinery is built on. Owning the ring
+// is what lets RestoreRNG advance it a block at a time (advance).
 type source struct {
 	tap, feed int // ring indices the next draw steps down to
 	vec       [rngLen]int64
@@ -230,84 +229,6 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// PermPrefix returns Perm(n)[:min(k,n)] — the same ids, and the generator
-// left at the same stream position — in O(k) memory instead of O(n). It
-// is how a round draws K of N clients without an N-sized scratch array.
-//
-// Why the truncation is exact: math/rand's Perm is the inside-out shuffle
-// (j := Intn(i+1); m[i] = m[j]; m[j] = i), in which a value only ever
-// moves to index i, the newest and highest slot. Once the first k steps
-// have run, a step i >= k can therefore change m[:k] only through
-// m[j] = i when j < k; everything else it touches lies beyond the prefix.
-// All n draws are still made, so the stream's shape is Perm(n)'s.
-//
-// The first k steps are math/rand's own. The n − k after them are
-// rand.Rand.Int31n written out over the source's ring: blocks of draws are
-// advanced in place (source.advance), and permScan rules out, four steps
-// at a time, the leading steps of a block that provably do nothing — no
-// rejection is possible and v mod (i+1) ≥ k. Each step it stops at runs
-// the scalar code below, with its exact % and power-of-two mask and its
-// rejection loop (whose threshold, and division, is computed only for a
-// draw that could be rejected: v > max implies v ≥ 2^31 − n). All n draws
-// are still made and counted. TestPermPrefixMatchesPerm pins ids and
-// stream position against math/rand's own Perm, mask and rejection cases
-// included.
-func (g *RNG) PermPrefix(n, k int) []int {
-	if k > n {
-		k = n
-	}
-	if n > math.MaxInt32 {
-		// Past Int31n's range math/rand switches to Int63n; defer to it.
-		return g.r.Perm(n)[:k]
-	}
-	m := make([]int, k)
-	for i := 0; i < k; i++ {
-		j := g.r.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
-	}
-	src := &g.src
-	for i := k; i < n; {
-		// Every step takes at least one draw, so a block of at most n − i
-		// draws is used up before the shuffle ends.
-		blk := src.advance(n - i)
-		for p := len(blk); p > 0; { // blk[p-1] is the next draw
-			s := permScan(blk[:p], i+1, k)
-			if i, p = i+s, p-s; p == 0 {
-				break
-			}
-			p--
-			bound := uint32(i + 1)
-			v := draw31(blk[p])
-			var j uint32
-			if bound&(bound-1) == 0 { // power of two: mask, never rejects
-				j = v & (bound - 1)
-			} else {
-				if v > math.MaxInt32-bound {
-					max := uint32(math.MaxInt32) - (1<<31)%bound
-					for v > max {
-						if p > 0 {
-							p--
-							v = draw31(blk[p])
-						} else {
-							v = uint32(src.Int63() >> 32)
-						}
-					}
-				}
-				j = v % bound
-			}
-			if int(j) < k {
-				m[j] = i
-			}
-			i++
-		}
-	}
-	return m
-}
-
-// draw31 is rand.Rand.Int31 of a raw ring word: bits 32–62.
-func draw31(x int64) uint32 { return uint32(uint64(x) << 1 >> 33) }
 
 // Shuffle permutes xs uniformly at random in place.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -81,207 +81,6 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// permPrefixPerDraw is PermPrefix's tail as it was before the block scan:
-// rand.Rand.Int31n written out one Int63 at a time. It returns the prefix
-// and how many draws the tail rejected.
-func permPrefixPerDraw(r *rand.Rand, n, k int) (m []int, rejected int) {
-	m = make([]int, k)
-	for i := 0; i < k; i++ {
-		j := r.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
-	}
-	for i := k; i < n; i++ {
-		bound := uint32(i + 1)
-		v := uint32(r.Int63() >> 32)
-		var j uint32
-		if bound&(bound-1) == 0 {
-			j = v & (bound - 1)
-		} else {
-			if v > math.MaxInt32-bound {
-				max := uint32(math.MaxInt32) - (1<<31)%bound
-				for v > max {
-					rejected++
-					v = uint32(r.Int63() >> 32)
-				}
-			}
-			j = v % bound
-		}
-		if int(j) < k {
-			m[j] = i
-		}
-	}
-	return m, rejected
-}
-
-func TestPermPrefixMatchesPerm(t *testing.T) {
-	// PermPrefix(n, k) must return math/rand's Perm(n)[:min(k,n)] and leave
-	// the generator where Perm(n) leaves it. The reference side is
-	// rand.Rand.Perm over math/rand's own source, so position equality is
-	// what proves the written-out Int31n and the block scan right: the
-	// sizes cover powers of two (mask path) and, at 10^6, over a hundred
-	// rejected draws per call.
-	const calls = 2 // consecutive draws from one generator
-	check := func(n int, seed int64, ks ...int) {
-		t.Helper()
-		ref, src := mathRand(seed)
-		var perms [calls][]int
-		var pos [calls]uint64
-		var nexts [calls]int64
-		for c := 0; c < calls; c++ {
-			before := src.n
-			perms[c] = ref.Perm(n)
-			pos[c] = src.n
-			nexts[c] = ref.Int63()
-			if n == 1000000 && pos[c]-before <= uint64(n) {
-				t.Fatalf("n=%d seed=%d call %d: reference Perm rejected no draw; the case proves nothing", n, seed, c)
-			}
-		}
-		for _, k := range ks {
-			got := NewRNG(seed)
-			for c := 0; c < calls; c++ {
-				want := perms[c]
-				if k < n {
-					want = want[:k]
-				}
-				if have := got.PermPrefix(n, k); !slices.Equal(have, want) {
-					t.Fatalf("n=%d k=%d seed=%d call %d: %d ids differ from Perm(n)'s first %d", n, k, seed, c, len(have), len(want))
-				}
-				if p := got.State().Pos; p != pos[c] {
-					t.Fatalf("n=%d k=%d seed=%d call %d: position %d, want %d", n, k, seed, c, p, pos[c])
-				}
-				if next := got.Int63(); next != nexts[c] {
-					t.Fatalf("n=%d k=%d seed=%d call %d: next Int63 %d, want %d", n, k, seed, c, next, nexts[c])
-				}
-			}
-		}
-	}
-	for _, n := range []int{1, 2, 3, 7, 64, 100, 1000, 4096, 65536, 100000, 1000000} {
-		for _, seed := range []int64{1, 2} {
-			check(n, seed, 0, 1, 3, 10, 1000, n, n+5)
-		}
-	}
-	cases := rand.New(rand.NewSource(3))
-	for c := 0; c < 300; c++ {
-		n := int(math.Exp(cases.Float64() * math.Log(2e5))) // log-uniform in [1, 2·10^5]
-		check(n, cases.Int63()-cases.Int63(), cases.Intn(n+6))
-	}
-
-	// Past 2^26 steps the tail rejects about half a million draws; the
-	// oracle is the per-draw loop the block scan replaced.
-	if raceEnabled {
-		return
-	}
-	const n, k, seed = 1<<26 + 12345, 1000, 5
-	ref, src := mathRand(seed)
-	want, rejected := permPrefixPerDraw(ref, n, k)
-	if rejected == 0 {
-		t.Fatal("the per-draw oracle rejected no draw; the case proves nothing")
-	}
-	got := NewRNG(seed)
-	if have := got.PermPrefix(n, k); !slices.Equal(have, want) {
-		t.Fatalf("n=%d: prefix differs from the per-draw oracle's", n)
-	}
-	if p := got.State().Pos; p != src.n {
-		t.Fatalf("n=%d: position %d, want %d (%d rejections)", n, p, src.n, rejected)
-	}
-}
-
-// scanWord returns a ring word whose draw31 is v, with random bits
-// everywhere draw31 ignores (bit 63 included).
-func scanWord(r *rand.Rand, v uint32) int64 {
-	return int64(r.Uint64()&(1<<63|math.MaxUint32) | uint64(v)<<32)
-}
-
-func TestPermScanMatchesTwin(t *testing.T) {
-	// The dispatched scan (the AVX2 kernel on whole groups of four, the
-	// twin on the rest) against the twin, on blocks built to sit on every
-	// edge the kernel's arithmetic has: v one either side of the rejection
-	// limit 2^31 − 1 − bound, v mod bound one either side of k, v/bound
-	// within one of an integer (the reciprocal's ±1 fix-ups), power-of-two
-	// bounds, bound 1, and bounds up to 2^31 − 1.
-	r := rand.New(rand.NewSource(11))
-	edge := func(bound uint32, k int) uint32 {
-		lim := int64(math.MaxInt32) - int64(bound)
-		q := int64(r.Intn(int(math.MaxInt32/int64(bound)) + 1))
-		var v int64
-		switch r.Intn(4) {
-		case 0:
-			v = lim - 1 + int64(r.Intn(3))
-		case 1:
-			v = q*int64(bound) + int64(k) - 1 + int64(r.Intn(3))
-		case 2:
-			v = q*int64(bound) - 1 + int64(r.Intn(3))
-		default:
-			v = r.Int63n(1 << 31)
-		}
-		return uint32(min(max(v, 0), math.MaxInt32))
-	}
-	// quiet is a value whose step does nothing, when one exists.
-	quiet := func(bound uint32, k int) uint32 {
-		lim := uint32(math.MaxInt32) - bound
-		for try := 0; try < 8; try++ {
-			v := uint32(r.Int63n(int64(lim) + 1))
-			if int(v%bound) >= k {
-				return v
-			}
-		}
-		return 0
-	}
-	bases := func() int {
-		switch r.Intn(5) {
-		case 0:
-			return 1
-		case 1:
-			return 1 << r.Intn(31)
-		case 2:
-			return math.MaxInt32 - r.Intn(400)
-		case 3:
-			return 1 + r.Intn(2000)
-		}
-		return 1 + r.Intn(math.MaxInt32-400)
-	}
-	for trial := 0; trial < 20000; trial++ {
-		n := r.Intn(10)
-		if trial%4 == 0 {
-			n = r.Intn(335)
-		}
-		b := bases()
-		if b+n > 1<<31 {
-			b = 1<<31 - n
-		}
-		k := 0
-		switch r.Intn(3) {
-		case 1:
-			k = r.Intn(b + 4)
-		case 2:
-			k = min(b-1, 1+r.Intn(1000))
-		}
-		blk := make([]int64, n)
-		for s := 0; s < n; s++ { // step s is the word n−1−s
-			bound := uint32(b + s)
-			v := quiet(bound, k)
-			if r.Intn(max(n/2, 1)) == 0 {
-				v = edge(bound, k)
-			}
-			blk[n-1-s] = scanWord(r, v)
-		}
-		if got, want := permScan(blk, b, k), permScanGo(blk, b, k); got != want {
-			t.Fatalf("trial %d: n=%d b=%d k=%d: scan stops at step %d, twin at %d", trial, n, b, k, got, want)
-		}
-	}
-	for _, bad := range []struct{ n, b, k int }{{4, 0, 0}, {4, 1, -1}, {4, 1<<31 - 3, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("permScan(n=%d, b=%d, k=%d) must panic", bad.n, bad.b, bad.k)
-				}
-			}()
-			permScan(make([]int64, bad.n), bad.b, bad.k)
-		}()
-	}
-}
-
 func TestSourceAdvanceMatchesDraws(t *testing.T) {
 	// Blocks of every size the ring allows, from both orders of tap and
 	// feed (feed 334 above tap, and feed 273 below it), against the same

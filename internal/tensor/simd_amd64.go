@@ -145,13 +145,6 @@ func dequantAddAVX(dst *float64, q *byte, ref *float64, n int, lo, scale float64
 //go:noescape
 func ringAddAVX(dst, src *int64, n int)
 
-// permScanAVX is permScanGo over the n words from lo (a positive multiple
-// of 4), four steps per iteration from the top word down, with b and k
-// as doubles. checkPermScan must have passed.
-//
-//go:noescape
-func permScanAVX(lo *int64, n int, b, k float64) int
-
 // gammaLanesAVX draws up to n Gamma variates (n a positive multiple of
 // 4) into p, four per step, each from words straight from the ring
 // (simd_rng.go): the step's draws are feed[i] + tap[i] over the 4·words
@@ -526,21 +519,6 @@ func ringAdd(dst, src []int64) {
 		ringAddAVX(&dst[tail], &src[tail], len(dst)-tail)
 	}
 	ringAddGo(dst[:tail], src[:tail])
-}
-
-// permScan runs the checked scan's top words on the AVX2 kernel when the
-// CPU has it, and finishes the last n%4 steps on the twin.
-func permScan(blk []int64, b, k int) int {
-	checkPermScan(len(blk), b, k)
-	tail := len(blk) % 4
-	n := len(blk) - tail
-	if !avx2Supported || n == 0 {
-		return permScanGo(blk, b, k)
-	}
-	if s := permScanAVX(&blk[tail], n, float64(b), float64(k)); s < n {
-		return s
-	}
-	return n + permScanGo(blk[:tail], b+n, k)
 }
 
 // dirichletInto runs DirichletInto's Gamma draws on the AVX2 kernel when

@@ -1454,85 +1454,6 @@ aloop:
 	VZEROUPPER
 	RET
 
-// permConst holds the scan's constants as doubles: first each lane's step
-// offset within a four-step group (lane 3, the top word, is the group's
-// first step), then 2^52, 2^31 − 1, 4 and 1.
-DATA permConst<>+0x00(SB)/8, $0x4008000000000000 // 3
-DATA permConst<>+0x08(SB)/8, $0x4000000000000000 // 2
-DATA permConst<>+0x10(SB)/8, $0x3FF0000000000000 // 1
-DATA permConst<>+0x18(SB)/8, $0x0000000000000000 // 0
-DATA permConst<>+0x20(SB)/8, $0x4330000000000000 // 2^52
-DATA permConst<>+0x28(SB)/8, $0x41DFFFFFFFC00000 // 2^31 − 1
-DATA permConst<>+0x30(SB)/8, $0x4010000000000000 // 4
-DATA permConst<>+0x38(SB)/8, $0x3FF0000000000000 // 1
-GLOBL permConst<>(SB), RODATA|NOPTR, $64
-
-// func permScanAVX(lo *int64, n int, b, k float64) int
-// The first step among the n words from lo (top word first, bound b
-// rising by one a step) for which v mod bound < k or v > 2^31 − 1 − bound,
-// or n. Per lane, exactly: v = bits 32–62 of the word is below 2^31, so
-// OR-ing it into 2^52's mantissa and subtracting 2^52 gives it as a
-// double; r = 1/bound is correctly rounded, so t = v·r is within 2^−21 of
-// v/bound and q = ⌊t⌋ is ⌊v/bound⌋ or one off; j = v − q·bound is exact
-// (every magnitude is below 2^33), and one masked +bound and one masked
-// −bound make it v mod bound. No FMA. The kernel only compares: it writes
-// nothing and consumes no draw. The flagged step is the highest flagged
-// lane (BSR).
-TEXT ·permScanAVX(SB), NOSPLIT, $0-40
-	MOVQ lo+0(FP), SI
-	MOVQ n+8(FP), CX
-	LEAQ -32(SI)(CX*8), SI   // the top group
-	VBROADCASTSD b+16(FP), Y14
-	VADDPD permConst<>+0x00(SB), Y14, Y14 // bounds {b+3, b+2, b+1, b}
-	VBROADCASTSD k+24(FP), Y12
-	VBROADCASTSD permConst<>+0x20(SB), Y15 // 2^52
-	VBROADCASTSD permConst<>+0x28(SB), Y11 // 2^31 − 1
-	VBROADCASTSD permConst<>+0x30(SB), Y13 // 4
-	VBROADCASTSD permConst<>+0x38(SB), Y10 // 1
-	VXORPD Y9, Y9, Y9        // 0
-	XORQ DX, DX              // steps ruled out
-
-sloop:
-	VMOVDQU (SI), Y0
-	VPSLLQ $1, Y0, Y0
-	VPSRLQ $33, Y0, Y0
-	VPOR   Y15, Y0, Y0
-	VSUBPD Y15, Y0, Y0          // v
-	VDIVPD Y14, Y10, Y1         // 1/bound
-	VMULPD Y1, Y0, Y2
-	VROUNDPD $1, Y2, Y2         // q = ⌊v·(1/bound)⌋
-	VMULPD Y14, Y2, Y2
-	VSUBPD Y2, Y0, Y3           // j = v − q·bound, in [−bound, 2·bound)
-	VCMPPD $0x11, Y9, Y3, Y4    // j < 0
-	VANDPD Y14, Y4, Y4
-	VADDPD Y4, Y3, Y3
-	VCMPPD $0x1d, Y14, Y3, Y4   // j ≥ bound
-	VANDPD Y14, Y4, Y4
-	VSUBPD Y4, Y3, Y3           // j = v mod bound
-	VCMPPD $0x11, Y12, Y3, Y4   // j < k
-	VSUBPD Y14, Y11, Y5
-	VCMPPD $0x1e, Y5, Y0, Y5    // v > 2^31 − 1 − bound
-	VORPD  Y5, Y4, Y4
-	VMOVMSKPD Y4, AX
-	TESTL  AX, AX
-	JNZ    sfound
-	VADDPD Y13, Y14, Y14
-	SUBQ   $32, SI
-	ADDQ   $4, DX
-	CMPQ   DX, CX
-	JLT    sloop
-	MOVQ DX, ret+32(FP)
-	VZEROUPPER
-	RET
-
-sfound:
-	BSRL AX, AX
-	ADDQ $3, DX
-	SUBQ AX, DX
-	MOVQ DX, ret+32(FP)
-	VZEROUPPER
-	RET
-
 // Optimizer kernel (simd_sgd.go).
 
 // func momentumAVX(p, v, grad *float64, n int, lr, m float64)

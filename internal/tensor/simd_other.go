@@ -47,8 +47,3 @@ func momentumStep(p, v, g []float64, lr, m float64) { momentumStepGo(p, v, g, lr
 func ringAdd(dst, src []int64) { ringAddGo(dst, src) }
 
 func (g *RNG) dirichletInto(p []float64, alpha float64) { g.DirichletIntoGo(p, alpha) }
-
-func permScan(blk []int64, b, k int) int {
-	checkPermScan(len(blk), b, k)
-	return permScanGo(blk, b, k)
-}
