@@ -1,10 +1,9 @@
 package fedcross
 
-// The paper's evaluation (Section IV) as benchmarks: Table I, Figs 3–4 and
-// one sub-benchmark per grid preset for the rest. Each executes its
-// harness at the tiny profile and reports domain metrics (accuracy,
-// sharpness, skew) via b.ReportMetric alongside the usual ns/op. Run
-// everything with:
+// The paper's evaluation (Section IV) as benchmarks: one sub-benchmark per
+// grid preset of BenchmarkPaperGrids. Each runs its preset at the tiny
+// profile and reports domain metrics (accuracy, sharpness) via
+// b.ReportMetric alongside the usual ns/op. Run everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -70,27 +69,10 @@ func workerVariants() []int {
 	return []int{1}
 }
 
-// BenchmarkTableI_CommOverhead reproduces Table I: per-round
-// communication by method. Shape: FedCross == FedAvg (Low) < FedGen
-// (Medium) < SCAFFOLD (High).
-func BenchmarkTableI_CommOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTableI(10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			b.ReportMetric(row.ModelEquivalents, row.Algorithm+"_modeleq")
-		}
-	}
-}
-
 // BenchmarkPaperGrids runs the paper's grid presets — Tables II and III,
-// Figs 5–9, two ablations and the fidelity row — one sub-benchmark each,
-// reporting the mean final accuracy of the cells a row names. The
+// Figs 4–9, two ablations and the fidelity row — one sub-benchmark each,
+// reporting the mean final accuracy of the cells a row names, and the mean
+// sharpness of a cell that reads it as the same name plus "_sharp". The
 // fidelity entry is the row the fidelity gate pins (tiny profile, 400
 // rounds, β = 0.5, five seeds): fedavg, fedcross and their margin.
 func BenchmarkPaperGrids(b *testing.B) {
@@ -110,6 +92,9 @@ func BenchmarkPaperGrids(b *testing.B) {
 			func(c experiments.GridCell) string { return c.Algorithm + "_" + c.Dataset }},
 		// Shape: highest-similarity is the weakest column.
 		{"table3", "table3", benchProfile, [][]string{{"alpha", "0.5", "0.9", "0.99"}}, nil},
+		// Shape: FedCross sharpness lower.
+		{"fig4", "fig4", benchProfile, nil,
+			func(c experiments.GridCell) string { return c.Algorithm + "_" + c.Het.String() }},
 		{"fig5", "fig5", compareProfile, [][]string{{"beta", "0.5"}}, nil},
 		// Shape: accuracy rises with K then saturates.
 		{"fig6", "fig6", benchProfile, nil,
@@ -131,6 +116,9 @@ func BenchmarkPaperGrids(b *testing.B) {
 					if tc.metric != nil {
 						acc[tc.metric(c)] = c.Stat().Mean
 						b.ReportMetric(c.Stat().Mean, tc.metric(c))
+						if c.Sharpness != nil {
+							b.ReportMetric(experiments.NewStat(c.Sharpness).Mean, tc.metric(c)+"_sharp")
+						}
 					}
 				}
 				fc, okc := acc["fedcross"]
@@ -163,43 +151,6 @@ func runPreset(b *testing.B, name string, p experiments.Profile, sweeps ...[]str
 		b.Fatal(err)
 	}
 	return res
-}
-
-// BenchmarkFig3_Partitions reproduces Figure 3: Dirichlet client
-// distributions. Shape: skew(0.1) > skew(0.5) > skew(1.0).
-func BenchmarkFig3_Partitions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultFig3Options()
-		opts.Profile = benchProfile()
-		res, err := experiments.RunFig3(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Panels {
-			b.ReportMetric(p.SkewScore, "skew_beta")
-		}
-	}
-}
-
-// BenchmarkFig4_Landscape reproduces Figure 4: loss-landscape flatness of
-// FedAvg vs FedCross global models. Shape: FedCross sharpness lower.
-func BenchmarkFig4_Landscape(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultFig4Options()
-		opts.Profile = benchProfile()
-		opts.Model = "resnet"
-		opts.Scan.Resolution = 5
-		opts.Scan.MaxSamples = 64
-		opts.SharpnessDirs = 2
-		res, err := experiments.RunFig4(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Panels {
-			b.ReportMetric(p.FedAvgSharpness, "fedavg_sharp_"+p.Het)
-			b.ReportMetric(p.FedCrossSharpness, "fedcross_sharp_"+p.Het)
-		}
-	}
 }
 
 // BenchmarkTheory_Bound exercises the Theorem-1 machinery: the quadratic

@@ -5,6 +5,7 @@
 //
 //	fedsim -experiment table1                 # communication analysis
 //	fedsim -experiment table2 -profile tiny   # accuracy grid slice
+//	fedsim -experiment fig4 -seeds 5 -grid rounds=8,50,200
 //	fedsim -experiment fig5 -profile small -grid model=cnn,resnet
 //	fedsim -experiment all -profile tiny -jobs 1 -parallel 1   # same results, serially
 //	fedsim -experiment table2 -set codec=fp16 -set net=lte -set deadline=30
@@ -70,6 +71,7 @@ import (
 	"strconv"
 	"strings"
 
+	"fedcross/internal/data"
 	"fedcross/internal/experiments"
 	"fedcross/internal/fl"
 )
@@ -114,12 +116,12 @@ var runKeys = []string{"n", "k", "rounds", "codec", "net", "deadline", "retries"
 	"reducer", "attack", "attackscale", "frac", "faults", "level", "quorum", "churn", "avail", "prefetch"}
 
 // ownAxes declares what the experiments that keep their own code read:
-// the keys -set reaches them through, and the axes resume sweeps. Every
-// other experiment is one or more grid presets, which declare their own.
+// the keys -set reaches them through, and the axes fig3 and resume sweep.
+// Every other experiment is one or more grid presets, which declare their
+// own.
 var ownAxes = map[string]struct{ sweeps, reads []string }{
 	"table1": {reads: []string{"k"}},
-	"fig3":   {reads: []string{"n"}},
-	"fig4":   {reads: append([]string{"model"}, runKeys...)},
+	"fig3":   {sweeps: []string{"beta"}, reads: []string{"n"}},
 	// resume runs under its own fault mix, quorum and retries.
 	"resume": {sweeps: []string{"algo", "stop"}, reads: slices.DeleteFunc(append([]string{"dataset", "model", "beta"}, runKeys...),
 		func(k string) bool { return k == "faults" || k == "level" || k == "quorum" || k == "retries" })},
@@ -148,7 +150,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.StringVar(&o.profile, "profile", "tiny", "run scale: tiny, small, paper")
 	fs.Var(o.grid, "grid", "sweep an axis the experiment declares, `key=v1,v2` (repeatable; README lists each experiment's)")
 	fs.Var(o.set, "set", "set one value of a key on every experiment about to run that reads it, `key=value` (repeatable; keys: "+strings.Join(experiments.AxisNames(), ", ")+")")
-	fs.IntVar(&o.seeds, "seeds", 0, "override the number of seeds (0 keeps profile default); read by table2, table3, ablations and fidelity (which runs at least five)")
+	fs.IntVar(&o.seeds, "seeds", 0, "override the number of seeds (0 keeps profile default); read by table2, table3, fig4, ablations and fidelity (which runs at least five)")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
 	fs.IntVar(&o.jobs, "jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
 	fs.StringVar(&o.checkpoint.Path, "checkpoint", "", "round-snapshot file for crash-safe runs (empty = no checkpointing); with -grid algo=<one> a table2 run is a single cell")
@@ -190,6 +192,7 @@ type plan struct {
 	names []string
 	grids map[string][]experiments.Grid
 	cells map[string]experiments.Cell // the own-code experiments'
+	hets  []data.Heterogeneity        // fig3's panels (default: Dir(0.1), Dir(0.5), Dir(1.0))
 	algos []string                    // resume's algorithms (default: all six)
 	stops []int                       // resume's kill rounds (default: 1, mid, last−1)
 }
@@ -319,12 +322,19 @@ func (o *options) resolve() (*plan, error) {
 		return nil, fmt.Errorf("%s: experiment %s does not read that (it reads: %s)", strings.Join(unread, ", "), o.experiment, on(reads))
 	}
 
-	// resume's axes: -set narrows them as it does a preset's.
+	// fig3's and resume's axes: -set narrows them as it does a preset's.
 	values := func(key string) []string {
 		if v, ok := o.set[key]; ok {
 			return []string{v}
 		}
 		return grid[key]
+	}
+	for _, v := range values("beta") {
+		var c experiments.Cell
+		if err := c.Apply(map[string]string{"beta": v}); err != nil {
+			return nil, err
+		}
+		p.hets = append(p.hets, c.Het)
 	}
 	p.algos = values("algo")
 	for _, a := range p.algos {
@@ -379,15 +389,9 @@ func (p *plan) execute(stdout io.Writer) error {
 		fmt.Fprintf(stdout, "=== %s (profile %s) ===\n", name, p.profile)
 		switch name {
 		case "table1":
-			return render(experiments.RunTableI(cell.Profile.ClientsPerRound))
+			return experiments.TableI(stdout, cell.Profile.ClientsPerRound)
 		case "fig3":
-			opts := experiments.DefaultFig3Options()
-			opts.Profile = cell.Profile
-			return render(experiments.RunFig3(opts))
-		case "fig4":
-			opts := experiments.DefaultFig4Options()
-			opts.Profile, opts.Model = cell.Profile, cell.Model
-			return render(experiments.RunFig4(opts))
+			return experiments.Fig3(stdout, cell.Profile, p.hets)
 		case "resume":
 			opts := experiments.DefaultResumeCheckOptions()
 			opts.Profile, opts.Dataset, opts.Model, opts.Het = cell.Profile, cell.Dataset, cell.Model, cell.Het

@@ -106,6 +106,8 @@ func TestGridAxisNotRead(t *testing.T) {
 		{[]string{"-experiment", "resume", "-grid", "model=mlp,cnn"}, []string{"resume sweeps algo, stop", "-set model"}},
 		{[]string{"-experiment", "faults", "-seeds", "3"}, []string{"-seeds", "faults", "level"}},
 		{[]string{"-experiment", "fig5", "-seeds", "2"}, []string{"-seeds", "fig5"}},
+		{[]string{"-experiment", "fig3", "-seeds", "2"}, []string{"-seeds", "fig3", "it reads: beta, n)"}},
+		{[]string{"-experiment", "fig3", "-grid", "n=6,12"}, []string{"-grid n=6,12", "fig3 sweeps beta", "-set n=<value>"}},
 		{[]string{"-experiment", "fig8", "-grid", "rounds=1,2"}, []string{"-grid rounds", "fig8 sweeps alpha, strategy", "-set rounds"}},
 		{[]string{"-experiment", "table1", "-set", "codec=int8"}, []string{"-set codec", "table1", "it reads: k)"}},
 		{[]string{"-experiment", "table1", "-set", "codec=int8", "-set", "quorum=3", "-set", "staleexp=0.9"}, []string{"-set codec, -set quorum, -set staleexp", "table1"}},
@@ -166,6 +168,9 @@ func TestGridAxesRead(t *testing.T) {
 			[]string{"Rounds  Alpha      in-order", "\n1       alpha=0.5  ", "\n2       alpha=0.5  "}},
 		{append(tiny, "-experiment", "table2", "-set", "n=6", "-seeds", "2", "-grid", "model=mlp,cnn", "-grid", "algo=fedavg", "-grid", "beta=iid"), []string{"\nvision10  mlp ", "\nvision10  cnn "}},
 		{micro("-experiment", "fidelity", "-grid", "beta=0.5", "-set", "codec=int8"), []string{"FedCross − FedAvg (pts)", "\nbeta=0.5  "}},
+		// fig4 reports over seeds: the margin's wins count both.
+		{micro("-experiment", "fig4", "-seeds", "2", "-grid", "beta=iid"), []string{"on vision10/mlp", "FedCross flatter", "/2 seeds", "\n# IID: loss around seed 1's final models\n"}},
+		{[]string{"-set", "n=6", "-experiment", "fig3", "-grid", "beta=0.1,iid"}, []string{"Dir(beta=0.1), skew=", "distribution, IID, skew="}},
 		{micro("-experiment", "faults", "-set", "faults=stragglefactor=8", "-grid", "level=0,0.3"), []string{"\n0.00   ", "\n0.30   "}},
 		// A FedCross option on a fedavg preset is read once algo makes it fedcross.
 		{micro("-experiment", "robust", "-grid", "frac=0", "-grid", "reducer=mean", "-set", "algo=fedcross", "-set", "alpha=0.9"), []string{"Byzantine robustness — fedcross"}},
@@ -259,17 +264,21 @@ func TestGridOverridesPreset(t *testing.T) {
 	}
 }
 
+// TestTable1Unchanged pins the two experiments that are plain functions,
+// table1 and fig3, to their whole tiny-profile outputs, byte for byte.
 func TestTable1Unchanged(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "table1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fedsim(t, "-profile", "tiny", "-experiment", "table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("table1 output changed:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	for _, name := range []string{"table1", "fig3"} {
+		want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fedsim(t, "-profile", "tiny", "-experiment", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s output changed:\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
+		}
 	}
 }
 

@@ -16,6 +16,14 @@ import (
 // cᵢ⁺ = cᵢ − c + (x − yᵢ)/(S·η) and the server folds the deltas into x
 // and c. Both the model and the variate travel each way, which is why
 // Table I classes its communication overhead as High.
+//
+// Local steps are plain SGD, whatever momentum the run configures. Option
+// II is derived for plain SGD: under heavy-ball momentum m a step moves
+// about η/(1−m)·g, so the refresh overstates the variate, and the
+// overstated correction feeds back through the momentum buffer. At the
+// tiny profile's m = 0.5 that sent 8 of 15 runs (seeds 1–5, 400 rounds,
+// β = 0.1, 0.5, IID) to a NaN model; scaling option II by (1−m) instead
+// still lost 4 of 15, plain SGD none.
 type SCAFFOLD struct {
 	server
 	c nn.ParamVector // server control variate
@@ -71,7 +79,7 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 			a.ci[ci] = make(nn.ParamVector, n)
 		}
 		spec := a.cfg.LocalSpec()
-		spec.Init, spec.GradCorrection = recvGlobal, recvC.Sub(a.ci[ci])
+		spec.Init, spec.GradCorrection, spec.Momentum = recvGlobal, recvC.Sub(a.ci[ci]), 0
 		jobs = append(jobs, fl.LocalJob{Client: ci, Spec: spec, RNG: a.rng.Split()})
 	}
 	results, err := fl.TrainAll(a.env, jobs, a.cfg.Allowance())

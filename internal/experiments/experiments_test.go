@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -112,95 +115,101 @@ func TestHeatmapRendering(t *testing.T) {
 	}
 }
 
+// TestRunTableI: Table I reads each algorithm's own communication profile.
+// FedCross costs exactly FedAvg's traffic (the paper's headline overhead
+// claim), SCAFFOLD and FedGen strictly more, classed High and Medium.
 func TestRunTableI(t *testing.T) {
-	res, err := RunTableI(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("TableI rows = %d, want 6", len(res.Rows))
-	}
-	byName := map[string]TableIRow{}
-	for _, r := range res.Rows {
-		byName[r.Algorithm] = r
-	}
-	// FedCross communication equals FedAvg exactly (the paper's headline
-	// overhead claim).
-	if byName["fedcross"].ModelEquivalents != byName["fedavg"].ModelEquivalents {
-		t.Fatalf("fedcross %v vs fedavg %v model-equivalents",
-			byName["fedcross"].ModelEquivalents, byName["fedavg"].ModelEquivalents)
-	}
-	if byName["scaffold"].Overhead != "High" || byName["fedgen"].Overhead != "Medium" || byName["fedcross"].Overhead != "Low" {
-		t.Fatalf("overhead classes: %+v", byName)
-	}
-	// SCAFFOLD and FedGen cost strictly more than FedAvg.
-	if byName["scaffold"].ModelEquivalents <= byName["fedavg"].ModelEquivalents {
-		t.Fatal("scaffold should cost more than fedavg")
-	}
-	if byName["fedgen"].ModelEquivalents <= byName["fedavg"].ModelEquivalents {
-		t.Fatal("fedgen should cost more than fedavg")
-	}
 	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
+	if err := TableI(&buf, 10); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Multi-Model Guided") {
-		t.Fatal("render missing fedcross category")
+	rows := map[string][]string{}
+	for _, line := range strings.Split(buf.String(), "\n")[3:] {
+		if f := regexp.MustCompile(`\s{2,}`).Split(strings.TrimSpace(line), -1); len(f) == 5 {
+			rows[f[0]] = f[1:]
+		}
 	}
-	if _, err := RunTableI(0); err == nil {
+	if len(rows) != 6 {
+		t.Fatalf("Table I has %d method rows, want 6:\n%s", len(rows), buf.String())
+	}
+	equivalents := func(name string) float64 {
+		x, err := strconv.ParseFloat(rows[name][3], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return x
+	}
+	if equivalents("fedcross") != equivalents("fedavg") || rows["fedcross"][1] != rows["fedavg"][1] {
+		t.Fatalf("fedcross %q vs fedavg %q", rows["fedcross"], rows["fedavg"])
+	}
+	if rows["scaffold"][2] != "High" || rows["fedgen"][2] != "Medium" || rows["fedcross"][2] != "Low" {
+		t.Fatalf("overhead classes: %q", rows)
+	}
+	if equivalents("scaffold") <= equivalents("fedavg") || equivalents("fedgen") <= equivalents("fedavg") {
+		t.Fatalf("scaffold and fedgen should cost more than fedavg: %q", rows)
+	}
+	if rows["fedcross"][0] != "Multi-Model Guided" {
+		t.Fatalf("fedcross category %q", rows["fedcross"][0])
+	}
+	if err := TableI(&buf, 0); err == nil {
 		t.Fatal("K=0 must error")
 	}
 }
 
+// TestRunFig3SkewOrdering: the paper's Figure-3 shape, smaller beta, more
+// skew, read from the three panels' titles.
 func TestRunFig3SkewOrdering(t *testing.T) {
-	opts := DefaultFig3Options()
-	opts.Profile = microProfile()
-	res, err := RunFig3(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Panels) != 3 {
-		t.Fatalf("panels = %d", len(res.Panels))
-	}
-	// The paper's Figure-3 shape: smaller beta, more skew.
-	if !(res.Panels[0].SkewScore > res.Panels[2].SkewScore) {
-		t.Fatalf("skew(beta=0.1)=%v should exceed skew(beta=1.0)=%v",
-			res.Panels[0].SkewScore, res.Panels[2].SkewScore)
-	}
 	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
+	if err := Fig3(&buf, microProfile(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Dir(beta=0.1)") {
-		t.Fatal("render missing panel title")
+	var skew []float64
+	for _, m := range regexp.MustCompile(`Dir\(beta=[0-9.]+\), skew=([0-9.]+)`).FindAllStringSubmatch(buf.String(), -1) {
+		x, _ := strconv.ParseFloat(m[1], 64)
+		skew = append(skew, x)
+	}
+	if len(skew) != 3 || !strings.Contains(buf.String(), "Dir(beta=0.1)") {
+		t.Fatalf("want three Dir(beta) panels:\n%s", buf.String())
+	}
+	if !(skew[0] > skew[2]) {
+		t.Fatalf("skew(beta=0.1)=%v should exceed skew(beta=1.0)=%v", skew[0], skew[2])
 	}
 }
 
+// TestRunFig4Micro: the fig4 preset over two seeds reads one sharpness per
+// seed of every cell, reports each row's FedCross − FedAvg sharpness as
+// rowMargin on those readings with a wins/seeds cell, and prints the
+// first seed's 2-D scans under the table.
 func TestRunFig4Micro(t *testing.T) {
-	opts := DefaultFig4Options()
-	opts.Profile = microProfile()
-	opts.Model = "mlp"
-	opts.Hets = []data.Heterogeneity{{IID: true}}
-	opts.Scan.Resolution = 3
-	opts.Scan.MaxSamples = 16
-	opts.SharpnessDirs = 1
-	res, err := RunFig4(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Panels) != 1 {
-		t.Fatalf("panels = %d", len(res.Panels))
-	}
-	p := res.Panels[0]
-	if p.FedAvgGrid == nil || p.FedCrossGrid == nil {
-		t.Fatal("missing grids")
-	}
+	p := microProfile()
+	p.Seeds = []int64{1, 2}
+	res := runGrid(t, mlpPreset(t, "fig4", p, []string{"beta", "iid"}))
 	var buf bytes.Buffer
 	if err := res.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "sharpness") {
-		t.Fatal("render missing sharpness")
+	out := buf.String()
+	if len(res.Cells) != 2 {
+		t.Fatalf("cells %+v", res.Cells)
+	}
+	for _, c := range res.Cells {
+		if len(c.Sharpness) != 2 || c.Sharpness[0] == c.Sharpness[1] || c.Scan == nil || len(c.Scan.Xs) != scanRes {
+			t.Fatalf("%s: sharpness %v, scan %v", c.Algorithm, c.Sharpness, c.Scan)
+		}
+		for _, x := range c.Sharpness {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("%s: sharpness %v", c.Algorithm, c.Sharpness)
+			}
+		}
+	}
+	m, ok := rowMargin(res.Cells, func(c GridCell, si int) float64 { return c.Sharpness[si] }, true)
+	row := strings.Split(out, "\n")[3]
+	cell := fmt.Sprintf("%+.4f ± %.4f", m.Mean, m.Std)
+	if !ok || m.Seeds != 2 || !strings.Contains(row, cell) || !strings.Contains(row, fmt.Sprintf("%d/2 seeds", m.Wins)) {
+		t.Fatalf("margin %+v (%s) not in the row %q:\n%s", m, cell, row, out)
+	}
+	if !strings.Contains(out, "FedCross flatter") || !strings.Contains(out, "# IID: loss around seed 1's final models\nx\ty\tloss_fedavg\tloss_fedcross\n-0.5000\t-0.5000\t") {
+		t.Fatalf("fig4 output lacks the margin column or the scan:\n%s", out)
 	}
 }
 

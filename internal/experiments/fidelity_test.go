@@ -40,7 +40,7 @@ func TestFidelityFedCrossBeatsFedAvg(t *testing.T) {
 	if p := res.Cells[0].Profile; p.VisionTestPerClass < 100 {
 		t.Fatalf("the preset scores on %d test samples per class, want at least 100", p.VisionTestPerClass)
 	}
-	m, ok := rowMargin(res.Cells)
+	m, ok := rowMargin(res.Cells, finalAcc, false)
 	if !ok {
 		t.Fatalf("the row has no fedavg/fedcross pair: %+v", res.Cells)
 	}

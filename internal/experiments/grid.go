@@ -13,6 +13,8 @@ import (
 	"fedcross/internal/core"
 	"fedcross/internal/data"
 	"fedcross/internal/fl"
+	"fedcross/internal/landscape"
+	"fedcross/internal/nn"
 )
 
 // Cell is what one run of a grid needs and nothing else. Every run
@@ -33,23 +35,30 @@ type Cell struct {
 }
 
 // run executes the cell under the scheduler's budget and environment
-// cache. Profile.Config is taken here, once, after every axis has been
-// applied, so nothing an axis leaves alone is lost on the way to the run.
-func (c Cell) run(s *Scheduler, seed int64) (*fl.History, error) {
-	if c.Async != nil {
-		env, err := s.Env(c.Profile, c.Dataset, c.Model, c.Het, seed)
-		if err != nil {
-			return nil, err
-		}
-		return fl.RunAsync(env, s.Config(c.Profile, seed), *c.Async)
+// cache, and returns the history with the environment it leased and the
+// global model it trained (nil under the async engine). Profile.Config is
+// taken here, once, after every axis has been applied, so nothing an axis
+// leaves alone is lost on the way to the run.
+func (c Cell) run(s *Scheduler, seed int64) (*fl.History, *fl.Env, nn.ParamVector, error) {
+	env, err := s.Env(c.Profile, c.Dataset, c.Model, c.Het, seed)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	hist, _, _, err := s.runOne(c.Profile, c.Dataset, c.Model, c.Het, seed, func() (fl.Algorithm, error) {
-		if c.Algorithm == "fedcross" {
-			return core.New(c.FedCross)
-		}
-		return NewAlgorithm(c.Algorithm)
-	})
-	return hist, err
+	if c.Async != nil {
+		hist, err := fl.RunAsync(env, s.Config(c.Profile, seed), *c.Async)
+		return hist, env, nil, err
+	}
+	var algo fl.Algorithm
+	if c.Algorithm == "fedcross" {
+		algo, err = core.New(c.FedCross)
+	} else {
+		algo, err = NewAlgorithm(c.Algorithm)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	hist, err := fl.Run(algo, env, s.Config(c.Profile, seed))
+	return hist, env, algo.Global(), err
 }
 
 // resolve normalises a cell once every axis has been applied: the text
@@ -392,11 +401,40 @@ type measure struct {
 	// together, after the per-value columns.
 	rowHeads []string
 	row      func(cells []GridCell) []string
+	// probe, when set, reads the global model a sync cell trained on seed
+	// index si while the cell still holds its environment lease, under the
+	// run's worker allowance.
+	probe func(c *GridCell, si int, seed int64, env *fl.Env, global nn.ParamVector, w fl.Workers) error
+	// under, when set, writes what the measure adds under the table.
+	under func(r *GridResult, w io.Writer) error
 }
+
+// The sharpness measure's constants: Sharpness probes sharpDirs
+// filter-normalised directions at sharpRadius, and the first seed's 2-D
+// scan is a scanRes × scanRes grid over [−0.5, 0.5]², scored on at most
+// 256 test samples.
+const (
+	sharpRadius = 0.3
+	sharpDirs   = 3
+	scanRes     = 5
+)
 
 func measures() map[string]measure {
 	acc := func(x float64) string { return fmt.Sprintf("%.4f", x) }
 	stat := func(c GridCell) []string { return []string{c.Stat().String()} }
+	finalAcc := func(c GridCell, si int) float64 { return c.Histories[si].Final().TestAcc }
+	sharpness := func(c GridCell, si int) float64 { return c.Sharpness[si] }
+	// margin fills the two margin columns from rowMargin on x, rendered
+	// by format.
+	margin := func(x func(c GridCell, si int) float64, lower bool, format func(m marginStat) string) func(cells []GridCell) []string {
+		return func(cells []GridCell) []string {
+			m, ok := rowMargin(cells, x, lower)
+			if !ok {
+				return []string{"-", "-"}
+			}
+			return []string{format(m), fmt.Sprintf("%d/%d seeds", m.Wins, m.Seeds)}
+		}
+	}
 	return map[string]measure{
 		"": {heads: []string{"Final acc", "Best acc"}, vals: func(c GridCell) []string {
 			return []string{acc(c.History().Final().TestAcc), acc(c.History().BestAcc())}
@@ -404,13 +442,29 @@ func measures() map[string]measure {
 		"stat": {everySeed: true, heads: []string{"Accuracy (%)"}, vals: stat},
 		"margin": {everySeed: true, heads: []string{"Accuracy (%)"}, vals: stat,
 			rowHeads: []string{"FedCross − FedAvg (pts)", "FedCross ahead"},
-			row: func(cells []GridCell) []string {
-				m, ok := rowMargin(cells)
-				if !ok {
-					return []string{"-", "-"}
+			row:      margin(finalAcc, false, marginStat.String)},
+		// sharpness: landscape.Sharpness at each seed's final global model,
+		// along directions drawn from the run's seed, compared like margin
+		// with FedCross ahead where it is flatter; the first seed's 2-D
+		// scans print under the table.
+		"sharpness": {everySeed: true, heads: []string{"Sharpness", "Accuracy (%)"},
+			vals: func(c GridCell) []string {
+				s := NewStat(c.Sharpness)
+				return []string{fmt.Sprintf("%.4f ± %.4f", s.Mean, s.Std), c.Stat().String()}
+			},
+			rowHeads: []string{"FedCross − FedAvg sharpness", "FedCross flatter"},
+			row: margin(sharpness, true, func(m marginStat) string {
+				return fmt.Sprintf("%+.4f ± %.4f", m.Mean, m.Std)
+			}),
+			probe: func(c *GridCell, si int, seed int64, env *fl.Env, global nn.ParamVector, w fl.Workers) (err error) {
+				c.Sharpness[si], err = landscape.Sharpness(env.Model, global, env.Fed.Test, sharpRadius, sharpDirs, seed, w)
+				if err == nil && si == 0 {
+					c.Scan, err = landscape.Scan2D(env.Model, global, env.Fed.Test,
+						landscape.Options{Resolution: scanRes, Radius: 0.5, Seed: seed, MaxSamples: 256, Workers: w})
 				}
-				return []string{m.String(), fmt.Sprintf("%d/%d seeds", m.Wins, m.Seeds)}
-			}},
+				return err
+			},
+			under: (*GridResult).renderScans},
 		"best": {heads: []string{"Best acc"}, vals: func(c GridCell) []string {
 			return []string{acc(c.History().BestAcc())}
 		}},
@@ -456,8 +510,10 @@ type Grid struct {
 	// Measure names what a cell reports: "" is final and best accuracy on
 	// the first seed, "stat" the final accuracy over every Profile.Seeds
 	// entry as mean ± std, "margin" the same plus each row's FedCross −
-	// FedAvg margin, "best" the best accuracy, "convergence" the best
-	// accuracy and the rounds to 40 %, "curve" the evaluated learning curve.
+	// FedAvg margin, "sharpness" the final model's loss sharpness and
+	// accuracy over the seeds plus the same margin on sharpness, "best"
+	// the best accuracy, "convergence" the best accuracy and the rounds to
+	// 40 %, "curve" the evaluated learning curve.
 	Measure string
 	// Across names the axis laid across the page instead of down it: its
 	// values become the table's column groups or, under the curve measure,
@@ -588,6 +644,18 @@ func gridPresets() map[string]func(p Profile) Grid {
 			return Grid{Title: "Fidelity — final accuracy (%), FedCross against FedAvg", Base: visionCell(p, "fedavg", 0.5),
 				Axes:     []Axis{mustAxis("beta", "0.1", "0.5", "iid"), mustAxis("algo", "fedavg", "fedcross")},
 				Optional: []string{"rounds"}, Measure: "margin", Across: "algo"}
+		},
+		// fig4: RQ1's flatness, FedAvg against FedCross on ResNetMini at
+		// β = 0.1 and IID — each seed's final global model's sharpness
+		// (lower is flatter), and the first seed's loss surfaces under the
+		// table. Sharpness grows with training, so sweep rounds to compare
+		// equally trained models.
+		"fig4": func(p Profile) Grid {
+			base := visionCell(p, "fedavg", 0.1)
+			base.Model = "resnet"
+			return Grid{Title: "Figure 4 — loss-landscape sharpness (lower = flatter)", Base: base,
+				Axes:     []Axis{mustAxis("beta", "0.1", "iid"), mustAxis("algo", "fedavg", "fedcross")},
+				Optional: []string{"rounds"}, Measure: "sharpness", Across: "algo"}
 		},
 		// fig5: every method's learning curve, a panel per model ×
 		// heterogeneity.
@@ -728,7 +796,7 @@ func mustAxis(name string, values ...string) Axis {
 }
 
 // GridPreset returns the named sweep over the profile: the paper's
-// table2, table3, fig5 … fig9 and ablation-shuffle / -similarity /
+// table2, table3, fig4 … fig9 and ablation-shuffle / -similarity /
 // -propellers, the fidelity gate's sweep, or the system sweeps comm,
 // robust, async, faults, churn.
 func GridPreset(name string, p Profile) (Grid, error) {
@@ -796,6 +864,10 @@ type GridCell struct {
 	Coords []string
 	Cell
 	Histories []*fl.History
+	// Sharpness holds the sharpness measure's reading of each seed's final
+	// model, and Scan its 2-D loss scan around the first seed's.
+	Sharpness []float64
+	Scan      *landscape.Grid
 }
 
 // History is the run on the grid's first seed.
@@ -810,32 +882,41 @@ func (c GridCell) Stat() Stat {
 	return NewStat(finals)
 }
 
-// marginStat is FedCross's lead over FedAvg on cells run on the same seeds:
-// the difference of their mean final accuracies, the pooled seed std, and
-// on how many seeds FedCross finished strictly ahead.
+// marginStat is FedCross's lead over FedAvg on cells run on the same seeds,
+// on one per-seed value: the difference of their means, the pooled seed
+// std, and on how many seeds FedCross was strictly ahead.
 type marginStat struct {
 	Mean, Std   float64
 	Wins, Seeds int
 }
 
-// String renders the margin in accuracy points, signed.
+// String renders an accuracy margin in points, signed.
 func (m marginStat) String() string { return fmt.Sprintf("%+.2f ± %.2f", 100*m.Mean, 100*m.Std) }
 
-// rowMargin compares the row's fedcross cell with its fedavg cell, seed by
-// seed; ok is false when the row lacks either.
-func rowMargin(cells []GridCell) (m marginStat, ok bool) {
-	find := func(algo string) int {
-		return slices.IndexFunc(cells, func(c GridCell) bool { return c.Algorithm == algo })
+// rowMargin compares the row's fedcross cell with its fedavg cell on x, the
+// value of a cell's run on seed index si, seed by seed: FedCross is ahead
+// on a seed where its x is higher, or lower when lower is set. ok is false
+// when the row lacks either.
+func rowMargin(cells []GridCell, x func(c GridCell, si int) float64, lower bool) (m marginStat, ok bool) {
+	values := func(algo string) []float64 {
+		i := slices.IndexFunc(cells, func(c GridCell) bool { return c.Algorithm == algo })
+		if i < 0 {
+			return nil
+		}
+		v := make([]float64, len(cells[i].Histories))
+		for si := range v {
+			v[si] = x(cells[i], si)
+		}
+		return v
 	}
-	x, y := find("fedcross"), find("fedavg")
-	if x < 0 || y < 0 {
+	fc, fa := values("fedcross"), values("fedavg")
+	if fc == nil || fa == nil {
 		return marginStat{}, false
 	}
-	fc, fa := cells[x], cells[y]
-	a, b := fc.Stat(), fa.Stat()
-	m = marginStat{Mean: a.Mean - b.Mean, Std: math.Sqrt((a.Std*a.Std + b.Std*b.Std) / 2), Seeds: len(fc.Histories)}
-	for i, h := range fc.Histories {
-		if h.Final().TestAcc > fa.Histories[i].Final().TestAcc {
+	a, b := NewStat(fc), NewStat(fa)
+	m = marginStat{Mean: a.Mean - b.Mean, Std: math.Sqrt((a.Std*a.Std + b.Std*b.Std) / 2), Seeds: len(fc)}
+	for si := range fc {
+		if lower && fc[si] < fa[si] || !lower && fc[si] > fa[si] {
 			m.Wins++
 		}
 	}
@@ -873,13 +954,20 @@ func RunGrid(g Grid) (*GridResult, error) {
 		res.Reference.Algorithm = g.Reference
 		runs = append(runs, res.Reference)
 	}
+	m := measures()[g.Measure]
 	for _, c := range runs {
 		c.Histories = make([]*fl.History, len(seeds))
+		if m.probe != nil {
+			c.Sharpness = make([]float64, len(seeds))
+		}
 	}
 	s := newScheduler(g.Base.Profile)
 	err = s.Run(len(runs)*len(seeds), func(i int) error {
 		c, si := runs[i/len(seeds)], i%len(seeds)
-		hist, err := c.run(s, seeds[si])
+		hist, env, global, err := c.run(s, seeds[si])
+		if err == nil && m.probe != nil {
+			err = m.probe(c, si, seeds[si], env, global, s.Config(c.Profile, seeds[si]).Allowance())
+		}
 		if err != nil {
 			name := strings.Join(res.labels(*c), " ")
 			if c == res.Reference {
@@ -915,8 +1003,10 @@ func (g *Grid) cells() ([]GridCell, error) {
 			return nil, fmt.Errorf("experiments: unknown grid column %q", name)
 		}
 	}
-	if _, ok := measures()[g.Measure]; !ok {
+	if m, ok := measures()[g.Measure]; !ok {
 		return nil, fmt.Errorf("experiments: unknown grid measure %q", g.Measure)
+	} else if m.probe != nil && g.Base.Async != nil {
+		return nil, fmt.Errorf("experiments: grid %q: measure %q reads a trained model, which an async cell does not return", g.Title, g.Measure)
 	}
 	if (g.Across != "" || g.Measure == "curve" || g.Winner) && g.axis(g.Across) < 0 {
 		return nil, fmt.Errorf("experiments: grid %q lays out axis %q, which it does not sweep", g.Title, g.Across)
@@ -1173,6 +1263,11 @@ func (r *GridResult) renderTable(w io.Writer) error {
 			return err
 		}
 	}
+	if m.under != nil {
+		if err := m.under(r, w); err != nil {
+			return err
+		}
+	}
 	if !r.Trajectory {
 		return nil
 	}
@@ -1185,6 +1280,34 @@ func (r *GridResult) renderTable(w io.Writer) error {
 			ct.Add(strconv.Itoa(m.Round), megabytes(m.CumBytesDown+m.CumBytesUp), fmt.Sprintf("%.4f", m.TestAcc))
 		}
 		if _, err := ct.WriteTo(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// renderScans writes each row's first-seed 2-D loss scans in plot-ready
+// columns: a comment naming the row, then x, y and each cell's loss at
+// that offset, tab-separated.
+func (r *GridResult) renderScans(w io.Writer) error {
+	across, rows := r.groups()
+	for _, group := range rows {
+		var b strings.Builder
+		fmt.Fprintf(&b, "\n# %s: loss around seed %d's final models\nx\ty", strings.Join(r.groupLabels(group[0], across), " "), r.Seeds()[0])
+		for _, i := range group {
+			b.WriteString("\tloss_" + r.Cells[i].Algorithm)
+		}
+		scan := r.Cells[group[0]].Scan
+		for a, x := range scan.Xs {
+			for c, y := range scan.Ys {
+				fmt.Fprintf(&b, "\n%.4f\t%.4f", x, y)
+				for _, i := range group {
+					fmt.Fprintf(&b, "\t%.6f", r.Cells[i].Scan.Loss[a][c])
+				}
+			}
+		}
+		b.WriteByte('\n')
+		if _, err := io.WriteString(w, b.String()); err != nil {
 			return err
 		}
 	}

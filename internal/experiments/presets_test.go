@@ -283,7 +283,7 @@ func TestFidelityPresetMargin(t *testing.T) {
 	if p := fa.Profile; p.VisionTestPerClass != 100 || !slices.Equal(p.Seeds, []int64{1, 2, 3, 4, 5}) || len(fa.Histories) != 5 {
 		t.Fatalf("fidelity runs %d test samples per class on seeds %v", p.VisionTestPerClass, p.Seeds)
 	}
-	m, ok := rowMargin(res.Cells)
+	m, ok := rowMargin(res.Cells, finalAcc, false)
 	a, b := fc.Stat(), fa.Stat()
 	wins := 0
 	for i := range fc.Histories {
@@ -302,7 +302,7 @@ func TestFidelityPresetMargin(t *testing.T) {
 	p := microProfile()
 	p.Seeds = []int64{1, 2, 3, 4, 5, 6}
 	res, out = microPreset(t, "fidelity", []string{"beta", "iid"}, []string{"algo", "fedcross"})
-	if _, ok := rowMargin(res.Cells); ok {
+	if _, ok := rowMargin(res.Cells, finalAcc, false); ok {
 		t.Fatal("a row without fedavg has a margin")
 	}
 	if f := strings.Fields(strings.Split(out, "\n")[3]); f[len(f)-1] != "-" || f[len(f)-2] != "-" {
@@ -312,6 +312,10 @@ func TestFidelityPresetMargin(t *testing.T) {
 		t.Fatalf("a profile with six seeds runs %v (%v), want all six", g.Seeds(), err)
 	}
 }
+
+// finalAcc is the margin measure's per-seed value: the run's final
+// accuracy.
+func finalAcc(c GridCell, si int) float64 { return c.Histories[si].Final().TestAcc }
 
 // presetNames lists every preset.
 func presetNames() []string { return slices.Sorted(maps.Keys(gridPresets())) }

@@ -5,6 +5,9 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"fedcross/internal/data"
+	"fedcross/internal/models"
 )
 
 // Table is a fixed-width text table renderer shared by all harnesses.
@@ -133,10 +136,8 @@ func (s Stat) String() string {
 // Heatmap renders an integer matrix (Fig 3's class × client counts) with
 // scaled glyphs, mirroring the paper's dot-size encoding.
 type Heatmap struct {
-	Title      string
-	RowLabel   string
-	Counts     [][]int
-	ColHeaders []string
+	Title  string
+	Counts [][]int
 }
 
 // WriteTo renders the heat map.
@@ -153,9 +154,6 @@ func (h *Heatmap) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
 	if h.Title != "" {
 		fmt.Fprintf(&b, "%s\n", h.Title)
-	}
-	if len(h.ColHeaders) > 0 {
-		fmt.Fprintf(&b, "%8s %s\n", h.RowLabel, strings.Join(h.ColHeaders, " "))
 	}
 	for r, row := range h.Counts {
 		fmt.Fprintf(&b, "%8d ", r)
@@ -175,4 +173,86 @@ func (h *Heatmap) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
+}
+
+// TableI writes the paper's Table I for K activated clients: each
+// algorithm's taxonomy category and per-round communication, read from the
+// algorithm itself. FedCross's traffic equals FedAvg's (Low), FedGen's is
+// Medium and SCAFFOLD's High.
+func TableI(w io.Writer, k int) error {
+	if k <= 0 {
+		return fmt.Errorf("experiments: TableI needs K > 0, got %d", k)
+	}
+	t := Table{
+		Title:  fmt.Sprintf("Table I — method categories and per-round communication (K=%d)", k),
+		Header: []string{"Method", "Category", "Per-round traffic", "Overhead", "Model-equivalents"},
+	}
+	for _, name := range AlgorithmNames() {
+		algo, err := NewAlgorithm(name)
+		if err != nil {
+			return err
+		}
+		p := algo.RoundComm(k)
+		t.Add(algo.Name(), algo.Category(), p.String(), p.OverheadClass(), fmt.Sprintf("%.1f", p.TotalModelEquivalents(0.25)))
+	}
+	_, err := t.WriteTo(w)
+	return err
+}
+
+// Fig3 writes the paper's Figure 3: for each heterogeneity setting (nil is
+// the paper's Dir(0.1), Dir(0.5) and Dir(1.0)) the class × client sample
+// counts of the first ten clients as a heat map, titled with the skew —
+// the mean squared deviation of each client's class shares from uniform,
+// larger at smaller β. The vision corpus is generated and partitioned
+// from the profile's first seed; nothing trains.
+func Fig3(w io.Writer, p Profile, hets []data.Heterogeneity) error {
+	if hets == nil {
+		hets = []data.Heterogeneity{{Beta: 0.1}, {Beta: 0.5}, {Beta: 1.0}}
+	}
+	seed := firstSeed(p)
+	cfg := data.VisionConfig{Classes: 10, Features: models.VisionFeatures, TrainPerClass: p.VisionTrainPerClass,
+		TestPerClass: 1, ModesPerClass: 1, Sep: 1, Noise: 0.3, Seed: seed}
+	for _, het := range hets {
+		fed := data.BuildVision(cfg, p.NumClients, het, seed+7)
+		counts := fed.DistributionMatrix()
+		for c := range counts {
+			counts[c] = counts[c][:min(10, len(counts[c]))]
+		}
+		label := het.String()
+		if !het.IID {
+			label = "Dir(" + label + ")"
+		}
+		hm := Heatmap{Title: fmt.Sprintf("Figure 3 — client class distribution, %s, skew=%.4f", label, skewScore(fed)), Counts: counts}
+		if _, err := hm.WriteTo(w); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// skewScore averages the squared deviation of each client's class
+// distribution from uniform.
+func skewScore(fed *data.Federated) float64 {
+	uniform := 1.0 / float64(fed.Classes)
+	total := 0.0
+	n := 0
+	for ci := 0; ci < fed.NumClients(); ci++ {
+		if fed.Size(ci) == 0 {
+			continue
+		}
+		shard := fed.LeaseShard(ci)
+		for _, c := range shard.ClassCounts() {
+			d := float64(c)/float64(shard.Len()) - uniform
+			total += d * d
+		}
+		fed.ReleaseShard(ci)
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return total / float64(n)
 }

@@ -78,27 +78,6 @@ func (s *Scheduler) Env(p Profile, dataset, model string, het data.Heterogeneity
 	return s.cache.Lease(p, dataset, model, het, seed)
 }
 
-// runOne is the unit of work most grids dispatch: lease the environment,
-// construct the algorithm, run the full simulation under the budgeted
-// config, and hand back the history (plus the leased env and algorithm
-// for harnesses that post-process the trained model, like Fig 4's
-// landscape scans).
-func (s *Scheduler) runOne(p Profile, dataset, model string, het data.Heterogeneity, seed int64, mk func() (fl.Algorithm, error)) (*fl.History, *fl.Env, fl.Algorithm, error) {
-	env, err := s.Env(p, dataset, model, het, seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	algo, err := mk()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	hist, err := fl.Run(algo, env, s.Config(p, seed))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return hist, env, algo, nil
-}
-
 // firstSeed returns the profile's first seed (1 when none are set) — the
 // seed every single-seed run uses.
 func firstSeed(p Profile) int64 {

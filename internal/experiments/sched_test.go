@@ -35,10 +35,9 @@ func renderAtJobs(t *testing.T, jobs int, run func(p Profile) (renderable, error
 }
 
 // TestSchedulerDeterminism pins the scheduler's core invariant: every
-// preset — and the two harnesses that are not grids — produces
-// byte-identical results at cell parallelism 1 and at a parallelism that
-// forces concurrent cells, the grid-level twin of PR 1's round-engine
-// parallelism invariance.
+// preset produces byte-identical results at cell parallelism 1 and at a
+// parallelism that forces concurrent cells, the grid-level twin of the
+// round engine's parallelism invariance.
 func TestSchedulerDeterminism(t *testing.T) {
 	// The micro population is 6 clients: the presets that sweep K and N
 	// past it are swept inside it.
@@ -46,27 +45,8 @@ func TestSchedulerDeterminism(t *testing.T) {
 		"fig6": {{"k", "2", "3"}},
 		"fig7": {{"n", "6", "12"}},
 	}
-	grids := map[string]func(p Profile) (renderable, error){
-		"fig3": func(p Profile) (renderable, error) {
-			o := DefaultFig3Options()
-			o.Profile = p
-			return RunFig3(o)
-		},
-		"fig4": func(p Profile) (renderable, error) {
-			o := DefaultFig4Options()
-			o.Profile = p
-			o.Model = "mlp"
-			o.Hets = []data.Heterogeneity{{IID: true}, {Beta: 0.5}}
-			o.Scan.Resolution = 3
-			o.Scan.MaxSamples = 16
-			o.SharpnessDirs = 1
-			return RunFig4(o)
-		},
-	}
 	for _, name := range presetNames() {
-		grids[name] = gridAt(t, name, micro[name]...)
-	}
-	for name, run := range grids {
+		run := gridAt(t, name, micro[name]...)
 		serial := renderAtJobs(t, 1, run)
 		parallel := renderAtJobs(t, 8, run)
 		if !bytes.Equal(serial, parallel) {

@@ -301,6 +301,43 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteModelIsAnError: a global model with a NaN coordinate makes
+// each engine return an error naming itself, the algorithm and the round
+// instead of scoring the model as 0.00. Under Run the NaN arrives as one
+// client's update, trained on a NaN feature. RunAsync drops that update at
+// the server door and stays finite, so there the NaN is planted in the
+// starting model.
+func TestNonFiniteModelIsAnError(t *testing.T) {
+	env := testEnv(36, 8)
+	bad := *env.Fed.Clients[3]
+	bad.X = bad.X.Clone()
+	bad.X.Data[0] = math.NaN()
+	env.Fed.Clients[3] = &bad
+
+	cfg := asyncCfg(4, 0)
+	cfg.ClientsPerRound = 8 // select everyone → train on the NaN
+	_, err := Run(&stubAlgo{}, env, cfg)
+	if err == nil || err.Error() != "fl: Run: stub eval after round 2: global model coordinate 0 is NaN" {
+		t.Errorf("sync run: error %v, want the non-finite model named", err)
+	}
+	opts := AsyncOptions{Buffer: 2, InFlight: 8, Commits: 4}
+	if _, err := RunAsync(env, cfg, opts); err != nil {
+		t.Errorf("async run with a NaN upload: %v, want it dropped at the door", err)
+	}
+	nan, newNet := env.Model, env.Model.New
+	nan.Name += "-nan" // its own replica pool
+	nan.New = func(rng *tensor.RNG) *nn.Sequential {
+		net := newNet(rng)
+		net.Params()[0].Data[5] = math.NaN()
+		return net
+	}
+	env.Model = nan
+	_, err = RunAsync(env, cfg, opts)
+	if err == nil || err.Error() != "fl: RunAsync: fedbuff eval after round 2: global model coordinate 5 is NaN" {
+		t.Errorf("async run from a NaN model: error %v, want the non-finite model named", err)
+	}
+}
+
 func TestHistoryHelpers(t *testing.T) {
 	h := &History{Metrics: []RoundMetric{
 		{Round: 1, TestAcc: 0.3},

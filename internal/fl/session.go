@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"os"
 
 	"fedcross/internal/data"
@@ -165,11 +166,18 @@ func (s *session) evalDue(done int) bool {
 	return done == s.total || s.cfg.EvalEvery > 0 && done%s.cfg.EvalEvery == 0
 }
 
-// eval evaluates global on the held-out set and records the metric.
+// eval evaluates global on the held-out set and records the metric. A
+// global model with a NaN or ±Inf coordinate is an error: scoring it
+// would record a diverged run as 0.00 accuracy and carry on.
 func (s *session) eval(done int, global nn.ParamVector, modelEquivalents float64) error {
 	acc, loss, err := evaluate(s.env.Model, global, s.env.Fed.Test, 64, s.cfg.Allowance())
+	for i := 0; err == nil && i < len(global); i++ {
+		if x := global[i]; math.IsNaN(x) || math.IsInf(x, 0) {
+			err = fmt.Errorf("global model coordinate %d is %v", i, x)
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("fl: %s: eval after %d: %w", s.engine, done, err)
+		return fmt.Errorf("fl: %s: %s eval after round %d: %w", s.engine, s.hist.Algorithm, done, err)
 	}
 	s.hist.Metrics = append(s.hist.Metrics, s.totals().metric(done, acc, loss, modelEquivalents))
 	return nil
