@@ -202,7 +202,7 @@ func TestRunFig4Micro(t *testing.T) {
 			}
 		}
 	}
-	m, ok := rowMargin(res.Cells, func(c GridCell, si int) float64 { return c.Sharpness[si] }, true)
+	m, ok := rowMargin(res.Cells, "fedavg", func(c GridCell, si int) float64 { return c.Sharpness[si] }, true)
 	row := strings.Split(out, "\n")[3]
 	cell := fmt.Sprintf("%+.4f ± %.4f", m.Mean, m.Std)
 	if !ok || m.Seeds != 2 || !strings.Contains(row, cell) || !strings.Contains(row, fmt.Sprintf("%d/2 seeds", m.Wins)) {

@@ -19,7 +19,7 @@ import (
 	"fedcross/internal/models"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.json from this run")
+var update = flag.Bool("update", false, "rewrite testdata/golden.json, or under -tags fidelity claims.json and README's ledger, from this run")
 
 // goldenCells are the runs testdata/golden.json holds to the bit, three
 // rounds each (six for the faulted async cell). A cell is named by the

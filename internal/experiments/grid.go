@@ -424,11 +424,11 @@ func measures() map[string]measure {
 	stat := func(c GridCell) []string { return []string{c.Stat().String()} }
 	finalAcc := func(c GridCell, si int) float64 { return c.Histories[si].Final().TestAcc }
 	sharpness := func(c GridCell, si int) float64 { return c.Sharpness[si] }
-	// margin fills the two margin columns from rowMargin on x, rendered
-	// by format.
+	// margin fills the two margin columns from rowMargin against fedavg
+	// on x, rendered by format.
 	margin := func(x func(c GridCell, si int) float64, lower bool, format func(m marginStat) string) func(cells []GridCell) []string {
 		return func(cells []GridCell) []string {
-			m, ok := rowMargin(cells, x, lower)
+			m, ok := rowMargin(cells, "fedavg", x, lower)
 			if !ok {
 				return []string{"-", "-"}
 			}
@@ -882,9 +882,9 @@ func (c GridCell) Stat() Stat {
 	return NewStat(finals)
 }
 
-// marginStat is FedCross's lead over FedAvg on cells run on the same seeds,
-// on one per-seed value: the difference of their means, the pooled seed
-// std, and on how many seeds FedCross was strictly ahead.
+// marginStat is FedCross's lead over a baseline on cells run on the same
+// seeds, on one per-seed value: the difference of their means, the pooled
+// seed std, and on how many seeds FedCross was strictly ahead.
 type marginStat struct {
 	Mean, Std   float64
 	Wins, Seeds int
@@ -893,11 +893,11 @@ type marginStat struct {
 // String renders an accuracy margin in points, signed.
 func (m marginStat) String() string { return fmt.Sprintf("%+.2f ± %.2f", 100*m.Mean, 100*m.Std) }
 
-// rowMargin compares the row's fedcross cell with its fedavg cell on x, the
-// value of a cell's run on seed index si, seed by seed: FedCross is ahead
-// on a seed where its x is higher, or lower when lower is set. ok is false
-// when the row lacks either.
-func rowMargin(cells []GridCell, x func(c GridCell, si int) float64, lower bool) (m marginStat, ok bool) {
+// rowMargin compares the row's fedcross cell with its baseline cell on x,
+// the value of a cell's run on seed index si, seed by seed: FedCross is
+// ahead on a seed where its x is higher, or lower when lower is set. ok is
+// false when the row lacks either.
+func rowMargin(cells []GridCell, baseline string, x func(c GridCell, si int) float64, lower bool) (m marginStat, ok bool) {
 	values := func(algo string) []float64 {
 		i := slices.IndexFunc(cells, func(c GridCell) bool { return c.Algorithm == algo })
 		if i < 0 {
@@ -909,14 +909,14 @@ func rowMargin(cells []GridCell, x func(c GridCell, si int) float64, lower bool)
 		}
 		return v
 	}
-	fc, fa := values("fedcross"), values("fedavg")
-	if fc == nil || fa == nil {
+	fc, fb := values("fedcross"), values(baseline)
+	if fc == nil || fb == nil {
 		return marginStat{}, false
 	}
-	a, b := NewStat(fc), NewStat(fa)
+	a, b := NewStat(fc), NewStat(fb)
 	m = marginStat{Mean: a.Mean - b.Mean, Std: math.Sqrt((a.Std*a.Std + b.Std*b.Std) / 2), Seeds: len(fc)}
 	for si := range fc {
-		if lower && fc[si] < fa[si] || !lower && fc[si] > fa[si] {
+		if lower && fc[si] < fb[si] || !lower && fc[si] > fb[si] {
 			m.Wins++
 		}
 	}

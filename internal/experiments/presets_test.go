@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fedcross/internal/data"
+	"fedcross/internal/fl"
 )
 
 // The paper's tables, figures and ablations are presets on RunGrid; these
@@ -270,10 +271,21 @@ func TestGridStatOverSeeds(t *testing.T) {
 
 // TestFidelityPresetMargin: the fidelity preset scores on at least 100
 // test samples per class over at least five seeds, and its margin columns
-// are rowMargin — the difference of the two stats, the pooled std, and
-// the seeds on which FedCross finished strictly ahead. A row without both
-// methods prints dashes.
+// are rowMargin against fedavg — the difference of the two stats, the
+// pooled std, and the seeds on which FedCross finished strictly ahead.
+// rowMargin takes any baseline the row runs; a row without fedavg prints
+// dashes, and on a lower-is-better value FedCross wins where it is lower.
 func TestFidelityPresetMargin(t *testing.T) {
+	hand := func(fc, fb GridCell) marginStat {
+		a, b := fc.Stat(), fb.Stat()
+		m := marginStat{Mean: a.Mean - b.Mean, Std: math.Sqrt((a.Std*a.Std + b.Std*b.Std) / 2), Seeds: len(fc.Histories)}
+		for i := range fc.Histories {
+			if fc.Histories[i].Final().TestAcc > fb.Histories[i].Final().TestAcc {
+				m.Wins++
+			}
+		}
+		return m
+	}
 	res, out := microPreset(t, "fidelity", []string{"beta", "0.5"})
 	fa, ok := cellAt(res, "0.5", "fedavg")
 	fc, ok2 := cellAt(res, "0.5", "fedcross")
@@ -283,33 +295,35 @@ func TestFidelityPresetMargin(t *testing.T) {
 	if p := fa.Profile; p.VisionTestPerClass != 100 || !slices.Equal(p.Seeds, []int64{1, 2, 3, 4, 5}) || len(fa.Histories) != 5 {
 		t.Fatalf("fidelity runs %d test samples per class on seeds %v", p.VisionTestPerClass, p.Seeds)
 	}
-	m, ok := rowMargin(res.Cells, finalAcc, false)
-	a, b := fc.Stat(), fa.Stat()
-	wins := 0
-	for i := range fc.Histories {
-		if fc.Histories[i].Final().TestAcc > fa.Histories[i].Final().TestAcc {
-			wins++
-		}
-	}
-	if !ok || m.Mean != a.Mean-b.Mean || m.Std != math.Sqrt((a.Std*a.Std+b.Std*b.Std)/2) || m.Wins != wins || m.Seeds != 5 {
-		t.Fatalf("margin %+v from fedcross %+v, fedavg %+v, %d wins", m, a, b, wins)
+	m, ok := rowMargin(res.Cells, "fedavg", finalAcc, false)
+	if want := hand(fc, fa); !ok || m != want {
+		t.Fatalf("margin %+v, want %+v", m, want)
 	}
 	row := strings.Split(out, "\n")[3]
-	if !strings.Contains(out, "FedCross − FedAvg (pts)") || !strings.Contains(row, m.String()) || !strings.Contains(row, fmt.Sprintf("%d/5 seeds", wins)) {
-		t.Fatalf("margin %s, %d wins not in the table:\n%s", m, wins, out)
+	if !strings.Contains(out, "FedCross − FedAvg (pts)") || !strings.Contains(row, m.String()) || !strings.Contains(row, fmt.Sprintf("%d/5 seeds", m.Wins)) {
+		t.Fatalf("margin %s, %d wins not in the table:\n%s", m, m.Wins, out)
 	}
 
 	p := microProfile()
 	p.Seeds = []int64{1, 2, 3, 4, 5, 6}
-	res, out = microPreset(t, "fidelity", []string{"beta", "iid"}, []string{"algo", "fedcross"})
-	if _, ok := rowMargin(res.Cells, finalAcc, false); ok {
-		t.Fatal("a row without fedavg has a margin")
+	res, out = microPreset(t, "fidelity", []string{"beta", "iid"}, []string{"algo", "fedprox", "fedcross"})
+	if m, ok := rowMargin(res.Cells, "fedprox", finalAcc, false); !ok || m != hand(res.Cells[1], res.Cells[0]) {
+		t.Fatalf("margin over fedprox %+v, want %+v", m, hand(res.Cells[1], res.Cells[0]))
+	}
+	if _, ok := rowMargin(res.Cells, "fedavg", finalAcc, false); ok {
+		t.Fatal("a row without fedavg has a margin over it")
 	}
 	if f := strings.Fields(strings.Split(out, "\n")[3]); f[len(f)-1] != "-" || f[len(f)-2] != "-" {
-		t.Fatalf("margin columns of a fedcross-only row: %q", f)
+		t.Fatalf("margin columns of a row without fedavg: %q", f)
 	}
 	if g, err := GridPreset("fidelity", p); err != nil || len(g.Seeds()) != 6 {
 		t.Fatalf("a profile with six seeds runs %v (%v), want all six", g.Seeds(), err)
+	}
+
+	sharp := []GridCell{{Cell: Cell{Algorithm: "fedavg"}, Histories: make([]*fl.History, 3), Sharpness: []float64{2, 1, 3}},
+		{Cell: Cell{Algorithm: "fedcross"}, Histories: make([]*fl.History, 3), Sharpness: []float64{1, 2, 0}}}
+	if m, ok := rowMargin(sharp, "fedavg", func(c GridCell, si int) float64 { return c.Sharpness[si] }, true); !ok || m.Mean != -1 || m.Wins != 2 || m.Seeds != 3 {
+		t.Fatalf("sharpness margin %+v, want FedCross lower by 1 and ahead on 2 of 3 seeds", m)
 	}
 }
 
