@@ -13,9 +13,8 @@
 //	fedsim -experiment fig7 -grid n=1000000 -rsslimitmb 2048
 //	fedsim -experiment faults -grid level=0,0.05,0.1 -set quorum=2 -set retries=2
 //	fedsim -experiment fidelity -set codec=int8
-//	fedsim -experiment resume                  # crash/resume equality gate
-//	fedsim -experiment table2 -grid algo=fedcross -checkpoint run.ckpt -stopafter 4   # kill …
-//	fedsim -experiment table2 -grid algo=fedcross -checkpoint run.ckpt -resume        # … resume
+//	fedsim -experiment table2 -grid algo=fedcross -grid beta=0.5 -checkpoint run.ckpt -stopafter 4   # kill …
+//	fedsim -experiment table2 -grid algo=fedcross -grid beta=0.5 -checkpoint run.ckpt -resume        # … resume
 //
 // Profiles: tiny (seconds), small (minutes), paper (the scaled
 // paper-shaped setup; hours for the full grid). Every experiment grid
@@ -44,8 +43,11 @@
 // Checkpoints: -checkpoint writes write-ahead round snapshots
 // (-checkpointevery n rounds, -stopafter simulates a kill at a round
 // boundary) and -resume continues a killed run to a byte-identical final
-// history. The resume experiment is a pass/fail equality gate over every
-// algorithm (not part of "all").
+// history. A checkpoint holds one run, so the command must make exactly
+// one: one experiment, one cell, one seed. That every algorithm resumes
+// byte-identically is checked by
+//
+//	go test -count=1 -run 'TestRelations/resume/' ./internal/experiments/
 //
 // Scale: populations at or above the lazy cutoff synthesize shards on
 // demand from the partition seed, so N=10^6 holds only the LRU working
@@ -111,24 +113,17 @@ var removed = map[string]string{
 	"retries": "retries", "retrybackoff": "retrybackoff", "churn": "churn", "prefetch": "prefetch",
 }
 
-// runKeys are the keys that reach a run's fl.Config.
-var runKeys = []string{"n", "k", "rounds", "codec", "net", "deadline", "retries", "retrybackoff",
-	"reducer", "attack", "attackscale", "frac", "faults", "level", "quorum", "churn", "avail", "prefetch"}
-
 // ownAxes declares what the experiments that keep their own code read:
-// the keys -set reaches them through, and the axes fig3 and resume sweep.
-// Every other experiment is one or more grid presets, which declare their
-// own.
+// the keys -set reaches them through, and the axis fig3 sweeps. Neither
+// trains a model. Every other experiment is one or more grid presets,
+// which declare their own.
 var ownAxes = map[string]struct{ sweeps, reads []string }{
 	"table1": {reads: []string{"k"}},
 	"fig3":   {sweeps: []string{"beta"}, reads: []string{"n"}},
-	// resume runs under its own fault mix, quorum and retries.
-	"resume": {sweeps: []string{"algo", "stop"}, reads: slices.DeleteFunc(append([]string{"dataset", "model", "beta"}, runKeys...),
-		func(k string) bool { return k == "faults" || k == "level" || k == "quorum" || k == "retries" })},
 }
 
-// allExperiments is what -experiment all runs, in order (resume and
-// fidelity are gates and run only by name).
+// allExperiments is what -experiment all runs, in order (fidelity is a
+// gate and runs only by name).
 var allExperiments = []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "comm", "robust", "async", "ablations", "faults", "churn"}
 
 // options are fedsim's flags as parsed, before anything is checked.
@@ -146,14 +141,14 @@ type options struct {
 func newFlagSet() (*flag.FlagSet, *options) {
 	o := &options{grid: keyFlag{}, set: keyFlag{}}
 	fs := flag.NewFlagSet("fedsim", flag.ContinueOnError)
-	fs.StringVar(&o.experiment, "experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", fidelity, resume, all")
+	fs.StringVar(&o.experiment, "experiment", "table1", "experiment to run: "+strings.Join(allExperiments, ", ")+", fidelity, all")
 	fs.StringVar(&o.profile, "profile", "tiny", "run scale: tiny, small, paper")
 	fs.Var(o.grid, "grid", "sweep an axis the experiment declares, `key=v1,v2` (repeatable; README lists each experiment's)")
 	fs.Var(o.set, "set", "set one value of a key on every experiment about to run that reads it, `key=value` (repeatable; keys: "+strings.Join(experiments.AxisNames(), ", ")+")")
 	fs.IntVar(&o.seeds, "seeds", 0, "override the number of seeds (0 keeps profile default); read by table2, table3, fig4, ablations and fidelity (which runs at least five)")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker goroutines for client training/eval (0 = all cores, 1 = serial; results are identical)")
 	fs.IntVar(&o.jobs, "jobs", 0, "concurrent experiment grid cells (0 = all cores, 1 = sequential; results are identical)")
-	fs.StringVar(&o.checkpoint.Path, "checkpoint", "", "round-snapshot file for crash-safe runs (empty = no checkpointing); with -grid algo=<one> a table2 run is a single cell")
+	fs.StringVar(&o.checkpoint.Path, "checkpoint", "", "round-snapshot file for crash-safe runs (empty = no checkpointing); the command must make one run, e.g. table2 with -grid algo=<one> -grid beta=<one>")
 	fs.IntVar(&o.checkpoint.Every, "checkpointevery", 0, "write a snapshot every n completed rounds (0 = only at -stopafter)")
 	fs.BoolVar(&o.checkpoint.Resume, "resume", false, "resume from the -checkpoint snapshot instead of starting at round 0")
 	fs.IntVar(&o.checkpoint.StopAfterRound, "stopafter", 0, "halt after this round completes, writing a snapshot (simulated kill; 0 = run to completion)")
@@ -193,8 +188,6 @@ type plan struct {
 	grids map[string][]experiments.Grid
 	cells map[string]experiments.Cell // the own-code experiments'
 	hets  []data.Heterogeneity        // fig3's panels (default: Dir(0.1), Dir(0.5), Dir(1.0))
-	algos []string                    // resume's algorithms (default: all six)
-	stops []int                       // resume's kill rounds (default: 1, mid, last−1)
 }
 
 // resolve checks the options and builds the plan: every key set or swept
@@ -236,8 +229,8 @@ func (o *options) resolve() (*plan, error) {
 	switch {
 	case o.experiment == "all":
 		p.names = allExperiments
-	case !slices.Contains(slices.Concat(allExperiments, []string{"fidelity", "resume"}), o.experiment):
-		return nil, fmt.Errorf("unknown experiment %q (want %s, fidelity, resume or all)", o.experiment, strings.Join(allExperiments, ", "))
+	case o.experiment != "fidelity" && !slices.Contains(allExperiments, o.experiment):
+		return nil, fmt.Errorf("unknown experiment %q (want %s, fidelity or all)", o.experiment, strings.Join(allExperiments, ", "))
 	}
 	// What the experiments about to run sweep and read, and which of the
 	// command line's keys one of them took.
@@ -246,8 +239,7 @@ func (o *options) resolve() (*plan, error) {
 	seedsRead := false
 	for _, name := range p.names {
 		if own, ok := ownAxes[name]; ok {
-			def := experiments.DefaultResumeCheckOptions()
-			cell := experiments.Cell{Profile: prof, Dataset: def.Dataset, Model: def.Model, Het: def.Het}
+			cell := experiments.Cell{Profile: prof}
 			for _, key := range own.sweeps {
 				_, ok := o.grid[key]
 				sweeps[key], taken[key] = true, taken[key] || ok
@@ -293,6 +285,28 @@ func (o *options) resolve() (*plan, error) {
 		}
 	}
 
+	// A checkpoint file holds one run: every run of a larger plan would
+	// write it, and a resume would continue whichever wrote last. Runs are
+	// counted before a grid drops the cells its dataset makes equal.
+	if o.checkpoint.Path != "" {
+		runs := 0
+		for _, gs := range p.grids {
+			for _, g := range gs {
+				cells := 1
+				for _, ax := range g.Axes {
+					cells *= len(ax.Values)
+				}
+				if g.Reference != "" {
+					cells++
+				}
+				runs += cells * len(g.Seeds())
+			}
+		}
+		if runs != 1 {
+			return nil, fmt.Errorf("-checkpoint needs a command that makes exactly one run, and experiment %s makes %d (give every axis it sweeps one value and run one seed)", o.experiment, runs)
+		}
+	}
+
 	on := func(m map[string]bool) string {
 		return cmp.Or(strings.Join(slices.Sorted(maps.Keys(m)), ", "), "nothing")
 	}
@@ -322,32 +336,17 @@ func (o *options) resolve() (*plan, error) {
 		return nil, fmt.Errorf("%s: experiment %s does not read that (it reads: %s)", strings.Join(unread, ", "), o.experiment, on(reads))
 	}
 
-	// fig3's and resume's axes: -set narrows them as it does a preset's.
-	values := func(key string) []string {
-		if v, ok := o.set[key]; ok {
-			return []string{v}
-		}
-		return grid[key]
+	// fig3's panels: -set narrows its axis as it does a preset's.
+	betas := grid["beta"]
+	if v, ok := o.set["beta"]; ok {
+		betas = []string{v}
 	}
-	for _, v := range values("beta") {
+	for _, v := range betas {
 		var c experiments.Cell
 		if err := c.Apply(map[string]string{"beta": v}); err != nil {
 			return nil, err
 		}
 		p.hets = append(p.hets, c.Het)
-	}
-	p.algos = values("algo")
-	for _, a := range p.algos {
-		if _, err := experiments.NewAlgorithm(a); err != nil {
-			return nil, err
-		}
-	}
-	for _, v := range values("stop") {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("stop: bad positive integer %q", v)
-		}
-		p.stops = append(p.stops, n)
 	}
 	return p, nil
 }
@@ -392,19 +391,6 @@ func (p *plan) execute(stdout io.Writer) error {
 			return experiments.TableI(stdout, cell.Profile.ClientsPerRound)
 		case "fig3":
 			return experiments.Fig3(stdout, cell.Profile, p.hets)
-		case "resume":
-			opts := experiments.DefaultResumeCheckOptions()
-			opts.Profile, opts.Dataset, opts.Model, opts.Het = cell.Profile, cell.Dataset, cell.Model, cell.Het
-			if len(p.algos) > 0 {
-				opts.Algorithms = p.algos
-			}
-			opts.StopRounds = p.stops
-			res, err := experiments.RunResumeCheck(opts)
-			if res != nil {
-				// A divergence still prints the verdicts.
-				err = cmp.Or(err, res.Render(stdout))
-			}
-			return err
 		default:
 			// A grid preset, or the ablations' three, as resolve configured
 			// them.

@@ -35,6 +35,7 @@ func micro(args ...string) []string {
 }
 
 func TestGridGrammarErrors(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -51,7 +52,6 @@ func TestGridGrammarErrors(t *testing.T) {
 		{"bad strategy", []string{"-experiment", "table3", "-grid", "strategy=random"}, "unknown selection strategy"},
 		{"bad accel", []string{"-experiment", "fig9", "-grid", "accel=turbo"}, "unknown acceleration"},
 		{"k above n", []string{"-experiment", "fig6", "-grid", "k=2,7"}, "N=6"},
-		{"bad stop", []string{"-experiment", "resume", "-grid", "stop=0"}, "positive integer"},
 		{"bad beta", []string{"-experiment", "table2", "-grid", "beta=0.5,noniid"}, "bad beta"},
 		{"NaN beta", []string{"-experiment", "table2", "-set", "beta=NaN"}, `bad beta "NaN"`},
 		{"infinite beta", []string{"-experiment", "table2", "-grid", "beta=0.5,+Inf"}, `bad beta "+Inf"`},
@@ -75,6 +75,12 @@ func TestGridGrammarErrors(t *testing.T) {
 		{"positional argument", []string{"-experiment", "table2", "table3"}, `unexpected argument "table3"`},
 		// The quorum is checked against every cell's K, not the profile's.
 		{"quorum above a swept K", []string{"-experiment", "fig6", "-grid", "k=2,3", "-set", "quorum=3"}, "MinUploads = 3, must be in [0, ClientsPerRound = 2]"},
+		// A checkpoint holds one run; every run of a larger plan would write it.
+		{"checkpoint on many runs", []string{"-experiment", "fig6", "-grid", "k=2,3", "-checkpoint", ckpt}, "fig6 makes 4"},
+		{"checkpoint on two betas", []string{"-experiment", "table2", "-grid", "algo=fedcross", "-checkpoint", ckpt}, "table2 makes 2"},
+		{"checkpoint on two seeds", []string{"-experiment", "table2", "-grid", "algo=fedcross", "-grid", "beta=0.5", "-seeds", "2", "-checkpoint", ckpt}, "table2 makes 2"},
+		{"checkpoint on a reference run", []string{"-experiment", "fig8", "-grid", "alpha=0.5", "-grid", "strategy=in-order", "-checkpoint", ckpt}, "fig8 makes 2"},
+		{"checkpoint on no run", []string{"-experiment", "table1", "-checkpoint", ckpt}, "table1 makes 0"},
 	} {
 		out, err := fedsim(t, micro(tc.args...)...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -103,7 +109,6 @@ func TestGridAxisNotRead(t *testing.T) {
 		{[]string{"-experiment", "ablations", "-grid", "alpha=0.5"}, []string{"alpha", "propellers, shuffle, similarity", "-set alpha=0.5"}},
 		{[]string{"-experiment", "fig6", "-grid", "model=mlp,cnn"}, []string{"model=mlp,cnn", "fig6", "-set model=<value>"}},
 		{[]string{"-experiment", "comm", "-grid", "model=mlp"}, []string{"model=mlp", "comm", "-set model=mlp"}},
-		{[]string{"-experiment", "resume", "-grid", "model=mlp,cnn"}, []string{"resume sweeps algo, stop", "-set model"}},
 		{[]string{"-experiment", "faults", "-seeds", "3"}, []string{"-seeds", "faults", "level"}},
 		{[]string{"-experiment", "fig5", "-seeds", "2"}, []string{"-seeds", "fig5"}},
 		{[]string{"-experiment", "fig3", "-seeds", "2"}, []string{"-seeds", "fig3", "it reads: beta, n)"}},
@@ -111,8 +116,6 @@ func TestGridAxisNotRead(t *testing.T) {
 		{[]string{"-experiment", "fig8", "-grid", "rounds=1,2"}, []string{"-grid rounds", "fig8 sweeps alpha, strategy", "-set rounds"}},
 		{[]string{"-experiment", "table1", "-set", "codec=int8"}, []string{"-set codec", "table1", "it reads: k)"}},
 		{[]string{"-experiment", "table1", "-set", "codec=int8", "-set", "quorum=3", "-set", "staleexp=0.9"}, []string{"-set codec, -set quorum, -set staleexp", "table1"}},
-		{[]string{"-experiment", "resume", "-set", "faults=drop=0.5"}, []string{"-set faults", "resume"}},
-		{[]string{"-experiment", "resume", "-set", "quorum=2"}, []string{"-set quorum", "resume"}},
 		{[]string{"-experiment", "table2", "-set", "staleexp=0.9"}, []string{"-set staleexp", "table2"}},
 		{[]string{"-experiment", "table2", "-set", "buffer=2"}, []string{"-set buffer", "table2"}},
 		{[]string{"-experiment", "async", "-set", "algo=fedcross"}, []string{"-set algo", "async"}},
@@ -382,42 +385,58 @@ func TestRemovedFlagsNameTheirKey(t *testing.T) {
 	}
 }
 
-// documented is every fedsim command line the README, the examples and
-// the command's own package comment print, as arguments.
-func documented(t *testing.T) map[string][]string {
+// docCmd is one documented fedsim command line, as arguments, and
+// whether it is documented to fail (CI negates it with !).
+type docCmd struct {
+	args  []string
+	fails bool
+}
+
+// documented is every fedsim command line the README, the examples, the
+// command's own package comment and the CI workflow print. A command ends
+// at a pipe, so CI's | tee and || exit 1 are not arguments.
+func documented(t *testing.T) map[string]docCmd {
 	t.Helper()
 	files, err := filepath.Glob("../../examples/*/main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmds := map[string][]string{}
-	line := regexp.MustCompile("fedsim( -[^`\"#\n]*)")
-	for _, path := range append(files, "../../README.md", "main.go") {
+	cmds := map[string]docCmd{}
+	line := regexp.MustCompile("fedsim( -[^`\"#|\n]*)")
+	for _, path := range append(files, "../../README.md", "main.go", "../../.github/workflows/ci.yml") {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		text := regexp.MustCompile(`\\\n\s*`).ReplaceAllString(string(b), "") // shell continuations
-		for _, m := range line.FindAllStringSubmatch(text, -1) {
-			cmds[path+": fedsim"+m[1]] = strings.Fields(m[1])
+		for _, m := range line.FindAllStringSubmatchIndex(text, -1) {
+			before := text[strings.LastIndexByte(text[:m[0]], '\n')+1 : m[0]]
+			cmds[path+": fedsim"+text[m[2]:m[3]]] = docCmd{
+				args:  strings.Fields(text[m[2]:m[3]]),
+				fails: strings.HasPrefix(strings.TrimSpace(before), "!"),
+			}
 		}
 	}
 	return cmds
 }
 
 // TestDocumentedCommandsParse: every documented command line gets through
-// the parse-and-check step run takes before anything runs.
+// the parse-and-check step run takes before anything runs, and every one
+// documented to fail fails there.
 func TestDocumentedCommandsParse(t *testing.T) {
 	cmds := documented(t)
 	if len(cmds) < 30 {
-		t.Fatalf("found %d documented command lines, want the README's, the examples' and main.go's", len(cmds))
+		t.Fatalf("found %d documented command lines, want the README's, the examples', main.go's and CI's", len(cmds))
 	}
-	for name, args := range cmds {
-		o, err := parse(args)
+	for name, c := range cmds {
+		o, err := parse(c.args)
 		if err == nil {
 			_, err = o.resolve()
 		}
-		if err != nil {
+		switch {
+		case c.fails && err == nil:
+			t.Errorf("%s: accepted, documented to fail", name)
+		case !c.fails && err != nil:
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -30,17 +30,6 @@ type FEMNISTConfig struct {
 	Seed int64
 }
 
-// DefaultFEMNIST mirrors the paper's 180-writer setting at CPU scale. The
-// task is intentionally easier than the vision tasks (the paper notes even
-// FedAvg is near-optimal on FEMNIST).
-func DefaultFEMNIST(seed int64) FEMNISTConfig {
-	return FEMNISTConfig{
-		Classes: 62, Features: 192,
-		Writers: 60, MinSamples: 20, MaxSamples: 60,
-		TestSamples: 620, StyleStrength: 0.3, Seed: seed,
-	}
-}
-
 // GenerateFEMNIST builds the federated glyph task. Glyph prototypes are
 // well separated (easy task); each writer's samples are the prototype plus
 // the writer's style offset plus noise. The test set is style-free, so it

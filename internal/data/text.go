@@ -31,15 +31,6 @@ type ShakespeareConfig struct {
 	Seed int64
 }
 
-// DefaultShakespeare gives a CPU-scale stand-in for the paper's
-// 128-client Shakespeare task.
-func DefaultShakespeare(seed int64) ShakespeareConfig {
-	return ShakespeareConfig{
-		Vocab: 24, SeqLen: 8, Clients: 32, SamplesPerClient: 40,
-		TestSamples: 400, Mix: 0.6, Seed: seed,
-	}
-}
-
 // GenerateShakespeare builds the federated char-LM task.
 func GenerateShakespeare(cfg ShakespeareConfig) *Federated {
 	if cfg.Vocab <= 1 || cfg.SeqLen <= 0 || cfg.Clients <= 0 {

@@ -1,8 +1,8 @@
 // Package experiments runs the paper's evaluation (Section IV). Tables
-// II–III, Figures 5–9, the three ablations and the five system sweeps
-// that are not paper artifacts (comm, robust, async, faults, churn) are
-// declared grids on one runner — see grid.go; Table I, Figures 3–4 and
-// the resume gate keep their own code. Every run builds its workload
+// II–III, Figures 4–9, the three ablations, the fidelity gate's sweep and
+// the five system sweeps that are not paper artifacts (comm, robust,
+// async, faults, churn) are declared grids on one runner — see grid.go;
+// Table I and Figure 3 keep their own code. Every run builds its workload
 // from a Profile (Tiny for tests/benches, Small for examples, Paper for
 // the full-scale CLI run) and renders the rows or series the paper
 // reports. README "Fidelity notes" records where the measured shapes

@@ -135,15 +135,12 @@ func parallelFor(n, workers int, fn func(i int)) {
 	parallelForWorker(n, Limit(workers), func(_, i int) { fn(i) })
 }
 
-// ParallelFor exposes the engine's deterministic work-stealing loop to
-// the algorithm layer (core's Gram-matrix similarity pass). fn(i) must
-// write only state owned by iteration i, so results are independent of
-// scheduling.
-func ParallelFor(n, workers int, fn func(i int)) { parallelFor(n, workers, fn) }
-
-// ParallelForW is ParallelFor under a Workers allowance, so budgeted
-// callers (similarity passes running inside scheduled grid cells) fan out
-// only as far as the shared budget allows.
+// ParallelForW exposes the engine's deterministic work-stealing loop to
+// the algorithm layer (core's Gram-matrix similarity pass) under a
+// Workers allowance, so budgeted callers (similarity passes running
+// inside scheduled grid cells) fan out only as far as the shared budget
+// allows. fn(i) must write only state owned by iteration i, so results
+// are independent of scheduling.
 func ParallelForW(n int, w Workers, fn func(i int)) {
 	parallelForWorker(n, w, func(_, i int) { fn(i) })
 }

@@ -175,47 +175,6 @@ func TestSGDWeightDecayShrinksParams(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainEval(t *testing.T) {
-	rng := tensor.NewRNG(22)
-	d := NewDropout(0.5, rng)
-	x := tensor.Full(1, 1, 1000)
-	yTrain := d.Forward(x, true)
-	zeros := 0
-	for _, v := range yTrain.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 350 || zeros > 650 {
-		t.Fatalf("dropout p=0.5 zeroed %d of 1000", zeros)
-	}
-	// Survivors are scaled by 2.
-	for _, v := range yTrain.Data {
-		if v != 0 && math.Abs(v-2) > 1e-12 {
-			t.Fatalf("survivor not rescaled: %v", v)
-		}
-	}
-	yEval := d.Forward(x, false)
-	for i, v := range yEval.Data {
-		if v != x.Data[i] {
-			t.Fatal("eval mode must be identity")
-		}
-	}
-}
-
-func TestDropoutBackwardUsesMask(t *testing.T) {
-	rng := tensor.NewRNG(23)
-	d := NewDropout(0.5, rng)
-	x := tensor.Full(1, 1, 100)
-	y := d.Forward(x, true)
-	g := d.Backward(tensor.Full(1, 1, 100))
-	for i := range y.Data {
-		if (y.Data[i] == 0) != (g.Data[i] == 0) {
-			t.Fatal("backward mask must match forward mask")
-		}
-	}
-}
-
 func TestFlattenLoadRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)

@@ -69,13 +69,6 @@ func GetScratch(shape ...int) *Tensor {
 	}
 }
 
-// GetScratchZeroed is GetScratch with the contents cleared.
-func GetScratchZeroed(shape ...int) *Tensor {
-	t := GetScratch(shape...)
-	t.Zero()
-	return t
-}
-
 // PutScratch returns t to the arena. t must not be used (through any
 // alias) after the call. Tensors whose capacity is not an exact size
 // class — including any request larger than the pooled range — are
