@@ -565,6 +565,110 @@ func BenchmarkSGDStep(b *testing.B) {
 	}
 }
 
+// BenchmarkServerFold measures the server folds on tensor's fold kernels
+// against the scalar loops they replaced, written out here, at the
+// benchmark's shapes: GlobalModelGen's mean of 64 × 51,978 and one
+// cross-aggregation lerp of 51,978 (server_heavy_k64), and FedAvg's
+// weighted mean of 10 × 6,506 behind ReduceUploads, whose scalar side
+// screens every upload before folding (lazy_1m_fedavg). Each pair runs
+// in this process back to back, so CI gates scalar/kernel as a ratio;
+// setup fails unless both sides return the same bits.
+func BenchmarkServerFold(b *testing.B) {
+	rng := tensor.NewRNG(3)
+	vectors := func(k, n int) []nn.ParamVector {
+		vs := make([]nn.ParamVector, k)
+		for i := range vs {
+			vs[i] = make(nn.ParamVector, n)
+			for j := range vs[i] {
+				vs[i][j] = rng.Normal(0, 1)
+			}
+		}
+		return vs
+	}
+	pair := func(name string, kernel, scalar func() nn.ParamVector) {
+		if got, want := kernel(), scalar(); !slices.EqualFunc(got, want, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}) {
+			b.Fatalf("%s: kernel and scalar loop differ", name)
+		}
+		for _, side := range []struct {
+			name string
+			f    func() nn.ParamVector
+		}{{"kernel", kernel}, {"scalar", scalar}} {
+			b.Run(name+"/"+side.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					side.f()
+				}
+			})
+		}
+	}
+
+	models64 := vectors(64, 51978)
+	mean := make(nn.ParamVector, 51978)
+	pair("mean-k64", func() nn.ParamVector {
+		nn.MeanVectorsTo(mean, models64)
+		return mean
+	}, func() nn.ParamVector {
+		copy(mean, models64[0])
+		for _, v := range models64[1:] {
+			for i := range mean {
+				mean[i] += v[i]
+			}
+		}
+		inv := 1 / float64(len(models64))
+		for i := range mean {
+			mean[i] *= inv
+		}
+		return mean
+	})
+
+	const alpha = 0.99
+	lerp := make(nn.ParamVector, 51978)
+	pair("lerp", func() nn.ParamVector {
+		nn.LerpVectorsTo(lerp, models64[0], models64[1], alpha)
+		return lerp
+	}, func() nn.ParamVector {
+		v, w, beta := models64[0], models64[1], 1-alpha
+		for i := range lerp {
+			lerp[i] = alpha*v[i] + beta*w[i]
+		}
+		return lerp
+	})
+
+	uploads := vectors(10, 6506)
+	weights := make([]float64, len(uploads))
+	for i := range weights {
+		weights[i] = float64(1 + rng.Intn(40))
+	}
+	pair("reduce-k10", func() nn.ParamVector {
+		out, err := fl.ReduceUploads(nil, uploads, weights)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out
+	}, func() nn.ParamVector {
+		for _, u := range uploads {
+			for _, x := range u {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					b.Fatal("non-finite upload")
+				}
+			}
+		}
+		total := 0.0
+		for _, w := range weights {
+			total += w
+		}
+		out := make(nn.ParamVector, len(uploads[0]))
+		for k, v := range uploads {
+			w := weights[k] / total
+			for i := range v {
+				out[i] += w * v[i]
+			}
+		}
+		return out
+	})
+}
+
 // BenchmarkConvStep measures a training step's share of one convolution —
 // forward plus parameter gradients, batch 50 — at the CNN's two
 // geometries: nn.Conv2D's direct kernels against the per-sample lowering

@@ -84,7 +84,7 @@ func (r *KrumReducer) SetWorkers(w fl.Workers) { r.W = w }
 func (r *KrumReducer) Reduce(uploads []nn.ParamVector, weights []float64) nn.ParamVector {
 	k := len(uploads)
 	if k < 3 {
-		return fl.MeanReducer{}.Reduce(uploads, weights)
+		return fl.MeanReducer{W: r.W}.Reduce(uploads, weights)
 	}
 	f := r.F
 	if f <= 0 {
@@ -147,7 +147,7 @@ func (r *KrumReducer) Reduce(uploads []nn.ParamVector, weights []float64) nn.Par
 			chosenW[i] = weights[order[i]]
 		}
 	}
-	return fl.MeanReducer{}.Reduce(chosen, chosenW)
+	return fl.MeanReducer{W: r.W}.Reduce(chosen, chosenW)
 }
 
 // ReducerByName is the full aggregation-rule registry: the Krum family

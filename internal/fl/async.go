@@ -318,7 +318,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				s.cum.FaultDrops++
 			default:
 				upload := adv.CorruptUpload(job.client, job.trained)
-				if finiteVector(upload) {
+				if tensor.AllFinite(upload) {
 					// Fold: staleness-weighted model delta against the fetched
 					// snapshot. Non-finite uploads are dropped at the server door,
 					// the same screen ReduceUploads applies in the sync engine.

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"fedcross/internal/nn"
+	"fedcross/internal/tensor"
 )
 
 // Reducer is the pluggable server-side aggregation rule: it combines one
@@ -17,10 +18,12 @@ import (
 //
 // Contract: Reduce is called only through ReduceUploads, which guarantees
 // a non-empty upload list of equal-length finite vectors and a matching
-// non-negative weight list. Reduce must not mutate the uploads and must
-// return a fresh vector of the common length. Implementations must be
-// pure functions of (uploads, weights) — never of scheduling — so
-// histories stay bit-identical at every worker count.
+// non-negative weight list (MeanReducer alone may see non-finite ones:
+// ReduceUploads folds it first and screens its result). Reduce must not
+// mutate the uploads and must return a fresh vector of the common
+// length. Implementations must be pure functions of (uploads, weights) —
+// never of scheduling — so histories stay bit-identical at every worker
+// count.
 type Reducer interface {
 	// Name identifies the rule in reports and flags.
 	Name() string
@@ -50,8 +53,18 @@ var ErrNoFiniteUploads = errors.New("fl: reduce: no finite uploads")
 //   - ragged upload lengths, mismatched weight counts and negative or
 //     non-finite weights are errors, never panics,
 //   - uploads containing NaN or ±Inf coordinates are dropped before the
-//     rule runs (a single poisoned vector must not NaN the whole model);
-//     if every upload is dropped, ErrNoFiniteUploads is returned.
+//     rule's result is kept (a single poisoned vector must not NaN the
+//     whole model); if every upload is dropped, ErrNoFiniteUploads is
+//     returned.
+//
+// The robust rules run on the screened uploads. The mean rule (nil,
+// MeanReducer and *MeanReducer) folds first and screens only its one
+// result, refolding the screened uploads when tensor.AllFinite rejects it.
+// That is the screen-then-fold result and error to the bit: with finite,
+// non-negative weights a NaN or ±Inf upload coordinate always reaches its
+// output coordinate (w·NaN = NaN, 0·Inf = NaN, Inf + finite = Inf,
+// Inf − Inf = NaN), so a finite fold saw only finite uploads, and a
+// non-finite fold that drops nothing is already the screened one.
 //
 // weights may be nil for an unweighted reduction.
 func ReduceUploads(r Reducer, uploads []nn.ParamVector, weights []float64) (nn.ParamVector, error) {
@@ -72,14 +85,24 @@ func ReduceUploads(r Reducer, uploads []nn.ParamVector, weights []float64) (nn.P
 			return nil, fmt.Errorf("fl: reduce: weight %d = %v, must be finite and non-negative", i, w)
 		}
 	}
-	uploads, weights = dropNonFinite(uploads, weights)
-	if len(uploads) == 0 {
-		return nil, ErrNoFiniteUploads
-	}
 	if r == nil {
 		r = MeanReducer{}
 	}
-	out := r.Reduce(uploads, weights)
+	var out nn.ParamVector
+	folded := false
+	switch r.(type) {
+	case MeanReducer, *MeanReducer:
+		out, folded = r.Reduce(uploads, weights), true
+	}
+	if !folded || !tensor.AllFinite(out) {
+		kept, keptW := dropNonFinite(uploads, weights)
+		if len(kept) == 0 {
+			return nil, ErrNoFiniteUploads
+		}
+		if !folded || len(kept) < len(uploads) {
+			out = r.Reduce(kept, keptW)
+		}
+	}
 	if len(out) != n {
 		return nil, fmt.Errorf("fl: reduce: %s returned length %d, want %d", r.Name(), len(out), n)
 	}
@@ -93,7 +116,7 @@ func ReduceUploads(r Reducer, uploads []nn.ParamVector, weights []float64) (nn.P
 func dropNonFinite(uploads []nn.ParamVector, weights []float64) ([]nn.ParamVector, []float64) {
 	drop := -1
 	for i, u := range uploads {
-		if !finiteVector(u) {
+		if !tensor.AllFinite(u) {
 			drop = i
 			break
 		}
@@ -107,7 +130,7 @@ func dropNonFinite(uploads []nn.ParamVector, weights []float64) ([]nn.ParamVecto
 		outW = append([]float64(nil), weights[:drop]...)
 	}
 	for i := drop + 1; i < len(uploads); i++ {
-		if !finiteVector(uploads[i]) {
+		if !tensor.AllFinite(uploads[i]) {
 			continue
 		}
 		outU = append(outU, uploads[i])
@@ -116,16 +139,6 @@ func dropNonFinite(uploads []nn.ParamVector, weights []float64) ([]nn.ParamVecto
 		}
 	}
 	return outU, outW
-}
-
-// finiteVector reports whether every coordinate is finite.
-func finiteVector(v nn.ParamVector) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // MeanReducer is the classic FedAvg rule: the weighted mean of the
@@ -169,9 +182,9 @@ const treeMaxGroups = 128
 
 // treeMean is the worker-budgeted tree-reduce behind MeanReducer and the
 // nil-reducer fallback: uploads are cut into fixed contiguous groups of
-// treeLeaf, each group folds serially in index order into one partial,
-// and partials combine pairwise (partials[2j] += partials[2j+1]) level by
-// level until one remains.
+// treeLeaf, each group folds serially in index order into one partial
+// (nn.FoldTo), and partials combine pairwise (partials[2j] +=
+// partials[2j+1]) level by level until one remains.
 //
 // Determinism contract: the tree shape — group boundaries and pair
 // assignments — depends only on len(uploads), never on the worker count.
@@ -185,54 +198,35 @@ func treeMean(uploads []nn.ParamVector, weights []float64, w Workers) nn.ParamVe
 		leaf = (k + treeMaxGroups - 1) / treeMaxGroups
 	}
 	groups := (k + leaf - 1) / leaf
-	if groups <= 1 {
+	if groups == 1 {
 		if weights == nil {
 			return nn.MeanVectors(uploads)
 		}
 		return nn.WeightedMeanVectors(uploads, weights)
 	}
-	dim := len(uploads[0])
 	total := 0.0
-	if weights != nil {
-		for _, x := range weights {
-			total += x
-		}
-		if total == 0 {
-			weights = nil // all-zero weights degrade to the plain mean, as WeightedMeanVectors does
-		}
+	for _, x := range weights {
+		total += x
+	}
+	if total == 0 {
+		weights = nil // all-zero weights degrade to the plain mean, as WeightedMeanVectors does
 	}
 	partials := make([]nn.ParamVector, groups)
 	parallelForWorker(groups, w, func(_, g int) {
-		lo, hi := g*leaf, (g+1)*leaf
-		if hi > k {
-			hi = k
-		}
-		p := make(nn.ParamVector, dim)
+		lo, hi := g*leaf, min((g+1)*leaf, k)
+		p := make(nn.ParamVector, len(uploads[0]))
 		if weights == nil {
 			copy(p, uploads[lo])
-			for _, v := range uploads[lo+1 : hi] {
-				for i := range p {
-					p[i] += v[i]
-				}
-			}
+			nn.FoldTo(p, uploads[lo+1:hi], nil, 0)
 		} else {
-			for j := lo; j < hi; j++ {
-				wj := weights[j] / total
-				v := uploads[j]
-				for i := range p {
-					p[i] += wj * v[i]
-				}
-			}
+			nn.FoldTo(p, uploads[lo:hi], weights[lo:hi], total)
 		}
 		partials[g] = p
 	})
 	for len(partials) > 1 {
 		pairs := len(partials) / 2
 		parallelForWorker(pairs, w, func(_, j int) {
-			a, b := partials[2*j], partials[2*j+1]
-			for i := range a {
-				a[i] += b[i]
-			}
+			tensor.Axpy(partials[2*j], partials[2*j+1], 1)
 		})
 		next := partials[:0]
 		for j := 0; j < pairs; j++ {
@@ -245,10 +239,7 @@ func treeMean(uploads []nn.ParamVector, weights []float64, w Workers) nn.ParamVe
 	}
 	out := partials[0]
 	if weights == nil {
-		inv := 1 / float64(k)
-		for i := range out {
-			out[i] *= inv
-		}
+		out.ScaleInPlace(1 / float64(k))
 	}
 	return out
 }
@@ -383,7 +374,7 @@ func insertionSort(vals []float64) {
 func ReducerByName(name string) (Reducer, error) {
 	switch {
 	case name == "" || name == "mean":
-		return MeanReducer{}, nil
+		return &MeanReducer{}, nil
 	case name == "median":
 		return &MedianReducer{}, nil
 	case name == "trimmed":

@@ -2,8 +2,10 @@ package fl
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fedcross/internal/nn"
@@ -196,13 +198,13 @@ func TestReduceUploadsDropsNonFinite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", reducerLabel(r), err)
 		}
-		if !finiteVector(out) {
+		if !tensor.AllFinite(out) {
 			t.Fatalf("%s: poisoned upload leaked non-finite values into the aggregate", reducerLabel(r))
 		}
 	}
 	// ±Inf is screened the same way.
 	ups[2][0] = math.Inf(1)
-	if out, err := ReduceUploads(&MedianReducer{}, ups, ws); err != nil || !finiteVector(out) {
+	if out, err := ReduceUploads(&MedianReducer{}, ups, ws); err != nil || !tensor.AllFinite(out) {
 		t.Fatalf("Inf upload must be dropped: out=%v err=%v", out, err)
 	}
 	// All-poisoned rounds surface ErrNoFiniteUploads, never a NaN model.
@@ -253,6 +255,11 @@ func TestReducerByName(t *testing.T) {
 		}
 		if r.Name() != want {
 			t.Fatalf("%q resolved to %q, want %q", name, r.Name(), want)
+		}
+		// Every named rule takes the run's worker budget (fl.Run injects
+		// it through WorkersSetter).
+		if _, ok := r.(WorkersSetter); !ok {
+			t.Fatalf("%q resolved to a %T, which cannot take the run's workers", name, r)
 		}
 	}
 	for _, name := range []string{"bogus", "trimmed:0.6", "trimmed:-1", "trimmed:x", "trimmed:NaN", "trimmed:0.2junk", "trimmed:"} {
@@ -308,4 +315,106 @@ func FuzzReducer(f *testing.F) {
 			}
 		}
 	})
+}
+
+// screenThenFold is the order ReduceUploads ran the mean rule in before
+// it folded first: drop every upload with a NaN or ±Inf coordinate, then
+// fold what is left.
+func screenThenFold(r Reducer, ups []nn.ParamVector, ws []float64) (nn.ParamVector, error) {
+	var kept []nn.ParamVector
+	var keptW []float64
+	for i, u := range ups {
+		if slices.ContainsFunc(u, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {
+			continue
+		}
+		kept = append(kept, u)
+		if ws != nil {
+			keptW = append(keptW, ws[i])
+		}
+	}
+	if len(kept) == 0 {
+		return nil, ErrNoFiniteUploads
+	}
+	if r == nil {
+		r = MeanReducer{}
+	}
+	return r.Reduce(kept, keptW), nil
+}
+
+// TestReduceUploadsFoldFirst holds the mean rule's fold-first screen to
+// screen-then-fold, bit for bit and error for error, on the single-group
+// fold (K = 10) and the tree (K = 200), weighted and unweighted.
+func TestReduceUploadsFoldFirst(t *testing.T) {
+	const dim = 37
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		poison func(ups []nn.ParamVector, ws []float64)
+	}{
+		{"nan", func(ups []nn.ParamVector, _ []float64) { ups[3][5] = nan }},
+		{"+inf", func(ups []nn.ParamVector, _ []float64) { ups[3][5] = inf }},
+		{"-inf", func(ups []nn.ParamVector, _ []float64) { ups[len(ups)-1][0] = -inf }},
+		{"+inf and -inf in one coordinate", func(ups []nn.ParamVector, _ []float64) {
+			ups[1][4], ups[len(ups)-2][4] = inf, -inf
+		}},
+		{"poisoned upload of weight 0", func(ups []nn.ParamVector, ws []float64) {
+			ups[2][6], ups[6][dim-1] = inf, nan
+			if ws != nil {
+				ws[2], ws[6] = 0, 0
+			}
+		}},
+		{"poisoned upload holds all the weight", func(ups []nn.ParamVector, ws []float64) {
+			ups[4][1] = nan
+			for i := range ws {
+				ws[i] = 0
+			}
+			if ws != nil {
+				ws[4] = 5
+			}
+		}},
+		{"every upload poisoned", func(ups []nn.ParamVector, _ []float64) {
+			for i, u := range ups {
+				u[i%dim] = []float64{nan, inf, -inf}[i%3]
+			}
+		}},
+		{"finite uploads whose mean overflows", func(ups []nn.ParamVector, ws []float64) {
+			for _, u := range ups {
+				u[2], u[3] = math.MaxFloat64, -math.MaxFloat64
+			}
+			for i := range ws {
+				ws[i] = 0 // a weighted mean cannot overflow; all-zero weights take the plain one
+			}
+		}},
+	}
+	reducers := []Reducer{nil, MeanReducer{}, &MeanReducer{W: Limit(2)}}
+	for _, k := range []int{10, 200} {
+		for _, weighted := range []bool{false, true} {
+			for _, c := range cases {
+				for _, r := range reducers {
+					ups, ws := randUploads(tensor.NewRNG(int64(k)), k, dim)
+					if !weighted {
+						ws = nil
+					}
+					c.poison(ups, ws)
+					label := fmt.Sprintf("K=%d weighted=%v %s %s", k, weighted, c.name, reducerLabel(r))
+					want, wantErr := screenThenFold(r, ups, ws)
+					got, err := ReduceUploads(r, ups, ws)
+					if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+						t.Fatalf("%s: error %v, screen-then-fold %v", label, err, wantErr)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: length %d, screen-then-fold %d", label, len(got), len(want))
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: coordinate %d = %v, screen-then-fold %v", label, i, got[i], want[i])
+						}
+					}
+					if c.name == "finite uploads whose mean overflows" && !(math.IsInf(got[2], 1) && math.IsInf(got[3], -1)) {
+						t.Fatalf("%s: coordinates 2, 3 = %v, %v, want the overflow", label, got[2], got[3])
+					}
+				}
+			}
+		}
+	}
 }

@@ -2,8 +2,8 @@ package fl
 
 import (
 	"fmt"
-	"math"
 	"os"
+	"slices"
 
 	"fedcross/internal/data"
 	"fedcross/internal/nn"
@@ -170,11 +170,14 @@ func (s *session) evalDue(done int) bool {
 // global model with a NaN or ±Inf coordinate is an error: scoring it
 // would record a diverged run as 0.00 accuracy and carry on.
 func (s *session) eval(done int, global nn.ParamVector, modelEquivalents float64) error {
-	acc, loss, err := evaluate(s.env.Model, global, s.env.Fed.Test, 64, s.cfg.Allowance())
-	for i := 0; err == nil && i < len(global); i++ {
-		if x := global[i]; math.IsNaN(x) || math.IsInf(x, 0) {
-			err = fmt.Errorf("global model coordinate %d is %v", i, x)
-		}
+	var acc, loss float64
+	var err error
+	if tensor.AllFinite(global) {
+		acc, loss, err = evaluate(s.env.Model, global, s.env.Fed.Test, 64, s.cfg.Allowance())
+	} else {
+		// x − x is NaN exactly when x is NaN or ±Inf.
+		i := slices.IndexFunc(global, func(x float64) bool { return x-x != 0 })
+		err = fmt.Errorf("global model coordinate %d is %v", i, global[i])
 	}
 	if err != nil {
 		return fmt.Errorf("fl: %s: %s eval after round %d: %w", s.engine, s.hist.Algorithm, done, err)

@@ -73,16 +73,10 @@ func (v ParamVector) Lerp(w ParamVector, alpha float64) ParamVector {
 	return out
 }
 
-// LerpVectorsTo computes dst = alpha*v + (1-alpha)*w without allocating.
-// dst may alias v or w.
+// LerpVectorsTo computes dst = alpha*v + (1-alpha)*w without allocating,
+// on tensor.Lerp. dst may alias v or w.
 func LerpVectorsTo(dst, v, w ParamVector, alpha float64) {
-	if len(v) != len(w) || len(dst) != len(v) {
-		panic(fmt.Sprintf("nn: LerpVectorsTo length mismatch dst %d, v %d, w %d", len(dst), len(v), len(w)))
-	}
-	beta := 1 - alpha
-	for i := range dst {
-		dst[i] = alpha*v[i] + beta*w[i]
-	}
+	tensor.Lerp(dst, v, w, alpha, 1-alpha)
 }
 
 // Add returns v + w.
@@ -119,12 +113,12 @@ func (v ParamVector) Scale(s float64) ParamVector {
 }
 
 // AXPY adds alpha*w to v in place.
-func (v ParamVector) AXPY(alpha float64, w ParamVector) {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("nn: ParamVector.AXPY length mismatch %d vs %d", len(v), len(w)))
-	}
+func (v ParamVector) AXPY(alpha float64, w ParamVector) { tensor.Axpy(v, w, alpha) }
+
+// ScaleInPlace multiplies every coordinate of v by s.
+func (v ParamVector) ScaleInPlace(s float64) {
 	for i := range v {
-		v[i] += alpha * w[i]
+		v[i] *= s
 	}
 }
 
@@ -247,18 +241,8 @@ func MeanVectorsTo(dst ParamVector, vs []ParamVector) {
 		panic(fmt.Sprintf("nn: MeanVectorsTo destination length %d, want %d", len(dst), len(vs[0])))
 	}
 	copy(dst, vs[0])
-	for _, v := range vs[1:] {
-		if len(v) != len(dst) {
-			panic(fmt.Sprintf("nn: MeanVectorsTo length mismatch %d vs %d", len(v), len(dst)))
-		}
-		for i := range v {
-			dst[i] += v[i]
-		}
-	}
-	inv := 1 / float64(len(vs))
-	for i := range dst {
-		dst[i] *= inv
-	}
+	FoldTo(dst, vs[1:], nil, 0)
+	dst.ScaleInPlace(1 / float64(len(vs)))
 }
 
 // WeightedMeanVectors averages vectors with the given non-negative weights
@@ -278,11 +262,27 @@ func WeightedMeanVectors(vs []ParamVector, weights []float64) ParamVector {
 		return MeanVectors(vs)
 	}
 	out := make(ParamVector, len(vs[0]))
-	for k, v := range vs {
-		w := weights[k] / total
-		for i := range v {
-			out[i] += w * v[i]
-		}
-	}
+	FoldTo(out, vs, weights, total)
 	return out
+}
+
+// FoldTo adds Σₖ cₖ·vs[k] to dst in ascending k, where cₖ is
+// weights[k]/total, or 1 when weights is nil (a product with 1 is exact,
+// so a plain sum takes the same kernel): the one fold behind every mean.
+// Four vectors share a destination pass on tensor.Axpy4, which adds them
+// in order, so every coordinate sees the serial loop's adds to the bit.
+func FoldTo(dst ParamVector, vs []ParamVector, weights []float64, total float64) {
+	c := func(k int) float64 {
+		if weights == nil {
+			return 1
+		}
+		return weights[k] / total
+	}
+	k := 0
+	for ; k+4 <= len(vs); k += 4 {
+		tensor.Axpy4(dst, vs[k], vs[k+1], vs[k+2], vs[k+3], c(k), c(k+1), c(k+2), c(k+3))
+	}
+	for ; k < len(vs); k++ {
+		tensor.Axpy(dst, vs[k], c(k))
+	}
 }

@@ -27,7 +27,6 @@ func TestToKernelsMatchAllocatingForms(t *testing.T) {
 	check("SubTo", SubTo(dst, a, b), Sub(a, b))
 	check("MulTo", MulTo(dst, a, b), Mul(a, b))
 	check("ScaleTo", ScaleTo(dst, a, 1.5), Scale(a, 1.5))
-	check("LerpTo", LerpTo(dst, a, b, 0.99), Lerp(a, b, 0.99))
 	check("ApplyTo", ApplyTo(dst, a, math.Abs), Apply(a, math.Abs))
 }
 
@@ -39,9 +38,9 @@ func TestToKernelsAliasing(t *testing.T) {
 	if a.Data[0] != 11 || a.Data[2] != 33 {
 		t.Fatalf("aliased AddTo = %v", a.Data)
 	}
-	LerpTo(b, b, b, 0.25)
+	Lerp(b.Data, b.Data, b.Data, 0.25, 0.75)
 	if b.Data[1] != 20 {
-		t.Fatalf("aliased LerpTo = %v", b.Data)
+		t.Fatalf("aliased Lerp = %v", b.Data)
 	}
 }
 
@@ -201,7 +200,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		{"SubTo", func() { SubTo(dst, a, b) }},
 		{"MulTo", func() { MulTo(dst, a, b) }},
 		{"ScaleTo", func() { ScaleTo(dst, a, 2) }},
-		{"LerpTo", func() { LerpTo(dst, a, b, 0.99) }},
+		{"Lerp", func() { Lerp(dst.Data, a.Data, b.Data, 0.99, 0.01) }},
 		{"MatMulTo", func() { MatMulTo(mm, a, bt) }},
 		{"MatMulAcc", func() { MatMulAcc(mm, a, bt) }},
 		{"MatMulTransBTo", func() { MatMulTransBTo(mm, a, b) }},

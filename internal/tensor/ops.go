@@ -9,7 +9,7 @@ import (
 // a caller-supplied dst tensor whose shape must already match, and returns
 // dst. The allocating forms (Add, MatMul, ...) are thin wrappers that
 // allocate a fresh dst. Elementwise kernels (AddTo, SubTo, MulTo, ScaleTo,
-// LerpTo, ApplyTo) tolerate dst aliasing any input; the matrix kernels
+// ApplyTo) tolerate dst aliasing any input; the matrix kernels
 // (MatMulTo and friends) require dst to be disjoint from both operands —
 // see docs/ARCHITECTURE.md "Buffer ownership" for the full rules.
 
@@ -89,24 +89,6 @@ func ScaleInPlace(t *Tensor, s float64) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
-}
-
-// Lerp returns alpha*a + (1-alpha)*b, the convex combination used by
-// cross-aggregation.
-func Lerp(a, b *Tensor, alpha float64) *Tensor {
-	return LerpTo(Zeros(a.Shape...), a, b, alpha)
-}
-
-// LerpTo computes dst = alpha*a + (1-alpha)*b. dst may alias a or b.
-func LerpTo(dst, a, b *Tensor, alpha float64) *Tensor {
-	checkSame("LerpTo", a, b)
-	checkSame("LerpTo(dst)", dst, a)
-	beta := 1 - alpha
-	ad, bd, dd := a.Data, b.Data, dst.Data
-	for i := range dd {
-		dd[i] = alpha*ad[i] + beta*bd[i]
-	}
-	return dst
 }
 
 // Dot returns the inner product of a and b viewed as flat vectors.

@@ -167,6 +167,18 @@ func divAVX(p *float64, n int, s float64)
 //go:noescape
 func momentumAVX(p, v, grad *float64, n int, lr, m float64)
 
+// lerpAVX is lerpGo over n elements (a positive multiple of lerpLanes):
+// dst = a·v + b·w, one rounding per operation.
+//
+//go:noescape
+func lerpAVX(dst, v, w *float64, n int, a, b float64)
+
+// allFiniteAVX is allFiniteGo over n elements (a positive multiple of
+// finiteLanes).
+//
+//go:noescape
+func allFiniteAVX(v *float64, n int) bool
+
 // avx2Supported is probed once at init and gates backend selection.
 var avx2Supported = hasAVX2()
 
@@ -592,4 +604,46 @@ func dequantAdd(dst []float64, q []byte, ref []float64, lo, scale float64) {
 		dequantAddAVX(&dst[0], &q[0], r, n, lo, scale)
 	}
 	dequantAddGo(dst[n:], q[n:], refTail(ref, n), lo, scale)
+}
+
+// axpy runs the checked fold on the AVX2 kernel when the CPU has it; the
+// kernel finishes its own tail with the same scalar operations.
+func axpy(dst, x []float64, a float64) {
+	if avx2Supported {
+		axpyAVX(dst, x, a)
+		return
+	}
+	axpyGo(dst, x, a)
+}
+
+// axpy4 is axpy for four vectors in one destination pass.
+func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
+	if avx2Supported {
+		axpy4AVX(dst, x0, x1, x2, x3, a0, a1, a2, a3)
+		return
+	}
+	axpy4Go(dst, x0, x1, x2, x3, a0, a1, a2, a3)
+}
+
+// lerp runs the checked combination's whole blocks on the AVX2 kernel
+// when the CPU has it, and the rest on the twin.
+func lerp(dst, v, w []float64, a, b float64) {
+	n := 0
+	if avx2Supported {
+		n = len(dst) &^ (lerpLanes - 1)
+	}
+	if n > 0 {
+		lerpAVX(&dst[0], &v[0], &w[0], n, a, b)
+	}
+	lerpGo(dst[n:], v[n:], w[n:], a, b)
+}
+
+// allFinite screens v's whole blocks on the AVX2 kernel when the CPU has
+// it, and the rest on the twin.
+func allFinite(v []float64) bool {
+	n := 0
+	if avx2Supported {
+		n = len(v) &^ (finiteLanes - 1)
+	}
+	return (n == 0 || allFiniteAVX(&v[0], n)) && allFiniteGo(v[n:])
 }

@@ -1736,3 +1736,75 @@ nloop:
 	JLT  nloop
 	VZEROUPPER
 	RET
+
+// Server fold kernels (simd_fold.go).
+
+// func lerpAVX(dst, v, w *float64, n int, a, b float64)
+// dst[i] = a·v[i] + b·w[i], eight elements a step over n%8 == 0, n > 0.
+// Both products are rounded before the add (no FMA), and a·v is the
+// add's first source, so when both products are NaN v's payload
+// survives, as in the twin's subtract. Every element is loaded before it
+// is stored, so dst may alias v or w.
+TEXT ·lerpAVX(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD a+32(FP), Y0
+	VBROADCASTSD b+40(FP), Y1
+	XORQ AX, AX
+
+lloop:
+	VMOVUPD (SI)(AX*8), Y2
+	VMOVUPD 32(SI)(AX*8), Y3
+	VMOVUPD (DX)(AX*8), Y4
+	VMOVUPD 32(DX)(AX*8), Y5
+	VMULPD  Y0, Y2, Y2             // a·v
+	VMULPD  Y0, Y3, Y3
+	VMULPD  Y1, Y4, Y4             // b·w
+	VMULPD  Y1, Y5, Y5
+	VADDPD  Y4, Y2, Y2             // a·v + b·w
+	VADDPD  Y5, Y3, Y3
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y3, 32(DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  lloop
+	VZEROUPPER
+	RET
+
+// func allFiniteAVX(v *float64, n int) bool
+// Reports whether v[0:n] has no NaN or ±Inf, sixteen elements a step over
+// n%16 == 0, n > 0. x − x is +0 for every finite x and NaN otherwise, and
+// OR-ing a NaN into anything leaves a NaN, so the accumulators end as +0
+// unless some element was not finite.
+TEXT ·allFiniteAVX(SB), NOSPLIT, $0-17
+	MOVQ v+0(FP), SI
+	MOVQ n+8(FP), CX
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	XORQ AX, AX
+
+floop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 32(SI)(AX*8), Y1
+	VMOVUPD 64(SI)(AX*8), Y2
+	VMOVUPD 96(SI)(AX*8), Y3
+	VSUBPD  Y0, Y0, Y0
+	VSUBPD  Y1, Y1, Y1
+	VSUBPD  Y2, Y2, Y2
+	VSUBPD  Y3, Y3, Y3
+	VORPD   Y0, Y4, Y4
+	VORPD   Y1, Y5, Y5
+	VORPD   Y2, Y4, Y4
+	VORPD   Y3, Y5, Y5
+	ADDQ $16, AX
+	CMPQ AX, CX
+	JLT  floop
+	VORPD     Y5, Y4, Y4
+	VCMPPD    $3, Y4, Y4, Y4       // unordered: NaN lanes become all ones
+	VMOVMSKPD Y4, AX
+	TESTL     AX, AX
+	SETEQ     ret+16(FP)
+	VZEROUPPER
+	RET

@@ -46,4 +46,14 @@ func momentumStep(p, v, g []float64, lr, m float64) { momentumStepGo(p, v, g, lr
 
 func ringAdd(dst, src []int64) { ringAddGo(dst, src) }
 
+func axpy(dst, x []float64, a float64) { axpyGo(dst, x, a) }
+
+func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
+	axpy4Go(dst, x0, x1, x2, x3, a0, a1, a2, a3)
+}
+
+func lerp(dst, v, w []float64, a, b float64) { lerpGo(dst, v, w, a, b) }
+
+func allFinite(v []float64) bool { return allFiniteGo(v) }
+
 func (g *RNG) dirichletInto(p []float64, alpha float64) { g.DirichletIntoGo(p, alpha) }

@@ -4,7 +4,7 @@
 // deterministic random source for reproducible experiments.
 //
 // Tensors use a flat row-major backing slice. Every hot-path kernel has a
-// destination-passing form (AddTo, LerpTo, MatMulTo, MatMulAcc, ...) that
+// destination-passing form (AddTo, ScaleTo, MatMulTo, MatMulAcc, ...) that
 // writes into a caller-owned buffer, and the package provides two
 // recycling facilities — Ensure for long-lived per-layer buffers and the
 // GetScratch/PutScratch arena for call-scoped temporaries — so

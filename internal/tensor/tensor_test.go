@@ -115,15 +115,19 @@ func TestAXPYAndInPlace(t *testing.T) {
 }
 
 func TestLerpEndpoints(t *testing.T) {
-	a := New([]float64{1, 1}, 2)
-	b := New([]float64{3, 3}, 2)
-	if got := Lerp(a, b, 1).Data[0]; got != 1 {
+	a, b := []float64{1, 1}, []float64{3, 3}
+	lerp := func(alpha float64) float64 {
+		dst := make([]float64, 2)
+		Lerp(dst, a, b, alpha, 1-alpha)
+		return dst[0]
+	}
+	if got := lerp(1); got != 1 {
 		t.Fatalf("Lerp alpha=1 = %v, want a", got)
 	}
-	if got := Lerp(a, b, 0).Data[0]; got != 3 {
+	if got := lerp(0); got != 3 {
 		t.Fatalf("Lerp alpha=0 = %v, want b", got)
 	}
-	if got := Lerp(a, b, 0.5).Data[0]; got != 2 {
+	if got := lerp(0.5); got != 2 {
 		t.Fatalf("Lerp alpha=0.5 = %v, want midpoint", got)
 	}
 }
