@@ -3,7 +3,9 @@ package fl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -92,11 +94,25 @@ type asyncJob struct {
 	version int            // server version at fetch time
 	arrival float64        // simulated arrival instant (seconds)
 	fetch   nn.ParamVector // snapshot the client trains from (engine-owned)
-	trained nn.ParamVector // filled by the parallel training pass
-	done    bool
+	// crashed marks a fault-injected crash: the client fetched but will
+	// never train or upload.
+	crashed bool
 	// seed is the job's training stream, one draw of the per-job parent
 	// taken at dispatch: a Split whose child is built when the job trains.
 	seed int64
+
+	// The training queue's fields, guarded by its lock: trained is the
+	// upload buffer, leased at enqueue and filled by whichever worker
+	// trains the job; finished and err say whether and how that ended.
+	trained  nn.ParamVector
+	finished bool
+	err      error
+}
+
+// before orders jobs by arrival, ties broken by dispatch order: the
+// order the server folds them in.
+func (j *asyncJob) before(o *asyncJob) bool {
+	return j.arrival < o.arrival || j.arrival == o.arrival && j.seq < o.seq
 }
 
 // asyncState is RunAsync's loop state, and — with the session's shared
@@ -133,14 +149,22 @@ func (st *asyncState) comm() CommProfile {
 // a lognormal compute-time draw, so fast clients really do lap slow ones
 // and staleness is earned rather than scripted.
 //
+// Local training runs on a standing queue (trainQueue): every dispatch
+// that will upload enqueues its job, trainers take the queued job that
+// arrives first, and the arrival pop waits only for its own job, so
+// folds, commits, evaluations and snapshot writes overlap the training
+// of the clients still in flight.
+//
 // Determinism contract (the async half of the split contract in
 // docs/ARCHITECTURE.md): every random draw — client selection, link and
 // compute times, per-job training streams, the Byzantine seed split —
 // happens serially at dispatch time, and folds apply in (arrival, seq)
-// order. Local training of in-flight clients fans out over the worker
-// pool, but each job trains from its own immutable snapshot with its own
-// pre-drawn stream, so histories are byte-identical at every
-// Config.Parallelism / scheduler -jobs setting for a fixed seed.
+// order. Which worker trains a job, and when, depends on timing, but each
+// job trains from its own immutable snapshot with its own pre-drawn
+// stream, and a snapshot carries no trained upload (a resumed run trains
+// its in-flight jobs again), so histories and snapshots are
+// byte-identical at every Config.Parallelism, Config.Budget and
+// scheduler -jobs setting for a fixed seed.
 //
 // The simulated wire contributes sizes and times only: payload values
 // cross losslessly (a lossy codec still prices EncodedSize bytes; value
@@ -171,8 +195,9 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	dim := len(st.global)
 	wireBytes := codec.EncodedSize(dim)
 
-	// Snapshot/upload buffers recycle through a freelist: at most
-	// 2·InFlight parameter-sized vectors are ever live.
+	// Fetch and upload buffers recycle through a freelist, touched only
+	// by this goroutine: at most 2·InFlight parameter-sized vectors are
+	// ever live.
 	var free []nn.ParamVector
 	lease := func() nn.ParamVector {
 		if len(free) > 0 {
@@ -218,10 +243,20 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	}
 	selRNG, timeRNG, jobRNG := s.rng[streamSelect], s.rng[streamEngineA], s.rng[streamEngineB]
 
+	// Every return path drops the jobs not yet started and joins the
+	// running ones before the session closes.
+	q := newTrainQueue(env, cfg)
+	defer q.close()
+	enqueue := func(j *asyncJob) {
+		if !j.crashed {
+			j.trained = lease()
+			q.push(j)
+		}
+	}
+
 	// The async engine's "plan" is the dispatch draw itself: a client's
-	// shard is not touched until the batched training pass of the next
-	// arrival pop, so warming it at dispatch overlaps synthesis with the
-	// folds, evaluations and arrivals in between.
+	// shard is not touched until a trainer takes its job, so warming it
+	// at dispatch overlaps synthesis with the training queued ahead of it.
 	var prefetchBuf [1]int
 	dispatch := func() {
 		idx := selRNG.Intn(len(st.available))
@@ -256,12 +291,13 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		// Fault decisions key on (dispatch seq, client), so they are
 		// identical at every worker count and free to recompute on resume.
 		// A crashed client fetched (bytes down are already spent) but will
-		// never train or upload: done with a nil trained vector is the
-		// crash marker the fold recognises.
-		st.inflight = append(st.inflight, &asyncJob{
+		// never train or upload, so it is never enqueued.
+		job := &asyncJob{
 			seq: st.seq, client: client, version: st.version, arrival: st.now + elapsed,
-			fetch: fetch, seed: jobRNG.Int63(), done: faults.Crashes(st.seq, client),
-		})
+			fetch: fetch, seed: jobRNG.Int63(), crashed: faults.Crashes(st.seq, client),
+		}
+		st.inflight = append(st.inflight, job)
+		enqueue(job)
 		st.seq++
 		st.dispatches++
 		s.cum.BytesDown += wireBytes
@@ -272,8 +308,12 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 			dispatch()
 		}
 	} else if commits < opts.Commits {
-		// The snapshot was taken inside the commit block, before the
+		// A snapshot carries no trained uploads: its in-flight jobs train
+		// again. It was taken inside the commit block, before the
 		// dispatch that closes a loop iteration — run that dispatch now.
+		for _, j := range st.inflight {
+			enqueue(j)
+		}
 		dispatch()
 	}
 
@@ -283,25 +323,20 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		inflight := st.inflight
 		best := 0
 		for i := 1; i < len(inflight); i++ {
-			if inflight[i].arrival < inflight[best].arrival ||
-				(inflight[i].arrival == inflight[best].arrival && inflight[i].seq < inflight[best].seq) {
+			if inflight[i].before(inflight[best]) {
 				best = i
 			}
 		}
 		job := inflight[best]
-		if !job.done {
-			// Batch-train every untrained in-flight client in one parallel
-			// pass: each trains from its own snapshot with its own
-			// pre-drawn stream, so results are scheduling-independent and
-			// the engine still gets its fan-out.
-			if err := trainPending(env, cfg, inflight); err != nil {
+		if !job.crashed {
+			if err := q.wait(job); err != nil {
 				return nil, fmt.Errorf("fl: RunAsync: %w", err)
 			}
 		}
 		st.inflight = append(inflight[:best], inflight[best+1:]...)
 		st.now = job.arrival
 
-		if job.trained == nil {
+		if job.crashed {
 			// Fault-injected crash: the slot completes (the server times
 			// the client out and moves on) but nothing crossed the uplink.
 			s.cum.Crashes++
@@ -390,35 +425,103 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	return s.finish(st.comm()), nil
 }
 
-// trainPending runs local training for every not-yet-trained in-flight
-// job in one parallel batch, writing each result into an engine-owned
-// upload buffer.
-func trainPending(env *Env, cfg Config, inflight []*asyncJob) error {
-	var pending []*asyncJob
-	for _, j := range inflight {
-		if !j.done {
-			pending = append(pending, j)
+// trainQueue is one RunAsync call's standing training queue. Trainers
+// always take the queued job with the earliest (arrival, seq), so the
+// next upload the server needs is the next one trained. The calling
+// goroutine is the inline worker: it trains queued jobs only while an
+// arrival pop waits for its own. Extra trainers follow Config.Budget's
+// protocol: each runs on a fan-out token from TryAcquire, at most
+// Workers()−1 at a time, and hands the token back when it finds the queue
+// empty.
+type trainQueue struct {
+	env       *Env
+	spec      LocalSpec
+	budget    *WorkerBudget
+	maxExtras int
+
+	mu       sync.Mutex
+	finished sync.Cond // broadcast whenever a job finishes
+	queued   []*asyncJob
+	extras   int // live extra trainers
+	wg       sync.WaitGroup
+}
+
+func newTrainQueue(env *Env, cfg Config) *trainQueue {
+	q := &trainQueue{env: env, spec: cfg.LocalSpec(), budget: cfg.Budget, maxExtras: cfg.Workers() - 1}
+	q.finished.L = &q.mu
+	return q
+}
+
+// push enqueues j, whose fetch and trained buffers are set, and starts
+// an extra trainer when the allowance has room for one.
+func (q *trainQueue) push(j *asyncJob) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.queued = append(q.queued, j)
+	if q.extras < q.maxExtras && q.budget.TryAcquire(1) == 1 {
+		q.extras++
+		q.wg.Add(1)
+		go q.trainer()
+	}
+}
+
+// trainer is one extra worker: it trains queued jobs until the queue is
+// empty, then hands its token back.
+func (q *trainQueue) trainer() {
+	defer q.wg.Done()
+	q.mu.Lock()
+	for q.trainNext() {
+	}
+	q.extras--
+	q.mu.Unlock()
+	q.budget.ReleaseN(1)
+}
+
+// trainNext trains the earliest queued job and reports whether there was
+// one. It is called with mu held and releases it while the job trains.
+func (q *trainQueue) trainNext() bool {
+	if len(q.queued) == 0 {
+		return false
+	}
+	best := 0
+	for i, j := range q.queued {
+		if j.before(q.queued[best]) {
+			best = i
 		}
 	}
-	jobs := make([]LocalJob, len(pending))
-	for i, j := range pending {
-		spec := cfg.LocalSpec()
-		spec.Init = j.fetch
-		jobs[i] = LocalJob{
-			Client: j.client,
-			Spec:   spec,
-			RNG:    tensor.NewRNG(j.seed),
+	j := q.queued[best]
+	q.queued = slices.Delete(q.queued, best, best+1)
+	q.mu.Unlock()
+	spec := q.spec
+	spec.Init, spec.Out = j.fetch, j.trained
+	_, err := trainOne(q.env, LocalJob{Client: j.client, Spec: spec, RNG: tensor.NewRNG(j.seed)})
+	q.mu.Lock()
+	j.finished, j.err = true, err
+	q.finished.Broadcast()
+	return true
+}
+
+// wait returns j's training error once j has finished, training queued
+// jobs on the calling goroutine while it waits. (No deferred unlock: mu
+// is not held while a job trains, so a panic there must not unlock it.)
+func (q *trainQueue) wait(j *asyncJob) error {
+	q.mu.Lock()
+	for !j.finished {
+		if !q.trainNext() {
+			q.finished.Wait()
 		}
 	}
-	results, err := TrainAll(env, jobs, cfg.Allowance())
-	if err != nil {
-		return err
-	}
-	for i, j := range pending {
-		j.trained = results[i].Params
-		j.done = true
-	}
-	return nil
+	err := j.err
+	q.mu.Unlock()
+	return err
+}
+
+// close drops the jobs not yet started and joins the running ones.
+func (q *trainQueue) close() {
+	q.mu.Lock()
+	q.queued = nil
+	q.mu.Unlock()
+	q.wg.Wait()
 }
 
 // insertSorted puts c back into the sorted available pool.

@@ -1,8 +1,16 @@
 package fl
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"fedcross/internal/data"
 	"fedcross/internal/models"
@@ -118,5 +126,141 @@ func TestAsyncStalenessWeighting(t *testing.T) {
 		if m.TestAcc < 0 || m.TestAcc > 1 {
 			t.Fatalf("accuracy out of range: %+v", m)
 		}
+	}
+}
+
+// emptyShardSource serves client bad an empty shard while reporting its
+// real size, so selection admits it and its local pass fails. Leases
+// still go through the wrapped source, which counts them.
+type emptyShardSource struct {
+	data.ClientSource
+	bad int
+}
+
+func (s emptyShardSource) Shard(id int) *data.Dataset {
+	ds := s.ClientSource.Shard(id)
+	if id == s.bad {
+		return &data.Dataset{Classes: ds.Classes}
+	}
+	return ds
+}
+
+// TestAsyncPipelineInvariance: the standing training queue decides when
+// and where a job trains, never what it computes. The history and the
+// snapshot at every commit are the same bytes at Parallelism 1, 2 and 8
+// and under a one-token budget, benign and under crash, drop and
+// straggle faults. Every way out of RunAsync — a finished run, ErrStopped
+// and a training error — leaves no replica lease, shard lease, budget
+// token or trainer goroutine behind.
+func TestAsyncPipelineInvariance(t *testing.T) {
+	envWith := func(bad int) *Env {
+		base := sourceEnv(71, 8, data.Heterogeneity{Beta: 0.5}, false)
+		fed := *base.Fed
+		fed.Source, fed.Clients = emptyShardSource{data.NewMaterialized(base.Fed.Clients), bad}, nil
+		// Unique dims give the test a private replica pool.
+		return &Env{Fed: &fed, Model: models.MLP(12, 21, 4)}
+	}
+	settings := []struct {
+		name   string
+		par    int
+		budget *WorkerBudget
+	}{{"par1", 1, nil}, {"par2", 2, nil}, {"par8", 8, nil}, {"budget1", 8, NewWorkerBudget(1)}}
+	opts := AsyncOptions{Buffer: 2, InFlight: 5, Commits: 6}
+	dir := t.TempDir()
+
+	drained := func(what string, env *Env, b *WorkerBudget) {
+		t.Helper()
+		if n := models.Replicas(env.Model).Outstanding(); n != 0 {
+			t.Errorf("%s: %d replica leases outstanding", what, n)
+		}
+		if n := env.Fed.OutstandingLeases(); n != 0 {
+			t.Errorf("%s: %d shard leases outstanding", what, n)
+		}
+		if got := b.TryAcquire(b.Cap()); got != b.Cap() {
+			t.Errorf("%s: %d of %d budget tokens returned", what, got, b.Cap())
+		} else {
+			b.ReleaseN(got)
+		}
+		// close joins every trainer before RunAsync returns; a joined one
+		// may still be unwinding its last frame, so give it that long.
+		for start := time.Now(); trainersLive() > 0; runtime.Gosched() {
+			if time.Since(start) > 5*time.Second {
+				t.Errorf("%s: %d trainer goroutines still running", what, trainersLive())
+				break
+			}
+		}
+	}
+
+	for _, faults := range []struct {
+		name string
+		f    FaultOptions
+	}{
+		{"benign", FaultOptions{}},
+		{"faulted", FaultOptions{CrashRate: 0.2, DropRate: 0.2, StraggleRate: 0.2}},
+	} {
+		var want *History
+		wantSnaps := map[int][]byte{}
+		for _, s := range settings {
+			env := envWith(-1)
+			cfg := asyncCfg(7, s.par)
+			cfg.Budget, cfg.Faults = s.budget, faults.f
+			what := faults.name + "-" + s.name
+			h, err := RunAsync(env, cfg, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			drained(what+" finished", env, s.budget)
+			if want == nil {
+				want = h
+			} else if !reflect.DeepEqual(h, want) {
+				t.Errorf("%s: history differs from %s's", what, settings[0].name)
+			}
+			for stop := 1; stop < opts.Commits; stop++ {
+				killed := cfg
+				killed.Checkpoint = CheckpointOptions{Path: filepath.Join(dir, fmt.Sprintf("%s-%d.ckpt", what, stop)), Every: 1, StopAfterRound: stop}
+				if _, err := RunAsync(env, killed, opts); !errors.Is(err, ErrStopped) {
+					t.Fatalf("%s, stopped after commit %d: %v, want ErrStopped", what, stop, err)
+				}
+				drained(fmt.Sprintf("%s stopped after commit %d", what, stop), env, s.budget)
+				snap, err := os.ReadFile(killed.Checkpoint.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantSnaps[stop] == nil {
+					wantSnaps[stop] = snap
+				} else if !bytes.Equal(snap, wantSnaps[stop]) {
+					t.Errorf("%s: the snapshot after commit %d differs from %s's", what, stop, settings[0].name)
+				}
+			}
+		}
+	}
+
+	var wantErr string
+	for _, s := range settings {
+		env := envWith(3)
+		cfg := asyncCfg(7, s.par)
+		cfg.Budget = s.budget
+		_, err := RunAsync(env, cfg, AsyncOptions{Buffer: 2, InFlight: 6, Commits: 8})
+		if err == nil || !strings.Contains(err.Error(), "client 3: fl: TrainLocal: empty shard") {
+			t.Fatalf("%s: %v, want client 3's empty-shard failure", s.name, err)
+		}
+		if wantErr == "" {
+			wantErr = err.Error()
+		} else if err.Error() != wantErr {
+			t.Errorf("%s: error %q, want %q", s.name, err, wantErr)
+		}
+		drained(s.name+" failed", env, s.budget)
+	}
+}
+
+// trainersLive counts the goroutines inside a training queue's trainer.
+func trainersLive() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*trainQueue).trainer(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }

@@ -115,7 +115,7 @@ func TestParallelForErrFastForward(t *testing.T) {
 	// exactly `workers` iterations run on any schedule.
 	var inFlight sync.WaitGroup
 	inFlight.Add(workers)
-	err := parallelForErr(n, Limit(workers), func(i int) error {
+	err := parallelForErr(n, Limit(workers), nil, func(i int) error {
 		ran.Add(1)
 		if i >= workers {
 			return nil
@@ -136,7 +136,7 @@ func TestParallelForErrFastForward(t *testing.T) {
 	// run to completion and the minimum failing index is deterministic.
 	var entered sync.WaitGroup
 	entered.Add(8)
-	err = parallelForErr(8, Limit(8), func(i int) error {
+	err = parallelForErr(8, Limit(8), nil, func(i int) error {
 		entered.Done()
 		entered.Wait()
 		if i >= 6 {
@@ -154,7 +154,7 @@ func TestParallelForErrFastForward(t *testing.T) {
 
 	// Serial path stops at the first error without touching the rest.
 	var serialRan int
-	err = parallelForErr(10, Limit(1), func(i int) error {
+	err = parallelForErr(10, Limit(1), nil, func(i int) error {
 		serialRan++
 		if i == 4 {
 			return errors.New("serial stop")

@@ -77,12 +77,14 @@ type RoundCheckpointer interface {
 const (
 	runCkptMagic   = 0x4352_4C46 // "FLRC" little-endian
 	asyncCkptMagic = 0x4341_4C46 // "FLAC" little-endian
-	// ckptVersion 4 is version 3's container (one header, body and metric
+	// ckptVersion 5 is version 4's container (one header, body and metric
 	// list under both magics, then the engine's tail, every state in nn's
-	// codec) over selection stream v2 (tensor.RNG.SampleV2): a version-3
-	// selection-stream position counts Perm(n)'s draws and would resume
-	// onto other cohorts.
-	ckptVersion    = 4
+	// codec, selection stream v2) with the async in-flight job record cut
+	// to what dispatch fixed: a version-4 job also carries a trained
+	// upload. Version 4 moved to selection stream v2
+	// (tensor.RNG.SampleV2): a version-3 selection-stream position counts
+	// Perm(n)'s draws and would resume onto other cohorts.
+	ckptVersion    = 5
 	maxCkptBlob    = 1 << 31
 	maxCkptMetrics = 1 << 22
 	// maxCkptJobs caps the persisted in-flight set (InFlight is
@@ -92,7 +94,7 @@ const (
 	// in-flight job: a declared count must fit the bytes actually present
 	// before anything is allocated for it.
 	metricBytes = 14 * 8
-	minJobBytes = 8 * 8
+	minJobBytes = 7 * 8
 )
 
 // ckptSpec is what a run expects of its snapshot's header: the engine's
@@ -295,7 +297,9 @@ func parseRunTail(d *nn.StateDecoder, done, rounds, n, k int) (*runTail, error) 
 }
 
 // encode appends what only the async engine carries: its whole loop
-// state.
+// state. An in-flight job is recorded as dispatched — fetch, stream seed
+// and crash flag — never with its trained upload: whether a job has
+// trained by a commit depends on timing, and the snapshot must not.
 func (st *asyncState) encode(e *nn.StateEncoder) {
 	e.F64(st.now)
 	e.Int(st.seq, st.version, st.arrivals, st.dispatches)
@@ -306,21 +310,19 @@ func (st *asyncState) encode(e *nn.StateEncoder) {
 	}
 	e.Int(len(st.inflight))
 	for _, j := range st.inflight {
-		done := 0
-		if j.done {
-			done = 1
+		crashed := 0
+		if j.crashed {
+			crashed = 1
 		}
-		e.Int(j.seq, j.client, j.version, done)
+		e.Int(j.seq, j.client, j.version, crashed)
 		e.F64(j.arrival)
 		e.I64(j.seed)
 		e.Vector(j.fetch)
-		e.Vector(j.trained)
 	}
 }
 
 // parseAsyncState reads asyncState.encode's bytes for a federation of n
-// clients and dim parameters. A job's trained vector is absent while it
-// awaits the batched training pass, and for fault-crashed clients.
+// clients and dim parameters.
 func parseAsyncState(d *nn.StateDecoder, n, dim int) (*asyncState, error) {
 	d.Section("async state")
 	st := &asyncState{now: d.F64(), seq: d.Int(), version: d.Int(), arrivals: d.Int(), dispatches: d.Int()}
@@ -329,11 +331,16 @@ func parseAsyncState(d *nn.StateDecoder, n, dim int) (*asyncState, error) {
 	st.inflight = make([]*asyncJob, d.Count(maxCkptJobs, minJobBytes))
 	d.Section("in-flight jobs")
 	for i := range st.inflight {
-		j := &asyncJob{seq: d.Int(), client: d.Int(), version: d.Int(), done: d.Int() != 0, arrival: d.F64(), seed: d.I64()}
+		j := &asyncJob{seq: d.Int(), client: d.Int(), version: d.Int()}
 		if j.client < 0 || j.client >= n {
 			d.Fail("client %d outside [0,%d)", j.client, n)
 		}
-		j.fetch, j.trained = d.Vector(dim), d.OptionalVector(dim)
+		if crashed := d.U64(); crashed > 1 {
+			d.Fail("job %d crash flag %d, want 0 or 1", j.seq, crashed)
+		} else {
+			j.crashed = crashed == 1
+		}
+		j.arrival, j.seed, j.fetch = d.F64(), d.I64(), d.Vector(dim)
 		st.inflight[i] = j
 	}
 	return st, d.Finish()

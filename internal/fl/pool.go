@@ -1,8 +1,10 @@
 package fl
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,26 +42,16 @@ type LocalJob struct {
 // TrainAll runs every job's local training across the allowance w (see
 // Workers: at most w.Max goroutines, leased from w.Budget when it is
 // shared with other concurrent simulations) and returns the results in
-// job order. Any error aborts the round: in-flight jobs finish, unstarted
-// jobs are skipped, and the error with the lowest job index among those
-// that actually failed is returned.
+// job order. Workers claim jobs longest first (longestFirst), so the
+// section does not end on one large shard started last. Any error aborts
+// the round: in-flight jobs finish, unstarted jobs are skipped, and the
+// error with the lowest job index among those that actually failed is
+// returned.
 func TrainAll(env *Env, jobs []LocalJob, w Workers) ([]LocalResult, error) {
 	results := make([]LocalResult, len(jobs))
-	err := parallelForErr(len(jobs), w, func(i int) error {
-		job := jobs[i]
-		shard := job.Shard
-		if shard == nil {
-			// Lease for exactly the duration of the local pass, so a
-			// virtualized federation keeps only in-flight shards pinned.
-			shard = env.Fed.LeaseShard(job.Client)
-			defer env.Fed.ReleaseShard(job.Client)
-		}
-		res, err := TrainLocal(env.Model, shard, job.Spec, job.RNG)
-		if err != nil {
-			return fmt.Errorf("client %d: %w", job.Client, err)
-		}
-		results[i] = res
-		return nil
+	err := parallelForErr(len(jobs), w, longestFirst(env, jobs), func(i int) (err error) {
+		results[i], err = trainOne(env, jobs[i])
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -67,12 +59,48 @@ func TrainAll(env *Env, jobs []LocalJob, w Workers) ([]LocalResult, error) {
 	return results, nil
 }
 
+// trainOne runs one job's local training. Unless the job brings its own
+// shard, the client's shard is leased for exactly the duration of the
+// local pass, so a virtualized federation keeps only in-flight shards
+// pinned.
+func trainOne(env *Env, job LocalJob) (LocalResult, error) {
+	shard := job.Shard
+	if shard == nil {
+		shard = env.Fed.LeaseShard(job.Client)
+		defer env.Fed.ReleaseShard(job.Client)
+	}
+	res, err := TrainLocal(env.Model, shard, job.Spec, job.RNG)
+	if err != nil {
+		return res, fmt.Errorf("client %d: %w", job.Client, err)
+	}
+	return res, nil
+}
+
+// longestFirst is the order TrainAll's workers claim jobs in: by
+// descending shard size, ties by job index. A job's local pass is
+// proportional to its shard, so claiming the largest first leaves the
+// small ones to even out the workers' finishing times.
+func longestFirst(env *Env, jobs []LocalJob) []int {
+	size := make([]int, len(jobs))
+	order := make([]int, len(jobs))
+	for i, job := range jobs {
+		order[i] = i
+		if job.Shard != nil {
+			size[i] = job.Shard.Len()
+		} else {
+			size[i] = env.Fed.Size(job.Client)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(size[b], size[a]) })
+	return order
+}
+
 // ParallelForErr exposes the fail-fast loop to the scheduling layers (the
 // experiment grid runner): fn(i) must write only state owned by iteration
 // i. Semantics match TrainAll's error contract: first failure by index
 // wins, unstarted iterations are skipped.
 func ParallelForErr(n int, w Workers, fn func(i int) error) error {
-	return parallelForErr(n, w, fn)
+	return parallelForErr(n, w, nil, fn)
 }
 
 // parallelForErr runs fn like parallelFor but fails fast: once any
@@ -81,8 +109,11 @@ func ParallelForErr(n int, w Workers, fn func(i int) error) error {
 // loop spun every one of them through a claim-and-skip pass — wasted
 // cycles for huge n). In-flight iterations finish, and the lowest-index
 // error among the iterations that actually failed is returned (tracked as
-// a running minimum, not an O(n) error slice).
-func parallelForErr(n int, w Workers, fn func(i int) error) error {
+// a running minimum, not an O(n) error slice). Workers claim iterations
+// in the given order (nil means index order); a single worker runs them
+// in index order, since with nothing to balance the order only decides
+// which error is found first.
+func parallelForErr(n int, w Workers, order []int, fn func(i int) error) error {
 	workers, leased := w.lease(n)
 	defer w.Budget.ReleaseN(leased)
 	if workers <= 1 {
@@ -109,6 +140,9 @@ func parallelForErr(n int, w Workers, fn func(i int) error) error {
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
 					return
+				}
+				if order != nil {
+					i = order[i]
 				}
 				if err := fn(i); err != nil {
 					mu.Lock()

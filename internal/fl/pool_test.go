@@ -1,7 +1,10 @@
 package fl
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"fedcross/internal/data"
@@ -91,5 +94,67 @@ func TestEvaluateWorkerInvariant(t *testing.T) {
 	if accSerial != accPar || lossSerial != lossPar {
 		t.Fatalf("evaluate differs across worker counts: (%v,%v) vs (%v,%v)",
 			accSerial, lossSerial, accPar, lossPar)
+	}
+}
+
+// TestTrainAllClaimsLongestFirst: workers claim jobs by descending shard
+// size (a job's own Shard counting over its client's), ties by job
+// index; results stay in job order whatever the claim order; and the
+// error that wins is keyed by the job index, not the claim.
+func TestTrainAllClaimsLongestFirst(t *testing.T) {
+	env := sourceEnv(37, 6, data.Heterogeneity{Beta: 0.3}, false)
+	init := nn.FlattenParams(env.Model.New(tensor.NewRNG(38)).Params())
+	newJobs := func() []LocalJob {
+		jobs := trainJobs(env, init, 39)
+		jobs[5].Shard = env.Fed.Clients[2] // ties with job 2, which must go first
+		return jobs
+	}
+	jobs := newJobs()
+	size := func(i int) int {
+		if jobs[i].Shard != nil {
+			return jobs[i].Shard.Len()
+		}
+		return env.Fed.Size(jobs[i].Client)
+	}
+	order := longestFirst(env, jobs)
+	for c := 1; c < len(order); c++ {
+		a, b := order[c-1], order[c]
+		if size(a) < size(b) || size(a) == size(b) && a > b {
+			t.Fatalf("claim order %v: job %d (%d samples) before job %d (%d samples)", order, a, size(a), b, size(b))
+		}
+	}
+	if slices.IsSorted(order) {
+		t.Fatalf("claim order %v is job order: the shards are too even to test anything", order)
+	}
+
+	serial, err := TrainAll(env, jobs, Limit(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := TrainAll(env, newJobs(), Limit(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial {
+		if serial[i].Samples != size(i) || !slices.Equal(serial[i].Params, parallel[i].Params) {
+			t.Fatalf("job %d: results out of job order", i)
+		}
+	}
+
+	// Jobs 1 and 3 fail, and 3 is claimed first. A barrier holds all four
+	// in flight before either fails, so both failures are recorded and
+	// job 1's must win.
+	var entered sync.WaitGroup
+	entered.Add(4)
+	err = parallelForErr(4, Limit(4), []int{3, 2, 1, 0}, func(i int) error {
+		entered.Done()
+		entered.Wait()
+		if i%2 == 1 {
+			return fmt.Errorf("job %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "job 1" {
+		t.Fatalf("err = %v, want job 1's (the lowest failing job index)", err)
 	}
 }

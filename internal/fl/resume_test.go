@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -295,13 +296,74 @@ func TestAsyncResumeRejectsHostileInput(t *testing.T) {
 	if _, err := RunAsync(testEnv(65, 8), wrongSeed, opts2); err == nil {
 		t.Fatal("async resume under a different seed must fail")
 	}
+
+	// A job record holds what dispatch fixed and nothing else: one that
+	// still carries a trained upload (version 4's record) under the
+	// current version word, or a crash flag other than 0 or 1, is refused.
+	dim := len(nn.FlattenParams(testEnv(65, 8).Model.New(tensor.NewRNG(1)).Params()))
+	spec := asyncCkptSpec(cfg, opts.resolve(cfg), 8, dim)
+	snap, d, err := parseCheckpoint(raw, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := parseAsyncState(d, 8, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := encodeCheckpoint(spec, snap, st.encode); err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("the parsed snapshot re-encodes to other bytes (%v)", err)
+	}
+	if len(st.inflight) == 0 {
+		t.Fatal("the snapshot holds no in-flight job to rewrite")
+	}
+	for _, c := range []struct {
+		name   string
+		record func(e *nn.StateEncoder, j *asyncJob)
+		want   string
+	}{
+		{"a trained upload", func(e *nn.StateEncoder, j *asyncJob) {
+			e.Int(j.seq, j.client, j.version, 0)
+			e.F64(j.arrival)
+			e.I64(j.seed)
+			e.Vector(j.fetch)
+			e.Vector(j.fetch)
+		}, "in-flight jobs"},
+		{"crash flag 2", func(e *nn.StateEncoder, j *asyncJob) {
+			e.Int(j.seq, j.client, j.version, 2)
+			e.F64(j.arrival)
+			e.I64(j.seed)
+			e.Vector(j.fetch)
+		}, "crash flag 2, want 0 or 1"},
+	} {
+		data, err := encodeCheckpoint(spec, snap, func(e *nn.StateEncoder) {
+			e.F64(st.now)
+			e.Int(st.seq, st.version, st.arrivals, st.dispatches)
+			e.Ints(st.available)
+			e.Vector(st.global)
+			e.Int(len(st.inflight))
+			for _, j := range st.inflight {
+				c.record(e, j)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(hostile, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunAsync(testEnv(65, 8), badCfg, opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("async resume from job records with %s: %v, want %q", c.name, err, c.want)
+		}
+	}
 }
 
-// TestResumeRefusesVersion3: a version-3 snapshot holds a selection-stream
-// position on the Perm(n) stream, so resuming it would draw other cohorts
-// than the run it came from. Both engines' snapshots, forged back to
-// version 3, are refused by their version word.
-func TestResumeRefusesVersion3(t *testing.T) {
+// TestResumeRefusesOldVersions: a version-3 snapshot holds a
+// selection-stream position on the Perm(n) stream, so resuming it would
+// draw other cohorts than the run it came from; a version-4 async
+// snapshot carries a trained upload in every job record that version 5
+// does not have. Both engines' snapshots, forged back to each version,
+// are refused by their version word, and the error names both versions.
+func TestResumeRefusesOldVersions(t *testing.T) {
 	dir := t.TempDir()
 	runCfg := resumeCfg(0)
 	asyncCfg, opts := asyncResumeCfg()
@@ -313,23 +375,26 @@ func TestResumeRefusesVersion3(t *testing.T) {
 		{"run", func(cfg Config) error { _, err := Run(&ckptWireAlgo{}, testEnv(63, 8), cfg); return err }, runCfg},
 		{"async", func(cfg Config) error { _, err := RunAsync(testEnv(65, 8), cfg, opts); return err }, asyncCfg},
 	} {
-		path := filepath.Join(dir, c.name+".ckpt")
-		cfg := c.cfg
-		cfg.Checkpoint = CheckpointOptions{Path: path, StopAfterRound: 2}
-		if err := c.run(cfg); !errors.Is(err, ErrStopped) {
-			t.Fatalf("%s: want ErrStopped, got %v", c.name, err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint64(raw[8:], 3)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cfg.Checkpoint = CheckpointOptions{Path: path, Resume: true}
-		if err := c.run(cfg); err == nil || !strings.Contains(err.Error(), "bad version 0x3 (want 0x4)") {
-			t.Fatalf("%s: resume from a version-3 snapshot: %v, want bad version 0x3 (want 0x4)", c.name, err)
+		for _, old := range []uint64{3, 4} {
+			path := filepath.Join(dir, fmt.Sprintf("%s-v%d.ckpt", c.name, old))
+			cfg := c.cfg
+			cfg.Checkpoint = CheckpointOptions{Path: path, StopAfterRound: 2}
+			if err := c.run(cfg); !errors.Is(err, ErrStopped) {
+				t.Fatalf("%s: want ErrStopped, got %v", c.name, err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(raw[8:], old)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Checkpoint = CheckpointOptions{Path: path, Resume: true}
+			want := fmt.Sprintf("bad version %#x (want %#x)", old, ckptVersion)
+			if err := c.run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: resume from a version-%d snapshot: %v, want %s", c.name, old, err, want)
+			}
 		}
 	}
 }

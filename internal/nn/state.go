@@ -258,15 +258,6 @@ func (d *StateDecoder) Vector(dim int) ParamVector {
 	return v
 }
 
-// OptionalVector reads a vector of exactly dim entries, or nil.
-func (d *StateDecoder) OptionalVector(dim int) ParamVector {
-	if len(d.data) >= 8 && binary.LittleEndian.Uint64(d.data) == 0 {
-		d.take(8)
-		return nil
-	}
-	return d.Vector(dim)
-}
-
 // VectorMap reads a map of dim-entry vectors keyed by ids in [0, n),
 // strictly ascending.
 func (d *StateDecoder) VectorMap(n, dim int) map[int]ParamVector {
