@@ -199,7 +199,7 @@ func evaluate(factory models.Factory, vec nn.ParamVector, ds *data.Dataset, batc
 		idxBufs[i] = make([]int, batchSize)
 		yBufs[i] = make([]int, batchSize)
 	}
-	parallelForWorker(numBatches, Limit(workers), func(w, b int) {
+	parallelForErr(numBatches, Limit(workers), nil, func(w, b int) error {
 		start := b * batchSize
 		end := start + batchSize
 		if end > n {
@@ -219,6 +219,7 @@ func evaluate(factory models.Factory, vec nn.ParamVector, ds *data.Dataset, batc
 		weight := float64(len(y))
 		accW[b] = a * weight
 		lossW[b] = l * weight
+		return nil
 	})
 	correctWeighted := 0.0
 	lossWeighted := 0.0

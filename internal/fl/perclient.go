@@ -41,7 +41,7 @@ func EvaluatePerClient(env *Env, vec nn.ParamVector, batchSize int, w Workers) (
 		return nil, fmt.Errorf("fl: EvaluatePerClient: no clients")
 	}
 	clientAccs := make([]float64, n)
-	err := parallelForErr(n, w, nil, func(ci int) error {
+	err := parallelForErr(n, w, nil, func(_, ci int) error {
 		if env.Fed.Size(ci) == 0 {
 			return nil
 		}

@@ -49,7 +49,7 @@ type LocalJob struct {
 // returned.
 func TrainAll(env *Env, jobs []LocalJob, w Workers) ([]LocalResult, error) {
 	results := make([]LocalResult, len(jobs))
-	err := parallelForErr(len(jobs), w, longestFirst(env, jobs), func(i int) (err error) {
+	err := parallelForErr(len(jobs), w, longestFirst(env, jobs), func(_, i int) (err error) {
 		results[i], err = trainOne(env, jobs[i])
 		return err
 	})
@@ -100,25 +100,37 @@ func longestFirst(env *Env, jobs []LocalJob) []int {
 // i. Semantics match TrainAll's error contract: first failure by index
 // wins, unstarted iterations are skipped.
 func ParallelForErr(n int, w Workers, fn func(i int) error) error {
-	return parallelForErr(n, w, nil, fn)
+	return parallelForErr(n, w, nil, func(_, i int) error { return fn(i) })
 }
 
-// parallelForErr runs fn like parallelFor but fails fast: once any
-// iteration returns an error the shared claim counter is fast-forwarded
-// past n, so the remaining iterations are never even claimed (the old
-// loop spun every one of them through a claim-and-skip pass — wasted
-// cycles for huge n). In-flight iterations finish, and the lowest-index
-// error among the iterations that actually failed is returned (tracked as
-// a running minimum, not an O(n) error slice). Workers claim iterations
-// in the given order (nil means index order); a single worker runs them
-// in index order, since with nothing to balance the order only decides
-// which error is found first.
-func parallelForErr(n int, w Workers, order []int, fn func(i int) error) error {
+// ParallelForW exposes the loop to the algorithm layer (core's Gram-matrix
+// similarity pass) under a Workers allowance, so budgeted callers
+// (similarity passes running inside scheduled grid cells) fan out only as
+// far as the shared budget allows. fn(i) must write only state owned by
+// iteration i, so results are independent of scheduling.
+func ParallelForW(n int, w Workers, fn func(i int)) {
+	parallelForErr(n, w, nil, func(_, i int) error {
+		fn(i)
+		return nil
+	})
+}
+
+// parallelForErr is the engine's one fan-out: up to w's allowance of
+// workers (tokens beyond the always-granted inline worker are leased from
+// w.Budget) claim iterations from a shared counter in the given order
+// (nil means index order), so uneven costs balance. fn(wk, i) gets its
+// worker's index in [0, workers) to pick per-worker scratch (replicas,
+// index and encode buffers); worker identity must never influence
+// results. It fails fast: after an error the counter is fast-forwarded
+// past n, in-flight iterations finish, and the lowest-index error among
+// those that failed is returned. A single worker runs index order, where
+// the claim order would only decide which error is found first.
+func parallelForErr(n int, w Workers, order []int, fn func(wk, i int) error) error {
 	workers, leased := w.lease(n)
 	defer w.Budget.ReleaseN(leased)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -144,7 +156,7 @@ func parallelForErr(n int, w Workers, order []int, fn func(i int) error) error {
 				if order != nil {
 					i = order[i]
 				}
-				if err := fn(i); err != nil {
+				if err := fn(wk, i); err != nil {
 					mu.Lock()
 					if i < minIdx {
 						minIdx, minErr = i, err
@@ -158,58 +170,6 @@ func parallelForErr(n int, w Workers, order []int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return minErr
-}
-
-// parallelFor runs fn(i) for every i in [0,n) across at most workers
-// goroutines (workers <= 0 means runtime.NumCPU()). Iterations are
-// claimed from a shared atomic counter, so the call balances uneven job
-// costs; it returns once every iteration has finished. fn must be safe to
-// call concurrently for distinct i.
-func parallelFor(n, workers int, fn func(i int)) {
-	parallelForWorker(n, Limit(workers), func(_, i int) { fn(i) })
-}
-
-// ParallelForW exposes the engine's deterministic work-stealing loop to
-// the algorithm layer (core's Gram-matrix similarity pass) under a
-// Workers allowance, so budgeted callers (similarity passes running
-// inside scheduled grid cells) fan out only as far as the shared budget
-// allows. fn(i) must write only state owned by iteration i, so results
-// are independent of scheduling.
-func ParallelForW(n int, w Workers, fn func(i int)) {
-	parallelForWorker(n, w, func(_, i int) { fn(i) })
-}
-
-// parallelForWorker is the budget-aware dispatch core: it resolves the
-// allowance (leasing fan-out tokens beyond the always-granted inline
-// worker when a budget is attached) and passes the executing worker's
-// index in [0, workers) to fn, so callers can lease per-worker state
-// (evaluation replicas, index buffers) up front. Worker identity must
-// never influence results — only which scratch state an iteration uses.
-func parallelForWorker(n int, w Workers, fn func(wk, i int)) {
-	workers, leased := w.lease(n)
-	defer w.Budget.ReleaseN(leased)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(wk, i)
-			}
-		}(wk)
-	}
-	wg.Wait()
 }
 
 // effectiveWorkers resolves a worker budget against the iteration count:

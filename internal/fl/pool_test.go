@@ -16,17 +16,28 @@ func TestParallelForCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 7, 64} {
 		n := 100
 		hits := make([]int, n) // distinct indices, no synchronisation needed
-		parallelFor(n, workers, func(i int) { hits[i]++ })
+		wks := make([]int, n)
+		err := parallelForErr(n, Limit(workers), nil, func(wk, i int) error {
+			hits[i]++
+			wks[i] = wk
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
+			}
+			if wk := wks[i]; wk < 0 || wk >= effectiveWorkers(n, workers) {
+				t.Fatalf("workers=%d: index %d ran on worker %d", workers, i, wk)
 			}
 		}
 	}
 }
 
 func TestParallelForEmpty(t *testing.T) {
-	parallelFor(0, 4, func(i int) { t.Fatal("fn called for n=0") })
+	ParallelForW(0, Limit(4), func(i int) { t.Fatal("fn called for n=0") })
 }
 
 // trainJobs builds identically-seeded job lists so serial and parallel
@@ -146,7 +157,7 @@ func TestTrainAllClaimsLongestFirst(t *testing.T) {
 	// job 1's must win.
 	var entered sync.WaitGroup
 	entered.Add(4)
-	err = parallelForErr(4, Limit(4), []int{3, 2, 1, 0}, func(i int) error {
+	err = parallelForErr(4, Limit(4), []int{3, 2, 1, 0}, func(_, i int) error {
 		entered.Done()
 		entered.Wait()
 		if i%2 == 1 {

@@ -212,7 +212,7 @@ func treeMean(uploads []nn.ParamVector, weights []float64, w Workers) nn.ParamVe
 		weights = nil // all-zero weights degrade to the plain mean, as WeightedMeanVectors does
 	}
 	partials := make([]nn.ParamVector, groups)
-	parallelForWorker(groups, w, func(_, g int) {
+	parallelForErr(groups, w, nil, func(_, g int) error {
 		lo, hi := g*leaf, min((g+1)*leaf, k)
 		p := make(nn.ParamVector, len(uploads[0]))
 		if weights == nil {
@@ -222,11 +222,13 @@ func treeMean(uploads []nn.ParamVector, weights []float64, w Workers) nn.ParamVe
 			nn.FoldTo(p, uploads[lo:hi], weights[lo:hi], total)
 		}
 		partials[g] = p
+		return nil
 	})
 	for len(partials) > 1 {
 		pairs := len(partials) / 2
-		parallelForWorker(pairs, w, func(_, j int) {
+		parallelForErr(pairs, w, nil, func(_, j int) error {
 			tensor.Axpy(partials[2*j], partials[2*j+1], 1)
+			return nil
 		})
 		next := partials[:0]
 		for j := 0; j < pairs; j++ {
@@ -327,14 +329,14 @@ func columnwise(uploads []nn.ParamVector, w Workers, stat func(vals []float64) f
 	n := len(uploads[0])
 	out := make(nn.ParamVector, n)
 	chunks := (n + reduceChunk - 1) / reduceChunk
-	// parallelForWorker never runs more than effectiveWorkers(chunks,
+	// parallelForErr never runs more than effectiveWorkers(chunks,
 	// w.Max) goroutines (a budget can only shrink the fan-out), so sizing
 	// the per-worker scratch to that bound is always enough.
 	scratch := make([][]float64, effectiveWorkers(chunks, w.Max))
 	for i := range scratch {
 		scratch[i] = make([]float64, k)
 	}
-	parallelForWorker(chunks, w, func(wk, c int) {
+	parallelForErr(chunks, w, nil, func(wk, c int) error {
 		vals := scratch[wk]
 		lo := c * reduceChunk
 		hi := lo + reduceChunk
@@ -347,6 +349,7 @@ func columnwise(uploads []nn.ParamVector, w Workers, stat func(vals []float64) f
 			}
 			out[j] = stat(vals)
 		}
+		return nil
 	})
 	return out
 }

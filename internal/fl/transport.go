@@ -160,15 +160,12 @@ type Transport struct {
 	// flush runs them and empties it. runPending is flush's body, bound
 	// once so that a flush allocates no closure.
 	pending    []roundTrip
-	runPending func(wk, i int)
+	runPending func(wk, i int) error
 }
 
 // roundTrip is one queued undamaged payload: vec encoded against ref and
-// decoded into dst, and the codec's verdict.
-type roundTrip struct {
-	dst, vec, ref nn.ParamVector
-	err           error
-}
+// decoded into dst.
+type roundTrip struct{ dst, vec, ref nn.ParamVector }
 
 // NewTransport builds a transport from options. The zero options value
 // yields the pass-through reference wire.
@@ -204,9 +201,9 @@ func NewTransport(opts TransportOptions) (*Transport, error) {
 		links:        map[int]*link{},
 		encBufs:      make([][]byte, 1),
 	}
-	t.runPending = func(wk, i int) {
+	t.runPending = func(wk, i int) error {
 		p := &t.pending[i]
-		p.err = t.deliver(wk, p.dst, p.vec, p.ref, mangleNone)
+		return t.deliver(wk, p.dst, p.vec, p.ref, mangleNone)
 	}
 	return t, nil
 }
@@ -610,17 +607,11 @@ func (t *Transport) flush(w Workers) {
 	if n == 0 {
 		return
 	}
-	for len(t.encBufs) < effectiveWorkers(n, w.Max) {
-		t.encBufs = append(t.encBufs, nil)
+	if k := effectiveWorkers(n, w.Max); len(t.encBufs) < k {
+		t.encBufs = append(t.encBufs, make([][]byte, k-len(t.encBufs))...)
 	}
-	parallelForWorker(n, w, t.runPending)
-	var err error
-	for i := range t.pending {
-		if err == nil {
-			err = t.pending[i].err
-		}
-		t.pending[i] = roundTrip{}
-	}
+	err := parallelForErr(n, w, nil, t.runPending)
+	clear(t.pending)
 	t.pending = t.pending[:0]
 	if err != nil {
 		panic(err)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -12,57 +11,9 @@ import (
 	"fedcross/internal/tensor"
 )
 
-// CodecWorkers is the number of goroutines one encode or decode of a
-// large payload may fan out over (0 or 1 disables parallelism). Small
-// payloads always run serially, so the per-exchange cost of the threshold
-// check is a single comparison. Like tensor.MatMulWorkers, the fan-out is
-// element-chunked with fixed boundaries per (length, workers), and every
-// element's bytes are a pure function of its value — so encoded payloads
-// and decoded vectors are bit-identical at every worker count.
-var CodecWorkers = runtime.GOMAXPROCS(0)
-
-// minParallelCodec is the element count below which an encode/decode pass
-// is not worth fanning out: where a two-way pass of the int8 kernels
-// clearly beats the serial one. Measured on the reference box (2 vCPU,
-// Xeon 2.1 GHz), range + quantise + dequantise against a reference, 16
-// vectors cycled so they arrive cold, serial vs 2-way: n = 51,978
-// (server_heavy_k64's model) 97–104 µs vs 146–158 µs; 2^16 126–150 vs
-// 173–185 µs; 2^17 302–371 vs 292–312 µs, a tie bought with twice the
-// CPU; 2^18 673–825 vs 527–577 µs; 2^20 4.43–4.85 vs 2.88–2.94 ms. Below
-// 2^18 the three fork-joins cost what two workers save. top-k's one
-// fanned-out pass (the magnitudes) shares it: its encode is the serial
-// radix selection and read the same at 1 and 2 workers at every size
-// tried (2^14 … 2^18).
-const minParallelCodec = 1 << 18
-
-// minParallelFP16 is the threshold of the fp16 passes, which are scalar
-// Go at some twenty times the int8 kernels' cost per element and so repay
-// a fork-join much earlier. Same box and method, encode + decode, serial
-// vs 2-way: n = 2^14 353 vs 401 µs; 51,978 1.17 vs 0.77 ms; 2^16 1.60 vs
-// 1.07 ms.
-const minParallelFP16 = 1 << 15
-
-// codecWorkers resolves the fan-out for an n-element pass whose threshold
-// is minN.
-func codecWorkers(n, minN int) int {
-	w := CodecWorkers
-	if n < minN || w < 1 {
-		return 1
-	}
-	return w
-}
-
-// refChunk is ref[i0:i1], or nil when there is no delta reference.
-func refChunk(ref ParamVector, i0, i1 int) ParamVector {
-	if ref == nil {
-		return nil
-	}
-	return ref[i0:i1]
-}
-
 // codecGrow extends buf by n bytes in place (contents unspecified) and
 // returns the extension alongside the full slice — the destination the
-// chunk-parallel kernels fill, since concurrent writers cannot append.
+// element kernels fill.
 func codecGrow(buf []byte, n int) (ext, all []byte) {
 	off := len(buf)
 	buf = slices.Grow(buf, n)[:off+n]
@@ -245,13 +196,7 @@ func (FP16Codec) EncodeDelta(buf []byte, vec, ref ParamVector) []byte {
 	checkRef(len(vec), ref, "fp16")
 	buf = putCount(buf, len(vec))
 	body, buf := codecGrow(buf, 2*len(vec))
-	if workers := codecWorkers(len(vec), minParallelFP16); workers > 1 {
-		tensor.ParallelChunks(len(vec), workers, func(_, i0, i1 int) {
-			fp16EncodeDelta(body[2*i0:], vec[i0:i1], refChunk(ref, i0, i1))
-		})
-	} else {
-		fp16EncodeDelta(body, vec, ref)
-	}
+	fp16EncodeDelta(body, vec, ref)
 	return buf
 }
 
@@ -282,14 +227,7 @@ func (c FP16Codec) DecodeDelta(dst ParamVector, data []byte, ref ParamVector) (i
 	if len(data) < want {
 		return 0, fmt.Errorf("nn: fp16: body truncated (%d of %d bytes)", len(data), want)
 	}
-	body := data[codecHeaderBytes:]
-	if workers := codecWorkers(len(dst), minParallelFP16); workers > 1 {
-		tensor.ParallelChunks(len(dst), workers, func(_, i0, i1 int) {
-			fp16DecodeDelta(dst[i0:i1], body[2*i0:], refChunk(ref, i0, i1))
-		})
-	} else {
-		fp16DecodeDelta(dst, body, ref)
-	}
+	fp16DecodeDelta(dst, data[codecHeaderBytes:], ref)
 	return want, nil
 }
 
@@ -323,8 +261,7 @@ func fp16DecodeDelta(dst ParamVector, body []byte, ref ParamVector) {
 // tensor.DeltaRange, tensor.QuantDelta on the encode side,
 // tensor.DequantAdd on the decode side — which take the reference as an
 // argument, so a round trip reads vec and ref twice, writes dst once and
-// allocates nothing below the fan-out threshold. The range clamps and the
-// header checks stay here.
+// allocates nothing. The range clamps and the header checks stay here.
 type Int8Codec struct{}
 
 // Name implements Codec.
@@ -355,30 +292,15 @@ func (Int8Codec) EncodeDelta(buf []byte, vec, ref ParamVector) []byte {
 	binary.LittleEndian.PutUint64(w[8:], math.Float64bits(scale))
 	buf = append(buf, w[:]...)
 	body, buf := codecGrow(buf, len(vec))
-	// The closure the goroutines need is built on the parallel path only
-	// (and captures by value), so the serial path allocates nothing.
-	if workers := codecWorkers(len(vec), minParallelCodec); workers > 1 {
-		tensor.ParallelChunks(len(vec), workers, func(_, i0, i1 int) {
-			tensor.QuantDelta(body[i0:i1], vec[i0:i1], refChunk(ref, i0, i1), lo, scale)
-		})
-	} else {
-		tensor.QuantDelta(body, vec, ref, lo, scale)
-	}
+	tensor.QuantDelta(body, vec, ref, lo, scale)
 	return buf
 }
 
 // int8Range finds the grid's [lo, hi]: the finite range of the residual
 // vec−ref, pinned at zero when nothing is finite and clamped when the
-// grid's top overflows. Large vectors reduce per chunk and combine in chunk
-// order with the scan's own strict compares, so the range — the sign of a
-// zero end included — is identical to the serial scan at every worker
-// count.
+// grid's top overflows.
 func int8Range(vec, ref ParamVector) (lo, hi float64) {
-	if workers := codecWorkers(len(vec), minParallelCodec); workers > 1 {
-		lo, hi = int8RangeChunks(vec, ref, workers)
-	} else {
-		lo, hi = tensor.DeltaRange(vec, ref)
-	}
+	lo, hi = tensor.DeltaRange(vec, ref)
 	if lo > hi { // no finite values (or empty): pin the grid at zero
 		lo, hi = 0, 0
 	}
@@ -387,16 +309,8 @@ func int8Range(vec, ref ParamVector) (lo, hi float64) {
 		// coordinate decoding to lo + Inf·0 = NaN) or, under a width within
 		// an ulp of MaxFloat64, on its own — and DecodeDelta refuses such a
 		// header. On the clamped grid hi−lo ≤ MaxFloat64/2, so neither
-		// scale nor the top can overflow. (Compares, not max/min: lo and hi
-		// are finite, and the function keeps the 32-byte size class it had,
-		// so the linker places benchmark/'s calibration loop where the
-		// parent's was — ROADMAP item 2(a).)
-		if lo < -math.MaxFloat64/4 {
-			lo = -math.MaxFloat64 / 4
-		}
-		if hi > math.MaxFloat64/4 {
-			hi = math.MaxFloat64 / 4
-		}
+		// scale nor the top can overflow.
+		lo, hi = max(lo, -math.MaxFloat64/4), min(hi, math.MaxFloat64/4)
 	}
 	return lo, hi
 }
@@ -405,32 +319,6 @@ func int8Range(vec, ref ParamVector) (lo, hi float64) {
 // rounded on its own: the encoder's range check and the decoder's header
 // check must see the same number on platforms that would fuse the two.
 func int8GridTop(lo, scale float64) float64 { return lo + float64(scale*255) }
-
-// int8RangeChunks is the fanned-out range scan; the per-chunk partials
-// are the fan-out's only allocation besides its goroutines.
-func int8RangeChunks(vec, ref ParamVector, workers int) (lo, hi float64) {
-	// ParallelChunks can dispatch fewer chunks than workers (the last
-	// chunk may cover the remainder), so the undispatched slots must read
-	// as "no finite values", not as zeros — a zero would be combined into
-	// the range and corrupt the quantization grid.
-	parts := make([][2]float64, workers)
-	for i := range parts {
-		parts[i] = [2]float64{math.Inf(1), math.Inf(-1)}
-	}
-	tensor.ParallelChunks(len(vec), workers, func(c, i0, i1 int) {
-		parts[c][0], parts[c][1] = tensor.DeltaRange(vec[i0:i1], refChunk(ref, i0, i1))
-	})
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, p := range parts {
-		if p[0] < lo {
-			lo = p[0]
-		}
-		if p[1] > hi {
-			hi = p[1]
-		}
-	}
-	return lo, hi
-}
 
 // DecodeDelta implements DeltaCodec.
 func (c Int8Codec) DecodeDelta(dst ParamVector, data []byte, ref ParamVector) (int, error) {
@@ -452,14 +340,7 @@ func (c Int8Codec) DecodeDelta(dst ParamVector, data []byte, ref ParamVector) (i
 	if hi := int8GridTop(lo, scale); lo-lo != 0 || hi-hi != 0 {
 		return 0, fmt.Errorf("nn: int8: grid [%v, %v] is not finite", lo, hi)
 	}
-	body := data[codecHeaderBytes+16 : want]
-	if workers := codecWorkers(len(dst), minParallelCodec); workers > 1 {
-		tensor.ParallelChunks(len(dst), workers, func(_, i0, i1 int) {
-			tensor.DequantAdd(dst[i0:i1], body[i0:i1], refChunk(ref, i0, i1), lo, scale)
-		})
-	} else {
-		tensor.DequantAdd(dst, body, ref, lo, scale)
-	}
+	tensor.DequantAdd(dst, data[codecHeaderBytes+16:want], ref, lo, scale)
 	return want, nil
 }
 
@@ -541,18 +422,16 @@ func (c TopKCodec) EncodeDelta(buf []byte, vec, ref ParamVector) []byte {
 	magsT := tensor.GetScratch(len(vec))
 	selT := tensor.GetScratch(len(vec))
 	mags, sel := magsT.Data[:len(vec)], selT.Data[:len(vec)]
-	tensor.ParallelChunks(len(vec), codecWorkers(len(vec), minParallelCodec), func(_, i0, i1 int) {
-		if ref == nil {
-			for i := i0; i < i1; i++ {
-				mags[i] = topkMag(vec[i])
-			}
-		} else {
-			for i := i0; i < i1; i++ {
-				mags[i] = topkMag(vec[i] - ref[i])
-			}
+	if ref == nil {
+		for i, v := range vec {
+			mags[i] = topkMag(v)
 		}
-		copy(sel[i0:i1], mags[i0:i1])
-	})
+	} else {
+		for i, v := range vec {
+			mags[i] = topkMag(v - ref[i])
+		}
+	}
+	copy(sel, mags)
 	thresh := selectNth(sel, len(vec)-k)
 	tensor.PutScratch(selT)
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -592,63 +591,6 @@ func TestTopKQuickselectMatchesSortContract(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("element %d: quickselect ships %v, sort contract %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestInt8RangeManyWorkers pins the chunk-combine fix: when the worker
-// count exceeds the number of chunks actually dispatched (payload just
-// past the parallel threshold, huge CodecWorkers), the undispatched
-// combine slots must not contribute phantom zeros to the range.
-func TestInt8RangeManyWorkers(t *testing.T) {
-	defer func(w int) { CodecWorkers = w }(CodecWorkers)
-	vec := make(ParamVector, minParallelCodec+1)
-	for i := range vec {
-		vec[i] = 5 + float64(i%7)/7 // all values in [5, 6): lo must be 5
-	}
-	CodecWorkers = 1
-	wantLo, wantHi := int8Range(vec, nil)
-	for _, workers := range []int{2, 129, 192, 1024} {
-		CodecWorkers = workers
-		lo, hi := int8Range(vec, nil)
-		if lo != wantLo || hi != wantHi {
-			t.Fatalf("workers=%d: range [%v, %v], serial [%v, %v]", workers, lo, hi, wantLo, wantHi)
-		}
-	}
-}
-
-// TestCodecParallelismInvariance pins the chunk-parallel kernels: encoded
-// bytes and decoded vectors are byte-identical with the fan-out disabled
-// and at a worker count that forces several chunks on a payload past the
-// parallel threshold.
-func TestCodecParallelismInvariance(t *testing.T) {
-	defer func(w int) { CodecWorkers = w }(CodecWorkers)
-	rng := tensor.NewRNG(13)
-	vec := randVec(rng, minParallelCodec+513, 1)
-	vec[1] = math.NaN()
-	vec[2] = math.Inf(1)
-	vec[3] = math.Inf(-1)
-	for _, c := range allCodecs(t) {
-		CodecWorkers = 1
-		serialBuf := c.Encode(nil, vec)
-		serialDst := make(ParamVector, len(vec))
-		if _, err := c.Decode(serialDst, serialBuf); err != nil {
-			t.Fatalf("%s serial decode: %v", c.Name(), err)
-		}
-		CodecWorkers = 8
-		parBuf := c.Encode(nil, vec)
-		parDst := make(ParamVector, len(vec))
-		if _, err := c.Decode(parDst, parBuf); err != nil {
-			t.Fatalf("%s parallel decode: %v", c.Name(), err)
-		}
-		if !bytes.Equal(serialBuf, parBuf) {
-			t.Fatalf("%s: parallel encode differs from serial", c.Name())
-		}
-		for i := range serialDst {
-			s, p := serialDst[i], parDst[i]
-			if s != p && !(math.IsNaN(s) && math.IsNaN(p)) {
-				t.Fatalf("%s: decoded element %d: parallel %v, serial %v", c.Name(), i, p, s)
-			}
 		}
 	}
 }

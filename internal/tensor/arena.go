@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 )
 
@@ -102,86 +101,4 @@ func Ensure(t *Tensor, shape ...int) *Tensor {
 	t.Data = t.Data[:n]
 	t.Shape = append(t.Shape[:0], shape...)
 	return t
-}
-
-// MatMulWorkers is the number of goroutines a single large matrix multiply
-// may fan out over (0 or 1 disables parallelism). Small multiplies always
-// run serially, so per-client training jobs — already parallelised one
-// level up by the fl worker pool — are unaffected; the parallel path
-// exists for big standalone multiplies (landscape scans, analysis).
-// Row-partitioning keeps every output element's reduction order fixed, so
-// results are bit-identical at every worker count.
-var MatMulWorkers = runtime.GOMAXPROCS(0)
-
-// minParallelWork is the m*k*n product below which a multiply is not worth
-// fanning out.
-const minParallelWork = 1 << 21
-
-// matmulWorkerCount decides the fan-out for a multiply over m output rows
-// with the given m·k·n work estimate. Callers must take the serial path
-// themselves when it returns 1, so the small-matrix hot path never even
-// constructs a dispatch closure (which would heap-allocate per call).
-func matmulWorkerCount(m, work int) int {
-	workers := MatMulWorkers
-	if workers > m {
-		workers = m
-	}
-	if work < minParallelWork || workers < 1 {
-		return 1
-	}
-	return workers
-}
-
-// ParallelChunks runs fn over [0,n) split into contiguous chunks across
-// at most workers goroutines (values below 2, or n < 2, run inline). It
-// is the element-wise fan-out behind the chunk-parallel codec kernels:
-// chunk boundaries depend only on (n, workers), and fn(c, i0, i1) must
-// write only state owned by elements [i0, i1) or by the chunk ordinal c
-// (a dense index in [0, chunk count) — callers reducing per-chunk
-// partials key their scratch by c rather than re-deriving the split), so
-// results are bit-identical at every worker count — the same contract as
-// the matmul row fan-out above. At most `workers` chunks are produced,
-// but possibly fewer.
-func ParallelChunks(n, workers int, fn func(c, i0, i1 int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for c, i0 := 0, 0; i0 < n; c, i0 = c+1, i0+chunk {
-		i1 := i0 + chunk
-		if i1 > n {
-			i1 = n
-		}
-		wg.Add(1)
-		go func(c, a, b int) {
-			defer wg.Done()
-			fn(c, a, b)
-		}(c, i0, i1)
-	}
-	wg.Wait()
-}
-
-// parallelRows runs fn over [0,m) split into contiguous row chunks across
-// the given number of goroutines. fn(i0, i1) must touch only rows [i0,i1)
-// of the output.
-func parallelRows(m, workers int, fn func(i0, i1 int)) {
-	chunk := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	for i0 := 0; i0 < m; i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > m {
-			i1 = m
-		}
-		wg.Add(1)
-		go func(a, b int) {
-			defer wg.Done()
-			fn(a, b)
-		}(i0, i1)
-	}
-	wg.Wait()
 }

@@ -16,10 +16,9 @@ package tensor
 // element's addends in a fixed order (ascending reduction index for the
 // plain and transposed-A forms; fixed 4-way partial sums for the
 // transposed-B form; segment-major partials for GemmTransBSegAcc), so
-// results are bit-identical run to run and at every MatMulWorkers
-// fan-out. Replacement backends that cannot honour the same accumulation
-// order trade bit-stability for speed — the round engine's bit-identity
-// tests pin the default backend only.
+// results are bit-identical run to run. Replacement backends that cannot
+// honour the same accumulation order trade bit-stability for speed — the
+// round engine's bit-identity tests pin the default backend only.
 
 // Backend is the pluggable kernel implementation behind the tensor
 // package's destination-passing entry points (MatMulTo and friends,
@@ -101,9 +100,7 @@ type GoBackend struct{}
 // Name implements Backend.
 func (GoBackend) Name() string { return "go" }
 
-// Gemm implements Backend. Large multiplies fan out over row chunks of
-// dst (see MatMulWorkers); row partitioning never changes any element's
-// accumulation chain, so results are bit-identical at every worker count.
+// Gemm implements Backend.
 func (GoBackend) Gemm(dst, a, b []float64, m, k, n int, transA, transB, acc bool) {
 	switch {
 	case transA && transB:
@@ -111,21 +108,9 @@ func (GoBackend) Gemm(dst, a, b []float64, m, k, n int, transA, transB, acc bool
 	case transA:
 		gemmTA(dst, a, b, m, k, n, acc)
 	case transB:
-		if w := matmulWorkerCount(m, m*k*n); w > 1 {
-			parallelRows(m, w, func(i0, i1 int) {
-				gemmTBRows(dst, a, b, i0, i1, k, n, k, acc)
-			})
-		} else {
-			gemmTBRows(dst, a, b, 0, m, k, n, k, acc)
-		}
+		gemmTBRows(dst, a, b, 0, m, k, n, k, acc)
 	default:
-		if w := matmulWorkerCount(m, m*k*n); w > 1 {
-			parallelRows(m, w, func(i0, i1 int) {
-				gemmNNRows(dst, a, b, i0, i1, k, n, acc)
-			})
-		} else {
-			gemmNNRows(dst, a, b, 0, m, k, n, acc)
-		}
+		gemmNNRows(dst, a, b, 0, m, k, n, acc)
 	}
 }
 

@@ -103,41 +103,6 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelBitIdentical forces the row-parallel path (normally
-// reserved for large multiplies) and pins that every worker count
-// produces bit-identical output — each output row's reduction runs
-// entirely on one goroutine in a fixed order.
-func TestMatMulParallelBitIdentical(t *testing.T) {
-	rng := NewRNG(13)
-	m, k, n := 64, 192, 192 // m*k*n > minParallelWork
-	if m*k*n < minParallelWork {
-		t.Fatalf("test shape too small to trigger the parallel path")
-	}
-	a := rng.Randn(1, m, k)
-	b := rng.Randn(1, k, n)
-	bt := Transpose(b)
-
-	prev := MatMulWorkers
-	defer func() { MatMulWorkers = prev }()
-
-	MatMulWorkers = 1
-	serial := MatMul(a, b)
-	serialTB := MatMulTransB(a, bt)
-	for _, w := range []int{2, 3, 8} {
-		MatMulWorkers = w
-		par := MatMul(a, b)
-		parTB := MatMulTransB(a, bt)
-		for i := range serial.Data {
-			if par.Data[i] != serial.Data[i] {
-				t.Fatalf("workers=%d: MatMul differs at %d", w, i)
-			}
-			if parTB.Data[i] != serialTB.Data[i] {
-				t.Fatalf("workers=%d: MatMulTransB differs at %d", w, i)
-			}
-		}
-	}
-}
-
 // TestMatMulPropagatesNaN is the regression test for the IEEE-unsound
 // zero-skip fast path: a zero in A meeting a NaN (or Inf) in B must
 // produce NaN in every affected output, not silently contribute 0.

@@ -162,7 +162,7 @@ func ApplyTo(dst, a *Tensor, f func(float64) float64) *Tensor {
 // Backend (see backend.go). Every output element's addends fold in a fixed
 // order under the default GoBackend — ascending reduction index for the
 // plain and transposed-A forms, fixed 4-way partials for the transposed-B
-// form — so results are bit-identical run to run and at any worker count.
+// form — so results are bit-identical run to run.
 // There is deliberately no zero-skip on operand elements: 0·NaN and 0·Inf
 // must produce NaN, not 0 (IEEE-754), so corrupted operands propagate
 // instead of being masked.

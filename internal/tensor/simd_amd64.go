@@ -192,30 +192,17 @@ func (avx2Backend) Name() string { return "avx2" }
 
 // Gemm implements Backend. The NN and TransA forms run as k-unrolled
 // row-axpy passes — dst row resident while the reduction streams — and
-// the TransB form as lane-parallel 4-partial dots; large multiplies fan
-// out over dst row chunks exactly like GoBackend.
+// the TransB form as lane-parallel 4-partial dots.
 func (avx2Backend) Gemm(dst, a, b []float64, m, k, n int, transA, transB, acc bool) {
 	switch {
-	case transA && transB:
-		panic("tensor: Gemm transA && transB unsupported")
-	case transA:
+	case !transA && !transB:
+		gemmNNRowsAVX(dst, a, b, 0, m, k, n, acc)
+	case !transA:
+		gemmTBRowsAVX(dst, a, b, 0, m, k, n, acc)
+	case !transB:
 		gemmTAAVX(dst, a, b, m, k, n, acc)
-	case transB:
-		if w := matmulWorkerCount(m, m*k*n); w > 1 {
-			parallelRows(m, w, func(i0, i1 int) {
-				gemmTBRowsAVX(dst, a, b, i0, i1, k, n, acc)
-			})
-		} else {
-			gemmTBRowsAVX(dst, a, b, 0, m, k, n, acc)
-		}
 	default:
-		if w := matmulWorkerCount(m, m*k*n); w > 1 {
-			parallelRows(m, w, func(i0, i1 int) {
-				gemmNNRowsAVX(dst, a, b, i0, i1, k, n, acc)
-			})
-		} else {
-			gemmNNRowsAVX(dst, a, b, 0, m, k, n, acc)
-		}
+		panic("tensor: Gemm transA && transB unsupported")
 	}
 }
 

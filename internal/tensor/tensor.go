@@ -9,10 +9,9 @@
 // recycling facilities — Ensure for long-lived per-layer buffers and the
 // GetScratch/PutScratch arena for call-scoped temporaries — so
 // steady-state training allocates nothing per batch. Matrix multiplies
-// are cache-blocked; small multiplies run serially (jobs are parallelised
-// one level up by the fl worker pool), while large standalone multiplies
-// fan out over row chunks (see MatMulWorkers) with bit-identical results
-// at every worker count. Kernels perform no value-dependent shortcuts:
+// are cache-blocked and run on the calling goroutine: the package starts
+// none, and every fan-out is one level up, leased from the fl worker
+// budget. Kernels perform no value-dependent shortcuts:
 // 0·NaN and 0·Inf propagate per IEEE-754 instead of being masked.
 package tensor
 
