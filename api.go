@@ -176,9 +176,8 @@ func NewFedProx(mu float64) (Algorithm, error) { return baselines.NewFedProx(mu)
 // NewSCAFFOLD returns the SCAFFOLD baseline.
 func NewSCAFFOLD() Algorithm { return baselines.NewSCAFFOLD() }
 
-// NewFedGen returns the FedGen (data-free distillation) baseline with
-// default generator settings.
-func NewFedGen() (Algorithm, error) { return baselines.NewFedGen(baselines.DefaultFedGenOptions()) }
+// NewFedGen returns the FedGen (data-free distillation) baseline.
+func NewFedGen() Algorithm { return baselines.NewFedGen() }
 
 // NewCluSamp returns the clustered-sampling baseline.
 func NewCluSamp() Algorithm { return baselines.NewCluSamp() }

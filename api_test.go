@@ -43,8 +43,8 @@ func TestPublicBaselineConstructors(t *testing.T) {
 	if a := NewSCAFFOLD(); a.Name() != "scaffold" {
 		t.Fatal("scaffold constructor")
 	}
-	if a, err := NewFedGen(); err != nil || a.Name() != "fedgen" {
-		t.Fatalf("fedgen constructor: %v", err)
+	if a := NewFedGen(); a.Name() != "fedgen" {
+		t.Fatal("fedgen constructor")
 	}
 	if a := NewCluSamp(); a.Name() != "clusamp" {
 		t.Fatal("clusamp constructor")

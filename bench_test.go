@@ -701,7 +701,7 @@ func BenchmarkConvStep(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, l := range layers {
-				l.conv.Forward(l.x, true)
+				l.conv.Forward(l.x)
 				l.conv.BackwardParams(l.grad)
 			}
 		}
@@ -742,7 +742,7 @@ func BenchmarkConvStep(b *testing.B) {
 		g, outC := l.conv.Geom, l.conv.OutC
 		spatial, inLen := g.OutH()*g.OutW(), l.conv.InFeatures()
 		b.Run("direct", func(b *testing.B) {
-			l.conv.Forward(l.x, true)
+			l.conv.Forward(l.x)
 			var d time.Duration
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
@@ -782,7 +782,7 @@ func BenchmarkConvStep(b *testing.B) {
 		b.Run("folded", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, s := range stages {
-					s.folded.Forward(s.x, true)
+					s.folded.Forward(s.x)
 					s.folded.Backward(s.grad)
 				}
 			}
@@ -790,7 +790,7 @@ func BenchmarkConvStep(b *testing.B) {
 		b.Run("layers", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, s := range stages {
-					s.pool.Forward(s.relu.Forward(s.x, true), true)
+					s.pool.Forward(s.relu.Forward(s.x))
 					s.relu.Backward(s.pool.Backward(s.grad))
 				}
 			}

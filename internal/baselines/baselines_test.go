@@ -33,11 +33,7 @@ func allBaselines(t *testing.T) []fl.Algorithm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := NewFedGen(DefaultFedGenOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []fl.Algorithm{NewFedAvg(), prox, NewSCAFFOLD(), gen, NewCluSamp()}
+	return []fl.Algorithm{NewFedAvg(), prox, NewSCAFFOLD(), NewFedGen(), NewCluSamp()}
 }
 
 func TestAllBaselinesEndToEnd(t *testing.T) {
@@ -106,24 +102,6 @@ func TestFedProxValidation(t *testing.T) {
 	}
 }
 
-func TestFedGenValidation(t *testing.T) {
-	bad := DefaultFedGenOptions()
-	bad.NoiseDim = 0
-	if _, err := NewFedGen(bad); err == nil {
-		t.Fatal("NoiseDim=0 must be rejected")
-	}
-	bad = DefaultFedGenOptions()
-	bad.GenLR = 0
-	if _, err := NewFedGen(bad); err == nil {
-		t.Fatal("GenLR=0 must be rejected")
-	}
-	bad = DefaultFedGenOptions()
-	bad.AugmentPerClient = -1
-	if _, err := NewFedGen(bad); err == nil {
-		t.Fatal("negative augment must be rejected")
-	}
-}
-
 func TestSCAFFOLDControlVariatesEvolve(t *testing.T) {
 	env := testEnv(2, 6, data.Heterogeneity{Beta: 0.5})
 	algo := NewSCAFFOLD()
@@ -165,10 +143,7 @@ func TestSCAFFOLDDriftCorrectionChangesTrajectory(t *testing.T) {
 
 func TestFedGenGeneratorLearns(t *testing.T) {
 	env := testEnv(4, 6, data.Heterogeneity{Beta: 0.5})
-	gen, err := NewFedGen(DefaultFedGenOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := NewFedGen()
 	cfg := testCfg(3)
 	if _, err := fl.Run(gen, env, cfg); err != nil {
 		t.Fatal(err)
@@ -180,10 +155,67 @@ func TestFedGenGeneratorLearns(t *testing.T) {
 	if err := nn.LoadParams(net.Params(), gen.Global()); err != nil {
 		t.Fatal(err)
 	}
-	logits := net.Forward(x, false)
+	logits := net.Forward(x)
 	acc := nn.Accuracy(logits, y)
 	if acc < 0.3 {
 		t.Fatalf("generator-label agreement %v, want > chance 0.25", acc)
+	}
+}
+
+// uploadRecorder is the mean rule, keeping a copy of the last uploads it
+// folded: FedGen distils its generator against exactly those.
+type uploadRecorder struct{ last []nn.ParamVector }
+
+func (r *uploadRecorder) Name() string { return "mean" }
+
+func (r *uploadRecorder) Reduce(uploads []nn.ParamVector, weights []float64) nn.ParamVector {
+	r.last = r.last[:0]
+	for _, u := range uploads {
+		r.last = append(r.last, u.Clone())
+	}
+	return fl.MeanReducer{}.Reduce(uploads, weights)
+}
+
+// TestFedGenGeneratorFitsEnsemble: the server's generator meets its
+// distillation objective — the last round's ensemble of uploaded client
+// models (summed logits) classifies its samples as their conditioning
+// labels far above chance (0.25) after four rounds.
+func TestFedGenGeneratorFitsEnsemble(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		env := testEnv(seed, 8, data.Heterogeneity{Beta: 0.5})
+		rec := &uploadRecorder{}
+		cfg := testCfg(4)
+		cfg.Reducer = rec
+		gen := NewFedGen()
+		if _, err := fl.Run(gen, env, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.last) == 0 {
+			t.Fatal("the last round folded no upload")
+		}
+		// Sample the trained server generator, not the twin the last
+		// round downloaded.
+		if err := nn.LoadParams(gen.clientGen.Params(), nn.FlattenParams(gen.gen.Params())); err != nil {
+			t.Fatal(err)
+		}
+		x, y := gen.generate(2000)
+		net := env.Model.New(tensor.NewRNG(0))
+		var sum *tensor.Tensor
+		for _, u := range rec.last {
+			if err := nn.LoadParams(net.Params(), u); err != nil {
+				t.Fatal(err)
+			}
+			if logits := net.Forward(x); sum == nil {
+				sum = logits.Clone()
+			} else {
+				tensor.AddInPlace(sum, logits)
+			}
+		}
+		if acc := nn.Accuracy(sum, y); acc < 0.8 {
+			t.Errorf("seed %d: the ensemble labels %.3f of the generated samples as conditioned, want >= 0.8", seed, acc)
+		} else {
+			t.Logf("seed %d: ensemble agreement %.3f", seed, acc)
+		}
 	}
 }
 
@@ -197,10 +229,7 @@ func TestFedGenOnTokenDataset(t *testing.T) {
 		TestSamples: 30, Mix: 0.6, Seed: 2,
 	})
 	env := &fl.Env{Fed: fed, Model: models.CharLSTM(12, 5, 4, 6)}
-	gen, err := NewFedGen(DefaultFedGenOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := NewFedGen()
 	if _, err := fl.Run(gen, env, testCfg(2)); err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func (a *FedAvg) RoundComm(k int) fl.CommProfile {
 // broadcast through the codec (clients train on the wire-visible decoded
 // vector), and each upload travels back delta-encoded against that
 // broadcast — a straggler whose upload misses the round deadline is
-// excluded like a dropout. spec is every job's template — the shared
+// excluded like a crashed client. spec is every job's template — the shared
 // hyper-parameters (Config.LocalSpec) plus the algorithm's hooks; a
 // FedProx template with Prox > 0 gets the received broadcast as its
 // proximal anchor, and the loop fills in Init. Training fans

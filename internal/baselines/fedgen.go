@@ -11,30 +11,18 @@ import (
 	"fedcross/internal/tensor"
 )
 
-// FedGenOptions tunes the data-free knowledge-distillation baseline.
-type FedGenOptions struct {
-	// NoiseDim is the generator's latent width.
-	NoiseDim int
-	// Hidden is the generator's hidden width.
-	Hidden int
-	// GenSteps is the number of server-side generator updates per round.
-	GenSteps int
-	// GenBatch is the generator's training batch size.
-	GenBatch int
-	// GenLR is the generator optimizer's learning rate.
-	GenLR float64
-	// AugmentPerClient is how many generated samples are mixed into each
-	// client's next local-training set.
-	AugmentPerClient int
-}
-
-// DefaultFedGenOptions returns a CPU-scale configuration.
-func DefaultFedGenOptions() FedGenOptions {
-	return FedGenOptions{
-		NoiseDim: 4, Hidden: 16, GenSteps: 10, GenBatch: 16,
-		GenLR: 0.05, AugmentPerClient: 16,
-	}
-}
+// FedGen's CPU-scale generator settings.
+const (
+	// genNoise is the generator's latent width, genHidden its hidden
+	// width.
+	genNoise, genHidden = 4, 16
+	// Each round the server takes genSteps generator updates of genBatch
+	// samples at learning rate genLR.
+	genSteps, genBatch, genLR = 10, 16, 0.05
+	// augmentPerClient generated samples are mixed into each client's
+	// next local-training set.
+	augmentPerClient = 16
+)
 
 // FedGen is a simplified reproduction of data-free knowledge distillation
 // for heterogeneous FL (Zhu et al., ICML 2021). The server trains a
@@ -50,7 +38,6 @@ func DefaultFedGenOptions() FedGenOptions {
 // the same mechanism — server-side ensemble distillation plus client-side
 // augmentation — and the same Table-I "Medium" communication profile.
 type FedGen struct {
-	opts FedGenOptions
 	server
 
 	gen    *nn.Sequential
@@ -73,17 +60,7 @@ type FedGen struct {
 }
 
 // NewFedGen returns a FedGen instance.
-func NewFedGen(opts FedGenOptions) (*FedGen, error) {
-	switch {
-	case opts.NoiseDim <= 0 || opts.Hidden <= 0:
-		return nil, fmt.Errorf("baselines: fedgen generator dims %+v must be positive", opts)
-	case opts.GenSteps < 0 || opts.GenBatch <= 0 || opts.GenLR <= 0:
-		return nil, fmt.Errorf("baselines: fedgen training options %+v invalid", opts)
-	case opts.AugmentPerClient < 0:
-		return nil, fmt.Errorf("baselines: fedgen AugmentPerClient %d negative", opts.AugmentPerClient)
-	}
-	return &FedGen{opts: opts}, nil
-}
+func NewFedGen() *FedGen { return &FedGen{} }
 
 // Name implements fl.Algorithm.
 func (a *FedGen) Name() string { return "fedgen" }
@@ -98,17 +75,17 @@ func (a *FedGen) Init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) error {
 	a.feats = env.Fed.Test.Features()
 	a.vocab = env.Fed.Test.TokenVocab
 	a.gen = nn.NewSequential(
-		nn.NewLinear(a.classes+a.opts.NoiseDim, a.opts.Hidden, rng.Split()),
+		nn.NewLinear(a.classes+genNoise, genHidden, rng.Split()),
 		nn.NewReLU(),
-		nn.NewLinear(a.opts.Hidden, a.feats, rng.Split()),
+		nn.NewLinear(genHidden, a.feats, rng.Split()),
 	)
 	a.clientGen = nn.NewSequential(
-		nn.NewLinear(a.classes+a.opts.NoiseDim, a.opts.Hidden, tensor.NewRNG(0)),
+		nn.NewLinear(a.classes+genNoise, genHidden, tensor.NewRNG(0)),
 		nn.NewReLU(),
-		nn.NewLinear(a.opts.Hidden, a.feats, tensor.NewRNG(0)),
+		nn.NewLinear(genHidden, a.feats, tensor.NewRNG(0)),
 	)
 	a.genVec = nn.FlattenParams(a.gen.Params())
-	a.genOpt = nn.NewSGD(a.opts.GenLR, 0.5)
+	a.genOpt = nn.NewSGD(genLR, 0.5)
 	return nil
 }
 
@@ -135,9 +112,8 @@ func (a *FedGen) Round(r int, selected []int) error {
 	}
 	jobs := make([]fl.LocalJob, 0, len(survivors))
 	for _, ci := range survivors {
-		// Lease only while building the augmented copy; the copy owns its
-		// storage (or IS the leased shard when augmentation is off, which
-		// stays valid after release because shards are immutable).
+		// Lease only while building the augmented copy, which owns its
+		// storage.
 		shard := a.env.Fed.LeaseShard(ci)
 		aug := a.augmented(shard)
 		a.env.Fed.ReleaseShard(ci)
@@ -164,17 +140,14 @@ func (a *FedGen) Round(r int, selected []int) error {
 	return nil
 }
 
-// augmented returns the client shard with generator pseudo-samples mixed
-// in (no-op while the generator is untrained in round 0 — the samples are
-// then just noise with correct labels, which slightly regularises). On
-// token datasets the generator's continuous outputs are discretised to
-// valid ids first — feeding them to an Embedding raw panics on the first
-// negative or out-of-vocab value.
+// augmented returns a copy of the client shard with augmentPerClient
+// generator pseudo-samples mixed in (while the generator is untrained in
+// round 0 the samples are just noise with correct labels, which slightly
+// regularises). On token datasets the generator's continuous outputs are
+// discretised to valid ids first — feeding them to an Embedding raw
+// panics on the first negative or out-of-vocab value.
 func (a *FedGen) augmented(shard *data.Dataset) *data.Dataset {
-	n := a.opts.AugmentPerClient
-	if n == 0 {
-		return shard
-	}
+	const n = augmentPerClient
 	xg, yg := a.generate(n)
 	w := shard.Features()
 	x := tensor.Zeros(shard.Len()+n, w)
@@ -208,20 +181,20 @@ func quantizeTokens(vals []float64, vocab int) {
 // generate draws n conditioned samples from the client-side generator
 // view (the wire-decoded twin loaded at the top of the round).
 func (a *FedGen) generate(n int) (*tensor.Tensor, []int) {
-	in := tensor.Zeros(n, a.classes+a.opts.NoiseDim)
+	in := tensor.Zeros(n, a.classes+genNoise)
 	labels := make([]int, n)
 	for i := 0; i < n; i++ {
 		y := a.rng.Intn(a.classes)
 		labels[i] = y
-		in.Data[i*(a.classes+a.opts.NoiseDim)+y] = 1
-		for z := 0; z < a.opts.NoiseDim; z++ {
-			in.Data[i*(a.classes+a.opts.NoiseDim)+a.classes+z] = a.rng.Normal(0, 1)
+		in.Data[i*(a.classes+genNoise)+y] = 1
+		for z := 0; z < genNoise; z++ {
+			in.Data[i*(a.classes+genNoise)+a.classes+z] = a.rng.Normal(0, 1)
 		}
 	}
-	return a.clientGen.Forward(in, false), labels
+	return a.clientGen.Forward(in), labels
 }
 
-// trainGenerator performs GenSteps ensemble-distillation updates: the
+// trainGenerator performs genSteps ensemble-distillation updates: the
 // generated batch must be classified as its conditioning labels by every
 // uploaded client model; the input-gradients of the ensemble loss flow
 // back through the generator. On token datasets the pass is skipped
@@ -242,26 +215,26 @@ func (a *FedGen) trainGenerator(uploads []nn.ParamVector) {
 	// replica keeps the fresh-net invariant instead of growing garbage
 	// across rounds.
 	teacher.ZeroGrads()
-	width := a.classes + a.opts.NoiseDim
-	for step := 0; step < a.opts.GenSteps; step++ {
-		in := tensor.Zeros(a.opts.GenBatch, width)
-		labels := make([]int, a.opts.GenBatch)
+	width := a.classes + genNoise
+	for step := 0; step < genSteps; step++ {
+		in := tensor.Zeros(genBatch, width)
+		labels := make([]int, genBatch)
 		for i := range labels {
 			y := a.rng.Intn(a.classes)
 			labels[i] = y
 			in.Data[i*width+y] = 1
-			for z := 0; z < a.opts.NoiseDim; z++ {
+			for z := 0; z < genNoise; z++ {
 				in.Data[i*width+a.classes+z] = a.rng.Normal(0, 1)
 			}
 		}
-		out := a.gen.Forward(in, true)
+		out := a.gen.Forward(in)
 
 		dx := tensor.Zeros(out.Shape...)
 		for _, u := range uploads {
 			if err := nn.LoadParams(teacher.Params(), u); err != nil {
 				continue // architecture mismatch cannot happen in practice
 			}
-			logits := teacher.Forward(out, false)
+			logits := teacher.Forward(out)
 			_, dlogits := nn.SoftmaxCrossEntropy(logits, labels)
 			tensor.AddInPlace(dx, teacher.Backward(dlogits))
 		}

@@ -31,14 +31,8 @@ func baselineFactories(t *testing.T) map[string]func() fl.Algorithm {
 			return a
 		},
 		"scaffold": func() fl.Algorithm { return NewSCAFFOLD() },
-		"fedgen": func() fl.Algorithm {
-			a, err := NewFedGen(DefaultFedGenOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		},
-		"clusamp": func() fl.Algorithm { return NewCluSamp() },
+		"fedgen":   func() fl.Algorithm { return NewFedGen() },
+		"clusamp":  func() fl.Algorithm { return NewCluSamp() },
 	}
 }
 

@@ -314,7 +314,6 @@ func TestOptionsValidate(t *testing.T) {
 		func() Options { o := DefaultOptions(); o.Accel = AccelMode(9); return o }(),
 		func() Options { o := DefaultOptions(); o.Accel = AccelPropeller; o.AccelRounds = 0; return o }(),
 		func() Options { o := DefaultOptions(); o.Accel = AccelPropeller; o.PropellerCount = 0; return o }(),
-		func() Options { o := DefaultOptions(); o.Accel = AccelDynamicAlpha; o.DynAlphaStart = 0.2; return o }(),
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -337,7 +336,6 @@ func TestEffectiveAlphaRamp(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Accel = AccelDynamicAlpha
 	opts.AccelRounds = 10
-	opts.DynAlphaStart = 0.5
 	opts.Alpha = 0.99
 	f := MustNew(opts)
 	if got := f.effectiveAlpha(0); math.Abs(got-0.5) > 1e-12 {

@@ -18,7 +18,7 @@ const (
 	// in-order "propeller" models during the acceleration window
 	// ("FedCross w/ PM").
 	AccelPropeller
-	// AccelDynamicAlpha ramps α from DynAlphaStart up to Alpha across the
+	// AccelDynamicAlpha ramps α from dynAlphaStart up to Alpha across the
 	// acceleration window ("FedCross w/ DA").
 	AccelDynamicAlpha
 	// AccelBoth uses propeller models for the first half of the window and
@@ -61,8 +61,6 @@ type Options struct {
 	// PropellerCount is how many in-order propeller models each
 	// middleware model learns from during AccelPropeller.
 	PropellerCount int
-	// DynAlphaStart is the initial α of the dynamic-α ramp.
-	DynAlphaStart float64
 	// DisableShuffle turns off Algorithm 1's Shuffle(Lc) step, pinning
 	// middleware model i to selected client slot i. The paper keeps the
 	// shuffle because without it "each middleware model will be dispatched
@@ -82,7 +80,6 @@ func DefaultOptions() Options {
 		Accel:          AccelNone,
 		AccelRounds:    100,
 		PropellerCount: 3,
-		DynAlphaStart:  0.5,
 	}
 }
 
@@ -102,8 +99,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: acceleration needs AccelRounds > 0, got %d", o.AccelRounds)
 	case (o.Accel == AccelPropeller || o.Accel == AccelBoth) && o.PropellerCount < 1:
 		return fmt.Errorf("core: propeller acceleration needs PropellerCount >= 1, got %d", o.PropellerCount)
-	case (o.Accel == AccelDynamicAlpha || o.Accel == AccelBoth) && !(0.5 <= o.DynAlphaStart && o.DynAlphaStart <= o.Alpha):
-		return fmt.Errorf("core: DynAlphaStart %v must lie in [0.5, alpha=%v]", o.DynAlphaStart, o.Alpha)
 	}
 	return nil
 }
@@ -245,7 +240,7 @@ func (f *FedCross) Round(r int, selected []int) error {
 	for i := 0; i < k; i++ {
 		ci := selected[assign[i]]
 		// An untrainable client (virtualized federation, empty shard)
-		// degrades exactly like a dropout: its middleware model skips the
+		// degrades exactly like a crashed one: its middleware model skips the
 		// round untrained.
 		if ci < 0 || !f.env.Fed.Trainable(ci) {
 			continue
@@ -386,17 +381,18 @@ func (f *FedCross) effectiveAlpha(r int) float64 {
 	}
 }
 
-// rampAlpha linearly interpolates from DynAlphaStart at round start to
-// Alpha at round end, clamping afterwards.
+// dynAlphaStart is the initial α of the dynamic-α ramp, the low end of
+// the paper's α range.
+const dynAlphaStart = 0.5
+
+// rampAlpha linearly interpolates from dynAlphaStart at round start to
+// Alpha at round end, and is Alpha from then on. r is at least start.
 func (f *FedCross) rampAlpha(r, start, end int) float64 {
-	if r >= end || end <= start {
+	if r >= end {
 		return f.opts.Alpha
 	}
-	if r < start {
-		r = start
-	}
 	frac := float64(r-start) / float64(end-start)
-	return f.opts.DynAlphaStart + frac*(f.opts.Alpha-f.opts.DynAlphaStart)
+	return dynAlphaStart + frac*(f.opts.Alpha-dynAlphaStart)
 }
 
 // propellerActive reports whether propeller aggregation applies in round r.

@@ -76,7 +76,7 @@ func TestFedCrossAccelerationModesRun(t *testing.T) {
 func TestFedCrossToleratesDropout(t *testing.T) {
 	env := integrationEnv(4, 8, data.Heterogeneity{Beta: 0.5})
 	cfg := runCfg(6)
-	cfg.DropoutRate = 0.4
+	cfg.Faults.CrashRate = 0.4
 	hist, err := fl.Run(MustNew(DefaultOptions()), env, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -413,7 +413,7 @@ type prefetchPool struct {
 // Prefetch enqueues the given client ids for background synthesis and
 // returns immediately; ids are copied, so the caller may reuse or
 // mutate the slice as soon as the call returns. Empty and out-of-range
-// ids are skipped (a planned cohort may include dropout slots). Shards
+// ids are skipped (a planned cohort may include -1 slots). Shards
 // already resident are skipped at processing time; synthesized entries
 // enter the cache pinned-soft (evictable, counted against capacity).
 func (l *Lazy) Prefetch(ids []int) {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -27,9 +26,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.json, or under 
 // an optional base: none is the tiny profile on vision10 at Dir(0.5)
 // under fl.Run; "async/" the same under fl.RunAsync; "integration/" core's
 // four-class MLP federation (mlpVision, 16 clients, seed 11) at core's run
-// settings. dropout and virtual have no axis key, so they are read here.
-// The paper's CNN under both engines; one more engine stream or path per
-// MLP cell (dropout, the link stream, each adversary, the fault and churn
+// settings. The paper's CNN under both engines; one more engine stream or
+// path per MLP cell (the link stream, each adversary, the fault and churn
 // plans, a Selector, the stateful baselines, the lazy source with
 // lookahead, the async engine's own streams); FedCross's Gram pass,
 // selection and cross-aggregation over three K on both wires; the text
@@ -38,11 +36,10 @@ var goldenCells = []string{
 	"algo=fedcross model=cnn",
 	"algo=fedavg model=cnn",
 	"async/model=cnn buffer=2 inflight=4",
-	"algo=fedavg model=mlp dropout=0.3",
 	"algo=fedcross model=mlp codec=int8 net=lte deadline=0.12 retries=1",
 	"algo=fedavg model=mlp attack=signflip frac=0.25",
 	"algo=fedavg model=mlp attack=labelflip frac=0.25",
-	"algo=fedavg model=mlp attack=scale virtual=12",
+	"algo=fedavg model=mlp attack=scale frac=0.25",
 	"algo=fedcross model=mlp k=8 codec=int8 net=lte deadline=0.5 retries=1 retrybackoff=0.1 quorum=5 " +
 		"faults=crash=0.15,drop=0.3,truncate=0.2,corrupt=0.2,dup=0.3,straggle=0.3,stall=0.5",
 	"algo=fedavg model=mlp k=12 churn=avail=0.5,period=4",
@@ -92,22 +89,9 @@ func runGolden(name string) (*fl.History, error) {
 		c.Algorithm = "fedcross"
 	}
 	set := map[string]string{}
-	var dropout float64
-	var virtual int
 	for _, kv := range strings.Fields(keys) {
 		k, v, _ := strings.Cut(kv, "=")
-		var err error
-		switch k {
-		case "dropout":
-			dropout, err = strconv.ParseFloat(v, 64)
-		case "virtual":
-			virtual, err = strconv.Atoi(v)
-		default:
-			set[k] = v
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bad %s: %w", kv, err)
-		}
+		set[k] = v
 	}
 	if err := c.Apply(set); err != nil {
 		return nil, err
@@ -115,7 +99,6 @@ func runGolden(name string) (*fl.History, error) {
 	c.resolve()
 	seed := firstSeed(c.Profile)
 	cfg := c.Profile.Config(seed)
-	cfg.DropoutRate, cfg.Adversary.Virtual = dropout, virtual
 	var env *fl.Env
 	var err error
 	if base == "integration" {

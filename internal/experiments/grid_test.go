@@ -12,6 +12,7 @@ import (
 
 	"fedcross/internal/core"
 	"fedcross/internal/fl"
+	"fedcross/internal/landscape"
 	"fedcross/internal/tensor"
 )
 
@@ -366,9 +367,8 @@ func TestGridAxisErrors(t *testing.T) {
 // through one of these, and a range written x < lo || x > hi is false
 // for NaN.
 func TestValidatorsRefuseNaN(t *testing.T) {
-	fc := core.DefaultOptions()
-	fc.Accel = core.AccelBoth // DynAlphaStart is read only under dynamic α
-	for _, base := range []interface{ Validate() error }{TinyProfile().Config(1), fl.AsyncOptions{}, fc} {
+	for _, base := range []interface{ Validate() error }{TinyProfile().Config(1), fl.AsyncOptions{}, core.DefaultOptions(),
+		fl.PrivacyOptions{}, landscape.DefaultOptions()} {
 		opts := reflect.New(reflect.TypeOf(base)).Elem()
 		opts.Set(reflect.ValueOf(base))
 		validate := func() error { return opts.Interface().(interface{ Validate() error }).Validate() }

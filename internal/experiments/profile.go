@@ -197,7 +197,7 @@ func AlgorithmNames() []string {
 }
 
 // NewAlgorithm builds a method by name with the paper's settings (FedProx
-// µ=0.01, FedGen defaults, FedCross α=0.99 + lowest similarity).
+// µ=0.01, FedCross α=0.99 + lowest similarity).
 func NewAlgorithm(name string) (fl.Algorithm, error) {
 	switch name {
 	case "fedavg":
@@ -207,7 +207,7 @@ func NewAlgorithm(name string) (fl.Algorithm, error) {
 	case "scaffold":
 		return baselines.NewSCAFFOLD(), nil
 	case "fedgen":
-		return baselines.NewFedGen(baselines.DefaultFedGenOptions())
+		return baselines.NewFedGen(), nil
 	case "clusamp":
 		return baselines.NewCluSamp(), nil
 	case "fedcross":

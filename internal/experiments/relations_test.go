@@ -198,14 +198,14 @@ func differs(t *testing.T, what string, a, b *fl.History) {
 // setups are the hostile settings the par and resume rows repeat their
 // relation under: a lossy wire; every fault class behind a quorum and
 // retries with a sign-flip adversary on a lazy source; lookahead on a
-// striped source thinned by dropout and churn; and each other attack
+// striped source thinned by crashes and churn; and each other attack
 // against the trimmed mean.
 var setups = []struct {
 	name, source string
 	set          func(c *fl.Config)
 }{
 	{"lossy", "eager", func(c *fl.Config) {
-		c.DropoutRate = 0.2
+		c.Faults.CrashRate = 0.2
 		c.Transport = fl.TransportOptions{Codec: "int8", Network: "lte", DeadlineSec: 2}
 	}},
 	{"faulted", "lazy", func(c *fl.Config) {
@@ -222,7 +222,7 @@ var setups = []struct {
 }
 
 func lookahead(c *fl.Config) {
-	c.PrefetchRounds, c.DropoutRate = 2, 0.2
+	c.PrefetchRounds, c.Faults.CrashRate = 2, 0.2
 	c.Churn = fl.ChurnOptions{Availability: 0.6, Jitter: 0.3, StartFrac: 1, EndFrac: 0.8}
 }
 
@@ -275,7 +275,8 @@ func relPar(t *testing.T, col string) {
 	differs(t, "collude instead of scale", refs[fl.AttackScale], refs[fl.AttackCollude])
 }
 
-// relSource: eager ≡ materialized ≡ lazy, benign and with virtual sybils.
+// relSource: eager ≡ materialized ≡ lazy, benign and under a data- and a
+// model-poisoning attack.
 // Eager federations report an empty shard trainable and the sources do
 // not, so the relation holds only where no shard is empty.
 func relSource(t *testing.T, col string) {
@@ -286,7 +287,7 @@ func relSource(t *testing.T, col string) {
 		}
 	}
 	var benign *fl.History
-	for _, adv := range []fl.AdversaryOptions{{}, {Attack: fl.AttackLabelFlip, Virtual: 4}, {Attack: fl.AttackSignFlip, Virtual: 4}} {
+	for _, adv := range []fl.AdversaryOptions{{}, {Attack: fl.AttackLabelFlip, Frac: 0.25}, {Attack: fl.AttackSignFlip, Frac: 0.25}} {
 		cfg := relCfg()
 		cfg.Adversary = adv
 		ref := mustRun(t, col, "eager", cfg)
@@ -296,13 +297,13 @@ func relSource(t *testing.T, col string) {
 		if benign == nil {
 			benign = ref.hist
 		} else {
-			differs(t, adv.Attack+" sybils", benign, ref.hist)
+			differs(t, adv.Attack, benign, ref.hist)
 		}
 	}
 }
 
 // relCache: stripes {1, 8, 64} × prefetch {0, 1, 2} ≡ stripes 1,
-// prefetch 0, under lookahead's dropout and churn, on the planner
+// prefetch 0, under lookahead's crashes and churn, on the planner
 // goroutine (Parallelism 8).
 func relCache(t *testing.T, col string) {
 	var ref outcome
@@ -334,14 +335,14 @@ func relCache(t *testing.T, col string) {
 	}
 }
 
-// relInert: fault factors without rates, full availability, an attack on
-// no client and no virtual one ≡ none of them.
+// relInert: fault factors without rates, full availability and an attack
+// on no client ≡ none of them.
 func relInert(t *testing.T, col string) {
 	off := mustRun(t, col, "eager", relCfg())
 	cfg := relCfg()
 	cfg.Faults = fl.FaultOptions{StraggleFactor: 8, StallSec: 30}
 	cfg.Churn = fl.ChurnOptions{Availability: 1, PeriodRounds: 12}
-	cfg.Adversary = fl.AdversaryOptions{Attack: fl.AttackSignFlip, Frac: 0, Virtual: 0}
+	cfg.Adversary = fl.AdversaryOptions{Attack: fl.AttackSignFlip}
 	same(t, "inert settings against none", off, mustRun(t, col, "eager", cfg), 0)
 	cfg.Faults.CrashRate, cfg.Churn.Availability, cfg.Adversary.Frac = 0.3, 0.5, 0.25
 	differs(t, "arming the inert settings", off.hist, mustRun(t, col, "eager", cfg).hist)

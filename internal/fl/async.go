@@ -28,15 +28,14 @@ type AsyncOptions struct {
 	// how many versions the server committed between a client's fetch and
 	// its arrival (default 0.5, FedBuff's polynomial damping).
 	StalenessExp float64
-	// ServerLR is the server step η applied at each commit:
-	// w ← w + η/B · Σ weight·Δ (default 1).
-	ServerLR float64
-	// ComputeSec is the median simulated local-training wall-clock per
-	// activation (default 1s); ComputeJitter is the σ of its lognormal
-	// multiplier (default 0.5), which is what spreads arrival times even
-	// on an ideal network.
-	ComputeSec, ComputeJitter float64
 }
+
+// Each commit steps the server by w ← w + 1/B · Σ weight·Δ (FedBuff's
+// server learning rate η = 1). An activation's simulated local-training
+// wall-clock is computeSec times a lognormal multiplier of σ
+// computeJitter, which is what spreads arrival times even on an ideal
+// network.
+const computeSec, computeJitter = 1, 0.5
 
 // Validate reports the first problem with the options.
 func (o AsyncOptions) Validate() error {
@@ -49,10 +48,6 @@ func (o AsyncOptions) Validate() error {
 		return fmt.Errorf("fl: async Commits = %d, must be non-negative", o.Commits)
 	case !(o.StalenessExp >= 0):
 		return fmt.Errorf("fl: async StalenessExp = %v, must be non-negative", o.StalenessExp)
-	case !(o.ServerLR >= 0):
-		return fmt.Errorf("fl: async ServerLR = %v, must be non-negative", o.ServerLR)
-	case !(o.ComputeSec >= 0 && o.ComputeJitter >= 0):
-		return fmt.Errorf("fl: async compute model (%v, %v) must be non-negative", o.ComputeSec, o.ComputeJitter)
 	}
 	return nil
 }
@@ -70,15 +65,6 @@ func (o AsyncOptions) resolve(cfg Config) AsyncOptions {
 	}
 	if o.StalenessExp == 0 {
 		o.StalenessExp = 0.5
-	}
-	if o.ServerLR == 0 {
-		o.ServerLR = 1
-	}
-	if o.ComputeSec == 0 {
-		o.ComputeSec = 1
-	}
-	if o.ComputeJitter == 0 {
-		o.ComputeJitter = 0.5
 	}
 	return o
 }
@@ -271,7 +257,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		// Per-dispatch simulated times, drawn in a fixed order: the link
 		// multipliers, then compute.
 		down, up, lat := netModel.drawLink(timeRNG)
-		compute := opts.ComputeSec * math.Exp(opts.ComputeJitter*timeRNG.Normal(0, 1))
+		compute := computeSec * math.Exp(computeJitter*timeRNG.Normal(0, 1))
 		elapsed := 2*lat + compute
 		if down > 0 {
 			elapsed += float64(wireBytes) / down
@@ -387,7 +373,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				}
 				s.cum.Degraded++
 			} else {
-				scale := opts.ServerLR / float64(opts.Buffer)
+				scale := 1 / float64(opts.Buffer)
 				for i := range st.global {
 					st.global[i] += scale * acc[i]
 					acc[i] = 0

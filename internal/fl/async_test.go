@@ -29,9 +29,6 @@ func TestAsyncOptionsValidate(t *testing.T) {
 		{InFlight: -2},
 		{Commits: -1},
 		{StalenessExp: -0.5},
-		{ServerLR: -1},
-		{ComputeSec: -1},
-		{ComputeJitter: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%+v should not validate", bad)
@@ -117,7 +114,7 @@ func TestAsyncNoReplicaLeakOnError(t *testing.T) {
 func TestAsyncStalenessWeighting(t *testing.T) {
 	env := testEnv(35, 8)
 	hist, err := RunAsync(env, asyncCfg(4, 0), AsyncOptions{
-		Buffer: 2, InFlight: 8, Commits: 6, StalenessExp: 2, ComputeJitter: 1.5,
+		Buffer: 2, InFlight: 8, Commits: 6, StalenessExp: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,19 +45,11 @@ type AdversaryOptions struct {
 	Frac float64
 	// Scale is the magnitude of the scale/collude attacks (default 10).
 	Scale float64
-	// Virtual appends this many synthetic Byzantine clients past the real
-	// population: client ids N..N+Virtual−1 exist only in the shadow
-	// environment, recycle a real client's shard data (id mod N), and are
-	// all compromised. They model sybil participants that the server
-	// cannot distinguish from real clients, and exercise the ClientSource
-	// seam — a virtual client's shard is synthesized on lease exactly like
-	// a lazy real client's.
-	Virtual int
 }
 
 // Active reports whether the options describe a live adversary.
 func (o AdversaryOptions) Active() bool {
-	return (o.Frac > 0 || o.Virtual > 0) && o.Attack != "" && o.Attack != AttackNone
+	return o.Frac > 0 && o.Attack != "" && o.Attack != AttackNone
 }
 
 // Validate reports the first problem with the options.
@@ -72,12 +64,6 @@ func (o AdversaryOptions) Validate() error {
 	}
 	if !(o.Scale >= 0) {
 		return fmt.Errorf("fl: attack scale %v, must be non-negative", o.Scale)
-	}
-	if o.Virtual < 0 {
-		return fmt.Errorf("fl: virtual client count %d negative", o.Virtual)
-	}
-	if o.Virtual > 0 && (o.Attack == "" || o.Attack == AttackNone) {
-		return fmt.Errorf("fl: virtual clients require an attack")
 	}
 	return nil
 }
@@ -106,10 +92,6 @@ type Adversary struct {
 	opts      AdversaryOptions
 	attackers map[int]bool
 	sorted    []int
-	// baseN is the real client population; virtual ids live in
-	// [baseN, baseN+virtual).
-	baseN   int
-	virtual int
 
 	// colludeVec is the round's shared malicious payload; colludeSet
 	// marks whether this round's first colluder has minted it yet.
@@ -135,16 +117,9 @@ func NewAdversary(opts AdversaryOptions, n int, rng *tensor.RNG) *Adversary {
 	k := min(int(opts.Frac*float64(n)+0.5), n)
 	ids := slices.Clone(rng.Perm(n)[:k])
 	sort.Ints(ids)
-	a := &Adversary{opts: opts, attackers: make(map[int]bool, k+opts.Virtual), sorted: ids, baseN: n, virtual: opts.Virtual}
+	a := &Adversary{opts: opts, attackers: make(map[int]bool, k), sorted: ids}
 	for _, c := range ids {
 		a.attackers[c] = true
-	}
-	// Virtual sybils are appended past the real population and are all
-	// compromised by construction; they consume no RNG, so runs with
-	// Virtual=0 draw the exact attacker set of earlier releases.
-	for v := 0; v < opts.Virtual; v++ {
-		a.attackers[n+v] = true
-		a.sorted = append(a.sorted, n+v)
 	}
 	return a
 }
@@ -227,32 +202,16 @@ func (a *Adversary) scratch(n int) nn.ParamVector {
 // ShadowEnv returns the environment the algorithms should actually train
 // against: for AttackLabelFlip, a view whose compromised shards have
 // every label flipped to Classes−1−y (feature storage is shared — the
-// flip allocates only label slices); with Virtual sybils, a view whose
-// client population is extended to N+Virtual ids that recycle real
-// shards. For a plain model-poisoning attack without sybils the original
-// environment is returned unchanged. Nil-safe.
+// flip allocates only label slices); for a model-poisoning attack the
+// original environment unchanged. Nil-safe.
 //
-// Eager federations keep the historical copy-on-write Clients slice;
-// source-backed federations (and any run with Virtual > 0) get a
-// shadowSource wrapper that poisons the leased copy instead, so the
-// shadow never materializes more than the in-flight working set.
+// The view is a shadowSource over the federation's source (an eager
+// federation's shards go behind data.Materialized first) that poisons
+// each leased copy, so the shadow never materializes more than the
+// in-flight working set.
 func (a *Adversary) ShadowEnv(env *Env) *Env {
-	if a == nil {
+	if a == nil || a.opts.Attack != AttackLabelFlip {
 		return env
-	}
-	flip := a.opts.Attack == AttackLabelFlip
-	if a.virtual == 0 && !flip {
-		return env
-	}
-	if a.virtual == 0 && env.Fed.Source == nil && flip {
-		fed := *env.Fed
-		fed.Clients = append([]*data.Dataset(nil), env.Fed.Clients...)
-		for _, c := range a.sorted {
-			if c < len(fed.Clients) {
-				fed.Clients[c] = flipLabels(fed.Clients[c])
-			}
-		}
-		return &Env{Fed: &fed, Model: env.Model}
 	}
 	inner := env.Fed.Source
 	if inner == nil {
@@ -260,85 +219,44 @@ func (a *Adversary) ShadowEnv(env *Env) *Env {
 	}
 	fed := *env.Fed
 	fed.Clients = nil
-	fed.Source = &shadowSource{
-		inner:     inner,
-		baseN:     a.baseN,
-		virtual:   a.virtual,
-		flip:      flip,
-		attackers: a.attackers,
-	}
+	fed.Source = &shadowSource{ClientSource: inner, attackers: a.attackers}
 	return &Env{Fed: &fed, Model: env.Model}
 }
 
-// shadowSource is the adversary's view of a client source: ids past the
-// real population map onto real shards (id mod baseN), and label-flip
+// shadowSource is the label-flip adversary's view of a client source:
 // poisoning is applied to a copy at lease time, leaving the underlying
-// source's data untouched. Each shadow lease holds exactly one inner
-// lease, so outstanding-lease accounting passes straight through.
+// source's data untouched. Every other method is the inner source's, so
+// each shadow lease holds exactly one inner lease and outstanding-lease
+// accounting passes straight through.
 type shadowSource struct {
-	inner     data.ClientSource
-	baseN     int
-	virtual   int
-	flip      bool
+	data.ClientSource
 	attackers map[int]bool
 }
 
-// mapID folds a virtual id onto the real shard it recycles.
-func (s *shadowSource) mapID(id int) int {
-	if id >= s.baseN {
-		return (id - s.baseN) % s.baseN
-	}
-	return id
-}
-
-// NumClients counts real plus virtual clients.
-func (s *shadowSource) NumClients() int { return s.baseN + s.virtual }
-
-// Size reads the recycled shard's metadata size.
-func (s *shadowSource) Size(id int) int { return s.inner.Size(s.mapID(id)) }
-
-// Shard leases the recycled shard, flipping labels on a fresh view when
-// the id is compromised under a label-flip attack. The flipped view
-// shares feature storage with the inner lease, which stays pinned until
-// Release.
+// Shard leases the shard, flipping labels on a fresh view when the id is
+// compromised. The flipped view shares feature storage with the inner
+// lease, which stays pinned until Release.
 func (s *shadowSource) Shard(id int) *data.Dataset {
-	ds := s.inner.Shard(s.mapID(id))
-	if s.flip && s.attackers[id] {
+	ds := s.ClientSource.Shard(id)
+	if s.attackers[id] {
 		return flipLabels(ds)
 	}
 	return ds
 }
 
-// Release returns the inner lease backing the shadow lease.
-func (s *shadowSource) Release(id int) { s.inner.Release(s.mapID(id)) }
-
-// Outstanding passes through to the inner source.
-func (s *shadowSource) Outstanding() int { return s.inner.Outstanding() }
-
-// Prefetch forwards a planned cohort to the inner source's warming pool
-// with virtual sybil ids folded onto the real shards they recycle.
-// Label-flip poisoning happens on the leased view, so warming the real
-// shard is exactly what a later shadow lease consumes. No-op when the
-// inner source cannot prefetch.
+// Prefetch forwards a planned cohort to the inner source's warming pool.
+// Poisoning happens on the leased view, so warming the real shard is
+// exactly what a later shadow lease consumes. No-op when the inner
+// source cannot prefetch.
 func (s *shadowSource) Prefetch(ids []int) {
-	p, ok := s.inner.(data.Prefetcher)
-	if !ok {
-		return
+	if p, ok := s.ClientSource.(data.Prefetcher); ok {
+		p.Prefetch(ids)
 	}
-	mapped := make([]int, len(ids))
-	for i, id := range ids {
-		if id < 0 {
-			mapped[i] = id
-			continue
-		}
-		mapped[i] = s.mapID(id)
-	}
-	p.Prefetch(mapped)
 }
 
 // CancelPrefetch forwards the early-exit drain to the inner source.
 func (s *shadowSource) CancelPrefetch() {
-	if p, ok := s.inner.(data.Prefetcher); ok {
+	if p, ok := s.ClientSource.(data.Prefetcher); ok {
 		p.CancelPrefetch()
 	}
 }

@@ -192,7 +192,8 @@ func TestShadowEnvFlipsOnlyAttackers(t *testing.T) {
 	}
 	classes := env.Fed.Clients[0].Classes
 	for c := 0; c < 4; c++ {
-		orig, sh := env.Fed.Clients[c], shadow.Fed.Clients[c]
+		orig, sh := env.Fed.Clients[c], shadow.Fed.LeaseShard(c)
+		shadow.Fed.ReleaseShard(c)
 		if adv.IsAttacker(c) {
 			if sh == orig {
 				t.Fatalf("attacker %d shard must be replaced", c)
@@ -208,6 +209,9 @@ func TestShadowEnvFlipsOnlyAttackers(t *testing.T) {
 		} else if sh != orig {
 			t.Fatalf("honest client %d shard must be shared", c)
 		}
+	}
+	if n := shadow.Fed.OutstandingLeases(); n != 0 {
+		t.Fatalf("%d shadow leases outstanding after every release", n)
 	}
 	// Non-labelflip attacks leave the environment alone.
 	adv2 := NewAdversary(AdversaryOptions{Attack: AttackSignFlip, Frac: 0.5}, 4, tensor.NewRNG(9).Split())

@@ -31,9 +31,6 @@ type Config struct {
 	// EvalEvery evaluates the global model every n rounds (plus always at
 	// the final round); 0 evaluates only at the end.
 	EvalEvery int
-	// DropoutRate is the probability that an activated client fails to
-	// return its model this round (failure injection); 0 disables.
-	DropoutRate float64
 	// Seed drives all simulation randomness (selection, shuffles, local
 	// batching).
 	Seed int64
@@ -125,8 +122,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fl: LR = %v, must be positive", c.LR)
 	case !(0 <= c.Momentum && c.Momentum < 1):
 		return fmt.Errorf("fl: Momentum = %v, must be in [0,1)", c.Momentum)
-	case !(0 <= c.DropoutRate && c.DropoutRate < 1):
-		return fmt.Errorf("fl: DropoutRate = %v, must be in [0,1)", c.DropoutRate)
 	case c.Parallelism < 0:
 		return fmt.Errorf("fl: Parallelism = %d, must be non-negative", c.Parallelism)
 	case c.PrefetchRounds < 0:

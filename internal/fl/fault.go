@@ -13,8 +13,7 @@ import (
 // other stream.
 type FaultOptions struct {
 	// CrashRate is the probability an activated client crashes before
-	// training (it consumes its activation but contributes nothing —
-	// distinct from DropoutRate, which models clients that never start).
+	// training: it consumes its activation but contributes nothing.
 	CrashRate float64
 	// DropRate is the per-attempt probability an upload payload is lost
 	// on the wire and must be retried (see TransportOptions.Retries).
@@ -137,7 +136,7 @@ func attemptID(client, attempt int) uint64 {
 // FaultPlan is a run's deterministic fault schedule. Its seed is drawn
 // once from a dedicated RNG split appended after every existing stream
 // (the advRNG pattern), so a plan with zero rates leaves histories
-// bit-unchanged and an active plan never shifts selection, dropout, or
+// bit-unchanged and an active plan never shifts selection, link or
 // algorithm randomness.
 type FaultPlan struct {
 	opts FaultOptions

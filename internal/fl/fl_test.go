@@ -138,7 +138,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BatchSize = 0 },
 		func(c *Config) { c.LR = 0 },
 		func(c *Config) { c.Momentum = 1 },
-		func(c *Config) { c.DropoutRate = 1 },
 	}
 	for i, mutate := range cases {
 		c := DefaultConfig()
@@ -270,7 +269,7 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunWithDropout(t *testing.T) {
 	env := testEnv(14, 6)
-	cfg := Config{Rounds: 4, ClientsPerRound: 4, LocalEpochs: 1, BatchSize: 16, LR: 0.05, Momentum: 0, Seed: 5, DropoutRate: 0.5}
+	cfg := Config{Rounds: 4, ClientsPerRound: 4, LocalEpochs: 1, BatchSize: 16, LR: 0.05, Momentum: 0, Seed: 5, Faults: FaultOptions{CrashRate: 0.5}}
 	algo := &stubAlgo{}
 	if _, err := Run(algo, env, cfg); err != nil {
 		t.Fatal(err)
@@ -284,7 +283,7 @@ func TestRunWithDropout(t *testing.T) {
 		}
 	}
 	if dropped == 0 {
-		t.Fatal("expected some dropped clients at 50% dropout")
+		t.Fatal("expected some dropped clients at a 50% crash rate")
 	}
 }
 

@@ -92,7 +92,7 @@ func TrainLocal(factory models.Factory, shard *data.Dataset, spec LocalSpec, rng
 	for epoch := 0; epoch < spec.Epochs; epoch++ {
 		shard.Batches(rng, spec.BatchSize, func(x *tensor.Tensor, y []int) {
 			net.ZeroGrads()
-			logits := net.Forward(x, true)
+			logits := net.Forward(x)
 			if dlogits == nil {
 				dlogits = tensor.GetScratch(logits.Shape...)
 			}
@@ -213,7 +213,7 @@ func evaluate(factory models.Factory, vec nn.ParamVector, ds *data.Dataset, batc
 		x := tensor.GetScratch(end-start, feat)
 		defer tensor.PutScratch(x)
 		ds.BatchInto(x, y, idx)
-		logits := reps[w].Net.Forward(x, false)
+		logits := reps[w].Net.Forward(x)
 		l := nn.SoftmaxCrossEntropyLoss(logits, y)
 		a := nn.Accuracy(logits, y)
 		weight := float64(len(y))

@@ -6,10 +6,11 @@ import (
 )
 
 // CohortPlan replays the engine's selection stream and returns the
-// cohort fl.Run will select for round r (0-based, pre-dropout) under a
-// benign run whose algorithm does not implement Selector: it takes the
-// selection stream from the same table as Run, then draws one cohort per
-// round through round r (tensor.RNG.SampleV2, k draws a round).
+// cohort fl.Run will select for round r (0-based, before crash marking)
+// under a benign run whose algorithm does not implement Selector: it
+// takes the selection stream from the same table as Run, then draws one
+// cohort per round through round r (tensor.RNG.SampleV2, k draws a
+// round).
 // Because selection is a pure function of (seed, n, k, r), round r+1's
 // cohort is known while round r still trains — the determinism fact the
 // prefetch pipeline is built on. k is clamped to n exactly as in Run.
@@ -69,7 +70,7 @@ func (p *cohortPlanner) draw(r int) []int {
 }
 
 // Take returns round r's cohort and releases the planner's reference, so
-// the round loop owns the slice (dropout marks slots in place, exactly
+// the round loop owns the slice (crash marking writes slots in place, exactly
 // as with inline selection). Rounds are taken in ascending order.
 func (p *cohortPlanner) Take(r int) []int {
 	ids := p.draw(r)

@@ -66,7 +66,7 @@ func plannerAlgos() map[string]func() fl.Algorithm {
 
 func plannerConfig(prefetch, par int, churn bool) fl.Config {
 	cfg := fl.Config{Rounds: 5, ClientsPerRound: 100, LocalEpochs: 1, BatchSize: 16,
-		LR: 0.05, Momentum: 0.5, EvalEvery: 2, Seed: 47, DropoutRate: 0.1,
+		LR: 0.05, Momentum: 0.5, EvalEvery: 2, Seed: 47, Faults: fl.FaultOptions{CrashRate: 0.1},
 		PrefetchRounds: prefetch, Parallelism: par}
 	if churn {
 		cfg.Churn = fl.ChurnOptions{Availability: 0.6, Jitter: 0.3, StartFrac: 1, EndFrac: 0.8}

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -22,10 +23,10 @@ type PrivacyOptions struct {
 // Validate reports the first problem with the options.
 func (o PrivacyOptions) Validate() error {
 	switch {
-	case o.ClipNorm < 0:
-		return fmt.Errorf("fl: privacy ClipNorm %v negative", o.ClipNorm)
-	case o.NoiseStd < 0:
-		return fmt.Errorf("fl: privacy NoiseStd %v negative", o.NoiseStd)
+	case !(o.ClipNorm >= 0):
+		return fmt.Errorf("fl: privacy ClipNorm %v, must be non-negative", o.ClipNorm)
+	case !(o.NoiseStd >= 0) || math.IsInf(o.NoiseStd, 1):
+		return fmt.Errorf("fl: privacy NoiseStd %v, must be non-negative and finite", o.NoiseStd)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"log"
+	"math"
 	"strings"
 	"testing"
 
@@ -18,6 +19,9 @@ func TestPrivacyOptionsValidate(t *testing.T) {
 	}
 	if err := (PrivacyOptions{NoiseStd: -1}).Validate(); err == nil {
 		t.Fatal("negative noise must fail")
+	}
+	if err := (PrivacyOptions{NoiseStd: math.Inf(1)}).Validate(); err == nil {
+		t.Fatal("infinite noise must fail")
 	}
 	if _, err := WithPrivacy(&stubAlgo{}, PrivacyOptions{NoiseStd: -1}); err == nil {
 		t.Fatal("WithPrivacy must validate")

@@ -158,7 +158,6 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 		return nil, fmt.Errorf("fl: Run: algorithm %s does not support round checkpoints", algo.Name())
 	}
 	s.spec = runCkptSpec(cfg, algo.Name(), s.n)
-	// Churn sizes against the shadow population (selection's id space).
 	churn := NewChurnPlan(cfg.Churn, s.rng[streamChurn].Int63(), s.n, cfg.Rounds)
 	var acct Accountant
 	genFrac := 0.25 // generators are a quarter model, cf. comm.go
@@ -184,7 +183,7 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 	if tail != nil {
 		planner.next, planner.drawn, acct = tail.next, tail.drawn, tail.acct
 	}
-	dropRNG, netRNG := s.rng[streamEngineA], s.rng[streamEngineB]
+	netRNG := s.rng[streamEngineB]
 	_, selects := algo.(Selector)
 	lookahead := s.prefetch != nil && !selects
 
@@ -192,24 +191,16 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 		selected := planner.Take(r)
 		if churn.Active() {
 			// Slots the planner padded or marked -1 are churn losses;
-			// dropout and crash marking below add their own.
+			// crash marking below adds its own.
 			for _, ci := range selected {
 				if ci < 0 {
 					s.cum.Unavailable++
 				}
 			}
 		}
-		if cfg.DropoutRate > 0 {
-			for i := range selected {
-				if dropRNG.Float64() < cfg.DropoutRate {
-					selected[i] = -1
-				}
-			}
-		}
 		if s.faults.Active() && cfg.Faults.CrashRate > 0 {
-			// A crash consumes the activation but contributes nothing —
-			// marked exactly like a dropout so every algorithm already
-			// tolerates it.
+			// A crash consumes the activation but contributes nothing:
+			// its slot is marked -1, which every algorithm already skips.
 			for i, ci := range selected {
 				if ci >= 0 && s.faults.Crashes(r, ci) {
 					selected[i] = -1
@@ -222,7 +213,7 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 		// their shards while round r trains. The draws come from the same
 		// selection-stream positions they would occupy anyway — selection
 		// is a dedicated stream with no other reader, so early draws are
-		// not visible. Prefetch enqueues pre-dropout plans (a dropped
+		// not visible. Prefetch enqueues pre-crash plans (a crashed
 		// client's warm shard is merely unused) and copies the ids before
 		// returning; Ahead's slices are later rounds' than the one this
 		// round marks in place.

@@ -20,7 +20,7 @@ type stream int
 const (
 	streamInit      stream = iota // model (and algorithm) initialisation
 	streamSelect                  // cohort selection (sync) · dispatch draws (async)
-	streamEngineA                 // sync: dropout · async: arrival times
+	streamEngineA                 // sync: unread, held so later streams keep their seeds · async: arrival times
 	streamEngineB                 // sync: parent of the per-round link streams · async: parent of the per-job training streams
 	streamAdversary               // the compromised-client set
 	streamFault                   // one draw: the fault plan's hash seed
@@ -96,7 +96,7 @@ func metricCounters(m RoundMetric) counters {
 type session struct {
 	engine string // "Run" or "RunAsync", for error messages
 	// env is the environment algorithms train against: the adversary's
-	// shadow view when it flips labels or adds sybils, else the caller's.
+	// shadow view when it flips labels, else the caller's.
 	// n and k are its population and the cohort size clamped to it.
 	env   *Env
 	cfg   Config
@@ -136,12 +136,10 @@ func newSession(engine, algorithm string, env *Env, cfg Config, total int) (*ses
 	// with worker scheduling and a resumed run recomputes them for free.
 	s.adv = NewAdversary(cfg.Adversary, n, s.rng[streamAdversary])
 	s.faults = NewFaultPlan(cfg.Faults, s.rng[streamFault].Int63())
-	// Label-flip attackers train honestly on dishonest data, and virtual
-	// sybils extend the population past n: selection, per-client state
-	// and prefetch all size against the shadow view.
-	s.env = s.adv.ShadowEnv(env)
-	s.n = s.env.NumClients()
-	s.k = min(cfg.ClientsPerRound, s.n)
+	// Label-flip attackers train honestly on dishonest data: training,
+	// selection and prefetch all lease through the shadow view.
+	s.env, s.n = s.adv.ShadowEnv(env), n
+	s.k = min(cfg.ClientsPerRound, n)
 	// Prefetch touches no RNG, so histories are unchanged by the knob.
 	s.prefetch = sourcePrefetcher(s.env, cfg)
 	return s, nil

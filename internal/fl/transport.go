@@ -393,7 +393,7 @@ func (t *Transport) Broadcast(dst nn.ParamVector, clients []int, vec nn.ParamVec
 // server: the client's round clock passed the deadline (the upload was
 // transmitted and its bytes charged, but the server stopped waiting) or
 // every attempt was lost to faults. The caller must treat such a client
-// like a dropout; its later uploads are skipped entirely.
+// like a crashed one; its later uploads are skipped entirely.
 //
 // Every outcome is decided serially in call order, exactly as that many
 // Up calls would; then the accepted undamaged round trips run across w.
@@ -525,7 +525,7 @@ func (t *Transport) markStraggler(client int) {
 
 // markFailed flags a client whose upload was permanently lost to faults
 // (every attempt dropped or rejected) and counts it once. The caller
-// treats it like a dropout; subsequent uploads are skipped.
+// treats it like a crashed client; subsequent uploads are skipped.
 func (t *Transport) markFailed(client int) {
 	l := t.links[client]
 	if l == nil {

@@ -75,7 +75,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("landscape: resolution %d must be >= 3", o.Resolution)
 	case o.Resolution%2 == 0:
 		return fmt.Errorf("landscape: resolution %d must be odd so the model sits at the centre", o.Resolution)
-	case o.Radius <= 0:
+	case !(o.Radius > 0):
 		return fmt.Errorf("landscape: radius %v must be positive", o.Radius)
 	case o.MaxSamples < 0:
 		return fmt.Errorf("landscape: MaxSamples %d negative", o.MaxSamples)
@@ -175,7 +175,7 @@ func normalizedDirection(factory models.Factory, vec nn.ParamVector, rng *tensor
 // directions. Lower is flatter; the paper's RQ1 expects
 // Sharpness(FedCross) < Sharpness(FedAvg).
 func Sharpness(factory models.Factory, vec nn.ParamVector, ds *data.Dataset, radius float64, nDirs int, seed int64, w fl.Workers) (float64, error) {
-	if radius <= 0 || nDirs <= 0 {
+	if !(radius > 0) || nDirs <= 0 {
 		return 0, fmt.Errorf("landscape: Sharpness radius %v / nDirs %d invalid", radius, nDirs)
 	}
 	_, base, err := fl.Evaluate(factory, vec, ds, 64, w)

@@ -1,6 +1,7 @@
 package landscape
 
 import (
+	"math"
 	"testing"
 
 	"fedcross/internal/data"
@@ -60,7 +61,7 @@ func TestScan2DCenterMatchesDirectEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, y := test.Batch(allIdx(test.Len()))
-	logits := net.Forward(x, false)
+	logits := net.Forward(x)
 	loss, _ := nn.SoftmaxCrossEntropy(logits, y)
 	if diff := centre - loss; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("centre loss %v, direct eval %v", centre, loss)
@@ -119,7 +120,7 @@ func TestSharpnessDetectsCurvatureDifference(t *testing.T) {
 	for step := 0; step < 60; step++ {
 		x, y := test.Batch(allIdx(test.Len()))
 		net.ZeroGrads()
-		logits := net.Forward(x, true)
+		logits := net.Forward(x)
 		_, g := nn.SoftmaxCrossEntropy(logits, y)
 		net.Backward(g)
 		opt.Step(net.Params(), net.Grads())
@@ -146,6 +147,9 @@ func TestSharpnessValidation(t *testing.T) {
 	vec := nn.FlattenParams(factory.New(tensor.NewRNG(1)).Params())
 	if _, err := Sharpness(factory, vec, test, 0, 2, 1, fl.Workers{}); err == nil {
 		t.Fatal("radius 0 must error")
+	}
+	if _, err := Sharpness(factory, vec, test, math.NaN(), 2, 1, fl.Workers{}); err == nil {
+		t.Fatal("radius NaN must error")
 	}
 	if _, err := Sharpness(factory, vec, test, 0.1, 0, 1, fl.Workers{}); err == nil {
 		t.Fatal("nDirs 0 must error")

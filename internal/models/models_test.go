@@ -22,7 +22,7 @@ func TestVisionModelShapes(t *testing.T) {
 				t.Fatalf("%d parameters, want %d", n, params[f.Name])
 			}
 			x := rng.Randn(1, 4, VisionFeatures)
-			y := net.Forward(x, false)
+			y := net.Forward(x)
 			if y.Shape[0] != 4 || y.Shape[1] != 10 {
 				t.Fatalf("output shape %v, want [4 10]", y.Shape)
 			}
@@ -70,8 +70,8 @@ func TestParamVectorRoundTripThroughFreshInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.NewRNG(4).Randn(1, 2, VisionFeatures)
-	y1 := m1.Forward(x, false)
-	y2 := m2.Forward(x, false)
+	y1 := m1.Forward(x)
+	y2 := m2.Forward(x)
 	for i := range y1.Data {
 		if y1.Data[i] != y2.Data[i] {
 			t.Fatal("loaded model output differs from source")
@@ -83,13 +83,13 @@ func TestTextModels(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	char := CharLSTM(20, 6, 4, 8).New(rng)
 	x := tensor.New([]float64{1, 2, 3, 4, 5, 6, 0, 19, 7, 3, 2, 1}, 2, 6)
-	y := char.Forward(x, false)
+	y := char.Forward(x)
 	if y.Shape[1] != 20 {
 		t.Fatalf("char-lstm output %v, want vocab 20", y.Shape)
 	}
 	sent := SentLSTM(30, 5, 4, 8).New(rng)
 	xs := tensor.New([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 2, 5)
-	ys := sent.Forward(xs, false)
+	ys := sent.Forward(xs)
 	if ys.Shape[1] != 2 {
 		t.Fatalf("sent-lstm output %v, want 2 classes", ys.Shape)
 	}
@@ -124,7 +124,7 @@ func TestVisionModelsTrainable(t *testing.T) {
 		}
 		opt := nn.NewSGD(0.01, 0.5)
 		net.ZeroGrads()
-		logits := net.Forward(x, true)
+		logits := net.Forward(x)
 		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
 		net.Backward(grad)
 		opt.Step(net.Params(), net.Grads())
@@ -179,7 +179,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		grads := func(params bool) []*tensor.Tensor {
 			net := tc.f.New(tensor.NewRNG(8))
 			net.ZeroGrads()
-			logits := net.Forward(x, true)
+			logits := net.Forward(x)
 			_, dlogits := nn.SoftmaxCrossEntropy(logits, labels)
 			if params {
 				net.BackwardParams(dlogits)

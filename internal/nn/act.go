@@ -16,7 +16,7 @@ type ReLU struct {
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward zeroes negative inputs and records the active mask.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	r.out = tensor.Ensure(r.out, x.Shape...)
 	if cap(r.mask) < len(x.Data) {
 		r.mask = make([]bool, len(x.Data))
@@ -49,7 +49,7 @@ type Tanh struct {
 func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh elementwise.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
 	t.y = tensor.ApplyTo(tensor.Ensure(t.y, x.Shape...), x, math.Tanh)
 	return t.y
 }
@@ -81,7 +81,7 @@ type Sigmoid struct {
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
 // Forward applies the logistic function elementwise.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
 	s.y = tensor.ApplyTo(tensor.Ensure(s.y, x.Shape...), x, sigmoid)
 	return s.y
 }

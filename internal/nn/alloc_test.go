@@ -18,7 +18,7 @@ func trainStepAllocs(t *testing.T, net *Sequential, x *tensor.Tensor, labels []i
 	dlogits := tensor.Zeros(x.Shape[0], 1) // resized after the first forward
 	step := func() {
 		net.ZeroGrads()
-		logits := net.Forward(x, true)
+		logits := net.Forward(x)
 		dlogits = tensor.Ensure(dlogits, logits.Shape...)
 		SoftmaxCrossEntropyInto(dlogits, logits, labels)
 		net.Backward(dlogits)

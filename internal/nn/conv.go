@@ -116,7 +116,7 @@ func (c *Conv2D) interior(buf []float64, plane int) []float64 {
 // Forward convolves the whole batch. Per element the arithmetic — taps
 // ascending from +0, one multiply and one add each, the bias last — is
 // the per-sample lowering's, so activations are bit-identical to it.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return c.forward(x, tensor.ConvForward)
 }
 

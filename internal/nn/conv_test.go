@@ -130,7 +130,7 @@ func TestConvDirectMatchesLowered(t *testing.T) {
 			c := layers[0]
 			copy(c.dW.Data, dW0.Data)
 			copy(c.dB.Data, dB0.Data)
-			sameBits(t, name+" Forward", c.Forward(x, true).Data, wantOut.Data)
+			sameBits(t, name+" Forward", c.Forward(x).Data, wantOut.Data)
 			sameBits(t, name+" dx", c.Backward(grad).Data, wantDx.Data)
 			sameBits(t, name+" Backward dW", c.dW.Data, wantDW.Data)
 			sameBits(t, name+" Backward dB", c.dB.Data, wantDB.Data)
@@ -211,7 +211,7 @@ func TestMaxPoolNoWinnerBackward(t *testing.T) {
 			for i := range x.Data {
 				x.Data[i] = math.NaN()
 			}
-			out := p.Forward(x, true)
+			out := p.Forward(x)
 			for i, v := range out.Data {
 				if math.Float64bits(v) != math.Float64bits(kind.start) || p.argmax[i] != -1 {
 					t.Fatalf("%s %+v: window %d output %v argmax %d, want %v and -1", kind.name, tc, i, v, p.argmax[i], kind.start)
@@ -270,7 +270,7 @@ func TestMaxPool2x2ScalarMatchesGeneric(t *testing.T) {
 				wantAM := make([]int, batch*outLen)
 				scalar := make([]float64, outLen)
 				scalarAM := make([]int, outLen)
-				got := p.Forward(x, true)
+				got := p.Forward(x)
 				what := fmt.Sprintf("%s w=%d h=%d", kind.name, w, h)
 				for b := 0; b < batch; b++ {
 					src := x.Data[b*planes*h*w : (b+1)*planes*h*w]
@@ -314,7 +314,7 @@ func TestReLUMaxPoolMatchesLayers(t *testing.T) {
 		for _, batch := range []int{5, 2, 7} {
 			what := fmt.Sprintf("%+v batch %d", tc, batch)
 			x := poolInput(rng, batch, folded.InFeatures(), tc.w)
-			sameBits(t, what+" out", folded.Forward(x, true).Data, pool.Forward(relu.Forward(x, true), true).Data)
+			sameBits(t, what+" out", folded.Forward(x).Data, pool.Forward(relu.Forward(x)).Data)
 			grad := rng.Uniform(-1, 1, batch, folded.OutFeatures())
 			sprinkle(rng, grad.Data)
 			sameBits(t, what+" dx", folded.Backward(grad).Data, relu.Backward(pool.Backward(grad)).Data)
@@ -364,7 +364,7 @@ func TestBackwardRejectsForeignBatch(t *testing.T) {
 			backward(rng.Uniform(-1, 1, rows, tc.out))
 		}
 		refused("before any Forward", 3, 0)
-		l.Forward(rng.Uniform(-1, 1, 5, in), true)
+		l.Forward(rng.Uniform(-1, 1, 5, in))
 		refused("longer gradient", 7, 5)
 		refused("shorter gradient", 3, 5)
 		backward(rng.Uniform(-1, 1, 5, tc.out)) // the cached batch is accepted

@@ -32,7 +32,7 @@ func NewEmbedding(vocab, d int, rng *tensor.RNG) *Embedding {
 }
 
 // Forward looks up each token's embedding row.
-func (e *Embedding) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (e *Embedding) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 {
 		panic(fmt.Sprintf("nn: Embedding expects rank-2 (batch x T) input, got %v", x.Shape))
 	}

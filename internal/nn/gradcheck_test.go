@@ -10,7 +10,7 @@ import (
 // lossOf runs a forward pass through net and returns the cross-entropy
 // loss against labels.
 func lossOf(net *Sequential, x *tensor.Tensor, labels []int) float64 {
-	logits := net.Forward(x, false)
+	logits := net.Forward(x)
 	loss, _ := SoftmaxCrossEntropy(logits, labels)
 	return loss
 }
@@ -20,7 +20,7 @@ func lossOf(net *Sequential, x *tensor.Tensor, labels []int) float64 {
 func gradCheck(t *testing.T, name string, net *Sequential, x *tensor.Tensor, labels []int, tol float64) {
 	t.Helper()
 	net.ZeroGrads()
-	logits := net.Forward(x, false)
+	logits := net.Forward(x)
 	_, dlogits := SoftmaxCrossEntropy(logits, labels)
 	net.Backward(dlogits)
 
@@ -146,7 +146,7 @@ func TestGradCheckInputGradient(t *testing.T) {
 	x := rng.Randn(1, 2, 4)
 	labels := []int{2, 0}
 	net.ZeroGrads()
-	logits := net.Forward(x, false)
+	logits := net.Forward(x)
 	_, dlogits := SoftmaxCrossEntropy(logits, labels)
 	dx := net.Backward(dlogits)
 

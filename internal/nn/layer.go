@@ -25,8 +25,7 @@ import (
 // Layer is one differentiable stage of a network.
 type Layer interface {
 	// Forward computes the layer output for a (batch × features) input.
-	// train toggles training-only behaviour such as dropout.
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes dLoss/dOutput and returns dLoss/dInput,
 	// accumulating parameter gradients as a side effect.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -52,9 +51,9 @@ func NewSequential(layers ...Layer) *Sequential {
 }
 
 // Forward applies every layer in order.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		x = l.Forward(x)
 	}
 	return x
 }

@@ -34,7 +34,7 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 }
 
 // Forward computes xW + b.
-func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkBatch("Linear", x, l.In)
 	l.x = x
 	batch := x.Shape[0]

@@ -71,7 +71,7 @@ func ensureSteps(ts []*tensor.Tensor, n, rows, cols int) []*tensor.Tensor {
 
 // Forward runs the recurrence over all T steps and returns the last hidden
 // state.
-func (l *LSTM) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkBatch("LSTM", x, l.T*l.D)
 	batch := x.Shape[0]
 	l.batch = batch

@@ -147,7 +147,7 @@ func TestSGDReducesLossOnConvexProblem(t *testing.T) {
 	first := lossOf(net, x, labels)
 	for step := 0; step < 200; step++ {
 		net.ZeroGrads()
-		logits := net.Forward(x, true)
+		logits := net.Forward(x)
 		_, grad := SoftmaxCrossEntropy(logits, labels)
 		net.Backward(grad)
 		opt.Step(net.Params(), net.Grads())
@@ -306,7 +306,7 @@ func TestSequentialNesting(t *testing.T) {
 		t.Fatalf("nested params = %d, want 4", got)
 	}
 	x := rng.Randn(1, 2, 4)
-	y := outer.Forward(x, false)
+	y := outer.Forward(x)
 	if y.Shape[0] != 2 || y.Shape[1] != 2 {
 		t.Fatalf("output shape %v", y.Shape)
 	}
@@ -319,7 +319,7 @@ func TestZeroGrads(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	net := NewSequential(NewLinear(3, 2, rng))
 	x := rng.Randn(1, 2, 3)
-	logits := net.Forward(x, true)
+	logits := net.Forward(x)
 	_, g := SoftmaxCrossEntropy(logits, []int{0, 1})
 	net.Backward(g)
 	nonzero := false
@@ -343,8 +343,8 @@ func TestLSTMShapeAndDeterminism(t *testing.T) {
 	rng := tensor.NewRNG(32)
 	l := NewLSTM(3, 2, 4, rng)
 	x := rng.Randn(1, 5, 6)
-	y1 := l.Forward(x, false)
-	y2 := l.Forward(x, false)
+	y1 := l.Forward(x)
+	y2 := l.Forward(x)
 	if y1.Shape[0] != 5 || y1.Shape[1] != 4 {
 		t.Fatalf("LSTM output shape %v", y1.Shape)
 	}
@@ -359,7 +359,7 @@ func TestEmbeddingLookup(t *testing.T) {
 	rng := tensor.NewRNG(33)
 	e := NewEmbedding(5, 3, rng)
 	x := tensor.New([]float64{2, 4}, 1, 2)
-	y := e.Forward(x, false)
+	y := e.Forward(x)
 	for j := 0; j < 3; j++ {
 		if y.Data[j] != e.W.At(2, j) {
 			t.Fatal("embedding lookup row 2 mismatch")
@@ -378,5 +378,5 @@ func TestEmbeddingOutOfVocabPanics(t *testing.T) {
 			t.Fatal("expected panic on out-of-vocab id")
 		}
 	}()
-	e.Forward(tensor.New([]float64{7}, 1, 1), false)
+	e.Forward(tensor.New([]float64{7}, 1, 1))
 }

@@ -56,7 +56,7 @@ func (p *MaxPool2D) InFeatures() int { return p.C * p.H * p.W }
 func (p *MaxPool2D) OutFeatures() int { return p.C * (p.H / p.K) * (p.W / p.K) }
 
 // Forward takes the max over each k×k window.
-func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkBatch("MaxPool2D", x, p.InFeatures())
 	batch := x.Shape[0]
 	p.batch = batch
@@ -184,7 +184,7 @@ func NewGlobalAvgPool(c, h, w int) *GlobalAvgPool {
 }
 
 // Forward averages over the spatial plane of each channel.
-func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (p *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkBatch("GlobalAvgPool", x, p.C*p.H*p.W)
 	batch := x.Shape[0]
 	p.batch = batch

@@ -27,11 +27,11 @@ func NewResidualProj(body, proj Layer) *Residual {
 }
 
 // Forward computes body(x) + skip(x).
-func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := r.Body.Forward(x, train)
+func (r *Residual) Forward(x *tensor.Tensor) *tensor.Tensor {
+	y := r.Body.Forward(x)
 	var skip *tensor.Tensor
 	if r.Proj != nil {
-		skip = r.Proj.Forward(x, train)
+		skip = r.Proj.Forward(x)
 	} else {
 		skip = x
 	}

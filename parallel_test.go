@@ -96,7 +96,7 @@ func TestParallelismInvariance(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := prof.Config(1)
-				cfg.DropoutRate = 0.2 // exercise the dropped-client paths too
+				cfg.Faults.CrashRate = 0.2 // exercise the dropped-client paths too
 				hist, err := Run(algo, env, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -132,7 +132,7 @@ func TestTransportParallelismInvariance(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := prof.Config(1)
-				cfg.DropoutRate = 0.2
+				cfg.Faults.CrashRate = 0.2
 				cfg.Transport = TransportOptions{Codec: "int8", Network: "lte", DeadlineSec: 2}
 				hist, err := Run(algo, env, cfg)
 				if err != nil {
