@@ -669,24 +669,82 @@ func BenchmarkServerFold(b *testing.B) {
 	})
 }
 
+// BenchmarkLinearGemm times the platform Gemm (the register-tiled AVX2
+// kernels on amd64) against its GoBackend twin at the Linear layers'
+// shapes: the CNN head's six GEMMs at batch 50 (sync_cnn_noniid,
+// async_faulted_ckpt) and the five the 192-256-10 MLP runs on a
+// ten-sample batch (server_heavy_k64; its first layer forms no input
+// gradient). Names read model/layer-pass/side; the gradient passes
+// accumulate, as Linear's do. Both sides run in this process back to
+// back, so CI gates go/platform per model as a ratio of summed ns/op;
+// setup fails unless both return the same bits.
+func BenchmarkLinearGemm(b *testing.B) {
+	rng := tensor.NewRNG(9)
+	for _, c := range []struct {
+		name           string
+		m, k, n        int
+		transA, transB bool
+	}{
+		{"cnn/fc1-fwd", 50, 64, 32, false, false},
+		{"cnn/fc1-dw", 64, 50, 32, true, false},
+		{"cnn/fc1-dx", 50, 32, 64, false, true},
+		{"cnn/fc2-fwd", 50, 32, 10, false, false},
+		{"cnn/fc2-dw", 32, 50, 10, true, false},
+		{"cnn/fc2-dx", 50, 10, 32, false, true},
+		{"mlp/fc1-fwd", 10, 192, 256, false, false},
+		{"mlp/fc1-dw", 192, 10, 256, true, false},
+		{"mlp/fc2-fwd", 10, 256, 10, false, false},
+		{"mlp/fc2-dw", 256, 10, 10, true, false},
+		{"mlp/fc2-dx", 10, 10, 256, false, true},
+	} {
+		a := rng.Uniform(-1, 1, c.m*c.k).Data
+		bm := rng.Uniform(-1, 1, c.k*c.n).Data
+		acc := c.transA
+		gemm := func(be tensor.Backend, dst []float64) []float64 {
+			be.Gemm(dst, a, bm, c.m, c.k, c.n, c.transA, c.transB, acc)
+			return dst
+		}
+		if got, want := gemm(tensor.CurrentBackend(), make([]float64, c.m*c.n)), gemm(tensor.GoBackend{}, make([]float64, c.m*c.n)); !slices.EqualFunc(got, want, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}) {
+			b.Fatalf("%s: platform and go Gemm differ", c.name)
+		}
+		for _, side := range []struct {
+			name string
+			be   tensor.Backend
+		}{{"platform", tensor.CurrentBackend()}, {"go", tensor.GoBackend{}}} {
+			dst := make([]float64, c.m*c.n)
+			b.Run(c.name+"/"+side.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					gemm(side.be, dst)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkConvStep measures a training step's share of one convolution —
 // forward plus parameter gradients, batch 50 — at the CNN's two
 // geometries: nn.Conv2D's direct kernels against the per-sample lowering
-// they are held bit-equal to (Im2ColTo, MatMulTo and the bias add, one
-// MatMulTransBAcc and a serial row sum per sample), written out here. CI
-// gates direct against lowered as a same-process ratio: a tripwire for a
-// kernel falling back to its scalar twin, not a record of what replacing
-// the fused whole-batch lowering gained.
+// they are held bit-equal to (Im2ColTo, the forward GEMM and the bias add,
+// one transposed-B GEMM and a serial row sum per sample), written out
+// here. The lowered GEMMs run on tensor.GoBackend, not the platform Gemm,
+// so the reference does not speed up when the Linear layers' kernels do,
+// and under purego both halves are scalar. CI gates direct against
+// lowered as a same-process ratio: a tripwire for a kernel falling back
+// to its scalar twin, not a record of what replacing the fused
+// whole-batch lowering gained.
 //
 // Two more pairs ride along, gated the same way. input-grad is conv2's
 // input gradient alone: direct is Backward less the BackwardParams it
 // begins with (timed inside the loop, reported as ns/op), lowered the
-// per-sample MatMulTransATo + Col2ImTo it is held bit-equal to. relu-pool
-// is a forward and a backward pass through the CNN's two pool stages,
-// batch 50: folded is nn.NewReLUMaxPool2D, layers the ReLU and MaxPool2D
-// it stands for.
+// per-sample transposed-A GEMM (on GoBackend too) + Col2ImTo it is held
+// bit-equal to. relu-pool is a forward and a backward pass through the
+// CNN's two pool stages, batch 50: folded is nn.NewReLUMaxPool2D, layers
+// the ReLU and MaxPool2D it stands for.
 func BenchmarkConvStep(b *testing.B) {
 	const batch = 50
+	var gemm tensor.GoBackend
 	rng := tensor.NewRNG(1)
 	type layer struct {
 		conv    *nn.Conv2D
@@ -718,10 +776,10 @@ func BenchmarkConvStep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for li, l := range layers {
 				g, outC, w := l.conv.Geom, l.conv.OutC, ws[li]
-				spatial, inLen := g.OutH()*g.OutW(), l.conv.InFeatures()
+				rows, spatial, inLen := g.InC*g.KH*g.KW, g.OutH()*g.OutW(), l.conv.InFeatures()
 				for s := 0; s < batch; s++ {
 					tensor.Im2ColTo(w.cols, tensor.New(l.x.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), g)
-					tensor.MatMulTo(w.y, l.conv.W, w.cols)
+					gemm.Gemm(w.y.Data, l.conv.W.Data, w.cols.Data, outC, rows, spatial, false, false, false)
 					dy := tensor.New(l.grad.Data[s*outC*spatial:(s+1)*outC*spatial], outC, spatial)
 					for oc := 0; oc < outC; oc++ {
 						sum := 0.0
@@ -731,7 +789,7 @@ func BenchmarkConvStep(b *testing.B) {
 						}
 						w.dB.Data[oc] += sum
 					}
-					tensor.MatMulTransBAcc(w.dW, dy, w.cols)
+					gemm.Gemm(w.dW.Data, dy.Data, w.cols.Data, outC, spatial, rows, false, true, true)
 				}
 			}
 		}
@@ -760,7 +818,7 @@ func BenchmarkConvStep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for s := 0; s < batch; s++ {
 					dy := tensor.New(l.grad.Data[s*outC*spatial:(s+1)*outC*spatial], outC, spatial)
-					tensor.MatMulTransATo(dcols, l.conv.W, dy)
+					gemm.Gemm(dcols.Data, l.conv.W.Data, dy.Data, g.InC*g.KH*g.KW, outC, spatial, true, false, false)
 					tensor.Col2ImTo(tensor.New(dx.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), dcols, g)
 				}
 			}

@@ -28,6 +28,7 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward gates the incoming gradient by the active mask.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	checkGradShape("ReLU", grad, r.out)
 	r.dx = tensor.Ensure(r.dx, grad.Shape...)
 	tensor.ReluBackward(r.dx.Data, grad.Data, r.mask)
 	return r.dx
@@ -56,6 +57,7 @@ func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward multiplies by 1 - tanh².
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	checkGradShape("Tanh", grad, t.y)
 	t.dx = tensor.Ensure(t.dx, grad.Shape...)
 	for i, v := range grad.Data {
 		t.dx.Data[i] = v * (1 - t.y.Data[i]*t.y.Data[i])
@@ -88,6 +90,7 @@ func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward multiplies by y(1-y).
 func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	checkGradShape("Sigmoid", grad, s.y)
 	s.dx = tensor.Ensure(s.dx, grad.Shape...)
 	for i, v := range grad.Data {
 		s.dx.Data[i] = v * s.y.Data[i] * (1 - s.y.Data[i])

@@ -150,7 +150,10 @@ func (c *Conv2D) BackwardParams(grad *tensor.Tensor) {
 }
 
 func (c *Conv2D) backwardParams(grad *tensor.Tensor, kernel convGradFunc) {
-	c.checkGrad(grad)
+	// The kernels pair grad row by row with the padded samples Forward
+	// cached (none before the first Forward).
+	checkBatch("Conv2D.Backward", grad, c.OutFeatures())
+	checkGradBatch("Conv2D", grad, c.padded)
 	batch := grad.Shape[0]
 	spatial := len(c.posBase)
 	taps := len(c.tapOff)
@@ -171,18 +174,6 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor, kernel convGradFunc) {
 	kernel(c.gt.Data, c.padded.Data, c.dyt.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	tensor.TransposeTo(c.dW.Data, c.gt.Data, taps, c.OutC, oc8, taps)
 	copy(c.dB.Data, c.gt.Data[taps*oc8:])
-}
-
-// checkGrad panics unless grad is a gradient of the batch Forward cached
-// (none before the first Forward): the kernels below pair it row by row
-// with those activations.
-func (c *Conv2D) checkGrad(grad *tensor.Tensor) {
-	checkBatch("Conv2D.Backward", grad, c.OutFeatures())
-	batch := 0
-	if c.padded != nil {
-		batch = c.padded.Shape[0]
-	}
-	checkGradBatch("Conv2D", grad, batch)
 }
 
 // Backward accumulates dW/dB and returns the input gradient. A caller

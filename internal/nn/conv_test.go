@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fedcross/internal/tensor"
@@ -322,34 +323,64 @@ func TestReLUMaxPoolMatchesLayers(t *testing.T) {
 	}
 }
 
-// TestBackwardRejectsForeignBatch: Conv2D and MaxPool2D pair the gradient
-// row by row with what Forward cached, so a gradient of any other batch —
-// longer, shorter, or before the first Forward — must be refused by name
-// before a kernel sees it. (It used to drop rows, slice out of range, pair
-// the wrong activations or dereference nil.)
+// TestBackwardRejectsForeignBatch: every layer's Backward pairs the
+// gradient row by row with what its Forward cached, so a gradient of any
+// other batch — one row longer, one row shorter, or before the first
+// Forward — must be refused by name before a kernel sees it. (Conv2D and
+// MaxPool2D used to drop rows, slice out of range, pair the wrong
+// activations or dereference nil; LSTM copied a short gradient into dh
+// over the previous call's last row; GlobalAvgPool and Embedding ignored
+// extra rows; Tanh and Sigmoid indexed past their output or returned a
+// short dx; Linear dereferenced nil before a Forward.) A gradient of the
+// cached batch but the wrong width is refused by name too. Residual and
+// Sequential hand the gradient to the layers they hold.
 func TestBackwardRejectsForeignBatch(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	const in = 2 * 4 * 4
-	pool := func(p *MaxPool2D) (Layer, func(*tensor.Tensor)) {
-		return p, func(g *tensor.Tensor) { p.Backward(g) }
+	dense := func(rows int) *tensor.Tensor { return rng.Uniform(-1, 1, rows, in) }
+	const vocab, steps, dim, hidden = 5, 4, 3, 6
+	tokens := func(rows int) *tensor.Tensor {
+		x := tensor.Zeros(rows, steps)
+		for i := range x.Data {
+			x.Data[i] = float64(rng.Intn(vocab))
+		}
+		return x
 	}
+	// backward wraps a layer's Backward, which every case but
+	// BackwardParams runs.
+	backward := func(l Layer) func(*tensor.Tensor) { return func(g *tensor.Tensor) { l.Backward(g) } }
 	conv := func() *Conv2D {
 		return NewConv2D(tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3, rng)
 	}
 	for _, tc := range []struct {
-		name string
-		out  int
-		new  func() (l Layer, backward func(*tensor.Tensor))
+		name  string
+		input func(rows int) *tensor.Tensor
+		out   int
+		new   func() (l Layer, backward func(*tensor.Tensor))
 	}{
-		{"MaxPool2D", 8, func() (Layer, func(*tensor.Tensor)) { return pool(NewMaxPool2D(2, 4, 4, 2)) }},
-		{"MaxPool2D", 8, func() (Layer, func(*tensor.Tensor)) { return pool(NewReLUMaxPool2D(2, 4, 4, 2)) }},
-		{"Conv2D", 48, func() (Layer, func(*tensor.Tensor)) {
-			c := conv()
-			return c, func(g *tensor.Tensor) { c.Backward(g) }
+		{"Linear", dense, 3, func() (Layer, func(*tensor.Tensor)) {
+			l := NewLinear(in, 3, rng)
+			return l, backward(l)
 		}},
-		{"Conv2D", 48, func() (Layer, func(*tensor.Tensor)) {
-			c := conv()
-			return c, c.BackwardParams
+		{"Linear", dense, 3, func() (Layer, func(*tensor.Tensor)) {
+			l := NewLinear(in, 3, rng)
+			return l, l.BackwardParams
+		}},
+		{"ReLU", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewReLU(); return l, backward(l) }},
+		{"Tanh", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewTanh(); return l, backward(l) }},
+		{"Sigmoid", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewSigmoid(); return l, backward(l) }},
+		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewMaxPool2D(2, 4, 4, 2); return l, backward(l) }},
+		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewReLUMaxPool2D(2, 4, 4, 2); return l, backward(l) }},
+		{"GlobalAvgPool", dense, 2, func() (Layer, func(*tensor.Tensor)) { l := NewGlobalAvgPool(2, 4, 4); return l, backward(l) }},
+		{"Conv2D", dense, 48, func() (Layer, func(*tensor.Tensor)) { c := conv(); return c, backward(c) }},
+		{"Conv2D", dense, 48, func() (Layer, func(*tensor.Tensor)) { c := conv(); return c, c.BackwardParams }},
+		{"Embedding", tokens, steps * dim, func() (Layer, func(*tensor.Tensor)) {
+			l := NewEmbedding(vocab, dim, rng)
+			return l, backward(l)
+		}},
+		{"LSTM", func(rows int) *tensor.Tensor { return rng.Uniform(-1, 1, rows, steps*dim) }, hidden, func() (Layer, func(*tensor.Tensor)) {
+			l := NewLSTM(steps, dim, hidden, rng)
+			return l, backward(l)
 		}},
 	} {
 		l, backward := tc.new()
@@ -364,9 +395,18 @@ func TestBackwardRejectsForeignBatch(t *testing.T) {
 			backward(rng.Uniform(-1, 1, rows, tc.out))
 		}
 		refused("before any Forward", 3, 0)
-		l.Forward(rng.Uniform(-1, 1, 5, in))
-		refused("longer gradient", 7, 5)
-		refused("shorter gradient", 3, 5)
+		l.Forward(tc.input(5))
+		refused("longer gradient", 6, 5)
+		refused("shorter gradient", 4, 5)
+		func() {
+			prefix := "nn: " + tc.name + ".Backward"
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, prefix) {
+					t.Errorf("%s, wider gradient: panic %q, want one starting %q", tc.name, msg, prefix)
+				}
+			}()
+			backward(rng.Uniform(-1, 1, 5, tc.out+1))
+		}()
 		backward(rng.Uniform(-1, 1, 5, tc.out)) // the cached batch is accepted
 	}
 }

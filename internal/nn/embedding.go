@@ -58,6 +58,7 @@ func (e *Embedding) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward scatters gradients into the embedding rows. The returned input
 // gradient is zero (token IDs are not differentiable).
 func (e *Embedding) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	checkGradBatch("Embedding", grad, e.out)
 	if grad.Shape[1] != e.t*e.D {
 		panic(fmt.Sprintf("nn: Embedding.Backward: grad width %d, want %d", grad.Shape[1], e.t*e.D))
 	}

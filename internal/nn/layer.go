@@ -144,9 +144,23 @@ func checkBatch(name string, x *tensor.Tensor, features int) {
 }
 
 // checkGradBatch panics unless the gradient handed to a layer's Backward
-// has as many rows as the batch its Forward cached.
-func checkGradBatch(layer string, grad *tensor.Tensor, batch int) {
-	if grad.Shape[0] != batch {
+// has as many rows as cached, a tensor its Forward sized to the batch;
+// before the first Forward, cached is nil and every gradient is refused.
+func checkGradBatch(layer string, grad, cached *tensor.Tensor) {
+	if cached == nil || grad.Shape[0] != cached.Shape[0] {
+		batch := 0
+		if cached != nil {
+			batch = cached.Shape[0]
+		}
 		panic(fmt.Sprintf("nn: %s.Backward: gradient batch %d, forward batch %d", layer, grad.Shape[0], batch))
+	}
+}
+
+// checkGradShape is checkGradBatch for the elementwise layers, whose
+// gradient must also be as wide as the output y their Forward cached.
+func checkGradShape(layer string, grad, y *tensor.Tensor) {
+	checkGradBatch(layer, grad, y)
+	if len(grad.Data) != len(y.Data) {
+		panic(fmt.Sprintf("nn: %s.Backward: gradient width %d, forward width %d", layer, len(grad.Data)/grad.Shape[0], len(y.Data)/y.Shape[0]))
 	}
 }

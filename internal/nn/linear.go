@@ -47,6 +47,7 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 // BackwardParams accumulates dW and dB without forming dLoss/dInput.
 func (l *Linear) BackwardParams(grad *tensor.Tensor) {
 	checkBatch("Linear.Backward", grad, l.Out)
+	checkGradBatch("Linear", grad, l.x)
 	// dW += xᵀ · grad ; dB += Σ_batch grad
 	tensor.MatMulTransAAcc(l.dW, l.x, grad)
 	tensor.ColSumAcc(l.dB, grad)

@@ -122,6 +122,7 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward backpropagates through time from the final hidden state.
 func (l *LSTM) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	checkBatch("LSTM.Backward", grad, l.H)
+	checkGradBatch("LSTM", grad, l.a)
 	batch := l.batch
 	h4 := 4 * l.H
 	l.dx = tensor.Ensure(l.dx, batch, l.T*l.D)

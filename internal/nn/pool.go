@@ -144,7 +144,7 @@ func (p *MaxPool2D) poolGeneric(dst []float64, am []int, src []float64) {
 // max; a window without a winner (argmax -1) routes nothing.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	checkBatch("MaxPool2D.Backward", grad, p.OutFeatures())
-	checkGradBatch("MaxPool2D", grad, p.batch)
+	checkGradBatch("MaxPool2D", grad, p.out)
 	inLen := p.InFeatures()
 	outLen := p.OutFeatures()
 	p.dx = tensor.Ensure(p.dx, p.batch, inLen)
@@ -207,6 +207,7 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward spreads each channel gradient uniformly over its plane.
 func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	checkBatch("GlobalAvgPool.Backward", grad, p.C)
+	checkGradBatch("GlobalAvgPool", grad, p.out)
 	plane := p.H * p.W
 	inv := 1.0 / float64(plane)
 	p.dx = tensor.Ensure(p.dx, p.batch, p.C*plane)

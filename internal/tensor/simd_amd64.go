@@ -21,13 +21,6 @@ func hasAVX2() bool
 //go:noescape
 func axpyAVX(dst, x []float64, a float64)
 
-// axpy2AVX computes dst[i] += a0*x0[i] (then) += a1*x1[i], both adds per
-// element in that order — one destination pass for two reduction steps.
-// len(x0), len(x1) must be ≥ len(dst).
-//
-//go:noescape
-func axpy2AVX(dst, x0, x1 []float64, a0, a1 float64)
-
 // axpy4AVX computes dst[i] += a0*x0[i], then += a1*x1[i], += a2*x2[i],
 // += a3*x3[i] — four reduction steps per destination pass, adds in
 // ascending order per element. Lengths of x0..x3 must be ≥ len(dst).
@@ -35,19 +28,29 @@ func axpy2AVX(dst, x0, x1 []float64, a0, a1 float64)
 //go:noescape
 func axpy4AVX(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
 
-// dotAVX returns the 4-way partial-sum inner product of a and b (lengths
-// equal): lane p%4 accumulates ascending p, tail into lane 0, collapse
+// dotRowsAVX computes dst[j] += dot4(aseg, b[j*stride:j*stride+len(aseg)])
+// for every j — a whole destination row of accumulating dots per call:
+// lane p%4 accumulates ascending p, tail into lane 0, collapse
 // ((s0+s1)+s2)+s3 — bit-identical to the scalar dot4.
 //
 //go:noescape
-func dotAVX(a, b []float64) float64
+func dotRowsAVX(dst, aseg, b []float64, stride int)
 
-// dotRowsAVX computes dst[j] += dot4(aseg, b[j*stride:j*stride+len(aseg)])
-// for every j — a whole destination row of accumulating dots per call,
-// with the same partial-sum structure and collapse order as dotAVX.
+// gemmAxpyAVX computes dst (=|+=) A·b over register-resident tiles, where
+// A(i,p) = a[i·ars + p·aps] — the NN form with (ars, aps) = (k, 1), the
+// TransA form with (1, m). b is k×n, dst m×n, and m, n, k ≥ 1. Every
+// element is one lane of one accumulator for the whole reduction: from +0
+// or its prior value, p ascending, one multiply then one add.
 //
 //go:noescape
-func dotRowsAVX(dst, aseg, b []float64, stride int)
+func gemmAxpyAVX(dst, a, b *float64, m, k, n, ars, aps int, acc bool)
+
+// gemmDotAVX computes dst (=|+=) a·bᵀ (a m×k, b n×k, dst m×n; m, n, k ≥ 1)
+// over 2×4 tiles of dot4 stream lanes collapsed in registers: each
+// element is dot4 of its two rows, stored or added once.
+//
+//go:noescape
+func gemmDotAVX(dst, a, b *float64, m, k, n int, acc bool)
 
 // reluFwdAVX computes out[i] = x[i] if x[i] > 0 else 0, and mask[i] =
 // x[i] > 0 (NaN → false/0, like the scalar comparison). Lengths equal.
@@ -190,19 +193,26 @@ type avx2Backend struct{ GoBackend }
 // Name implements Backend.
 func (avx2Backend) Name() string { return "avx2" }
 
-// Gemm implements Backend. The NN and TransA forms run as k-unrolled
-// row-axpy passes — dst row resident while the reduction streams — and
-// the TransB form as lane-parallel 4-partial dots.
+// Gemm implements Backend on two register-tiled kernels, one call per
+// multiply: NN and TransA on gemmAxpyAVX (TransA is NN with a's strides
+// swapped), TransB on gemmDotAVX. An empty shape runs the GoBackend twin;
+// a slice too short for the shape panics here, before the assembly.
 func (avx2Backend) Gemm(dst, a, b []float64, m, k, n int, transA, transB, acc bool) {
 	switch {
-	case !transA && !transB:
-		gemmNNRowsAVX(dst, a, b, 0, m, k, n, acc)
-	case !transA:
-		gemmTBRowsAVX(dst, a, b, 0, m, k, n, acc)
-	case !transB:
-		gemmTAAVX(dst, a, b, m, k, n, acc)
-	default:
+	case transA && transB:
 		panic("tensor: Gemm transA && transB unsupported")
+	case m == 0 || k == 0 || n == 0:
+		GoBackend{}.Gemm(dst, a, b, m, k, n, transA, transB, acc)
+		return
+	}
+	_, _, _ = dst[m*n-1], a[m*k-1], b[k*n-1]
+	switch {
+	case transB:
+		gemmDotAVX(&dst[0], &a[0], &b[0], m, k, n, acc)
+	case transA:
+		gemmAxpyAVX(&dst[0], &a[0], &b[0], m, k, n, 1, m, acc)
+	default:
+		gemmAxpyAVX(&dst[0], &a[0], &b[0], m, k, n, k, 1, acc)
 	}
 }
 
@@ -235,76 +245,6 @@ func (avx2Backend) GemmTransBSegAcc(dst, a, b []float64, m, k, n, seg int) {
 // Axpy implements Backend.
 func (avx2Backend) Axpy(alpha float64, src, dst []float64) {
 	axpyAVX(dst, src, alpha)
-}
-
-// gemmNNRowsAVX computes rows [i0,i1) of dst (=|+=) a·b as row-axpy
-// passes: dst row i accumulates a[i][p]·b[p][:] for p ascending, two
-// reduction steps per destination pass. Chain per element: ascending p,
-// one add per term, from 0 (after the zero fill) or the prior value —
-// identical to the scalar kernels.
-func gemmNNRowsAVX(dd, ad, bd []float64, i0, i1, k, n int, acc bool) {
-	for i := i0; i < i1; i++ {
-		drow := dd[i*n : (i+1)*n]
-		if !acc {
-			for j := range drow {
-				drow[j] = 0
-			}
-		}
-		arow := ad[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			axpy4AVX(drow, bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n], bd[(p+2)*n:(p+3)*n], bd[(p+3)*n:(p+4)*n],
-				arow[p], arow[p+1], arow[p+2], arow[p+3])
-		}
-		if p+2 <= k {
-			axpy2AVX(drow, bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n], arow[p], arow[p+1])
-			p += 2
-		}
-		if p < k {
-			axpyAVX(drow, bd[p*n:(p+1)*n], arow[p])
-		}
-	}
-}
-
-// gemmTAAVX computes dst (=|+=) aᵀ·b (a stored k×m, dst m×n) as row-axpy
-// passes with the reduction index r ascending per destination row.
-func gemmTAAVX(dd, ad, bd []float64, m, k, n int, acc bool) {
-	for i := 0; i < m; i++ {
-		drow := dd[i*n : (i+1)*n]
-		if !acc {
-			for j := range drow {
-				drow[j] = 0
-			}
-		}
-		r := 0
-		for ; r+4 <= k; r += 4 {
-			axpy4AVX(drow, bd[r*n:(r+1)*n], bd[(r+1)*n:(r+2)*n], bd[(r+2)*n:(r+3)*n], bd[(r+3)*n:(r+4)*n],
-				ad[r*m+i], ad[(r+1)*m+i], ad[(r+2)*m+i], ad[(r+3)*m+i])
-		}
-		if r+2 <= k {
-			axpy2AVX(drow, bd[r*n:(r+1)*n], bd[(r+1)*n:(r+2)*n], ad[r*m+i], ad[(r+1)*m+i])
-			r += 2
-		}
-		if r < k {
-			axpyAVX(drow, bd[r*n:(r+1)*n], ad[r*m+i])
-		}
-	}
-}
-
-// gemmTBRowsAVX computes rows [i0,i1) of dst (=|+=) a·bᵀ (b stored n×k)
-// with the lane-parallel dot kernel.
-func gemmTBRowsAVX(dd, ad, bd []float64, i0, i1, k, n int, acc bool) {
-	for i := i0; i < i1; i++ {
-		arow := ad[i*k : (i+1)*k]
-		orow := dd[i*n : (i+1)*n]
-		if acc {
-			dotRowsAVX(orow, arow, bd, k)
-		} else {
-			for j := 0; j < n; j++ {
-				orow[j] = dotAVX(arow, bd[j*k:(j+1)*k])
-			}
-		}
-	}
 }
 
 func init() {

@@ -115,121 +115,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpy2AVX(dst, x0, x1 []float64, a0, a1 float64)
-TEXT ·axpy2AVX(SB), NOSPLIT, $0-88
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ x0_base+24(FP), SI
-	MOVQ x1_base+48(FP), DX
-	VBROADCASTSD a0+72(FP), Y0
-	VBROADCASTSD a1+80(FP), Y1
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
-
-loop8:
-	CMPQ AX, BX
-	JGE  tail4
-	VMOVUPD (DI)(AX*8), Y2
-	VMOVUPD 32(DI)(AX*8), Y3
-	VMOVUPD (SI)(AX*8), Y4
-	VMOVUPD 32(SI)(AX*8), Y5
-	VMULPD  Y0, Y4, Y4
-	VMULPD  Y0, Y5, Y5
-	VADDPD  Y4, Y2, Y2
-	VADDPD  Y5, Y3, Y3
-	VMOVUPD (DX)(AX*8), Y4
-	VMOVUPD 32(DX)(AX*8), Y5
-	VMULPD  Y1, Y4, Y4
-	VMULPD  Y1, Y5, Y5
-	VADDPD  Y4, Y2, Y2
-	VADDPD  Y5, Y3, Y3
-	VMOVUPD Y2, (DI)(AX*8)
-	VMOVUPD Y3, 32(DI)(AX*8)
-	ADDQ $8, AX
-	JMP  loop8
-
-tail4:
-	MOVQ CX, BX
-	ANDQ $-4, BX
-
-tail4loop:
-	CMPQ AX, BX
-	JGE  tail1
-	VMOVUPD (DI)(AX*8), Y2
-	VMOVUPD (SI)(AX*8), Y4
-	VMULPD  Y0, Y4, Y4
-	VADDPD  Y4, Y2, Y2
-	VMOVUPD (DX)(AX*8), Y4
-	VMULPD  Y1, Y4, Y4
-	VADDPD  Y4, Y2, Y2
-	VMOVUPD Y2, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  tail4loop
-
-tail1:
-	CMPQ AX, CX
-	JGE  done
-	VMOVSD (DI)(AX*8), X2
-	VMOVSD (SI)(AX*8), X4
-	VMULSD X0, X4, X4
-	VADDSD X4, X2, X2
-	VMOVSD (DX)(AX*8), X4
-	VMULSD X1, X4, X4
-	VADDSD X4, X2, X2
-	VMOVSD X2, (DI)(AX*8)
-	INCQ AX
-	JMP  tail1
-
-done:
-	VZEROUPPER
-	RET
-
-// func dotAVX(a, b []float64) float64
-TEXT ·dotAVX(SB), NOSPLIT, $0-56
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DX
-	VXORPD Y0, Y0, Y0 // lanes = partial sums s0..s3
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-4, BX
-
-loop4:
-	CMPQ AX, BX
-	JGE  lanes
-	VMOVUPD (SI)(AX*8), Y1
-	VMOVUPD (DX)(AX*8), Y2
-	VMULPD  Y2, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	ADDQ $4, AX
-	JMP  loop4
-
-lanes:
-	// X0 = {s0, s1}, X1 = {s2, s3}; scalar tail folds into s0 (lane 0).
-	VEXTRACTF128 $1, Y0, X1
-
-tail:
-	CMPQ AX, CX
-	JGE  collapse
-	VMOVSD (SI)(AX*8), X2
-	VMOVSD (DX)(AX*8), X3
-	VMULSD X3, X2, X2
-	VADDSD X2, X0, X0
-	INCQ AX
-	JMP  tail
-
-collapse:
-	// ((s0+s1)+s2)+s3, the scalar dot4 collapse order.
-	VUNPCKHPD X0, X0, X2 // X2 low = s1
-	VADDSD    X2, X0, X0
-	VUNPCKHPD X1, X1, X3 // X3 low = s3
-	VADDSD    X1, X0, X0 // += s2
-	VADDSD    X3, X0, X0 // += s3
-	VZEROUPPER
-	VMOVSD X0, ret+48(FP)
-	RET
-
 // func reluFwdAVX(out, x []float64, mask []bool)
 TEXT ·reluFwdAVX(SB), NOSPLIT, $0-72
 	MOVQ out_base+0(FP), DI
@@ -320,8 +205,9 @@ done:
 
 // func dotRowsAVX(dst, aseg, b []float64, stride int)
 // For each j: dst[j] += dot4(aseg, b[j*stride : j*stride+len(aseg)]) —
-// one call per destination row instead of one per dot, with the same
-// 4-lane partial structure and collapse order as dotAVX. Rows are
+// one call per destination row instead of one per dot: lane p%4
+// accumulates ascending p, the tail folds into lane 0, and the collapse
+// is ((s0+s1)+s2)+s3, the scalar dot4's. Rows are
 // processed in independent pairs (two accumulator chains hide the
 // VADDPD latency and share each aseg load); each j's own chain is
 // unchanged.
@@ -442,6 +328,482 @@ collapse:
 	JMP  single
 
 done:
+	VZEROUPPER
+	RET
+
+// Linear-layer GEMM kernels (avx2Backend.Gemm). Every output element
+// keeps the chain of its GoBackend twin: the NN and TransA forms run
+// from +0 (or the prior value) over p ascending, one VMULPD then one
+// VADDPD per step; the TransB form runs dot4's four streams, tail into
+// stream 0, collapsed ((s0+s1)+s2)+s3. Edges run on the same vectors:
+// a ragged column group loads and stores through a VMASKMOVPD lane mask.
+
+// maskTab is four all-ones quadwords then four zero ones: the 4-lane load
+// at maskTab+32−8w sets lanes 0..w−1, the VMASKMOVPD mask of a w-column
+// edge (1 ≤ w ≤ 4).
+DATA maskTab<>+0x00(SB)/8, $0xffffffffffffffff
+DATA maskTab<>+0x08(SB)/8, $0xffffffffffffffff
+DATA maskTab<>+0x10(SB)/8, $0xffffffffffffffff
+DATA maskTab<>+0x18(SB)/8, $0xffffffffffffffff
+DATA maskTab<>+0x20(SB)/8, $0
+DATA maskTab<>+0x28(SB)/8, $0
+DATA maskTab<>+0x30(SB)/8, $0
+DATA maskTab<>+0x38(SB)/8, $0
+GLOBL maskTab<>(SB), RODATA|NOPTR, $64
+
+// EDGEMASK sets Y15 to the lane mask of the w = min(cols, 4) columns
+// left, cols in CX (≥ 1); CX and tmp are clobbered.
+#define EDGEMASK(tmp) \
+	CMPQ    CX, $4                 \
+	JLE     2(PC)                  \
+	MOVQ    $4, CX                 \
+	NEGQ    CX                     \
+	LEAQ    maskTab<>+32(SB), tmp  \
+	VMOVUPD (tmp)(CX*8), Y15
+
+// AXROW2 advances one tile row by one step: the row's a element,
+// broadcast, times the step's eight b columns in Y8/Y9, each product
+// added with the accumulator as first source — per lane c += b·a.
+#define AXROW2(aaddr, acc0, acc1) \
+	VBROADCASTSD aaddr, Y10      \
+	VMULPD       Y10, Y8, Y11    \
+	VADDPD       Y11, acc0, acc0 \
+	VMULPD       Y10, Y9, Y12    \
+	VADDPD       Y12, acc1, acc1
+
+// AXROW1 is AXROW2 for a row of four columns, b in Y8.
+#define AXROW1(aaddr, acc) \
+	VBROADCASTSD aaddr, Y10    \
+	VMULPD       Y10, Y8, Y11  \
+	VADDPD       Y11, acc, acc
+
+// AXCOL advances four columns of a single-row tile by one step: the b
+// vector off bytes into the step's row times the broadcast a in Y10.
+#define AXCOL(off, acc) \
+	VMOVUPD off(BX), Y8       \
+	VMULPD  Y10, Y8, Y8       \
+	VADDPD  Y8, acc, acc
+
+// ZERO4 clears four accumulators.
+#define ZERO4(r0, r1, r2, r3) \
+	VXORPD r0, r0, r0 \
+	VXORPD r1, r1, r1 \
+	VXORPD r2, r2, r2 \
+	VXORPD r3, r3, r3
+
+// func gemmAxpyAVX(dst, a, b *float64, m, k, n, ars, aps int, acc bool)
+// dst (=|+=) A·b with A(i,p) = a[i·ars + p·aps] (NN: ars = k, aps = 1;
+// TransA: ars = 1, aps = m), b k×n and dst m×n row-major, k ≥ 1. Row
+// quads run a 4×8 tile — Y0..Y7 hold its four rows' two column vectors for
+// the whole reduction, each step four broadcasts, two b loads and eight
+// VMULPD/VADDPD pairs — then a 4×4 masked tile per ragged column group.
+// The m%4 rows left run alone, 32 columns a tile (eight accumulators, one
+// broadcast), then 8, then a masked 4.
+TEXT ·gemmAxpyAVX(SB), NOSPLIT, $0-65
+	MOVQ dst+0(FP), R14
+	MOVQ a+8(FP), R12
+	MOVQ b+16(FP), R13
+	MOVQ m+24(FP), DX        // rows left
+	MOVQ k+32(FP), R15
+	MOVQ n+40(FP), R11
+	SHLQ $3, R11             // dst and b row stride in bytes
+	MOVQ ars+48(FP), R8
+	SHLQ $3, R8              // a's row stride in bytes
+	LEAQ (R8)(R8*2), R9      // three rows of a
+	MOVQ aps+56(FP), R10
+	SHLQ $3, R10             // a's step stride in bytes
+
+quad:
+	CMPQ DX, $4
+	JLT  single
+	XORQ AX, AX              // first column of the tile
+
+quad8:
+	LEAQ 8(AX), CX
+	CMPQ CX, n+40(FP)
+	JGT  quad4
+	LEAQ (R14)(AX*8), DI     // tile rows 0, 1
+	LEAQ (DI)(R11*2), BX     // tile rows 2, 3
+	CMPB acc+64(FP), $0
+	JEQ  quad8zero
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R11*1), Y2
+	VMOVUPD 32(DI)(R11*1), Y3
+	VMOVUPD (BX), Y4
+	VMOVUPD 32(BX), Y5
+	VMOVUPD (BX)(R11*1), Y6
+	VMOVUPD 32(BX)(R11*1), Y7
+	JMP  quad8run
+
+quad8zero:
+	ZERO4(Y0, Y1, Y2, Y3)
+	ZERO4(Y4, Y5, Y6, Y7)
+
+quad8run:
+	MOVQ R12, SI
+	LEAQ (R13)(AX*8), BX
+	MOVQ R15, CX
+
+quad8loop:
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	AXROW2((SI), Y0, Y1)
+	AXROW2((SI)(R8*1), Y2, Y3)
+	AXROW2((SI)(R8*2), Y4, Y5)
+	AXROW2((SI)(R9*1), Y6, Y7)
+	ADDQ R10, SI
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  quad8loop
+	LEAQ    (DI)(R11*2), BX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R11*1)
+	VMOVUPD Y3, 32(DI)(R11*1)
+	VMOVUPD Y4, (BX)
+	VMOVUPD Y5, 32(BX)
+	VMOVUPD Y6, (BX)(R11*1)
+	VMOVUPD Y7, 32(BX)(R11*1)
+	ADDQ    $8, AX
+	JMP     quad8
+
+quad4:
+	MOVQ n+40(FP), CX
+	SUBQ AX, CX              // columns left
+	JLE  quadnext
+	EDGEMASK(BX)
+	LEAQ (R14)(AX*8), DI
+	LEAQ (DI)(R11*2), BX
+	CMPB acc+64(FP), $0
+	JEQ  quad4zero
+	VMASKMOVPD (DI), Y15, Y0
+	VMASKMOVPD (DI)(R11*1), Y15, Y1
+	VMASKMOVPD (BX), Y15, Y2
+	VMASKMOVPD (BX)(R11*1), Y15, Y3
+	JMP        quad4run
+
+quad4zero:
+	ZERO4(Y0, Y1, Y2, Y3)
+
+quad4run:
+	MOVQ R12, SI
+	LEAQ (R13)(AX*8), BX
+	MOVQ R15, CX
+
+quad4loop:
+	VMASKMOVPD (BX), Y15, Y8
+	AXROW1((SI), Y0)
+	AXROW1((SI)(R8*1), Y1)
+	AXROW1((SI)(R8*2), Y2)
+	AXROW1((SI)(R9*1), Y3)
+	ADDQ R10, SI
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  quad4loop
+	LEAQ       (DI)(R11*2), BX
+	VMASKMOVPD Y0, Y15, (DI)
+	VMASKMOVPD Y1, Y15, (DI)(R11*1)
+	VMASKMOVPD Y2, Y15, (BX)
+	VMASKMOVPD Y3, Y15, (BX)(R11*1)
+	ADDQ       $4, AX
+	JMP        quad4
+
+quadnext:
+	LEAQ (R12)(R8*4), R12
+	LEAQ (R14)(R11*4), R14
+	SUBQ $4, DX
+	JMP  quad
+
+single:
+	TESTQ DX, DX
+	JEQ   done
+	XORQ  AX, AX
+
+one32:
+	LEAQ 32(AX), CX
+	CMPQ CX, n+40(FP)
+	JGT  one8
+	LEAQ (R14)(AX*8), DI
+	CMPB acc+64(FP), $0
+	JEQ  one32zero
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	JMP     one32run
+
+one32zero:
+	ZERO4(Y0, Y1, Y2, Y3)
+	ZERO4(Y4, Y5, Y6, Y7)
+
+one32run:
+	MOVQ R12, SI
+	LEAQ (R13)(AX*8), BX
+	MOVQ R15, CX
+
+one32loop:
+	VBROADCASTSD (SI), Y10
+	AXCOL(0, Y0)
+	AXCOL(32, Y1)
+	AXCOL(64, Y2)
+	AXCOL(96, Y3)
+	AXCOL(128, Y4)
+	AXCOL(160, Y5)
+	AXCOL(192, Y6)
+	AXCOL(224, Y7)
+	ADDQ R10, SI
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  one32loop
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $32, AX
+	JMP     one32
+
+one8:
+	LEAQ 8(AX), CX
+	CMPQ CX, n+40(FP)
+	JGT  one4
+	LEAQ (R14)(AX*8), DI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	CMPB acc+64(FP), $0
+	JEQ  one8run
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+
+one8run:
+	MOVQ R12, SI
+	LEAQ (R13)(AX*8), BX
+	MOVQ R15, CX
+
+one8loop:
+	VBROADCASTSD (SI), Y10
+	AXCOL(0, Y0)
+	AXCOL(32, Y1)
+	ADDQ R10, SI
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  one8loop
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $8, AX
+	JMP     one8
+
+one4:
+	MOVQ n+40(FP), CX
+	SUBQ AX, CX
+	JLE  onenext
+	EDGEMASK(BX)
+	LEAQ (R14)(AX*8), DI
+	VXORPD Y0, Y0, Y0
+	CMPB acc+64(FP), $0
+	JEQ  one4run
+	VMASKMOVPD (DI), Y15, Y0
+
+one4run:
+	MOVQ R12, SI
+	LEAQ (R13)(AX*8), BX
+	MOVQ R15, CX
+
+one4loop:
+	VBROADCASTSD (SI), Y10
+	VMASKMOVPD   (BX), Y15, Y8
+	VMULPD       Y10, Y8, Y8
+	VADDPD       Y8, Y0, Y0
+	ADDQ R10, SI
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  one4loop
+	VMASKMOVPD Y0, Y15, (DI)
+	ADDQ       $4, AX
+	JMP        one4
+
+onenext:
+	ADDQ R8, R12
+	ADDQ R11, R14
+	DECQ DX
+	JMP  single
+
+done:
+	VZEROUPPER
+	RET
+
+// TRANSPOSE4 turns four ymm rows a..d of a 4×4 block into its four
+// columns o0..o3 (o_j = {a_j, b_j, c_j, d_j}); t0..t3 are scratch. Pure
+// data movement, no arithmetic.
+#define TRANSPOSE4(a, b, c, d, t0, t1, t2, t3, o0, o1, o2, o3) \
+	VUNPCKLPD  b, a, t0         \
+	VUNPCKHPD  b, a, t1         \
+	VUNPCKLPD  d, c, t2         \
+	VUNPCKHPD  d, c, t3         \
+	VPERM2F128 $0x20, t2, t0, o0 \
+	VPERM2F128 $0x20, t3, t1, o1 \
+	VPERM2F128 $0x31, t2, t0, o2 \
+	VPERM2F128 $0x31, t3, t1, o3
+
+// DOTCELL advances the two cells of one b row (in Y10) by one vector of
+// the reduction: a rows in Y8/Y9 times b, added with the accumulator as
+// first source — per lane dot4's s += a·b.
+#define DOTCELL(acc0, acc1) \
+	VMULPD Y10, Y8, Y11     \
+	VADDPD Y11, acc0, acc0  \
+	VMULPD Y10, Y9, Y12     \
+	VADDPD Y12, acc1, acc1
+
+// func gemmDotAVX(dst, a, b *float64, m, k, n int, acc bool)
+// dst (=|+=) a·bᵀ with a m×k, b n×k and dst m×n row-major, k ≥ 1. A tile
+// is two rows of dst × four columns: Y0..Y3 and Y4..Y7 are its cells,
+// lane l of a cell dot4's stream p ≡ l mod 4, over the k&^3 steps in
+// groups of four. Each row's four cells are then transposed in registers
+// (Y0 = the four cells' s0, Y1 their s1, …), the k%4 tail goes into the
+// s0 vector a step at a time, the collapse is ((s0+s1)+s2)+s3 in three
+// vertical adds, and the row takes one store (or one add into dst). An
+// odd last row runs as its own pair (stored twice, same bits, after both
+// rows' dst are read); a ragged last column group repeats b's last row in
+// the missing cells and stores through the lane mask.
+TEXT ·gemmDotAVX(SB), NOSPLIT, $0-49
+	MOVQ k+32(FP), R8
+	SHLQ $3, R8              // a and b row stride in bytes
+	MOVQ R8, R15
+	ANDQ $-32, R15           // bytes in whole groups of four
+	XORQ BX, BX              // first row of the pair
+
+pair:
+	CMPQ  BX, m+24(FP)
+	JGE   dotdone
+	MOVQ  BX, AX
+	IMULQ R8, AX
+	MOVQ  a+8(FP), SI
+	ADDQ  AX, SI             // a row i
+	MOVQ  BX, AX
+	IMULQ n+40(FP), AX
+	MOVQ  dst+0(FP), DI
+	LEAQ  (DI)(AX*8), DI     // dst row i
+	MOVQ  SI, DX             // a row i+1 …
+	MOVQ  DI, R13            // … and its dst row: row i again when i is last
+	LEAQ  1(BX), AX
+	CMPQ  AX, m+24(FP)
+	JGE   cols
+	ADDQ  R8, DX
+	MOVQ  n+40(FP), AX
+	LEAQ  (R13)(AX*8), R13
+
+cols:
+	XORQ R14, R14            // first column of the group
+
+group:
+	CMPQ    R14, n+40(FP)
+	JGE     nextpair
+	MOVQ    n+40(FP), CX
+	DECQ    CX               // b's last row
+	MOVQ    R14, AX
+	IMULQ   R8, AX
+	MOVQ    b+16(FP), R9
+	ADDQ    AX, R9           // b row j
+	LEAQ    1(R14), AX
+	LEAQ    (R9)(R8*1), R10
+	CMPQ    AX, CX
+	CMOVQGT R9, R10          // past the last row: repeat it
+	INCQ    AX
+	LEAQ    (R10)(R8*1), R11
+	CMPQ    AX, CX
+	CMOVQGT R10, R11
+	INCQ    AX
+	LEAQ    (R11)(R8*1), R12
+	CMPQ    AX, CX
+	CMOVQGT R11, R12
+	ZERO4(Y0, Y1, Y2, Y3)
+	ZERO4(Y4, Y5, Y6, Y7)
+	XORQ    AX, AX           // byte offset of the step
+
+dot4:
+	CMPQ    AX, R15
+	JGE     collapse
+	VMOVUPD (SI)(AX*1), Y8
+	VMOVUPD (DX)(AX*1), Y9
+	VMOVUPD (R9)(AX*1), Y10
+	DOTCELL(Y0, Y4)
+	VMOVUPD (R10)(AX*1), Y10
+	DOTCELL(Y1, Y5)
+	VMOVUPD (R11)(AX*1), Y10
+	DOTCELL(Y2, Y6)
+	VMOVUPD (R12)(AX*1), Y10
+	DOTCELL(Y3, Y7)
+	ADDQ    $32, AX
+	JMP     dot4
+
+collapse:
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11, Y0, Y1, Y2, Y3)
+	TRANSPOSE4(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y4, Y5, Y6, Y7)
+
+dottail:
+	CMPQ         AX, R8
+	JGE          dotsum
+	VMOVSD       (R9)(AX*1), X10
+	VMOVHPD      (R10)(AX*1), X10, X10
+	VMOVSD       (R11)(AX*1), X11
+	VMOVHPD      (R12)(AX*1), X11, X11
+	VINSERTF128  $1, X11, Y10, Y10 // the step's four b elements
+	VBROADCASTSD (SI)(AX*1), Y8
+	VBROADCASTSD (DX)(AX*1), Y9
+	DOTCELL(Y0, Y4)
+	ADDQ         $8, AX
+	JMP          dottail
+
+dotsum:
+	VADDPD Y1, Y0, Y0
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y0, Y0
+	VADDPD Y5, Y4, Y4
+	VADDPD Y6, Y4, Y4
+	VADDPD Y7, Y4, Y4
+	MOVQ   n+40(FP), CX
+	SUBQ   R14, CX           // columns left
+	CMPQ   CX, $4
+	JLT    dotedge
+	CMPB   acc+48(FP), $0
+	JEQ    dotput
+	VMOVUPD (DI)(R14*8), Y8
+	VMOVUPD (R13)(R14*8), Y9
+	VADDPD  Y0, Y8, Y0
+	VADDPD  Y4, Y9, Y4
+
+dotput:
+	VMOVUPD Y0, (DI)(R14*8)
+	VMOVUPD Y4, (R13)(R14*8)
+	ADDQ    $4, R14
+	JMP     group
+
+dotedge:
+	EDGEMASK(AX)
+	CMPB acc+48(FP), $0
+	JEQ  dotedgeput
+	VMASKMOVPD (DI)(R14*8), Y15, Y8
+	VMASKMOVPD (R13)(R14*8), Y15, Y9
+	VADDPD     Y0, Y8, Y0
+	VADDPD     Y4, Y9, Y4
+
+dotedgeput:
+	VMASKMOVPD Y0, Y15, (DI)(R14*8)
+	VMASKMOVPD Y4, Y15, (R13)(R14*8)
+
+nextpair:
+	ADDQ $2, BX
+	JMP  pair
+
+dotdone:
 	VZEROUPPER
 	RET
 
@@ -739,19 +1101,6 @@ done:
 	VMOVUPD Y7, 224(DI)
 	VZEROUPPER
 	RET
-
-// TRANSPOSE4 turns four ymm rows a..d of a 4×4 block into its four
-// columns o0..o3 (o_j = {a_j, b_j, c_j, d_j}); t0..t3 are scratch. Pure
-// data movement, no arithmetic.
-#define TRANSPOSE4(a, b, c, d, t0, t1, t2, t3, o0, o1, o2, o3) \
-	VUNPCKLPD  b, a, t0         \
-	VUNPCKHPD  b, a, t1         \
-	VUNPCKLPD  d, c, t2         \
-	VUNPCKHPD  d, c, t3         \
-	VPERM2F128 $0x20, t2, t0, o0 \
-	VPERM2F128 $0x20, t3, t1, o1 \
-	VPERM2F128 $0x31, t2, t0, o2 \
-	VPERM2F128 $0x31, t3, t1, o3
 
 // func transposeAVX(dst, src *float64, rows, cols, srcStride, dstStride int)
 // dst[c*dstStride+r] = src[r*srcStride+c] over 4×4 blocks. A block that
