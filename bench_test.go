@@ -725,23 +725,23 @@ func BenchmarkLinearGemm(b *testing.B) {
 
 // BenchmarkConvStep measures a training step's share of one convolution —
 // forward plus parameter gradients, batch 50 — at the CNN's two
-// geometries: nn.Conv2D's direct kernels against the per-sample lowering
-// they are held bit-equal to (Im2ColTo, the forward GEMM and the bias add,
-// one transposed-B GEMM and a serial row sum per sample), written out
-// here. The lowered GEMMs run on tensor.GoBackend, not the platform Gemm,
-// so the reference does not speed up when the Linear layers' kernels do,
-// and under purego both halves are scalar. CI gates direct against
-// lowered as a same-process ratio: a tripwire for a kernel falling back
-// to its scalar twin, not a record of what replacing the fused
-// whole-batch lowering gained.
+// geometries: nn.Conv2D's float32 direct kernels, conversions included,
+// against the float64 per-sample lowering they are bounded against
+// (Im2ColTo, the forward GEMM and the bias add, one transposed-B GEMM and
+// a serial row sum per sample), written out here. The lowered GEMMs run on
+// tensor.GoBackend, not the platform Gemm, so the reference does not speed
+// up when the Linear layers' kernels do, and under purego both halves are
+// scalar. CI gates direct against lowered as a same-process ratio: a
+// tripwire for a kernel falling back to its scalar twin, not a record of
+// what replacing the fused whole-batch lowering gained.
 //
 // Two more pairs ride along, gated the same way. input-grad is conv2's
 // input gradient alone: direct is Backward less the BackwardParams it
 // begins with (timed inside the loop, reported as ns/op), lowered the
-// per-sample transposed-A GEMM (on GoBackend too) + Col2ImTo it is held
-// bit-equal to. relu-pool is a forward and a backward pass through the
-// CNN's two pool stages, batch 50: folded is nn.NewReLUMaxPool2D, layers
-// the ReLU and MaxPool2D it stands for.
+// per-sample transposed-A GEMM (on GoBackend too) + Col2ImTo. relu-pool is
+// a forward and a backward pass through the CNN's two pool stages, batch
+// 50: folded is nn.NewReLUMaxPool2D, layers the ReLU and MaxPool2D it
+// stands for.
 func BenchmarkConvStep(b *testing.B) {
 	const batch = 50
 	var gemm tensor.GoBackend

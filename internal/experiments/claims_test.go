@@ -22,13 +22,16 @@ const (
 // claim is one cell of the ledger: FedCross's margin over Baseline on one
 // row (Labels, under the row axes' Heads) of the preset run that Title and
 // Command describe, on the Measure "accuracy" or "sharpness" (lower is
-// ahead), with its Verdict.
+// ahead), with its Verdict. Diverged names each of the two cells' runs
+// whose global model left the finite range, "<algorithm> seed <s> by
+// round <r>"; rowMargin scores such a run behind every run that finished.
 type claim struct {
 	Preset, Title, Command string
 	Heads, Labels          []string
 	Baseline, Measure      string
 	marginStat
-	Verdict string
+	Verdict  string
+	Diverged []string `json:",omitempty"`
 }
 
 // verdict is the ledger's one bar: "yes" when FedCross is ahead on the
@@ -48,14 +51,18 @@ func (c claim) verdict() string {
 	return "on the mean"
 }
 
-// String renders the cell: the margin (accuracy in points), wins/seeds and
-// the verdict.
+// String renders the cell: the margin (accuracy in points), wins/seeds,
+// the verdict and the runs that diverged.
 func (c claim) String() string {
 	m := c.marginStat.String()
 	if c.Measure == "sharpness" {
 		m = fmt.Sprintf("%+.2f ± %.2f", c.Mean, c.Std)
 	}
-	return fmt.Sprintf("%s, %d/%d, %s", m, c.Wins, c.Seeds, c.Verdict)
+	s := fmt.Sprintf("%s, %d/%d, %s", m, c.Wins, c.Seeds, c.Verdict)
+	if len(c.Diverged) > 0 {
+		s += "; diverged: " + strings.Join(c.Diverged, ", ")
+	}
+	return s
 }
 
 // pinned is the index of the cell the fidelity lane gates, Table II at

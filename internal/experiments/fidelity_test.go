@@ -36,7 +36,8 @@ var ledgerRuns = []ledgerRun{
 
 // claims runs the preset the way fedsim does and enumerates its claims: in
 // each row of the grid, a cell per measure against each algorithm beside
-// FedCross.
+// FedCross. A run that diverges is scored, not dropped: its seed counts
+// against its algorithm and the cell names it.
 func (r ledgerRun) claims(t *testing.T) (l []claim) {
 	p, command := TinyProfile(), "fedsim -experiment "+r.preset
 	if r.seeds != nil {
@@ -51,8 +52,19 @@ func (r ledgerRun) claims(t *testing.T) (l []claim) {
 		t.Fatal(err)
 	}
 	res, err := RunGrid(g)
-	if err != nil {
+	if res == nil {
 		t.Fatal(err)
+	} else if err != nil {
+		t.Log(err)
+	}
+	seeds := res.Seeds()
+	diverged := func(c GridCell) (runs []string) {
+		for si, r := range c.Diverged {
+			if r > 0 {
+				runs = append(runs, fmt.Sprintf("%s seed %d by round %d", c.Algorithm, seeds[si], r))
+			}
+		}
+		return runs
 	}
 	values := map[string]func(c GridCell, si int) float64{
 		"accuracy": finalAcc, "sharpness": func(c GridCell, si int) float64 { return c.Sharpness[si] }}
@@ -68,11 +80,12 @@ func (r ledgerRun) claims(t *testing.T) (l []claim) {
 		for j, i := range group {
 			cells[j] = res.Cells[i]
 		}
+		fc := slices.IndexFunc(cells, func(c GridCell) bool { return c.Algorithm == "fedcross" })
 		for _, c := range cells {
 			for _, measure := range r.measures {
 				if m, ok := rowMargin(cells, c.Algorithm, values[measure], measure == "sharpness"); ok && c.Algorithm != "fedcross" {
 					cl := claim{Preset: r.preset, Title: r.title, Command: command, Heads: heads, Labels: res.groupLabels(group[0], across),
-						Baseline: c.Algorithm, Measure: measure, marginStat: m}
+						Baseline: c.Algorithm, Measure: measure, marginStat: m, Diverged: append(diverged(cells[fc]), diverged(c)...)}
 					cl.Verdict = cl.verdict()
 					l = append(l, cl)
 				}
@@ -88,7 +101,7 @@ func (r ledgerRun) claims(t *testing.T) (l []claim) {
 // fails unless FedCross finishes ahead of FedAvg on all five seeds and the
 // reading equals the ledger's: histories are deterministic, so a
 // difference means testdata/claims.json is stale. With -update it runs
-// every ledger table instead (≈ 8 min on 2 vCPUs) and rewrites
+// every ledger table instead (≈ 5 min on 2 vCPUs) and rewrites
 // claims.json and README's block from them:
 //
 //	go test -tags fidelity -run TestFidelity ./internal/experiments/

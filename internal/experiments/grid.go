@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -864,6 +865,10 @@ type GridCell struct {
 	Coords []string
 	Cell
 	Histories []*fl.History
+	// Diverged holds per seed the round in which the run's global model
+	// left the finite range (fl.DivergedError), 0 where the run finished.
+	// A diverged seed has no history.
+	Diverged []int
 	// Sharpness holds the sharpness measure's reading of each seed's final
 	// model, and Scan its 2-D loss scan around the first seed's.
 	Sharpness []float64
@@ -872,6 +877,9 @@ type GridCell struct {
 
 // History is the run on the grid's first seed.
 func (c GridCell) History() *fl.History { return c.Histories[0] }
+
+// diverged reports whether the run on seed index si diverged.
+func (c GridCell) diverged(si int) bool { return si < len(c.Diverged) && c.Diverged[si] > 0 }
 
 // Stat summarises the final accuracy over the seeds the cell ran on.
 func (c GridCell) Stat() Stat {
@@ -883,8 +891,9 @@ func (c GridCell) Stat() Stat {
 }
 
 // marginStat is FedCross's lead over a baseline on cells run on the same
-// seeds, on one per-seed value: the difference of their means, the pooled
-// seed std, and on how many seeds FedCross was strictly ahead.
+// seeds, on one per-seed value: the difference of their means and the
+// pooled seed std over the seeds where both runs finished, and on how many
+// of all the seeds FedCross was strictly ahead.
 type marginStat struct {
 	Mean, Std   float64
 	Wins, Seeds int
@@ -895,31 +904,34 @@ func (m marginStat) String() string { return fmt.Sprintf("%+.2f ± %.2f", 100*m.
 
 // rowMargin compares the row's fedcross cell with its baseline cell on x,
 // the value of a cell's run on seed index si, seed by seed: FedCross is
-// ahead on a seed where its x is higher, or lower when lower is set. ok is
-// false when the row lacks either.
+// ahead on a seed where its x is higher, or lower when lower is set. A
+// run that diverged has no x and finishes behind one that did not: a seed
+// where only the baseline diverged is a FedCross win, one where FedCross
+// diverged is not, and neither enters the mean. ok is false when the row
+// lacks either cell.
 func rowMargin(cells []GridCell, baseline string, x func(c GridCell, si int) float64, lower bool) (m marginStat, ok bool) {
-	values := func(algo string) []float64 {
-		i := slices.IndexFunc(cells, func(c GridCell) bool { return c.Algorithm == algo })
-		if i < 0 {
-			return nil
-		}
-		v := make([]float64, len(cells[i].Histories))
-		for si := range v {
-			v[si] = x(cells[i], si)
-		}
-		return v
-	}
-	fc, fb := values("fedcross"), values(baseline)
-	if fc == nil || fb == nil {
+	i := slices.IndexFunc(cells, func(c GridCell) bool { return c.Algorithm == "fedcross" })
+	j := slices.IndexFunc(cells, func(c GridCell) bool { return c.Algorithm == baseline })
+	if i < 0 || j < 0 {
 		return marginStat{}, false
 	}
-	a, b := NewStat(fc), NewStat(fb)
-	m = marginStat{Mean: a.Mean - b.Mean, Std: math.Sqrt((a.Std*a.Std + b.Std*b.Std) / 2), Seeds: len(fc)}
-	for si := range fc {
-		if lower && fc[si] < fb[si] || !lower && fc[si] > fb[si] {
+	fc, fb := cells[i], cells[j]
+	var xc, xb []float64
+	for si := range fc.Histories {
+		if fc.diverged(si) || fb.diverged(si) {
+			if !fc.diverged(si) {
+				m.Wins++
+			}
+			continue
+		}
+		c, b := x(fc, si), x(fb, si)
+		xc, xb = append(xc, c), append(xb, b)
+		if lower && c < b || !lower && c > b {
 			m.Wins++
 		}
 	}
+	a, b := NewStat(xc), NewStat(xb)
+	m.Mean, m.Std, m.Seeds = a.Mean-b.Mean, math.Sqrt((a.Std*a.Std+b.Std*b.Std)/2), len(fc.Histories)
 	return m, true
 }
 
@@ -937,6 +949,13 @@ type GridResult struct {
 // environments, first failure by cell index. Each run's history is a pure
 // function of its seed and settings, so the result is bit-identical at
 // every Jobs/Parallelism setting.
+//
+// A run whose global model diverges (fl.DivergedError) does not stop the
+// grid: its cell records the round in Diverged and keeps no history for
+// that seed. When every run has ended and nothing else failed, RunGrid
+// returns the result together with an error naming each diverged run; a
+// caller that renders every seed fails on that error, and the claims
+// ledger scores the result (see rowMargin).
 func RunGrid(g Grid) (*GridResult, error) {
 	cells, err := g.cells()
 	if err != nil {
@@ -956,12 +975,13 @@ func RunGrid(g Grid) (*GridResult, error) {
 	}
 	m := measures()[g.Measure]
 	for _, c := range runs {
-		c.Histories = make([]*fl.History, len(seeds))
+		c.Histories, c.Diverged = make([]*fl.History, len(seeds)), make([]int, len(seeds))
 		if m.probe != nil {
 			c.Sharpness = make([]float64, len(seeds))
 		}
 	}
 	s := newScheduler(g.Base.Profile)
+	diverged := make([]error, len(runs)*len(seeds))
 	err = s.Run(len(runs)*len(seeds), func(i int) error {
 		c, si := runs[i/len(seeds)], i%len(seeds)
 		hist, env, global, err := c.run(s, seeds[si])
@@ -973,7 +993,12 @@ func RunGrid(g Grid) (*GridResult, error) {
 			if c == res.Reference {
 				name = "reference " + c.Algorithm
 			}
-			return fmt.Errorf("experiments: grid cell %s, seed %d: %w", name, seeds[si], err)
+			err = fmt.Errorf("experiments: grid cell %s, seed %d: %w", name, seeds[si], err)
+			if d := (*fl.DivergedError)(nil); errors.As(err, &d) {
+				c.Diverged[si], diverged[i] = d.Round, err
+				return nil
+			}
+			return err
 		}
 		c.Histories[si] = hist
 		return nil
@@ -981,7 +1006,7 @@ func RunGrid(g Grid) (*GridResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return res, errors.Join(diverged...)
 }
 
 // cells expands the axes into the grid's distinct cells, validating the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -476,5 +477,40 @@ func TestConfigure(t *testing.T) {
 		if _, unread := configure(tc.preset, tc.set); !slices.Equal(unread, tc.unread) {
 			t.Errorf("%s %v: unread %v, want %v", tc.preset, tc.set, unread, tc.unread)
 		}
+	}
+}
+
+// TestRunGridRecordsDivergedRuns: a run whose global model leaves the
+// finite range does not stop the grid. At a learning rate of 1e100 the
+// micro profile's SCAFFOLD and FedCross runs diverge by round 2 and
+// FedAvg's, whose uploads the mean reducer screens, do not. Every run
+// still ends: a diverged seed keeps no history and its cell records the
+// round, and RunGrid returns the result with an error naming each
+// diverged run.
+func TestRunGridRecordsDivergedRuns(t *testing.T) {
+	p := microProfile()
+	p.LR = 1e100
+	res, err := RunGrid(mlpPreset(t, "fidelity", p, []string{"beta", "0.5"}, []string{"algo", "fedavg", "scaffold", "fedcross"}))
+	if res == nil {
+		t.Fatalf("no result: %v", err)
+	}
+	if d := (*fl.DivergedError)(nil); !errors.As(err, &d) || d.Round != 2 {
+		t.Fatalf("error %v, want one carrying a run diverged by round 2", err)
+	}
+	seeds := res.Seeds()
+	for _, c := range res.Cells {
+		for si, r := range c.Diverged {
+			name := fmt.Sprintf("grid cell %s, seed %d: ", strings.Join(res.labels(c), " "), seeds[si])
+			if c.Algorithm == "fedavg" {
+				if r != 0 || c.Histories[si] == nil || strings.Contains(err.Error(), name) {
+					t.Fatalf("fedavg seed %d: diverged %d, history %v, named in %q", seeds[si], r, c.Histories[si], err)
+				}
+			} else if r != 2 || c.Histories[si] != nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s seed %d: diverged %d, history %v, want round 2 named in %q", c.Algorithm, seeds[si], r, c.Histories[si], err)
+			}
+		}
+	}
+	if m, ok := rowMargin(res.Cells, "fedavg", finalAcc, false); !ok || m != (marginStat{Seeds: len(seeds)}) {
+		t.Fatalf("margin of a diverged FedCross over FedAvg %+v, want no wins and no mean", m)
 	}
 }

@@ -325,6 +325,13 @@ func TestFidelityPresetMargin(t *testing.T) {
 	if m, ok := rowMargin(sharp, "fedavg", func(c GridCell, si int) float64 { return c.Sharpness[si] }, true); !ok || m.Mean != -1 || m.Wins != 2 || m.Seeds != 3 {
 		t.Fatalf("sharpness margin %+v, want FedCross lower by 1 and ahead on 2 of 3 seeds", m)
 	}
+	// A diverged run finishes behind one that did not and leaves the mean:
+	// on the first seed only the baseline diverged (a FedCross win), on the
+	// last only FedCross (not a win), so the mean is the second seed's.
+	sharp[0].Diverged, sharp[1].Diverged = []int{7, 0, 0}, []int{0, 0, 9}
+	if m, ok := rowMargin(sharp, "fedavg", func(c GridCell, si int) float64 { return c.Sharpness[si] }, true); !ok || m != (marginStat{Mean: 1, Wins: 1, Seeds: 3}) {
+		t.Fatalf("sharpness margin with diverged runs %+v, want FedCross higher by 1 and ahead on 1 of 3 seeds", m)
+	}
 }
 
 // finalAcc is the margin measure's per-seed value: the run's final

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -302,7 +303,8 @@ func TestRunPropagatesErrors(t *testing.T) {
 
 // TestNonFiniteModelIsAnError: a global model with a NaN coordinate makes
 // each engine return an error naming itself, the algorithm and the round
-// instead of scoring the model as 0.00. Under Run the NaN arrives as one
+// instead of scoring the model as 0.00, wrapping a *DivergedError that
+// carries the round and the coordinate. Under Run the NaN arrives as one
 // client's update, trained on a NaN feature. RunAsync drops that update at
 // the server door and stays finite, so there the NaN is planted in the
 // starting model.
@@ -316,8 +318,11 @@ func TestNonFiniteModelIsAnError(t *testing.T) {
 	cfg := asyncCfg(4, 0)
 	cfg.ClientsPerRound = 8 // select everyone → train on the NaN
 	_, err := Run(&stubAlgo{}, env, cfg)
+	var d *DivergedError
 	if err == nil || err.Error() != "fl: Run: stub eval after round 2: global model coordinate 0 is NaN" {
 		t.Errorf("sync run: error %v, want the non-finite model named", err)
+	} else if !errors.As(err, &d) || d.Round != 2 || d.Coord != 0 {
+		t.Errorf("sync run: error %v does not carry the round and coordinate (%+v)", err, d)
 	}
 	opts := AsyncOptions{Buffer: 2, InFlight: 8, Commits: 4}
 	if _, err := RunAsync(env, cfg, opts); err != nil {
@@ -334,6 +339,8 @@ func TestNonFiniteModelIsAnError(t *testing.T) {
 	_, err = RunAsync(env, cfg, opts)
 	if err == nil || err.Error() != "fl: RunAsync: fedbuff eval after round 2: global model coordinate 5 is NaN" {
 		t.Errorf("async run from a NaN model: error %v, want the non-finite model named", err)
+	} else if !errors.As(err, &d) || d.Round != 2 || d.Coord != 5 {
+		t.Errorf("async run: error %v does not carry the round and coordinate (%+v)", err, d)
 	}
 }
 

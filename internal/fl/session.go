@@ -164,9 +164,21 @@ func (s *session) evalDue(done int) bool {
 	return done == s.total || s.cfg.EvalEvery > 0 && done%s.cfg.EvalEvery == 0
 }
 
+// DivergedError is an eval's refusal of a global model with a NaN or ±Inf
+// coordinate: the run diverged in its first Round rounds. Coord is the
+// first such coordinate and Value what it held.
+type DivergedError struct {
+	Round, Coord int
+	Value        float64
+}
+
+func (e *DivergedError) Error() string {
+	return fmt.Sprintf("global model coordinate %d is %v", e.Coord, e.Value)
+}
+
 // eval evaluates global on the held-out set and records the metric. A
-// global model with a NaN or ±Inf coordinate is an error: scoring it
-// would record a diverged run as 0.00 accuracy and carry on.
+// global model with a NaN or ±Inf coordinate is a *DivergedError:
+// scoring it would record a diverged run as 0.00 accuracy and carry on.
 func (s *session) eval(done int, global nn.ParamVector, modelEquivalents float64) error {
 	var acc, loss float64
 	var err error
@@ -175,7 +187,7 @@ func (s *session) eval(done int, global nn.ParamVector, modelEquivalents float64
 	} else {
 		// x − x is NaN exactly when x is NaN or ±Inf.
 		i := slices.IndexFunc(global, func(x float64) bool { return x-x != 0 })
-		err = fmt.Errorf("global model coordinate %d is %v", i, global[i])
+		err = &DivergedError{Round: done, Coord: i, Value: global[i]}
 	}
 	if err != nil {
 		return fmt.Errorf("fl: %s: %s eval after round %d: %w", s.engine, s.hist.Algorithm, done, err)

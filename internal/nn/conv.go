@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"fedcross/internal/tensor"
@@ -9,13 +10,15 @@ import (
 // Conv2D is a 2-D convolution over CHW images carried in flattened
 // (batch × C·H·W) activations. The spatial geometry is fixed at
 // construction. The forward pass and both gradients run on tensor's
-// direct kernels: the minibatch is copied once into a zero-padded buffer
-// and every tap is read from there — or, for the input gradient, added
-// into a second one — through two index tables, so no lowered im2col
-// matrix is ever built. Per element the arithmetic is still the
-// per-sample lowering's — Im2ColTo + MatMulTo + bias forward, one
-// MatMulTransBAcc per sample for dW, MatMulTransATo + Col2ImTo for dx —
-// which TestConvDirectMatchesLowered holds to the bit.
+// direct kernels, which compute in float32: the minibatch is copied once,
+// as float32, into a zero-padded buffer and every tap is read from there
+// — or, for the input gradient, added into a second, float64 one —
+// through two index tables, so no lowered im2col matrix is ever built.
+// Parameters, gradients and the activations on either side stay float64;
+// the layer converts only in the copies it makes anyway (the padded
+// input, W's kernel layout, the incoming gradient, the gradient sums).
+// TestConvMatchesFloat64Reference bounds every result against a float64
+// lowering.
 type Conv2D struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -29,19 +32,19 @@ type Conv2D struct {
 	// pos.
 	tapOff, posBase []int
 
-	// Reusable workspaces, refreshed per call via tensor.Ensure so
-	// steady-state batches — including a shard's short last one —
-	// allocate nothing. padded holds the batch as (InC × (InH+2·Pad) ×
-	// (InW+2·Pad)) samples and is what backward reads the activations
-	// from. Its borders are the convolution's zero padding: they are zero
-	// because a fresh buffer is, and stay zero because Forward only ever
-	// writes interiors, at offsets that do not depend on the batch size.
-	// wt, gt and dyt are the kernels' channel-lane layouts of W, of
-	// {dW, dB} and of the incoming gradient. dpad is the input gradient
-	// in padded's layout, rewritten whole by every Backward; its borders
-	// collect the taps that fall outside the image and dx is its
-	// interiors.
-	padded, wt, gt, dyt *tensor.Tensor
+	// Reusable workspaces, resized per call so steady-state batches —
+	// including a shard's short last one — allocate nothing. padded holds
+	// the batch as float32 (InC × (InH+2·Pad) × (InW+2·Pad)) samples and is
+	// what backward reads the activations from. Its borders are the
+	// convolution's zero padding: they are zero because a fresh buffer is,
+	// and stay zero because Forward only ever writes interiors, at offsets
+	// that do not depend on the batch size. w is W tap-major in float32,
+	// refreshed by every Forward; dy is the incoming gradient in float32;
+	// sums the kernel's (taps+1) × OutC gradient sums, dB's last. dpad is
+	// the input gradient in padded's layout, in float64, rewritten whole by
+	// every Backward; its borders collect the taps that fall outside the
+	// image and dx is its interiors.
+	padded, w, dy, sums []float32
 	out, dpad, dx       *tensor.Tensor
 }
 
@@ -49,7 +52,10 @@ type Conv2D struct {
 // channel count, Kaiming-uniform initialised.
 func NewConv2D(g tensor.ConvGeom, outC int, rng *tensor.RNG) *Conv2D {
 	if err := g.Validate(); err != nil {
-		panic(err)
+		panic(fmt.Sprintf("nn: Conv2D: %v", err))
+	}
+	if outC < 1 {
+		panic(fmt.Sprintf("nn: Conv2D: %d output channels, want at least 1", outC))
 	}
 	fanIn := g.InC * g.KH * g.KW
 	bound := math.Sqrt(6.0 / float64(fanIn))
@@ -88,57 +94,54 @@ func (c *Conv2D) paddedLen() int {
 	return g.InC * (g.InH + 2*g.Pad) * (g.InW + 2*g.Pad)
 }
 
-// convForwardFunc, convGradFunc and convGradInputFunc are the signatures
-// of tensor's direct kernels; the tests pass the scalar twins through
-// them.
-type (
-	convForwardFunc   func(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int)
-	convGradFunc      func(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int)
-	convGradInputFunc func(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int)
-)
-
-// copyRows copies n rows of w elements from src, whose rows start
-// srcStride apart, to dst, whose rows start dstStride apart.
-func copyRows(dst, src []float64, n, w, dstStride, srcStride int) {
-	for y := 0; y < n; y++ {
-		copy(dst[y*dstStride:y*dstStride+w], src[y*srcStride:y*srcStride+w])
+// resize returns buf with length n, reusing its storage when it can.
+// Elements past the old length keep what they held, zero for a fresh
+// buffer.
+func resize(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
 	}
+	return buf[:n]
 }
 
-// interior returns padded plane `plane` of buf (the batch is batch·InC
-// planes back to back) from its first in-image element on.
-func (c *Conv2D) interior(buf []float64, plane int) []float64 {
+// interior returns the offset, in a buffer of padded's layout (the batch
+// is batch·InC planes back to back), of plane `plane`'s first in-image
+// element.
+func (c *Conv2D) interior(plane int) int {
 	g := c.Geom
 	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
-	return buf[(plane*ph+g.Pad)*pw+g.Pad:]
+	return (plane*ph+g.Pad)*pw + g.Pad
 }
 
-// Forward convolves the whole batch. Per element the arithmetic — taps
-// ascending from +0, one multiply and one add each, the bias last — is
-// the per-sample lowering's, so activations are bit-identical to it.
+// Forward convolves the whole batch: per element a float32 chain over the
+// taps ascending from +0, widened, then the bias added in float64.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return c.forward(x, tensor.ConvForward)
-}
-
-func (c *Conv2D) forward(x *tensor.Tensor, kernel convForwardFunc) *tensor.Tensor {
 	checkBatch("Conv2D", x, c.InFeatures())
 	batch := x.Shape[0]
-	spatial := len(c.posBase)
 	taps := len(c.tapOff)
-	oc8 := tensor.ConvLanes(c.OutC)
 
-	// Copy the image rows into the interiors of the padded planes.
-	c.padded = tensor.Ensure(c.padded, batch, c.paddedLen())
+	// Convert the image rows into the interiors of the padded planes.
+	c.padded = resize(c.padded, batch*c.paddedLen())
 	g := c.Geom
 	plane, pw := g.InH*g.InW, g.InW+2*g.Pad
 	for i := 0; i < batch*g.InC; i++ {
-		copyRows(c.interior(c.padded.Data, i), x.Data[i*plane:], g.InH, g.InW, pw, g.InW)
+		dst, src := c.padded[c.interior(i):], x.Data[i*plane:(i+1)*plane]
+		for y := 0; y < g.InH; y++ {
+			row := dst[y*pw : y*pw+g.InW]
+			for j, v := range src[y*g.InW : (y+1)*g.InW] {
+				row[j] = float32(v)
+			}
+		}
 	}
-
-	c.wt = tensor.Ensure(c.wt, taps, oc8)
-	tensor.TransposeTo(c.wt.Data, c.W.Data, c.OutC, taps, taps, oc8)
-	c.out = tensor.Ensure(c.out, batch, c.OutC*spatial)
-	kernel(c.out.Data, c.padded.Data, c.wt.Data, c.B.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
+	c.w = resize(c.w, taps*c.OutC)
+	w, outC := c.w, c.OutC
+	for oc := 0; oc < outC; oc++ {
+		for p, v := range c.W.Data[oc*taps : (oc+1)*taps] {
+			w[p*outC+oc] = float32(v)
+		}
+	}
+	c.out = tensor.Ensure(c.out, batch, c.OutFeatures())
+	tensor.ConvForward(c.out.Data, c.padded, c.w, c.B.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	return c.out
 }
 
@@ -146,55 +149,51 @@ func (c *Conv2D) forward(x *tensor.Tensor, kernel convForwardFunc) *tensor.Tenso
 // activations Forward cached, without forming dLoss/dInput. The chains
 // are the ones Backward runs, so the gradients are the same bits.
 func (c *Conv2D) BackwardParams(grad *tensor.Tensor) {
-	c.backwardParams(grad, tensor.ConvGradParams)
-}
-
-func (c *Conv2D) backwardParams(grad *tensor.Tensor, kernel convGradFunc) {
 	// The kernels pair grad row by row with the padded samples Forward
 	// cached (none before the first Forward).
 	checkBatch("Conv2D.Backward", grad, c.OutFeatures())
-	checkGradBatch("Conv2D", grad, c.padded)
+	checkGradBatch("Conv2D", grad, c.out)
 	batch := grad.Shape[0]
-	spatial := len(c.posBase)
 	taps := len(c.tapOff)
-	oc8 := tensor.ConvLanes(c.OutC)
-
-	// Sample-major (OutC × spatial) gradients into (spatial × oc8) lanes.
-	c.dyt = tensor.Ensure(c.dyt, batch, spatial*oc8)
-	for b := 0; b < batch; b++ {
-		tensor.TransposeTo(c.dyt.Data[b*spatial*oc8:(b+1)*spatial*oc8], grad.Data[b*c.OutC*spatial:(b+1)*c.OutC*spatial],
-			c.OutC, spatial, spatial, oc8)
+	dy := resize(c.dy, len(grad.Data))
+	for i, v := range grad.Data {
+		dy[i] = float32(v)
 	}
-	// The kernel accumulates samples in order onto the gradients' current
-	// values, so they ride along in its layout: dWᵀ, then dB as the last
-	// row.
-	c.gt = tensor.Ensure(c.gt, taps+1, oc8)
-	tensor.TransposeTo(c.gt.Data, c.dW.Data, c.OutC, taps, taps, oc8)
-	copy(c.gt.Data[taps*oc8:], c.dB.Data)
-	kernel(c.gt.Data, c.padded.Data, c.dyt.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
-	tensor.TransposeTo(c.dW.Data, c.gt.Data, taps, c.OutC, oc8, taps)
-	copy(c.dB.Data, c.gt.Data[taps*oc8:])
+	c.dy = dy
+	c.sums = resize(c.sums, (taps+1)*c.OutC)
+	tensor.ConvGradParams(c.sums, c.padded, c.dy, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
+	sums, outC := c.sums, c.OutC
+	for oc := 0; oc < outC; oc++ {
+		dw := c.dW.Data[oc*taps : (oc+1)*taps]
+		for p := range dw {
+			dw[p] += float64(sums[p*outC+oc])
+		}
+		c.dB.Data[oc] += float64(sums[taps*outC+oc])
+	}
 }
 
 // Backward accumulates dW/dB and returns the input gradient. A caller
 // that drops the result wants BackwardParams.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.BackwardParams(grad)
-	return c.backwardInput(grad, tensor.ConvGradInput)
+	return c.backwardInput(grad.Shape[0])
 }
 
-// backwardInput forms dLoss/dInput: the kernel adds every tap's term into
-// a zeroed padded sample — col2im's scatter, in col2im's order, through
-// the forward's tables — and dx is the interiors of those.
-func (c *Conv2D) backwardInput(grad *tensor.Tensor, kernel convGradInputFunc) *tensor.Tensor {
-	batch := grad.Shape[0]
+// backwardInput forms dLoss/dInput from the float32 gradient
+// backwardParams converted: the kernel adds every tap's term into a
+// zeroed padded sample — col2im's scatter, in col2im's order, through the
+// forward's tables — and dx is the interiors of those.
+func (c *Conv2D) backwardInput(batch int) *tensor.Tensor {
 	c.dpad = tensor.Ensure(c.dpad, batch, c.paddedLen())
-	kernel(c.dpad.Data, grad.Data, c.W.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
+	tensor.ConvGradInput(c.dpad.Data, c.dy, c.w, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	c.dx = tensor.Ensure(c.dx, batch, c.InFeatures())
 	g := c.Geom
 	plane, pw := g.InH*g.InW, g.InW+2*g.Pad
 	for i := 0; i < batch*g.InC; i++ {
-		copyRows(c.dx.Data[i*plane:], c.interior(c.dpad.Data, i), g.InH, g.InW, g.InW, pw)
+		src := c.dpad.Data[c.interior(i):]
+		for y := 0; y < g.InH; y++ {
+			copy(c.dx.Data[i*plane+y*g.InW:i*plane+(y+1)*g.InW], src[y*pw:y*pw+g.InW])
+		}
 	}
 	return c.dx
 }

@@ -9,42 +9,190 @@ import (
 	"fedcross/internal/tensor"
 )
 
-// loweredConv is the per-sample lowering Conv2D's direct kernels must
-// reproduce to the bit, written out from primitives: Im2ColTo + MatMulTo +
-// bias forward; one MatMulTransBAcc per sample for dW; the serial
-// per-sample row sum for dB; MatMulTransATo + Col2ImTo for dx. dW and dB
-// accumulate onto the values they come in with.
-func loweredConv(g tensor.ConvGeom, outC int, w, bias, x, grad, dW, dB *tensor.Tensor) (out, dx *tensor.Tensor) {
-	batch := x.Shape[0]
-	rows := g.InC * g.KH * g.KW
-	spatial := g.OutH() * g.OutW()
-	inLen := g.InC * g.InH * g.InW
-	out = tensor.Zeros(batch, outC*spatial)
-	dx = tensor.Zeros(batch, inLen)
-	cols := tensor.Zeros(rows, spatial)
-	y := tensor.Zeros(outC, spatial)
-	dcols := tensor.Zeros(rows, spatial)
-	for b := 0; b < batch; b++ {
-		tensor.Im2ColTo(cols, tensor.New(x.Data[b*inLen:(b+1)*inLen], g.InC, g.InH, g.InW), g)
-		tensor.MatMulTo(y, w, cols)
-		for oc := 0; oc < outC; oc++ {
+// refConv is a float64 convolution built from tensor's lowering, sample
+// by sample: Im2ColTo, GoBackend's Gemm and the bias forward; dW += dy·
+// colsᵀ, dB += Σ dy and dx = Col2ImTo(Wᵀ·dy) backward. It is the
+// reference the gradient checks differentiate and that
+// TestConvMatchesFloat64Reference holds the float32 Conv2D to.
+type refConv struct {
+	g              tensor.ConvGeom
+	outC           int
+	W, B, dW, dB   *tensor.Tensor
+	x              *tensor.Tensor
+	cols, y, dcols *tensor.Tensor
+}
+
+// newRefConv returns the reference for c's geometry, on copies of c's
+// parameters and gradients.
+func newRefConv(c *Conv2D) *refConv {
+	g := c.Geom
+	rows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	return &refConv{g: g, outC: c.OutC, W: c.W.Clone(), B: c.B.Clone(), dW: c.dW.Clone(), dB: c.dB.Clone(),
+		cols: tensor.Zeros(rows, spatial), y: tensor.Zeros(c.OutC, spatial), dcols: tensor.Zeros(rows, spatial)}
+}
+
+func (r *refConv) sample(x *tensor.Tensor, b int) *tensor.Tensor {
+	n := r.g.InC * r.g.InH * r.g.InW
+	return tensor.New(x.Data[b*n:(b+1)*n], r.g.InC, r.g.InH, r.g.InW)
+}
+
+func (r *refConv) Forward(x *tensor.Tensor) *tensor.Tensor {
+	r.x = x
+	rows, spatial := r.cols.Shape[0], r.cols.Shape[1]
+	out := tensor.Zeros(x.Shape[0], r.outC*spatial)
+	for b := 0; b < x.Shape[0]; b++ {
+		tensor.Im2ColTo(r.cols, r.sample(x, b), r.g)
+		tensor.GoBackend{}.Gemm(r.y.Data, r.W.Data, r.cols.Data, r.outC, rows, spatial, false, false, false)
+		for oc := 0; oc < r.outC; oc++ {
 			for j := 0; j < spatial; j++ {
-				out.Data[(b*outC+oc)*spatial+j] = y.Data[oc*spatial+j] + bias.Data[oc]
+				out.Data[(b*r.outC+oc)*spatial+j] = r.y.Data[oc*spatial+j] + r.B.Data[oc]
 			}
 		}
-		dy := tensor.New(grad.Data[b*outC*spatial:(b+1)*outC*spatial], outC, spatial)
-		tensor.MatMulTransBAcc(dW, dy, cols)
-		for oc := 0; oc < outC; oc++ {
-			s := 0.0
-			for _, v := range dy.Data[oc*spatial : (oc+1)*spatial] {
-				s += v
-			}
-			dB.Data[oc] += s
-		}
-		tensor.MatMulTransATo(dcols, w, dy)
-		tensor.Col2ImTo(tensor.New(dx.Data[b*inLen:(b+1)*inLen], g.InC, g.InH, g.InW), dcols, g)
 	}
-	return out, dx
+	return out
+}
+
+func (r *refConv) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	rows, spatial := r.cols.Shape[0], r.cols.Shape[1]
+	dx := tensor.Zeros(r.x.Shape...)
+	for b := 0; b < grad.Shape[0]; b++ {
+		dy := grad.Data[b*r.outC*spatial : (b+1)*r.outC*spatial]
+		tensor.Im2ColTo(r.cols, r.sample(r.x, b), r.g)
+		tensor.GoBackend{}.Gemm(r.dW.Data, dy, r.cols.Data, r.outC, spatial, rows, false, true, true)
+		for oc := 0; oc < r.outC; oc++ {
+			for _, v := range dy[oc*spatial : (oc+1)*spatial] {
+				r.dB.Data[oc] += v
+			}
+		}
+		tensor.GoBackend{}.Gemm(r.dcols.Data, r.W.Data, dy, rows, r.outC, spatial, true, false, false)
+		tensor.Col2ImTo(r.sample(dx, b), r.dcols, r.g)
+	}
+	return dx
+}
+
+func (r *refConv) Params() []*tensor.Tensor { return []*tensor.Tensor{r.W, r.B} }
+func (r *refConv) Grads() []*tensor.Tensor  { return []*tensor.Tensor{r.dW, r.dB} }
+
+// absOf returns a tensor of the absolute values of t.
+func absOf(t *tensor.Tensor) *tensor.Tensor {
+	a := t.Clone()
+	for i, v := range a.Data {
+		a.Data[i] = math.Abs(v)
+	}
+	return a
+}
+
+// gamma is γ(k) = k·u/(1−k·u) for float32's unit roundoff u = 2⁻²⁴: the
+// relative bound on a sum of k terms each carrying at most k roundings.
+func gamma(k int) float64 {
+	const u = 0x1p-24
+	return float64(k) * u / (1 - float64(k)*u)
+}
+
+// withinBound checks got against the float64 reference want element by
+// element: |got − want| ≤ γ(n+2)·abs, where abs is the sum of the
+// element's terms' magnitudes and n its float32 chain length (the two
+// extra roundings are the operands' conversions to float32). Where the
+// reference is NaN or ±Inf, got must be the same: NaN, or the same
+// infinity.
+func withinBound(t *testing.T, what string, got, want, abs []float64, n int) {
+	t.Helper()
+	for i, w := range want {
+		g := got[i]
+		switch {
+		case math.IsNaN(w) || math.IsInf(w, 0):
+			if !(math.IsNaN(w) && math.IsNaN(g)) && g != w {
+				t.Fatalf("%s element %d: %v, reference %v", what, i, g, w)
+			}
+		case math.IsNaN(g) || math.IsInf(g, 0) || math.Abs(g-w) > gamma(n+2)*abs[i]:
+			t.Fatalf("%s element %d: %v, reference %v: error %.3g over the bound %.3g (n = %d)",
+				what, i, g, w, math.Abs(g-w), gamma(n+2)*abs[i], n)
+		}
+	}
+}
+
+// plantSpecials puts one NaN, one +Inf, one −Inf and one −0 at random
+// elements of data.
+func plantSpecials(rng *tensor.RNG, data []float64) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)} {
+		data[rng.Intn(len(data))] = v
+	}
+}
+
+// TestConvMatchesFloat64Reference holds the product Conv2D — float32
+// kernels between float64 boundaries — to the float64 reference
+// convolution: out, dW, dB and dx each within γ(n+2) of the sum of their
+// terms' magnitudes (see withinBound), with n the taps for out, the
+// batch's positions for dW and dB (whose float32 sums are added to
+// gradients that already hold values, a term of their own), and the
+// output channels for each of dx's per-tap terms. It runs over kernel
+// shapes, strides, paddings, planes the vector kernels take and planes
+// they leave to the twins, channel counts on both sides of the
+// eight-channel block, and batches that grow, shrink and grow again
+// through the same layer (a stale row of either padded buffer would
+// show); every other geometry plants a NaN, ±Inf and −0 in x, W and the
+// incoming gradient, and the non-finite results must land where the
+// reference's do.
+func TestConvMatchesFloat64Reference(t *testing.T) {
+	rng := tensor.NewRNG(15)
+	check := func(g tensor.ConvGeom, outC int, batches []int, special bool) {
+		name := fmt.Sprintf("%+v outC=%d special=%v", g, outC, special)
+		c := NewConv2D(g, outC, rng)
+		c.B = rng.Uniform(-1, 1, outC)
+		if special {
+			plantSpecials(rng, c.W.Data)
+		}
+		taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+		for _, batch := range batches {
+			what := fmt.Sprintf("%s batch %d", name, batch)
+			x := rng.Uniform(-1, 1, batch, c.InFeatures())
+			grad := rng.Uniform(-1, 1, batch, c.OutFeatures())
+			if special {
+				plantSpecials(rng, x.Data)
+				plantSpecials(rng, grad.Data)
+			}
+			c.dW = rng.Uniform(-1, 1, c.dW.Shape...)
+			c.dB = rng.Uniform(-1, 1, outC)
+			ref, abs := newRefConv(c), newRefConv(c)
+			abs.W, abs.B, abs.dW, abs.dB = absOf(c.W), absOf(c.B), absOf(c.dW), absOf(c.dB)
+
+			withinBound(t, what+" out", c.Forward(x).Data, ref.Forward(x).Data, abs.Forward(absOf(x)).Data, taps)
+			dx := c.Backward(grad)
+			withinBound(t, what+" dx", dx.Data, ref.Backward(grad).Data, abs.Backward(absOf(grad)).Data, outC)
+			withinBound(t, what+" dW", c.dW.Data, ref.dW.Data, abs.dW.Data, batch*spatial)
+			withinBound(t, what+" dB", c.dB.Data, ref.dB.Data, abs.dB.Data, batch*spatial)
+		}
+	}
+
+	n := 0
+	for _, k := range [][2]int{{1, 1}, {3, 3}, {5, 3}} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, pl := range [][2]int{{4, 4}, {5, 7}, {8, 8}} {
+					for _, inC := range []int{1, 3, 8} {
+						for _, outC := range []int{1, 8, 12, 16} {
+							g := tensor.ConvGeom{InC: inC, InH: pl[0], InW: pl[1], KH: k[0], KW: k[1], Stride: stride, Pad: pad}
+							if g.Validate() != nil {
+								continue
+							}
+							// A training-sized batch on a third of the grid;
+							// growth, a shorter batch and growth again
+							// everywhere.
+							batches := []int{1, 3, 2, 4}
+							if n%3 == 0 {
+								batches = []int{1, 3, 50, 7, 9}
+							}
+							check(g, outC, batches, n%2 == 1)
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	if n < 500 {
+		t.Fatalf("only %d geometries checked", n)
+	}
 }
 
 // sameBits compares two slices bit for bit, any NaN equal to any NaN.
@@ -55,7 +203,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			t.Fatalf("%s element %d: %v (%#x), lowered %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			t.Fatalf("%s element %d: %v (%#x), want %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
@@ -72,120 +220,44 @@ func sprinkle(rng *tensor.RNG, data []float64) {
 	}
 }
 
-// TestConvDirectMatchesLowered pins the direct kernels — the dispatched
-// ones and, on every run, their scalar twins — to the per-sample
-// lowering: outputs, dW, dB and dx Float64bits-equal over kernel shapes,
-// strides, paddings, planes with spatial%4 of 0..3, channel counts on
-// both sides of the eight-lane block, batches that grow, shrink and grow
-// again through the same layer (a stale row of either padded buffer
-// would show), gradients accumulating onto non-zero values, and inputs
-// carrying signed zeros, denormals, infinities and NaN.
-func TestConvDirectMatchesLowered(t *testing.T) {
-	rng := tensor.NewRNG(15)
-	kernels := []struct {
-		name string
-		fwd  convForwardFunc
-		grad convGradFunc
-		in   convGradInputFunc
+// TestConstructorsRefuseUnrunnableSizes: a layer whose sizes it could not
+// run must be refused when it is built, by a panic that names it — not on
+// the first Forward, inside a kernel (NewConv2D with no output channel
+// used to fail there, NewMaxPool2D took empty planes because 0%k is 0,
+// and NewGlobalAvgPool took an empty plane, whose average is 0/0).
+func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
+	rng := tensor.NewRNG(24)
+	g := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	for _, tc := range []struct {
+		name, want string
+		build      func()
 	}{
-		{"dispatched", tensor.ConvForward, tensor.ConvGradParams, tensor.ConvGradInput},
-		{"scalar", tensor.ConvForwardGo, tensor.ConvGradParamsGo, tensor.ConvGradInputGo},
-	}
-	check := func(g tensor.ConvGeom, outC int, batches []int, special bool) {
-		name := fmt.Sprintf("%+v outC=%d special=%v", g, outC, special)
-		ref := NewConv2D(g, outC, rng)
-		ref.B = rng.Uniform(-1, 1, outC)
-		if special {
-			sprinkle(rng, ref.W.Data)
-			sprinkle(rng, ref.B.Data)
-		}
-		layers := make([]*Conv2D, len(kernels))
-		for i := range layers {
-			layers[i] = NewConv2D(g, outC, rng)
-			layers[i].W, layers[i].B = ref.W.Clone(), ref.B.Clone()
-		}
-		for _, batch := range batches {
-			x := rng.Uniform(-1, 1, batch, ref.InFeatures())
-			grad := rng.Uniform(-1, 1, batch, ref.OutFeatures())
-			if special {
-				sprinkle(rng, x.Data)
-				sprinkle(rng, grad.Data)
-			}
-			dW0 := rng.Uniform(-1, 1, ref.dW.Shape...)
-			dB0 := rng.Uniform(-1, 1, outC)
-			wantDW, wantDB := dW0.Clone(), dB0.Clone()
-			wantOut, wantDx := loweredConv(g, outC, ref.W, ref.B, x, grad, wantDW, wantDB)
-			for i, k := range kernels {
-				c := layers[i]
-				what := fmt.Sprintf("%s %s batch %d", k.name, name, batch)
-				sameBits(t, what+" out", c.forward(x, k.fwd).Data, wantOut.Data)
-				copy(c.dW.Data, dW0.Data)
-				copy(c.dB.Data, dB0.Data)
-				c.backwardParams(grad, k.grad)
-				sameBits(t, what+" dW", c.dW.Data, wantDW.Data)
-				sameBits(t, what+" dB", c.dB.Data, wantDB.Data)
-				sameBits(t, what+" dx", c.backwardInput(grad, k.in).Data, wantDx.Data)
-			}
-			// The public pair on the dispatched layer: Backward adds the
-			// same parameter gradients and returns the lowering's dx.
-			c := layers[0]
-			copy(c.dW.Data, dW0.Data)
-			copy(c.dB.Data, dB0.Data)
-			sameBits(t, name+" Forward", c.Forward(x).Data, wantOut.Data)
-			sameBits(t, name+" dx", c.Backward(grad).Data, wantDx.Data)
-			sameBits(t, name+" Backward dW", c.dW.Data, wantDW.Data)
-			sameBits(t, name+" Backward dB", c.dB.Data, wantDB.Data)
-		}
-	}
-
-	kernelShapes := [][2]int{{1, 1}, {3, 3}, {5, 3}}
-	planes := [][2]int{{4, 4}, {5, 7}, {8, 8}}
-	n := 0
-	for _, k := range kernelShapes {
-		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1, 2} {
-				for _, pl := range planes {
-					for _, inC := range []int{1, 3, 8} {
-						for _, outC := range []int{1, 8, 12, 16} {
-							g := tensor.ConvGeom{InC: inC, InH: pl[0], InW: pl[1], KH: k[0], KW: k[1], Stride: stride, Pad: pad}
-							if g.Validate() != nil {
-								continue
-							}
-							// A training-sized batch on a third of the
-							// grid; growth, a shorter batch and growth
-							// again everywhere.
-							batches := []int{1, 3, 2, 4}
-							if n%3 == 0 {
-								batches = []int{1, 3, 50, 7, 9}
-							}
-							check(g, outC, batches, n%2 == 1)
-							n++
-						}
-					}
+		{"conv without output channels", "nn: Conv2D: 0 output channels", func() { NewConv2D(g, 0, rng) }},
+		{"conv with negative output channels", "nn: Conv2D: -3 output channels", func() { NewConv2D(g, -3, rng) }},
+		{"conv with an empty plane", "nn: Conv2D: tensor: conv geometry", func() {
+			NewConv2D(tensor.ConvGeom{InC: 2, InH: 0, InW: 4, KH: 1, KW: 1, Stride: 1}, 4, rng)
+		}},
+		{"pool without channels", "nn: MaxPool2D: 0 channels of 4x4", func() { NewMaxPool2D(0, 4, 4, 2) }},
+		{"pool without rows", "nn: MaxPool2D: 2 channels of 0x4", func() { NewMaxPool2D(2, 0, 4, 2) }},
+		{"pool without columns", "nn: MaxPool2D: 2 channels of 4x0", func() { NewReLUMaxPool2D(2, 4, 0, 2) }},
+		{"pool with negative rows", "nn: MaxPool2D: 2 channels of -2x4", func() { NewMaxPool2D(2, -2, 4, 2) }},
+		{"pool kernel that does not divide", "nn: MaxPool2D: kernel 3 must divide 4x4", func() { NewMaxPool2D(2, 4, 4, 3) }},
+		{"average pool without channels", "nn: GlobalAvgPool: 0 channels of 4x4", func() { NewGlobalAvgPool(0, 4, 4) }},
+		{"average pool without rows", "nn: GlobalAvgPool: 2 channels of 0x4", func() { NewGlobalAvgPool(2, 0, 4) }},
+		{"average pool without columns", "nn: GlobalAvgPool: 2 channels of 4x0", func() { NewGlobalAvgPool(2, 4, 0) }},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, tc.want) {
+					t.Errorf("%s: panic %q, want one starting %q", tc.name, msg, tc.want)
 				}
-			}
-		}
+			}()
+			tc.build()
+		}()
 	}
-	if n < 500 {
-		t.Fatalf("only %d geometries checked", n)
-	}
-	// Planes whose positions are whole vectors but not whole blocks of
-	// sixteen (20, 24, 40 and 96 of them), which the input-gradient kernel
-	// finishes four at a time: an even tap count (taps in pairs) and an
-	// odd one (taps singly) each.
-	for _, pl := range [][2]int{{5, 4}, {6, 4}, {5, 8}, {12, 8}} {
-		for _, inC := range []int{2, 3} {
-			g := tensor.ConvGeom{InC: inC, InH: pl[0], InW: pl[1], KH: 3, KW: 3, Stride: 1, Pad: 1}
-			check(g, 5, []int{2, 1, 3}, inC == 3)
-		}
-	}
-	// An even tap count that does not split into two halves of input
-	// channels — a 2×2 kernel over one or three — must not be paired: the
-	// halves share cells, and pairing would reorder their adds.
-	for _, inC := range []int{1, 2, 3} {
-		g := tensor.ConvGeom{InC: inC, InH: 5, InW: 5, KH: 2, KW: 2, Stride: 1}
-		check(g, 6, []int{3, 1}, inC == 2)
-	}
+	NewConv2D(g, 1, rng) // the smallest runnable sizes are accepted
+	NewMaxPool2D(1, 1, 1, 1)
+	NewGlobalAvgPool(1, 1, 1)
 }
 
 // poolKinds are MaxPool2D's two constructors with the start value each

@@ -2,7 +2,9 @@
 // hand-derived backward passes, softmax cross-entropy, and SGD with
 // momentum. It exists because the FedCross reproduction needs a DNN
 // training substrate and Go has no stdlib one; every layer is
-// gradient-checked against central differences in the tests.
+// gradient-checked against central differences in the tests — Conv2D,
+// whose kernels compute in float32, through the float64 reference
+// convolution it is bounded against.
 //
 // Conventions:
 //   - Activations are rank-2 tensors (batch × features). Convolutional

@@ -34,6 +34,9 @@ type MaxPool2D struct {
 // NewMaxPool2D constructs a pooling layer for C×H×W inputs with kernel k.
 // H and W must be divisible by k.
 func NewMaxPool2D(c, h, w, k int) *MaxPool2D {
+	if c < 1 || h < 1 || w < 1 {
+		panic(fmt.Sprintf("nn: MaxPool2D: %d channels of %dx%d, want each at least 1", c, h, w))
+	}
 	if k <= 0 || h%k != 0 || w%k != 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D: kernel %d must divide %dx%d", k, h, w))
 	}
@@ -180,6 +183,9 @@ type GlobalAvgPool struct {
 
 // NewGlobalAvgPool constructs a global average pool for C×H×W inputs.
 func NewGlobalAvgPool(c, h, w int) *GlobalAvgPool {
+	if c < 1 || h < 1 || w < 1 {
+		panic(fmt.Sprintf("nn: GlobalAvgPool: %d channels of %dx%d, want each at least 1", c, h, w))
+	}
 	return &GlobalAvgPool{C: c, H: h, W: w}
 }
 

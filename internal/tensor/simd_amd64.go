@@ -2,8 +2,6 @@
 
 package tensor
 
-import "slices"
-
 // AVX2 kernel primitives. Each assembly routine vectorizes across
 // INDEPENDENT output elements (lanes) while keeping every element's own
 // accumulation chain identical to the scalar kernels — VMULPD/VADDPD are
@@ -83,43 +81,36 @@ func maxPool2AVX(dst *float64, am *int, src *float64, w, rows, steps, half int, 
 //go:noescape
 func dotTileAVX(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float64, c0, n int)
 
-// convFwdAVX convolves one padded sample into one block of up to eight
-// output channels: a 4 positions × 8 channels tile of ymm accumulators
-// per step, taps ascending from +0, then a 4×4 in-register transpose, the
-// bias add and a store per channel. wt and bias point at the block's
-// first channel, out at that channel's plane; nc ≤ 8 channels are stored.
-// spatial must be ≥ 4: a ragged last tile is redone over the last four
-// positions, which rewrites the same bits.
+// convFwdAVX convolves one padded sample into one block of eight output
+// channels: per group of eight positions, eight ymm accumulators (one per
+// channel, lanes the positions) over the taps ascending from +0, then the
+// conversion to float64, the bias add and two stores per channel. w and
+// bias point at the block's first channel, out at that channel's plane;
+// wStride is w's row length. spatial must be a multiple of 8 and every
+// four positions a run of consecutive window origins.
 //
 //go:noescape
-func convFwdAVX(out, in, wt, bias *float64, tapOff, posBase *int, taps, spatial, wtStride, nc int)
+func convFwdAVX(out *float64, in, w *float32, bias *float64, tapOff, posBase *int, taps, spatial, wStride int)
 
-// convGradAVX folds one sample into one eight-channel block of gt: the
-// bias row, then per tap eight ymm accumulators — 4 position classes × 8
-// channels — collapsed ((s0+s1)+s2)+s3 and added to the tap's row. gt and
-// dyt point at the block's first channel; stride is their row length.
+// convGradAVX writes one eight-channel block of the batch's gradient
+// sums: the dB row, then per tap eight ymm accumulators (one per channel,
+// lanes the position classes pos%8) over every sample, collapsed by a
+// horizontal-add tree into one row store. sums and dy point at the
+// block's first channel; outC is sums' row length and dy's channel count.
+// Geometry as for convFwdAVX; batch must be ≥ 1.
 //
 //go:noescape
-func convGradAVX(gt, in, dyt *float64, tapOff, posBase *int, taps, spatial, stride int)
+func convGradAVX(sums, in, dy *float32, tapOff, posBase *int, taps, spatial, batch, sampleLen, outC int)
 
 // convGradInAVX scatters one sample's input gradient into its zeroed
-// padded sample: per tap and group of four positions, a ymm chain over
-// the output channels ascending from +0, then one add into the group's
-// four cells — which must be contiguous, posBase[pos+i] = posBase[pos]+i.
-// spatial must be a multiple of 4. With split > 0, taps p and p+split
-// (p < split, taps = 2·split) run together, eight chains in flight per
-// sixteen positions, each half's taps ascending; the caller vouches that
-// the two halves share no cell. With split = 0 the taps run singly.
+// padded sample: per tap and group of sixteen positions, eight ymm chains
+// — four channel streams (oc%4) × two groups of eight positions — over
+// the output channels ascending from +0, collapsed ((t0+t1)+t2)+t3,
+// converted to float64 and added into the four cell runs. spatial must be
+// a multiple of 16, every four positions a run of consecutive origins.
 //
 //go:noescape
-func convGradInAVX(dpad, dy, w *float64, tapOff, posBase *int, taps, spatial, outC, split int)
-
-// transposeAVX is TransposeTo over 4×4 in-register blocks. rows and cols
-// must be ≥ 4: a ragged edge is redone over the last four rows or
-// columns.
-//
-//go:noescape
-func transposeAVX(dst, src *float64, rows, cols, srcStride, dstStride int)
+func convGradInAVX(dpad *float64, dy, w *float32, tapOff, posBase *int, taps, spatial, outC int)
 
 // deltaRangeAVX returns the finite min and max of v[i]−ref[i] over n
 // elements (of v[i] when ref is nil), (+Inf, −Inf) when none is finite. n
@@ -302,99 +293,54 @@ func dotTile(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float
 	dotTileGo(acc, a, b, c0, n)
 }
 
-// convForward runs the checked convolution on the AVX2 tile, one call per
-// sample and channel block, when the CPU has it and a sample has a full
-// tile of positions.
-func convForward(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	spatial := len(posBase)
-	if !avx2Supported || spatial < 4 {
-		convForwardGo(out, in, wt, bias, tapOff, posBase, batch, sampleLen, outC)
+// convForward runs the checked convolution on the AVX2 kernel, one call
+// per sample and channel block, when the CPU has it and convVector takes
+// the geometry. A last block that would run past outC is moved back to
+// end on it, rewriting the same bits.
+func convForward(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	if !avx2Supported || !convVector(posBase, outC) {
+		convForwardGo(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
 		return
 	}
-	oc8 := ConvLanes(outC)
+	spatial := len(posBase)
 	for b := 0; b < batch; b++ {
-		for oc := 0; oc < outC; oc += convLanes {
-			convFwdAVX(&out[(b*outC+oc)*spatial], &in[b*sampleLen], &wt[oc], &bias[oc],
-				&tapOff[0], &posBase[0], len(tapOff), spatial, oc8, min(outC-oc, convLanes))
+		for oc0 := 0; oc0 < outC; oc0 += convLanes {
+			oc := min(oc0, outC-convLanes)
+			convFwdAVX(&out[(b*outC+oc)*spatial], &in[b*sampleLen], &w[oc], &bias[oc],
+				&tapOff[0], &posBase[0], len(tapOff), spatial, outC)
 		}
 	}
 }
 
 // convGradParams runs the checked parameter-gradient pass on the AVX2
-// kernel when the CPU has it.
-func convGradParams(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	if !avx2Supported {
-		convGradParamsGo(gt, in, dyt, tapOff, posBase, batch, sampleLen, outC)
+// kernel, one call per channel block over the whole batch, under the same
+// conditions; a moved-back last block rewrites the same sums.
+func convGradParams(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	if !avx2Supported || batch == 0 || !convVector(posBase, outC) {
+		convGradParamsGo(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
 		return
 	}
-	oc8 := ConvLanes(outC)
 	spatial := len(posBase)
-	for b := 0; b < batch; b++ {
-		for oc := 0; oc < oc8; oc += convLanes {
-			convGradAVX(&gt[oc], &in[b*sampleLen], &dyt[b*spatial*oc8+oc],
-				&tapOff[0], &posBase[0], len(tapOff), spatial, oc8)
-		}
+	for oc0 := 0; oc0 < outC; oc0 += convLanes {
+		oc := min(oc0, outC-convLanes)
+		convGradAVX(&sums[oc], &in[0], &dy[oc*spatial], &tapOff[0], &posBase[0],
+			len(tapOff), spatial, batch, sampleLen, outC)
 	}
 }
 
 // convGradInput runs the checked input-gradient pass on the AVX2 kernel,
-// one call per sample, when the CPU has it and the positions come in
-// groups of four contiguous cells (stride 1, output rows a multiple of
-// four wide); any other geometry runs the twin.
-func convGradInput(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	if !avx2Supported || !convPosQuads(posBase) {
+// one call per sample, under the same conditions.
+func convGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	if !avx2Supported || !convVector(posBase, outC) {
 		convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
 		return
 	}
-	taps, spatial := len(tapOff), len(posBase)
-	split := convTapSplit(tapOff, posBase)
+	spatial := len(posBase)
 	for b := 0; b < batch; b++ {
 		pad := dpad[b*sampleLen : (b+1)*sampleLen]
 		clear(pad)
-		convGradInAVX(&pad[0], &dy[b*outC*spatial], &w[0], &tapOff[0], &posBase[0], taps, spatial, outC, split)
+		convGradInAVX(&pad[0], &dy[b*outC*spatial], &w[0], &tapOff[0], &posBase[0], len(tapOff), spatial, outC)
 	}
-}
-
-// convPosQuads reports whether the positions split into groups of four
-// whose window origins are consecutive, so a group's cells under any tap
-// are one ymm vector.
-func convPosQuads(posBase []int) bool {
-	if len(posBase)%4 != 0 {
-		return false
-	}
-	for i := 0; i < len(posBase); i += 4 {
-		q := posBase[i : i+4 : i+4]
-		if q[1] != q[0]+1 || q[2] != q[0]+2 || q[3] != q[0]+3 {
-			return false
-		}
-	}
-	return true
-}
-
-// convTapSplit returns taps/2 when every cell the first half of the taps
-// can reach lies below every cell the second half can — the halves are
-// then the lower and upper input channels, and tap p and tap p+taps/2
-// may be in flight together without reordering any cell's chain — and 0
-// when the taps do not split that way (an odd number of them).
-func convTapSplit(tapOff, posBase []int) int {
-	if len(tapOff)%2 != 0 {
-		return 0
-	}
-	h := len(tapOff) / 2
-	if slices.Max(tapOff[:h])+slices.Max(posBase) < slices.Min(tapOff[h:])+slices.Min(posBase) {
-		return h
-	}
-	return 0
-}
-
-// transpose runs the checked block on the AVX2 kernel when the CPU has it
-// and the block holds a full 4×4.
-func transpose(dst, src []float64, rows, cols, srcStride, dstStride int) {
-	if !avx2Supported || rows < 4 || cols < 4 {
-		transposeGo(dst, src, rows, cols, srcStride, dstStride)
-		return
-	}
-	transposeAVX(&dst[0], &src[0], rows, cols, srcStride, dstStride)
 }
 
 // wireBlocks splits a checked n-element wire pass into the prefix the

@@ -1102,475 +1102,320 @@ done:
 	VZEROUPPER
 	RET
 
-// func transposeAVX(dst, src *float64, rows, cols, srcStride, dstStride int)
-// dst[c*dstStride+r] = src[r*srcStride+c] over 4×4 blocks. A block that
-// would run past the last row or column is moved back to end on it, so
-// ragged edges rewrite a few elements with the same values; rows and cols
-// must be ≥ 4.
-TEXT ·transposeAVX(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rows+16(FP), R8
-	MOVQ cols+24(FP), R9
-	MOVQ srcStride+32(FP), R10
-	MOVQ dstStride+40(FP), R11
-	SHLQ $3, R10             // strides in bytes
-	SHLQ $3, R11
-	LEAQ (R10)(R10*2), R12   // 3 source rows
-	LEAQ (R11)(R11*2), R13   // 3 destination rows
-	XORQ AX, AX              // r0
+// CONVFWDCH advances channel k's accumulator by one tap: the eight
+// activations in Y8 times the tap's weight for the channel (broadcast
+// from DX), then the add with the accumulator as first source — per lane
+// the scalar s += in*w.
+#define CONVFWDCH(k, acc) \
+	VBROADCASTSS (4*k)(DX), Y9 \
+	VMULPS Y9, Y8, Y9          \
+	VADDPS Y9, acc, acc
 
-trow:
-	MOVQ R8, BX
-	SUBQ $4, BX
-	CMPQ AX, BX
-	CMOVQGT BX, AX           // r0 = min(r0, rows-4)
-	MOVQ AX, CX
-	IMULQ R10, CX
-	ADDQ SI, CX              // &src[r0][0]
-	LEAQ (DI)(AX*8), DX      // &dst[0][r0]
-	XORQ BX, BX              // c0
+// CONVFWDSTORE widens channel k's eight sums (x is the low half of acc)
+// to float64, adds the channel's bias — the chain's last add — and stores
+// them; R10 walks the channel planes.
+#define CONVFWDSTORE(k, x, acc) \
+	VBROADCASTSD (8*k)(R11), Y12 \
+	VCVTPS2PD x, Y13             \
+	VEXTRACTF128 $1, acc, X14    \
+	VCVTPS2PD X14, Y14           \
+	VADDPD Y12, Y13, Y13         \
+	VADDPD Y12, Y14, Y14         \
+	VMOVUPD Y13, (R10)           \
+	VMOVUPD Y14, 32(R10)         \
+	ADDQ R15, R10
 
-tcol:
-	MOVQ R9, R14
-	SUBQ $4, R14
-	CMPQ BX, R14
-	CMOVQGT R14, BX          // c0 = min(c0, cols-4)
-	LEAQ (CX)(BX*8), R14
-	VMOVUPD (R14), Y0
-	VMOVUPD (R14)(R10*1), Y1
-	VMOVUPD (R14)(R10*2), Y2
-	VMOVUPD (R14)(R12*1), Y3
-	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
-	MOVQ BX, R14
-	IMULQ R11, R14
-	ADDQ DX, R14             // &dst[c0][r0]
-	VMOVUPD Y8, (R14)
-	VMOVUPD Y9, (R14)(R11*1)
-	VMOVUPD Y10, (R14)(R11*2)
-	VMOVUPD Y11, (R14)(R13*1)
-	ADDQ $4, BX
-	CMPQ BX, R9
-	JLT  tcol
-	ADDQ $4, AX
-	CMPQ AX, R8
-	JLT  trow
-	VZEROUPPER
-	RET
-
-// CONVFWDROW advances one tile row: the position's activation (already
-// broadcast in v) times the tap's eight weights Y8/Y9, then the add with
-// the accumulator as first source — per lane the scalar s += v*w.
-#define CONVFWDROW(v, lo, hi) \
-	VMULPD Y8, v, Y14   \
-	VMULPD Y9, v, Y15   \
-	VADDPD Y14, lo, lo  \
-	VADDPD Y15, hi, hi
-
-// CONVFWDSTORE adds channel i's bias to its four positions (the chain's
-// last add) and stores them; R10 walks the channel planes.
-#define CONVFWDSTORE(i, v) \
-	VBROADCASTSD (8*i)(R11), Y12 \
-	VADDPD Y12, v, v             \
-	VMOVUPD v, (R10)             \
-	ADDQ R9, R10
-
-// func convFwdAVX(out, in, wt, bias *float64, tapOff, posBase *int, taps, spatial, wtStride, nc int)
-// One padded sample into one block of nc ≤ 8 output channels. Per tile of
-// four positions: Y0/Y1, Y2/Y3, Y4/Y5, Y6/Y7 hold channels 0-3/4-7 of
-// positions 0..3, every lane a chain over taps ascending from +0 with one
-// VMULPD and one VADDPD per tap. The tile is then transposed so each
-// channel's four positions are contiguous, as the sample-major output
-// wants them. A tile that would run past the last position is moved back
-// to end on it (spatial ≥ 4), recomputing identical bits.
-TEXT ·convFwdAVX(SB), NOSPLIT, $0-80
+// func convFwdAVX(out *float64, in, w *float32, bias *float64, tapOff, posBase *int, taps, spatial, wStride int)
+// One padded sample into one block of eight output channels. Per group of
+// eight positions — two runs of four consecutive window origins, one
+// 16-byte load each — Y0..Y7 hold channels 0..7, every lane a chain over
+// taps ascending from +0 with one VMULPS and one VADDPS per tap. Lanes
+// are positions, so each channel's eight sums are already in output
+// order: no transpose before the store.
+TEXT ·convFwdAVX(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ in+8(FP), SI
 	MOVQ posBase+40(FP), R8
-	MOVQ wtStride+64(FP), R14
-	SHLQ $3, R14             // weight row in bytes
+	MOVQ wStride+64(FP), R14
+	SHLQ $2, R14             // weight row in bytes
+	MOVQ spatial+56(FP), R15
+	SHLQ $3, R15             // output channel plane in bytes
 	XORQ BX, BX              // pos0
 
-ftile:
-	MOVQ spatial+56(FP), AX
-	SUBQ $4, AX
-	CMPQ BX, AX
-	CMOVQGT AX, BX           // pos0 = min(pos0, spatial-4)
+foct:
 	MOVQ (R8)(BX*8), R10
-	MOVQ 8(R8)(BX*8), R11
-	MOVQ 16(R8)(BX*8), R12
-	MOVQ 24(R8)(BX*8), R13
-	LEAQ (SI)(R10*8), R10    // window origins of the four positions
-	LEAQ (SI)(R11*8), R11
-	LEAQ (SI)(R12*8), R12
-	LEAQ (SI)(R13*8), R13
+	MOVQ 32(R8)(BX*8), R11
+	LEAQ (SI)(R10*4), R10    // window origins of the two runs
+	LEAQ (SI)(R11*4), R11
 	MOVQ tapOff+32(FP), R9
 	MOVQ taps+48(FP), CX
-	MOVQ wt+16(FP), DX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
+	MOVQ w+16(FP), DX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 
 ftap:
 	MOVQ (R9), AX
-	VMOVUPD (DX), Y8
-	VMOVUPD 32(DX), Y9
-	VBROADCASTSD (R10)(AX*8), Y10
-	VBROADCASTSD (R11)(AX*8), Y11
-	VBROADCASTSD (R12)(AX*8), Y12
-	VBROADCASTSD (R13)(AX*8), Y13
-	CONVFWDROW(Y10, Y0, Y1)
-	CONVFWDROW(Y11, Y2, Y3)
-	CONVFWDROW(Y12, Y4, Y5)
-	CONVFWDROW(Y13, Y6, Y7)
+	VMOVUPS (R10)(AX*4), X8
+	VINSERTF128 $1, (R11)(AX*4), Y8, Y8
+	CONVFWDCH(0, Y0)
+	CONVFWDCH(1, Y1)
+	CONVFWDCH(2, Y2)
+	CONVFWDCH(3, Y3)
+	CONVFWDCH(4, Y4)
+	CONVFWDCH(5, Y5)
+	CONVFWDCH(6, Y6)
+	CONVFWDCH(7, Y7)
 	ADDQ $8, R9
 	ADDQ R14, DX
 	DECQ CX
 	JNZ  ftap
 
-	MOVQ spatial+56(FP), R9
-	SHLQ $3, R9              // channel plane in bytes
 	LEAQ (DI)(BX*8), R10     // &out[channel 0][pos0]
 	MOVQ bias+24(FP), R11
-	MOVQ nc+72(FP), R12
-	TRANSPOSE4(Y0, Y2, Y4, Y6, Y8, Y9, Y10, Y11, Y0, Y2, Y4, Y6)
-	CONVFWDSTORE(0, Y0)
-	CMPQ R12, $2
-	JLT  fnext
-	CONVFWDSTORE(1, Y2)
-	CMPQ R12, $3
-	JLT  fnext
-	CONVFWDSTORE(2, Y4)
-	CMPQ R12, $4
-	JLT  fnext
-	CONVFWDSTORE(3, Y6)
-	CMPQ R12, $5
-	JLT  fnext
-	TRANSPOSE4(Y1, Y3, Y5, Y7, Y8, Y9, Y10, Y11, Y1, Y3, Y5, Y7)
-	CONVFWDSTORE(4, Y1)
-	CMPQ R12, $6
-	JLT  fnext
-	CONVFWDSTORE(5, Y3)
-	CMPQ R12, $7
-	JLT  fnext
-	CONVFWDSTORE(6, Y5)
-	CMPQ R12, $8
-	JLT  fnext
-	CONVFWDSTORE(7, Y7)
-
-fnext:
-	ADDQ $4, BX
+	CONVFWDSTORE(0, X0, Y0)
+	CONVFWDSTORE(1, X1, Y1)
+	CONVFWDSTORE(2, X2, Y2)
+	CONVFWDSTORE(3, X3, Y3)
+	CONVFWDSTORE(4, X4, Y4)
+	CONVFWDSTORE(5, X5, Y5)
+	CONVFWDSTORE(6, X6, Y6)
+	CONVFWDSTORE(7, X7, Y7)
+	ADDQ $8, BX
 	CMPQ BX, spatial+56(FP)
-	JLT  ftile
+	JLT  foct
 	VZEROUPPER
 	RET
 
-// CONVGRADPOS folds one position into its class accumulators lo/hi:
-// output gradient (first source, as in the dot kernel) times the
-// activation the tap sees there. BX walks dyt's rows; j picks the
-// position within the current group of four.
-#define CONVGRADPOS(j, lo, hi) \
-	MOVQ (8*j)(R8)(CX*8), AX      \
-	VBROADCASTSD (R13)(AX*8), Y8  \
-	VMOVUPD (BX), Y9              \
-	VMOVUPD 32(BX), Y10           \
-	VMULPD Y8, Y9, Y9             \
-	VMULPD Y8, Y10, Y10           \
-	VADDPD Y9, lo, lo             \
-	VADDPD Y10, hi, hi            \
-	ADDQ R14, BX
+// CONVGRADCH advances one channel's accumulator by one group of eight
+// positions: the activations in Y8 times the channel's output gradients
+// at addr, then the add with the accumulator as first source — per lane
+// the scalar s += in*dy.
+#define CONVGRADCH(addr, acc) \
+	VMULPS addr, Y8, Y9 \
+	VADDPS Y9, acc, acc
 
-// func convGradAVX(gt, in, dyt *float64, tapOff, posBase *int, taps, spatial, stride int)
-// One sample into one eight-channel block of gt. Bias row first: the
-// serial sum over positions from +0, then one add into gt[taps]. Then per
-// tap, Y0/Y1 .. Y6/Y7 are position classes 0..3 (pos%4) of channels
-// 0-3/4-7 — the four partial-sum streams of dot4, vectorised across
-// channels; a spatial%4 tail folds into class 0; the collapse is
-// ((s0+s1)+s2)+s3 and the row takes one add.
-TEXT ·convGradAVX(SB), NOSPLIT, $0-64
-	MOVQ gt+0(FP), DI
-	MOVQ in+8(FP), SI
-	MOVQ dyt+16(FP), DX
+// CONVGRADROWS applies op to the eight channel rows of the current group
+// of positions: R10 addresses channels 0-3, R11 channels 4-7, R14 and R15
+// are one and three rows.
+#define CONVGRADROWS(op) \
+	op((R10), Y0)         \
+	op((R10)(R14*1), Y1)  \
+	op((R10)(R14*2), Y2)  \
+	op((R10)(R15*1), Y3)  \
+	op((R11), Y4)         \
+	op((R11)(R14*1), Y5)  \
+	op((R11)(R14*2), Y6)  \
+	op((R11)(R15*1), Y7)
+
+// CONVBIASCH is CONVGRADCH for the dB row, whose term is dy alone.
+#define CONVBIASCH(addr, acc) \
+	VADDPS addr, acc, acc
+
+// CONVCOLLAPSE folds each of Y0..Y7 to the sum of its lanes,
+// ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), channel k's in lane k of Y1.
+#define CONVCOLLAPSE \
+	VHADDPS Y1, Y0, Y0           \
+	VHADDPS Y3, Y2, Y2           \
+	VHADDPS Y5, Y4, Y4           \
+	VHADDPS Y7, Y6, Y6           \
+	VHADDPS Y2, Y0, Y0           \
+	VHADDPS Y6, Y4, Y4           \
+	VPERM2F128 $0x20, Y4, Y0, Y1 \
+	VPERM2F128 $0x31, Y4, Y0, Y2 \
+	VADDPS Y2, Y1, Y1
+
+#define CONVZERO8 \
+	VXORPS Y0, Y0, Y0 \
+	VXORPS Y1, Y1, Y1 \
+	VXORPS Y2, Y2, Y2 \
+	VXORPS Y3, Y3, Y3 \
+	VXORPS Y4, Y4, Y4 \
+	VXORPS Y5, Y5, Y5 \
+	VXORPS Y6, Y6, Y6 \
+	VXORPS Y7, Y7, Y7
+
+// func convGradAVX(sums, in, dy *float32, tapOff, posBase *int, taps, spatial, batch, sampleLen, outC int)
+// One eight-channel block of the batch's gradient sums. Bias row first,
+// then per tap Y0..Y7 are channels 0..7 with lanes the position classes
+// pos%8, every lane a chain over the samples ascending and, within one,
+// the groups of eight positions ascending, from +0. Each row is
+// collapsed once, after the last sample, and stored whole.
+TEXT ·convGradAVX(SB), NOSPLIT, $0-80
+	MOVQ sums+0(FP), DI
 	MOVQ tapOff+24(FP), R9
 	MOVQ posBase+32(FP), R8
-	MOVQ taps+40(FP), R10
-	MOVQ spatial+48(FP), R11
-	MOVQ stride+56(FP), R14
-	SHLQ $3, R14             // row in bytes
-	MOVQ R11, R12
-	ANDQ $-4, R12            // positions in full groups of four
+	MOVQ spatial+48(FP), R14
+	SHLQ $2, R14             // gradient row in bytes
+	LEAQ (R14)(R14*2), R15   // three rows
+	MOVQ outC+72(FP), DX
+	IMULQ R14, DX            // gradient sample in bytes
+	MOVQ sampleLen+64(FP), R12
+	SHLQ $2, R12             // padded sample in bytes
 
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	MOVQ DX, BX
+	MOVQ taps+40(FP), AX
+	IMULQ outC+72(FP), AX
+	LEAQ (DI)(AX*4), R13     // &sums[taps][0], the dB row
+	CONVZERO8
+	MOVQ dy+16(FP), BX
+	MOVQ batch+56(FP), AX
+
+gbsample:
 	XORQ CX, CX
 
-gbias:
-	CMPQ CX, R11
-	JGE  gbiasdone
-	VADDPD (BX), Y0, Y0
-	VADDPD 32(BX), Y1, Y1
-	ADDQ R14, BX
-	INCQ CX
-	JMP  gbias
+gboct:
+	LEAQ (BX)(CX*4), R10
+	LEAQ (R10)(R14*4), R11
+	CONVGRADROWS(CONVBIASCH)
+	ADDQ $8, CX
+	CMPQ CX, spatial+48(FP)
+	JLT  gboct
+	ADDQ DX, BX
+	DECQ AX
+	JNZ  gbsample
+	CONVCOLLAPSE
+	VMOVUPS Y1, (R13)
 
-gbiasdone:
-	MOVQ R10, AX
-	IMULQ R14, AX
-	ADDQ DI, AX              // &gt[taps][0]
-	VMOVUPD (AX), Y2
-	VMOVUPD 32(AX), Y3
-	VADDPD Y0, Y2, Y2
-	VADDPD Y1, Y3, Y3
-	VMOVUPD Y2, (AX)
-	VMOVUPD Y3, 32(AX)
+	MOVQ taps+40(FP), SI     // taps to go
 
 gtap:
-	TESTQ R10, R10
-	JZ   gdone
-	MOVQ (R9), AX
-	LEAQ (SI)(AX*8), R13     // the tap's view of the sample
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ DX, BX
+	MOVQ (R9), R13
+	SHLQ $2, R13
+	ADDQ in+8(FP), R13       // the tap's view of sample 0
+	CONVZERO8
+	MOVQ dy+16(FP), BX
+	MOVQ batch+56(FP), AX
+
+gsample:
 	XORQ CX, CX
 
-gpos4:
-	CMPQ CX, R12
-	JGE  gtail
-	CONVGRADPOS(0, Y0, Y1)
-	CONVGRADPOS(1, Y2, Y3)
-	CONVGRADPOS(2, Y4, Y5)
-	CONVGRADPOS(3, Y6, Y7)
-	ADDQ $4, CX
-	JMP  gpos4
-
-gtail:
-	CMPQ CX, R11
-	JGE  gcollapse
-	CONVGRADPOS(0, Y0, Y1)
-	INCQ CX
-	JMP  gtail
-
-gcollapse:
-	VADDPD Y2, Y0, Y0
-	VADDPD Y3, Y1, Y1
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y0, Y0
-	VADDPD Y7, Y1, Y1
-	VMOVUPD (DI), Y8
-	VMOVUPD 32(DI), Y9
-	VADDPD Y0, Y8, Y8
-	VADDPD Y1, Y9, Y9
-	VMOVUPD Y8, (DI)
-	VMOVUPD Y9, 32(DI)
-	ADDQ R14, DI
+goct:
+	MOVQ (R8)(CX*8), R10
+	MOVQ 32(R8)(CX*8), R11
+	VMOVUPS (R13)(R10*4), X8
+	VINSERTF128 $1, (R13)(R11*4), Y8, Y8
+	LEAQ (BX)(CX*4), R10
+	LEAQ (R10)(R14*4), R11
+	CONVGRADROWS(CONVGRADCH)
+	ADDQ $8, CX
+	CMPQ CX, spatial+48(FP)
+	JLT  goct
+	ADDQ R12, R13
+	ADDQ DX, BX
+	DECQ AX
+	JNZ  gsample
+	CONVCOLLAPSE
+	VMOVUPS Y1, (DI)
+	MOVQ outC+72(FP), AX
+	LEAQ (DI)(AX*4), DI
 	ADDQ $8, R9
-	DECQ R10
-	JMP  gtap
-
-gdone:
+	DECQ SI
+	JNZ  gtap
 	VZEROUPPER
 	RET
 
-// GRADINSTEP4 advances one tap's four position vectors by one output
-// channel: the tap's weight (broadcast in w, the first factor) times the
-// channel's sixteen gradients at BX, then the add with the accumulator as
-// first source — per lane the scalar t += w*dy.
-#define GRADINSTEP4(w, a0, a1, a2, a3) \
-	VMULPD (BX), w, Y10   \
-	VMULPD 32(BX), w, Y11 \
-	VMULPD 64(BX), w, Y12 \
-	VMULPD 96(BX), w, Y13 \
-	VADDPD Y10, a0, a0    \
-	VADDPD Y11, a1, a1    \
-	VADDPD Y12, a2, a2    \
-	VADDPD Y13, a3, a3
+// GRADINCH advances the streams a and b of the two groups of eight
+// positions by one output channel: the channel's weight for the tap
+// (broadcast, the first factor) times its sixteen gradients at BX, then
+// the add with the accumulator as first source — per lane t += w*dy. BX
+// moves on to the next channel's row.
+#define GRADINCH(off, a, b) \
+	VBROADCASTSS off(R12), Y8 \
+	VMULPS (BX), Y8, Y9       \
+	VMULPS 32(BX), Y8, Y10    \
+	VADDPS Y9, a, a           \
+	VADDPS Y10, b, b          \
+	ADDQ R14, BX
 
-// GRADINSTEP1 is GRADINSTEP4 for a single position vector.
-#define GRADINSTEP1(w, a) \
-	VMULPD (BX), w, Y10 \
-	VADDPD Y10, a, a
+// GRADINQUAD widens four finished terms (the low lanes of x) to float64
+// and adds them into the cells of run j of the current sixteen
+// positions. R15 is the tap's view of the padded sample, CX the block's
+// first position.
+#define GRADINQUAD(j, x) \
+	MOVQ (32*j)(R9)(CX*8), AX    \
+	VCVTPS2PD x, Y11             \
+	VADDPD (R15)(AX*8), Y11, Y11 \
+	VMOVUPD Y11, (R15)(AX*8)
 
-// GRADINSCATTER adds a finished vector of terms into the cells of
-// position group j of the current block (cells first source). R15 is the
-// tap's view of the padded sample, CX the block's first position.
-#define GRADINSCATTER(j, v) \
-	MOVQ (32*j)(R9)(CX*8), AX  \
-	VMOVUPD (R15)(AX*8), Y14   \
-	VADDPD v, Y14, Y14         \
-	VMOVUPD Y14, (R15)(AX*8)
-
-// GRADINNEXTOC steps the weight and gradient pointers to the next output
-// channel and closes the channel loop.
-#define GRADINNEXTOC(loop) \
-	ADDQ R13, R12 \
-	ADDQ R14, BX  \
-	DECQ AX       \
-	JNZ  loop
-
-// func convGradInAVX(dpad, dy, w *float64, tapOff, posBase *int, taps, spatial, outC, split int)
-// One sample's input gradient into its zeroed padded sample. Lanes are
-// four contiguous positions: a term vector is a chain over the output
-// channels ascending from +0, one VMULPD and one VADDPD per channel, and
-// is then added once into the four cells posBase[pos..pos+3]+tapOff[p].
-// Taps go in ascending order, so a cell's adds arrive in col2im's order.
-// With split > 0 taps p and p+split run together — Y0-Y3 and Y4-Y7 over a
-// block of sixteen positions, eight chains in flight — which reorders
-// nothing as long as the two halves of the taps share no cell; blocks of
-// four finish a plane that is not a multiple of sixteen. With split = 0
-// every tap runs alone. spatial%4 must be 0 and outC > 0.
-TEXT ·convGradInAVX(SB), NOSPLIT, $0-72
+// func convGradInAVX(dpad *float64, dy, w *float32, tapOff, posBase *int, taps, spatial, outC int)
+// One sample's input gradient into its zeroed padded sample. Per tap,
+// ascending, and block of sixteen positions: Y0..Y3 are the four channel
+// streams (oc%4) of positions 0-7, Y4..Y7 those of positions 8-15, each a
+// chain over its channels ascending from +0 with one VMULPS and one
+// VADDPS per channel. The streams collapse ((t0+t1)+t2)+t3 and each run
+// of four terms is widened and added once into its four cells. A tap
+// finishes every position before the next starts, so a cell's adds
+// arrive taps ascending.
+TEXT ·convGradInAVX(SB), NOSPLIT, $0-64
 	MOVQ dpad+0(FP), DI
 	MOVQ dy+8(FP), SI
-	MOVQ w+16(FP), DX        // &w[0][p], walks the taps
+	MOVQ w+16(FP), DX        // &w[p][0], walks the taps
 	MOVQ tapOff+24(FP), R8   // &tapOff[p], walks the taps
 	MOVQ posBase+32(FP), R9
-	MOVQ taps+40(FP), R13
-	SHLQ $3, R13             // weight row in bytes
 	MOVQ spatial+48(FP), R14
-	SHLQ $3, R14             // gradient plane in bytes
-	MOVQ split+64(FP), R11
-	TESTQ R11, R11
-	JZ   isingle
-	MOVQ R11, R10            // tap pairs to go
-	SHLQ $3, R11             // distance to the partner tap in bytes
-
-ipair:
-	XORQ CX, CX              // pos
-
-ipair16:
-	LEAQ 16(CX), AX
-	CMPQ AX, spatial+48(FP)
-	JGT  ipair4
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	LEAQ (SI)(CX*8), BX      // &dy[0][pos]
-	MOVQ DX, R12
-	MOVQ outC+56(FP), AX
-
-ipair16oc:
-	VBROADCASTSD (R12), Y8
-	VBROADCASTSD (R12)(R11*1), Y9
-	GRADINSTEP4(Y8, Y0, Y1, Y2, Y3)
-	GRADINSTEP4(Y9, Y4, Y5, Y6, Y7)
-	GRADINNEXTOC(ipair16oc)
-	MOVQ (R8), AX
-	LEAQ (DI)(AX*8), R15
-	GRADINSCATTER(0, Y0)
-	GRADINSCATTER(1, Y1)
-	GRADINSCATTER(2, Y2)
-	GRADINSCATTER(3, Y3)
-	MOVQ (R8)(R11*1), AX
-	LEAQ (DI)(AX*8), R15
-	GRADINSCATTER(0, Y4)
-	GRADINSCATTER(1, Y5)
-	GRADINSCATTER(2, Y6)
-	GRADINSCATTER(3, Y7)
-	ADDQ $16, CX
-	JMP  ipair16
-
-ipair4:
-	CMPQ CX, spatial+48(FP)
-	JGE  ipairnext
-	VXORPD Y0, Y0, Y0
-	VXORPD Y4, Y4, Y4
-	LEAQ (SI)(CX*8), BX
-	MOVQ DX, R12
-	MOVQ outC+56(FP), AX
-
-ipair4oc:
-	VBROADCASTSD (R12), Y8
-	VBROADCASTSD (R12)(R11*1), Y9
-	GRADINSTEP1(Y8, Y0)
-	GRADINSTEP1(Y9, Y4)
-	GRADINNEXTOC(ipair4oc)
-	MOVQ (R8), AX
-	LEAQ (DI)(AX*8), R15
-	GRADINSCATTER(0, Y0)
-	MOVQ (R8)(R11*1), AX
-	LEAQ (DI)(AX*8), R15
-	GRADINSCATTER(0, Y4)
-	ADDQ $4, CX
-	JMP  ipair4
-
-ipairnext:
-	ADDQ $8, DX
-	ADDQ $8, R8
-	DECQ R10
-	JNZ  ipair
-	VZEROUPPER
-	RET
-
-isingle:
+	SHLQ $2, R14             // gradient row in bytes
+	MOVQ outC+56(FP), R13
+	MOVQ R13, R11
+	SHRQ $2, R11             // channel quads
+	ANDQ $3, R13             // channels left over
 	MOVQ taps+40(FP), R10    // taps to go
 
 itap:
-	XORQ CX, CX
-
-itap16:
-	LEAQ 16(CX), AX
-	CMPQ AX, spatial+48(FP)
-	JGT  itap4
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	LEAQ (SI)(CX*8), BX
-	MOVQ DX, R12
-	MOVQ outC+56(FP), AX
-
-itap16oc:
-	VBROADCASTSD (R12), Y8
-	GRADINSTEP4(Y8, Y0, Y1, Y2, Y3)
-	GRADINNEXTOC(itap16oc)
 	MOVQ (R8), AX
-	LEAQ (DI)(AX*8), R15
-	GRADINSCATTER(0, Y0)
-	GRADINSCATTER(1, Y1)
-	GRADINSCATTER(2, Y2)
-	GRADINSCATTER(3, Y3)
+	LEAQ (DI)(AX*8), R15     // the tap's view of the padded sample
+	XORQ CX, CX              // pos0
+
+iblock:
+	CONVZERO8
+	LEAQ (SI)(CX*4), BX      // &dy[0][pos0]
+	MOVQ DX, R12
+	MOVQ R11, AX
+	TESTQ AX, AX
+	JZ   irest
+
+iquad:
+	GRADINCH(0, Y0, Y4)
+	GRADINCH(4, Y1, Y5)
+	GRADINCH(8, Y2, Y6)
+	GRADINCH(12, Y3, Y7)
+	ADDQ $16, R12
+	DECQ AX
+	JNZ  iquad
+
+irest:
+	CMPQ R13, $1
+	JLT  icollapse
+	GRADINCH(0, Y0, Y4)
+	CMPQ R13, $2
+	JLT  icollapse
+	GRADINCH(4, Y1, Y5)
+	CMPQ R13, $3
+	JLT  icollapse
+	GRADINCH(8, Y2, Y6)
+
+icollapse:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y2, Y0, Y0
+	VADDPS Y3, Y0, Y0
+	VADDPS Y5, Y4, Y4
+	VADDPS Y6, Y4, Y4
+	VADDPS Y7, Y4, Y4
+	VEXTRACTF128 $1, Y0, X1
+	VEXTRACTF128 $1, Y4, X5
+	GRADINQUAD(0, X0)
+	GRADINQUAD(1, X1)
+	GRADINQUAD(2, X4)
+	GRADINQUAD(3, X5)
 	ADDQ $16, CX
-	JMP  itap16
-
-itap4:
 	CMPQ CX, spatial+48(FP)
-	JGE  itapnext
-	VXORPD Y0, Y0, Y0
-	LEAQ (SI)(CX*8), BX
-	MOVQ DX, R12
+	JLT  iblock
 	MOVQ outC+56(FP), AX
-
-itap4oc:
-	VBROADCASTSD (R12), Y8
-	GRADINSTEP1(Y8, Y0)
-	GRADINNEXTOC(itap4oc)
-	MOVQ (R8), AX
-	LEAQ (DI)(AX*8), R15
-	GRADINSCATTER(0, Y0)
-	ADDQ $4, CX
-	JMP  itap4
-
-itapnext:
-	ADDQ $8, DX
+	LEAQ (DX)(AX*4), DX      // the next tap's weights
 	ADDQ $8, R8
 	DECQ R10
 	JNZ  itap

@@ -4,8 +4,9 @@ import "fmt"
 
 // Direct convolution kernels: nn.Conv2D's forward pass, parameter
 // gradients and input gradient computed straight from zero-padded
-// samples, with no lowered im2col matrix in between. Lanes are output
-// channels in the first two and output positions in the third.
+// samples, with no lowered im2col matrix in between. They compute in
+// float32, eight lanes to a ymm register; what crosses the layer boundary
+// — the output, the input gradient, the bias — stays float64.
 //
 // The caller owns two index tables per geometry. With `in` holding batch
 // zero-padded samples of sampleLen elements each,
@@ -19,14 +20,15 @@ import "fmt"
 // the buffer: an out-of-image tap is multiplied like every other, exactly
 // as cols' zero was (0·Inf is still NaN).
 //
-// Weights and gradients cross in channel-lane layout, oc8 = ConvLanes(outC)
-// columns per row with the columns past outC unused:
+// Weights cross tap-major, w[p*outC+oc] = W[oc][p], so the channels of
+// one tap are contiguous; output gradients cross in the layer's own
+// sample-major layout, dy[b][oc][pos].
 //
-//	wt  (taps × oc8)      wt[p*oc8+oc] = W[oc][p], zero past outC
-//	gt  ((taps+1) × oc8)  rows 0..taps-1 are dWᵀ, row taps is dB
-//	dyt (batch × spatial × oc8)  dyt[b][pos][oc] = dLoss/dOut[b][oc][pos]
-//
-// TransposeTo moves data between these and the row-major layouts.
+// Lanes are eight output positions — two groups of four whose window
+// origins are consecutive, so each group is one 16-byte load under any
+// tap. convVector says which geometries that takes: stride 1 and output
+// rows a multiple of four wide, spatial a multiple of sixteen, and at
+// least one eight-channel block. Every other geometry runs the twin.
 //
 // Like DotTile these are platform-dispatched package functions, not
 // Backend methods: the accumulation chains below are the contract, and a
@@ -35,99 +37,79 @@ import "fmt"
 // what runs without AVX2, off amd64 and under purego, and what the tests
 // hold the assembly to.
 
-// convLanes is the channel block of the kernels: two ymm registers.
+// convLanes is the channel block of the forward and parameter-gradient
+// kernels: eight accumulators.
 const convLanes = 8
-
-// ConvLanes returns outC rounded up to the kernels' channel block — the
-// row length of the wt, gt and dyt layouts.
-func ConvLanes(outC int) int { return (outC + convLanes - 1) &^ (convLanes - 1) }
 
 // ConvForward computes the convolution of every sample:
 //
-//	out[b][oc][pos] = (Σ_p in[b][posBase[pos]+tapOff[p]] · wt[p][oc]) + bias[oc]
+//	out[b][oc][pos] = float64(Σ_p in[b][posBase[pos]+tapOff[p]] · w[p][oc]) + bias[oc]
 //
-// with the sum running over p ascending from +0, one multiply then one
-// add per tap and no fused multiply-add, and the bias the last add — per
-// element the chain of Im2ColTo + MatMulTo + bias. out is sample-major
-// (batch × outC·spatial).
-func ConvForward(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConvForward(out, wt, bias, in, tapOff, posBase, batch, sampleLen, outC)
-	convForward(out, in, wt, bias, tapOff, posBase, batch, sampleLen, outC)
+// with the float32 sum running over p ascending from +0, one multiply
+// then one add per tap and no fused multiply-add; the bias is added in
+// float64 after the conversion. out is sample-major (batch × outC·spatial).
+func ConvForward(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConvForward(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
+	convForward(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
 }
 
 // ConvForwardGo is ConvForward on the portable scalar kernel.
-func ConvForwardGo(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConvForward(out, wt, bias, in, tapOff, posBase, batch, sampleLen, outC)
-	convForwardGo(out, in, wt, bias, tapOff, posBase, batch, sampleLen, outC)
+func ConvForwardGo(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConvForward(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
+	convForwardGo(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
 }
 
-// ConvGradParams accumulates the parameter gradients of every sample into
-// gt, samples ascending. Per sample b and cell (oc, p):
+// ConvGradParams writes the batch's parameter-gradient sums: row p < taps
+// of sums ((taps+1) × outC) is tap p's column of dW, row taps is dB. Per
+// cell (oc, p) eight float32 streams, stream l taking the positions with
+// pos%8 = l,
 //
-//	s[pos%4] += dyt[b][pos][oc] · in[b][posBase[pos]+tapOff[p]]   pos ascending
-//	gt[p][oc] += ((s0 + s1) + s2) + s3
+//	s[pos%8] += in[b][posBase[pos]+tapOff[p]] · dy[b][oc][pos]   b, then pos ascending
+//	sums[p][oc] = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 //
-// where a spatial%4 tail folds into s0 — position class pos%4 is partial
-// sum stream pos%4 of the transposed-B dot kernel, so each sample adds
-// what MatMulTransBAcc(dW, dy_b, cols_b) added. The bias row takes the
-// serial sum: gt[taps][oc] += Σ_pos dyt[b][pos][oc], from +0, pos
-// ascending.
-func ConvGradParams(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConvGrad(gt, dyt, in, tapOff, posBase, batch, sampleLen, outC)
-	convGradParams(gt, in, dyt, tapOff, posBase, batch, sampleLen, outC)
+// each from +0, one multiply then one add; the dB row is the same chain
+// with dy alone as the term. The sums overwrite; the caller adds them to
+// its gradients.
+func ConvGradParams(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConvGrad(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
+	convGradParams(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
 }
 
 // ConvGradParamsGo is ConvGradParams on the portable scalar kernel.
-func ConvGradParamsGo(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConvGrad(gt, dyt, in, tapOff, posBase, batch, sampleLen, outC)
-	convGradParamsGo(gt, in, dyt, tapOff, posBase, batch, sampleLen, outC)
+func ConvGradParamsGo(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConvGrad(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
+	convGradParamsGo(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
 }
 
 // ConvGradInput computes dLoss/dInput of every sample in the padded
-// layout `in` has above, onto a dpad it zeroes first:
+// layout `in` has above, onto a float64 dpad it zeroes first:
 //
-//	dpad[b][posBase[pos]+tapOff[p]] += Σ_oc w[oc][p] · dy[b][oc][pos]
+//	dpad[b][posBase[pos]+tapOff[p]] += float64(((t0 + t1) + t2) + t3)
+//	t[oc%4] += w[p][oc] · dy[b][oc][pos]   oc ascending, each from +0
 //
-// for p ascending and, within a tap, pos ascending. A tap reaches a cell
-// from at most one position, so per cell the chain is one add per tap,
-// taps ascending from +0, and each term is itself a chain over oc
-// ascending from +0, one multiply then one add and no fused multiply-add
-// — per element the chain of MatMulTransATo (wᵀ·dy, lowered) + Col2ImTo.
-// A tap that falls outside the image for some cell is skipped there, as
-// col2im skips it, not multiplied by a zero: its only positions land on
-// the padding border, which absorbs them and which the caller drops when
-// it copies the interiors out. dy is the incoming gradient as the layer
-// receives it, sample-major (batch × outC·spatial), and w the row-major
-// (outC × taps) weights, read in place.
-func ConvGradInput(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+// in float32 up to the conversion, one multiply then one add and no fused
+// multiply-add, for p ascending. A tap reaches a cell from at most one
+// position, so per cell the float64 chain is one add per tap, taps
+// ascending from +0. A tap that falls outside the image for some cell is
+// skipped there, as col2im skips it, not multiplied by a zero: its only
+// positions land on the padding border, which absorbs them and which the
+// caller drops when it copies the interiors out.
+func ConvGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
 	checkConvGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
 	convGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
 }
 
 // ConvGradInputGo is ConvGradInput on the portable scalar kernel.
-func ConvGradInputGo(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+func ConvGradInputGo(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
 	checkConvGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
 	convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
 }
 
-// TransposeTo writes the transpose of a rows×cols block:
-// dst[c*dstStride+r] = src[r*srcStride+c]. The strides are row lengths in
-// elements, so either side may be a window of a wider matrix; dst
-// elements outside the block are left alone. dst must not overlap src.
-func TransposeTo(dst, src []float64, rows, cols, srcStride, dstStride int) {
-	if rows <= 0 || cols <= 0 || srcStride < cols || dstStride < rows ||
-		len(src) < (rows-1)*srcStride+cols || len(dst) < (cols-1)*dstStride+rows {
-		panic(fmt.Sprintf("tensor: TransposeTo %dx%d block with strides %d -> %d does not fit src %d / dst %d",
-			rows, cols, srcStride, dstStride, len(src), len(dst)))
-	}
-	transpose(dst, src, rows, cols, srcStride, dstStride)
-}
-
 // checkConv validates what the kernels share. Together with the
 // per-kernel length checks that call it, it is the only bounds check the
-// assembly gets:
-// every index it forms is posBase[pos]+tapOff[p] inside one sample.
-func checkConv(name string, in []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+// assembly gets: every index it forms is posBase[pos]+tapOff[p] inside
+// one sample of the inLen-element padded batch.
+func checkConv(name string, inLen int, tapOff, posBase []int, batch, sampleLen, outC int) {
 	if batch < 0 || outC <= 0 || len(tapOff) == 0 || len(posBase) == 0 {
 		panic(fmt.Sprintf("tensor: %s batch %d, %d channels, %d taps, %d positions", name, batch, outC, len(tapOff), len(posBase)))
 	}
@@ -136,156 +118,139 @@ func checkConv(name string, in []float64, tapOff, posBase []int, batch, sampleLe
 		if off < 0 {
 			panic(fmt.Sprintf("tensor: %s negative tap offset %d", name, off))
 		}
-		if off > maxTap {
-			maxTap = off
-		}
+		maxTap = max(maxTap, off)
 	}
 	for _, base := range posBase {
 		if base < 0 {
 			panic(fmt.Sprintf("tensor: %s negative position base %d", name, base))
 		}
-		if base > maxPos {
-			maxPos = base
-		}
+		maxPos = max(maxPos, base)
 	}
 	if maxTap+maxPos >= sampleLen {
 		panic(fmt.Sprintf("tensor: %s tables reach offset %d of a %d-element padded sample", name, maxTap+maxPos, sampleLen))
 	}
-	if len(in) < batch*sampleLen {
-		panic(fmt.Sprintf("tensor: %s input has %d elements, %d samples of %d want %d", name, len(in), batch, sampleLen, batch*sampleLen))
+	if inLen < batch*sampleLen {
+		panic(fmt.Sprintf("tensor: %s input has %d elements, %d samples of %d want %d", name, inLen, batch, sampleLen, batch*sampleLen))
 	}
 }
 
-func checkConvForward(out, wt, bias, in []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConv("ConvForward", in, tapOff, posBase, batch, sampleLen, outC)
-	taps, spatial := len(tapOff), len(posBase)
-	if len(wt) != taps*ConvLanes(outC) {
-		panic(fmt.Sprintf("tensor: ConvForward weights have %d elements, want %d taps x %d lanes", len(wt), taps, ConvLanes(outC)))
-	}
-	if len(bias) < outC {
-		panic(fmt.Sprintf("tensor: ConvForward bias has %d elements, want %d", len(bias), outC))
-	}
-	if len(out) < batch*outC*spatial {
-		panic(fmt.Sprintf("tensor: ConvForward output has %d elements, want %d", len(out), batch*outC*spatial))
+// checkLen panics unless a named operand has at least want elements.
+func checkLen(name, what string, have, want int) {
+	if have < want {
+		panic(fmt.Sprintf("tensor: %s %s has %d elements, want %d", name, what, have, want))
 	}
 }
 
-func checkConvGrad(gt, dyt, in []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConv("ConvGradParams", in, tapOff, posBase, batch, sampleLen, outC)
-	taps, spatial := len(tapOff), len(posBase)
-	if len(gt) != (taps+1)*ConvLanes(outC) {
-		panic(fmt.Sprintf("tensor: ConvGradParams gradient has %d elements, want %d rows x %d lanes", len(gt), taps+1, ConvLanes(outC)))
+func checkConvForward(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConv("ConvForward", len(in), tapOff, posBase, batch, sampleLen, outC)
+	if len(w) != len(tapOff)*outC {
+		panic(fmt.Sprintf("tensor: ConvForward weights have %d elements, want %d taps x %d channels", len(w), len(tapOff), outC))
 	}
-	if len(dyt) < batch*spatial*ConvLanes(outC) {
-		panic(fmt.Sprintf("tensor: ConvGradParams output gradient has %d elements, want %d", len(dyt), batch*spatial*ConvLanes(outC)))
-	}
+	checkLen("ConvForward", "bias", len(bias), outC)
+	checkLen("ConvForward", "output", len(out), batch*outC*len(posBase))
 }
 
-func checkConvGradInput(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConv("ConvGradInput", dpad, tapOff, posBase, batch, sampleLen, outC)
-	taps, spatial := len(tapOff), len(posBase)
-	if len(w) != outC*taps {
-		panic(fmt.Sprintf("tensor: ConvGradInput weights have %d elements, want %d channels x %d taps", len(w), outC, taps))
+func checkConvGrad(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConv("ConvGradParams", len(in), tapOff, posBase, batch, sampleLen, outC)
+	if len(sums) != (len(tapOff)+1)*outC {
+		panic(fmt.Sprintf("tensor: ConvGradParams sums have %d elements, want %d rows x %d channels", len(sums), len(tapOff)+1, outC))
 	}
-	if len(dy) < batch*outC*spatial {
-		panic(fmt.Sprintf("tensor: ConvGradInput output gradient has %d elements, want %d", len(dy), batch*outC*spatial))
-	}
+	checkLen("ConvGradParams", "output gradient", len(dy), batch*outC*len(posBase))
 }
 
-func convForwardGo(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	oc8 := ConvLanes(outC)
+func checkConvGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	checkConv("ConvGradInput", len(dpad), tapOff, posBase, batch, sampleLen, outC)
+	if len(w) != len(tapOff)*outC {
+		panic(fmt.Sprintf("tensor: ConvGradInput weights have %d elements, want %d taps x %d channels", len(w), len(tapOff), outC))
+	}
+	checkLen("ConvGradInput", "output gradient", len(dy), batch*outC*len(posBase))
+}
+
+// convVector reports whether the vector kernels take a geometry: at
+// least one eight-channel block, and positions in groups of four whose
+// window origins are consecutive (stride 1, output rows a multiple of
+// four wide), sixteen or more at a time.
+func convVector(posBase []int, outC int) bool {
+	if outC < convLanes || len(posBase)%16 != 0 {
+		return false
+	}
+	for i := 0; i < len(posBase); i += 4 {
+		q := posBase[i : i+4 : i+4]
+		if q[1] != q[0]+1 || q[2] != q[0]+2 || q[3] != q[0]+3 {
+			return false
+		}
+	}
+	return true
+}
+
+func convForwardGo(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
 	spatial := len(posBase)
 	for b := 0; b < batch; b++ {
 		img := in[b*sampleLen : (b+1)*sampleLen]
 		o := out[b*outC*spatial : (b+1)*outC*spatial]
-		// Four channels share each activation load; wt's padding makes the
-		// block readable past outC, and those sums are dropped.
-		for oc := 0; oc < outC; oc += 4 {
+		for oc := 0; oc < outC; oc++ {
 			for pos, base := range posBase {
 				win := img[base:]
-				var s0, s1, s2, s3 float64
+				var s float32
 				for p, off := range tapOff {
-					v := win[off]
-					w := wt[p*oc8+oc : p*oc8+oc+4 : p*oc8+oc+4]
-					s0 += v * w[0]
-					s1 += v * w[1]
-					s2 += v * w[2]
-					s3 += v * w[3]
+					s += float32(win[off] * w[p*outC+oc])
 				}
-				for i, s := range [4]float64{s0, s1, s2, s3} {
-					if oc+i < outC {
-						o[(oc+i)*spatial+pos] = s + bias[oc+i]
+				o[oc*spatial+pos] = float64(s) + bias[oc]
+			}
+		}
+	}
+}
+
+func convGradParamsGo(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	taps, spatial := len(tapOff), len(posBase)
+	for oc := 0; oc < outC; oc++ {
+		// Row taps is dB: the same streams over dy alone.
+		for p := 0; p <= taps; p++ {
+			var s [8]float32
+			for b := 0; b < batch; b++ {
+				img := in[b*sampleLen : (b+1)*sampleLen]
+				g := dy[(b*outC+oc)*spatial : (b*outC+oc+1)*spatial]
+				if p == taps {
+					for pos, v := range g {
+						s[pos%8] += v
 					}
+					continue
+				}
+				win := img[tapOff[p]:]
+				for pos, v := range g {
+					s[pos%8] += float32(win[posBase[pos]] * v)
 				}
 			}
+			sums[p*outC+oc] = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
 		}
 	}
 }
 
-func convGradParamsGo(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	oc8 := ConvLanes(outC)
-	taps, spatial := len(tapOff), len(posBase)
-	for b := 0; b < batch; b++ {
-		img := in[b*sampleLen : (b+1)*sampleLen]
-		dy := dyt[b*spatial*oc8 : (b+1)*spatial*oc8]
-		for oc := 0; oc < outC; oc++ {
-			s := 0.0
-			for pos := 0; pos < spatial; pos++ {
-				s += dy[pos*oc8+oc]
-			}
-			gt[taps*oc8+oc] += s
-			for p, off := range tapOff {
-				win := img[off:]
-				var s0, s1, s2, s3 float64
-				pos := 0
-				for ; pos+4 <= spatial; pos += 4 {
-					pb := posBase[pos : pos+4 : pos+4]
-					s0 += dy[pos*oc8+oc] * win[pb[0]]
-					s1 += dy[(pos+1)*oc8+oc] * win[pb[1]]
-					s2 += dy[(pos+2)*oc8+oc] * win[pb[2]]
-					s3 += dy[(pos+3)*oc8+oc] * win[pb[3]]
-				}
-				for ; pos < spatial; pos++ {
-					s0 += dy[pos*oc8+oc] * win[posBase[pos]]
-				}
-				gt[p*oc8+oc] += s0 + s1 + s2 + s3
-			}
-		}
-	}
-}
-
-func convGradInputGo(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	taps, spatial := len(tapOff), len(posBase)
-	// One tap's terms for a run of positions: positions innermost, so the
-	// gradient rows stream and the weight is a scalar.
-	var terms [64]float64
+func convGradInputGo(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	spatial := len(posBase)
+	// One tap's four streams for a run of positions: positions innermost,
+	// so the gradient rows stream and the weight is a scalar.
+	var t [4][16]float32
 	for b := 0; b < batch; b++ {
 		pad := dpad[b*sampleLen : (b+1)*sampleLen]
 		clear(pad)
 		g := dy[b*outC*spatial : (b+1)*outC*spatial]
 		for p, off := range tapOff {
 			cells := pad[off:]
-			for pos0 := 0; pos0 < spatial; pos0 += len(terms) {
-				t := terms[:min(len(terms), spatial-pos0)]
-				clear(t)
+			for pos0 := 0; pos0 < spatial; pos0 += len(t[0]) {
+				n := min(len(t[0]), spatial-pos0)
+				t = [4][16]float32{}
 				for oc := 0; oc < outC; oc++ {
-					wv := w[oc*taps+p]
-					for i, v := range g[oc*spatial+pos0 : oc*spatial+pos0+len(t)] {
-						t[i] += wv * v
+					wv := w[p*outC+oc]
+					s := t[oc%4][:n]
+					for i, v := range g[oc*spatial+pos0 : oc*spatial+pos0+n] {
+						s[i] += float32(wv * v)
 					}
 				}
-				for i, v := range t {
-					cells[posBase[pos0+i]] += v
+				for i := 0; i < n; i++ {
+					cells[posBase[pos0+i]] += float64(((t[0][i] + t[1][i]) + t[2][i]) + t[3][i])
 				}
 			}
-		}
-	}
-}
-
-func transposeGo(dst, src []float64, rows, cols, srcStride, dstStride int) {
-	for r := 0; r < rows; r++ {
-		for c, v := range src[r*srcStride : r*srcStride+cols] {
-			dst[c*dstStride+r] = v
 		}
 	}
 }

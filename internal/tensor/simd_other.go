@@ -16,20 +16,16 @@ func dotTile(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float
 	dotTileGo(acc, a, b, c0, n)
 }
 
-func convForward(out, in, wt, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	convForwardGo(out, in, wt, bias, tapOff, posBase, batch, sampleLen, outC)
+func convForward(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+	convForwardGo(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
 }
 
-func convGradParams(gt, in, dyt []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	convGradParamsGo(gt, in, dyt, tapOff, posBase, batch, sampleLen, outC)
+func convGradParams(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
+	convGradParamsGo(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
 }
 
-func convGradInput(dpad, dy, w []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
+func convGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
 	convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
-}
-
-func transpose(dst, src []float64, rows, cols, srcStride, dstStride int) {
-	transposeGo(dst, src, rows, cols, srcStride, dstStride)
 }
 
 func deltaRange(v, ref []float64) (lo, hi float64) { return deltaRangeGo(v, ref) }
