@@ -1,0 +1,934 @@
+package fedcross
+
+// The kernel ratio gates, one row per reading. A row times a kernel
+// against its scalar twin, or against the path it replaced, in this
+// process with the two sides alternated, so the runner's speed cancels
+// and no ns/op is gated. The reading is the reference's fastest run over
+// the kernel's fastest run, and a row fails below its bound.
+//
+// Plain `go test ./...` builds every row's operands, makes the checks its
+// setup makes (equal bits wherever the two sides must agree) and runs each
+// side once, timing nothing. The timing lane is
+//
+//	go test -tags gates -count=1 -run TestGates -v .
+//
+// which prints one JSON line per row (gateLine) and fails on a row below
+// its bound. Rows marked amd64Only report skipped under purego and off
+// amd64, where both sides run the scalar twins; the fan-out row reports
+// skipped on one CPU.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"fedcross/internal/core"
+	"fedcross/internal/data"
+	"fedcross/internal/fl"
+	"fedcross/internal/models"
+	"fedcross/internal/nn"
+	"fedcross/internal/tensor"
+)
+
+// gate is one row of the table.
+type gate struct {
+	name string
+	// setup builds the operands, checks what must hold before anything is
+	// timed, and returns the reference side and the kernel side. A side
+	// may call t.Fatal: the driver runs it on the test's goroutine.
+	setup      func(t testing.TB) (ref, kernel func())
+	reps, runs int // a run times reps calls of one side
+	bound      float64
+	amd64Only  bool // under purego or off amd64 both sides are scalar
+	twoCPUs    bool // the kernel side needs a second CPU to differ
+}
+
+// gateEnv is what decides whether a row runs.
+type gateEnv struct {
+	goarch string
+	purego bool
+	cpus   int
+}
+
+// gateLine is one row's JSON line. Times are per call of a side.
+type gateLine struct {
+	Gate            string  `json:"gate"`
+	Reading         float64 `json:"reading"`
+	Bound           float64 `json:"bound"`
+	RefFastestNs    float64 `json:"ref_fastest_ns"`
+	RefSlowestNs    float64 `json:"ref_slowest_ns"`
+	KernelFastestNs float64 `json:"kernel_fastest_ns"`
+	KernelSlowestNs float64 `json:"kernel_slowest_ns"`
+	GOARCH          string  `json:"goarch"`
+	Purego          bool    `json:"purego"`
+	Skipped         bool    `json:"skipped"`
+}
+
+// err reports a measured reading below the row's bound.
+func (l gateLine) err() error {
+	if !l.Skipped && !(l.Reading >= l.Bound) {
+		return fmt.Errorf("%s: reference/kernel %.3g, below its bound %g", l.Gate, l.Reading, l.Bound)
+	}
+	return nil
+}
+
+// measure runs one row under env: it returns the row's line and, when the
+// row does not apply to env, why — a skipped row builds nothing. Each side
+// gets g.runs timed runs, the side that goes first alternating from run to
+// run, and each run starts with one untimed call (first touch, lazily
+// sized buffers, the other side's cache state) and a collection.
+func measure(t testing.TB, g gate, env gateEnv) (gateLine, string) {
+	line := gateLine{Gate: g.name, Bound: g.bound, GOARCH: env.goarch, Purego: env.purego}
+	why := ""
+	switch {
+	case g.amd64Only && (env.goarch != "amd64" || env.purego):
+		why = "both sides run the scalar twins here"
+	case g.twoCPUs && env.cpus < 2:
+		why = "one CPU: no second worker to measure"
+	}
+	if why != "" {
+		line.Skipped = true
+		return line, why
+	}
+	ref, kernel := g.setup(t)
+	timed := func(side func()) float64 {
+		side()
+		runtime.GC()
+		start := time.Now()
+		for range g.reps {
+			side()
+		}
+		return float64(time.Since(start).Nanoseconds()) / float64(g.reps)
+	}
+	var refNs, kernelNs []float64
+	for r := range g.runs {
+		if r%2 == 0 {
+			refNs = append(refNs, timed(ref))
+			kernelNs = append(kernelNs, timed(kernel))
+		} else {
+			kernelNs = append(kernelNs, timed(kernel))
+			refNs = append(refNs, timed(ref))
+		}
+	}
+	line.RefFastestNs, line.RefSlowestNs = slices.Min(refNs), slices.Max(refNs)
+	line.KernelFastestNs, line.KernelSlowestNs = slices.Min(kernelNs), slices.Max(kernelNs)
+	line.Reading = line.RefFastestNs / line.KernelFastestNs
+	return line, ""
+}
+
+func TestGates(t *testing.T) {
+	for _, g := range gates {
+		t.Run(g.name, func(t *testing.T) {
+			if !timeGates {
+				ref, kernel := g.setup(t)
+				ref()
+				kernel()
+				return
+			}
+			line, why := measure(t, g, gateEnv{runtime.GOARCH, purego, runtime.NumCPU()})
+			js, err := json.Marshal(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Println(string(js))
+			if why != "" {
+				t.Skip(why)
+			}
+			if err := line.err(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestGateDriver runs the driver on sides of known cost and on the real
+// rows' skip rules.
+func TestGateDriver(t *testing.T) {
+	sleep := func(d time.Duration) func() { return func() { time.Sleep(d) } }
+	synthetic := func(bound float64, ref, kernel time.Duration) gate {
+		return gate{name: "synthetic", reps: 2, runs: 3, bound: bound,
+			setup: func(testing.TB) (func(), func()) { return sleep(ref), sleep(kernel) }}
+	}
+	host := gateEnv{"amd64", false, 2}
+
+	below, _ := measure(t, synthetic(1, time.Millisecond, 3*time.Millisecond), host)
+	if below.err() == nil {
+		t.Errorf("a kernel three times slower than its reference passed a bound of 1: %+v", below)
+	}
+
+	line, why := measure(t, synthetic(1, 3*time.Millisecond, time.Millisecond), host)
+	if why != "" || line.err() != nil {
+		t.Errorf("a kernel three times faster than its reference failed a bound of 1: %+v (%s)", line, why)
+	}
+	if line.RefFastestNs < 3e6 || line.KernelFastestNs < 1e6 || line.RefSlowestNs < line.RefFastestNs ||
+		line.KernelSlowestNs < line.KernelFastestNs {
+		t.Errorf("times off the sides' sleeps: %+v", line)
+	}
+	js, err := json.Marshal(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(js, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"gate", "reading", "bound", "ref_fastest_ns", "ref_slowest_ns",
+		"kernel_fastest_ns", "kernel_slowest_ns", "goarch", "purego", "skipped"} {
+		if _, ok := fields[key]; !ok {
+			t.Errorf("the JSON line %s carries no %q", js, key)
+		}
+	}
+
+	row := func(name string) gate {
+		i := slices.IndexFunc(gates, func(g gate) bool { return g.name == name })
+		if i < 0 {
+			t.Fatalf("no row %q", name)
+		}
+		return gates[i]
+	}
+	for _, c := range []struct {
+		row string
+		env gateEnv
+	}{{"conv", gateEnv{"amd64", true, 2}}, {"conv", gateEnv{"arm64", false, 2}}, {"fan-out", gateEnv{"amd64", false, 1}}} {
+		line, why := measure(t, row(c.row), c.env)
+		if !line.Skipped || why == "" || line.err() != nil {
+			t.Errorf("%s under %+v: %+v (%q), want skipped and no failure", c.row, c.env, line, why)
+		}
+	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// gates is the table. Each comment says what a reading below the bound
+// means; the measured ranges are on a 2-vCPU Xeon (go1.24.0).
+var gates = []gate{
+	// perm is math/rand's Perm(n)[:k], called directly (no engine path
+	// keeps it): 10^6 draws. sample is one round's cohort as the public
+	// replay draws it, fl.CohortPlan round 0 over stream v2: K = 1000
+	// draws. 380–460× measured; below 100× a draw per population member
+	// crept back into selection.
+	{name: "selection", reps: 5, runs: 3, bound: 100, setup: func(t testing.TB) (func(), func()) {
+		const n, k = 1_000_000, 1000
+		rng := tensor.NewRNG(1)
+		seed := int64(0)
+		return func() {
+				if got := rng.Perm(n)[:k]; len(got) != k {
+					t.Fatalf("perm drew %d ids, want %d", len(got), k)
+				}
+			}, func() {
+				seed++
+				if got := fl.CohortPlan(0, seed, n, k); len(got) != k {
+					t.Fatalf("sample drew %d ids, want %d", len(got), k)
+				}
+			}
+	}},
+
+	// nn.SGD.Step without weight decay (tensor.MomentumStep, held bit-equal
+	// to the loop by TestSGDStepMatchesScalar) against the per-element loop
+	// it replaced, over lazy_1m_fedavg's and server_heavy_k64's MLPs.
+	// 2.7–4.0× measured; below 1.8× the kernel fell back to its twin or a
+	// per-element bounds check crept back into the step.
+	momentumRow(32, "p6506"),
+	momentumRow(256, "p51978"),
+
+	// The server folds on tensor's fold kernels against the scalar loops
+	// they replaced: GlobalModelGen's mean of 64 × 51,978 and one
+	// cross-aggregation lerp (server_heavy_k64), and FedAvg's weighted mean
+	// of 10 × 6,506 through fl.ReduceUploads, whose scalar side screens
+	// every upload before folding (lazy_1m_fedavg). mean-k64 reads
+	// 1.8–2.8×: 26 MB of uploads stream from memory on both sides, and half
+	// of that would gate nothing, so its floor is 1.1. It does not catch
+	// the fold kernels falling back to their twins (≈ 2.1×: Axpy4 still
+	// streams four uploads a pass); below 1.1× the fold went back to one
+	// upload a pass on the scalar loop (≈ 1.05×).
+	foldRow("mean-k64", 1.1, func(_ testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
+		models64 := randVectors(rng, 64, 51978)
+		mean := make(nn.ParamVector, 51978)
+		return func() nn.ParamVector {
+				copy(mean, models64[0])
+				for _, v := range models64[1:] {
+					for i := range mean {
+						mean[i] += v[i]
+					}
+				}
+				inv := 1 / float64(len(models64))
+				for i := range mean {
+					mean[i] *= inv
+				}
+				return mean
+			}, func() nn.ParamVector {
+				nn.MeanVectorsTo(mean, models64)
+				return mean
+			}
+	}),
+	// 3.1–5.7× measured; below 1.5× the lerp fell back to its twin (1.4×).
+	foldRow("lerp", 1.5, func(_ testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
+		const alpha = 0.99
+		pair := randVectors(rng, 2, 51978)
+		lerp := make(nn.ParamVector, 51978)
+		return func() nn.ParamVector {
+				v, w, beta := pair[0], pair[1], 1-alpha
+				for i := range lerp {
+					lerp[i] = alpha*v[i] + beta*w[i]
+				}
+				return lerp
+			}, func() nn.ParamVector {
+				nn.LerpVectorsTo(lerp, pair[0], pair[1], alpha)
+				return lerp
+			}
+	}),
+	// 4.5–9.1× measured. Below 2.2× the fold kernels fell back to their
+	// twins and the mean rule went back to screening every upload (≈ 2.0×;
+	// either alone reads ≈ 3.5× and ≈ 5.9×).
+	foldRow("reduce-k10", 2.2, func(t testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
+		uploads := randVectors(rng, 10, 6506)
+		weights := make([]float64, len(uploads))
+		for i := range weights {
+			weights[i] = float64(1 + rng.Intn(40))
+		}
+		return func() nn.ParamVector {
+				for _, u := range uploads {
+					for _, x := range u {
+						if math.IsNaN(x) || math.IsInf(x, 0) {
+							t.Fatal("non-finite upload")
+						}
+					}
+				}
+				total := 0.0
+				for _, w := range weights {
+					total += w
+				}
+				out := make(nn.ParamVector, len(uploads[0]))
+				for k, v := range uploads {
+					w := weights[k] / total
+					for i := range v {
+						out[i] += w * v[i]
+					}
+				}
+				return out
+			}, func() nn.ParamVector {
+				out, err := fl.ReduceUploads(nil, uploads, weights)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+	}),
+
+	// The platform Gemm (avx2Backend's register-tiled kernels) against its
+	// GoBackend twin over a model's Linear shapes, summed: the CNN head's
+	// six GEMMs at batch 50 (sync_cnn_noniid) and the five the 192-256-10
+	// MLP runs on a ten-sample batch (server_heavy_k64; its first layer
+	// forms no input gradient). Measured cnn 7.3–8.7×, mlp 5.9–7.8×, gated
+	// at half the low end: below it the kernels fell back to a Go loop.
+	gemmRow("cnn", 3.6, []gemmShape{
+		{50, 64, 32, false, false}, {64, 50, 32, true, false}, {50, 32, 64, false, true},
+		{50, 32, 10, false, false}, {32, 50, 10, true, false}, {50, 10, 32, false, true},
+	}),
+	gemmRow("mlp", 2.9, []gemmShape{
+		{10, 192, 256, false, false}, {192, 10, 256, true, false},
+		{10, 256, 10, false, false}, {256, 10, 10, true, false}, {10, 10, 256, false, true},
+	}),
+
+	// One 10^6-client Dir(0.5) vector: tensor.RNG.DirichletInto draws four
+	// Gamma variates per AVX2 step from the generator's ring; its twin
+	// DirichletIntoGo one at a time. 1.25–1.38× measured (≈ 11 % of draws
+	// leave the lanes' fast path, ≈ 150 ns a stop); below 1.1× the lanes
+	// fell back to the twin.
+	dirichletRow("scalar/ring", 1.1, false),
+	// mathrand is the sampler both replaced, over rand.Rand and math/rand's
+	// own source. 1.67–1.89× measured; below 1.25× a call through
+	// rand.Rand crept back into the per-draw path (≈ 0.95×). The lanes
+	// falling back to the twin read ≈ 1.3× here, so the row above is the
+	// one that catches that.
+	dirichletRow("mathrand/ring", 1.25, true),
+
+	// The topk codec's linear radix selection against the full-sort
+	// threshold it replaced, on one 2^16 payload; both must write the
+	// codec's exact bytes. 6.0–9.1× measured; below 3× a sort, a per-call
+	// allocation storm or a broken scratch lease crept back into the
+	// encoder.
+	{name: "topk", reps: 10, runs: 3, bound: 3, setup: func(t testing.TB) (func(), func()) {
+		vec := randVectors(tensor.NewRNG(1), 1, 1<<16)[0]
+		topk := nn.TopKCodec{Frac: 0.1}
+		want := topk.Encode(nil, vec)
+		var radix, sorted []byte
+		mags, order := make([]float64, len(vec)), make([]float64, len(vec))
+		ref := func() {
+			for j, v := range vec {
+				mags[j] = math.Abs(v) // the payload has no NaN to order
+			}
+			copy(order, mags)
+			slices.Sort(order)
+			k := topk.Keep(len(vec))
+			thresh := order[len(vec)-k]
+			sorted = binary.LittleEndian.AppendUint32(sorted[:0], uint32(len(vec)))
+			sorted = binary.LittleEndian.AppendUint32(sorted, uint32(k))
+			emit := func(j int) {
+				sorted = binary.LittleEndian.AppendUint32(sorted, uint32(j))
+				sorted = binary.LittleEndian.AppendUint32(sorted, math.Float32bits(float32(vec[j])))
+				k--
+			}
+			for j, m := range mags {
+				if k > 0 && m > thresh {
+					emit(j)
+				}
+			}
+			for j, m := range mags {
+				if k > 0 && m == thresh {
+					emit(j)
+				}
+			}
+		}
+		kernel := func() { radix = topk.Encode(radix[:0], vec) }
+		ref()
+		kernel()
+		if !bytes.Equal(sorted, want) || !bytes.Equal(radix, want) {
+			t.Fatal("the radix encode or the sort-threshold encode written out here is not the codec's payload")
+		}
+		return ref, kernel
+	}},
+
+	// The int8 wire at server_heavy_k64's shape, one call a 64-payload
+	// batch: DownAll / UpAll at Limit(1) (the codec takes the delta
+	// reference, three fused kernels) against the five scalar passes it
+	// replaced over the kernels' Go twins (subtract into a residual, scan
+	// its range, quantise, dequantise, add the reference back). 2.2–3.2×
+	// measured down, 2.1–3.2× up; below 2× a kernel fell back to its twin,
+	// a residual vector or a separate delta pass crept back into deliver,
+	// or a codec started splitting one payload over goroutines of its own.
+	wireRow("down", false),
+	wireRow("up", true),
+
+	// One round of FedCross's int8 wire at server_heavy_k64's shape, 64
+	// dispatches then 64 in-place delta uploads, at Limit(1) against
+	// Limit(2): outcomes are decided serially and only the codec round
+	// trips fan out (TestTransportBatchWorkerInvariance holds the two
+	// equal). 2.2–2.5× measured; a single Limit(2) run swings 5–12 ms when
+	// the box's second vCPU is busy. Below 1.3× the round trips stopped
+	// fanning out, or something serial (a shared buffer, a lock) crept
+	// into them.
+	{name: "fan-out", reps: 20, runs: 3, bound: 1.3, twoCPUs: true, setup: func(t testing.TB) (func(), func()) {
+		const k, n = 64, 51978
+		w := newWireBatch(k, n)
+		ok := make([]bool, k)
+		round := func(workers int) func() {
+			tr, err := fl.NewTransport(fl.TransportOptions{Codec: "int8"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := make([]nn.ParamVector, k)
+			for i := range params {
+				params[i] = w.vecs[i].Clone()
+			}
+			return func() {
+				tr.DownAll(w.dsts, w.clients, w.refs, fl.Limit(workers))
+				tr.UpAll(params, ok, w.clients, params, w.dsts, fl.Limit(workers))
+			}
+		}
+		return round(1), round(2)
+	}},
+
+	// NumCPU workers lease and release a 4,096-client population through a
+	// 512-slot cache, every lease a miss plus an eviction: the ID-sharded
+	// cache at 64 stripes against singleMutexLazy. The win is structural —
+	// synthesis runs outside the stripe lock and the eviction scan is
+	// O(resident/64) — so it holds on one core (≈ 4.3×) and widens with
+	// cores. Below 3× synthesis moved back under a lock, stripes
+	// collapsed, or the eviction scan went global again.
+	{name: "striped-cache", reps: 3, runs: 3, bound: 3, setup: func(t testing.TB) (func(), func()) {
+		train, _ := data.GenerateVision(data.VisionConfig{
+			Classes: 10, Features: models.VisionFeatures,
+			TrainPerClass: 100, TestPerClass: 1,
+			ModesPerClass: 2, Sep: 0.6, Noise: 0.8, Seed: 1,
+		})
+		const n, capacity = 4096, 512
+		asg := data.AssignDirichlet(train.Y, train.Classes, n, 0.5, tensor.NewRNG(2))
+		var ids []int
+		for ci := range n {
+			if asg.Size(ci) > 0 {
+				ids = append(ids, ci)
+			}
+		}
+		workers := runtime.NumCPU()
+		hammer := func(shard func(int) *data.Dataset, release func(int)) {
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// Stride so each worker sweeps every stripe and
+					// same-id collisions across workers are routine.
+					for j := w; j < len(ids); j += workers {
+						shard(ids[j])
+						release(ids[j])
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		base := &singleMutexLazy{base: train, asg: asg, capacity: capacity, cache: map[int]*smShard{}}
+		striped := data.NewLazyStriped(train, asg, capacity, 64)
+		return func() { hammer(base.Shard, base.Release) }, func() {
+			hammer(striped.Shard, striped.Release)
+			if n := striped.Outstanding(); n != 0 {
+				t.Fatalf("%d leases outstanding", n)
+			}
+		}
+	}},
+
+	// FedCross's K×K similarity pass at server_heavy_k64's shape (K = 64,
+	// n = 51,978): the register-tiled Gram kernel (eight dot chains in
+	// flight a tile, column chunks that keep the panel in cache) against
+	// K norms plus K(K−1)/2 Dot calls. 4.3–5.3× measured; below 2.5× the
+	// tile fell back to its scalar twin, the chunking went and the pass
+	// turned memory-bound, or a per-pair Dot crept back.
+	{name: "gram", reps: 5, runs: 3, bound: 2.5, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+		const k = 64
+		w := randVectors(tensor.NewRNG(1), k, 51978)
+		fromDot := core.CosineMeasure().FromDot
+		normsSq, s := make([]float64, k), make([]float64, k*k)
+		return func() {
+				fl.ParallelForW(k, fl.Workers{}, func(i int) { normsSq[i] = w[i].NormSq() })
+				fl.ParallelForW(k*k, fl.Workers{}, func(p int) {
+					if i, j := p/k, p%k; i < j {
+						s[p] = fromDot(w[i].Dot(w[j]), normsSq[i], normsSq[j])
+					}
+				})
+			}, func() {
+				core.NewSimMatrix(w, core.CosineMeasure(), fl.Workers{})
+			}
+	}},
+
+	// A training step's share of one convolution — forward plus parameter
+	// gradients, batch 50 — at the CNN's two geometries: nn.Conv2D on the
+	// float32 direct kernels, conversions included, against the float64
+	// per-sample lowering the layer is bounded against (Im2ColTo, the
+	// forward GEMM and the bias add, a transposed-B GEMM and a serial row
+	// sum per sample), its GEMMs on tensor.GoBackend so a faster platform
+	// Gemm does not move it. 10.9–13.8× measured (6.8–9.7× on the float64
+	// kernels); under purego, both sides scalar, 0.5×. Below 7.1× a
+	// kernel fell back to its twin, a lowered matrix crept back into the
+	// layer, or the float32 path lost its lanes.
+	{name: "conv", reps: 200, runs: 3, bound: 7.1, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+		var gemm tensor.GoBackend
+		layers := convLayers()
+		type scratch struct{ cols, y, out, dW, dB *tensor.Tensor }
+		ws := make([]scratch, len(layers))
+		for i, l := range layers {
+			g, outC := l.conv.Geom, l.conv.OutC
+			rows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+			ws[i] = scratch{tensor.Zeros(rows, spatial), tensor.Zeros(outC, spatial), tensor.Zeros(convBatch, outC*spatial), tensor.Zeros(outC, rows), tensor.Zeros(outC)}
+		}
+		return func() {
+				for li, l := range layers {
+					g, outC, w := l.conv.Geom, l.conv.OutC, ws[li]
+					rows, spatial, inLen := g.InC*g.KH*g.KW, g.OutH()*g.OutW(), l.conv.InFeatures()
+					for s := range convBatch {
+						tensor.Im2ColTo(w.cols, tensor.New(l.x.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), g)
+						gemm.Gemm(w.y.Data, l.conv.W.Data, w.cols.Data, outC, rows, spatial, false, false, false)
+						dy := tensor.New(l.grad.Data[s*outC*spatial:(s+1)*outC*spatial], outC, spatial)
+						for oc := range outC {
+							sum := 0.0
+							for j := range spatial {
+								w.out.Data[(s*outC+oc)*spatial+j] = w.y.Data[oc*spatial+j] + l.conv.B.Data[oc]
+								sum += dy.Data[oc*spatial+j]
+							}
+							w.dB.Data[oc] += sum
+						}
+						gemm.Gemm(w.dW.Data, dy.Data, w.cols.Data, outC, spatial, rows, false, true, true)
+					}
+				}
+			}, func() {
+				for _, l := range layers {
+					l.conv.Forward(l.x)
+					l.conv.BackwardParams(l.grad)
+				}
+			}
+	}},
+
+	// conv2's backward pass (16 → 8 channels, 8 × 8, batch 50), whose input
+	// gradient is tensor.ConvGradInput (float32 chains over the output
+	// channels, added into a float64 padded buffer): Conv2D.Backward
+	// against the same BackwardParams plus the float64 per-sample
+	// transposed-A GEMM (on GoBackend) and Col2ImTo; both sides pay the
+	// same parameter gradients. 6.5–7.3× measured (12–13× for the input
+	// gradients alone). Below 4.4× a lowered matrix came back or the kernel
+	// fell back to its twin (≈ 0.8×, as under purego).
+	{name: "input-grad", reps: 200, runs: 3, bound: 4.4, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+		var gemm tensor.GoBackend
+		l := convLayers()[1]
+		g, outC := l.conv.Geom, l.conv.OutC
+		spatial, inLen := g.OutH()*g.OutW(), l.conv.InFeatures()
+		dcols, dx := tensor.Zeros(g.InC*g.KH*g.KW, spatial), tensor.Zeros(convBatch, inLen)
+		l.conv.Forward(l.x)
+		return func() {
+				l.conv.BackwardParams(l.grad)
+				for s := range convBatch {
+					dy := tensor.New(l.grad.Data[s*outC*spatial:(s+1)*outC*spatial], outC, spatial)
+					gemm.Gemm(dcols.Data, l.conv.W.Data, dy.Data, g.InC*g.KH*g.KW, outC, spatial, true, false, false)
+					tensor.Col2ImTo(tensor.New(dx.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), dcols, g)
+				}
+			}, func() {
+				l.conv.Backward(l.grad)
+			}
+	}},
+
+	// A forward and a backward pass through the CNN's two ReLU → MaxPool
+	// stages, batch 50: nn.NewReLUMaxPool2D against the two layers it
+	// folds. 1.5–2.4× measured, single runs dipping to 1.0 when the box
+	// slows inside the folded side; half of that would gate nothing, so
+	// the floor is 1.1: below it the fold buys nothing — a rectifier pass
+	// crept back into the layer, or its start value sends the pool down a
+	// slower path than −Inf does.
+	{name: "relu-pool", reps: 200, runs: 3, bound: 1.1, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+		rng := tensor.NewRNG(2)
+		type stage struct {
+			folded, pool *nn.MaxPool2D
+			relu         *nn.ReLU
+			x, grad      *tensor.Tensor
+		}
+		var stages []stage
+		for _, c := range []struct{ ch, side int }{{8, models.VisionH}, {16, models.VisionH / 2}} {
+			folded := nn.NewReLUMaxPool2D(c.ch, c.side, c.side, 2)
+			stages = append(stages, stage{folded, nn.NewMaxPool2D(c.ch, c.side, c.side, 2), nn.NewReLU(),
+				rng.Randn(1, convBatch, folded.InFeatures()), rng.Randn(1, convBatch, folded.OutFeatures())})
+		}
+		return func() {
+				for _, s := range stages {
+					s.pool.Forward(s.relu.Forward(s.x))
+					s.relu.Backward(s.pool.Backward(s.grad))
+				}
+			}, func() {
+				for _, s := range stages {
+					s.folded.Forward(s.x)
+					s.folded.Backward(s.grad)
+				}
+			}
+	}},
+}
+
+// randVectors is k vectors of n N(0, 1) draws.
+func randVectors(rng *tensor.RNG, k, n int) []nn.ParamVector {
+	vs := make([]nn.ParamVector, k)
+	for i := range vs {
+		vs[i] = make(nn.ParamVector, n)
+		for j := range vs[i] {
+			vs[i][j] = rng.Normal(0, 1)
+		}
+	}
+	return vs
+}
+
+func momentumRow(hidden int, name string) gate {
+	return gate{name: "momentum/" + name, reps: 2000, runs: 3, bound: 1.8, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		net := models.MLP(models.VisionFeatures, hidden, 10).New(tensor.NewRNG(1))
+		params, grads := net.Params(), net.Grads()
+		if got := fmt.Sprintf("p%d", len(nn.FlattenParams(params))); got != name {
+			t.Fatalf("the %d-hidden MLP is %s, the row %s", hidden, got, name)
+		}
+		rng := tensor.NewRNG(2)
+		for _, g := range grads {
+			for j := range g.Data {
+				g.Data[j] = rng.Normal(0, 1e-3)
+			}
+		}
+		lr, m := 0.01, 0.5
+		opt := nn.NewSGD(lr, m)
+		velocity := make([][]float64, len(params))
+		for i, p := range params {
+			velocity[i] = make([]float64, len(p.Data))
+		}
+		return func() {
+				for k, p := range params {
+					g, v := grads[k], velocity[k]
+					for j := range p.Data {
+						v[j] = m*v[j] + g.Data[j]
+						p.Data[j] -= lr * v[j]
+					}
+				}
+			}, func() {
+				opt.Step(params, grads)
+			}
+	}}
+}
+
+// foldRow gates a fold kernel against the scalar loop it replaced; setup
+// fails unless both return the same bits.
+func foldRow(name string, bound float64, sides func(t testing.TB, rng *tensor.RNG) (scalar, kernel func() nn.ParamVector)) gate {
+	return gate{name: "fold/" + name, reps: 100, runs: 3, bound: bound, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		scalar, kernel := sides(t, tensor.NewRNG(3))
+		if !bitsEqual(kernel(), scalar()) {
+			t.Fatalf("%s: kernel and scalar loop differ", name)
+		}
+		return func() { scalar() }, func() { kernel() }
+	}}
+}
+
+type gemmShape struct {
+	m, k, n        int
+	transA, transB bool
+}
+
+// gemmRow gates the platform Gemm against GoBackend over shapes, the
+// gradient passes accumulating as Linear's do; setup fails unless both
+// return the same bits.
+func gemmRow(model string, bound float64, shapes []gemmShape) gate {
+	return gate{name: "gemm/" + model, reps: 500, runs: 3, bound: bound, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		rng := tensor.NewRNG(9)
+		a, b, dst := make([][]float64, len(shapes)), make([][]float64, len(shapes)), make([][]float64, len(shapes))
+		for i, s := range shapes {
+			a[i], b[i] = rng.Uniform(-1, 1, s.m*s.k).Data, rng.Uniform(-1, 1, s.k*s.n).Data
+			dst[i] = make([]float64, s.m*s.n)
+		}
+		all := func(be tensor.Backend) func() {
+			return func() {
+				for i, s := range shapes {
+					be.Gemm(dst[i], a[i], b[i], s.m, s.k, s.n, s.transA, s.transB, s.transA)
+				}
+			}
+		}
+		for i, s := range shapes {
+			got, want := make([]float64, s.m*s.n), make([]float64, s.m*s.n)
+			tensor.CurrentBackend().Gemm(got, a[i], b[i], s.m, s.k, s.n, s.transA, s.transB, s.transA)
+			tensor.GoBackend{}.Gemm(want, a[i], b[i], s.m, s.k, s.n, s.transA, s.transB, s.transA)
+			if !bitsEqual(got, want) {
+				t.Fatalf("%s shape %+v: platform and go Gemm differ", model, s)
+			}
+		}
+		return all(tensor.GoBackend{}), all(tensor.CurrentBackend())
+	}}
+}
+
+// dirichletRow gates DirichletInto against its twin, or against the
+// math/rand sampler; setup fails unless all three draw the same bits.
+func dirichletRow(name string, bound float64, mathrandRef bool) gate {
+	return gate{name: "dirichlet/" + name, reps: 10, runs: 3, bound: bound, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		const n, beta = 1_000_000, 0.5
+		p, q, s := make([]float64, n), make([]float64, n), make([]float64, n)
+		tensor.NewRNG(1).DirichletInto(p, beta)
+		tensor.NewRNG(1).DirichletIntoGo(s, beta)
+		dirichletMathRand(rand.New(rand.NewSource(1)), q, beta)
+		for i := range p {
+			if math.Float64bits(p[i]) != math.Float64bits(q[i]) || math.Float64bits(s[i]) != math.Float64bits(q[i]) {
+				t.Fatalf("entry %d: ring %v, scalar %v, mathrand %v", i, p[i], s[i], q[i])
+			}
+		}
+		seed := int64(0)
+		ring := func() { seed++; tensor.NewRNG(seed).DirichletInto(p, beta) }
+		if mathrandRef {
+			return func() { seed++; dirichletMathRand(rand.New(rand.NewSource(seed)), q, beta) }, ring
+		}
+		return func() { seed++; tensor.NewRNG(seed).DirichletIntoGo(s, beta) }, ring
+	}}
+}
+
+// dirichletMathRand is tensor.RNG.DirichletInto as it was before Gamma
+// read the ring: the same draws through rand.Rand's Float64 and
+// NormFloat64, d and c recomputed per draw (internal/tensor's exactness
+// test keeps the same body as its oracle).
+func dirichletMathRand(r *rand.Rand, p []float64, alpha float64) {
+	var gamma func(shape float64) float64
+	gamma = func(shape float64) float64 {
+		if shape < 1 {
+			u := r.Float64()
+			for u == 0 {
+				u = r.Float64()
+			}
+			x := gamma(shape + 1)
+			if e := 1 / shape; e != 2 {
+				return x * math.Pow(u, e)
+			}
+			return x * (u * u)
+		}
+		d := shape - 1.0/3.0
+		c := 1 / math.Sqrt(9*d)
+		for {
+			x := r.NormFloat64()
+			v := 1 + c*x
+			if v <= 0 {
+				continue
+			}
+			v = v * v * v
+			u := r.Float64()
+			if u < 1-0.0331*x*x*x*x {
+				return d * v
+			}
+			if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+				return d * v
+			}
+		}
+	}
+	sum := 0.0
+	for i := range p {
+		p[i] = gamma(alpha)
+		sum += p[i]
+	}
+	if sum == 0 {
+		p[r.Intn(len(p))] = 1
+		return
+	}
+	for i := range p {
+		p[i] /= sum
+	}
+}
+
+// wireRow gates the single-pass int8 wire in one direction against the
+// five scalar passes it replaced; up encodes each vector as a delta
+// against its reference.
+func wireRow(dir string, up bool) gate {
+	return gate{name: "wire/" + dir, reps: 20, runs: 3, bound: 2.0, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		const k, n = 64, 51978
+		w := newWireBatch(k, n)
+		tr, err := fl.NewTransport(fl.TransportOptions{Codec: "int8"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := make([]bool, k)
+		res, body := make(nn.ParamVector, n), make([]byte, n)
+		fivePass := func(dst, vec, ref nn.ParamVector) {
+			payload := vec
+			if ref != nil {
+				for i := range vec {
+					res[i] = vec[i] - ref[i]
+				}
+				payload = res
+			}
+			lo, hi := tensor.DeltaRangeGo(payload, nil)
+			scale := (hi - lo) / 255
+			tensor.QuantDeltaGo(body, payload, nil, lo, scale)
+			tensor.DequantAddGo(dst, body, nil, lo, scale)
+			if ref != nil {
+				for i := range dst {
+					dst[i] += ref[i]
+				}
+			}
+		}
+		if !up {
+			return func() {
+					for j := range w.vecs {
+						fivePass(w.dsts[j], w.vecs[j], nil)
+					}
+				}, func() {
+					tr.DownAll(w.dsts, w.clients, w.vecs, fl.Limit(1))
+				}
+		}
+		return func() {
+				for j := range w.vecs {
+					fivePass(w.dsts[j], w.vecs[j], w.refs[j])
+				}
+			}, func() {
+				tr.UpAll(w.dsts, ok, w.clients, w.vecs, w.refs, fl.Limit(1))
+			}
+	}}
+}
+
+// wireBatch is one round's worth of wire payloads: vecs[i] a small
+// perturbation of refs[i], dsts[i] its own destination, clients the
+// senders 0..k-1.
+type wireBatch struct {
+	clients          []int
+	vecs, refs, dsts []nn.ParamVector
+}
+
+func newWireBatch(k, n int) wireBatch {
+	rng := tensor.NewRNG(1)
+	w := wireBatch{clients: make([]int, k), vecs: make([]nn.ParamVector, k), refs: make([]nn.ParamVector, k), dsts: make([]nn.ParamVector, k)}
+	for i := range w.vecs {
+		w.clients[i] = i
+		w.vecs[i], w.refs[i] = make(nn.ParamVector, n), make(nn.ParamVector, n)
+		for j := range w.vecs[i] {
+			w.refs[i][j] = rng.Normal(0, 1)
+			w.vecs[i][j] = w.refs[i][j] + 0.01*rng.Normal(0, 1)
+		}
+		w.dsts[i] = w.refs[i].Clone() // touched: no page faults on the clock
+	}
+	return w
+}
+
+// convBatch is the batch of the conv rows.
+const convBatch = 50
+
+type convLayer struct {
+	conv    *nn.Conv2D
+	x, grad *tensor.Tensor
+}
+
+// convLayers are the CNN's two convolutions with a batch of inputs and
+// output gradients each.
+func convLayers() []convLayer {
+	rng := tensor.NewRNG(1)
+	var layers []convLayer
+	for _, c := range []struct{ inC, side, outC int }{{models.VisionC, models.VisionH, 8}, {8, models.VisionH / 2, 16}} {
+		g := tensor.ConvGeom{InC: c.inC, InH: c.side, InW: c.side, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		conv := nn.NewConv2D(g, c.outC, rng)
+		layers = append(layers, convLayer{conv, rng.Randn(1, convBatch, conv.InFeatures()), rng.Randn(1, convBatch, conv.OutFeatures())})
+	}
+	return layers
+}
+
+// singleMutexLazy is the lease path the ID-sharded cache replaced — one
+// mutex over the whole cache, row synthesis under that lock, and an
+// O(resident) eviction scan — kept frozen as the striped-cache row's
+// reference.
+type singleMutexLazy struct {
+	mu       sync.Mutex
+	base     *data.Dataset
+	asg      *data.Assignment
+	capacity int
+	cache    map[int]*smShard
+	tick     uint64
+}
+
+type smShard struct {
+	ds     *data.Dataset
+	leases int
+	used   uint64
+}
+
+func (l *singleMutexLazy) Shard(id int) *data.Dataset {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if e, ok := l.cache[id]; ok {
+		l.tick++
+		e.leases++
+		e.used = l.tick
+		return e.ds
+	}
+	ds := l.base.Subset(l.asg.Rows(id)) // synthesized under the global lock
+	for len(l.cache) >= l.capacity {
+		victim, best := -1, uint64(0)
+		for cid, e := range l.cache {
+			if e.leases > 0 {
+				continue
+			}
+			if victim < 0 || e.used < best {
+				victim, best = cid, e.used
+			}
+		}
+		if victim < 0 {
+			break
+		}
+		delete(l.cache, victim)
+	}
+	l.tick++
+	l.cache[id] = &smShard{ds: ds, leases: 1, used: l.tick}
+	return ds
+}
+
+func (l *singleMutexLazy) Release(id int) {
+	l.mu.Lock()
+	l.cache[id].leases--
+	l.mu.Unlock()
+}

@@ -3,12 +3,8 @@ package baselines
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"maps"
 	"math"
-	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -17,8 +13,8 @@ import (
 	"fedcross/internal/tensor"
 )
 
-// baselineFactories builds a fresh instance per call — kill/resume runs
-// must never share algorithm state.
+// baselineFactories builds a fresh instance per call, so no two runs
+// share algorithm state.
 func baselineFactories(t *testing.T) map[string]func() fl.Algorithm {
 	t.Helper()
 	return map[string]func() fl.Algorithm{
@@ -33,54 +29,6 @@ func baselineFactories(t *testing.T) map[string]func() fl.Algorithm {
 		"scaffold": func() fl.Algorithm { return NewSCAFFOLD() },
 		"fedgen":   func() fl.Algorithm { return NewFedGen() },
 		"clusamp":  func() fl.Algorithm { return NewCluSamp() },
-	}
-}
-
-// stateCfg runs the baselines under faults, a quorum and an adversary so
-// the snapshot must carry every piece of live state across the kill.
-func stateCfg(par int) fl.Config {
-	cfg := testCfg(6)
-	cfg.EvalEvery = 1
-	cfg.Parallelism = par
-	cfg.Faults = fl.FaultOptions{CrashRate: 0.2, DropRate: 0.2, StallRate: 0.2}
-	cfg.MinUploads = 2
-	cfg.Transport = fl.TransportOptions{Retries: 1, RetryBackoffSec: 0.1}
-	cfg.Adversary = fl.AdversaryOptions{Attack: fl.AttackSignFlip, Frac: 0.25}
-	return cfg
-}
-
-// TestBaselineKillResumeBitIdentity: every baseline killed at a round
-// boundary and resumed from its snapshot reproduces the uninterrupted
-// history byte-for-byte — control variates, gradient memory, generator
-// and optimizer state included.
-func TestBaselineKillResumeBitIdentity(t *testing.T) {
-	dir := t.TempDir()
-	for name, mk := range baselineFactories(t) {
-		for _, par := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/par%d", name, par), func(t *testing.T) {
-				full, err := fl.Run(mk(), testEnv(1, 8, data.Heterogeneity{Beta: 0.5}), stateCfg(par))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, stop := range []int{1, 3, 5} {
-					path := filepath.Join(dir, fmt.Sprintf("%s-%d-%d.ckpt", name, par, stop))
-					killed := stateCfg(par)
-					killed.Checkpoint = fl.CheckpointOptions{Path: path, StopAfterRound: stop}
-					if _, err := fl.Run(mk(), testEnv(1, 8, data.Heterogeneity{Beta: 0.5}), killed); !errors.Is(err, fl.ErrStopped) {
-						t.Fatalf("stop %d: want ErrStopped, got %v", stop, err)
-					}
-					resumed := stateCfg(par)
-					resumed.Checkpoint = fl.CheckpointOptions{Path: path, Resume: true}
-					h, err := fl.Run(mk(), testEnv(1, 8, data.Heterogeneity{Beta: 0.5}), resumed)
-					if err != nil {
-						t.Fatalf("stop %d: %v", stop, err)
-					}
-					if !reflect.DeepEqual(full, h) {
-						t.Fatalf("stop %d: resumed history diverged", stop)
-					}
-				}
-			})
-		}
 	}
 }
 
