@@ -400,14 +400,20 @@ var gates = []gate{
 		return ref, kernel
 	}},
 
-	// The int8 wire at server_heavy_k64's shape, one call a 64-payload
-	// batch: DownAll / UpAll at Limit(1) (the codec takes the delta
+	// The int8 wire, one call an 8-payload batch of the CNN's 6,506
+	// parameters: DownAll / UpAll at Limit(1) (the codec takes the delta
 	// reference, three fused kernels) against the five scalar passes it
 	// replaced over the kernels' Go twins (subtract into a residual, scan
-	// its range, quantise, dequantise, add the reference back). 2.2–3.2×
-	// measured down, 2.1–3.2× up; below 2× a kernel fell back to its twin,
-	// a residual vector or a separate delta pass crept back into deliver,
-	// or a codec started splitting one payload over goroutines of its own.
+	// its range, quantise, dequantise, add the reference back). The batch
+	// (1.25 MB of vectors, references and destinations) stays in L2, so
+	// the box's shared memory bandwidth does not pull the ratio toward 1
+	// as server_heavy_k64's 26 MB did (1.69–2.24× down there). 2.96–6.80×
+	// measured down, 4.74–6.35× up; with the kernels on their twins
+	// 0.67–1.37× down and 1.13–1.74× up, and with a residual vector
+	// allocated per payload in deliver 1.19–1.56× up. Below 2× a kernel
+	// fell back to its twin or a residual vector crept back into deliver.
+	// A separate delta pass into a reused buffer reads 2.13–3.04× up and
+	// passes: in cache its two extra passes are cheap.
 	wireRow("down", false),
 	wireRow("up", true),
 
@@ -789,7 +795,7 @@ func dirichletMathRand(r *rand.Rand, p []float64, alpha float64) {
 // against its reference.
 func wireRow(dir string, up bool) gate {
 	return gate{name: "wire/" + dir, reps: 20, runs: 3, bound: 2.0, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
-		const k, n = 64, 51978
+		const k, n = 8, 6506
 		w := newWireBatch(k, n)
 		tr, err := fl.NewTransport(fl.TransportOptions{Codec: "int8"})
 		if err != nil {

@@ -101,7 +101,8 @@ func (r ledgerRun) claims(t *testing.T) (l []claim) {
 // fails unless FedCross finishes ahead of FedAvg on all five seeds and the
 // reading equals the ledger's: histories are deterministic, so a
 // difference means testdata/claims.json is stale. With -update it runs
-// every ledger table instead (≈ 5 min on 2 vCPUs) and rewrites
+// every ledger table instead (≈ 4.5 min on 2 vCPUs; ≈ 5.5 min when
+// its final-only runs evaluated every 2 rounds) and rewrites
 // claims.json and README's block from them:
 //
 //	go test -tags fidelity -run TestFidelity ./internal/experiments/

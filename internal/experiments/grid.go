@@ -390,14 +390,16 @@ func (c *Cell) Apply(set map[string]string) error {
 	return nil
 }
 
-// measure is what a grid reports for each cell: the seeds the cell runs
-// on and the columns it fills. The curve measure fills none — its grid is
-// drawn, not tabulated.
+// measure is what a grid reports for each cell: the seeds and rounds the
+// cell runs and evaluates, and the columns it fills. The curve measure
+// fills none — its grid is drawn, not tabulated.
 type measure struct {
-	// everySeed runs each Profile.Seeds entry instead of the first.
-	everySeed bool
-	heads     []string
-	vals      func(c GridCell) []string
+	// finals reads each seed's final model only: the cell runs every
+	// Profile.Seeds entry and evaluates once, after its last round.
+	// Otherwise it reads the first seed's curve at Profile.EvalEvery.
+	finals bool
+	heads  []string
+	vals   func(c GridCell) []string
 	// row, when set, fills the rowHeads columns from a table row's cells
 	// together, after the per-value columns.
 	rowHeads []string
@@ -440,15 +442,15 @@ func measures() map[string]measure {
 		"": {heads: []string{"Final acc", "Best acc"}, vals: func(c GridCell) []string {
 			return []string{acc(c.History().Final().TestAcc), acc(c.History().BestAcc())}
 		}},
-		"stat": {everySeed: true, heads: []string{"Accuracy (%)"}, vals: stat},
-		"margin": {everySeed: true, heads: []string{"Accuracy (%)"}, vals: stat,
+		"stat": {finals: true, heads: []string{"Accuracy (%)"}, vals: stat},
+		"margin": {finals: true, heads: []string{"Accuracy (%)"}, vals: stat,
 			rowHeads: []string{"FedCross − FedAvg (pts)", "FedCross ahead"},
 			row:      margin(finalAcc, false, marginStat.String)},
 		// sharpness: landscape.Sharpness at each seed's final global model,
 		// along directions drawn from the run's seed, compared like margin
 		// with FedCross ahead where it is flatter; the first seed's 2-D
 		// scans print under the table.
-		"sharpness": {everySeed: true, heads: []string{"Sharpness", "Accuracy (%)"},
+		"sharpness": {finals: true, heads: []string{"Sharpness", "Accuracy (%)"},
 			vals: func(c GridCell) []string {
 				s := NewStat(c.Sharpness)
 				return []string{fmt.Sprintf("%.4f ± %.4f", s.Mean, s.Std), c.Stat().String()}
@@ -586,9 +588,10 @@ func (g *Grid) Sweep(name string, values ...string) error {
 }
 
 // Seeds returns the seeds every cell of the grid runs on: the profile's
-// when the measure reports over seeds, otherwise its first.
+// when the measure reads each seed's final model (finals), otherwise its
+// first.
 func (g *Grid) Seeds() []int64 {
-	if measures()[g.Measure].everySeed {
+	if measures()[g.Measure].finals {
 		return g.Base.Profile.Seeds
 	}
 	return []int64{firstSeed(g.Base.Profile)}
@@ -865,9 +868,10 @@ type GridCell struct {
 	Coords []string
 	Cell
 	Histories []*fl.History
-	// Diverged holds per seed the round in which the run's global model
-	// left the finite range (fl.DivergedError), 0 where the run finished.
-	// A diverged seed has no history.
+	// Diverged holds per seed the round of the evaluation that found the
+	// run's global model outside the finite range (fl.DivergedError), 0
+	// where the run finished: under a finals measure that is the last
+	// round, the one evaluation it makes. A diverged seed has no history.
 	Diverged []int
 	// Sharpness holds the sharpness measure's reading of each seed's final
 	// model, and Scan its 2-D loss scan around the first seed's.
@@ -948,7 +952,10 @@ type GridResult struct {
 // scheduler on Grid.Seeds: one shared worker budget, memoized
 // environments, first failure by cell index. Each run's history is a pure
 // function of its seed and settings, so the result is bit-identical at
-// every Jobs/Parallelism setting.
+// every Jobs/Parallelism setting. Under a finals measure each run cell's
+// Profile.EvalEvery is 0: nothing reads a round before the last, and
+// evaluation draws no randomness, so the final model and metric are those
+// the profile's schedule reaches.
 //
 // A run whose global model diverges (fl.DivergedError) does not stop the
 // grid: its cell records the round in Diverged and keeps no history for
@@ -976,6 +983,9 @@ func RunGrid(g Grid) (*GridResult, error) {
 	m := measures()[g.Measure]
 	for _, c := range runs {
 		c.Histories, c.Diverged = make([]*fl.History, len(seeds)), make([]int, len(seeds))
+		if m.finals {
+			c.Profile.EvalEvery = 0
+		}
 		if m.probe != nil {
 			c.Sharpness = make([]float64, len(seeds))
 		}

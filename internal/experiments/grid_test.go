@@ -485,32 +485,45 @@ func TestConfigure(t *testing.T) {
 // micro profile's SCAFFOLD and FedCross runs diverge by round 2 and
 // FedAvg's, whose uploads the mean reducer screens, do not. Every run
 // still ends: a diverged seed keeps no history and its cell records the
-// round, and RunGrid returns the result with an error naming each
-// diverged run.
+// round of the evaluation that caught it, and RunGrid returns the result
+// with an error naming each diverged run. The fidelity grid's margin
+// measure evaluates once, after the last round, so it records round 3;
+// fig5's curve measure evaluates every round and records round 2.
 func TestRunGridRecordsDivergedRuns(t *testing.T) {
 	p := microProfile()
 	p.LR = 1e100
-	res, err := RunGrid(mlpPreset(t, "fidelity", p, []string{"beta", "0.5"}, []string{"algo", "fedavg", "scaffold", "fedcross"}))
-	if res == nil {
-		t.Fatalf("no result: %v", err)
-	}
-	if d := (*fl.DivergedError)(nil); !errors.As(err, &d) || d.Round != 2 {
-		t.Fatalf("error %v, want one carrying a run diverged by round 2", err)
-	}
-	seeds := res.Seeds()
-	for _, c := range res.Cells {
-		for si, r := range c.Diverged {
-			name := fmt.Sprintf("grid cell %s, seed %d: ", strings.Join(res.labels(c), " "), seeds[si])
-			if c.Algorithm == "fedavg" {
-				if r != 0 || c.Histories[si] == nil || strings.Contains(err.Error(), name) {
-					t.Fatalf("fedavg seed %d: diverged %d, history %v, named in %q", seeds[si], r, c.Histories[si], err)
+	algos := []string{"algo", "fedavg", "scaffold", "fedcross"}
+	for _, tc := range []struct {
+		preset string
+		axis   []string
+		round  int
+	}{
+		{"fidelity", []string{"beta", "0.5"}, p.Rounds},
+		{"fig5", []string{"beta", "0.5"}, 2},
+	} {
+		res, err := RunGrid(mlpPreset(t, tc.preset, p, tc.axis, algos))
+		if res == nil {
+			t.Fatalf("%s: no result: %v", tc.preset, err)
+		}
+		if d := (*fl.DivergedError)(nil); !errors.As(err, &d) || d.Round != tc.round {
+			t.Fatalf("%s: error %v, want one carrying a run diverged by round %d", tc.preset, err, tc.round)
+		}
+		seeds := res.Seeds()
+		for _, c := range res.Cells {
+			for si, r := range c.Diverged {
+				name := fmt.Sprintf("grid cell %s, seed %d: ", strings.Join(res.labels(c), " "), seeds[si])
+				if c.Algorithm == "fedavg" {
+					if r != 0 || c.Histories[si] == nil || strings.Contains(err.Error(), name) {
+						t.Fatalf("%s: fedavg seed %d: diverged %d, history %v, named in %q", tc.preset, seeds[si], r, c.Histories[si], err)
+					}
+				} else if r != tc.round || c.Histories[si] != nil || !strings.Contains(err.Error(), name) {
+					t.Fatalf("%s: %s seed %d: diverged %d, history %v, want round %d named in %q",
+						tc.preset, c.Algorithm, seeds[si], r, c.Histories[si], tc.round, err)
 				}
-			} else if r != 2 || c.Histories[si] != nil || !strings.Contains(err.Error(), name) {
-				t.Fatalf("%s seed %d: diverged %d, history %v, want round 2 named in %q", c.Algorithm, seeds[si], r, c.Histories[si], err)
 			}
 		}
-	}
-	if m, ok := rowMargin(res.Cells, "fedavg", finalAcc, false); !ok || m != (marginStat{Seeds: len(seeds)}) {
-		t.Fatalf("margin of a diverged FedCross over FedAvg %+v, want no wins and no mean", m)
+		if m, ok := rowMargin(res.Cells, "fedavg", finalAcc, false); !ok || m != (marginStat{Seeds: len(seeds)}) {
+			t.Fatalf("%s: margin of a diverged FedCross over FedAvg %+v, want no wins and no mean", tc.preset, m)
+		}
 	}
 }

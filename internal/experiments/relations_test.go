@@ -48,6 +48,7 @@ var relations = []struct {
 		"async":   "RunAsync draws one client per dispatch, not a cohort per round"}},
 	{"prox0", relProx0, allBut("fedprox", "μ = 0 reduces FedProx, not this column, to FedAvg")},
 	{"eq2", relEq2, allBut("fedcross", "Equation 2 is FedCross's cross-aggregation")},
+	{"eval", relEval, nil},
 }
 
 // relColumns are the ways a history is produced: each algorithm under
@@ -418,6 +419,33 @@ func relResume(t *testing.T, col string) {
 				same(t, what+", resumed", full, mustRun(t, col, s.source, resumed), 0)
 			}
 		}
+	}
+}
+
+// relEval: evaluating only after the last round (EvalEvery = 0) ≡ the
+// relCfg schedule's last evaluation — its metric, the final global model,
+// every whole-run counter and both byte totals — benign and under every
+// setup: evaluation draws no randomness and changes nothing a later round
+// reads, which is what lets a grid whose measure reads final models only
+// skip the rest.
+func relEval(t *testing.T, col string) {
+	check := func(name, source string, set func(c *fl.Config)) {
+		cfg := relCfg()
+		set(&cfg)
+		sched := mustRun(t, col, source, cfg)
+		if len(sched.hist.Metrics) < 2 {
+			t.Fatalf("%s: the schedule evaluated %d rounds, want more than one", name, len(sched.hist.Metrics))
+		}
+		cfg.EvalEvery = 0
+		final := mustRun(t, col, source, cfg)
+		last := *sched.hist
+		last.Metrics = last.Metrics[len(last.Metrics)-1:]
+		sched.hist = &last
+		same(t, name+": EvalEvery 0 against the schedule's last evaluation", sched, final, 0)
+	}
+	check("benign", "eager", func(*fl.Config) {})
+	for _, s := range setups {
+		check(s.name, s.source, s.set)
 	}
 }
 

@@ -122,6 +122,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fl: LR = %v, must be positive", c.LR)
 	case !(0 <= c.Momentum && c.Momentum < 1):
 		return fmt.Errorf("fl: Momentum = %v, must be in [0,1)", c.Momentum)
+	case c.EvalEvery < 0:
+		return fmt.Errorf("fl: EvalEvery = %d, must be non-negative", c.EvalEvery)
 	case c.Parallelism < 0:
 		return fmt.Errorf("fl: Parallelism = %d, must be non-negative", c.Parallelism)
 	case c.PrefetchRounds < 0:

@@ -139,6 +139,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BatchSize = 0 },
 		func(c *Config) { c.LR = 0 },
 		func(c *Config) { c.Momentum = 1 },
+		func(c *Config) { c.EvalEvery = -1 },
 	}
 	for i, mutate := range cases {
 		c := DefaultConfig()
