@@ -249,10 +249,11 @@ var gates = []gate{
 	// every upload before folding (lazy_1m_fedavg). mean-k64 reads
 	// 1.8–2.8×: 26 MB of uploads stream from memory on both sides, and half
 	// of that would gate nothing, so its floor is 1.1. It does not catch
-	// the fold kernels falling back to their twins (≈ 2.1×: Axpy4 still
-	// streams four uploads a pass); below 1.1× the fold went back to one
-	// upload a pass on the scalar loop (≈ 1.05×).
-	foldRow("mean-k64", 1.1, func(_ testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
+	// the fold kernels falling back to their twins (1.59–2.23×: Axpy4 still
+	// streams four uploads a pass; fold/axpy4 below catches that); below
+	// 1.1× the fold went back to one upload a pass on the scalar loop
+	// (≈ 1.05×).
+	foldRow("mean-k64", 1.1, 100, func(_ testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
 		models64 := randVectors(rng, 64, 51978)
 		mean := make(nn.ParamVector, 51978)
 		return func() nn.ParamVector {
@@ -273,7 +274,7 @@ var gates = []gate{
 			}
 	}),
 	// 3.1–5.7× measured; below 1.5× the lerp fell back to its twin (1.4×).
-	foldRow("lerp", 1.5, func(_ testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
+	foldRow("lerp", 1.5, 100, func(_ testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
 		const alpha = 0.99
 		pair := randVectors(rng, 2, 51978)
 		lerp := make(nn.ParamVector, 51978)
@@ -290,8 +291,9 @@ var gates = []gate{
 	}),
 	// 4.5–9.1× measured. Below 2.2× the fold kernels fell back to their
 	// twins and the mean rule went back to screening every upload (≈ 2.0×;
-	// either alone reads ≈ 3.5× and ≈ 5.9×).
-	foldRow("reduce-k10", 2.2, func(t testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
+	// either alone reads ≈ 3.5× and ≈ 5.9×; AllFinite alone on its twin
+	// 4.19–6.73×, which fold/finite below catches).
+	foldRow("reduce-k10", 2.2, 100, func(t testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
 		uploads := randVectors(rng, 10, 6506)
 		weights := make([]float64, len(uploads))
 		for i := range weights {
@@ -323,6 +325,60 @@ var gates = []gate{
 					t.Fatal(err)
 				}
 				return out
+			}
+	}),
+
+	// mean-k64 and reduce-k10 time whole folds, whose uploads stream from
+	// memory or whose screen the mean rule skips, so they pass with the
+	// fold kernels on their twins. These two rows time the kernels
+	// themselves against the scalar loops written out here, on L2-resident
+	// CNN-sized vectors (6,506): four uploads folded into one mean, and ten
+	// uploads screened. Measured axpy4 2.15–3.77×, finite 5.07–9.87×; with
+	// the kernel on its twin 0.90–1.48× and 0.61–1.18×. finite is gated at
+	// half its low end; half of axpy4's would not clear its twin, so its
+	// floor sits between the two. Below the bound the kernel fell back to
+	// its twin.
+	foldRow("axpy4", 1.7, 2000, func(_ testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
+		xs := randVectors(rng, 4, 6506)
+		dst := make(nn.ParamVector, 6506)
+		x0, x1, x2, x3 := xs[0][:len(dst)], xs[1][:len(dst)], xs[2][:len(dst)], xs[3][:len(dst)]
+		a0, a1, a2, a3 := 0.1, 0.2, 0.3, 0.4
+		return func() nn.ParamVector {
+				clear(dst)
+				for i := range dst {
+					d := dst[i] + float64(a0*x0[i])
+					d += float64(a1 * x1[i])
+					d += float64(a2 * x2[i])
+					dst[i] = d + float64(a3*x3[i])
+				}
+				return dst
+			}, func() nn.ParamVector {
+				clear(dst)
+				tensor.Axpy4(dst, x0, x1, x2, x3, a0, a1, a2, a3)
+				return dst
+			}
+	}),
+	foldRow("finite", 2.5, 1000, func(_ testing.TB, rng *tensor.RNG) (func() nn.ParamVector, func() nn.ParamVector) {
+		uploads := randVectors(rng, 10, 6506)
+		verdict := nn.ParamVector{0}
+		return func() nn.ParamVector {
+				verdict[0] = 1
+				for _, u := range uploads {
+					for _, x := range u {
+						if x-x != 0 {
+							verdict[0] = 0
+						}
+					}
+				}
+				return verdict
+			}, func() nn.ParamVector {
+				verdict[0] = 1
+				for _, u := range uploads {
+					if !tensor.AllFinite(u) {
+						verdict[0] = 0
+					}
+				}
+				return verdict
 			}
 	}),
 
@@ -412,20 +468,59 @@ var gates = []gate{
 	// 0.67–1.37× down and 1.13–1.74× up, and with a residual vector
 	// allocated per payload in deliver 1.19–1.56× up. Below 2× a kernel
 	// fell back to its twin or a residual vector crept back into deliver.
-	// A separate delta pass into a reused buffer reads 2.13–3.04× up and
-	// passes: in cache its two extra passes are cheap.
+	// A separate delta pass into a reused buffer reads 2.05–3.14× up and
+	// passes: in cache its two extra passes are cheap. wire/up-fused
+	// catches that.
 	wireRow("down", false),
 	wireRow("up", true),
+
+	// UpAll against the two-pass form of the same round trips on the same
+	// kernels (twoPassUp): the residual vec−ref into a reused buffer, the
+	// int8 codec without a reference, ref added back. wire/up passes that
+	// form in deliver because its reference is the five scalar passes;
+	// this row holds the delta fused into the codec's kernels. Measured
+	// 1.82–2.72×; with deliver running the two-pass form 0.74–0.88×. Below
+	// 1.3× a residual pass crept back into deliver.
+	{name: "wire/up-fused", reps: 20, runs: 3, bound: 1.3, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		const k, n = 8, 6506
+		w := newWireBatch(k, n)
+		tr, err := fl.NewTransport(fl.TransportOptions{Codec: "int8"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := make([]bool, k)
+		res, buf := make(nn.ParamVector, n), []byte(nil)
+		twoPass := make([]nn.ParamVector, k)
+		for j := range twoPass {
+			twoPass[j] = w.refs[j].Clone()
+		}
+		ref := func() {
+			for j, vec := range w.vecs {
+				buf = twoPassUp(t, twoPass[j], vec, w.refs[j], res, buf)
+			}
+		}
+		kernel := func() { tr.UpAll(w.dsts, ok, w.clients, w.vecs, w.refs, fl.Limit(1)) }
+		ref()
+		kernel()
+		for j := range twoPass {
+			if !ok[j] || !bitsEqual(twoPass[j], w.dsts[j]) {
+				t.Fatalf("upload %d: UpAll and the two-pass round trip differ", j)
+			}
+		}
+		return ref, kernel
+	}},
 
 	// One round of FedCross's int8 wire at server_heavy_k64's shape, 64
 	// dispatches then 64 in-place delta uploads, at Limit(1) against
 	// Limit(2): outcomes are decided serially and only the codec round
 	// trips fan out (TestTransportBatchWorkerInvariance holds the two
-	// equal). 2.2–2.5× measured; a single Limit(2) run swings 5–12 ms when
-	// the box's second vCPU is busy. Below 1.3× the round trips stopped
-	// fanning out, or something serial (a shared buffer, a lock) crept
-	// into them.
-	{name: "fan-out", reps: 20, runs: 3, bound: 1.3, twoCPUs: true, setup: func(t testing.TB) (func(), func()) {
+	// equal). 1.76–2.08× measured. A single Limit(2) run swings 5–12 ms
+	// when the box's second vCPU is busy, and with three runs a side the
+	// row read 1.25 in one table run of ten on load alone, so each side
+	// takes the fastest of seven shorter runs. Below 1.3× the round trips
+	// stopped fanning out, or something serial (a shared buffer, a lock)
+	// crept into them.
+	{name: "fan-out", reps: 10, runs: 7, bound: 1.3, twoCPUs: true, setup: func(t testing.TB) (func(), func()) {
 		const k, n = 64, 51978
 		w := newWireBatch(k, n)
 		ok := make([]bool, k)
@@ -523,8 +618,9 @@ var gates = []gate{
 	// per-sample lowering the layer is bounded against (Im2ColTo, the
 	// forward GEMM and the bias add, a transposed-B GEMM and a serial row
 	// sum per sample), its GEMMs on tensor.GoBackend so a faster platform
-	// Gemm does not move it. 10.9–13.8× measured (6.8–9.7× on the float64
-	// kernels); under purego, both sides scalar, 0.5×. Below 7.1× a
+	// Gemm does not move it. 12.0–19.2× measured with the conversions on
+	// tensor.NarrowPadded (10.9–13.8× with them in Go loops, 6.8–9.7× on
+	// the float64 kernels); under purego, both sides scalar, 0.5×. Below 7.1× a
 	// kernel fell back to its twin, a lowered matrix crept back into the
 	// layer, or the float32 path lost its lanes.
 	{name: "conv", reps: 200, runs: 3, bound: 7.1, amd64Only: true, setup: func(testing.TB) (func(), func()) {
@@ -569,7 +665,8 @@ var gates = []gate{
 	// channels, added into a float64 padded buffer): Conv2D.Backward
 	// against the same BackwardParams plus the float64 per-sample
 	// transposed-A GEMM (on GoBackend) and Col2ImTo; both sides pay the
-	// same parameter gradients. 6.5–7.3× measured (12–13× for the input
+	// same parameter gradients. 5.5–8.8× measured with dx copied out on
+	// tensor.Unpad (6.5–7.3× with the Go row copies; 12–13× for the input
 	// gradients alone). Below 4.4× a lowered matrix came back or the kernel
 	// fell back to its twin (≈ 0.8×, as under purego).
 	{name: "input-grad", reps: 200, runs: 3, bound: 4.4, amd64Only: true, setup: func(testing.TB) (func(), func()) {
@@ -593,7 +690,9 @@ var gates = []gate{
 
 	// A forward and a backward pass through the CNN's two ReLU → MaxPool
 	// stages, batch 50: nn.NewReLUMaxPool2D against the two layers it
-	// folds. 1.5–2.4× measured, single runs dipping to 1.0 when the box
+	// folds, whose backward pass is tensor.Unpool2x2 where the two layers'
+	// zero dx and scatter. 1.7–2.9× measured (1.5–2.4× when both sides
+	// zeroed and scattered), single runs dipping to 1.0 when the box
 	// slows inside the folded side; half of that would gate nothing, so
 	// the floor is 1.1: below it the fold buys nothing — a rectifier pass
 	// crept back into the layer, or its start value sends the pool down a
@@ -623,6 +722,84 @@ var gates = []gate{
 				}
 			}
 	}},
+
+	// The CNN step's data movement on its AVX2 kernels against their Go
+	// twins, batch 50, one call a batch each as nn.Conv2D and MaxPool2D make
+	// them. narrow: both convolutions' inputs into their padded float32
+	// buffers and both incoming gradients to float32 (pad 0); unpad: both
+	// geometries' input gradients out of their padded float64 buffers;
+	// unpool: both ReLU-pool stages' 2×2 backward passes. Measured narrow
+	// 3.18–5.00×, unpad 2.62–5.54×, each gated at half its low end; with the
+	// kernel on its twin 0.87–1.05× and 0.71–1.05×. unpool's twin is the
+	// zero-and-scatter loop the kernel replaced: 1.65–2.63×, half of which
+	// would gate nothing, and 0.87–1.22× with the kernel on the twin, so
+	// its floor sits between the two. Below the bound the kernel fell back
+	// to its twin.
+	glueRow("narrow", 1.6, func(*tensor.RNG) (func(), func()) {
+		type call struct {
+			dst               []float32
+			src               []float64
+			planes, h, w, pad int
+		}
+		var calls []call
+		for _, l := range convLayers() {
+			g := l.conv.Geom
+			calls = append(calls,
+				call{make([]float32, convBatch*g.InC*(g.InH+2)*(g.InW+2)), l.x.Data, convBatch * g.InC, g.InH, g.InW, 1},
+				call{make([]float32, len(l.grad.Data)), l.grad.Data, 1, 1, len(l.grad.Data), 0})
+		}
+		run := func(f func([]float32, []float64, int, int, int, int)) func() {
+			return func() {
+				for _, c := range calls {
+					f(c.dst, c.src, c.planes, c.h, c.w, c.pad)
+				}
+			}
+		}
+		return run(tensor.NarrowPaddedGo), run(tensor.NarrowPadded)
+	}),
+	glueRow("unpad", 1.3, func(rng *tensor.RNG) (func(), func()) {
+		var dsts, srcs [][]float64
+		var geoms []tensor.ConvGeom
+		for _, l := range convLayers() {
+			g := l.conv.Geom
+			dsts = append(dsts, make([]float64, convBatch*l.conv.InFeatures()))
+			srcs = append(srcs, rng.Randn(1, convBatch*g.InC*(g.InH+2)*(g.InW+2)).Data)
+			geoms = append(geoms, g)
+		}
+		run := func(f func(dst, src []float64, planes, h, w, pad int)) func() {
+			return func() {
+				for i, g := range geoms {
+					f(dsts[i], srcs[i], convBatch*g.InC, g.InH, g.InW, 1)
+				}
+			}
+		}
+		return run(tensor.UnpadGo), run(tensor.Unpad)
+	}),
+	glueRow("unpool", 1.35, func(rng *tensor.RNG) (func(), func()) {
+		type stage struct {
+			ow, pairs int
+			dx, g     []float64
+			am        []int
+		}
+		var stages []stage
+		for _, c := range []struct{ ch, side int }{{8, models.VisionH}, {16, models.VisionH / 2}} {
+			ow, pairs, w := c.side/2, c.ch*c.side/2, c.side
+			am := make([]int, convBatch*pairs*ow)
+			for o := range am {
+				r, ox := o/ow%pairs, o%ow
+				am[o] = 2*r*w + 2*ox + []int{0, 1, w, w + 1}[rng.Intn(4)]
+			}
+			stages = append(stages, stage{ow, pairs, make([]float64, 4*len(am)), rng.Randn(1, len(am)).Data, am})
+		}
+		run := func(f func(dx, g []float64, am []int, ow, pairs, batch int)) func() {
+			return func() {
+				for _, s := range stages {
+					f(s.dx, s.g, s.am, s.ow, s.pairs, convBatch)
+				}
+			}
+		}
+		return run(tensor.Unpool2x2Go), run(tensor.Unpool2x2)
+	}),
 }
 
 // randVectors is k vectors of n N(0, 1) draws.
@@ -672,13 +849,20 @@ func momentumRow(hidden int, name string) gate {
 
 // foldRow gates a fold kernel against the scalar loop it replaced; setup
 // fails unless both return the same bits.
-func foldRow(name string, bound float64, sides func(t testing.TB, rng *tensor.RNG) (scalar, kernel func() nn.ParamVector)) gate {
-	return gate{name: "fold/" + name, reps: 100, runs: 3, bound: bound, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+func foldRow(name string, bound float64, reps int, sides func(t testing.TB, rng *tensor.RNG) (scalar, kernel func() nn.ParamVector)) gate {
+	return gate{name: "fold/" + name, reps: reps, runs: 3, bound: bound, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
 		scalar, kernel := sides(t, tensor.NewRNG(3))
 		if !bitsEqual(kernel(), scalar()) {
 			t.Fatalf("%s: kernel and scalar loop differ", name)
 		}
 		return func() { scalar() }, func() { kernel() }
+	}}
+}
+
+// glueRow gates a data-movement kernel against its Go twin.
+func glueRow(name string, bound float64, sides func(rng *tensor.RNG) (twin, kernel func())) gate {
+	return gate{name: "glue/" + name, reps: 2000, runs: 3, bound: bound, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+		return sides(tensor.NewRNG(5))
 	}}
 }
 
@@ -838,6 +1022,25 @@ func wireRow(dir string, up bool) gate {
 				tr.UpAll(w.dsts, ok, w.clients, w.vecs, w.refs, fl.Limit(1))
 			}
 	}}
+}
+
+// twoPassUp is an int8 delta round trip with the delta in passes of its
+// own: the residual vec−ref into res, the codec without a reference, ref
+// added back into dst. It returns the encode buffer for reuse.
+func twoPassUp(t testing.TB, dst, vec, ref, res nn.ParamVector, buf []byte) []byte {
+	var codec nn.Int8Codec
+	res, ref = res[:len(vec)], ref[:len(vec)]
+	for i, v := range vec {
+		res[i] = v - ref[i]
+	}
+	buf = codec.EncodeDelta(buf[:0], res, nil)
+	if _, err := codec.DecodeDelta(dst, buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ref[:len(dst)] {
+		dst[i] += r
+	}
+	return buf
 }
 
 // wireBatch is one round's worth of wire payloads: vecs[i] a small

@@ -15,8 +15,10 @@ import (
 // — or, for the input gradient, added into a second, float64 one —
 // through two index tables, so no lowered im2col matrix is ever built.
 // Parameters, gradients and the activations on either side stay float64;
-// the layer converts only in the copies it makes anyway (the padded
-// input, W's kernel layout, the incoming gradient, the gradient sums).
+// the layer converts only in the copies it makes anyway: the padded input
+// and the incoming gradient on tensor.NarrowPadded, the input gradient
+// out of its padded buffer on tensor.Unpad (each one call a batch), and
+// W's kernel layout and the gradient sums in Go loops.
 // TestConvMatchesFloat64Reference bounds every result against a float64
 // lowering.
 type Conv2D struct {
@@ -104,35 +106,14 @@ func resize(buf []float32, n int) []float32 {
 	return buf[:n]
 }
 
-// interior returns the offset, in a buffer of padded's layout (the batch
-// is batch·InC planes back to back), of plane `plane`'s first in-image
-// element.
-func (c *Conv2D) interior(plane int) int {
-	g := c.Geom
-	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
-	return (plane*ph+g.Pad)*pw + g.Pad
-}
-
 // Forward convolves the whole batch: per element a float32 chain over the
 // taps ascending from +0, widened, then the bias added in float64.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkBatch("Conv2D", x, c.InFeatures())
 	batch := x.Shape[0]
-	taps := len(c.tapOff)
-
-	// Convert the image rows into the interiors of the padded planes.
+	taps, g := len(c.tapOff), c.Geom
 	c.padded = resize(c.padded, batch*c.paddedLen())
-	g := c.Geom
-	plane, pw := g.InH*g.InW, g.InW+2*g.Pad
-	for i := 0; i < batch*g.InC; i++ {
-		dst, src := c.padded[c.interior(i):], x.Data[i*plane:(i+1)*plane]
-		for y := 0; y < g.InH; y++ {
-			row := dst[y*pw : y*pw+g.InW]
-			for j, v := range src[y*g.InW : (y+1)*g.InW] {
-				row[j] = float32(v)
-			}
-		}
-	}
+	tensor.NarrowPadded(c.padded, x.Data, batch*g.InC, g.InH, g.InW, g.Pad)
 	c.w = resize(c.w, taps*c.OutC)
 	w, outC := c.w, c.OutC
 	for oc := 0; oc < outC; oc++ {
@@ -155,11 +136,8 @@ func (c *Conv2D) BackwardParams(grad *tensor.Tensor) {
 	checkGradBatch("Conv2D", grad, c.out)
 	batch := grad.Shape[0]
 	taps := len(c.tapOff)
-	dy := resize(c.dy, len(grad.Data))
-	for i, v := range grad.Data {
-		dy[i] = float32(v)
-	}
-	c.dy = dy
+	c.dy = resize(c.dy, len(grad.Data))
+	tensor.NarrowPadded(c.dy, grad.Data, 1, 1, len(grad.Data), 0)
 	c.sums = resize(c.sums, (taps+1)*c.OutC)
 	tensor.ConvGradParams(c.sums, c.padded, c.dy, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	sums, outC := c.sums, c.OutC
@@ -180,21 +158,15 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardInput forms dLoss/dInput from the float32 gradient
-// backwardParams converted: the kernel adds every tap's term into a
+// BackwardParams converted: the kernel adds every tap's term into a
 // zeroed padded sample — col2im's scatter, in col2im's order, through the
-// forward's tables — and dx is the interiors of those.
+// forward's tables — and tensor.Unpad copies their interiors out to dx.
 func (c *Conv2D) backwardInput(batch int) *tensor.Tensor {
 	c.dpad = tensor.Ensure(c.dpad, batch, c.paddedLen())
 	tensor.ConvGradInput(c.dpad.Data, c.dy, c.w, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	c.dx = tensor.Ensure(c.dx, batch, c.InFeatures())
 	g := c.Geom
-	plane, pw := g.InH*g.InW, g.InW+2*g.Pad
-	for i := 0; i < batch*g.InC; i++ {
-		src := c.dpad.Data[c.interior(i):]
-		for y := 0; y < g.InH; y++ {
-			copy(c.dx.Data[i*plane+y*g.InW:i*plane+(y+1)*g.InW], src[y*pw:y*pw+g.InW])
-		}
-	}
+	tensor.Unpad(c.dx.Data, c.dpad.Data, batch*g.InC, g.InH, g.InW, g.Pad)
 	return c.dx
 }
 

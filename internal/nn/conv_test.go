@@ -482,3 +482,128 @@ func TestBackwardRejectsForeignBatch(t *testing.T) {
 		backward(rng.Uniform(-1, 1, 5, tc.out)) // the cached batch is accepted
 	}
 }
+
+// boundarySpecials are the values the layers' data-movement kernels could
+// get wrong: NaNs of two payloads, ±Inf, −0, float64 and float32
+// denormals, and magnitudes beyond float32, which narrow to ±Inf.
+var boundarySpecials = []float64{
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff4000000000abc),
+	math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, 1e-40, 1e39, -1e300,
+}
+
+func plantBoundary(rng *tensor.RNG, data []float64) {
+	for i := range data {
+		if rng.Intn(6) == 0 {
+			data[i] = boundarySpecials[rng.Intn(len(boundarySpecials))]
+		}
+	}
+}
+
+// TestConvBoundaryMatchesLoops holds Conv2D's float32 boundary to the Go
+// loops it ran before tensor.NarrowPadded and tensor.Unpad took it: the
+// padded buffer (interiors narrowed row by row, borders still zero), the
+// narrowed output gradient and dx (the padded input gradient's interiors
+// copied out row by row), bit for bit, NaN payloads included, over widths
+// the assembly takes and ragged ones, padding 0–2, and batches that shrink
+// and grow through one layer.
+func TestConvBoundaryMatchesLoops(t *testing.T) {
+	rng := tensor.NewRNG(29)
+	for _, g := range []tensor.ConvGeom{
+		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 8, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 2, InH: 5, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 2},
+		{InC: 2, InH: 6, InW: 8, KH: 1, KW: 1, Stride: 2, Pad: 0},
+		{InC: 1, InH: 3, InW: 13, KH: 3, KW: 2, Stride: 1, Pad: 1},
+	} {
+		c := NewConv2D(g, 8, rng)
+		ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+		for _, batch := range []int{3, 1, 4} {
+			what := fmt.Sprintf("%+v batch %d", g, batch)
+			x := rng.Uniform(-2, 2, batch, c.InFeatures())
+			plantBoundary(rng, x.Data)
+			grad := rng.Uniform(-2, 2, batch, c.OutFeatures())
+			plantBoundary(rng, grad.Data)
+			c.Forward(x)
+			dx := c.Backward(grad)
+
+			padded := make([]float32, batch*c.paddedLen())
+			for i := 0; i < batch*g.InC; i++ {
+				dst, src := padded[(i*ph+g.Pad)*pw+g.Pad:], x.Data[i*g.InH*g.InW:]
+				for y := 0; y < g.InH; y++ {
+					for j, v := range src[y*g.InW : (y+1)*g.InW] {
+						dst[y*pw+j] = float32(v)
+					}
+				}
+			}
+			dy := make([]float32, len(grad.Data))
+			for i, v := range grad.Data {
+				dy[i] = float32(v)
+			}
+			wantDx := make([]float64, batch*c.InFeatures())
+			for i := 0; i < batch*g.InC; i++ {
+				src := c.dpad.Data[(i*ph+g.Pad)*pw+g.Pad:]
+				for y := 0; y < g.InH; y++ {
+					copy(wantDx[(i*g.InH+y)*g.InW:(i*g.InH+y+1)*g.InW], src[y*pw:y*pw+g.InW])
+				}
+			}
+			for _, buf := range []struct {
+				name      string
+				got, want []float32
+			}{{"padded", c.padded, padded}, {"dy", c.dy, dy}} {
+				if len(buf.got) != len(buf.want) {
+					t.Fatalf("%s %s: %d elements, want %d", what, buf.name, len(buf.got), len(buf.want))
+				}
+				for i := range buf.want {
+					if math.Float32bits(buf.got[i]) != math.Float32bits(buf.want[i]) {
+						t.Fatalf("%s %s element %d: %#x, the loop's %#x", what, buf.name, i, math.Float32bits(buf.got[i]), math.Float32bits(buf.want[i]))
+					}
+				}
+			}
+			for i := range wantDx {
+				if math.Float64bits(dx.Data[i]) != math.Float64bits(wantDx[i]) {
+					t.Fatalf("%s dx element %d: %#x, the loop's %#x", what, i, math.Float64bits(dx.Data[i]), math.Float64bits(wantDx[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestMaxPoolBackwardMatchesScatter holds MaxPool2D.Backward, which for
+// 2×2 pools writes every input cell once through tensor.Unpool2x2, to the
+// loop it ran before — dx zeroed, then each winner's gradient added — bit
+// for bit, for both start values, on planes the unpool's assembly takes
+// (rows of a multiple of four windows, 4-wide planes) and ones it does
+// not, with argmax -1 windows and −0, NaN and ±Inf gradients, through
+// batches that shrink and grow so a reused dx holds the last call's
+// values. A 3×3 pool keeps the zero-and-scatter loop.
+func TestMaxPoolBackwardMatchesScatter(t *testing.T) {
+	rng := tensor.NewRNG(31)
+	for _, kind := range poolKinds {
+		for _, tc := range []struct{ c, h, w, k int }{
+			{8, 8, 8, 2}, {16, 4, 4, 2}, {1, 2, 4, 2}, {3, 4, 16, 2}, {2, 6, 6, 2}, {2, 2, 2, 2}, {2, 6, 9, 3},
+		} {
+			p := kind.new(tc.c, tc.h, tc.w, tc.k)
+			inLen, outLen := p.InFeatures(), p.OutFeatures()
+			for _, batch := range []int{4, 1, 5} {
+				what := fmt.Sprintf("%s %+v batch %d", kind.name, tc, batch)
+				p.Forward(poolInput(rng, batch, inLen, tc.w))
+				grad := rng.Uniform(-1, 1, batch, outLen)
+				sprinkle(rng, grad.Data)
+				want := make([]float64, batch*inLen)
+				for b := 0; b < batch; b++ {
+					for o, idx := range p.argmax[b*outLen : (b+1)*outLen] {
+						if idx >= 0 {
+							want[b*inLen+idx] += grad.Data[b*outLen+o]
+						}
+					}
+				}
+				got := p.Backward(grad).Data
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s dx element %d: %v (%#x), the scatter's %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}

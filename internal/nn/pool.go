@@ -144,7 +144,10 @@ func (p *MaxPool2D) poolGeneric(dst []float64, am []int, src []float64) {
 }
 
 // Backward routes each output gradient to the input element that won the
-// max; a window without a winner (argmax -1) routes nothing.
+// max; a window without a winner (argmax -1) routes nothing. A 2×2 pool
+// writes every input cell once, +0 + g at the winner and +0 elsewhere in
+// its window, in one tensor.Unpool2x2 call for the batch; other kernel
+// sizes zero dx and add each winner's gradient.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	checkBatch("MaxPool2D.Backward", grad, p.OutFeatures())
 	checkGradBatch("MaxPool2D", grad, p.out)
@@ -152,6 +155,10 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	outLen := p.OutFeatures()
 	p.dx = tensor.Ensure(p.dx, p.batch, inLen)
 	dx := p.dx
+	if p.K == 2 {
+		tensor.Unpool2x2(dx.Data, grad.Data, p.argmax, p.W/2, p.C*p.H/2, p.batch)
+		return dx
+	}
 	dx.Zero()
 	for b := 0; b < p.batch; b++ {
 		g := grad.Data[b*outLen : (b+1)*outLen]

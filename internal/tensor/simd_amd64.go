@@ -173,6 +173,31 @@ func lerpAVX(dst, v, w *float64, n int, a, b float64)
 //go:noescape
 func allFiniteAVX(v *float64, n int) bool
 
+// narrowAVX converts planes × h rows of w float64 (w a positive multiple
+// of 4), contiguous in src, to float32 rows pw elements apart in dst,
+// moving on by skip more elements after each plane's h rows.
+//
+//go:noescape
+func narrowAVX(dst *float32, src *float64, planes, h, w, pw, skip int)
+
+// unpadAVX is narrowAVX's layout run backwards without the conversion:
+// planes × h rows of w float64 (w a positive multiple of 4), pw elements
+// apart in src and skip more after each plane, into contiguous dst.
+//
+//go:noescape
+func unpadAVX(dst, src *float64, planes, h, w, pw, skip int)
+
+// unpoolAVX writes the 2×2 unpool of batch samples of rows × steps steps,
+// four windows a step. A step reads four argmax indices and gradients
+// and writes two 4-cell runs of the top row, at +0 and +half elements,
+// and the same two w elements on; it moves on by 2·half elements, and by
+// skip more after each row. half = 4, skip = w walks the row pairs of
+// 8-column multiples; half = 8, skip = 0 with w = 4 takes two stacked
+// 4-wide row pairs as one step, as maxPool2AVX does.
+//
+//go:noescape
+func unpoolAVX(dx, grad *float64, am *int, batch, rows, steps, half, w, skip int)
+
 // avx2Supported is probed once at init and gates backend selection.
 var avx2Supported = hasAVX2()
 
@@ -519,4 +544,58 @@ func allFinite(v []float64) bool {
 		n = len(v) &^ (finiteLanes - 1)
 	}
 	return (n == 0 || allFiniteAVX(&v[0], n)) && allFiniteGo(v[n:])
+}
+
+// narrowPadded runs the checked narrow on the AVX2 kernel when the CPU has
+// it, in one call for the batch: with pad 0 the planes are one contiguous
+// row, whose last n%4 elements a plain loop converts; padded rows whose
+// width is not a multiple of 4 run the twin whole.
+func narrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
+	if pad == 0 {
+		n := planes * h * w
+		k := 0
+		if avx2Supported {
+			k = n &^ 3
+		}
+		if k > 0 {
+			narrowAVX(&dst[0], &src[0], 1, 1, k, k, 0)
+		}
+		for i := k; i < n; i++ {
+			dst[i] = float32(src[i])
+		}
+		return
+	}
+	if !avx2Supported || planes*h*w == 0 || w%4 != 0 {
+		narrowPaddedGo(dst, src, planes, h, w, pad)
+		return
+	}
+	pw := w + 2*pad
+	narrowAVX(&dst[pad*pw+pad], &src[0], planes, h, w, pw, 2*pad*pw)
+}
+
+// unpad runs the checked copy on the AVX2 kernel, in one call for the
+// batch, when the CPU has it and the rows are a multiple of 4 wide.
+func unpad(dst, src []float64, planes, h, w, pad int) {
+	if !avx2Supported || planes*h*w == 0 || w%4 != 0 {
+		unpadGo(dst, src, planes, h, w, pad)
+		return
+	}
+	pw := w + 2*pad
+	unpadAVX(&dst[0], &src[pad*pw+pad], planes, h, w, pw, 2*pad*pw)
+}
+
+// unpool2x2 runs the checked unpool on the AVX2 kernel, one call for the
+// batch, for the shapes maxPool2x2Plane takes: rows of a multiple of four
+// windows, or 4-wide planes taken two row pairs at a time.
+func unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
+	switch {
+	case !avx2Supported || batch*pairs*ow == 0:
+	case ow%4 == 0:
+		unpoolAVX(&dx[0], &g[0], &am[0], batch, pairs, ow/4, 4, 2*ow, 2*ow)
+		return
+	case ow == 2 && pairs%2 == 0:
+		unpoolAVX(&dx[0], &g[0], &am[0], batch, pairs/2, 1, 8, 4, 0)
+		return
+	}
+	unpool2x2Go(dx, g, am, ow, pairs, batch)
 }

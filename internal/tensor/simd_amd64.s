@@ -2002,3 +2002,150 @@ floop:
 	SETEQ     ret+16(FP)
 	VZEROUPPER
 	RET
+
+// Data-movement kernels (simd_glue.go).
+
+// func narrowAVX(dst *float32, src *float64, planes, h, w, pw, skip int)
+// planes × h rows of w float64 (w%4 == 0, every count ≥ 1) from
+// contiguous src to float32 rows pw elements apart, skip more after each
+// plane. VCVTPD2PS rounds as CVTSD2SS does, so each element is Go's
+// float32(v), NaN payloads included.
+TEXT ·narrowAVX(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ planes+16(FP), R8
+	MOVQ w+32(FP), CX
+	MOVQ pw+40(FP), R10
+	MOVQ skip+48(FP), R11
+	SHLQ $2, R10
+	SHLQ $2, R11
+
+nplane:
+	MOVQ h+24(FP), R9
+
+nrow:
+	XORQ AX, AX
+
+ncol:
+	VCVTPD2PSY (SI)(AX*8), X0
+	VMOVUPS    X0, (DI)(AX*4)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  ncol
+	LEAQ (SI)(CX*8), SI
+	ADDQ R10, DI
+	DECQ R9
+	JNZ  nrow
+	ADDQ R11, DI
+	DECQ R8
+	JNZ  nplane
+	VZEROUPPER
+	RET
+
+// func unpadAVX(dst, src *float64, planes, h, w, pw, skip int)
+// narrowAVX's walk with the sides swapped and no conversion.
+TEXT ·unpadAVX(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ planes+16(FP), R8
+	MOVQ w+32(FP), CX
+	MOVQ pw+40(FP), R10
+	MOVQ skip+48(FP), R11
+	SHLQ $3, R10
+	SHLQ $3, R11
+
+uplane:
+	MOVQ h+24(FP), R9
+
+urow:
+	XORQ AX, AX
+
+ucol:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  ucol
+	LEAQ (DI)(CX*8), DI
+	ADDQ R10, SI
+	DECQ R9
+	JNZ  urow
+	ADDQ R11, SI
+	DECQ R8
+	JNZ  uplane
+	VZEROUPPER
+	RET
+
+// unpoolIdx seeds the unpool's cell indices: the step's first four
+// top-row cells, relative to its sample.
+DATA unpoolIdx<>+0x00(SB)/8, $0
+DATA unpoolIdx<>+0x08(SB)/8, $1
+DATA unpoolIdx<>+0x10(SB)/8, $2
+DATA unpoolIdx<>+0x18(SB)/8, $3
+GLOBL unpoolIdx<>(SB), RODATA|NOPTR, $32
+
+// func unpoolAVX(dx, grad *float64, am *int, batch, rows, steps, half, w, skip int)
+// Every count ≥ 1. Windows j = 0, 1 of a step own the top-row run at +0,
+// j = 2, 3 the one half elements on: duplicating each window's argmax and +0 + g
+// across its two columns, a cell's value is that gradient where the
+// argmax equals the cell's index, +0 elsewhere (VPCMPEQQ, VANDPD).
+TEXT ·unpoolAVX(SB), NOSPLIT, $0-72
+	MOVQ dx+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ am+16(FP), R8
+	MOVQ batch+24(FP), R9
+	MOVQ half+48(FP), R14
+	MOVQ w+56(FP), R10
+	MOVQ skip+64(FP), R11
+	VXORPD Y15, Y15, Y15
+	VPBROADCASTQ half+48(FP), Y13
+	VPBROADCASTQ w+56(FP), Y12
+	VPBROADCASTQ skip+64(FP), Y10
+	SHLQ $3, R14
+	SHLQ $3, R10
+	SHLQ $3, R11
+
+usample:
+	VMOVDQU unpoolIdx<>+0(SB), Y9
+	MOVQ rows+32(FP), BX
+
+uprow:
+	MOVQ steps+40(FP), CX
+
+upstep:
+	VMOVDQU (R8), Y0
+	VADDPD  (SI), Y15, Y1    // +0 + g
+	VPERMQ  $0x50, Y0, Y2    // argmax of windows 0 0 1 1
+	VPERMQ  $0xfa, Y0, Y3    // 2 2 3 3
+	VPERMPD $0x50, Y1, Y4
+	VPERMPD $0xfa, Y1, Y5
+	VPADDQ  Y13, Y9, Y6
+	LEAQ    (DI)(R14*1), AX
+	VPCMPEQQ Y9, Y2, Y0
+	VANDPD   Y4, Y0, Y0
+	VMOVUPD  Y0, (DI)
+	VPADDQ   Y12, Y9, Y7
+	VPCMPEQQ Y7, Y2, Y0
+	VANDPD   Y4, Y0, Y0
+	VMOVUPD  Y0, (DI)(R10*1)
+	VPCMPEQQ Y6, Y3, Y0
+	VANDPD   Y5, Y0, Y0
+	VMOVUPD  Y0, (AX)
+	VPADDQ   Y12, Y6, Y7
+	VPCMPEQQ Y7, Y3, Y0
+	VANDPD   Y5, Y0, Y0
+	VMOVUPD  Y0, (AX)(R10*1)
+	VPADDQ   Y13, Y6, Y9
+	ADDQ $32, SI
+	ADDQ $32, R8
+	LEAQ (DI)(R14*2), DI
+	DECQ CX
+	JNZ  upstep
+	VPADDQ Y10, Y9, Y9
+	ADDQ R11, DI
+	DECQ BX
+	JNZ  uprow
+	DECQ R9
+	JNZ  usample
+	VZEROUPPER
+	RET

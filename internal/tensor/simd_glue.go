@@ -1,0 +1,132 @@
+package tensor
+
+import "fmt"
+
+// Data-movement kernels around the layers' compute kernels: nn.Conv2D's
+// float32 boundary (the minibatch into its zero-padded float32 buffer,
+// the incoming gradient to float32, the input gradient out of its padded
+// float64 buffer) and nn.MaxPool2D's 2×2 backward pass. Each runs once
+// per batch, never per plane or row, and moves every value unchanged or
+// through one Go conversion, so the AVX2 kernels reproduce the Go twins
+// (NarrowPaddedGo, UnpadGo, Unpool2x2Go) bit for bit, NaN payloads
+// included. The twins are what runs without AVX2, off amd64, under purego
+// and for widths the assembly does not take, and what the tests hold the
+// assembly to.
+//
+// Layout: `planes` h×w planes back to back on the contiguous side, and
+// the same planes with a border of pad elements all round, (h+2·pad) ×
+// (w+2·pad) each, on the padded side. Element (i, y, x) is
+//
+//	contiguous[(i·h + y)·w + x]  ↔  padded[(i·(h+2·pad) + pad + y)·(w+2·pad) + pad + x]
+//
+// and no kernel reads or writes a padded border.
+
+// NarrowPadded writes src's planes into the interiors of dst's padded
+// planes as float32, each element Go's float32(v): rounded to nearest
+// even, ±Inf beyond float32's range, a NaN quieted with its sign and the
+// top of its payload. With pad 0 it is a plain narrow of planes·h·w
+// elements.
+func NarrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
+	checkPadded("NarrowPadded", len(src), len(dst), planes, h, w, pad)
+	narrowPadded(dst, src, planes, h, w, pad)
+}
+
+// NarrowPaddedGo is NarrowPadded on the portable scalar kernel.
+func NarrowPaddedGo(dst []float32, src []float64, planes, h, w, pad int) {
+	checkPadded("NarrowPadded", len(src), len(dst), planes, h, w, pad)
+	narrowPaddedGo(dst, src, planes, h, w, pad)
+}
+
+// Unpad copies the interiors of src's padded planes into dst's
+// contiguous ones.
+func Unpad(dst, src []float64, planes, h, w, pad int) {
+	checkPadded("Unpad", len(dst), len(src), planes, h, w, pad)
+	unpad(dst, src, planes, h, w, pad)
+}
+
+// UnpadGo is Unpad on the portable scalar kernel.
+func UnpadGo(dst, src []float64, planes, h, w, pad int) {
+	checkPadded("Unpad", len(dst), len(src), planes, h, w, pad)
+	unpadGo(dst, src, planes, h, w, pad)
+}
+
+// Unpool2x2 is the backward pass of MaxPool2x2 over a batch: each sample
+// is `pairs` row pairs of width 2·ow in dx and pairs·ow outputs in g and
+// am, am recording each window's winning tap as a flat index into its
+// sample, or -1. Every cell of dx is written once, with
+//
+//	dx[c] = +0 + g[o]   where am[o] = c,  +0 elsewhere in o's window
+//
+// so a −0 gradient lands as +0. For argmax indices as MaxPool2x2 records
+// them (each one of its window's taps, or -1) that is the loop it
+// replaced, dx zeroed and then dx[am[o]] += g[o] for every am[o] ≥ 0.
+func Unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
+	checkUnpool(len(dx), len(g), len(am), ow, pairs, batch)
+	unpool2x2(dx, g, am, ow, pairs, batch)
+}
+
+// Unpool2x2Go is Unpool2x2 on the portable scalar kernel.
+func Unpool2x2Go(dx, g []float64, am []int, ow, pairs, batch int) {
+	checkUnpool(len(dx), len(g), len(am), ow, pairs, batch)
+	unpool2x2Go(dx, g, am, ow, pairs, batch)
+}
+
+// checkPadded is the only bounds check NarrowPadded and Unpad get: the
+// contiguous side holds planes·h·w elements and the padded side
+// planes·(h+2·pad)·(w+2·pad).
+func checkPadded(name string, flat, padded, planes, h, w, pad int) {
+	if planes < 0 || h < 0 || w < 0 || pad < 0 {
+		panic(fmt.Sprintf("tensor: %s %d planes of %dx%d, pad %d", name, planes, h, w, pad))
+	}
+	checkLen(name, "contiguous side", flat, planes*h*w)
+	checkLen(name, "padded side", padded, planes*(h+2*pad)*(w+2*pad))
+}
+
+// checkUnpool is the only bounds check Unpool2x2 gets.
+func checkUnpool(dx, g, am, ow, pairs, batch int) {
+	if min(ow, pairs, batch) < 0 {
+		panic(fmt.Sprintf("tensor: Unpool2x2 batch %d of %d row pairs, %d windows wide", batch, pairs, ow))
+	}
+	n := batch * pairs * ow
+	checkLen("Unpool2x2", "input gradient", dx, 4*n)
+	checkLen("Unpool2x2", "output gradient", g, n)
+	checkLen("Unpool2x2", "argmax", am, n)
+}
+
+func narrowPaddedGo(dst []float32, src []float64, planes, h, w, pad int) {
+	pw := w + 2*pad
+	for i := 0; i < planes; i++ {
+		for y := 0; y < h; y++ {
+			row := dst[(i*(h+2*pad)+pad+y)*pw+pad:][:w]
+			for x, v := range src[(i*h+y)*w:][:w] {
+				row[x] = float32(v)
+			}
+		}
+	}
+}
+
+func unpadGo(dst, src []float64, planes, h, w, pad int) {
+	pw := w + 2*pad
+	for i := 0; i < planes; i++ {
+		for y := 0; y < h; y++ {
+			copy(dst[(i*h+y)*w:][:w], src[(i*(h+2*pad)+pad+y)*pw+pad:])
+		}
+	}
+}
+
+// unpool2x2Go is the loop the kernel replaced: dx zeroed, then each
+// winner's gradient added. Zeroing first and scattering only the winners
+// is the fastest portable form; a one-pass Go loop that writes every cell
+// branches on each.
+func unpool2x2Go(dx, g []float64, am []int, ow, pairs, batch int) {
+	inLen, outLen := 4*ow*pairs, ow*pairs
+	clear(dx[:batch*inLen])
+	for b := 0; b < batch; b++ {
+		d := dx[b*inLen : (b+1)*inLen]
+		for o, idx := range am[b*outLen : (b+1)*outLen] {
+			if idx >= 0 {
+				d[idx] += g[b*outLen+o]
+			}
+		}
+	}
+}

@@ -28,6 +28,16 @@ func convGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, batch
 	convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
 }
 
+func narrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
+	narrowPaddedGo(dst, src, planes, h, w, pad)
+}
+
+func unpad(dst, src []float64, planes, h, w, pad int) { unpadGo(dst, src, planes, h, w, pad) }
+
+func unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
+	unpool2x2Go(dx, g, am, ow, pairs, batch)
+}
+
 func deltaRange(v, ref []float64) (lo, hi float64) { return deltaRangeGo(v, ref) }
 
 func quantDelta(dst []byte, v, ref []float64, lo, scale float64) {
