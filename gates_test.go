@@ -234,6 +234,26 @@ var gates = []gate{
 			}
 	}},
 
+	// tensor.NewRNG, whose ring is seeded on jump-ahead lanes (rng.go's
+	// mix), against math/rand's own serial Schrage seeding, rand.NewSource,
+	// one fresh seed a call: the cost of every RNG.Split. Pure Go, so it
+	// runs under purego too. 1.77–2.85× measured; math/rand's Schrage loop
+	// in mix reads 0.83–0.91×, which half the low end would pass, so the
+	// bound sits between the two. Below 1.2× the seeding went back to one
+	// serial chain.
+	{name: "rng/seed", reps: 2000, runs: 3, bound: 1.2, setup: func(t testing.TB) (func(), func()) {
+		for _, seed := range []int64{0, 1, -1, 89482311, math.MinInt64, math.MaxInt64} {
+			g, ref := tensor.NewRNG(seed), rand.NewSource(seed)
+			for i := range 10 {
+				if a, b := g.Int63(), ref.Int63(); a != b {
+					t.Fatalf("seed %d draw %d: NewRNG %d, rand.NewSource %d", seed, i, a, b)
+				}
+			}
+		}
+		seed := int64(0)
+		return func() { seed++; rand.NewSource(seed) }, func() { seed++; tensor.NewRNG(seed) }
+	}},
+
 	// nn.SGD.Step without weight decay (tensor.MomentumStep, held bit-equal
 	// to the loop by TestSGDStepMatchesScalar) against the per-element loop
 	// it replaced, over lazy_1m_fedavg's and server_heavy_k64's MLPs.

@@ -132,7 +132,13 @@ type Transport struct {
 	net      NetworkModel
 	deadline float64
 
-	links map[int]*link
+	// links is this round's link table, one slab reused across rounds:
+	// BeginRound writes the activated clients' links into it and a first
+	// touch outside BeginRound appends, so a round allocates no link.
+	// linkIdx maps a client to its index. A *link into the slab is only
+	// held until the next append (touch), which may move the slab.
+	links   []link
+	linkIdx map[int]int
 
 	// adv, when non-nil, corrupts compromised clients' uploads before
 	// they are encoded (see Adversary). Set by the runner.
@@ -198,7 +204,7 @@ func NewTransport(opts TransportOptions) (*Transport, error) {
 		deadline:     opts.DeadlineSec,
 		retries:      opts.Retries,
 		retryBackoff: opts.RetryBackoffSec,
-		links:        map[int]*link{},
+		linkIdx:      map[int]int{},
 		encBufs:      make([][]byte, 1),
 	}
 	t.runPending = func(wk, i int) error {
@@ -264,13 +270,33 @@ func (t *Transport) BeginRound(r int, selected []int, rng *tensor.RNG) {
 		t.cur.Stalls++
 	}
 	t.adv.BeginRound()
-	clear(t.links)
+	clear(t.linkIdx)
+	t.links = t.links[:0]
 	for _, ci := range selected {
 		if ci < 0 {
 			continue
 		}
-		t.links[ci] = t.newLink(ci, rng)
+		*t.touch(ci) = t.newLink(ci, rng)
 	}
+}
+
+// link returns the client's link this round, or nil before a first touch.
+func (t *Transport) link(client int) *link {
+	if i, ok := t.linkIdx[client]; ok {
+		return &t.links[i]
+	}
+	return nil
+}
+
+// touch returns the client's link, appending a zero one on a first
+// touch. The pointer is valid until the next touch.
+func (t *Transport) touch(client int) *link {
+	if l := t.link(client); l != nil {
+		return l
+	}
+	t.linkIdx[client] = len(t.links)
+	t.links = append(t.links, link{})
+	return &t.links[len(t.links)-1]
 }
 
 // drawLink draws one activation's link conditions: the model's medians,
@@ -289,8 +315,8 @@ func (m NetworkModel) drawLink(rng *tensor.RNG) (down, up, latency float64) {
 
 // newLink draws a client's link for this round and layers the round's
 // straggle and stall faults onto it.
-func (t *Transport) newLink(client int, rng *tensor.RNG) *link {
-	l := &link{}
+func (t *Transport) newLink(client int, rng *tensor.RNG) link {
+	var l link
 	l.downRate, l.upRate, l.latency = t.net.drawLink(rng)
 	if t.faults.Straggles(t.round, client) {
 		f := t.faults.StraggleFactor()
@@ -426,7 +452,7 @@ func (t *Transport) Up(dst nn.ParamVector, client int, vec, ref nn.ParamVector) 
 // returns the vector the server will hold, queueing the round trip when
 // the accepted attempt was undamaged.
 func (t *Transport) upOne(dst nn.ParamVector, client int, vec, ref nn.ParamVector) (nn.ParamVector, bool) {
-	if l := t.links[client]; l != nil && (l.straggler || l.failed) {
+	if l := t.link(client); l != nil && (l.straggler || l.failed) {
 		return vec, false
 	}
 	// A compromised client transmits its corrupted payload; the server
@@ -494,7 +520,7 @@ func (t *Transport) accept(client int, size int64) {
 		t.chargeTime(client, size, false)
 		t.cur.Duplicates++
 	}
-	if l := t.links[client]; l != nil {
+	if l := t.link(client); l != nil {
 		l.okUps++
 	}
 }
@@ -505,19 +531,14 @@ func (t *Transport) backoff(client, attempt int) {
 	if t.retryBackoff == 0 {
 		return
 	}
-	if l := t.links[client]; l != nil {
+	if l := t.link(client); l != nil {
 		l.elapsed += t.retryBackoff * math.Pow(2, float64(attempt-1))
 	}
 }
 
 // markStraggler flags the client's link and counts it once.
 func (t *Transport) markStraggler(client int) {
-	l := t.links[client]
-	if l == nil {
-		l = &link{}
-		t.links[client] = l
-	}
-	if !l.straggler {
+	if l := t.touch(client); !l.straggler {
 		l.straggler = true
 		t.cur.Stragglers++
 	}
@@ -527,12 +548,7 @@ func (t *Transport) markStraggler(client int) {
 // (every attempt dropped or rejected) and counts it once. The caller
 // treats it like a crashed client; subsequent uploads are skipped.
 func (t *Transport) markFailed(client int) {
-	l := t.links[client]
-	if l == nil {
-		l = &link{}
-		t.links[client] = l
-	}
-	if !l.failed {
+	if l := t.touch(client); !l.failed {
 		l.failed = true
 		t.cur.FaultDrops++
 	}
@@ -546,10 +562,10 @@ func (t *Transport) chargeTime(client int, size int64, down bool) bool {
 	if t.net.Ideal() && t.deadline == 0 {
 		return true
 	}
-	l := t.links[client]
+	l := t.link(client)
 	if l == nil {
-		l = t.newLink(client, nil)
-		t.links[client] = l
+		l = t.touch(client)
+		*l = t.newLink(client, nil)
 	}
 	rate := l.upRate
 	if down {

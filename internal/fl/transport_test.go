@@ -454,7 +454,7 @@ func TestTransportBatchWorkerInvariance(t *testing.T) {
 		tr.UpAll(w.up, w.ok, clients, params, w.down, Limit(workers))
 		w.cur, w.uploaders = tr.cur, tr.RoundUploaders()
 		for _, ci := range clients {
-			w.elapsed = append(w.elapsed, tr.links[ci].elapsed)
+			w.elapsed = append(w.elapsed, tr.link(ci).elapsed)
 		}
 		return w
 	}
@@ -547,4 +547,114 @@ func TestTransportCleanRefusalPanics(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// TestTransportLinkTable pins the link slab that replaced a map of
+// per-client *link: BeginRound over K = 1,000 allocates nothing once the
+// slab and its index have grown; a link first touched outside BeginRound
+// (markStraggler, markFailed, chargeTime on an unknown client) counts
+// toward RoundUploaders exactly as the map counted it, through appends
+// that move the slab; and four faulted server_heavy_k64-style rounds keep
+// the counters the map-backed wire produced.
+func TestTransportLinkTable(t *testing.T) {
+	t.Run("steady-state", func(t *testing.T) {
+		tr, err := NewTransport(TransportOptions{Codec: "int8", Network: "lte"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		selected := make([]int, 1000)
+		for i := range selected {
+			selected[i] = 3 * i
+		}
+		selected[7] = -1 // a dropped slot
+		rng := tensor.NewRNG(1)
+		tr.BeginRound(0, selected, rng)
+		if allocs := testing.AllocsPerRun(20, func() { tr.BeginRound(1, selected, rng) }); allocs != 0 {
+			t.Fatalf("BeginRound over 1,000 clients allocates %v objects at steady state, want 0", allocs)
+		}
+		if len(tr.links) != 999 || tr.link(21) != nil || tr.link(3*999) == nil {
+			t.Fatalf("%d links after a round of 999 activated clients", len(tr.links))
+		}
+	})
+
+	t.Run("first-touch", func(t *testing.T) {
+		tr, err := NewTransport(TransportOptions{Codec: "int8", Network: "lte"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.BeginRound(0, []int{1, 2}, tensor.NewRNG(2))
+		tr.accept(1, 10) // activated, accepted: counts
+		tr.markStraggler(2)
+		tr.accept(2, 10) // activated, then straggled: does not
+		tr.chargeTime(10, 10, false)
+		tr.accept(10, 10) // first touched by chargeTime, accepted: counts
+		tr.markStraggler(11)
+		tr.markStraggler(11)
+		tr.accept(11, 10) // first touched by markStraggler: does not
+		tr.markFailed(12)
+		tr.accept(12, 10) // first touched by markFailed: does not
+		tr.accept(13, 10) // never touched: no link, nothing to count
+		before := *tr.link(10)
+		for ci := 100; ci < 400; ci++ { // grow the slab past its capacity
+			tr.chargeTime(ci, 10, true)
+		}
+		if got := tr.RoundUploaders(); got != 2 {
+			t.Fatalf("RoundUploaders = %d, want 2 (clients 1 and 10)", got)
+		}
+		if *tr.link(10) != before || tr.link(1).okUps != 1 || tr.link(13) != nil {
+			t.Fatal("a link changed when first touches moved the slab")
+		}
+		if l := tr.link(11); tr.cur.Stragglers != 2 || tr.cur.FaultDrops != 1 || !l.straggler || l.latency != 0 {
+			t.Fatalf("stragglers %d, fault drops %d, client 11's link %+v", tr.cur.Stragglers, tr.cur.FaultDrops, *l)
+		}
+		if l := tr.link(10); l.latency != tr.net.LatencySec || l.elapsed != l.latency+10/l.upRate {
+			t.Fatalf("chargeTime's first touch drew %+v, want the un-jittered median link", *l)
+		}
+		tr.BeginRound(1, []int{1}, tensor.NewRNG(3))
+		if tr.RoundUploaders() != 0 || tr.link(10) != nil || len(tr.links) != 1 {
+			t.Fatal("BeginRound kept last round's links")
+		}
+	})
+
+	t.Run("faulted-rounds", func(t *testing.T) {
+		const k, n, population = 64, 2000, 256
+		tr, err := NewTransport(TransportOptions{Codec: "int8", Network: "lte", DeadlineSec: 0.25, Retries: 2, RetryBackoffSec: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.SetFaultPlan(NewFaultPlan(FaultOptions{
+			DropRate: 0.1, TruncateRate: 0.1, CorruptRate: 0.1,
+			DuplicateRate: 0.1, StraggleRate: 0.1, StallRate: 0.5, StallSec: 0.05,
+		}, 17))
+		rng := tensor.NewRNG(23)
+		global := testVec(rng, n)
+		// The map-backed wire's readings of the same four rounds.
+		want := []string{
+			"{BytesDown:129280 BytesUp:183820 Stragglers:9 Retries:18 FaultDrops:1 Duplicates:9 Stalls:0 Crashes:0 Unavailable:0 Degraded:0} uploaders=54 accepted=54",
+			"{BytesDown:129280 BytesUp:177760 Stragglers:22 Retries:18 FaultDrops:0 Duplicates:6 Stalls:1 Crashes:0 Unavailable:0 Degraded:0} uploaders=42 accepted=42",
+			"{BytesDown:129280 BytesUp:187860 Stragglers:12 Retries:24 FaultDrops:2 Duplicates:5 Stalls:1 Crashes:0 Unavailable:0 Degraded:0} uploaders=50 accepted=50",
+			"{BytesDown:129280 BytesUp:197960 Stragglers:8 Retries:28 FaultDrops:0 Duplicates:6 Stalls:0 Crashes:0 Unavailable:0 Degraded:0} uploaders=56 accepted=56",
+		}
+		for r := range want {
+			clients := rng.Perm(population)[:k]
+			tr.BeginRound(r, clients, rng.Split())
+			sent, recv, params := make([]nn.ParamVector, k), make([]nn.ParamVector, k), make([]nn.ParamVector, k)
+			for i := range clients {
+				sent[i], recv[i], params[i] = global, make(nn.ParamVector, n), testVec(rng, n)
+			}
+			ok := make([]bool, k)
+			tr.DownAll(recv, clients, sent, Limit(2))
+			tr.UpAll(params, ok, clients, params, recv, Limit(2))
+			accepted := 0
+			for _, o := range ok {
+				if o {
+					accepted++
+				}
+			}
+			if got := fmt.Sprintf("%+v uploaders=%d accepted=%d", tr.cur, tr.RoundUploaders(), accepted); got != want[r] {
+				t.Fatalf("round %d:\n got %s\nwant %s", r, got, want[r])
+			}
+			tr.EndRound()
+		}
+	})
 }

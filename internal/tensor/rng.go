@@ -50,16 +50,21 @@ type source struct {
 
 // Seed is math/rand's rngSource.Seed: seedrand's sequence after a 20-step
 // warm-up, folded into the seeding table.
-func (s *source) Seed(seed int64) {
-	s.mix(seed)
-	for i := range s.vec {
-		s.vec[i] ^= rngCooked[i]
-	}
-}
+func (s *source) Seed(seed int64) { s.mix(seed, &rngCooked) }
 
-// mix is Seed without the seeding table: the ring filled from seed's
-// seedrand sequence, positions and counter reset.
-func (s *source) mix(seed int64) {
+// mix fills the ring from seed's seedrand sequence, each word XOR-ed with
+// cook's (which may be the ring itself), and resets positions and counter.
+//
+// seedrand is math/rand's x[t+1] = 48271 · x[t] mod (2^31 − 1), Park and
+// Miller's minimal standard generator, stepped 1,841 times in series: a
+// 20-step warm-up, then ring word i is x[21+3i]<<40 ^ x[22+3i]<<20 ^
+// x[23+3i]. A step is a multiplication mod a prime, so x[t+k] = 48271^k ·
+// x[t] exactly, and the sequence can be entered anywhere. mix cuts the
+// ring into seedLanes blocks of seedBlock words, enters each block's
+// first value straight from x[0] (seedJump) and runs the blocks side by
+// side, so the steps form independent chains instead of one
+// (TestSeedLanesMatchSchrage holds the ring to the serial loop).
+func (s *source) mix(seed int64, cook *[rngLen]int64) {
 	s.tap, s.feed, s.n = 0, rngLen-rngTap, 0
 	seed %= int32max
 	if seed < 0 {
@@ -68,28 +73,60 @@ func (s *source) mix(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			s.vec[i] = u
+	var x [seedLanes]uint64
+	for l := range x {
+		x[l] = lehmerMul(uint64(seed), seedJump[l])
+	}
+	for i := range seedBlock {
+		for l := range x {
+			k := i + l*seedBlock
+			if k >= rngLen {
+				break
+			}
+			a := x[l]
+			b := lehmerStep(a)
+			c := lehmerStep(b)
+			x[l] = lehmerStep(c)
+			s.vec[k] = int64(a<<40^b<<20^c) ^ cook[k]
 		}
 	}
 }
 
-// seedrand is x[n+1] = 48271 · x[n] mod (2^31 − 1), Schrage's method.
-func seedrand(x int32) int32 {
-	const a, q, r = 48271, 44488, 3399
-	hi, lo := x/q, x%q
-	if x = a*lo - r*hi; x < 0 {
-		x += int32max
+// seedLanes blocks of seedBlock words cover the ring, the last one a word
+// short. Eight chains already keep the multiplier busy: 6 to 24 of them
+// seed a ring in the same time.
+const (
+	seedLanes = 8
+	seedBlock = (rngLen + seedLanes - 1) / seedLanes
+)
+
+// seedJump[l] is 48271^(21+3·seedBlock·l) mod (2^31 − 1): block l's first
+// value, x[21+3·seedBlock·l], is seedJump[l] · x[0]
+// (TestSeedLanesMatchSchrage recomputes the table).
+var seedJump = [seedLanes]uint64{638022372, 1028166882, 1581236663, 391876445, 1581607459, 800997118, 1261956076, 828504744}
+
+// lehmerStep is seedrand on x in [1, 2^31 − 1): the product is below
+// 2^47, so one fold of 2^31 ≡ 1 and one conditional subtraction reduce
+// it, where Schrage's method divides.
+func lehmerStep(x uint64) uint64 {
+	p := x * 48271
+	p = p>>31 + p&int32max
+	if p >= int32max {
+		p -= int32max
 	}
-	return x
+	return p
+}
+
+// lehmerMul is x · a mod (2^31 − 1) for x, a below 2^31: the product is
+// below 2^62, and two folds and a conditional subtraction reduce it.
+func lehmerMul(x, a uint64) uint64 {
+	p := x * a
+	p = p>>31 + p&int32max
+	p = p>>31 + p&int32max
+	if p >= int32max {
+		p -= int32max
+	}
+	return p
 }
 
 // Int63 makes one draw.
@@ -137,13 +174,14 @@ func (s *source) advance(max int) []int64 {
 // gives the ring; XOR-ing off seed 1's seedrand mixing gives the table.
 var rngCooked = cookedTable()
 
-func cookedTable() (cooked [rngLen]int64) {
+func cookedTable() [rngLen]int64 {
 	ref := rand.NewSource(1).(rand.Source64)
 	var x [rngLen + 1]int64 // x[t] is draw t, from 1
 	for t := 1; t <= rngLen; t++ {
 		x[t] = int64(ref.Uint64())
 	}
-	var ring [rngLen]int64
+	var s source
+	ring := &s.vec
 	for t := 274; t <= 334; t++ {
 		ring[334-t] = x[t] - x[t-273]
 	}
@@ -153,12 +191,8 @@ func cookedTable() (cooked [rngLen]int64) {
 	for t := 1; t <= 273; t++ {
 		ring[334-t] = x[t] - ring[607-t]
 	}
-	var s source
-	s.mix(1)
-	for i := range cooked {
-		cooked[i] = ring[i] ^ s.vec[i]
-	}
-	return cooked
+	s.mix(1, ring) // each word XOR-ed with seed 1's mixing, in place
+	return s.vec
 }
 
 // NewRNG returns a deterministic generator seeded with seed.

@@ -81,6 +81,101 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
+// schrageRing is math/rand's seeding loop written out: seedrand stepped
+// serially through Schrage's method, the ring before the seeding table.
+func schrageRing(seed int64) (ring [rngLen]int64) {
+	const a, q, r = 48271, 44488, 3399
+	step := func(x int32) int32 {
+		hi, lo := x/q, x%q
+		if x = a*lo - r*hi; x < 0 {
+			x += int32max
+		}
+		return x
+	}
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := int32(seed)
+	for i := -20; i < rngLen; i++ {
+		x = step(x)
+		if i >= 0 {
+			u := int64(x) << 40
+			x = step(x)
+			u ^= int64(x) << 20
+			x = step(x)
+			u ^= int64(x)
+			ring[i] = u
+		}
+	}
+	return ring
+}
+
+func TestSeedLanesMatchSchrage(t *testing.T) {
+	// mix's jump-ahead lanes against the serial loop, with and without the
+	// seeding table, at the normalisation's edges (0 and every multiple of
+	// 2^31 − 1 seed 89482311, negatives wrap) and at drawn seeds.
+	seeds := []int64{0, 1, -1, int32max, -int32max, 2 * int32max, 89482311, math.MinInt64, math.MaxInt64}
+	drawn := 100_000
+	if raceEnabled {
+		drawn = 5_000
+	}
+	r := rand.New(rand.NewSource(3))
+	for range drawn {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	var zero [rngLen]int64
+	for _, seed := range seeds {
+		want := schrageRing(seed)
+		var s source
+		s.mix(seed, &zero)
+		for i := range want {
+			if s.vec[i] != want[i] {
+				t.Fatalf("seed %d word %d: lane ring %d, want the serial loop's %d", seed, i, s.vec[i], want[i])
+			}
+		}
+		s.Seed(seed)
+		for i := range want {
+			if got := s.vec[i] ^ rngCooked[i]; got != want[i] {
+				t.Fatalf("seed %d word %d: seeded ring %d, want %d", seed, i, got, want[i])
+			}
+		}
+		if s.tap != 0 || s.feed != rngLen-rngTap || s.n != 0 {
+			t.Fatalf("seed %d: positions %d/%d and count %d after seeding", seed, s.tap, s.feed, s.n)
+		}
+	}
+
+	// The lanes' entry points, stepped to one value at a time.
+	p, jump := uint64(1), [seedLanes]uint64{}
+	for step := 1; step <= 21+3*seedBlock*(seedLanes-1); step++ {
+		p = lehmerStep(p)
+		if d := step - 21; d >= 0 && d%(3*seedBlock) == 0 {
+			jump[d/(3*seedBlock)] = p
+		}
+	}
+	if jump != seedJump {
+		t.Fatalf("seedJump %v, want %v", seedJump, jump)
+	}
+
+	// cookedTable reads math/rand's table back through the lane fill; its
+	// first and last words as math/rand/rng.go writes them.
+	cooked := cookedTable()
+	if cooked != rngCooked {
+		t.Fatal("cookedTable differs between calls")
+	}
+	for i, w := range map[int]int64{
+		0: -4181792142133755926, 1: -4576982950128230565, 2: 1395769623340756751, 3: 5333664234075297259,
+		604: 8382142935188824023, 605: 9103922860780351547, 606: 4152330101494654406,
+	} {
+		if cooked[i] != w {
+			t.Fatalf("cooked word %d: %d, want math/rand's %d", i, cooked[i], w)
+		}
+	}
+}
+
 func TestSourceAdvanceMatchesDraws(t *testing.T) {
 	// Blocks of every size the ring allows, from both orders of tap and
 	// feed (feed 334 above tap, and feed 273 below it), against the same
