@@ -561,6 +561,53 @@ var gates = []gate{
 		return round(1), round(2)
 	}},
 
+	// FedCross's server pass at server_heavy_k64's K = 64 × 51,978:
+	// core.CrossAggrAll's column spans, each lerping its K columns and
+	// folding their mean while they are cached, against the two passes it
+	// replaced — the K lerps fanned out over fl.ParallelForW, then
+	// GlobalModelGen's serial mean (without its allocation) streaming the
+	// K next models back from L3. Both sides run on two workers, and the
+	// setup holds the next models and the mean to the same bits.
+	// 1.78–1.96× measured; the two-pass form against itself reads
+	// 0.99–1.04×, which half the low end would pass, so the bound sits
+	// between the two. Below 1.25× the mean went back to a second pass.
+	// On the scalar twins (purego) it reads 1.30–1.50×.
+	{name: "fold/span-pass", reps: 10, runs: 7, bound: 1.25, amd64Only: true, twoCPUs: true, setup: func(t testing.TB) (func(), func()) {
+		const k, n, alpha = 64, 51978, 0.99
+		uploads := randVectors(tensor.NewRNG(4), k, n)
+		co := make([]int, k)
+		for i := range co {
+			co[i] = core.CoModelSel(core.InOrder, i, 3, uploads, nil)
+		}
+		next := make([]nn.ParamVector, k)
+		for i := range next {
+			next[i] = make(nn.ParamVector, n)
+		}
+		refMean, spanMean := make(nn.ParamVector, n), make(nn.ParamVector, n)
+		ref := func() {
+			fl.ParallelForW(k, fl.Limit(2), func(i int) {
+				nn.LerpVectorsTo(next[i], uploads[i], uploads[co[i]], alpha)
+			})
+			nn.MeanVectorsTo(refMean, next)
+		}
+		span := func() { core.CrossAggrAll(next, uploads, co, alpha, spanMean, fl.Limit(2)) }
+		ref()
+		want := make([]nn.ParamVector, k)
+		for i := range want {
+			want[i] = next[i].Clone()
+		}
+		span()
+		for i := range next {
+			if !bitsEqual(next[i], want[i]) {
+				t.Fatalf("span pass: next model %d differs from the per-model lerp", i)
+			}
+		}
+		if !bitsEqual(spanMean, refMean) || !bitsEqual(refMean, core.GlobalModelGen(next)) {
+			t.Fatal("span pass: the folded mean differs from GlobalModelGen")
+		}
+		return ref, span
+	}},
+
 	// NumCPU workers lease and release a 4,096-client population through a
 	// 512-slot cache, every lease a miss plus an eviction: the ID-sharded
 	// cache at 64 stripes against singleMutexLazy. The win is structural —

@@ -9,8 +9,10 @@ import (
 // SaveState implements fl.RoundCheckpointer through nn's state codec: the
 // middleware count and vectors — the state behind the paper's remark that
 // global-model generation "can be performed asynchronously at any time" —
-// then the algorithm RNG's (seed, position). The spare/upload/recv
-// buffers are per-round scratch, rebuilt on the first resumed round.
+// then the algorithm RNG's (seed, position). The spare and upload sets
+// are per-round scratch, rebuilt on the first resumed round, and the
+// deployment mean is recomputed from the middleware until the next
+// aggregation folds it.
 func (f *FedCross) SaveState(w io.Writer) error {
 	return nn.EncodeState(w, func(e *nn.StateEncoder) {
 		e.Int(len(f.middleware))
@@ -36,6 +38,6 @@ func (f *FedCross) LoadState(r io.Reader) error {
 			mid[i] = d.Vector(len(f.middleware[0]))
 		}
 		rng := d.RNG()
-		return func() { f.middleware, f.rng, f.spare = mid, rng, nil }
+		return func() { f.middleware, f.rng, f.spare, f.mean = mid, rng, nil, nil }
 	})
 }

@@ -398,19 +398,21 @@ func TestPropellerAggrUsesMeanOfPeers(t *testing.T) {
 	opts.Alpha = 0.5
 	f := MustNew(opts)
 	uploads := []nn.ParamVector{{0, 0}, {2, 0}, {0, 2}, {2, 2}}
-	got := make(nn.ParamVector, len(uploads[0]))
-	f.propellerAggrTo(got, 0, 0, uploads, 0.5)
 	// In-order propellers for i=0, r=0..1, K=4: offsets (0%3+1)=1 and
 	// (1%3+1)=2 -> models 1 and 2; mean = (1,1); result = 0.5*(0,0)+0.5*(1,1).
+	sel := f.propellerSel(nil, 0, 0, uploads)
+	if len(sel) != 2 || sel[0] != 1 || sel[1] != 2 {
+		t.Fatalf("propellers of model 0 in round 0 = %v, want [1 2]", sel)
+	}
+	got := make(nn.ParamVector, len(uploads[0]))
+	propellerAggrTo(got, uploads[0], []nn.ParamVector{uploads[sel[0]], uploads[sel[1]]}, 0.5)
 	if math.Abs(got[0]-0.5) > 1e-12 || math.Abs(got[1]-0.5) > 1e-12 {
 		t.Fatalf("propellerAggr = %v, want (0.5, 0.5)", got)
 	}
 	// PropellerCount capped at K-1.
 	opts.PropellerCount = 99
 	g := MustNew(opts)
-	res := make(nn.ParamVector, len(uploads[0]))
-	g.propellerAggrTo(res, 0, 0, uploads, 0.5)
-	if len(res) != 2 {
-		t.Fatalf("unexpected result %v", res)
+	if sel := g.propellerSel(nil, 0, 0, uploads); len(sel) != len(uploads)-1 {
+		t.Fatalf("%d propellers among %d uploads, want %d", len(sel), len(uploads), len(uploads)-1)
 	}
 }

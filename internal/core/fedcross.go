@@ -106,6 +106,10 @@ func (o Options) Validate() error {
 // FedCross is the multi-model cross-aggregation algorithm. It satisfies
 // fl.Algorithm (and fl.TransportUser: middleware dispatches and uploads
 // cross the simulated wire).
+//
+// A federation holds three sets of K parameter vectors: the middleware
+// models, the upload buffers and the spare set, which serves a lossy
+// wire's dispatches and then the round's cross-aggregation.
 type FedCross struct {
 	opts Options
 
@@ -116,23 +120,28 @@ type FedCross struct {
 
 	// middleware holds the K middleware-model parameter vectors W.
 	middleware []nn.ParamVector
-	// spare is the previous round's middleware storage, recycled as the
-	// destination of the next cross-aggregation so steady-state rounds
-	// allocate no parameter-sized buffers.
+	// spare is the previous round's middleware storage. Under a lossy
+	// codec spare[i] first receives slot i's decoded dispatch, its training
+	// init and the delta reference its upload is encoded against (the
+	// pass-through wire dispatches the middleware vector itself and leaves
+	// spare alone). The reference dies once UpAll has decoded the uploads,
+	// and aggregate writes the next middleware models over the set, so
+	// steady-state rounds allocate no parameter-sized buffers.
 	spare []nn.ParamVector
 	// uploadBuf holds K recycled destination vectors that TrainAll
 	// flattens trained parameters into (LocalSpec.Out), replacing the
 	// per-job result allocation. The buffers are only read during the
 	// same round's aggregation, so reusing them every round is safe.
 	uploadBuf []nn.ParamVector
-	// recvBuf holds K recycled destinations for the wire-decoded
-	// middleware dispatches when the codec is lossy (the pass-through
-	// wire never touches them). recvBuf[i] is valid for one round: it is
-	// the slot's training init and the delta reference its upload is
-	// encoded against, and the next round's dispatch overwrites it.
-	recvBuf []nn.ParamVector
-	// props is the reusable propeller-model scratch list.
-	props []nn.ParamVector
+	// mean is GlobalModelGen of the current middleware list, folded by
+	// aggregate's span pass. It is nil until the first aggregation, after
+	// LoadState and whenever a Reducer fuses the deployment model, and
+	// then Global computes the deployment model itself.
+	mean nn.ParamVector
+	// co and views are aggregate's scratch: the resolved co-model or
+	// propeller indices and the span pass's sub-slice headers.
+	co    []int
+	views []nn.ParamVector
 }
 
 // New constructs a FedCross instance with the given options.
@@ -189,7 +198,7 @@ func (f *FedCross) Init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) error {
 	for i := range f.middleware {
 		f.middleware[i] = init.Clone()
 	}
-	f.spare = nil
+	f.spare, f.mean = nil, nil
 	return nil
 }
 
@@ -228,11 +237,11 @@ func (f *FedCross) Round(r int, selected []int) error {
 	f.ensureUploadBuf(k, n)
 	passThrough := tr.PassThrough()
 	if !passThrough {
-		f.recvBuf = ensureVecs(f.recvBuf, k, n)
+		f.spare = ensureVecs(f.spare, k, n)
 	}
 	// slots[j] is the middleware slot client clients[j] trains; sent[j] is
-	// its dispatch and recv[j] what the client received — recvBuf[i] under
-	// a lossy codec, the middleware vector itself on the pass-through wire.
+	// its dispatch and recv[j] what the client received — spare[i] under a
+	// lossy codec, the middleware vector itself on the pass-through wire.
 	slots := make([]int, 0, k)
 	clients := make([]int, 0, k)
 	sent := make([]nn.ParamVector, 0, k)
@@ -247,7 +256,7 @@ func (f *FedCross) Round(r int, selected []int) error {
 		}
 		var dst nn.ParamVector
 		if !passThrough {
-			dst = f.recvBuf[i]
+			dst = f.spare[i]
 		}
 		slots = append(slots, i)
 		clients = append(clients, ci)
@@ -311,57 +320,124 @@ func ensureVecs(vs []nn.ParamVector, k, n int) []nn.ParamVector {
 	return vs
 }
 
+// spanLen is the width of aggregate's column spans in float64s: one
+// span of the K uploads, the K next models and the mean is ≈ 1 MB at
+// K = 64, so the mean folds the lerps' output while it is still in L2.
+const spanLen = 1024
+
 // aggregate applies cross-aggregation (with any active acceleration) to
-// the uploads and returns the next round's middleware list. The
-// destination vectors are recycled from the round-before-last's
-// middleware storage (f.spare), which nothing references any more: the
-// current round's uploads alias only recycled upload buffers or the
-// *current* middleware list, never the spare one.
+// the uploads and returns the next round's middleware list; without a
+// Reducer it also leaves GlobalModelGen of that list in f.mean. The
+// destinations are f.spare, the round-before-last's middleware storage.
+// On a lossy wire that set holds this round's decoded dispatches, dead
+// once UpAll has used them as delta references. The uploads alias only
+// recycled upload buffers, the *current* middleware list or an
+// adversary's payloads, never the spare set.
 //
-// When a similarity strategy is active, the K×K score matrix is built
-// once here — one tiled Gram pass, norms included (NewSimMatrix) — and
-// consumed by every selection; CoModelSelMatrix scans it exactly like the
-// naive loop, so the round is bit-identical to per-selection
-// recomputation.
+// Every co-model (or propeller list) is resolved first. When a similarity
+// strategy is active, the K×K score matrix is built once here — one tiled
+// Gram pass, norms included (NewSimMatrix) — and consumed by every
+// selection; CoModelSelMatrix scans it exactly like the naive loop, so the
+// round is bit-identical to per-selection recomputation. Then one pass of
+// column spans fans out over the workers (crossPass.run).
 func (f *FedCross) aggregate(r int, uploads []nn.ParamVector) []nn.ParamVector {
-	k := len(uploads)
-	n := len(uploads[0])
-	next := f.spare
-	if len(next) != k {
-		next = make([]nn.ParamVector, k)
-	}
-	for i := range next {
-		if len(next[i]) != n {
-			next[i] = make(nn.ParamVector, n)
-		}
-	}
+	k, n := len(uploads), len(uploads[0])
+	next := ensureVecs(f.spare, k, n)
 	f.spare = f.middleware
-	alpha := f.effectiveAlpha(r)
-	usePropeller := f.propellerActive(r)
-	var gram *SimMatrix
-	if !usePropeller && (f.opts.Strategy == HighestSimilarity || f.opts.Strategy == LowestSimilarity) {
-		gram = NewSimMatrix(uploads, f.opts.Similarity, f.cfg.Allowance())
-	}
-	if usePropeller {
-		// Propeller aggregation builds each mean through the shared
-		// f.props scratch, so it stays serial.
+	p := &crossPass{next: next, uploads: uploads, co: f.co[:0], alpha: f.effectiveAlpha(r), views: f.views}
+	if f.propellerActive(r) {
+		p.props = min(f.opts.PropellerCount, k-1)
 		for i := 0; i < k; i++ {
-			f.propellerAggrTo(next[i], i, r, uploads, alpha)
+			p.co = f.propellerSel(p.co, i, r, uploads)
 		}
-		return next
+	} else {
+		var gram *SimMatrix
+		if f.opts.Strategy == HighestSimilarity || f.opts.Strategy == LowestSimilarity {
+			gram = NewSimMatrix(uploads, f.opts.Similarity, f.cfg.Allowance())
+		}
+		for i := 0; i < k; i++ {
+			var co int
+			if gram != nil {
+				co = CoModelSelMatrix(f.opts.Strategy, i, r, gram)
+			} else {
+				co = CoModelSel(f.opts.Strategy, i, r, uploads, f.opts.Similarity.Pair)
+			}
+			p.co = append(p.co, co)
+		}
 	}
-	// The K fusions write disjoint destinations and only read the uploads
-	// and the matrix, so they fan out.
-	fl.ParallelForW(k, f.cfg.Allowance(), func(i int) {
-		var co int
-		if gram != nil {
-			co = CoModelSelMatrix(f.opts.Strategy, i, r, gram)
-		} else {
-			co = CoModelSel(f.opts.Strategy, i, r, uploads, f.opts.Similarity.Pair)
+	// A configured Reducer fuses the deployment model on its own path
+	// (Global), so the pass folds no mean.
+	if f.cfg.Reducer == nil {
+		if len(f.mean) != n {
+			f.mean = make(nn.ParamVector, n)
 		}
-		nn.LerpVectorsTo(next[i], uploads[i], uploads[co], alpha)
-	})
+		p.mean = f.mean
+	}
+	p.run(f.cfg.Allowance())
+	f.co, f.views = p.co, p.views
+	clear(f.views) // the scratch holds on to no round's vectors
 	return next
+}
+
+// crossPass is one round's resolved cross-aggregation. Model i fuses
+// uploads[i] with uploads[co[i]] or, when props > 0, with the mean of its
+// props propellers uploads[co[i·props : (i+1)·props]]. views is the
+// span scratch, which aggregate keeps across rounds.
+type crossPass struct {
+	next, uploads []nn.ParamVector
+	co            []int
+	props         int
+	alpha         float64
+	mean          nn.ParamVector
+	views         []nn.ParamVector
+}
+
+// run writes every next model and, when mean is non-nil, their mean into
+// mean, in column spans of spanLen fanned out over w. A span lerps its K
+// columns (or takes each propeller mean, then the lerp) and then folds
+// their mean with nn.MeanVectorsTo on the same sub-slices while they are
+// still cached; the per-model lerps and GlobalModelGen would stream the K
+// vectors twice. Every coordinate sees their operations in their order,
+// so the result is theirs to the bit. The span boundaries depend on the
+// vector length only, spans write disjoint columns, and each owns a
+// window of views, so a span allocates nothing.
+func (p *crossPass) run(w fl.Workers) {
+	k, n := len(p.next), len(p.next[0])
+	spans := (n + spanLen - 1) / spanLen
+	if len(p.views) < spans*k {
+		p.views = make([]nn.ParamVector, spans*k)
+	}
+	fl.ParallelForW(spans, w, func(s int) {
+		lo, hi := s*spanLen, min((s+1)*spanLen, n)
+		views := p.views[s*k : (s+1)*k]
+		for i, dst := range p.next {
+			dst, v := dst[lo:hi], p.uploads[i][lo:hi]
+			if p.props == 0 {
+				nn.LerpVectorsTo(dst, v, p.uploads[p.co[i]][lo:hi], p.alpha)
+				continue
+			}
+			props := views[:0]
+			for _, j := range p.co[i*p.props : (i+1)*p.props] {
+				props = append(props, p.uploads[j][lo:hi])
+			}
+			propellerAggrTo(dst, v, props, p.alpha)
+		}
+		if p.mean != nil {
+			for i, v := range p.next {
+				views[i] = v[lo:hi]
+			}
+			nn.MeanVectorsTo(p.mean[lo:hi], views)
+		}
+	})
+}
+
+// CrossAggrAll is one round's cross-aggregation through aggregate's span
+// pass: next[i] = CrossAggr(uploads[i], uploads[co[i]], alpha) for every i
+// and, when mean is non-nil, GlobalModelGen(next) into mean, bit for bit,
+// fanned out over w. next must not alias the uploads.
+func CrossAggrAll(next, uploads []nn.ParamVector, co []int, alpha float64, mean nn.ParamVector, w fl.Workers) {
+	p := crossPass{next: next, uploads: uploads, co: co, alpha: alpha, mean: mean}
+	p.run(w)
 }
 
 // effectiveAlpha returns α for round r, honouring dynamic-α acceleration.
@@ -407,43 +483,44 @@ func (f *FedCross) propellerActive(r int) bool {
 	}
 }
 
-// propellerAggrTo fuses upload i with the mean of its P in-order
-// propeller models into dst: α·v_i + (1−α)·mean(propellers). Using
-// several propellers gives each middleware model more knowledge per
-// round, accelerating early training (Section III-D). The propeller mean
-// is built in dst itself, then lerped against the upload in place.
-func (f *FedCross) propellerAggrTo(dst nn.ParamVector, i, r int, uploads []nn.ParamVector, alpha float64) {
-	k := len(uploads)
-	p := f.opts.PropellerCount
-	if p > k-1 {
-		p = k - 1
+// propellerSel appends upload i's P in-order propeller models for round
+// r to dst: CoModelSel's in-order choice for rounds r, r+1, …, with
+// P = PropellerCount capped at K−1.
+func (f *FedCross) propellerSel(dst []int, i, r int, uploads []nn.ParamVector) []int {
+	for step := 0; step < min(f.opts.PropellerCount, len(uploads)-1); step++ {
+		dst = append(dst, CoModelSel(InOrder, i, r+step, uploads, nil))
 	}
-	f.props = f.props[:0]
-	for step := 0; step < p; step++ {
-		j := CoModelSel(InOrder, i, r+step, uploads, nil)
-		f.props = append(f.props, uploads[j])
-	}
-	nn.MeanVectorsTo(dst, f.props)
-	nn.LerpVectorsTo(dst, uploads[i], dst, alpha)
+	return dst
+}
+
+// propellerAggrTo fuses upload v with the mean of its propeller models
+// into dst: α·v + (1−α)·mean(props). Using several propellers gives each
+// middleware model more knowledge per round, accelerating early training
+// (Section III-D). The propeller mean is built in dst itself, then lerped
+// against the upload in place.
+func propellerAggrTo(dst, v nn.ParamVector, props []nn.ParamVector, alpha float64) {
+	nn.MeanVectorsTo(dst, props)
+	nn.LerpVectorsTo(dst, v, dst, alpha)
 }
 
 // Global implements fl.Algorithm: the one-shot fusion of the middleware
-// models, computed on demand because it never trains. The default is
-// GlobalModelGen's plain mean; with a Config.Reducer set, the configured
-// rule fuses the middleware instead, so a Byzantine middleware model
-// (poisoned through a compromised client's cross-aggregation) cannot
+// models, which never trains. The default is GlobalModelGen's plain mean:
+// a copy of the mean aggregate folded, or the mean itself before the
+// first aggregation and after LoadState. With a Config.Reducer set, the
+// configured rule fuses the middleware instead, so a Byzantine middleware
+// model (poisoned through a compromised client's cross-aggregation) cannot
 // steer the deployment model. nil stays bit-identical to GlobalModelGen.
 func (f *FedCross) Global() nn.ParamVector {
-	if f.cfg.Reducer == nil {
-		return GlobalModelGen(f.middleware)
-	}
-	agg, err := fl.ReduceUploads(f.cfg.Reducer, f.middleware, nil)
-	if err != nil {
+	if f.cfg.Reducer != nil {
 		// Middleware vectors are engine-owned; only a fully non-finite set
 		// can fail here, and then the plain mean is no worse.
-		return GlobalModelGen(f.middleware)
+		if agg, err := fl.ReduceUploads(f.cfg.Reducer, f.middleware, nil); err == nil {
+			return agg
+		}
+	} else if f.mean != nil {
+		return f.mean.Clone()
 	}
-	return agg
+	return GlobalModelGen(f.middleware)
 }
 
 // Middleware exposes copies of the middleware-model vectors for analysis
