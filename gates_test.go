@@ -681,16 +681,18 @@ var gates = []gate{
 
 	// A training step's share of one convolution — forward plus parameter
 	// gradients, batch 50 — at the CNN's two geometries: nn.Conv2D on the
-	// float32 direct kernels, conversions included, against the float64
-	// per-sample lowering the layer is bounded against (Im2ColTo, the
-	// forward GEMM and the bias add, a transposed-B GEMM and a serial row
-	// sum per sample), its GEMMs on tensor.GoBackend so a faster platform
-	// Gemm does not move it. 12.0–19.2× measured with the conversions on
-	// tensor.NarrowPadded (10.9–13.8× with them in Go loops, 6.8–9.7× on
-	// the float64 kernels); under purego, both sides scalar, 0.5×. Below 7.1× a
-	// kernel fell back to its twin, a lowered matrix crept back into the
-	// layer, or the float32 path lost its lanes.
-	{name: "conv", reps: 200, runs: 3, bound: 7.1, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+	// Winograd kernels (tensor.Winograd: F(2×2, 3×3) forward, F(3×3, 2×2)
+	// weight gradient), conversions and filter transforms included, against
+	// the float64 per-sample lowering the layer is bounded against
+	// (Im2ColTo, the forward GEMM and the bias add, a transposed-B GEMM and
+	// a serial row sum per sample), its GEMMs on tensor.GoBackend so a
+	// faster platform Gemm does not move it. 18.4–25.0× measured in three
+	// runs (12.0–19.2× on the direct float32 kernels it replaced); with the
+	// Winograd kernels on their Go twins 0.77–0.86×, and under purego, both
+	// sides scalar, the row is skipped. Below 9.2× a kernel fell back to
+	// its twin, a lowered matrix crept back into the layer, or the float32
+	// path lost its lanes.
+	{name: "conv", reps: 200, runs: 3, bound: 9.2, amd64Only: true, setup: func(testing.TB) (func(), func()) {
 		var gemm tensor.GoBackend
 		layers := convLayers()
 		type scratch struct{ cols, y, out, dW, dB *tensor.Tensor }
@@ -727,16 +729,17 @@ var gates = []gate{
 			}
 	}},
 
-	// conv2's backward pass (16 → 8 channels, 8 × 8, batch 50), whose input
-	// gradient is tensor.ConvGradInput (float32 chains over the output
-	// channels, added into a float64 padded buffer): Conv2D.Backward
-	// against the same BackwardParams plus the float64 per-sample
-	// transposed-A GEMM (on GoBackend) and Col2ImTo; both sides pay the
-	// same parameter gradients. 5.5–8.8× measured with dx copied out on
-	// tensor.Unpad (6.5–7.3× with the Go row copies; 12–13× for the input
-	// gradients alone). Below 4.4× a lowered matrix came back or the kernel
-	// fell back to its twin (≈ 0.8×, as under purego).
-	{name: "input-grad", reps: 200, runs: 3, bound: 4.4, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+	// conv2's backward pass (8 → 16 channels, 4 × 4, batch 50), whose input
+	// gradient is tensor.Winograd.GradInput (F(2×2, 3×3) with the flipped,
+	// transposed filters over the output gradient padded by one, written
+	// straight to the float64 dx): Conv2D.Backward against the same
+	// BackwardParams plus the float64 per-sample transposed-A GEMM (on
+	// GoBackend) and Col2ImTo; both sides pay the same parameter
+	// gradients. 11.5–14.7× measured in three runs (5.5–8.8× on the direct
+	// kernel it replaced); 0.80–0.89× with the kernels on their Go twins.
+	// Below 5.8× a lowered matrix came back or the kernels fell back to
+	// their twins.
+	{name: "input-grad", reps: 200, runs: 3, bound: 5.8, amd64Only: true, setup: func(testing.TB) (func(), func()) {
 		var gemm tensor.GoBackend
 		l := convLayers()[1]
 		g, outC := l.conv.Geom, l.conv.OutC

@@ -115,7 +115,9 @@ func TestAggregateSpanPassMatchesReference(t *testing.T) {
 						opts := DefaultOptions()
 						opts.Strategy, opts.Accel, opts.AccelRounds, opts.PropellerCount = m.strategy, m.accel, 4, 3
 						f := MustNew(opts)
-						f.cfg = fl.Config{Parallelism: workers}
+						// Evaluated every other round: the pass folds the mean
+						// on odd rounds, Global computes it on even ones.
+						f.cfg = fl.Config{Parallelism: workers, EvalEvery: 2}
 						f.middleware = make([]nn.ParamVector, k) // aggregate only moves it to spare
 						for i := range f.middleware {
 							f.middleware[i] = make(nn.ParamVector, n)
@@ -294,8 +296,8 @@ func TestFedCrossThreeSets(t *testing.T) {
 	// four-sample batches keep every activation under 32 KiB.
 	env := &fl.Env{Fed: data.BuildVision(vcfg, 80, data.Heterogeneity{Beta: 0.5}, 6), Model: models.MLP(64, 512, 4)}
 	cfg := fl.Config{
-		Rounds: 3, ClientsPerRound: k, LocalEpochs: 1, BatchSize: 4,
-		LR: 0.05, Seed: 9, Parallelism: 1,
+		Rounds: 4, ClientsPerRound: k, LocalEpochs: 1, BatchSize: 4,
+		LR: 0.05, Seed: 9, Parallelism: 1, EvalEvery: 2,
 		Transport: fl.TransportOptions{Codec: "int8", Retries: 1},
 		Faults:    fl.FaultOptions{DropRate: 0.1, TruncateRate: 0.1, CorruptRate: 0.1},
 	}
@@ -306,7 +308,7 @@ func TestFedCrossThreeSets(t *testing.T) {
 	f := MustNew(opts)
 	var (
 		mid, spare, up []*float64 // the round's sets as it starts
-		mean           *float64   // the folded mean as round 1 starts
+		mean           *float64   // the folded mean's storage as round 2 starts
 		steady         int64      // parameter-sized objects the steady rounds allocated
 		ms             runtime.MemStats
 	)
@@ -322,15 +324,20 @@ func TestFedCrossThreeSets(t *testing.T) {
 			if r > 0 {
 				spare, up = addrs(f.spare), addrs(f.uploadBuf)
 			}
-			if r == 1 {
-				mean = &f.mean[0]
+			// Rounds 1 and 3 are evaluated and fold the mean; the steady
+			// window is rounds 2 and 3, whose Global copies come after it.
+			if r == 2 {
+				mean = &f.meanBuf[0]
 				steady -= bigAllocs(vec)
 			}
 		},
 		after: func(r int, err error) {
+			if r == 2 && f.mean != nil {
+				t.Fatal("round 2 is not evaluated, yet the pass folded the mean")
+			}
 			if r == cfg.Rounds-1 {
 				steady += bigAllocs(vec)
-				if &f.mean[0] != mean {
+				if f.mean == nil || &f.mean[0] != mean {
 					t.Fatal("the folded mean was reallocated")
 				}
 			}

@@ -134,14 +134,17 @@ type FedCross struct {
 	// same round's aggregation, so reusing them every round is safe.
 	uploadBuf []nn.ParamVector
 	// mean is GlobalModelGen of the current middleware list, folded by
-	// aggregate's span pass. It is nil until the first aggregation, after
+	// aggregate's span pass into meanBuf on rounds the engine evaluates.
+	// It is nil on every other round, before the first aggregation, after
 	// LoadState and whenever a Reducer fuses the deployment model, and
 	// then Global computes the deployment model itself.
-	mean nn.ParamVector
-	// co and views are aggregate's scratch: the resolved co-model or
-	// propeller indices and the span pass's sub-slice headers.
+	mean, meanBuf nn.ParamVector
+	// co, views and gram are aggregate's scratch: the resolved co-model
+	// or propeller indices, the span pass's sub-slice headers, and the
+	// similarity strategies' Gram tiles and K×K scores.
 	co    []int
 	views []nn.ParamVector
+	gram  gramScratch
 }
 
 // New constructs a FedCross instance with the given options.
@@ -326,8 +329,9 @@ func ensureVecs(vs []nn.ParamVector, k, n int) []nn.ParamVector {
 const spanLen = 1024
 
 // aggregate applies cross-aggregation (with any active acceleration) to
-// the uploads and returns the next round's middleware list; without a
-// Reducer it also leaves GlobalModelGen of that list in f.mean. The
+// the uploads and returns the next round's middleware list; on a round
+// the engine evaluates, without a Reducer, it also leaves GlobalModelGen
+// of that list in f.mean. The
 // destinations are f.spare, the round-before-last's middleware storage.
 // On a lossy wire that set holds this round's decoded dispatches, dead
 // once UpAll has used them as delta references. The uploads alias only
@@ -353,7 +357,7 @@ func (f *FedCross) aggregate(r int, uploads []nn.ParamVector) []nn.ParamVector {
 	} else {
 		var gram *SimMatrix
 		if f.opts.Strategy == HighestSimilarity || f.opts.Strategy == LowestSimilarity {
-			gram = NewSimMatrix(uploads, f.opts.Similarity, f.cfg.Allowance())
+			gram = f.gram.simMatrix(uploads, f.opts.Similarity, f.cfg.Allowance())
 		}
 		for i := 0; i < k; i++ {
 			var co int
@@ -365,13 +369,17 @@ func (f *FedCross) aggregate(r int, uploads []nn.ParamVector) []nn.ParamVector {
 			p.co = append(p.co, co)
 		}
 	}
-	// A configured Reducer fuses the deployment model on its own path
-	// (Global), so the pass folds no mean.
-	if f.cfg.Reducer == nil {
-		if len(f.mean) != n {
-			f.mean = make(nn.ParamVector, n)
+	// The pass folds the deployment mean only for a round the engine
+	// evaluates (fl.EvalDue), the one reader that comes before the next
+	// aggregation; any other round leaves f.mean nil and Global computes
+	// the same bits itself. A configured Reducer fuses the deployment
+	// model on its own path, so the pass folds no mean.
+	f.mean = nil
+	if f.cfg.Reducer == nil && fl.EvalDue(r+1, f.cfg.Rounds, f.cfg.EvalEvery) {
+		if len(f.meanBuf) != n {
+			f.meanBuf = make(nn.ParamVector, n)
 		}
-		p.mean = f.mean
+		f.mean, p.mean = f.meanBuf, f.meanBuf
 	}
 	p.run(f.cfg.Allowance())
 	f.co, f.views = p.co, p.views

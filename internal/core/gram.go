@@ -41,6 +41,22 @@ func (m *SimMatrix) At(i, j int) float64 { return m.s[i*m.K+j] }
 // Every cell is a pure function of its pair, so the result is independent
 // of workers and scheduling. Uploads of unequal length panic.
 func NewSimMatrix(w []nn.ParamVector, m Measure, wk fl.Workers) *SimMatrix {
+	return new(gramScratch).simMatrix(w, m, wk)
+}
+
+// gramScratch is what NewSimMatrix builds and drops every call, kept by
+// FedCross across rounds instead: the tile list, a function of K alone,
+// and the K×K score buffer. Each pass rewrites every cell it returns and
+// restarts every tile's partials, and clears the tiles' operand slices
+// when it is done, so the scratch holds on to no round's vectors; the
+// SimMatrix it returns is its own, valid until the next pass.
+type gramScratch struct {
+	tiles []gramTile
+	m     SimMatrix
+}
+
+// simMatrix is NewSimMatrix on the scratch's storage.
+func (g *gramScratch) simMatrix(w []nn.ParamVector, m Measure, wk fl.Workers) *SimMatrix {
 	k := len(w)
 	if k < 2 {
 		panic(fmt.Sprintf("core: NewSimMatrix requires at least 2 models, got %d", k))
@@ -50,9 +66,13 @@ func NewSimMatrix(w []nn.ParamVector, m Measure, wk fl.Workers) *SimMatrix {
 		panic(err.Error())
 	}
 	m = norm
-	sm := &SimMatrix{K: k, s: make([]float64, k*k)}
+	if g.m.K != k {
+		g.m = SimMatrix{K: k, s: make([]float64, k*k)}
+		g.tiles = gramTiles(k)
+	}
+	sm := &g.m
 	if m.FromDot != nil {
-		gramInto(sm.s, w, wk, tensor.DotTile)
+		gramInto(sm.s, g.tiles, w, wk, tensor.DotTile)
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
 				s := m.FromDot(sm.s[i*k+j], sm.s[i*k+i], sm.s[j*k+j])
@@ -66,6 +86,8 @@ func NewSimMatrix(w []nn.ParamVector, m Measure, wk fl.Workers) *SimMatrix {
 		i, j := p/k, p%k
 		if i != j {
 			sm.s[p] = m.Pair(w[i], w[j])
+		} else {
+			sm.s[p] = 0
 		}
 	})
 	return sm
@@ -140,9 +162,10 @@ func (t *gramTile) cells(k int, fn func(dr, dc, i, j int)) {
 // K=64 that nearly doubles the pass.) Ragged tiles — K not a multiple of the
 // tile shape — repeat the last upload in the missing slots and drop those
 // cells, so there is one kernel and no edge path. Entries below the
-// diagonal are left untouched. tile is tensor.DotTile; the tests also run
-// its scalar twin.
-func gramInto(dst []float64, w []nn.ParamVector, wk fl.Workers, tile dotTileFunc) {
+// diagonal are left untouched. tiles is gramTiles(K), reused: every
+// tile's partials restart here, and its operand slices are cleared on the
+// way out. tile is tensor.DotTile; the tests also run its scalar twin.
+func gramInto(dst []float64, tiles []gramTile, w []nn.ParamVector, wk fl.Workers, tile dotTileFunc) {
 	k := len(w)
 	n := len(w[0])
 	for i, v := range w {
@@ -150,9 +173,9 @@ func gramInto(dst []float64, w []nn.ParamVector, wk fl.Workers, tile dotTileFunc
 			panic(fmt.Sprintf("core: NewSimMatrix length mismatch: upload %d has %d parameters, upload 0 has %d", i, len(v), n))
 		}
 	}
-	tiles := gramTiles(k)
 	for t := range tiles {
 		tl := &tiles[t]
+		tl.acc = tensor.DotTileAcc{}
 		for dr := range tl.a {
 			tl.a[dr] = w[min(tl.r+dr, k-1)]
 		}
@@ -182,6 +205,7 @@ func gramInto(dst []float64, w []nn.ParamVector, wk fl.Workers, tile dotTileFunc
 			}
 			dst[i*k+j] = (s0 + s[1]) + (s[2] + s[3])
 		})
+		tl.a, tl.b = [tensor.DotTileRows][]float64{}, [tensor.DotTileCols][]float64{}
 	}
 }
 

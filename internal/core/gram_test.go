@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -158,10 +159,20 @@ func TestGramTileMatchesDot(t *testing.T) {
 	}{{"dispatched", tensor.DotTile}, {"scalar", tensor.DotTileGo}}
 	check := func(k, n int, workers []int) {
 		w := gramTileUploads(k, n)
+		// One tile list for every pass: each must restart the partials the
+		// last one left behind and drop its operands.
+		tiles := gramTiles(k)
 		for _, kern := range kernels {
 			for _, wk := range workers {
 				dst := make([]float64, k*k)
-				gramInto(dst, w, fl.Limit(wk), kern.tile)
+				gramInto(dst, tiles, w, fl.Limit(wk), kern.tile)
+				for _, tl := range tiles {
+					for _, v := range append(tl.a[:], tl.b[:]...) {
+						if v != nil {
+							t.Fatalf("k=%d: tile (%d, %d) still holds its operands", k, tl.r, tl.c)
+						}
+					}
+				}
 				for i := 0; i < k; i++ {
 					for j := i; j < k; j++ {
 						want := w[i].Dot(w[j])
@@ -228,4 +239,52 @@ func TestSimMatrixRaggedLengthsPanic(t *testing.T) {
 		}
 	}()
 	NewSimMatrix(w, CosineMeasure(), fl.Limit(2))
+}
+
+// TestAggregateGramSteadyState: under a similarity strategy FedCross
+// keeps the Gram pass's tile list and K×K scores in its scratch, so a
+// warm K = 48 round allocates neither (built fresh they were a 112 KiB
+// and a 56 KiB object); its co-models are the ones a fresh NewSimMatrix
+// selects, and the tiles hold no upload once the round is done.
+func TestAggregateGramSteadyState(t *testing.T) {
+	const k, n = 48, 2*spanLen + 3
+	rng := tensor.NewRNG(17)
+	f := MustNew(DefaultOptions())
+	f.cfg = fl.Config{Parallelism: 1}
+	f.middleware = make([]nn.ParamVector, k)
+	for i := range f.middleware {
+		f.middleware[i] = make(nn.ParamVector, n)
+	}
+	uploads := make([][]nn.ParamVector, 3)
+	for r := range uploads {
+		uploads[r] = make([]nn.ParamVector, k)
+		for i := range uploads[r] {
+			uploads[r][i] = randVec(rng, n)
+		}
+	}
+	f.middleware = f.aggregate(0, uploads[0])
+	f.middleware = f.aggregate(1, uploads[1])
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f.middleware = f.aggregate(2, uploads[2])
+	runtime.ReadMemStats(&after)
+	// What a warm round allocates, about 5.6 KB, is the fan-outs' closures
+	// and the pass's headers; the K×K scores alone are 18 KiB.
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 12<<10 {
+		t.Errorf("a steady K = %d round allocated %d bytes", k, got)
+	}
+	gram := NewSimMatrix(uploads[2], f.opts.Similarity, fl.Limit(1))
+	for i, co := range f.co {
+		if want := CoModelSelMatrix(f.opts.Strategy, i, 2, gram); co != want {
+			t.Fatalf("model %d: co-model %d, a fresh matrix selects %d", i, co, want)
+		}
+	}
+	for _, tl := range f.gram.tiles {
+		for _, v := range append(tl.a[:], tl.b[:]...) {
+			if v != nil {
+				t.Fatalf("tile (%d, %d) still holds an upload", tl.r, tl.c)
+			}
+		}
+	}
 }

@@ -160,8 +160,15 @@ func (s *session) totals() counters {
 }
 
 // evalDue reports whether the model is evaluated after done rounds.
-func (s *session) evalDue(done int) bool {
-	return done == s.total || s.cfg.EvalEvery > 0 && done%s.cfg.EvalEvery == 0
+func (s *session) evalDue(done int) bool { return EvalDue(done, s.total, s.cfg.EvalEvery) }
+
+// EvalDue is the engines' evaluation rule: a run of total rounds (commits
+// under RunAsync) that evaluates every evalEvery reads Algorithm.Global
+// after done of them when done is the last, or when evalEvery is positive
+// and divides done. An algorithm that prepares its deployment model ahead
+// of Global can prepare it on these rounds only.
+func EvalDue(done, total, evalEvery int) bool {
+	return done == total || evalEvery > 0 && done%evalEvery == 0
 }
 
 // DivergedError is an eval's refusal of a global model with a NaN or ±Inf

@@ -206,3 +206,41 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		}
 	}
 }
+
+// TestConvLayersTakeWinograd: every convolution the product builds is
+// one tensor.NewWinograd takes, and on amd64 with AVX2 (not purego) runs
+// its assembly rather than the Go twins — a model whose geometry slipped
+// off the vector path would train at the twins' speed and pass every
+// other test. The zoo's convolutions cover input and output channel
+// counts 3, 8, 12, 16 and 32.
+func TestConvLayersTakeWinograd(t *testing.T) {
+	vectorBuild := tensor.CurrentBackend().Name() == "avx2"
+	channels := map[int]bool{}
+	var walk func(name string, l nn.Layer)
+	walk = func(name string, l nn.Layer) {
+		switch l := l.(type) {
+		case *nn.Sequential:
+			for _, sub := range l.Layers {
+				walk(name, sub)
+			}
+		case *nn.Residual:
+			walk(name, l.Body)
+		case *nn.Conv2D:
+			channels[l.Geom.InC], channels[l.OutC] = true, true
+			on, vector := l.Winograd()
+			if !on {
+				t.Errorf("%s: conv %+v → %d channels runs the direct kernels", name, l.Geom, l.OutC)
+			} else if vectorBuild && !vector {
+				t.Errorf("%s: conv %+v → %d channels runs the Winograd Go twins", name, l.Geom, l.OutC)
+			}
+		}
+	}
+	for _, f := range []Factory{CNN(10), VGGMini(10), ResNetMini(10)} {
+		walk(f.Name, f.New(tensor.NewRNG(1)))
+	}
+	for _, c := range []int{3, 8, 12, 16, 32} {
+		if !channels[c] {
+			t.Errorf("no convolution has %d channels", c)
+		}
+	}
+}

@@ -9,18 +9,21 @@ import (
 
 // Conv2D is a 2-D convolution over CHW images carried in flattened
 // (batch × C·H·W) activations. The spatial geometry is fixed at
-// construction. The forward pass and both gradients run on tensor's
-// direct kernels, which compute in float32: the minibatch is copied once,
-// as float32, into a zero-padded buffer and every tap is read from there
-// — or, for the input gradient, added into a second, float64 one —
-// through two index tables, so no lowered im2col matrix is ever built.
-// Parameters, gradients and the activations on either side stay float64;
-// the layer converts only in the copies it makes anyway: the padded input
-// and the incoming gradient on tensor.NarrowPadded, the input gradient
-// out of its padded buffer on tensor.Unpad (each one call a batch), and
-// W's kernel layout and the gradient sums in Go loops.
-// TestConvMatchesFloat64Reference bounds every result against a float64
-// lowering.
+// construction. The forward pass and both gradients compute in float32
+// from the minibatch copied once, as float32, into a zero-padded buffer;
+// no lowered im2col matrix is ever built. A 3×3, stride-1, pad-1 layer
+// over even planes — every convolution the model zoo builds — runs on
+// tensor's Winograd kernels (tensor.Winograd: F(2×2, 3×3) forward and
+// input gradient, F(3×3, 2×2) weight gradient), which keep the incoming
+// gradient padded by one and write dx and the float64 gradients
+// themselves; a NaN or ±Inf operand poisons its whole 2×2 output tile.
+// Any other geometry runs tensor's direct kernels through two index
+// tables, the input gradient added into a padded float64 buffer whose
+// interiors tensor.Unpad copies out. Parameters, gradients and the
+// activations on either side stay float64; the layer converts only in
+// the copies it makes anyway (tensor.NarrowPadded, one call a batch) and
+// in its filters' float32 forms. TestConvMatchesFloat64Reference bounds
+// every result against a float64 lowering.
 type Conv2D struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -34,18 +37,25 @@ type Conv2D struct {
 	// pos.
 	tapOff, posBase []int
 
+	// wino runs the layer instead of the direct kernels when its geometry
+	// is one tensor.NewWinograd takes (every product convolution); then
+	// dy holds the incoming gradient zero-padded by one and dpad is unused.
+	wino *tensor.Winograd
+
 	// Reusable workspaces, resized per call so steady-state batches —
 	// including a shard's short last one — allocate nothing. padded holds
 	// the batch as float32 (InC × (InH+2·Pad) × (InW+2·Pad)) samples and is
 	// what backward reads the activations from. Its borders are the
 	// convolution's zero padding: they are zero because a fresh buffer is,
 	// and stay zero because Forward only ever writes interiors, at offsets
-	// that do not depend on the batch size. w is W tap-major in float32,
-	// refreshed by every Forward; dy is the incoming gradient in float32;
-	// sums the kernel's (taps+1) × OutC gradient sums, dB's last. dpad is
-	// the input gradient in padded's layout, in float64, rewritten whole by
-	// every Backward; its borders collect the taps that fall outside the
-	// image and dx is its interiors.
+	// that do not depend on the batch size. dy is the incoming gradient in
+	// float32 (padded by one on Winograd layers, whose borders stay zero
+	// the same way). The rest serve the direct kernels: w is W tap-major
+	// in float32, refreshed by every Forward; sums the kernel's (taps+1) ×
+	// OutC gradient sums, dB's last; dpad the input gradient in padded's
+	// layout, in float64, rewritten whole by every Backward, whose borders
+	// collect the taps that fall outside the image and whose interiors are
+	// dx.
 	padded, w, dy, sums []float32
 	out, dpad, dx       *tensor.Tensor
 }
@@ -68,6 +78,7 @@ func NewConv2D(g tensor.ConvGeom, outC int, rng *tensor.RNG) *Conv2D {
 		dW: tensor.Zeros(outC, fanIn),
 		dB: tensor.Zeros(outC),
 	}
+	c.wino = tensor.NewWinograd(g, outC)
 	ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
 	for ic := 0; ic < g.InC; ic++ {
 		for kh := 0; kh < g.KH; kh++ {
@@ -82,6 +93,13 @@ func NewConv2D(g tensor.ConvGeom, outC int, rng *tensor.RNG) *Conv2D {
 		}
 	}
 	return c
+}
+
+// Winograd reports whether the layer runs on tensor's Winograd kernels,
+// and whether on their AVX2 assembly (tensor.Winograd.Vector) rather
+// than the Go twins.
+func (c *Conv2D) Winograd() (on, vector bool) {
+	return c.wino != nil, c.wino != nil && c.wino.Vector()
 }
 
 // InFeatures returns the flattened input width the layer expects.
@@ -114,6 +132,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	taps, g := len(c.tapOff), c.Geom
 	c.padded = resize(c.padded, batch*c.paddedLen())
 	tensor.NarrowPadded(c.padded, x.Data, batch*g.InC, g.InH, g.InW, g.Pad)
+	c.out = tensor.Ensure(c.out, batch, c.OutFeatures())
+	if c.wino != nil {
+		c.wino.SetWeights(c.W.Data)
+		c.wino.Forward(c.out.Data, c.padded, c.B.Data, batch)
+		return c.out
+	}
 	c.w = resize(c.w, taps*c.OutC)
 	w, outC := c.w, c.OutC
 	for oc := 0; oc < outC; oc++ {
@@ -121,7 +145,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 			w[p*outC+oc] = float32(v)
 		}
 	}
-	c.out = tensor.Ensure(c.out, batch, c.OutFeatures())
 	tensor.ConvForward(c.out.Data, c.padded, c.w, c.B.Data, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	return c.out
 }
@@ -136,6 +159,13 @@ func (c *Conv2D) BackwardParams(grad *tensor.Tensor) {
 	checkGradBatch("Conv2D", grad, c.out)
 	batch := grad.Shape[0]
 	taps := len(c.tapOff)
+	if g := c.Geom; c.wino != nil {
+		oh, ow := g.OutH(), g.OutW()
+		c.dy = resize(c.dy, batch*c.OutC*(oh+2)*(ow+2))
+		tensor.NarrowPadded(c.dy, grad.Data, batch*c.OutC, oh, ow, 1)
+		c.wino.GradParams(c.dW.Data, c.dB.Data, c.dy, batch)
+		return
+	}
 	c.dy = resize(c.dy, len(grad.Data))
 	tensor.NarrowPadded(c.dy, grad.Data, 1, 1, len(grad.Data), 0)
 	c.sums = resize(c.sums, (taps+1)*c.OutC)
@@ -158,10 +188,16 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardInput forms dLoss/dInput from the float32 gradient
-// BackwardParams converted: the kernel adds every tap's term into a
-// zeroed padded sample — col2im's scatter, in col2im's order, through the
-// forward's tables — and tensor.Unpad copies their interiors out to dx.
+// BackwardParams converted. The Winograd kernels write dx directly; the
+// direct kernel adds every tap's term into a zeroed padded sample —
+// col2im's scatter, in col2im's order, through the forward's tables —
+// and tensor.Unpad copies their interiors out to dx.
 func (c *Conv2D) backwardInput(batch int) *tensor.Tensor {
+	if c.wino != nil {
+		c.dx = tensor.Ensure(c.dx, batch, c.InFeatures())
+		c.wino.GradInput(c.dx.Data, c.dy, batch)
+		return c.dx
+	}
 	c.dpad = tensor.Ensure(c.dpad, batch, c.paddedLen())
 	tensor.ConvGradInput(c.dpad.Data, c.dy, c.w, c.tapOff, c.posBase, batch, c.paddedLen(), c.OutC)
 	c.dx = tensor.Ensure(c.dx, batch, c.InFeatures())

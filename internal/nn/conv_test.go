@@ -93,22 +93,182 @@ func gamma(k int) float64 {
 // element: |got − want| ≤ γ(n+2)·abs, where abs is the sum of the
 // element's terms' magnitudes and n its float32 chain length (the two
 // extra roundings are the operands' conversions to float32). Where the
-// reference is NaN or ±Inf, got must be the same: NaN, or the same
-// infinity.
-func withinBound(t *testing.T, what string, got, want, abs []float64, n int) {
+// reference is NaN or ±Inf, got must be non-finite too: NaN, or the same
+// infinity, unless poisonable. A poisonable result may also be
+// non-finite where the reference is finite: the Winograd transforms
+// spread a non-finite operand over its whole tile (tensor.Winograd).
+func withinBound(t *testing.T, what string, got, want, abs []float64, n int, poisonable bool) {
 	t.Helper()
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	for i, w := range want {
 		g := got[i]
 		switch {
-		case math.IsNaN(w) || math.IsInf(w, 0):
-			if !(math.IsNaN(w) && math.IsNaN(g)) && g != w {
+		case !finite(w):
+			if finite(g) || !poisonable && !(math.IsNaN(w) && math.IsNaN(g)) && g != w {
 				t.Fatalf("%s element %d: %v, reference %v", what, i, g, w)
 			}
-		case math.IsNaN(g) || math.IsInf(g, 0) || math.Abs(g-w) > gamma(n+2)*abs[i]:
+		case !finite(g):
+			if !poisonable {
+				t.Fatalf("%s element %d: %v, reference %v", what, i, g, w)
+			}
+		case math.Abs(g-w) > gamma(n+2)*abs[i]:
 			t.Fatalf("%s element %d: %v, reference %v: error %.3g over the bound %.3g (n = %d)",
 				what, i, g, w, math.Abs(g-w), gamma(n+2)*abs[i], n)
 		}
 	}
+}
+
+// The Winograd transforms with every entry replaced by its magnitude:
+// |Bᵀ|, |G| (which is also |G̃|), |Aᵀ| and |Ã|. A result the Winograd
+// kernels compute is Σ coefficient·operand·operand over the expansion of
+// its transforms, every term through the same chain of roundings, so the
+// sum of its terms' magnitudes is the same transforms evaluated with
+// these entries on the operands' magnitudes — in float64, exact enough
+// for a float32 bound.
+var (
+	absBT = [4][4]float64{{1, 0, 1, 0}, {0, 1, 1, 0}, {0, 1, 1, 0}, {0, 1, 0, 1}}
+	absG  = [4][3]float64{{1, 0, 0}, {.5, .5, .5}, {.5, .5, .5}, {0, 0, 1}}
+	absAT = [2][4]float64{{1, 1, 1, 0}, {0, 1, 1, 1}}
+	absAt = [4][2]float64{{1, 0}, {1, 1}, {1, 1}, {0, 1}}
+)
+
+// absWindow returns |Bᵀ| |d| |B| for the 4×4 window of an h×w plane,
+// zero-padded by one, whose top-left padded cell is (y0, x0).
+func absWindow(plane []float64, h, w, y0, x0 int) (v [4][4]float64) {
+	var d [4][4]float64
+	for r := range d {
+		for c := range d[r] {
+			if y, x := y0+r-1, x0+c-1; y >= 0 && y < h && x >= 0 && x < w {
+				d[r][c] = math.Abs(plane[y*w+x])
+			}
+		}
+	}
+	for i := range v {
+		for j := range v[i] {
+			for r := range d {
+				for c := range d[r] {
+					v[i][j] += absBT[i][r] * d[r][c] * absBT[j][c]
+				}
+			}
+		}
+	}
+	return v
+}
+
+// absFilter returns |G| |g| |Gᵀ| for a 3×3 filter, turned half way round
+// when flip is set.
+func absFilter(g []float64, flip bool) (u [4][4]float64) {
+	for i := range u {
+		for j := range u[i] {
+			for k := 0; k < 9; k++ {
+				v := g[k]
+				if flip {
+					v = g[8-k]
+				}
+				u[i][j] += absG[i][k/3] * math.Abs(v) * absG[j][k%3]
+			}
+		}
+	}
+	return u
+}
+
+// absConv returns |Aᵀ| [Σ_c |U[o][c]| ⊙ |Bᵀ d B|] |A| + |bias[o]| for
+// every output of inC → outC channels over h×w planes: the forward pass,
+// or with flipped, transposed filters over the output gradient and no
+// bias, the input gradient.
+func absConv(planes []float64, inC, outC, h, w int, filter func(o, c int) [4][4]float64, bias []float64) []float64 {
+	batch := len(planes) / (inC * h * w)
+	out := make([]float64, batch*outC*h*w)
+	v := make([][4][4]float64, inC)
+	for b := 0; b < batch; b++ {
+		for y0 := 0; y0 < h; y0 += 2 {
+			for x0 := 0; x0 < w; x0 += 2 {
+				for c := range v {
+					v[c] = absWindow(planes[(b*inC+c)*h*w:], h, w, y0, x0)
+				}
+				for o := 0; o < outC; o++ {
+					var m [4][4]float64
+					for c := range v {
+						u := filter(o, c)
+						for i := range m {
+							for j := range m[i] {
+								m[i][j] += u[i][j] * v[c][i][j]
+							}
+						}
+					}
+					for y := 0; y < 2; y++ {
+						for x := 0; x < 2; x++ {
+							var s float64
+							for i := range m {
+								for j := range m[i] {
+									s += absAT[y][i] * m[i][j] * absAT[x][j]
+								}
+							}
+							if bias != nil {
+								s += math.Abs(bias[o])
+							}
+							out[((b*outC+o)*h+y0+y)*w+x0+x] = s
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// absGrads returns |G̃ᵀ| [Σ_tiles |Ã dy Ãᵀ| ⊙ |Bᵀ d B|] |G̃| + |dW| per
+// channel pair and tap, and Σ|dy| + |dB| per output channel.
+func absGrads(c *Conv2D, x, grad, dW, dB []float64) (aw, ab []float64) {
+	g, outC := c.Geom, c.OutC
+	h, w := g.InH, g.InW
+	batch := len(x) / c.InFeatures()
+	m := make([][4][4]float64, outC*g.InC)
+	ab = make([]float64, outC)
+	for b := 0; b < batch; b++ {
+		for y0 := 0; y0 < h; y0 += 2 {
+			for x0 := 0; x0 < w; x0 += 2 {
+				for o := 0; o < outC; o++ {
+					dy := grad[(b*outC+o)*h*w:]
+					var t [4][4]float64
+					for i := range t {
+						for j := range t[i] {
+							for y := 0; y < 2; y++ {
+								for xx := 0; xx < 2; xx++ {
+									t[i][j] += absAt[i][y] * math.Abs(dy[(y0+y)*w+x0+xx]) * absAt[j][xx]
+								}
+							}
+						}
+					}
+					ab[o] += t[1][1]
+					for ic := 0; ic < g.InC; ic++ {
+						v := absWindow(x[(b*g.InC+ic)*h*w:], h, w, y0, x0)
+						for i := range t {
+							for j := range t[i] {
+								m[o*g.InC+ic][i][j] += t[i][j] * v[i][j]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	aw = make([]float64, len(dW))
+	for cell, mm := range m {
+		for k := 0; k < 9; k++ {
+			s := math.Abs(dW[cell*9+k])
+			for i := range mm {
+				for j := range mm[i] {
+					s += absG[i][k/3] * mm[i][j] * absG[j][k%3]
+				}
+			}
+			aw[cell*9+k] = s
+		}
+	}
+	for o := range ab {
+		ab[o] += math.Abs(dB[o])
+	}
+	return aw, ab
 }
 
 // plantSpecials puts one NaN, one +Inf, one −Inf and one −0 at random
@@ -122,19 +282,30 @@ func plantSpecials(rng *tensor.RNG, data []float64) {
 // TestConvMatchesFloat64Reference holds the product Conv2D — float32
 // kernels between float64 boundaries — to the float64 reference
 // convolution: out, dW, dB and dx each within γ(n+2) of the sum of their
-// terms' magnitudes (see withinBound), with n the taps for out, the
-// batch's positions for dW and dB (whose float32 sums are added to
-// gradients that already hold values, a term of their own), and the
-// output channels for each of dx's per-tap terms. It runs over kernel
-// shapes, strides, paddings, planes the vector kernels take and planes
-// they leave to the twins, channel counts on both sides of the
-// eight-channel block, and batches that grow, shrink and grow again
-// through the same layer (a stale row of either padded buffer would
-// show); every other geometry plants a NaN, ±Inf and −0 in x, W and the
-// incoming gradient, and the non-finite results must land where the
-// reference's do.
+// terms' magnitudes (see withinBound). On the direct kernels n is the
+// taps for out, the batch's positions for dW and dB (whose float32 sums
+// are added to gradients that already hold values, a term of their own),
+// and the output channels for each of dx's per-tap terms. On the Winograd
+// kernels (3×3, stride 1, pad 1 on even planes) the terms are those of
+// the transforms' expansion (absConv, absGrads) and n + 2 counts every
+// rounding a term passes: for out the input's conversion and 2 in
+// Bᵀ d B, the filter's conversion and 6 in G g Gᵀ (counting each ½ as one,
+// for subnormals), the product, InC in the channel sum, 4 in Aᵀ M A and
+// the bias add (InC + 16; dx the same over OutC, without the bias); for
+// dW 3 in V, 3 in Ã dy Ãᵀ, the product, one per group of eight tiles, 3 in
+// the lane collapse, 6 in G̃ᵀ M G̃ and the add to the gradient (groups +
+// 17); for dB 3 in the tile sum, the groups, the collapse and the add
+// (groups + 7). It runs over kernel shapes, strides, paddings, planes
+// either kernel family takes and planes they leave to the twins, channel
+// counts on both sides of the eight-channel block, and batches that grow,
+// shrink and grow again through the same layer (a stale row of any
+// buffer would show); every other geometry plants a NaN, ±Inf and −0 in
+// x, W and the incoming gradient. Where the reference is non-finite the
+// layer must be too; on Winograd layers that is the NaN contract, and a
+// planted value may poison more cells than the reference's.
 func TestConvMatchesFloat64Reference(t *testing.T) {
 	rng := tensor.NewRNG(15)
+	wino := 0 // batches checked on Winograd layers
 	check := func(g tensor.ConvGeom, outC int, batches []int, special bool) {
 		name := fmt.Sprintf("%+v outC=%d special=%v", g, outC, special)
 		c := NewConv2D(g, outC, rng)
@@ -156,11 +327,29 @@ func TestConvMatchesFloat64Reference(t *testing.T) {
 			ref, abs := newRefConv(c), newRefConv(c)
 			abs.W, abs.B, abs.dW, abs.dB = absOf(c.W), absOf(c.B), absOf(c.dW), absOf(c.dB)
 
-			withinBound(t, what+" out", c.Forward(x).Data, ref.Forward(x).Data, abs.Forward(absOf(x)).Data, taps)
+			if c.wino == nil {
+				withinBound(t, what+" out", c.Forward(x).Data, ref.Forward(x).Data, abs.Forward(absOf(x)).Data, taps, false)
+				dx := c.Backward(grad)
+				withinBound(t, what+" dx", dx.Data, ref.Backward(grad).Data, abs.Backward(absOf(grad)).Data, outC, false)
+				withinBound(t, what+" dW", c.dW.Data, ref.dW.Data, abs.dW.Data, batch*spatial, false)
+				withinBound(t, what+" dB", c.dB.Data, ref.dB.Data, abs.dB.Data, batch*spatial, false)
+				continue
+			}
+			wino++
+			h, w := g.InH, g.InW
+			groups := (batch*h*w/16 + 1) / 2
+			absOut := absConv(x.Data, g.InC, outC, h, w, func(o, ic int) [4][4]float64 {
+				return absFilter(c.W.Data[(o*g.InC+ic)*9:], false)
+			}, c.B.Data)
+			absDx := absConv(grad.Data, outC, g.InC, h, w, func(ic, o int) [4][4]float64 {
+				return absFilter(c.W.Data[(o*g.InC+ic)*9:], true)
+			}, nil)
+			absDW, absDB := absGrads(c, x.Data, grad.Data, c.dW.Data, c.dB.Data)
+			withinBound(t, what+" out", c.Forward(x).Data, ref.Forward(x).Data, absOut, g.InC+14, special)
 			dx := c.Backward(grad)
-			withinBound(t, what+" dx", dx.Data, ref.Backward(grad).Data, abs.Backward(absOf(grad)).Data, outC)
-			withinBound(t, what+" dW", c.dW.Data, ref.dW.Data, abs.dW.Data, batch*spatial)
-			withinBound(t, what+" dB", c.dB.Data, ref.dB.Data, abs.dB.Data, batch*spatial)
+			withinBound(t, what+" dx", dx.Data, ref.Backward(grad).Data, absDx, outC+13, special)
+			withinBound(t, what+" dW", c.dW.Data, ref.dW.Data, absDW, groups+15, special)
+			withinBound(t, what+" dB", c.dB.Data, ref.dB.Data, absDB, groups+5, special)
 		}
 	}
 
@@ -190,8 +379,8 @@ func TestConvMatchesFloat64Reference(t *testing.T) {
 			}
 		}
 	}
-	if n < 500 {
-		t.Fatalf("only %d geometries checked", n)
+	if n < 500 || wino < 20 {
+		t.Fatalf("only %d geometries checked, %d batches on the Winograd kernels", n, wino)
 	}
 }
 
@@ -502,10 +691,11 @@ func plantBoundary(rng *tensor.RNG, data []float64) {
 // TestConvBoundaryMatchesLoops holds Conv2D's float32 boundary to the Go
 // loops it ran before tensor.NarrowPadded and tensor.Unpad took it: the
 // padded buffer (interiors narrowed row by row, borders still zero), the
-// narrowed output gradient and dx (the padded input gradient's interiors
-// copied out row by row), bit for bit, NaN payloads included, over widths
-// the assembly takes and ragged ones, padding 0–2, and batches that shrink
-// and grow through one layer.
+// narrowed output gradient (padded by one on the Winograd layers, the
+// first two geometries) and, on direct layers, dx (the padded input
+// gradient's interiors copied out row by row), bit for bit, NaN payloads
+// included, over widths the assembly takes and ragged ones, padding 0–2,
+// and batches that shrink and grow through one layer.
 func TestConvBoundaryMatchesLoops(t *testing.T) {
 	rng := tensor.NewRNG(29)
 	for _, g := range []tensor.ConvGeom{
@@ -535,15 +725,31 @@ func TestConvBoundaryMatchesLoops(t *testing.T) {
 					}
 				}
 			}
+			// A Winograd layer keeps the incoming gradient padded by one
+			// and writes dx itself; a direct one keeps it flat and copies dx
+			// out of its padded buffer.
 			dy := make([]float32, len(grad.Data))
-			for i, v := range grad.Data {
-				dy[i] = float32(v)
-			}
-			wantDx := make([]float64, batch*c.InFeatures())
-			for i := 0; i < batch*g.InC; i++ {
-				src := c.dpad.Data[(i*ph+g.Pad)*pw+g.Pad:]
-				for y := 0; y < g.InH; y++ {
-					copy(wantDx[(i*g.InH+y)*g.InW:(i*g.InH+y+1)*g.InW], src[y*pw:y*pw+g.InW])
+			var wantDx []float64
+			if c.wino != nil {
+				oh, ow := g.OutH(), g.OutW()
+				dy = make([]float32, batch*c.OutC*(oh+2)*(ow+2))
+				for i := 0; i < batch*c.OutC; i++ {
+					for y := 0; y < oh; y++ {
+						for x, v := range grad.Data[(i*oh+y)*ow : (i*oh+y+1)*ow] {
+							dy[(i*(oh+2)+y+1)*(ow+2)+x+1] = float32(v)
+						}
+					}
+				}
+			} else {
+				for i, v := range grad.Data {
+					dy[i] = float32(v)
+				}
+				wantDx = make([]float64, batch*c.InFeatures())
+				for i := 0; i < batch*g.InC; i++ {
+					src := c.dpad.Data[(i*ph+g.Pad)*pw+g.Pad:]
+					for y := 0; y < g.InH; y++ {
+						copy(wantDx[(i*g.InH+y)*g.InW:(i*g.InH+y+1)*g.InW], src[y*pw:y*pw+g.InW])
+					}
 				}
 			}
 			for _, buf := range []struct {

@@ -81,37 +81,6 @@ func maxPool2AVX(dst *float64, am *int, src *float64, w, rows, steps, half int, 
 //go:noescape
 func dotTileAVX(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float64, c0, n int)
 
-// convFwdAVX convolves one padded sample into one block of eight output
-// channels: per group of eight positions, eight ymm accumulators (one per
-// channel, lanes the positions) over the taps ascending from +0, then the
-// conversion to float64, the bias add and two stores per channel. w and
-// bias point at the block's first channel, out at that channel's plane;
-// wStride is w's row length. spatial must be a multiple of 8 and every
-// four positions a run of consecutive window origins.
-//
-//go:noescape
-func convFwdAVX(out *float64, in, w *float32, bias *float64, tapOff, posBase *int, taps, spatial, wStride int)
-
-// convGradAVX writes one eight-channel block of the batch's gradient
-// sums: the dB row, then per tap eight ymm accumulators (one per channel,
-// lanes the position classes pos%8) over every sample, collapsed by a
-// horizontal-add tree into one row store. sums and dy point at the
-// block's first channel; outC is sums' row length and dy's channel count.
-// Geometry as for convFwdAVX; batch must be ≥ 1.
-//
-//go:noescape
-func convGradAVX(sums, in, dy *float32, tapOff, posBase *int, taps, spatial, batch, sampleLen, outC int)
-
-// convGradInAVX scatters one sample's input gradient into its zeroed
-// padded sample: per tap and group of sixteen positions, eight ymm chains
-// — four channel streams (oc%4) × two groups of eight positions — over
-// the output channels ascending from +0, collapsed ((t0+t1)+t2)+t3,
-// converted to float64 and added into the four cell runs. spatial must be
-// a multiple of 16, every four positions a run of consecutive origins.
-//
-//go:noescape
-func convGradInAVX(dpad *float64, dy, w *float32, tapOff, posBase *int, taps, spatial, outC int)
-
 // deltaRangeAVX returns the finite min and max of v[i]−ref[i] over n
 // elements (of v[i] when ref is nil), (+Inf, −Inf) when none is finite. n
 // must be a multiple of wireLanes. A zero result's sign is unspecified.
@@ -316,56 +285,6 @@ func dotTile(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float
 		return
 	}
 	dotTileGo(acc, a, b, c0, n)
-}
-
-// convForward runs the checked convolution on the AVX2 kernel, one call
-// per sample and channel block, when the CPU has it and convVector takes
-// the geometry. A last block that would run past outC is moved back to
-// end on it, rewriting the same bits.
-func convForward(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	if !avx2Supported || !convVector(posBase, outC) {
-		convForwardGo(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
-		return
-	}
-	spatial := len(posBase)
-	for b := 0; b < batch; b++ {
-		for oc0 := 0; oc0 < outC; oc0 += convLanes {
-			oc := min(oc0, outC-convLanes)
-			convFwdAVX(&out[(b*outC+oc)*spatial], &in[b*sampleLen], &w[oc], &bias[oc],
-				&tapOff[0], &posBase[0], len(tapOff), spatial, outC)
-		}
-	}
-}
-
-// convGradParams runs the checked parameter-gradient pass on the AVX2
-// kernel, one call per channel block over the whole batch, under the same
-// conditions; a moved-back last block rewrites the same sums.
-func convGradParams(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
-	if !avx2Supported || batch == 0 || !convVector(posBase, outC) {
-		convGradParamsGo(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
-		return
-	}
-	spatial := len(posBase)
-	for oc0 := 0; oc0 < outC; oc0 += convLanes {
-		oc := min(oc0, outC-convLanes)
-		convGradAVX(&sums[oc], &in[0], &dy[oc*spatial], &tapOff[0], &posBase[0],
-			len(tapOff), spatial, batch, sampleLen, outC)
-	}
-}
-
-// convGradInput runs the checked input-gradient pass on the AVX2 kernel,
-// one call per sample, under the same conditions.
-func convGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
-	if !avx2Supported || !convVector(posBase, outC) {
-		convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
-		return
-	}
-	spatial := len(posBase)
-	for b := 0; b < batch; b++ {
-		pad := dpad[b*sampleLen : (b+1)*sampleLen]
-		clear(pad)
-		convGradInAVX(&pad[0], &dy[b*outC*spatial], &w[0], &tapOff[0], &posBase[0], len(tapOff), spatial, outC)
-	}
 }
 
 // wireBlocks splits a checked n-element wire pass into the prefix the
@@ -598,4 +517,75 @@ func unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
 		return
 	}
 	unpool2x2Go(dx, g, am, ow, pairs, batch)
+}
+
+// winoVector reports whether the Winograd kernels of a convolution with
+// outC output channels run on AVX2: the weight-gradient product works
+// eight output channels at a time.
+func winoVector(outC int) bool { return avx2Supported && outC >= 8 }
+
+// winoInAVX writes the transformed windows of `groups` groups of `chans`
+// channel planes `plane` elements apart, rows pw apart, each group's two
+// quads at tab[2g] and tab[2g+1], second tile pairs d2 further on.
+//
+//go:noescape
+func winoInAVX(v, in *float32, tab *int, groups, chans, plane, pw, d2 int)
+
+// winoOutAVX writes the outputs of `groups` groups and outC channels
+// from their transformed tiles v and filters u; bias may be nil.
+//
+//go:noescape
+func winoOutAVX(out *float64, v, u *float32, bias *float64, tab *int, groups, inC, outC, plane, ow, d2 int)
+
+// winoDyAVX writes the transformed output-gradient tiles and adds the
+// tile sums into db, which the caller zeroes; dup zeroes the last
+// group's high half.
+//
+//go:noescape
+func winoDyAVX(s, db, dy *float32, tab *int, groups, outC, plane, pw, d2 int, dup bool)
+
+// winoMulAVX runs the weight gradient's transformed-domain sums over a
+// run of groups, carrying them in acc; after the last run it writes mw.
+// outC must be at least 8.
+//
+//go:noescape
+func winoMulAVX(mw, acc, v, s *float32, groups, inC, outC int, last bool)
+
+// The Winograd dispatchers run the assembly when the plan is vector
+// (winoVector) and there is a group to run; the twins otherwise.
+
+func winoInput(v, in []float32, tab []int, groups, chans, plane, pw, d2 int, vec bool) {
+	if !vec || groups == 0 {
+		winoInputGo(v, in, tab, groups, chans, plane, pw, d2)
+		return
+	}
+	winoInAVX(&v[0], &in[0], &tab[0], groups, chans, plane, pw, d2)
+}
+
+func winoOutput(out []float64, v, u []float32, bias []float64, tab []int, groups, inC, outC, plane, ow, d2 int, vec bool) {
+	if !vec || groups == 0 {
+		winoOutputGo(out, v, u, bias, tab, groups, inC, outC, plane, ow, d2)
+		return
+	}
+	var b *float64
+	if bias != nil {
+		b = &bias[0]
+	}
+	winoOutAVX(&out[0], &v[0], &u[0], b, &tab[0], groups, inC, outC, plane, ow, d2)
+}
+
+func winoGradDy(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 int, dup, vec bool) {
+	if !vec || groups == 0 {
+		winoGradDyGo(s, db, dy, tab, groups, outC, plane, pw, d2, dup)
+		return
+	}
+	winoDyAVX(&s[0], &db[0], &dy[0], &tab[0], groups, outC, plane, pw, d2, dup)
+}
+
+func winoGradMul(mw, acc, v, s []float32, groups, inC, outC int, last, vec bool) {
+	if !vec || groups == 0 {
+		winoGradMulGo(mw, acc, v, s, groups, inC, outC, last)
+		return
+	}
+	winoMulAVX(&mw[0], &acc[0], &v[0], &s[0], groups, inC, outC, last)
 }

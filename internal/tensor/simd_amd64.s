@@ -1102,326 +1102,6 @@ done:
 	VZEROUPPER
 	RET
 
-// CONVFWDCH advances channel k's accumulator by one tap: the eight
-// activations in Y8 times the tap's weight for the channel (broadcast
-// from DX), then the add with the accumulator as first source — per lane
-// the scalar s += in*w.
-#define CONVFWDCH(k, acc) \
-	VBROADCASTSS (4*k)(DX), Y9 \
-	VMULPS Y9, Y8, Y9          \
-	VADDPS Y9, acc, acc
-
-// CONVFWDSTORE widens channel k's eight sums (x is the low half of acc)
-// to float64, adds the channel's bias — the chain's last add — and stores
-// them; R10 walks the channel planes.
-#define CONVFWDSTORE(k, x, acc) \
-	VBROADCASTSD (8*k)(R11), Y12 \
-	VCVTPS2PD x, Y13             \
-	VEXTRACTF128 $1, acc, X14    \
-	VCVTPS2PD X14, Y14           \
-	VADDPD Y12, Y13, Y13         \
-	VADDPD Y12, Y14, Y14         \
-	VMOVUPD Y13, (R10)           \
-	VMOVUPD Y14, 32(R10)         \
-	ADDQ R15, R10
-
-// func convFwdAVX(out *float64, in, w *float32, bias *float64, tapOff, posBase *int, taps, spatial, wStride int)
-// One padded sample into one block of eight output channels. Per group of
-// eight positions — two runs of four consecutive window origins, one
-// 16-byte load each — Y0..Y7 hold channels 0..7, every lane a chain over
-// taps ascending from +0 with one VMULPS and one VADDPS per tap. Lanes
-// are positions, so each channel's eight sums are already in output
-// order: no transpose before the store.
-TEXT ·convFwdAVX(SB), NOSPLIT, $0-72
-	MOVQ out+0(FP), DI
-	MOVQ in+8(FP), SI
-	MOVQ posBase+40(FP), R8
-	MOVQ wStride+64(FP), R14
-	SHLQ $2, R14             // weight row in bytes
-	MOVQ spatial+56(FP), R15
-	SHLQ $3, R15             // output channel plane in bytes
-	XORQ BX, BX              // pos0
-
-foct:
-	MOVQ (R8)(BX*8), R10
-	MOVQ 32(R8)(BX*8), R11
-	LEAQ (SI)(R10*4), R10    // window origins of the two runs
-	LEAQ (SI)(R11*4), R11
-	MOVQ tapOff+32(FP), R9
-	MOVQ taps+48(FP), CX
-	MOVQ w+16(FP), DX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-
-ftap:
-	MOVQ (R9), AX
-	VMOVUPS (R10)(AX*4), X8
-	VINSERTF128 $1, (R11)(AX*4), Y8, Y8
-	CONVFWDCH(0, Y0)
-	CONVFWDCH(1, Y1)
-	CONVFWDCH(2, Y2)
-	CONVFWDCH(3, Y3)
-	CONVFWDCH(4, Y4)
-	CONVFWDCH(5, Y5)
-	CONVFWDCH(6, Y6)
-	CONVFWDCH(7, Y7)
-	ADDQ $8, R9
-	ADDQ R14, DX
-	DECQ CX
-	JNZ  ftap
-
-	LEAQ (DI)(BX*8), R10     // &out[channel 0][pos0]
-	MOVQ bias+24(FP), R11
-	CONVFWDSTORE(0, X0, Y0)
-	CONVFWDSTORE(1, X1, Y1)
-	CONVFWDSTORE(2, X2, Y2)
-	CONVFWDSTORE(3, X3, Y3)
-	CONVFWDSTORE(4, X4, Y4)
-	CONVFWDSTORE(5, X5, Y5)
-	CONVFWDSTORE(6, X6, Y6)
-	CONVFWDSTORE(7, X7, Y7)
-	ADDQ $8, BX
-	CMPQ BX, spatial+56(FP)
-	JLT  foct
-	VZEROUPPER
-	RET
-
-// CONVGRADCH advances one channel's accumulator by one group of eight
-// positions: the activations in Y8 times the channel's output gradients
-// at addr, then the add with the accumulator as first source — per lane
-// the scalar s += in*dy.
-#define CONVGRADCH(addr, acc) \
-	VMULPS addr, Y8, Y9 \
-	VADDPS Y9, acc, acc
-
-// CONVGRADROWS applies op to the eight channel rows of the current group
-// of positions: R10 addresses channels 0-3, R11 channels 4-7, R14 and R15
-// are one and three rows.
-#define CONVGRADROWS(op) \
-	op((R10), Y0)         \
-	op((R10)(R14*1), Y1)  \
-	op((R10)(R14*2), Y2)  \
-	op((R10)(R15*1), Y3)  \
-	op((R11), Y4)         \
-	op((R11)(R14*1), Y5)  \
-	op((R11)(R14*2), Y6)  \
-	op((R11)(R15*1), Y7)
-
-// CONVBIASCH is CONVGRADCH for the dB row, whose term is dy alone.
-#define CONVBIASCH(addr, acc) \
-	VADDPS addr, acc, acc
-
-// CONVCOLLAPSE folds each of Y0..Y7 to the sum of its lanes,
-// ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), channel k's in lane k of Y1.
-#define CONVCOLLAPSE \
-	VHADDPS Y1, Y0, Y0           \
-	VHADDPS Y3, Y2, Y2           \
-	VHADDPS Y5, Y4, Y4           \
-	VHADDPS Y7, Y6, Y6           \
-	VHADDPS Y2, Y0, Y0           \
-	VHADDPS Y6, Y4, Y4           \
-	VPERM2F128 $0x20, Y4, Y0, Y1 \
-	VPERM2F128 $0x31, Y4, Y0, Y2 \
-	VADDPS Y2, Y1, Y1
-
-#define CONVZERO8 \
-	VXORPS Y0, Y0, Y0 \
-	VXORPS Y1, Y1, Y1 \
-	VXORPS Y2, Y2, Y2 \
-	VXORPS Y3, Y3, Y3 \
-	VXORPS Y4, Y4, Y4 \
-	VXORPS Y5, Y5, Y5 \
-	VXORPS Y6, Y6, Y6 \
-	VXORPS Y7, Y7, Y7
-
-// func convGradAVX(sums, in, dy *float32, tapOff, posBase *int, taps, spatial, batch, sampleLen, outC int)
-// One eight-channel block of the batch's gradient sums. Bias row first,
-// then per tap Y0..Y7 are channels 0..7 with lanes the position classes
-// pos%8, every lane a chain over the samples ascending and, within one,
-// the groups of eight positions ascending, from +0. Each row is
-// collapsed once, after the last sample, and stored whole.
-TEXT ·convGradAVX(SB), NOSPLIT, $0-80
-	MOVQ sums+0(FP), DI
-	MOVQ tapOff+24(FP), R9
-	MOVQ posBase+32(FP), R8
-	MOVQ spatial+48(FP), R14
-	SHLQ $2, R14             // gradient row in bytes
-	LEAQ (R14)(R14*2), R15   // three rows
-	MOVQ outC+72(FP), DX
-	IMULQ R14, DX            // gradient sample in bytes
-	MOVQ sampleLen+64(FP), R12
-	SHLQ $2, R12             // padded sample in bytes
-
-	MOVQ taps+40(FP), AX
-	IMULQ outC+72(FP), AX
-	LEAQ (DI)(AX*4), R13     // &sums[taps][0], the dB row
-	CONVZERO8
-	MOVQ dy+16(FP), BX
-	MOVQ batch+56(FP), AX
-
-gbsample:
-	XORQ CX, CX
-
-gboct:
-	LEAQ (BX)(CX*4), R10
-	LEAQ (R10)(R14*4), R11
-	CONVGRADROWS(CONVBIASCH)
-	ADDQ $8, CX
-	CMPQ CX, spatial+48(FP)
-	JLT  gboct
-	ADDQ DX, BX
-	DECQ AX
-	JNZ  gbsample
-	CONVCOLLAPSE
-	VMOVUPS Y1, (R13)
-
-	MOVQ taps+40(FP), SI     // taps to go
-
-gtap:
-	MOVQ (R9), R13
-	SHLQ $2, R13
-	ADDQ in+8(FP), R13       // the tap's view of sample 0
-	CONVZERO8
-	MOVQ dy+16(FP), BX
-	MOVQ batch+56(FP), AX
-
-gsample:
-	XORQ CX, CX
-
-goct:
-	MOVQ (R8)(CX*8), R10
-	MOVQ 32(R8)(CX*8), R11
-	VMOVUPS (R13)(R10*4), X8
-	VINSERTF128 $1, (R13)(R11*4), Y8, Y8
-	LEAQ (BX)(CX*4), R10
-	LEAQ (R10)(R14*4), R11
-	CONVGRADROWS(CONVGRADCH)
-	ADDQ $8, CX
-	CMPQ CX, spatial+48(FP)
-	JLT  goct
-	ADDQ R12, R13
-	ADDQ DX, BX
-	DECQ AX
-	JNZ  gsample
-	CONVCOLLAPSE
-	VMOVUPS Y1, (DI)
-	MOVQ outC+72(FP), AX
-	LEAQ (DI)(AX*4), DI
-	ADDQ $8, R9
-	DECQ SI
-	JNZ  gtap
-	VZEROUPPER
-	RET
-
-// GRADINCH advances the streams a and b of the two groups of eight
-// positions by one output channel: the channel's weight for the tap
-// (broadcast, the first factor) times its sixteen gradients at BX, then
-// the add with the accumulator as first source — per lane t += w*dy. BX
-// moves on to the next channel's row.
-#define GRADINCH(off, a, b) \
-	VBROADCASTSS off(R12), Y8 \
-	VMULPS (BX), Y8, Y9       \
-	VMULPS 32(BX), Y8, Y10    \
-	VADDPS Y9, a, a           \
-	VADDPS Y10, b, b          \
-	ADDQ R14, BX
-
-// GRADINQUAD widens four finished terms (the low lanes of x) to float64
-// and adds them into the cells of run j of the current sixteen
-// positions. R15 is the tap's view of the padded sample, CX the block's
-// first position.
-#define GRADINQUAD(j, x) \
-	MOVQ (32*j)(R9)(CX*8), AX    \
-	VCVTPS2PD x, Y11             \
-	VADDPD (R15)(AX*8), Y11, Y11 \
-	VMOVUPD Y11, (R15)(AX*8)
-
-// func convGradInAVX(dpad *float64, dy, w *float32, tapOff, posBase *int, taps, spatial, outC int)
-// One sample's input gradient into its zeroed padded sample. Per tap,
-// ascending, and block of sixteen positions: Y0..Y3 are the four channel
-// streams (oc%4) of positions 0-7, Y4..Y7 those of positions 8-15, each a
-// chain over its channels ascending from +0 with one VMULPS and one
-// VADDPS per channel. The streams collapse ((t0+t1)+t2)+t3 and each run
-// of four terms is widened and added once into its four cells. A tap
-// finishes every position before the next starts, so a cell's adds
-// arrive taps ascending.
-TEXT ·convGradInAVX(SB), NOSPLIT, $0-64
-	MOVQ dpad+0(FP), DI
-	MOVQ dy+8(FP), SI
-	MOVQ w+16(FP), DX        // &w[p][0], walks the taps
-	MOVQ tapOff+24(FP), R8   // &tapOff[p], walks the taps
-	MOVQ posBase+32(FP), R9
-	MOVQ spatial+48(FP), R14
-	SHLQ $2, R14             // gradient row in bytes
-	MOVQ outC+56(FP), R13
-	MOVQ R13, R11
-	SHRQ $2, R11             // channel quads
-	ANDQ $3, R13             // channels left over
-	MOVQ taps+40(FP), R10    // taps to go
-
-itap:
-	MOVQ (R8), AX
-	LEAQ (DI)(AX*8), R15     // the tap's view of the padded sample
-	XORQ CX, CX              // pos0
-
-iblock:
-	CONVZERO8
-	LEAQ (SI)(CX*4), BX      // &dy[0][pos0]
-	MOVQ DX, R12
-	MOVQ R11, AX
-	TESTQ AX, AX
-	JZ   irest
-
-iquad:
-	GRADINCH(0, Y0, Y4)
-	GRADINCH(4, Y1, Y5)
-	GRADINCH(8, Y2, Y6)
-	GRADINCH(12, Y3, Y7)
-	ADDQ $16, R12
-	DECQ AX
-	JNZ  iquad
-
-irest:
-	CMPQ R13, $1
-	JLT  icollapse
-	GRADINCH(0, Y0, Y4)
-	CMPQ R13, $2
-	JLT  icollapse
-	GRADINCH(4, Y1, Y5)
-	CMPQ R13, $3
-	JLT  icollapse
-	GRADINCH(8, Y2, Y6)
-
-icollapse:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y2, Y0, Y0
-	VADDPS Y3, Y0, Y0
-	VADDPS Y5, Y4, Y4
-	VADDPS Y6, Y4, Y4
-	VADDPS Y7, Y4, Y4
-	VEXTRACTF128 $1, Y0, X1
-	VEXTRACTF128 $1, Y4, X5
-	GRADINQUAD(0, X0)
-	GRADINQUAD(1, X1)
-	GRADINQUAD(2, X4)
-	GRADINQUAD(3, X5)
-	ADDQ $16, CX
-	CMPQ CX, spatial+48(FP)
-	JLT  iblock
-	MOVQ outC+56(FP), AX
-	LEAQ (DX)(AX*4), DX      // the next tap's weights
-	ADDQ $8, R8
-	DECQ R10
-	JNZ  itap
-	VZEROUPPER
-	RET
-
 // Wire kernels (simd_wire.go). Each takes whole blocks of eight elements
 // and a reference pointer that may be nil: the delta loop subtracts (or
 // adds back) the reference, the plain loop is the same body without it.
@@ -2147,5 +1827,472 @@ upstep:
 	JNZ  uprow
 	DECQ R9
 	JNZ  usample
+	VZEROUPPER
+	RET
+
+// Winograd kernels (winograd.go). Lanes are the eight tiles of a group:
+// the low half its first quad, the high half its second, each half pair
+// 1's two tiles then pair 2's. A quad's tile pair starts at a window (or
+// output) origin from the group table; its second pair is d2 on.
+
+// WINOROW loads one row of the group's 4×4 windows from the row pointers
+// CX (low quad) and DX (high quad), R13 the second pair's offset, splits
+// it into the window columns c0..c3 (one VSHUFPS each: even and odd
+// elements of the pairs' columns 0–3 and 2–5) and writes the row stage
+// e0 = c0 − c2, e1 = c1 + c2, e2 = c2 − c1, e3 = c1 − c3; R12 steps the
+// pointers to the next row.
+#define WINOROW(e0, e1, e2, e3) \
+	VMOVUPS (CX), X8                       \
+	VINSERTF128 $1, (DX), Y8, Y8           \
+	VMOVUPS (CX)(R13*1), X9                \
+	VINSERTF128 $1, (DX)(R13*1), Y9, Y9    \
+	VMOVUPS 8(CX), X10                     \
+	VINSERTF128 $1, 8(DX), Y10, Y10        \
+	VMOVUPS 8(CX)(R13*1), X11              \
+	VINSERTF128 $1, 8(DX)(R13*1), Y11, Y11 \
+	VSHUFPS $0x88, Y9, Y8, Y12             \
+	VSHUFPS $0xDD, Y9, Y8, Y13             \
+	VSHUFPS $0x88, Y11, Y10, Y14           \
+	VSHUFPS $0xDD, Y11, Y10, Y15           \
+	VSUBPS Y14, Y12, e0                    \
+	VADDPS Y14, Y13, e1                    \
+	VSUBPS Y13, Y14, e2                    \
+	VSUBPS Y15, Y13, e3                    \
+	ADDQ R12, CX                           \
+	ADDQ R12, DX
+
+// func winoInAVX(v, in *float32, tab *int, groups, chans, plane, pw, d2 int)
+// V = Bᵀ d B of every group and channel into v[g][c][ξ][lane]: rows 0
+// and 1 of e stay in Y0..Y7, row 2 finishes V rows 0–2 (e1 kept for
+// row 3), row 3 finishes V row 3.
+TEXT ·winoInAVX(SB), NOSPLIT, $0-64
+	MOVQ v+0(FP), DI
+	MOVQ in+8(FP), SI
+	MOVQ tab+16(FP), R8
+	MOVQ groups+24(FP), R9
+	MOVQ plane+40(FP), R11
+	SHLQ $2, R11
+	MOVQ pw+48(FP), R12
+	SHLQ $2, R12
+	MOVQ d2+56(FP), R13
+	SHLQ $2, R13
+
+wigroup:
+	MOVQ (R8), AX
+	LEAQ (SI)(AX*4), AX      // the low quad's windows in channel 0
+	MOVQ 8(R8), BX
+	LEAQ (SI)(BX*4), BX
+	MOVQ chans+32(FP), R10
+
+wichan:
+	MOVQ AX, CX
+	MOVQ BX, DX
+	WINOROW(Y0, Y1, Y2, Y3)
+	WINOROW(Y4, Y5, Y6, Y7)
+	WINOROW(Y8, Y9, Y10, Y11)
+	VSUBPS Y8, Y0, Y0        // V[0][j] = e0 − e2
+	VSUBPS Y9, Y1, Y1
+	VSUBPS Y10, Y2, Y2
+	VSUBPS Y11, Y3, Y3
+	VADDPS Y8, Y4, Y12       // V[1][j] = e1 + e2
+	VADDPS Y9, Y5, Y13
+	VADDPS Y10, Y6, Y14
+	VADDPS Y11, Y7, Y15
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y12, 128(DI)
+	VMOVUPS Y13, 160(DI)
+	VMOVUPS Y14, 192(DI)
+	VMOVUPS Y15, 224(DI)
+	VSUBPS Y4, Y8, Y8        // V[2][j] = e2 − e1
+	VSUBPS Y5, Y9, Y9
+	VSUBPS Y6, Y10, Y10
+	VSUBPS Y7, Y11, Y11
+	VMOVUPS Y8, 256(DI)
+	VMOVUPS Y9, 288(DI)
+	VMOVUPS Y10, 320(DI)
+	VMOVUPS Y11, 352(DI)
+	WINOROW(Y8, Y9, Y10, Y11)
+	VSUBPS Y8, Y4, Y4        // V[3][j] = e1 − e3
+	VSUBPS Y9, Y5, Y5
+	VSUBPS Y10, Y6, Y6
+	VSUBPS Y11, Y7, Y7
+	VMOVUPS Y4, 384(DI)
+	VMOVUPS Y5, 416(DI)
+	VMOVUPS Y6, 448(DI)
+	VMOVUPS Y7, 480(DI)
+	ADDQ $512, DI
+	ADDQ R11, AX
+	ADDQ R11, BX
+	DECQ R10
+	JNZ  wichan
+	ADDQ $16, R8
+	DECQ R9
+	JNZ  wigroup
+	VZEROUPPER
+	RET
+
+// WINOPROD advances component ξ's accumulator by one input channel: the
+// channel's filter component (broadcast from R10) times its eight tiles
+// at R11, added with the accumulator first.
+#define WINOPROD(xi, acc) \
+	VBROADCASTSS (4*xi)(R10), Y15 \
+	VMULPS (32*xi)(R11), Y15, Y15 \
+	VADDPS Y15, acc, acc
+
+// WINOHALF runs the channel sum of eight components, a0..a7 = M[i][j]
+// for i = 0..3 and two columns j (components x0..x7), then Aᵀ's rows over them:
+// Z[0][j] = (M[0][j] + M[1][j]) + M[2][j] lands in a0 and a1, Z[1][j] =
+// (M[1][j] − M[2][j]) − M[3][j] in a2 and a3. DX and SI address the
+// channel's filters and the group's tiles, DI is InC.
+#define WINOHALF(lbl, x0, x1, x2, x3, x4, x5, x6, x7, a0, a1, a2, a3, a4, a5, a6, a7) \
+	MOVQ DX, R10                 \
+	MOVQ SI, R11                 \
+	MOVQ DI, CX                  \
+	VXORPS a0, a0, a0            \
+	VXORPS a1, a1, a1            \
+	VXORPS a2, a2, a2            \
+	VXORPS a3, a3, a3            \
+	VXORPS a4, a4, a4            \
+	VXORPS a5, a5, a5            \
+	VXORPS a6, a6, a6            \
+	VXORPS a7, a7, a7            \
+lbl:                             \
+	WINOPROD(x0, a0)             \
+	WINOPROD(x1, a1)             \
+	WINOPROD(x2, a2)             \
+	WINOPROD(x3, a3)             \
+	WINOPROD(x4, a4)             \
+	WINOPROD(x5, a5)             \
+	WINOPROD(x6, a6)             \
+	WINOPROD(x7, a7)             \
+	ADDQ $64, R10                \
+	ADDQ $512, R11               \
+	DECQ CX                      \
+	JNZ  lbl                     \
+	VADDPS a2, a0, a0            \
+	VADDPS a4, a0, a0            \
+	VSUBPS a4, a2, a2            \
+	VSUBPS a6, a2, a2            \
+	VADDPS a3, a1, a1            \
+	VADDPS a5, a1, a1            \
+	VSUBPS a5, a3, a3            \
+	VSUBPS a7, a3, a3
+
+// WINOSTORE writes output row y of the group's tiles for one channel:
+// p and q are Y[y][0] and Y[y][1], interleaved into each pair's four
+// outputs, widened, Y12 added and stored at R10 (low quad) and R11 (high
+// quad), pair 2 R15 further on.
+#define WINOSTORE(p, q) \
+	VUNPCKLPS q, p, Y0        \
+	VUNPCKHPS q, p, Y1        \
+	VCVTPS2PD X0, Y2          \
+	VEXTRACTF128 $1, Y0, X3   \
+	VCVTPS2PD X3, Y3          \
+	VCVTPS2PD X1, Y4          \
+	VEXTRACTF128 $1, Y1, X5   \
+	VCVTPS2PD X5, Y5          \
+	VADDPD Y12, Y2, Y2        \
+	VADDPD Y12, Y3, Y3        \
+	VADDPD Y12, Y4, Y4        \
+	VADDPD Y12, Y5, Y5        \
+	VMOVUPD Y2, (R10)         \
+	VMOVUPD Y3, (R11)         \
+	VMOVUPD Y4, (R10)(R15*1)  \
+	VMOVUPD Y5, (R11)(R15*1)
+
+// func winoOutAVX(out *float64, v, u *float32, bias *float64, tab *int, groups, inC, outC, plane, ow, d2 int)
+// Per group and output channel: the channel sum of all sixteen
+// components in two halves (columns 0–1, then 2–3), Aᵀ·A, then the four
+// outputs of every tile widened with the bias added — with no bias, −0,
+// which leaves every value as it is.
+TEXT ·winoOutAVX(SB), NOSPLIT, $0-88
+	MOVQ v+8(FP), SI
+	MOVQ tab+32(FP), R8
+	MOVQ groups+40(FP), R9
+	MOVQ plane+64(FP), R14
+	SHLQ $3, R14
+	MOVQ d2+80(FP), R15
+	SHLQ $3, R15
+
+wogroup:
+	MOVQ out+0(FP), DI
+	MOVQ (R8), R12
+	LEAQ (DI)(R12*8), R12    // the low quad's outputs in channel 0
+	MOVQ 8(R8), R13
+	LEAQ (DI)(R13*8), R13
+	MOVQ u+16(FP), DX
+	MOVQ bias+24(FP), BX
+	MOVQ outC+56(FP), AX
+	MOVQ inC+48(FP), DI      // the channel sum's length
+
+wochan:
+	WINOHALF(woa, 0, 1, 4, 5, 8, 9, 12, 13, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	WINOHALF(wob, 2, 3, 6, 7, 10, 11, 14, 15, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VADDPS Y1, Y0, Y8        // Y[0][0] = (Z00 + Z01) + Z02
+	VADDPS Y4, Y8, Y8
+	VSUBPS Y4, Y1, Y9        // Y[0][1] = (Z01 − Z02) − Z03
+	VSUBPS Y5, Y9, Y9
+	VADDPS Y3, Y2, Y10       // Y[1][0]
+	VADDPS Y6, Y10, Y10
+	VSUBPS Y6, Y3, Y11       // Y[1][1]
+	VSUBPS Y7, Y11, Y11
+	TESTQ BX, BX
+	JZ   wonobias
+	VBROADCASTSD (BX), Y12
+	ADDQ $8, BX
+	JMP  wobias
+
+wonobias:
+	VPCMPEQQ Y12, Y12, Y12
+	VPSLLQ $63, Y12, Y12     // −0
+
+wobias:
+	MOVQ R12, R10
+	MOVQ R13, R11
+	WINOSTORE(Y8, Y9)
+	MOVQ ow+72(FP), CX
+	LEAQ (R10)(CX*8), R10
+	LEAQ (R11)(CX*8), R11
+	WINOSTORE(Y10, Y11)
+	MOVQ DI, CX
+	SHLQ $6, CX
+	ADDQ CX, DX              // the next channel's filters
+	ADDQ R14, R12
+	ADDQ R14, R13
+	DECQ AX
+	JNZ  wochan
+	MOVQ inC+48(FP), CX
+	SHLQ $9, CX
+	ADDQ CX, SI              // the next group's tiles
+	ADDQ $16, R8
+	DECQ R9
+	JNZ  wogroup
+	VZEROUPPER
+	RET
+
+// WINOST stores one transformed component and steps DX to the next
+// component's block.
+#define WINOST(x) \
+	VMOVUPS x, (DX) \
+	ADDQ R15, DX
+
+// func winoDyAVX(s, db, dy *float32, tab *int, groups, outC, plane, pw, d2 int, dup bool)
+// Ã dy Ãᵀ of every group and output channel into s[ξ][g][o][lane], and
+// the tile sums T[1][1] added into db[o][lane]. Y14 masks the tiles: all
+// ones, or zero in the high half of a repeated last quad.
+TEXT ·winoDyAVX(SB), NOSPLIT, $0-73
+	MOVQ s+0(FP), DI
+	MOVQ dy+16(FP), SI
+	MOVQ tab+24(FP), R8
+	MOVQ groups+32(FP), R9
+	MOVQ outC+40(FP), R15
+	IMULQ R9, R15
+	SHLQ $5, R15             // one component's block, bytes
+	MOVQ plane+48(FP), R14
+	SHLQ $2, R14
+	MOVQ pw+56(FP), CX
+	SHLQ $2, CX
+
+wdgroup:
+	VPCMPEQD Y14, Y14, Y14
+	CMPQ R9, $1
+	JNE  wdmask
+	CMPB dup+72(FP), $0
+	JEQ  wdmask
+	VPCMPEQD X14, X14, X14   // the high half zeroed
+
+wdmask:
+	MOVQ (R8), R10
+	LEAQ (SI)(R10*4), R10
+	MOVQ 8(R8), R11
+	LEAQ (SI)(R11*4), R11
+	MOVQ db+8(FP), BX
+	MOVQ outC+40(FP), AX
+
+wdchan:
+	MOVQ d2+64(FP), R12
+	LEAQ (R10)(R12*4), R13
+	LEAQ (R11)(R12*4), R12
+	VMOVUPS (R10), X8
+	VINSERTF128 $1, (R11), Y8, Y8
+	VMOVUPS (R13), X9
+	VINSERTF128 $1, (R12), Y9, Y9
+	VMOVUPS (R10)(CX*1), X10
+	VINSERTF128 $1, (R11)(CX*1), Y10, Y10
+	VMOVUPS (R13)(CX*1), X11
+	VINSERTF128 $1, (R12)(CX*1), Y11, Y11
+	VSHUFPS $0x88, Y9, Y8, Y0     // dy[0][0]
+	VSHUFPS $0xDD, Y9, Y8, Y1     // dy[0][1]
+	VSHUFPS $0x88, Y11, Y10, Y2   // dy[1][0]
+	VSHUFPS $0xDD, Y11, Y10, Y3   // dy[1][1]
+	VANDPS Y14, Y0, Y0
+	VANDPS Y14, Y1, Y1
+	VANDPS Y14, Y2, Y2
+	VANDPS Y14, Y3, Y3
+	VADDPS Y1, Y0, Y4        // h[y] = (dy0, dy0 + dy1, dy0 − dy1, dy1)
+	VSUBPS Y1, Y0, Y5
+	VADDPS Y3, Y2, Y6
+	VSUBPS Y3, Y2, Y7
+	MOVQ DI, DX
+	WINOST(Y0)
+	WINOST(Y4)
+	WINOST(Y5)
+	WINOST(Y1)
+	VADDPS Y2, Y0, Y8        // T[1] = h0 + h1
+	VADDPS Y6, Y4, Y9
+	VADDPS Y7, Y5, Y10
+	VADDPS Y3, Y1, Y11
+	WINOST(Y8)
+	WINOST(Y9)
+	WINOST(Y10)
+	WINOST(Y11)
+	VSUBPS Y2, Y0, Y8        // T[2] = h0 − h1
+	VSUBPS Y6, Y4, Y10
+	VSUBPS Y7, Y5, Y11
+	VSUBPS Y3, Y1, Y12
+	WINOST(Y8)
+	WINOST(Y10)
+	WINOST(Y11)
+	WINOST(Y12)
+	WINOST(Y2)
+	WINOST(Y6)
+	WINOST(Y7)
+	WINOST(Y3)
+	VMOVUPS (BX), Y13
+	VADDPS Y9, Y13, Y13      // db += T[1][1]
+	VMOVUPS Y13, (BX)
+	ADDQ $32, BX
+	ADDQ $32, DI
+	ADDQ R14, R10
+	ADDQ R14, R11
+	DECQ AX
+	JNZ  wdchan
+	ADDQ $16, R8
+	DECQ R9
+	JNZ  wdgroup
+	VZEROUPPER
+	RET
+
+// CONVCOLLAPSE folds each of Y0..Y7 to the sum of its lanes,
+// ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), channel k's in lane k of Y1.
+#define CONVCOLLAPSE \
+	VHADDPS Y1, Y0, Y0           \
+	VHADDPS Y3, Y2, Y2           \
+	VHADDPS Y5, Y4, Y4           \
+	VHADDPS Y7, Y6, Y6           \
+	VHADDPS Y2, Y0, Y0           \
+	VHADDPS Y6, Y4, Y4           \
+	VPERM2F128 $0x20, Y4, Y0, Y1 \
+	VPERM2F128 $0x31, Y4, Y0, Y2 \
+	VADDPS Y2, Y1, Y1
+
+// func winoMulAVX(mw, acc, v, s *float32, groups, inC, outC int, last bool)
+// Per component, input channel and block of eight output channels (a
+// last block moved back to end on outC): Y0..Y7 are the channels, lanes
+// the tile slots, each a chain over the groups ascending of v[g][c][ξ] ·
+// s[ξ][g][o], carried in acc (R15) from one run of groups to the next;
+// after the last, CONVCOLLAPSE folds the lanes and one store writes the
+// block's eight sums.
+TEXT ·winoMulAVX(SB), NOSPLIT, $0-57
+	MOVQ inC+40(FP), R11
+	SHLQ $9, R11             // a group's tiles, bytes
+	MOVQ outC+48(FP), R12
+	SHLQ $5, R12             // a group's gradient tiles, bytes
+	MOVQ groups+32(FP), R13
+	IMULQ R12, R13           // one component's block, bytes
+	MOVQ mw+0(FP), DI
+	MOVQ acc+8(FP), R15
+	XORQ R8, R8              // 32·ξ
+	XORQ R14, R14            // ξ's block in s
+
+wmxi:
+	XORQ R9, R9              // 512·c
+
+wmc:
+	XORQ R10, R10            // the block's first channel
+
+wmob:
+	MOVQ outC+48(FP), BX
+	SUBQ $8, BX
+	CMPQ R10, BX
+	CMOVQLT R10, BX          // min(block, outC−8)
+	MOVQ BX, DX
+	SHLQ $5, DX
+	ADDQ s+24(FP), DX
+	ADDQ R14, DX
+	MOVQ v+16(FP), SI
+	ADDQ R8, SI
+	ADDQ R9, SI
+	MOVQ groups+32(FP), CX
+	VMOVUPS (R15), Y0
+	VMOVUPS 32(R15), Y1
+	VMOVUPS 64(R15), Y2
+	VMOVUPS 96(R15), Y3
+	VMOVUPS 128(R15), Y4
+	VMOVUPS 160(R15), Y5
+	VMOVUPS 192(R15), Y6
+	VMOVUPS 224(R15), Y7
+	TESTQ CX, CX
+	JZ   wmsum
+
+wmg:
+	VMOVUPS (SI), Y8
+	VMULPS (DX), Y8, Y9
+	VADDPS Y9, Y0, Y0
+	VMULPS 32(DX), Y8, Y10
+	VADDPS Y10, Y1, Y1
+	VMULPS 64(DX), Y8, Y11
+	VADDPS Y11, Y2, Y2
+	VMULPS 96(DX), Y8, Y12
+	VADDPS Y12, Y3, Y3
+	VMULPS 128(DX), Y8, Y13
+	VADDPS Y13, Y4, Y4
+	VMULPS 160(DX), Y8, Y14
+	VADDPS Y14, Y5, Y5
+	VMULPS 192(DX), Y8, Y15
+	VADDPS Y15, Y6, Y6
+	VMULPS 224(DX), Y8, Y9
+	VADDPS Y9, Y7, Y7
+	ADDQ R11, SI
+	ADDQ R12, DX
+	DECQ CX
+	JNZ  wmg
+
+wmsum:
+	CMPB last+56(FP), $0
+	JNE  wmlast
+	VMOVUPS Y0, (R15)
+	VMOVUPS Y1, 32(R15)
+	VMOVUPS Y2, 64(R15)
+	VMOVUPS Y3, 96(R15)
+	VMOVUPS Y4, 128(R15)
+	VMOVUPS Y5, 160(R15)
+	VMOVUPS Y6, 192(R15)
+	VMOVUPS Y7, 224(R15)
+	JMP  wmnext
+
+wmlast:
+	CONVCOLLAPSE
+	VMOVUPS Y1, (DI)(BX*4)
+
+wmnext:
+	ADDQ $256, R15
+	ADDQ $8, R10
+	CMPQ R10, outC+48(FP)
+	JLT  wmob
+	MOVQ outC+48(FP), AX
+	LEAQ (DI)(AX*4), DI
+	ADDQ $512, R9
+	MOVQ inC+40(FP), AX
+	SHLQ $9, AX
+	CMPQ R9, AX
+	JLT  wmc
+	ADDQ R13, R14
+	ADDQ $32, R8
+	CMPQ R8, $512
+	JLT  wmxi
 	VZEROUPPER
 	RET

@@ -3,10 +3,12 @@ package tensor
 import "fmt"
 
 // Direct convolution kernels: nn.Conv2D's forward pass, parameter
-// gradients and input gradient computed straight from zero-padded
-// samples, with no lowered im2col matrix in between. They compute in
-// float32, eight lanes to a ymm register; what crosses the layer boundary
-// — the output, the input gradient, the bias — stays float64.
+// gradients and input gradient for the geometries the Winograd kernels
+// (winograd.go) do not take — anything but 3×3, stride 1, padding 1 on
+// even planes, which no product model builds — computed straight from
+// zero-padded samples, with no lowered im2col matrix in between. They are
+// portable Go, compute in float32, and keep float64 at the layer
+// boundary: the output, the input gradient and the bias.
 //
 // The caller owns two index tables per geometry. With `in` holding batch
 // zero-padded samples of sampleLen elements each,
@@ -18,45 +20,43 @@ import "fmt"
 // in[b*sampleLen + posBase[pos] + tapOff[p]] — for any stride, padding
 // and kernel size; the kernels know no geometry. Padding is real zeros in
 // the buffer: an out-of-image tap is multiplied like every other, exactly
-// as cols' zero was (0·Inf is still NaN).
+// as cols' zero was (0·Inf is still NaN), so a non-finite operand reaches
+// exactly the outputs whose sums it is a term of. (The Winograd kernels'
+// NaN contract is wider: their transforms mix a tile's pixels, so a NaN
+// or ±Inf input, weight or output gradient poisons every output of its
+// 2×2 tile and every tap of its channel pair's weight gradient — a
+// superset of the cells these kernels make non-finite; see winograd.go.)
 //
 // Weights cross tap-major, w[p*outC+oc] = W[oc][p], so the channels of
 // one tap are contiguous; output gradients cross in the layer's own
-// sample-major layout, dy[b][oc][pos].
-//
-// Lanes are eight output positions — two groups of four whose window
-// origins are consecutive, so each group is one 16-byte load under any
-// tap. convVector says which geometries that takes: stride 1 and output
-// rows a multiple of four wide, spatial a multiple of sixteen, and at
-// least one eight-channel block. Every other geometry runs the twin.
-//
-// Like DotTile these are platform-dispatched package functions, not
-// Backend methods: the accumulation chains below are the contract, and a
-// new method would break every Backend implemented outside this package.
-// The Go twins (ConvForwardGo, ConvGradParamsGo, ConvGradInputGo) are
-// what runs without AVX2, off amd64 and under purego, and what the tests
-// hold the assembly to.
-
-// convLanes is the channel block of the forward and parameter-gradient
-// kernels: eight accumulators.
-const convLanes = 8
+// sample-major layout, dy[b][oc][pos]. Every product is rounded to
+// float32 explicitly, so a build that fuses multiply-adds cannot contract
+// the chains below.
 
 // ConvForward computes the convolution of every sample:
 //
 //	out[b][oc][pos] = float64(Σ_p in[b][posBase[pos]+tapOff[p]] · w[p][oc]) + bias[oc]
 //
 // with the float32 sum running over p ascending from +0, one multiply
-// then one add per tap and no fused multiply-add; the bias is added in
-// float64 after the conversion. out is sample-major (batch × outC·spatial).
+// then one add per tap; the bias is added in float64 after the
+// conversion. out is sample-major (batch × outC·spatial).
 func ConvForward(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
 	checkConvForward(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
-	convForward(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
-}
-
-// ConvForwardGo is ConvForward on the portable scalar kernel.
-func ConvForwardGo(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConvForward(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
-	convForwardGo(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
+	spatial := len(posBase)
+	for b := 0; b < batch; b++ {
+		img := in[b*sampleLen : (b+1)*sampleLen]
+		o := out[b*outC*spatial : (b+1)*outC*spatial]
+		for oc := 0; oc < outC; oc++ {
+			for pos, base := range posBase {
+				win := img[base:]
+				var s float32
+				for p, off := range tapOff {
+					s += float32(win[off] * w[p*outC+oc])
+				}
+				o[oc*spatial+pos] = float64(s) + bias[oc]
+			}
+		}
+	}
 }
 
 // ConvGradParams writes the batch's parameter-gradient sums: row p < taps
@@ -72,13 +72,28 @@ func ConvForwardGo(out []float64, in, w []float32, bias []float64, tapOff, posBa
 // its gradients.
 func ConvGradParams(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
 	checkConvGrad(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
-	convGradParams(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
-}
-
-// ConvGradParamsGo is ConvGradParams on the portable scalar kernel.
-func ConvGradParamsGo(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConvGrad(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
-	convGradParamsGo(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
+	taps, spatial := len(tapOff), len(posBase)
+	for oc := 0; oc < outC; oc++ {
+		// Row taps is dB: the same streams over dy alone.
+		for p := 0; p <= taps; p++ {
+			var s [8]float32
+			for b := 0; b < batch; b++ {
+				img := in[b*sampleLen : (b+1)*sampleLen]
+				g := dy[(b*outC+oc)*spatial : (b*outC+oc+1)*spatial]
+				if p == taps {
+					for pos, v := range g {
+						s[pos%8] += v
+					}
+					continue
+				}
+				win := img[tapOff[p]:]
+				for pos, v := range g {
+					s[pos%8] += float32(win[posBase[pos]] * v)
+				}
+			}
+			sums[p*outC+oc] = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+		}
+	}
 }
 
 // ConvGradInput computes dLoss/dInput of every sample in the padded
@@ -87,22 +102,41 @@ func ConvGradParamsGo(sums, in, dy []float32, tapOff, posBase []int, batch, samp
 //	dpad[b][posBase[pos]+tapOff[p]] += float64(((t0 + t1) + t2) + t3)
 //	t[oc%4] += w[p][oc] · dy[b][oc][pos]   oc ascending, each from +0
 //
-// in float32 up to the conversion, one multiply then one add and no fused
-// multiply-add, for p ascending. A tap reaches a cell from at most one
-// position, so per cell the float64 chain is one add per tap, taps
-// ascending from +0. A tap that falls outside the image for some cell is
-// skipped there, as col2im skips it, not multiplied by a zero: its only
-// positions land on the padding border, which absorbs them and which the
-// caller drops when it copies the interiors out.
+// in float32 up to the conversion, one multiply then one add, for p
+// ascending. A tap reaches a cell from at most one position, so per cell
+// the float64 chain is one add per tap, taps ascending from +0. A tap
+// that falls outside the image for some cell is skipped there, as col2im
+// skips it, not multiplied by a zero: its only positions land on the
+// padding border, which absorbs them and which the caller drops when it
+// copies the interiors out.
 func ConvGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
 	checkConvGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
-	convGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
-}
-
-// ConvGradInputGo is ConvGradInput on the portable scalar kernel.
-func ConvGradInputGo(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
-	checkConvGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
-	convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
+	spatial := len(posBase)
+	// One tap's four streams for a run of positions: positions innermost,
+	// so the gradient rows stream and the weight is a scalar.
+	var t [4][16]float32
+	for b := 0; b < batch; b++ {
+		pad := dpad[b*sampleLen : (b+1)*sampleLen]
+		clear(pad)
+		g := dy[b*outC*spatial : (b+1)*outC*spatial]
+		for p, off := range tapOff {
+			cells := pad[off:]
+			for pos0 := 0; pos0 < spatial; pos0 += len(t[0]) {
+				n := min(len(t[0]), spatial-pos0)
+				t = [4][16]float32{}
+				for oc := 0; oc < outC; oc++ {
+					wv := w[p*outC+oc]
+					s := t[oc%4][:n]
+					for i, v := range g[oc*spatial+pos0 : oc*spatial+pos0+n] {
+						s[i] += float32(wv * v)
+					}
+				}
+				for i := 0; i < n; i++ {
+					cells[posBase[pos0+i]] += float64(((t[0][i] + t[1][i]) + t[2][i]) + t[3][i])
+				}
+			}
+		}
+	}
 }
 
 // checkConv validates what the kernels share. Together with the
@@ -164,93 +198,4 @@ func checkConvGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, 
 		panic(fmt.Sprintf("tensor: ConvGradInput weights have %d elements, want %d taps x %d channels", len(w), len(tapOff), outC))
 	}
 	checkLen("ConvGradInput", "output gradient", len(dy), batch*outC*len(posBase))
-}
-
-// convVector reports whether the vector kernels take a geometry: at
-// least one eight-channel block, and positions in groups of four whose
-// window origins are consecutive (stride 1, output rows a multiple of
-// four wide), sixteen or more at a time.
-func convVector(posBase []int, outC int) bool {
-	if outC < convLanes || len(posBase)%16 != 0 {
-		return false
-	}
-	for i := 0; i < len(posBase); i += 4 {
-		q := posBase[i : i+4 : i+4]
-		if q[1] != q[0]+1 || q[2] != q[0]+2 || q[3] != q[0]+3 {
-			return false
-		}
-	}
-	return true
-}
-
-func convForwardGo(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	spatial := len(posBase)
-	for b := 0; b < batch; b++ {
-		img := in[b*sampleLen : (b+1)*sampleLen]
-		o := out[b*outC*spatial : (b+1)*outC*spatial]
-		for oc := 0; oc < outC; oc++ {
-			for pos, base := range posBase {
-				win := img[base:]
-				var s float32
-				for p, off := range tapOff {
-					s += float32(win[off] * w[p*outC+oc])
-				}
-				o[oc*spatial+pos] = float64(s) + bias[oc]
-			}
-		}
-	}
-}
-
-func convGradParamsGo(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
-	taps, spatial := len(tapOff), len(posBase)
-	for oc := 0; oc < outC; oc++ {
-		// Row taps is dB: the same streams over dy alone.
-		for p := 0; p <= taps; p++ {
-			var s [8]float32
-			for b := 0; b < batch; b++ {
-				img := in[b*sampleLen : (b+1)*sampleLen]
-				g := dy[(b*outC+oc)*spatial : (b*outC+oc+1)*spatial]
-				if p == taps {
-					for pos, v := range g {
-						s[pos%8] += v
-					}
-					continue
-				}
-				win := img[tapOff[p]:]
-				for pos, v := range g {
-					s[pos%8] += float32(win[posBase[pos]] * v)
-				}
-			}
-			sums[p*outC+oc] = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-		}
-	}
-}
-
-func convGradInputGo(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
-	spatial := len(posBase)
-	// One tap's four streams for a run of positions: positions innermost,
-	// so the gradient rows stream and the weight is a scalar.
-	var t [4][16]float32
-	for b := 0; b < batch; b++ {
-		pad := dpad[b*sampleLen : (b+1)*sampleLen]
-		clear(pad)
-		g := dy[b*outC*spatial : (b+1)*outC*spatial]
-		for p, off := range tapOff {
-			cells := pad[off:]
-			for pos0 := 0; pos0 < spatial; pos0 += len(t[0]) {
-				n := min(len(t[0]), spatial-pos0)
-				t = [4][16]float32{}
-				for oc := 0; oc < outC; oc++ {
-					wv := w[p*outC+oc]
-					s := t[oc%4][:n]
-					for i, v := range g[oc*spatial+pos0 : oc*spatial+pos0+n] {
-						s[i] += float32(wv * v)
-					}
-				}
-				for i := 0; i < n; i++ {
-					cells[posBase[pos0+i]] += float64(((t[0][i] + t[1][i]) + t[2][i]) + t[3][i])
-				}
-			}
-		}
-	}
 }

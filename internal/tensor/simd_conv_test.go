@@ -59,117 +59,121 @@ func sameBits64(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestConvKernelsMatchTwins holds each dispatched conv kernel to its
-// float32 twin over an edge sweep: input channels 1–4, 1×1 and 3×3
-// kernels, stride 1 and 2, padding 0 and 1, planes whose output rows are
-// or are not a multiple of four or eight wide (the vector kernels take
-// only runs of four consecutive positions, sixteen positions at a time),
-// output channels 1–17 (the eight-channel blocks, a moved-back last one,
-// and counts below a block that the twin takes), batches 1–3. Each shape
-// runs twice: on uniform operands, and with a NaN, ±Inf and −0 planted in
-// the input, the weights and the output gradient, and −0 in the bias.
-// Every element must match bit for bit, with one exception: where two
-// NaNs meet in a multiply or an add, which payload survives follows the
-// operand order the Go compiler picks for the twin's commutative
-// operation, so two NaNs compare equal whatever their payloads. The AVX2
-// kernels' payloads are pinned instead, with every other bit, by the hash
-// of the shapes they run.
+// TestConvKernelsMatchTwins holds each Winograd kernel to its Go twin
+// over the planes the layout takes — rows a multiple of eight wide
+// (second tile pair to the right) and of four (second pair below), one
+// and several quads a sample — input and output channels 1–17 each (the
+// eight-channel weight-gradient blocks, a moved-back last one, and counts
+// under a block, which run the twins), batches 1–3 (an odd quad count
+// repeats the last quad in a group's high half), on uniform operands and
+// with NaN, ±Inf and −0 planted in the input, the filters and the output
+// gradient. Every element must match bit for bit, with one exception:
+// where two NaNs meet in a multiply or an add, which payload survives
+// follows the operand order the Go compiler picks for the twin's
+// commutative operation, so two NaNs compare equal whatever their
+// payloads. The AVX2 kernels' payloads are pinned instead, with every
+// other bit, by the hash of the shapes they run.
 func TestConvKernelsMatchTwins(t *testing.T) {
-	rng := NewRNG(23)
+	rng := NewRNG(41)
 	negZero := float32(math.Copysign(0, -1))
 	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), negZero}
-	plant := func(v []float32) {
-		for _, s := range specials {
-			v[rng.Intn(len(v))] = s
-		}
-	}
 	sweep := sha256.New()
 	vector := 0
-	for _, inC := range []int{1, 2, 3, 4} {
-		for _, k := range []int{1, 3} {
-			for _, stride := range []int{1, 2} {
-				for _, pad := range []int{0, 1} {
-					for _, pl := range [][2]int{{4, 4}, {5, 5}, {6, 6}, {8, 4}, {4, 8}, {7, 3}, {8, 8}, {10, 6}, {6, 10}, {12, 4}} {
-						g := ConvGeom{InC: inC, InH: pl[0], InW: pl[1], KH: k, KW: k, Stride: stride, Pad: pad}
-						if g.Validate() != nil {
+	for _, pl := range [][2]int{{8, 8}, {4, 4}, {2, 8}, {8, 4}, {4, 12}, {6, 16}} {
+		for inC := 1; inC <= 17; inC++ {
+			for outC := 1; outC <= 17; outC++ {
+				g := ConvGeom{InC: inC, InH: pl[0], InW: pl[1], KH: 3, KW: 3, Stride: 1, Pad: 1}
+				p, q := NewWinograd(g, outC), NewWinograd(g, outC)
+				if p == nil {
+					t.Fatalf("%+v: no Winograd plan", g)
+				}
+				if p.Vector() {
+					vector++
+				}
+				ph, pw := g.InH+2, g.InW+2
+				for _, batch := range []int{1, 2, 3} {
+					for _, special := range []bool{false, true} {
+						what := fmt.Sprintf("%+v outC=%d batch=%d special=%v", g, outC, batch, special)
+						// Padded operands: random interiors, zero borders.
+						padded := func(planes int) []float32 {
+							v := make([]float32, planes*ph*pw)
+							for i := 0; i < planes; i++ {
+								for y := 1; y <= g.InH; y++ {
+									row := v[(i*ph+y)*pw+1 : (i*ph+y)*pw+1+g.InW]
+									copy(row, uniform32(rng, g.InW))
+									if special && rng.Intn(4) == 0 {
+										row[rng.Intn(len(row))] = specials[rng.Intn(len(specials))]
+									}
+								}
+							}
+							return v
+						}
+						in, dy := padded(batch*inC), padded(batch*outC)
+						w := rng.Uniform(-1, 1, outC*inC*9).Data
+						bias := rng.Uniform(-1, 1, outC).Data
+						if special {
+							w[rng.Intn(len(w))] = math.Inf(1)
+							w[rng.Intn(len(w))] = math.Copysign(0, -1)
+							bias[rng.Intn(outC)] = math.Copysign(0, -1)
+						}
+						p.SetWeights(w)
+						q.SetWeights(w)
+
+						out, outGo := make([]float64, batch*outC*g.InH*g.InW), make([]float64, batch*outC*g.InH*g.InW)
+						p.Forward(out, in, bias, batch)
+						q.ForwardGo(outGo, in, bias, batch)
+						sameBits64(t, what+" forward", out, outGo)
+
+						// The gradients are added to: start both from the same values.
+						dW, dB := rng.Uniform(-1, 1, outC*inC*9).Data, rng.Uniform(-1, 1, outC).Data
+						dWGo, dBGo := append([]float64(nil), dW...), append([]float64(nil), dB...)
+						p.GradParams(dW, dB, dy, batch)
+						q.GradParamsGo(dWGo, dBGo, dy, batch)
+						sameBits64(t, what+" dW", dW, dWGo)
+						sameBits64(t, what+" dB", dB, dBGo)
+
+						dx, dxGo := make([]float64, batch*inC*g.InH*g.InW), make([]float64, batch*inC*g.InH*g.InW)
+						p.GradInput(dx, dy, batch)
+						q.GradInputGo(dxGo, dy, batch)
+						sameBits64(t, what+" input grad", dx, dxGo)
+
+						if !p.Vector() {
 							continue
 						}
-						tapOff, posBase, sampleLen := convTables(g)
-						taps, spatial := len(tapOff), len(posBase)
-						for outC := 1; outC <= 17; outC++ {
-							isVector := convVector(posBase, outC)
-							if isVector {
-								vector++
-							}
-							batch := 1 + (outC+inC)%3
-							for _, special := range []bool{false, true} {
-								what := fmt.Sprintf("%+v outC=%d batch=%d special=%v", g, outC, batch, special)
-								in := uniform32(rng, batch*sampleLen)
-								w := uniform32(rng, taps*outC)
-								dy := uniform32(rng, batch*outC*spatial)
-								bias := rng.Uniform(-1, 1, outC).Data
-								if special {
-									plant(in)
-									plant(w)
-									plant(dy)
-									bias[rng.Intn(outC)] = math.Copysign(0, -1)
-								}
-
-								out, outGo := make([]float64, batch*outC*spatial), make([]float64, batch*outC*spatial)
-								ConvForward(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
-								ConvForwardGo(outGo, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
-								sameBits64(t, what+" forward", out, outGo)
-
-								sums, sumsGo := make([]float32, (taps+1)*outC), make([]float32, (taps+1)*outC)
-								ConvGradParams(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
-								ConvGradParamsGo(sumsGo, in, dy, tapOff, posBase, batch, sampleLen, outC)
-								sameBits32(t, what+" grad sums", sums, sumsGo)
-
-								// The input gradient zeroes what it writes: start both
-								// from garbage.
-								dpad, dpadGo := rng.Uniform(-1, 1, batch*sampleLen).Data, make([]float64, batch*sampleLen)
-								copy(dpadGo, dpad)
-								ConvGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
-								ConvGradInputGo(dpadGo, dy, w, tapOff, posBase, batch, sampleLen, outC)
-								sameBits64(t, what+" input grad", dpad, dpadGo)
-
-								if !isVector {
-									continue
-								}
-								for _, v := range out {
-									binary.Write(sweep, binary.LittleEndian, math.Float64bits(v))
-								}
-								for _, v := range sums {
-									binary.Write(sweep, binary.LittleEndian, math.Float32bits(v))
-								}
-								for _, v := range dpad {
-									binary.Write(sweep, binary.LittleEndian, math.Float64bits(v))
-								}
-							}
+						for _, v := range out {
+							binary.Write(sweep, binary.LittleEndian, math.Float64bits(v))
+						}
+						for _, v := range append(dW, dB...) {
+							binary.Write(sweep, binary.LittleEndian, math.Float64bits(v))
+						}
+						for _, v := range dx {
+							binary.Write(sweep, binary.LittleEndian, math.Float64bits(v))
 						}
 					}
 				}
 			}
 		}
 	}
-	if vector < 100 {
-		t.Fatalf("only %d shapes take the vector kernels", vector)
-	}
 	if CurrentBackend().Name() == "avx2" {
+		if vector < 200 {
+			t.Fatalf("only %d shapes take the vector kernels", vector)
+		}
 		if got := fmt.Sprintf("%x", sweep.Sum(nil)); got != convSweepAVX2 {
 			t.Fatalf("AVX2 sweep hash %s, want %s", got, convSweepAVX2)
 		}
 	}
 }
 
-// convSweepAVX2 is the hash of TestConvKernelsMatchTwins's results on the
-// shapes the AVX2 kernels take, NaN payloads included.
-const convSweepAVX2 = "c8a7175e4e22f4e862de9a8d42d34ddbad3f8955e59f4614b688e31ef757476f"
+// convSweepAVX2 is the hash of TestConvKernelsMatchTwins's results on
+// the shapes the AVX2 kernels take, NaN payloads included.
+const convSweepAVX2 = "b3fab96489b2405acfaee5d81a0e3486587b1af744d89de6701c6d2dd3a4b790"
 
 // TestConvDirectRejectsUncheckedTables: the wrappers are the only bounds
-// check the assembly gets, so a table that reaches past the padded
-// sample, a short operand or a weight matrix of the wrong size must all
-// panic in Go. (The kernels' arithmetic is pinned against the twins by
+// check the kernels get, so a table that reaches past the padded sample,
+// a short operand or a weight matrix of the wrong size must all panic in
+// Go — and so must a Winograd plan handed a short operand, filters of
+// another size, or gradients for a batch its last Forward did not run.
+// (The kernels' arithmetic is pinned against the twins by
 // TestConvKernelsMatchTwins, and nn bounds the layer against a float64
 // lowering: TestConvMatchesFloat64Reference.)
 func TestConvDirectRejectsUncheckedTables(t *testing.T) {
@@ -186,6 +190,18 @@ func TestConvDirectRejectsUncheckedTables(t *testing.T) {
 	ConvGradParams(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
 	ConvGradInput(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
 
+	wg := ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	wino := NewWinograd(wg, 8)
+	padded := batch * 6 * 6
+	wIn, wDy := make([]float32, 2*padded), make([]float32, 8*padded)
+	wOut, wDx := make([]float64, batch*8*16), make([]float64, batch*2*16)
+	wW, wBias := make([]float64, 8*2*9), make([]float64, 8)
+	wDW, wDB := make([]float64, 8*2*9), make([]float64, 8)
+	wino.SetWeights(wW) // the baseline is accepted
+	wino.Forward(wOut, wIn, wBias, batch)
+	wino.GradParams(wDW, wDB, wDy, batch)
+	wino.GradInput(wDx, wDy, batch)
+
 	for _, tc := range []struct {
 		name, want string
 		call       func()
@@ -200,7 +216,7 @@ func TestConvDirectRejectsUncheckedTables(t *testing.T) {
 			ConvForward(out, in, w, bias, []int{-1, 0}, posBase, batch, sampleLen, outC)
 		}},
 		{"no output channel", "0 channels", func() {
-			ConvForwardGo(out, in, w[:0], bias, tapOff, posBase, batch, sampleLen, 0)
+			ConvForward(out, in, w[:0], bias, tapOff, posBase, batch, sampleLen, 0)
 		}},
 		{"short input", "input has", func() {
 			ConvForward(out, in[:len(in)-1], w, bias, tapOff, posBase, batch, sampleLen, outC)
@@ -215,7 +231,7 @@ func TestConvDirectRejectsUncheckedTables(t *testing.T) {
 			ConvForward(out, in, make([]float32, taps*outC+1), bias, tapOff, posBase, batch, sampleLen, outC)
 		}},
 		{"sums without the bias row", "sums have", func() {
-			ConvGradParamsGo(make([]float32, taps*outC), in, dy, tapOff, posBase, batch, sampleLen, outC)
+			ConvGradParams(make([]float32, taps*outC), in, dy, tapOff, posBase, batch, sampleLen, outC)
 		}},
 		{"short output gradient", "output gradient has", func() {
 			ConvGradParams(sums, in, dy[:len(dy)-1], tapOff, posBase, batch, sampleLen, outC)
@@ -224,7 +240,7 @@ func TestConvDirectRejectsUncheckedTables(t *testing.T) {
 			ConvGradInput(dpad, dy, w, []int{0, 11}, posBase, batch, sampleLen, outC)
 		}},
 		{"input-gradient position past the sample", "tables reach", func() {
-			ConvGradInputGo(dpad, dy, w, tapOff, []int{0, 1, 4, 15}, batch, sampleLen, outC)
+			ConvGradInput(dpad, dy, w, tapOff, []int{0, 1, 4, 15}, batch, sampleLen, outC)
 		}},
 		{"short padded gradient", "input has", func() {
 			ConvGradInput(dpad[:len(dpad)-1], dy, w, tapOff, posBase, batch, sampleLen, outC)
@@ -233,7 +249,32 @@ func TestConvDirectRejectsUncheckedTables(t *testing.T) {
 			ConvGradInput(dpad, dy, w[:len(w)-1], tapOff, posBase, batch, sampleLen, outC)
 		}},
 		{"short incoming gradient", "output gradient has", func() {
-			ConvGradInputGo(dpad, dy[:len(dy)-1], w, tapOff, posBase, batch, sampleLen, outC)
+			ConvGradInput(dpad, dy[:len(dy)-1], w, tapOff, posBase, batch, sampleLen, outC)
+		}},
+		// The Winograd plans are the assembly's only bounds check too.
+		{"Winograd short input", "Winograd input has", func() {
+			wino.Forward(wOut, wIn[:len(wIn)-1], wBias, batch)
+		}},
+		{"Winograd short output", "Winograd output has", func() {
+			wino.Forward(wOut[:len(wOut)-1], wIn, wBias, batch)
+		}},
+		{"Winograd short bias", "Winograd bias has", func() {
+			wino.Forward(wOut, wIn, wBias[:7], batch)
+		}},
+		{"Winograd filters of another size", "Winograd weights have", func() {
+			wino.SetWeights(wW[:len(wW)-1])
+		}},
+		{"Winograd gradients after another batch", "the last Forward ran 2", func() {
+			wino.GradParams(wDW, wDB, wDy, batch-1)
+		}},
+		{"Winograd gradients of another size", "Winograd gradients have", func() {
+			wino.GradParams(wDW[:len(wDW)-1], wDB, wDy, batch)
+		}},
+		{"Winograd short output gradient", "Winograd output gradient has", func() {
+			wino.GradInput(wDx, wDy[:len(wDy)-1], batch)
+		}},
+		{"Winograd short input gradient", "Winograd input gradient has", func() {
+			wino.GradInput(wDx[:len(wDx)-1], wDy, batch)
 		}},
 	} {
 		func() {

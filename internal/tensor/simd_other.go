@@ -16,18 +16,6 @@ func dotTile(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float
 	dotTileGo(acc, a, b, c0, n)
 }
 
-func convForward(out []float64, in, w []float32, bias []float64, tapOff, posBase []int, batch, sampleLen, outC int) {
-	convForwardGo(out, in, w, bias, tapOff, posBase, batch, sampleLen, outC)
-}
-
-func convGradParams(sums, in, dy []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
-	convGradParamsGo(sums, in, dy, tapOff, posBase, batch, sampleLen, outC)
-}
-
-func convGradInput(dpad []float64, dy, w []float32, tapOff, posBase []int, batch, sampleLen, outC int) {
-	convGradInputGo(dpad, dy, w, tapOff, posBase, batch, sampleLen, outC)
-}
-
 func narrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
 	narrowPaddedGo(dst, src, planes, h, w, pad)
 }
@@ -63,3 +51,21 @@ func lerp(dst, v, w []float64, a, b float64) { lerpGo(dst, v, w, a, b) }
 func allFinite(v []float64) bool { return allFiniteGo(v) }
 
 func (g *RNG) dirichletInto(p []float64, alpha float64) { g.DirichletIntoGo(p, alpha) }
+
+func winoVector(outC int) bool { return false }
+
+func winoInput(v, in []float32, tab []int, groups, chans, plane, pw, d2 int, vec bool) {
+	winoInputGo(v, in, tab, groups, chans, plane, pw, d2)
+}
+
+func winoOutput(out []float64, v, u []float32, bias []float64, tab []int, groups, inC, outC, plane, ow, d2 int, vec bool) {
+	winoOutputGo(out, v, u, bias, tab, groups, inC, outC, plane, ow, d2)
+}
+
+func winoGradDy(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 int, dup, vec bool) {
+	winoGradDyGo(s, db, dy, tab, groups, outC, plane, pw, d2, dup)
+}
+
+func winoGradMul(mw, acc, v, s []float32, groups, inC, outC int, last, vec bool) {
+	winoGradMulGo(mw, acc, v, s, groups, inC, outC, last)
+}

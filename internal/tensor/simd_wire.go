@@ -10,7 +10,7 @@ import (
 // registers and never stored. ref == nil means no delta: the residual is v
 // itself and nothing is added back.
 //
-// Like DotTile and ConvForward these are platform-dispatched package
+// Like DotTile and the Winograd kernels these are platform-dispatched package
 // functions, not Backend methods. In the quantise and dequantise kernels
 // each lane performs the scalar loop's operations in the scalar loop's
 // order, one rounding per operation and no fused multiply-add; the range
