@@ -776,8 +776,8 @@ var gates = []gate{
 		}
 		var stages []stage
 		for _, c := range []struct{ ch, side int }{{8, models.VisionH}, {16, models.VisionH / 2}} {
-			folded := nn.NewReLUMaxPool2D(c.ch, c.side, c.side, 2)
-			stages = append(stages, stage{folded, nn.NewMaxPool2D(c.ch, c.side, c.side, 2), nn.NewReLU(),
+			folded := nn.NewReLUMaxPool2D(c.ch, c.side, c.side)
+			stages = append(stages, stage{folded, nn.NewMaxPool2D(c.ch, c.side, c.side), nn.NewReLU(),
 				rng.Randn(1, convBatch, folded.InFeatures()), rng.Randn(1, convBatch, folded.OutFeatures())})
 		}
 		return func() {
@@ -795,55 +795,36 @@ var gates = []gate{
 
 	// The CNN step's data movement on its AVX2 kernels against their Go
 	// twins, batch 50, one call a batch each as nn.Conv2D and MaxPool2D make
-	// them. narrow: both convolutions' inputs into their padded float32
-	// buffers and both incoming gradients to float32 (pad 0); unpad: both
-	// geometries' input gradients out of their padded float64 buffers;
-	// unpool: both ReLU-pool stages' 2×2 backward passes. Measured narrow
-	// 3.18–5.00×, unpad 2.62–5.54×, each gated at half its low end; with the
-	// kernel on its twin 0.87–1.05× and 0.71–1.05×. unpool's twin is the
+	// them. narrow: both convolutions' inputs and incoming gradients into
+	// their float32 buffers padded by one, measured 3.76–4.48× over ten
+	// runs and gated at 1.6; 0.81–1.14× with the kernel on its twin.
+	// unpool: both ReLU-pool stages' 2×2 backward passes; its twin is the
 	// zero-and-scatter loop the kernel replaced: 1.65–2.63×, half of which
 	// would gate nothing, and 0.87–1.22× with the kernel on the twin, so
 	// its floor sits between the two. Below the bound the kernel fell back
 	// to its twin.
 	glueRow("narrow", 1.6, func(*tensor.RNG) (func(), func()) {
 		type call struct {
-			dst               []float32
-			src               []float64
-			planes, h, w, pad int
+			dst        []float32
+			src        []float64
+			planes, hw int
 		}
 		var calls []call
 		for _, l := range convLayers() {
-			g := l.conv.Geom
+			g, side := l.conv.Geom, l.conv.Geom.InH
+			plane := (side + 2) * (side + 2) // padded by one
 			calls = append(calls,
-				call{make([]float32, convBatch*g.InC*(g.InH+2)*(g.InW+2)), l.x.Data, convBatch * g.InC, g.InH, g.InW, 1},
-				call{make([]float32, len(l.grad.Data)), l.grad.Data, 1, 1, len(l.grad.Data), 0})
+				call{make([]float32, convBatch*g.InC*plane), l.x.Data, convBatch * g.InC, side},
+				call{make([]float32, convBatch*l.conv.OutC*plane), l.grad.Data, convBatch * l.conv.OutC, side})
 		}
 		run := func(f func([]float32, []float64, int, int, int, int)) func() {
 			return func() {
 				for _, c := range calls {
-					f(c.dst, c.src, c.planes, c.h, c.w, c.pad)
+					f(c.dst, c.src, c.planes, c.hw, c.hw, 1)
 				}
 			}
 		}
 		return run(tensor.NarrowPaddedGo), run(tensor.NarrowPadded)
-	}),
-	glueRow("unpad", 1.3, func(rng *tensor.RNG) (func(), func()) {
-		var dsts, srcs [][]float64
-		var geoms []tensor.ConvGeom
-		for _, l := range convLayers() {
-			g := l.conv.Geom
-			dsts = append(dsts, make([]float64, convBatch*l.conv.InFeatures()))
-			srcs = append(srcs, rng.Randn(1, convBatch*g.InC*(g.InH+2)*(g.InW+2)).Data)
-			geoms = append(geoms, g)
-		}
-		run := func(f func(dst, src []float64, planes, h, w, pad int)) func() {
-			return func() {
-				for i, g := range geoms {
-					f(dsts[i], srcs[i], convBatch*g.InC, g.InH, g.InW, 1)
-				}
-			}
-		}
-		return run(tensor.UnpadGo), run(tensor.Unpad)
 	}),
 	glueRow("unpool", 1.35, func(rng *tensor.RNG) (func(), func()) {
 		type stage struct {

@@ -54,10 +54,10 @@ func CNN(classes int) Factory {
 		New: func(rng *tensor.RNG) *nn.Sequential {
 			g1 := tensor.ConvGeom{InC: VisionC, InH: VisionH, InW: VisionW, KH: 3, KW: 3, Stride: 1, Pad: 1}
 			c1 := nn.NewConv2D(g1, 8, rng)
-			p1 := nn.NewReLUMaxPool2D(8, VisionH, VisionW, 2)
+			p1 := nn.NewReLUMaxPool2D(8, VisionH, VisionW)
 			g2 := tensor.ConvGeom{InC: 8, InH: VisionH / 2, InW: VisionW / 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
 			c2 := nn.NewConv2D(g2, 16, rng)
-			p2 := nn.NewReLUMaxPool2D(16, VisionH/2, VisionW/2, 2)
+			p2 := nn.NewReLUMaxPool2D(16, VisionH/2, VisionW/2)
 			return nn.NewSequential(
 				c1, p1,
 				c2, p2,
@@ -87,7 +87,7 @@ func ResNetMini(classes int) Factory {
 			return nn.NewSequential(
 				stem, nn.NewReLU(),
 				block(VisionH, VisionW),
-				nn.NewReLUMaxPool2D(ch, VisionH, VisionW, 2),
+				nn.NewReLUMaxPool2D(ch, VisionH, VisionW),
 				block(VisionH/2, VisionW/2), nn.NewReLU(),
 				nn.NewGlobalAvgPool(ch, VisionH/2, VisionW/2),
 				nn.NewLinear(ch, classes, rng),
@@ -109,10 +109,10 @@ func VGGMini(classes int) Factory {
 			return nn.NewSequential(
 				conv(VisionC, 16, VisionH, VisionW), nn.NewReLU(),
 				conv(16, 16, VisionH, VisionW),
-				nn.NewReLUMaxPool2D(16, VisionH, VisionW, 2),
+				nn.NewReLUMaxPool2D(16, VisionH, VisionW),
 				conv(16, 32, VisionH/2, VisionW/2), nn.NewReLU(),
 				conv(32, 32, VisionH/2, VisionW/2),
-				nn.NewReLUMaxPool2D(32, VisionH/2, VisionW/2, 2),
+				nn.NewReLUMaxPool2D(32, VisionH/2, VisionW/2),
 				nn.NewLinear(32*(VisionH/4)*(VisionW/4), 64, rng), nn.NewReLU(),
 				nn.NewLinear(64, classes, rng),
 			)

@@ -207,11 +207,10 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 	}
 }
 
-// TestConvLayersTakeWinograd: every convolution the product builds is
-// one tensor.NewWinograd takes, and on amd64 with AVX2 (not purego) runs
-// its assembly rather than the Go twins — a model whose geometry slipped
-// off the vector path would train at the twins' speed and pass every
-// other test. The zoo's convolutions cover input and output channel
+// TestConvLayersTakeWinograd: every convolution the product builds runs,
+// on amd64 with AVX2 (not purego), the Winograd assembly rather than the
+// Go twins — a model whose channel counts slipped off the vector path
+// would train at the twins' speed and pass every other test. The zoo's convolutions cover input and output channel
 // counts 3, 8, 12, 16 and 32.
 func TestConvLayersTakeWinograd(t *testing.T) {
 	vectorBuild := tensor.CurrentBackend().Name() == "avx2"
@@ -227,10 +226,7 @@ func TestConvLayersTakeWinograd(t *testing.T) {
 			walk(name, l.Body)
 		case *nn.Conv2D:
 			channels[l.Geom.InC], channels[l.OutC] = true, true
-			on, vector := l.Winograd()
-			if !on {
-				t.Errorf("%s: conv %+v → %d channels runs the direct kernels", name, l.Geom, l.OutC)
-			} else if vectorBuild && !vector {
+			if vectorBuild && !l.Vector() {
 				t.Errorf("%s: conv %+v → %d channels runs the Winograd Go twins", name, l.Geom, l.OutC)
 			}
 		}

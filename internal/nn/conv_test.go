@@ -22,14 +22,18 @@ type refConv struct {
 	cols, y, dcols *tensor.Tensor
 }
 
-// newRefConv returns the reference for c's geometry, on copies of c's
-// parameters and gradients.
-func newRefConv(c *Conv2D) *refConv {
-	g := c.Geom
+// newRefConv returns a reference convolution of any geometry g with outC
+// output channels, its filters drawn from rng as NewConv2D draws them.
+func newRefConv(g tensor.ConvGeom, outC int, rng *tensor.RNG) *refConv {
 	rows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
-	return &refConv{g: g, outC: c.OutC, W: c.W.Clone(), B: c.B.Clone(), dW: c.dW.Clone(), dB: c.dB.Clone(),
-		cols: tensor.Zeros(rows, spatial), y: tensor.Zeros(c.OutC, spatial), dcols: tensor.Zeros(rows, spatial)}
+	bound := math.Sqrt(6.0 / float64(rows))
+	return &refConv{g: g, outC: outC, W: rng.Uniform(-bound, bound, outC, rows), B: tensor.Zeros(outC),
+		dW: tensor.Zeros(outC, rows), dB: tensor.Zeros(outC),
+		cols: tensor.Zeros(rows, spatial), y: tensor.Zeros(outC, spatial), dcols: tensor.Zeros(rows, spatial)}
 }
+
+// OutFeatures returns the flattened output width.
+func (r *refConv) OutFeatures() int { return r.outC * r.g.OutH() * r.g.OutW() }
 
 func (r *refConv) sample(x *tensor.Tensor, b int) *tensor.Tensor {
 	n := r.g.InC * r.g.InH * r.g.InW
@@ -72,15 +76,6 @@ func (r *refConv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 func (r *refConv) Params() []*tensor.Tensor { return []*tensor.Tensor{r.W, r.B} }
 func (r *refConv) Grads() []*tensor.Tensor  { return []*tensor.Tensor{r.dW, r.dB} }
-
-// absOf returns a tensor of the absolute values of t.
-func absOf(t *tensor.Tensor) *tensor.Tensor {
-	a := t.Clone()
-	for i, v := range a.Data {
-		a.Data[i] = math.Abs(v)
-	}
-	return a
-}
 
 // gamma is γ(k) = k·u/(1−k·u) for float32's unit roundoff u = 2⁻²⁴: the
 // relative bound on a sum of k terms each carrying at most k roundings.
@@ -280,14 +275,10 @@ func plantSpecials(rng *tensor.RNG, data []float64) {
 }
 
 // TestConvMatchesFloat64Reference holds the product Conv2D — float32
-// kernels between float64 boundaries — to the float64 reference
+// Winograd kernels between float64 boundaries — to the float64 reference
 // convolution: out, dW, dB and dx each within γ(n+2) of the sum of their
-// terms' magnitudes (see withinBound). On the direct kernels n is the
-// taps for out, the batch's positions for dW and dB (whose float32 sums
-// are added to gradients that already hold values, a term of their own),
-// and the output channels for each of dx's per-tap terms. On the Winograd
-// kernels (3×3, stride 1, pad 1 on even planes) the terms are those of
-// the transforms' expansion (absConv, absGrads) and n + 2 counts every
+// terms' magnitudes (see withinBound). The terms are those of the
+// transforms' expansion (absConv, absGrads) and n + 2 counts every
 // rounding a term passes: for out the input's conversion and 2 in
 // Bᵀ d B, the filter's conversion and 6 in G g Gᵀ (counting each ½ as one,
 // for subnormals), the product, InC in the channel sum, 4 in Aᵀ M A and
@@ -295,17 +286,18 @@ func plantSpecials(rng *tensor.RNG, data []float64) {
 // dW 3 in V, 3 in Ã dy Ãᵀ, the product, one per group of eight tiles, 3 in
 // the lane collapse, 6 in G̃ᵀ M G̃ and the add to the gradient (groups +
 // 17); for dB 3 in the tile sum, the groups, the collapse and the add
-// (groups + 7). It runs over kernel shapes, strides, paddings, planes
-// either kernel family takes and planes they leave to the twins, channel
-// counts on both sides of the eight-channel block, and batches that grow,
-// shrink and grow again through the same layer (a stale row of any
-// buffer would show); every other geometry plants a NaN, ±Inf and −0 in
-// x, W and the incoming gradient. Where the reference is non-finite the
-// layer must be too; on Winograd layers that is the NaN contract, and a
-// planted value may poison more cells than the reference's.
+// (groups + 7). It runs over planes whose tile pairs sit side by side
+// (rows a multiple of eight wide) and stacked (a multiple of four high),
+// one quad a sample and several, channel counts on both sides of the
+// eight-channel block, and batches that grow, shrink and grow again
+// through the same layer (a stale row of any buffer would show); half
+// the geometries plant a NaN, ±Inf and −0 in x, W and the incoming
+// gradient. Where the reference is non-finite the layer must be too (the
+// NaN contract), and a planted value may poison more cells than the
+// reference's.
 func TestConvMatchesFloat64Reference(t *testing.T) {
 	rng := tensor.NewRNG(15)
-	wino := 0 // batches checked on Winograd layers
+	checked := 0 // batches
 	check := func(g tensor.ConvGeom, outC int, batches []int, special bool) {
 		name := fmt.Sprintf("%+v outC=%d special=%v", g, outC, special)
 		c := NewConv2D(g, outC, rng)
@@ -313,7 +305,6 @@ func TestConvMatchesFloat64Reference(t *testing.T) {
 		if special {
 			plantSpecials(rng, c.W.Data)
 		}
-		taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 		for _, batch := range batches {
 			what := fmt.Sprintf("%s batch %d", name, batch)
 			x := rng.Uniform(-1, 1, batch, c.InFeatures())
@@ -324,18 +315,9 @@ func TestConvMatchesFloat64Reference(t *testing.T) {
 			}
 			c.dW = rng.Uniform(-1, 1, c.dW.Shape...)
 			c.dB = rng.Uniform(-1, 1, outC)
-			ref, abs := newRefConv(c), newRefConv(c)
-			abs.W, abs.B, abs.dW, abs.dB = absOf(c.W), absOf(c.B), absOf(c.dW), absOf(c.dB)
+			ref := newRefConv(g, outC, rng)
+			ref.W, ref.B, ref.dW, ref.dB = c.W.Clone(), c.B.Clone(), c.dW.Clone(), c.dB.Clone()
 
-			if c.wino == nil {
-				withinBound(t, what+" out", c.Forward(x).Data, ref.Forward(x).Data, abs.Forward(absOf(x)).Data, taps, false)
-				dx := c.Backward(grad)
-				withinBound(t, what+" dx", dx.Data, ref.Backward(grad).Data, abs.Backward(absOf(grad)).Data, outC, false)
-				withinBound(t, what+" dW", c.dW.Data, ref.dW.Data, abs.dW.Data, batch*spatial, false)
-				withinBound(t, what+" dB", c.dB.Data, ref.dB.Data, abs.dB.Data, batch*spatial, false)
-				continue
-			}
-			wino++
 			h, w := g.InH, g.InW
 			groups := (batch*h*w/16 + 1) / 2
 			absOut := absConv(x.Data, g.InC, outC, h, w, func(o, ic int) [4][4]float64 {
@@ -350,37 +332,29 @@ func TestConvMatchesFloat64Reference(t *testing.T) {
 			withinBound(t, what+" dx", dx.Data, ref.Backward(grad).Data, absDx, outC+13, special)
 			withinBound(t, what+" dW", c.dW.Data, ref.dW.Data, absDW, groups+15, special)
 			withinBound(t, what+" dB", c.dB.Data, ref.dB.Data, absDB, groups+5, special)
+			checked++
 		}
 	}
 
 	n := 0
-	for _, k := range [][2]int{{1, 1}, {3, 3}, {5, 3}} {
-		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1, 2} {
-				for _, pl := range [][2]int{{4, 4}, {5, 7}, {8, 8}} {
-					for _, inC := range []int{1, 3, 8} {
-						for _, outC := range []int{1, 8, 12, 16} {
-							g := tensor.ConvGeom{InC: inC, InH: pl[0], InW: pl[1], KH: k[0], KW: k[1], Stride: stride, Pad: pad}
-							if g.Validate() != nil {
-								continue
-							}
-							// A training-sized batch on a third of the grid;
-							// growth, a shorter batch and growth again
-							// everywhere.
-							batches := []int{1, 3, 2, 4}
-							if n%3 == 0 {
-								batches = []int{1, 3, 50, 7, 9}
-							}
-							check(g, outC, batches, n%2 == 1)
-							n++
-						}
-					}
+	for _, pl := range [][2]int{{4, 4}, {8, 8}, {4, 12}, {6, 16}} {
+		for _, inC := range []int{1, 3, 8} {
+			for _, outC := range []int{1, 8, 12, 16} {
+				g := tensor.ConvGeom{InC: inC, InH: pl[0], InW: pl[1], KH: 3, KW: 3, Stride: 1, Pad: 1}
+				// A training-sized batch on a third of the grid; growth, a
+				// shorter batch and growth again everywhere. Specials on
+				// half, each channel count with and without them.
+				batches := []int{1, 3, 2, 4}
+				if n%3 == 0 {
+					batches = []int{1, 3, 50, 7, 9}
 				}
+				check(g, outC, batches, (n+n/4)%2 == 1)
+				n++
 			}
 		}
 	}
-	if n < 500 || wino < 20 {
-		t.Fatalf("only %d geometries checked, %d batches on the Winograd kernels", n, wino)
+	if checked < 200 {
+		t.Fatalf("only %d batches checked", checked)
 	}
 }
 
@@ -414,9 +388,22 @@ func sprinkle(rng *tensor.RNG, data []float64) {
 // the first Forward, inside a kernel (NewConv2D with no output channel
 // used to fail there, NewMaxPool2D took empty planes because 0%k is 0,
 // and NewGlobalAvgPool took an empty plane, whose average is 0/0).
+// NewConv2D takes exactly the geometries tensor.NewWinograd takes.
 func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
 	rng := tensor.NewRNG(24)
 	g := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	refused := func(name, want string, build func()) {
+		t.Helper()
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, want) {
+				t.Errorf("%s: panic %q, want one starting %q", name, msg, want)
+			}
+		}()
+		build()
+	}
+	geom := func(h, w, k, stride, pad int) tensor.ConvGeom {
+		return tensor.ConvGeom{InC: 2, InH: h, InW: w, KH: k, KW: k, Stride: stride, Pad: pad}
+	}
 	for _, tc := range []struct {
 		name, want string
 		build      func()
@@ -426,26 +413,48 @@ func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
 		{"conv with an empty plane", "nn: Conv2D: tensor: conv geometry", func() {
 			NewConv2D(tensor.ConvGeom{InC: 2, InH: 0, InW: 4, KH: 1, KW: 1, Stride: 1}, 4, rng)
 		}},
-		{"pool without channels", "nn: MaxPool2D: 0 channels of 4x4", func() { NewMaxPool2D(0, 4, 4, 2) }},
-		{"pool without rows", "nn: MaxPool2D: 2 channels of 0x4", func() { NewMaxPool2D(2, 0, 4, 2) }},
-		{"pool without columns", "nn: MaxPool2D: 2 channels of 4x0", func() { NewReLUMaxPool2D(2, 4, 0, 2) }},
-		{"pool with negative rows", "nn: MaxPool2D: 2 channels of -2x4", func() { NewMaxPool2D(2, -2, 4, 2) }},
-		{"pool kernel that does not divide", "nn: MaxPool2D: kernel 3 must divide 4x4", func() { NewMaxPool2D(2, 4, 4, 3) }},
+		{"conv over a 5x5 plane", "nn: Conv2D: geometry {InC:2 InH:5 InW:5 ", func() { NewConv2D(geom(5, 5, 3, 1, 1), 4, rng) }},
+		{"conv at stride 2", "nn: Conv2D: geometry {InC:2 InH:8 InW:8 KH:3 KW:3 Stride:2 ", func() { NewConv2D(geom(8, 8, 3, 2, 1), 4, rng) }},
+		{"conv with a 1x1 kernel", "nn: Conv2D: geometry {InC:2 InH:8 InW:8 KH:1 KW:1 ", func() { NewConv2D(geom(8, 8, 1, 1, 1), 4, rng) }},
+		{"conv without padding", "nn: Conv2D: geometry {InC:2 InH:8 InW:8 KH:3 KW:3 Stride:1 Pad:0}", func() { NewConv2D(geom(8, 8, 3, 1, 0), 4, rng) }},
+		{"conv over a 4x6 plane", "nn: Conv2D: geometry {InC:2 InH:4 InW:6 ", func() { NewConv2D(geom(4, 6, 3, 1, 1), 4, rng) }},
+		{"pool without channels", "nn: MaxPool2D: 0 channels of 4x4", func() { NewMaxPool2D(0, 4, 4) }},
+		{"pool without rows", "nn: MaxPool2D: 2 channels of 0x4", func() { NewMaxPool2D(2, 0, 4) }},
+		{"pool without columns", "nn: MaxPool2D: 2 channels of 4x0", func() { NewReLUMaxPool2D(2, 4, 0) }},
+		{"pool with negative rows", "nn: MaxPool2D: 2 channels of -2x4", func() { NewMaxPool2D(2, -2, 4) }},
+		{"pool over odd rows", "nn: MaxPool2D: 3x4 planes", func() { NewMaxPool2D(2, 3, 4) }},
+		{"pool over odd columns", "nn: MaxPool2D: 4x5 planes", func() { NewReLUMaxPool2D(2, 4, 5) }},
 		{"average pool without channels", "nn: GlobalAvgPool: 0 channels of 4x4", func() { NewGlobalAvgPool(0, 4, 4) }},
 		{"average pool without rows", "nn: GlobalAvgPool: 2 channels of 0x4", func() { NewGlobalAvgPool(2, 0, 4) }},
 		{"average pool without columns", "nn: GlobalAvgPool: 2 channels of 4x0", func() { NewGlobalAvgPool(2, 4, 0) }},
 	} {
-		func() {
-			defer func() {
-				if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, tc.want) {
-					t.Errorf("%s: panic %q, want one starting %q", tc.name, msg, tc.want)
+		refused(tc.name, tc.want, tc.build)
+	}
+	// Every valid geometry of the sweep is built exactly when the Winograd
+	// kernels take it.
+	built := 0
+	for _, k := range []int{1, 2, 3, 5} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, pl := range [][2]int{{2, 8}, {4, 4}, {4, 6}, {4, 12}, {5, 7}, {6, 8}, {6, 16}, {8, 8}} {
+					g := geom(pl[0], pl[1], k, stride, pad)
+					switch {
+					case g.Validate() != nil:
+					case tensor.NewWinograd(g, 4) == nil:
+						refused(fmt.Sprintf("%+v", g), fmt.Sprintf("nn: Conv2D: geometry %+v", g), func() { NewConv2D(g, 4, rng) })
+					default:
+						NewConv2D(g, 4, rng)
+						built++
+					}
 				}
-			}()
-			tc.build()
-		}()
+			}
+		}
+	}
+	if built != 6 {
+		t.Errorf("%d geometries of the sweep built, want the 6 the Winograd kernels take", built)
 	}
 	NewConv2D(g, 1, rng) // the smallest runnable sizes are accepted
-	NewMaxPool2D(1, 1, 1, 1)
+	NewMaxPool2D(1, 2, 2)
 	NewGlobalAvgPool(1, 1, 1)
 }
 
@@ -453,7 +462,7 @@ func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
 // gives the running maximum.
 var poolKinds = []struct {
 	name  string
-	new   func(c, h, w, k int) *MaxPool2D
+	new   func(c, h, w int) *MaxPool2D
 	start float64
 }{
 	{"MaxPool2D", NewMaxPool2D, math.Inf(-1)},
@@ -463,12 +472,11 @@ var poolKinds = []struct {
 // TestMaxPoolNoWinnerBackward: a window that is all NaN records argmax -1
 // and must route no gradient — it used to index dst[-1] — and outputs the
 // start value, -Inf or the folded ReLU's +0. Width 2 takes the scalar
-// 2×2 path, 4×4 and width 8 the vector kernel where there is one, and
-// kernel 3 the generic loop.
+// twin, 4×4 and width 8 the vector kernel where there is one.
 func TestMaxPoolNoWinnerBackward(t *testing.T) {
 	for _, kind := range poolKinds {
-		for _, tc := range []struct{ h, w, k int }{{2, 2, 2}, {4, 4, 2}, {2, 8, 2}, {3, 3, 3}} {
-			p := kind.new(1, tc.h, tc.w, tc.k)
+		for _, tc := range []struct{ h, w int }{{2, 2}, {4, 4}, {2, 8}} {
+			p := kind.new(1, tc.h, tc.w)
 			x := tensor.Zeros(1, tc.h*tc.w)
 			for i := range x.Data {
 				x.Data[i] = math.NaN()
@@ -515,17 +523,39 @@ func poolInput(rng *tensor.RNG, batch, features, w int) *tensor.Tensor {
 	return x
 }
 
-// TestMaxPool2x2ScalarMatchesGeneric holds the 2×2 sweep (and, through
-// Forward, whichever kernel the platform picks per width) to the generic
-// loop on planes with ties, NaN, ±Inf, signed zeros and denormals, for
-// both start values: same outputs, same argmax.
+// poolGeneric is the reference 2×2 pool of one sample of c h×w planes:
+// window by window, each window's taps in (dy, dx) order against a
+// running maximum that begins at start.
+func poolGeneric(dst []float64, am []int, src []float64, c, h, w int, start float64) {
+	oh, ow := h/2, w/2
+	for ch := 0; ch < c; ch++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best, bestIdx := start, -1
+				for dy := 0; dy < 2; dy++ {
+					for dx := 0; dx < 2; dx++ {
+						if idx := ch*h*w + (2*oy+dy)*w + 2*ox + dx; src[idx] > best {
+							best, bestIdx = src[idx], idx
+						}
+					}
+				}
+				dst[(ch*oh+oy)*ow+ox], am[(ch*oh+oy)*ow+ox] = best, bestIdx
+			}
+		}
+	}
+}
+
+// TestMaxPool2x2ScalarMatchesGeneric holds tensor's scalar 2×2 sweep
+// (and, through Forward, whichever kernel the platform picks per width)
+// to the generic loop on planes with ties, NaN, ±Inf, signed zeros and
+// denormals, for both start values: same outputs, same argmax.
 func TestMaxPool2x2ScalarMatchesGeneric(t *testing.T) {
 	rng := tensor.NewRNG(16)
 	for _, kind := range poolKinds {
 		for _, w := range []int{2, 4, 6, 8, 10} {
 			for _, h := range []int{2, 4, 6} {
 				const planes, batch = 3, 2
-				p := kind.new(planes, h, w, 2)
+				p := kind.new(planes, h, w)
 				x := poolInput(rng, batch, planes*h*w, w)
 				outLen := p.OutFeatures()
 				want := make([]float64, batch*outLen)
@@ -536,8 +566,8 @@ func TestMaxPool2x2ScalarMatchesGeneric(t *testing.T) {
 				what := fmt.Sprintf("%s w=%d h=%d", kind.name, w, h)
 				for b := 0; b < batch; b++ {
 					src := x.Data[b*planes*h*w : (b+1)*planes*h*w]
-					p.poolGeneric(want[b*outLen:(b+1)*outLen], wantAM[b*outLen:(b+1)*outLen], src)
-					maxPool2x2(scalar, scalarAM, src, w, planes*h/2, w/2, kind.start)
+					poolGeneric(want[b*outLen:(b+1)*outLen], wantAM[b*outLen:(b+1)*outLen], src, planes, h, w, kind.start)
+					tensor.MaxPool2x2Go(scalar, scalarAM, src, w, h/2, w/2, planes, kind.start)
 					sameBits(t, what+" sweep", scalar, want[b*outLen:(b+1)*outLen])
 					for i, idx := range scalarAM {
 						if idx != wantAM[b*outLen+i] {
@@ -559,20 +589,19 @@ func TestMaxPool2x2ScalarMatchesGeneric(t *testing.T) {
 // TestReLUMaxPoolMatchesLayers pins the folded layer to the two it
 // replaces: NewReLUMaxPool2D against NewReLU followed by NewMaxPool2D —
 // outputs and input gradients Float64bits-equal, on a first batch and on
-// a second of another size through the same layers — over 2×2 pools on
-// 4-wide planes (the vector kernel's stacked-row-pair path, and with one
-// channel of two rows its decline), 8- and 12-wide ones, a 2-wide plane
-// (scalar) and a 3×3 pool (generic), with NaN, ±Inf, signed zeros,
-// denormals, exact ties and windows nothing positive enters.
+// a second of another size through the same layers — over 4-wide planes
+// (the vector kernel's stacked-row-pair path, and with one channel of two
+// rows its decline), 8- and 12-wide ones and a 2-wide plane (the scalar
+// twin), with NaN, ±Inf, signed zeros, denormals, exact ties and windows
+// nothing positive enters.
 func TestReLUMaxPoolMatchesLayers(t *testing.T) {
 	rng := tensor.NewRNG(20)
-	for _, tc := range []struct{ c, h, w, k int }{
-		{1, 4, 4, 2}, {8, 4, 4, 2}, {16, 4, 4, 2}, {1, 2, 4, 2},
-		{8, 8, 8, 2}, {16, 8, 8, 2}, {1, 12, 8, 2}, {8, 8, 12, 2},
-		{8, 6, 2, 2}, {1, 6, 9, 3}, {8, 6, 9, 3},
+	for _, tc := range []struct{ c, h, w int }{
+		{1, 4, 4}, {8, 4, 4}, {16, 4, 4}, {1, 2, 4},
+		{8, 8, 8}, {16, 8, 8}, {1, 12, 8}, {8, 8, 12}, {8, 6, 2},
 	} {
-		folded := NewReLUMaxPool2D(tc.c, tc.h, tc.w, tc.k)
-		relu, pool := NewReLU(), NewMaxPool2D(tc.c, tc.h, tc.w, tc.k)
+		folded := NewReLUMaxPool2D(tc.c, tc.h, tc.w)
+		relu, pool := NewReLU(), NewMaxPool2D(tc.c, tc.h, tc.w)
 		for _, batch := range []int{5, 2, 7} {
 			what := fmt.Sprintf("%+v batch %d", tc, batch)
 			x := poolInput(rng, batch, folded.InFeatures(), tc.w)
@@ -630,8 +659,8 @@ func TestBackwardRejectsForeignBatch(t *testing.T) {
 		{"ReLU", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewReLU(); return l, backward(l) }},
 		{"Tanh", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewTanh(); return l, backward(l) }},
 		{"Sigmoid", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewSigmoid(); return l, backward(l) }},
-		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewMaxPool2D(2, 4, 4, 2); return l, backward(l) }},
-		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewReLUMaxPool2D(2, 4, 4, 2); return l, backward(l) }},
+		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewMaxPool2D(2, 4, 4); return l, backward(l) }},
+		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewReLUMaxPool2D(2, 4, 4); return l, backward(l) }},
 		{"GlobalAvgPool", dense, 2, func() (Layer, func(*tensor.Tensor)) { l := NewGlobalAvgPool(2, 4, 4); return l, backward(l) }},
 		{"Conv2D", dense, 48, func() (Layer, func(*tensor.Tensor)) { c := conv(); return c, backward(c) }},
 		{"Conv2D", dense, 48, func() (Layer, func(*tensor.Tensor)) { c := conv(); return c, c.BackwardParams }},
@@ -689,24 +718,34 @@ func plantBoundary(rng *tensor.RNG, data []float64) {
 }
 
 // TestConvBoundaryMatchesLoops holds Conv2D's float32 boundary to the Go
-// loops it ran before tensor.NarrowPadded and tensor.Unpad took it: the
-// padded buffer (interiors narrowed row by row, borders still zero), the
-// narrowed output gradient (padded by one on the Winograd layers, the
-// first two geometries) and, on direct layers, dx (the padded input
-// gradient's interiors copied out row by row), bit for bit, NaN payloads
-// included, over widths the assembly takes and ragged ones, padding 0–2,
-// and batches that shrink and grow through one layer.
+// loops it ran before tensor.NarrowPadded took it: the padded input and
+// the output gradient padded by one (interiors narrowed row by row,
+// borders still zero), bit for bit, NaN payloads included, over planes
+// with their tile pairs side by side and stacked, and batches that shrink
+// and grow through one layer.
 func TestConvBoundaryMatchesLoops(t *testing.T) {
 	rng := tensor.NewRNG(29)
 	for _, g := range []tensor.ConvGeom{
 		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
 		{InC: 8, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 2, InH: 5, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 2},
-		{InC: 2, InH: 6, InW: 8, KH: 1, KW: 1, Stride: 2, Pad: 0},
-		{InC: 1, InH: 3, InW: 13, KH: 3, KW: 2, Stride: 1, Pad: 1},
+		{InC: 2, InH: 4, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 1, InH: 6, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 5, InH: 2, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
 	} {
 		c := NewConv2D(g, 8, rng)
-		ph, pw := g.InH+2*g.Pad, g.InW+2*g.Pad
+		// padded narrows planes of h×w with a zero border of one, row by row.
+		padded := func(src []float64, planes int) []float32 {
+			h, w := g.InH, g.InW
+			dst := make([]float32, planes*(h+2)*(w+2))
+			for i := 0; i < planes; i++ {
+				for y := 0; y < h; y++ {
+					for x, v := range src[(i*h+y)*w : (i*h+y+1)*w] {
+						dst[(i*(h+2)+y+1)*(w+2)+x+1] = float32(v)
+					}
+				}
+			}
+			return dst
+		}
 		for _, batch := range []int{3, 1, 4} {
 			what := fmt.Sprintf("%+v batch %d", g, batch)
 			x := rng.Uniform(-2, 2, batch, c.InFeatures())
@@ -714,48 +753,11 @@ func TestConvBoundaryMatchesLoops(t *testing.T) {
 			grad := rng.Uniform(-2, 2, batch, c.OutFeatures())
 			plantBoundary(rng, grad.Data)
 			c.Forward(x)
-			dx := c.Backward(grad)
-
-			padded := make([]float32, batch*c.paddedLen())
-			for i := 0; i < batch*g.InC; i++ {
-				dst, src := padded[(i*ph+g.Pad)*pw+g.Pad:], x.Data[i*g.InH*g.InW:]
-				for y := 0; y < g.InH; y++ {
-					for j, v := range src[y*g.InW : (y+1)*g.InW] {
-						dst[y*pw+j] = float32(v)
-					}
-				}
-			}
-			// A Winograd layer keeps the incoming gradient padded by one
-			// and writes dx itself; a direct one keeps it flat and copies dx
-			// out of its padded buffer.
-			dy := make([]float32, len(grad.Data))
-			var wantDx []float64
-			if c.wino != nil {
-				oh, ow := g.OutH(), g.OutW()
-				dy = make([]float32, batch*c.OutC*(oh+2)*(ow+2))
-				for i := 0; i < batch*c.OutC; i++ {
-					for y := 0; y < oh; y++ {
-						for x, v := range grad.Data[(i*oh+y)*ow : (i*oh+y+1)*ow] {
-							dy[(i*(oh+2)+y+1)*(ow+2)+x+1] = float32(v)
-						}
-					}
-				}
-			} else {
-				for i, v := range grad.Data {
-					dy[i] = float32(v)
-				}
-				wantDx = make([]float64, batch*c.InFeatures())
-				for i := 0; i < batch*g.InC; i++ {
-					src := c.dpad.Data[(i*ph+g.Pad)*pw+g.Pad:]
-					for y := 0; y < g.InH; y++ {
-						copy(wantDx[(i*g.InH+y)*g.InW:(i*g.InH+y+1)*g.InW], src[y*pw:y*pw+g.InW])
-					}
-				}
-			}
+			c.Backward(grad)
 			for _, buf := range []struct {
 				name      string
 				got, want []float32
-			}{{"padded", c.padded, padded}, {"dy", c.dy, dy}} {
+			}{{"padded", c.padded, padded(x.Data, batch*g.InC)}, {"dy", c.dy, padded(grad.Data, batch*c.OutC)}} {
 				if len(buf.got) != len(buf.want) {
 					t.Fatalf("%s %s: %d elements, want %d", what, buf.name, len(buf.got), len(buf.want))
 				}
@@ -765,30 +767,25 @@ func TestConvBoundaryMatchesLoops(t *testing.T) {
 					}
 				}
 			}
-			for i := range wantDx {
-				if math.Float64bits(dx.Data[i]) != math.Float64bits(wantDx[i]) {
-					t.Fatalf("%s dx element %d: %#x, the loop's %#x", what, i, math.Float64bits(dx.Data[i]), math.Float64bits(wantDx[i]))
-				}
-			}
 		}
 	}
 }
 
-// TestMaxPoolBackwardMatchesScatter holds MaxPool2D.Backward, which for
-// 2×2 pools writes every input cell once through tensor.Unpool2x2, to the
+// TestMaxPoolBackwardMatchesScatter holds MaxPool2D.Backward, which
+// writes every input cell once through tensor.Unpool2x2, to the
 // loop it ran before — dx zeroed, then each winner's gradient added — bit
 // for bit, for both start values, on planes the unpool's assembly takes
 // (rows of a multiple of four windows, 4-wide planes) and ones it does
 // not, with argmax -1 windows and −0, NaN and ±Inf gradients, through
 // batches that shrink and grow so a reused dx holds the last call's
-// values. A 3×3 pool keeps the zero-and-scatter loop.
+// values.
 func TestMaxPoolBackwardMatchesScatter(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	for _, kind := range poolKinds {
-		for _, tc := range []struct{ c, h, w, k int }{
-			{8, 8, 8, 2}, {16, 4, 4, 2}, {1, 2, 4, 2}, {3, 4, 16, 2}, {2, 6, 6, 2}, {2, 2, 2, 2}, {2, 6, 9, 3},
+		for _, tc := range []struct{ c, h, w int }{
+			{8, 8, 8}, {16, 4, 4}, {1, 2, 4}, {3, 4, 16}, {2, 6, 6}, {2, 2, 2},
 		} {
-			p := kind.new(tc.c, tc.h, tc.w, tc.k)
+			p := kind.new(tc.c, tc.h, tc.w)
 			inLen, outLen := p.InFeatures(), p.OutFeatures()
 			for _, batch := range []int{4, 1, 5} {
 				what := fmt.Sprintf("%s %+v batch %d", kind.name, tc, batch)

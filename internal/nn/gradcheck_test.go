@@ -69,16 +69,17 @@ func TestGradCheckTanhSigmoid(t *testing.T) {
 }
 
 // The convolution gradient checks run on refConv, the float64 lowering
-// (conv_test.go): central differences at eps 1e-5 cannot see through
-// Conv2D's float32 kernels, so the product layer is held to refConv by
-// TestConvMatchesFloat64Reference instead. The pools in front of which
-// it stands are the product layers.
+// (conv_test.go), at geometries of their own — the 5×5 plane and stride 2
+// are ones Conv2D does not take: central differences at eps 1e-5 cannot
+// see through Conv2D's float32 kernels, so the product layer is held to
+// refConv by TestConvMatchesFloat64Reference instead. The pools in front
+// of which it stands are the product layers.
 
 func TestGradCheckConv(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	g := tensor.ConvGeom{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D(g, 3, rng)
-	net := NewSequential(newRefConv(conv), NewReLU(), NewLinear(conv.OutFeatures(), 3, rng))
+	conv := newRefConv(g, 3, rng)
+	net := NewSequential(conv, NewReLU(), NewLinear(conv.OutFeatures(), 3, rng))
 	x := rng.Randn(1, 2, 2*5*5)
 	gradCheck(t, "conv", net, x, []int{0, 2}, 1e-5)
 }
@@ -86,8 +87,8 @@ func TestGradCheckConv(t *testing.T) {
 func TestGradCheckConvStride(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	g := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 0}
-	conv := NewConv2D(g, 2, rng)
-	net := NewSequential(newRefConv(conv), NewLinear(conv.OutFeatures(), 2, rng))
+	conv := newRefConv(g, 2, rng)
+	net := NewSequential(conv, NewLinear(conv.OutFeatures(), 2, rng))
 	x := rng.Randn(1, 2, 36)
 	gradCheck(t, "conv-stride2", net, x, []int{1, 0}, 1e-5)
 }
@@ -95,9 +96,8 @@ func TestGradCheckConvStride(t *testing.T) {
 func TestGradCheckMaxPool(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D(g, 2, rng)
-	pool := NewMaxPool2D(2, 4, 4, 2)
-	net := NewSequential(newRefConv(conv), pool, NewLinear(pool.OutFeatures(), 3, rng))
+	pool := NewMaxPool2D(2, 4, 4)
+	net := NewSequential(newRefConv(g, 2, rng), pool, NewLinear(pool.OutFeatures(), 3, rng))
 	x := rng.Randn(1, 2, 16)
 	gradCheck(t, "maxpool", net, x, []int{2, 1}, 1e-5)
 }
@@ -105,8 +105,7 @@ func TestGradCheckMaxPool(t *testing.T) {
 func TestGradCheckGlobalAvgPool(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D(g, 4, rng)
-	net := NewSequential(newRefConv(conv), NewGlobalAvgPool(4, 4, 4), NewLinear(4, 3, rng))
+	net := NewSequential(newRefConv(g, 4, rng), NewGlobalAvgPool(4, 4, 4), NewLinear(4, 3, rng))
 	x := rng.Randn(1, 2, 16)
 	gradCheck(t, "gap", net, x, []int{0, 1}, 1e-5)
 }

@@ -69,7 +69,8 @@ func reluBwdAVX(dx, g []float64, mask []bool)
 // one row pair; half = 64 with w = 4 reads two stacked 4-wide row pairs
 // (sixteen contiguous doubles) as one. Each lane replays the scalar loop:
 // best starts at start, index at -1, candidates tested in (dy, dx)
-// ascending order with strict > (GT_OQ) compare-and-blend.
+// ascending order with strict > (GT_OQ) compare-and-blend. rows and
+// steps are at least 1: its loops test at the bottom.
 //
 //go:noescape
 func maxPool2AVX(dst *float64, am *int, src *float64, w, rows, steps, half int, start float64)
@@ -148,13 +149,6 @@ func allFiniteAVX(v *float64, n int) bool
 //
 //go:noescape
 func narrowAVX(dst *float32, src *float64, planes, h, w, pw, skip int)
-
-// unpadAVX is narrowAVX's layout run backwards without the conversion:
-// planes × h rows of w float64 (w a positive multiple of 4), pw elements
-// apart in src and skip more after each plane, into contiguous dst.
-//
-//go:noescape
-func unpadAVX(dst, src *float64, planes, h, w, pw, skip int)
 
 // unpoolAVX writes the 2×2 unpool of batch samples of rows × steps steps,
 // four windows a step. A step reads four argmax indices and gradients
@@ -466,41 +460,15 @@ func allFinite(v []float64) bool {
 }
 
 // narrowPadded runs the checked narrow on the AVX2 kernel when the CPU has
-// it, in one call for the batch: with pad 0 the planes are one contiguous
-// row, whose last n%4 elements a plain loop converts; padded rows whose
-// width is not a multiple of 4 run the twin whole.
+// it, in one call for the batch; rows whose width is not a multiple of 4
+// run the twin whole.
 func narrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
-	if pad == 0 {
-		n := planes * h * w
-		k := 0
-		if avx2Supported {
-			k = n &^ 3
-		}
-		if k > 0 {
-			narrowAVX(&dst[0], &src[0], 1, 1, k, k, 0)
-		}
-		for i := k; i < n; i++ {
-			dst[i] = float32(src[i])
-		}
-		return
-	}
 	if !avx2Supported || planes*h*w == 0 || w%4 != 0 {
 		narrowPaddedGo(dst, src, planes, h, w, pad)
 		return
 	}
 	pw := w + 2*pad
 	narrowAVX(&dst[pad*pw+pad], &src[0], planes, h, w, pw, 2*pad*pw)
-}
-
-// unpad runs the checked copy on the AVX2 kernel, in one call for the
-// batch, when the CPU has it and the rows are a multiple of 4 wide.
-func unpad(dst, src []float64, planes, h, w, pad int) {
-	if !avx2Supported || planes*h*w == 0 || w%4 != 0 {
-		unpadGo(dst, src, planes, h, w, pad)
-		return
-	}
-	pw := w + 2*pad
-	unpadAVX(&dst[0], &src[pad*pw+pad], planes, h, w, pw, 2*pad*pw)
 }
 
 // unpool2x2 runs the checked unpool on the AVX2 kernel, one call for the

@@ -818,7 +818,7 @@ GLOBL poolLaneIdx<>(SB), RODATA|NOPTR, $32
 
 // func maxPool2AVX(dst *float64, am *int, src *float64, w, rows, steps, half int, start float64)
 // Non-overlapping 2x2 stride-2 max pooling with argmax, 4 output elements
-// per step. A step's top-row candidates come from the 4-element loads at
+// per step, rows and steps ≥ 1. A step's top-row candidates come from the 4-element loads at
 // +0 and +half bytes, its bottom-row candidates from the same two loads w
 // elements on; half = 32 walks one row pair eight columns at a time,
 // half = 64 with w = 4 takes two stacked 4-wide row pairs, 16 contiguous
@@ -857,8 +857,6 @@ TEXT ·maxPool2AVX(SB), NOSPLIT, $0-64
 	SHLQ $3, R10             // W in bytes
 
 rowloop:
-	TESTQ R9, R9
-	JZ   done
 	LEAQ (BX)(R10*1), R11    // row1
 	VMOVQ R12, X4
 	VPBROADCASTQ X4, Y4
@@ -867,8 +865,6 @@ rowloop:
 	MOVQ steps+40(FP), R13
 
 iter:
-	TESTQ R13, R13
-	JZ   nextrow
 	LEAQ (DX)(R14*1), AX     // byte offset of its second load
 	// Deinterleave each row's 8 elements into even/odd columns.
 	VMOVUPD (BX)(DX*1), Y0
@@ -914,16 +910,12 @@ iter:
 	ADDQ $32, DI
 	ADDQ $32, R8
 	DECQ R13
-	JMP  iter
-
-nextrow:
+	JNZ  iter
 	LEAQ (BX)(R10*2), BX
 	MOVQ w+24(FP), AX
 	LEAQ (R12)(AX*2), R12
 	DECQ R9
-	JMP  rowloop
-
-done:
+	JNZ  rowloop
 	VZEROUPPER
 	RET
 
@@ -1719,40 +1711,6 @@ ncol:
 	ADDQ R11, DI
 	DECQ R8
 	JNZ  nplane
-	VZEROUPPER
-	RET
-
-// func unpadAVX(dst, src *float64, planes, h, w, pw, skip int)
-// narrowAVX's walk with the sides swapped and no conversion.
-TEXT ·unpadAVX(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ planes+16(FP), R8
-	MOVQ w+32(FP), CX
-	MOVQ pw+40(FP), R10
-	MOVQ skip+48(FP), R11
-	SHLQ $3, R10
-	SHLQ $3, R11
-
-uplane:
-	MOVQ h+24(FP), R9
-
-urow:
-	XORQ AX, AX
-
-ucol:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  ucol
-	LEAQ (DI)(CX*8), DI
-	ADDQ R10, SI
-	DECQ R9
-	JNZ  urow
-	ADDQ R11, SI
-	DECQ R8
-	JNZ  uplane
 	VZEROUPPER
 	RET
 

@@ -3,12 +3,11 @@ package tensor
 import "fmt"
 
 // Data-movement kernels around the layers' compute kernels: nn.Conv2D's
-// float32 boundary (the minibatch into its zero-padded float32 buffer,
-// the incoming gradient to float32, the input gradient out of its padded
-// float64 buffer) and nn.MaxPool2D's 2×2 backward pass. Each runs once
-// per batch, never per plane or row, and moves every value unchanged or
-// through one Go conversion, so the AVX2 kernels reproduce the Go twins
-// (NarrowPaddedGo, UnpadGo, Unpool2x2Go) bit for bit, NaN payloads
+// float32 boundary (the minibatch and the incoming gradient into their
+// zero-padded float32 buffers) and nn.MaxPool2D's 2×2 backward pass. Each
+// runs once per batch, never per plane or row, and moves every value
+// unchanged or through one Go conversion, so the AVX2 kernels reproduce
+// the Go twins (NarrowPaddedGo, Unpool2x2Go) bit for bit, NaN payloads
 // included. The twins are what runs without AVX2, off amd64, under purego
 // and for widths the assembly does not take, and what the tests hold the
 // assembly to.
@@ -37,19 +36,6 @@ func NarrowPaddedGo(dst []float32, src []float64, planes, h, w, pad int) {
 	narrowPaddedGo(dst, src, planes, h, w, pad)
 }
 
-// Unpad copies the interiors of src's padded planes into dst's
-// contiguous ones.
-func Unpad(dst, src []float64, planes, h, w, pad int) {
-	checkPadded("Unpad", len(dst), len(src), planes, h, w, pad)
-	unpad(dst, src, planes, h, w, pad)
-}
-
-// UnpadGo is Unpad on the portable scalar kernel.
-func UnpadGo(dst, src []float64, planes, h, w, pad int) {
-	checkPadded("Unpad", len(dst), len(src), planes, h, w, pad)
-	unpadGo(dst, src, planes, h, w, pad)
-}
-
 // Unpool2x2 is the backward pass of MaxPool2x2 over a batch: each sample
 // is `pairs` row pairs of width 2·ow in dx and pairs·ow outputs in g and
 // am, am recording each window's winning tap as a flat index into its
@@ -71,8 +57,8 @@ func Unpool2x2Go(dx, g []float64, am []int, ow, pairs, batch int) {
 	unpool2x2Go(dx, g, am, ow, pairs, batch)
 }
 
-// checkPadded is the only bounds check NarrowPadded and Unpad get: the
-// contiguous side holds planes·h·w elements and the padded side
+// checkPadded is the only bounds check NarrowPadded gets: the contiguous
+// side holds planes·h·w elements and the padded side
 // planes·(h+2·pad)·(w+2·pad).
 func checkPadded(name string, flat, padded, planes, h, w, pad int) {
 	if planes < 0 || h < 0 || w < 0 || pad < 0 {
@@ -80,6 +66,13 @@ func checkPadded(name string, flat, padded, planes, h, w, pad int) {
 	}
 	checkLen(name, "contiguous side", flat, planes*h*w)
 	checkLen(name, "padded side", padded, planes*(h+2*pad)*(w+2*pad))
+}
+
+// checkLen panics unless a named operand has at least want elements.
+func checkLen(name, what string, have, want int) {
+	if have < want {
+		panic(fmt.Sprintf("tensor: %s %s has %d elements, want %d", name, what, have, want))
+	}
 }
 
 // checkUnpool is the only bounds check Unpool2x2 gets.
@@ -101,15 +94,6 @@ func narrowPaddedGo(dst []float32, src []float64, planes, h, w, pad int) {
 			for x, v := range src[(i*h+y)*w:][:w] {
 				row[x] = float32(v)
 			}
-		}
-	}
-}
-
-func unpadGo(dst, src []float64, planes, h, w, pad int) {
-	pw := w + 2*pad
-	for i := 0; i < planes; i++ {
-		for y := 0; y < h; y++ {
-			copy(dst[(i*h+y)*w:][:w], src[(i*(h+2*pad)+pad+y)*pw+pad:])
 		}
 	}
 }

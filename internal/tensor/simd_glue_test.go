@@ -43,9 +43,8 @@ func glueShapes(f func(planes, h, w, pad int)) {
 
 // TestNarrowPaddedMatchesTwin holds NarrowPadded to its twin and to the
 // loops nn.Conv2D ran before it — per plane and row into the padded
-// interiors, and element by element for the unpadded gradient — bit for
-// bit, NaN payloads included, and checks that no border element is
-// written.
+// interiors, element by element at pad 0 — bit for bit, NaN payloads
+// included, and checks that no border element is written.
 func TestNarrowPaddedMatchesTwin(t *testing.T) {
 	rng := NewRNG(41)
 	sentinel := math.Float32frombits(0x7fc0dead)
@@ -78,32 +77,6 @@ func TestNarrowPaddedMatchesTwin(t *testing.T) {
 			if math.Float32bits(got[i]) != math.Float32bits(loop[i]) || math.Float32bits(twin[i]) != math.Float32bits(loop[i]) {
 				t.Fatalf("%d planes of %dx%d pad %d, element %d: kernel %#x, twin %#x, loop %#x",
 					planes, h, w, pad, i, math.Float32bits(got[i]), math.Float32bits(twin[i]), math.Float32bits(loop[i]))
-			}
-		}
-	})
-}
-
-// TestUnpadMatchesTwin holds Unpad to its twin and to the row copies
-// nn.Conv2D ran before it, bit for bit.
-func TestUnpadMatchesTwin(t *testing.T) {
-	rng := NewRNG(43)
-	glueShapes(func(planes, h, w, pad int) {
-		ph, pw := h+2*pad, w+2*pad
-		src := glueValues(rng, planes*ph*pw)
-		n := planes * h * w
-		got, twin, loop := make([]float64, n), make([]float64, n), make([]float64, n)
-		Unpad(got, src, planes, h, w, pad)
-		UnpadGo(twin, src, planes, h, w, pad)
-		for i := 0; i < planes; i++ {
-			from := src[(i*ph+pad)*pw+pad:]
-			for y := 0; y < h; y++ {
-				copy(loop[i*h*w+y*w:i*h*w+(y+1)*w], from[y*pw:y*pw+w])
-			}
-		}
-		for i := range loop {
-			if math.Float64bits(got[i]) != math.Float64bits(loop[i]) || math.Float64bits(twin[i]) != math.Float64bits(loop[i]) {
-				t.Fatalf("%d planes of %dx%d pad %d, element %d: kernel %#x, twin %#x, loop %#x",
-					planes, h, w, pad, i, math.Float64bits(got[i]), math.Float64bits(twin[i]), math.Float64bits(loop[i]))
 			}
 		}
 	})
@@ -175,8 +148,8 @@ func TestUnpool2x2MatchesScatter(t *testing.T) {
 }
 
 // TestGlueKernelsRejectShortSlices checks that a slice one element short
-// of its shape panics in the wrapper, naming the kernel, before anything
-// is read or written.
+// of its shape, or a shape no kernel can take, panics in the wrapper,
+// naming the kernel, before anything is read or written.
 func TestGlueKernelsRejectShortSlices(t *testing.T) {
 	const planes, h, w, pad = 3, 4, 8, 1
 	flat, padded := planes*h*w, planes*(h+2*pad)*(w+2*pad)
@@ -190,9 +163,6 @@ func TestGlueKernelsRejectShortSlices(t *testing.T) {
 		{"NarrowPadded", func() { NarrowPadded(make([]float32, padded), make([]float64, flat-1), planes, h, w, pad) }},
 		{"NarrowPadded", func() { NarrowPadded(make([]float32, flat-1), make([]float64, flat), planes, h, w, 0) }},
 		{"NarrowPadded", func() { NarrowPadded(make([]float32, padded), make([]float64, flat), planes, h, w, -1) }},
-		{"Unpad", func() { Unpad(make([]float64, flat-1), make([]float64, padded), planes, h, w, pad) }},
-		{"Unpad", func() { Unpad(make([]float64, flat), make([]float64, padded-1), planes, h, w, pad) }},
-		{"Unpad", func() { Unpad(make([]float64, flat), make([]float64, flat-1), planes, h, w, 0) }},
 		{"Unpool2x2", func() {
 			Unpool2x2(make([]float64, cells-1), make([]float64, outs), make([]int, outs), ow, pairs, batch)
 		}},
@@ -203,6 +173,19 @@ func TestGlueKernelsRejectShortSlices(t *testing.T) {
 			Unpool2x2(make([]float64, cells), make([]float64, outs), make([]int, outs-1), ow, pairs, batch)
 		}},
 		{"Unpool2x2", func() { Unpool2x2(nil, nil, nil, 4, -1, 1) }},
+		{"MaxPool2x2", func() {
+			MaxPool2x2(make([]float64, outs-1), make([]int, outs), make([]float64, cells), 2*ow, pairs, ow, batch, 0)
+		}},
+		{"MaxPool2x2", func() {
+			MaxPool2x2(make([]float64, outs), make([]int, outs-1), make([]float64, cells), 2*ow, pairs, ow, batch, 0)
+		}},
+		{"MaxPool2x2", func() {
+			MaxPool2x2(make([]float64, outs), make([]int, outs), make([]float64, cells-1), 2*ow, pairs, ow, batch, 0)
+		}},
+		{"MaxPool2x2", func() {
+			MaxPool2x2Go(make([]float64, outs), make([]int, outs), make([]float64, cells), 2*ow-1, pairs, ow, batch, 0)
+		}},
+		{"MaxPool2x2", func() { MaxPool2x2(nil, nil, nil, 8, 1, -4, 1, 0) }},
 	} {
 		func() {
 			defer func() {

@@ -20,8 +20,6 @@ func narrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
 	narrowPaddedGo(dst, src, planes, h, w, pad)
 }
 
-func unpad(dst, src []float64, planes, h, w, pad int) { unpadGo(dst, src, planes, h, w, pad) }
-
 func unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
 	unpool2x2Go(dx, g, am, ow, pairs, batch)
 }

@@ -1,6 +1,7 @@
 // Package tensor implements dense multi-dimensional float64 arrays and the
 // linear-algebra kernels needed by the nn package: elementwise arithmetic,
-// matrix multiplication, im2col/col2im for convolutions, reductions, and a
+// matrix multiplication, the Winograd convolution kernels (with
+// im2col/col2im, the lowering the tests hold them to), reductions, and a
 // deterministic random source for reproducible experiments.
 //
 // Tensors use a flat row-major backing slice. Every hot-path kernel has a
