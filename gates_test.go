@@ -22,10 +22,16 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -202,6 +208,89 @@ func TestGateDriver(t *testing.T) {
 		if !line.Skipped || why == "" || line.err() != nil {
 			t.Errorf("%s under %+v: %+v (%q), want skipped and no failure", c.row, c.env, line, why)
 		}
+	}
+}
+
+// TestKernelTwinsListed keeps internal/tensor's twin table whole, as
+// TestGoStatementsAllowlisted keeps the goroutine allowlist: it parses
+// simd_amd64.go and the table (twin_rows_test.go) and fails on an
+// assembly kernel (a bodiless func …AVX) with no row or with two, on a
+// row naming a kernel simd_amd64.go does not declare, on a kernel no
+// dispatcher there calls, and on a row whose gate is neither a row of the
+// table below nor "none: " and why.
+func TestKernelTwinsListed(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(name string) *ast.File {
+		f, err := parser.ParseFile(fset, filepath.Join("internal", "tensor", name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	declared, called := map[string]bool{}, map[string]bool{}
+	ast.Inspect(parse("simd_amd64.go"), func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body == nil && strings.HasSuffix(n.Name.Name, "AVX") {
+				declared[n.Name.Name] = true
+			}
+		case *ast.CallExpr:
+			if id, ok := n.Fun.(*ast.Ident); ok {
+				called[id.Name] = true
+			}
+		}
+		return true
+	})
+	str := func(e ast.Expr) string {
+		lit, _ := e.(*ast.BasicLit)
+		if lit == nil {
+			return ""
+		}
+		s, _ := strconv.Unquote(lit.Value)
+		return s
+	}
+	rowOf := map[string]string{}
+	ast.Inspect(parse("twin_rows_test.go"), func(n ast.Node) bool {
+		row, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		fields := map[string]ast.Expr{}
+		for _, e := range row.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				fields[fmt.Sprint(kv.Key)] = kv.Value
+			}
+		}
+		if fields["gate"] == nil { // not a row
+			return true
+		}
+		name, timed := str(fields["name"]), str(fields["gate"])
+		if !strings.HasPrefix(timed, "none: ") && !slices.ContainsFunc(gates, func(g gate) bool { return g.name == timed }) {
+			t.Errorf("twin row %s: gate %q is not a row of the gate table", name, timed)
+		}
+		if avx, _ := fields["avx"].(*ast.CompositeLit); avx != nil {
+			for _, e := range avx.Elts {
+				k := str(e)
+				if rowOf[k] != "" {
+					t.Errorf("%s has two twin rows, %s and %s", k, rowOf[k], name)
+				}
+				if rowOf[k] = name; !declared[k] {
+					t.Errorf("twin row %s names %s, which simd_amd64.go does not declare", name, k)
+				}
+			}
+		}
+		return false
+	})
+	for k := range declared {
+		if rowOf[k] == "" {
+			t.Errorf("%s has no row in internal/tensor's twin table", k)
+		}
+		if !called[k] {
+			t.Errorf("%s: no dispatcher in simd_amd64.go calls it", k)
+		}
+	}
+	if len(declared) == 0 || len(rowOf) == 0 {
+		t.Errorf("%d kernels declared, %d in twin rows", len(declared), len(rowOf))
 	}
 }
 
@@ -1131,8 +1220,7 @@ func convLayers() []convLayer {
 	rng := tensor.NewRNG(1)
 	var layers []convLayer
 	for _, c := range []struct{ inC, side, outC int }{{models.VisionC, models.VisionH, 8}, {8, models.VisionH / 2, 16}} {
-		g := tensor.ConvGeom{InC: c.inC, InH: c.side, InW: c.side, KH: 3, KW: 3, Stride: 1, Pad: 1}
-		conv := nn.NewConv2D(g, c.outC, rng)
+		conv := nn.NewConv2D(c.inC, c.side, c.side, c.outC, rng)
 		layers = append(layers, convLayer{conv, rng.Randn(1, convBatch, conv.InFeatures()), rng.Randn(1, convBatch, conv.OutFeatures())})
 	}
 	return layers

@@ -52,11 +52,9 @@ func CNN(classes int) Factory {
 	return Factory{
 		Name: fmt.Sprintf("cnn-%d", classes),
 		New: func(rng *tensor.RNG) *nn.Sequential {
-			g1 := tensor.ConvGeom{InC: VisionC, InH: VisionH, InW: VisionW, KH: 3, KW: 3, Stride: 1, Pad: 1}
-			c1 := nn.NewConv2D(g1, 8, rng)
+			c1 := nn.NewConv2D(VisionC, VisionH, VisionW, 8, rng)
 			p1 := nn.NewReLUMaxPool2D(8, VisionH, VisionW)
-			g2 := tensor.ConvGeom{InC: 8, InH: VisionH / 2, InW: VisionW / 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
-			c2 := nn.NewConv2D(g2, 16, rng)
+			c2 := nn.NewConv2D(8, VisionH/2, VisionW/2, 16, rng)
 			p2 := nn.NewReLUMaxPool2D(16, VisionH/2, VisionW/2)
 			return nn.NewSequential(
 				c1, p1,
@@ -75,12 +73,11 @@ func ResNetMini(classes int) Factory {
 		Name: fmt.Sprintf("resnet-mini-%d", classes),
 		New: func(rng *tensor.RNG) *nn.Sequential {
 			const ch = 12
-			stem := nn.NewConv2D(tensor.ConvGeom{InC: VisionC, InH: VisionH, InW: VisionW, KH: 3, KW: 3, Stride: 1, Pad: 1}, ch, rng)
+			stem := nn.NewConv2D(VisionC, VisionH, VisionW, ch, rng)
 			block := func(h, w int) nn.Layer {
-				g := tensor.ConvGeom{InC: ch, InH: h, InW: w, KH: 3, KW: 3, Stride: 1, Pad: 1}
 				body := nn.NewSequential(
-					nn.NewConv2D(g, ch, rng), nn.NewReLU(),
-					nn.NewConv2D(g, ch, rng),
+					nn.NewConv2D(ch, h, w, ch, rng), nn.NewReLU(),
+					nn.NewConv2D(ch, h, w, ch, rng),
 				)
 				return nn.NewResidual(body)
 			}
@@ -103,15 +100,12 @@ func VGGMini(classes int) Factory {
 	return Factory{
 		Name: fmt.Sprintf("vgg-mini-%d", classes),
 		New: func(rng *tensor.RNG) *nn.Sequential {
-			conv := func(inC, outC, h, w int) *nn.Conv2D {
-				return nn.NewConv2D(tensor.ConvGeom{InC: inC, InH: h, InW: w, KH: 3, KW: 3, Stride: 1, Pad: 1}, outC, rng)
-			}
 			return nn.NewSequential(
-				conv(VisionC, 16, VisionH, VisionW), nn.NewReLU(),
-				conv(16, 16, VisionH, VisionW),
+				nn.NewConv2D(VisionC, VisionH, VisionW, 16, rng), nn.NewReLU(),
+				nn.NewConv2D(16, VisionH, VisionW, 16, rng),
 				nn.NewReLUMaxPool2D(16, VisionH, VisionW),
-				conv(16, 32, VisionH/2, VisionW/2), nn.NewReLU(),
-				conv(32, 32, VisionH/2, VisionW/2),
+				nn.NewConv2D(16, VisionH/2, VisionW/2, 32, rng), nn.NewReLU(),
+				nn.NewConv2D(32, VisionH/2, VisionW/2, 32, rng),
 				nn.NewReLUMaxPool2D(32, VisionH/2, VisionW/2),
 				nn.NewLinear(32*(VisionH/4)*(VisionW/4), 64, rng), nn.NewReLU(),
 				nn.NewLinear(64, classes, rng),

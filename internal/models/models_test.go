@@ -156,9 +156,8 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		return x
 	}
 	nested := Factory{Name: "nested-first-block", New: func(rng *tensor.RNG) *nn.Sequential {
-		g := tensor.ConvGeom{InC: VisionC, InH: VisionH, InW: VisionW, KH: 3, KW: 3, Stride: 1, Pad: 1}
 		return nn.NewSequential(
-			nn.NewSequential(nn.NewConv2D(g, 4, rng), nn.NewReLU()),
+			nn.NewSequential(nn.NewConv2D(VisionC, VisionH, VisionW, 4, rng), nn.NewReLU()),
 			nn.NewLinear(4*VisionH*VisionW, 3, rng),
 		)
 	}}

@@ -47,8 +47,7 @@ func TestTrainStepZeroAllocMLP(t *testing.T) {
 
 func TestTrainStepZeroAllocCNN(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D(g, 4, rng)
+	conv := NewConv2D(1, 8, 8, 4, rng)
 	net := NewSequential(
 		conv,
 		NewReLU(),

@@ -42,10 +42,11 @@ type Conv2D struct {
 	out, dx    *tensor.Tensor
 }
 
-// NewConv2D constructs a convolution with the given geometry and output
-// channel count, Kaiming-uniform initialised. It panics on a geometry the
-// Winograd kernels do not take.
-func NewConv2D(g tensor.ConvGeom, outC int, rng *tensor.RNG) *Conv2D {
+// NewConv2D constructs a 3×3 convolution at stride 1 and padding 1 from
+// inC h×w planes to outC output channels, Kaiming-uniform initialised.
+// It panics on planes the Winograd kernels do not take.
+func NewConv2D(inC, h, w, outC int, rng *tensor.RNG) *Conv2D {
+	g := tensor.ConvGeom{InC: inC, InH: h, InW: w, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("nn: Conv2D: %v", err))
 	}

@@ -300,7 +300,7 @@ func TestConvMatchesFloat64Reference(t *testing.T) {
 	checked := 0 // batches
 	check := func(g tensor.ConvGeom, outC int, batches []int, special bool) {
 		name := fmt.Sprintf("%+v outC=%d special=%v", g, outC, special)
-		c := NewConv2D(g, outC, rng)
+		c := NewConv2D(g.InC, g.InH, g.InW, outC, rng)
 		c.B = rng.Uniform(-1, 1, outC)
 		if special {
 			plantSpecials(rng, c.W.Data)
@@ -358,14 +358,14 @@ func TestConvMatchesFloat64Reference(t *testing.T) {
 	}
 }
 
-// sameBits compares two slices bit for bit, any NaN equal to any NaN.
+// sameBits compares two slices bit for bit, NaN payloads included.
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d vs %d", what, len(got), len(want))
 	}
 	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s element %d: %v (%#x), want %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
@@ -388,36 +388,18 @@ func sprinkle(rng *tensor.RNG, data []float64) {
 // the first Forward, inside a kernel (NewConv2D with no output channel
 // used to fail there, NewMaxPool2D took empty planes because 0%k is 0,
 // and NewGlobalAvgPool took an empty plane, whose average is 0/0).
-// NewConv2D takes exactly the geometries tensor.NewWinograd takes.
+// NewConv2D refuses the planes tensor.NewWinograd does not take.
 func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
 	rng := tensor.NewRNG(24)
-	g := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	refused := func(name, want string, build func()) {
-		t.Helper()
-		defer func() {
-			if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, want) {
-				t.Errorf("%s: panic %q, want one starting %q", name, msg, want)
-			}
-		}()
-		build()
-	}
-	geom := func(h, w, k, stride, pad int) tensor.ConvGeom {
-		return tensor.ConvGeom{InC: 2, InH: h, InW: w, KH: k, KW: k, Stride: stride, Pad: pad}
-	}
 	for _, tc := range []struct {
 		name, want string
 		build      func()
 	}{
-		{"conv without output channels", "nn: Conv2D: 0 output channels", func() { NewConv2D(g, 0, rng) }},
-		{"conv with negative output channels", "nn: Conv2D: -3 output channels", func() { NewConv2D(g, -3, rng) }},
-		{"conv with an empty plane", "nn: Conv2D: tensor: conv geometry", func() {
-			NewConv2D(tensor.ConvGeom{InC: 2, InH: 0, InW: 4, KH: 1, KW: 1, Stride: 1}, 4, rng)
-		}},
-		{"conv over a 5x5 plane", "nn: Conv2D: geometry {InC:2 InH:5 InW:5 ", func() { NewConv2D(geom(5, 5, 3, 1, 1), 4, rng) }},
-		{"conv at stride 2", "nn: Conv2D: geometry {InC:2 InH:8 InW:8 KH:3 KW:3 Stride:2 ", func() { NewConv2D(geom(8, 8, 3, 2, 1), 4, rng) }},
-		{"conv with a 1x1 kernel", "nn: Conv2D: geometry {InC:2 InH:8 InW:8 KH:1 KW:1 ", func() { NewConv2D(geom(8, 8, 1, 1, 1), 4, rng) }},
-		{"conv without padding", "nn: Conv2D: geometry {InC:2 InH:8 InW:8 KH:3 KW:3 Stride:1 Pad:0}", func() { NewConv2D(geom(8, 8, 3, 1, 0), 4, rng) }},
-		{"conv over a 4x6 plane", "nn: Conv2D: geometry {InC:2 InH:4 InW:6 ", func() { NewConv2D(geom(4, 6, 3, 1, 1), 4, rng) }},
+		{"conv without output channels", "nn: Conv2D: 0 output channels", func() { NewConv2D(2, 4, 4, 0, rng) }},
+		{"conv with negative output channels", "nn: Conv2D: -3 output channels", func() { NewConv2D(2, 4, 4, -3, rng) }},
+		{"conv with an empty plane", "nn: Conv2D: tensor: conv geometry", func() { NewConv2D(2, 0, 4, 4, rng) }},
+		{"conv over a 5x5 plane", "nn: Conv2D: geometry {InC:2 InH:5 InW:5 ", func() { NewConv2D(2, 5, 5, 4, rng) }},
+		{"conv over a 4x6 plane", "nn: Conv2D: geometry {InC:2 InH:4 InW:6 ", func() { NewConv2D(2, 4, 6, 4, rng) }},
 		{"pool without channels", "nn: MaxPool2D: 0 channels of 4x4", func() { NewMaxPool2D(0, 4, 4) }},
 		{"pool without rows", "nn: MaxPool2D: 2 channels of 0x4", func() { NewMaxPool2D(2, 0, 4) }},
 		{"pool without columns", "nn: MaxPool2D: 2 channels of 4x0", func() { NewReLUMaxPool2D(2, 4, 0) }},
@@ -428,32 +410,16 @@ func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
 		{"average pool without rows", "nn: GlobalAvgPool: 2 channels of 0x4", func() { NewGlobalAvgPool(2, 0, 4) }},
 		{"average pool without columns", "nn: GlobalAvgPool: 2 channels of 4x0", func() { NewGlobalAvgPool(2, 4, 0) }},
 	} {
-		refused(tc.name, tc.want, tc.build)
-	}
-	// Every valid geometry of the sweep is built exactly when the Winograd
-	// kernels take it.
-	built := 0
-	for _, k := range []int{1, 2, 3, 5} {
-		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1, 2} {
-				for _, pl := range [][2]int{{2, 8}, {4, 4}, {4, 6}, {4, 12}, {5, 7}, {6, 8}, {6, 16}, {8, 8}} {
-					g := geom(pl[0], pl[1], k, stride, pad)
-					switch {
-					case g.Validate() != nil:
-					case tensor.NewWinograd(g, 4) == nil:
-						refused(fmt.Sprintf("%+v", g), fmt.Sprintf("nn: Conv2D: geometry %+v", g), func() { NewConv2D(g, 4, rng) })
-					default:
-						NewConv2D(g, 4, rng)
-						built++
-					}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, tc.want) {
+					t.Errorf("%s: panic %q, want one starting %q", tc.name, msg, tc.want)
 				}
-			}
-		}
+			}()
+			tc.build()
+		}()
 	}
-	if built != 6 {
-		t.Errorf("%d geometries of the sweep built, want the 6 the Winograd kernels take", built)
-	}
-	NewConv2D(g, 1, rng) // the smallest runnable sizes are accepted
+	NewConv2D(2, 4, 4, 1, rng) // the smallest runnable sizes are accepted
 	NewMaxPool2D(1, 2, 2)
 	NewGlobalAvgPool(1, 1, 1)
 }
@@ -523,33 +489,12 @@ func poolInput(rng *tensor.RNG, batch, features, w int) *tensor.Tensor {
 	return x
 }
 
-// poolGeneric is the reference 2×2 pool of one sample of c h×w planes:
-// window by window, each window's taps in (dy, dx) order against a
-// running maximum that begins at start.
-func poolGeneric(dst []float64, am []int, src []float64, c, h, w int, start float64) {
-	oh, ow := h/2, w/2
-	for ch := 0; ch < c; ch++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best, bestIdx := start, -1
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						if idx := ch*h*w + (2*oy+dy)*w + 2*ox + dx; src[idx] > best {
-							best, bestIdx = src[idx], idx
-						}
-					}
-				}
-				dst[(ch*oh+oy)*ow+ox], am[(ch*oh+oy)*ow+ox] = best, bestIdx
-			}
-		}
-	}
-}
-
-// TestMaxPool2x2ScalarMatchesGeneric holds tensor's scalar 2×2 sweep
-// (and, through Forward, whichever kernel the platform picks per width)
-// to the generic loop on planes with ties, NaN, ±Inf, signed zeros and
-// denormals, for both start values: same outputs, same argmax.
-func TestMaxPool2x2ScalarMatchesGeneric(t *testing.T) {
+// TestMaxPoolForwardMatchesTwin holds MaxPool2D.Forward, one
+// tensor.MaxPool2x2 call a sample, to tensor.MaxPool2x2Go over the same
+// sample (the twin table holds that to a window loop): same outputs, same
+// argmax, on planes with ties, NaN, ±Inf, signed zeros and denormals, for
+// both start values.
+func TestMaxPoolForwardMatchesTwin(t *testing.T) {
 	rng := tensor.NewRNG(16)
 	for _, kind := range poolKinds {
 		for _, w := range []int{2, 4, 6, 8, 10} {
@@ -558,27 +503,15 @@ func TestMaxPool2x2ScalarMatchesGeneric(t *testing.T) {
 				p := kind.new(planes, h, w)
 				x := poolInput(rng, batch, planes*h*w, w)
 				outLen := p.OutFeatures()
-				want := make([]float64, batch*outLen)
-				wantAM := make([]int, batch*outLen)
-				scalar := make([]float64, outLen)
-				scalarAM := make([]int, outLen)
-				got := p.Forward(x)
-				what := fmt.Sprintf("%s w=%d h=%d", kind.name, w, h)
+				want, wantAM := make([]float64, batch*outLen), make([]int, batch*outLen)
 				for b := 0; b < batch; b++ {
-					src := x.Data[b*planes*h*w : (b+1)*planes*h*w]
-					poolGeneric(want[b*outLen:(b+1)*outLen], wantAM[b*outLen:(b+1)*outLen], src, planes, h, w, kind.start)
-					tensor.MaxPool2x2Go(scalar, scalarAM, src, w, h/2, w/2, planes, kind.start)
-					sameBits(t, what+" sweep", scalar, want[b*outLen:(b+1)*outLen])
-					for i, idx := range scalarAM {
-						if idx != wantAM[b*outLen+i] {
-							t.Fatalf("%s sweep argmax %d: %d, generic %d", what, i, idx, wantAM[b*outLen+i])
-						}
-					}
+					tensor.MaxPool2x2Go(want[b*outLen:], wantAM[b*outLen:], x.Data[b*planes*h*w:], w, h/2, w/2, planes, kind.start)
 				}
-				sameBits(t, what+" Forward", got.Data, want)
+				what := fmt.Sprintf("%s w=%d h=%d", kind.name, w, h)
+				sameBits(t, what, p.Forward(x).Data, want)
 				for i, idx := range p.argmax {
 					if idx != wantAM[i] {
-						t.Fatalf("%s Forward argmax %d: %d, generic %d", what, i, idx, wantAM[i])
+						t.Fatalf("%s argmax %d: %d, twin %d", what, i, idx, wantAM[i])
 					}
 				}
 			}
@@ -640,7 +573,7 @@ func TestBackwardRejectsForeignBatch(t *testing.T) {
 	// BackwardParams runs.
 	backward := func(l Layer) func(*tensor.Tensor) { return func(g *tensor.Tensor) { l.Backward(g) } }
 	conv := func() *Conv2D {
-		return NewConv2D(tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3, rng)
+		return NewConv2D(2, 4, 4, 3, rng)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -732,7 +665,7 @@ func TestConvBoundaryMatchesLoops(t *testing.T) {
 		{InC: 1, InH: 6, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1},
 		{InC: 5, InH: 2, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
 	} {
-		c := NewConv2D(g, 8, rng)
+		c := NewConv2D(g.InC, g.InH, g.InW, 8, rng)
 		// padded narrows planes of h×w with a zero border of one, row by row.
 		padded := func(src []float64, planes int) []float32 {
 			h, w := g.InH, g.InW

@@ -1,35 +1,13 @@
 package nn
 
 import (
-	"math"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"fedcross/internal/tensor"
 )
-
-// sgdSpecials are the values the momentum kernel must carry exactly like
-// the scalar loop: NaNs of two payloads (math.NaN's and the x86 default
-// one 0·Inf makes), both infinities, both zeros, denormals and the ends
-// of the range.
-var sgdSpecials = []float64{
-	math.NaN(), math.Float64frombits(0xFFF8000000000000), math.Inf(1), math.Inf(-1),
-	math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-	1e-310, -1e-310, math.MaxFloat64, -math.MaxFloat64,
-}
-
-// sgdVector is an n-element vector of normals with specials scattered
-// through it.
-func sgdVector(rng *tensor.RNG, n int) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Normal(0, 1)
-		if rng.Float64() < 0.15 {
-			x[i] = sgdSpecials[rng.Intn(len(sgdSpecials))]
-		}
-	}
-	return x
-}
 
 // scalarMomentum is the loop SGD.Step ran before it had a kernel.
 func scalarMomentum(p, v, g []float64, lr, m float64) {
@@ -39,51 +17,29 @@ func scalarMomentum(p, v, g []float64, lr, m float64) {
 	}
 }
 
-// firstBitDiff returns the first index where a and b differ in any bit, NaN
-// payloads included, or -1.
-func firstBitDiff(a, b []float64) int {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestSGDStepMatchesScalar holds SGD.Step (the dispatched kernel: AVX2
-// where the CPU has it), tensor.MomentumStep and its scalar twin to the
-// loop above, bit for bit, over three consecutive steps — so the second
-// and third read a velocity the kernel wrote.
+// TestSGDStepMatchesScalar holds SGD.Step to the loop above, bit for bit,
+// NaN payloads included, over three consecutive steps — so the second and
+// third read a velocity the step wrote. (tensor's twin table holds
+// tensor.MomentumStep, the kernel under the step, to its twin.)
 func TestSGDStepMatchesScalar(t *testing.T) {
 	rng := tensor.NewRNG(23)
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 6506, 51978}
-	steps := map[string]func(p, v, g []float64, lr, m float64){
-		"kernel": tensor.MomentumStep,
-		"twin":   tensor.MomentumStepGo,
-		"SGD.Step": func(p, v, g []float64, lr, m float64) {
-			opt := &SGD{LR: lr, Momentum: m,
-				velocity: []*tensor.Tensor{tensor.New(v, len(v))}}
-			opt.Step([]*tensor.Tensor{tensor.New(p, len(p))}, []*tensor.Tensor{tensor.New(g, len(g))})
-		},
+	vec := func(n int) []float64 {
+		x := rng.Uniform(-2, 2, n).Data
+		plantBoundary(rng, x)
+		return x
 	}
-	for _, n := range lengths {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 6506, 51978} {
 		for _, m := range []float64{0, 0.9} {
-			p0, v0 := sgdVector(rng, n), sgdVector(rng, n)
-			grads := [3][]float64{sgdVector(rng, n), sgdVector(rng, n), sgdVector(rng, n)}
-			wantP, wantV := append([]float64(nil), p0...), append([]float64(nil), v0...)
-			var want [3][]float64
-			for s, g := range grads {
+			p, v := vec(n), vec(n)
+			wantP, wantV := slices.Clone(p), slices.Clone(v)
+			opt := &SGD{LR: 0.05, Momentum: m, velocity: []*tensor.Tensor{tensor.New(v, n)}}
+			for s := range 3 {
+				g := vec(n)
 				scalarMomentum(wantP, wantV, g, 0.05, m)
-				want[s] = append(append([]float64(nil), wantP...), wantV...)
-			}
-			for name, step := range steps {
-				p, v := append([]float64(nil), p0...), append([]float64(nil), v0...)
-				for s, g := range grads {
-					step(p, v, g, 0.05, m)
-					if i := firstBitDiff(append(append([]float64(nil), p...), v...), want[s]); i >= 0 {
-						t.Fatalf("%s n=%d m=%v step %d: element %d of p‖v differs from the scalar loop", name, n, m, s, i)
-					}
-				}
+				opt.Step([]*tensor.Tensor{tensor.New(p, n)}, []*tensor.Tensor{tensor.New(g, n)})
+				what := fmt.Sprintf("n=%d m=%v step %d", n, m, s)
+				sameBits(t, what+" params", p, wantP)
+				sameBits(t, what+" velocity", v, wantV)
 			}
 		}
 	}
@@ -135,9 +91,7 @@ func TestSGDStepRejectsMismatchBeforeWriting(t *testing.T) {
 			opt.Step(params, c.grads)
 		}()
 		for i := range params {
-			if j := firstBitDiff(params[i].Data, before[i].Data); j >= 0 {
-				t.Fatalf("%s: param %d element %d moved before the panic", c.name, i, j)
-			}
+			sameBits(t, fmt.Sprintf("%s: param %d after the panic", c.name, i), params[i].Data, before[i].Data)
 		}
 	}
 }
