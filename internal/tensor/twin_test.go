@@ -130,23 +130,79 @@ const twinGuard = 16
 
 func TestKernelTwins(t *testing.T) {
 	for _, r := range twinRows {
-		t.Run(r.name, func(t *testing.T) { runTwinRow(t, r) })
+		t.Run(r.name, func(t *testing.T) {
+			twinSweep(t, r)
+			twinChecks(t, r)
+		})
 	}
 }
 
-func runTwinRow(t *testing.T, r twinRow) {
+// The tests below keep the names of the per-kernel twin tests the table
+// replaced; each runs that test's part of the table's rows.
+
+func TestAxpyMatchesTwin(t *testing.T) { twinSweep(t, twinRowNamed("Axpy")) }
+
+func TestFoldKernelsRejectLengthMismatch(t *testing.T) {
+	for _, name := range []string{"Axpy", "Axpy4", "Lerp"} {
+		twinChecks(t, twinRowNamed(name))
+	}
+}
+
+func TestNarrowPaddedMatchesTwin(t *testing.T) { twinSweep(t, twinRowNamed("NarrowPadded")) }
+
+func TestGlueKernelsRejectShortSlices(t *testing.T) {
+	for _, name := range []string{"NarrowPadded", "Unpool2x2", "MaxPool2x2"} {
+		twinChecks(t, twinRowNamed(name))
+	}
+}
+
+func TestDotTileMatchesScalarStreams(t *testing.T) { twinSweep(t, twinRowNamed("DotTile")) }
+
+func TestDotTileRejectsUncheckedSpans(t *testing.T) { twinChecks(t, twinRowNamed("DotTile")) }
+
+func TestBackendsBitIdentical(t *testing.T) {
+	t.Run("edges", func(t *testing.T) { twinSweep(t, twinRowNamed("Gemm")) })
+	twinSweep(t, twinRowNamed("GemmBatch"))
+	twinSweep(t, twinRowNamed("GemmTransBSegAcc"))
+}
+
+func TestGemmRejectsShortOperands(t *testing.T) { twinChecks(t, twinRowNamed("Gemm")) }
+
+func TestConvKernelsMatchTwins(t *testing.T) { twinSweep(t, twinRowNamed("Winograd")) }
+
+func TestWinogradRejectsUncheckedOperands(t *testing.T) { twinChecks(t, twinRowNamed("Winograd")) }
+
+func twinRowNamed(name string) twinRow {
+	i := slices.IndexFunc(twinRows, func(r twinRow) bool { return r.name == name })
+	if i < 0 {
+		panic("no twin row " + name)
+	}
+	return twinRows[i]
+}
+
+// twinRNG is a row's generator, seeded by its name and a phase.
+func twinRNG(r twinRow, phase string) *RNG {
 	seed := fnv.New64a()
-	seed.Write([]byte(r.name))
-	rng := NewRNG(int64(seed.Sum64()))
+	seed.Write([]byte(r.name + phase))
+	return NewRNG(int64(seed.Sum64()))
+}
+
+func twinClasses(r twinRow) ([]float64, int) {
+	return append(slices.Clip(twinSpecials), r.values...), cmp.Or(r.rate, 5)
+}
+
+// twinSweep runs a row's sweep, comparing the kernel with every other
+// side, then holds reach and the pin to the backend.
+func twinSweep(t *testing.T, r twinRow) {
+	t.Helper()
+	rng := twinRNG(r, "")
 	sides := append([]string{"kernel"}, r.sides...)
 	if r.sides == nil {
 		sides = append(sides, "twin")
 	}
-	classes, rate := append(slices.Clip(twinSpecials), r.values...), cmp.Or(r.rate, 5)
+	classes, rate := twinClasses(r)
 	pin := sha256.New()
-	var last twinCase
 	r.sweep(func(c twinCase) {
-		last = c
 		for _, special := range []bool{false, true} {
 			bufs := twinFill(rng, c.ops, special, classes, rate)
 			if c.prep != nil {
@@ -169,12 +225,29 @@ func runTwinRow(t *testing.T, r twinRow) {
 				}
 				for i := range run {
 					if d := twinDiff(kernel[i], run[i], r.nanEqual); d != "" {
-						t.Fatalf("%s special=%v: operand %d %s; kernel vs %s", c.what, special, i, d, name)
+						t.Fatalf("%s: %s special=%v: operand %d %s; kernel vs %s", r.name, c.what, special, i, d, name)
 					}
 				}
 			}
 		}
 	})
+	avx2 := defaultBackend.Name() == "avx2"
+	if r.reach != nil && r.reach() != avx2 {
+		t.Errorf("%s: the models' shapes take the assembly: %v, on a build whose backend is %q", r.name, !avx2, defaultBackend.Name())
+	}
+	if got := fmt.Sprintf("%x", pin.Sum(nil)); avx2 && r.pin != "" && got != r.pin {
+		t.Errorf("%s: AVX2 results hash to %s, pinned %s", r.name, got, r.pin)
+	}
+}
+
+// twinChecks holds a row's sweep's last case with each operand one
+// element short to a panic, then runs the row's refusals.
+func twinChecks(t *testing.T, r twinRow) {
+	t.Helper()
+	rng := twinRNG(r, "/short")
+	classes, rate := twinClasses(r)
+	var last twinCase
+	r.sweep(func(c twinCase) { last = c })
 	for i, op := range last.ops {
 		if reflect.ValueOf(op).Len() == 0 || slices.Contains(r.free, i) {
 			continue
@@ -186,20 +259,13 @@ func runTwinRow(t *testing.T, r twinRow) {
 		v := reflect.ValueOf(o[i])
 		o[i] = v.Slice3(0, v.Len()-1, v.Len()-1).Interface()
 		if _, panicked := twinPanic(func() { last.run(0, o) }); !panicked {
-			t.Errorf("%s: operand %d one element short did not panic", last.what, i)
+			t.Errorf("%s: %s: operand %d one element short did not panic", r.name, last.what, i)
 		}
 	}
 	for _, f := range r.refuse {
 		if msg, _ := twinPanic(f.call); !strings.Contains(msg, f.msg) {
-			t.Errorf("refusal %q: panic %q", f.msg, msg)
+			t.Errorf("%s: refusal %q: panic %q", r.name, f.msg, msg)
 		}
-	}
-	avx2 := defaultBackend.Name() == "avx2"
-	if r.reach != nil && r.reach() != avx2 {
-		t.Errorf("the models' shapes take the assembly: %v, on a build whose backend is %q", !avx2, defaultBackend.Name())
-	}
-	if got := fmt.Sprintf("%x", pin.Sum(nil)); avx2 && r.pin != "" && got != r.pin {
-		t.Errorf("AVX2 results hash to %s, pinned %s", got, r.pin)
 	}
 }
 
