@@ -216,8 +216,9 @@ func TestGateDriver(t *testing.T) {
 // simd_amd64.go and the table (twin_rows_test.go) and fails on an
 // assembly kernel (a bodiless func …AVX) with no row or with two, on a
 // row naming a kernel simd_amd64.go does not declare, on a kernel no
-// dispatcher there calls, and on a row whose gate is neither a row of the
-// table below nor "none: " and why.
+// dispatcher there calls, on a row whose gate is neither a row of the
+// table below nor "none: " and why, and on a row giving its sweep or its
+// checks to a test twin_test.go does not declare.
 func TestKernelTwinsListed(t *testing.T) {
 	fset := token.NewFileSet()
 	parse := func(name string) *ast.File {
@@ -249,6 +250,12 @@ func TestKernelTwinsListed(t *testing.T) {
 		s, _ := strconv.Unquote(lit.Value)
 		return s
 	}
+	tests := map[string]bool{}
+	for _, d := range parse("twin_test.go").Decls {
+		if f, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(f.Name.Name, "Test") {
+			tests[f.Name.Name] = true
+		}
+	}
 	rowOf := map[string]string{}
 	ast.Inspect(parse("twin_rows_test.go"), func(n ast.Node) bool {
 		row, ok := n.(*ast.CompositeLit)
@@ -267,6 +274,11 @@ func TestKernelTwinsListed(t *testing.T) {
 		name, timed := str(fields["name"]), str(fields["gate"])
 		if !strings.HasPrefix(timed, "none: ") && !slices.ContainsFunc(gates, func(g gate) bool { return g.name == timed }) {
 			t.Errorf("twin row %s: gate %q is not a row of the gate table", name, timed)
+		}
+		for _, in := range []string{str(fields["sweepIn"]), str(fields["checksIn"])} {
+			if test, _, _ := strings.Cut(in, "/"); in != "" && !tests[test] {
+				t.Errorf("twin row %s: a phase runs in %s, which twin_test.go does not declare", name, in)
+			}
 		}
 		if avx, _ := fields["avx"].(*ast.CompositeLit); avx != nil {
 			for _, e := range avx.Elts {

@@ -650,12 +650,12 @@ func plantBoundary(rng *tensor.RNG, data []float64) {
 	}
 }
 
-// TestConvBoundaryMatchesLoops holds Conv2D's float32 boundary to the Go
-// loops it ran before tensor.NarrowPadded took it: the padded input and
-// the output gradient padded by one (interiors narrowed row by row,
-// borders still zero), bit for bit, NaN payloads included, over planes
-// with their tile pairs side by side and stacked, and batches that shrink
-// and grow through one layer.
+// TestConvBoundaryMatchesLoops holds Conv2D's float32 boundary to
+// tensor.NarrowPaddedGo, the row loop it ran before tensor.NarrowPadded
+// took it (the twin table holds the kernel to it): the padded input and
+// the output gradient padded by one (borders still zero), bit for bit,
+// NaN payloads included, over planes with their tile pairs side by side
+// and stacked, and batches that shrink and grow through one layer.
 func TestConvBoundaryMatchesLoops(t *testing.T) {
 	rng := tensor.NewRNG(29)
 	for _, g := range []tensor.ConvGeom{
@@ -666,17 +666,10 @@ func TestConvBoundaryMatchesLoops(t *testing.T) {
 		{InC: 5, InH: 2, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
 	} {
 		c := NewConv2D(g.InC, g.InH, g.InW, 8, rng)
-		// padded narrows planes of h×w with a zero border of one, row by row.
+		// padded narrows planes of h×w with a zero border of one.
 		padded := func(src []float64, planes int) []float32 {
-			h, w := g.InH, g.InW
-			dst := make([]float32, planes*(h+2)*(w+2))
-			for i := 0; i < planes; i++ {
-				for y := 0; y < h; y++ {
-					for x, v := range src[(i*h+y)*w : (i*h+y+1)*w] {
-						dst[(i*(h+2)+y+1)*(w+2)+x+1] = float32(v)
-					}
-				}
-			}
+			dst := make([]float32, planes*(g.InH+2)*(g.InW+2))
+			tensor.NarrowPaddedGo(dst, src, planes, g.InH, g.InW, 1)
 			return dst
 		}
 		for _, batch := range []int{3, 1, 4} {
@@ -705,8 +698,9 @@ func TestConvBoundaryMatchesLoops(t *testing.T) {
 }
 
 // TestMaxPoolBackwardMatchesScatter holds MaxPool2D.Backward, which
-// writes every input cell once through tensor.Unpool2x2, to the
-// loop it ran before — dx zeroed, then each winner's gradient added — bit
+// writes every input cell once through tensor.Unpool2x2, to
+// tensor.Unpool2x2Go, the loop it ran before (dx zeroed, then each
+// winner's gradient added; the twin table holds the kernel to it), bit
 // for bit, for both start values, on planes the unpool's assembly takes
 // (rows of a multiple of four windows, 4-wide planes) and ones it does
 // not, with argmax -1 windows and −0, NaN and ±Inf gradients, through
@@ -726,19 +720,8 @@ func TestMaxPoolBackwardMatchesScatter(t *testing.T) {
 				grad := rng.Uniform(-1, 1, batch, outLen)
 				sprinkle(rng, grad.Data)
 				want := make([]float64, batch*inLen)
-				for b := 0; b < batch; b++ {
-					for o, idx := range p.argmax[b*outLen : (b+1)*outLen] {
-						if idx >= 0 {
-							want[b*inLen+idx] += grad.Data[b*outLen+o]
-						}
-					}
-				}
-				got := p.Backward(grad).Data
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s dx element %d: %v (%#x), the scatter's %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-					}
-				}
+				tensor.Unpool2x2Go(want, grad.Data, p.argmax, tc.w/2, tc.c*tc.h/2, batch)
+				sameBits(t, what+" dx", p.Backward(grad).Data, want)
 			}
 		}
 	}

@@ -11,14 +11,15 @@ import (
 // operands holds each call of the chain to its twin's, so each call
 // writes an operand of its own or feeds the next.
 var twinRows = []twinRow{
-	{name: "Axpy", avx: []string{"axpyAVX"}, gate: "fold/reduce-k10",
+	{name: "Axpy", avx: []string{"axpyAVX"}, gate: "fold/reduce-k10", short: "tensor: Axpy ",
+		sweepIn: "TestAxpyMatchesTwin", checksIn: "TestFoldKernelsRejectLengthMismatch",
 		sweep: twinVectors(floats(2), func(side int, o twinOps) {
 			for _, a := range []float64{0.37, 0, -2.5, 1} {
 				pick(side, Axpy, axpyGo)(o.f(0), o.f(1), a)
 			}
 		})},
 	// a = 1 adds x exactly, so a plain sum may take the kernel.
-	{name: "AxpyUnit", gate: "none: the Axpy row's kernel", sides: []string{"plain sum"},
+	{name: "AxpyUnit", gate: "none: the Axpy row's kernel", sides: []string{"plain sum"}, short: "tensor: Axpy ",
 		sweep: twinVectors(floats(2), func(side int, o twinOps) {
 			pick(side, func(dst, x []float64) { Axpy(dst, x, 1) }, func(dst, x []float64) {
 				for i := range dst {
@@ -27,6 +28,7 @@ var twinRows = []twinRow{
 			})(o.f(0), o.f(1))
 		})},
 	{name: "Axpy4", avx: []string{"axpy4AVX"}, gate: "fold/axpy4", sides: []string{"twin", "four Axpy calls"},
+		short: "tensor: Axpy4 ", checksIn: "TestFoldKernelsRejectLengthMismatch",
 		sweep: twinVectors(floats(5), func(side int, o twinOps) {
 			pick(side, Axpy4, axpy4Go, func(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 				Axpy(dst, x0, a0)
@@ -37,7 +39,7 @@ var twinRows = []twinRow{
 		})},
 	// Out of place, then in place over v and over w: FedCross's propeller
 	// path lerps in place.
-	{name: "Lerp", avx: []string{"lerpAVX"}, gate: "fold/lerp",
+	{name: "Lerp", avx: []string{"lerpAVX"}, gate: "fold/lerp", short: "tensor: Lerp ", checksIn: "TestFoldKernelsRejectLengthMismatch",
 		sweep: twinVectors(floats(6), func(side int, o twinOps) {
 			for i, a := range []float64{0.99, 0.5, 1, 0} {
 				lerp, v, w := pick(side, Lerp, lerpGo), o.f(4), o.f(5)
@@ -69,18 +71,18 @@ var twinRows = []twinRow{
 			}
 		})},
 	// Two steps, so the second reads a velocity the first wrote.
-	{name: "MomentumStep", avx: []string{"momentumAVX"}, gate: "momentum/p6506",
+	{name: "MomentumStep", avx: []string{"momentumAVX"}, gate: "momentum/p6506", short: "tensor: MomentumStep ",
 		sweep: twinVectors(floats(3), func(side int, o twinOps) {
 			for _, m := range []float64{0, 0.9} {
 				pick(side, MomentumStep, MomentumStepGo)(o.f(0), o.f(1), o.f(2), 0.05, m)
 			}
 		})},
 	// −0 and NaN gate to +0 and false.
-	{name: "ReluForward", avx: []string{"reluFwdAVX"}, gate: "none: relu-pool runs the rectifier on its reference side only",
+	{name: "ReluForward", avx: []string{"reluFwdAVX"}, gate: "none: relu-pool runs the rectifier on its reference side only", short: "tensor: ReluForward ",
 		sweep: twinVectors(func(n int) []any { return []any{f64(n), f64(n), make([]bool, n)} }, func(side int, o twinOps) {
 			pick(side, ReluForward, reluForwardGo)(o.f(0), o.f(1), o.mask(2))
 		})},
-	{name: "ReluBackward", avx: []string{"reluBwdAVX"}, gate: "none: relu-pool runs the rectifier on its reference side only",
+	{name: "ReluBackward", avx: []string{"reluBwdAVX"}, gate: "none: relu-pool runs the rectifier on its reference side only", short: "tensor: ReluBackward ",
 		sweep: twinVectors(func(n int) []any { return []any{f64(n), f64(n), make([]bool, n)} }, func(side int, o twinOps) {
 			pick(side, ReluBackward, reluBackwardGo)(o.f(0), o.f(1), o.mask(2))
 		})},
@@ -90,7 +92,7 @@ var twinRows = []twinRow{
 	// column wider than their windows, ties, a row pair nothing positive
 	// enters, and both start values (−Inf, a plain pool; +0, one with a
 	// ReLU folded in).
-	{name: "MaxPool2x2", avx: []string{"maxPool2AVX"}, sides: []string{"twin", "window loop"},
+	{name: "MaxPool2x2", avx: []string{"maxPool2AVX"}, sides: []string{"twin", "window loop"}, short: "tensor: MaxPool2x2 ", checksIn: "TestGlueKernelsRejectShortSlices",
 		gate: "none: relu-pool pools on both sides, so no row reads the pool against its twin",
 		reach: func() bool {
 			took := func(w, pairs, ow int) bool {
@@ -128,11 +130,11 @@ var twinRows = []twinRow{
 		}},
 	// Argmax −1 windows and any winning tap; a −0 gradient lands as +0.
 	// The twin is the loop the kernel replaced, dx zeroed and each
-	// winner's gradient added.
-	{name: "Unpool2x2", avx: []string{"unpoolAVX"}, gate: "glue/unpool",
+	// winner's gradient added. Widths end on 8, which the kernel takes.
+	{name: "Unpool2x2", avx: []string{"unpoolAVX"}, gate: "glue/unpool", short: "tensor: Unpool2x2 ", checksIn: "TestGlueKernelsRejectShortSlices",
 		refuse: []twinRefusal{{"tensor: Unpool2x2 ", func() { Unpool2x2(nil, nil, nil, 4, -1, 1) }}},
 		sweep: func(yield func(twinCase)) {
-			for ow := 1; ow <= 9; ow++ {
+			for _, ow := range []int{1, 2, 3, 5, 6, 7, 9, 4, 8} {
 				for pairs := range 6 {
 					for batch := range 4 {
 						n := batch * pairs * ow
@@ -154,7 +156,8 @@ var twinRows = []twinRow{
 	// Widths 0–13 and 16 (multiples of four take the kernel), pad 0–2,
 	// zero planes and rows; no border element is written. The values are
 	// float32's largest, one that rounds past it, and a tie.
-	{name: "NarrowPadded", avx: []string{"narrowAVX"}, gate: "glue/narrow",
+	{name: "NarrowPadded", avx: []string{"narrowAVX"}, gate: "glue/narrow", short: "tensor: NarrowPadded ",
+		sweepIn: "TestNarrowPaddedMatchesTwin", checksIn: "TestGlueKernelsRejectShortSlices",
 		values: []float64{math.MaxFloat32, -math.MaxFloat32 * (1 + 0x1p-25), 1 + 0x1p-24},
 		refuse: []twinRefusal{{"tensor: NarrowPadded ", func() { NarrowPadded(f32(16), f64(4), 1, 2, 2, -1) }}},
 		sweep: func(yield func(twinCase)) {
@@ -175,19 +178,19 @@ var twinRows = []twinRow{
 	// The wire: v and ref are operands 0 and 1 over the residual shapes of
 	// wireShape, each length without and with a reference.
 	{name: "DeltaRange", avx: []string{"deltaRangeAVX"}, gate: "wire/up", sides: []string{"twin", "serial scan"},
-		values: wireValues, free: []int{2, 3},
+		values: wireValues, free: []int{2, 3}, short: "tensor: DeltaRange ",
 		sweep: wireSweep(func(side int, o twinOps, ref []float64, lo, scale float64) {
 			r := o.f(2)
 			r[0], r[1] = pick(side, DeltaRange, DeltaRangeGo, serialRange)(o.f(0), ref)
 		})},
 	{name: "QuantDelta", avx: []string{"quantDeltaAVX"}, gate: "wire/up", sides: []string{"twin", "math.Round pass"},
-		values: wireValues, free: []int{2},
+		values: wireValues, free: []int{2}, short: "tensor: QuantDelta ",
 		sweep: wireSweep(func(side int, o twinOps, ref []float64, lo, scale float64) {
 			pick(side, QuantDelta, QuantDeltaGo, roundPass)(o.bytes(3), o.f(0), ref, lo, scale)
 		})},
 	// Every byte, on grids of every scale and a zero one, each call into
 	// an operand of its own.
-	{name: "DequantAdd", avx: []string{"dequantAddAVX"}, gate: "wire/down", sides: []string{"twin", "decode, then add"},
+	{name: "DequantAdd", avx: []string{"dequantAddAVX"}, gate: "wire/down", sides: []string{"twin", "decode, then add"}, short: "tensor: DequantAdd ",
 		sweep: twinVectors(func(n int) []any { return append(floats(9)(n), make([]byte, n)) }, func(side int, o twinOps) {
 			for i, g := range [][2]float64{{-1, 2.0 / 255}, {0.25, 0}, {-math.MaxFloat64 / 4, math.MaxFloat64 / 2 / 255}, {-3e-310, 1e-312}} {
 				pick(side, DequantAdd, DequantAddGo, decodeThenAdd)(o.f(2*i), o.bytes(9), nil, g[0], g[1])
@@ -199,7 +202,8 @@ var twinRows = []twinRow{
 	// vectors' end or short of it, accumulators carried in, and a column
 	// that is a row (a diagonal cell).
 	{name: "DotTile", avx: []string{"dotTileAVX"}, gate: "gram", sides: []string{"twin", "four streams"},
-		rate: 64, nanEqual: true, free: []int{6},
+		rate: 64, nanEqual: true, free: []int{6}, short: "tensor: DotTile ",
+		sweepIn: "TestDotTileMatchesScalarStreams", checksIn: "TestDotTileRejectsUncheckedSpans",
 		pin: "bc5bc81059075332c86e9285bd10a143ae982f9e4fd490799d7856fee5f26f01",
 		refuse: []twinRefusal{
 			{"divisible by 4", func() { DotTile(new(DotTileAcc), &[2][]float64{}, &[4][]float64{}, 0, 6) }},
@@ -232,8 +236,11 @@ var twinRows = []twinRow{
 	// tiles, masked column groups), k = 0…13, 32, 50 and 64 (whole steps of
 	// four, the transposed form's tail) — in all three forms, with and
 	// without acc, op(a)'s last row and op(b)'s last column making every
-	// product −0, so that element's chain shows its +0 start.
-	{name: "Gemm", avx: []string{"gemmAxpyAVX", "gemmDotAVX"}, gate: "gemm/cnn", rate: 256, nanEqual: true,
+	// product −0, so that element's chain shows its +0 start. The avx2
+	// form's one Go index expression is its bounds check, so a short
+	// operand's runtime panic is that check (the go form's loops slice).
+	{name: "Gemm", avx: []string{"gemmAxpyAVX", "gemmDotAVX"}, gate: "gemm/cnn", rate: 256, nanEqual: true, short: "runtime error: ",
+		sweepIn: "TestBackendsBitIdentical/edges", checksIn: "TestGemmRejectsShortOperands",
 		pin: "195400af356299f28835368263d58d861d0dd581caefada68a352792af6ee786",
 		sweep: func(yield func(twinCase)) {
 			for m := range 10 {
@@ -264,7 +271,8 @@ var twinRows = []twinRow{
 				}
 			}
 		}},
-	{name: "GemmBatch", gate: "none: strides the Gemm row's kernels", rate: 64, nanEqual: true,
+	{name: "GemmBatch", gate: "none: strides the Gemm row's kernels", rate: 64, nanEqual: true, short: "runtime error: ",
+		sweepIn: "TestBackendsBitIdentical",
 		sweep: func(yield func(twinCase)) {
 			for groups := range 4 {
 				for _, strideA := range []int{0, 15} { // a broadcast, then one a per group
@@ -279,7 +287,7 @@ var twinRows = []twinRow{
 	// b is free: the avx2 form hands b to dotRowsAVX unchecked, so a short
 	// b is read past its end (CHANGES.md, FOUND).
 	{name: "GemmTransBSegAcc", avx: []string{"dotRowsAVX"}, gate: "none: GemmTransBSegAcc has no product caller",
-		rate: 64, nanEqual: true, free: []int{2},
+		rate: 64, nanEqual: true, free: []int{2}, short: "runtime error: slice bounds out of range", sweepIn: "TestBackendsBitIdentical",
 		refuse: []twinRefusal{{"segment must divide", func() { defaultBackend.GemmTransBSegAcc(nil, nil, nil, 2, 3, 2, 2) }}},
 		sweep: func(yield func(twinCase)) {
 			for _, s := range [][2]int{{1, 1}, {2, 3}, {4, 5}} {
@@ -305,7 +313,8 @@ var twinRows = []twinRow{
 	// a group's high half): forward, then the parameter gradients, which
 	// read the tiles the forward pass left, then the input gradient.
 	{name: "Winograd", avx: []string{"winoInAVX", "winoOutAVX", "winoDyAVX", "winoMulAVX"}, gate: "conv",
-		rate: 64, nanEqual: true,
+		rate: 64, nanEqual: true, short: "tensor: Winograd ",
+		sweepIn: "TestConvKernelsMatchTwins", checksIn: "TestWinogradRejectsUncheckedOperands",
 		pin: "18243451a558975ef400c47a2a38b03e62b231fc83982bd67de8493e04194fa8",
 		reach: func() bool {
 			return NewWinograd(ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8).Vector() &&
@@ -353,7 +362,7 @@ var twinRows = []twinRow{
 		}},
 
 	// Zeros, subnormals, overflow, infinities, NaN and exact halves.
-	{name: "Float16EncodeSlice", gate: "none: Go only, no assembly", sides: []string{"Float16Bits"}, free: []int{1},
+	{name: "Float16EncodeSlice", gate: "none: Go only, no assembly", sides: []string{"Float16Bits"}, free: []int{1}, short: "runtime error: slice bounds out of range",
 		values: []float64{0.5, 65504, -65504, 65520, 70000, 5.96046448e-08, 6.103515625e-05, 2.5e-8},
 		sweep: twinVectors(func(n int) []any { return []any{make([]byte, 2*n), f64(n)} }, func(side int, o twinOps) {
 			pick(side, Float16EncodeSlice, func(dst []byte, src []float64) {

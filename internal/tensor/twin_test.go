@@ -24,9 +24,9 @@ import (
 //   - it runs each side on its own copy and compares every element of
 //     every operand bit for bit, twinGuard elements on each side included,
 //     so a kernel writing outside its operands fails;
-//   - on the sweep's last case, which every row makes a full one, each
-//     operand one element short must panic: the wrappers, not the
-//     assembly, own the bounds.
+//   - on the sweep's last case, which every row makes one its assembly
+//     takes, each operand one element short must panic with the row's
+//     short message: the wrappers, not the assembly, own the bounds.
 // The root TestKernelTwinsListed fails on an assembly kernel with no row:
 // a new kernel is one row here and one in the root gates_test.go.
 
@@ -50,12 +50,19 @@ type twinRow struct {
 	nanEqual bool
 	pin      string
 	free     []int // operands no short check applies to: their length is the shape
+	// short is how the wrapper's panic on a short operand begins: its own
+	// message, or the runtime's where its check is a Go bounds check.
+	short string
 	// reach, where the dispatcher can be asked, reports whether the shapes
 	// the models run take the assembly: exactly where the backend is avx2.
 	reach func() bool
 	// refuse are calls with a shape no kernel takes; each must panic with
 	// msg in its message.
 	refuse []twinRefusal
+	// sweepIn and checksIn name the test running the row's sweep and its
+	// checks where that keeps the name of a per-kernel test the table
+	// replaced; "" is TestKernelTwins/<row>.
+	sweepIn, checksIn string
 }
 
 type twinRefusal struct {
@@ -128,56 +135,41 @@ var twinSpecials = []float64{
 
 const twinGuard = 16
 
-func TestKernelTwins(t *testing.T) {
+func TestKernelTwins(t *testing.T) { twinRun(t) }
+
+// The tests below keep the names of per-kernel tests the table replaced:
+// each runs the row phases whose sweepIn or checksIn names it.
+func TestAxpyMatchesTwin(t *testing.T)                  { twinRun(t) }
+func TestFoldKernelsRejectLengthMismatch(t *testing.T)  { twinRun(t) }
+func TestNarrowPaddedMatchesTwin(t *testing.T)          { twinRun(t) }
+func TestGlueKernelsRejectShortSlices(t *testing.T)     { twinRun(t) }
+func TestDotTileMatchesScalarStreams(t *testing.T)      { twinRun(t) }
+func TestDotTileRejectsUncheckedSpans(t *testing.T)     { twinRun(t) }
+func TestGemmRejectsShortOperands(t *testing.T)         { twinRun(t) }
+func TestConvKernelsMatchTwins(t *testing.T)            { twinRun(t) }
+func TestWinogradRejectsUncheckedOperands(t *testing.T) { twinRun(t) }
+func TestBackendsBitIdentical(t *testing.T)             { t.Run("edges", twinRun); twinRun(t) }
+
+// twinRun runs the row phases given to the running test, each once:
+// TestKernelTwins runs those given to no other, a subtest a row.
+func twinRun(t *testing.T) {
 	for _, r := range twinRows {
-		t.Run(r.name, func(t *testing.T) {
-			twinSweep(t, r)
-			twinChecks(t, r)
-		})
+		sweep := cmp.Or(r.sweepIn, "TestKernelTwins") == t.Name()
+		checks := cmp.Or(r.checksIn, "TestKernelTwins") == t.Name()
+		run := func(t *testing.T) {
+			if sweep {
+				twinSweep(t, r)
+			}
+			if checks {
+				twinChecks(t, r)
+			}
+		}
+		if t.Name() != "TestKernelTwins" {
+			run(t)
+		} else if sweep || checks {
+			t.Run(r.name, run)
+		}
 	}
-}
-
-// The tests below keep the names of the per-kernel twin tests the table
-// replaced; each runs that test's part of the table's rows.
-
-func TestAxpyMatchesTwin(t *testing.T) { twinSweep(t, twinRowNamed("Axpy")) }
-
-func TestFoldKernelsRejectLengthMismatch(t *testing.T) {
-	for _, name := range []string{"Axpy", "Axpy4", "Lerp"} {
-		twinChecks(t, twinRowNamed(name))
-	}
-}
-
-func TestNarrowPaddedMatchesTwin(t *testing.T) { twinSweep(t, twinRowNamed("NarrowPadded")) }
-
-func TestGlueKernelsRejectShortSlices(t *testing.T) {
-	for _, name := range []string{"NarrowPadded", "Unpool2x2", "MaxPool2x2"} {
-		twinChecks(t, twinRowNamed(name))
-	}
-}
-
-func TestDotTileMatchesScalarStreams(t *testing.T) { twinSweep(t, twinRowNamed("DotTile")) }
-
-func TestDotTileRejectsUncheckedSpans(t *testing.T) { twinChecks(t, twinRowNamed("DotTile")) }
-
-func TestBackendsBitIdentical(t *testing.T) {
-	t.Run("edges", func(t *testing.T) { twinSweep(t, twinRowNamed("Gemm")) })
-	twinSweep(t, twinRowNamed("GemmBatch"))
-	twinSweep(t, twinRowNamed("GemmTransBSegAcc"))
-}
-
-func TestGemmRejectsShortOperands(t *testing.T) { twinChecks(t, twinRowNamed("Gemm")) }
-
-func TestConvKernelsMatchTwins(t *testing.T) { twinSweep(t, twinRowNamed("Winograd")) }
-
-func TestWinogradRejectsUncheckedOperands(t *testing.T) { twinChecks(t, twinRowNamed("Winograd")) }
-
-func twinRowNamed(name string) twinRow {
-	i := slices.IndexFunc(twinRows, func(r twinRow) bool { return r.name == name })
-	if i < 0 {
-		panic("no twin row " + name)
-	}
-	return twinRows[i]
 }
 
 // twinRNG is a row's generator, seeded by its name and a phase.
@@ -258,8 +250,8 @@ func twinChecks(t *testing.T, r twinRow) {
 		}
 		v := reflect.ValueOf(o[i])
 		o[i] = v.Slice3(0, v.Len()-1, v.Len()-1).Interface()
-		if _, panicked := twinPanic(func() { last.run(0, o) }); !panicked {
-			t.Errorf("%s: %s: operand %d one element short did not panic", r.name, last.what, i)
+		if msg, _ := twinPanic(func() { last.run(0, o) }); r.short == "" || !strings.HasPrefix(msg, r.short) {
+			t.Errorf("%s: %s: operand %d one element short: panic %q, want one starting %q", r.name, last.what, i, msg, r.short)
 		}
 	}
 	for _, f := range r.refuse {
