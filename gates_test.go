@@ -748,7 +748,7 @@ var gates = []gate{
 			wg.Wait()
 		}
 		base := &singleMutexLazy{base: train, asg: asg, capacity: capacity, cache: map[int]*smShard{}}
-		striped := data.NewLazyStriped(train, asg, capacity, 64)
+		striped := data.NewLazy(train, asg, capacity, 64)
 		return func() { hammer(base.Shard, base.Release) }, func() {
 			hammer(striped.Shard, striped.Release)
 			if n := striped.Outstanding(); n != 0 {
@@ -894,6 +894,47 @@ var gates = []gate{
 			}
 	}},
 
+	// The CNN's two 2×2 pools at batch 50, one call a sample as
+	// nn.MaxPool2D makes them, from +0 as the ReLU-folded pools start:
+	// tensor.MaxPool2x2 against MaxPool2x2Go.
+	// 7.5–13.7× over twenty runs, 0.92–1.21× with the kernel on its twin;
+	// the bound is under half the low end: below it the pool fell back to
+	// its twin (or stopped taking the CNN's plane shapes).
+	{name: "pool", reps: 200, runs: 3, bound: 3.5, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+		rng := tensor.NewRNG(6)
+		type stage struct {
+			src, dst []float64
+			am       []int
+			ch, side int
+		}
+		var stages []stage
+		for _, c := range []struct{ ch, side int }{{8, models.VisionH}, {16, models.VisionH / 2}} {
+			n := convBatch * c.ch * c.side * c.side
+			stages = append(stages, stage{rng.Randn(1, n).Data, make([]float64, n/4), make([]int, n/4), c.ch, c.side})
+		}
+		run := func(pool func(dst []float64, am []int, src []float64, w, oh, ow, planes int, start float64)) func() {
+			return func() {
+				for _, s := range stages {
+					in, out := len(s.src)/convBatch, len(s.dst)/convBatch
+					for b := range convBatch {
+						pool(s.dst[b*out:(b+1)*out], s.am[b*out:(b+1)*out], s.src[b*in:(b+1)*in], s.side, s.side/2, s.side/2, s.ch, 0)
+					}
+				}
+			}
+		}
+		return run(tensor.MaxPool2x2Go), run(tensor.MaxPool2x2)
+	}},
+
+	// The rectifier over the CNN's three activations at batch 50 — both
+	// convolutions' outputs (which the product rectifies inside its folded
+	// pools) and the hidden Linear layer's — one call each: ReluForward and
+	// ReluBackward against their twins. Over twenty runs forward read
+	// 8.5–11.6× and backward 16.4–25.0×; with each kernel on its twin
+	// 1.03–1.25× and 0.99–1.23×. Each bound is half its low end: below it
+	// the rectifier fell back to its twin.
+	reluRow("forward", 4, tensor.ReluForwardGo, tensor.ReluForward),
+	reluRow("backward", 8, tensor.ReluBackwardGo, tensor.ReluBackward),
+
 	// The CNN step's data movement on its AVX2 kernels against their Go
 	// twins, batch 50, one call a batch each as nn.Conv2D and MaxPool2D make
 	// them. narrow: both convolutions' inputs and incoming gradients into
@@ -1008,6 +1049,33 @@ func foldRow(name string, bound float64, reps int, sides func(t testing.TB, rng 
 			t.Fatalf("%s: kernel and scalar loop differ", name)
 		}
 		return func() { scalar() }, func() { kernel() }
+	}}
+}
+
+// reluRow gates a rectifier kernel against its twin, each side called
+// as (dst, src, mask) over the CNN's rectified activations, the mask src's
+// as the forward pass leaves it.
+func reluRow(name string, bound float64, twin, kernel func(dst, src []float64, mask []bool)) gate {
+	return gate{name: "relu/" + name, reps: 500, runs: 3, bound: bound, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+		rng := tensor.NewRNG(7)
+		type act struct {
+			dst, src []float64
+			mask     []bool
+		}
+		var acts []act
+		for _, n := range []int{8 * models.VisionH * models.VisionW, 16 * models.VisionH / 2 * models.VisionW / 2, 32} {
+			a := act{make([]float64, convBatch*n), rng.Randn(1, convBatch*n).Data, make([]bool, convBatch*n)}
+			tensor.ReluForwardGo(a.dst, a.src, a.mask)
+			acts = append(acts, a)
+		}
+		run := func(f func(dst, src []float64, mask []bool)) func() {
+			return func() {
+				for _, a := range acts {
+					f(a.dst, a.src, a.mask)
+				}
+			}
+		}
+		return run(twin), run(kernel)
 	}}
 }
 

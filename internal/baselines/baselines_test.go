@@ -205,11 +205,11 @@ func TestFedGenGeneratorFitsEnsemble(t *testing.T) {
 			if err := nn.LoadParams(net.Params(), u); err != nil {
 				t.Fatal(err)
 			}
-			if logits := net.Forward(x); sum == nil {
-				sum = logits.Clone()
-			} else {
-				tensor.AddInPlace(sum, logits)
+			logits := net.Forward(x)
+			if sum == nil {
+				sum = tensor.Zeros(logits.Shape...)
 			}
+			tensor.AddInPlace(sum, logits)
 		}
 		if acc := nn.Accuracy(sum, y); acc < 0.8 {
 			t.Errorf("seed %d: the ensemble labels %.3f of the generated samples as conditioned, want >= 0.8", seed, acc)

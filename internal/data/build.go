@@ -19,20 +19,15 @@ func BuildVision(cfg VisionConfig, numClients int, het Heterogeneity, partitionS
 // behind a Lazy source: partition boundaries are computed once from the
 // same seed (so shards are byte-identical to BuildVision's), but shard
 // tensors are synthesized only when leased, bounded by capacity resident
-// shards (≤ 0 selects data.DefaultLazyCapacity). This is the constructor
-// for million-client federations where the eager layout cannot fit.
-func BuildVisionLazy(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64, capacity int) *Federated {
-	return BuildVisionLazyStriped(cfg, numClients, het, partitionSeed, capacity, 0)
-}
-
-// BuildVisionLazyStriped is BuildVisionLazy with an explicit shard-cache
-// stripe count (≤ 0 selects data.DefaultCacheStripes; see
-// NewLazyStriped). Stripe geometry never changes shard bytes.
-func BuildVisionLazyStriped(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64, capacity, stripes int) *Federated {
+// shards (≤ 0 selects data.DefaultLazyCapacity) over a cache of stripes
+// stripes (≤ 0 selects data.DefaultCacheStripes; see NewLazy). This is
+// the constructor for million-client federations where the eager layout
+// cannot fit.
+func BuildVisionLazy(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64, capacity, stripes int) *Federated {
 	train, test, asg := buildVision(cfg, numClients, het, partitionSeed)
 	return &Federated{
 		Name:    visionName(cfg) + "/" + het.String(),
-		Source:  NewLazyStriped(train, asg, capacity, stripes),
+		Source:  NewLazy(train, asg, capacity, stripes),
 		Test:    test,
 		Classes: cfg.Classes,
 	}

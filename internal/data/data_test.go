@@ -31,8 +31,8 @@ func TestGenerateVisionShapes(t *testing.T) {
 			t.Fatalf("class %d has %d samples, want 30", c, n)
 		}
 	}
-	if train.X.HasNaN() {
-		t.Fatal("NaN in generated data")
+	if !tensor.AllFinite(train.X.Data) {
+		t.Fatal("non-finite value in generated data")
 	}
 }
 
@@ -292,7 +292,7 @@ func TestBuildVisionRaisesAssignmentPanic(t *testing.T) {
 			build func()
 		}{
 			{"BuildVision", func() { BuildVision(cfg, tc.n, tc.het, 9) }},
-			{"BuildVisionLazy", func() { BuildVisionLazy(cfg, tc.n, tc.het, 9, 4) }},
+			{"BuildVisionLazy", func() { BuildVisionLazy(cfg, tc.n, tc.het, 9, 4, 0) }},
 		} {
 			if got := panicOf(b.build); got != want {
 				t.Fatalf("%s n=%d %v: panicked with %v, want %v", b.name, tc.n, tc.het, got, want)

@@ -13,7 +13,7 @@ import (
 func TestLazyDropCaches(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(9))
 	const n = 24
-	l := NewLazyStriped(train, AssignIID(train.Len(), n, tensor.NewRNG(8)), 32, 4)
+	l := NewLazy(train, AssignIID(train.Len(), n, tensor.NewRNG(8)), 32, 4)
 
 	// Populate residency: lease-and-release the first 12 shards, keep
 	// live leases on two of them.

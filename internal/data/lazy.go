@@ -32,11 +32,9 @@ type Lazy struct {
 	asg      *Assignment
 	capacity int
 
-	// geo is the live stripe set. Restripe retires a set (under every
-	// stripe lock) and swaps in a fresh one; lockStripe re-loads until it
-	// locks a stripe of the live set, so entries can never be stranded in
-	// a retired map.
-	geo atomic.Pointer[stripeSet]
+	// stripes is fixed at construction: client id's entry lives in
+	// stripes[id%len(stripes)].
+	stripes []*lazyStripe
 
 	outstanding atomic.Int64
 
@@ -46,14 +44,6 @@ type Lazy struct {
 	hits, misses, prefetchHits, evictions, overflow atomic.Int64
 
 	pf prefetchPool
-}
-
-type stripeSet struct {
-	stripes []*lazyStripe
-	// retired is written under ALL stripe locks and read under any one
-	// stripe lock, so a goroutine that locked a stale stripe always
-	// observes it and retries against the live set.
-	retired bool
 }
 
 type lazyStripe struct {
@@ -104,27 +94,20 @@ func defaultPrefetchWorkers() int {
 	return w
 }
 
-// NewLazy builds a lazy source over base with the given assignment and
-// the default stripe count. capacity bounds the number of resident
-// shards (≤ 0 selects DefaultLazyCapacity); leased shards can push the
-// resident count past the bound, which shrinks back as leases are
-// released.
-func NewLazy(base *Dataset, asg *Assignment, capacity int) *Lazy {
-	return NewLazyStriped(base, asg, capacity, 0)
-}
-
-// NewLazyStriped is NewLazy with an explicit stripe count (≤ 0 selects
-// DefaultCacheStripes). The count is clamped to [1, capacity] so every
-// stripe owns at least one cache slot. Stripe geometry affects only
-// which lock a lease takes and where LRU order is tracked — synthesized
-// shard bytes, and therefore every training history, are identical at
-// every stripe count.
-func NewLazyStriped(base *Dataset, asg *Assignment, capacity, stripes int) *Lazy {
+// NewLazy builds a lazy source over base with the given assignment.
+// capacity bounds the number of resident shards (≤ 0 selects
+// DefaultLazyCapacity); leased shards can push the resident count past
+// the bound, which shrinks back as leases are released. stripes is the
+// cache's stripe count (≤ 0 selects DefaultCacheStripes, as the product
+// does), clamped to [1, capacity] so every stripe owns at least one cache
+// slot. Stripe geometry affects only which lock a lease takes and where
+// LRU order is tracked — synthesized shard bytes, and therefore every
+// training history, are identical at every stripe count.
+func NewLazy(base *Dataset, asg *Assignment, capacity, stripes int) *Lazy {
 	if capacity <= 0 {
 		capacity = DefaultLazyCapacity
 	}
-	l := &Lazy{base: base, asg: asg, capacity: capacity}
-	l.geo.Store(newStripeSet(capacity, resolveStripes(stripes, capacity)))
+	l := &Lazy{base: base, asg: asg, capacity: capacity, stripes: newStripes(capacity, resolveStripes(stripes, capacity))}
 	l.pf.maxWorkers = defaultPrefetchWorkers()
 	l.pf.idle = sync.NewCond(&l.pf.mu)
 	return l
@@ -143,36 +126,27 @@ func resolveStripes(stripes, capacity int) int {
 	return stripes
 }
 
-// newStripeSet distributes capacity across stripes: every stripe gets
+// newStripes distributes capacity across stripes: every stripe gets
 // capacity/stripes slots and the first capacity%stripes get one extra,
 // so the per-stripe shares always sum to the global capacity.
-func newStripeSet(capacity, stripes int) *stripeSet {
-	set := &stripeSet{stripes: make([]*lazyStripe, stripes)}
+func newStripes(capacity, stripes int) []*lazyStripe {
+	set := make([]*lazyStripe, stripes)
 	base, extra := capacity/stripes, capacity%stripes
-	for i := range set.stripes {
+	for i := range set {
 		c := base
 		if i < extra {
 			c++
 		}
-		set.stripes[i] = &lazyStripe{cache: map[int]*lazyShard{}, capacity: c}
+		set[i] = &lazyStripe{cache: map[int]*lazyShard{}, capacity: c}
 	}
 	return set
 }
 
-// lockStripe locks and returns client id's stripe in the live set. If a
-// Restripe retired the set between load and lock, the stale lock is
-// dropped and the lookup retries — so every caller always mutates the
-// live geometry.
+// lockStripe locks and returns client id's stripe.
 func (l *Lazy) lockStripe(id int) *lazyStripe {
-	for {
-		set := l.geo.Load()
-		st := set.stripes[id%len(set.stripes)]
-		st.mu.Lock()
-		if !set.retired {
-			return st
-		}
-		st.mu.Unlock()
-	}
+	st := l.stripes[id%len(l.stripes)]
+	st.mu.Lock()
+	return st
 }
 
 // NumClients returns the assignment's client count.
@@ -263,9 +237,8 @@ func (l *Lazy) shrinkLocked(st *lazyStripe) bool {
 // best-effort shed but noisy for accounting.
 func (l *Lazy) DropCaches() int {
 	dropped := 0
-	set := l.geo.Load()
-	for i := range set.stripes {
-		st := l.lockStripe(i)
+	for _, st := range l.stripes {
+		st.mu.Lock()
 		for id, e := range st.cache {
 			if e.leases > 0 {
 				continue
@@ -297,9 +270,8 @@ func (l *Lazy) Outstanding() int { return int(l.outstanding.Load()) }
 // Resident returns the number of shards currently synthesized — the
 // cache-pressure observable the scale tests assert on.
 func (l *Lazy) Resident() int {
-	set := l.geo.Load()
 	n := 0
-	for _, st := range set.stripes {
+	for _, st := range l.stripes {
 		st.mu.Lock()
 		n += len(st.cache)
 		st.mu.Unlock()
@@ -335,7 +307,7 @@ func (l *Lazy) CacheStats() CacheStats {
 	return CacheStats{
 		Resident:     l.Resident(),
 		Outstanding:  l.Outstanding(),
-		Stripes:      len(l.geo.Load().stripes),
+		Stripes:      len(l.stripes),
 		Hits:         l.hits.Load(),
 		Misses:       l.misses.Load(),
 		PrefetchHits: l.prefetchHits.Load(),
@@ -344,44 +316,20 @@ func (l *Lazy) CacheStats() CacheStats {
 	}
 }
 
-// Restriper is implemented by sources whose cache geometry can be
-// reconfigured before use. No engine calls it any more (the run-time
-// stripe knob is gone); it stays only because benchmark/trace.go asserts
+// Restriper is the stripe-count query a source's wrapper can forward.
+// No engine calls it; it stays only because benchmark/trace.go asserts
 // *Lazy implements it, and goes with that assertion (ROADMAP items 2(b)
 // and 3).
 type Restriper interface {
-	// Restripe rebuilds the cache with the given stripe count and
-	// reports whether it took effect.
+	// Restripe reports whether the cache has the given stripe count.
 	Restripe(stripes int) bool
 }
 
-// Restripe rebuilds the cache with the given stripe count (≤ 0 selects
-// the default, clamped to capacity as in NewLazyStriped). It succeeds
-// only while the cache is cold — nothing resident, nothing leased; a
-// warm cache keeps its geometry and Restripe reports false. Restriping
-// never affects shard bytes, only lock placement.
+// Restripe reports whether the cache has the given stripe count (≤ 0
+// selects the default, clamped to capacity as in NewLazy). Stripes are
+// fixed at construction, so it changes nothing.
 func (l *Lazy) Restripe(stripes int) bool {
-	stripes = resolveStripes(stripes, l.capacity)
-	set := l.geo.Load()
-	if len(set.stripes) == stripes {
-		return true
-	}
-	for _, st := range set.stripes {
-		st.mu.Lock()
-	}
-	resident := 0
-	for _, st := range set.stripes {
-		resident += len(st.cache)
-	}
-	ok := resident == 0 && l.outstanding.Load() == 0
-	if ok {
-		set.retired = true
-		l.geo.Store(newStripeSet(l.capacity, stripes))
-	}
-	for _, st := range set.stripes {
-		st.mu.Unlock()
-	}
-	return ok
+	return resolveStripes(stripes, l.capacity) == len(l.stripes)
 }
 
 // Prefetcher is implemented by sources that can warm shards ahead of

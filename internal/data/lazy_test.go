@@ -39,7 +39,7 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/seed%d/n%d", het.String(), seed, n), func(t *testing.T) {
 					train, _ := GenerateVision(smallVisionCfg(seed))
 					eager := het.Assign(train.Y, train.Classes, n, tensor.NewRNG(seed+100)).Materialize(train)
-					lazy := NewLazy(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(seed+100)), 7)
+					lazy := NewLazy(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(seed+100)), 7, 0)
 					if lazy.NumClients() != n || len(eager) != n {
 						t.Fatalf("client counts %d / %d, want %d", lazy.NumClients(), len(eager), n)
 					}
@@ -75,7 +75,7 @@ func TestLazyMatchesMaterialized(t *testing.T) {
 func TestBuildVisionLazyMatchesBuildVision(t *testing.T) {
 	cfg := smallVisionCfg(3)
 	eager := BuildVision(cfg, 9, Heterogeneity{Beta: 0.5}, 11)
-	lazy := BuildVisionLazy(cfg, 9, Heterogeneity{Beta: 0.5}, 11, 4)
+	lazy := BuildVisionLazy(cfg, 9, Heterogeneity{Beta: 0.5}, 11, 4, 0)
 	if eager.Name != lazy.Name || eager.NumClients() != lazy.NumClients() {
 		t.Fatalf("identity mismatch: %q/%d vs %q/%d", eager.Name, eager.NumClients(), lazy.Name, lazy.NumClients())
 	}
@@ -108,7 +108,7 @@ func TestBuildVisionLazyMatchesBuildVision(t *testing.T) {
 func TestLazyLRUPinningAndBounds(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(1))
 	asg := AssignIID(train.Len(), 10, tensor.NewRNG(2))
-	l := NewLazy(train, asg, 3)
+	l := NewLazy(train, asg, 3, 0)
 
 	for ci := 0; ci < 3; ci++ {
 		l.Shard(ci)
@@ -155,7 +155,7 @@ func TestSourceReleaseWithoutLeasePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	lazy := NewLazy(train, AssignIID(train.Len(), 4, tensor.NewRNG(1)), 2)
+	lazy := NewLazy(train, AssignIID(train.Len(), 4, tensor.NewRNG(1)), 2, 0)
 	mustPanic("lazy", func() { lazy.Release(0) })
 	mat := NewMaterialized(IIDPartition(train, 4, tensor.NewRNG(1)))
 	mustPanic("materialized", func() { mat.Release(0) })

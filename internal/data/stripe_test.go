@@ -19,7 +19,7 @@ func TestLazyStripedMatchesMaterialized(t *testing.T) {
 	eager := het.Assign(train.Y, train.Classes, n, tensor.NewRNG(77)).Materialize(train)
 	for _, stripes := range []int{1, 8, 64} {
 		t.Run(fmt.Sprintf("stripes%d", stripes), func(t *testing.T) {
-			l := NewLazyStriped(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(77)), 16, stripes)
+			l := NewLazy(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(77)), 16, stripes)
 			for ci := 0; ci < n; ci++ {
 				if !sameShard(l.Shard(ci), eager[ci]) {
 					t.Fatalf("client %d shard differs at %d stripes", ci, stripes)
@@ -44,7 +44,7 @@ func TestLazyConcurrentLeaseStress(t *testing.T) {
 	het := Heterogeneity{Beta: 0.3}
 	const n = 64
 	eager := het.Assign(train.Y, train.Classes, n, tensor.NewRNG(55)).Materialize(train)
-	l := NewLazyStriped(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(55)), 12, 8)
+	l := NewLazy(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(55)), 12, 8)
 
 	workers := runtime.NumCPU() * 2
 	if workers < 4 {
@@ -95,7 +95,7 @@ func TestLazyConcurrentLeaseStress(t *testing.T) {
 func TestLazyPrefetch(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(2))
 	asg := AssignIID(train.Len(), 20, tensor.NewRNG(3))
-	l := NewLazyStriped(train, AssignIID(train.Len(), 20, tensor.NewRNG(3)), 16, 4)
+	l := NewLazy(train, AssignIID(train.Len(), 20, tensor.NewRNG(3)), 16, 4)
 
 	l.Prefetch([]int{0, 1, 2, 3, -1, 99, 2}) // dupes and junk ids welcome
 	l.WaitPrefetch()
@@ -132,7 +132,7 @@ func TestLazyPrefetch(t *testing.T) {
 // growing the stripe (overflow counted).
 func TestLazyPrefetchNeverOverflows(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(1))
-	l := NewLazyStriped(train, AssignIID(train.Len(), 10, tensor.NewRNG(2)), 3, 1)
+	l := NewLazy(train, AssignIID(train.Len(), 10, tensor.NewRNG(2)), 3, 1)
 
 	for ci := 0; ci < 3; ci++ {
 		l.Shard(ci) // pin the whole stripe
@@ -164,7 +164,7 @@ func TestLazyPrefetchNeverOverflows(t *testing.T) {
 // in-flight synthesis, after which the pool is quiescent and reusable.
 func TestLazyCancelPrefetch(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(6))
-	l := NewLazy(train, AssignIID(train.Len(), 30, tensor.NewRNG(4)), 64)
+	l := NewLazy(train, AssignIID(train.Len(), 30, tensor.NewRNG(4)), 64, 0)
 	ids := make([]int, 30)
 	for i := range ids {
 		ids[i] = i
@@ -193,48 +193,32 @@ func (l *Lazy) peek(id int) (*Dataset, bool) {
 	return e.ds, true
 }
 
-// TestLazyRestripe: cold caches restripe (and re-clamp), warm caches
-// refuse, and a same-count restripe is an idempotent success either way.
+// TestLazyRestripe: stripes are fixed at construction, and Restripe only
+// reports whether a count, clamped as the constructor clamps it, is the
+// cache's own.
 func TestLazyRestripe(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(3))
-	l := NewLazyStriped(train, AssignIID(train.Len(), 16, tensor.NewRNG(5)), 16, 4)
-	if got := l.CacheStats().Stripes; got != 4 {
-		t.Fatalf("stripes %d, want 4", got)
+	asg := AssignIID(train.Len(), 16, tensor.NewRNG(5))
+	l, clamped := NewLazy(train, asg, 16, 4), NewLazy(train, asg, 16, 999)
+	for _, c := range []struct {
+		l          *Lazy
+		n, stripes int
+		want       bool
+	}{{l, 4, 4, true}, {l, 8, 4, false}, {l, 0, 4, false}, {clamped, 999, 16, true}, {clamped, 16, 16, true}} {
+		if got := c.l.Restripe(c.n); got != c.want {
+			t.Errorf("Restripe(%d) on %d stripes = %v, want %v", c.n, c.stripes, got, c.want)
+		}
+		if got := c.l.CacheStats().Stripes; got != c.stripes {
+			t.Fatalf("stripes %d after Restripe(%d), want %d", got, c.n, c.stripes)
+		}
 	}
-	if !l.Restripe(8) {
-		t.Fatal("cold restripe refused")
-	}
-	if got := l.CacheStats().Stripes; got != 8 {
-		t.Fatalf("stripes %d after restripe, want 8", got)
-	}
-	// Over-capacity requests clamp exactly like the constructor.
-	if !l.Restripe(999) {
-		t.Fatal("cold restripe(999) refused")
-	}
-	if got := l.CacheStats().Stripes; got != 16 {
-		t.Fatalf("stripes %d after clamped restripe, want capacity 16", got)
-	}
-	l.Shard(0) // warm the cache
-	if l.Restripe(2) {
-		t.Fatal("warm restripe succeeded, want refusal")
-	}
-	if l.Restripe(16) { // same count: no-op success even warm
-		// fine
-	} else {
-		t.Fatal("same-count restripe refused")
-	}
-	l.Release(0)
-	if !sameShard(l.Shard(0), train.Subset(AssignIID(train.Len(), 16, tensor.NewRNG(5)).Rows(0))) {
-		t.Fatal("shard differs after restripes")
-	}
-	l.Release(0)
 }
 
 // TestLazyCacheStatsSnapshot sanity-checks the counter wiring end to end
 // on a deterministic serial sequence.
 func TestLazyCacheStatsSnapshot(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(8))
-	l := NewLazyStriped(train, AssignIID(train.Len(), 6, tensor.NewRNG(6)), 2, 1)
+	l := NewLazy(train, AssignIID(train.Len(), 6, tensor.NewRNG(6)), 2, 1)
 
 	l.Shard(0) // miss
 	l.Release(0)
@@ -270,7 +254,7 @@ func TestLazyConcurrentPrefetchAndLease(t *testing.T) {
 	het := Heterogeneity{Beta: 0.5}
 	const n = 32
 	eager := het.Assign(train.Y, train.Classes, n, tensor.NewRNG(99)).Materialize(train)
-	l := NewLazyStriped(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(99)), 24, 8)
+	l := NewLazy(train, het.Assign(train.Y, train.Classes, n, tensor.NewRNG(99)), 24, 8)
 
 	ids := make([]int, n)
 	for i := range ids {

@@ -253,7 +253,7 @@ func (p Profile) BuildEnv(dataset, model string, het data.Heterogeneity, seed in
 			// The cache holds a few rounds of cohorts; stripes take the
 			// data layer's default.
 			cap := clampInt(4*p.ClientsPerRound, 64, 4096)
-			fed := data.BuildVisionLazyStriped(cfg, p.NumClients, het, seed+1000, cap, 0)
+			fed := data.BuildVisionLazy(cfg, p.NumClients, het, seed+1000, cap, 0)
 			return &fl.Env{Fed: fed, Model: fac}, nil
 		}
 		return &fl.Env{Fed: data.BuildVision(cfg, p.NumClients, het, seed+1000), Model: fac}, nil

@@ -101,9 +101,9 @@ func relEnv(source string, stripes int) *fl.Env {
 	var fed *data.Federated
 	switch source {
 	case "lazy":
-		fed = data.BuildVisionLazy(cfg, relClients, het, 22, 3)
+		fed = data.BuildVisionLazy(cfg, relClients, het, 22, 3, 0)
 	case "striped":
-		fed = data.BuildVisionLazyStriped(cfg, relClients, het, 22, 64, stripes)
+		fed = data.BuildVisionLazy(cfg, relClients, het, 22, 64, stripes)
 	default:
 		fed = data.BuildVision(cfg, relClients, het, 22)
 		if source == "materialized" {
@@ -119,7 +119,7 @@ func relEnv(source string, stripes int) *fl.Env {
 var populationFed = sync.OnceValue(func() *data.Federated {
 	cfg := mlpVision(43)
 	cfg.TrainPerClass = 160
-	return data.BuildVisionLazyStriped(cfg, 50_000, data.Heterogeneity{Beta: 0.5}, 44, 256, 8)
+	return data.BuildVisionLazy(cfg, 50_000, data.Heterogeneity{Beta: 0.5}, 44, 256, 8)
 })
 
 // outcome is what a run leaves behind: its history and, under fl.Run,

@@ -312,7 +312,7 @@ func TestRunPropagatesErrors(t *testing.T) {
 func TestNonFiniteModelIsAnError(t *testing.T) {
 	env := testEnv(36, 8)
 	bad := *env.Fed.Clients[3]
-	bad.X = bad.X.Clone()
+	bad.X = tensor.New(append([]float64(nil), bad.X.Data...), bad.X.Shape...)
 	bad.X.Data[0] = math.NaN()
 	env.Fed.Clients[3] = &bad
 

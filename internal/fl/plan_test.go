@@ -19,7 +19,7 @@ func lazyStripedEnv(seed int64, clients int, het data.Heterogeneity, capacity, s
 		TrainPerClass: 40, TestPerClass: 15,
 		ModesPerClass: 2, Sep: 1.2, Noise: 0.3, Seed: seed,
 	}
-	fed := data.BuildVisionLazyStriped(cfg, clients, het, seed+1, capacity, stripes)
+	fed := data.BuildVisionLazy(cfg, clients, het, seed+1, capacity, stripes)
 	return &Env{Fed: fed, Model: models.MLP(12, 16, 4)}
 }
 

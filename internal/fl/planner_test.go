@@ -45,7 +45,7 @@ func plannerFed() *data.Federated {
 		TrainPerClass: 160, TestPerClass: 15,
 		ModesPerClass: 2, Sep: 1.2, Noise: 0.3, Seed: 43,
 	}
-	return data.BuildVisionLazyStriped(cfg, 50_000, data.Heterogeneity{Beta: 0.5}, 44, 256, 8)
+	return data.BuildVisionLazy(cfg, 50_000, data.Heterogeneity{Beta: 0.5}, 44, 256, 8)
 }
 
 // probeEnv puts a fresh probe in front of fed's lazy source.

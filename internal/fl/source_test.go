@@ -20,7 +20,7 @@ func sourceEnv(seed int64, clients int, het data.Heterogeneity, lazy bool) *Env 
 		ModesPerClass: 2, Sep: 1.2, Noise: 0.3, Seed: seed,
 	}
 	if lazy {
-		return &Env{Fed: data.BuildVisionLazy(cfg, clients, het, seed+1, 3), Model: models.MLP(12, 16, 4)}
+		return &Env{Fed: data.BuildVisionLazy(cfg, clients, het, seed+1, 3, 0), Model: models.MLP(12, 16, 4)}
 	}
 	return &Env{Fed: data.BuildVision(cfg, clients, het, seed+1), Model: models.MLP(12, 16, 4)}
 }

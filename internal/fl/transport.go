@@ -176,20 +176,11 @@ type roundTrip struct{ dst, vec, ref nn.ParamVector }
 // NewTransport builds a transport from options. The zero options value
 // yields the pass-through reference wire.
 func NewTransport(opts TransportOptions) (*Transport, error) {
-	codec, err := nn.CodecByName(opts.Codec)
-	if err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	net, err := NetworkByName(opts.Network)
-	if err != nil {
-		return nil, err
-	}
-	if opts.DeadlineSec < 0 {
-		return nil, fmt.Errorf("fl: DeadlineSec %v negative", opts.DeadlineSec)
-	}
-	if opts.Retries < 0 || opts.RetryBackoffSec < 0 {
-		return nil, fmt.Errorf("fl: Retries %d / RetryBackoffSec %v negative", opts.Retries, opts.RetryBackoffSec)
-	}
+	codec, _ := nn.CodecByName(opts.Codec)
+	net, _ := NetworkByName(opts.Network)
 	var delta nn.DeltaCodec
 	if !codec.Lossless() {
 		var ok bool

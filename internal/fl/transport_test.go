@@ -20,6 +20,17 @@ func testVec(rng *tensor.RNG, n int) nn.ParamVector {
 	return v
 }
 
+// TestNewTransportRefusesBadTimes: NewTransport refuses what
+// TransportOptions.Validate refuses — a NaN passes a `< 0` check, so a NaN
+// deadline or backoff must be refused by name, not run.
+func TestNewTransportRefusesBadTimes(t *testing.T) {
+	for _, o := range []TransportOptions{{DeadlineSec: math.NaN()}, {RetryBackoffSec: math.NaN()}, {DeadlineSec: -1}, {RetryBackoffSec: -1}, {Retries: -1}} {
+		if _, err := NewTransport(o); err == nil || o.Validate() == nil || err.Error() != o.Validate().Error() {
+			t.Errorf("NewTransport(%+v) = %v, want Validate's error %v", o, err, o.Validate())
+		}
+	}
+}
+
 // TestTransportNilPassThrough pins the nil-receiver contract every
 // algorithm relies on when driven outside fl.Run.
 func TestTransportNilPassThrough(t *testing.T) {

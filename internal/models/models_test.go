@@ -26,8 +26,8 @@ func TestVisionModelShapes(t *testing.T) {
 			if y.Shape[0] != 4 || y.Shape[1] != 10 {
 				t.Fatalf("output shape %v, want [4 10]", y.Shape)
 			}
-			if y.HasNaN() {
-				t.Fatal("forward produced NaN")
+			if !tensor.AllFinite(y.Data) {
+				t.Fatal("forward produced a non-finite output")
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -316,7 +317,9 @@ func TestConvMatchesFloat64Reference(t *testing.T) {
 			c.dW = rng.Uniform(-1, 1, c.dW.Shape...)
 			c.dB = rng.Uniform(-1, 1, outC)
 			ref := newRefConv(g, outC, rng)
-			ref.W, ref.B, ref.dW, ref.dB = c.W.Clone(), c.B.Clone(), c.dW.Clone(), c.dB.Clone()
+			for _, p := range [][2]*tensor.Tensor{{ref.W, c.W}, {ref.B, c.B}, {ref.dW, c.dW}, {ref.dB, c.dB}} {
+				copy(p[0].Data, p[1].Data)
+			}
 
 			h, w := g.InH, g.InW
 			groups := (batch*h*w/16 + 1) / 2
@@ -453,7 +456,7 @@ func TestMaxPoolNoWinnerBackward(t *testing.T) {
 					t.Fatalf("%s %+v: window %d output %v argmax %d, want %v and -1", kind.name, tc, i, v, p.argmax[i], kind.start)
 				}
 			}
-			grad := tensor.Full(1, out.Shape...)
+			grad := tensor.New(slices.Repeat([]float64{1}, out.Len()), out.Shape...)
 			dx := p.Backward(grad)
 			for i, v := range dx.Data {
 				if v != 0 {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,7 +20,7 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	for b := 0; b < 2; b++ {
 		s := 0.0
 		for j := 0; j < 4; j++ {
-			s += grad.At(b, j)
+			s += grad.Data[b*4+j]
 		}
 		if math.Abs(s) > 1e-12 {
 			t.Fatalf("grad row %d sums to %v", b, s)
@@ -47,7 +48,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 		for i := 0; i < b; i++ {
 			s := 0.0
 			for j := 0; j < c; j++ {
-				v := p.At(i, j)
+				v := p.Data[i*c+j]
 				if v < 0 || v > 1 {
 					return false
 				}
@@ -66,7 +67,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestSoftmaxStability(t *testing.T) {
 	p := Softmax(tensor.New([]float64{1000, 1000, -1000}, 1, 3))
-	if p.HasNaN() {
+	if !tensor.AllFinite(p.Data) {
 		t.Fatal("softmax overflowed")
 	}
 	if math.Abs(p.Data[0]-0.5) > 1e-9 {
@@ -140,7 +141,7 @@ func TestSGDReducesLossOnConvexProblem(t *testing.T) {
 	x := rng.Randn(1, 16, 3)
 	labels := make([]int, 16)
 	for i := range labels {
-		if x.At(i, 0) > 0 {
+		if x.Data[i*3] > 0 {
 			labels[i] = 1
 		}
 	}
@@ -324,7 +325,7 @@ func TestZeroGrads(t *testing.T) {
 	net.Backward(g)
 	nonzero := false
 	for _, gr := range net.Grads() {
-		if gr.MaxAbs() > 0 {
+		if slices.ContainsFunc(gr.Data, func(v float64) bool { return v != 0 }) {
 			nonzero = true
 		}
 	}
@@ -333,7 +334,7 @@ func TestZeroGrads(t *testing.T) {
 	}
 	net.ZeroGrads()
 	for _, gr := range net.Grads() {
-		if gr.MaxAbs() != 0 {
+		if slices.ContainsFunc(gr.Data, func(v float64) bool { return v != 0 }) {
 			t.Fatal("ZeroGrads left residue")
 		}
 	}
@@ -361,10 +362,10 @@ func TestEmbeddingLookup(t *testing.T) {
 	x := tensor.New([]float64{2, 4}, 1, 2)
 	y := e.Forward(x)
 	for j := 0; j < 3; j++ {
-		if y.Data[j] != e.W.At(2, j) {
+		if y.Data[j] != e.W.Data[2*3+j] {
 			t.Fatal("embedding lookup row 2 mismatch")
 		}
-		if y.Data[3+j] != e.W.At(4, j) {
+		if y.Data[3+j] != e.W.Data[4*3+j] {
 			t.Fatal("embedding lookup row 4 mismatch")
 		}
 	}

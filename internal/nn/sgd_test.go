@@ -49,13 +49,14 @@ func TestSGDStepMatchesScalar(t *testing.T) {
 // length is not its parameter's panics with the parameter named, and no
 // parameter — not even the ones before the bad one — has moved.
 func TestSGDStepRejectsMismatchBeforeWriting(t *testing.T) {
+	full := func(v float64, n int) *tensor.Tensor { return tensor.New(slices.Repeat([]float64{v}, n), n) }
 	net := func() []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Full(1, 4), tensor.Full(2, 3), tensor.Full(3, 5)}
+		return []*tensor.Tensor{full(1, 4), full(2, 3), full(3, 5)}
 	}
 	grads := func(sizes ...int) []*tensor.Tensor {
 		out := make([]*tensor.Tensor, len(sizes))
 		for i, n := range sizes {
-			out[i] = tensor.Full(0.5, n)
+			out[i] = full(0.5, n)
 		}
 		return out
 	}

@@ -113,7 +113,9 @@ func mustBytes(t *testing.T, encode func(*StateEncoder)) []byte {
 func TestSGDStateRoundTrip(t *testing.T) {
 	net := NewSequential(NewLinear(3, 2, tensor.NewRNG(1)), NewReLU(), NewLinear(2, 1, tensor.NewRNG(2)))
 	for _, g := range net.Grads() {
-		g.Fill(0.25)
+		for i := range g.Data {
+			g.Data[i] = 0.25
+		}
 	}
 	opt := NewSGD(0.1, 0.5)
 	opt.Step(net.Params(), net.Grads())

@@ -22,9 +22,11 @@ package tensor
 
 // Backend is the pluggable kernel implementation behind the tensor
 // package's destination-passing entry points (MatMulTo and friends,
-// AddTo, ScaleTo, AXPY, AddRowTo, ColSumAcc). GemmBatch and
-// GemmTransBSegAcc no longer have an entry point in this package; they
-// stay because backend wrappers outside it still forward them.
+// AddTo, AddRowTo, ColSumAcc), which reach Gemm, Add, AddRow and
+// ColSumAcc. GemmBatch, GemmTransBSegAcc, Scale and Axpy have no entry
+// point in this package: only benchmark/'s tracedBackend, which forwards
+// all nine methods, reaches them, and they go with it (ROADMAP items
+// 2(b) and 3).
 type Backend interface {
 	// Name identifies the backend in logs and reports.
 	Name() string

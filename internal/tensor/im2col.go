@@ -37,17 +37,11 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col lowers a single CHW image to a matrix of shape
-// (InC*KH*KW) × (OutH*OutW), so convolution becomes one MatMul.
-// img must have InC*InH*InW elements (any shape).
-func Im2Col(img *Tensor, g ConvGeom) *Tensor {
-	oh, ow := g.OutH(), g.OutW()
-	return Im2ColTo(Zeros(g.InC*g.KH*g.KW, oh*ow), img, g)
-}
-
-// Im2ColTo is Im2Col writing into a caller-owned workspace of shape
-// (InC*KH*KW) × (OutH*OutW). dst must not alias img. Padding gaps are
-// cleared, so a reused workspace needs no prior Zero.
+// Im2ColTo lowers a single CHW image (img: InC*InH*InW elements, any
+// shape) into a caller-owned workspace of shape (InC*KH*KW) × (OutH*OutW),
+// so convolution becomes one MatMul: the direct lowering the Winograd
+// kernels are held to. dst must not alias img. Padding gaps are cleared,
+// so a reused workspace needs no prior Zero.
 func Im2ColTo(dst, img *Tensor, g ConvGeom) *Tensor {
 	if img.Len() != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col input has %d elements, geometry wants %d", img.Len(), g.InC*g.InH*g.InW))
@@ -90,15 +84,10 @@ func Im2ColTo(dst, img *Tensor, g ConvGeom) *Tensor {
 	return out
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a (InC*KH*KW)×(OutH*OutW)
-// gradient matrix back into a CHW image gradient, summing overlaps.
-func Col2Im(cols *Tensor, g ConvGeom) *Tensor {
-	return Col2ImTo(Zeros(g.InC, g.InH, g.InW), cols, g)
-}
-
-// Col2ImTo is Col2Im scattering into a caller-owned image-gradient buffer
-// with InC*InH*InW elements (any shape). The buffer is zeroed first, so it
-// may hold stale contents. dst must not alias cols.
+// Col2ImTo is Im2ColTo's adjoint: it scatters a (InC*KH*KW)×(OutH*OutW)
+// gradient matrix into a caller-owned image-gradient buffer with
+// InC*InH*InW elements (any shape), summing overlaps. The buffer is zeroed
+// first, so it may hold stale contents. dst must not alias cols.
 func Col2ImTo(dstT, cols *Tensor, g ConvGeom) *Tensor {
 	oh, ow := g.OutH(), g.OutW()
 	rows := g.InC * g.KH * g.KW

@@ -5,27 +5,32 @@ import (
 	"testing"
 )
 
-// --- destination-passing kernels: correctness against the allocating forms ---
+// --- destination-passing kernels: a dirty dst gives a fresh one's result ---
 
 func TestToKernelsMatchAllocatingForms(t *testing.T) {
 	rng := NewRNG(41)
-	a := rng.Randn(1, 3, 4)
-	b := rng.Randn(1, 3, 4)
-	dst := Zeros(3, 4)
-
-	check := func(name string, got, want *Tensor) {
-		t.Helper()
+	a, b, c := rng.Randn(1, 3, 4), rng.Randn(1, 3, 4), rng.Randn(1, 4, 3)
+	g := ConvGeom{InC: 1, InH: 3, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	cols := rng.Randn(1, 9, 12)
+	for _, k := range []struct {
+		name  string
+		shape []int
+		run   func(dst *Tensor) *Tensor
+	}{
+		{"AddTo", a.Shape, func(dst *Tensor) *Tensor { return AddTo(dst, a, b) }},
+		{"ApplyTo", a.Shape, func(dst *Tensor) *Tensor { return ApplyTo(dst, a, math.Abs) }},
+		{"MatMulTo", []int{3, 3}, func(dst *Tensor) *Tensor { return MatMulTo(dst, a, c) }},
+		{"MatMulTransBTo", []int{3, 3}, func(dst *Tensor) *Tensor { return MatMulTransBTo(dst, a, b) }},
+		{"Im2ColTo", cols.Shape, func(dst *Tensor) *Tensor { return Im2ColTo(dst, a, g) }},
+		{"Col2ImTo", a.Shape, func(dst *Tensor) *Tensor { return Col2ImTo(dst, cols, g) }},
+	} {
+		want, got := k.run(Zeros(k.shape...)), k.run(rng.Randn(1, k.shape...))
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%s mismatch at %d: %v vs %v", name, i, got.Data[i], want.Data[i])
+				t.Fatalf("%s mismatch at %d: %v vs %v", k.name, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
-	check("AddTo", AddTo(dst, a, b), Add(a, b))
-	check("SubTo", SubTo(dst, a, b), Sub(a, b))
-	check("MulTo", MulTo(dst, a, b), Mul(a, b))
-	check("ScaleTo", ScaleTo(dst, a, 1.5), Scale(a, 1.5))
-	check("ApplyTo", ApplyTo(dst, a, math.Abs), Apply(a, math.Abs))
 }
 
 func TestToKernelsAliasing(t *testing.T) {
@@ -55,18 +60,17 @@ func TestMatMulToRejectsAliasedDst(t *testing.T) {
 
 // TestMatMulVariantsMatchReference pins the blocked/unrolled kernels (and
 // their Acc forms) against a naive triple loop on random shapes large
-// enough to cross block boundaries.
+// enough to cross block boundaries. Each form's operands are drawn in its
+// own storage order and the loop reads them through their strides.
 func TestMatMulVariantsMatchReference(t *testing.T) {
-	naive := func(a, b *Tensor) *Tensor {
-		m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-		out := Zeros(m, n)
+	// naive computes A·B with A(i,p) = a[i·ars+p·aps], B(p,j) = b[p·brs+j·bcs].
+	naive := func(a, b *Tensor, m, k, n, ars, aps, brs, bcs int) []float64 {
+		out := make([]float64, m*n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				s := 0.0
 				for p := 0; p < k; p++ {
-					s += a.Data[i*k+p] * b.Data[p*n+j]
+					out[i*n+j] += a.Data[i*ars+p*aps] * b.Data[p*brs+j*bcs]
 				}
-				out.Data[i*n+j] = s
 			}
 		}
 		return out
@@ -74,28 +78,27 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 	rng := NewRNG(7)
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 4}, {7, 300, 9}, {5, 130, 270}, {2, 257, 513}} {
 		m, k, n := dims[0], dims[1], dims[2]
-		a := rng.Randn(1, m, k)
-		b := rng.Randn(1, k, n)
-		want := naive(a, b)
+		a, at := rng.Randn(1, m, k), rng.Randn(1, k, m)
+		b, bt := rng.Randn(1, k, n), rng.Randn(1, n, k)
 		tol := 1e-9 * math.Sqrt(float64(k))
-
-		got := MatMul(a, b)
-		gotTA := MatMulTransA(Transpose(a), b)
-		gotTB := MatMulTransB(a, Transpose(b))
-		acc := Full(1, m, n)
-		MatMulAcc(acc, a, b)
-		for i := range want.Data {
-			if math.Abs(got.Data[i]-want.Data[i]) > tol {
-				t.Fatalf("MatMul(%v) off at %d: %v vs %v", dims, i, got.Data[i], want.Data[i])
-			}
-			if math.Abs(gotTA.Data[i]-want.Data[i]) > tol {
-				t.Fatalf("MatMulTransA(%v) off at %d", dims, i)
-			}
-			if math.Abs(gotTB.Data[i]-want.Data[i]) > tol {
-				t.Fatalf("MatMulTransB(%v) off at %d", dims, i)
-			}
-			if math.Abs(acc.Data[i]-1-want.Data[i]) > tol {
-				t.Fatalf("MatMulAcc(%v) off at %d", dims, i)
+		acc := rng.Randn(1, m, n)
+		accWant := naive(a, b, m, k, n, k, 1, n, 1)
+		for i, v := range acc.Data {
+			accWant[i] += v
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []float64
+		}{
+			{"MatMulTo", MatMulTo(Zeros(m, n), a, b).Data, naive(a, b, m, k, n, k, 1, n, 1)},
+			{"MatMulTransAAcc", MatMulTransAAcc(Zeros(m, n), at, b).Data, naive(at, b, m, k, n, 1, m, n, 1)},
+			{"MatMulTransBTo", MatMulTransBTo(Zeros(m, n), a, bt).Data, naive(a, bt, m, k, n, k, 1, 1, k)},
+			{"MatMulAcc", MatMulAcc(acc, a, b).Data, accWant},
+		} {
+			for i, w := range c.want {
+				if math.Abs(c.got[i]-w) > tol {
+					t.Fatalf("%s(%v) off at %d: %v vs %v", c.name, dims, i, c.got[i], w)
+				}
 			}
 		}
 	}
@@ -107,42 +110,22 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 func TestMatMulPropagatesNaN(t *testing.T) {
 	a := New([]float64{0, 1, 0, 0}, 2, 2) // row 0 = (0,1), row 1 = (0,0)
 	b := New([]float64{math.NaN(), 2, 3, 4}, 2, 2)
-	c := MatMul(a, b)
+	c := MatMulTo(Zeros(2, 2), a, b)
 	// out[0,0] = 0*NaN + 1*3 -> NaN under IEEE-754.
-	if !math.IsNaN(c.At(0, 0)) {
-		t.Fatalf("0*NaN must poison the sum, got %v", c.At(0, 0))
+	if !math.IsNaN(c.Data[0]) {
+		t.Fatalf("0*NaN must poison the sum, got %v", c.Data[0])
 	}
-	if !math.IsNaN(c.At(1, 0)) {
-		t.Fatalf("all-zero row times NaN column must be NaN, got %v", c.At(1, 0))
+	if !math.IsNaN(c.Data[2]) {
+		t.Fatalf("all-zero row times NaN column must be NaN, got %v", c.Data[2])
 	}
 	// TransA consumes A transposed: same poison requirement.
-	ta := MatMulTransA(a, b)
-	if !math.IsNaN(ta.At(0, 0)) {
-		t.Fatalf("MatMulTransA must propagate NaN, got %v", ta.At(0, 0))
+	if ta := MatMulTransAAcc(Zeros(2, 2), a, b); !math.IsNaN(ta.Data[0]) {
+		t.Fatalf("MatMulTransAAcc must propagate NaN, got %v", ta.Data[0])
 	}
 	// Inf behaves the same way: 0*Inf = NaN.
 	b2 := New([]float64{math.Inf(1), 2, 3, 4}, 2, 2)
-	if v := MatMul(a, b2).At(1, 0); !math.IsNaN(v) {
+	if v := MatMulTo(Zeros(2, 2), a, b2).Data[2]; !math.IsNaN(v) {
 		t.Fatalf("0*Inf must yield NaN, got %v", v)
-	}
-}
-
-// TestArgMaxNaNLoses is the regression test for the NaN-blind argmax: a
-// NaN in position 0 used to win because `v > bestV` is false for NaN.
-func TestArgMaxNaNLoses(t *testing.T) {
-	if got := ArgMax(New([]float64{math.NaN(), 0.2, 0.9}, 3)); got != 2 {
-		t.Fatalf("ArgMax with leading NaN = %d, want 2", got)
-	}
-	if got := ArgMax(New([]float64{0.5, math.NaN(), 0.1}, 3)); got != 0 {
-		t.Fatalf("ArgMax with inner NaN = %d, want 0", got)
-	}
-	// Negative values still beat NaN.
-	if got := ArgMax(New([]float64{math.NaN(), -3, -7}, 3)); got != 1 {
-		t.Fatalf("ArgMax all-negative = %d, want 1", got)
-	}
-	// All-NaN has no valid prediction: -1, same as empty.
-	if got := ArgMax(New([]float64{math.NaN(), math.NaN()}, 2)); got != -1 {
-		t.Fatalf("ArgMax all-NaN = %d, want -1", got)
 	}
 }
 
@@ -160,15 +143,10 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"AddTo", func() { AddTo(dst, a, b) }},
-		{"SubTo", func() { SubTo(dst, a, b) }},
-		{"MulTo", func() { MulTo(dst, a, b) }},
-		{"ScaleTo", func() { ScaleTo(dst, a, 2) }},
 		{"Lerp", func() { Lerp(dst.Data, a.Data, b.Data, 0.99, 0.01) }},
 		{"MatMulTo", func() { MatMulTo(mm, a, bt) }},
 		{"MatMulAcc", func() { MatMulAcc(mm, a, bt) }},
 		{"MatMulTransBTo", func() { MatMulTransBTo(mm, a, b) }},
-		{"MatMulTransBAcc", func() { MatMulTransBAcc(mm, a, b) }},
-		{"AXPY", func() { AXPY(0.5, a, dst) }},
 		{"Ensure", func() { dst = Ensure(dst, 16, 24) }},
 	}
 	for _, c := range cases {
@@ -182,7 +160,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"MatMulTransATo", func() { MatMulTransATo(ta, a, b) }},
 		{"MatMulTransAAcc", func() { MatMulTransAAcc(ta, a, b) }},
 	} {
 		if allocs := testing.AllocsPerRun(20, c.fn); allocs != 0 {
@@ -195,9 +172,8 @@ func TestIm2ColToZeroAllocAndCorrect(t *testing.T) {
 	rng := NewRNG(5)
 	g := ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	img := rng.Randn(1, 2, 6, 6)
-	want := Im2Col(img, g)
-	ws := Zeros(want.Shape...)
-	ws.Fill(123) // stale contents must not leak through padding gaps
+	want := Im2ColTo(Zeros(18, 36), img, g)
+	ws := rng.Randn(1, want.Shape...) // stale contents must not leak through padding gaps
 	Im2ColTo(ws, img, g)
 	for i := range want.Data {
 		if ws.Data[i] != want.Data[i] {
@@ -205,9 +181,8 @@ func TestIm2ColToZeroAllocAndCorrect(t *testing.T) {
 		}
 	}
 	grad := rng.Randn(1, want.Shape[0], want.Shape[1])
-	wantIm := Col2Im(grad, g)
-	dimg := Zeros(2, 6, 6)
-	dimg.Fill(-9)
+	wantIm := Col2ImTo(Zeros(2, 6, 6), grad, g)
+	dimg := rng.Randn(1, 2, 6, 6)
 	Col2ImTo(dimg, grad, g)
 	for i := range wantIm.Data {
 		if dimg.Data[i] != wantIm.Data[i] {

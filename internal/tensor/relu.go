@@ -26,7 +26,9 @@ func ReluBackward(dx, g []float64, mask []bool) {
 	reluBackward(dx, g, mask)
 }
 
-func reluForwardGo(out, x []float64, mask []bool) {
+// ReluForwardGo is ReluForward's portable twin, which off amd64, under
+// purego and without AVX2 is ReluForward.
+func ReluForwardGo(out, x []float64, mask []bool) {
 	for i, v := range x {
 		if v > 0 {
 			out[i] = v
@@ -38,7 +40,8 @@ func reluForwardGo(out, x []float64, mask []bool) {
 	}
 }
 
-func reluBackwardGo(dx, g []float64, mask []bool) {
+// ReluBackwardGo is ReluBackward's portable twin.
+func ReluBackwardGo(dx, g []float64, mask []bool) {
 	for i, v := range g {
 		if mask[i] {
 			dx[i] = v

@@ -37,7 +37,7 @@ const (
 // route Uint64 around the counter — so every rand.Rand method this
 // library calls (Intn, Int63, Perm, Shuffle, NormFloat64's slow path) is
 // math/rand's own code over one counted stream, and the draws read
-// straight from the ring (Float64, Normal's ziggurat fast path, Gamma;
+// straight from the ring (Float64, Normal's ziggurat fast path, the Gamma draws;
 // rng_ring.go) are that code written out over the same words. (seed,
 // position) is therefore a complete, restorable snapshot of a generator
 // — the fact the round-checkpoint machinery is built on. Owning the ring
@@ -267,13 +267,6 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // Shuffle permutes xs uniformly at random in place.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
-// Gamma samples from Gamma(shape, 1) using the Marsaglia–Tsang method.
-// It is the building block for Dirichlet sampling.
-func (g *RNG) Gamma(shape float64) float64 {
-	d, c := gammaDC(shape)
-	return g.gamma(shape, d, c)
-}
-
 // gammaDC is Marsaglia–Tsang's d = a − 1/3 and c = 1/√(9d) for a = shape,
 // or for a = shape + 1 below 1, where Gamma boosts.
 func gammaDC(shape float64) (d, c float64) {
@@ -287,7 +280,8 @@ func gammaDC(shape float64) (d, c float64) {
 	return d, 1 / math.Sqrt(9*d)
 }
 
-// gamma is Gamma with gammaDC(shape) computed by the caller.
+// gamma samples from Gamma(shape, 1) by the Marsaglia–Tsang method, with
+// gammaDC(shape) computed by the caller: the Dirichlet draws' building block.
 func (g *RNG) gamma(shape, d, c float64) float64 {
 	// Boost below 1: Gamma(a) = Gamma(a+1) · U^(1/a), U drawn first.
 	boost := 1.0

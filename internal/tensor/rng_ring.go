@@ -9,7 +9,7 @@ package tensor
 // one rand.Rand produces (TestRingDistributionsMatchMathRand).
 
 // Float64 returns a uniform sample in [0,1). It stays one out-of-line
-// call, as it was over rand.Rand: Gamma, the one caller that draws it by
+// call, as it was over rand.Rand: the Gamma draw, the one caller that draws it by
 // the million, reads the ring inline instead, and inlining the loop into
 // every other call site would only grow them.
 //

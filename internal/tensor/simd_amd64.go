@@ -7,8 +7,8 @@ package tensor
 // accumulation chain identical to the scalar kernels — VMULPD/VADDPD are
 // one rounding per operation, exactly like Go's scalar * and + (no FMA
 // contraction), so the avx2 backend is bit-identical to GoBackend. The
-// dot kernel maps the scalar 4-way partial sums onto the four lanes of
-// one ymm accumulator, tails fold into lane 0, and the collapse order is
+// dot kernels map the scalar 4-way partial sums onto the four lanes of
+// a ymm accumulator, tails fold into lane 0, and the collapse order is
 // ((s0+s1)+s2)+s3 — the exact structure of the scalar dot4.
 
 // hasAVX2 reports whether the CPU and OS support AVX2 ymm state.
@@ -25,14 +25,6 @@ func axpyAVX(dst, x []float64, a float64)
 //
 //go:noescape
 func axpy4AVX(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
-
-// dotRowsAVX computes dst[j] += dot4(aseg, b[j*stride:j*stride+len(aseg)])
-// for every j — a whole destination row of accumulating dots per call:
-// lane p%4 accumulates ascending p, tail into lane 0, collapse
-// ((s0+s1)+s2)+s3 — bit-identical to the scalar dot4.
-//
-//go:noescape
-func dotRowsAVX(dst, aseg, b []float64, stride int)
 
 // gemmAxpyAVX computes dst (=|+=) A·b over register-resident tiles, where
 // A(i,p) = a[i·ars + p·aps] — the NN form with (ars, aps) = (k, 1), the
@@ -165,8 +157,8 @@ func unpoolAVX(dx, grad *float64, am *int, batch, rows, steps, half, w, skip int
 var avx2Supported = hasAVX2()
 
 // avx2Backend is the AVX2-accelerated kernel backend, bit-identical to
-// GoBackend (see the lane argument above). Elementwise methods it does
-// not override fall through to the embedded pure-Go implementations.
+// GoBackend (see the lane argument above). It overrides only Gemm; every
+// other method runs the embedded GoBackend.
 type avx2Backend struct{ GoBackend }
 
 // Name implements Backend.
@@ -195,37 +187,6 @@ func (avx2Backend) Gemm(dst, a, b []float64, m, k, n int, transA, transB, acc bo
 	}
 }
 
-// GemmBatch implements Backend by striding the group slabs through the
-// AVX2 single-multiply kernel.
-func (v avx2Backend) GemmBatch(dst, a, b []float64, groups, m, k, n, strideD, strideA, strideB int, transA, transB, acc bool) {
-	for i := 0; i < groups; i++ {
-		ai := a
-		if strideA != 0 {
-			ai = a[i*strideA:]
-		}
-		v.Gemm(dst[i*strideD:], ai, b[i*strideB:], m, k, n, transA, transB, acc)
-	}
-}
-
-// GemmTransBSegAcc implements Backend with the lane-parallel dot kernel;
-// segment structure (partials reset and folded per segment, ascending)
-// matches GoBackend exactly.
-func (avx2Backend) GemmTransBSegAcc(dst, a, b []float64, m, k, n, seg int) {
-	if seg <= 0 || k%seg != 0 {
-		panic("tensor: GemmTransBSegAcc segment must divide the reduction length")
-	}
-	for s0 := 0; s0 < k; s0 += seg {
-		for i := 0; i < m; i++ {
-			dotRowsAVX(dst[i*n:(i+1)*n], a[i*k+s0:i*k+s0+seg], b[s0:], k)
-		}
-	}
-}
-
-// Axpy implements Backend.
-func (avx2Backend) Axpy(alpha float64, src, dst []float64) {
-	axpyAVX(dst, src, alpha)
-}
-
 func init() {
 	if avx2Supported {
 		defaultBackend = avx2Backend{}
@@ -242,7 +203,7 @@ func reluForward(out, x []float64, mask []bool) {
 		reluFwdAVX(out, x, mask)
 		return
 	}
-	reluForwardGo(out, x, mask)
+	ReluForwardGo(out, x, mask)
 }
 
 // maxPool2x2Plane dispatches the checked run of row pairs to the AVX2
@@ -269,7 +230,7 @@ func reluBackward(dx, g []float64, mask []bool) {
 		reluBwdAVX(dx, g, mask)
 		return
 	}
-	reluBackwardGo(dx, g, mask)
+	ReluBackwardGo(dx, g, mask)
 }
 
 // dotTile runs the checked span on the AVX2 tile when the CPU has it.

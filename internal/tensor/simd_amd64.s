@@ -203,134 +203,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func dotRowsAVX(dst, aseg, b []float64, stride int)
-// For each j: dst[j] += dot4(aseg, b[j*stride : j*stride+len(aseg)]) —
-// one call per destination row instead of one per dot: lane p%4
-// accumulates ascending p, the tail folds into lane 0, and the collapse
-// is ((s0+s1)+s2)+s3, the scalar dot4's. Rows are
-// processed in independent pairs (two accumulator chains hide the
-// VADDPD latency and share each aseg load); each j's own chain is
-// unchanged.
-TEXT ·dotRowsAVX(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX   // n
-	MOVQ aseg_base+24(FP), SI
-	MOVQ aseg_len+32(FP), R9 // seg
-	MOVQ b_base+48(FP), DX
-	MOVQ stride+72(FP), R10
-	SHLQ $3, R10             // stride in bytes
-	MOVQ R9, R12
-	ANDQ $-4, R12
-	XORQ R13, R13            // j
-
-pairloop:
-	LEAQ 1(R13), AX
-	CMPQ AX, CX
-	JGE  single              // fewer than two rows left
-	MOVQ DX, BX
-	LEAQ (DX)(R10*1), R14
-	VXORPD Y0, Y0, Y0
-	VXORPD Y5, Y5, Y5
-	XORQ AX, AX
-
-pdot:
-	CMPQ AX, R12
-	JGE  ptail
-	VMOVUPD (SI)(AX*8), Y1
-	VMOVUPD (BX)(AX*8), Y2
-	VMOVUPD (R14)(AX*8), Y3
-	VMULPD  Y2, Y1, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  Y3, Y1, Y3
-	VADDPD  Y3, Y5, Y5
-	ADDQ $4, AX
-	JMP  pdot
-
-ptail:
-	VEXTRACTF128 $1, Y0, X1
-	VEXTRACTF128 $1, Y5, X6
-
-ptail1:
-	CMPQ AX, R9
-	JGE  pcollapse
-	VMOVSD (SI)(AX*8), X2
-	VMOVSD (BX)(AX*8), X3
-	VMULSD X3, X2, X3
-	VADDSD X3, X0, X0
-	VMOVSD (R14)(AX*8), X4
-	VMULSD X4, X2, X4
-	VADDSD X4, X5, X5
-	INCQ AX
-	JMP  ptail1
-
-pcollapse:
-	VUNPCKHPD X0, X0, X2
-	VADDSD    X2, X0, X0
-	VUNPCKHPD X1, X1, X3
-	VADDSD    X1, X0, X0
-	VADDSD    X3, X0, X0
-	VMOVSD (DI)(R13*8), X4
-	VADDSD X0, X4, X4
-	VMOVSD X4, (DI)(R13*8)
-	VUNPCKHPD X5, X5, X2
-	VADDSD    X2, X5, X5
-	VUNPCKHPD X6, X6, X3
-	VADDSD    X6, X5, X5
-	VADDSD    X3, X5, X5
-	VMOVSD 8(DI)(R13*8), X4
-	VADDSD X5, X4, X4
-	VMOVSD X4, 8(DI)(R13*8)
-	LEAQ (DX)(R10*2), DX
-	ADDQ $2, R13
-	JMP  pairloop
-
-single:
-	CMPQ R13, CX
-	JGE  done
-	MOVQ DX, BX
-	VXORPD Y0, Y0, Y0
-	XORQ AX, AX
-
-dotloop:
-	CMPQ AX, R12
-	JGE  dtail
-	VMOVUPD (SI)(AX*8), Y1
-	VMOVUPD (BX)(AX*8), Y2
-	VMULPD  Y2, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	ADDQ $4, AX
-	JMP  dotloop
-
-dtail:
-	VEXTRACTF128 $1, Y0, X1
-
-dtail1:
-	CMPQ AX, R9
-	JGE  collapse
-	VMOVSD (SI)(AX*8), X2
-	VMOVSD (BX)(AX*8), X3
-	VMULSD X3, X2, X2
-	VADDSD X2, X0, X0
-	INCQ AX
-	JMP  dtail1
-
-collapse:
-	VUNPCKHPD X0, X0, X2
-	VADDSD    X2, X0, X0
-	VUNPCKHPD X1, X1, X3
-	VADDSD    X1, X0, X0
-	VADDSD    X3, X0, X0
-	VMOVSD (DI)(R13*8), X4
-	VADDSD X0, X4, X4
-	VMOVSD X4, (DI)(R13*8)
-	ADDQ R10, DX
-	INCQ R13
-	JMP  single
-
-done:
-	VZEROUPPER
-	RET
-
 // Linear-layer GEMM kernels (avx2Backend.Gemm). Every output element
 // keeps the chain of its GoBackend twin: the NN and TransA forms run
 // from +0 (or the prior value) over p ascending, one VMULPD then one

@@ -5,8 +5,8 @@ package tensor
 // Non-amd64 (or purego) builds run the portable scalar kernels; the
 // process-wide backend stays GoBackend.
 
-func reluForward(out, x []float64, mask []bool) { reluForwardGo(out, x, mask) }
-func reluBackward(dx, g []float64, mask []bool) { reluBackwardGo(dx, g, mask) }
+func reluForward(out, x []float64, mask []bool) { ReluForwardGo(out, x, mask) }
+func reluBackward(dx, g []float64, mask []bool) { ReluBackwardGo(dx, g, mask) }
 
 func maxPool2x2Plane(dst []float64, am []int, src []float64, w, pairs, ow int, start float64) bool {
 	return false

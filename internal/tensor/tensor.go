@@ -5,7 +5,7 @@
 // deterministic random source for reproducible experiments.
 //
 // Tensors use a flat row-major backing slice. Every hot-path kernel has a
-// destination-passing form (AddTo, ScaleTo, MatMulTo, MatMulAcc, ...) that
+// destination-passing form (AddTo, MatMulTo, MatMulAcc, ...) that
 // writes into a caller-owned buffer, and the package provides two
 // recycling facilities — Ensure for long-lived per-layer buffers and the
 // GetScratch/PutScratch arena for call-scoped temporaries — so
@@ -18,7 +18,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -46,15 +45,6 @@ func Zeros(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, Numel(shape))}
 }
 
-// Full returns a tensor with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
-	t := Zeros(shape...)
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-	return t
-}
-
 // Numel returns the number of elements implied by shape.
 func Numel(shape []int) int {
 	n := 1
@@ -73,51 +63,8 @@ func Numel(shape []int) int {
 // Len returns the total number of elements in t.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
-
-// Clone returns a deep copy of t.
-func (t *Tensor) Clone() *Tensor {
-	d := make([]float64, len(t.Data))
-	copy(d, t.Data)
-	return New(d, t.Shape...)
-}
-
-// Reshape returns a view of t with a new shape sharing the same backing
-// data. The element count must be preserved.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	if Numel(shape) != len(t.Data) {
-		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes element count", t.Shape, shape))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-}
-
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set assigns v to the element at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.Shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
 
 // SameShape reports whether a and b have identical shapes.
 func SameShape(a, b *Tensor) bool {
@@ -130,13 +77,6 @@ func SameShape(a, b *Tensor) bool {
 		}
 	}
 	return true
-}
-
-// Fill sets every element of t to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
 }
 
 // Zero sets every element of t to +0, as one memclr (Fill's variable
@@ -163,26 +103,4 @@ func (t *Tensor) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for an empty
-// tensor.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }

@@ -78,13 +78,13 @@ var twinRows = []twinRow{
 			}
 		})},
 	// −0 and NaN gate to +0 and false.
-	{name: "ReluForward", avx: []string{"reluFwdAVX"}, gate: "none: relu-pool runs the rectifier on its reference side only", short: "tensor: ReluForward ",
+	{name: "ReluForward", avx: []string{"reluFwdAVX"}, gate: "relu/forward", short: "tensor: ReluForward ",
 		sweep: twinVectors(func(n int) []any { return []any{f64(n), f64(n), make([]bool, n)} }, func(side int, o twinOps) {
-			pick(side, ReluForward, reluForwardGo)(o.f(0), o.f(1), o.mask(2))
+			pick(side, ReluForward, ReluForwardGo)(o.f(0), o.f(1), o.mask(2))
 		})},
-	{name: "ReluBackward", avx: []string{"reluBwdAVX"}, gate: "none: relu-pool runs the rectifier on its reference side only", short: "tensor: ReluBackward ",
+	{name: "ReluBackward", avx: []string{"reluBwdAVX"}, gate: "relu/backward", short: "tensor: ReluBackward ",
 		sweep: twinVectors(func(n int) []any { return []any{f64(n), f64(n), make([]bool, n)} }, func(side int, o twinOps) {
-			pick(side, ReluBackward, reluBackwardGo)(o.f(0), o.f(1), o.mask(2))
+			pick(side, ReluBackward, ReluBackwardGo)(o.f(0), o.f(1), o.mask(2))
 		})},
 
 	// Rows of a multiple of four windows and 4-wide planes in even
@@ -93,7 +93,7 @@ var twinRows = []twinRow{
 	// enters, and both start values (−Inf, a plain pool; +0, one with a
 	// ReLU folded in).
 	{name: "MaxPool2x2", avx: []string{"maxPool2AVX"}, sides: []string{"twin", "window loop"}, short: "tensor: MaxPool2x2 ", checksIn: "TestGlueKernelsRejectShortSlices",
-		gate: "none: relu-pool pools on both sides, so no row reads the pool against its twin",
+		gate: "pool",
 		reach: func() bool {
 			took := func(w, pairs, ow int) bool {
 				return maxPool2x2Plane(f64(pairs*ow), make([]int, pairs*ow), f64(2*pairs*w), w, pairs, ow, 0)
@@ -266,39 +266,6 @@ var twinRows = []twinRow{
 										pick[Backend](side, defaultBackend, GoBackend{}).Gemm(o.f(0), o.f(1), o.f(2), m, k, n, form[0], form[1], acc)
 									}})
 							}
-						}
-					}
-				}
-			}
-		}},
-	{name: "GemmBatch", gate: "none: strides the Gemm row's kernels", rate: 64, nanEqual: true, short: "runtime error: ",
-		sweepIn: "TestBackendsBitIdentical",
-		sweep: func(yield func(twinCase)) {
-			for groups := range 4 {
-				for _, strideA := range []int{0, 15} { // a broadcast, then one a per group
-					yield(twinCase{what: fmt.Sprintf("groups=%d strideA=%d", groups, strideA),
-						ops: []any{f64(groups * 35), f64(max(groups*strideA, 15)), f64(groups * 21)},
-						run: func(side int, o twinOps) {
-							pick[Backend](side, defaultBackend, GoBackend{}).GemmBatch(o.f(0), o.f(1), o.f(2), groups, 5, 3, 7, 35, strideA, 21, false, false, true)
-						}})
-				}
-			}
-		}},
-	// b is free: the avx2 form hands b to dotRowsAVX unchecked, so a short
-	// b is read past its end (CHANGES.md, FOUND).
-	{name: "GemmTransBSegAcc", avx: []string{"dotRowsAVX"}, gate: "none: GemmTransBSegAcc has no product caller",
-		rate: 64, nanEqual: true, free: []int{2}, short: "runtime error: slice bounds out of range", sweepIn: "TestBackendsBitIdentical",
-		refuse: []twinRefusal{{"segment must divide", func() { defaultBackend.GemmTransBSegAcc(nil, nil, nil, 2, 3, 2, 2) }}},
-		sweep: func(yield func(twinCase)) {
-			for _, s := range [][2]int{{1, 1}, {2, 3}, {4, 5}} {
-				m, n := s[0], s[1]
-				for _, k := range twinLengths(16) {
-					for seg := 1; seg <= k; seg++ {
-						if k%seg == 0 {
-							yield(twinCase{what: fmt.Sprintf("m=%d k=%d n=%d seg=%d", m, k, n, seg), ops: []any{f64(m * n), f64(m * k), f64(n * k)},
-								run: func(side int, o twinOps) {
-									pick[Backend](side, defaultBackend, GoBackend{}).GemmTransBSegAcc(o.f(0), o.f(1), o.f(2), m, k, n, seg)
-								}})
 						}
 					}
 				}

@@ -148,7 +148,7 @@ func TestDotTileRejectsUncheckedSpans(t *testing.T)     { twinRun(t) }
 func TestGemmRejectsShortOperands(t *testing.T)         { twinRun(t) }
 func TestConvKernelsMatchTwins(t *testing.T)            { twinRun(t) }
 func TestWinogradRejectsUncheckedOperands(t *testing.T) { twinRun(t) }
-func TestBackendsBitIdentical(t *testing.T)             { t.Run("edges", twinRun); twinRun(t) }
+func TestBackendsBitIdentical(t *testing.T)             { t.Run("edges", twinRun) }
 
 // twinRun runs the row phases given to the running test, each once:
 // TestKernelTwins runs those given to no other, a subtest a row.

@@ -31,14 +31,15 @@ type Assumptions struct {
 	Delta1 float64
 }
 
-// Validate reports the first problem with the constants.
+// Validate reports the first problem with the constants. Each check is
+// written so that a NaN fails it.
 func (a Assumptions) Validate() error {
 	switch {
-	case a.L <= 0:
+	case !(a.L > 0):
 		return fmt.Errorf("theory: L = %v must be positive", a.L)
-	case a.Mu <= 0 || a.Mu > a.L:
+	case !(a.Mu > 0 && a.Mu <= a.L):
 		return fmt.Errorf("theory: mu = %v must be in (0, L=%v]", a.Mu, a.L)
-	case a.G2 < 0 || a.Gamma < 0 || a.Delta1 < 0:
+	case !(a.G2 >= 0 && a.Gamma >= 0 && a.Delta1 >= 0):
 		return fmt.Errorf("theory: G2/Gamma/Delta1 must be non-negative: %+v", a)
 	case a.E <= 0:
 		return fmt.Errorf("theory: E = %d must be positive", a.E)

@@ -23,6 +23,11 @@ func TestAssumptionsValidate(t *testing.T) {
 		{L: 1, Mu: 2, E: 1}, // mu > L
 		{L: 1, Mu: 1, E: 0},
 		{L: 1, Mu: 1, E: 1, G2: -1},
+		{L: math.NaN(), Mu: 1, E: 1},
+		{L: 1, Mu: math.NaN(), E: 1},
+		{L: 1, Mu: 1, E: 1, G2: math.NaN()},
+		{L: 1, Mu: 1, E: 1, Gamma: math.NaN()},
+		{L: 1, Mu: 1, E: 1, Delta1: math.NaN()},
 	}
 	for i, a := range bad {
 		if err := a.Validate(); err == nil {
