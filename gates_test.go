@@ -42,6 +42,7 @@ import (
 	"fedcross/internal/models"
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
+	"fedcross/internal/tensor/lowering"
 )
 
 // gate is one row of the table.
@@ -781,11 +782,12 @@ var gates = []gate{
 	}},
 
 	// A training step's share of one convolution — forward plus parameter
-	// gradients, batch 50 — at the CNN's two geometries: nn.Conv2D on the
-	// Winograd kernels (tensor.Winograd: F(2×2, 3×3) forward, F(3×3, 2×2)
-	// weight gradient), conversions and filter transforms included, against
-	// the float64 per-sample lowering the layer is bounded against
-	// (Im2ColTo, the forward GEMM and the bias add, a transposed-B GEMM and
+	// gradients, batch 50 — at the CNN's two geometries without the pool
+	// the CNN folds in (VGGMini's and ResNetMini's unpooled convolutions
+	// run this path): nn.Conv2D on the Winograd kernels (tensor.Winograd:
+	// F(2×2, 3×3) forward, F(3×3, 2×2) weight gradient), conversions and
+	// filter transforms included, against the float64 per-sample lowering
+	// the layer is bounded against (lowering.Im2ColTo, the forward GEMM and the bias add, a transposed-B GEMM and
 	// a serial row sum per sample), its GEMMs on tensor.GoBackend so a
 	// faster platform Gemm does not move it. 18.4–25.0× measured in three
 	// runs (12.0–19.2× on the direct float32 kernels it replaced); with the
@@ -808,7 +810,7 @@ var gates = []gate{
 					g, outC, w := l.conv.Geom, l.conv.OutC, ws[li]
 					rows, spatial, inLen := g.InC*g.KH*g.KW, g.OutH()*g.OutW(), l.conv.InFeatures()
 					for s := range convBatch {
-						tensor.Im2ColTo(w.cols, tensor.New(l.x.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), g)
+						lowering.Im2ColTo(w.cols, tensor.New(l.x.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), g)
 						gemm.Gemm(w.y.Data, l.conv.W.Data, w.cols.Data, outC, rows, spatial, false, false, false)
 						dy := tensor.New(l.grad.Data[s*outC*spatial:(s+1)*outC*spatial], outC, spatial)
 						for oc := range outC {
@@ -830,12 +832,13 @@ var gates = []gate{
 			}
 	}},
 
-	// conv2's backward pass (8 → 16 channels, 4 × 4, batch 50), whose input
-	// gradient is tensor.Winograd.GradInput (F(2×2, 3×3) with the flipped,
+	// conv2's backward pass (8 → 16 channels, 4 × 4, batch 50, without the
+	// pool the CNN folds in; the fused layer's input gradient is the same
+	// kernel), whose input gradient is tensor.Winograd.GradInput (F(2×2, 3×3) with the flipped,
 	// transposed filters over the output gradient padded by one, written
 	// straight to the float64 dx): Conv2D.Backward against the same
 	// BackwardParams plus the float64 per-sample transposed-A GEMM (on
-	// GoBackend) and Col2ImTo; both sides pay the same parameter
+	// GoBackend) and lowering.Col2ImTo; both sides pay the same parameter
 	// gradients. 11.5–14.7× measured in three runs (5.5–8.8× on the direct
 	// kernel it replaced); 0.80–0.89× with the kernels on their Go twins.
 	// Below 5.8× a lowered matrix came back or the kernels fell back to
@@ -852,16 +855,18 @@ var gates = []gate{
 				for s := range convBatch {
 					dy := tensor.New(l.grad.Data[s*outC*spatial:(s+1)*outC*spatial], outC, spatial)
 					gemm.Gemm(dcols.Data, l.conv.W.Data, dy.Data, g.InC*g.KH*g.KW, outC, spatial, true, false, false)
-					tensor.Col2ImTo(tensor.New(dx.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), dcols, g)
+					lowering.Col2ImTo(tensor.New(dx.Data[s*inLen:(s+1)*inLen], g.InC, g.InH, g.InW), dcols, g)
 				}
 			}, func() {
 				l.conv.Backward(l.grad)
 			}
 	}},
 
-	// A forward and a backward pass through the CNN's two ReLU → MaxPool
-	// stages, batch 50: nn.NewReLUMaxPool2D against the two layers it
-	// folds, whose backward pass is tensor.Unpool2x2 where the two layers'
+	// A forward and a backward pass through two ReLU → MaxPool stages at
+	// the CNN's shapes, batch 50 (the CNN now folds its pools into its
+	// convolutions, row conv-pool; ResNetMini's pool after a residual block
+	// is the standalone one left): nn.NewReLUMaxPool2D against the two
+	// layers it folds, whose backward pass is tensor.Unpool2x2 where the two layers'
 	// zero dx and scatter. 1.7–2.9× measured (1.5–2.4× when both sides
 	// zeroed and scattered), single runs dipping to 1.0 when the box
 	// slows inside the folded side; half of that would gate nothing, so
@@ -894,8 +899,10 @@ var gates = []gate{
 			}
 	}},
 
-	// The CNN's two 2×2 pools at batch 50, one call a sample as
-	// nn.MaxPool2D makes them, from +0 as the ReLU-folded pools start:
+	// Two 2×2 pools at the CNN's shapes and batch 50, one call a sample as
+	// nn.MaxPool2D makes them (ResNetMini's pool after a residual block;
+	// the CNN's run inside its convolutions), from +0 as the ReLU-folded
+	// pools start:
 	// tensor.MaxPool2x2 against MaxPool2x2Go.
 	// 7.5–13.7× over twenty runs, 0.92–1.21× with the kernel on its twin;
 	// the bound is under half the low end: below it the pool fell back to
@@ -935,12 +942,80 @@ var gates = []gate{
 	reluRow("forward", 4, tensor.ReluForwardGo, tensor.ReluForward),
 	reluRow("backward", 8, tensor.ReluBackwardGo, tensor.ReluBackward),
 
-	// The CNN step's data movement on its AVX2 kernels against their Go
-	// twins, batch 50, one call a batch each as nn.Conv2D and MaxPool2D make
-	// them. narrow: both convolutions' inputs and incoming gradients into
-	// their float32 buffers padded by one, measured 3.76–4.48× over ten
+	// The CNN's two conv → ReLU → pool stages at batch 50, forward and
+	// backward as a training step runs them (the first stage forms no input
+	// gradient): nn.NewConv2DReLUPool — the pool inside the Winograd output
+	// transform (tensor.Winograd.ForwardPool), its gradient routed straight
+	// into the padded float32 frame (tensor.UnpoolPadded) — against
+	// nn.NewConv2D then nn.NewReLUMaxPool2D from the same draws; setup holds
+	// outputs, dx, dW and dB to the same bits. 0.97–1.38× over ten runs
+	// (single runs near 1 when the box slows inside the fused side); with
+	// the pooled output transform and the unpool on their twins
+	// 0.07–0.11×. The bound is half the low end: below it the pooled
+	// output transform fell back to its twin. The unpool alone on its twin
+	// reads ≈ 1 here; glue/unpool-padded catches that.
+	{name: "conv-pool", reps: 200, runs: 3, bound: 0.48, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		rng := tensor.NewRNG(8)
+		type stage struct {
+			fused, conv *nn.Conv2D
+			pool        *nn.MaxPool2D
+			x, grad     *tensor.Tensor
+		}
+		var stages []stage
+		for i, c := range []struct{ inC, side, outC int }{{models.VisionC, models.VisionH, 8}, {8, models.VisionH / 2, 16}} {
+			fused := nn.NewConv2DReLUPool(c.inC, c.side, c.side, c.outC, tensor.NewRNG(int64(i)))
+			stages = append(stages, stage{fused, nn.NewConv2D(c.inC, c.side, c.side, c.outC, tensor.NewRNG(int64(i))),
+				nn.NewReLUMaxPool2D(c.outC, c.side, c.side), rng.Randn(1, convBatch, fused.InFeatures()), rng.Randn(1, convBatch, fused.OutFeatures())})
+		}
+		var outs [2][]*tensor.Tensor
+		step := func(side int) {
+			outs[side] = outs[side][:0]
+			for i, s := range stages {
+				var out, dx *tensor.Tensor
+				if side == 0 {
+					out = s.pool.Forward(s.conv.Forward(s.x))
+					if dx = s.pool.Backward(s.grad); i > 0 {
+						dx = s.conv.Backward(dx)
+					} else {
+						s.conv.BackwardParams(dx)
+					}
+				} else {
+					out = s.fused.Forward(s.x)
+					if i > 0 {
+						dx = s.fused.Backward(s.grad)
+					} else {
+						s.fused.BackwardParams(s.grad)
+					}
+				}
+				outs[side] = append(outs[side], out)
+				if i > 0 {
+					outs[side] = append(outs[side], dx)
+				}
+			}
+		}
+		step(0)
+		step(1)
+		for i, s := range stages {
+			same := bitsEqual(outs[0][i].Data, outs[1][i].Data)
+			for j, g := range s.conv.Grads() {
+				same = same && bitsEqual(g.Data, s.fused.Grads()[j].Data)
+			}
+			if !same || !bitsEqual(outs[0][2].Data, outs[1][2].Data) {
+				t.Fatalf("stage %d: the fused layer and the two layers it folds differ", i)
+			}
+		}
+		return func() { step(0) }, func() { step(1) }
+	}},
+
+	// The conv and pool layers' data movement on its AVX2 kernels against
+	// their Go twins, at the CNN's shapes and batch 50, one call a batch
+	// each as nn.Conv2D and MaxPool2D make them. narrow: both convolutions'
+	// inputs and incoming gradients into their float32 buffers padded by
+	// one (an unpooled convolution's incoming gradient; the CNN's fused
+	// ones take tensor.UnpoolPadded, row conv-pool), measured 3.76–4.48× over ten
 	// runs and gated at 1.6; 0.81–1.14× with the kernel on its twin.
-	// unpool: both ReLU-pool stages' 2×2 backward passes; its twin is the
+	// unpool: both ReLU-pool stages' 2×2 backward passes (a standalone
+	// pool's, as ResNetMini's runs it); its twin is the
 	// zero-and-scatter loop the kernel replaced: 1.65–2.63×, half of which
 	// would gate nothing, and 0.87–1.22× with the kernel on the twin, so
 	// its floor sits between the two. Below the bound the kernel fell back
@@ -992,6 +1067,36 @@ var gates = []gate{
 			}
 		}
 		return run(tensor.Unpool2x2Go), run(tensor.Unpool2x2)
+	}),
+	// The fused conv-pool layers' backward data movement at batch 50:
+	// tensor.UnpoolPadded over the CNN's two pooled planes (8 and 16
+	// channels of 4×4 and 2×2 windows, tap codes −1…3) against its twin.
+	// 4.8–8.7× over ten runs, 0.86–1.35× with the kernel on its twin; the
+	// bound is half the low end: below it the kernel fell back to its twin.
+	glueRow("unpool-padded", 2.4, func(rng *tensor.RNG) (func(), func()) {
+		type stage struct {
+			dst          []float32
+			g            []float64
+			taps         []int32
+			planes, side int
+		}
+		var stages []stage
+		for _, c := range []struct{ ch, side int }{{8, models.VisionH / 2}, {16, models.VisionH / 4}} {
+			planes, n := convBatch*c.ch, convBatch*c.ch*c.side*c.side
+			taps := make([]int32, n)
+			for i := range taps {
+				taps[i] = int32(rng.Intn(5) - 1)
+			}
+			stages = append(stages, stage{make([]float32, planes*(2*c.side+2)*(2*c.side+2)), rng.Randn(1, n).Data, taps, planes, c.side})
+		}
+		run := func(f func(dst []float32, g []float64, taps []int32, planes, oh, ow int)) func() {
+			return func() {
+				for _, s := range stages {
+					f(s.dst, s.g, s.taps, s.planes, s.side, s.side)
+				}
+			}
+		}
+		return run(tensor.UnpoolPaddedGo), run(tensor.UnpoolPadded)
 	}),
 }
 

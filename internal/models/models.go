@@ -45,20 +45,20 @@ type Factory struct {
 }
 
 // CNN mirrors the paper's FedAvg CNN: two conv+ReLU+pool stages and two
-// fully connected layers. Here and below a ReLU directly in front of a
-// max pool is built as the one layer nn.NewReLUMaxPool2D — the same bits
-// in both directions, one pass over the activations.
+// fully connected layers. Here and below a convolution directly followed
+// by a ReLU and a max pool is built as the one layer nn.NewConv2DReLUPool,
+// whose pool runs inside the convolution's Winograd output transform, and
+// a ReLU in front of a pool with no convolution before it (ResNetMini's,
+// after a residual block) as nn.NewReLUMaxPool2D; both are the same bits
+// in both directions as the layers they fold.
 func CNN(classes int) Factory {
 	return Factory{
 		Name: fmt.Sprintf("cnn-%d", classes),
 		New: func(rng *tensor.RNG) *nn.Sequential {
-			c1 := nn.NewConv2D(VisionC, VisionH, VisionW, 8, rng)
-			p1 := nn.NewReLUMaxPool2D(8, VisionH, VisionW)
-			c2 := nn.NewConv2D(8, VisionH/2, VisionW/2, 16, rng)
-			p2 := nn.NewReLUMaxPool2D(16, VisionH/2, VisionW/2)
+			c1 := nn.NewConv2DReLUPool(VisionC, VisionH, VisionW, 8, rng)
+			c2 := nn.NewConv2DReLUPool(8, VisionH/2, VisionW/2, 16, rng)
 			return nn.NewSequential(
-				c1, p1,
-				c2, p2,
+				c1, c2,
 				nn.NewLinear(16*(VisionH/4)*(VisionW/4), 32, rng), nn.NewReLU(),
 				nn.NewLinear(32, classes, rng),
 			)
@@ -100,16 +100,16 @@ func VGGMini(classes int) Factory {
 	return Factory{
 		Name: fmt.Sprintf("vgg-mini-%d", classes),
 		New: func(rng *tensor.RNG) *nn.Sequential {
-			return nn.NewSequential(
-				nn.NewConv2D(VisionC, VisionH, VisionW, 16, rng), nn.NewReLU(),
-				nn.NewConv2D(16, VisionH, VisionW, 16, rng),
-				nn.NewReLUMaxPool2D(16, VisionH, VisionW),
-				nn.NewConv2D(16, VisionH/2, VisionW/2, 32, rng), nn.NewReLU(),
-				nn.NewConv2D(32, VisionH/2, VisionW/2, 32, rng),
-				nn.NewReLUMaxPool2D(32, VisionH/2, VisionW/2),
+			// A block is conv → ReLU → conv → ReLU → 2×2 pool, its second
+			// conv built with the ReLU and the pool folded in.
+			block := func(inC, h, w, outC int) []nn.Layer {
+				return []nn.Layer{nn.NewConv2D(inC, h, w, outC, rng), nn.NewReLU(), nn.NewConv2DReLUPool(outC, h, w, outC, rng)}
+			}
+			layers := append(block(VisionC, VisionH, VisionW, 16), block(16, VisionH/2, VisionW/2, 32)...)
+			return nn.NewSequential(append(layers,
 				nn.NewLinear(32*(VisionH/4)*(VisionW/4), 64, rng), nn.NewReLU(),
 				nn.NewLinear(64, classes, rng),
-			)
+			)...)
 		},
 	}
 }

@@ -161,6 +161,14 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			nn.NewLinear(4*VisionH*VisionW, 3, rng),
 		)
 	}}
+	// CNN's first layer is a fused convolution on the AVX2 kernels where
+	// the build has them; this one's four channels run the Go twins.
+	nestedFused := Factory{Name: "nested-fused-first-block", New: func(rng *tensor.RNG) *nn.Sequential {
+		return nn.NewSequential(
+			nn.NewSequential(nn.NewConv2DReLUPool(VisionC, VisionH, VisionW, 4, rng)),
+			nn.NewLinear(4*VisionH/2*VisionW/2, 3, rng),
+		)
+	}}
 	plainFirst := Factory{Name: "relu-first", New: func(rng *tensor.RNG) *nn.Sequential {
 		return nn.NewSequential(nn.NewReLU(), nn.NewLinear(VisionFeatures, 3, rng))
 	}}
@@ -171,7 +179,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		{CNN(10), vision}, {ResNetMini(10), vision}, {VGGMini(10), vision},
 		{MLP(VisionFeatures, 32, 10), vision},
 		{CharLSTM(20, 6, 4, 8), tokens}, {SentLSTM(20, 6, 4, 8), tokens},
-		{nested, vision}, {plainFirst, vision},
+		{nested, vision}, {nestedFused, vision}, {plainFirst, vision},
 	} {
 		x := tc.input(tensor.NewRNG(7))
 		labels := []int{0, 1, 1, 0, 1} // SentLSTM has two classes
@@ -209,33 +217,77 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 // TestConvLayersTakeWinograd: every convolution the product builds runs,
 // on amd64 with AVX2 (not purego), the Winograd assembly rather than the
 // Go twins — a model whose channel counts slipped off the vector path
-// would train at the twins' speed and pass every other test. The zoo's convolutions cover input and output channel
-// counts 3, 8, 12, 16 and 32.
+// would train at the twins' speed and pass every other test. The zoo's
+// convolutions cover input and output channel counts 3, 8, 12, 16 and 32,
+// and four of them (the CNN's two, VGGMini's two pooled ones) fold their
+// ReLU and pool in, including the CNN's only 8-channel output.
 func TestConvLayersTakeWinograd(t *testing.T) {
 	vectorBuild := tensor.CurrentBackend().Name() == "avx2"
-	channels := map[int]bool{}
-	var walk func(name string, l nn.Layer)
-	walk = func(name string, l nn.Layer) {
-		switch l := l.(type) {
-		case *nn.Sequential:
-			for _, sub := range l.Layers {
-				walk(name, sub)
-			}
-		case *nn.Residual:
-			walk(name, l.Body)
-		case *nn.Conv2D:
-			channels[l.Geom.InC], channels[l.OutC] = true, true
-			if vectorBuild && !l.Vector() {
-				t.Errorf("%s: conv %+v → %d channels runs the Winograd Go twins", name, l.Geom, l.OutC)
-			}
+	channels, fused := map[int]bool{}, 0
+	walkZoo(func(name string, _, l nn.Layer) {
+		c, ok := l.(*nn.Conv2D)
+		if !ok {
+			return
 		}
-	}
-	for _, f := range []Factory{CNN(10), VGGMini(10), ResNetMini(10)} {
-		walk(f.Name, f.New(tensor.NewRNG(1)))
-	}
+		channels[c.Geom.InC], channels[c.OutC] = true, true
+		if c.OutFeatures() != c.OutC*c.Geom.InH*c.Geom.InW {
+			fused++
+		}
+		if vectorBuild && !c.Vector() {
+			t.Errorf("%s: conv %+v → %d channels runs the Winograd Go twins", name, c.Geom, c.OutC)
+		}
+	})
 	for _, c := range []int{3, 8, 12, 16, 32} {
 		if !channels[c] {
 			t.Errorf("no convolution has %d channels", c)
 		}
+	}
+	if fused != 4 {
+		t.Errorf("%d convolutions fold a ReLU and a pool in, want 4", fused)
+	}
+}
+
+// TestZooFoldsConvPools: no zoo model builds a convolution directly
+// followed by a ReLU max pool, which nn.NewConv2DReLUPool runs as one
+// layer (inside the Winograd output transform) for the same bits. A pool
+// rectifies when an all-negative batch pools to zeros; the one standalone
+// one left is ResNetMini's, after a residual block.
+func TestZooFoldsConvPools(t *testing.T) {
+	walkZoo(func(name string, prev, l nn.Layer) {
+		p, ok := l.(*nn.MaxPool2D)
+		if _, conv := prev.(*nn.Conv2D); !ok || !conv {
+			return
+		}
+		x := tensor.Zeros(1, p.InFeatures())
+		for i := range x.Data {
+			x.Data[i] = -1
+		}
+		if p.Forward(x).Data[0] == 0 {
+			t.Errorf("%s: a Conv2D then a ReLU max pool over %dx%dx%d; build them as nn.NewConv2DReLUPool", name, p.C, p.H, p.W)
+		}
+	})
+}
+
+// walkZoo visits every layer of the vision models, nested ones included,
+// with the layer before it in its Sequential (nil for a first layer).
+func walkZoo(visit func(name string, prev, l nn.Layer)) {
+	var walk func(name string, prev, l nn.Layer)
+	walk = func(name string, prev, l nn.Layer) {
+		visit(name, prev, l)
+		switch l := l.(type) {
+		case *nn.Sequential:
+			for i, sub := range l.Layers {
+				var before nn.Layer
+				if i > 0 {
+					before = l.Layers[i-1]
+				}
+				walk(name, before, sub)
+			}
+		case *nn.Residual:
+			walk(name, nil, l.Body)
+		}
+	}
+	for _, f := range []Factory{CNN(10), VGGMini(10), ResNetMini(10)} {
+		walk(f.Name, nil, f.New(tensor.NewRNG(1)))
 	}
 }

@@ -21,6 +21,11 @@ import (
 // batch each), and the kernels write dx and the float64 gradients
 // themselves. TestConvMatchesFloat64Reference bounds every result against
 // a float64 lowering.
+//
+// Built by NewConv2DReLUPool, the layer also rectifies and 2×2 max-pools
+// its output inside the Winograd output transform, and its incoming
+// gradient is the pooled one, routed into the padded float32 buffer in
+// the same one pass that converts it (tensor.UnpoolPadded).
 type Conv2D struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -29,6 +34,7 @@ type Conv2D struct {
 	dW, dB *tensor.Tensor
 
 	wino *tensor.Winograd
+	pool bool // NewConv2DReLUPool: ReLU and a 2×2 max pool folded in
 
 	// Reusable workspaces, resized per call so steady-state batches —
 	// including a shard's short last one — allocate nothing. padded holds
@@ -37,8 +43,10 @@ type Conv2D struct {
 	// float32, padded by one the same way. Their borders are the
 	// convolution's zero padding: they are zero because a fresh buffer is,
 	// and stay zero because only interiors are ever written, at offsets
-	// that do not depend on the batch size.
+	// that do not depend on the batch size. taps holds a pooled forward's
+	// tap codes, one a window and channel.
 	padded, dy []float32
+	taps       []int32
 	out, dx    *tensor.Tensor
 }
 
@@ -46,6 +54,20 @@ type Conv2D struct {
 // inC h×w planes to outC output channels, Kaiming-uniform initialised.
 // It panics on planes the Winograd kernels do not take.
 func NewConv2D(inC, h, w, outC int, rng *tensor.RNG) *Conv2D {
+	return newConv2D(inC, h, w, outC, rng, false)
+}
+
+// NewConv2DReLUPool constructs NewConv2D(inC, h, w, outC, rng) followed
+// by NewReLUMaxPool2D(outC, h, w) as one layer: the same parameters, drawn
+// from rng the same way, and the same bits in both directions. A 2×2
+// output tile of the Winograd transform is one pool window, so the pool
+// runs in the output transform (tensor.Winograd.ForwardPool) and no
+// full-size output is written or read back.
+func NewConv2DReLUPool(inC, h, w, outC int, rng *tensor.RNG) *Conv2D {
+	return newConv2D(inC, h, w, outC, rng, true)
+}
+
+func newConv2D(inC, h, w, outC int, rng *tensor.RNG, pool bool) *Conv2D {
 	g := tensor.ConvGeom{InC: inC, InH: h, InW: w, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("nn: Conv2D: %v", err))
@@ -65,7 +87,7 @@ func NewConv2D(inC, h, w, outC int, rng *tensor.RNG) *Conv2D {
 		B:    tensor.Zeros(outC),
 		dW:   tensor.Zeros(outC, fanIn),
 		dB:   tensor.Zeros(outC),
-		wino: wino,
+		wino: wino, pool: pool,
 	}
 }
 
@@ -76,15 +98,21 @@ func (c *Conv2D) Vector() bool { return c.wino.Vector() }
 // InFeatures returns the flattened input width the layer expects.
 func (c *Conv2D) InFeatures() int { return c.Geom.InC * c.Geom.InH * c.Geom.InW }
 
-// OutFeatures returns the flattened output width the layer produces.
-func (c *Conv2D) OutFeatures() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
+// OutFeatures returns the flattened output width the layer produces:
+// pooled, a quarter of the convolution's, when the pool is folded in.
+func (c *Conv2D) OutFeatures() int {
+	if c.pool {
+		return c.OutC * c.Geom.InH / 2 * c.Geom.InW / 2
+	}
+	return c.OutC * c.Geom.OutH() * c.Geom.OutW()
+}
 
 // resize returns buf with length n, reusing its storage when it can.
 // Elements past the old length keep what they held, zero for a fresh
 // buffer.
-func resize(buf []float32, n int) []float32 {
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -97,7 +125,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	tensor.NarrowPadded(c.padded, x.Data, batch*g.InC, g.InH, g.InW, 1)
 	c.out = tensor.Ensure(c.out, batch, c.OutFeatures())
 	c.wino.SetWeights(c.W.Data)
-	c.wino.Forward(c.out.Data, c.padded, c.B.Data, batch)
+	if c.pool {
+		c.taps = resize(c.taps, len(c.out.Data))
+		c.wino.ForwardPool(c.out.Data, c.taps, c.padded, c.B.Data, batch)
+	} else {
+		c.wino.Forward(c.out.Data, c.padded, c.B.Data, batch)
+	}
 	return c.out
 }
 
@@ -111,7 +144,11 @@ func (c *Conv2D) BackwardParams(grad *tensor.Tensor) {
 	checkGradBatch("Conv2D", grad, c.out)
 	batch, g := grad.Shape[0], c.Geom
 	c.dy = resize(c.dy, batch*c.OutC*(g.InH+2)*(g.InW+2))
-	tensor.NarrowPadded(c.dy, grad.Data, batch*c.OutC, g.InH, g.InW, 1)
+	if c.pool {
+		tensor.UnpoolPadded(c.dy, grad.Data, c.taps, batch*c.OutC, g.InH/2, g.InW/2)
+	} else {
+		tensor.NarrowPadded(c.dy, grad.Data, batch*c.OutC, g.InH, g.InW, 1)
+	}
 	c.wino.GradParams(c.dW.Data, c.dB.Data, c.dy, batch)
 }
 

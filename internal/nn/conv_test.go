@@ -8,10 +8,11 @@ import (
 	"testing"
 
 	"fedcross/internal/tensor"
+	"fedcross/internal/tensor/lowering"
 )
 
-// refConv is a float64 convolution built from tensor's lowering, sample
-// by sample: Im2ColTo, GoBackend's Gemm and the bias forward; dW += dy·
+// refConv is a float64 convolution built from internal/tensor/lowering,
+// sample by sample: Im2ColTo, GoBackend's Gemm and the bias forward; dW += dy·
 // colsᵀ, dB += Σ dy and dx = Col2ImTo(Wᵀ·dy) backward. It is the
 // reference the gradient checks differentiate and that
 // TestConvMatchesFloat64Reference holds the float32 Conv2D to.
@@ -46,7 +47,7 @@ func (r *refConv) Forward(x *tensor.Tensor) *tensor.Tensor {
 	rows, spatial := r.cols.Shape[0], r.cols.Shape[1]
 	out := tensor.Zeros(x.Shape[0], r.outC*spatial)
 	for b := 0; b < x.Shape[0]; b++ {
-		tensor.Im2ColTo(r.cols, r.sample(x, b), r.g)
+		lowering.Im2ColTo(r.cols, r.sample(x, b), r.g)
 		tensor.GoBackend{}.Gemm(r.y.Data, r.W.Data, r.cols.Data, r.outC, rows, spatial, false, false, false)
 		for oc := 0; oc < r.outC; oc++ {
 			for j := 0; j < spatial; j++ {
@@ -62,7 +63,7 @@ func (r *refConv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.Zeros(r.x.Shape...)
 	for b := 0; b < grad.Shape[0]; b++ {
 		dy := grad.Data[b*r.outC*spatial : (b+1)*r.outC*spatial]
-		tensor.Im2ColTo(r.cols, r.sample(r.x, b), r.g)
+		lowering.Im2ColTo(r.cols, r.sample(r.x, b), r.g)
 		tensor.GoBackend{}.Gemm(r.dW.Data, dy, r.cols.Data, r.outC, spatial, rows, false, true, true)
 		for oc := 0; oc < r.outC; oc++ {
 			for _, v := range dy[oc*spatial : (oc+1)*spatial] {
@@ -70,7 +71,7 @@ func (r *refConv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 		tensor.GoBackend{}.Gemm(r.dcols.Data, r.W.Data, dy, rows, r.outC, spatial, true, false, false)
-		tensor.Col2ImTo(r.sample(dx, b), r.dcols, r.g)
+		lowering.Col2ImTo(r.sample(dx, b), r.dcols, r.g)
 	}
 	return dx
 }
@@ -549,6 +550,53 @@ func TestReLUMaxPoolMatchesLayers(t *testing.T) {
 	}
 }
 
+// TestConvReLUPoolMatchesLayers pins the fused layer to the two it
+// replaces: NewConv2DReLUPool against NewConv2D followed by
+// NewReLUMaxPool2D, built from the same draws — outputs, input gradients
+// and parameter gradients Float64bits-equal, through Backward and through
+// BackwardParams, on a first batch and on others of other sizes through
+// the same layers (odd batches repeat a 4×4 plane's one quad a sample in
+// a group's high half). The planes are the CNN's and VGGMini's pooled
+// convolutions and three other layouts; under eight output channels the
+// Winograd kernels run their Go twins, from eight on the AVX2 assembly
+// where the build has it. Inputs and gradients carry NaN, ±Inf, signed
+// zeros and denormals, and every third output channel's filters are
+// zero, so its four taps tie at its bias.
+func TestConvReLUPoolMatchesLayers(t *testing.T) {
+	for i, tc := range []struct{ inC, h, w, outC int }{
+		{3, 8, 8, 8}, {8, 4, 4, 16}, {16, 8, 8, 16}, {32, 4, 4, 32},
+		{3, 8, 8, 4}, {2, 4, 12, 9}, {1, 2, 8, 13},
+	} {
+		fused := NewConv2DReLUPool(tc.inC, tc.h, tc.w, tc.outC, tensor.NewRNG(int64(40+i)))
+		conv := NewConv2D(tc.inC, tc.h, tc.w, tc.outC, tensor.NewRNG(int64(40+i)))
+		pool := NewReLUMaxPool2D(tc.outC, tc.h, tc.w)
+		sameBits(t, fmt.Sprintf("%+v W", tc), fused.W.Data, conv.W.Data)
+		for o := 1; o < tc.outC; o += 3 {
+			clear(fused.W.Data[o*tc.inC*9 : (o+1)*tc.inC*9])
+			clear(conv.W.Data[o*tc.inC*9 : (o+1)*tc.inC*9])
+		}
+		rng := tensor.NewRNG(int64(60 + i))
+		for o := range fused.B.Data {
+			fused.B.Data[o] = rng.Float64() - 0.5
+		}
+		plantBoundary(rng, fused.B.Data)
+		copy(conv.B.Data, fused.B.Data)
+		for _, batch := range []int{5, 2, 7, 50} {
+			what := fmt.Sprintf("%+v batch %d", tc, batch)
+			x := rng.Uniform(-2, 2, batch, fused.InFeatures())
+			plantBoundary(rng, x.Data)
+			sameBits(t, what+" out", fused.Forward(x).Data, pool.Forward(conv.Forward(x)).Data)
+			grad := rng.Uniform(-1, 1, batch, fused.OutFeatures())
+			sprinkle(rng, grad.Data)
+			sameBits(t, what+" dx", fused.Backward(grad).Data, conv.Backward(pool.Backward(grad)).Data)
+			fused.BackwardParams(grad)
+			conv.BackwardParams(pool.Backward(grad))
+			sameBits(t, what+" dW", fused.dW.Data, conv.dW.Data)
+			sameBits(t, what+" dB", fused.dB.Data, conv.dB.Data)
+		}
+	}
+}
+
 // TestBackwardRejectsForeignBatch: every layer's Backward pairs the
 // gradient row by row with what its Forward cached, so a gradient of any
 // other batch — one row longer, one row shorter, or before the first
@@ -600,6 +648,11 @@ func TestBackwardRejectsForeignBatch(t *testing.T) {
 		{"GlobalAvgPool", dense, 2, func() (Layer, func(*tensor.Tensor)) { l := NewGlobalAvgPool(2, 4, 4); return l, backward(l) }},
 		{"Conv2D", dense, 48, func() (Layer, func(*tensor.Tensor)) { c := conv(); return c, backward(c) }},
 		{"Conv2D", dense, 48, func() (Layer, func(*tensor.Tensor)) { c := conv(); return c, c.BackwardParams }},
+		{"Conv2D", dense, 12, func() (Layer, func(*tensor.Tensor)) { c := NewConv2DReLUPool(2, 4, 4, 3, rng); return c, backward(c) }},
+		{"Conv2D", dense, 12, func() (Layer, func(*tensor.Tensor)) {
+			c := NewConv2DReLUPool(2, 4, 4, 3, rng)
+			return c, c.BackwardParams
+		}},
 		{"Embedding", tokens, steps * dim, func() (Layer, func(*tensor.Tensor)) {
 			l := NewEmbedding(vocab, dim, rng)
 			return l, backward(l)

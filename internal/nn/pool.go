@@ -44,7 +44,10 @@ func NewMaxPool2D(c, h, w int) *MaxPool2D {
 
 // NewReLUMaxPool2D constructs the layer that computes NewReLU followed by
 // NewMaxPool2D(c, h, w) — same outputs, same input gradients — in the
-// pool's one pass over the activations.
+// pool's one pass over the activations. Behind a convolution, build
+// NewConv2DReLUPool instead, which folds both into the convolution's
+// output transform; the zoo's one standalone pool is ResNetMini's, after
+// a residual block.
 func NewReLUMaxPool2D(c, h, w int) *MaxPool2D {
 	p := NewMaxPool2D(c, h, w)
 	p.start = 0

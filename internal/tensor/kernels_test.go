@@ -10,8 +10,6 @@ import (
 func TestToKernelsMatchAllocatingForms(t *testing.T) {
 	rng := NewRNG(41)
 	a, b, c := rng.Randn(1, 3, 4), rng.Randn(1, 3, 4), rng.Randn(1, 4, 3)
-	g := ConvGeom{InC: 1, InH: 3, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	cols := rng.Randn(1, 9, 12)
 	for _, k := range []struct {
 		name  string
 		shape []int
@@ -21,8 +19,6 @@ func TestToKernelsMatchAllocatingForms(t *testing.T) {
 		{"ApplyTo", a.Shape, func(dst *Tensor) *Tensor { return ApplyTo(dst, a, math.Abs) }},
 		{"MatMulTo", []int{3, 3}, func(dst *Tensor) *Tensor { return MatMulTo(dst, a, c) }},
 		{"MatMulTransBTo", []int{3, 3}, func(dst *Tensor) *Tensor { return MatMulTransBTo(dst, a, b) }},
-		{"Im2ColTo", cols.Shape, func(dst *Tensor) *Tensor { return Im2ColTo(dst, a, g) }},
-		{"Col2ImTo", a.Shape, func(dst *Tensor) *Tensor { return Col2ImTo(dst, cols, g) }},
 	} {
 		want, got := k.run(Zeros(k.shape...)), k.run(rng.Randn(1, k.shape...))
 		for i := range want.Data {
@@ -165,35 +161,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, c.fn); allocs != 0 {
 			t.Errorf("%s allocates %v objects/op, want 0", c.name, allocs)
 		}
-	}
-}
-
-func TestIm2ColToZeroAllocAndCorrect(t *testing.T) {
-	rng := NewRNG(5)
-	g := ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	img := rng.Randn(1, 2, 6, 6)
-	want := Im2ColTo(Zeros(18, 36), img, g)
-	ws := rng.Randn(1, want.Shape...) // stale contents must not leak through padding gaps
-	Im2ColTo(ws, img, g)
-	for i := range want.Data {
-		if ws.Data[i] != want.Data[i] {
-			t.Fatalf("Im2ColTo mismatch at %d", i)
-		}
-	}
-	grad := rng.Randn(1, want.Shape[0], want.Shape[1])
-	wantIm := Col2ImTo(Zeros(2, 6, 6), grad, g)
-	dimg := rng.Randn(1, 2, 6, 6)
-	Col2ImTo(dimg, grad, g)
-	for i := range wantIm.Data {
-		if dimg.Data[i] != wantIm.Data[i] {
-			t.Fatalf("Col2ImTo mismatch at %d", i)
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, func() { Im2ColTo(ws, img, g) }); allocs != 0 {
-		t.Errorf("Im2ColTo allocates %v objects/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { Col2ImTo(dimg, grad, g) }); allocs != 0 {
-		t.Errorf("Col2ImTo allocates %v objects/op, want 0", allocs)
 	}
 }
 

@@ -1,48 +1,21 @@
-package tensor
+// Package lowering is the direct convolution the Winograd kernels are
+// held to: im2col and its adjoint over float64 CHW images, from which the
+// tests and gate rows build a reference convolution on tensor's GEMM. No
+// product path imports it.
+package lowering
 
-import "fmt"
+import (
+	"fmt"
 
-// ConvGeom describes the geometry of a 2-D convolution over CHW images.
-type ConvGeom struct {
-	InC, InH, InW int // input channels, height, width
-	KH, KW        int // kernel height, width
-	Stride        int
-	Pad           int
-}
-
-// OutH returns the output height of the convolution.
-func (g ConvGeom) OutH() int { return (g.InH+2*g.Pad-g.KH)/g.Stride + 1 }
-
-// OutW returns the output width of the convolution.
-func (g ConvGeom) OutW() int { return (g.InW+2*g.Pad-g.KW)/g.Stride + 1 }
-
-// Validate reports an error if the geometry is degenerate.
-func (g ConvGeom) Validate() error {
-	switch {
-	case g.InC <= 0 || g.InH <= 0 || g.InW <= 0:
-		return fmt.Errorf("tensor: conv geometry has non-positive input dims: %+v", g)
-	case g.KH <= 0 || g.KW <= 0:
-		return fmt.Errorf("tensor: conv geometry has non-positive kernel dims: %+v", g)
-	case g.Stride <= 0:
-		return fmt.Errorf("tensor: conv geometry has non-positive stride: %+v", g)
-	case g.Pad < 0:
-		return fmt.Errorf("tensor: conv geometry has negative padding: %+v", g)
-	case g.KH > g.InH+2*g.Pad || g.KW > g.InW+2*g.Pad:
-		// OutH/OutW's truncating division would round -1/2 up to a
-		// one-position output for a kernel that does not fit.
-		return fmt.Errorf("tensor: conv kernel larger than the padded input: %+v", g)
-	case g.OutH() <= 0 || g.OutW() <= 0:
-		return fmt.Errorf("tensor: conv geometry yields empty output: %+v", g)
-	}
-	return nil
-}
+	"fedcross/internal/tensor"
+)
 
 // Im2ColTo lowers a single CHW image (img: InC*InH*InW elements, any
 // shape) into a caller-owned workspace of shape (InC*KH*KW) × (OutH*OutW),
 // so convolution becomes one MatMul: the direct lowering the Winograd
 // kernels are held to. dst must not alias img. Padding gaps are cleared,
 // so a reused workspace needs no prior Zero.
-func Im2ColTo(dst, img *Tensor, g ConvGeom) *Tensor {
+func Im2ColTo(dst, img *tensor.Tensor, g tensor.ConvGeom) *tensor.Tensor {
 	if img.Len() != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col input has %d elements, geometry wants %d", img.Len(), g.InC*g.InH*g.InW))
 	}
@@ -88,7 +61,7 @@ func Im2ColTo(dst, img *Tensor, g ConvGeom) *Tensor {
 // gradient matrix into a caller-owned image-gradient buffer with
 // InC*InH*InW elements (any shape), summing overlaps. The buffer is zeroed
 // first, so it may hold stale contents. dst must not alias cols.
-func Col2ImTo(dstT, cols *Tensor, g ConvGeom) *Tensor {
+func Col2ImTo(dstT, cols *tensor.Tensor, g tensor.ConvGeom) *tensor.Tensor {
 	oh, ow := g.OutH(), g.OutW()
 	rows := g.InC * g.KH * g.KW
 	if cols.Rank() != 2 || cols.Shape[0] != rows || cols.Shape[1] != oh*ow {

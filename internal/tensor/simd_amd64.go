@@ -448,6 +448,37 @@ func unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
 	unpool2x2Go(dx, g, am, ow, pairs, batch)
 }
 
+// unpoolPadAVX writes the unpool of planes × rows × steps steps of four
+// pooled gradients each into float32 rows of padded planes pw elements
+// wide, dst at the first plane's first interior cell. A step writes two
+// 4-cell runs of a top row, at +0 and +half elements, and the same two pw
+// elements on, and moves on by 2·half elements, and by skip more after
+// each row.
+//
+//go:noescape
+func unpoolPadAVX(dst *float32, grad *float64, taps *int32, planes, rows, steps, half, pw, skip int)
+
+// unpoolPadded runs the checked unpool on the AVX2 kernel, one call for
+// the batch, for the planes unpoolPadVector takes: rows of a multiple of
+// four windows, or 2-window rows taken two at a time.
+func unpoolPadded(dst []float32, g []float64, taps []int32, planes, oh, ow int) {
+	pw := 2*ow + 2
+	switch {
+	case planes*oh == 0 || !unpoolPadVector(oh, ow):
+		unpoolPaddedGo(dst, g, taps, planes, oh, ow)
+	case ow == 2:
+		unpoolPadAVX(&dst[pw+1], &g[0], &taps[0], planes, 1, oh/2, 2*pw, pw, 0)
+	default:
+		unpoolPadAVX(&dst[pw+1], &g[0], &taps[0], planes, oh, ow/4, 4, pw, pw+2)
+	}
+}
+
+// unpoolPadVector reports whether UnpoolPadded runs planes of oh × ow
+// windows, at least one, on AVX2.
+func unpoolPadVector(oh, ow int) bool {
+	return avx2Supported && (ow > 0 && ow%4 == 0 || ow == 2 && oh%2 == 0)
+}
+
 // winoVector reports whether the Winograd kernels of a convolution with
 // outC output channels run on AVX2: the weight-gradient product works
 // eight output channels at a time.
@@ -461,10 +492,12 @@ func winoVector(outC int) bool { return avx2Supported && outC >= 8 }
 func winoInAVX(v, in *float32, tab *int, groups, chans, plane, pw, d2 int)
 
 // winoOutAVX writes the outputs of `groups` groups and outC channels
-// from their transformed tiles v and filters u; bias may be nil.
+// from their transformed tiles v and filters u; bias may be nil. With
+// taps not nil it pools each tile into one output and one tap code at
+// the same offset of out and taps.
 //
 //go:noescape
-func winoOutAVX(out *float64, v, u *float32, bias *float64, tab *int, groups, inC, outC, plane, ow, d2 int)
+func winoOutAVX(out *float64, v, u *float32, bias *float64, tab *int, groups, inC, outC, plane, ow, d2 int, taps *int32)
 
 // winoDyAVX writes the transformed output-gradient tiles and adds the
 // tile sums into db, which the caller zeroes; dup zeroes the last
@@ -491,16 +524,20 @@ func winoInput(v, in []float32, tab []int, groups, chans, plane, pw, d2 int, vec
 	winoInAVX(&v[0], &in[0], &tab[0], groups, chans, plane, pw, d2)
 }
 
-func winoOutput(out []float64, v, u []float32, bias []float64, tab []int, groups, inC, outC, plane, ow, d2 int, vec bool) {
+func winoOutput(out []float64, taps []int32, v, u []float32, bias []float64, tab []int, groups, inC, outC, plane, ow, d2 int, vec bool) {
 	if !vec || groups == 0 {
-		winoOutputGo(out, v, u, bias, tab, groups, inC, outC, plane, ow, d2)
+		winoOutputGo(out, taps, v, u, bias, tab, groups, inC, outC, plane, ow, d2)
 		return
 	}
 	var b *float64
 	if bias != nil {
 		b = &bias[0]
 	}
-	winoOutAVX(&out[0], &v[0], &u[0], b, &tab[0], groups, inC, outC, plane, ow, d2)
+	var tp *int32
+	if taps != nil {
+		tp = &taps[0]
+	}
+	winoOutAVX(&out[0], &v[0], &u[0], b, &tab[0], groups, inC, outC, plane, ow, d2, tp)
 }
 
 func winoGradDy(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 int, dup, vec bool) {

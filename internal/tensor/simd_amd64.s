@@ -1833,12 +1833,55 @@ lbl:                             \
 	VMOVUPD Y4, (R10)(R15*1)  \
 	VMOVUPD Y5, (R11)(R15*1)
 
-// func winoOutAVX(out *float64, v, u *float32, bias *float64, tab *int, groups, inC, outC, plane, ow, d2 int)
+// winoTap is the pooled epilogue's tap codes as float64: −1, 1, 2, 3.
+DATA winoTap<>+0x00(SB)/8, $0xbff0000000000000
+DATA winoTap<>+0x08(SB)/8, $0x3ff0000000000000
+DATA winoTap<>+0x10(SB)/8, $0x4000000000000000
+DATA winoTap<>+0x18(SB)/8, $0x4008000000000000
+GLOBL winoTap<>(SB), RODATA|NOPTR, $32
+
+// WINOTAP widens one tap of four tiles (x, float32 lanes 0–3) and adds
+// the bias in Y12. Y1 marks the tiles where it is strictly greater than
+// their best so far in Y4 (GT_OQ, so NaN never wins), and VMAXPD, which
+// returns its second source unless the first is strictly greater, makes
+// it the best there.
+#define WINOTAP(x) \
+	VCVTPS2PD x, Y0          \
+	VADDPD Y12, Y0, Y0       \
+	VCMPPD $0x1e, Y4, Y0, Y1 \
+	VMAXPD Y4, Y0, Y4
+
+// WINOPOOL pools the four tiles in lanes 0–3 of Y8..Y11 (taps (0, 0),
+// (0, 1), (1, 0), (1, 1)) from best +0 and code −1 in Y5, each tap's mask
+// setting the code to its own (+0 by VANDNPD, 1 and 2 from Y13 and Y14,
+// 3), and stores each tile pair's two values at dst and R15 bytes on,
+// their codes as int32 at codes and CX bytes on.
+#define WINOPOOL(dst, codes) \
+	VXORPD Y4, Y4, Y4                 \
+	VBROADCASTSD winoTap<>+0(SB), Y5  \
+	WINOTAP(X8)                       \
+	VANDNPD Y5, Y1, Y5                \
+	WINOTAP(X9)                       \
+	VBLENDVPD Y1, Y13, Y5, Y5         \
+	WINOTAP(X10)                      \
+	VBLENDVPD Y1, Y14, Y5, Y5         \
+	WINOTAP(X11)                      \
+	VBROADCASTSD winoTap<>+24(SB), Y2 \
+	VBLENDVPD Y1, Y2, Y5, Y5          \
+	VMOVUPD X4, (dst)                 \
+	VEXTRACTF128 $1, Y4, (dst)(R15*1) \
+	VCVTTPD2DQY Y5, X5                \
+	VMOVQ X5, (codes)                 \
+	VPEXTRQ $1, X5, (codes)(CX*1)
+
+// func winoOutAVX(out *float64, v, u *float32, bias *float64, tab *int, groups, inC, outC, plane, ow, d2 int, taps *int32)
 // Per group and output channel: the channel sum of all sixteen
 // components in two halves (columns 0–1, then 2–3), Aᵀ·A, then the four
 // outputs of every tile widened with the bias added — with no bias, −0,
-// which leaves every value as it is.
-TEXT ·winoOutAVX(SB), NOSPLIT, $0-88
+// which leaves every value as it is. With taps, each tile is pooled
+// instead (WINOPOOL): one value at the tile's offset in out and its code
+// at the same offset in taps, at taps + (R12 − out)/2 bytes.
+TEXT ·winoOutAVX(SB), NOSPLIT, $0-96
 	MOVQ v+8(FP), SI
 	MOVQ tab+32(FP), R8
 	MOVQ groups+40(FP), R9
@@ -1846,6 +1889,8 @@ TEXT ·winoOutAVX(SB), NOSPLIT, $0-88
 	SHLQ $3, R14
 	MOVQ d2+80(FP), R15
 	SHLQ $3, R15
+	VBROADCASTSD winoTap<>+8(SB), Y13
+	VBROADCASTSD winoTap<>+16(SB), Y14
 
 wogroup:
 	MOVQ out+0(FP), DI
@@ -1880,6 +1925,9 @@ wonobias:
 	VPSLLQ $63, Y12, Y12     // −0
 
 wobias:
+	MOVQ taps+88(FP), CX
+	TESTQ CX, CX
+	JNZ  wopool
 	MOVQ R12, R10
 	MOVQ R13, R11
 	WINOSTORE(Y8, Y9)
@@ -1887,6 +1935,8 @@ wobias:
 	LEAQ (R10)(CX*8), R10
 	LEAQ (R11)(CX*8), R11
 	WINOSTORE(Y10, Y11)
+
+wonext:
 	MOVQ DI, CX
 	SHLQ $6, CX
 	ADDQ CX, DX              // the next channel's filters
@@ -1902,6 +1952,25 @@ wobias:
 	JNZ  wogroup
 	VZEROUPPER
 	RET
+
+wopool:                          // a code is half a value's size
+	MOVQ R12, R10
+	SUBQ out+0(FP), R10
+	SHRQ $1, R10
+	ADDQ CX, R10             // the low quad's codes
+	MOVQ R13, R11
+	SUBQ out+0(FP), R11
+	SHRQ $1, R11
+	ADDQ CX, R11
+	MOVQ R15, CX
+	SHRQ $1, CX
+	WINOPOOL(R12, R10)
+	VEXTRACTF128 $1, Y8, X8  // the high quad's tiles
+	VEXTRACTF128 $1, Y9, X9
+	VEXTRACTF128 $1, Y10, X10
+	VEXTRACTF128 $1, Y11, X11
+	WINOPOOL(R13, R11)
+	JMP  wonext
 
 // WINOST stores one transformed component and steps DX to the next
 // component's block.
@@ -2124,5 +2193,79 @@ wmnext:
 	ADDQ $32, R8
 	CMPQ R8, $512
 	JLT  wmxi
+	VZEROUPPER
+	RET
+
+// unpoolPad is the padded unpool's constants: the dword index vector
+// {0, 0, 1, 1, 2, 2, 3, 3}, which repeats each of four values across its
+// window's two columns, then the tap codes of a top row's two cells,
+// {0, 1}, and of a bottom row's, {2, 3}.
+DATA unpoolPad<>+0x00(SB)/8, $0x0000000000000000
+DATA unpoolPad<>+0x08(SB)/8, $0x0000000100000001
+DATA unpoolPad<>+0x10(SB)/8, $0x0000000200000002
+DATA unpoolPad<>+0x18(SB)/8, $0x0000000300000003
+DATA unpoolPad<>+0x20(SB)/8, $0x0000000100000000
+DATA unpoolPad<>+0x28(SB)/8, $0x0000000300000002
+GLOBL unpoolPad<>(SB), RODATA|NOPTR, $48
+
+// func unpoolPadAVX(dst *float32, grad *float64, taps *int32, planes, rows, steps, half, pw, skip int)
+// Every count ≥ 1. A step takes four windows: +0 + grad, narrowed
+// (VCVTPD2PS rounds as Go's float32 conversion does) and repeated across
+// each window's two columns, is kept where the window's tap code,
+// repeated the same way, equals the cell's (VPCMPEQD, VANDPS), +0
+// elsewhere. Windows 0 and 1 own the 4-cell top-row run at +0, 2 and 3
+// the one half elements on, each with the run pw elements below; a step
+// moves on by 2·half elements, a row of steps by skip more, a plane by
+// two more padded rows. half = 4, skip = pw + 2 walks rows of a multiple
+// of four windows; half = 2·pw, skip = 0 with pw = 6 takes two stacked
+// 2-window rows as one step.
+TEXT ·unpoolPadAVX(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ taps+16(FP), R8
+	MOVQ planes+24(FP), R9
+	MOVQ half+48(FP), R11
+	SHLQ $2, R11
+	MOVQ pw+56(FP), R10
+	SHLQ $2, R10
+	MOVQ skip+64(FP), R12
+	SHLQ $2, R12
+	VXORPD Y7, Y7, Y7
+	VMOVDQU unpoolPad<>+0(SB), Y6
+	VPBROADCASTQ unpoolPad<>+32(SB), Y4
+	VPBROADCASTQ unpoolPad<>+40(SB), Y5
+
+uqplane:
+	MOVQ rows+32(FP), BX
+
+uqrow:
+	MOVQ steps+40(FP), CX
+
+uqstep:
+	VADDPD (SI), Y7, Y0     // +0 + grad
+	VCVTPD2PSY Y0, X0
+	VPERMPS Y0, Y6, Y0      // g0 g0 g1 g1 g2 g2 g3 g3
+	VMOVDQU (R8), X1
+	VPERMD Y1, Y6, Y1       // c0 c0 c1 c1 c2 c2 c3 c3
+	VPCMPEQD Y4, Y1, Y2
+	VANDPS Y0, Y2, Y2
+	VPCMPEQD Y5, Y1, Y3
+	VANDPS Y0, Y3, Y3
+	LEAQ (DI)(R11*1), AX
+	VMOVUPS X2, (DI)
+	VEXTRACTF128 $1, Y2, (AX)
+	VMOVUPS X3, (DI)(R10*1)
+	VEXTRACTF128 $1, Y3, (AX)(R10*1)
+	ADDQ $32, SI
+	ADDQ $16, R8
+	LEAQ (DI)(R11*2), DI
+	DECQ CX
+	JNZ  uqstep
+	ADDQ R12, DI
+	DECQ BX
+	JNZ  uqrow
+	LEAQ (DI)(R10*2), DI     // past the bottom and top borders
+	DECQ R9
+	JNZ  uqplane
 	VZEROUPPER
 	RET

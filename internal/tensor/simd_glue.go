@@ -4,10 +4,11 @@ import "fmt"
 
 // Data-movement kernels around the layers' compute kernels: nn.Conv2D's
 // float32 boundary (the minibatch and the incoming gradient into their
-// zero-padded float32 buffers) and nn.MaxPool2D's 2×2 backward pass. Each
-// runs once per batch, never per plane or row, and moves every value
-// unchanged or through one Go conversion, so the AVX2 kernels reproduce
-// the Go twins (NarrowPaddedGo, Unpool2x2Go) bit for bit, NaN payloads
+// zero-padded float32 buffers, the latter through a folded pool's
+// backward pass) and nn.MaxPool2D's 2×2 backward pass. Each runs once per
+// batch, never per plane or row, and moves every value unchanged or
+// through one Go conversion, so the AVX2 kernels reproduce the Go twins
+// (NarrowPaddedGo, UnpoolPaddedGo, Unpool2x2Go) bit for bit, NaN payloads
 // included. The twins are what runs without AVX2, off amd64, under purego
 // and for widths the assembly does not take, and what the tests hold the
 // assembly to.
@@ -55,6 +56,40 @@ func Unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
 func Unpool2x2Go(dx, g []float64, am []int, ow, pairs, batch int) {
 	checkUnpool(len(dx), len(g), len(am), ow, pairs, batch)
 	unpool2x2Go(dx, g, am, ow, pairs, batch)
+}
+
+// UnpoolPadded is the backward pass of a pool folded into
+// Winograd.ForwardPool, written straight into the float32 frame the
+// convolution's gradient kernels read: g holds `planes` planes of oh × ow
+// pooled gradients and taps their windows' tap codes (2·dy + dx, or −1),
+// and dst receives planes of 2·oh × 2·ow cells padded by one, every
+// interior cell written once with
+//
+//	dst[cell] = float32(+0 + g[o])   where taps[o] names the cell,  +0 elsewhere in o's window
+//
+// — Unpool2x2 and then NarrowPadded with pad 1, in one pass. A code
+// outside 0…3 routes nothing. The AVX2 kernel takes rows of a multiple of
+// four windows and 2-window rows in pairs, as the zoo's pooled planes
+// are; other shapes run the twin.
+func UnpoolPadded(dst []float32, g []float64, taps []int32, planes, oh, ow int) {
+	checkUnpoolPadded(len(dst), len(g), len(taps), planes, oh, ow)
+	unpoolPadded(dst, g, taps, planes, oh, ow)
+}
+
+// UnpoolPaddedGo is UnpoolPadded on the portable scalar kernel.
+func UnpoolPaddedGo(dst []float32, g []float64, taps []int32, planes, oh, ow int) {
+	checkUnpoolPadded(len(dst), len(g), len(taps), planes, oh, ow)
+	unpoolPaddedGo(dst, g, taps, planes, oh, ow)
+}
+
+// checkUnpoolPadded is the only bounds check UnpoolPadded gets.
+func checkUnpoolPadded(dst, g, taps, planes, oh, ow int) {
+	if min(planes, oh, ow) < 0 {
+		panic(fmt.Sprintf("tensor: UnpoolPadded %d planes of %dx%d windows", planes, oh, ow))
+	}
+	checkLen("UnpoolPadded", "output gradient", g, planes*oh*ow)
+	checkLen("UnpoolPadded", "tap codes", taps, planes*oh*ow)
+	checkLen("UnpoolPadded", "padded side", dst, planes*(2*oh+2)*(2*ow+2))
 }
 
 // checkPadded is the only bounds check NarrowPadded gets: the contiguous
@@ -111,6 +146,21 @@ func unpool2x2Go(dx, g []float64, am []int, ow, pairs, batch int) {
 			if idx >= 0 {
 				d[idx] += g[b*outLen+o]
 			}
+		}
+	}
+}
+
+func unpoolPaddedGo(dst []float32, g []float64, taps []int32, planes, oh, ow int) {
+	pw := 2*ow + 2
+	for r := 0; r < planes*oh; r++ {
+		top := dst[(r/oh*(2*oh+2)+1+2*(r%oh))*pw+1:][:2*ow]
+		bot := dst[(r/oh*(2*oh+2)+2+2*(r%oh))*pw+1:][:2*ow]
+		for x, k := range taps[r*ow : (r+1)*ow] {
+			var cells [4]float32 // the window's taps in (dy, dx) order
+			if uint32(k) < 4 {
+				cells[k] = float32(0 + g[r*ow+x])
+			}
+			top[2*x], top[2*x+1], bot[2*x], bot[2*x+1] = cells[0], cells[1], cells[2], cells[3]
 		}
 	}
 }

@@ -24,6 +24,12 @@ func unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
 	unpool2x2Go(dx, g, am, ow, pairs, batch)
 }
 
+func unpoolPadded(dst []float32, g []float64, taps []int32, planes, oh, ow int) {
+	unpoolPaddedGo(dst, g, taps, planes, oh, ow)
+}
+
+func unpoolPadVector(oh, ow int) bool { return false }
+
 func deltaRange(v, ref []float64) (lo, hi float64) { return deltaRangeGo(v, ref) }
 
 func quantDelta(dst []byte, v, ref []float64, lo, scale float64) {
@@ -56,8 +62,8 @@ func winoInput(v, in []float32, tab []int, groups, chans, plane, pw, d2 int, vec
 	winoInputGo(v, in, tab, groups, chans, plane, pw, d2)
 }
 
-func winoOutput(out []float64, v, u []float32, bias []float64, tab []int, groups, inC, outC, plane, ow, d2 int, vec bool) {
-	winoOutputGo(out, v, u, bias, tab, groups, inC, outC, plane, ow, d2)
+func winoOutput(out []float64, taps []int32, v, u []float32, bias []float64, tab []int, groups, inC, outC, plane, ow, d2 int, vec bool) {
+	winoOutputGo(out, taps, v, u, bias, tab, groups, inC, outC, plane, ow, d2)
 }
 
 func winoGradDy(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 int, dup, vec bool) {

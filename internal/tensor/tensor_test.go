@@ -150,68 +150,6 @@ func TestMatMulDistributesOverAdd(t *testing.T) {
 	}
 }
 
-func TestIm2ColKnown(t *testing.T) {
-	// 1 channel 3x3 image, 2x2 kernel, stride 1, no pad -> 4 patches.
-	img := New([]float64{
-		1, 2, 3,
-		4, 5, 6,
-		7, 8, 9,
-	}, 1, 3, 3)
-	g := ConvGeom{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, Stride: 1, Pad: 0}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cols := Im2ColTo(Zeros(4, 4), img, g)
-	// First row = top-left value of each patch: 1,2,4,5.
-	want := []float64{1, 2, 4, 5}
-	for i, w := range want {
-		if cols.Data[i] != w {
-			t.Fatalf("Im2Col row0[%d] = %v, want %v", i, cols.Data[i], w)
-		}
-	}
-}
-
-func TestIm2ColPadding(t *testing.T) {
-	img := New([]float64{1, 2, 3, 4}, 1, 2, 2)
-	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	cols := Im2ColTo(Zeros(9, 4), img, g)
-	// Output is 2x2; center kernel tap (kh=1,kw=1) row must reproduce image.
-	row := 1*3 + 1
-	for i := 0; i < 4; i++ {
-		if cols.Data[row*4+i] != img.Data[i] {
-			t.Fatalf("center tap mismatch at %d", i)
-		}
-	}
-}
-
-func TestCol2ImAdjoint(t *testing.T) {
-	// <Im2Col(x), y> == <x, Col2Im(y)> — the defining adjoint identity,
-	// which is exactly what correct conv backprop requires.
-	f := func(seed int64) bool {
-		rng := NewRNG(seed)
-		g := ConvGeom{
-			InC: 1 + rng.Intn(3), InH: 3 + rng.Intn(4), InW: 3 + rng.Intn(4),
-			KH: 1 + rng.Intn(3), KW: 1 + rng.Intn(3), Stride: 1 + rng.Intn(2), Pad: rng.Intn(2),
-		}
-		if g.Validate() != nil {
-			return true // skip degenerate geometry
-		}
-		x := rng.Randn(1, g.InC, g.InH, g.InW)
-		y := rng.Randn(1, g.InC*g.KH*g.KW, g.OutH()*g.OutW())
-		lhs, rhs := 0.0, 0.0
-		for i, v := range Im2ColTo(Zeros(y.Shape...), x, g).Data {
-			lhs += v * y.Data[i]
-		}
-		for i, v := range Col2ImTo(Zeros(x.Shape...), y, g).Data {
-			rhs += x.Data[i] * v
-		}
-		return almostEqual(lhs, rhs, 1e-8*(1+math.Abs(lhs)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConvGeomValidate(t *testing.T) {
 	bad := []ConvGeom{
 		{InC: 0, InH: 4, InW: 4, KH: 2, KW: 2, Stride: 1},

@@ -328,6 +328,101 @@ var twinRows = []twinRow{
 			}
 		}},
 
+	// ForwardPool, the output transform's pooled epilogue (winoOutAVX
+	// with tap codes), over the CNN's and VGGMini's pooled planes — 8×8,
+	// second tile pair to the right, and 4×4, below, one quad a sample, so
+	// odd batches repeat it in a group's high half — and 2×8, 4×12 and
+	// 6×16 planes, a last channel block moved back, channels under eight
+	// (both sides on the twins), batches 1–3 and 50. The third side is
+	// Forward, then MaxPool2x2Go from +0 per sample, its argmax turned
+	// into tap codes. Every third output channel's filters are zero, so
+	// its four taps tie at its bias.
+	{name: "WinogradPool", gate: "conv-pool", sides: []string{"twin", "Forward, then MaxPool2x2Go"}, short: "tensor: Winograd ",
+		reach: func() bool {
+			for _, s := range [][4]int{{3, 8, 8, 8}, {8, 4, 4, 16}, {16, 8, 8, 16}, {32, 4, 4, 32}} {
+				if !NewWinograd(ConvGeom{InC: s[0], InH: s[1], InW: s[2], KH: 3, KW: 3, Stride: 1, Pad: 1}, s[3]).Vector() {
+					return false
+				}
+			}
+			return true
+		},
+		sweep: func(yield func(twinCase)) {
+			for _, s := range [][4]int{{1, 2, 8, 9}, {5, 4, 12, 13}, {2, 6, 16, 8}, {3, 4, 4, 4}, {16, 8, 8, 16}, {32, 4, 4, 32}, {8, 4, 4, 16}, {3, 8, 8, 8}} {
+				g := ConvGeom{InC: s[0], InH: s[1], InW: s[2], KH: 3, KW: 3, Stride: 1, Pad: 1}
+				outC, pooled := s[3], s[1]*s[2]/4
+				for _, batch := range []int{1, 2, 3, 50} {
+					yield(twinCase{what: fmt.Sprintf("%+v outC=%d batch=%d", g, outC, batch),
+						ops: []any{f32(batch * g.InC * (g.InH + 2) * (g.InW + 2)), f64(outC * g.InC * 9), f64(outC), f64(batch * outC * pooled), make([]int32, batch*outC*pooled)},
+						prep: func(_ *RNG, o twinOps) {
+							for oc := 1; oc < outC; oc += 3 {
+								clear(o.f(1)[oc*g.InC*9 : (oc+1)*g.InC*9])
+							}
+						},
+						run: func(side int, o twinOps) {
+							p := NewWinograd(g, outC)
+							p.SetWeights(o.f(1))
+							pick(side, p.ForwardPool, p.ForwardPoolGo, func(out []float64, taps []int32, in []float32, bias []float64, batch int) {
+								y, am := f64(batch*outC*4*pooled), make([]int, batch*outC*pooled)
+								p.Forward(y, in, bias, batch)
+								for b := range batch {
+									n := outC * pooled
+									MaxPool2x2Go(out[b*n:(b+1)*n], am[b*n:(b+1)*n], y[4*b*n:4*(b+1)*n], g.InW, g.InH/2, g.InW/2, outC, 0)
+								}
+								for i, idx := range am {
+									taps[i] = -1
+									if idx >= 0 {
+										taps[i] = int32(2*(idx/g.InW%2) + idx%2)
+									}
+								}
+							})(o.f(3), o.i32(4), o.f32(0), o.f(2), batch)
+						}})
+				}
+			}
+		}},
+	// Rows of a multiple of four windows and 2-window rows in pairs take
+	// the kernel, other shapes the twin; codes −1…3 and two that route nothing; a −0 gradient lands as
+	// +0 and no border cell is written. The third side is the two passes
+	// it replaced, its codes turned into argmax indices. The sweep ends on
+	// the CNN's two pooled planes at batch 50.
+	{name: "UnpoolPadded", avx: []string{"unpoolPadAVX"}, gate: "glue/unpool-padded", sides: []string{"twin", "Unpool2x2Go, then NarrowPaddedGo"},
+		short:  "tensor: UnpoolPadded ",
+		reach:  func() bool { return unpoolPadVector(4, 4) && unpoolPadVector(2, 2) },
+		refuse: []twinRefusal{{"tensor: UnpoolPadded ", func() { UnpoolPadded(nil, nil, nil, 1, -1, 2) }}},
+		sweep: func(yield func(twinCase)) {
+			shapes := [][3]int{{50 * 8, 4, 4}, {50 * 16, 2, 2}}
+			for _, ow := range []int{1, 2, 3, 4, 5, 6, 8} {
+				for _, oh := range []int{0, 1, 2, 3} {
+					for _, planes := range []int{0, 1, 3} {
+						shapes = append([][3]int{{planes, oh, ow}}, shapes...)
+					}
+				}
+			}
+			for _, s := range shapes {
+				planes, oh, ow := s[0], s[1], s[2]
+				n := planes * oh * ow
+				yield(twinCase{what: fmt.Sprintf("%d planes of %dx%d windows", planes, oh, ow),
+					ops: []any{f32(planes * (2*oh + 2) * (2*ow + 2)), f64(n), make([]int32, n)},
+					prep: func(_ *RNG, o twinOps) {
+						for i, r := range o.i32(2) {
+							o.i32(2)[i] = [6]int32{-1, 0, 1, 2, 3, 7}[r%6]
+						}
+					},
+					run: func(side int, o twinOps) {
+						pick(side, UnpoolPadded, UnpoolPaddedGo, func(dst []float32, g []float64, taps []int32, planes, oh, ow int) {
+							dx, am := f64(4*n), make([]int, n)
+							for i, k := range taps {
+								am[i] = -1
+								if k >= 0 && k < 4 {
+									am[i] = 4*ow*(i/ow%oh) + 2*(i%ow) + int(k/2)*2*ow + int(k%2)
+								}
+							}
+							Unpool2x2Go(dx, g, am, ow, oh, planes)
+							NarrowPaddedGo(dst, dx, planes, 2*oh, 2*ow, 1)
+						})(o.f32(0), o.f(1), o.i32(2), planes, oh, ow)
+					}})
+			}
+		}},
+
 	// Zeros, subnormals, overflow, infinities, NaN and exact halves.
 	{name: "Float16EncodeSlice", gate: "none: Go only, no assembly", sides: []string{"Float16Bits"}, free: []int{1}, short: "runtime error: slice bounds out of range",
 		values: []float64{0.5, 65504, -65504, 65520, 70000, 5.96046448e-08, 6.103515625e-05, 2.5e-8},

@@ -15,7 +15,9 @@ import "fmt"
 //	input grad   F(2×2, 3×3)   dx = Aᵀ [Σ_o U' ⊙ Bᵀ dy' B] A  U' from the flipped, transposed filter
 //	weight grad  F(3×3, 2×2)   dW = G̃ᵀ [Σ_tiles (Ã dy Ãᵀ) ⊙ V] G̃
 //
-// with dy' the output gradient zero-padded by one, and
+// with dy' the output gradient zero-padded by one (ForwardPool also
+// folds a ReLU and a 2×2 max pool into the forward pass's output
+// transform: a tile is one pool window), and
 //
 //	Bᵀ = [1 0 −1 0; 0 1 1 0; 0 −1 1 0; 0 1 0 −1]   G = [1 0 0; ½ ½ ½; ½ −½ ½; 0 0 1]
 //	Aᵀ = [1 1 1 0; 0 1 −1 −1]                       Ã = [1 0; 1 1; 1 −1; 0 1],  G̃ = G with its last row negated
@@ -52,7 +54,8 @@ import "fmt"
 
 // Winograd is the transformed-domain state of one convolution of fixed
 // geometry: the transformed filters, the transformed input tiles of the
-// last Forward (read by GradParams) and the batch-sized tile tables.
+// last Forward or ForwardPool (read by GradParams) and the batch-sized
+// tile tables.
 // Workspaces are resized per call, so steady-state batches allocate
 // nothing.
 type Winograd struct {
@@ -88,13 +91,14 @@ const winoRunBytes = 40 << 10
 func (p *Winograd) run() int { return max(1, winoRunBytes/((p.outC+p.inC)*16*winoLanes*4)) }
 
 // winoTabs are one batch size's group tables: for each group the offsets
-// of its two quads' first tile origin in four frames — the padded input
+// of its two quads' first tile origin in five frames — the padded input
 // and the padded output gradient (window origins), the output and the
-// input gradient (output positions).
+// input gradient (output positions), and the pooled output (a tile's
+// window).
 type winoTabs struct {
-	batch, groups int
-	dup           bool // the last group's high half repeats its low one
-	x, dy, y, dx  []int
+	batch, groups   int
+	dup             bool // the last group's high half repeats its low one
+	x, dy, y, dx, p []int
 }
 
 // winoLanes is the tile count of one group: eight float32 lanes.
@@ -164,20 +168,23 @@ func (p *Winograd) layout(batch int) *winoTabs {
 	}
 	nq := batch * p.qs
 	t.batch, t.groups, t.dup = batch, (nq+1)/2, nq%2 == 1
-	frame := func(tab []int, sample, rs int) []int {
+	// A quad's origin (oy, ox) is at oy·rs + ox, or in the pooled frame
+	// (shift 1, rs = W/2) at its window (oy/2)·rs + ox/2.
+	frame := func(tab []int, sample, rs int, shift uint) []int {
 		tab = tab[:0]
 		for k := 0; k < 2*t.groups; k++ {
 			k := min(k, nq-1)
 			q := k % p.qs
-			tab = append(tab, k/p.qs*sample+p.quads[2*q]*rs+p.quads[2*q+1])
+			tab = append(tab, k/p.qs*sample+(p.quads[2*q]*rs+p.quads[2*q+1])>>shift)
 		}
 		return tab
 	}
 	padded := p.ph * p.pw
-	t.x = frame(t.x, p.inC*padded, p.pw)
-	t.dy = frame(t.dy, p.outC*padded, p.pw)
-	t.y = frame(t.y, p.outC*p.h*p.w, p.w)
-	t.dx = frame(t.dx, p.inC*p.h*p.w, p.w)
+	t.x = frame(t.x, p.inC*padded, p.pw, 0)
+	t.dy = frame(t.dy, p.outC*padded, p.pw, 0)
+	t.y = frame(t.y, p.outC*p.h*p.w, p.w, 0)
+	t.dx = frame(t.dx, p.inC*p.h*p.w, p.w, 0)
+	t.p = frame(t.p, p.outC*p.h*p.w/4, p.w/2, 1)
 	p.cur = t
 	return t
 }
@@ -253,15 +260,51 @@ func (p *Winograd) ForwardGo(out []float64, in []float32, bias []float64, batch 
 	p.forward(out, in, bias, batch, false)
 }
 
+// ForwardPool is Forward with a ReLU and a 2×2 stride-2 max pool folded
+// into the output transform, where a tile is one pool window. Per window
+// and channel it writes to out (batch × outC·(H/2)·(W/2)) the first of
+// the tile's four outputs, in (dy, dx) order, strictly greater than a
+// maximum that starts at +0 — ties keep the earliest, NaN never wins, +0
+// when nothing is positive — and to taps its tap code, 2·dy + dx, or −1
+// when nothing won. Each output is float64(y) + bias[o] as Forward writes
+// it, so out is MaxPool2x2 from +0 over Forward's output, bit for bit,
+// and taps its argmax relative to each window. The transformed input
+// tiles are kept for GradParams, as Forward keeps them.
+func (p *Winograd) ForwardPool(out []float64, taps []int32, in []float32, bias []float64, batch int) {
+	p.forwardPool(out, taps, in, bias, batch, p.vec)
+}
+
+// ForwardPoolGo is ForwardPool on the portable scalar kernels.
+func (p *Winograd) ForwardPoolGo(out []float64, taps []int32, in []float32, bias []float64, batch int) {
+	p.forwardPool(out, taps, in, bias, batch, false)
+}
+
 func (p *Winograd) forward(out []float64, in []float32, bias []float64, batch int, vec bool) {
-	p.checkLen("input", len(in), batch*p.inC*p.ph*p.pw)
 	p.checkLen("output", len(out), batch*p.outC*p.h*p.w)
+	t := p.input(in, bias, batch, vec)
+	winoOutput(out, nil, p.v, p.u, bias, t.y, t.groups, p.inC, p.outC, p.h*p.w, p.w, p.d2(p.w), vec)
+}
+
+func (p *Winograd) forwardPool(out []float64, taps []int32, in []float32, bias []float64, batch int, vec bool) {
+	n := batch * p.outC * p.h * p.w / 4
+	p.checkLen("pooled output", len(out), n)
+	p.checkLen("tap codes", len(taps), n)
+	t := p.input(in, bias, batch, vec)
+	// The pooled frame's second window pair is one window row down, or
+	// two windows on.
+	winoOutput(out, taps, p.v, p.u, bias, t.p, t.groups, p.inC, p.outC, p.h*p.w/4, 0, p.d2(p.w/2)/2, vec)
+}
+
+// input checks a forward pass's input and bias and transforms the input
+// tiles, which it keeps for GradParams.
+func (p *Winograd) input(in []float32, bias []float64, batch int, vec bool) *winoTabs {
+	p.checkLen("input", len(in), batch*p.inC*p.ph*p.pw)
 	p.checkLen("bias", len(bias), p.outC)
 	t := p.layout(batch)
 	p.v = resize32(p.v, t.groups*p.inC*16*winoLanes)
 	p.vBatch = batch
 	winoInput(p.v, in, t.x, t.groups, p.inC, p.ph*p.pw, p.pw, p.d2(p.pw), vec)
-	winoOutput(out, p.v, p.u, bias, t.y, t.groups, p.inC, p.outC, p.h*p.w, p.w, p.d2(p.w), vec)
+	return t
 }
 
 // GradParams adds the parameter gradients of the batch the last Forward
@@ -363,7 +406,7 @@ func (p *Winograd) gradInput(dx []float64, dy []float32, batch int, vec bool) {
 	for g0 := 0; g0 < t.groups; g0 += run {
 		n := min(run, t.groups-g0)
 		winoInput(p.s, dy, t.dy[2*g0:], n, p.outC, p.ph*p.pw, p.pw, p.d2(p.pw), vec)
-		winoOutput(dx, p.s, p.ut, nil, t.dx[2*g0:], n, p.outC, p.inC, p.h*p.w, p.w, p.d2(p.w), vec)
+		winoOutput(dx, nil, p.s, p.ut, nil, t.dx[2*g0:], n, p.outC, p.inC, p.h*p.w, p.w, p.d2(p.w), vec)
 	}
 }
 
@@ -416,7 +459,11 @@ func winoInputGo(v, in []float32, tab []int, groups, chans, plane, pw, d2 int) {
 //	M[ξ] = Σ_c u[o][c][ξ] · v[g][c][ξ]   c ascending from +0
 //	Z[0][j] = (M[0][j] + M[1][j]) + M[2][j],  Z[1][j] = (M[1][j] − M[2][j]) − M[3][j]
 //	Y[y] = ((Z[y][0] + Z[y][1]) + Z[y][2], (Z[y][1] − Z[y][2]) − Z[y][3])
-func winoOutputGo(out []float64, v, u []float32, bias []float64, tab []int, groups, inC, outC, plane, ow, d2 int) {
+//
+// or, when taps is not nil, pools each tile: out and taps get one value
+// and one tap code a tile, in a frame whose tiles are one element apart
+// (ForwardPool).
+func winoOutputGo(out []float64, taps []int32, v, u []float32, bias []float64, tab []int, groups, inC, outC, plane, ow, d2 int) {
 	var m [16]float32
 	for g := 0; g < groups; g++ {
 		vg := v[g*inC*128 : (g+1)*inC*128]
@@ -430,7 +477,7 @@ func winoOutputGo(out []float64, v, u []float32, bias []float64, tab []int, grou
 					}
 					m[xi] = s
 				}
-				cell := out[winoOrigin(tab, g, l, d2)+o*plane:]
+				var t [4]float64 // the tile's outputs in (dy, dx) order
 				for y := 0; y < 2; y++ {
 					var z [4]float32
 					for j := range z {
@@ -440,12 +487,26 @@ func winoOutputGo(out []float64, v, u []float32, bias []float64, tab []int, grou
 							z[j] = (m[4+j] - m[8+j]) - m[12+j]
 						}
 					}
-					y0, y1 := float64((z[0]+z[1])+z[2]), float64((z[1]-z[2])-z[3])
-					if bias != nil {
-						y0, y1 = y0+bias[o], y1+bias[o]
-					}
-					cell[y*ow], cell[y*ow+1] = y0, y1
+					t[2*y], t[2*y+1] = float64((z[0]+z[1])+z[2]), float64((z[1]-z[2])-z[3])
 				}
+				if bias != nil {
+					for i := range t {
+						t[i] += bias[o]
+					}
+				}
+				if taps == nil {
+					cell := out[winoOrigin(tab, g, l, d2)+o*plane:]
+					cell[0], cell[1], cell[ow], cell[ow+1] = t[0], t[1], t[2], t[3]
+					continue
+				}
+				best, tap := 0.0, int32(-1)
+				for i, x := range t {
+					if x > best {
+						best, tap = x, int32(i)
+					}
+				}
+				k := tab[2*g+l/4] + l%4/2*d2 + l%2 + o*plane
+				out[k], taps[k] = best, tap
 			}
 		}
 	}
