@@ -1007,6 +1007,42 @@ var gates = []gate{
 		return func() { step(0) }, func() { step(1) }
 	}},
 
+	// The filter transform of the CNN's two convolutions, once a training
+	// step: tensor.Winograd.SetWeights (winoFilterAVX, the forward filters
+	// and the input gradient's flipped ones in one pass) against
+	// SetWeightsGo; setup holds a forward pass, an input gradient and the
+	// parameter gradients after each to the same bits. 2.96–3.73× over ten
+	// runs; 0.88–1.29× with the kernel on its twin. The bound is half the
+	// low end: below it the transform fell back to its twin.
+	{name: "wino/filter", reps: 2000, runs: 3, bound: 1.48, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		layers := winoLayers(t, 2)
+		return func() {
+				for _, l := range layers {
+					l.p.SetWeightsGo(l.w)
+				}
+			}, func() {
+				for _, l := range layers {
+					l.p.SetWeights(l.w)
+				}
+			}
+	}},
+
+	// The parameter gradients of the CNN's second convolution (8 → 16
+	// channels) at batch 2, one group of tiles, where the per-step
+	// transform back to the 3×3 taps (winoGradsAVX) weighs most beside the
+	// product: GradParams against GradParamsGo, fastest of seven runs a
+	// side. 18.3–33.8× over ten runs; 9.1–17.6× with the gradients' kernel
+	// alone on its twin (the twin's product dominates the reference side).
+	// Half the low end would pass on the twin, so the bound sits between:
+	// below it the transform back fell back to its twin.
+	{name: "wino/grads", reps: 2000, runs: 7, bound: 15, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		l := winoLayers(t, 2)[1]
+		run := func(grads func(p *tensor.Winograd, dW, dB []float64, dy []float32, batch int)) func() {
+			return func() { grads(l.p, l.dW, l.dB, l.dy, 2) }
+		}
+		return run((*tensor.Winograd).GradParamsGo), run((*tensor.Winograd).GradParams)
+	}},
+
 	// The conv and pool layers' data movement on its AVX2 kernels against
 	// their Go twins, at the CNN's shapes and batch 50, one call a batch
 	// each as nn.Conv2D and MaxPool2D make them. narrow: both convolutions'
@@ -1407,6 +1443,53 @@ func convLayers() []convLayer {
 	for _, c := range []struct{ inC, side, outC int }{{models.VisionC, models.VisionH, 8}, {8, models.VisionH / 2, 16}} {
 		conv := nn.NewConv2D(c.inC, c.side, c.side, c.outC, rng)
 		layers = append(layers, convLayer{conv, rng.Randn(1, convBatch, conv.InFeatures()), rng.Randn(1, convBatch, conv.OutFeatures())})
+	}
+	return layers
+}
+
+// winoLayer is one of the CNN's convolutions on its Winograd state, with
+// filters, a transformed batch and an output gradient.
+type winoLayer struct {
+	p      *tensor.Winograd
+	w      []float64
+	dy     []float32
+	dW, dB []float64
+}
+
+// winoLayers builds the CNN's two convolutions at a batch and runs a
+// forward pass on each; setup fails unless SetWeights and SetWeightsGo
+// give the same forward pass and input gradient, and GradParams and
+// GradParamsGo the same gradients.
+func winoLayers(t testing.TB, batch int) []winoLayer {
+	rng := tensor.NewRNG(10)
+	narrow := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(rng.Normal(0, 1))
+		}
+		return v
+	}
+	var layers []winoLayer
+	for i, c := range []struct{ inC, side, outC int }{{models.VisionC, models.VisionH, 8}, {8, models.VisionH / 2, 16}} {
+		padded, plane := (c.side+2)*(c.side+2), c.side*c.side
+		l := winoLayer{tensor.NewWinograd(tensor.ConvGeom{InC: c.inC, InH: c.side, InW: c.side, KH: 3, KW: 3, Stride: 1, Pad: 1}, c.outC),
+			rng.Randn(1, c.outC*c.inC*9).Data, narrow(batch * c.outC * padded), make([]float64, c.outC*c.inC*9), make([]float64, c.outC)}
+		in, bias := narrow(batch*c.inC*padded), rng.Randn(1, c.outC).Data
+		var outs [2][4][]float64
+		for side, set := range []func([]float64){l.p.SetWeights, l.p.SetWeightsGo} {
+			o := &outs[side]
+			*o = [4][]float64{make([]float64, batch*c.outC*plane), make([]float64, batch*c.inC*plane), make([]float64, len(l.w)), make([]float64, c.outC)}
+			set(l.w)
+			l.p.Forward(o[0], in, bias, batch)
+			l.p.GradInput(o[1], l.dy, batch)
+			[]func([]float64, []float64, []float32, int){l.p.GradParams, l.p.GradParamsGo}[side](o[2], o[3], l.dy, batch)
+		}
+		for k := range outs[0] {
+			if !bitsEqual(outs[0][k], outs[1][k]) {
+				t.Fatalf("conv %d: the kernels and their twins differ in output %d", i, k)
+			}
+		}
+		layers = append(layers, l)
 	}
 	return layers
 }

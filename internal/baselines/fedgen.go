@@ -32,7 +32,8 @@ const (
 // model and mix generated pseudo-samples into local training, importing
 // knowledge about other clients' label regions without sharing data.
 //
-// Substitution note (DESIGN.md §2): the original generates in a feature
+// Substitution note (README's "Fidelity notes" on the synthetic
+// substitutes): the original generates in a feature
 // space shared with split models; we generate directly in input space so
 // the whole pipeline stays architecture-agnostic. Both variants exercise
 // the same mechanism — server-side ensemble distillation plus client-side

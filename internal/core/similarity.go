@@ -56,8 +56,14 @@ func cosineFromDot(dot, aa, bb float64) float64 {
 
 // PaperSimilarity is the formula as printed in the paper, which divides by
 // the *sum* of norms rather than their product: dot(a,b)/(‖a‖+‖b‖).
-// It is provided for fidelity; rankings usually agree with cosine because
-// middleware-model norms stay close to each other (see DESIGN.md §5).
+// It is provided for fidelity. Its rankings usually agree with cosine's:
+// for one model a, candidates b of a common norm r score dot(a,b) times
+// 1/(‖a‖+r) under this formula and 1/(‖a‖·r) under cosine, the same
+// positive factor for every candidate, so the order is the same. The
+// middleware models start each round from the same weights and train as
+// many local steps, so their norms stay close, and the two orders can
+// only differ between candidates whose cosines are about as close as
+// their norms.
 func PaperSimilarity(a, b nn.ParamVector) float64 {
 	return paperFromDot(a.DotNorms(b))
 }

@@ -4,8 +4,9 @@
 // generator that preserves the property the evaluation depends on:
 // class-conditional structure (so Dirichlet partitioning creates genuine
 // heterogeneity), natural per-user skew for the LEAF-style tasks, and
-// enough difficulty that model and algorithm choices matter. See
-// DESIGN.md §2 for the substitution table.
+// enough difficulty that model and algorithm choices matter (README's
+// "Fidelity notes" paragraph on the synthetic substitutes); each
+// generator's comment says what it builds in place of its corpus.
 package data
 
 import (

@@ -11,8 +11,8 @@
 //	SentLSTM   — stands in for the Sent140 sentiment LSTM
 //
 // All vision models consume flattened 3×8×8 images (the synthetic
-// substitute for 3×32×32 CIFAR); see DESIGN.md §2 for the substitution
-// rationale. Factories are deterministic in the supplied RNG, which is how
+// substitute for 3×32×32 CIFAR); package data's comment gives the
+// substitution rationale. Factories are deterministic in the supplied RNG, which is how
 // FL clients reconstruct identical architectures before loading parameter
 // vectors.
 package models

@@ -147,9 +147,9 @@ func (s *source) Int63() int64 {
 // before tap or feed wraps, 273 or 334 — and returns them in place: the
 // first draw is the block's last word, the last draw its first (each is
 // the raw 64-bit word; Int63 would clear the top bit). The block is only
-// valid until the source draws again. Four words at a time is exact
-// because a draw reads a word written 273 draws earlier or one written
-// 334 draws later, never one of its own four (ringAdd).
+// valid until the source draws again. The adds run from the top word
+// down, the order the draws are made in: a draw reads what the draw 273
+// before it wrote when the tap block lies 273 words above the feed block.
 func (s *source) advance(max int) []int64 {
 	if s.tap == 0 {
 		s.tap = rngLen
@@ -159,8 +159,10 @@ func (s *source) advance(max int) []int64 {
 	}
 	c := min(max, s.tap, s.feed)
 	t, f := s.tap-c, s.feed-c
-	blk := s.vec[f:s.feed]
-	ringAdd(blk, s.vec[t:s.tap])
+	blk, src := s.vec[f:s.feed], s.vec[t:s.tap]
+	for i := c - 1; i >= 0; i-- {
+		blk[i] += src[i]
+	}
 	s.tap, s.feed = t, f
 	s.n += uint64(c)
 	return blk

@@ -94,13 +94,6 @@ func quantDeltaAVX(dst *byte, v, ref *float64, n int, lo, scale float64)
 //go:noescape
 func dequantAddAVX(dst *float64, q *byte, ref *float64, n int, lo, scale float64)
 
-// ringAddAVX computes dst[i] += src[i] for i = n−1 down to 0, four words
-// at a time from the top. n must be a positive multiple of 4; src may
-// overlap dst from 4 or more words up.
-//
-//go:noescape
-func ringAddAVX(dst, src *int64, n int)
-
 // gammaLanesAVX draws up to n Gamma variates (n a positive multiple of
 // 4) into p, four per step, each from words straight from the ring
 // (simd_rng.go): the step's draws are feed[i] + tap[i] over the 4·words
@@ -292,17 +285,6 @@ func quantDelta(dst []byte, v, ref []float64, lo, scale float64) {
 		quantDeltaAVX(&dst[0], &v[0], r, n, lo, scale)
 	}
 	quantDeltaGo(dst[n:], v[n:], refTail(ref, n), lo, scale)
-}
-
-// ringAdd runs the block's top words on the AVX2 kernel when the CPU has
-// it, then its last n%4 words — the last draws — on the twin.
-func ringAdd(dst, src []int64) {
-	tail := len(dst)
-	if avx2Supported && tail >= 4 {
-		tail = len(dst) % 4
-		ringAddAVX(&dst[tail], &src[tail], len(dst)-tail)
-	}
-	ringAddGo(dst[:tail], src[:tail])
 }
 
 // dirichletInto runs DirichletInto's Gamma draws on the AVX2 kernel when
@@ -507,11 +489,25 @@ func winoOutAVX(out *float64, v, u *float32, bias *float64, tab *int, groups, in
 func winoDyAVX(s, db, dy *float32, tab *int, groups, outC, plane, pw, d2 int, dup bool)
 
 // winoMulAVX runs the weight gradient's transformed-domain sums over a
-// run of groups, carrying them in acc; after the last run it writes mw.
-// outC must be at least 8.
+// run of groups, from +0 in the first run and carried in acc between
+// runs; after the last run it writes mw. acc is not read in the first
+// run or written in the last. outC must be at least 8.
 //
 //go:noescape
-func winoMulAVX(mw, acc, v, s *float32, groups, inC, outC int, last bool)
+func winoMulAVX(mw, acc, v, s *float32, groups, inC, outC int, first, last bool)
+
+// winoFilterAVX writes the transformed filters of blocks·8 channel pairs
+// into u and each one flipped into ut at the element offset tab gives
+// it.
+//
+//go:noescape
+func winoFilterAVX(u, ut *float32, w *float64, tab *int, blocks int)
+
+// winoGradsAVX adds the parameter gradients of the first blocks·8 output
+// channels from their transformed-domain sums and bias lanes.
+//
+//go:noescape
+func winoGradsAVX(dW, dB *float64, mw, db *float32, blocks, inC, outC int)
 
 // The Winograd dispatchers run the assembly when the plan is vector
 // (winoVector) and there is a group to run; the twins otherwise.
@@ -548,10 +544,41 @@ func winoGradDy(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 int,
 	winoDyAVX(&s[0], &db[0], &dy[0], &tab[0], groups, outC, plane, pw, d2, dup)
 }
 
-func winoGradMul(mw, acc, v, s []float32, groups, inC, outC int, last, vec bool) {
+func winoGradMul(mw, acc, v, s []float32, groups, inC, outC int, first, last, vec bool) {
 	if !vec || groups == 0 {
-		winoGradMulGo(mw, acc, v, s, groups, inC, outC, last)
+		winoGradMulGo(mw, acc, v, s, groups, inC, outC, first, last)
 		return
 	}
-	winoMulAVX(&mw[0], &acc[0], &v[0], &s[0], groups, inC, outC, last)
+	var a *float32
+	if !(first && last) {
+		a = &acc[0]
+	}
+	winoMulAVX(&mw[0], a, &v[0], &s[0], groups, inC, outC, first, last)
+}
+
+// winoFilters runs the filter transform's whole blocks of eight channel
+// pairs on the assembly and the rest on the twin.
+func winoFilters(u, ut []float32, w []float64, tab []int, vec bool) {
+	n := 0
+	if vec {
+		n = len(tab) &^ 7
+	}
+	if n > 0 {
+		_, _ = u[n*16-1], w[n*9-1] // a short operand panics here, not in the assembly
+		winoFilterAVX(&u[0], &ut[0], &w[0], &tab[0], n/8)
+	}
+	winoFiltersGo(u, ut, w, tab, n)
+}
+
+// winoGrads runs the gradients of whole blocks of eight output channels
+// on the assembly and the rest on the twin.
+func winoGrads(dW, dB []float64, mw, db []float32, inC, outC int, vec bool) {
+	n := 0
+	if vec {
+		n = outC &^ 7
+	}
+	if n > 0 {
+		winoGradsAVX(&dW[0], &dB[0], &mw[0], &db[0], n/8, inC, outC)
+	}
+	winoGradsGo(dW, dB, mw, db, n, inC, outC)
 }

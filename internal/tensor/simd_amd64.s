@@ -1169,29 +1169,6 @@ ddone:
 	VZEROUPPER
 	RET
 
-// Generator kernels (simd_rng.go). Both walk a ring block from its top
-// word down, the order source.advance makes the draws in.
-
-// func ringAddAVX(dst, src *int64, n int)
-// dst[i] += src[i], four words per step from i = n−4 down to 0. When src
-// lies 273 words above dst the words a step reads were written at least
-// 273 words — many steps — earlier, as the one-draw-at-a-time order has
-// it; n%4 == 0 and n > 0.
-TEXT ·ringAddAVX(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-
-aloop:
-	SUBQ    $4, CX
-	VMOVDQU (SI)(CX*8), Y0
-	VPADDQ  (DI)(CX*8), Y0, Y0
-	VMOVDQU Y0, (DI)(CX*8)
-	TESTQ   CX, CX
-	JNZ     aloop
-	VZEROUPPER
-	RET
-
 // Optimizer kernel (simd_sgd.go).
 
 // func momentumAVX(p, v, grad *float64, n int, lr, m float64)
@@ -2088,14 +2065,14 @@ wdchan:
 	VPERM2F128 $0x31, Y4, Y0, Y2 \
 	VADDPS Y2, Y1, Y1
 
-// func winoMulAVX(mw, acc, v, s *float32, groups, inC, outC int, last bool)
+// func winoMulAVX(mw, acc, v, s *float32, groups, inC, outC int, first, last bool)
 // Per component, input channel and block of eight output channels (a
 // last block moved back to end on outC): Y0..Y7 are the channels, lanes
 // the tile slots, each a chain over the groups ascending of v[g][c][ξ] ·
-// s[ξ][g][o], carried in acc (R15) from one run of groups to the next;
-// after the last, CONVCOLLAPSE folds the lanes and one store writes the
-// block's eight sums.
-TEXT ·winoMulAVX(SB), NOSPLIT, $0-57
+// s[ξ][g][o], from +0 in the first run of groups and carried in acc (R15)
+// from one run to the next; after the last, CONVCOLLAPSE folds the lanes
+// and one store writes the block's eight sums.
+TEXT ·winoMulAVX(SB), NOSPLIT, $0-58
 	MOVQ inC+40(FP), R11
 	SHLQ $9, R11             // a group's tiles, bytes
 	MOVQ outC+48(FP), R12
@@ -2126,6 +2103,8 @@ wmob:
 	ADDQ R8, SI
 	ADDQ R9, SI
 	MOVQ groups+32(FP), CX
+	CMPB first+56(FP), $0
+	JNE  wmzero
 	VMOVUPS (R15), Y0
 	VMOVUPS 32(R15), Y1
 	VMOVUPS 64(R15), Y2
@@ -2134,8 +2113,17 @@ wmob:
 	VMOVUPS 160(R15), Y5
 	VMOVUPS 192(R15), Y6
 	VMOVUPS 224(R15), Y7
-	TESTQ CX, CX
-	JZ   wmsum
+	JMP  wmg
+
+wmzero:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 
 wmg:
 	VMOVUPS (SI), Y8
@@ -2159,9 +2147,7 @@ wmg:
 	ADDQ R12, DX
 	DECQ CX
 	JNZ  wmg
-
-wmsum:
-	CMPB last+56(FP), $0
+	CMPB last+57(FP), $0
 	JNE  wmlast
 	VMOVUPS Y0, (R15)
 	VMOVUPS Y1, 32(R15)
@@ -2193,6 +2179,288 @@ wmnext:
 	ADDQ $32, R8
 	CMPQ R8, $512
 	JLT  wmxi
+	VZEROUPPER
+	RET
+
+// winoHalf is ½ as a float32.
+DATA winoHalf<>+0(SB)/4, $0x3f000000
+GLOBL winoHalf<>(SB), RODATA|NOPTR, $4
+
+// T4 transposes four registers in their 128-bit halves, t0 and t1
+// clobbered: element k of row r lands in element r of column k, and
+// columns 0–3 end in c, d, a and b.
+#define T4(a, b, c, d, t0, t1) \
+	VUNPCKLPS b, a, t0 \
+	VUNPCKHPS b, a, t1 \
+	VUNPCKLPS d, c, a  \
+	VUNPCKHPS d, c, b  \
+	VUNPCKLPD a, t0, c \
+	VUNPCKHPD a, t0, d \
+	VUNPCKLPD b, t1, a \
+	VUNPCKHPD b, t1, b
+
+// The per-step transforms (winoFilterAVX, winoGradsAVX) work eight
+// filters or output channels a register, lanes the channels. Each add
+// whose two sources could both be NaN takes its operands in the order the
+// compiled Go twin does (the twins' source order where it can, else the
+// reverse), so the NaN payloads agree with the twins' too.
+
+// GCOL runs G̃ᵀ's column stage on column j of eight channel pairs'
+// sums, components j, 4+j, 8+j, 12+j at m0, m4, m8, m12: a = M0 + h,
+// b = ½(M4 − M8), c = h − M12 with h = ½(M8 + M4). Y12 is scratch, Y15
+// holds ½.
+#define GCOL(m0, m4, m8, m12, a, b, c) \
+	VMOVUPS m4, b             \
+	VMOVUPS m8, c             \
+	VADDPS b, c, a            \
+	VSUBPS c, b, b            \
+	VMULPS Y15, b, b          \
+	VMULPS Y15, a, a          \
+	VSUBPS m12, a, c          \
+	VMOVUPS m0, Y12           \
+	VADDPS a, Y12, a
+
+// GROW runs the row stage on x0..x3 into taps t0 = x0 + h,
+// t1 = ½(x1 − x2), t2 = h − x3 with h = ½(h1 + h2) in Y12, (h1, h2)
+// being (x1, x2) or (x2, x1).
+#define GROW(x0, x1, x2, x3, t0, t1, t2, h1, h2) \
+	VADDPS h2, h1, Y12        \
+	VMULPS Y15, Y12, Y12      \
+	VADDPS Y12, x0, t0        \
+	VSUBPS x2, x1, t1         \
+	VMULPS Y15, t1, t1        \
+	VSUBPS x3, Y12, t2
+
+// GTAP adds the double in x's low lane to the float64 at p and stores it.
+#define GTAP(x, p) \
+	VADDSD p, x, X11 \
+	VMOVSD X11, p
+
+// GTAP4 adds the four doubles in y (x its low half) to the float64s at
+// p0..p3; X12 is scratch.
+#define GTAP4(x, y, p0, p1, p2, p3) \
+	GTAP(x, p0)           \
+	VPERMILPD $1, x, X12  \
+	GTAP(X12, p1)         \
+	VEXTRACTF128 $1, y, x \
+	GTAP(x, p2)           \
+	VPERMILPD $1, x, X12  \
+	GTAP(X12, p3)
+
+// GADD4 widens the four taps in x, adds the gradient at p and stores it.
+#define GADD4(x, y, p) \
+	VCVTPS2PD x, y    \
+	VADDPD p, y, y    \
+	VMOVUPD y, p
+
+// GLANES adds taps 0–7 of lanes k and k+4, transposed into yk (taps 0–3)
+// and yk4 (4–7), to their gradient rows at p and q.
+#define GLANES(xk, yk, xk4, yk4, p, p32, q, q32) \
+	GADD4(xk, Y8, p)               \
+	GADD4(xk4, Y9, p32)            \
+	VEXTRACTF128 $1, yk, X10       \
+	GADD4(X10, Y10, q)             \
+	VEXTRACTF128 $1, yk4, X10      \
+	GADD4(X10, Y10, q32)
+
+// func winoGradsAVX(dW, dB *float64, mw, db *float32, blocks, inC, outC int)
+// The first blocks·8 output channels' G̃ᵀ·M·G̃ and bias lanes, added to
+// dW and dB. The bias pass transposes each block's eight lanes into
+// Y8..Y15 and sums them ((l6 + l7) + (l4 + l5)) + ((l2 + l3) + (l0 +
+// l1)). Then per input channel and block the sums of mw[ξ][c][o…] (R8–R11
+// at components 0, 4, 8, 12; R12 one component, R13 three) run the
+// column and row stages into taps 0–8, tap 8 is added lane by lane, and
+// taps 0–7 are transposed and added as rows of doubles: lane l's row at
+// DI (SI for l ≥ 4) + (l mod 4)·BX, DX = 3·BX.
+TEXT ·winoGradsAVX(SB), NOSPLIT, $0-56
+	MOVQ db+24(FP), SI
+	MOVQ dB+8(FP), DI
+	MOVQ blocks+32(FP), CX
+
+gbias:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMOVUPS 128(SI), Y4
+	VMOVUPS 160(SI), Y5
+	VMOVUPS 192(SI), Y6
+	VMOVUPS 224(SI), Y7
+	T4(Y0, Y1, Y2, Y3, Y8, Y9)
+	T4(Y4, Y5, Y6, Y7, Y8, Y9)
+	VINSERTF128 $1, X6, Y2, Y8       // lane 0 of the eight channels
+	VINSERTF128 $1, X7, Y3, Y9
+	VINSERTF128 $1, X4, Y0, Y10
+	VINSERTF128 $1, X5, Y1, Y11
+	VPERM2F128 $0x31, Y6, Y2, Y12    // lane 4
+	VPERM2F128 $0x31, Y7, Y3, Y13
+	VPERM2F128 $0x31, Y4, Y0, Y14
+	VPERM2F128 $0x31, Y5, Y1, Y15
+	VADDPS Y9, Y8, Y8
+	VADDPS Y11, Y10, Y10
+	VADDPS Y8, Y10, Y10
+	VADDPS Y13, Y12, Y12
+	VADDPS Y15, Y14, Y14
+	VADDPS Y12, Y14, Y14
+	VADDPS Y10, Y14, Y14
+	GADD4(X14, Y0, (DI))
+	VEXTRACTF128 $1, Y14, X14
+	GADD4(X14, Y0, 32(DI))
+	ADDQ $256, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  gbias
+
+	VBROADCASTSS winoHalf<>(SB), Y15
+	MOVQ inC+40(FP), BX
+	IMULQ $72, BX             // a gradient row, bytes
+	LEAQ (BX)(BX*2), DX
+	MOVQ outC+48(FP), R12
+	IMULQ inC+40(FP), R12
+	SHLQ $2, R12              // one component's sums, bytes
+	LEAQ (R12)(R12*2), R13
+	MOVQ mw+16(FP), R14
+	MOVQ dW+0(FP), R15
+	MOVQ inC+40(FP), CX
+
+gchan:
+	MOVQ R14, R8
+	LEAQ (R8)(R12*4), R9
+	LEAQ (R9)(R12*4), R10
+	LEAQ (R10)(R12*4), R11
+	MOVQ R15, DI
+	LEAQ (DI)(BX*4), SI
+	MOVQ blocks+32(FP), AX
+
+gblock:
+	GCOL((R8), (R9), (R10), (R11), Y0, Y4, Y8)
+	GCOL((R8)(R12*1), (R9)(R12*1), (R10)(R12*1), (R11)(R12*1), Y1, Y5, Y9)
+	GCOL((R8)(R12*2), (R9)(R12*2), (R10)(R12*2), (R11)(R12*2), Y2, Y6, Y10)
+	GCOL((R8)(R13*1), (R9)(R13*1), (R10)(R13*1), (R11)(R13*1), Y3, Y7, Y11)
+	GROW(Y0, Y1, Y2, Y3, Y0, Y1, Y2, Y2, Y1)
+	GROW(Y4, Y5, Y6, Y7, Y3, Y4, Y5, Y6, Y5)
+	GROW(Y8, Y9, Y10, Y11, Y6, Y7, Y8, Y9, Y10)
+	VCVTPS2PD X8, Y9          // tap 8, lanes 0–3
+	VEXTRACTF128 $1, Y8, X10
+	VCVTPS2PD X10, Y10        // lanes 4–7
+	GTAP4(X9, Y9, 64(DI), 64(DI)(BX*1), 64(DI)(BX*2), 64(DI)(DX*1))
+	GTAP4(X10, Y10, 64(SI), 64(SI)(BX*1), 64(SI)(BX*2), 64(SI)(DX*1))
+	T4(Y0, Y1, Y2, Y3, Y8, Y9)
+	T4(Y4, Y5, Y6, Y7, Y8, Y9)
+	GLANES(X2, Y2, X6, Y6, (DI), 32(DI), (SI), 32(SI))
+	GLANES(X3, Y3, X7, Y7, (DI)(BX*1), 32(DI)(BX*1), (SI)(BX*1), 32(SI)(BX*1))
+	GLANES(X0, Y0, X4, Y4, (DI)(BX*2), 32(DI)(BX*2), (SI)(BX*2), 32(SI)(BX*2))
+	GLANES(X1, Y1, X5, Y5, (DI)(DX*1), 32(DI)(DX*1), (SI)(DX*1), 32(SI)(DX*1))
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	LEAQ (DI)(BX*8), DI
+	LEAQ (SI)(BX*8), SI
+	DECQ AX
+	JNZ  gblock
+	MOVQ outC+48(FP), AX
+	LEAQ (R14)(AX*4), R14     // the next input channel's sums
+	ADDQ $72, R15
+	DECQ CX
+	JNZ  gchan
+	VZEROUPPER
+	RET
+
+// FTAPS loads four taps from off of the block's eight filters, filter l
+// (and l+4 in the high half) in register l, and transposes them: the
+// taps at off, off+8, off+16 and off+24 end in y2, y3, y0 and y1.
+#define FTAPS(off, y0, y1, y2, y3, x0, x1, x2, x3) \
+	VCVTPD2PSY (off)(SI), x0               \
+	VCVTPD2PSY (off+288)(SI), X12          \
+	VINSERTF128 $1, X12, y0, y0            \
+	VCVTPD2PSY (off+72)(SI), x1            \
+	VCVTPD2PSY (off+360)(SI), X12          \
+	VINSERTF128 $1, X12, y1, y1            \
+	VCVTPD2PSY (off+144)(SI), x2           \
+	VCVTPD2PSY (off+432)(SI), X12          \
+	VINSERTF128 $1, X12, y2, y2            \
+	VCVTPD2PSY (off+216)(SI), x3           \
+	VCVTPD2PSY (off+504)(SI), X12          \
+	VINSERTF128 $1, X12, y3, y3            \
+	T4(y0, y1, y2, y3, Y12, Y13)
+
+// FST stores row i of filters l and l+4, transposed into y, to u, and
+// its columns turned (3, 1, 2, 0) to row pi of their flipped filters at
+// ut + 4·rl and ut + 4·rl4. Y7 is scratch.
+#define FST(x, y, l, i, pi, rl, rl4) \
+	VMOVUPS x, (16*i+64*l)(DI)               \
+	VEXTRACTF128 $1, y, (16*i+64*l+256)(DI)  \
+	VPERMILPS $0x27, y, Y7                   \
+	VMOVUPS X7, (16*pi)(BX)(rl*4)            \
+	VEXTRACTF128 $1, Y7, (16*pi)(BX)(rl4*4)
+
+// FROW runs the row transform (a, b, c) → (a, ½(s + b), ½(s − b), c),
+// s = c + a, over row i of the eight filters and stores it, flipped to
+// row pi; the first sum is s1 + s2, s + b or b + s, s in Y1. Y1, Y6 and
+// Y7 are scratch.
+#define FROW(a, b, c, xa, xb, xc, i, pi, s1, s2) \
+	VADDPS a, c, Y1                      \
+	VADDPS s2, s1, Y6                    \
+	VMULPS Y15, Y6, Y6                   \
+	VSUBPS b, Y1, b                      \
+	VMULPS Y15, b, b                     \
+	T4(a, Y6, b, c, Y1, Y7)              \
+	FST(xb, b, 0, i, pi, R8, R12)        \
+	FST(xc, c, 1, i, pi, R9, R13)        \
+	FST(xa, a, 2, i, pi, R10, R14)       \
+	FST(X6, Y6, 3, i, pi, R11, R15)
+
+// func winoFilterAVX(u, ut *float32, w *float64, tab *int, blocks int)
+// U = G g Gᵀ of blocks·8 filters into u, and each also flipped into ut
+// at the element offset tab gives it (R8–R15 for a block). Taps 0–3, 4–7
+// and 5–8 come in as rows of four doubles, narrowed and transposed. The
+// column stage keeps g6 + g0 for rows 1 and 2, then each row is
+// transformed, transposed back and stored twice.
+TEXT ·winoFilterAVX(SB), NOSPLIT, $0-40
+	MOVQ u+0(FP), DI
+	MOVQ ut+8(FP), BX
+	MOVQ w+16(FP), SI
+	MOVQ tab+24(FP), DX
+	MOVQ blocks+32(FP), AX
+	VBROADCASTSS winoHalf<>(SB), Y15
+
+wfblock:
+	MOVQ (DX), R8
+	MOVQ 8(DX), R9
+	MOVQ 16(DX), R10
+	MOVQ 24(DX), R11
+	MOVQ 32(DX), R12
+	MOVQ 40(DX), R13
+	MOVQ 48(DX), R14
+	MOVQ 56(DX), R15
+	FTAPS(0, Y0, Y1, Y2, Y3, X0, X1, X2, X3)   // taps 0–3: Y2, Y3, Y0, Y1
+	FTAPS(32, Y4, Y5, Y6, Y7, X4, X5, X6, X7)  // taps 4–7: Y6, Y7, Y4, Y5
+	FTAPS(40, Y8, Y9, Y10, Y11, X8, X9, X10, X11) // tap 8: Y9
+	VADDPS Y2, Y4, Y8          // s = g6 + g0, g7 + g1, g8 + g2
+	VADDPS Y3, Y5, Y10
+	VADDPS Y0, Y9, Y11
+	VSUBPS Y1, Y8, Y12         // rows 2 and 1: ½(s ∓ g3..5)
+	VADDPS Y1, Y8, Y8
+	VSUBPS Y6, Y10, Y13
+	VADDPS Y6, Y10, Y10
+	VSUBPS Y7, Y11, Y14
+	VADDPS Y7, Y11, Y11
+	VMULPS Y15, Y8, Y8
+	VMULPS Y15, Y10, Y10
+	VMULPS Y15, Y11, Y11
+	VMULPS Y15, Y12, Y12
+	VMULPS Y15, Y13, Y13
+	VMULPS Y15, Y14, Y14
+	FROW(Y2, Y3, Y0, X2, X3, X0, 0, 3, Y1, Y3)
+	FROW(Y8, Y10, Y11, X8, X10, X11, 1, 1, Y10, Y1)
+	FROW(Y12, Y13, Y14, X12, X13, X14, 2, 2, Y13, Y1)
+	FROW(Y4, Y5, Y9, X4, X5, X9, 3, 0, Y1, Y5)
+	ADDQ $576, SI
+	ADDQ $512, DI
+	ADDQ $64, DX
+	DECQ AX
+	JNZ  wfblock
 	VZEROUPPER
 	RET
 

@@ -42,8 +42,6 @@ func dequantAdd(dst []float64, q []byte, ref []float64, lo, scale float64) {
 
 func momentumStep(p, v, g []float64, lr, m float64) { momentumStepGo(p, v, g, lr, m) }
 
-func ringAdd(dst, src []int64) { ringAddGo(dst, src) }
-
 func axpy(dst, x []float64, a float64) { axpyGo(dst, x, a) }
 
 func axpy4(dst, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
@@ -70,6 +68,14 @@ func winoGradDy(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 int,
 	winoGradDyGo(s, db, dy, tab, groups, outC, plane, pw, d2, dup)
 }
 
-func winoGradMul(mw, acc, v, s []float32, groups, inC, outC int, last, vec bool) {
-	winoGradMulGo(mw, acc, v, s, groups, inC, outC, last)
+func winoGradMul(mw, acc, v, s []float32, groups, inC, outC int, first, last, vec bool) {
+	winoGradMulGo(mw, acc, v, s, groups, inC, outC, first, last)
+}
+
+func winoFilters(u, ut []float32, w []float64, tab []int, vec bool) {
+	winoFiltersGo(u, ut, w, tab, 0)
+}
+
+func winoGrads(dW, dB []float64, mw, db []float32, inC, outC int, vec bool) {
+	winoGradsGo(dW, dB, mw, db, 0, inC, outC)
 }

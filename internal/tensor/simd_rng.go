@@ -1,12 +1,8 @@
 package tensor
 
-// Generator kernels: the loop under RestoreRNG's replay and the Gamma
-// draws under RNG.DirichletInto, platform-dispatched like the wire
-// kernels. ringAdd advances the source's ring a block at a time, taking
-// a block the way source.advance returns it — the first draw is the last
-// word; it is not a Backend method. Off amd64, under purego and without
-// AVX2 the scalar twins below (and DirichletIntoGo) run; the tests hold
-// the assembly to them.
+// Generator kernels: the Gamma draws under RNG.DirichletInto,
+// platform-dispatched like the wire kernels. Off amd64, under purego and
+// without AVX2 DirichletIntoGo runs; the tests hold the assembly to it.
 //
 // Dir(β) in lanes. A Marsaglia–Tsang draw of Gamma(α) on its fast path
 // reads a fixed number of words — u (the boost, below shape 1), one
@@ -43,14 +39,4 @@ func gammaWords(alpha float64) int {
 		return 3
 	}
 	return 0
-}
-
-// ringAddGo computes dst[i] += src[i] for i descending, the order the
-// draws are made in. src may overlap dst 273 words up, where a draw reads
-// what the draw 273 before it wrote.
-func ringAddGo(dst, src []int64) {
-	src = src[:len(dst)]
-	for i := len(dst) - 1; i >= 0; i-- {
-		dst[i] += src[i]
-	}
 }

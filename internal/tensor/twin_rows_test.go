@@ -304,9 +304,10 @@ var twinRows = []twinRow{
 								ops: []any{f32(batch * inC * padded), f32(batch * outC * padded), f64(outC * inC * 9), f64(outC),
 									f64(batch * outC * plane), f64(outC * inC * 9), f64(outC), f64(batch * inC * plane)},
 								prep: func(_ *RNG, o twinOps) {
-									// The filter transform and the gradients' float64 adds are Go,
-									// where two NaNs would leave the pinned payloads to the
-									// compiler's operand order: W, dW and dB carry no NaN.
+									// W, dW and dB carry no NaN, as when the pin was taken with
+									// the filter transform and the gradients' float64 adds in Go
+									// (rows WinogradFilter and WinogradGrads hold their kernels
+									// to the twins, NaN payloads included).
 									for _, i := range []int{2, 5, 6} {
 										for j, x := range o.f(i) {
 											if x != x {
@@ -379,6 +380,65 @@ var twinRows = []twinRow{
 				}
 			}
 		}},
+	// SetWeights, the filter transform and its flip in one pass: pairs
+	// that fill no eight-pair block (both sides on the twin), one, several
+	// and a ragged last one on the twin. u and ut are copied out; W is the
+	// operand a short check applies to. Every add takes the operand order
+	// of the compiled twin, so NaN payloads agree too.
+	{name: "WinogradFilter", avx: []string{"winoFilterAVX"}, gate: "wino/filter", short: "tensor: Winograd weights ",
+		free: []int{1, 2},
+		reach: func() bool {
+			return NewWinograd(ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8).Vector() &&
+				NewWinograd(ConvGeom{InC: 8, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 16).Vector()
+		},
+		sweep: func(yield func(twinCase)) {
+			for _, s := range [][2]int{{1, 1}, {2, 7}, {1, 8}, {3, 9}, {5, 13}, {9, 16}, {2, 17}, {3, 8}, {8, 16}} {
+				inC, outC := s[0], s[1]
+				yield(twinCase{what: fmt.Sprintf("inC=%d outC=%d", inC, outC), ops: []any{f64(outC * inC * 9), f32(outC * inC * 16), f32(outC * inC * 16)},
+					run: func(side int, o twinOps) {
+						p := NewWinograd(ConvGeom{InC: inC, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, outC)
+						pick(side, p.SetWeights, p.SetWeightsGo)(o.f(0))
+						copy(o.f32(1), p.u)
+						copy(o.f32(2), p.ut)
+					}})
+			}
+		}},
+
+	// GradParams against its twin at batches whose groups make one run
+	// (the lanes start and collapse in registers), two (first and last)
+	// and many (middle runs carry through acc), over the CNN's two
+	// convolutions and planes with ragged channel blocks, channels under
+	// eight on the twins; the sweep ends on the CNN's second convolution
+	// at batch 50. Every add of the gradients' kernel (winoGradsAVX) takes
+	// the compiled twin's operand order, but winoMulAVX's lane collapse
+	// does not, so two NaNs compare equal and the AVX2 results are pinned
+	// (the pin is also what the kernels before winoGradsAVX and the first
+	// run's registers produced).
+	{name: "WinogradGrads", avx: []string{"winoGradsAVX"}, gate: "wino/grads", nanEqual: true, short: "tensor: Winograd ",
+		pin: "8aea4c16a1ff2e3c92939ee8c9db2ffaea6f1df4f9126ca7da7047cf1587ef47",
+		reach: func() bool {
+			return NewWinograd(ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8).Vector() &&
+				NewWinograd(ConvGeom{InC: 8, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 16).Vector()
+		},
+		sweep: func(yield func(twinCase)) {
+			// Each shape's batches make one run, two and more (gradRun).
+			for _, s := range [][7]int{{2, 2, 8, 9, 1, 12, 30}, {5, 4, 12, 13, 1, 20, 40}, {1, 4, 4, 17, 1, 8, 20}, {4, 4, 4, 4, 1, 20, 40}, {3, 8, 8, 8, 1, 4, 50}, {8, 4, 4, 16, 1, 90, 50}} {
+				g := ConvGeom{InC: s[0], InH: s[1], InW: s[2], KH: 3, KW: 3, Stride: 1, Pad: 1}
+				outC, padded := s[3], (g.InH+2)*(g.InW+2)
+				p := NewWinograd(g, outC)
+				for _, batch := range s[4:] {
+					yield(twinCase{what: fmt.Sprintf("%+v outC=%d batch=%d runs=%d", g, outC, batch, ((batch*p.qs+1)/2+p.gradRun()-1)/p.gradRun()),
+						ops: []any{f32(batch * g.InC * padded), f64(outC * g.InC * 9), f64(outC), f32(batch * outC * padded), f64(outC * g.InC * 9), f64(outC)},
+						run: func(side int, o twinOps) {
+							p := NewWinograd(g, outC)
+							p.SetWeights(o.f(1))
+							p.Forward(f64(batch*outC*g.InH*g.InW), o.f32(0), o.f(2), batch)
+							pick(side, p.GradParams, p.GradParamsGo)(o.f(4), o.f(5), o.f32(3), batch)
+						}})
+				}
+			}
+		}},
+
 	// Rows of a multiple of four windows and 2-window rows in pairs take
 	// the kernel, other shapes the twin; codes −1…3 and two that route nothing; a −0 gradient lands as
 	// +0 and no border cell is written. The third side is the two passes
@@ -448,25 +508,6 @@ var twinRows = []twinRow{
 							o.f(4)[i] = float64(g.Int63())
 						}
 					}})
-			}
-		}},
-	// The source's block adds, src apart or overlapping dst from 4 or 273
-	// words up, where a draw reads what the draw 273 before it wrote.
-	// Internal: source.advance slices both from its own ring.
-	{name: "ringAdd", avx: []string{"ringAddAVX"}, gate: "none: runs only in RestoreRNG's replay, once a resumed stream",
-		free: []int{0, 1},
-		sweep: func(yield func(twinCase)) {
-			for _, n := range twinLengths(16, 17, 273, 334) {
-				for _, off := range []int{4, 273, -1} {
-					yield(twinCase{what: fmt.Sprintf("n=%d offset=%d", n, off), ops: []any{make([]int64, n+max(off, 0)), make([]int64, n)},
-						run: func(side int, o twinOps) {
-							src := o.i64(1)
-							if off >= 0 {
-								src = o.i64(0)[off:]
-							}
-							pick(side, ringAdd, ringAddGo)(o.i64(0)[:n], src)
-						}})
-				}
 			}
 		}},
 }

@@ -71,7 +71,7 @@ type twinRefusal struct {
 }
 
 // twinCase is one call of a row: operand prototypes (a []float64,
-// []float32, []int, []int32, []int64, []byte or []bool each, of which only the
+// []float32, []int, []int32, []byte or []bool each, of which only the
 // length counts), a prep that gives the filled operands the structure the
 // call needs, or nil, and run, the call on one side (0 the kernel). A call
 // with scalar results writes them to an operand of its own.
@@ -88,7 +88,6 @@ func (o twinOps) f(i int) []float64   { return o[i].([]float64) }
 func (o twinOps) f32(i int) []float32 { return o[i].([]float32) }
 func (o twinOps) ints(i int) []int    { return o[i].([]int) }
 func (o twinOps) i32(i int) []int32   { return o[i].([]int32) }
-func (o twinOps) i64(i int) []int64   { return o[i].([]int64) }
 func (o twinOps) bytes(i int) []byte  { return o[i].([]byte) }
 func (o twinOps) mask(i int) []bool   { return o[i].([]bool) }
 
@@ -305,8 +304,6 @@ func twinFill(rng *RNG, protos []any, special bool, classes []float64, rate int)
 			bufs[k] = twinBuf(n, func(int) int { return rng.Intn(64) })
 		case []int32:
 			bufs[k] = twinBuf(n, func(int) int32 { return int32(rng.Intn(64)) })
-		case []int64:
-			bufs[k] = twinBuf(n, func(int) int64 { return rng.Int63() - rng.Int63() })
 		case []byte:
 			bufs[k] = twinBuf(n, func(int) byte { return byte(rng.Intn(256)) })
 		case []bool:
@@ -346,8 +343,6 @@ func twinDiff(kernel, other any, nanEqual bool) string {
 		return twinFirst(k, other.([]int), func(x int) uint64 { return uint64(x) }, false)
 	case []int32:
 		return twinFirst(k, other.([]int32), func(x int32) uint64 { return uint64(x) }, false)
-	case []int64:
-		return twinFirst(k, other.([]int64), func(x int64) uint64 { return uint64(x) }, false)
 	case []byte:
 		return twinFirst(k, other.([]byte), func(x byte) uint64 { return uint64(x) }, false)
 	case []bool:

@@ -30,11 +30,21 @@ import "fmt"
 // widened once.
 //
 // The exact operation order of every transform and sum is spelled out by
-// the Go twins below (winoInputGo, winoOutputGo, winoGradDyGo,
-// winoGradMulGo) and is the contract: one rounding per operation, no
-// fused multiply-add, each product added to its accumulator with the
-// accumulator first. The AVX2 kernels reproduce them bit for bit; the
-// twins are what runs without AVX2, off amd64 and under purego.
+// the Go twins below (winoFiltersGo, winoInputGo, winoOutputGo,
+// winoGradDyGo, winoGradMulGo, winoGradsGo) and is the contract: one
+// rounding per operation, no fused multiply-add, each product added to
+// its accumulator with the accumulator first. The AVX2 kernels reproduce
+// them bit for bit; the twins are what runs without AVX2, off amd64 and
+// under purego.
+//
+// Per step. SetWeights transforms eight channel pairs' filters a block
+// and writes each twice, to u for the forward pass and, turned half way
+// round, to ut for the input gradient. GradParams makes the transformed
+// output gradient a run of groups at a time and sums the weight gradient
+// over it in registers, from +0 in the first run; the lanes go through
+// acc only from one run to the next, and a batch whose groups fit one
+// run never touches it. The transform back to the 3×3 taps and the bias
+// lanes' collapse then run eight output channels a register.
 //
 // Layout. Tiles are worked eight at a time, one per ymm lane. A quad is
 // four tiles: two tile pairs, each two horizontally adjacent tiles (an
@@ -53,11 +63,12 @@ import "fmt"
 // states and checks.
 
 // Winograd is the transformed-domain state of one convolution of fixed
-// geometry: the transformed filters, the transformed input tiles of the
-// last Forward or ForwardPool (read by GradParams) and the batch-sized
-// tile tables.
+// geometry: the transformed filters, forward and flipped, both written
+// by SetWeights; the transformed input tiles of the last Forward or
+// ForwardPool (read by GradParams); and the batch-sized tile tables.
 // Workspaces are resized per call, so steady-state batches allocate
-// nothing.
+// nothing; acc, live only between runs of groups, is sized by the first
+// batch that needs two.
 type Winograd struct {
 	inC, outC, h, w int
 	pw, ph          int // padded plane
@@ -66,8 +77,8 @@ type Winograd struct {
 	vertical        bool
 	vec             bool
 
-	u, ut   []float32 // transformed filters: u[o][c][16] forward, ut[c][o][16] input gradient
-	utStale bool
+	u, ut []float32 // transformed filters: u[o][c][16] forward, ut[c][o][16] input gradient
+	flip  []int     // flip[o·inC + c]: where ut holds pair (o, c), (c·outC + o)·16
 
 	tabs [2]winoTabs // the last two batch sizes' tables: a shard's full and short batches
 	cur  *winoTabs
@@ -83,12 +94,30 @@ type Winograd struct {
 // winoRunBytes sizes a run of groups: what a run makes and consumes —
 // its transformed output gradient and its transformed tiles, (outC +
 // inC) × 16 components × 8 lanes a group — stays in a 48 KiB L1 beside
-// the gradient rows it reads. Shorter runs pay more for carrying the
-// weight-gradient lanes between them.
+// the gradient rows it reads.
 const winoRunBytes = 40 << 10
 
-// run is the groups a run takes, at least one.
-func (p *Winograd) run() int { return max(1, winoRunBytes/((p.outC+p.inC)*16*winoLanes*4)) }
+// winoL2RunBytes sizes a run of the weight gradient whose lanes, carried
+// from run to run, do not fit in winoRunBytes beside a group: they go
+// through L2 between runs however short the runs are, so a run takes as
+// many groups as this much of L2 holds, and fewer runs carry them.
+const winoL2RunBytes = 256 << 10
+
+// run is the groups a run of the input gradient takes, at least one.
+func (p *Winograd) run() int { return max(1, winoRunBytes/p.groupBytes()) }
+
+// gradRun is the groups a run of the weight gradient takes, at least
+// one: with the carried lanes, 16 × inC × outC × 8, in winoRunBytes when
+// they fit beside a group, else in winoL2RunBytes without them.
+func (p *Winograd) gradRun() int {
+	if lanes := 16 * p.inC * p.outC * winoLanes * 4; lanes+p.groupBytes() <= winoRunBytes {
+		return (winoRunBytes - lanes) / p.groupBytes()
+	}
+	return max(1, winoL2RunBytes/p.groupBytes())
+}
+
+// groupBytes is what a run makes and consumes a group.
+func (p *Winograd) groupBytes() int { return (p.outC + p.inC) * 16 * winoLanes * 4 }
 
 // winoTabs are one batch size's group tables: for each group the offsets
 // of its two quads' first tile origin in five frames — the padded input
@@ -116,7 +145,7 @@ func NewWinograd(g ConvGeom, outC int) *Winograd {
 		return nil
 	}
 	p := &Winograd{inC: g.InC, outC: outC, h: g.InH, w: g.InW, pw: g.InW + 2, ph: g.InH + 2,
-		vertical: g.InW%8 != 0, vec: winoVector(outC), utStale: true, vBatch: -1}
+		vertical: g.InW%8 != 0, vec: winoVector(outC), vBatch: -1}
 	if p.vertical {
 		for ty := 0; ty < p.h/2; ty += 2 {
 			for px := 0; px < p.w/4; px++ {
@@ -133,8 +162,12 @@ func NewWinograd(g ConvGeom, outC int) *Winograd {
 	p.qs = len(p.quads) / 2
 	p.u = make([]float32, outC*p.inC*16)
 	p.ut = make([]float32, outC*p.inC*16)
+	for o := range outC {
+		for c := range p.inC {
+			p.flip = append(p.flip, (c*outC+o)*16)
+		}
+	}
 	p.mw = make([]float32, 16*p.inC*outC)
-	p.acc = make([]float32, 16*p.inC*max(outC, (outC+7)/8*8)*winoLanes)
 	p.db = make([]float32, outC*winoLanes)
 	return p
 }
@@ -211,34 +244,35 @@ func winoRow(u *[4]float32, a, b, c float32) {
 }
 
 // SetWeights transforms the layer's float64 filters W (outC × inC·9,
-// row-major 3×3 per channel pair). The input gradient's flipped,
-// transposed filters follow on the next GradInput.
-func (p *Winograd) SetWeights(w []float64) {
+// row-major 3×3 per channel pair) for the forward pass and, flipped and
+// transposed, for the input gradient.
+func (p *Winograd) SetWeights(w []float64) { p.setWeights(w, p.vec) }
+
+// SetWeightsGo is SetWeights on the portable scalar kernel.
+func (p *Winograd) SetWeightsGo(w []float64) { p.setWeights(w, false) }
+
+func (p *Winograd) setWeights(w []float64, vec bool) {
 	if len(w) != p.outC*p.inC*9 {
 		panic(fmt.Sprintf("tensor: Winograd weights have %d elements, want %d", len(w), p.outC*p.inC*9))
 	}
-	for oc := 0; oc < p.outC*p.inC; oc++ {
-		winoFilter((*[16]float32)(p.u[oc*16:oc*16+16]), (*[9]float64)(w[oc*9:oc*9+9]))
-	}
-	p.utStale = true
+	winoFilters(p.u, p.ut, w, p.flip, vec)
 }
 
-// flipFilters fills ut[c][o] with the transform of W[o][c] turned half
-// way round. Turning g round reverses the rows of G g and the columns of
-// (G g) Gᵀ — a + c is c + a — so it is U[o][c] with its rows and columns
-// each permuted (3, 1, 2, 0): a copy, no arithmetic.
-func (p *Winograd) flipFilters() {
-	for o := 0; o < p.outC; o++ {
-		for c := 0; c < p.inC; c++ {
-			u := p.u[(o*p.inC+c)*16 : (o*p.inC+c)*16+16]
-			t := p.ut[(c*p.outC+o)*16 : (c*p.outC+o)*16+16]
-			t[0], t[1], t[2], t[3] = u[15], u[13], u[14], u[12]
-			t[4], t[5], t[6], t[7] = u[7], u[5], u[6], u[4]
-			t[8], t[9], t[10], t[11] = u[11], u[9], u[10], u[8]
-			t[12], t[13], t[14], t[15] = u[3], u[1], u[2], u[0]
-		}
+// winoFiltersGo writes U[o][c] for channel pairs from on, and each into
+// ut at flip[o·inC + c] turned half way round. Turning g round reverses
+// the rows of G g and the columns of (G g) Gᵀ — a + c is c + a — so it
+// is U[o][c] with its rows and columns each permuted (3, 1, 2, 0): a
+// copy, no arithmetic.
+func winoFiltersGo(u, ut []float32, w []float64, flip []int, from int) {
+	for oc := from; oc < len(flip); oc++ {
+		u := (*[16]float32)(u[oc*16:])
+		winoFilter(u, (*[9]float64)(w[oc*9:]))
+		t := (*[16]float32)(ut[flip[oc]:])
+		t[0], t[1], t[2], t[3] = u[15], u[13], u[14], u[12]
+		t[4], t[5], t[6], t[7] = u[7], u[5], u[6], u[4]
+		t[8], t[9], t[10], t[11] = u[11], u[9], u[10], u[8]
+		t[12], t[13], t[14], t[15] = u[3], u[1], u[2], u[0]
 	}
-	p.utStale = false
 }
 
 func (p *Winograd) checkLen(what string, have, want int) {
@@ -330,39 +364,43 @@ func (p *Winograd) gradParams(dW, dB []float64, dy []float32, batch int, vec boo
 	p.checkLen("output gradient", len(dy), batch*p.outC*p.ph*p.pw)
 	t := p.layout(batch)
 	// The transformed output gradient is made and consumed a run of
-	// groups at a time, so it stays in L1; the sums carry over in acc.
-	// The output gradient's frame is the padded one shifted to the first
-	// interior cell: tile origin (oy, ox) addresses dy at (oy+1, ox+1).
-	run := p.run()
+	// groups at a time (gradRun); the sums start from +0 in the first run
+	// and carry over in acc only between runs. The output gradient's
+	// frame is the padded one shifted to the first interior cell: tile
+	// origin (oy, ox) addresses dy at (oy+1, ox+1).
+	run := p.gradRun()
 	p.s = resize32(p.s, run*p.outC*16*winoLanes)
-	clear(p.acc)
+	if t.groups > run {
+		p.acc = resize32(p.acc, 16*p.inC*((p.outC+7)&^7)*winoLanes)
+	}
 	clear(p.db)
 	for g0 := 0; g0 == 0 || g0 < t.groups; g0 += run {
 		n := min(run, t.groups-g0)
 		last := g0+n == t.groups
 		winoGradDy(p.s, p.db, dy[p.pw+1:], t.dy[2*g0:], n, p.outC, p.ph*p.pw, p.pw, p.d2(p.pw), t.dup && last, vec)
-		winoGradMul(p.mw, p.acc, p.v[g0*p.inC*128:], p.s, n, p.inC, p.outC, last, vec)
+		winoGradMul(p.mw, p.acc, p.v[g0*p.inC*128:], p.s, n, p.inC, p.outC, g0 == 0, last, vec)
 	}
-	p.addGrads(dW, dB)
+	winoGrads(dW, dB, p.mw, p.db, p.inC, p.outC, vec)
 }
 
-// addGrads turns the transformed-domain sums into G̃ᵀ M G̃ per channel
-// pair — over each column of M, then over each row of the result,
+// winoGradsGo turns the transformed-domain sums of output channels from
+// on into G̃ᵀ M G̃ per channel pair — over each column of M, then over
+// each row of the result,
 //
 //	(a, b, c, d) → (a + h, ½(b − c), h − d),  h = ½(b + c)
 //
-// — collapses the bias lanes, and adds both to the gradients.
-func (p *Winograd) addGrads(dW, dB []float64) {
-	n := p.inC * p.outC
-	for o := 0; o < p.outC; o++ {
-		for c := 0; c < p.inC; c++ {
-			m := p.mw[c*p.outC+o:]
+// — collapses their bias lanes, and adds both to the gradients.
+func winoGradsGo(dW, dB []float64, mw, db []float32, from, inC, outC int) {
+	n := inC * outC
+	for o := from; o < outC; o++ {
+		for c := 0; c < inC; c++ {
+			m := mw[c*outC+o:]
 			col := func(j int) (float32, float32, float32) {
 				m1, m2 := m[(4+j)*n], m[(8+j)*n]
 				h := float32(0.5 * (m1 + m2))
 				return m[j*n] + h, 0.5 * (m1 - m2), h - m[(12+j)*n]
 			}
-			g := (*[9]float64)(dW[(o*p.inC+c)*9:])
+			g := (*[9]float64)(dW[(o*inC+c)*9:])
 			row := func(k int, x0, x1, x2, x3 float32) {
 				h := float32(0.5 * (x1 + x2))
 				g[3*k] += float64(x0 + h)
@@ -377,7 +415,7 @@ func (p *Winograd) addGrads(dW, dB []float64) {
 			row(1, b0, b1, b2, b3)
 			row(2, c0, c1, c2, c3)
 		}
-		l := p.db[o*winoLanes : (o+1)*winoLanes]
+		l := db[o*winoLanes : (o+1)*winoLanes]
 		dB[o] += float64(((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])))
 	}
 }
@@ -397,9 +435,6 @@ func (p *Winograd) GradInputGo(dx []float64, dy []float32, batch int) {
 func (p *Winograd) gradInput(dx []float64, dy []float32, batch int, vec bool) {
 	p.checkLen("output gradient", len(dy), batch*p.outC*p.ph*p.pw)
 	p.checkLen("input gradient", len(dx), batch*p.inC*p.h*p.w)
-	if p.utStale {
-		p.flipFilters()
-	}
 	t := p.layout(batch)
 	run := p.run()
 	p.s = resize32(p.s, run*p.outC*16*winoLanes)
@@ -546,14 +581,18 @@ func winoGradDyGo(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 in
 
 // winoGradMulGo runs mw[ξ][c][o], the weight gradient in the
 // transformed domain, over a run of groups: per lane the sum over the
-// groups ascending of v[g][c][ξ] · s[ξ][g][o], carried in acc[ξ][c][o]
-// from run to run (from +0 before the first); after the last run the
+// groups ascending of v[g][c][ξ] · s[ξ][g][o], from +0 in the first run
+// and carried in acc[ξ][c][o] from run to run; after the last run the
 // eight lanes collapse, ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)).
-func winoGradMulGo(mw, acc, v, s []float32, groups, inC, outC int, last bool) {
+func winoGradMulGo(mw, acc, v, s []float32, groups, inC, outC int, first, last bool) {
 	for xi := 0; xi < 16; xi++ {
 		for c := 0; c < inC; c++ {
 			for o := 0; o < outC; o++ {
-				a := (*[winoLanes]float32)(acc[((xi*inC+c)*outC+o)*winoLanes:])
+				i := ((xi*inC+c)*outC + o) * winoLanes
+				var a [winoLanes]float32
+				if !first {
+					a = [winoLanes]float32(acc[i:])
+				}
 				for g := 0; g < groups; g++ {
 					vv := v[(g*inC+c)*128+xi*8 : (g*inC+c)*128+xi*8+8]
 					ss := s[((xi*groups+g)*outC+o)*8 : ((xi*groups+g)*outC+o)*8+8]
@@ -563,6 +602,8 @@ func winoGradMulGo(mw, acc, v, s []float32, groups, inC, outC int, last bool) {
 				}
 				if last {
 					mw[(xi*inC+c)*outC+o] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+				} else {
+					copy(acc[i:], a[:])
 				}
 			}
 		}
