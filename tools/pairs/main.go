@@ -11,8 +11,11 @@
 // exact one-sided sign test of that count, the median head/base ratio,
 // both medians and the base's quartiles. It reads "better" when the head
 // won at least nine tenths of the pairs (a tie is no win) and the
-// medians are further apart than the base's quartile spread, "worse"
-// when the base did, else "same". run_wall_raw_s is the
+// medians are further apart than the base's quartile spread; "worse"
+// when the head's median is worse than the base's by more than the
+// metric's bound in the declaration, the benchmark's own regression rule
+// (run_wall_raw_s, which has no bound, by the mirror of the rule for
+// better); else "same". run_wall_raw_s is the
 // median raw wall of the federations both sides ran, undivided by the
 // calibration. The exact metrics and the history_sha256 set must be equal
 // in every pair; the command exits 1 when they are not, unless -moved
@@ -40,8 +43,9 @@ var exact = []string{"final_acc", "rounds_to_acc", "wire_bytes_per_round", "ok_o
 const rawWall = "run_wall_raw_s"
 
 type metricSpec struct {
-	Name   string `json:"name"`
-	Better string `json:"better"`
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
 // pass is the part of a fedbench result pass the verdicts read.
@@ -71,6 +75,7 @@ type verdict struct {
 	Workload    string  `json:"workload"`
 	Metric      string  `json:"metric"`
 	Better      string  `json:"better"`
+	Bound       float64 `json:"bound"`
 	Pairs       int     `json:"pairs"`
 	Wins        int     `json:"wins"`
 	Ties        int     `json:"ties"`
@@ -104,7 +109,7 @@ func run(w io.Writer, specPath, listPath string, moved bool) error {
 	if err := readJSON(specPath, &decl); err != nil {
 		return err
 	}
-	metrics := append(decl.EndToEnd, metricSpec{rawWall, "lower"})
+	metrics := append(decl.EndToEnd, metricSpec{rawWall, "lower", 0})
 	pairs, err := readPairs(listPath, metrics)
 	if err != nil {
 		return err
@@ -216,7 +221,7 @@ func verdicts(pairs []pair, metrics []metricSpec) []verdict {
 	for _, wl := range workloads {
 		for _, m := range metrics {
 			var base, head, ratios []float64
-			v := verdict{Workload: wl, Metric: m.Name, Better: m.Better}
+			v := verdict{Workload: wl, Metric: m.Name, Better: m.Better, Bound: m.Bound}
 			for _, p := range pairs {
 				if p.Workload != wl {
 					continue
@@ -244,17 +249,19 @@ func verdicts(pairs []pair, metrics []metricSpec) []verdict {
 	return out
 }
 
-// judge reads a verdict: better or worse when one side won nine tenths
-// of the pairs and the medians differ by more than the base's quartile
-// spread, else same.
+// judge reads a verdict, as the package comment states.
 func judge(v verdict) string {
-	losses := v.Pairs - v.Ties - v.Wins
+	gain := v.HeadMedian - v.BaseMedian // positive when the head is better
+	if v.Better != "higher" {
+		gain = -gain
+	}
+	spread, losses := v.BaseQ3-v.BaseQ1, v.Pairs-v.Ties-v.Wins
 	switch {
-	case math.Abs(v.HeadMedian-v.BaseMedian) <= v.BaseQ3-v.BaseQ1:
-		return "same"
-	case 10*v.Wins >= 9*v.Pairs:
+	case v.Bound > 0 && -gain > v.Bound*math.Abs(v.BaseMedian):
+		return "worse"
+	case gain > spread && 10*v.Wins >= 9*v.Pairs:
 		return "better"
-	case 10*losses >= 9*v.Pairs:
+	case v.Bound == 0 && -gain > spread && 10*losses >= 9*v.Pairs:
 		return "worse"
 	}
 	return "same"

@@ -28,7 +28,7 @@ func TestSignTest(t *testing.T) {
 func writePairs(t *testing.T, scale func(i int) float64, history func(i int) string) (spec, list string) {
 	dir := t.TempDir()
 	spec = filepath.Join(dir, "BENCHMARK.json")
-	decl := `{"end_to_end": [{"name": "client_updates_per_s", "better": "higher"}, {"name": "final_acc", "better": "higher"}]}`
+	decl := `{"end_to_end": [{"name": "client_updates_per_s", "better": "higher", "bound": 0.25}, {"name": "final_acc", "better": "higher", "bound": 0.05}]}`
 	if err := os.WriteFile(spec, []byte(decl), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,15 @@ func TestVerdicts(t *testing.T) {
 		t.Errorf("A/A: %+v, %v", got["client_updates_per_s"], err)
 	}
 
-	// Nine of ten 10 % slower: worse.
+	// Nine of ten 10 % slower: within the rate's bound of 25 %, so same,
+	// but worse on the raw walls, which have no bound. 30 % slower: worse.
 	spec, list = writePairs(t, func(i int) float64 { return map[bool]float64{true: 1.01, false: 0.9}[i == 0] }, same)
+	if got, err = verdictsOf(t, spec, list, false); err != nil || got["client_updates_per_s"].Verdict != "same" || got[rawWall].Verdict != "worse" {
+		t.Errorf("10 %% slower head: %+v, %+v, %v", got["client_updates_per_s"], got[rawWall], err)
+	}
+	spec, list = writePairs(t, func(int) float64 { return 0.7 }, same)
 	if got, err = verdictsOf(t, spec, list, false); err != nil || got["client_updates_per_s"].Verdict != "worse" {
-		t.Errorf("slower head: %+v, %v", got["client_updates_per_s"], err)
+		t.Errorf("30 %% slower head: %+v, %v", got["client_updates_per_s"], err)
 	}
 
 	// One pair's history moved: an error naming it, unless histories move
