@@ -758,6 +758,41 @@ var gates = []gate{
 		}
 	}},
 
+	// GenerateVision's sine on the corpus's arguments, 2v + phase with v a
+	// class mean, a mode offset and noise (the benchmark's task: Sep 1,
+	// Noise 0.6) and phase N(0, π²), so octants come in random order:
+	// data.VisionSin against math.Sin, whose octant and sign branches
+	// mispredict there; VisionSin evaluates both polynomials and selects
+	// by masks. Both return the same bits. 1.85–2.61× over ten readings
+	// (≈ 30–39 ns against ≈ 13–20 ns a call); with math.Sin substituted
+	// for VisionSin's body 0.79–1.39×, so the bound sits between. Below
+	// 1.5 the selects became branches again.
+	{name: "vision/sin", reps: 20, runs: 3, bound: 1.5, setup: func(t testing.TB) (func(), func()) {
+		rng := tensor.NewRNG(1)
+		args := make([]float64, 1<<14)
+		for i := range args {
+			v := rng.Normal(0, 1) + rng.Normal(0, 0.8) + rng.Normal(0, 0.6)
+			args[i] = 2*v + rng.Normal(0, math.Pi)
+		}
+		want, got := make([]float64, len(args)), make([]float64, len(args))
+		ref := func() {
+			for i, x := range args {
+				want[i] = math.Sin(x)
+			}
+		}
+		sine := func() {
+			for i, x := range args {
+				got[i] = data.VisionSin(x)
+			}
+		}
+		ref()
+		sine()
+		if !bitsEqual(got, want) {
+			t.Fatal("vision/sin: VisionSin differs from math.Sin")
+		}
+		return ref, sine
+	}},
+
 	// FedCross's K×K similarity pass at server_heavy_k64's shape (K = 64,
 	// n = 51,978): the register-tiled Gram kernel (eight dot chains in
 	// flight a tile, column chunks that keep the panel in cache) against

@@ -298,3 +298,49 @@ func TestBaselinesTolerateFullDropout(t *testing.T) {
 		}
 	}
 }
+
+// bufferRecorder is the mean rule, noting the backing array of every
+// upload it folds, round by round.
+type bufferRecorder struct{ rounds [][]*float64 }
+
+func (r *bufferRecorder) Name() string { return "mean" }
+
+func (r *bufferRecorder) Reduce(uploads []nn.ParamVector, weights []float64) nn.ParamVector {
+	var seen []*float64
+	for _, u := range uploads {
+		seen = append(seen, &u[0])
+	}
+	r.rounds = append(r.rounds, seen)
+	return fl.MeanReducer{}.Reduce(uploads, weights)
+}
+
+// TestRoundsTrainIntoRecycledUploads: every baseline trains its clients
+// into the server's recycled upload vectors (LocalSpec.Out), so after the
+// first round no upload the reducer sees has a backing array it has not
+// seen before, and TrainLocal allocates no parameter vector per client.
+func TestRoundsTrainIntoRecycledUploads(t *testing.T) {
+	for _, algo := range allBaselines(t) {
+		t.Run(algo.Name(), func(t *testing.T) {
+			rec := &bufferRecorder{}
+			cfg := testCfg(4)
+			cfg.Reducer = rec
+			if _, err := fl.Run(algo, testEnv(1, 8, data.Heterogeneity{Beta: 0.5}), cfg); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.rounds) != cfg.Rounds {
+				t.Fatalf("%d reductions in %d rounds", len(rec.rounds), cfg.Rounds)
+			}
+			first := map[*float64]bool{}
+			for _, p := range rec.rounds[0] {
+				first[p] = true
+			}
+			for r, seen := range rec.rounds[1:] {
+				for j, p := range seen {
+					if !first[p] {
+						t.Fatalf("round %d: upload %d is a vector round 0 did not use", r+1, j)
+					}
+				}
+			}
+		})
+	}
+}

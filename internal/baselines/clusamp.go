@@ -20,7 +20,6 @@ import (
 // Low).
 type CluSamp struct {
 	server
-	recvBuf nn.ParamVector // recycled broadcast-decode destination
 
 	// updates[i] is client i's last update direction (yᵢ − x), keyed by
 	// client id and absent until first participation — a map rather than
@@ -157,7 +156,7 @@ func cosine(x, y nn.ParamVector) float64 {
 // straggler contributes to neither, exactly as a server that never
 // received the upload.
 func (a *CluSamp) Round(r int, selected []int) error {
-	uploads, weights, clients, recv, err := trainSelected(a.env, a.cfg, a.rng, a.Transport(), &a.recvBuf, a.global, selected, a.cfg.LocalSpec())
+	uploads, weights, clients, recv, err := a.trainSelected(selected, a.cfg.LocalSpec())
 	if err != nil {
 		return fmt.Errorf("baselines: clusamp round %d: %w", r, err)
 	}

@@ -19,7 +19,6 @@ import (
 // sample counts (McMahan et al., 2017).
 type FedAvg struct {
 	server
-	recvBuf nn.ParamVector // recycled broadcast-decode destination
 }
 
 // NewFedAvg returns a FedAvg instance.
@@ -45,7 +44,7 @@ func (a *FedAvg) Round(r int, selected []int) error {
 // round is the FedAvg round with spec as every client's job template
 // (the shared hyper-parameters; FedProx adds its proximal term).
 func (a *FedAvg) round(name string, r int, selected []int, spec fl.LocalSpec) error {
-	uploads, weights, _, _, err := trainSelected(a.env, a.cfg, a.rng, a.Transport(), &a.recvBuf, a.global, selected, spec)
+	uploads, weights, _, _, err := a.trainSelected(selected, spec)
 	if err != nil {
 		return fmt.Errorf("baselines: %s round %d: %w", name, r, err)
 	}
@@ -86,36 +85,43 @@ func (a *FedAvg) RoundComm(k int) fl.CommProfile {
 	return fl.CommProfile{ModelsDown: k, ModelsUp: k}
 }
 
-// trainSelected runs local training from init on every surviving selected
-// client, routed through the simulated transport: the dispatched model is
-// broadcast through the codec (clients train on the wire-visible decoded
-// vector), and each upload travels back delta-encoded against that
-// broadcast — a straggler whose upload misses the round deadline is
-// excluded like a crashed client. spec is every job's template — the shared
-// hyper-parameters (Config.LocalSpec) plus the algorithm's hooks; a
-// FedProx template with Prox > 0 gets the received broadcast as its
-// proximal anchor, and the loop fills in Init. Training fans
-// out over the worker pool; RNG splits and every wire outcome are
-// decided serially in selection order (only the uploads' codec round
-// trips fan out, inside the transport), so results do not depend on the
-// worker count.
+// trainSelected runs local training from the global model on every
+// surviving selected client, routed through the simulated transport: the
+// dispatched model is broadcast through the codec (clients train on the
+// wire-visible decoded vector), and each upload travels back
+// delta-encoded against that broadcast — a straggler whose upload misses
+// the round deadline is excluded like a crashed client. spec is every
+// job's template — the shared hyper-parameters (Config.LocalSpec) plus
+// the algorithm's hooks; a FedProx template with Prox > 0 gets the
+// received broadcast as its proximal anchor, and the loop fills in Init
+// and the recycled Out. Training fans out over the worker pool; RNG
+// splits and every wire outcome are decided serially in selection order
+// (only the uploads' codec round trips fan out, inside the transport), so
+// results do not depend on the worker count.
 //
 // It returns the server-visible uploads, their sample-count weights, the
 // uploading clients (aligned with uploads), and the client-visible
 // broadcast vector.
-func trainSelected(env *fl.Env, cfg fl.Config, rng *tensor.RNG, tr *fl.Transport, recvBuf *nn.ParamVector, init nn.ParamVector, selected []int, spec fl.LocalSpec) (uploads []nn.ParamVector, weights []float64, clients []int, recv nn.ParamVector, err error) {
-	survivors := survivingTrainable(env, selected)
-	recv = tr.Broadcast(wireDst(tr, recvBuf, len(init)), survivors, init)
+func (s *server) trainSelected(selected []int, spec fl.LocalSpec) (uploads []nn.ParamVector, weights []float64, clients []int, recv nn.ParamVector, err error) {
+	tr := s.Transport()
+	survivors := survivingTrainable(s.env, selected)
+	recv = tr.Broadcast(wireDst(tr, &s.recvBuf, len(s.global)), survivors, s.global)
 	if spec.Prox > 0 {
 		spec.ProxRef = recv // clients anchor on what they received
 	}
 	spec.Init = recv
-	jobs := selectedJobs(rng, survivors, spec)
-	results, err := fl.TrainAll(env, jobs, cfg.Allowance())
+	rngs := s.rng.SplitN(len(survivors))
+	outs := s.jobOuts(len(survivors))
+	jobs := make([]fl.LocalJob, len(survivors))
+	for i, ci := range survivors {
+		jobs[i] = fl.LocalJob{Client: ci, Spec: spec, RNG: rngs[i]}
+		jobs[i].Spec.Out = outs[i]
+	}
+	results, err := fl.TrainAll(s.env, jobs, s.cfg.Allowance())
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	uploads, weights, clients = uploadAll(tr, jobs, results, recv, cfg.Allowance())
+	uploads, weights, clients = uploadAll(tr, jobs, results, recv, s.cfg.Allowance())
 	return uploads, weights, clients, recv, nil
 }
 
@@ -144,18 +150,8 @@ func uploadAll(tr *fl.Transport, jobs []fl.LocalJob, results []fl.LocalResult, r
 	return uploads[:arrived], weights, clients[:arrived]
 }
 
-// surviving filters the dropped (-1) slots out of a selection.
-func surviving(selected []int) []int {
-	out := make([]int, 0, len(selected))
-	for _, ci := range selected {
-		if ci >= 0 {
-			out = append(out, ci)
-		}
-	}
-	return out
-}
-
-// survivingTrainable additionally drops clients without training data.
+// survivingTrainable filters the dropped (-1) slots out of a selection
+// and drops clients without training data.
 // Only virtualized federations report untrainable clients (at
 // million-client scale empty shards are expected, not exceptional);
 // eager federations report every client trainable, so an empty eager
@@ -181,17 +177,4 @@ func wireDst(tr *fl.Transport, buf *nn.ParamVector, n int) nn.ParamVector {
 		*buf = make(nn.ParamVector, n)
 	}
 	return *buf
-}
-
-// selectedJobs builds the per-client job list for the surviving selected
-// clients: every job trains under spec, with one RNG split per job drawn
-// in selection order.
-func selectedJobs(rng *tensor.RNG, selected []int, spec fl.LocalSpec) []fl.LocalJob {
-	survivors := surviving(selected)
-	rngs := rng.SplitN(len(survivors))
-	jobs := make([]fl.LocalJob, len(survivors))
-	for i, ci := range survivors {
-		jobs[i] = fl.LocalJob{Client: ci, Spec: spec, RNG: rngs[i]}
-	}
-	return jobs
 }

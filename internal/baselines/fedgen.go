@@ -51,7 +51,6 @@ type FedGen struct {
 	// algorithm's RNG streams untouched.
 	clientGen *nn.Sequential
 	genVec    nn.ParamVector // recycled flatten/decode buffer for the download
-	recvBuf   nn.ParamVector // recycled model-broadcast decode destination
 	classes   int
 	feats     int
 	// vocab is the token-id space of the federation's datasets (0 for
@@ -111,15 +110,16 @@ func (a *FedGen) Round(r int, selected []int) error {
 	if err := nn.LoadParams(a.clientGen.Params(), recvGen); err != nil {
 		return fmt.Errorf("baselines: fedgen round %d: generator download: %w", r, err)
 	}
+	outs := a.jobOuts(len(survivors))
 	jobs := make([]fl.LocalJob, 0, len(survivors))
-	for _, ci := range survivors {
+	for i, ci := range survivors {
 		// Lease only while building the augmented copy, which owns its
 		// storage.
 		shard := a.env.Fed.LeaseShard(ci)
 		aug := a.augmented(shard)
 		a.env.Fed.ReleaseShard(ci)
 		spec := a.cfg.LocalSpec()
-		spec.Init = recvGlobal
+		spec.Init, spec.Out = recvGlobal, outs[i]
 		jobs = append(jobs, fl.LocalJob{Client: ci, Shard: aug, Spec: spec, RNG: a.rng.Split()})
 	}
 	results, err := fl.TrainAll(a.env, jobs, a.cfg.Allowance())

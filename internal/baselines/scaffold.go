@@ -31,9 +31,9 @@ type SCAFFOLD struct {
 	// allocated on first participation — a map rather than a dense slice,
 	// so state stays O(participants) even for 10^6-client populations.
 	ci map[int]nn.ParamVector
-	// recvGlobalBuf / recvCBuf are the recycled broadcast-decode
-	// destinations for the two downlink payloads.
-	recvGlobalBuf, recvCBuf nn.ParamVector
+	// recvCBuf is the variate broadcast's recycled decode destination
+	// (server.recvBuf is the model's).
+	recvCBuf nn.ParamVector
 }
 
 // NewSCAFFOLD returns a SCAFFOLD instance.
@@ -71,15 +71,16 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 	n := len(a.global)
 	tr := a.Transport()
 	survivors := survivingTrainable(a.env, selected)
-	recvGlobal := tr.Broadcast(wireDst(tr, &a.recvGlobalBuf, n), survivors, a.global)
+	recvGlobal := tr.Broadcast(wireDst(tr, &a.recvBuf, n), survivors, a.global)
 	recvC := tr.Broadcast(wireDst(tr, &a.recvCBuf, n), survivors, a.c)
+	outs := a.jobOuts(len(survivors))
 	jobs := make([]fl.LocalJob, 0, len(survivors))
-	for _, ci := range survivors {
+	for i, ci := range survivors {
 		if a.ci[ci] == nil {
 			a.ci[ci] = make(nn.ParamVector, n)
 		}
 		spec := a.cfg.LocalSpec()
-		spec.Init, spec.GradCorrection, spec.Momentum = recvGlobal, recvC.Sub(a.ci[ci]), 0
+		spec.Init, spec.Out, spec.GradCorrection, spec.Momentum = recvGlobal, outs[i], recvC.Sub(a.ci[ci]), 0
 		jobs = append(jobs, fl.LocalJob{Client: ci, Spec: spec, RNG: a.rng.Split()})
 	}
 	results, err := fl.TrainAll(a.env, jobs, a.cfg.Allowance())

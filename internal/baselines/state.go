@@ -10,19 +10,38 @@ import (
 
 // server is what every baseline's server holds between rounds: the
 // simulated wire, the environment and configuration Init received, the
-// algorithm's RNG stream and the global model.
+// algorithm's RNG stream and the global model, and two recycled scratch
+// sets no round reads past its own end.
 type server struct {
 	fl.Wire
 	env    *fl.Env
 	cfg    fl.Config
 	rng    *tensor.RNG
 	global nn.ParamVector
+	// recvBuf is the model broadcast's decode destination.
+	recvBuf nn.ParamVector
+	// outs are the jobs' LocalSpec.Out, one per trained client, so
+	// TrainLocal allocates no parameter vector. An upload is read only
+	// inside its round (reducers return fresh vectors, the adversary
+	// corrupts into buffers of its own, and SCAFFOLD, CluSamp and FedGen
+	// keep copies), so the next round may train into the same buffers.
+	outs []nn.ParamVector
+}
+
+// jobOuts returns k recycled upload destinations of the global model's
+// length, sized on first use.
+func (s *server) jobOuts(k int) []nn.ParamVector {
+	for len(s.outs) < k {
+		s.outs = append(s.outs, make(nn.ParamVector, len(s.global)))
+	}
+	return s.outs[:k]
 }
 
 // init records the run and creates the initial global model.
 func (s *server) init(env *fl.Env, cfg fl.Config, rng *tensor.RNG) {
 	s.env, s.cfg, s.rng = env, cfg, rng
 	s.global = nn.FlattenParams(env.Model.New(rng.Split()).Params())
+	s.outs = nil
 }
 
 // Global implements fl.Algorithm.

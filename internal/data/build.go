@@ -1,6 +1,10 @@
 package data
 
-import "fedcross/internal/tensor"
+import (
+	"sync"
+
+	"fedcross/internal/tensor"
+)
 
 // BuildVision generates the synthetic vision corpus and partitions it
 // across numClients clients with the given heterogeneity setting. It is
@@ -43,21 +47,42 @@ func BuildVisionLazy(cfg VisionConfig, numClients int, het Heterogeneity, partit
 // here, after the join, with the same value.
 func buildVision(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64) (train, test *Dataset, asg *Assignment) {
 	checkVision(cfg)
-	var failed any
-	done := make(chan struct{})
-	go func() {
-		defer func() {
-			failed = recover()
-			close(done)
-		}()
-		asg = het.Assign(classMajorLabels(cfg.Classes, cfg.TrainPerClass), cfg.Classes, numClients, tensor.NewRNG(partitionSeed))
-	}()
-	train, test = GenerateVision(cfg)
-	<-done
-	if failed != nil {
-		panic(failed)
-	}
+	sideBySide(
+		func() {
+			asg = het.Assign(classMajorLabels(cfg.Classes, cfg.TrainPerClass), cfg.Classes, numClients, tensor.NewRNG(partitionSeed))
+		},
+		func() { train, test = GenerateVision(cfg) },
+	)
 	return train, test, asg
+}
+
+// sideBySide runs the last of fns on the calling goroutine and each other
+// on a goroutine of its own, and returns once all have returned. A panic
+// in any of them is recovered and, after the join, raised again on the
+// caller with the same value (the first in fns order, if several panic).
+// It is this package's one go statement outside the prefetch pool:
+// setup-time work that never runs inside a round.
+func sideBySide(fns ...func()) {
+	panics := make([]any, len(fns))
+	run := func(i int) {
+		defer func() { panics[i] = recover() }()
+		fns[i]()
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(fns) - 1)
+	for i := range len(fns) - 1 {
+		go func() {
+			defer wg.Done()
+			run(i)
+		}()
+	}
+	run(len(fns) - 1)
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 func visionName(cfg VisionConfig) string {

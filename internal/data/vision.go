@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"fedcross/internal/tensor"
 )
@@ -53,7 +54,21 @@ func DefaultVision100(seed int64) VisionConfig {
 // mixture of ModesPerClass Gaussian modes placed around a class mean, and
 // every sample passes through a shared fixed non-linear distortion, so the
 // Bayes-optimal boundary is not linear.
+//
+// It runs in two passes: drawVision makes every draw, serially and in
+// the stream's order, and leaves each feature at its undistorted value;
+// distort then applies the distortion over row blocks in parallel.
 func GenerateVision(cfg VisionConfig) (train, test *Dataset) {
+	train, test, phase := drawVision(cfg)
+	distort(train.X.Data, phase)
+	distort(test.X.Data, phase)
+	return train, test
+}
+
+// drawVision is GenerateVision's draw pass: the class structure, the
+// distortion's phase and every sample's features before the
+// distortion, v = mean + mode offset + noise.
+func drawVision(cfg VisionConfig) (train, test *Dataset, phase []float64) {
 	checkVision(cfg)
 	rng := tensor.NewRNG(cfg.Seed)
 
@@ -67,31 +82,50 @@ func GenerateVision(cfg VisionConfig) (train, test *Dataset) {
 			modeOff[c][m] = randVec(rng, cfg.Features, cfg.Sep*0.8)
 		}
 	}
-	// Shared distortion: x -> x + 0.4·sin(2·shift + x rolled), applied
-	// elementwise with a frozen per-feature phase. Cheap, smooth,
-	// non-linear.
-	phase := randVec(rng, cfg.Features, math.Pi)
-
-	sample := func(rng *tensor.RNG, c int, dst []float64) {
-		m := rng.Intn(cfg.ModesPerClass)
-		for i := range dst {
-			v := means[c][i] + modeOff[c][m][i] + rng.Normal(0, cfg.Noise)
-			dst[i] = v + 0.4*math.Sin(2*v+phase[i])
-		}
-	}
+	// Shared distortion: x -> x + 0.4·sin(2x + phase), applied
+	// elementwise with a frozen per-feature phase (distort). Cheap,
+	// smooth, non-linear.
+	phase = randVec(rng, cfg.Features, math.Pi)
 
 	build := func(rng *tensor.RNG, perClass int) *Dataset {
 		y := classMajorLabels(cfg.Classes, perClass)
 		x := tensor.Zeros(len(y), cfg.Features)
 		for row, c := range y {
-			sample(rng, c, x.Data[row*cfg.Features:(row+1)*cfg.Features])
+			dst := x.Data[row*cfg.Features : (row+1)*cfg.Features]
+			m := rng.Intn(cfg.ModesPerClass)
+			for i := range dst {
+				dst[i] = means[c][i] + modeOff[c][m][i] + rng.Normal(0, cfg.Noise)
+			}
 		}
 		return &Dataset{X: x, Y: y, Classes: cfg.Classes}
 	}
 
 	trainRNG := rng.Split()
 	testRNG := rng.Split()
-	return build(trainRNG, cfg.TrainPerClass), build(testRNG, cfg.TestPerClass)
+	return build(trainRNG, cfg.TrainPerClass), build(testRNG, cfg.TestPerClass), phase
+}
+
+// distort is GenerateVision's finish pass, x = v + 0.4·sin(2v + phase)
+// over rows of len(phase) features, split into GOMAXPROCS row blocks run
+// side by side. An element depends on itself and its column's phase
+// alone, so the bytes do not depend on the split.
+func distort(x, phase []float64) {
+	rows := len(x) / len(phase)
+	blocks := max(1, min(runtime.GOMAXPROCS(0), rows))
+	fns := make([]func(), blocks)
+	for b := range fns {
+		block := x[b*rows/blocks*len(phase) : (b+1)*rows/blocks*len(phase)]
+		fns[b] = func() {
+			for len(block) > 0 {
+				row := block[:len(phase)]
+				for i, v := range row {
+					row[i] = v + 0.4*VisionSin(2*v+phase[i])
+				}
+				block = block[len(phase):]
+			}
+		}
+	}
+	sideBySide(fns...)
 }
 
 func checkVision(cfg VisionConfig) {

@@ -409,13 +409,10 @@ var twinRows = []twinRow{
 	// and many (middle runs carry through acc), over the CNN's two
 	// convolutions and planes with ragged channel blocks, channels under
 	// eight on the twins; the sweep ends on the CNN's second convolution
-	// at batch 50. Every add of the gradients' kernel (winoGradsAVX) takes
-	// the compiled twin's operand order, but winoMulAVX's lane collapse
-	// does not, so two NaNs compare equal and the AVX2 results are pinned
-	// (the pin is also what the kernels before winoGradsAVX and the first
-	// run's registers produced).
-	{name: "WinogradGrads", avx: []string{"winoGradsAVX"}, gate: "wino/grads", nanEqual: true, short: "tensor: Winograd ",
-		pin: "8aea4c16a1ff2e3c92939ee8c9db2ffaea6f1df4f9126ca7da7047cf1587ef47",
+	// at batch 50. The twin writes its adds where two NaNs can meet in the
+	// kernels' operand order, through nanAdd and nanMul, so NaN payloads
+	// compare exactly.
+	{name: "WinogradGrads", avx: []string{"winoGradsAVX"}, gate: "wino/grads", short: "tensor: Winograd ",
 		reach: func() bool {
 			return NewWinograd(ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8).Vector() &&
 				NewWinograd(ConvGeom{InC: 8, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 16).Vector()

@@ -554,7 +554,8 @@ func winoOutputGo(out []float64, taps []int32, v, u []float32, bias []float64, t
 //	T[·][j] = (h[0][j], h[0][j] + h[1][j], h[0][j] − h[1][j], h[1][j])
 //	db[o][lane] += T[1][1]   groups ascending
 //
-// (T[1][1] is the tile's sum.) A duplicated last high half reads +0.
+// (T[1][1] is the tile's sum.) A duplicated last high half reads +0. The
+// adds are nanAdd, so NaN payloads are winoDyAVX's.
 func winoGradDyGo(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 int, dup bool) {
 	for g := 0; g < groups; g++ {
 		for o := 0; o < outC; o++ {
@@ -566,14 +567,14 @@ func winoGradDyGo(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 in
 				}
 				var h [2][4]float32
 				for y := range h {
-					h[y] = [4]float32{t[y][0], t[y][0] + t[y][1], t[y][0] - t[y][1], t[y][1]}
+					h[y] = [4]float32{t[y][0], nanAdd(t[y][0], t[y][1]), t[y][0] - t[y][1], t[y][1]}
 				}
 				for j := 0; j < 4; j++ {
-					for i, x := range [4]float32{h[0][j], h[0][j] + h[1][j], h[0][j] - h[1][j], h[1][j]} {
+					for i, x := range [4]float32{h[0][j], nanAdd(h[0][j], h[1][j]), h[0][j] - h[1][j], h[1][j]} {
 						s[(((4*i+j)*groups+g)*outC+o)*8+l] = x
 					}
 				}
-				db[o*8+l] += h[0][1] + h[1][1]
+				db[o*8+l] = nanAdd(db[o*8+l], nanAdd(h[0][1], h[1][1]))
 			}
 		}
 	}
@@ -583,7 +584,10 @@ func winoGradDyGo(s, db, dy []float32, tab []int, groups, outC, plane, pw, d2 in
 // transformed domain, over a run of groups: per lane the sum over the
 // groups ascending of v[g][c][ξ] · s[ξ][g][o], from +0 in the first run
 // and carried in acc[ξ][c][o] from run to run; after the last run the
-// eight lanes collapse, ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)).
+// eight lanes collapse, ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)),
+// VHADDPS's order. A lane the chain leaves NaN is run again
+// (winoGradMulNaN), and the collapse is nanAdd, so NaN payloads are
+// winoMulAVX's.
 func winoGradMulGo(mw, acc, v, s []float32, groups, inC, outC int, first, last bool) {
 	for xi := 0; xi < 16; xi++ {
 		for c := 0; c < inC; c++ {
@@ -600,12 +604,53 @@ func winoGradMulGo(mw, acc, v, s []float32, groups, inC, outC int, first, last b
 						a[l] += float32(vv[l] * ss[l])
 					}
 				}
+				if a != a { // some lane is NaN (NaN != NaN)
+					winoGradMulNaN(&a, acc, i, v[c*128+xi*8:], s[(xi*groups*outC+o)*8:], groups, inC*128, outC*8, first)
+				}
 				if last {
-					mw[(xi*inC+c)*outC+o] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+					mw[(xi*inC+c)*outC+o] = nanAdd(nanAdd(nanAdd(a[0], a[1]), nanAdd(a[2], a[3])), nanAdd(nanAdd(a[4], a[5]), nanAdd(a[6], a[7])))
 				} else {
 					copy(acc[i:], a[:])
 				}
 			}
 		}
 	}
+}
+
+// winoGradMulNaN runs each NaN lane of a again, from +0 or acc[i+l],
+// over v[g·vStep+l] · s[g·sStep+l] in nanAdd and nanMul: where two NaNs
+// meet, the one winoMulAVX keeps.
+func winoGradMulNaN(a *[winoLanes]float32, acc []float32, i int, v, s []float32, groups, vStep, sStep int, first bool) {
+	for l, x := range a {
+		if x == x {
+			continue
+		}
+		x = 0
+		if !first {
+			x = acc[i+l]
+		}
+		for g := 0; g < groups; g++ {
+			x = nanAdd(x, nanMul(v[g*vStep+l], s[g*sStep+l]))
+		}
+		a[l] = x
+	}
+}
+
+// nanAdd is a + b, and nanMul a · b, with the NaN the AVX2 kernels keep:
+// where both operands are NaN, a's, quieted (VADDPS, VMULPS and VHADDPS
+// keep their first source's). A compiled a + b need not: the compiler may
+// commute the operands, so a twin that must match a kernel's NaN payloads
+// writes the adds where two NaNs can meet through these.
+func nanAdd(a, b float32) float32 {
+	if a != a {
+		return a + a
+	}
+	return a + b
+}
+
+func nanMul(a, b float32) float32 {
+	if a != a {
+		return a + a
+	}
+	return a * b
 }

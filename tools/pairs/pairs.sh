@@ -5,7 +5,8 @@
 #
 # Checks REV out in a git worktree under D (a new temporary directory by
 # default), builds each side's fedbench with that side's own
-# benchmark/run.sh, and runs N pairs per workload on seeds S, S+1, …,
+# benchmark/run.sh under GOFLAGS=-trimpath, prints each side's calDense
+# address class (a WARNING line when they differ), and runs N pairs per workload on seeds S, S+1, …,
 # the base first in even pairs and the head first in odd ones. The head
 # is this checkout as it stands. tools/pairs/main.go then prints one JSON
 # line per pair and one verdict per workload and metric, and fails when a
@@ -38,9 +39,21 @@ dir="$(cd "$dir" && pwd)"
 tree="$dir/base-$rev"
 git -C "$head" worktree add --detach "$tree" "$rev" >/dev/null
 trap 'git -C "$head" worktree remove --force "$tree"; git -C "$head" worktree prune' EXIT
+# -trimpath: a binary records its source paths, and the worktree's path
+# differs from the checkout's; without it two builds of one commit read
+# peak_rss_mb apart. The calibration's slowdown depends on calDense's
+# address modulo 64 (docs/ARCHITECTURE.md, "The calibration's layout"):
+# print both sides' and warn when they differ.
+class=()
 for side in "$tree" "$head"; do
-	bash "$side/benchmark/run.sh" -manifest >/dev/null
+	GOFLAGS=-trimpath bash "$side/benchmark/run.sh" -manifest >/dev/null
+	addr="$(go tool nm "$side/.bench_build/fedbench" | awk '$3 == "main.calDense" {print $1}')"
+	class+=($((0x$addr % 64)))
+	echo "calDense: $([ "$side" = "$tree" ] && echo base || echo head) 0x$addr, class ${class[-1]} modulo 64" >&2
 done
+if [ "${class[0]}" != "${class[1]}" ]; then
+	echo "WARNING: calDense sits in class ${class[0]} on the base and ${class[1]} on the head; the calibrated metrics are not comparable" >&2
+fi
 list="$dir/pairs.tsv"
 : >"$list"
 for w in ${workloads//,/ }; do
