@@ -531,6 +531,29 @@ var gates = []gate{
 	// falling back to the twin read ≈ 1.3× here, so the row above is the
 	// one that catches that.
 	dirichletRow("mathrand/ring", 1.25, true),
+	// The same vector split over two parts, DirichletIntoSplit run through
+	// fl's claim loop at Limit(2), against DirichletInto; setup holds p
+	// and the generator state after the call equal. 1.58–1.78× measured
+	// over ten runs of the table, 1.02–1.03× with one part, which half the
+	// low end would pass, so the bound sits between the two. With three
+	// runs a side it read 0.86 and 1.26 in two of nine runs while the
+	// box's second vCPU was busy, so each side takes the fastest of seven
+	// shorter runs. Below 1.2× the parts stopped running side by side, or
+	// stopped meeting and drew the rest serially.
+	{name: "dirichlet/split", reps: 5, runs: 7, bound: 1.2, twoCPUs: true, setup: func(t testing.TB) (func(), func()) {
+		const n, beta = 1_000_000, 0.5
+		fan := func(fns ...func()) { fl.ParallelForW(len(fns), fl.Limit(2), func(i int) { fns[i]() }) }
+		p, q := make([]float64, n), make([]float64, n)
+		serial, split := tensor.NewRNG(1), tensor.NewRNG(1)
+		serial.DirichletInto(p, beta)
+		split.DirichletIntoSplit(q, beta, 2, fan)
+		if !bitsEqual(p, q) || serial.State() != split.State() {
+			t.Fatalf("split draw differs from DirichletInto: state %+v, serial %+v", split.State(), serial.State())
+		}
+		seed := int64(0)
+		return func() { seed++; tensor.NewRNG(seed).DirichletInto(p, beta) },
+			func() { seed++; tensor.NewRNG(seed).DirichletIntoSplit(q, beta, 2, fan) }
+	}},
 
 	// The topk codec's linear radix selection against the full-sort
 	// threshold it replaced, on one 2^16 payload; both must write the

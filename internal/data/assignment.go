@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"fedcross/internal/tensor"
@@ -57,7 +58,9 @@ type clientSpan struct {
 // before the rows' features exist. It draws from rng in exactly the
 // order DirichletPartition does: every class pool is shuffled first, then
 // each non-empty class takes one Dirichlet draw, then the top-up pass
-// consumes one Intn per donated sample.
+// consumes one Intn per donated sample. A large federation's Dirichlet
+// draws run over GOMAXPROCS parts (tensor.RNG.DirichletIntoSplit), with
+// the same values and the same stream after them.
 func AssignDirichlet(labels []int, classes, numClients int, beta float64, rng *tensor.RNG) *Assignment {
 	if numClients <= 0 {
 		panic(fmt.Sprintf("data: DirichletPartition: numClients %d", numClients))
@@ -85,7 +88,7 @@ func AssignDirichlet(labels []int, classes, numClients int, beta float64, rng *t
 		if len(pool) == 0 {
 			continue
 		}
-		rng.DirichletInto(p, beta)
+		rng.DirichletIntoSplit(p, beta, runtime.GOMAXPROCS(0), sideBySide)
 		cum := 0.0
 		start := 0
 		for ci := 0; ci < numClients; ci++ {

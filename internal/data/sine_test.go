@@ -86,14 +86,34 @@ func TestVisionSineMatchesMathSin(t *testing.T) {
 }
 
 // TestGenerateVisionSplitInvariant holds GenerateVision's bytes equal at
-// GOMAXPROCS 1, 2 and 3, and equal to the one-pass build it replaced:
-// each sample drawn and distorted with math.Sin in turn.
+// GOMAXPROCS 1, 2 and 3, and equal to the serial one-pass build it
+// replaced: the train rows and then the test rows, each sample drawn and
+// distorted with math.Sin in turn.
 func TestGenerateVisionSplitInvariant(t *testing.T) {
 	onePass := func(cfg VisionConfig) (x []float64) {
-		train, test, phase := drawVision(cfg)
-		for _, v := range append(train.X.Data, test.X.Data...) {
-			i := len(x) % len(phase)
-			x = append(x, v+0.4*math.Sin(2*v+phase[i]))
+		rng := tensor.NewRNG(cfg.Seed)
+		means := make([][]float64, cfg.Classes)
+		modeOff := make([][][]float64, cfg.Classes)
+		for c := range means {
+			means[c] = randVec(rng, cfg.Features, cfg.Sep)
+			modeOff[c] = make([][]float64, cfg.ModesPerClass)
+			for m := range modeOff[c] {
+				modeOff[c][m] = randVec(rng, cfg.Features, cfg.Sep*0.8)
+			}
+		}
+		phase := randVec(rng, cfg.Features, math.Pi)
+		trainRNG, testRNG := rng.Split(), rng.Split()
+		for _, set := range []struct {
+			rng      *tensor.RNG
+			perClass int
+		}{{trainRNG, cfg.TrainPerClass}, {testRNG, cfg.TestPerClass}} {
+			for _, c := range classMajorLabels(cfg.Classes, set.perClass) {
+				m := set.rng.Intn(cfg.ModesPerClass)
+				for i := range cfg.Features {
+					v := means[c][i] + modeOff[c][m][i] + set.rng.Normal(0, cfg.Noise)
+					x = append(x, v+0.4*math.Sin(2*v+phase[i]))
+				}
+			}
 		}
 		return x
 	}

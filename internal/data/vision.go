@@ -55,9 +55,10 @@ func DefaultVision100(seed int64) VisionConfig {
 // every sample passes through a shared fixed non-linear distortion, so the
 // Bayes-optimal boundary is not linear.
 //
-// It runs in two passes: drawVision makes every draw, serially and in
-// the stream's order, and leaves each feature at its undistorted value;
-// distort then applies the distortion over row blocks in parallel.
+// It runs in two passes: drawVision makes every draw, the train and
+// test sets side by side, each in its own stream's order, and leaves
+// each feature at its undistorted value; distort then applies the
+// distortion over row blocks in parallel.
 func GenerateVision(cfg VisionConfig) (train, test *Dataset) {
 	train, test, phase := drawVision(cfg)
 	distort(train.X.Data, phase)
@@ -100,9 +101,15 @@ func drawVision(cfg VisionConfig) (train, test *Dataset, phase []float64) {
 		return &Dataset{X: x, Y: y, Classes: cfg.Classes}
 	}
 
+	// Both streams are split off before either build draws, so the two
+	// builds run side by side.
 	trainRNG := rng.Split()
 	testRNG := rng.Split()
-	return build(trainRNG, cfg.TrainPerClass), build(testRNG, cfg.TestPerClass), phase
+	sideBySide(
+		func() { test = build(testRNG, cfg.TestPerClass) },
+		func() { train = build(trainRNG, cfg.TrainPerClass) },
+	)
+	return train, test, phase
 }
 
 // distort is GenerateVision's finish pass, x = v + 0.4·sin(2v + phase)

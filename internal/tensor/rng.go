@@ -150,6 +150,7 @@ func (s *source) Int63() int64 {
 // valid until the source draws again. The adds run from the top word
 // down, the order the draws are made in: a draw reads what the draw 273
 // before it wrote when the tap block lies 273 words above the feed block.
+// Four at a time: the four adds of a group read no word another writes.
 func (s *source) advance(max int) []int64 {
 	if s.tap == 0 {
 		s.tap = rngLen
@@ -160,7 +161,15 @@ func (s *source) advance(max int) []int64 {
 	c := min(max, s.tap, s.feed)
 	t, f := s.tap-c, s.feed-c
 	blk, src := s.vec[f:s.feed], s.vec[t:s.tap]
-	for i := c - 1; i >= 0; i-- {
+	i := c
+	for ; i >= 4; i -= 4 {
+		b, a := blk[i-4:i:i], src[i-4:i:i]
+		b[3] += a[3]
+		b[2] += a[2]
+		b[1] += a[1]
+		b[0] += a[0]
+	}
+	for i--; i >= 0; i-- {
 		blk[i] += src[i]
 	}
 	s.tap, s.feed = t, f
@@ -233,9 +242,7 @@ func RestoreRNG(st RNGState) (*RNG, error) {
 		return nil, fmt.Errorf("tensor: RNG position %d exceeds the replay limit %d", st.Pos, uint64(maxRestorePos))
 	}
 	g := NewRNG(st.Seed)
-	for left := st.Pos; left > 0; {
-		left -= uint64(len(g.src.advance(int(min(left, rngLen)))))
-	}
+	g.src.skip(st.Pos)
 	return g, nil
 }
 
@@ -332,17 +339,16 @@ func (g *RNG) Dirichlet(alpha float64, k int) []float64 {
 // len(p): same draws, same values. Every entry is overwritten, so p may
 // be dirty — a loop that needs one sample at a time reuses one buffer.
 // With AVX2 the Gamma draws run four at a time (simd_rng.go).
-func (g *RNG) DirichletInto(p []float64, alpha float64) { g.dirichletInto(p, alpha) }
+func (g *RNG) DirichletInto(p []float64, alpha float64) {
+	d, c := gammaDC(alpha)
+	g.normalise(p, g.gammaRun(p, alpha, d, c, 0, nil))
+}
 
 // DirichletIntoGo is DirichletInto's scalar twin, one Gamma draw at a
 // time, which off amd64, under purego and without AVX2 is DirichletInto.
 func (g *RNG) DirichletIntoGo(p []float64, alpha float64) {
 	d, c := gammaDC(alpha)
-	sum := 0.0
-	for i := range p {
-		p[i] = g.gamma(alpha, d, c)
-		sum += p[i]
-	}
+	sum := g.gammaRunGo(p, alpha, d, c, 0, nil)
 	if sum == 0 {
 		// Degenerate draw (possible for very small alpha): fall back to a
 		// one-hot vector at a uniform index (every entry is 0 here).

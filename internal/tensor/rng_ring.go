@@ -44,6 +44,13 @@ func (s *source) unread() {
 	s.n--
 }
 
+// skip makes n draws and discards them, a ring block at a time.
+func (s *source) skip(n uint64) {
+	for n > 0 {
+		n -= uint64(len(s.advance(int(min(n, rngLen)))))
+	}
+}
+
 // normFloat64 is rand.Rand.NormFloat64. Its ziggurat fast path, taken by
 // ≈ 97 % of draws, is written out here over math/rand's own tables; a
 // draw that misses it (strip 0's tail, a wedge test, and every draw in

@@ -287,20 +287,17 @@ func quantDelta(dst []byte, v, ref []float64, lo, scale float64) {
 	quantDeltaGo(dst[n:], v[n:], refTail(ref, n), lo, scale)
 }
 
-// dirichletInto runs DirichletInto's Gamma draws on the AVX2 kernel when
-// the CPU has it and the shape has lanes, else DirichletIntoGo. The
-// kernel takes runs of whole steps that end before tap or feed wraps and
-// before p does; the draw it stops at, the draws around a wrap and the
-// last len(p)%4 run the scalar gamma over the source as it stands.
-func (g *RNG) dirichletInto(p []float64, alpha float64) {
+// gammaRun is gammaRunGo on the AVX2 kernel when the CPU has it and the
+// shape has lanes. The kernel takes runs of whole steps that end before
+// tap or feed wraps and before p does; the draw it stops at, the draws
+// around a wrap and the last len(p)%4 run the scalar gamma over the
+// source as it stands.
+func (g *RNG) gammaRun(p []float64, alpha, d, c, sum float64, rec []uint64) float64 {
 	words := gammaWords(alpha)
 	if !avx2Supported || words == 0 {
-		g.DirichletIntoGo(p, alpha)
-		return
+		return g.gammaRunGo(p, alpha, d, c, sum, rec)
 	}
-	d, c := gammaDC(alpha)
 	s := &g.src
-	sum := 0.0
 	for i := 0; i < len(p); {
 		tap, feed := s.tap, s.feed
 		if tap == 0 {
@@ -312,6 +309,11 @@ func (g *RNG) dirichletInto(p []float64, alpha float64) {
 		if n := min(min(tap, feed)/words, len(p)-i) &^ 3; n > 0 {
 			var kept int
 			kept, sum = gammaLanesAVX(&p[i], n, &s.vec[feed-4*words], &s.vec[tap-4*words], words, d, c, sum)
+			if rec != nil {
+				for t := range kept {
+					rec[i+t] = s.n + uint64(t*words)
+				}
+			}
 			if kept > 0 {
 				s.tap, s.feed = tap-kept*words, feed-kept*words
 				s.n += uint64(kept * words)
@@ -320,20 +322,28 @@ func (g *RNG) dirichletInto(p []float64, alpha float64) {
 				continue
 			}
 		}
+		if rec != nil {
+			rec[i] = s.n
+		}
 		p[i] = g.gamma(alpha, d, c)
 		sum += p[i]
 		i++
 	}
-	if sum == 0 {
-		p[g.Intn(len(p))] = 1
-		return
+	return sum
+}
+
+// divide computes p[i] /= s, whole blocks of four on VDIVPD (correctly
+// rounded, so the scalar quotient's bits).
+func divide(p []float64, s float64) {
+	n := 0
+	if avx2Supported {
+		n = len(p) &^ 3
 	}
-	n := len(p) &^ 3
 	if n > 0 {
-		divAVX(&p[0], n, sum)
+		divAVX(&p[0], n, s)
 	}
 	for i := n; i < len(p); i++ {
-		p[i] /= sum
+		p[i] /= s
 	}
 }
 

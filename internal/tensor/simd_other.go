@@ -52,7 +52,15 @@ func lerp(dst, v, w []float64, a, b float64) { lerpGo(dst, v, w, a, b) }
 
 func allFinite(v []float64) bool { return allFiniteGo(v) }
 
-func (g *RNG) dirichletInto(p []float64, alpha float64) { g.DirichletIntoGo(p, alpha) }
+func (g *RNG) gammaRun(p []float64, alpha, d, c, sum float64, rec []uint64) float64 {
+	return g.gammaRunGo(p, alpha, d, c, sum, rec)
+}
+
+func divide(p []float64, s float64) {
+	for i := range p {
+		p[i] /= s
+	}
+}
 
 func winoVector(outC int) bool { return false }
 

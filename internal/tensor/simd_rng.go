@@ -2,7 +2,8 @@ package tensor
 
 // Generator kernels: the Gamma draws under RNG.DirichletInto,
 // platform-dispatched like the wire kernels. Off amd64, under purego and
-// without AVX2 DirichletIntoGo runs; the tests hold the assembly to it.
+// without AVX2 they run one at a time (gammaRunGo), as DirichletIntoGo
+// draws them; the tests hold the assembly to it.
 //
 // Dir(β) in lanes. A Marsaglia–Tsang draw of Gamma(α) on its fast path
 // reads a fixed number of words — u (the boost, below shape 1), one
@@ -39,4 +40,30 @@ func gammaWords(alpha float64) int {
 		return 3
 	}
 	return 0
+}
+
+// gammaRunGo draws len(p) Gamma(alpha) variates into p one at a time,
+// adds each to sum in index order and returns the sum; when rec is not
+// nil, rec[i] is the stream position draw i starts from. It is gammaRun
+// off amd64, under purego and without AVX2.
+func (g *RNG) gammaRunGo(p []float64, alpha, d, c, sum float64, rec []uint64) float64 {
+	for i := range p {
+		if rec != nil {
+			rec[i] = g.src.n
+		}
+		p[i] = g.gamma(alpha, d, c)
+		sum += p[i]
+	}
+	return sum
+}
+
+// normalise divides p by sum, the last step of a Dirichlet draw; a zero
+// sum (possible for very small alpha, every entry 0) puts all the mass
+// on one uniform index instead.
+func (g *RNG) normalise(p []float64, sum float64) {
+	if sum == 0 {
+		p[g.Intn(len(p))] = 1
+		return
+	}
+	divide(p, sum)
 }
