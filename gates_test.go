@@ -534,7 +534,7 @@ var gates = []gate{
 	// The same vector split over two parts, DirichletIntoSplit run through
 	// fl's claim loop at Limit(2), against DirichletInto; setup holds p
 	// and the generator state after the call equal. 1.58–1.78× measured
-	// over ten runs of the table, 1.02–1.03× with one part, which half the
+	// over ten runs of the table, 0.88–1.12× with one part, which half the
 	// low end would pass, so the bound sits between the two. With three
 	// runs a side it read 0.86 and 1.26 in two of nine runs while the
 	// box's second vCPU was busy, so each side takes the fastest of seven
