@@ -31,10 +31,14 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.json, or under 
 // plans, a Selector, the stateful baselines, the lazy source with
 // lookahead, the async engine's own streams); FedCross's Gram pass,
 // selection and cross-aggregation over three K on both wires; the text
-// LSTM.
+// LSTM. The resnet and vgg cells run the zoo's other conv stacks:
+// ResNetMini's residual blocks and its one standalone ReLU max pool,
+// VGGMini's 8×8 inner convolutions.
 var goldenCells = []string{
 	"algo=fedcross model=cnn",
 	"algo=fedavg model=cnn",
+	"algo=fedcross model=resnet",
+	"algo=fedavg model=vgg",
 	"async/model=cnn buffer=2 inflight=4",
 	"algo=fedcross model=mlp codec=int8 net=lte deadline=0.12 retries=1",
 	"algo=fedavg model=mlp attack=signflip frac=0.25",
