@@ -920,70 +920,41 @@ var gates = []gate{
 			}
 	}},
 
-	// A forward and a backward pass through two ReLU → MaxPool stages at
-	// the CNN's shapes, batch 50 (the CNN now folds its pools into its
-	// convolutions, row conv-pool; ResNetMini's pool after a residual block
-	// is the standalone one left): nn.NewReLUMaxPool2D against the two
-	// layers it folds, whose backward pass is tensor.Unpool2x2 where the two layers'
-	// zero dx and scatter. 1.7–2.9× measured (1.5–2.4× when both sides
-	// zeroed and scattered), single runs dipping to 1.0 when the box
-	// slows inside the folded side; half of that would gate nothing, so
-	// the floor is 1.1: below it the fold buys nothing — a rectifier pass
-	// crept back into the layer, or its start value sends the pool down a
-	// slower path than −Inf does.
-	{name: "relu-pool", reps: 200, runs: 3, bound: 1.1, amd64Only: true, setup: func(testing.TB) (func(), func()) {
+	// A forward and a backward pass through ResNetMini's pool after its
+	// first residual block, 12 planes of 8×8 at batch 50 (the zoo's one
+	// standalone pool; the CNN and VGGMini pool inside their convolutions,
+	// row conv-pool): nn.NewReLUMaxPool2D against a ReLU pass in front of
+	// it, what the fold saves. 2.17–2.93× over ten runs; 1.04–1.43× with
+	// the pool and its unpool on their twins. Half the low end would pass
+	// on the twins, so the bound sits between: below it a rectifier pass
+	// crept back into the layer, or its kernels fell back to their twins.
+	{name: "relu-pool", reps: 200, runs: 3, bound: 1.6, amd64Only: true, setup: func(testing.TB) (func(), func()) {
 		rng := tensor.NewRNG(2)
-		type stage struct {
-			folded, pool *nn.MaxPool2D
-			relu         *nn.ReLU
-			x, grad      *tensor.Tensor
-		}
-		var stages []stage
-		for _, c := range []struct{ ch, side int }{{8, models.VisionH}, {16, models.VisionH / 2}} {
-			folded := nn.NewReLUMaxPool2D(c.ch, c.side, c.side)
-			stages = append(stages, stage{folded, nn.NewMaxPool2D(c.ch, c.side, c.side), nn.NewReLU(),
-				rng.Randn(1, convBatch, folded.InFeatures()), rng.Randn(1, convBatch, folded.OutFeatures())})
-		}
+		folded, pool, relu := nn.NewReLUMaxPool2D(resnetPool, models.VisionH, models.VisionW),
+			nn.NewReLUMaxPool2D(resnetPool, models.VisionH, models.VisionW), nn.NewReLU()
+		x, grad := rng.Randn(1, convBatch, folded.InFeatures()), rng.Randn(1, convBatch, folded.OutFeatures())
 		return func() {
-				for _, s := range stages {
-					s.pool.Forward(s.relu.Forward(s.x))
-					s.relu.Backward(s.pool.Backward(s.grad))
-				}
+				pool.Forward(relu.Forward(x))
+				relu.Backward(pool.Backward(grad))
 			}, func() {
-				for _, s := range stages {
-					s.folded.Forward(s.x)
-					s.folded.Backward(s.grad)
-				}
+				folded.Forward(x)
+				folded.Backward(grad)
 			}
 	}},
 
-	// Two 2×2 pools at the CNN's shapes and batch 50, one call a sample as
-	// nn.MaxPool2D makes them (ResNetMini's pool after a residual block;
-	// the CNN's run inside its convolutions), from +0 as the ReLU-folded
-	// pools start:
-	// tensor.MaxPool2x2 against MaxPool2x2Go.
-	// 7.5–13.7× over twenty runs, 0.92–1.21× with the kernel on its twin;
+	// ResNetMini's pool, 12 planes of 8×8 at batch 50, one call a sample as
+	// nn.MaxPool2D makes them: tensor.MaxPool2x2 against MaxPool2x2Go.
+	// 10.5–12.1× over ten runs, 0.81–1.14× with the kernel on its twin;
 	// the bound is under half the low end: below it the pool fell back to
-	// its twin (or stopped taking the CNN's plane shapes).
+	// its twin (or stopped taking ResNetMini's plane shape).
 	{name: "pool", reps: 200, runs: 3, bound: 3.5, amd64Only: true, setup: func(testing.TB) (func(), func()) {
-		rng := tensor.NewRNG(6)
-		type stage struct {
-			src, dst []float64
-			am       []int
-			ch, side int
-		}
-		var stages []stage
-		for _, c := range []struct{ ch, side int }{{8, models.VisionH}, {16, models.VisionH / 2}} {
-			n := convBatch * c.ch * c.side * c.side
-			stages = append(stages, stage{rng.Randn(1, n).Data, make([]float64, n/4), make([]int, n/4), c.ch, c.side})
-		}
-		run := func(pool func(dst []float64, am []int, src []float64, w, oh, ow, planes int, start float64)) func() {
+		const in = resnetPool * models.VisionH * models.VisionW
+		const out = in / 4
+		src, dst, am := tensor.NewRNG(6).Randn(1, convBatch*in).Data, make([]float64, convBatch*out), make([]int, convBatch*out)
+		run := func(pool func(dst []float64, am []int, src []float64, oh, ow, planes int)) func() {
 			return func() {
-				for _, s := range stages {
-					in, out := len(s.src)/convBatch, len(s.dst)/convBatch
-					for b := range convBatch {
-						pool(s.dst[b*out:(b+1)*out], s.am[b*out:(b+1)*out], s.src[b*in:(b+1)*in], s.side, s.side/2, s.side/2, s.ch, 0)
-					}
+				for b := range convBatch {
+					pool(dst[b*out:(b+1)*out], am[b*out:(b+1)*out], src[b*in:(b+1)*in], models.VisionH/2, models.VisionW/2, resnetPool)
 				}
 			}
 		}
@@ -1007,11 +978,13 @@ var gates = []gate{
 	// into the padded float32 frame (tensor.UnpoolPadded) — against
 	// nn.NewConv2D then nn.NewReLUMaxPool2D from the same draws; setup holds
 	// outputs, dx, dW and dB to the same bits. 0.97–1.38× over ten runs
+	// while the unfused side's 4×4 stage pooled on the AVX2 kernel, and
+	// 1.16–1.85× since that stage, two windows a row, pools on the twin
 	// (single runs near 1 when the box slows inside the fused side); with
 	// the pooled output transform and the unpool on their twins
-	// 0.07–0.11×. The bound is half the low end: below it the pooled
-	// output transform fell back to its twin. The unpool alone on its twin
-	// reads ≈ 1 here; glue/unpool-padded catches that.
+	// 0.09–0.14×. The bound is half the first range's low end: below it
+	// the pooled output transform fell back to its twin. The unpool alone
+	// on its twin reads ≈ 1 here; glue/unpool-padded catches that.
 	{name: "conv-pool", reps: 200, runs: 3, bound: 0.48, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
 		rng := tensor.NewRNG(8)
 		type stage struct {
@@ -1102,18 +1075,18 @@ var gates = []gate{
 	}},
 
 	// The conv and pool layers' data movement on its AVX2 kernels against
-	// their Go twins, at the CNN's shapes and batch 50, one call a batch
-	// each as nn.Conv2D and MaxPool2D make them. narrow: both convolutions'
-	// inputs and incoming gradients into their float32 buffers padded by
-	// one (an unpooled convolution's incoming gradient; the CNN's fused
-	// ones take tensor.UnpoolPadded, row conv-pool), measured 3.76–4.48× over ten
-	// runs and gated at 1.6; 0.81–1.14× with the kernel on its twin.
-	// unpool: both ReLU-pool stages' 2×2 backward passes (a standalone
-	// pool's, as ResNetMini's runs it); its twin is the
-	// zero-and-scatter loop the kernel replaced: 1.65–2.63×, half of which
-	// would gate nothing, and 0.87–1.22× with the kernel on the twin, so
-	// its floor sits between the two. Below the bound the kernel fell back
-	// to its twin.
+	// their Go twins at batch 50, one call a batch each as nn.Conv2D and
+	// MaxPool2D make them. narrow: the CNN's two convolutions' inputs and
+	// incoming gradients into their float32 buffers padded by one (an
+	// unpooled convolution's incoming gradient; the CNN's fused ones take
+	// tensor.UnpoolPadded, row conv-pool), measured 4.77–6.57× over ten
+	// runs and gated at 1.6; 0.97–1.74× with the kernel on its twin, both
+	// sides then the same loop.
+	// unpool: the 2×2 backward pass of ResNetMini's pool, 12 planes of 8×8;
+	// its twin is the zero-and-scatter loop the kernel replaced:
+	// 1.71–2.52×, half of which would gate nothing, and 0.88–1.13× with the
+	// kernel on the twin, so its floor sits between the two. Below the
+	// bound the kernel fell back to its twin.
 	glueRow("narrow", 1.6, func(*tensor.RNG) (func(), func()) {
 		type call struct {
 			dst        []float32
@@ -1128,37 +1101,25 @@ var gates = []gate{
 				call{make([]float32, convBatch*g.InC*plane), l.x.Data, convBatch * g.InC, side},
 				call{make([]float32, convBatch*l.conv.OutC*plane), l.grad.Data, convBatch * l.conv.OutC, side})
 		}
-		run := func(f func([]float32, []float64, int, int, int, int)) func() {
+		run := func(f func([]float32, []float64, int, int, int)) func() {
 			return func() {
 				for _, c := range calls {
-					f(c.dst, c.src, c.planes, c.hw, c.hw, 1)
+					f(c.dst, c.src, c.planes, c.hw, c.hw)
 				}
 			}
 		}
 		return run(tensor.NarrowPaddedGo), run(tensor.NarrowPadded)
 	}),
 	glueRow("unpool", 1.35, func(rng *tensor.RNG) (func(), func()) {
-		type stage struct {
-			ow, pairs int
-			dx, g     []float64
-			am        []int
+		const ow, pairs, w = models.VisionW / 2, resnetPool * models.VisionH / 2, models.VisionW
+		am := make([]int, convBatch*pairs*ow)
+		for o := range am {
+			r, ox := o/ow%pairs, o%ow
+			am[o] = 2*r*w + 2*ox + []int{0, 1, w, w + 1}[rng.Intn(4)]
 		}
-		var stages []stage
-		for _, c := range []struct{ ch, side int }{{8, models.VisionH}, {16, models.VisionH / 2}} {
-			ow, pairs, w := c.side/2, c.ch*c.side/2, c.side
-			am := make([]int, convBatch*pairs*ow)
-			for o := range am {
-				r, ox := o/ow%pairs, o%ow
-				am[o] = 2*r*w + 2*ox + []int{0, 1, w, w + 1}[rng.Intn(4)]
-			}
-			stages = append(stages, stage{ow, pairs, make([]float64, 4*len(am)), rng.Randn(1, len(am)).Data, am})
-		}
+		dx, g := make([]float64, 4*len(am)), rng.Randn(1, len(am)).Data
 		run := func(f func(dx, g []float64, am []int, ow, pairs, batch int)) func() {
-			return func() {
-				for _, s := range stages {
-					f(s.dx, s.g, s.am, s.ow, s.pairs, convBatch)
-				}
-			}
+			return func() { f(dx, g, am, ow, pairs, convBatch) }
 		}
 		return run(tensor.Unpool2x2Go), run(tensor.Unpool2x2)
 	}),
@@ -1487,6 +1448,10 @@ func newWireBatch(k, n int) wireBatch {
 
 // convBatch is the batch of the conv rows.
 const convBatch = 50
+
+// resnetPool is the channel count of ResNetMini's pool after its first
+// residual block, the zoo's one standalone pool.
+const resnetPool = 12
 
 type convLayer struct {
 	conv    *nn.Conv2D

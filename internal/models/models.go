@@ -47,10 +47,11 @@ type Factory struct {
 // CNN mirrors the paper's FedAvg CNN: two conv+ReLU+pool stages and two
 // fully connected layers. Here and below a convolution directly followed
 // by a ReLU and a max pool is built as the one layer nn.NewConv2DReLUPool,
-// whose pool runs inside the convolution's Winograd output transform, and
-// a ReLU in front of a pool with no convolution before it (ResNetMini's,
-// after a residual block) as nn.NewReLUMaxPool2D; both are the same bits
-// in both directions as the layers they fold.
+// whose pool runs inside the convolution's Winograd output transform. The
+// one ReLU and pool with no convolution before them, ResNetMini's after
+// its first residual block, is nn.NewReLUMaxPool2D, the zoo's only
+// standalone pool. Both are the same bits in both directions as a ReLU
+// followed by a 2×2 max pool.
 func CNN(classes int) Factory {
 	return Factory{
 		Name: fmt.Sprintf("cnn-%d", classes),

@@ -51,7 +51,7 @@ func TestTrainStepZeroAllocCNN(t *testing.T) {
 	net := NewSequential(
 		conv,
 		NewReLU(),
-		NewMaxPool2D(4, 8, 8),
+		NewReLUMaxPool2D(4, 8, 8),
 		NewLinear(4*4*4, 4, rng),
 	)
 	x := rng.Randn(1, 6, 64)

@@ -122,7 +122,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkBatch("Conv2D", x, c.InFeatures())
 	batch, g := x.Shape[0], c.Geom
 	c.padded = resize(c.padded, batch*g.InC*(g.InH+2)*(g.InW+2))
-	tensor.NarrowPadded(c.padded, x.Data, batch*g.InC, g.InH, g.InW, 1)
+	tensor.NarrowPadded(c.padded, x.Data, batch*g.InC, g.InH, g.InW)
 	c.out = tensor.Ensure(c.out, batch, c.OutFeatures())
 	c.wino.SetWeights(c.W.Data)
 	if c.pool {
@@ -147,7 +147,7 @@ func (c *Conv2D) BackwardParams(grad *tensor.Tensor) {
 	if c.pool {
 		tensor.UnpoolPadded(c.dy, grad.Data, c.taps, batch*c.OutC, g.InH/2, g.InW/2)
 	} else {
-		tensor.NarrowPadded(c.dy, grad.Data, batch*c.OutC, g.InH, g.InW, 1)
+		tensor.NarrowPadded(c.dy, grad.Data, batch*c.OutC, g.InH, g.InW)
 	}
 	c.wino.GradParams(c.dW.Data, c.dB.Data, c.dy, batch)
 }

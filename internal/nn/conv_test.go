@@ -390,7 +390,7 @@ func sprinkle(rng *tensor.RNG, data []float64) {
 // TestConstructorsRefuseUnrunnableSizes: a layer whose sizes it could not
 // run must be refused when it is built, by a panic that names it — not on
 // the first Forward, inside a kernel (NewConv2D with no output channel
-// used to fail there, NewMaxPool2D took empty planes because 0%k is 0,
+// used to fail there, the pool took empty planes because 0%k is 0,
 // and NewGlobalAvgPool took an empty plane, whose average is 0/0).
 // NewConv2D refuses the planes tensor.NewWinograd does not take.
 func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
@@ -404,11 +404,11 @@ func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
 		{"conv with an empty plane", "nn: Conv2D: tensor: conv geometry", func() { NewConv2D(2, 0, 4, 4, rng) }},
 		{"conv over a 5x5 plane", "nn: Conv2D: geometry {InC:2 InH:5 InW:5 ", func() { NewConv2D(2, 5, 5, 4, rng) }},
 		{"conv over a 4x6 plane", "nn: Conv2D: geometry {InC:2 InH:4 InW:6 ", func() { NewConv2D(2, 4, 6, 4, rng) }},
-		{"pool without channels", "nn: MaxPool2D: 0 channels of 4x4", func() { NewMaxPool2D(0, 4, 4) }},
-		{"pool without rows", "nn: MaxPool2D: 2 channels of 0x4", func() { NewMaxPool2D(2, 0, 4) }},
+		{"pool without channels", "nn: MaxPool2D: 0 channels of 4x4", func() { NewReLUMaxPool2D(0, 4, 4) }},
+		{"pool without rows", "nn: MaxPool2D: 2 channels of 0x4", func() { NewReLUMaxPool2D(2, 0, 4) }},
 		{"pool without columns", "nn: MaxPool2D: 2 channels of 4x0", func() { NewReLUMaxPool2D(2, 4, 0) }},
-		{"pool with negative rows", "nn: MaxPool2D: 2 channels of -2x4", func() { NewMaxPool2D(2, -2, 4) }},
-		{"pool over odd rows", "nn: MaxPool2D: 3x4 planes", func() { NewMaxPool2D(2, 3, 4) }},
+		{"pool with negative rows", "nn: MaxPool2D: 2 channels of -2x4", func() { NewReLUMaxPool2D(2, -2, 4) }},
+		{"pool over odd rows", "nn: MaxPool2D: 3x4 planes", func() { NewReLUMaxPool2D(2, 3, 4) }},
 		{"pool over odd columns", "nn: MaxPool2D: 4x5 planes", func() { NewReLUMaxPool2D(2, 4, 5) }},
 		{"average pool without channels", "nn: GlobalAvgPool: 0 channels of 4x4", func() { NewGlobalAvgPool(0, 4, 4) }},
 		{"average pool without rows", "nn: GlobalAvgPool: 2 channels of 0x4", func() { NewGlobalAvgPool(2, 0, 4) }},
@@ -424,45 +424,32 @@ func TestConstructorsRefuseUnrunnableSizes(t *testing.T) {
 		}()
 	}
 	NewConv2D(2, 4, 4, 1, rng) // the smallest runnable sizes are accepted
-	NewMaxPool2D(1, 2, 2)
+	NewReLUMaxPool2D(1, 2, 2)
 	NewGlobalAvgPool(1, 1, 1)
-}
-
-// poolKinds are MaxPool2D's two constructors with the start value each
-// gives the running maximum.
-var poolKinds = []struct {
-	name  string
-	new   func(c, h, w int) *MaxPool2D
-	start float64
-}{
-	{"MaxPool2D", NewMaxPool2D, math.Inf(-1)},
-	{"ReLUMaxPool2D", NewReLUMaxPool2D, 0},
 }
 
 // TestMaxPoolNoWinnerBackward: a window that is all NaN records argmax -1
 // and must route no gradient — it used to index dst[-1] — and outputs the
-// start value, -Inf or the folded ReLU's +0. Width 2 takes the scalar
-// twin, 4×4 and width 8 the vector kernel where there is one.
+// folded ReLU's +0. Widths 2 and 4 take the scalar twin, width 8 the
+// vector kernel where there is one.
 func TestMaxPoolNoWinnerBackward(t *testing.T) {
-	for _, kind := range poolKinds {
-		for _, tc := range []struct{ h, w int }{{2, 2}, {4, 4}, {2, 8}} {
-			p := kind.new(1, tc.h, tc.w)
-			x := tensor.Zeros(1, tc.h*tc.w)
-			for i := range x.Data {
-				x.Data[i] = math.NaN()
+	for _, tc := range []struct{ h, w int }{{2, 2}, {4, 4}, {2, 8}} {
+		p := NewReLUMaxPool2D(1, tc.h, tc.w)
+		x := tensor.Zeros(1, tc.h*tc.w)
+		for i := range x.Data {
+			x.Data[i] = math.NaN()
+		}
+		out := p.Forward(x)
+		for i, v := range out.Data {
+			if math.Float64bits(v) != 0 || p.argmax[i] != -1 {
+				t.Fatalf("%+v: window %d output %v argmax %d, want +0 and -1", tc, i, v, p.argmax[i])
 			}
-			out := p.Forward(x)
-			for i, v := range out.Data {
-				if math.Float64bits(v) != math.Float64bits(kind.start) || p.argmax[i] != -1 {
-					t.Fatalf("%s %+v: window %d output %v argmax %d, want %v and -1", kind.name, tc, i, v, p.argmax[i], kind.start)
-				}
-			}
-			grad := tensor.New(slices.Repeat([]float64{1}, out.Len()), out.Shape...)
-			dx := p.Backward(grad)
-			for i, v := range dx.Data {
-				if v != 0 {
-					t.Fatalf("%s %+v: dx[%d] = %v, a window without a winner has no sub-gradient", kind.name, tc, i, v)
-				}
+		}
+		grad := tensor.New(slices.Repeat([]float64{1}, out.Len()), out.Shape...)
+		dx := p.Backward(grad)
+		for i, v := range dx.Data {
+			if v != 0 {
+				t.Fatalf("%+v: dx[%d] = %v, a window without a winner has no sub-gradient", tc, i, v)
 			}
 		}
 	}
@@ -496,41 +483,73 @@ func poolInput(rng *tensor.RNG, batch, features, w int) *tensor.Tensor {
 // TestMaxPoolForwardMatchesTwin holds MaxPool2D.Forward, one
 // tensor.MaxPool2x2 call a sample, to tensor.MaxPool2x2Go over the same
 // sample (the twin table holds that to a window loop): same outputs, same
-// argmax, on planes with ties, NaN, ±Inf, signed zeros and denormals, for
-// both start values.
+// argmax, on planes with ties, NaN, ±Inf, signed zeros and denormals.
 func TestMaxPoolForwardMatchesTwin(t *testing.T) {
 	rng := tensor.NewRNG(16)
-	for _, kind := range poolKinds {
-		for _, w := range []int{2, 4, 6, 8, 10} {
-			for _, h := range []int{2, 4, 6} {
-				const planes, batch = 3, 2
-				p := kind.new(planes, h, w)
-				x := poolInput(rng, batch, planes*h*w, w)
-				outLen := p.OutFeatures()
-				want, wantAM := make([]float64, batch*outLen), make([]int, batch*outLen)
-				for b := 0; b < batch; b++ {
-					tensor.MaxPool2x2Go(want[b*outLen:], wantAM[b*outLen:], x.Data[b*planes*h*w:], w, h/2, w/2, planes, kind.start)
-				}
-				what := fmt.Sprintf("%s w=%d h=%d", kind.name, w, h)
-				sameBits(t, what, p.Forward(x).Data, want)
-				for i, idx := range p.argmax {
-					if idx != wantAM[i] {
-						t.Fatalf("%s argmax %d: %d, twin %d", what, i, idx, wantAM[i])
-					}
+	for _, w := range []int{2, 4, 6, 8, 10} {
+		for _, h := range []int{2, 4, 6} {
+			const planes, batch = 3, 2
+			p := NewReLUMaxPool2D(planes, h, w)
+			x := poolInput(rng, batch, planes*h*w, w)
+			outLen := p.OutFeatures()
+			want, wantAM := make([]float64, batch*outLen), make([]int, batch*outLen)
+			for b := 0; b < batch; b++ {
+				tensor.MaxPool2x2Go(want[b*outLen:], wantAM[b*outLen:], x.Data[b*planes*h*w:], h/2, w/2, planes)
+			}
+			what := fmt.Sprintf("w=%d h=%d", w, h)
+			sameBits(t, what, p.Forward(x).Data, want)
+			for i, idx := range p.argmax {
+				if idx != wantAM[i] {
+					t.Fatalf("%s argmax %d: %d, twin %d", what, i, idx, wantAM[i])
 				}
 			}
 		}
 	}
 }
 
-// TestReLUMaxPoolMatchesLayers pins the folded layer to the two it
-// replaces: NewReLUMaxPool2D against NewReLU followed by NewMaxPool2D —
-// outputs and input gradients Float64bits-equal, on a first batch and on
-// a second of another size through the same layers — over 4-wide planes
-// (the vector kernel's stacked-row-pair path, and with one channel of two
-// rows its decline), 8- and 12-wide ones and a 2-wide plane (the scalar
-// twin), with NaN, ±Inf, signed zeros, denormals, exact ties and windows
-// nothing positive enters.
+// windowPool is a plain 2×2 stride-2 max pool written out window by
+// window: each window's first tap, in (dy, dx) order, strictly greater
+// than a maximum that begins at −Inf, and its gradient routed back to
+// that tap.
+type windowPool struct {
+	c, h, w int
+	argmax  []int
+}
+
+func (p *windowPool) forward(x *tensor.Tensor) *tensor.Tensor {
+	batch, oh, ow := x.Shape[0], p.h/2, p.w/2
+	out := tensor.Zeros(batch, p.c*oh*ow)
+	p.argmax = make([]int, len(out.Data))
+	for o := range out.Data {
+		best, win := math.Inf(-1), -1
+		top := o/ow*2*p.w + o%ow*2 // planes and samples stack their row pairs
+		for _, idx := range []int{top, top + 1, top + p.w, top + p.w + 1} {
+			if x.Data[idx] > best {
+				best, win = x.Data[idx], idx
+			}
+		}
+		out.Data[o], p.argmax[o] = best, win
+	}
+	return out
+}
+
+func (p *windowPool) backward(grad *tensor.Tensor) *tensor.Tensor {
+	dx := tensor.Zeros(grad.Shape[0], p.c*p.h*p.w)
+	for o, idx := range p.argmax {
+		if idx >= 0 {
+			dx.Data[idx] += grad.Data[o]
+		}
+	}
+	return dx
+}
+
+// TestReLUMaxPoolMatchesLayers pins the folded layer to what it replaces:
+// NewReLUMaxPool2D against NewReLU followed by a plain max pool from −Inf
+// (windowPool) — outputs and input gradients Float64bits-equal, on a
+// first batch and on a second of another size through the same layers —
+// over 8-wide planes (the vector kernel's rows) and 2-, 4- and 12-wide
+// ones (the scalar twin), with NaN, ±Inf, signed zeros, denormals, exact
+// ties and windows nothing positive enters.
 func TestReLUMaxPoolMatchesLayers(t *testing.T) {
 	rng := tensor.NewRNG(20)
 	for _, tc := range []struct{ c, h, w int }{
@@ -538,14 +557,14 @@ func TestReLUMaxPoolMatchesLayers(t *testing.T) {
 		{8, 8, 8}, {16, 8, 8}, {1, 12, 8}, {8, 8, 12}, {8, 6, 2},
 	} {
 		folded := NewReLUMaxPool2D(tc.c, tc.h, tc.w)
-		relu, pool := NewReLU(), NewMaxPool2D(tc.c, tc.h, tc.w)
+		relu, pool := NewReLU(), &windowPool{c: tc.c, h: tc.h, w: tc.w}
 		for _, batch := range []int{5, 2, 7} {
 			what := fmt.Sprintf("%+v batch %d", tc, batch)
 			x := poolInput(rng, batch, folded.InFeatures(), tc.w)
-			sameBits(t, what+" out", folded.Forward(x).Data, pool.Forward(relu.Forward(x)).Data)
+			sameBits(t, what+" out", folded.Forward(x).Data, pool.forward(relu.Forward(x)).Data)
 			grad := rng.Uniform(-1, 1, batch, folded.OutFeatures())
 			sprinkle(rng, grad.Data)
-			sameBits(t, what+" dx", folded.Backward(grad).Data, relu.Backward(pool.Backward(grad)).Data)
+			sameBits(t, what+" dx", folded.Backward(grad).Data, relu.Backward(pool.backward(grad)).Data)
 		}
 	}
 }
@@ -643,7 +662,6 @@ func TestBackwardRejectsForeignBatch(t *testing.T) {
 		{"ReLU", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewReLU(); return l, backward(l) }},
 		{"Tanh", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewTanh(); return l, backward(l) }},
 		{"Sigmoid", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewSigmoid(); return l, backward(l) }},
-		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewMaxPool2D(2, 4, 4); return l, backward(l) }},
 		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewReLUMaxPool2D(2, 4, 4); return l, backward(l) }},
 		{"GlobalAvgPool", dense, 2, func() (Layer, func(*tensor.Tensor)) { l := NewGlobalAvgPool(2, 4, 4); return l, backward(l) }},
 		{"Conv2D", dense, 48, func() (Layer, func(*tensor.Tensor)) { c := conv(); return c, backward(c) }},
@@ -725,7 +743,7 @@ func TestConvBoundaryMatchesLoops(t *testing.T) {
 		// padded narrows planes of h×w with a zero border of one.
 		padded := func(src []float64, planes int) []float32 {
 			dst := make([]float32, planes*(g.InH+2)*(g.InW+2))
-			tensor.NarrowPaddedGo(dst, src, planes, g.InH, g.InW, 1)
+			tensor.NarrowPaddedGo(dst, src, planes, g.InH, g.InW)
 			return dst
 		}
 		for _, batch := range []int{3, 1, 4} {
@@ -757,28 +775,25 @@ func TestConvBoundaryMatchesLoops(t *testing.T) {
 // writes every input cell once through tensor.Unpool2x2, to
 // tensor.Unpool2x2Go, the loop it ran before (dx zeroed, then each
 // winner's gradient added; the twin table holds the kernel to it), bit
-// for bit, for both start values, on planes the unpool's assembly takes
-// (rows of a multiple of four windows, 4-wide planes) and ones it does
-// not, with argmax -1 windows and −0, NaN and ±Inf gradients, through
-// batches that shrink and grow so a reused dx holds the last call's
-// values.
+// for bit, on planes the unpool's assembly takes (rows of a multiple of
+// four windows) and ones it does not, with argmax -1 windows and −0, NaN
+// and ±Inf gradients, through batches that shrink and grow so a reused dx
+// holds the last call's values.
 func TestMaxPoolBackwardMatchesScatter(t *testing.T) {
 	rng := tensor.NewRNG(31)
-	for _, kind := range poolKinds {
-		for _, tc := range []struct{ c, h, w int }{
-			{8, 8, 8}, {16, 4, 4}, {1, 2, 4}, {3, 4, 16}, {2, 6, 6}, {2, 2, 2},
-		} {
-			p := kind.new(tc.c, tc.h, tc.w)
-			inLen, outLen := p.InFeatures(), p.OutFeatures()
-			for _, batch := range []int{4, 1, 5} {
-				what := fmt.Sprintf("%s %+v batch %d", kind.name, tc, batch)
-				p.Forward(poolInput(rng, batch, inLen, tc.w))
-				grad := rng.Uniform(-1, 1, batch, outLen)
-				sprinkle(rng, grad.Data)
-				want := make([]float64, batch*inLen)
-				tensor.Unpool2x2Go(want, grad.Data, p.argmax, tc.w/2, tc.c*tc.h/2, batch)
-				sameBits(t, what+" dx", p.Backward(grad).Data, want)
-			}
+	for _, tc := range []struct{ c, h, w int }{
+		{8, 8, 8}, {16, 4, 4}, {1, 2, 4}, {3, 4, 16}, {2, 6, 6}, {2, 2, 2},
+	} {
+		p := NewReLUMaxPool2D(tc.c, tc.h, tc.w)
+		inLen, outLen := p.InFeatures(), p.OutFeatures()
+		for _, batch := range []int{4, 1, 5} {
+			what := fmt.Sprintf("%+v batch %d", tc, batch)
+			p.Forward(poolInput(rng, batch, inLen, tc.w))
+			grad := rng.Uniform(-1, 1, batch, outLen)
+			sprinkle(rng, grad.Data)
+			want := make([]float64, batch*inLen)
+			tensor.Unpool2x2Go(want, grad.Data, p.argmax, tc.w/2, tc.c*tc.h/2, batch)
+			sameBits(t, what+" dx", p.Backward(grad).Data, want)
 		}
 	}
 }

@@ -2,56 +2,39 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"fedcross/internal/tensor"
 )
 
-// MaxPool2D performs non-overlapping 2×2 stride-2 max pooling over CHW
-// images carried in flattened activations, one tensor.MaxPool2x2 call a
-// sample. It visits a window's taps in (dy, dx) order and keeps the first
-// strictly greater than the running maximum, which begins at start, so
-// ties keep the earliest tap and NaN never wins. A window with no winner
-// outputs start, records argmax -1 and has no sub-gradient: Backward
-// routes nothing for it.
-//
-// start is -Inf for a plain pool (no winner: all NaN or all -Inf). With
-// start +0 the layer is ReLU followed by that pool, bit for bit in both
-// directions: the rectified window's maximum is its first strict winner
-// over a +0 floor, or +0 when nothing is positive — and then the pool
-// would have routed the gradient to a tap the ReLU gates to zero, which
-// is what argmax -1 routes.
+// MaxPool2D is a ReLU followed by non-overlapping 2×2 stride-2 max
+// pooling over CHW images carried in flattened activations, in one pass
+// over them: one tensor.MaxPool2x2 call a sample. It visits a window's
+// taps in (dy, dx) order and keeps the first strictly greater than a
+// running maximum that begins at +0, so ties keep the earliest tap and
+// NaN never wins. That is the rectified window's maximum, bit for bit in
+// both directions: a window with nothing positive outputs +0, records
+// argmax -1 and routes no gradient — the pool alone would have routed it
+// to a tap the ReLU gates to zero.
 type MaxPool2D struct {
 	C, H, W int // input geometry
 
-	start   float64
 	argmax  []int // flat input index chosen per output element, per batch
 	batch   int
 	out, dx *tensor.Tensor
 }
 
-// NewMaxPool2D constructs a 2×2 pooling layer for C×H×W inputs. H and W
-// must be even.
-func NewMaxPool2D(c, h, w int) *MaxPool2D {
+// NewReLUMaxPool2D constructs the layer for C×H×W inputs; H and W must
+// be even. Behind a convolution, build NewConv2DReLUPool instead, which
+// folds both into the convolution's output transform; the zoo's one
+// standalone pool is ResNetMini's, after a residual block.
+func NewReLUMaxPool2D(c, h, w int) *MaxPool2D {
 	if c < 1 || h < 1 || w < 1 {
 		panic(fmt.Sprintf("nn: MaxPool2D: %d channels of %dx%d, want each at least 1", c, h, w))
 	}
 	if h%2 != 0 || w%2 != 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D: %dx%d planes, want an even number of rows and columns", h, w))
 	}
-	return &MaxPool2D{C: c, H: h, W: w, start: math.Inf(-1)}
-}
-
-// NewReLUMaxPool2D constructs the layer that computes NewReLU followed by
-// NewMaxPool2D(c, h, w) — same outputs, same input gradients — in the
-// pool's one pass over the activations. Behind a convolution, build
-// NewConv2DReLUPool instead, which folds both into the convolution's
-// output transform; the zoo's one standalone pool is ResNetMini's, after
-// a residual block.
-func NewReLUMaxPool2D(c, h, w int) *MaxPool2D {
-	p := NewMaxPool2D(c, h, w)
-	p.start = 0
-	return p
+	return &MaxPool2D{C: c, H: h, W: w}
 }
 
 // InFeatures returns the flattened input width.
@@ -60,7 +43,7 @@ func (p *MaxPool2D) InFeatures() int { return p.C * p.H * p.W }
 // OutFeatures returns the flattened output width.
 func (p *MaxPool2D) OutFeatures() int { return p.C * (p.H / 2) * (p.W / 2) }
 
-// Forward takes the max over each 2×2 window.
+// Forward takes the max over each 2×2 window and +0.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	checkBatch("MaxPool2D", x, p.InFeatures())
 	batch := x.Shape[0]
@@ -73,7 +56,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.argmax = p.argmax[:batch*outLen]
 	for b := 0; b < batch; b++ {
 		tensor.MaxPool2x2(p.out.Data[b*outLen:(b+1)*outLen], p.argmax[b*outLen:(b+1)*outLen],
-			x.Data[b*inLen:(b+1)*inLen], p.W, p.H/2, p.W/2, p.C, p.start)
+			x.Data[b*inLen:(b+1)*inLen], p.H/2, p.W/2, p.C)
 	}
 	return p.out
 }

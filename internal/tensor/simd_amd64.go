@@ -53,19 +53,15 @@ func reluFwdAVX(out, x []float64, mask []bool)
 //go:noescape
 func reluBwdAVX(dx, g []float64, mask []bool)
 
-// maxPool2AVX computes non-overlapping 2×2 stride-2 max pooling with
-// argmax over `rows` row pairs of width w, four windows per step, `steps`
-// steps per row pair. A step takes four 4-element loads — the top row at
-// +0 and +half bytes, the bottom row (w elements on) at the same two —
-// and moves on by 2·half: half = 32 reads eight consecutive columns of
-// one row pair; half = 64 with w = 4 reads two stacked 4-wide row pairs
-// (sixteen contiguous doubles) as one. Each lane replays the scalar loop:
-// best starts at start, index at -1, candidates tested in (dy, dx)
-// ascending order with strict > (GT_OQ) compare-and-blend. rows and
-// steps are at least 1: its loops test at the bottom.
+// maxPool2AVX computes a ReLU and then non-overlapping 2×2 stride-2 max
+// pooling with argmax over `rows` row pairs of 8·steps columns, four
+// windows (eight columns) a step. Each lane replays the scalar loop: best
+// starts at +0, index at -1, candidates tested in (dy, dx) ascending
+// order with strict > (GT_OQ) compare-and-blend. rows and steps are at
+// least 1: its loops test at the bottom.
 //
 //go:noescape
-func maxPool2AVX(dst *float64, am *int, src *float64, w, rows, steps, half int, start float64)
+func maxPool2AVX(dst *float64, am *int, src *float64, rows, steps int)
 
 // dotTileAVX is the AVX2 dot tile: eight ymm accumulators, one per cell,
 // whose lanes are the cell's four partial-sum streams. c0+n must not
@@ -129,22 +125,19 @@ func lerpAVX(dst, v, w *float64, n int, a, b float64)
 func allFiniteAVX(v *float64, n int) bool
 
 // narrowAVX converts planes × h rows of w float64 (w a positive multiple
-// of 4), contiguous in src, to float32 rows pw elements apart in dst,
-// moving on by skip more elements after each plane's h rows.
+// of 4), contiguous in src, to the float32 interiors of planes padded by
+// one in dst, dst at the first plane's first interior cell.
 //
 //go:noescape
-func narrowAVX(dst *float32, src *float64, planes, h, w, pw, skip int)
+func narrowAVX(dst *float32, src *float64, planes, h, w int)
 
-// unpoolAVX writes the 2×2 unpool of batch samples of rows × steps steps,
-// four windows a step. A step reads four argmax indices and gradients
-// and writes two 4-cell runs of the top row, at +0 and +half elements,
-// and the same two w elements on; it moves on by 2·half elements, and by
-// skip more after each row. half = 4, skip = w walks the row pairs of
-// 8-column multiples; half = 8, skip = 0 with w = 4 takes two stacked
-// 4-wide row pairs as one step, as maxPool2AVX does.
+// unpoolAVX writes the 2×2 unpool of batch samples of rows row pairs of
+// 8·steps columns, four windows a step: a step reads four argmax indices
+// and gradients and writes the eight top-row cells of its windows and the
+// eight below them.
 //
 //go:noescape
-func unpoolAVX(dx, grad *float64, am *int, batch, rows, steps, half, w, skip int)
+func unpoolAVX(dx, grad *float64, am *int, batch, rows, steps int)
 
 // avx2Supported is probed once at init and gates backend selection.
 var avx2Supported = hasAVX2()
@@ -200,20 +193,12 @@ func reluForward(out, x []float64, mask []bool) {
 }
 
 // maxPool2x2Plane dispatches the checked run of row pairs to the AVX2
-// maxpool kernel when the plane shape fits its vector width: rows of a
-// multiple of four windows, or 4-wide planes — two windows a row pair —
-// taken two row pairs at a time.
-func maxPool2x2Plane(dst []float64, am []int, src []float64, w, pairs, ow int, start float64) bool {
-	switch {
-	case !avx2Supported || pairs == 0 || ow == 0:
-		return false
-	case ow%4 == 0:
-		maxPool2AVX(&dst[0], &am[0], &src[0], w, pairs, ow/4, 32, start)
-	case ow == 2 && w == 4 && pairs%2 == 0:
-		maxPool2AVX(&dst[0], &am[0], &src[0], w, 1, pairs/2, 64, start)
-	default:
+// maxpool kernel when its rows are a multiple of four windows.
+func maxPool2x2Plane(dst []float64, am []int, src []float64, pairs, ow int) bool {
+	if !avx2Supported || pairs == 0 || ow == 0 || ow%4 != 0 {
 		return false
 	}
+	maxPool2AVX(&dst[0], &am[0], &src[0], pairs, ow/4)
 	return true
 }
 
@@ -415,29 +400,23 @@ func allFinite(v []float64) bool {
 // narrowPadded runs the checked narrow on the AVX2 kernel when the CPU has
 // it, in one call for the batch; rows whose width is not a multiple of 4
 // run the twin whole.
-func narrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
+func narrowPadded(dst []float32, src []float64, planes, h, w int) {
 	if !avx2Supported || planes*h*w == 0 || w%4 != 0 {
-		narrowPaddedGo(dst, src, planes, h, w, pad)
+		narrowPaddedGo(dst, src, planes, h, w)
 		return
 	}
-	pw := w + 2*pad
-	narrowAVX(&dst[pad*pw+pad], &src[0], planes, h, w, pw, 2*pad*pw)
+	narrowAVX(&dst[w+2+1], &src[0], planes, h, w) // the first interior cell
 }
 
 // unpool2x2 runs the checked unpool on the AVX2 kernel, one call for the
 // batch, for the shapes maxPool2x2Plane takes: rows of a multiple of four
-// windows, or 4-wide planes taken two row pairs at a time.
+// windows.
 func unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {
-	switch {
-	case !avx2Supported || batch*pairs*ow == 0:
-	case ow%4 == 0:
-		unpoolAVX(&dx[0], &g[0], &am[0], batch, pairs, ow/4, 4, 2*ow, 2*ow)
-		return
-	case ow == 2 && pairs%2 == 0:
-		unpoolAVX(&dx[0], &g[0], &am[0], batch, pairs/2, 1, 8, 4, 0)
+	if !avx2Supported || batch*pairs*ow == 0 || ow%4 != 0 {
+		unpool2x2Go(dx, g, am, ow, pairs, batch)
 		return
 	}
-	unpool2x2Go(dx, g, am, ow, pairs, batch)
+	unpoolAVX(&dx[0], &g[0], &am[0], batch, pairs, ow/4)
 }
 
 // unpoolPadAVX writes the unpool of planes × rows × steps steps of four

@@ -680,53 +680,43 @@ dotdone:
 	RET
 
 // poolLaneIdx seeds the 2x2 maxpool index vector: the input column index
-// of each lane's first candidate within its 4-element load; the kernel
-// adds the second load's distance to lanes 2 and 3.
+// of each lane's first candidate within its step's eight columns.
 DATA poolLaneIdx<>+0x00(SB)/8, $0
 DATA poolLaneIdx<>+0x08(SB)/8, $2
-DATA poolLaneIdx<>+0x10(SB)/8, $0
-DATA poolLaneIdx<>+0x18(SB)/8, $2
+DATA poolLaneIdx<>+0x10(SB)/8, $4
+DATA poolLaneIdx<>+0x18(SB)/8, $6
 GLOBL poolLaneIdx<>(SB), RODATA|NOPTR, $32
 
-// func maxPool2AVX(dst *float64, am *int, src *float64, w, rows, steps, half int, start float64)
-// Non-overlapping 2x2 stride-2 max pooling with argmax, 4 output elements
-// per step, rows and steps ≥ 1. A step's top-row candidates come from the 4-element loads at
-// +0 and +half bytes, its bottom-row candidates from the same two loads w
-// elements on; half = 32 walks one row pair eight columns at a time,
-// half = 64 with w = 4 takes two stacked 4-wide row pairs, 16 contiguous
-// doubles, as one step. Each lane replays the scalar loop exactly: best
-// starts at start, index at -1, and the four window candidates are tested
-// in (dy, dx) ascending order with a strict > compare (GT_OQ, so NaN never
-// wins) and mask blends.
-TEXT ·maxPool2AVX(SB), NOSPLIT, $0-64
+// func maxPool2AVX(dst *float64, am *int, src *float64, rows, steps int)
+// A ReLU and then non-overlapping 2x2 stride-2 max pooling with argmax, 4
+// output elements per step, rows and steps ≥ 1, over row pairs w =
+// 8·steps elements wide. A step's top-row candidates come from the
+// 4-element loads at +0 and +32 bytes, its bottom-row candidates from the
+// same two loads w elements on. Each lane replays the scalar loop
+// exactly: best starts at +0, index at -1, and the four window candidates
+// are tested in (dy, dx) ascending order with a strict > compare (GT_OQ,
+// so NaN never wins) and mask blends.
+TEXT ·maxPool2AVX(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ am+8(FP), R8
 	MOVQ src+16(FP), BX      // row0
-	MOVQ w+24(FP), R10
-	MOVQ rows+32(FP), R9
-	MOVQ half+48(FP), R14
+	MOVQ rows+24(FP), R9
+	MOVQ steps+32(FP), R14
+	SHLQ $3, R14             // W
 	XORQ R12, R12            // flat index of the row pair's first element
 
-	VBROADCASTSD start+56(FP), Y15
-	MOVQ R14, AX
-	SHRQ $3, AX              // the second load's distance in elements
-	VMOVQ AX, X5
-	VPBROADCASTQ X5, Y5
-	VPXOR Y6, Y6, Y6
-	VPBLENDD $0xf0, Y5, Y6, Y5
+	VXORPD Y15, Y15, Y15     // +0
 	VMOVDQU poolLaneIdx<>+0(SB), Y14
-	VPADDQ Y5, Y14, Y14      // lane seeds {0, 2, half/8, half/8+2}
-	MOVQ R14, AX
-	SHRQ $2, AX
+	MOVQ $8, AX
 	VMOVQ AX, X13
 	VPBROADCASTQ X13, Y13    // per-step index advance
-	VMOVQ R10, X12
+	VMOVQ R14, X12
 	VPBROADCASTQ X12, Y12    // W
 	MOVQ $1, AX
 	VMOVQ AX, X11
 	VPBROADCASTQ X11, Y11    // 1
 	VPCMPEQQ Y10, Y10, Y10   // -1
-	SHLQ $3, R10             // W in bytes
+	LEAQ (R14*8), R10        // W in bytes
 
 rowloop:
 	LEAQ (BX)(R10*1), R11    // row1
@@ -734,25 +724,24 @@ rowloop:
 	VPBROADCASTQ X4, Y4
 	VPADDQ Y14, Y4, Y4       // lane candidate-(0,0) indices
 	XORQ DX, DX              // byte offset of the step's first load
-	MOVQ steps+40(FP), R13
+	MOVQ steps+32(FP), R13
 
 iter:
-	LEAQ (DX)(R14*1), AX     // byte offset of its second load
 	// Deinterleave each row's 8 elements into even/odd columns.
 	VMOVUPD (BX)(DX*1), Y0
-	VMOVUPD (BX)(AX*1), Y1
+	VMOVUPD 32(BX)(DX*1), Y1
 	VSHUFPD $0x0, Y1, Y0, Y2
 	VPERMPD $0xd8, Y2, Y2    // candidates (0,0)
 	VSHUFPD $0xf, Y1, Y0, Y3
 	VPERMPD $0xd8, Y3, Y3    // candidates (0,1)
 	VMOVUPD (R11)(DX*1), Y0
-	VMOVUPD (R11)(AX*1), Y1
+	VMOVUPD 32(R11)(DX*1), Y1
 	VSHUFPD $0x0, Y1, Y0, Y6
 	VPERMPD $0xd8, Y6, Y6    // candidates (1,0)
 	VSHUFPD $0xf, Y1, Y0, Y7
 	VPERMPD $0xd8, Y7, Y7    // candidates (1,1)
 
-	VMOVUPD Y15, Y8          // best = start
+	VMOVUPD Y15, Y8          // best = +0
 	VMOVUPD Y10, Y9          // bestIdx = -1
 
 	VCMPPD $0x1e, Y8, Y2, Y0
@@ -778,14 +767,13 @@ iter:
 	VMOVUPD Y8, (DI)
 	VMOVUPD Y9, (R8)
 	VPADDQ Y13, Y4, Y4
-	LEAQ (DX)(R14*2), DX
+	ADDQ $64, DX
 	ADDQ $32, DI
 	ADDQ $32, R8
 	DECQ R13
 	JNZ  iter
 	LEAQ (BX)(R10*2), BX
-	MOVQ w+24(FP), AX
-	LEAQ (R12)(AX*2), R12
+	LEAQ (R12)(R14*2), R12
 	DECQ R9
 	JNZ  rowloop
 	VZEROUPPER
@@ -1526,20 +1514,19 @@ floop:
 
 // Data-movement kernels (simd_glue.go).
 
-// func narrowAVX(dst *float32, src *float64, planes, h, w, pw, skip int)
+// func narrowAVX(dst *float32, src *float64, planes, h, w int)
 // planes × h rows of w float64 (w%4 == 0, every count ≥ 1) from
-// contiguous src to float32 rows pw elements apart, skip more after each
-// plane. VCVTPD2PS rounds as CVTSD2SS does, so each element is Go's
-// float32(v), NaN payloads included.
-TEXT ·narrowAVX(SB), NOSPLIT, $0-56
+// contiguous src to the float32 interiors of planes padded by one: rows
+// w+2 elements apart, two rows more after each plane. VCVTPD2PS rounds
+// as CVTSD2SS does, so each element is Go's float32(v), NaN payloads
+// included.
+TEXT ·narrowAVX(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ planes+16(FP), R8
 	MOVQ w+32(FP), CX
-	MOVQ pw+40(FP), R10
-	MOVQ skip+48(FP), R11
-	SHLQ $2, R10
-	SHLQ $2, R11
+	LEAQ 8(CX*4), R10        // a padded row in bytes
+	LEAQ (R10)(R10*1), R11   // the two border rows between planes
 
 nplane:
 	MOVQ h+24(FP), R9
@@ -1571,26 +1558,26 @@ DATA unpoolIdx<>+0x10(SB)/8, $2
 DATA unpoolIdx<>+0x18(SB)/8, $3
 GLOBL unpoolIdx<>(SB), RODATA|NOPTR, $32
 
-// func unpoolAVX(dx, grad *float64, am *int, batch, rows, steps, half, w, skip int)
-// Every count ≥ 1. Windows j = 0, 1 of a step own the top-row run at +0,
-// j = 2, 3 the one half elements on: duplicating each window's argmax and +0 + g
-// across its two columns, a cell's value is that gradient where the
-// argmax equals the cell's index, +0 elsewhere (VPCMPEQQ, VANDPD).
-TEXT ·unpoolAVX(SB), NOSPLIT, $0-72
+// func unpoolAVX(dx, grad *float64, am *int, batch, rows, steps int)
+// Every count ≥ 1; a row pair is w = 8·steps cells wide. Windows j = 0, 1
+// of a step own the top-row run at +0, j = 2, 3 the one four cells on:
+// duplicating each window's argmax and +0 + g across its two columns, a
+// cell's value is that gradient where the argmax equals the cell's index,
+// +0 elsewhere (VPCMPEQQ, VANDPD). The bottom row is the same w cells on.
+TEXT ·unpoolAVX(SB), NOSPLIT, $0-48
 	MOVQ dx+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ am+16(FP), R8
 	MOVQ batch+24(FP), R9
-	MOVQ half+48(FP), R14
-	MOVQ w+56(FP), R10
-	MOVQ skip+64(FP), R11
+	MOVQ steps+40(FP), R10
+	SHLQ $3, R10             // W
 	VXORPD Y15, Y15, Y15
-	VPBROADCASTQ half+48(FP), Y13
-	VPBROADCASTQ w+56(FP), Y12
-	VPBROADCASTQ skip+64(FP), Y10
-	SHLQ $3, R14
-	SHLQ $3, R10
-	SHLQ $3, R11
+	MOVQ $4, AX
+	VMOVQ AX, X13
+	VPBROADCASTQ X13, Y13    // the second run's offset
+	VMOVQ R10, X12
+	VPBROADCASTQ X12, Y12    // W
+	SHLQ $3, R10             // W in bytes
 
 usample:
 	VMOVDQU unpoolIdx<>+0(SB), Y9
@@ -1607,7 +1594,6 @@ upstep:
 	VPERMPD $0x50, Y1, Y4
 	VPERMPD $0xfa, Y1, Y5
 	VPADDQ  Y13, Y9, Y6
-	LEAQ    (DI)(R14*1), AX
 	VPCMPEQQ Y9, Y2, Y0
 	VANDPD   Y4, Y0, Y0
 	VMOVUPD  Y0, (DI)
@@ -1617,19 +1603,19 @@ upstep:
 	VMOVUPD  Y0, (DI)(R10*1)
 	VPCMPEQQ Y6, Y3, Y0
 	VANDPD   Y5, Y0, Y0
-	VMOVUPD  Y0, (AX)
+	VMOVUPD  Y0, 32(DI)
 	VPADDQ   Y12, Y6, Y7
 	VPCMPEQQ Y7, Y3, Y0
 	VANDPD   Y5, Y0, Y0
-	VMOVUPD  Y0, (AX)(R10*1)
+	VMOVUPD  Y0, 32(DI)(R10*1)
 	VPADDQ   Y13, Y6, Y9
 	ADDQ $32, SI
 	ADDQ $32, R8
-	LEAQ (DI)(R14*2), DI
+	ADDQ $64, DI
 	DECQ CX
 	JNZ  upstep
-	VPADDQ Y10, Y9, Y9
-	ADDQ R11, DI
+	VPADDQ Y12, Y9, Y9       // past the bottom row
+	ADDQ R10, DI
 	DECQ BX
 	JNZ  uprow
 	DECQ R9

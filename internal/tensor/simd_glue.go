@@ -5,36 +5,35 @@ import "fmt"
 // Data-movement kernels around the layers' compute kernels: nn.Conv2D's
 // float32 boundary (the minibatch and the incoming gradient into their
 // zero-padded float32 buffers, the latter through a folded pool's
-// backward pass) and nn.MaxPool2D's 2×2 backward pass. Each runs once per
-// batch, never per plane or row, and moves every value unchanged or
-// through one Go conversion, so the AVX2 kernels reproduce the Go twins
-// (NarrowPaddedGo, UnpoolPaddedGo, Unpool2x2Go) bit for bit, NaN payloads
-// included. The twins are what runs without AVX2, off amd64, under purego
-// and for widths the assembly does not take, and what the tests hold the
-// assembly to.
+// backward pass) and the 2×2 backward pass of nn.MaxPool2D, ResNetMini's
+// standalone pool. Each runs once per batch, never per plane or row, and
+// moves every value unchanged or through one Go conversion, so the AVX2
+// kernels reproduce the Go twins (NarrowPaddedGo, UnpoolPaddedGo,
+// Unpool2x2Go) bit for bit, NaN payloads included. The twins are what
+// runs without AVX2, off amd64, under purego and for widths the assembly
+// does not take, and what the tests hold the assembly to.
 //
 // Layout: `planes` h×w planes back to back on the contiguous side, and
-// the same planes with a border of pad elements all round, (h+2·pad) ×
-// (w+2·pad) each, on the padded side. Element (i, y, x) is
+// the same planes with a border of one element all round, (h+2) × (w+2)
+// each, on the padded side. Element (i, y, x) is
 //
-//	contiguous[(i·h + y)·w + x]  ↔  padded[(i·(h+2·pad) + pad + y)·(w+2·pad) + pad + x]
+//	contiguous[(i·h + y)·w + x]  ↔  padded[(i·(h+2) + 1 + y)·(w+2) + 1 + x]
 //
 // and no kernel reads or writes a padded border.
 
 // NarrowPadded writes src's planes into the interiors of dst's padded
 // planes as float32, each element Go's float32(v): rounded to nearest
 // even, ±Inf beyond float32's range, a NaN quieted with its sign and the
-// top of its payload. With pad 0 it is a plain narrow of planes·h·w
-// elements.
-func NarrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
-	checkPadded("NarrowPadded", len(src), len(dst), planes, h, w, pad)
-	narrowPadded(dst, src, planes, h, w, pad)
+// top of its payload.
+func NarrowPadded(dst []float32, src []float64, planes, h, w int) {
+	checkPadded(len(src), len(dst), planes, h, w)
+	narrowPadded(dst, src, planes, h, w)
 }
 
 // NarrowPaddedGo is NarrowPadded on the portable scalar kernel.
-func NarrowPaddedGo(dst []float32, src []float64, planes, h, w, pad int) {
-	checkPadded("NarrowPadded", len(src), len(dst), planes, h, w, pad)
-	narrowPaddedGo(dst, src, planes, h, w, pad)
+func NarrowPaddedGo(dst []float32, src []float64, planes, h, w int) {
+	checkPadded(len(src), len(dst), planes, h, w)
+	narrowPaddedGo(dst, src, planes, h, w)
 }
 
 // Unpool2x2 is the backward pass of MaxPool2x2 over a batch: each sample
@@ -67,7 +66,7 @@ func Unpool2x2Go(dx, g []float64, am []int, ow, pairs, batch int) {
 //
 //	dst[cell] = float32(+0 + g[o])   where taps[o] names the cell,  +0 elsewhere in o's window
 //
-// — Unpool2x2 and then NarrowPadded with pad 1, in one pass. A code
+// — Unpool2x2 and then NarrowPadded, in one pass. A code
 // outside 0…3 routes nothing. The AVX2 kernel takes rows of a multiple of
 // four windows and 2-window rows in pairs, as the zoo's pooled planes
 // are; other shapes run the twin.
@@ -94,13 +93,13 @@ func checkUnpoolPadded(dst, g, taps, planes, oh, ow int) {
 
 // checkPadded is the only bounds check NarrowPadded gets: the contiguous
 // side holds planes·h·w elements and the padded side
-// planes·(h+2·pad)·(w+2·pad).
-func checkPadded(name string, flat, padded, planes, h, w, pad int) {
-	if planes < 0 || h < 0 || w < 0 || pad < 0 {
-		panic(fmt.Sprintf("tensor: %s %d planes of %dx%d, pad %d", name, planes, h, w, pad))
+// planes·(h+2)·(w+2).
+func checkPadded(flat, padded, planes, h, w int) {
+	if min(planes, h, w) < 0 {
+		panic(fmt.Sprintf("tensor: NarrowPadded %d planes of %dx%d", planes, h, w))
 	}
-	checkLen(name, "contiguous side", flat, planes*h*w)
-	checkLen(name, "padded side", padded, planes*(h+2*pad)*(w+2*pad))
+	checkLen("NarrowPadded", "contiguous side", flat, planes*h*w)
+	checkLen("NarrowPadded", "padded side", padded, planes*(h+2)*(w+2))
 }
 
 // checkLen panics unless a named operand has at least want elements.
@@ -121,11 +120,11 @@ func checkUnpool(dx, g, am, ow, pairs, batch int) {
 	checkLen("Unpool2x2", "argmax", am, n)
 }
 
-func narrowPaddedGo(dst []float32, src []float64, planes, h, w, pad int) {
-	pw := w + 2*pad
+func narrowPaddedGo(dst []float32, src []float64, planes, h, w int) {
+	pw := w + 2
 	for i := 0; i < planes; i++ {
 		for y := 0; y < h; y++ {
-			row := dst[(i*(h+2*pad)+pad+y)*pw+pad:][:w]
+			row := dst[(i*(h+2)+1+y)*pw+1:][:w]
 			for x, v := range src[(i*h+y)*w:][:w] {
 				row[x] = float32(v)
 			}

@@ -8,16 +8,14 @@ package tensor
 func reluForward(out, x []float64, mask []bool) { ReluForwardGo(out, x, mask) }
 func reluBackward(dx, g []float64, mask []bool) { ReluBackwardGo(dx, g, mask) }
 
-func maxPool2x2Plane(dst []float64, am []int, src []float64, w, pairs, ow int, start float64) bool {
-	return false
-}
+func maxPool2x2Plane(dst []float64, am []int, src []float64, pairs, ow int) bool { return false }
 
 func dotTile(acc *DotTileAcc, a *[DotTileRows][]float64, b *[DotTileCols][]float64, c0, n int) {
 	dotTileGo(acc, a, b, c0, n)
 }
 
-func narrowPadded(dst []float32, src []float64, planes, h, w, pad int) {
-	narrowPaddedGo(dst, src, planes, h, w, pad)
+func narrowPadded(dst []float32, src []float64, planes, h, w int) {
+	narrowPaddedGo(dst, src, planes, h, w)
 }
 
 func unpool2x2(dx, g []float64, am []int, ow, pairs, batch int) {

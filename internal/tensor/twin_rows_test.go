@@ -87,44 +87,37 @@ var twinRows = []twinRow{
 			pick(side, ReluBackward, ReluBackwardGo)(o.f(0), o.f(1), o.mask(2))
 		})},
 
-	// Rows of a multiple of four windows and 4-wide planes in even
-	// row-pair counts take the kernel, other shapes the twin; rows a
-	// column wider than their windows, ties, a row pair nothing positive
-	// enters, and both start values (−Inf, a plain pool; +0, one with a
-	// ReLU folded in).
+	// Rows of a multiple of four windows take the kernel, other shapes
+	// the twin; ties and a row pair nothing positive enters.
 	{name: "MaxPool2x2", avx: []string{"maxPool2AVX"}, sides: []string{"twin", "window loop"}, short: "tensor: MaxPool2x2 ", checksIn: "TestGlueKernelsRejectShortSlices",
 		gate: "pool",
-		reach: func() bool {
-			took := func(w, pairs, ow int) bool {
-				return maxPool2x2Plane(f64(pairs*ow), make([]int, pairs*ow), f64(2*pairs*w), w, pairs, ow, 0)
-			}
-			return took(8, 4, 4) && took(4, 4, 2) // 8×8 planes, and the CNN's second pool's 4×4 in pairs
+		reach: func() bool { // ResNetMini's 8×8 planes
+			return maxPool2x2Plane(f64(16), make([]int, 16), f64(64), 4, 4)
 		},
 		refuse: []twinRefusal{
-			{"tensor: MaxPool2x2 ", func() { MaxPool2x2(nil, nil, nil, 8, 1, -4, 1, 0) }},
-			{"tensor: MaxPool2x2 ", func() { MaxPool2x2Go(f64(8), make([]int, 8), f64(64), 7, 2, 4, 1, 0) }},
+			{"tensor: MaxPool2x2 ", func() { MaxPool2x2(nil, nil, nil, 1, -4, 1) }},
+			{"tensor: MaxPool2x2 ", func() { MaxPool2x2Go(f64(8), make([]int, 8), f64(31), 2, 4, 1) }},
 		},
 		sweep: func(yield func(twinCase)) {
 			for _, ow := range []int{0, 1, 2, 3, 5, 6, 4, 8} {
-				for _, s := range [][3]int{{2*ow + 1, 1, 1}, {2 * ow, 1, 3}, {2 * ow, 2, 2}, {2 * ow, 3, 1}, {2*ow + 1, 3, 2}} {
-					w, oh, planes := s[0], s[1], s[2]
-					for _, start := range []float64{math.Inf(-1), 0} {
-						yield(twinCase{what: fmt.Sprintf("w=%d oh=%d ow=%d planes=%d start=%v", w, oh, ow, planes, start),
-							ops: []any{f64(planes * oh * ow), make([]int, planes*oh*ow), f64(planes * 2 * oh * w)},
-							prep: func(rng *RNG, o twinOps) {
-								src := o.f(2)
-								for i := range src {
-									if i < 2*w {
-										src[i] = -math.Abs(src[i])
-									} else if i >= 7 && rng.Intn(10) == 0 {
-										src[i] = src[i-7]
-									}
+				for _, s := range [][2]int{{1, 3}, {2, 2}, {3, 1}} {
+					oh, planes := s[0], s[1]
+					w := 2 * ow
+					yield(twinCase{what: fmt.Sprintf("oh=%d ow=%d planes=%d", oh, ow, planes),
+						ops: []any{f64(planes * oh * ow), make([]int, planes*oh*ow), f64(planes * 2 * oh * w)},
+						prep: func(rng *RNG, o twinOps) {
+							src := o.f(2)
+							for i := range src {
+								if i < 2*w {
+									src[i] = -math.Abs(src[i])
+								} else if i >= 7 && rng.Intn(10) == 0 {
+									src[i] = src[i-7]
 								}
-							},
-							run: func(side int, o twinOps) {
-								pick(side, MaxPool2x2, MaxPool2x2Go, scalarPool2x2)(o.f(0), o.ints(1), o.f(2), w, oh, ow, planes, start)
-							}})
-					}
+							}
+						},
+						run: func(side int, o twinOps) {
+							pick(side, MaxPool2x2, MaxPool2x2Go, scalarPool2x2)(o.f(0), o.ints(1), o.f(2), oh, ow, planes)
+						}})
 				}
 			}
 		}},
@@ -153,24 +146,22 @@ var twinRows = []twinRow{
 				}
 			}
 		}},
-	// Widths 0–13 and 16 (multiples of four take the kernel), pad 0–2,
-	// zero planes and rows; no border element is written. The values are
-	// float32's largest, one that rounds past it, and a tie.
+	// Widths 0–13 and 16 (multiples of four take the kernel), zero planes
+	// and rows; no border element is written. The values are float32's
+	// largest, one that rounds past it, and a tie.
 	{name: "NarrowPadded", avx: []string{"narrowAVX"}, gate: "glue/narrow", short: "tensor: NarrowPadded ",
 		sweepIn: "TestNarrowPaddedMatchesTwin", checksIn: "TestGlueKernelsRejectShortSlices",
 		values: []float64{math.MaxFloat32, -math.MaxFloat32 * (1 + 0x1p-25), 1 + 0x1p-24},
-		refuse: []twinRefusal{{"tensor: NarrowPadded ", func() { NarrowPadded(f32(16), f64(4), 1, 2, 2, -1) }}},
+		refuse: []twinRefusal{{"tensor: NarrowPadded ", func() { NarrowPadded(f32(16), f64(4), 1, -2, 2) }}},
 		sweep: func(yield func(twinCase)) {
 			for _, w := range twinLengths(16) {
-				for pad := range 3 {
-					for _, ph := range [][2]int{{0, 3}, {2, 0}, {1, 1}, {3, 2}, {5, 4}} {
-						planes, h := ph[0], ph[1]
-						yield(twinCase{what: fmt.Sprintf("%d planes of %dx%d pad %d", planes, h, w, pad),
-							ops: []any{f32(planes * (h + 2*pad) * (w + 2*pad)), f64(planes * h * w)},
-							run: func(side int, o twinOps) {
-								pick(side, NarrowPadded, NarrowPaddedGo)(o.f32(0), o.f(1), planes, h, w, pad)
-							}})
-					}
+				for _, ph := range [][2]int{{0, 3}, {2, 0}, {1, 1}, {3, 2}, {5, 4}} {
+					planes, h := ph[0], ph[1]
+					yield(twinCase{what: fmt.Sprintf("%d planes of %dx%d", planes, h, w),
+						ops: []any{f32(planes * (h + 2) * (w + 2)), f64(planes * h * w)},
+						run: func(side int, o twinOps) {
+							pick(side, NarrowPadded, NarrowPaddedGo)(o.f32(0), o.f(1), planes, h, w)
+						}})
 				}
 			}
 		}},
@@ -367,7 +358,7 @@ var twinRows = []twinRow{
 								p.Forward(y, in, bias, batch)
 								for b := range batch {
 									n := outC * pooled
-									MaxPool2x2Go(out[b*n:(b+1)*n], am[b*n:(b+1)*n], y[4*b*n:4*(b+1)*n], g.InW, g.InH/2, g.InW/2, outC, 0)
+									MaxPool2x2Go(out[b*n:(b+1)*n], am[b*n:(b+1)*n], y[4*b*n:4*(b+1)*n], g.InH/2, g.InW/2, outC)
 								}
 								for i, idx := range am {
 									taps[i] = -1
@@ -474,7 +465,7 @@ var twinRows = []twinRow{
 								}
 							}
 							Unpool2x2Go(dx, g, am, ow, oh, planes)
-							NarrowPaddedGo(dst, dx, planes, 2*oh, 2*ow, 1)
+							NarrowPaddedGo(dst, dx, planes, 2*oh, 2*ow)
 						})(o.f32(0), o.f(1), o.i32(2), planes, oh, ow)
 					}})
 			}
@@ -509,11 +500,12 @@ var twinRows = []twinRow{
 		}},
 }
 
-// scalarPool2x2 is the 2×2/2 max pool with argmax written out window by
-// window, taps in (dy, dx) order.
-func scalarPool2x2(dst []float64, am []int, src []float64, w, oh, ow, planes int, start float64) {
+// scalarPool2x2 is the 2×2/2 max pool from +0 with argmax written out
+// window by window, taps in (dy, dx) order.
+func scalarPool2x2(dst []float64, am []int, src []float64, oh, ow, planes int) {
+	w := 2 * ow
 	for o := range planes * oh * ow {
-		dst[o], am[o] = start, -1
+		dst[o], am[o] = 0, -1
 		for _, idx := range []int{0, 1, w, w + 1} {
 			if idx += 2*(o/ow)*w + 2*(o%ow); src[idx] > dst[o] {
 				dst[o], am[o] = src[idx], idx

@@ -301,9 +301,9 @@ func (p *Winograd) ForwardGo(out []float64, in []float32, bias []float64, batch 
 // maximum that starts at +0 — ties keep the earliest, NaN never wins, +0
 // when nothing is positive — and to taps its tap code, 2·dy + dx, or −1
 // when nothing won. Each output is float64(y) + bias[o] as Forward writes
-// it, so out is MaxPool2x2 from +0 over Forward's output, bit for bit,
-// and taps its argmax relative to each window. The transformed input
-// tiles are kept for GradParams, as Forward keeps them.
+// it, so out is MaxPool2x2 over Forward's output, bit for bit, and taps
+// its argmax relative to each window. The transformed input tiles are
+// kept for GradParams, as Forward keeps them.
 func (p *Winograd) ForwardPool(out []float64, taps []int32, in []float32, bias []float64, batch int) {
 	p.forwardPool(out, taps, in, bias, batch, p.vec)
 }
