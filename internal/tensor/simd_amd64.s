@@ -707,15 +707,11 @@ TEXT ·maxPool2AVX(SB), NOSPLIT, $0-40
 
 	VXORPD Y15, Y15, Y15     // +0
 	VMOVDQU poolLaneIdx<>+0(SB), Y14
-	MOVQ $8, AX
-	VMOVQ AX, X13
-	VPBROADCASTQ X13, Y13    // per-step index advance
 	VMOVQ R14, X12
 	VPBROADCASTQ X12, Y12    // W
-	MOVQ $1, AX
-	VMOVQ AX, X11
-	VPBROADCASTQ X11, Y11    // 1
 	VPCMPEQQ Y10, Y10, Y10   // -1
+	VPSUBQ Y10, Y15, Y11     // 1
+	VPSLLQ $3, Y11, Y13      // 8, the per-step index advance
 	LEAQ (R14*8), R10        // W in bytes
 
 rowloop:
