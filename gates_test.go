@@ -924,7 +924,7 @@ var gates = []gate{
 	// first residual block, 12 planes of 8×8 at batch 50 (the zoo's one
 	// standalone pool; the CNN and VGGMini pool inside their convolutions,
 	// row conv-pool): nn.NewReLUMaxPool2D against a ReLU pass in front of
-	// it, what the fold saves. 2.17–2.93× over ten runs; 1.04–1.43× with
+	// it, what the fold saves. 2.17–2.93× over twenty runs; 1.04–1.43× with
 	// the pool and its unpool on their twins. Half the low end would pass
 	// on the twins, so the bound sits between: below it a rectifier pass
 	// crept back into the layer, or its kernels fell back to their twins.
@@ -944,7 +944,7 @@ var gates = []gate{
 
 	// ResNetMini's pool, 12 planes of 8×8 at batch 50, one call a sample as
 	// nn.MaxPool2D makes them: tensor.MaxPool2x2 against MaxPool2x2Go.
-	// 10.5–12.1× over ten runs, 0.81–1.14× with the kernel on its twin;
+	// 9.6–13.1× over twenty runs, 0.81–1.14× with the kernel on its twin;
 	// the bound is under half the low end: below it the pool fell back to
 	// its twin (or stopped taking ResNetMini's plane shape).
 	{name: "pool", reps: 200, runs: 3, bound: 3.5, amd64Only: true, setup: func(testing.TB) (func(), func()) {
@@ -979,7 +979,7 @@ var gates = []gate{
 	// nn.NewConv2D then nn.NewReLUMaxPool2D from the same draws; setup holds
 	// outputs, dx, dW and dB to the same bits. 0.97–1.38× over ten runs
 	// while the unfused side's 4×4 stage pooled on the AVX2 kernel, and
-	// 1.16–1.85× since that stage, two windows a row, pools on the twin
+	// 1.07–1.85× since that stage, two windows a row, pools on the twin
 	// (single runs near 1 when the box slows inside the fused side); with
 	// the pooled output transform and the unpool on their twins
 	// 0.09–0.14×. The bound is half the first range's low end: below it
@@ -1079,12 +1079,12 @@ var gates = []gate{
 	// MaxPool2D make them. narrow: the CNN's two convolutions' inputs and
 	// incoming gradients into their float32 buffers padded by one (an
 	// unpooled convolution's incoming gradient; the CNN's fused ones take
-	// tensor.UnpoolPadded, row conv-pool), measured 4.77–6.57× over ten
-	// runs and gated at 1.6; 0.97–1.74× with the kernel on its twin, both
+	// tensor.UnpoolPadded, row conv-pool), measured 4.46–6.57× over twenty
+	// runs and gated at 1.6; 1.01–1.74× with the kernel on its twin, both
 	// sides then the same loop.
 	// unpool: the 2×2 backward pass of ResNetMini's pool, 12 planes of 8×8;
 	// its twin is the zero-and-scatter loop the kernel replaced:
-	// 1.71–2.52×, half of which would gate nothing, and 0.88–1.13× with the
+	// 1.61–3.23×, half of which would gate nothing, and 0.88–1.13× with the
 	// kernel on the twin, so its floor sits between the two. Below the
 	// bound the kernel fell back to its twin.
 	glueRow("narrow", 1.6, func(*tensor.RNG) (func(), func()) {
