@@ -784,7 +784,7 @@ var gates = []gate{
 	// GenerateVision's sine on the corpus's arguments, 2v + phase with v a
 	// class mean, a mode offset and noise (the benchmark's task: Sep 1,
 	// Noise 0.6) and phase N(0, π²), so octants come in random order:
-	// data.VisionSin against math.Sin, whose octant and sign branches
+	// tensor.VisionSin against math.Sin, whose octant and sign branches
 	// mispredict there; VisionSin evaluates both polynomials and selects
 	// by masks. Both return the same bits. 1.85–2.61× over ten readings
 	// (≈ 30–39 ns against ≈ 13–20 ns a call); with math.Sin substituted
@@ -805,7 +805,7 @@ var gates = []gate{
 		}
 		sine := func() {
 			for i, x := range args {
-				got[i] = data.VisionSin(x)
+				got[i] = tensor.VisionSin(x)
 			}
 		}
 		ref()
@@ -814,6 +814,41 @@ var gates = []gate{
 			t.Fatal("vision/sin: VisionSin differs from math.Sin")
 		}
 		return ref, sine
+	}},
+
+	// The corpus's finish pass, v + 0.4·sin(2v + phase), at the benchmark
+	// corpus's shape (sync_cnn_noniid: 10 classes × 550 rows of 192
+	// features) on one core, out of place as BuildVision writes the train
+	// rows into their shards: tensor.VisionFinish against its twin. Both
+	// return the same bits. 3.76–4.87× over twenty readings (≈ 15–21 ms
+	// against ≈ 3.6–4.4 ms a pass), 0.88–1.14× over twenty with the kernel
+	// on its twin, so the bound sits between: below it the kernel fell back
+	// to its twin.
+	{name: "vision/finish", reps: 2, runs: 5, bound: 2, amd64Only: true, setup: func(t testing.TB) (func(), func()) {
+		const rows, features = 10 * 550, models.VisionFeatures
+		rng := tensor.NewRNG(1)
+		v, phase := make([]float64, rows*features), make([]float64, features)
+		for i := range phase {
+			phase[i] = rng.Normal(0, math.Pi)
+		}
+		for i := range v {
+			v[i] = rng.Normal(0, 1) + rng.Normal(0, 0.8) + rng.Normal(0, 0.6)
+		}
+		want, got := make([]float64, len(v)), make([]float64, len(v))
+		run := func(finish func(dst, v, phase []float64), dst []float64) func() {
+			return func() {
+				for r := 0; r < len(v); r += features {
+					finish(dst[r:r+features], v[r:r+features], phase)
+				}
+			}
+		}
+		twin, kernel := run(tensor.VisionFinishGo, want), run(tensor.VisionFinish, got)
+		twin()
+		kernel()
+		if !bitsEqual(got, want) {
+			t.Fatal("vision/finish: the kernel differs from its twin")
+		}
+		return twin, kernel
 	}},
 
 	// FedCross's K×K similarity pass at server_heavy_k64's shape (K = 64,
@@ -1079,15 +1114,18 @@ var gates = []gate{
 	// MaxPool2D make them. narrow: the CNN's two convolutions' inputs and
 	// incoming gradients into their float32 buffers padded by one (an
 	// unpooled convolution's incoming gradient; the CNN's fused ones take
-	// tensor.UnpoolPadded, row conv-pool), measured 4.46–6.57× over twenty
-	// runs and gated at 1.6; 1.01–1.74× with the kernel on its twin, both
-	// sides then the same loop.
+	// tensor.UnpoolPadded, row conv-pool), gated at 1.6. At the glue rows'
+	// 3 runs of 2,000 calls it read 1.01–1.74× with the kernel on its
+	// twin, both sides then the same loop: a fastest run of three missed
+	// the quiet stretches of a shared runner. At 31 runs of 200 calls (the
+	// same time a side) it reads 4.13–5.13× over twenty readings, and
+	// 0.91–1.12× over twenty with the kernel on its twin.
 	// unpool: the 2×2 backward pass of ResNetMini's pool, 12 planes of 8×8;
 	// its twin is the zero-and-scatter loop the kernel replaced:
 	// 1.61–3.23×, half of which would gate nothing, and 0.88–1.13× with the
 	// kernel on the twin, so its floor sits between the two. Below the
 	// bound the kernel fell back to its twin.
-	glueRow("narrow", 1.6, func(*tensor.RNG) (func(), func()) {
+	{name: "glue/narrow", reps: 200, runs: 31, bound: 1.6, amd64Only: true, setup: func(testing.TB) (func(), func()) {
 		type call struct {
 			dst        []float32
 			src        []float64
@@ -1109,7 +1147,7 @@ var gates = []gate{
 			}
 		}
 		return run(tensor.NarrowPaddedGo), run(tensor.NarrowPadded)
-	}),
+	}},
 	glueRow("unpool", 1.35, func(rng *tensor.RNG) (func(), func()) {
 		const ow, pairs, w = models.VisionW / 2, resnetPool * models.VisionH / 2, models.VisionW
 		am := make([]int, convBatch*pairs*ow)

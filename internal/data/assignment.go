@@ -191,6 +191,33 @@ func (a *Assignment) Materialize(src *Dataset) []*Dataset {
 	return out
 }
 
+// slots lays out the shards Materialize builds from a dataset of these
+// labels (each in [0, classes)) and rows of width features: one backing
+// array x holds them client by client, each client's rows in Rows order,
+// and each shard's features are a window of x of exactly its length and
+// capacity. Row r of the dataset belongs in row to[r] of x; slots fills
+// the shards' labels and leaves their features for the caller to write.
+// It needs no features, so it can run before they exist.
+func (a *Assignment) slots(labels []int, classes, features int) (shards []*Dataset, x []float64, to []int) {
+	n := len(labels)
+	x, y, to := make([]float64, n*features), make([]int, n), make([]int, n)
+	shards = make([]*Dataset, a.numClients)
+	off := 0
+	for ci := range shards {
+		rows := a.Rows(ci)
+		end := off + len(rows)
+		for i, r := range rows {
+			to[r], y[off+i] = off+i, labels[r]
+		}
+		shards[ci] = &Dataset{X: tensor.New(x[off*features:end*features:end*features], len(rows), features), Y: y[off:end:end], Classes: classes}
+		off = end
+	}
+	if off != n {
+		panic(fmt.Sprintf("data: Assignment places %d of %d rows", off, n))
+	}
+	return shards, x, to
+}
+
 // rowsMut returns a mutable explicit row list for ci, installing an
 // overlay materialization on first use.
 func (a *Assignment) rowsMut(ci int32) []int32 {

@@ -1,7 +1,9 @@
 package data
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -257,6 +259,64 @@ func TestBuildVisionAssignsFromLabelsAlone(t *testing.T) {
 			for ci := range want {
 				if !sameShard(got[ci], want[ci]) {
 					t.Fatalf("%d classes, %v: client %d differs from the serial partition", cfg.Classes, het, ci)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildVisionMatchesMaterialize holds the eager build, which
+// finishes each train row straight into its client's slot, to the
+// layout it replaced, rebuilt here: drawVision, the finish written out
+// as a scalar loop, then Assignment.Materialize. Shards and test set
+// must be equal bit for bit, each shard a window of exactly its own
+// length, over Dir(β) with top-up overlay clients and IID, 1, 100 and
+// 511 clients, and GOMAXPROCS 1, 2 and 3.
+func TestBuildVisionMatchesMaterialize(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for _, cfg := range []VisionConfig{
+		{Classes: 10, Features: 192, TrainPerClass: 40, TestPerClass: 5, ModesPerClass: 4, Sep: 1, Noise: 0.6, Seed: 3},
+		{Classes: 4, Features: 13, TrainPerClass: 90, TestPerClass: 3, ModesPerClass: 2, Sep: 1, Noise: 0.3, Seed: 4},
+	} {
+		train, test, phase := drawVision(cfg)
+		for _, d := range []*Dataset{train, test} {
+			x := d.X.Data
+			for r := 0; r < len(x); r += len(phase) {
+				for i, v := range x[r : r+len(phase)] {
+					x[r+i] = v + 0.4*tensor.VisionSin(2*v+phase[i])
+				}
+			}
+		}
+		for _, n := range []int{1, 100, 511} {
+			for _, het := range []Heterogeneity{{Beta: 0.1}, {IID: true}} {
+				asg := het.Assign(train.Y, cfg.Classes, n, tensor.NewRNG(int64(n)))
+				if n > 1 && !het.IID && len(asg.overlay) == 0 {
+					t.Fatalf("%d classes, %d clients, %v: no top-up client to cover", cfg.Classes, n, het)
+				}
+				want := asg.Materialize(train)
+				for _, procs := range []int{1, 2, 3} {
+					runtime.GOMAXPROCS(procs)
+					fed := BuildVision(cfg, n, het, int64(n))
+					where := fmt.Sprintf("%d classes, %d clients, %v, GOMAXPROCS %d", cfg.Classes, n, het, procs)
+					if !same(fed.Test.X.Data, test.X.Data) || !slices.Equal(fed.Test.Y, test.Y) {
+						t.Fatalf("%s: the test set differs", where)
+					}
+					if len(fed.Clients) != n {
+						t.Fatalf("%s: %d clients", where, len(fed.Clients))
+					}
+					for ci, got := range fed.Clients {
+						w := want[ci]
+						if !slices.Equal(got.X.Shape, w.X.Shape) || !same(got.X.Data, w.X.Data) ||
+							!slices.Equal(got.Y, w.Y) || got.Classes != w.Classes || got.TokenVocab != w.TokenVocab {
+							t.Fatalf("%s: client %d differs from Materialize's", where, ci)
+						}
+						if cap(got.X.Data) != len(got.X.Data) || cap(got.Y) != len(got.Y) {
+							t.Fatalf("%s: client %d's slot reaches past its rows", where, ci)
+						}
+					}
 				}
 			}
 		}

@@ -9,7 +9,7 @@ import (
 	"fedcross/internal/tensor"
 )
 
-// TestVisionSineMatchesMathSin holds VisionSin to math.Sin bit for bit:
+// TestVisionSineMatchesMathSin holds tensor.VisionSin to math.Sin bit for bit:
 // the special cases it hands over, the edges of its own range, the
 // octant boundaries, random doubles across every exponent and the
 // arguments GenerateVision's finish pass gives it. CI runs it under
@@ -17,7 +17,7 @@ import (
 func TestVisionSineMatchesMathSin(t *testing.T) {
 	fails := 0
 	check := func(x float64) {
-		got, want := VisionSin(x), math.Sin(x)
+		got, want := tensor.VisionSin(x), math.Sin(x)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			if fails++; fails <= 10 {
 				t.Errorf("VisionSin(%v = %#016x) = %#016x, math.Sin = %#016x", x, math.Float64bits(x), math.Float64bits(got), math.Float64bits(want))

@@ -57,12 +57,12 @@ func DefaultVision100(seed int64) VisionConfig {
 //
 // It runs in two passes: drawVision makes every draw, the train and
 // test sets side by side, each in its own stream's order, and leaves
-// each feature at its undistorted value; distort then applies the
-// distortion over row blocks in parallel.
+// each feature at its undistorted value; finish then applies the
+// distortion in place over row blocks in parallel.
 func GenerateVision(cfg VisionConfig) (train, test *Dataset) {
 	train, test, phase := drawVision(cfg)
-	distort(train.X.Data, phase)
-	distort(test.X.Data, phase)
+	finish(train.X.Data, train.X.Data, nil, phase)
+	finish(test.X.Data, test.X.Data, nil, phase)
 	return train, test
 }
 
@@ -84,7 +84,7 @@ func drawVision(cfg VisionConfig) (train, test *Dataset, phase []float64) {
 		}
 	}
 	// Shared distortion: x -> x + 0.4·sin(2x + phase), applied
-	// elementwise with a frozen per-feature phase (distort). Cheap,
+	// elementwise with a frozen per-feature phase (finish). Cheap,
 	// smooth, non-linear.
 	phase = randVec(rng, cfg.Features, math.Pi)
 
@@ -112,23 +112,25 @@ func drawVision(cfg VisionConfig) (train, test *Dataset, phase []float64) {
 	return train, test, phase
 }
 
-// distort is GenerateVision's finish pass, x = v + 0.4·sin(2v + phase)
-// over rows of len(phase) features, split into GOMAXPROCS row blocks run
-// side by side. An element depends on itself and its column's phase
-// alone, so the bytes do not depend on the split.
-func distort(x, phase []float64) {
-	rows := len(x) / len(phase)
+// finish is the corpus's finish pass, x = v + 0.4·sin(2v + phase)
+// (tensor.VisionFinish), from src's rows of len(phase) features to dst:
+// row r to row to[r], or to row r where to is nil (dst is then src, the
+// finish in place). The rows are split into GOMAXPROCS blocks run side by
+// side. An element depends on itself and its column's phase alone, so the
+// bytes do not depend on the split or on where a row lands.
+func finish(dst, src []float64, to []int, phase []float64) {
+	f := len(phase)
+	rows := len(src) / f
 	blocks := max(1, min(runtime.GOMAXPROCS(0), rows))
 	fns := make([]func(), blocks)
 	for b := range fns {
-		block := x[b*rows/blocks*len(phase) : (b+1)*rows/blocks*len(phase)]
 		fns[b] = func() {
-			for len(block) > 0 {
-				row := block[:len(phase)]
-				for i, v := range row {
-					row[i] = v + 0.4*VisionSin(2*v+phase[i])
+			for r := b * rows / blocks; r < (b+1)*rows/blocks; r++ {
+				d := r
+				if to != nil {
+					d = to[r]
 				}
-				block = block[len(phase):]
+				tensor.VisionFinish(dst[d*f:(d+1)*f], src[r*f:(r+1)*f], phase)
 			}
 		}
 	}

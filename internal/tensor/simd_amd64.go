@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math"
+
 // AVX2 kernel primitives. Each assembly routine vectorizes across
 // INDEPENDENT output elements (lanes) while keeping every element's own
 // accumulation chain identical to the scalar kernels — VMULPD/VADDPD are
@@ -570,4 +572,45 @@ func winoGrads(dW, dB []float64, mw, db []float32, inC, outC int, vec bool) {
 		winoGradsAVX(&dW[0], &dB[0], &mw[0], &db[0], n/8, inC, outC)
 	}
 	winoGradsGo(dW, dB, mw, db, n, inC, outC)
+}
+
+// finishAVX is visionFinishGo over n elements (a positive multiple of
+// finishLanes), from the first up to the first block holding an argument
+// 2·v + phase that VisionSin hands to math.Sin. It leaves that block
+// unwritten and returns its start, or n. tab is finishTab.
+//
+//go:noescape
+func finishAVX(dst, v, phase *float64, n int, tab *[20][4]float64) int
+
+// finishVector reports whether VisionFinish runs its whole blocks on
+// AVX2. A build that may fuse x·y + z turns it off (simd_v3_amd64.go).
+var finishVector = avx2Supported
+
+// finishTab is the finish kernel's constants, each in four lanes:
+// 4/π, the three parts of π/4, 0.5 and 1, cosCoef, sinCoef, 0.4, then
+// reduceBits as a float's bits.
+var finishTab = func() (t [20][4]float64) {
+	k := append([]float64{4 / math.Pi, pi4a, pi4b, pi4c, 0.5, 1}, cosCoef[:]...)
+	k = append(append(k, sinCoef[:]...), 0.4, math.Float64frombits(reduceBits))
+	for i, c := range k {
+		t[i] = [4]float64{c, c, c, c}
+	}
+	return t
+}()
+
+// visionFinish runs the checked finish's whole blocks on the AVX2 kernel
+// where finishVector holds; the blocks the kernel stops at and the rest
+// run on the twin.
+func visionFinish(dst, v, phase []float64) {
+	n := 0
+	if finishVector {
+		n = len(dst) &^ (finishLanes - 1)
+	}
+	for i := 0; i < n; {
+		if i += finishAVX(&dst[i], &v[i], &phase[i], n-i, &finishTab); i < n {
+			visionFinishGo(dst[i:i+finishLanes], v[i:i+finishLanes], phase[i:i+finishLanes])
+			i += finishLanes
+		}
+	}
+	visionFinishGo(dst[n:], v[n:], phase[n:])
 }

@@ -2519,3 +2519,96 @@ uqstep:
 	JNZ  uqplane
 	VZEROUPPER
 	RET
+
+// Vision finish kernel (sine.go).
+
+// FINPOLY takes the cosine (Y6) and sine (Y7) polynomials one Horner step
+// on: p = p·zz + coefficient, the coefficients at c and s in the table.
+#define FINPOLY(c, s) \
+	VMULPD Y3, Y6, Y6   \
+	VMULPD Y3, Y7, Y7   \
+	VADDPD c(R8), Y6, Y6 \
+	VADDPD s(R8), Y7, Y7
+
+// func finishAVX(dst, v, phase *float64, n int, tab *[20][4]float64) int
+// dst[i] = v[i] + 0.4·VisionSin(2·v[i] + phase[i]), four elements a step
+// over n%4 == 0, n > 0, in VisionSin's operation order with one rounding
+// each (no FMA). A step first checks its arguments x: where one is ±0,
+// NaN, ±Inf or |x| ≥ 2^29 it stores nothing and returns the step's start.
+// Elsewhere every operand is finite, so no NaN payload can differ from
+// the twin's, and j = int32(|x|·4/π) (VCVTTPD2DQ truncates, as CVTTSD2SQ
+// does, and |x|·4/π < 2^31). Every element is loaded before it is
+// stored, so dst may be v.
+TEXT ·finishAVX(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ phase+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ tab+32(FP), R8
+	VPCMPEQQ  Y15, Y15, Y15
+	VPSLLQ    $63, Y15, Y14        // sign bits
+	VPSRLQ    $1, Y15, Y15         // |x| mask
+	VPXOR     Y13, Y13, Y13
+	VMOVUPD   608(R8), Y12         // reduceBits
+	VPCMPEQD  X11, X11, X11
+	VPSRLD    $31, X11, X11        // 1 in each int32
+	XORQ AX, AX
+
+finloop:
+	VMOVUPD   (SI)(AX*8), Y0       // v
+	VADDPD    Y0, Y0, Y1           // 2v
+	VADDPD    (DX)(AX*8), Y1, Y1   // x = 2v + phase
+	VANDPD    Y15, Y1, Y2          // a = |x|
+	VPCMPGTQ  Y13, Y2, Y3          // a > 0
+	VPCMPGTQ  Y2, Y12, Y4          // a < 2^29, NaN and ±Inf not
+	VPAND     Y4, Y3, Y3
+	VMOVMSKPD Y3, BX
+	CMPL      BX, $15
+	JNE       findone
+	VMULPD    0(R8), Y2, Y3
+	VCVTTPD2DQY Y3, X4             // j = int(a·4/π)
+	VPAND     X11, X4, X5
+	VPADDD    X5, X4, X4           // j += j&1
+	VCVTDQ2PD X4, Y5               // y
+	VMULPD    32(R8), Y5, Y6
+	VSUBPD    Y6, Y2, Y2           // a − y·pi4a
+	VMULPD    64(R8), Y5, Y6
+	VSUBPD    Y6, Y2, Y2           // … − y·pi4b
+	VMULPD    96(R8), Y5, Y6
+	VSUBPD    Y6, Y2, Y2           // z = … − y·pi4c
+	VMULPD    Y2, Y2, Y3           // zz
+	VMULPD    192(R8), Y3, Y6      // cosCoef[0]·zz
+	VMULPD    384(R8), Y3, Y7      // sinCoef[0]·zz
+	VADDPD    224(R8), Y6, Y6
+	VADDPD    416(R8), Y7, Y7
+	FINPOLY(256, 448)
+	FINPOLY(288, 480)
+	FINPOLY(320, 512)
+	FINPOLY(352, 544)
+	VMULPD    Y3, Y3, Y8
+	VMULPD    Y8, Y6, Y6           // zz·zz·P
+	VMULPD    128(R8), Y3, Y8      // 0.5·zz
+	VMOVUPD   160(R8), Y9
+	VSUBPD    Y8, Y9, Y9           // 1 − 0.5·zz
+	VADDPD    Y6, Y9, Y6           // c
+	VMULPD    Y3, Y2, Y8           // z·zz
+	VMULPD    Y8, Y7, Y7           // z·zz·Q
+	VADDPD    Y7, Y2, Y7           // s = z + z·zz·Q
+	VPMOVZXDQ X4, Y8               // j in 64-bit lanes
+	VPSLLQ    $62, Y8, Y9          // bit 1 of j to the sign: c, not s
+	VBLENDVPD Y9, Y6, Y7, Y7
+	VPSLLQ    $61, Y8, Y8          // bit 2 of j to the sign
+	VXORPD    Y1, Y8, Y8
+	VANDPD    Y14, Y8, Y8
+	VXORPD    Y8, Y7, Y7           // sin x
+	VMULPD    576(R8), Y7, Y7      // 0.4·sin x
+	VADDPD    Y0, Y7, Y7           // v + 0.4·sin x
+	VMOVUPD   Y7, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  finloop
+
+findone:
+	MOVQ AX, ret+40(FP)
+	VZEROUPPER
+	RET

@@ -62,6 +62,11 @@ func divide(p []float64, s float64) {
 
 func winoVector(outC int) bool { return false }
 
+// finishVector: no finish kernel here.
+const finishVector = false
+
+func visionFinish(dst, v, phase []float64) { visionFinishGo(dst, v, phase) }
+
 func winoInput(v, in []float32, tab []int, groups, chans, plane, pw, d2 int, vec bool) {
 	winoInputGo(v, in, tab, groups, chans, plane, pw, d2)
 }

@@ -8,7 +8,7 @@ import "fmt"
 // multiply and a subtract, one rounding each and no fused multiply-add, so
 // the AVX2 lanes (which take m·v and p as the first sources, the operands
 // Go's scalar code keeps in the destination register) reproduce the scalar
-// loop bit for bit, NaN payloads included. MomentumStepGo is what runs
+// loop bit for bit, NaN payloads included. momentumStepGo is what runs
 // without AVX2, off amd64 and under purego, and what the tests hold the
 // assembly to. The assembly takes whole blocks of sgdLanes elements; the
 // wrapper finishes the remainder on the twin.
@@ -22,12 +22,6 @@ const sgdLanes = 8
 func MomentumStep(p, v, g []float64, lr, m float64) {
 	checkMomentum(len(p), len(v), len(g))
 	momentumStep(p, v, g, lr, m)
-}
-
-// MomentumStepGo is MomentumStep on the portable scalar kernel.
-func MomentumStepGo(p, v, g []float64, lr, m float64) {
-	checkMomentum(len(p), len(v), len(g))
-	momentumStepGo(p, v, g, lr, m)
 }
 
 // checkMomentum is the only length check the kernel gets.

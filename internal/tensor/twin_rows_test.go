@@ -482,6 +482,34 @@ var twinRows = []twinRow{
 			})(o.bytes(0), o.f(1))
 		})},
 
+	// Out of place, then in place. Planted lanes put 2v + phase at ±0, at
+	// subnormals and within 3 ulps of ±2^29, on both sides of where
+	// VisionSin hands over to math.Sin; the special pass adds NaN payloads,
+	// ±Inf and overflow.
+	{name: "VisionFinish", avx: []string{"finishAVX"}, gate: "vision/finish", short: "tensor: VisionFinish ",
+		sweep: func(yield func(twinCase)) {
+			for _, n := range twinLengths(15, 16, 17, 192) {
+				yield(twinCase{what: fmt.Sprintf("n=%d", n), ops: floats(4)(n),
+					prep: func(rng *RNG, o twinOps) {
+						v, phase := o.f(1), o.f(2)
+						for range n/8 + min(n, 1) {
+							i, k := rng.Intn(n), rng.Intn(7)-3
+							edge := math.Float64frombits(math.Float64bits(1<<28) + uint64(k))
+							v[i], phase[i] = [...]float64{edge, -edge, 0, math.Copysign(0, -1), 5e-324 * float64(k+4)}[rng.Intn(5)], 0
+							if v[i] == 0 {
+								phase[i] = v[i] // an argument of v's sign of zero
+							}
+						}
+						copy(o.f(3), v)
+					},
+					run: func(side int, o twinOps) {
+						finish := pick(side, VisionFinish, VisionFinishGo)
+						finish(o.f(0), o.f(1), o.f(2))
+						finish(o.f(3), o.f(3), o.f(2))
+					}})
+			}
+		}},
+
 	// Shapes with lanes (α ≥ 1 and α = 0.5) and without, over lengths that
 	// run the ring past its taps' wrap, each into an operand of its own;
 	// the generator's next word agrees too.
@@ -648,4 +676,10 @@ func decodeThenAdd(dst []float64, q []byte, ref []float64, lo, scale float64) {
 	for i := range ref {
 		dst[i] += ref[i]
 	}
+}
+
+// MomentumStepGo is MomentumStep on the portable scalar kernel.
+func MomentumStepGo(p, v, g []float64, lr, m float64) {
+	checkMomentum(len(p), len(v), len(g))
+	momentumStepGo(p, v, g, lr, m)
 }

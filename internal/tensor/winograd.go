@@ -289,11 +289,6 @@ func (p *Winograd) Forward(out []float64, in []float32, bias []float64, batch in
 	p.forward(out, in, bias, batch, p.vec)
 }
 
-// ForwardGo is Forward on the portable scalar kernels.
-func (p *Winograd) ForwardGo(out []float64, in []float32, bias []float64, batch int) {
-	p.forward(out, in, bias, batch, false)
-}
-
 // ForwardPool is Forward with a ReLU and a 2×2 stride-2 max pool folded
 // into the output transform, where a tile is one pool window. Per window
 // and channel it writes to out (batch × outC·(H/2)·(W/2)) the first of
@@ -306,11 +301,6 @@ func (p *Winograd) ForwardGo(out []float64, in []float32, bias []float64, batch 
 // kept for GradParams, as Forward keeps them.
 func (p *Winograd) ForwardPool(out []float64, taps []int32, in []float32, bias []float64, batch int) {
 	p.forwardPool(out, taps, in, bias, batch, p.vec)
-}
-
-// ForwardPoolGo is ForwardPool on the portable scalar kernels.
-func (p *Winograd) ForwardPoolGo(out []float64, taps []int32, in []float32, bias []float64, batch int) {
-	p.forwardPool(out, taps, in, bias, batch, false)
 }
 
 func (p *Winograd) forward(out []float64, in []float32, bias []float64, batch int, vec bool) {
@@ -425,11 +415,6 @@ func winoGradsGo(dW, dB []float64, mw, db []float32, from, inC, outC int) {
 // bias, through the filters the last SetWeights took.
 func (p *Winograd) GradInput(dx []float64, dy []float32, batch int) {
 	p.gradInput(dx, dy, batch, p.vec)
-}
-
-// GradInputGo is GradInput on the portable scalar kernels.
-func (p *Winograd) GradInputGo(dx []float64, dy []float32, batch int) {
-	p.gradInput(dx, dy, batch, false)
 }
 
 func (p *Winograd) gradInput(dx []float64, dy []float32, batch int, vec bool) {

@@ -117,3 +117,18 @@ func TestGradParamsRunsMatchTwin(t *testing.T) {
 		}
 	}
 }
+
+// ForwardGo is Forward on the portable scalar kernels.
+func (p *Winograd) ForwardGo(out []float64, in []float32, bias []float64, batch int) {
+	p.forward(out, in, bias, batch, false)
+}
+
+// ForwardPoolGo is ForwardPool on the portable scalar kernels.
+func (p *Winograd) ForwardPoolGo(out []float64, taps []int32, in []float32, bias []float64, batch int) {
+	p.forwardPool(out, taps, in, bias, batch, false)
+}
+
+// GradInputGo is GradInput on the portable scalar kernels.
+func (p *Winograd) GradInputGo(dx []float64, dy []float32, batch int) {
+	p.gradInput(dx, dy, batch, false)
+}
