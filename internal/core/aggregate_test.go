@@ -317,7 +317,7 @@ func TestFedCrossThreeSets(t *testing.T) {
 	// smaller than the flattened vector.
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	vec := int64(env.Model.New(tensor.NewRNG(1)).NumParams()) * 8
+	vec := int64(len(nn.FlattenParams(env.Model.New(tensor.NewRNG(1)).Params()))) * 8
 	probe := roundProbe{FedCross: f,
 		before: func(r int) {
 			mid, spare, up = addrs(f.middleware), nil, nil

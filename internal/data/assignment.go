@@ -20,9 +20,9 @@ import (
 // sample stolen from the largest shard into each empty shard) carry an
 // explicit row-list overlay.
 //
-// Materialize (behind DirichletPartition and IIDPartition) and a Lazy
-// source backed by the same Assignment produce byte-identical shards
-// (TestLazyMatchesMaterialized; relations row source).
+// Materialize and a Lazy source backed by the same Assignment produce
+// byte-identical shards (TestLazyMatchesMaterialized; relations row
+// source).
 type Assignment struct {
 	numClients int
 
@@ -54,19 +54,21 @@ type clientSpan struct {
 
 // AssignDirichlet computes the Dir(beta) label-skew assignment (Hsu et
 // al.) of the rows labelled labels, each in [0, classes), as compact
-// boundary metadata. It reads nothing but the labels, so it can run
-// before the rows' features exist. It draws from rng in exactly the
-// order DirichletPartition does: every class pool is shuffled first, then
-// each non-empty class takes one Dirichlet draw, then the top-up pass
-// consumes one Intn per donated sample. A large federation's Dirichlet
-// draws run over GOMAXPROCS parts (tensor.RNG.DirichletIntoSplit), with
-// the same values and the same stream after them.
+// boundary metadata: a Dirichlet draw per class splits that class over
+// the clients, and a client left empty gets one row stolen from the
+// largest shard. It reads nothing but the labels, so it can run before
+// the rows' features exist. It draws from rng in this order: every class
+// pool is shuffled first, then each non-empty class takes one Dirichlet
+// draw, then the top-up pass consumes one Intn per donated sample. A
+// large federation's Dirichlet draws run over GOMAXPROCS parts
+// (tensor.RNG.DirichletIntoSplit), with the same values and the same
+// stream after them.
 func AssignDirichlet(labels []int, classes, numClients int, beta float64, rng *tensor.RNG) *Assignment {
 	if numClients <= 0 {
-		panic(fmt.Sprintf("data: DirichletPartition: numClients %d", numClients))
+		panic(fmt.Sprintf("data: AssignDirichlet: numClients %d", numClients))
 	}
 	if !(beta > 0) || math.IsInf(beta, 1) {
-		panic(fmt.Sprintf("data: DirichletPartition: beta %v must be positive and finite", beta))
+		panic(fmt.Sprintf("data: AssignDirichlet: beta %v must be positive and finite", beta))
 	}
 	a := &Assignment{
 		numClients: numClients,
@@ -112,11 +114,10 @@ func AssignDirichlet(labels []int, classes, numClients int, beta float64, rng *t
 }
 
 // AssignIID computes the round-robin deal of a shuffled permutation of
-// samples rows, matching IIDPartition's RNG order (one Perm, then top-up
-// Intn draws).
+// samples rows. It draws one Perm, then the top-up pass's Intn draws.
 func AssignIID(samples, numClients int, rng *tensor.RNG) *Assignment {
 	if numClients <= 0 {
-		panic(fmt.Sprintf("data: IIDPartition: numClients %d", numClients))
+		panic(fmt.Sprintf("data: AssignIID: numClients %d", numClients))
 	}
 	a := &Assignment{
 		numClients: numClients,
@@ -182,7 +183,6 @@ func (a *Assignment) Rows(ci int) []int {
 }
 
 // Materialize builds the eager per-client shard slice from the metadata.
-// DirichletPartition and IIDPartition are thin wrappers over this.
 func (a *Assignment) Materialize(src *Dataset) []*Dataset {
 	out := make([]*Dataset, a.numClients)
 	for ci := range out {

@@ -115,10 +115,6 @@ func TestSubsetAndBatch(t *testing.T) {
 	if train.X.Data[0] == 12345 {
 		t.Fatal("Subset aliases parent storage")
 	}
-	x, y := train.Batch([]int{1, 2})
-	if x.Shape[0] != 2 || len(y) != 2 {
-		t.Fatalf("batch shapes %v %d", x.Shape, len(y))
-	}
 }
 
 func TestBatchesCoverEpochExactlyOnce(t *testing.T) {
@@ -146,7 +142,7 @@ func TestDirichletPartitionInvariants(t *testing.T) {
 		train, _ := GenerateVision(smallVisionCfg(seed))
 		numClients := 2 + rng.Intn(8)
 		beta := 0.1 + rng.Float64()
-		shards := DirichletPartition(train, numClients, beta, rng)
+		shards := AssignDirichlet(train.Y, train.Classes, numClients, beta, rng).Materialize(train)
 		total := 0
 		for _, s := range shards {
 			total += s.Len()
@@ -168,7 +164,7 @@ func TestDirichletSkewOrdering(t *testing.T) {
 	train, _ := GenerateVision(cfg)
 	skew := func(beta float64) float64 {
 		rng := tensor.NewRNG(42)
-		shards := DirichletPartition(train, 10, beta, rng)
+		shards := AssignDirichlet(train.Y, train.Classes, 10, beta, rng).Materialize(train)
 		tot := 0.0
 		for _, s := range shards {
 			counts := s.ClassCounts()
@@ -190,7 +186,7 @@ func TestDirichletSkewOrdering(t *testing.T) {
 func TestIIDPartitionBalance(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(1))
 	rng := tensor.NewRNG(1)
-	shards := IIDPartition(train, 6, rng)
+	shards := AssignIID(train.Len(), 6, rng).Materialize(train)
 	total := 0
 	for _, s := range shards {
 		total += s.Len()
@@ -240,7 +236,13 @@ func TestBuildVisionAssignsFromLabelsAlone(t *testing.T) {
 	// runs, so the helper must be GenerateVision's label column — row r
 	// is class r / TrainPerClass — and the shards what partitioning the
 	// finished corpus gives.
-	for _, cfg := range []VisionConfig{smallVisionCfg(1), DefaultVision10(2), DefaultVision100(3)} {
+	for _, cfg := range []VisionConfig{smallVisionCfg(1), {
+		Classes: 10, Features: 192, TrainPerClass: 100, TestPerClass: 25,
+		ModesPerClass: 3, Sep: 1.0, Noise: 0.55, Seed: 2,
+	}, {
+		Classes: 100, Features: 192, TrainPerClass: 12, TestPerClass: 4,
+		ModesPerClass: 2, Sep: 1.0, Noise: 0.55, Seed: 3,
+	}} {
 		train, _ := GenerateVision(cfg)
 		if got := classMajorLabels(cfg.Classes, cfg.TrainPerClass); !slices.Equal(got, train.Y) {
 			t.Fatalf("%d classes × %d: classMajorLabels differs from GenerateVision's labels", cfg.Classes, cfg.TrainPerClass)
@@ -459,7 +461,10 @@ func TestGenerateSent140(t *testing.T) {
 func TestSent140SentimentSignal(t *testing.T) {
 	// Counting polarity tokens should beat chance: the label signal must
 	// actually be present in the tokens.
-	cfg := DefaultSent140(4)
+	cfg := Sent140Config{
+		Vocab: 40, SeqLen: 8, Clients: 40, SamplesPerClient: 30,
+		TestSamples: 400, SentimentTokens: 6, Seed: 4,
+	}
 	fed := GenerateSent140(cfg)
 	correct, total := 0, 0
 	for i, y := range fed.Test.Y {
@@ -492,11 +497,11 @@ func TestDirichletPartitionRejectsBadArgs(t *testing.T) {
 	train, _ := GenerateVision(smallVisionCfg(1))
 	rng := tensor.NewRNG(1)
 	for _, fn := range []func(){
-		func() { DirichletPartition(train, 0, 0.5, rng) },
-		func() { DirichletPartition(train, 4, 0, rng) },
-		func() { DirichletPartition(train, 4, math.NaN(), rng) },
-		func() { DirichletPartition(train, 4, math.Inf(1), rng) },
-		func() { IIDPartition(train, -1, rng) },
+		func() { AssignDirichlet(train.Y, train.Classes, 0, 0.5, rng) },
+		func() { AssignDirichlet(train.Y, train.Classes, 4, 0, rng) },
+		func() { AssignDirichlet(train.Y, train.Classes, 4, math.NaN(), rng) },
+		func() { AssignDirichlet(train.Y, train.Classes, 4, math.Inf(1), rng) },
+		func() { AssignIID(train.Len(), -1, rng) },
 	} {
 		func() {
 			defer func() {

@@ -58,18 +58,8 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return &Dataset{X: x, Y: y, Classes: d.Classes, TokenVocab: d.TokenVocab}
 }
 
-// Batch copies the rows idx into a (len(idx) × D) tensor plus labels,
-// ready for a forward pass.
-func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
-	x := tensor.Zeros(len(idx), d.Features())
-	y := make([]int, len(idx))
-	d.BatchInto(x, y, idx)
-	return x, y
-}
-
 // BatchInto copies the rows idx into caller-owned buffers: x must be
-// (len(idx) × D) and y must have len(idx) entries. It is the
-// zero-allocation form of Batch for reused batch buffers.
+// (len(idx) × D) and y must have len(idx) entries.
 func (d *Dataset) BatchInto(x *tensor.Tensor, y []int, idx []int) {
 	w := d.Features()
 	if x.Rank() != 2 || x.Shape[0] != len(idx) || x.Shape[1] != w || len(y) != len(idx) {

@@ -157,7 +157,7 @@ func TestSourceReleaseWithoutLeasePanics(t *testing.T) {
 	}
 	lazy := NewLazy(train, AssignIID(train.Len(), 4, tensor.NewRNG(1)), 2, 0)
 	mustPanic("lazy", func() { lazy.Release(0) })
-	mat := NewMaterialized(IIDPartition(train, 4, tensor.NewRNG(1)))
+	mat := NewMaterialized(AssignIID(train.Len(), 4, tensor.NewRNG(1)).Materialize(train))
 	mustPanic("materialized", func() { mat.Release(0) })
 }
 

@@ -67,7 +67,13 @@ func TestVisionSineMatchesMathSin(t *testing.T) {
 
 	// The corpus's own arguments, 2v + phase, at the benchmark's and the
 	// experiments' vision configs.
-	for _, cfg := range []VisionConfig{DefaultVision10(3), DefaultVision100(4), {
+	for _, cfg := range []VisionConfig{{
+		Classes: 10, Features: 192, TrainPerClass: 100, TestPerClass: 25,
+		ModesPerClass: 3, Sep: 1.0, Noise: 0.55, Seed: 3,
+	}, {
+		Classes: 100, Features: 192, TrainPerClass: 12, TestPerClass: 4,
+		ModesPerClass: 2, Sep: 1.0, Noise: 0.55, Seed: 4,
+	}, {
 		Classes: 10, Features: 192, TrainPerClass: 200, TestPerClass: 20,
 		ModesPerClass: 4, Sep: 1.0, Noise: 0.6, Seed: 5,
 	}} {
@@ -118,7 +124,10 @@ func TestGenerateVisionSplitInvariant(t *testing.T) {
 		return x
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, cfg := range []VisionConfig{smallVisionCfg(7), DefaultVision10(2), {
+	for _, cfg := range []VisionConfig{smallVisionCfg(7), {
+		Classes: 10, Features: 192, TrainPerClass: 100, TestPerClass: 25,
+		ModesPerClass: 3, Sep: 1.0, Noise: 0.55, Seed: 2,
+	}, {
 		Classes: 3, Features: 5, TrainPerClass: 1, TestPerClass: 0,
 		ModesPerClass: 1, Sep: 1, Noise: 0.5, Seed: 9,
 	}} {

@@ -112,15 +112,6 @@ type Sent140Config struct {
 	Seed int64
 }
 
-// DefaultSent140 gives a CPU-scale stand-in for the paper's 803-user
-// Sent140 task.
-func DefaultSent140(seed int64) Sent140Config {
-	return Sent140Config{
-		Vocab: 40, SeqLen: 8, Clients: 40, SamplesPerClient: 30,
-		TestSamples: 400, SentimentTokens: 6, Seed: seed,
-	}
-}
-
 // GenerateSent140 builds the federated sentiment task. Tweets mix
 // sentiment-bearing tokens (shared across users) with user-specific topic
 // tokens, so the label signal is global but the marginals are non-IID.

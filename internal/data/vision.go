@@ -30,26 +30,6 @@ type VisionConfig struct {
 	Seed int64
 }
 
-// DefaultVision10 mirrors CIFAR-10's role: a 10-class task with headroom
-// between weak and strong models.
-func DefaultVision10(seed int64) VisionConfig {
-	return VisionConfig{
-		Classes: 10, Features: 192,
-		TrainPerClass: 100, TestPerClass: 25,
-		ModesPerClass: 3, Sep: 1.0, Noise: 0.55, Seed: seed,
-	}
-}
-
-// DefaultVision100 mirrors CIFAR-100: ten times the classes, fewer samples
-// per class, lower attainable accuracy.
-func DefaultVision100(seed int64) VisionConfig {
-	return VisionConfig{
-		Classes: 100, Features: 192,
-		TrainPerClass: 12, TestPerClass: 4,
-		ModesPerClass: 2, Sep: 1.0, Noise: 0.55, Seed: seed,
-	}
-}
-
 // GenerateVision builds train and test sets from cfg. Each class is a
 // mixture of ModesPerClass Gaussian modes placed around a class mean, and
 // every sample passes through a shared fixed non-linear distortion, so the

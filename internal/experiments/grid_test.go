@@ -369,7 +369,7 @@ func TestGridAxisErrors(t *testing.T) {
 // for NaN.
 func TestValidatorsRefuseNaN(t *testing.T) {
 	for _, base := range []interface{ Validate() error }{TinyProfile().Config(1), fl.AsyncOptions{}, core.DefaultOptions(),
-		fl.PrivacyOptions{}, landscape.DefaultOptions()} {
+		fl.PrivacyOptions{}, landscape.Options{Resolution: 9, Radius: 0.5}} {
 		opts := reflect.New(reflect.TypeOf(base)).Elem()
 		opts.Set(reflect.ValueOf(base))
 		validate := func() error { return opts.Interface().(interface{ Validate() error }).Validate() }

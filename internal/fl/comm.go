@@ -69,6 +69,3 @@ func (a *Accountant) Record(p CommProfile) {
 
 // Total returns the accumulated profile.
 func (a *Accountant) Total() CommProfile { return a.total }
-
-// Rounds returns how many rounds were recorded.
-func (a *Accountant) Rounds() int { return a.rounds }

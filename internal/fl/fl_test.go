@@ -178,9 +178,6 @@ func TestAccountant(t *testing.T) {
 	var a Accountant
 	a.Record(CommProfile{ModelsDown: 2, ModelsUp: 2})
 	a.Record(CommProfile{ModelsDown: 2, ModelsUp: 2, GeneratorsDown: 1})
-	if a.Rounds() != 2 {
-		t.Fatalf("rounds %d", a.Rounds())
-	}
 	tot := a.Total()
 	if tot.ModelsDown != 4 || tot.GeneratorsDown != 1 {
 		t.Fatalf("total %+v", tot)

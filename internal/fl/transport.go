@@ -205,22 +205,6 @@ func NewTransport(opts TransportOptions) (*Transport, error) {
 	return t, nil
 }
 
-// Codec returns the configured codec ("identity" for a nil transport).
-func (t *Transport) Codec() nn.Codec {
-	if t == nil {
-		return nn.IdentityCodec{}
-	}
-	return t.codec
-}
-
-// Network returns the configured link model.
-func (t *Transport) Network() NetworkModel {
-	if t == nil {
-		return NetworkModel{Name: "none"}
-	}
-	return t.net
-}
-
 // PassThrough reports whether payloads cross the wire unmodified (the
 // codec is lossless), in which case every exchange returns the input
 // vector itself and never touch a destination buffer.

@@ -63,11 +63,6 @@ type Options struct {
 	Workers fl.Workers
 }
 
-// DefaultOptions mirrors the paper's [-0.5, 0.5] axes at a small grid.
-func DefaultOptions() Options {
-	return Options{Resolution: 9, Radius: 0.5, Seed: 1, MaxSamples: 256}
-}
-
 // Validate reports the first problem with the options.
 func (o Options) Validate() error {
 	switch {

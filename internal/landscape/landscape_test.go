@@ -22,8 +22,8 @@ func landEnv(seed int64) (models.Factory, *data.Dataset) {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	if err := DefaultOptions().Validate(); err != nil {
-		t.Fatalf("default options invalid: %v", err)
+	if err := (Options{Resolution: 9, Radius: 0.5, MaxSamples: 256}).Validate(); err != nil {
+		t.Fatalf("valid options refused: %v", err)
 	}
 	bad := []Options{
 		{Resolution: 2, Radius: 0.5},
@@ -60,23 +60,14 @@ func TestScan2DCenterMatchesDirectEval(t *testing.T) {
 	if err := nn.LoadParams(net.Params(), probe); err != nil {
 		t.Fatal(err)
 	}
-	x, y := test.Batch(allIdx(test.Len()))
-	logits := net.Forward(x)
-	loss, _ := nn.SoftmaxCrossEntropy(logits, y)
+	logits := net.Forward(test.X)
+	loss, _ := nn.SoftmaxCrossEntropy(logits, test.Y)
 	if diff := centre - loss; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("centre loss %v, direct eval %v", centre, loss)
 	}
 	if grid.MaxLoss() < centre {
 		t.Fatal("max loss below centre loss")
 	}
-}
-
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 func TestScanDeterministicInSeed(t *testing.T) {
@@ -118,10 +109,9 @@ func TestSharpnessDetectsCurvatureDifference(t *testing.T) {
 	// Train briefly so we sit near a minimum.
 	opt := nn.NewSGD(0.1, 0.5)
 	for step := 0; step < 60; step++ {
-		x, y := test.Batch(allIdx(test.Len()))
 		net.ZeroGrads()
-		logits := net.Forward(x)
-		_, g := nn.SoftmaxCrossEntropy(logits, y)
+		logits := net.Forward(test.X)
+		_, g := nn.SoftmaxCrossEntropy(logits, test.Y)
 		net.Backward(g)
 		opt.Step(net.Params(), net.Grads())
 	}

@@ -19,7 +19,6 @@ package models
 
 import (
 	"fmt"
-	"sort"
 
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -157,25 +156,4 @@ func SentLSTM(vocab, seqLen, embed, hidden int) Factory {
 			)
 		},
 	}
-}
-
-// Registry returns the named stock factories for the CLI tools, keyed by
-// a short architecture name.
-func Registry(classes int) map[string]Factory {
-	return map[string]Factory{
-		"cnn":    CNN(classes),
-		"resnet": ResNetMini(classes),
-		"vgg":    VGGMini(classes),
-		"mlp":    MLP(VisionFeatures, 32, classes),
-	}
-}
-
-// Names returns the sorted registry keys.
-func Names() []string {
-	ks := make([]string, 0, 4)
-	for k := range Registry(10) {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

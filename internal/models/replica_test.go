@@ -3,6 +3,7 @@ package models
 import (
 	"testing"
 
+	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
 )
 
@@ -15,8 +16,8 @@ func TestReplicasPoolPerArchitecture(t *testing.T) {
 		t.Fatal("different architectures must get distinct pools")
 	}
 	r := a.Get()
-	if want := MLP(4, 3, 2).New(tensor.NewRNG(0)).NumParams(); r.Net.NumParams() != want {
-		t.Fatalf("leased replica has %d params, want %d", r.Net.NumParams(), want)
+	if got, want := len(nn.FlattenParams(r.Net.Params())), len(nn.FlattenParams(MLP(4, 3, 2).New(tensor.NewRNG(0)).Params())); got != want {
+		t.Fatalf("leased replica has %d params, want %d", got, want)
 	}
 	if r.Opt == nil {
 		t.Fatal("replica must carry its optimizer")

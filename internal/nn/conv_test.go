@@ -623,8 +623,7 @@ func TestConvReLUPoolMatchesLayers(t *testing.T) {
 // MaxPool2D used to drop rows, slice out of range, pair the wrong
 // activations or dereference nil; LSTM copied a short gradient into dh
 // over the previous call's last row; GlobalAvgPool and Embedding ignored
-// extra rows; Tanh and Sigmoid indexed past their output or returned a
-// short dx; Linear dereferenced nil before a Forward.) A gradient of the
+// extra rows; Linear dereferenced nil before a Forward.) A gradient of the
 // cached batch but the wrong width is refused by name too. Residual and
 // Sequential hand the gradient to the layers they hold.
 func TestBackwardRejectsForeignBatch(t *testing.T) {
@@ -660,8 +659,6 @@ func TestBackwardRejectsForeignBatch(t *testing.T) {
 			return l, l.BackwardParams
 		}},
 		{"ReLU", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewReLU(); return l, backward(l) }},
-		{"Tanh", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewTanh(); return l, backward(l) }},
-		{"Sigmoid", dense, in, func() (Layer, func(*tensor.Tensor)) { l := NewSigmoid(); return l, backward(l) }},
 		{"MaxPool2D", dense, 8, func() (Layer, func(*tensor.Tensor)) { l := NewReLUMaxPool2D(2, 4, 4); return l, backward(l) }},
 		{"GlobalAvgPool", dense, 2, func() (Layer, func(*tensor.Tensor)) { l := NewGlobalAvgPool(2, 4, 4); return l, backward(l) }},
 		{"Conv2D", dense, 48, func() (Layer, func(*tensor.Tensor)) { c := conv(); return c, backward(c) }},

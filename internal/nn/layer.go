@@ -127,15 +127,6 @@ func (s *Sequential) ZeroGrads() {
 	}
 }
 
-// NumParams returns the total number of scalar parameters.
-func (s *Sequential) NumParams() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Len()
-	}
-	return n
-}
-
 func checkBatch(name string, x *tensor.Tensor, features int) {
 	if x.Rank() != 2 {
 		panic(fmt.Sprintf("nn: %s expects rank-2 input, got shape %v", name, x.Shape))
@@ -158,8 +149,8 @@ func checkGradBatch(layer string, grad, cached *tensor.Tensor) {
 	}
 }
 
-// checkGradShape is checkGradBatch for the elementwise layers, whose
-// gradient must also be as wide as the output y their Forward cached.
+// checkGradShape is checkGradBatch for an elementwise layer (ReLU), whose
+// gradient must also be as wide as the output y its Forward cached.
 func checkGradShape(layer string, grad, y *tensor.Tensor) {
 	checkGradBatch(layer, grad, y)
 	if len(grad.Data) != len(y.Data) {

@@ -97,58 +97,6 @@ func SoftmaxCrossEntropyLoss(logits *tensor.Tensor, labels []int) float64 {
 	return loss * invB
 }
 
-// Softmax returns row-wise softmax probabilities of logits.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	batch, classes := logits.Shape[0], logits.Shape[1]
-	out := tensor.Zeros(batch, classes)
-	for b := 0; b < batch; b++ {
-		row := logits.Data[b*classes : (b+1)*classes]
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		sum := 0.0
-		o := out.Data[b*classes : (b+1)*classes]
-		for j, v := range row {
-			o[j] = math.Exp(v - maxV)
-			sum += o[j]
-		}
-		for j := range o {
-			o[j] /= sum
-		}
-	}
-	return out
-}
-
-// KLToTeacher computes the mean KL(teacher ‖ student) given teacher
-// probabilities and student logits, together with dLoss/dStudentLogits.
-// It is the distillation loss used by the FedGen baseline.
-func KLToTeacher(teacherProbs, studentLogits *tensor.Tensor) (float64, *tensor.Tensor) {
-	if !tensor.SameShape(teacherProbs, studentLogits) {
-		panic(fmt.Sprintf("nn: KLToTeacher shape mismatch %v vs %v", teacherProbs.Shape, studentLogits.Shape))
-	}
-	batch, classes := studentLogits.Shape[0], studentLogits.Shape[1]
-	student := Softmax(studentLogits)
-	loss := 0.0
-	grad := tensor.Zeros(batch, classes)
-	invB := 1.0 / float64(batch)
-	for b := 0; b < batch; b++ {
-		t := teacherProbs.Data[b*classes : (b+1)*classes]
-		s := student.Data[b*classes : (b+1)*classes]
-		g := grad.Data[b*classes : (b+1)*classes]
-		for j := range t {
-			if t[j] > 0 {
-				loss += t[j] * (math.Log(t[j]) - math.Log(math.Max(s[j], 1e-12)))
-			}
-			// d/dlogits of KL(t||softmax) = softmax - t.
-			g[j] = (s[j] - t[j]) * invB
-		}
-	}
-	return loss * invB, grad
-}
-
 // Accuracy returns the fraction of rows of logits whose argmax equals the
 // label. NaN logits can never win the argmax (`v > bestV` is false for
 // NaN either way, but a NaN in position 0 used to win by default), so a

@@ -57,6 +57,8 @@ func NewLSTM(t, d, h int, rng *tensor.RNG) *LSTM {
 	return l
 }
 
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+
 // ensureSteps grows a per-timestep cache to n entries with the given
 // element shape, recycling existing buffers.
 func ensureSteps(ts []*tensor.Tensor, n, rows, cols int) []*tensor.Tensor {

@@ -6,13 +6,11 @@ import (
 	"fedcross/internal/tensor"
 )
 
-// Residual wraps a body (usually a Sequential of conv/ReLU layers) with a
-// skip connection: y = body(x) + proj(x). When the body preserves the
-// feature width the projection is the identity; otherwise callers supply a
-// projection layer (typically a 1×1 conv or Linear).
+// Residual wraps a body (usually a Sequential of conv/ReLU layers) with an
+// identity skip connection: y = body(x) + x. The body must preserve the
+// feature width.
 type Residual struct {
 	Body Layer
-	Proj Layer // nil means identity skip
 
 	out *tensor.Tensor // reused forward buffer
 }
@@ -20,53 +18,25 @@ type Residual struct {
 // NewResidual wraps body with an identity skip connection.
 func NewResidual(body Layer) *Residual { return &Residual{Body: body} }
 
-// NewResidualProj wraps body with a learned projection on the skip path,
-// for blocks that change the feature width.
-func NewResidualProj(body, proj Layer) *Residual {
-	return &Residual{Body: body, Proj: proj}
-}
-
-// Forward computes body(x) + skip(x).
+// Forward computes body(x) + x.
 func (r *Residual) Forward(x *tensor.Tensor) *tensor.Tensor {
 	y := r.Body.Forward(x)
-	var skip *tensor.Tensor
-	if r.Proj != nil {
-		skip = r.Proj.Forward(x)
-	} else {
-		skip = x
-	}
-	if !tensor.SameShape(y, skip) {
-		panic(fmt.Sprintf("nn: Residual: body output %v does not match skip %v (need a projection)", y.Shape, skip.Shape))
+	if !tensor.SameShape(y, x) {
+		panic(fmt.Sprintf("nn: Residual: body output %v does not match its input %v", y.Shape, x.Shape))
 	}
 	r.out = tensor.Ensure(r.out, y.Shape...)
-	return tensor.AddTo(r.out, y, skip)
+	return tensor.AddTo(r.out, y, x)
 }
 
-// Backward splits the incoming gradient between the body and the skip path.
+// Backward adds the incoming gradient, the skip path's, to the body's.
 func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx := r.Body.Backward(grad)
-	if r.Proj != nil {
-		tensor.AddInPlace(dx, r.Proj.Backward(grad))
-	} else {
-		tensor.AddInPlace(dx, grad)
-	}
+	tensor.AddInPlace(dx, grad)
 	return dx
 }
 
-// Params returns the body's parameters followed by the projection's.
-func (r *Residual) Params() []*tensor.Tensor {
-	ps := r.Body.Params()
-	if r.Proj != nil {
-		ps = append(ps, r.Proj.Params()...)
-	}
-	return ps
-}
+// Params returns the body's parameters.
+func (r *Residual) Params() []*tensor.Tensor { return r.Body.Params() }
 
 // Grads returns gradients aligned with Params.
-func (r *Residual) Grads() []*tensor.Tensor {
-	gs := r.Body.Grads()
-	if r.Proj != nil {
-		gs = append(gs, r.Proj.Grads()...)
-	}
-	return gs
-}
+func (r *Residual) Grads() []*tensor.Tensor { return r.Body.Grads() }

@@ -16,7 +16,6 @@ func TestToKernelsMatchAllocatingForms(t *testing.T) {
 		run   func(dst *Tensor) *Tensor
 	}{
 		{"AddTo", a.Shape, func(dst *Tensor) *Tensor { return AddTo(dst, a, b) }},
-		{"ApplyTo", a.Shape, func(dst *Tensor) *Tensor { return ApplyTo(dst, a, math.Abs) }},
 		{"MatMulTo", []int{3, 3}, func(dst *Tensor) *Tensor { return MatMulTo(dst, a, c) }},
 		{"MatMulTransBTo", []int{3, 3}, func(dst *Tensor) *Tensor { return MatMulTransBTo(dst, a, b) }},
 	} {

@@ -4,10 +4,10 @@ import "fmt"
 
 // Destination-passing convention: every *To kernel writes its result into
 // a caller-supplied dst tensor whose shape must already match, and returns
-// dst. The elementwise kernels (AddTo, ApplyTo) tolerate dst aliasing any
-// input; the matrix kernels (MatMulTo and friends) require dst to be
-// disjoint from both operands — see docs/ARCHITECTURE.md "Buffer
-// ownership" for the full rules.
+// dst. The elementwise kernel AddTo tolerates dst aliasing either input;
+// the matrix kernels (MatMulTo and friends) require dst to be disjoint
+// from both operands — see docs/ARCHITECTURE.md "Buffer ownership" for
+// the full rules.
 
 // AddTo computes dst = a + b elementwise. dst may alias a or b.
 func AddTo(dst, a, b *Tensor) *Tensor {
@@ -30,16 +30,6 @@ func ScaleInPlace(t *Tensor, s float64) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
-}
-
-// ApplyTo computes dst[i] = f(a[i]). dst may alias a.
-func ApplyTo(dst, a *Tensor, f func(float64) float64) *Tensor {
-	checkSame("ApplyTo(dst)", dst, a)
-	ad, dd := a.Data, dst.Data
-	for i := range dd {
-		dd[i] = f(ad[i])
-	}
-	return dst
 }
 
 // The matrix kernels validate shapes here and dispatch to the process-wide

@@ -312,21 +312,6 @@ func TestFullFillZero(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	a := New([]float64{-1, 2}, 2)
-	b := ApplyTo(Zeros(2), a, math.Abs)
-	if b.Data[0] != 1 || b.Data[1] != 2 {
-		t.Fatalf("ApplyTo = %v", b.Data)
-	}
-	if a.Data[0] != -1 {
-		t.Fatal("ApplyTo must not mutate its input")
-	}
-	ApplyTo(a, a, math.Abs)
-	if a.Data[0] != 1 {
-		t.Fatalf("aliased ApplyTo = %v", a.Data)
-	}
-}
-
 func TestSplitNMatchesConsecutiveSplits(t *testing.T) {
 	// SplitN(n) must consume exactly the draws of n Split calls and seed
 	// identical children — algorithms rely on this when they batch their
