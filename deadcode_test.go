@@ -121,7 +121,6 @@ var unreachedAllowed = map[string]unreachedReason{
 
 	"fedcross/internal/core.CrossAggrAll":           testReference,
 	"fedcross/internal/data.Assignment.Materialize": testReference,
-	"fedcross/internal/data.GenerateVision":         testReference,
 	"fedcross/internal/tensor/lowering.Col2ImTo":    testReference,
 	"fedcross/internal/tensor/lowering.Im2ColTo":    testReference,
 

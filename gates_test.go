@@ -307,6 +307,50 @@ func TestKernelTwinsListed(t *testing.T) {
 	}
 }
 
+// serialVisionBuild is data.BuildVision written out serially: every draw
+// of the corpus one Normal or Intn call in its stream's order, each row
+// finished with tensor.VisionFinish once drawn, then the partition's
+// Assign and Materialize. It returns the clients' shards and the test set.
+func serialVisionBuild(cfg data.VisionConfig, numClients int, het data.Heterogeneity, partitionSeed int64) (clients []*data.Dataset, test *data.Dataset) {
+	normals := func(rng *tensor.RNG, v []float64, std float64) []float64 {
+		for i := range v {
+			v[i] = rng.Normal(0, std)
+		}
+		return v
+	}
+	f := cfg.Features
+	rng := tensor.NewRNG(cfg.Seed)
+	means := make([][]float64, cfg.Classes)
+	modeOff := make([][][]float64, cfg.Classes)
+	for c := range means {
+		means[c] = normals(rng, make([]float64, f), cfg.Sep)
+		modeOff[c] = make([][]float64, cfg.ModesPerClass)
+		for m := range modeOff[c] {
+			modeOff[c][m] = normals(rng, make([]float64, f), cfg.Sep*0.8)
+		}
+	}
+	phase := normals(rng, make([]float64, f), math.Pi)
+	trainRNG, testRNG := rng.Split(), rng.Split()
+	set := func(rng *tensor.RNG, perClass int) *data.Dataset {
+		n := cfg.Classes * perClass
+		x, y := make([]float64, n*f), make([]int, n)
+		for r := range y {
+			c := r / perClass
+			row := x[r*f : (r+1)*f]
+			y[r] = c
+			m := rng.Intn(cfg.ModesPerClass)
+			for i := range row {
+				row[i] = means[c][i] + modeOff[c][m][i] + rng.Normal(0, cfg.Noise)
+			}
+			tensor.VisionFinish(row, row, phase)
+		}
+		return &data.Dataset{X: tensor.New(x, n, f), Y: y, Classes: cfg.Classes}
+	}
+	train := set(trainRNG, cfg.TrainPerClass)
+	test = set(testRNG, cfg.TestPerClass)
+	return het.Assign(train.Y, cfg.Classes, numClients, tensor.NewRNG(partitionSeed)).Materialize(train), test
+}
+
 // bitsEqual reports whether a and b hold the same float64 bits.
 func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
@@ -818,8 +862,8 @@ var gates = []gate{
 
 	// The corpus's finish pass, v + 0.4·sin(2v + phase), at the benchmark
 	// corpus's shape (sync_cnn_noniid: 10 classes × 550 rows of 192
-	// features) on one core, out of place as BuildVision writes the train
-	// rows into their shards: tensor.VisionFinish against its twin. Both
+	// features) on one core, out of place: tensor.VisionFinish against
+	// its twin. Both
 	// return the same bits. 3.76–4.87× over twenty readings (≈ 15–21 ms
 	// against ≈ 3.6–4.4 ms a pass), 0.88–1.14× over twenty with the kernel
 	// on its twin, so the bound sits between: below it the kernel fell back
@@ -849,6 +893,38 @@ var gates = []gate{
 			t.Fatal("vision/finish: the kernel differs from its twin")
 		}
 		return twin, kernel
+	}},
+
+	// The eager vision build at sync_cnn_noniid's corpus (10 classes ×
+	// 500/50 rows of 192 features over 100 clients, Dir(0.5)), a new
+	// corpus seed a call: data.BuildVision, the train draws on one core
+	// and everything else on the other, against serialVisionBuild, the
+	// serial build internal/data's tests hold it to. setup holds the
+	// shards and the test set equal bit for bit. 2.03–2.85× over twenty
+	// readings (≈ 16.5–22.7 ms against ≈ 7.0–9.3 ms a build); 1.13–1.52×
+	// over twenty with the consumer run after the producer instead of
+	// beside it, and 0.81–1.31× with the serial build timed against
+	// itself, so the bound sits between the first two. Below it the consumer stopped
+	// running beside the producer.
+	{name: "vision/build", reps: 3, runs: 7, bound: 1.85, twoCPUs: true, setup: func(t testing.TB) (func(), func()) {
+		cfg := data.VisionConfig{Classes: 10, Features: models.VisionFeatures, TrainPerClass: 500, TestPerClass: 50,
+			ModesPerClass: 4, Sep: 1, Noise: 0.6, Seed: 1}
+		het := data.Heterogeneity{Beta: 0.5}
+		fed := data.BuildVision(cfg, 100, het, 1000)
+		clients, test := serialVisionBuild(cfg, 100, het, 1000)
+		if !bitsEqual(fed.Test.X.Data, test.X.Data) || len(fed.Clients) != len(clients) {
+			t.Fatal("vision/build: the test set differs from the serial build's")
+		}
+		for ci, c := range clients {
+			if !bitsEqual(fed.Clients[ci].X.Data, c.X.Data) || !slices.Equal(fed.Clients[ci].Y, c.Y) {
+				t.Fatalf("vision/build: client %d differs from the serial build's", ci)
+			}
+		}
+		build := func(b func(data.VisionConfig)) func() {
+			return func() { cfg.Seed++; b(cfg) }
+		}
+		return build(func(cfg data.VisionConfig) { serialVisionBuild(cfg, 100, het, 1000) }),
+			build(func(cfg data.VisionConfig) { data.BuildVision(cfg, 100, het, 1000) })
 	}},
 
 	// FedCross's K×K similarity pass at server_heavy_k64's shape (K = 64,

@@ -9,21 +9,18 @@ import (
 // BuildVision generates the synthetic vision corpus and partitions it
 // across numClients clients with the given heterogeneity setting. It is
 // the one-call constructor the experiments use for the CIFAR substitutes.
-// The shards' slots are laid out (Assignment.slots) while the features
-// are drawn, and the finish pass writes each train row straight into its
-// client's slot: the shards are Materialize's over GenerateVision's
-// train set, without the copy.
+// The assignment and the shards' slots (Assignment.slots) are laid out
+// on the corpus's consumer side while the producer draws, and each train
+// row is finished straight into its client's slot (drawVision): the
+// shards are Materialize's over GenerateVision's train set, without the
+// train set. A panic in the assignment (numClients ≤ 0, beta ≤ 0) is
+// raised again here, after the join, with the same value.
 func BuildVision(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64) *Federated {
-	var (
-		clients []*Dataset
-		x       []float64
-		to      []int
-	)
-	train, test, phase := buildVision(cfg, numClients, het, partitionSeed, func(asg *Assignment, labels []int) {
-		clients, x, to = asg.slots(labels, cfg.Classes, cfg.Features)
+	var clients []*Dataset
+	_, test := drawVision(cfg, func(labels []int) (x []float64, to []int) {
+		clients, x, to = het.Assign(labels, cfg.Classes, numClients, tensor.NewRNG(partitionSeed)).slots(labels, cfg.Classes, cfg.Features)
+		return x, to
 	})
-	finish(x, train.X.Data, to, phase)
-	finish(test.X.Data, test.X.Data, nil, phase)
 	return &Federated{
 		Name:    visionName(cfg) + "/" + het.String(),
 		Clients: clients,
@@ -40,38 +37,31 @@ func BuildVision(cfg VisionConfig, numClients int, het Heterogeneity, partitionS
 // stripes (≤ 0 selects data.DefaultCacheStripes; see NewLazy). This is
 // the constructor for million-client federations where the eager layout
 // cannot fit.
+//
+// The assignment reads only labels, which GenerateVision fixes
+// class-major (classMajorLabels), and draws only from its own
+// partitionSeed stream, so it runs on a goroutine of its own beside the
+// whole corpus: at 10^6 clients it is the longer of the two. A bad config
+// panics before the goroutine starts; a panic in the assignment is raised
+// again here, after the join, with the same value.
 func BuildVisionLazy(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64, capacity, stripes int) *Federated {
-	var asg *Assignment
-	train, test, phase := buildVision(cfg, numClients, het, partitionSeed, func(a *Assignment, _ []int) { asg = a })
-	finish(train.X.Data, train.X.Data, nil, phase)
-	finish(test.X.Data, test.X.Data, nil, phase)
+	checkVision(cfg)
+	var (
+		asg         *Assignment
+		train, test *Dataset
+	)
+	sideBySide(
+		func() {
+			asg = het.Assign(classMajorLabels(cfg.Classes, cfg.TrainPerClass), cfg.Classes, numClients, tensor.NewRNG(partitionSeed))
+		},
+		func() { train, test = GenerateVision(cfg) },
+	)
 	return &Federated{
 		Name:    visionName(cfg) + "/" + het.String(),
 		Source:  NewLazy(train, asg, capacity, stripes),
 		Test:    test,
 		Classes: cfg.Classes,
 	}
-}
-
-// buildVision draws the corpus and, side by side, computes its partition
-// and hands it to then with the train labels; the finish pass is left to
-// its caller. The assignment reads only labels, which drawVision fixes
-// class-major (classMajorLabels), and draws only from its own
-// partitionSeed stream, so it and then run on a goroutine of their own
-// while this one draws the features; the two meet before anything reads
-// both. A bad config panics before the goroutine starts, as
-// GenerateVision would; a panic in the assignment (numClients ≤ 0,
-// beta ≤ 0) is raised again here, after the join, with the same value.
-func buildVision(cfg VisionConfig, numClients int, het Heterogeneity, partitionSeed int64, then func(asg *Assignment, labels []int)) (train, test *Dataset, phase []float64) {
-	checkVision(cfg)
-	sideBySide(
-		func() {
-			labels := classMajorLabels(cfg.Classes, cfg.TrainPerClass)
-			then(het.Assign(labels, cfg.Classes, numClients, tensor.NewRNG(partitionSeed)), labels)
-		},
-		func() { train, test, phase = drawVision(cfg) },
-	)
-	return train, test, phase
 }
 
 // sideBySide runs the last of fns on the calling goroutine and each other

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fedcross/internal/tensor"
 )
@@ -267,13 +268,63 @@ func TestBuildVisionAssignsFromLabelsAlone(t *testing.T) {
 	}
 }
 
+// serialDraw is GenerateVision's draws written out as one serial pass,
+// every draw one rng.Normal or rng.Intn call in its stream's order: the
+// train and test sets with each feature at its undistorted value v, and
+// the distortion's phase.
+func serialDraw(cfg VisionConfig) (train, test *Dataset, phase []float64) {
+	normals := func(rng *tensor.RNG, n int, std float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Normal(0, std)
+		}
+		return v
+	}
+	rng := tensor.NewRNG(cfg.Seed)
+	means := make([][]float64, cfg.Classes)
+	modeOff := make([][][]float64, cfg.Classes)
+	for c := range means {
+		means[c] = normals(rng, cfg.Features, cfg.Sep)
+		modeOff[c] = make([][]float64, cfg.ModesPerClass)
+		for m := range modeOff[c] {
+			modeOff[c][m] = normals(rng, cfg.Features, cfg.Sep*0.8)
+		}
+	}
+	phase = normals(rng, cfg.Features, math.Pi)
+	trainRNG, testRNG := rng.Split(), rng.Split()
+	set := func(rng *tensor.RNG, perClass int) *Dataset {
+		y := classMajorLabels(cfg.Classes, perClass)
+		x := make([]float64, 0, len(y)*cfg.Features)
+		for _, c := range y {
+			m := rng.Intn(cfg.ModesPerClass)
+			for i := range cfg.Features {
+				x = append(x, means[c][i]+modeOff[c][m][i]+rng.Normal(0, cfg.Noise))
+			}
+		}
+		return &Dataset{X: tensor.New(x, len(y), cfg.Features), Y: y, Classes: cfg.Classes}
+	}
+	return set(trainRNG, cfg.TrainPerClass), set(testRNG, cfg.TestPerClass), phase
+}
+
+// serialVision is serialDraw with each feature distorted by math.Sin:
+// GenerateVision as one serial pass.
+func serialVision(cfg VisionConfig) (train, test *Dataset) {
+	train, test, phase := serialDraw(cfg)
+	for _, d := range []*Dataset{train, test} {
+		for j, v := range d.X.Data {
+			d.X.Data[j] = v + 0.4*math.Sin(2*v+phase[j%len(phase)])
+		}
+	}
+	return train, test
+}
+
 // TestBuildVisionMatchesMaterialize holds the eager build, which
-// finishes each train row straight into its client's slot, to the
-// layout it replaced, rebuilt here: drawVision, the finish written out
-// as a scalar loop, then Assignment.Materialize. Shards and test set
-// must be equal bit for bit, each shard a window of exactly its own
-// length, over Dir(β) with top-up overlay clients and IID, 1, 100 and
-// 511 clients, and GOMAXPROCS 1, 2 and 3.
+// finishes each train row straight into its client's slot, to the serial
+// build written out (serialVision) and partitioned by
+// Assignment.Materialize. Shards and test set must be equal bit for bit,
+// each shard a window of exactly its own length, over Dir(β) with top-up
+// overlay clients and IID, 1, 100 and 511 clients, and GOMAXPROCS 1, 2
+// and 3, as built and with the layout held back.
 func TestBuildVisionMatchesMaterialize(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	same := func(a, b []float64) bool {
@@ -283,15 +334,7 @@ func TestBuildVisionMatchesMaterialize(t *testing.T) {
 		{Classes: 10, Features: 192, TrainPerClass: 40, TestPerClass: 5, ModesPerClass: 4, Sep: 1, Noise: 0.6, Seed: 3},
 		{Classes: 4, Features: 13, TrainPerClass: 90, TestPerClass: 3, ModesPerClass: 2, Sep: 1, Noise: 0.3, Seed: 4},
 	} {
-		train, test, phase := drawVision(cfg)
-		for _, d := range []*Dataset{train, test} {
-			x := d.X.Data
-			for r := 0; r < len(x); r += len(phase) {
-				for i, v := range x[r : r+len(phase)] {
-					x[r+i] = v + 0.4*tensor.VisionSin(2*v+phase[i])
-				}
-			}
-		}
+		train, test := serialVision(cfg)
 		for _, n := range []int{1, 100, 511} {
 			for _, het := range []Heterogeneity{{Beta: 0.1}, {IID: true}} {
 				asg := het.Assign(train.Y, cfg.Classes, n, tensor.NewRNG(int64(n)))
@@ -299,29 +342,66 @@ func TestBuildVisionMatchesMaterialize(t *testing.T) {
 					t.Fatalf("%d classes, %d clients, %v: no top-up client to cover", cfg.Classes, n, het)
 				}
 				want := asg.Materialize(train)
+				// late is the eager build with its layout held back, so
+				// that the producer draws rows into blocks of its own
+				// before it draws into the shards.
+				late := func() *Federated {
+					var clients []*Dataset
+					_, test := drawVision(cfg, func(labels []int) (x []float64, to []int) {
+						time.Sleep(2 * time.Millisecond)
+						clients, x, to = het.Assign(labels, cfg.Classes, n, tensor.NewRNG(int64(n))).slots(labels, cfg.Classes, cfg.Features)
+						return x, to
+					})
+					return &Federated{Clients: clients, Test: test}
+				}
 				for _, procs := range []int{1, 2, 3} {
 					runtime.GOMAXPROCS(procs)
-					fed := BuildVision(cfg, n, het, int64(n))
-					where := fmt.Sprintf("%d classes, %d clients, %v, GOMAXPROCS %d", cfg.Classes, n, het, procs)
-					if !same(fed.Test.X.Data, test.X.Data) || !slices.Equal(fed.Test.Y, test.Y) {
-						t.Fatalf("%s: the test set differs", where)
-					}
-					if len(fed.Clients) != n {
-						t.Fatalf("%s: %d clients", where, len(fed.Clients))
-					}
-					for ci, got := range fed.Clients {
-						w := want[ci]
-						if !slices.Equal(got.X.Shape, w.X.Shape) || !same(got.X.Data, w.X.Data) ||
-							!slices.Equal(got.Y, w.Y) || got.Classes != w.Classes || got.TokenVocab != w.TokenVocab {
-							t.Fatalf("%s: client %d differs from Materialize's", where, ci)
+					for _, b := range []struct {
+						name string
+						fed  *Federated
+					}{{"BuildVision", BuildVision(cfg, n, het, int64(n))}, {"late layout", late()}} {
+						where := fmt.Sprintf("%s: %d classes, %d clients, %v, GOMAXPROCS %d", b.name, cfg.Classes, n, het, procs)
+						if !same(b.fed.Test.X.Data, test.X.Data) || !slices.Equal(b.fed.Test.Y, test.Y) {
+							t.Fatalf("%s: the test set differs", where)
 						}
-						if cap(got.X.Data) != len(got.X.Data) || cap(got.Y) != len(got.Y) {
-							t.Fatalf("%s: client %d's slot reaches past its rows", where, ci)
+						if len(b.fed.Clients) != n {
+							t.Fatalf("%s: %d clients", where, len(b.fed.Clients))
+						}
+						for ci, got := range b.fed.Clients {
+							w := want[ci]
+							if !slices.Equal(got.X.Shape, w.X.Shape) || !same(got.X.Data, w.X.Data) ||
+								!slices.Equal(got.Y, w.Y) || got.Classes != w.Classes || got.TokenVocab != w.TokenVocab {
+								t.Fatalf("%s: client %d differs from Materialize's", where, ci)
+							}
+							if cap(got.X.Data) != len(got.X.Data) || cap(got.Y) != len(got.Y) {
+								t.Fatalf("%s: client %d's slot reaches past its rows", where, ci)
+							}
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkBuildVision times the eager build cold at two benchmark
+// corpora: sync_cnn_noniid's (10 classes × 500/50 rows of 192 features
+// over 100 clients) and server_heavy_k64's (256/50 rows a class over 256
+// clients), both Dir(0.5). Each build draws a new corpus seed, as the
+// benchmark's passes do.
+func BenchmarkBuildVision(b *testing.B) {
+	for _, c := range []struct {
+		name              string
+		perClass, clients int
+	}{{"sync_cnn_noniid", 500, 100}, {"server_heavy_k64", 256, 256}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := VisionConfig{Classes: 10, Features: 192, TrainPerClass: c.perClass, TestPerClass: 50,
+				ModesPerClass: 4, Sep: 1, Noise: 0.6}
+			for i := range b.N {
+				cfg.Seed = int64(i)
+				BuildVision(cfg, c.clients, Heterogeneity{Beta: 0.5}, int64(i)+1000)
+			}
+		})
 	}
 }
 
@@ -359,6 +439,68 @@ func TestBuildVisionRaisesAssignmentPanic(t *testing.T) {
 			if got := panicOf(b.build); got != want {
 				t.Fatalf("%s n=%d %v: panicked with %v, want %v", b.name, tc.n, tc.het, got, want)
 			}
+		}
+	}
+}
+
+// TestVisionHandoffPanics plants a panic on each side of drawVision's
+// handoff and holds every build to three things: the panic is raised on
+// the caller after the join with the value it was raised with, the build
+// returns (a side left waiting on the other would hang it), and no
+// goroutine outlives it. On the producer, ModesPerClass 0 with no test
+// rows panics at the first train row's Intn; on the consumer, the
+// assignment refuses numClients ≤ 0 before the layout exists, a planted
+// panic in the layout runs while the producer draws into blocks of its
+// own, and ModesPerClass 0 with no train rows panics in the test set.
+func TestVisionHandoffPanics(t *testing.T) {
+	panicOf := func(fn func()) (v any) {
+		defer func() { v = recover() }()
+		fn()
+		return nil
+	}
+	intn0 := panicOf(func() { tensor.NewRNG(1).Intn(0) })
+	cfg := smallVisionCfg(1)
+	noModes, noTest, noTrain := cfg, cfg, cfg
+	noModes.ModesPerClass = 0
+	noTest.ModesPerClass, noTest.TestPerClass = 0, 0
+	noTrain.ModesPerClass, noTrain.TrainPerClass = 0, 0
+	labels := classMajorLabels(cfg.Classes, cfg.TrainPerClass)
+	planted := "planted in the layout"
+	base := runtime.NumGoroutine()
+	for _, c := range []struct {
+		name  string
+		build func()
+		want  any
+	}{
+		{"producer/BuildVision", func() { BuildVision(noTest, 4, Heterogeneity{Beta: 0.5}, 9) }, intn0},
+		{"producer/GenerateVision", func() { GenerateVision(noTest) }, intn0},
+		{"consumer/assignment", func() { BuildVision(cfg, 0, Heterogeneity{Beta: 0.5}, 9) },
+			panicOf(func() { Heterogeneity{Beta: 0.5}.Assign(labels, cfg.Classes, 0, tensor.NewRNG(9)) })},
+		{"consumer/layout", func() {
+			drawVision(cfg, func([]int) ([]float64, []int) { panic(planted) })
+		}, planted},
+		{"consumer/test set", func() { BuildVision(noTrain, 4, Heterogeneity{IID: true}, 9) }, intn0},
+		{"both", func() { GenerateVision(noModes) }, intn0},
+	} {
+		if c.want == nil {
+			t.Fatalf("%s: the planted call does not panic", c.name)
+		}
+		got := make(chan any, 1)
+		go func() { got <- panicOf(c.build) }()
+		select {
+		case v := <-got:
+			if v != c.want {
+				t.Fatalf("%s: panicked with %v, want %v", c.name, v, c.want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the build did not return: one side waits on the other", c.name)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines after the build, %d before", c.name, n, base)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func TestVisionSineMatchesMathSin(t *testing.T) {
 		Classes: 10, Features: 192, TrainPerClass: 200, TestPerClass: 20,
 		ModesPerClass: 4, Sep: 1.0, Noise: 0.6, Seed: 5,
 	}} {
-		train, test, phase := drawVision(cfg)
+		train, test, phase := serialDraw(cfg)
 		for _, d := range []*Dataset{train, test} {
 			for r := range d.Len() {
 				for i, v := range d.X.Data[r*len(phase) : (r+1)*len(phase)] {
@@ -93,36 +93,8 @@ func TestVisionSineMatchesMathSin(t *testing.T) {
 
 // TestGenerateVisionSplitInvariant holds GenerateVision's bytes equal at
 // GOMAXPROCS 1, 2 and 3, and equal to the serial one-pass build it
-// replaced: the train rows and then the test rows, each sample drawn and
-// distorted with math.Sin in turn.
+// replaced (serialVision): the train rows and then the test rows.
 func TestGenerateVisionSplitInvariant(t *testing.T) {
-	onePass := func(cfg VisionConfig) (x []float64) {
-		rng := tensor.NewRNG(cfg.Seed)
-		means := make([][]float64, cfg.Classes)
-		modeOff := make([][][]float64, cfg.Classes)
-		for c := range means {
-			means[c] = randVec(rng, cfg.Features, cfg.Sep)
-			modeOff[c] = make([][]float64, cfg.ModesPerClass)
-			for m := range modeOff[c] {
-				modeOff[c][m] = randVec(rng, cfg.Features, cfg.Sep*0.8)
-			}
-		}
-		phase := randVec(rng, cfg.Features, math.Pi)
-		trainRNG, testRNG := rng.Split(), rng.Split()
-		for _, set := range []struct {
-			rng      *tensor.RNG
-			perClass int
-		}{{trainRNG, cfg.TrainPerClass}, {testRNG, cfg.TestPerClass}} {
-			for _, c := range classMajorLabels(cfg.Classes, set.perClass) {
-				m := set.rng.Intn(cfg.ModesPerClass)
-				for i := range cfg.Features {
-					v := means[c][i] + modeOff[c][m][i] + set.rng.Normal(0, cfg.Noise)
-					x = append(x, v+0.4*math.Sin(2*v+phase[i]))
-				}
-			}
-		}
-		return x
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, cfg := range []VisionConfig{smallVisionCfg(7), {
 		Classes: 10, Features: 192, TrainPerClass: 100, TestPerClass: 25,
@@ -131,7 +103,8 @@ func TestGenerateVisionSplitInvariant(t *testing.T) {
 		Classes: 3, Features: 5, TrainPerClass: 1, TestPerClass: 0,
 		ModesPerClass: 1, Sep: 1, Noise: 0.5, Seed: 9,
 	}} {
-		want := onePass(cfg)
+		train, test := serialVision(cfg)
+		want := append(slices.Clone(train.X.Data), test.X.Data...)
 		for _, procs := range []int{1, 2, 3} {
 			runtime.GOMAXPROCS(procs)
 			train, test := GenerateVision(cfg)

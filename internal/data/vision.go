@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"fedcross/internal/tensor"
 )
@@ -35,86 +34,137 @@ type VisionConfig struct {
 // every sample passes through a shared fixed non-linear distortion, so the
 // Bayes-optimal boundary is not linear.
 //
-// It runs in two passes: drawVision makes every draw, the train and
-// test sets side by side, each in its own stream's order, and leaves
-// each feature at its undistorted value; finish then applies the
-// distortion in place over row blocks in parallel.
+// The train set's draws run on one core and everything else beside them
+// on another (drawVision).
 func GenerateVision(cfg VisionConfig) (train, test *Dataset) {
-	train, test, phase := drawVision(cfg)
-	finish(train.X.Data, train.X.Data, nil, phase)
-	finish(test.X.Data, test.X.Data, nil, phase)
-	return train, test
+	return drawVision(cfg, nil)
 }
 
-// drawVision is GenerateVision's draw pass: the class structure, the
-// distortion's phase and every sample's features before the
-// distortion, v = mean + mode offset + noise.
-func drawVision(cfg VisionConfig) (train, test *Dataset, phase []float64) {
+// visionBlock is how many train rows drawVision's producer hands its
+// consumer at a time.
+const visionBlock = 32
+
+// drawVision is the corpus's pipeline. cfg.Seed's stream draws the class
+// structure and the distortion's phase, then splits off a train and a
+// test stream. The train stream's order forces one side, the producer,
+// to make each train row's draws in turn: its mode's Intn word, then its
+// features' noise. The consumer does everything else beside it: slots,
+// when not nil; the test set, from its own stream; and, visionBlock train
+// rows at a time, v = (mean + offset) + noise and the distortion
+// x = v + 0.4·sin(2v + phase) (tensor.VisionFinish), written to the row's
+// destination. An element depends on its own draws and its column alone,
+// so the bytes do not depend on how the two sides interleave.
+//
+// With slots nil every train row is drawn and finished in place and the
+// train set is returned. Otherwise slots(labels) says where the train
+// rows go, row r to row to[r] of x, and train is nil: until the consumer
+// has that layout the producer draws into blocks of its own, then
+// straight into x. The producer's channel holds every block, so the
+// producer never waits, and the consumer sleeps while it has none. A
+// panic on either side is raised again on the caller after the join
+// (sideBySide); the producer closes its channel however it returns.
+func drawVision(cfg VisionConfig, slots func(labels []int) (x []float64, to []int)) (train, test *Dataset) {
 	checkVision(cfg)
 	rng := tensor.NewRNG(cfg.Seed)
+	f, modes := cfg.Features, cfg.ModesPerClass
 
-	// Frozen class structure: class mean + per-mode offsets.
-	means := make([][]float64, cfg.Classes)
-	modeOff := make([][][]float64, cfg.Classes)
-	for c := range means {
-		means[c] = randVec(rng, cfg.Features, cfg.Sep)
-		modeOff[c] = make([][]float64, cfg.ModesPerClass)
-		for m := range modeOff[c] {
-			modeOff[c][m] = randVec(rng, cfg.Features, cfg.Sep*0.8)
+	// Frozen class structure: each (class, mode)'s center, its class mean
+	// plus its mode offset, summed once as each sample summed them first.
+	centers := make([][]float64, 0, cfg.Classes*modes)
+	for range cfg.Classes {
+		mean := randVec(rng, f, cfg.Sep)
+		for range modes {
+			off := randVec(rng, f, cfg.Sep*0.8)
+			for i := range off {
+				off[i] = mean[i] + off[i]
+			}
+			centers = append(centers, off)
 		}
 	}
 	// Shared distortion: x -> x + 0.4·sin(2x + phase), applied
-	// elementwise with a frozen per-feature phase (finish). Cheap,
-	// smooth, non-linear.
-	phase = randVec(rng, cfg.Features, math.Pi)
-
-	build := func(rng *tensor.RNG, perClass int) *Dataset {
-		y := classMajorLabels(cfg.Classes, perClass)
-		x := tensor.Zeros(len(y), cfg.Features)
-		for row, c := range y {
-			dst := x.Data[row*cfg.Features : (row+1)*cfg.Features]
-			m := rng.Intn(cfg.ModesPerClass)
-			for i := range dst {
-				dst[i] = means[c][i] + modeOff[c][m][i] + rng.Normal(0, cfg.Noise)
-			}
+	// elementwise with a frozen per-feature phase. Cheap, smooth,
+	// non-linear.
+	phase := randVec(rng, f, math.Pi)
+	trainRNG, testRNG := rng.Split(), rng.Split()
+	finish := func(dst, v []float64, c, m int) {
+		center := centers[c*modes+m]
+		for i := range v {
+			v[i] = center[i] + v[i]
 		}
-		return &Dataset{X: x, Y: y, Classes: cfg.Classes}
+		tensor.VisionFinish(dst, v, phase)
 	}
 
-	// Both streams are split off before either build draws, so the two
-	// builds run side by side.
-	trainRNG := rng.Split()
-	testRNG := rng.Split()
+	labels := classMajorLabels(cfg.Classes, cfg.TrainPerClass)
+	rows := len(labels)
+	var x []float64
+	var to []int
+	if slots == nil {
+		train = &Dataset{X: tensor.Zeros(rows, f), Y: labels, Classes: cfg.Classes}
+		x = train.X.Data
+	}
+	row := func(r int) []float64 {
+		if to != nil {
+			r = to[r]
+		}
+		return x[r*f : (r+1)*f]
+	}
+	type block struct {
+		lo    int
+		spill []float64 // the rows' noise, until x is laid out; nil after
+	}
+	noise := func(b block, r int) []float64 {
+		if b.spill == nil {
+			return row(r)
+		}
+		return b.spill[(r-b.lo)*f : (r-b.lo+1)*f]
+	}
+	modeOf := make([]int, rows)
+	full := make(chan block, (rows+visionBlock-1)/visionBlock)
+	laid := make(chan struct{}, 1)
 	sideBySide(
-		func() { test = build(testRNG, cfg.TestPerClass) },
-		func() { train = build(trainRNG, cfg.TrainPerClass) },
-	)
-	return train, test, phase
-}
-
-// finish is the corpus's finish pass, x = v + 0.4·sin(2v + phase)
-// (tensor.VisionFinish), from src's rows of len(phase) features to dst:
-// row r to row to[r], or to row r where to is nil (dst is then src, the
-// finish in place). The rows are split into GOMAXPROCS blocks run side by
-// side. An element depends on itself and its column's phase alone, so the
-// bytes do not depend on the split or on where a row lands.
-func finish(dst, src []float64, to []int, phase []float64) {
-	f := len(phase)
-	rows := len(src) / f
-	blocks := max(1, min(runtime.GOMAXPROCS(0), rows))
-	fns := make([]func(), blocks)
-	for b := range fns {
-		fns[b] = func() {
-			for r := b * rows / blocks; r < (b+1)*rows/blocks; r++ {
-				d := r
-				if to != nil {
-					d = to[r]
+		func() { // the producer
+			defer close(full)
+			placed := slots == nil
+			for lo := 0; lo < rows; lo += visionBlock {
+				if !placed {
+					select {
+					case <-laid:
+						placed = true
+					default:
+					}
 				}
-				tensor.VisionFinish(dst[d*f:(d+1)*f], src[r*f:(r+1)*f], phase)
+				b, hi := block{lo: lo}, min(lo+visionBlock, rows)
+				if !placed {
+					b.spill = make([]float64, (hi-lo)*f)
+				}
+				for r := lo; r < hi; r++ {
+					modeOf[r] = trainRNG.Intn(modes)
+					trainRNG.NormalInto(noise(b, r), 0, cfg.Noise)
+				}
+				full <- b
 			}
-		}
-	}
-	sideBySide(fns...)
+		},
+		func() { // the consumer
+			if slots != nil {
+				x, to = slots(labels)
+				laid <- struct{}{}
+			}
+			y := classMajorLabels(cfg.Classes, cfg.TestPerClass)
+			test = &Dataset{X: tensor.Zeros(len(y), f), Y: y, Classes: cfg.Classes}
+			for r, c := range y {
+				v := test.X.Data[r*f : (r+1)*f]
+				m := testRNG.Intn(modes)
+				testRNG.NormalInto(v, 0, cfg.Noise)
+				finish(v, v, c, m)
+			}
+			for b := range full {
+				for r := b.lo; r < min(b.lo+visionBlock, rows); r++ {
+					finish(row(r), noise(b, r), labels[r], modeOf[r])
+				}
+			}
+		},
+	)
+	return train, test
 }
 
 func checkVision(cfg VisionConfig) {
@@ -136,8 +186,6 @@ func classMajorLabels(classes, perClass int) []int {
 
 func randVec(rng *tensor.RNG, n int, scale float64) []float64 {
 	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.Normal(0, scale)
-	}
+	rng.NormalInto(v, 0, scale)
 	return v
 }

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Distributions read straight from the source's ring. rand.Rand's
 // Float64 and NormFloat64 reach a draw through three or four calls
 // (NormFloat64 → Uint32 → Int63 → Source.Int63, the last dynamic); at
@@ -19,6 +21,41 @@ func (g *RNG) Float64() float64 { return g.src.float64() }
 // Normal returns a sample from N(mean, std²).
 func (g *RNG) Normal(mean, std float64) float64 {
 	return mean + std*g.normFloat64()
+}
+
+// NormalInto fills dst with len(dst) samples of N(mean, std²): the bits
+// and the stream position of len(dst) calls of Normal, in Normal's
+// expression form. The ring's indices stay in locals across dst and the
+// ziggurat's fast path runs inline; a draw that misses it takes Normal's
+// own way out, unread and then rand.Rand.NormFloat64.
+func (g *RNG) NormalInto(dst []float64, mean, std float64) {
+	s := &g.src
+	tap, feed := s.tap, s.feed
+	for i := range dst {
+		if tap--; tap < 0 {
+			tap += rngLen
+		}
+		if feed--; feed < 0 {
+			feed += rngLen
+		}
+		w := s.vec[feed] + s.vec[tap]
+		s.vec[feed] = w
+		j := int32((w & math.MaxInt64) >> 31) // Int63's word, as normFloat64 reads it
+		k := j & 0x7F
+		if absInt32(j) < kn[k] {
+			x := float64(j) * float64(wn[k])
+			dst[i] = mean + std*x
+			continue
+		}
+		// The draw is counted once with the rest below; unread takes it
+		// back and the slow path counts its own.
+		s.tap, s.feed = tap, feed
+		s.unread()
+		dst[i] = mean + std*g.r.NormFloat64()
+		tap, feed = s.tap, s.feed
+	}
+	s.tap, s.feed = tap, feed
+	s.n += uint64(len(dst))
 }
 
 // float64 is rand.Rand.Float64: Int63 / 2^63, drawn again in the

@@ -196,6 +196,80 @@ func TestNormalStripBoundaries(t *testing.T) {
 	}
 }
 
+// nextNormalMiss reports how the next Normal draw from s leaves the
+// ziggurat's fast path: "" if it stays on it, "tail" for strip 0's tail,
+// "wedge" for a wedge test (every draw in strip 1). It draws nothing.
+func nextNormalMiss(s *source) string {
+	t, f := (s.tap-1+rngLen)%rngLen, (s.feed-1+rngLen)%rngLen
+	j := int32(((s.vec[f] + s.vec[t]) & math.MaxInt64) >> 31)
+	switch i := j & 0x7F; {
+	case absInt32(j) < kn[i]:
+		return ""
+	case i == 0:
+		return "tail"
+	}
+	return "wedge"
+}
+
+func TestNormalIntoMatchesNormal(t *testing.T) {
+	// NormalInto against a loop of Normal from the same state: every
+	// value's bits, the whole source afterwards and State(). The lengths
+	// run a fresh ring (tap 0, feed 334) across tap's and feed's wraps and
+	// once around; each length runs on three seeds plus the first seed
+	// whose draws take a wedge test and the first whose draws reach strip
+	// 0's tail, so both ways off the fast path run inside NormalInto at
+	// every length.
+	misses := func(seed int64, n int) map[string]int {
+		g, seen := NewRNG(seed), map[string]int{}
+		for range n {
+			seen[nextNormalMiss(&g.src)]++
+			g.Normal(0, 1)
+		}
+		return seen
+	}
+	find := func(n int, miss string) int64 {
+		for seed := int64(1); seed < 1<<16; seed++ {
+			if misses(seed, n)[miss] > 0 {
+				return seed
+			}
+		}
+		t.Fatalf("length %d: no seed below 2^16 draws a %s", n, miss)
+		return 0
+	}
+	total := map[string]int{}
+	for _, n := range []int{0, 1, 192, 193, 273, 334, 607, 608, 100_000} {
+		seeds := []int64{1, 2, 3}
+		if n > 0 {
+			seeds = append(seeds, find(n, "wedge"), find(n, "tail"))
+		}
+		for _, seed := range seeds {
+			for k, v := range misses(seed, n) {
+				total[k] += v
+			}
+			for _, ms := range [][2]float64{{0, 1}, {-3, 0.25}, {0, 0.6}} {
+				mean, std := ms[0], ms[1]
+				ref, g := NewRNG(seed), NewRNG(seed)
+				want, got := make([]float64, n), make([]float64, n)
+				for i := range want {
+					want[i] = ref.Normal(mean, std)
+				}
+				g.NormalInto(got, mean, std)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("seed %d, length %d, N(%g, %g²): draw %d is %v, want Normal's %v", seed, n, mean, std, i, got[i], want[i])
+					}
+				}
+				if g.State() != ref.State() || g.src != ref.src {
+					t.Fatalf("seed %d, length %d: state %+v after NormalInto, want Normal's %+v", seed, n, g.State(), ref.State())
+				}
+			}
+		}
+	}
+	if total["wedge"] == 0 || total["tail"] == 0 {
+		t.Fatalf("draws off the fast path: %v, want wedge tests and strip 0 tails", total)
+	}
+}
+
 func TestSourceUnreadInvertsInt63(t *testing.T) {
 	// unread after Int63 restores the whole source — ring, both indices,
 	// counter — from every index pair over three trips around the ring,

@@ -19,7 +19,7 @@ var goStatementAllowlist = map[string]string{
 	"internal/fl/pool.go":    "the one budgeted claim loop every round fan-out runs on",
 	"internal/fl/async.go":   "the async engine's trainers, each on a budget token",
 	"internal/data/lazy.go":  "the lazy federation's shard prefetch pool",
-	"internal/data/build.go": "setup-time fan-outs: the Dir(β) assignment beside feature generation, each large Dir(β) vector's Gamma draws over GOMAXPROCS parts, the vision corpus's train and test draws side by side, and its finish pass over row blocks",
+	"internal/data/build.go": "setup-time fan-outs: the lazy build's Dir(β) assignment beside the corpus, each large Dir(β) vector's Gamma draws over GOMAXPROCS parts, and the vision corpus's train draws beside everything else it does",
 }
 
 // TestGoStatementsAllowlisted keeps the worker budget the only way a round
